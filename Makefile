@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check check-race build test vet fmt-check race bench bench-smoke obsdiff-smoke smoke-spaced trace-smoke scenario-smoke
+.PHONY: check check-race build test vet fmt-check race bench bench-smoke bench-module bench-golden obsdiff-smoke smoke-spaced trace-smoke scenario-smoke
 
 check: fmt-check vet build race bench-smoke
 	@echo "check: all gates passed"
@@ -38,10 +38,36 @@ bench-smoke:
 
 # Full fast-path benchmark suite plus the serving-layer closed-loop
 # measurements (baseline, traced, hot-spot tracked, and the -shards
-# {1,2,4,8} scaling sweep); writes BENCH_8.json (see EXPERIMENTS.md for
-# the schema and scripts/bench.sh for knobs).
+# {1,2,4,8} scaling sweep); writes the JSON file scripts/bench.sh names
+# by default (see EXPERIMENTS.md for the schema and the script for
+# knobs). The numbers PRs are judged by come from benchmark/ instead
+# (BENCHMARK.json, benchmark/README.md).
 bench:
 	./scripts/bench.sh
+
+# benchmark/ is a Go module of its own, so `go build ./... && go test
+# ./...` never compiles it and an internal/ API break stays invisible
+# until the acceptance driver runs. This builds it, runs every workload
+# shape once at small scale, and runs its unit tests.
+bench-module:
+	bash benchmark/run.sh -smoke
+	cd benchmark && $(GO) vet . && $(GO) test -race .
+
+# Decision-digest gate: one short run of both direct workloads per seed;
+# every run checks its decisions against benchmark/golden.json (pinned
+# for seeds 1-10) and fails on any `check ... FAILED`.
+BENCH_GOLDEN_SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+bench-golden:
+	@for w in full_direct medium_direct_wide; do \
+		for s in $(BENCH_GOLDEN_SEEDS); do \
+			out="$$(bash benchmark/run.sh --workload $$w --seed $$s --seconds 1)"; status=$$?; \
+			echo "$$out" | grep '^check' | sed "s/^/bench-golden: $$w seed $$s: /"; \
+			if [ $$status -ne 0 ] || echo "$$out" | grep -q '^check .*FAILED' || \
+				! echo "$$out" | grep -q '^check golden  *ok'; then \
+				echo "bench-golden: $$w seed $$s failed (exit $$status)"; exit 1; \
+			fi; \
+		done; \
+	done
 
 # End-to-end serving smoke: build spaced + spaceload, run a short burst
 # against a live daemon, assert accepts, probe the hot-spot telemetry

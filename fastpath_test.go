@@ -8,6 +8,7 @@ package spacebooking
 // floating-point evaluation order or tie-breaking shows up immediately.
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -43,8 +44,9 @@ func equivCases() []equivCase {
 // newSearchAlgorithm mirrors sim.buildAlgorithm's wiring for the kinds
 // under test, with explicit control over the search implementation and
 // budget pruning. Each call builds a fresh strict-battery state so the
-// two sides of a comparison never share reservations.
-func newSearchAlgorithm(t *testing.T, env *Environment, ec equivCase, rc sim.RunConfig, generic, prune bool) router.Algorithm {
+// two sides of a comparison never share reservations; the state is
+// returned for the end-of-run invariant check.
+func newSearchAlgorithm(t *testing.T, env *Environment, ec equivCase, rc sim.RunConfig, generic, prune bool) (router.Algorithm, *netstate.State) {
 	t.Helper()
 	state, err := netstate.New(env.Provider, rc.Energy, false)
 	if err != nil {
@@ -61,7 +63,7 @@ func newSearchAlgorithm(t *testing.T, env *Environment, ec equivCase, rc sim.Run
 		if err != nil {
 			t.Fatal(err)
 		}
-		return alg
+		return alg, state
 	case sim.AlgSSP, sim.AlgECARS, sim.AlgERU, sim.AlgERA:
 		var (
 			alg *baselines.Baseline
@@ -80,10 +82,10 @@ func newSearchAlgorithm(t *testing.T, env *Environment, ec equivCase, rc sim.Run
 			t.Fatal(err)
 		}
 		alg.SetGenericSearch(generic)
-		return alg
+		return alg, state
 	default:
 		t.Fatalf("unsupported kind %v", ec.kind)
-		return nil
+		return nil, nil
 	}
 }
 
@@ -105,8 +107,8 @@ func TestFlatSearchMatchesGenericSearch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			genericAlg := newSearchAlgorithm(t, env, ec, rc, true, false)
-			flatAlg := newSearchAlgorithm(t, env, ec, rc, false, false)
+			genericAlg, genericState := newSearchAlgorithm(t, env, ec, rc, true, false)
+			flatAlg, flatState := newSearchAlgorithm(t, env, ec, rc, false, false)
 			for i, req := range reqs {
 				dg, err := genericAlg.Handle(req)
 				if err != nil {
@@ -121,24 +123,97 @@ func TestFlatSearchMatchesGenericSearch(t *testing.T) {
 						ec.name, seed, i, dg, df)
 				}
 			}
+			checkInvariants(t, genericState, flatState)
 		}
 	}
 }
 
+// checkInvariants fails the test if any state's ledgers broke a
+// structural invariant during the run.
+func checkInvariants(t *testing.T, states ...*netstate.State) {
+	t.Helper()
+	for _, s := range states {
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAdaptiveFlatMatchesGeneric is the fast == generic sweep for the
+// adaptive controller, which rebuilds its inner CEAR with new μ1/μ2 over
+// the same State every window: a unit-price table that outlived the
+// pricer it was filled with would show here as a diverging price.
+func TestAdaptiveFlatMatchesGeneric(t *testing.T) {
+	env := smallEnv(t)
+	for _, seed := range []int64{1, 7, 23, 42} {
+		wl := env.WorkloadConfig(3*env.DefaultArrivalRate(), seed)
+		rc, err := env.RunConfig(sim.AlgCEARAdaptive, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs, err := workload.Generate(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc.GenericSearch = true
+		generic, err := sim.NewEngine(env.Provider, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc.GenericSearch = false
+		flat, err := sim.NewEngine(env.Provider, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, req := range reqs {
+			dg, err := generic.Admit(req)
+			if err != nil {
+				t.Fatalf("seed %d: generic Admit(%d): %v", seed, i, err)
+			}
+			df, err := flat.Admit(req)
+			if err != nil {
+				t.Fatalf("seed %d: flat Admit(%d): %v", seed, i, err)
+			}
+			if !reflect.DeepEqual(dg, df) {
+				t.Fatalf("seed %d request %d: decisions diverge\ngeneric: %+v\nflat:    %+v", seed, i, dg, df)
+			}
+		}
+		checkInvariants(t, generic.State(), flat.State())
+	}
+}
+
 // TestBudgetPruningPreservesOutcomes runs CEAR with and without budget
-// pruning over identical workloads whose valuation is squeezed low
-// enough that a healthy fraction of requests is priced out. Pruning may
-// abandon a search early, so rejection *reasons* can differ (an
+// pruning over identical workloads, at the default valuation (where
+// no-path and energy-infeasible rejections are common, so pruning has
+// classes to move) and with the valuation squeezed low enough that
+// nearly every rejection is priced out. Pruning may
+// abandon a search early, so rejection reason *classes* can differ (an
 // early-pruned plan reads "exceeds valuation" where the exhaustive
-// search might discover "no feasible path" at a later slot) — but the
-// accepted set, the quoted prices of accepted plans, the plans
-// themselves, and the committed network state must match exactly.
+// search might discover "no feasible path" at a later slot) — but only
+// ever toward priced-out, and the accepted set, the quoted prices of
+// accepted plans, the plans themselves, and the committed network state
+// must match exactly.
 func TestBudgetPruningPreservesOutcomes(t *testing.T) {
 	env := smallEnv(t)
 	horizon := env.Provider.Horizon()
-	for _, seed := range []int64{3, 11} {
+	totalReclassified := 0
+	for _, tc := range []struct {
+		seed      int64
+		squeezeBy float64
+		// bitExact: at the squeezed valuation nearly every rejection is
+		// priced out at its first slots, both runs roll back the same
+		// reservations and accepted decisions match bit for bit. At the
+		// default valuation the plain run reserves and rolls back slots
+		// the pruned run never reaches; releasing r from a link holding
+		// a leaves (a+r)-r, which is not always a, so later edge prices
+		// can differ in their last bits. There the plans and the
+		// accept/reject outcomes must still match and prices agree to
+		// 1e-9.
+		bitExact bool
+	}{{3, 1e4, true}, {11, 1e4, true}, {3, 1, false}, {11, 1, false}} {
+		seed := tc.seed
 		wl := env.WorkloadConfig(2*env.DefaultArrivalRate(), seed)
-		wl.Valuation = env.DefaultValuation() / 1e4
+		wl.Valuation = env.DefaultValuation() / tc.squeezeBy
 		rc, err := env.RunConfig(sim.AlgCEAR, wl)
 		if err != nil {
 			t.Fatal(err)
@@ -167,7 +242,7 @@ func TestBudgetPruningPreservesOutcomes(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		accepted, rejected := 0, 0
+		accepted, rejected, reclassified := 0, 0, 0
 		for i, req := range reqs {
 			dp, err := plain.Handle(req)
 			if err != nil {
@@ -185,14 +260,24 @@ func TestBudgetPruningPreservesOutcomes(t *testing.T) {
 				accepted++
 				// Accepted decisions must be fully identical, reason
 				// included (it is empty on accept).
-				if !reflect.DeepEqual(dp, dq) {
+				if tc.bitExact && !reflect.DeepEqual(dp, dq) || !tc.bitExact && !samePlanUpToDust(dp, dq) {
 					t.Fatalf("seed %d request %d: accepted decisions diverge\nplain:  %+v\npruned: %+v",
 						seed, i, dp, dq)
 				}
 			} else {
 				rejected++
+				// The reason class is the one thing pruning may change,
+				// and only in one direction.
+				if cp, cq := sim.ClassifyReason(dp.Reason), sim.ClassifyReason(dq.Reason); cp != cq {
+					if cq != "priced-out" {
+						t.Fatalf("seed %d request %d: reason class moved %s -> %s; pruning may only reclassify to priced-out",
+							seed, i, cp, cq)
+					}
+					reclassified++
+				}
 			}
 		}
+		totalReclassified += reclassified
 		if accepted == 0 || rejected == 0 {
 			t.Fatalf("seed %d: degenerate workload (accepted=%d rejected=%d); pruning not exercised both ways",
 				seed, accepted, rejected)
@@ -203,10 +288,7 @@ func TestBudgetPruningPreservesOutcomes(t *testing.T) {
 
 		// Committed state must be indistinguishable: same congestion and
 		// depletion profile, same residual energy deficit, slot by slot.
-		// (The raw ledger footprint is NOT compared: a rolled-back
-		// reservation leaves a zero-usage ledger entry behind, and the
-		// pruned run abandons doomed searches before ever touching those
-		// links — a difference in bookkeeping residue, not in state.)
+		checkInvariants(t, statePlain, statePruned)
 		for slot := 0; slot < horizon; slot++ {
 			if a, b := statePlain.CongestedLinkCount(slot, 0.1), statePruned.CongestedLinkCount(slot, 0.1); a != b {
 				t.Fatalf("seed %d slot %d: congested links %d vs %d", seed, slot, a, b)
@@ -219,6 +301,24 @@ func TestBudgetPruningPreservesOutcomes(t *testing.T) {
 			}
 		}
 	}
+	if totalReclassified == 0 {
+		t.Fatal("pruning never changed a reason class; the direction check is vacuous")
+	}
+}
+
+// samePlanUpToDust reports whether two accepted decisions route every
+// slot over the same nodes and quote prices equal to within 1e-9.
+func samePlanUpToDust(a, b router.Decision) bool {
+	if math.Abs(a.Price-b.Price) > 1e-9*math.Abs(a.Price) || len(a.Plan.Paths) != len(b.Plan.Paths) {
+		return false
+	}
+	for i, pa := range a.Plan.Paths {
+		pb := b.Plan.Paths[i]
+		if pa.Slot != pb.Slot || !reflect.DeepEqual(pa.Path.Nodes, pb.Path.Nodes) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestScratchReuseAcrossRequests checks the pooling story end to end: a
@@ -258,5 +358,48 @@ func TestScratchReuseAcrossRequests(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res1, res2) {
 		t.Fatalf("warm-scratch rerun diverged:\nfirst:  %+v\nsecond: %+v", res1, res2)
+	}
+}
+
+// TestAdmitAllocsNoWorseThanPerLinkLedgers guards the allocation cost of
+// the dense ledger: on a fresh engine over a warm scratch (steady state
+// for everything but the ledger itself, whose rows appear as slots are
+// first reserved), a whole stream must average no more heap allocations
+// per Admit than the per-link map of horizon-long slices it replaced.
+// The ceilings are that ledger's figures for these streams (17 and 13;
+// this ledger measures 13 and 11).
+func TestAdmitAllocsNoWorseThanPerLinkLedgers(t *testing.T) {
+	env := smallEnv(t)
+	for _, tc := range []struct {
+		rateMult float64
+		ceiling  float64
+	}{{1, 17}, {2, 13}} {
+		wl := env.WorkloadConfig(tc.rateMult*env.DefaultArrivalRate(), 5)
+		rc, err := env.RunConfig(sim.AlgCEAR, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs, err := workload.Generate(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc.Scratch = netstate.NewSearchScratch()
+		lap := func() float64 {
+			eng, err := sim.NewEngine(env.Provider, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := 0
+			return testing.AllocsPerRun(len(reqs)-1, func() {
+				if _, err := eng.Admit(reqs[next]); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			})
+		}
+		lap() // warms the scratch
+		if got := lap(); got > tc.ceiling {
+			t.Errorf("rate x%g: %.0f allocs per Admit, ceiling %.0f", tc.rateMult, got, tc.ceiling)
+		}
 	}
 }

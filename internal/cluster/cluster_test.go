@@ -124,6 +124,11 @@ func runCluster(t *testing.T, n int, policy Policy, rc sim.RunConfig, reqs []wor
 	if err != nil {
 		t.Fatalf("finish: %v", err)
 	}
+	for i := 0; i < c.NumShards(); i++ {
+		if err := c.Shard(i).Engine().State().CheckInvariants(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+	}
 	return c, res
 }
 

@@ -15,6 +15,7 @@ import (
 	"math"
 	"time"
 
+	"spacebooking/internal/energy"
 	"spacebooking/internal/graph"
 	"spacebooking/internal/netstate"
 	"spacebooking/internal/obs"
@@ -52,11 +53,19 @@ type Options struct {
 	// PruneBudget enables budget pruning in the fast-path searches: a
 	// search label whose accumulated plan price already exceeds the
 	// request's valuation is abandoned, since admission would reject any
-	// completion through it. Pruning is exact — accept/reject outcomes,
-	// accepted plans and committed state are identical with it on or
-	// off; only the rejection reason may say "priced out" where an
-	// unpruned run would have finished the search first. Ignored by the
-	// generic search and when DisableAdmission is set.
+	// completion through it. Pruning preserves accept/reject outcomes,
+	// accepted plans and battery state. It does not preserve the
+	// rejection reason class: a request the plain run rejects as "no
+	// feasible path" or "energy infeasible" at a later slot is rejected
+	// as priced out at the slot where the budget ran out. Classes only
+	// ever move to priced-out, never away from it — but per-reason
+	// rejection counts (and any digest over them) differ between a
+	// pruned and a plain run. Quoted prices and link reservations match
+	// a plain run's bit for bit only while both roll back the same
+	// reservations: the plain run reserves and releases slots a pruned
+	// run never reaches, and releasing r from a link holding a leaves
+	// (a+r)−r, so later prices can differ in their last bits. Ignored by
+	// the generic search and when DisableAdmission is set.
 	PruneBudget bool
 	// Scratch supplies the pooled search scratch the fast path runs on.
 	// Nil allocates a private one; the experiment scheduler passes a
@@ -83,6 +92,14 @@ type CEAR struct {
 	cacheVals  []float64
 	cacheEpoch []uint32
 	epoch      uint32
+
+	// Per-satellite unit-price tables for the deficit-pricing walk (see
+	// unitTable). They belong to this instance, not to the State: they
+	// are a function of μ2 as well as of the ledger, and the adaptive
+	// controller rebuilds CEAR instances with a new μ2 over the same
+	// State.
+	units     []unitTable
+	unitPrice func(utilization float64) float64
 
 	// Routing fast-path state: the pooled search scratch, a reusable
 	// consumption buffer, and the cost/transit functions bound once at
@@ -125,13 +142,14 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 	if opts.MaxHops < 0 {
 		return nil, fmt.Errorf("core: negative max hops %d", opts.MaxHops)
 	}
-	slots := state.Provider().NumSats() * 16
+	numSats := state.Provider().NumSats()
 	c := &CEAR{
 		state:      state,
 		opts:       opts,
 		fast:       opts.Pricing.Fast(),
-		cacheVals:  make([]float64, slots),
-		cacheEpoch: make([]uint32, slots),
+		cacheVals:  make([]float64, numSats*16),
+		cacheEpoch: make([]uint32, numSats*16),
+		units:      make([]unitTable, numSats),
 		scratch:    opts.Scratch,
 		slotSec:    state.Provider().Config().SlotSeconds,
 		energyCfg:  state.EnergyConfig(),
@@ -141,6 +159,7 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 	}
 	c.edgeFn = c.priceEdgeCost
 	c.transitFn = c.priceTransit
+	c.unitPrice = c.energyUnitPrice
 	if reg := opts.Obs; reg != nil {
 		c.ctrEvaluations = reg.Counter("core.admission.evaluations")
 		c.ctrAccepted = reg.Counter("core.admission.accepted")
@@ -216,24 +235,46 @@ func (c *CEAR) energyTransitCost(sat, slot int, joules float64) float64 {
 		defer pricingTimer(in.PricingNanos, time.Now())
 	}
 	b := c.state.Battery(sat)
-	capJ := b.CapacityJ()
-	cost := 0.0
-	feasible := true
-	b.VisitDeficit(slot, joules, func(t int, outstanding float64) bool {
-		if b.DeficitAt(t)+outstanding > capJ*(1+1e-12) {
-			feasible = false
-			return false
-		}
-		if !c.opts.DisableEnergyPricing {
-			cost += c.energyUnitPrice(b.UtilizationAt(t)) * outstanding
-		}
-		return true
-	})
+	cost, feasible := b.PriceDeficit(slot, joules, c.unitPrices(sat, b))
 	if !feasible {
 		c.state.NoteDepletedSat(sat)
 		return math.Inf(1)
 	}
 	return cost
+}
+
+// unitTable is one satellite's per-slot energy unit prices:
+// prices[t] is the per-joule price at slot t under the battery's ledger
+// as of mutation stamp `stamp`, non-zero only inside [first, last], the
+// deficit span it was last filled over. prices is nil until the
+// satellite first holds a deficit.
+type unitTable struct {
+	prices      []float64
+	stamp       uint64
+	first, last int
+}
+
+// unitPrices returns the satellite's unit prices, refilled over the
+// deficit span if its battery's ledger moved since the last fill. Nil —
+// which prices every slot at zero — for a battery that has never held a
+// deficit, and for every battery when energy pricing is disabled.
+func (c *CEAR) unitPrices(sat int, b *energy.Battery) []float64 {
+	if c.opts.DisableEnergyPricing {
+		return nil
+	}
+	u := &c.units[sat]
+	if u.prices == nil {
+		if first, last := b.DeficitSpan(); first > last {
+			return nil
+		}
+		u.prices = make([]float64, b.Horizon())
+		u.first, u.last = 0, -1
+	} else if u.stamp == b.Stamp() {
+		return u.prices
+	}
+	u.first, u.last = b.FillUnitPrices(u.prices, u.first, u.last, c.unitPrice)
+	u.stamp = b.Stamp()
+	return u.prices
 }
 
 // pricingTimer accumulates elapsed pricing-walk wall time; the deferred

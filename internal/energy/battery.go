@@ -32,6 +32,20 @@ type Battery struct {
 	// run with clamp=false and enforce b_s(T) >= 0 (constraint (7c)).
 	clamp bool
 	instr *Instruments
+
+	// firstDeficit and lastDeficit enclose every slot with a non-zero
+	// deficit (first > last while there is none). Consume widens them,
+	// CopyFrom adopts the source's; a Refund that drains an end slot
+	// leaves them loose, which is still enclosing. The pricing walk uses
+	// lastDeficit to stop early, a unit-price table (FillUnitPrices) is
+	// non-zero only inside the span.
+	firstDeficit int
+	lastDeficit  int
+	// stamp counts ledger mutations (Consume, ConsumeTraced, Refund,
+	// CopyFrom). It only ever grows, so anything derived from the ledger
+	// — a unit-price table, a prepared reservation's snapshot — is still
+	// current exactly when the stamp it was taken at is.
+	stamp uint64
 }
 
 // NewBattery builds a ledger with the given capacity (joules) and
@@ -56,6 +70,8 @@ func NewBattery(capacityJ float64, solarInputJ []float64, clamp bool) (*Battery,
 		solarRemaining: solar,
 		deficit:        make([]float64, len(solarInputJ)),
 		clamp:          clamp,
+		firstDeficit:   len(solarInputJ),
+		lastDeficit:    -1,
 	}, nil
 }
 
@@ -149,6 +165,100 @@ func (b *Battery) VisitDeficit(ta int, joules float64, fn func(t int, outstandin
 	}
 }
 
+// Stamp returns the ledger's mutation count: it moves on every Consume,
+// ConsumeTraced, Refund and CopyFrom and never repeats, so a value
+// derived from the ledger is current exactly while Stamp is unchanged.
+func (b *Battery) Stamp() uint64 { return b.stamp }
+
+// DeficitSpan returns bounds [first, last] that enclose every slot with
+// a non-zero deficit; first > last when the ledger holds none. The
+// bounds may be loose after a Refund, never too tight.
+func (b *Battery) DeficitSpan() (first, last int) { return b.firstDeficit, b.lastDeficit }
+
+// walk is the closure-free twin of VisitDeficit that pricing and every
+// feasibility check run on. It follows the deficit profile of consuming
+// joules in slot ta, accumulates cost += unit[t]·outstanding(t) when a
+// unit-price table is given (nil prices nothing), and stops at the first
+// slot t where deficit[t]+outstanding(t) exceeds limit, returning that
+// slot and sum; failSlot is -1 when the profile fits.
+//
+// The float operations and their order are VisitDeficit's, with one
+// shortcut: the walk ends after the first slot past lastDeficit. From
+// there on the ledger's deficit is zero, so the unit price is
+// price(0) = +0 and cost + 0·outstanding == cost exactly; and
+// outstanding only shrinks as later solar absorbs it, so if that slot
+// fits under limit every later one does. The skipped slots can change
+// neither result.
+func (b *Battery) walk(ta int, joules float64, unit []float64, limit float64) (cost float64, failSlot int, failDeficit float64) {
+	b.instr.countDeficitWalk()
+	if joules <= 0 || ta < 0 || ta >= len(b.deficit) {
+		return 0, -1, 0
+	}
+	end := b.lastDeficit + 1
+	if end < ta {
+		end = ta
+	}
+	if end >= len(b.deficit) {
+		end = len(b.deficit) - 1
+	}
+	// Windows of equal length over [ta, end]: the loop indexes them
+	// without bounds checks.
+	deficit := b.deficit[ta : end+1]
+	solar := b.solarRemaining[ta:][:len(deficit)]
+	if unit != nil {
+		unit = unit[ta:][:len(deficit)]
+	}
+	remaining := joules
+	for i, d := range deficit {
+		if s := solar[i]; s < remaining {
+			remaining -= s
+		} else {
+			break
+		}
+		if sum := d + remaining; sum > limit {
+			return cost, ta + i, sum
+		}
+		if unit != nil {
+			cost += unit[i] * remaining
+		}
+	}
+	return cost, -1, 0
+}
+
+// PriceDeficit prices, without mutating the ledger, the deficit that
+// consuming joules in slot ta would add: Σ_t unit[t]·Ω̄(ta, t), the
+// energy term of Eq. (12) for one (satellite, slot), where unit[t] is
+// the per-joule price of slot t (see FillUnitPrices; it must cover the
+// horizon). feasible is false when the consumption would breach
+// constraint (7c) at some slot; cost is then meaningless.
+//
+// It equals a VisitDeficit walk that checks
+// DeficitAt(t)+outstanding <= capacity·(1+1e-12) and adds
+// price(UtilizationAt(t))·outstanding per slot, bit for bit.
+func (b *Battery) PriceDeficit(ta int, joules float64, unit []float64) (cost float64, feasible bool) {
+	cost, failSlot, _ := b.walk(ta, joules, unit, b.capacityJ*(1+1e-12))
+	return cost, failSlot < 0
+}
+
+// FillUnitPrices brings a per-slot unit-price table up to date with the
+// ledger: unit[t] = price(UtilizationAt(t)) inside the deficit span and
+// exactly zero outside it, which is what price returns for an empty
+// slot (μ^0 − 1). oldFirst/oldLast is the span the table was last
+// filled over (first > last for a fresh, all-zero table); the new span
+// is returned for the next call. Only the two spans are written, so a
+// refill costs O(deficit span), not O(horizon).
+func (b *Battery) FillUnitPrices(unit []float64, oldFirst, oldLast int, price func(utilization float64) float64) (first, last int) {
+	for t := oldFirst; t <= oldLast; t++ {
+		unit[t] = 0
+	}
+	for t := b.firstDeficit; t <= b.lastDeficit; t++ {
+		if b.deficit[t] != 0 {
+			unit[t] = price(b.UtilizationAt(t))
+		}
+	}
+	return b.firstDeficit, b.lastDeficit
+}
+
 // Feasible reports whether consuming `joules` in slot ta keeps the
 // battery within capacity (b_s(t) >= 0) at every slot, given the current
 // committed state. Always true in clamp mode.
@@ -156,15 +266,8 @@ func (b *Battery) Feasible(ta int, joules float64) bool {
 	if b.clamp {
 		return true
 	}
-	ok := true
-	b.VisitDeficit(ta, joules, func(t int, outstanding float64) bool {
-		if b.deficit[t]+outstanding > b.capacityJ*(1+1e-12) {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
+	_, failSlot, _ := b.walk(ta, joules, nil, b.capacityJ*(1+1e-12))
+	return failSlot < 0
 }
 
 // DepletionError is returned by Consume when a non-clamping battery
@@ -180,6 +283,30 @@ func (e *DepletionError) Error() string {
 		e.DeficitJ, e.CapacityJ, e.Slot)
 }
 
+// checkConsume is the validation every consumption entry point shares:
+// argument checks, then — in strict mode — feasibility, reporting the
+// first slot over capacity as a *DepletionError. apply is false for a
+// zero consumption, which succeeds without touching the ledger.
+func (b *Battery) checkConsume(ta int, joules float64) (apply bool, err error) {
+	if joules < 0 || math.IsNaN(joules) {
+		return false, fmt.Errorf("energy: invalid consumption %v", joules)
+	}
+	if joules == 0 {
+		return false, nil
+	}
+	if ta < 0 || ta >= len(b.deficit) {
+		return false, fmt.Errorf("energy: slot %d outside horizon [0,%d)", ta, len(b.deficit))
+	}
+	if !b.clamp && !b.Feasible(ta, joules) {
+		// Feasibility tolerates float dust above capacity; the error
+		// names the first slot strictly above it.
+		_, failSlot, failDeficit := b.walk(ta, joules, nil, b.capacityJ)
+		return false, &DepletionError{Slot: failSlot, DeficitJ: failDeficit, CapacityJ: b.capacityJ}
+	}
+	b.instr.countConsume()
+	return true, nil
+}
+
 // Consume commits an energy consumption of `joules` in slot ta,
 // implementing lines 9–16 of Algorithm 1: solar input of slot ta (and of
 // subsequent slots) is claimed first; whatever cannot be covered becomes
@@ -190,81 +317,34 @@ func (e *DepletionError) Error() string {
 // returned. In clamp mode the posted deficit saturates at capacity (the
 // battery pegs at empty) and the call always succeeds.
 func (b *Battery) Consume(ta int, joules float64) error {
-	if joules < 0 || math.IsNaN(joules) {
-		return fmt.Errorf("energy: invalid consumption %v", joules)
-	}
-	if joules == 0 {
-		return nil
-	}
-	if ta < 0 || ta >= len(b.deficit) {
-		return fmt.Errorf("energy: slot %d outside horizon [0,%d)", ta, len(b.deficit))
-	}
-	if !b.clamp && !b.Feasible(ta, joules) {
-		var failSlot int
-		var failDeficit float64
-		b.VisitDeficit(ta, joules, func(t int, outstanding float64) bool {
-			if b.deficit[t]+outstanding > b.capacityJ {
-				failSlot, failDeficit = t, b.deficit[t]+outstanding
-				return false
-			}
-			return true
-		})
-		return &DepletionError{Slot: failSlot, DeficitJ: failDeficit, CapacityJ: b.capacityJ}
-	}
-
-	b.instr.countConsume()
-	remaining := joules
-	for t := ta; t < len(b.deficit); t++ {
-		absorb := math.Min(remaining, b.solarRemaining[t])
-		b.solarRemaining[t] -= absorb
-		remaining -= absorb
-		if remaining <= 0 {
-			return nil
-		}
-		post := remaining
-		if b.clamp {
-			// The battery cannot discharge below empty: cap both the
-			// posted deficit and the amount carried forward.
-			if post > b.capacityJ {
-				post = b.capacityJ
-				remaining = b.capacityJ
-			}
-			if b.deficit[t]+post > b.capacityJ {
-				post = b.capacityJ - b.deficit[t]
-			}
-		}
-		b.deficit[t] += post
-	}
-	return nil
+	_, err := b.consume(ta, joules, nil, false)
+	return err
 }
 
 // Clone returns an independent deep copy of the ledger. CEAR uses clones
 // to trial-apply a candidate reservation plan (whose slots interact
 // through this very ledger) before committing it.
 func (b *Battery) Clone() *Battery {
-	solar := make([]float64, len(b.solarRemaining))
-	copy(solar, b.solarRemaining)
-	deficit := make([]float64, len(b.deficit))
-	copy(deficit, b.deficit)
-	return &Battery{
-		capacityJ:      b.capacityJ,
-		solarRemaining: solar,
-		deficit:        deficit,
-		clamp:          b.clamp,
-		instr:          b.instr,
-	}
+	c := *b
+	c.solarRemaining = append([]float64(nil), b.solarRemaining...)
+	c.deficit = append([]float64(nil), b.deficit...)
+	return &c
 }
 
 // CopyFrom overwrites this ledger with src's contents, reusing the
 // receiver's backing arrays when they have capacity. The transaction
 // layer's snapshot arena uses it to snapshot and restore batteries
 // without allocating a fresh Battery per touched satellite per request.
+// The receiver's stamp advances (it does not adopt src's): a restore is
+// a mutation like any other.
 func (b *Battery) CopyFrom(src *Battery) {
 	b.capacityJ = src.capacityJ
 	b.solarRemaining = append(b.solarRemaining[:0], src.solarRemaining...)
 	b.deficit = append(b.deficit[:0], src.deficit...)
 	b.clamp = src.clamp
 	b.instr = src.instr
+	b.firstDeficit, b.lastDeficit = src.firstDeficit, src.lastDeficit
+	b.stamp++
 }
 
 // TrialConsume checks whether Consume(ta, joules) would succeed, without
@@ -274,29 +354,8 @@ func (b *Battery) CopyFrom(src *Battery) {
 // consumption this way is equivalent to applying it on a throwaway
 // Clone — minus the clone.
 func (b *Battery) TrialConsume(ta int, joules float64) error {
-	if joules < 0 || math.IsNaN(joules) {
-		return fmt.Errorf("energy: invalid consumption %v", joules)
-	}
-	if joules == 0 {
-		return nil
-	}
-	if ta < 0 || ta >= len(b.deficit) {
-		return fmt.Errorf("energy: slot %d outside horizon [0,%d)", ta, len(b.deficit))
-	}
-	if !b.clamp && !b.Feasible(ta, joules) {
-		var failSlot int
-		var failDeficit float64
-		b.VisitDeficit(ta, joules, func(t int, outstanding float64) bool {
-			if b.deficit[t]+outstanding > b.capacityJ {
-				failSlot, failDeficit = t, b.deficit[t]+outstanding
-				return false
-			}
-			return true
-		})
-		return &DepletionError{Slot: failSlot, DeficitJ: failDeficit, CapacityJ: b.capacityJ}
-	}
-	b.instr.countConsume()
-	return nil
+	_, err := b.checkConsume(ta, joules)
+	return err
 }
 
 // ConsumeStep records one slot's ledger mutation made by ConsumeTraced:
@@ -314,44 +373,34 @@ type ConsumeStep struct {
 
 // ConsumeTraced is Consume with a mutation trace: every per-slot solar
 // absorption and deficit posting is appended to steps (grown as needed
-// and returned). The ledger mutation is exactly Consume's — same
-// checks, same instrument counts, same float operations in the same
-// order — so a traced commit is byte-identical to an untraced one.
+// and returned). The ledger mutation is Consume's — one loop serves
+// both — so a traced commit is byte-identical to an untraced one.
 func (b *Battery) ConsumeTraced(ta int, joules float64, steps []ConsumeStep) ([]ConsumeStep, error) {
-	if joules < 0 || math.IsNaN(joules) {
-		return steps, fmt.Errorf("energy: invalid consumption %v", joules)
-	}
-	if joules == 0 {
-		return steps, nil
-	}
-	if ta < 0 || ta >= len(b.deficit) {
-		return steps, fmt.Errorf("energy: slot %d outside horizon [0,%d)", ta, len(b.deficit))
-	}
-	if !b.clamp && !b.Feasible(ta, joules) {
-		var failSlot int
-		var failDeficit float64
-		b.VisitDeficit(ta, joules, func(t int, outstanding float64) bool {
-			if b.deficit[t]+outstanding > b.capacityJ {
-				failSlot, failDeficit = t, b.deficit[t]+outstanding
-				return false
-			}
-			return true
-		})
-		return steps, &DepletionError{Slot: failSlot, DeficitJ: failDeficit, CapacityJ: b.capacityJ}
-	}
+	return b.consume(ta, joules, steps, true)
+}
 
-	b.instr.countConsume()
+// consume is the one mutation loop behind Consume and ConsumeTraced.
+func (b *Battery) consume(ta int, joules float64, steps []ConsumeStep, traced bool) ([]ConsumeStep, error) {
+	apply, err := b.checkConsume(ta, joules)
+	if !apply {
+		return steps, err
+	}
+	b.stamp++
 	remaining := joules
 	for t := ta; t < len(b.deficit); t++ {
 		absorb := math.Min(remaining, b.solarRemaining[t])
 		b.solarRemaining[t] -= absorb
 		remaining -= absorb
 		if remaining <= 0 {
-			steps = append(steps, ConsumeStep{Slot: t, AbsorbedJ: absorb})
+			if traced {
+				steps = append(steps, ConsumeStep{Slot: t, AbsorbedJ: absorb})
+			}
 			return steps, nil
 		}
 		post := remaining
 		if b.clamp {
+			// The battery cannot discharge below empty: cap both the
+			// posted deficit and the amount carried forward.
 			if post > b.capacityJ {
 				post = b.capacityJ
 				remaining = b.capacityJ
@@ -361,7 +410,15 @@ func (b *Battery) ConsumeTraced(ta int, joules float64, steps []ConsumeStep) ([]
 			}
 		}
 		b.deficit[t] += post
-		steps = append(steps, ConsumeStep{Slot: t, AbsorbedJ: absorb, PostedJ: post})
+		if t < b.firstDeficit {
+			b.firstDeficit = t
+		}
+		if t > b.lastDeficit {
+			b.lastDeficit = t
+		}
+		if traced {
+			steps = append(steps, ConsumeStep{Slot: t, AbsorbedJ: absorb, PostedJ: post})
+		}
 	}
 	return steps, nil
 }
@@ -377,6 +434,7 @@ func (b *Battery) Refund(st ConsumeStep) {
 	if st.Slot < 0 || st.Slot >= len(b.deficit) {
 		return
 	}
+	b.stamp++
 	b.solarRemaining[st.Slot] += st.AbsorbedJ
 	if st.PostedJ != 0 {
 		d := b.deficit[st.Slot] - st.PostedJ
@@ -385,6 +443,26 @@ func (b *Battery) Refund(st ConsumeStep) {
 		}
 		b.deficit[st.Slot] = d
 	}
+}
+
+// CheckInvariants verifies what the pricing walk's shortcuts rely on:
+// no slot holds a negative deficit or unclaimed solar, none is above
+// capacity (beyond the float dust feasibility tolerates), and the
+// deficit bounds enclose every non-zero slot.
+func (b *Battery) CheckInvariants() error {
+	limit := b.capacityJ * (1 + 1e-12)
+	for t, d := range b.deficit {
+		switch {
+		case d < 0 || d > limit || math.IsNaN(d):
+			return fmt.Errorf("energy: deficit %v at slot %d outside [0, %v]", d, t, b.capacityJ)
+		case b.solarRemaining[t] < 0 || math.IsNaN(b.solarRemaining[t]):
+			return fmt.Errorf("energy: unclaimed solar %v at slot %d is negative", b.solarRemaining[t], t)
+		case d != 0 && (t < b.firstDeficit || t > b.lastDeficit):
+			return fmt.Errorf("energy: deficit %v at slot %d lies outside the recorded span [%d, %d]",
+				d, t, b.firstDeficit, b.lastDeficit)
+		}
+	}
+	return nil
 }
 
 // SolarInputVector builds a per-slot solar input vector (joules per slot)

@@ -8,7 +8,9 @@ package grid
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 
 	"spacebooking/internal/geo"
 )
@@ -118,57 +120,55 @@ type economicCenter struct {
 
 // economicCenters approximates the global GDP distribution with ~45
 // metropolitan/regional centres. This substitutes for the GDP raster the
-// paper (via ICARUS) uses; see DESIGN.md substitution #2.
-func economicCenters() []economicCenter {
-	return []economicCenter{
-		{"New York", 40.7, -74.0, 10, 600},
-		{"Los Angeles", 34.1, -118.2, 7, 500},
-		{"Chicago", 41.9, -87.6, 5, 400},
-		{"Houston", 29.8, -95.4, 4, 400},
-		{"Toronto", 43.7, -79.4, 3.5, 400},
-		{"Mexico City", 19.4, -99.1, 3.5, 400},
-		{"São Paulo", -23.6, -46.6, 4.5, 500},
-		{"Buenos Aires", -34.6, -58.4, 2.5, 400},
-		{"Bogotá", 4.7, -74.1, 1.5, 300},
-		{"London", 51.5, -0.1, 8, 500},
-		{"Paris", 48.9, 2.4, 6, 450},
-		{"Frankfurt", 50.1, 8.7, 6, 500},
-		{"Madrid", 40.4, -3.7, 3, 400},
-		{"Milan", 45.5, 9.2, 4, 400},
-		{"Amsterdam", 52.4, 4.9, 3.5, 300},
-		{"Zurich", 47.4, 8.5, 2.5, 250},
-		{"Stockholm", 59.3, 18.1, 2, 350},
-		{"Warsaw", 52.2, 21.0, 2, 350},
-		{"Moscow", 55.8, 37.6, 3.5, 500},
-		{"Istanbul", 41.0, 28.9, 2.5, 350},
-		{"Dubai", 25.2, 55.3, 3, 350},
-		{"Riyadh", 24.7, 46.7, 2, 350},
-		{"Tel Aviv", 32.1, 34.8, 1.5, 200},
-		{"Mumbai", 19.1, 72.9, 4.5, 450},
-		{"Delhi", 28.6, 77.2, 4.5, 450},
-		{"Bangalore", 13.0, 77.6, 3, 350},
-		{"Karachi", 24.9, 67.0, 1.5, 300},
-		{"Dhaka", 23.8, 90.4, 1.5, 250},
-		{"Bangkok", 13.8, 100.5, 2.5, 350},
-		{"Singapore", 1.4, 103.8, 4, 250},
-		{"Jakarta", -6.2, 106.8, 3, 350},
-		{"Manila", 14.6, 121.0, 2, 300},
-		{"Ho Chi Minh City", 10.8, 106.7, 1.5, 250},
-		{"Hong Kong", 22.3, 114.2, 5, 300},
-		{"Shenzhen", 22.5, 114.1, 5, 300},
-		{"Shanghai", 31.2, 121.5, 8, 500},
-		{"Beijing", 39.9, 116.4, 7, 500},
-		{"Seoul", 37.6, 127.0, 6, 400},
-		{"Tokyo", 35.7, 139.7, 9, 500},
-		{"Osaka", 34.7, 135.5, 4, 350},
-		{"Taipei", 25.0, 121.6, 3, 250},
-		{"Sydney", -33.9, 151.2, 3.5, 400},
-		{"Melbourne", -37.8, 145.0, 3, 400},
-		{"Johannesburg", -26.2, 28.0, 2, 400},
-		{"Lagos", 6.5, 3.4, 1.5, 350},
-		{"Cairo", 30.0, 31.2, 2, 350},
-		{"Nairobi", -1.3, 36.8, 1, 300},
-	}
+// paper (via ICARUS) uses; see DESIGN.md substitution #2. Read-only.
+var economicCenters = []economicCenter{
+	{"New York", 40.7, -74.0, 10, 600},
+	{"Los Angeles", 34.1, -118.2, 7, 500},
+	{"Chicago", 41.9, -87.6, 5, 400},
+	{"Houston", 29.8, -95.4, 4, 400},
+	{"Toronto", 43.7, -79.4, 3.5, 400},
+	{"Mexico City", 19.4, -99.1, 3.5, 400},
+	{"São Paulo", -23.6, -46.6, 4.5, 500},
+	{"Buenos Aires", -34.6, -58.4, 2.5, 400},
+	{"Bogotá", 4.7, -74.1, 1.5, 300},
+	{"London", 51.5, -0.1, 8, 500},
+	{"Paris", 48.9, 2.4, 6, 450},
+	{"Frankfurt", 50.1, 8.7, 6, 500},
+	{"Madrid", 40.4, -3.7, 3, 400},
+	{"Milan", 45.5, 9.2, 4, 400},
+	{"Amsterdam", 52.4, 4.9, 3.5, 300},
+	{"Zurich", 47.4, 8.5, 2.5, 250},
+	{"Stockholm", 59.3, 18.1, 2, 350},
+	{"Warsaw", 52.2, 21.0, 2, 350},
+	{"Moscow", 55.8, 37.6, 3.5, 500},
+	{"Istanbul", 41.0, 28.9, 2.5, 350},
+	{"Dubai", 25.2, 55.3, 3, 350},
+	{"Riyadh", 24.7, 46.7, 2, 350},
+	{"Tel Aviv", 32.1, 34.8, 1.5, 200},
+	{"Mumbai", 19.1, 72.9, 4.5, 450},
+	{"Delhi", 28.6, 77.2, 4.5, 450},
+	{"Bangalore", 13.0, 77.6, 3, 350},
+	{"Karachi", 24.9, 67.0, 1.5, 300},
+	{"Dhaka", 23.8, 90.4, 1.5, 250},
+	{"Bangkok", 13.8, 100.5, 2.5, 350},
+	{"Singapore", 1.4, 103.8, 4, 250},
+	{"Jakarta", -6.2, 106.8, 3, 350},
+	{"Manila", 14.6, 121.0, 2, 300},
+	{"Ho Chi Minh City", 10.8, 106.7, 1.5, 250},
+	{"Hong Kong", 22.3, 114.2, 5, 300},
+	{"Shenzhen", 22.5, 114.1, 5, 300},
+	{"Shanghai", 31.2, 121.5, 8, 500},
+	{"Beijing", 39.9, 116.4, 7, 500},
+	{"Seoul", 37.6, 127.0, 6, 400},
+	{"Tokyo", 35.7, 139.7, 9, 500},
+	{"Osaka", 34.7, 135.5, 4, 350},
+	{"Taipei", 25.0, 121.6, 3, 250},
+	{"Sydney", -33.9, 151.2, 3.5, 400},
+	{"Melbourne", -37.8, 145.0, 3, 400},
+	{"Johannesburg", -26.2, 28.0, 2, 400},
+	{"Lagos", 6.5, 3.4, 1.5, 350},
+	{"Cairo", 30.0, 31.2, 2, 350},
+	{"Nairobi", -1.3, 36.8, 1, 300},
 }
 
 // GDPDensity returns the synthetic GDP density (arbitrary units) at a
@@ -176,7 +176,7 @@ func economicCenters() []economicCenter {
 func GDPDensity(latDeg, lonDeg float64) float64 {
 	p := geo.LLA{LatDeg: latDeg, LonDeg: lonDeg}
 	total := 0.0
-	for _, c := range economicCenters() {
+	for _, c := range economicCenters {
 		d := geo.GreatCircleKm(p, geo.LLA{LatDeg: c.latDeg, LonDeg: c.lonDeg})
 		total += c.weight * math.Exp(-d*d/(2*c.spread*c.spread))
 	}
@@ -196,9 +196,23 @@ func FilterByGDP(sites []Site, keep int) ([]Site, error) {
 
 	scored := make([]Site, len(sites))
 	copy(scored, sites)
-	for i := range scored {
-		scored[i].Weight = GDPDensity(scored[i].LatDeg, scored[i].LonDeg)
+	// Scoring is ~50 great-circle distances per site and every site is
+	// independent: fan contiguous chunks out over GOMAXPROCS workers,
+	// each writing only its own chunk's weights.
+	var wg sync.WaitGroup
+	workers := runtime.GOMAXPROCS(0)
+	chunk := (len(scored) + workers - 1) / workers
+	for lo := 0; lo < len(scored); lo += chunk {
+		part := scored[lo:min(lo+chunk, len(scored))]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range part {
+				part[i].Weight = GDPDensity(part[i].LatDeg, part[i].LonDeg)
+			}
+		}()
 	}
+	wg.Wait()
 	sort.Slice(scored, func(i, j int) bool {
 		if scored[i].Weight != scored[j].Weight {
 			return scored[i].Weight > scored[j].Weight

@@ -173,7 +173,7 @@ func TestPaperSites(t *testing.T) {
 	// hundred km of some economic centre).
 	top := sites[0]
 	minDist := math.Inf(1)
-	for _, c := range economicCenters() {
+	for _, c := range economicCenters {
 		d := geo.GreatCircleKm(top.LLA(), geo.LLA{LatDeg: c.latDeg, LonDeg: c.lonDeg})
 		minDist = math.Min(minDist, d)
 	}

@@ -324,15 +324,13 @@ func (v *FlatView) LinkKeyFor(from, to int) LinkKey {
 	return MakeLinkKey(v.globalID(from), v.globalID(to))
 }
 
-// priceEdge replicates View.priceEdge: capacity feasibility masks the
-// edge before the cost function prices it. Masked edges feed the blame
-// scratch exactly like the generic path (the memoised cost caches mean
-// a blocked edge is reported once per view rather than once per visit,
-// which is equivalent for the max-utilization blame rule).
-func (v *FlatView) priceEdge(from, to int, class graph.EdgeClass) float64 {
-	key := v.LinkKeyFor(from, to)
-	capacity := v.state.linkCapacity(key)
-	used := v.state.LinkUsedMbps(key, v.slot)
+// price replicates View.priceEdge on a link whose reservation is already
+// in hand: capacity feasibility masks the edge before the cost function
+// prices it. Masked edges feed the blame scratch exactly like the
+// generic path (the memoised cost caches mean a blocked edge is reported
+// once per view rather than once per visit, which is equivalent for the
+// max-utilization blame rule).
+func (v *FlatView) price(key LinkKey, class graph.EdgeClass, capacity, used float64) float64 {
 	if used+v.demandMbps > capacity*(1+1e-12) {
 		v.state.noteBlockedLink(key, used/capacity)
 		return math.Inf(1)
@@ -340,15 +338,28 @@ func (v *FlatView) priceEdge(from, to int, class graph.EdgeClass) float64 {
 	return v.cost(key, class, capacity, used/capacity)
 }
 
+// uslCost prices the USL between an endpoint node and a satellite; the
+// reservation comes from the slot's USL cells.
+func (v *FlatView) uslCost(from, to int) float64 {
+	key := v.LinkKeyFor(from, to)
+	return v.price(key, graph.ClassUSL, v.state.uslCapMbps, v.state.usl[v.slot][key])
+}
+
 // islCost returns the priced cost of CSR edge idx (sat -> to), memoised
 // per view: the price only depends on committed state, which cannot
-// change mid-search, so the first computation is authoritative.
+// change mid-search, so the first computation is authoritative. The
+// reservation is read from the slot's ledger row by the edge index the
+// caller is iterating — no key, no hash.
 func (v *FlatView) islCost(idx, sat, to int) float64 {
 	sc := v.sc
 	if sc.edgeStamp[idx] == sc.viewEpoch {
 		return sc.edgeCostVal[idx]
 	}
-	c := v.priceEdge(sat, to, graph.ClassISL)
+	used := 0.0
+	if row := v.state.isl[v.slot]; row != nil {
+		used = row[idx]
+	}
+	c := v.price(MakeLinkKey(sat, to), graph.ClassISL, v.state.islCapMbps, used)
 	sc.edgeCostVal[idx] = c
 	sc.edgeStamp[idx] = sc.viewEpoch
 	return c
@@ -361,7 +372,7 @@ func (v *FlatView) dstCost(sat int) float64 {
 	if sc.dstCostStamp[sat] == sc.viewEpoch {
 		return sc.dstCostVal[sat]
 	}
-	c := v.priceEdge(sat, v.DstNode(), graph.ClassUSL)
+	c := v.uslCost(sat, v.DstNode())
 	sc.dstCostVal[sat] = c
 	sc.dstCostStamp[sat] = sc.viewEpoch
 	return c
@@ -377,7 +388,7 @@ func (v *FlatView) VisitNeighbors(node int, fn func(graph.Edge) bool) {
 	switch {
 	case node == v.SrcNode():
 		for _, sat := range v.srcVisible {
-			c := v.priceEdge(node, sat, graph.ClassUSL)
+			c := v.uslCost(node, sat)
 			if !fn(graph.Edge{To: sat, Class: graph.ClassUSL, Cost: c}) {
 				return
 			}
@@ -506,7 +517,7 @@ func (v *FlatView) dijkstra(transit graph.TransitCostFunc, budgetBase, budgetLim
 		case node == srcNode:
 			for _, sat := range v.srcVisible {
 				relaxes++
-				c := v.priceEdge(srcNode, sat, graph.ClassUSL)
+				c := v.uslCost(srcNode, sat)
 				if math.IsInf(c, 1) {
 					continue
 				}
@@ -623,7 +634,7 @@ func (v *FlatView) hopLimited(transit graph.TransitCostFunc, maxHops int, budget
 				case node == srcNode:
 					for _, sat := range v.srcVisible {
 						relaxes++
-						ec := v.priceEdge(srcNode, sat, graph.ClassUSL)
+						ec := v.uslCost(srcNode, sat)
 						if math.IsInf(ec, 1) {
 							continue
 						}

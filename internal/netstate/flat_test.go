@@ -34,7 +34,11 @@ func TestBuildViewErrors(t *testing.T) {
 // per-edge prices against the generic View on a live slot, then runs
 // both search kernels on both representations and requires identical
 // paths and consumption vectors. One scratch serves every comparison,
-// so the test also covers epoch-stamped cache reuse across views.
+// so the test also covers epoch-stamped cache reuse across views. Each
+// trial ends by committing its path at a rate that fills the USLs after
+// two trials, so later trials compare utilization-dependent prices and
+// masked edges read through the ledger's rows (flat) and through
+// LinkKey access (generic).
 func TestFlatViewMirrorsGenericView(t *testing.T) {
 	s := newTestState(t, twoCitySites(), false)
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
@@ -48,13 +52,16 @@ func TestFlatViewMirrorsGenericView(t *testing.T) {
 		return c
 	}
 
-	for trial := 0; trial < 3; trial++ {
+	loadCost := func(_ LinkKey, _ graph.EdgeClass, _, utilization float64) float64 {
+		return 1 + 100*utilization
+	}
+	for trial := 0; trial < 4; trial++ {
 		demand := 100 * float64(trial+1)
-		gv, err := NewView(s, slot, groundEP(0), groundEP(1), demand, hopCost)
+		gv, err := NewView(s, slot, groundEP(0), groundEP(1), demand, loadCost)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fv, err := sc.BuildView(s, slot, groundEP(0), groundEP(1), demand, hopCost)
+		fv, err := sc.BuildView(s, slot, groundEP(0), groundEP(1), demand, loadCost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,6 +128,27 @@ func TestFlatViewMirrorsGenericView(t *testing.T) {
 				}
 			}
 		}
+
+		// Load the cheapest path for the next trial.
+		lv, err := sc.BuildView(s, slot, groundEP(0), groundEP(1), 1900, loadCost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, ok, _ := lv.Search(nil, 0, 0, math.Inf(1)); ok {
+			txn := s.Begin()
+			if err := txn.ReservePath(lv, p); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s.NumActiveLinks() == 0 {
+		t.Fatal("no trial ran on a loaded ledger")
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 // single-phase Commit); Abort releases them.
 //
 // Abort is byte-identical to Rollback when the prepared batteries are
-// untouched since Prepare (snapshot restore, guarded by per-battery
-// version counters). When another reservation committed on the same
+// untouched since Prepare (snapshot restore, guarded by the battery's
+// mutation stamp). When another reservation committed on the same
 // battery in between — the cluster's cross-shard interleavings — Abort
 // refunds the pinned consumption steps instead, releasing exactly the
 // solar/deficit this transaction claimed while preserving everyone
@@ -54,15 +54,7 @@ func (s *State) SetCommitInterceptor(fn CommitInterceptor) {
 // for Txn.Prepare. The recorded steps change no ledger arithmetic —
 // commits stay byte-identical — but cost a few appends per admission,
 // so the mode is opt-in and the batch simulator never pays it.
-func (s *State) EnableTwoPhase() {
-	if s.twoPhase {
-		return
-	}
-	s.twoPhase = true
-	if s.batVer == nil {
-		s.batVer = make([]uint64, len(s.batteries))
-	}
-}
+func (s *State) EnableTwoPhase() { s.twoPhase = true }
 
 // TwoPhaseEnabled reports whether Prepare is available on this state.
 func (s *State) TwoPhaseEnabled() bool { return s.twoPhase }
@@ -91,10 +83,10 @@ type Prepared struct {
 	steps []energy.ConsumeStep
 	dod   []dodPend
 	// Per touched battery: the pre-transaction snapshot (ownership moved
-	// out of the txn arena) and the battery's version at Prepare time.
+	// out of the txn arena) and the battery's stamp at Prepare time.
 	touched []int
 	snaps   []*energy.Battery
-	vers    []uint64
+	stamps  []uint64
 	done    bool
 }
 
@@ -123,7 +115,7 @@ func (t *Txn) Prepare() (*Prepared, error) {
 		// Move the snapshot out of the arena: the next Begin re-clones
 		// lazily, and the snapshot stays frozen at this txn's pre-state.
 		p.snaps = append(p.snaps, a.snaps[sat])
-		p.vers = append(p.vers, s.batVer[sat])
+		p.stamps = append(p.stamps, s.batteries[sat].Stamp())
 		a.snaps[sat] = nil
 	}
 	s.prep.add(p)
@@ -182,7 +174,7 @@ func (p *Prepared) Abort() {
 		s.unreserveLink(r.key, r.slot, r.rate)
 	}
 	for i, sat := range p.touched {
-		if s.batVer[sat] == p.vers[i] && p.snaps[i] != nil {
+		if s.batteries[sat].Stamp() == p.stamps[i] && p.snaps[i] != nil {
 			s.batteries[sat].CopyFrom(p.snaps[i])
 		} else {
 			for _, cr := range p.cons {
@@ -194,7 +186,6 @@ func (p *Prepared) Abort() {
 				}
 			}
 		}
-		s.batVer[sat]++
 	}
 }
 

@@ -10,7 +10,6 @@ package netstate
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"spacebooking/internal/energy"
@@ -109,20 +108,29 @@ func (c EnergyConfig) TransitEnergyJ(in, out graph.EdgeClass, rateMbps, slotSeco
 	return megabytes * (c.rxUnitJPerMB(in) + c.txUnitJPerMB(out))
 }
 
-// linkLedger tracks one directed link's reservations per slot.
-type linkLedger struct {
-	capacityMbps float64
-	used         []float64
-}
-
 // State is the mutable resource state of one simulation run. It is not
 // safe for concurrent use; each run owns its State.
 type State struct {
 	prov      *topology.Provider
 	energyCfg EnergyConfig
-	links     map[LinkKey]*linkLedger
 	batteries []*energy.Battery
-	instr     stateInstruments
+
+	// The link ledger (see ledger.go): isl[slot][csrEdge] and
+	// usl[slot][key] hold reserved Mbps; rows and maps are nil until the
+	// slot's first reservation. csr, numSats and the two capacities are
+	// cached from the provider, whose Config() copies the whole struct.
+	csr        *topology.CSR
+	numSats    int
+	islCapMbps float64
+	uslCapMbps float64
+	isl        [][]float64
+	usl        []map[LinkKey]float64
+	// ledgerFaults counts releases that matched no reservation;
+	// CheckInvariants reports them.
+	ledgerFaults     int
+	firstLedgerFault string
+
+	instr stateInstruments
 	// txn is the snapshot/undo arena of the single open transaction;
 	// see txnScratch.
 	txn txnScratch
@@ -134,11 +142,7 @@ type State struct {
 	// SetCommitInterceptor is called.
 	twoPhase  bool
 	intercept CommitInterceptor
-	// batVer counts mutations per battery; a Prepared whose battery is
-	// unchanged since Prepare aborts by snapshot restore (bit-exact),
-	// otherwise by step refund.
-	batVer []uint64
-	prep   prepareLedger
+	prep      prepareLedger
 }
 
 // stateInstruments caches the state's observability handles. All nil
@@ -232,13 +236,19 @@ func New(prov *topology.Provider, energyCfg EnergyConfig, clampBatteries bool) (
 	if err := energyCfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg := prov.Config()
 	s := &State{
-		prov:      prov,
-		energyCfg: energyCfg,
-		links:     make(map[LinkKey]*linkLedger),
-		batteries: make([]*energy.Battery, prov.NumSats()),
+		prov:       prov,
+		energyCfg:  energyCfg,
+		batteries:  make([]*energy.Battery, prov.NumSats()),
+		csr:        prov.ISLCSR(),
+		numSats:    prov.NumSats(),
+		islCapMbps: cfg.ISLCapacityMbps,
+		uslCapMbps: cfg.USLCapacityMbps,
+		isl:        make([][]float64, cfg.Horizon),
+		usl:        make([]map[LinkKey]float64, cfg.Horizon),
 	}
-	slotSec := prov.Config().SlotSeconds
+	slotSec := cfg.SlotSeconds
 	for sat := 0; sat < prov.NumSats(); sat++ {
 		solar := energy.SolarInputVector(prov.SunlitVector(sat), energyCfg.PanelWatts, slotSec)
 		b, err := energy.NewBattery(energyCfg.BatteryCapacityJ, solar, clampBatteries)
@@ -259,84 +269,6 @@ func (s *State) EnergyConfig() EnergyConfig { return s.energyCfg }
 // Battery returns the ledger of a satellite.
 func (s *State) Battery(sat int) *energy.Battery { return s.batteries[sat] }
 
-// linkCapacity derives a link's capacity from its endpoints: ISL between
-// two satellites, USL otherwise.
-func (s *State) linkCapacity(key LinkKey) float64 {
-	cfg := s.prov.Config()
-	if key.From() < s.prov.NumSats() && key.To() < s.prov.NumSats() {
-		return cfg.ISLCapacityMbps
-	}
-	return cfg.USLCapacityMbps
-}
-
-// LinkCapacityMbps returns the capacity c_e of a link.
-func (s *State) LinkCapacityMbps(key LinkKey) float64 { return s.linkCapacity(key) }
-
-// LinkUsedMbps returns the bandwidth already reserved on a link in a slot.
-func (s *State) LinkUsedMbps(key LinkKey, slot int) float64 {
-	l := s.links[key]
-	if l == nil || slot < 0 || slot >= len(l.used) {
-		return 0
-	}
-	return l.used[slot]
-}
-
-// LinkUtilization returns λ_e(T) per Eq. (8): reserved bandwidth divided
-// by capacity, in [0, 1] for feasible states.
-func (s *State) LinkUtilization(key LinkKey, slot int) float64 {
-	return s.LinkUsedMbps(key, slot) / s.linkCapacity(key)
-}
-
-// LinkResidualMbps returns the remaining reservable bandwidth of a link
-// in a slot.
-func (s *State) LinkResidualMbps(key LinkKey, slot int) float64 {
-	return s.linkCapacity(key) - s.LinkUsedMbps(key, slot)
-}
-
-// ReserveLink reserves rateMbps on a link for one slot. It fails without
-// side effects if the link would be over-subscribed.
-func (s *State) ReserveLink(key LinkKey, slot int, rateMbps float64) error {
-	if rateMbps <= 0 || math.IsNaN(rateMbps) {
-		return fmt.Errorf("netstate: invalid reservation rate %v", rateMbps)
-	}
-	if slot < 0 || slot >= s.prov.Horizon() {
-		return fmt.Errorf("netstate: slot %d outside horizon [0,%d)", slot, s.prov.Horizon())
-	}
-	cap := s.linkCapacity(key)
-	l := s.links[key]
-	if l == nil {
-		l = &linkLedger{capacityMbps: cap, used: make([]float64, s.prov.Horizon())}
-		s.links[key] = l
-	}
-	if l.used[slot]+rateMbps > cap*(1+1e-12) {
-		return fmt.Errorf("netstate: link %d->%d over-subscribed at slot %d: %v + %v > %v",
-			key.From(), key.To(), slot, l.used[slot], rateMbps, cap)
-	}
-	l.used[slot] += rateMbps
-	s.instr.linkReserves.Inc()
-	return nil
-}
-
-// NumActiveLinks returns the number of links with at least one
-// reservation anywhere in the horizon.
-func (s *State) NumActiveLinks() int { return len(s.links) }
-
-// CongestedLinkCount counts links whose remaining bandwidth in the slot
-// is below thresholdFrac of capacity — the paper's "congestion link
-// number" metric with thresholdFrac = 0.1.
-func (s *State) CongestedLinkCount(slot int, thresholdFrac float64) int {
-	count := 0
-	for _, l := range s.links {
-		if slot < 0 || slot >= len(l.used) {
-			continue
-		}
-		if l.capacityMbps-l.used[slot] < thresholdFrac*l.capacityMbps {
-			count++
-		}
-	}
-	return count
-}
-
 // DepletedSatCount counts satellites whose remaining battery at the end
 // of the slot is below thresholdFrac of capacity — the paper's
 // "energy-depleted satellites number" metric with thresholdFrac = 0.2.
@@ -355,24 +287,6 @@ func (s *State) DepletedSatCount(slot int, thresholdFrac float64) int {
 // telemetry layer. Allocation-free.
 func (s *State) EnergyDeficitJ(slot int) float64 {
 	return energy.SumDeficitJ(s.batteries, slot)
-}
-
-// CongestedLinkCountFunc is CongestedLinkCount restricted to links the
-// filter accepts. A sharded cluster sweeps each shard's state over the
-// links that shard owns, so the merged per-slot metric counts every
-// link exactly once even though every shard tracks a full-constellation
-// ledger.
-func (s *State) CongestedLinkCountFunc(slot int, thresholdFrac float64, owned func(LinkKey) bool) int {
-	count := 0
-	for key, l := range s.links {
-		if slot < 0 || slot >= len(l.used) || !owned(key) {
-			continue
-		}
-		if l.capacityMbps-l.used[slot] < thresholdFrac*l.capacityMbps {
-			count++
-		}
-	}
-	return count
 }
 
 // DepletedSatCountFunc is DepletedSatCount restricted to satellites the
@@ -400,6 +314,27 @@ func (s *State) EnergyDeficitJFunc(slot int, owned func(sat int) bool) float64 {
 		}
 	}
 	return total
+}
+
+// CheckInvariants verifies the ledgers' structural invariants, the ones
+// the search path's shortcuts rely on and nothing else would notice
+// breaking: no link cell negative or above capacity·(1+1e-12), and no
+// release that matched no reservation (unreserveLink clamps and carries
+// on, so only this check reports it); every battery within capacity with
+// its deficit bounds enclosing its non-zero span; the prepare ledger
+// drained. Tests call it at the end of every equivalence and replay run;
+// it is O(reserved slots × links + satellites × horizon), so not for a
+// per-request path.
+func (s *State) CheckInvariants() error {
+	if err := s.checkLedger(); err != nil {
+		return err
+	}
+	for sat, b := range s.batteries {
+		if err := b.CheckInvariants(); err != nil {
+			return fmt.Errorf("netstate: satellite %d: %w", sat, err)
+		}
+	}
+	return s.CheckPreparedDrained()
 }
 
 // Consumption is one satellite energy draw: Joules consumed at Slot on
@@ -445,12 +380,20 @@ scan:
 		return nil
 	}
 	// Slow path (duplicate satellites): the draws interact through one
-	// ledger, so replay them in slot order on a clone.
+	// ledger, so replay them in slot order on a clone. Satellites are
+	// tried in path order, not map order: which one a failing trial
+	// names (and how many walks it took to find) must not vary from run
+	// to run.
 	bySat := make(map[int][]Consumption)
+	var order []int
 	for _, c := range consumptions {
+		if _, seen := bySat[c.Sat]; !seen {
+			order = append(order, c.Sat)
+		}
 		bySat[c.Sat] = append(bySat[c.Sat], c)
 	}
-	for sat, cs := range bySat {
+	for _, sat := range order {
+		cs := bySat[sat]
 		clone := s.batteries[sat].Clone()
 		sort.Slice(cs, func(i, j int) bool { return cs[i].Slot < cs[j].Slot })
 		for _, c := range cs {

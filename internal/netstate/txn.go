@@ -159,7 +159,6 @@ func (t *Txn) Consume(consumptions []Consumption) error {
 			if err != nil {
 				return fmt.Errorf("netstate: satellite %d: %w", c.Sat, err)
 			}
-			t.state.batVer[c.Sat]++
 			a.cons = append(a.cons, consRecord{c: c, stepFrom: from, stepTo: len(a.steps)})
 		} else if err := t.state.batteries[c.Sat].Consume(c.Slot, c.Joules); err != nil {
 			return fmt.Errorf("netstate: satellite %d: %w", c.Sat, err)
@@ -201,9 +200,6 @@ func (t *Txn) Rollback() {
 	}
 	for _, sat := range a.touched {
 		t.state.batteries[sat].CopyFrom(a.snaps[sat])
-		if t.state.twoPhase {
-			t.state.batVer[sat]++
-		}
 	}
 }
 
@@ -241,16 +237,4 @@ func (t *Txn) Commit() error {
 // defer statement and charges the counter at return.
 func commitTimer(c *obs.Counter, t0 time.Time) {
 	c.Add(time.Since(t0).Nanoseconds())
-}
-
-// unreserveLink subtracts a prior reservation.
-func (s *State) unreserveLink(key LinkKey, slot int, rateMbps float64) {
-	l := s.links[key]
-	if l == nil || slot < 0 || slot >= len(l.used) {
-		return
-	}
-	l.used[slot] -= rateMbps
-	if l.used[slot] < 0 {
-		l.used[slot] = 0
-	}
 }

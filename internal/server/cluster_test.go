@@ -92,6 +92,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("result: %v", err)
 	}
+	checkShardInvariants(t, s)
 	if res.TotalRequests != decided {
 		t.Errorf("merged result total = %d, want %d", res.TotalRequests, decided)
 	}

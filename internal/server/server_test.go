@@ -118,6 +118,17 @@ func postBook(t *testing.T, url string, br BookRequest) (int, BookResponse) {
 	return resp.StatusCode, out
 }
 
+// checkShardInvariants verifies every shard engine's ledgers once the
+// server has drained (the engines are quiesced after Shutdown).
+func checkShardInvariants(t *testing.T, srv *Server) {
+	t.Helper()
+	for i := 0; i < srv.cl.NumShards(); i++ {
+		if err := srv.cl.Shard(i).Engine().State().CheckInvariants(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+	}
+}
+
 // TestServedStreamMatchesBatchRun is the acceptance gate of the serving
 // layer: an httptest-hosted server (clock at max speed, batch size 1)
 // admitting the workload stream of sim.Run must produce byte-identical
@@ -207,6 +218,7 @@ func TestServedStreamMatchesBatchRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkShardInvariants(t, srv)
 	if !reflect.DeepEqual(batchRes, servedRes) {
 		t.Fatalf("served result diverges from batch result:\nbatch:  %+v\nserved: %+v", batchRes, servedRes)
 	}

@@ -300,7 +300,7 @@ func (e *Engine) Admit(req workload.Request) (router.Decision, error) {
 			e.hotSrcAccepted.Add(srcCellKey(req.Src), 1)
 		}
 	} else {
-		reason := classifyReason(d.Reason)
+		reason := ClassifyReason(d.Reason)
 		if e.rc.Obs != nil {
 			e.rc.Obs.Counter("sim.requests.rejected." + reason).Inc()
 		}

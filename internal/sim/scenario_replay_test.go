@@ -57,7 +57,9 @@ func replayBinding() scenario.Binding {
 }
 
 // recordedRun executes one traced run with request recording on and
-// returns the Result plus the raw JSONL trace bytes.
+// returns the Result plus the raw JSONL trace bytes. It drives the
+// engine the way Run does (Admit in a loop, Finish) so that it can check
+// the state's invariants before the final sweep.
 func recordedRun(t *testing.T, src workload.Source, specName string, seed int64) (*Result, []byte) {
 	t.Helper()
 	prov := testProvider(t)
@@ -71,7 +73,19 @@ func recordedRun(t *testing.T, src workload.Source, specName string, seed int64)
 	rc.RecordRequests = true
 	rc.SpecName = specName
 	rc.Source = src
-	res, err := Run(prov, rc)
+	eng, err := NewEngine(prov, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for req, ok := src.Next(); ok; req, ok = src.Next() {
+		if _, err := eng.Admit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.State().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,11 @@ type RunConfig struct {
 	// identical either way; the generic path exists for cross-checking.
 	GenericSearch bool
 	// PruneBudget enables budget pruning in CEAR's fast-path searches
-	// (see core.Options.PruneBudget). Outcome-preserving.
+	// (see core.Options.PruneBudget). It preserves accept/reject, plans
+	// and (up to float residue on rolled-back links) prices, but not the
+	// rejection reason class: a pruned run may report "priced-out" where
+	// a plain run reports "no-path" or "energy-infeasible", so
+	// Result.Rejections can differ.
 	PruneBudget bool
 	// Scratch, when non-nil, supplies the pooled search scratch for the
 	// run's algorithm. The experiment scheduler sets it from a
@@ -310,8 +314,9 @@ func buildAlgorithm(prov *topology.Provider, rc RunConfig) (router.Algorithm, *n
 	}
 }
 
-// classifyReason maps a rejection reason to a stable category.
-func classifyReason(reason string) string {
+// ClassifyReason maps a rejection reason to a stable category — the key
+// of Result.Rejections and of the sim.requests.rejected.* counters.
+func ClassifyReason(reason string) string {
 	switch {
 	case strings.Contains(reason, "no feasible path"):
 		return "no-path"

@@ -197,7 +197,9 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite) (*Pro
 	p.eoECEF = make([][]geo.Vec3, cfg.Horizon)
 	p.sunlit = make([][]bool, cfg.Horizon)
 	epoch := cfg.Walker.Epoch
-	for t := 0; t < cfg.Horizon; t++ {
+	// Every (slot, satellite) position is independent: fan the slots out,
+	// each worker filling the per-slot tables of its own slots only.
+	forEachSlot(0, cfg.Horizon, func(t int) {
 		at := epoch.Add(time.Duration(float64(t) * cfg.SlotSeconds * float64(time.Second)))
 		gmst := geo.GMST(at)
 		sunDir := geo.SunDirectionECI(at)
@@ -220,7 +222,7 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite) (*Pro
 			eoPos[i] = geo.ECIToECEF(s.Elements.PositionECI(at), gmst)
 		}
 		p.eoECEF[t] = eoPos
-	}
+	})
 
 	p.islNeighbors = islNeighbors
 	p.islCSR = buildISLCSR(islNeighbors)
@@ -448,9 +450,6 @@ func (p *Provider) Freeze(workers int, endpoints ...Endpoint) error {
 			endpoints = append(endpoints, Endpoint{Kind: EndpointSpace, Index: i})
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if p.visGround == nil {
 		p.visGround = make([][][]int, len(p.sites))
 	}
@@ -486,33 +485,47 @@ func (p *Provider) Freeze(workers int, endpoints ...Endpoint) error {
 
 	// Fan out across slots: each (endpoint, slot) cell is written by
 	// exactly one worker, into tables allocated above — no locking.
-	slotCh := make(chan int)
+	forEachSlot(workers, p.cfg.Horizon, func(slot int) {
+		for _, e := range todo {
+			vis := p.computeVisible(e, slot)
+			if vis == nil {
+				vis = emptyVis
+			}
+			if e.Kind == EndpointGround {
+				p.visGround[e.Index][slot] = vis
+			} else {
+				p.visSpace[e.Index][slot] = vis
+			}
+		}
+	})
+	return nil
+}
+
+// forEachSlot calls fn(slot) for every slot in [0, horizon) from a pool
+// of workers (workers <= 0 picks GOMAXPROCS) and returns when all calls
+// have. Each worker takes one contiguous range of slots — the per-slot
+// work is uniform, and one hand-off per worker instead of one per slot
+// matters when a slot is tens of microseconds of work. Every slot is
+// handled by exactly one worker, so fn may write per-slot data without
+// locking; nothing is reduced across slots, so the result does not
+// depend on the schedule.
+func forEachSlot(workers, horizon int, fn func(slot int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	chunk := (horizon + workers - 1) / workers
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for lo := 0; lo < horizon; lo += chunk {
+		hi := min(lo+chunk, horizon)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for slot := range slotCh {
-				for _, e := range todo {
-					vis := p.computeVisible(e, slot)
-					if vis == nil {
-						vis = emptyVis
-					}
-					if e.Kind == EndpointGround {
-						p.visGround[e.Index][slot] = vis
-					} else {
-						p.visSpace[e.Index][slot] = vis
-					}
-				}
+			for slot := lo; slot < hi; slot++ {
+				fn(slot)
 			}
 		}()
 	}
-	for t := 0; t < p.cfg.Horizon; t++ {
-		slotCh <- t
-	}
-	close(slotCh)
 	wg.Wait()
-	return nil
 }
 
 // Precomputed reports whether an endpoint's visibility was frozen. Out
