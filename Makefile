@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check check-race build test vet fmt-check race bench bench-smoke bench-module bench-golden obsdiff-smoke smoke-spaced trace-smoke scenario-smoke
+.PHONY: check check-race build test vet fmt-check race bench-smoke bench-module bench-golden bench-pair obsdiff-smoke smoke-spaced trace-smoke scenario-smoke
 
 check: fmt-check vet build race bench-smoke
 	@echo "check: all gates passed"
@@ -36,15 +36,6 @@ check-race:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
-# Full fast-path benchmark suite plus the serving-layer closed-loop
-# measurements (baseline, traced, hot-spot tracked, and the -shards
-# {1,2,4,8} scaling sweep); writes the JSON file scripts/bench.sh names
-# by default (see EXPERIMENTS.md for the schema and the script for
-# knobs). The numbers PRs are judged by come from benchmark/ instead
-# (BENCHMARK.json, benchmark/README.md).
-bench:
-	./scripts/bench.sh
-
 # benchmark/ is a Go module of its own, so `go build ./... && go test
 # ./...` never compiles it and an internal/ API break stays invisible
 # until the acceptance driver runs. This builds it, runs every workload
@@ -69,11 +60,24 @@ bench-golden:
 		done; \
 	done
 
+# The paired protocol a timing claim is measured by: the working tree
+# against BENCH_PAIR_REF, both sides alternately on every seed, through
+# benchmark/run.sh --seconds 15 --trace 0; prints every run and, per
+# metric, median [Q1, Q3], ratio and pairs won (scripts/bench_pair.sh;
+# TRACE=1 gives the per-layer table). All four workloads on ten seeds
+# take about 25 minutes.
+BENCH_PAIR_REF ?= HEAD~1
+bench-pair:
+	@for w in full_direct medium_direct_wide small_served_closed medium_served_open; do \
+		./scripts/bench_pair.sh $(BENCH_PAIR_REF) $$w || exit 1; \
+	done
+
 # End-to-end serving smoke: build spaced + spaceload, run a short burst
 # against a live daemon, assert accepts, probe the hot-spot telemetry
 # endpoints, and require a clean SIGTERM drain; then repeat against a
 # two-shard cluster (stats shard section, cross-shard bookings, the
-# cluster.* report counters).
+# cluster.* report counters), and against an arrival-driven clock
+# (-clock-rate 0: the clock must follow spaceload's declared slots).
 smoke-spaced:
 	./scripts/smoke_spaced.sh
 

@@ -10,6 +10,13 @@
 // classified — accepted, rejected, shed ("overloaded"), draining, or
 // error — and latencies feed an obs histogram.
 //
+// Against a real-time server clock a request carries its duration and
+// starts when it arrives. Against an arrival-driven one (spaced
+// -clock-rate 0, advertised as clock_rate 0) the server's clock follows
+// the arrival slots its clients declare, so every request carries the
+// arrival, start and end slot the generator gave it, and the run stops
+// after one pass over the mix: that pass spans the server's horizon.
+//
 // The run ends after -n requests, after -duration, or on Ctrl-C,
 // whichever comes first, and prints a human summary plus one
 // machine-parseable line:
@@ -121,12 +128,18 @@ func run() int {
 		}
 		specName = spec.Name
 		specEvents = spec.EventTimeline()
-	} else if mix, err = buildMix(cfg.Workload, *seed); err != nil {
+	} else if mix, err = buildMix(cfg.Workload, *seed, arrivalDriven(cfg)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	fmt.Printf("target %s: %s over %d slots, %d pairs, %d-request mix\n",
 		*addr, cfg.Algorithm, cfg.Horizon, len(cfg.Pairs), len(mix))
+	if arrivalDriven(cfg) && (*n == 0 || *n > len(mix)) {
+		// A second pass would declare slots the clock has left behind:
+		// nothing but expired and horizon-exhausted rejections.
+		*n = len(mix)
+		fmt.Printf("arrival-driven server clock: stopping after one pass over the mix (%d requests)\n", *n)
+	}
 	if specName != "" {
 		fmt.Printf("scenario %s", specName)
 		if len(specEvents) > 0 {
@@ -326,10 +339,13 @@ func fetchConfig(client *http.Client, addr string) (server.ConfigResponse, error
 	return cfg, nil
 }
 
+// arrivalDriven reports whether the server's slot clock follows the
+// arrival slots its clients declare instead of wall time.
+func arrivalDriven(cfg server.ConfigResponse) bool { return cfg.ClockRate == 0 }
+
 // buildMix synthesises the request pool: the server's own workload
 // distribution (demand, durations, valuation) re-seeded for this run.
-// Arrival timing is discarded — the load mode paces arrivals.
-func buildMix(wcfg workload.Config, seed int64) ([]server.BookRequest, error) {
+func buildMix(wcfg workload.Config, seed int64, pinSlots bool) ([]server.BookRequest, error) {
 	wcfg.Seed = seed
 	if wcfg.ArrivalRatePerSlot <= 0 {
 		wcfg.ArrivalRatePerSlot = 10
@@ -341,25 +357,14 @@ func buildMix(wcfg workload.Config, seed int64) ([]server.BookRequest, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("spaceload: empty request mix (horizon %d, rate %g)", wcfg.Horizon, wcfg.ArrivalRatePerSlot)
 	}
-	mix := make([]server.BookRequest, len(reqs))
-	for i, r := range reqs {
-		mix[i] = server.BookRequest{
-			Src:           wireEndpoint(r.Src),
-			Dst:           wireEndpoint(r.Dst),
-			RateMbps:      r.RateMbps,
-			DurationSlots: r.DurationSlots(),
-			Valuation:     r.Valuation,
-		}
-	}
-	return mix, nil
+	return wireRequests(reqs, pinSlots), nil
 }
 
 // buildSpecMix synthesises the request pool from a scenario spec bound
 // to the server's advertised pairs, horizon and default valuation.
 // Sites do not travel over the wire, so specs needing them (solar-phased
 // diurnals, regional outages) must run through cearsim instead; the
-// generator rejects them with a clear error. Arrival timing is
-// discarded — the load mode paces arrivals.
+// generator rejects them with a clear error.
 func buildSpecMix(spec scenario.Spec, cfg server.ConfigResponse) ([]server.BookRequest, error) {
 	b := scenario.Binding{
 		Horizon:          cfg.Horizon,
@@ -373,17 +378,34 @@ func buildSpecMix(spec scenario.Spec, cfg server.ConfigResponse) ([]server.BookR
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("spaceload: spec %q generated no requests over horizon %d", spec.Name, cfg.Horizon)
 	}
+	return wireRequests(reqs, arrivalDriven(cfg)), nil
+}
+
+// wireRequests converts a generated stream to its wire form. With
+// pinSlots every request declares the arrival, start and end slot the
+// generator gave it, as benchmark/client.go does: an arrival-driven
+// server clock only moves when a request declares a later slot, and left
+// at slot 0 it turns every load test into a measurement of one slot's
+// rejects. Without, a request carries its duration and the server's own
+// clock says when it arrived — the load mode paces arrivals.
+func wireRequests(reqs []workload.Request, pinSlots bool) []server.BookRequest {
 	mix := make([]server.BookRequest, len(reqs))
 	for i, r := range reqs {
-		mix[i] = server.BookRequest{
-			Src:           wireEndpoint(r.Src),
-			Dst:           wireEndpoint(r.Dst),
-			RateMbps:      r.RateMbps,
-			DurationSlots: r.DurationSlots(),
-			Valuation:     r.Valuation,
+		br := server.BookRequest{
+			Src:       wireEndpoint(r.Src),
+			Dst:       wireEndpoint(r.Dst),
+			RateMbps:  r.RateMbps,
+			Valuation: r.Valuation,
 		}
+		if pinSlots {
+			arrival, start, end := r.ArrivalSlot, r.StartSlot, r.EndSlot
+			br.ArrivalSlot, br.StartSlot, br.EndSlot = &arrival, &start, &end
+		} else {
+			br.DurationSlots = r.DurationSlots()
+		}
+		mix[i] = br
 	}
-	return mix, nil
+	return mix
 }
 
 // wireEndpoint converts a topology endpoint to its API form.

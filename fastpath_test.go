@@ -93,7 +93,14 @@ func newSearchAlgorithm(t *testing.T, env *Environment, ec equivCase, rc sim.Run
 // the generic reference path and the flat CSR fast path and requires
 // byte-identical decisions for CEAR (Dijkstra and hop-limited) and every
 // baseline. Load is set above the default rate so congested (+Inf) edges,
-// energy-infeasible trials and rejections are all exercised.
+// energy-infeasible trials and rejections are all exercised, and every
+// stream is long enough (200 requests and more) that most batteries carry
+// a deficit span for most of it: CEAR's flat Dijkstra then prices pairs
+// of states through the look-ahead hook where the generic search prices
+// them one by one. The pairs may not change what is priced, only when —
+// the flat run may count at most one deficit walk per search more than
+// the generic run (the looked-ahead state a search ended before
+// expanding), and never fewer.
 func TestFlatSearchMatchesGenericSearch(t *testing.T) {
 	env := smallEnv(t)
 	for _, ec := range equivCases() {
@@ -107,8 +114,14 @@ func TestFlatSearchMatchesGenericSearch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if len(reqs) < 200 {
+				t.Fatalf("%s seed %d: only %d requests; the ledger never loads up", ec.name, seed, len(reqs))
+			}
 			genericAlg, genericState := newSearchAlgorithm(t, env, ec, rc, true, false)
 			flatAlg, flatState := newSearchAlgorithm(t, env, ec, rc, false, false)
+			genericReg, flatReg := obs.New(), obs.New()
+			genericState.SetObs(genericReg)
+			flatState.SetObs(flatReg)
 			for i, req := range reqs {
 				dg, err := genericAlg.Handle(req)
 				if err != nil {
@@ -124,6 +137,12 @@ func TestFlatSearchMatchesGenericSearch(t *testing.T) {
 				}
 			}
 			checkInvariants(t, genericState, flatState)
+			searches := flatReg.Counter("graph.fastpath.searches").Value()
+			extra := flatReg.Counter("energy.deficit_walks").Value() - genericReg.Counter("energy.deficit_walks").Value()
+			if searches == 0 || extra < 0 || extra > searches {
+				t.Fatalf("%s seed %d: the flat path counted %d more deficit walks than the generic path over %d searches",
+					ec.name, seed, extra, searches)
+			}
 		}
 	}
 }

@@ -93,12 +93,11 @@ type CEAR struct {
 	cacheEpoch []uint32
 	epoch      uint32
 
-	// Per-satellite unit-price tables for the deficit-pricing walk (see
-	// unitTable). They belong to this instance, not to the State: they
-	// are a function of μ2 as well as of the ledger, and the adaptive
-	// controller rebuilds CEAR instances with a new μ2 over the same
-	// State.
-	units     []unitTable
+	// Per-satellite unit-price tables for deficit pricing. They belong to
+	// this instance, not to the State: they are a function of μ2 as well
+	// as of the ledger, and the adaptive controller rebuilds CEAR
+	// instances with a new μ2 over the same State.
+	units     []energy.UnitPrices
 	unitPrice func(utilization float64) float64
 
 	// Routing fast-path state: the pooled search scratch, a reusable
@@ -109,6 +108,7 @@ type CEAR struct {
 	consBuf   []netstate.Consumption
 	edgeFn    netstate.EdgeCostFunc
 	transitFn graph.TransitCostFunc
+	aheadFn   netstate.LookAheadFunc
 	curDemand float64
 	curSlot   int
 	slotSec   float64
@@ -149,7 +149,7 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 		fast:       opts.Pricing.Fast(),
 		cacheVals:  make([]float64, numSats*16),
 		cacheEpoch: make([]uint32, numSats*16),
-		units:      make([]unitTable, numSats),
+		units:      make([]energy.UnitPrices, numSats),
 		scratch:    opts.Scratch,
 		slotSec:    state.Provider().Config().SlotSeconds,
 		energyCfg:  state.EnergyConfig(),
@@ -160,6 +160,11 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 	c.edgeFn = c.priceEdgeCost
 	c.transitFn = c.priceTransit
 	c.unitPrice = c.energyUnitPrice
+	if !opts.DisableEnergyPricing {
+		// Without energy pricing nothing is summed: there is no chain of
+		// additions for a second lane to overlap with.
+		c.aheadFn = c.priceAhead
+	}
 	if reg := opts.Obs; reg != nil {
 		c.ctrEvaluations = reg.Counter("core.admission.evaluations")
 		c.ctrAccepted = reg.Counter("core.admission.accepted")
@@ -232,7 +237,7 @@ func (c *CEAR) energyTransitCost(sat, slot int, joules float64) float64 {
 	// is enabled. Timed here — on the transit-cache miss path — so hits
 	// cost nothing.
 	if in := c.instr; in != nil && in.PricingNanos != nil {
-		defer pricingTimer(in.PricingNanos, time.Now())
+		defer pricingTimer(in.PricingNanos, nanotime())
 	}
 	b := c.state.Battery(sat)
 	cost, feasible := b.PriceDeficit(slot, joules, c.unitPrices(sat, b))
@@ -243,45 +248,31 @@ func (c *CEAR) energyTransitCost(sat, slot int, joules float64) float64 {
 	return cost
 }
 
-// unitTable is one satellite's per-slot energy unit prices:
-// prices[t] is the per-joule price at slot t under the battery's ledger
-// as of mutation stamp `stamp`, non-zero only inside [first, last], the
-// deficit span it was last filled over. prices is nil until the
-// satellite first holds a deficit.
-type unitTable struct {
-	prices      []float64
-	stamp       uint64
-	first, last int
-}
-
-// unitPrices returns the satellite's unit prices, refilled over the
-// deficit span if its battery's ledger moved since the last fill. Nil —
-// which prices every slot at zero — for a battery that has never held a
-// deficit, and for every battery when energy pricing is disabled.
-func (c *CEAR) unitPrices(sat int, b *energy.Battery) []float64 {
+// unitPrices returns the satellite's unit-price table, brought up to
+// date if its battery's ledger moved since the last fill. Nil — which
+// prices every slot at zero — when energy pricing is disabled.
+func (c *CEAR) unitPrices(sat int, b *energy.Battery) *energy.UnitPrices {
 	if c.opts.DisableEnergyPricing {
 		return nil
 	}
 	u := &c.units[sat]
-	if u.prices == nil {
-		if first, last := b.DeficitSpan(); first > last {
-			return nil
-		}
-		u.prices = make([]float64, b.Horizon())
-		u.first, u.last = 0, -1
-	} else if u.stamp == b.Stamp() {
-		return u.prices
-	}
-	u.first, u.last = b.FillUnitPrices(u.prices, u.first, u.last, c.unitPrice)
-	u.stamp = b.Stamp()
-	return u.prices
+	b.FillUnitPrices(u, c.unitPrice)
+	return u
 }
 
-// pricingTimer accumulates elapsed pricing-walk wall time; the deferred
-// form captures the start at the defer statement.
-func pricingTimer(c *obs.Counter, t0 time.Time) {
-	c.Add(time.Since(t0).Nanoseconds())
+// pricingTimer accumulates elapsed pricing wall time; the deferred form
+// captures the start at the defer statement.
+func pricingTimer(c *obs.Counter, t0 int64) {
+	c.Add(nanotime() - t0)
 }
+
+// clockBase anchors the pricing timers, which run ≈600 times per search
+// when trace detail is on: time.Since of a Time that carries a monotonic
+// reading is one clock read where time.Now is two (wall and monotonic),
+// and a timer only needs differences.
+var clockBase = time.Now()
+
+func nanotime() int64 { return int64(time.Since(clockBase)) }
 
 // hopEpsilon breaks price ties toward shorter paths: on an idle
 // network every exponential price is exactly zero (μ^0 − 1), and
@@ -297,12 +288,18 @@ func (c *CEAR) priceEdgeCost(key netstate.LinkKey, class graph.EdgeClass, capaci
 	return c.congestionUnitPrice(utilization)*c.curDemand + hopEpsilon
 }
 
+// transitKey is the transit cache's slot for one (satellite, in, out)
+// role: 16 per satellite, of which the 4×4 classes use nine.
+func transitKey(node int, in, out graph.EdgeClass) int {
+	return node*16 + int(in)*4 + int(out)
+}
+
 // priceTransit is the memoised role-dependent energy transit cost for
 // the current (slot, demand): the epoch-stamped cache holds one entry
 // per (satellite, in, out) role and is invalidated by bumping c.epoch
 // before each search. Bound once as c.transitFn.
 func (c *CEAR) priceTransit(node int, in, out graph.EdgeClass) float64 {
-	key := node*16 + int(in)*4 + int(out)
+	key := transitKey(node, in, out)
 	if c.cacheEpoch[key] == c.epoch {
 		return c.cacheVals[key]
 	}
@@ -311,6 +308,35 @@ func (c *CEAR) priceTransit(node int, in, out graph.EdgeClass) float64 {
 	c.cacheVals[key] = v
 	c.cacheEpoch[key] = c.epoch
 	return v
+}
+
+// priceAhead is the search's look-ahead hook: sat was just popped with
+// incoming class in, and (nextSat, nextIn) is the state on top of the
+// heap — the next one expanded unless the search ends first. Each will
+// ask priceTransit for its ISL-out role; when neither is cached yet and
+// both are constant-run lanes, the two sums are computed in one loop
+// whose addition chains overlap, and both land in the transit cache.
+// Every other case is left to priceTransit, so whether a pair forms
+// changes when a price is computed, never what it is.
+func (c *CEAR) priceAhead(sat int, in graph.EdgeClass, nextSat int, nextIn graph.EdgeClass) {
+	key1 := transitKey(sat, in, graph.ClassISL)
+	key2 := transitKey(nextSat, nextIn, graph.ClassISL)
+	if key1 == key2 || c.cacheEpoch[key1] == c.epoch || c.cacheEpoch[key2] == c.epoch {
+		return
+	}
+	// One clock pair for the batch: with trace detail on, a pair charges
+	// the pricing timer what two single walks would for half the reads.
+	if in := c.instr; in != nil && in.PricingNanos != nil {
+		defer pricingTimer(in.PricingNanos, nanotime())
+	}
+	b1, b2 := c.state.Battery(sat), c.state.Battery(nextSat)
+	cost1, cost2, ok := energy.PriceDeficitPair(c.curSlot,
+		b1, c.energyCfg.TransitEnergyJ(in, graph.ClassISL, c.curDemand, c.slotSec), c.unitPrices(sat, b1),
+		b2, c.energyCfg.TransitEnergyJ(nextIn, graph.ClassISL, c.curDemand, c.slotSec), c.unitPrices(nextSat, b2))
+	if ok {
+		c.cacheVals[key1], c.cacheEpoch[key1] = cost1, c.epoch
+		c.cacheVals[key2], c.cacheEpoch[key2] = cost2, c.epoch
+	}
 }
 
 // Handle implements Algorithm 1 for one online request.
@@ -371,6 +397,7 @@ func (c *CEAR) Handle(req workload.Request) (router.Decision, error) {
 				txn.Rollback()
 				return router.Decision{}, fmt.Errorf("core: request %d slot %d: %w", req.ID, slot, err)
 			}
+			view.LookAhead = c.aheadFn
 			path, ok, pruned = view.Search(c.transitFn, c.opts.MaxHops, totalPrice, budgetLimit)
 			if ok {
 				c.consBuf = view.AppendConsumptions(path, c.consBuf)

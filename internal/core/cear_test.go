@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"spacebooking/internal/graph"
 	"spacebooking/internal/grid"
 	"spacebooking/internal/netstate"
 	"spacebooking/internal/pricing"
@@ -496,5 +498,51 @@ func TestHandleRejectsBadVector(t *testing.T) {
 	req.RateVector = []float64{100} // wrong length
 	if _, err := c.Handle(req); err == nil {
 		t.Error("bad vector length should error")
+	}
+}
+
+// TestLookAheadPairsChangeNoDecision feeds one request stream to a CEAR
+// with the search's look-ahead hook and to one without: pairing two
+// states' energy sums in one loop may change when a price is computed,
+// never a decision, a price or a plan.
+func TestLookAheadPairsChangeNoDecision(t *testing.T) {
+	paired := newCEAR(t, newTestStack(t, 0), Options{})
+	single := newCEAR(t, newTestStack(t, 0), Options{})
+	single.aheadFn = nil
+	pairs := 0
+	paired.aheadFn = func(sat int, in graph.EdgeClass, nextSat int, nextIn graph.EdgeClass) {
+		key := transitKey(nextSat, nextIn, graph.ClassISL)
+		cached := paired.cacheEpoch[key] == paired.epoch
+		paired.priceAhead(sat, in, nextSat, nextIn)
+		if !cached && paired.cacheEpoch[key] == paired.epoch {
+			pairs++
+		}
+	}
+	accepted := 0
+	for i := 0; i < 60; i++ {
+		req := routableRequest(t, paired.State(), i, 400+100*float64(i%17), 1+i%3)
+		dp, err := paired.Handle(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := single.Handle(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(dp, ds) {
+			t.Fatalf("request %d: decisions diverge\nwith look-ahead:    %+v\nwithout look-ahead: %+v", i, dp, ds)
+		}
+		if dp.Accepted {
+			accepted++
+		}
+	}
+	if accepted == 0 || pairs == 0 {
+		t.Fatalf("accepted %d requests, formed %d pairs: the comparison is vacuous", accepted, pairs)
+	}
+	t.Logf("accepted %d/60, %d pairs formed", accepted, pairs)
+	for _, c := range []*CEAR{paired, single} {
+		if err := c.State().CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -41,6 +41,11 @@ type Battery struct {
 	// non-zero only inside the span.
 	firstDeficit int
 	lastDeficit  int
+	// maxDeficit is at least every deficit[t]: Consume raises it, Refund
+	// leaves it loose, CopyFrom adopts the source's. Rounding is
+	// monotone, so maxDeficit+joules <= limit proves that no slot of a
+	// joules-sized consumption breaches limit without reading deficit.
+	maxDeficit float64
 	// stamp counts ledger mutations (Consume, ConsumeTraced, Refund,
 	// CopyFrom). It only ever grows, so anything derived from the ledger
 	// — a unit-price table, a prepared reservation's snapshot — is still
@@ -225,40 +230,6 @@ func (b *Battery) walk(ta int, joules float64, unit []float64, limit float64) (c
 	return cost, -1, 0
 }
 
-// PriceDeficit prices, without mutating the ledger, the deficit that
-// consuming joules in slot ta would add: Σ_t unit[t]·Ω̄(ta, t), the
-// energy term of Eq. (12) for one (satellite, slot), where unit[t] is
-// the per-joule price of slot t (see FillUnitPrices; it must cover the
-// horizon). feasible is false when the consumption would breach
-// constraint (7c) at some slot; cost is then meaningless.
-//
-// It equals a VisitDeficit walk that checks
-// DeficitAt(t)+outstanding <= capacity·(1+1e-12) and adds
-// price(UtilizationAt(t))·outstanding per slot, bit for bit.
-func (b *Battery) PriceDeficit(ta int, joules float64, unit []float64) (cost float64, feasible bool) {
-	cost, failSlot, _ := b.walk(ta, joules, unit, b.capacityJ*(1+1e-12))
-	return cost, failSlot < 0
-}
-
-// FillUnitPrices brings a per-slot unit-price table up to date with the
-// ledger: unit[t] = price(UtilizationAt(t)) inside the deficit span and
-// exactly zero outside it, which is what price returns for an empty
-// slot (μ^0 − 1). oldFirst/oldLast is the span the table was last
-// filled over (first > last for a fresh, all-zero table); the new span
-// is returned for the next call. Only the two spans are written, so a
-// refill costs O(deficit span), not O(horizon).
-func (b *Battery) FillUnitPrices(unit []float64, oldFirst, oldLast int, price func(utilization float64) float64) (first, last int) {
-	for t := oldFirst; t <= oldLast; t++ {
-		unit[t] = 0
-	}
-	for t := b.firstDeficit; t <= b.lastDeficit; t++ {
-		if b.deficit[t] != 0 {
-			unit[t] = price(b.UtilizationAt(t))
-		}
-	}
-	return b.firstDeficit, b.lastDeficit
-}
-
 // Feasible reports whether consuming `joules` in slot ta keeps the
 // battery within capacity (b_s(t) >= 0) at every slot, given the current
 // committed state. Always true in clamp mode.
@@ -266,7 +237,11 @@ func (b *Battery) Feasible(ta int, joules float64) bool {
 	if b.clamp {
 		return true
 	}
-	_, failSlot, _ := b.walk(ta, joules, nil, b.capacityJ*(1+1e-12))
+	if b.fits(joules) {
+		b.instr.countDeficitWalk() // the walk this proof stands in for
+		return true
+	}
+	_, failSlot, _ := b.walk(ta, joules, nil, b.limit())
 	return failSlot < 0
 }
 
@@ -344,6 +319,7 @@ func (b *Battery) CopyFrom(src *Battery) {
 	b.clamp = src.clamp
 	b.instr = src.instr
 	b.firstDeficit, b.lastDeficit = src.firstDeficit, src.lastDeficit
+	b.maxDeficit = src.maxDeficit
 	b.stamp++
 }
 
@@ -416,6 +392,9 @@ func (b *Battery) consume(ta int, joules float64, steps []ConsumeStep, traced bo
 		if t > b.lastDeficit {
 			b.lastDeficit = t
 		}
+		if b.deficit[t] > b.maxDeficit {
+			b.maxDeficit = b.deficit[t]
+		}
 		if traced {
 			steps = append(steps, ConsumeStep{Slot: t, AbsorbedJ: absorb, PostedJ: post})
 		}
@@ -445,14 +424,16 @@ func (b *Battery) Refund(st ConsumeStep) {
 	}
 }
 
-// CheckInvariants verifies what the pricing walk's shortcuts rely on:
+// CheckInvariants verifies what the pricing kernels' shortcuts rely on:
 // no slot holds a negative deficit or unclaimed solar, none is above
-// capacity (beyond the float dust feasibility tolerates), and the
-// deficit bounds enclose every non-zero slot.
+// capacity (beyond the float dust feasibility tolerates) or above
+// maxDeficit, and the deficit bounds enclose every non-zero slot.
 func (b *Battery) CheckInvariants() error {
-	limit := b.capacityJ * (1 + 1e-12)
+	limit := b.limit()
 	for t, d := range b.deficit {
 		switch {
+		case d > b.maxDeficit:
+			return fmt.Errorf("energy: deficit %v at slot %d exceeds the recorded maximum %v", d, t, b.maxDeficit)
 		case d < 0 || d > limit || math.IsNaN(d):
 			return fmt.Errorf("energy: deficit %v at slot %d outside [0, %v]", d, t, b.capacityJ)
 		case b.solarRemaining[t] < 0 || math.IsNaN(b.solarRemaining[t]):

@@ -27,36 +27,28 @@ func referenceWalk(b *Battery, ta int, joules, limit float64) (cost float64, fai
 	return cost, failSlot, failDeficit
 }
 
-// unitTable mimics the table's owner: it refills only when the stamp
-// moved, over the spans FillUnitPrices reports.
-type unitTable struct {
-	unit        []float64
-	first, last int
-	stamp       uint64
-	filled      bool
+// kernelTally counts which cases a sweep of checkWalks put PriceDeficit
+// through, so a test can require that none of them was vacuous.
+type kernelTally struct {
+	runs, fallbacks int // priced by the constant-run loop / by walk
+	// fell back: ta outside the span / a sunny slot ahead / draw does not fit
+	outsideSpan, sunnyAhead, nearCap int
+	infeasible                       int
 }
 
-func (u *unitTable) sync(b *Battery) []float64 {
-	if u.unit == nil {
-		u.unit = make([]float64, b.Horizon())
-		u.first, u.last = 0, -1
-	}
-	if !u.filled || u.stamp != b.Stamp() {
-		u.first, u.last = b.FillUnitPrices(u.unit, u.first, u.last, testPrice)
-		u.stamp, u.filled = b.Stamp(), true
-	}
-	return u.unit
-}
-
-// checkWalks compares the table walk with the reference at every slot for
-// a few draw sizes, bit for bit, and the table itself with the price of
-// every slot's utilization.
-func checkWalks(t *testing.T, step int, b *Battery, tab *unitTable, draws []float64) {
+// checkWalks compares the table walk and PriceDeficit with the reference
+// at every slot for a few draw sizes, bit for bit, and the table itself
+// with the price of every slot's utilization.
+func checkWalks(t *testing.T, step int, b *Battery, tab *UnitPrices, draws []float64, tally *kernelTally) {
 	t.Helper()
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatalf("step %d: %v", step, err)
 	}
-	unit := tab.sync(b)
+	b.FillUnitPrices(tab, testPrice)
+	unit := tab.unit
+	if unit == nil {
+		unit = make([]float64, b.Horizon()) // never held a deficit: all zero
+	}
 	for tt := 0; tt < b.Horizon(); tt++ {
 		if want := testPrice(b.UtilizationAt(tt)); unit[tt] != want {
 			first, last := b.DeficitSpan()
@@ -78,64 +70,128 @@ func checkWalks(t *testing.T, step int, b *Battery, tab *unitTable, draws []floa
 					math.Float64bits(noPriceDef) != math.Float64bits(wantDef) {
 					t.Fatalf("step %d: unpriced walk(%d, %v) fails at %d, reference %d", step, ta, j, noPriceSlot, wantSlot)
 				}
+				if limit != b.limit() {
+					continue
+				}
+				if cost, ok := b.PriceDeficit(ta, j, tab); ok != (wantSlot < 0) ||
+					(ok && math.Float64bits(cost) != math.Float64bits(wantCost)) {
+					t.Fatalf("step %d: PriceDeficit(%d, %v) = (%v, %v), reference (%v, fails at %d)",
+						step, ta, j, cost, ok, wantCost, wantSlot)
+				}
+				if b.Feasible(ta, j) != (wantSlot < 0) {
+					t.Fatalf("step %d: Feasible(%d, %v) = %v, reference fails at %d", step, ta, j, !(wantSlot < 0), wantSlot)
+				}
+				tally.note(b, tab, ta, j, wantSlot < 0)
 			}
 		}
 	}
 }
 
+// note classifies one PriceDeficit call by the conditions the kernel
+// branches on.
+func (k *kernelTally) note(b *Battery, tab *UnitPrices, ta int, joules float64, feasible bool) {
+	if !feasible {
+		k.infeasible++
+	}
+	switch {
+	case tab.unit == nil:
+		k.fallbacks++
+	case !b.fits(joules):
+		k.fallbacks++
+		k.nearCap++
+	case ta < tab.first || ta > tab.last:
+		k.fallbacks++
+		k.outsideSpan++
+	case ta <= tab.lastSunny:
+		k.fallbacks++
+		k.sunnyAhead++
+	default:
+		k.runs++
+	}
+}
+
+// ledgerDriver puts one strict battery through a seeded random sequence
+// of Consume / ConsumeTraced / Refund / snapshot / restore operations.
+type ledgerDriver struct {
+	rng       *rand.Rand
+	b, snap   *Battery
+	snapTaken bool
+	steps     []ConsumeStep
+}
+
+const driverHorizon = 48
+
+func newLedgerDriver(t *testing.T, seed int64) *ledgerDriver {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	solar := make([]float64, driverHorizon)
+	for i := range solar {
+		if i%16 < 10 { // sunlit two thirds of each orbit
+			solar[i] = 30 + 10*rng.Float64()
+		}
+	}
+	b := mustBattery(t, 2000, solar, false)
+	return &ledgerDriver{rng: rng, b: b, snap: b.Clone()}
+}
+
+// step applies one random operation and reports whether the ledger
+// changed.
+func (d *ledgerDriver) step() (mutated bool) {
+	rng, b := d.rng, d.b
+	switch op := rng.Intn(10); {
+	case op < 4:
+		return b.Consume(rng.Intn(driverHorizon), 400*rng.Float64()) == nil
+	case op < 6:
+		n := len(d.steps)
+		var err error
+		d.steps, err = b.ConsumeTraced(rng.Intn(driverHorizon), 400*rng.Float64(), d.steps)
+		return err == nil && len(d.steps) > n
+	case op < 7 && len(d.steps) > 0:
+		// A refund hands a slot inside the span its solar back.
+		i := rng.Intn(len(d.steps))
+		b.Refund(d.steps[i])
+		d.steps = append(d.steps[:i], d.steps[i+1:]...)
+		return true
+	case op < 8:
+		d.snap.CopyFrom(b)
+		d.snapTaken = true
+		return false
+	case d.snapTaken:
+		// Restore: the deficit span can shrink back, leaving table
+		// entries of the abandoned state outside it.
+		b.CopyFrom(d.snap)
+		d.steps = d.steps[:0]
+		return true
+	}
+	return false
+}
+
+// driverDraws are below one slot's solar, above it, within reach of the
+// 2000 J capacity once the ledger is loaded, and above capacity.
+var driverDraws = []float64{25, 180, 700, 2500}
+
 // TestTableWalkMatchesVisitDeficit drives strict batteries through seeded
 // random Consume / ConsumeTraced / Refund / snapshot-restore sequences
-// and, after every step, requires the table walk to equal the
-// VisitDeficit reference bit for bit: cost, feasibility and failing slot.
+// and, after every step, requires the table walk and PriceDeficit to
+// equal the VisitDeficit reference bit for bit: cost, feasibility and
+// failing slot — whichever way PriceDeficit got there.
 func TestTableWalkMatchesVisitDeficit(t *testing.T) {
-	const horizon = 48
+	var tally kernelTally
 	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		solar := make([]float64, horizon)
-		for i := range solar {
-			if i%16 < 10 { // sunlit two thirds of each orbit
-				solar[i] = 30 + 10*rng.Float64()
-			}
-		}
-		b := mustBattery(t, 2000, solar, false)
-		snap := b.Clone()
-		snapTaken := false
-		var tab unitTable
-		var steps []ConsumeStep
-		draws := []float64{25, 180, 700, 2500}
-		checkWalks(t, -1, b, &tab, draws)
+		d := newLedgerDriver(t, seed)
+		var tab UnitPrices
+		checkWalks(t, -1, d.b, &tab, driverDraws, &tally)
 		for step := 0; step < 120; step++ {
-			before := b.Stamp()
-			mutated := true
-			switch op := rng.Intn(10); {
-			case op < 4:
-				mutated = b.Consume(rng.Intn(horizon), 400*rng.Float64()) == nil
-			case op < 6:
-				var err error
-				n := len(steps)
-				steps, err = b.ConsumeTraced(rng.Intn(horizon), 400*rng.Float64(), steps)
-				mutated = err == nil && len(steps) > n
-			case op < 7 && len(steps) > 0:
-				i := rng.Intn(len(steps))
-				b.Refund(steps[i])
-				steps = append(steps[:i], steps[i+1:]...)
-			case op < 8:
-				snap.CopyFrom(b)
-				snapTaken = true
-				mutated = false
-			case snapTaken:
-				// Restore: the deficit span can shrink back, leaving table
-				// entries of the abandoned state outside it.
-				b.CopyFrom(snap)
-				steps = steps[:0]
-			default:
-				mutated = false
-			}
-			if mutated && b.Stamp() == before {
+			before := d.b.Stamp()
+			if d.step() && d.b.Stamp() == before {
 				t.Fatalf("seed %d step %d: ledger mutated but stamp stayed %d", seed, step, before)
 			}
-			checkWalks(t, step, b, &tab, draws)
+			checkWalks(t, step, d.b, &tab, driverDraws, &tally)
 		}
+	}
+	t.Logf("%+v", tally)
+	if tally.runs == 0 || tally.sunnyAhead == 0 || tally.outsideSpan == 0 || tally.nearCap == 0 || tally.infeasible == 0 {
+		t.Fatalf("a case never occurred: %+v", tally)
 	}
 }
 
@@ -148,9 +204,9 @@ func TestRestoreMovesFirstDeficitBackUp(t *testing.T) {
 	if err := b.Consume(25, 600); err != nil {
 		t.Fatal(err)
 	}
-	var tab unitTable
+	var tab UnitPrices
 	draws := []float64{50, 900}
-	checkWalks(t, 0, b, &tab, draws)
+	checkWalks(t, 0, b, &tab, draws, new(kernelTally))
 	firstBefore, _ := b.DeficitSpan()
 
 	snap := b.Clone()
@@ -160,14 +216,14 @@ func TestRestoreMovesFirstDeficitBackUp(t *testing.T) {
 	if first, _ := b.DeficitSpan(); first != 5 {
 		t.Fatalf("first deficit = %d after consuming at slot 5", first)
 	}
-	checkWalks(t, 1, b, &tab, draws) // table now holds prices from slot 5 on
+	checkWalks(t, 1, b, &tab, draws, new(kernelTally)) // table now holds prices from slot 5 on
 
 	b.CopyFrom(snap)
 	if first, _ := b.DeficitSpan(); first != firstBefore {
 		t.Fatalf("first deficit = %d after restore, want %d", first, firstBefore)
 	}
-	checkWalks(t, 2, b, &tab, draws)
-	if cost, ok := b.PriceDeficit(5, 900, tab.sync(b)); !ok || cost == 0 {
+	checkWalks(t, 2, b, &tab, draws, new(kernelTally))
+	if cost, ok := b.PriceDeficit(5, 900, &tab); !ok || cost == 0 {
 		t.Fatalf("PriceDeficit(5, 900) = (%v, %v), want a positive feasible price", cost, ok)
 	}
 }

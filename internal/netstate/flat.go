@@ -239,7 +239,23 @@ type FlatView struct {
 	dstGID     int
 	srcVisible []int
 	numSats    int
+
+	// LookAhead, when set, is told about every satellite state Dijkstra
+	// is about to expand together with the one it expects to expand next
+	// (see LookAheadFunc). BuildView clears it: a scratch is shared by
+	// every algorithm of a run, a hook belongs to the one that set it.
+	LookAhead LookAheadFunc
 }
+
+// LookAheadFunc receives the satellite state the search just popped —
+// node sat reached over an edge of class in — and the satellite state on
+// top of the heap, which is expanded next unless an expansion in between
+// pushes something cheaper or the search ends. A transit-cost function
+// that memoises per state can use it to compute the two states' costs
+// together, ahead of the calls that will ask for them. The hook must not
+// change what any cost evaluates to: the search calls it or not, and
+// pairs states or not, without regard to the result.
+type LookAheadFunc func(sat int, in graph.EdgeClass, nextSat int, nextIn graph.EdgeClass)
 
 // BuildView initialises the scratch's FlatView for one (request, slot)
 // pair: the fast-path analogue of NewView. The returned view is valid
@@ -527,6 +543,11 @@ func (v *FlatView) dijkstra(transit graph.TransitCostFunc, budgetBase, budgetLim
 			}
 		default:
 			sat := node
+			if v.LookAhead != nil && len(h.items) > 0 {
+				if next := int(h.items[0].state); next/graph.NumClasses < v.numSats {
+					v.LookAhead(sat, inClass, next/graph.NumClasses, graph.EdgeClass(next%graph.NumClasses))
+				}
+			}
 			for i, end := int(v.csr.Offsets[sat]), int(v.csr.Offsets[sat+1]); i < end; i++ {
 				relaxes++
 				to := int(v.csr.To[i])

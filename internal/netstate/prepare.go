@@ -110,13 +110,14 @@ func (t *Txn) Prepare() (*Prepared, error) {
 	p.cons = append(p.cons, a.cons...)
 	p.steps = append(p.steps, a.steps...)
 	p.dod = append(p.dod, a.dod...)
-	for _, sat := range a.touched {
+	for i, sat := range a.touched {
 		p.touched = append(p.touched, sat)
-		// Move the snapshot out of the arena: the next Begin re-clones
-		// lazily, and the snapshot stays frozen at this txn's pre-state.
-		p.snaps = append(p.snaps, a.snaps[sat])
+		// Move the snapshot out of the pool: the next transaction to
+		// touch this many satellites re-clones, and the snapshot stays
+		// frozen at this txn's pre-state.
+		p.snaps = append(p.snaps, a.snaps[i])
 		p.stamps = append(p.stamps, s.batteries[sat].Stamp())
-		a.snaps[sat] = nil
+		a.snaps[i] = nil
 	}
 	s.prep.add(p)
 	s.instr.txnPrepares.Inc()

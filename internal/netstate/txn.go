@@ -46,10 +46,11 @@ type linkReservation struct {
 }
 
 // txnScratch is the State-owned working memory of the single open
-// transaction: the link-undo log plus an epoch-stamped battery snapshot
-// arena. Snapshot batteries are allocated once per satellite ever
-// (lazily) and refilled in place via Battery.CopyFrom on later
-// transactions; stamps mark which snapshots belong to the current epoch.
+// transaction: the link-undo log plus a pool of battery snapshots.
+// snaps[i] is the pre-transaction copy of battery touched[i]; the pool
+// grows to the most satellites one transaction ever touched — not to the
+// constellation — and is refilled in place via Battery.CopyFrom.
+// stamps[sat] == epoch marks the satellites already in touched.
 type txnScratch struct {
 	linkUndo []linkReservation
 	epoch    uint32
@@ -88,7 +89,11 @@ func (s *State) Begin() *Txn {
 }
 
 // begin resets the scratch for a fresh transaction, reusing every
-// previously grown buffer.
+// previously grown buffer. It must not be inlined into Begin: with it
+// Begin exceeds the inlining budget, stops being inlined itself, and
+// every admission heap-allocates its Txn.
+//
+//go:noinline
 func (a *txnScratch) begin(numSats int) {
 	a.linkUndo = a.linkUndo[:0]
 	a.touched = a.touched[:0]
@@ -97,7 +102,6 @@ func (a *txnScratch) begin(numSats int) {
 	a.steps = a.steps[:0]
 	if len(a.stamps) != numSats {
 		a.stamps = make([]uint32, numSats)
-		a.snaps = make([]*energy.Battery, numSats)
 		a.epoch = 0
 	}
 	a.epoch++
@@ -142,10 +146,14 @@ func (t *Txn) Consume(consumptions []Consumption) error {
 	for _, c := range consumptions {
 		if a.stamps[c.Sat] != a.epoch {
 			b := t.state.batteries[c.Sat]
-			if a.snaps[c.Sat] == nil {
-				a.snaps[c.Sat] = b.Clone()
-			} else {
-				a.snaps[c.Sat].CopyFrom(b)
+			i := len(a.touched)
+			switch {
+			case i == len(a.snaps):
+				a.snaps = append(a.snaps, b.Clone())
+			case a.snaps[i] == nil: // a Prepare took it
+				a.snaps[i] = b.Clone()
+			default:
+				a.snaps[i].CopyFrom(b)
 			}
 			a.stamps[c.Sat] = a.epoch
 			a.touched = append(a.touched, c.Sat)
@@ -198,8 +206,8 @@ func (t *Txn) Rollback() {
 	for _, r := range a.linkUndo {
 		t.state.unreserveLink(r.key, r.slot, r.rate)
 	}
-	for _, sat := range a.touched {
-		t.state.batteries[sat].CopyFrom(a.snaps[sat])
+	for i, sat := range a.touched {
+		t.state.batteries[sat].CopyFrom(a.snaps[i])
 	}
 }
 

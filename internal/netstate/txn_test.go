@@ -175,3 +175,84 @@ func TestUnreserveLinkClampsAtZero(t *testing.T) {
 		t.Error("ledger corrupted")
 	}
 }
+
+// TestSnapshotPoolIsSizedByTheTransaction: transactions that between
+// them touch every satellite must leave the snapshot pool at the size of
+// the largest single one, rollbacks must still restore exactly, and a
+// Prepare must take its snapshots with it.
+func TestSnapshotPoolIsSizedByTheTransaction(t *testing.T) {
+	s := newTestState(t, twoCitySites(), false)
+	s.EnableTwoPhase()
+	numSats := s.Provider().NumSats()
+	const perTxn = 3
+	for first := 0; first+perTxn <= numSats; first += perTxn {
+		var cons []Consumption
+		for sat := first; sat < first+perTxn; sat++ {
+			cons = append(cons, Consumption{Sat: sat, Slot: 2, Joules: 5000})
+		}
+		before := s.Battery(first).DeficitAt(2)
+		txn := s.Begin()
+		if err := txn.Consume(cons); err != nil {
+			t.Fatal(err)
+		}
+		if s.Battery(first).DeficitAt(2) == before {
+			t.Fatalf("satellite %d: consumption left no deficit", first)
+		}
+		txn.Rollback()
+		if got := s.Battery(first).DeficitAt(2); got != before {
+			t.Fatalf("satellite %d: deficit %v after rollback, want %v", first, got, before)
+		}
+	}
+	if got := len(s.txn.snaps); got != perTxn {
+		t.Fatalf("snapshot pool holds %d batteries after %d-satellite transactions over %d satellites, want %d",
+			got, perTxn, numSats, perTxn)
+	}
+
+	txn := s.Begin()
+	if err := txn.Consume([]Consumption{{Sat: 0, Slot: 2, Joules: 5000}, {Sat: 1, Slot: 2, Joules: 5000}}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := txn.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.txn.snaps[0] != nil || s.txn.snaps[1] != nil || s.txn.snaps[2] == nil {
+		t.Fatal("Prepare did not take exactly the snapshots it pinned out of the pool")
+	}
+	// The next transaction re-clones the taken entries; aborting the
+	// prepared one afterwards still restores from its own snapshots.
+	txn2 := s.Begin()
+	if err := txn2.Consume([]Consumption{{Sat: 5, Slot: 2, Joules: 5000}}); err != nil {
+		t.Fatal(err)
+	}
+	txn2.Rollback()
+	p.Abort()
+	for sat := 0; sat < numSats; sat++ {
+		if d := s.Battery(sat).DeficitAt(2); d != 0 {
+			t.Fatalf("satellite %d: deficit %v left behind", sat, d)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTxnCycleDoesNotAllocate pins what `//go:noinline` on
+// txnScratch.begin is there for: Begin stays inlinable, so the Txn lives
+// on the caller's stack, and a warm scratch serves a whole
+// Begin/Consume/Rollback cycle without touching the heap.
+func TestTxnCycleDoesNotAllocate(t *testing.T) {
+	s := newTestState(t, twoCitySites(), false)
+	cons := []Consumption{{Sat: 0, Slot: 2, Joules: 5000}, {Sat: 1, Slot: 2, Joules: 5000}}
+	cycle := func() {
+		txn := s.Begin()
+		if err := txn.Consume(cons); err != nil {
+			t.Fatal(err)
+		}
+		txn.Rollback()
+	}
+	cycle() // grows the scratch
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("%v allocations per Begin/Consume/Rollback cycle, want 0", got)
+	}
+}

@@ -12,6 +12,12 @@
 # shards), the drain must stay graceful, and the run report must carry
 # the cluster.* reconciliation counters (the obsdiff gate).
 #
+# A third pass runs the daemon on the arrival-driven clock
+# (-clock-rate 0): spaceload must pin its generated slots so the clock
+# follows the stream, i.e. /v1/stats ends past slot 0 and at least one
+# accepted reservation starts past slot 0. (Before spaceload sent
+# arrival_slot the clock sat at slot 0 and only that slot ever accepted.)
+#
 # Usage: scripts/smoke_spaced.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,19 +33,25 @@ trap cleanup EXIT
 go build -o "$WORK/spaced" ./cmd/spaced
 go build -o "$WORK/spaceload" ./cmd/spaceload
 
+# wait_listening LOG WHAT: environment construction takes a few seconds;
+# wait for the daemon's listen line and print the address it bound.
+wait_listening() {
+  local log="$1" what="$2" addr=""
+  for _ in $(seq 1 120); do
+    addr="$(sed -n 's|^spaced listening on http://\(.*\)/$|\1|p' "$log")"
+    [[ -n "$addr" ]] && break
+    kill -0 "$SPACED_PID" 2>/dev/null || { cat "$log" >&2; echo "smoke_spaced: $what exited before listening" >&2; exit 1; }
+    sleep 1
+  done
+  [[ -n "$addr" ]] || { cat "$log" >&2; echo "smoke_spaced: $what never started listening" >&2; exit 1; }
+  echo "$addr"
+}
+
 LOG="$WORK/spaced.log"
 "$WORK/spaced" -addr 127.0.0.1:0 -clock-rate 4 -queue-depth 64 -batch-size 8 >"$LOG" 2>&1 &
 SPACED_PID=$!
 
-# Environment construction takes a few seconds; wait for the listen line.
-ADDR=""
-for _ in $(seq 1 120); do
-  ADDR="$(sed -n 's|^spaced listening on http://\(.*\)/$|\1|p' "$LOG")"
-  [[ -n "$ADDR" ]] && break
-  kill -0 "$SPACED_PID" 2>/dev/null || { cat "$LOG" >&2; echo "smoke_spaced: spaced exited before listening" >&2; exit 1; }
-  sleep 1
-done
-[[ -n "$ADDR" ]] || { cat "$LOG" >&2; echo "smoke_spaced: spaced never started listening" >&2; exit 1; }
+ADDR="$(wait_listening "$LOG" spaced)"
 echo "smoke_spaced: daemon up on $ADDR"
 
 SUMMARY="$("$WORK/spaceload" -addr "http://$ADDR" -mode closed -concurrency 4 -duration 3s \
@@ -80,14 +92,7 @@ REPORT2="$WORK/spaced-shards-report.json"
   -shards 2 -router round-robin -report "$REPORT2" >"$LOG2" 2>&1 &
 SPACED_PID=$!
 
-ADDR2=""
-for _ in $(seq 1 120); do
-  ADDR2="$(sed -n 's|^spaced listening on http://\(.*\)/$|\1|p' "$LOG2")"
-  [[ -n "$ADDR2" ]] && break
-  kill -0 "$SPACED_PID" 2>/dev/null || { cat "$LOG2" >&2; echo "smoke_spaced: sharded spaced exited before listening" >&2; exit 1; }
-  sleep 1
-done
-[[ -n "$ADDR2" ]] || { cat "$LOG2" >&2; echo "smoke_spaced: sharded spaced never started listening" >&2; exit 1; }
+ADDR2="$(wait_listening "$LOG2" "sharded spaced")"
 grep -q 'cluster     2 shards, round-robin router' "$LOG2" || { cat "$LOG2" >&2; echo "smoke_spaced: no cluster startup line" >&2; exit 1; }
 echo "smoke_spaced: sharded daemon up on $ADDR2"
 
@@ -121,4 +126,39 @@ grep -q '"cluster.aborted.total"' "$REPORT2" || { echo "smoke_spaced: cluster.ab
 grep -q '"cluster.prepared.total"' "$REPORT2" || { echo "smoke_spaced: cluster.prepared.total missing from report" >&2; exit 1; }
 go run ./cmd/obsdiff "$REPORT2" "$REPORT2" >/dev/null
 
-echo "smoke_spaced: OK ($ACCEPTED accepts single-shard, $ACCEPTED2 accepts sharded, clean drains)"
+# --- Arrival-driven clock: the load generator's slots drive the server. ---
+LOG3="$WORK/spaced-arrival.log"
+"$WORK/spaced" -addr 127.0.0.1:0 -clock-rate 0 -queue-depth 64 -batch-size 8 >"$LOG3" 2>&1 &
+SPACED_PID=$!
+ADDR3="$(wait_listening "$LOG3" "arrival-driven spaced")"
+
+# One connection keeps the declared arrival slots in order; the run ends
+# by itself after one pass over the mix.
+SUMMARY3="$("$WORK/spaceload" -addr "http://$ADDR3" -mode closed -concurrency 1 -duration 60s \
+  | tee /dev/stderr | sed -n 's/^SUMMARY //p')"
+ACCEPTED3="$(sed -n 's/.*accepted=\([0-9]*\).*/\1/p' <<<"$SUMMARY3")"
+REJECTED3="$(sed -n 's/.*rejected=\([0-9]*\).*/\1/p' <<<"$SUMMARY3")"
+ERRORS3="$(sed -n 's/.*errors=\([0-9]*\).*/\1/p' <<<"$SUMMARY3")"
+[[ "${ACCEPTED3:-0}" -gt 0 ]] || { echo "smoke_spaced: zero accepted bookings under -clock-rate 0 ($SUMMARY3)" >&2; exit 1; }
+[[ "${ERRORS3:-1}" -eq 0 ]] || { echo "smoke_spaced: client errors under -clock-rate 0 ($SUMMARY3)" >&2; exit 1; }
+
+SLOT3="$(curl -fsS "http://$ADDR3/v1/stats" | sed -n 's/^  "slot": *\([0-9-]*\),*$/\1/p')"
+[[ "${SLOT3:-0}" -gt 0 ]] || { echo "smoke_spaced: arrival-driven clock still at slot ${SLOT3:-?} after the burst" >&2; exit 1; }
+
+# Reservation ids count up from 1 in arrival order: walk back from the
+# last one to an accepted booking and require it to start past slot 0.
+LATE_START=""
+for id in $(seq $((ACCEPTED3 + REJECTED3)) -1 1); do
+  RESV="$(curl -fsS "http://$ADDR3/v1/reservations/$id")"
+  if grep -q '"status": *"accepted"' <<<"$RESV"; then
+    LATE_START="$(sed -n 's/.*"start_slot": *\([0-9]*\).*/\1/p' <<<"$RESV")"
+    break
+  fi
+done
+[[ "${LATE_START:-0}" -gt 0 ]] || { echo "smoke_spaced: last accepted booking under -clock-rate 0 starts at slot ${LATE_START:-?}" >&2; exit 1; }
+kill -TERM "$SPACED_PID"
+wait "$SPACED_PID"
+SPACED_PID=""
+echo "smoke_spaced: arrival-driven pass OK ($ACCEPTED3 accepts, clock at slot $SLOT3, last accept starts at slot $LATE_START)"
+
+echo "smoke_spaced: OK ($ACCEPTED accepts single-shard, $ACCEPTED2 accepts sharded, $ACCEPTED3 accepts arrival-driven, clean drains)"
