@@ -63,8 +63,8 @@ bench-golden:
 # The paired protocol a timing claim is measured by: the working tree
 # against BENCH_PAIR_REF, both sides alternately on every seed, through
 # benchmark/run.sh --seconds 15 --trace 0; prints every run and, per
-# metric, median [Q1, Q3], ratio and pairs won (scripts/bench_pair.sh;
-# TRACE=1 gives the per-layer table). All four workloads on ten seeds
+# metric, median [Q1, Q3], ratio, pairs won and the resolved/unresolved
+# verdict (scripts/bench_pair.sh; TRACE=1 gives the per-layer table). All four workloads on ten seeds
 # take about 25 minutes.
 BENCH_PAIR_REF ?= HEAD~1
 bench-pair:

@@ -180,7 +180,17 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	// A client gets seconds to send a request (a booking is < 1 KiB) and
+	// a kept-alive connection two idle minutes. The write timeout is the
+	// loose one: this listener also serves /debug/pprof/profile, whose
+	// default 30 s capture has to fit inside it.
+	httpSrv := &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       10 * time.Second,
+		WriteTimeout:      90 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(lis) }()
 

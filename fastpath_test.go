@@ -381,18 +381,24 @@ func TestScratchReuseAcrossRequests(t *testing.T) {
 }
 
 // TestAdmitAllocsNoWorseThanPerLinkLedgers guards the allocation cost of
-// the dense ledger: on a fresh engine over a warm scratch (steady state
-// for everything but the ledger itself, whose rows appear as slots are
-// first reserved), a whole stream must average no more heap allocations
-// per Admit than the per-link map of horizon-long slices it replaced.
-// The ceilings are that ledger's figures for these streams (17 and 13;
-// this ledger measures 13 and 11).
+// admission: on a fresh engine over a warm scratch (steady state for
+// everything but the ledger itself, whose rows appear as slots are first
+// reserved), a whole stream must average no more heap allocations per
+// Admit than the dense ledger measures on these streams, 13 and 11 (the
+// per-link map of horizon-long slices it replaced measured 17 and 13).
+// The ceilings are the measured figures, not the old ledger's: one more
+// allocation per Admit — netstate.State.Begin no longer inlining, say, so
+// that every Txn escapes — has to fail here, not only in the benchmark's
+// sim.allocs_per_req.
 func TestAdmitAllocsNoWorseThanPerLinkLedgers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes what inlines and what escapes; the ceilings pin the plain build")
+	}
 	env := smallEnv(t)
 	for _, tc := range []struct {
 		rateMult float64
 		ceiling  float64
-	}{{1, 17}, {2, 13}} {
+	}{{1, 13}, {2, 11}} {
 		wl := env.WorkloadConfig(tc.rateMult*env.DefaultArrivalRate(), 5)
 		rc, err := env.RunConfig(sim.AlgCEAR, wl)
 		if err != nil {

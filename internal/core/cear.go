@@ -21,6 +21,7 @@ import (
 	"spacebooking/internal/obs"
 	"spacebooking/internal/pricing"
 	"spacebooking/internal/router"
+	"spacebooking/internal/topology"
 	"spacebooking/internal/workload"
 )
 
@@ -88,10 +89,12 @@ type CEAR struct {
 	fast *pricing.FastPricer
 
 	// Epoch-stamped transit-cost cache, reused across searches to avoid
-	// per-slot map allocation: one entry per (satellite, in, out) role.
-	cacheVals  []float64
-	cacheEpoch []uint32
+	// per-slot map allocation: one entry per (satellite, role), a
+	// satellite's four side by side. roleJoules is Eq. (1) for the four
+	// roles at the current search's demand.
+	transit    []transitEntry
 	epoch      uint32
+	roleJoules [transitRoles]float64
 
 	// Per-satellite unit-price tables for deficit pricing. They belong to
 	// this instance, not to the State: they are a function of μ2 as well
@@ -113,6 +116,7 @@ type CEAR struct {
 	curSlot   int
 	slotSec   float64
 	energyCfg netstate.EnergyConfig
+	islCap    float64
 
 	// Observability handles; all nil (no-op) without Options.Obs.
 	ctrEvaluations *obs.Counter
@@ -144,15 +148,15 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 	}
 	numSats := state.Provider().NumSats()
 	c := &CEAR{
-		state:      state,
-		opts:       opts,
-		fast:       opts.Pricing.Fast(),
-		cacheVals:  make([]float64, numSats*16),
-		cacheEpoch: make([]uint32, numSats*16),
-		units:      make([]energy.UnitPrices, numSats),
-		scratch:    opts.Scratch,
-		slotSec:    state.Provider().Config().SlotSeconds,
-		energyCfg:  state.EnergyConfig(),
+		state:     state,
+		opts:      opts,
+		fast:      opts.Pricing.Fast(),
+		transit:   make([]transitEntry, numSats*transitRoles),
+		units:     make([]energy.UnitPrices, numSats),
+		scratch:   opts.Scratch,
+		slotSec:   state.Provider().Config().SlotSeconds,
+		energyCfg: state.EnergyConfig(),
+		islCap:    state.Provider().Config().ISLCapacityMbps,
 	}
 	if c.scratch == nil {
 		c.scratch = netstate.NewSearchScratch()
@@ -288,25 +292,80 @@ func (c *CEAR) priceEdgeCost(key netstate.LinkKey, class graph.EdgeClass, capaci
 	return c.congestionUnitPrice(utilization)*c.curDemand + hopEpsilon
 }
 
-// transitKey is the transit cache's slot for one (satellite, in, out)
-// role: 16 per satellite, of which the 4×4 classes use nine.
-func transitKey(node int, in, out graph.EdgeClass) int {
-	return node*16 + int(in)*4 + int(out)
+// transitRoles counts the roles a transited satellite can play: it
+// receives on an ISL or a USL and sends on an ISL or a USL.
+const transitRoles = 4
+
+// transitEntry is one memoised transit cost, current while its epoch is
+// the search's. Four make 64 bytes: what priceTransit and priceAhead read
+// of one satellite shares a cache line.
+type transitEntry struct {
+	value float64
+	epoch uint32
+}
+
+// transitRole numbers the (in, out) role 0..3. A search never asks for
+// another pair — only the path source has no incoming class, and every
+// edge has an outgoing one — so anything else is a bug and panics rather
+// than alias a real role's entry.
+func transitRole(in, out graph.EdgeClass) int {
+	i, o := uint8(in-graph.ClassISL), uint8(out-graph.ClassISL)
+	if i > 1 || o > 1 {
+		panic("core: transit cost asked for a link class that is neither ISL nor USL")
+	}
+	return int(i)<<1 | int(o)
+}
+
+// transitKey is the transit cache's entry for one (satellite, role).
+func transitKey(node, role int) int { return node*transitRoles + role }
+
+// beginSearch points the bound cost functions at one slot search: its
+// slot and demand, a fresh transit-cache epoch, and the four roles'
+// joules — fixed by the demand, so computed here rather than per call.
+func (c *CEAR) beginSearch(slot int, demand float64) {
+	c.curSlot, c.curDemand = slot, demand
+	c.epoch++
+	if c.epoch == 0 {
+		// Wrapped: entries stamped 2^32 searches ago must not read as current.
+		for i := range c.transit {
+			c.transit[i].epoch = 0
+		}
+		c.epoch = 1
+	}
+	for _, in := range [...]graph.EdgeClass{graph.ClassISL, graph.ClassUSL} {
+		for _, out := range [...]graph.EdgeClass{graph.ClassISL, graph.ClassUSL} {
+			c.roleJoules[transitRole(in, out)] = c.energyCfg.TransitEnergyJ(in, out, demand, c.slotSec)
+		}
+	}
+}
+
+// searchView builds the fast path's view of the search beginSearch set
+// up and attaches what only this instance can tell it: the look-ahead
+// hook, and what an unreserved ISL costs. priceEdgeCost reads nothing but
+// the utilization and the search's demand, so its own value at
+// utilization 0 is this search's price of every idle ISL, whatever the
+// pricing variant.
+func (c *CEAR) searchView(src, dst topology.Endpoint) (*netstate.FlatView, error) {
+	view, err := c.scratch.BuildView(c.state, c.curSlot, src, dst, c.curDemand, c.edgeFn)
+	if err != nil {
+		return nil, err
+	}
+	view.LookAhead = c.aheadFn
+	view.IdleISLCost = c.edgeFn(0, graph.ClassISL, c.islCap, 0)
+	return view, nil
 }
 
 // priceTransit is the memoised role-dependent energy transit cost for
-// the current (slot, demand): the epoch-stamped cache holds one entry
-// per (satellite, in, out) role and is invalidated by bumping c.epoch
-// before each search. Bound once as c.transitFn.
+// the current (slot, demand), invalidated by beginSearch. Bound once as
+// c.transitFn.
 func (c *CEAR) priceTransit(node int, in, out graph.EdgeClass) float64 {
-	key := transitKey(node, in, out)
-	if c.cacheEpoch[key] == c.epoch {
-		return c.cacheVals[key]
+	role := transitRole(in, out)
+	e := &c.transit[transitKey(node, role)]
+	if e.epoch == c.epoch {
+		return e.value
 	}
-	joules := c.energyCfg.TransitEnergyJ(in, out, c.curDemand, c.slotSec)
-	v := c.energyTransitCost(node, c.curSlot, joules)
-	c.cacheVals[key] = v
-	c.cacheEpoch[key] = c.epoch
+	v := c.energyTransitCost(node, c.curSlot, c.roleJoules[role])
+	*e = transitEntry{value: v, epoch: c.epoch}
 	return v
 }
 
@@ -319,9 +378,9 @@ func (c *CEAR) priceTransit(node int, in, out graph.EdgeClass) float64 {
 // Every other case is left to priceTransit, so whether a pair forms
 // changes when a price is computed, never what it is.
 func (c *CEAR) priceAhead(sat int, in graph.EdgeClass, nextSat int, nextIn graph.EdgeClass) {
-	key1 := transitKey(sat, in, graph.ClassISL)
-	key2 := transitKey(nextSat, nextIn, graph.ClassISL)
-	if key1 == key2 || c.cacheEpoch[key1] == c.epoch || c.cacheEpoch[key2] == c.epoch {
+	role1, role2 := transitRole(in, graph.ClassISL), transitRole(nextIn, graph.ClassISL)
+	e1, e2 := &c.transit[transitKey(sat, role1)], &c.transit[transitKey(nextSat, role2)]
+	if e1 == e2 || e1.epoch == c.epoch || e2.epoch == c.epoch {
 		return
 	}
 	// One clock pair for the batch: with trace detail on, a pair charges
@@ -331,11 +390,11 @@ func (c *CEAR) priceAhead(sat int, in graph.EdgeClass, nextSat int, nextIn graph
 	}
 	b1, b2 := c.state.Battery(sat), c.state.Battery(nextSat)
 	cost1, cost2, ok := energy.PriceDeficitPair(c.curSlot,
-		b1, c.energyCfg.TransitEnergyJ(in, graph.ClassISL, c.curDemand, c.slotSec), c.unitPrices(sat, b1),
-		b2, c.energyCfg.TransitEnergyJ(nextIn, graph.ClassISL, c.curDemand, c.slotSec), c.unitPrices(nextSat, b2))
+		b1, c.roleJoules[role1], c.unitPrices(sat, b1),
+		b2, c.roleJoules[role2], c.unitPrices(nextSat, b2))
 	if ok {
-		c.cacheVals[key1], c.cacheEpoch[key1] = cost1, c.epoch
-		c.cacheVals[key2], c.cacheEpoch[key2] = cost2, c.epoch
+		*e1 = transitEntry{value: cost1, epoch: c.epoch}
+		*e2 = transitEntry{value: cost2, epoch: c.epoch}
 	}
 }
 
@@ -366,10 +425,7 @@ func (c *CEAR) Handle(req workload.Request) (router.Decision, error) {
 	// transaction rolls back and the network is untouched.
 	txn := c.state.Begin()
 	for slot := req.StartSlot; slot <= req.EndSlot; slot++ {
-		c.curDemand = req.RateAt(slot)
-		c.curSlot = slot
-		// Invalidate the per-search transit cache.
-		c.epoch++
+		c.beginSearch(slot, req.RateAt(slot))
 
 		c.ctrSlotSearch.Inc()
 		var path graph.Path
@@ -392,12 +448,11 @@ func (c *CEAR) Handle(req workload.Request) (router.Decision, error) {
 			}
 			sv = view
 		} else {
-			view, err := c.scratch.BuildView(c.state, slot, req.Src, req.Dst, c.curDemand, c.edgeFn)
+			view, err := c.searchView(req.Src, req.Dst)
 			if err != nil {
 				txn.Rollback()
 				return router.Decision{}, fmt.Errorf("core: request %d slot %d: %w", req.ID, slot, err)
 			}
-			view.LookAhead = c.aheadFn
 			path, ok, pruned = view.Search(c.transitFn, c.opts.MaxHops, totalPrice, budgetLimit)
 			if ok {
 				c.consBuf = view.AppendConsumptions(path, c.consBuf)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -511,10 +512,10 @@ func TestLookAheadPairsChangeNoDecision(t *testing.T) {
 	single.aheadFn = nil
 	pairs := 0
 	paired.aheadFn = func(sat int, in graph.EdgeClass, nextSat int, nextIn graph.EdgeClass) {
-		key := transitKey(nextSat, nextIn, graph.ClassISL)
-		cached := paired.cacheEpoch[key] == paired.epoch
+		e := &paired.transit[transitKey(nextSat, transitRole(nextIn, graph.ClassISL))]
+		cached := e.epoch == paired.epoch
 		paired.priceAhead(sat, in, nextSat, nextIn)
-		if !cached && paired.cacheEpoch[key] == paired.epoch {
+		if !cached && e.epoch == paired.epoch {
 			pairs++
 		}
 	}
@@ -543,6 +544,164 @@ func TestLookAheadPairsChangeNoDecision(t *testing.T) {
 	for _, c := range []*CEAR{paired, single} {
 		if err := c.State().CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// loadLedger feeds n requests between the two cities to c, windows and
+// rates spread over the horizon, and returns how many were accepted.
+func loadLedger(t *testing.T, c *CEAR, n int) int {
+	t.Helper()
+	prov := c.State().Provider()
+	accepted := 0
+	for i := 0; i < n; i++ {
+		dur := 1 + i%3
+		start := (i * 7) % (prov.Horizon() - dur)
+		d, err := c.Handle(workload.Request{
+			ID: i, Src: groundEP(0), Dst: groundEP(1),
+			ArrivalSlot: start, StartSlot: start, EndSlot: start + dur - 1,
+			RateMbps: 300 + 100*float64(i%17), Valuation: 2.3e9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Accepted {
+			accepted++
+		}
+	}
+	return accepted
+}
+
+// TestIdleISLCostIsTheCostFunctionsOwn checks the one thing the idle-ISL
+// shortcut takes on trust: that what CEAR declares for an unreserved ISL
+// is, to the bit, what its cost function returns for it. Every pricing
+// variant loads a ledger with 240 requests; then, over a sweep of demands
+// on every slot, each ISL the search view offers whose ledger cell is
+// empty must cost edgeFn(key, ClassISL, capacity, 0), and the whole edge
+// walk — loaded and masked edges included — must equal the generic
+// View's. The last round rebuilds the pricer over the loaded State with
+// another μ, as the adaptive controller does every window.
+func TestIdleISLCostIsTheCostFunctionsOwn(t *testing.T) {
+	steeper, err := pricing.Derive(4, 2, 20, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		rebuild *pricing.Params
+	}{
+		{name: "CEAR"},
+		{name: "CEAR-NE", opts: Options{DisableEnergyPricing: true}},
+		{name: "CEAR-AA", opts: Options{DisableAdmission: true}},
+		{name: "CEAR-LIN", opts: Options{LinearPricing: true}},
+		{name: "adaptive rebuild", rebuild: &steeper},
+	} {
+		state := newTestStack(t, 0)
+		c := newCEAR(t, state, tc.opts)
+		if accepted := loadLedger(t, c, 240); accepted == 0 || state.NumActiveLinks() == 0 {
+			t.Fatalf("%s: accepted %d of 240, %d active links: the ledger never loaded", tc.name, accepted, state.NumActiveLinks())
+		}
+		if tc.rebuild != nil {
+			opts := tc.opts
+			opts.Pricing = *tc.rebuild
+			c = newCEAR(t, state, opts)
+		}
+		prov := state.Provider()
+		idle, loaded := 0, 0
+		for slot := 0; slot < prov.Horizon(); slot++ {
+			for _, demand := range []float64{1, 337.5, 1250, 4000, c.islCap, 1.5 * c.islCap} {
+				c.beginSearch(slot, demand)
+				fv, err := c.searchView(groundEP(0), groundEP(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gv, err := netstate.NewView(state, slot, groundEP(0), groundEP(1), demand, c.edgeFn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for sat := 0; sat < prov.NumSats(); sat++ {
+					var want, got []graph.Edge
+					gv.VisitNeighbors(sat, func(e graph.Edge) bool { want = append(want, e); return true })
+					fv.VisitNeighbors(sat, func(e graph.Edge) bool { got = append(got, e); return true })
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("%s slot %d demand %v sat %d: edges differ\ngeneric: %+v\nflat:    %+v", tc.name, slot, demand, sat, want, got)
+					}
+					for _, e := range got {
+						if e.Class != graph.ClassISL {
+							continue
+						}
+						key := fv.LinkKeyFor(sat, e.To)
+						if state.LinkUsedMbps(key, slot) != 0 {
+							loaded++
+							continue
+						}
+						idle++
+						own := c.edgeFn(key, graph.ClassISL, c.islCap, 0)
+						if demand > c.islCap {
+							own = math.Inf(1) // masked: the demand fits no ISL
+						}
+						if math.Float64bits(e.Cost) != math.Float64bits(own) {
+							t.Fatalf("%s slot %d demand %v: idle ISL %d->%d costs %v, the cost function says %v",
+								tc.name, slot, demand, sat, e.To, e.Cost, own)
+						}
+					}
+				}
+			}
+		}
+		if idle == 0 || loaded == 0 {
+			t.Fatalf("%s: compared %d idle and %d loaded ISL edges; need both", tc.name, idle, loaded)
+		}
+		if err := state.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTransitRolesShareOneLine pins the transit cache's layout: the four
+// roles a search can ask about map to the four entries of their own
+// satellite, a class pair no search produces panics instead of landing on
+// another role's entry, and a wrapped epoch does not revive old entries.
+func TestTransitRolesShareOneLine(t *testing.T) {
+	classes := []graph.EdgeClass{graph.ClassISL, graph.ClassUSL}
+	for _, sat := range []int{0, 1, 95} {
+		seen := map[int]bool{}
+		for _, in := range classes {
+			for _, out := range classes {
+				key := transitKey(sat, transitRole(in, out))
+				if key < sat*transitRoles || key >= (sat+1)*transitRoles || seen[key] {
+					t.Fatalf("sat %d role (%d,%d): entry %d is shared or outside [%d,%d)", sat, in, out, key, sat*transitRoles, (sat+1)*transitRoles)
+				}
+				seen[key] = true
+			}
+		}
+	}
+	for _, pair := range [][2]graph.EdgeClass{
+		{graph.ClassNone, graph.ClassISL}, {graph.ClassNone, graph.ClassUSL},
+		{graph.ClassISL, graph.ClassNone}, {graph.ClassUSL, graph.ClassNone},
+		{graph.ClassNone, graph.ClassNone}, {3, graph.ClassISL}, {graph.ClassISL, -1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("transitRole(%d, %d) returned instead of panicking", pair[0], pair[1])
+				}
+			}()
+			transitRole(pair[0], pair[1])
+		}()
+	}
+
+	c := newCEAR(t, newTestStack(t, 0), Options{})
+	if got, want := len(c.transit), c.State().Provider().NumSats()*transitRoles; got != want {
+		t.Fatalf("transit cache holds %d entries, want %d (four per satellite)", got, want)
+	}
+	c.beginSearch(0, 1000)
+	c.transit[5] = transitEntry{value: 42, epoch: c.epoch}
+	c.epoch = math.MaxUint32
+	c.beginSearch(0, 1000)
+	for i, e := range c.transit {
+		if e.epoch == c.epoch {
+			t.Fatalf("entry %d reads as current after the epoch wrapped", i)
 		}
 	}
 }

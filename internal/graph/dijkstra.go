@@ -130,10 +130,17 @@ func ShortestPathWith(g Adjacency, src, dst int, transit TransitCostFunc, sc *Sc
 	// captured locals below: VisitNeighbors takes a func value, so a
 	// closure literal inside the pop loop would escape (and allocate) on
 	// every settled state.
+	//
+	// What leaving the popped state over an edge of one class costs is
+	// fixed by the state, not by the edge: transit is asked at the first
+	// unmasked edge of each out-class and the answer reused for the rest
+	// (never asked for a class whose edges are all masked).
 	var (
 		curItem    item
 		curNode    int
 		curInClass EdgeClass
+		tcAsked    [numClasses]bool
+		tcVal      [numClasses]float64
 	)
 	relax := func(e Edge) bool {
 		in.relax()
@@ -142,7 +149,10 @@ func ShortestPathWith(g Adjacency, src, dst int, transit TransitCostFunc, sc *Sc
 			return true
 		}
 		if transit != nil && curNode != src {
-			tc := transit(curNode, curInClass, e.Class)
+			if !tcAsked[e.Class] {
+				tcVal[e.Class], tcAsked[e.Class] = transit(curNode, curInClass, e.Class), true
+			}
+			tc := tcVal[e.Class]
 			if math.IsInf(tc, 1) {
 				return true
 			}
@@ -173,6 +183,7 @@ func ShortestPathWith(g Adjacency, src, dst int, transit TransitCostFunc, sc *Sc
 		}
 
 		curItem, curNode, curInClass = cur, node, inClass
+		tcAsked = [numClasses]bool{}
 		g.VisitNeighbors(node, relax)
 	}
 	in.searchDone(pops)

@@ -132,5 +132,7 @@ func (p Path) Hops() int { return len(p.Edges) }
 // TransitCostFunc prices passing *through* a node: the cost incurred at
 // `node` when it is entered via an edge of class in and left via an edge
 // of class out. Source and destination nodes are not charged. Returning
-// +Inf makes the node untraversable for that class pair.
+// +Inf makes the node untraversable for that class pair. The Dijkstra
+// searches ask once per (settled state, out class) and reuse the answer
+// for every edge of that class; the hop-limited searches ask per edge.
 type TransitCostFunc func(node int, in, out EdgeClass) float64

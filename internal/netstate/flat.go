@@ -245,6 +245,22 @@ type FlatView struct {
 	// (see LookAheadFunc). BuildView clears it: a scratch is shared by
 	// every algorithm of a run, a hook belongs to the one that set it.
 	LookAhead LookAheadFunc
+
+	// IdleISLCost, when non-zero, is the owner of the cost function
+	// declaring what it returns for an ISL nobody has reserved in this
+	// slot: cost(key, ClassISL, capacity, 0), the same bits for every key.
+	// The view then answers for such an edge from its ledger cell alone —
+	// no cost-function call, no edge-cache entry (see islCost). Only the
+	// owner can know its function ignores the key (ERA's does not), so
+	// zero means undeclared and BuildView clears it, as it does LookAhead.
+	IdleISLCost float64
+
+	// islRow is the slot's ISL ledger row (nil: nothing reserved in the
+	// slot) and idleCost the armed idle shortcut (zero: off). Both are
+	// taken by begin when a search or an edge walk starts, not by
+	// BuildView: a reservation made in between may replace a nil row.
+	islRow   []float64
+	idleCost float64
 }
 
 // LookAheadFunc receives the satellite state the search just popped —
@@ -361,18 +377,39 @@ func (v *FlatView) uslCost(from, to int) float64 {
 	return v.price(key, graph.ClassUSL, v.state.uslCapMbps, v.state.usl[v.slot][key])
 }
 
-// islCost returns the priced cost of CSR edge idx (sat -> to), memoised
-// per view: the price only depends on committed state, which cannot
-// change mid-search, so the first computation is authoritative. The
+// begin takes what the ISL relaxations of one search (or edge walk) all
+// read: the slot's ledger row, and the declared idle cost if the shortcut
+// may fire. It may only while the demand by itself fits an ISL: price
+// masks an edge when used+demand > capacity·(1+1e-12), which at used == 0
+// is the negation of the guard below, so an idle edge is then never
+// masked and answering for it without price skips no noteBlockedLink.
+func (v *FlatView) begin() {
+	v.islRow = v.state.isl[v.slot]
+	v.idleCost = 0
+	if v.demandMbps <= v.state.islCapMbps*(1+1e-12) {
+		v.idleCost = v.IdleISLCost
+	}
+}
+
+// islCost returns the priced cost of CSR edge idx (sat -> to). The
 // reservation is read from the slot's ledger row by the edge index the
-// caller is iterating — no key, no hash.
+// caller is iterating — no key, no hash. A view whose idle cost is armed
+// reads it first and answers for an ISL that holds none from that one
+// cell; a view that declared nothing takes exactly the steps it always
+// took. Any other edge is priced through the cost function, memoised per
+// view: the price only depends on committed state, which cannot change
+// mid-search, so the first computation is authoritative.
 func (v *FlatView) islCost(idx, sat, to int) float64 {
+	row := v.islRow
+	if v.idleCost != 0 && (row == nil || row[idx] == 0) {
+		return v.idleCost
+	}
 	sc := v.sc
 	if sc.edgeStamp[idx] == sc.viewEpoch {
 		return sc.edgeCostVal[idx]
 	}
 	used := 0.0
-	if row := v.state.isl[v.slot]; row != nil {
+	if row != nil {
 		used = row[idx]
 	}
 	c := v.price(MakeLinkKey(sat, to), graph.ClassISL, v.state.islCapMbps, used)
@@ -401,6 +438,7 @@ func (v *FlatView) dstCost(sat int) float64 {
 // and debugging tools can compare a FlatView against a View edge for
 // edge.
 func (v *FlatView) VisitNeighbors(node int, fn func(graph.Edge) bool) {
+	v.begin()
 	switch {
 	case node == v.SrcNode():
 		for _, sat := range v.srcVisible {
@@ -460,6 +498,7 @@ func (v *FlatView) Search(transit graph.TransitCostFunc, maxHops int, budgetBase
 	if timed {
 		t0 = time.Now()
 	}
+	v.begin()
 	if maxHops > 0 {
 		path, ok, pruned = v.hopLimited(transit, maxHops, budgetBase, budgetLimit)
 	} else {
@@ -548,6 +587,11 @@ func (v *FlatView) dijkstra(transit graph.TransitCostFunc, budgetBase, budgetLim
 					v.LookAhead(sat, inClass, next/graph.NumClasses, graph.EdgeClass(next%graph.NumClasses))
 				}
 			}
+			// What leaving over an ISL costs is fixed by the popped state,
+			// not by the edge: ask at the first edge that is not masked,
+			// reuse the answer for the others, and never ask when all are
+			// masked — the one call lands where the first of four did.
+			tc, asked := 0.0, transit == nil
 			for i, end := int(v.csr.Offsets[sat]), int(v.csr.Offsets[sat+1]); i < end; i++ {
 				relaxes++
 				to := int(v.csr.To[i])
@@ -555,12 +599,14 @@ func (v *FlatView) dijkstra(transit graph.TransitCostFunc, budgetBase, budgetLim
 				if math.IsInf(c, 1) {
 					continue
 				}
+				if !asked {
+					tc, asked = transit(sat, inClass, graph.ClassISL), true
+				}
+				if math.IsInf(tc, 1) {
+					continue
+				}
 				w := c
 				if transit != nil {
-					tc := transit(sat, inClass, graph.ClassISL)
-					if math.IsInf(tc, 1) {
-						continue
-					}
 					w += tc
 				}
 				relax(cur.state, cur.dist, to, graph.ClassISL, c, w)

@@ -25,10 +25,17 @@ func groundEP(i int) topology.Endpoint {
 	return topology.Endpoint{Kind: topology.EndpointGround, Index: i}
 }
 
-// findRoutableSlot returns a slot where both endpoints see satellites.
+// findRoutableSlot returns the first slot where both endpoints see
+// satellites.
 func findRoutableSlot(t *testing.T, s *State, src, dst topology.Endpoint) int {
 	t.Helper()
-	for slot := 0; slot < s.Provider().Horizon(); slot++ {
+	return findRoutableSlotFrom(t, s, src, dst, 0)
+}
+
+// findRoutableSlotFrom is findRoutableSlot over the slots from `from` on.
+func findRoutableSlotFrom(t *testing.T, s *State, src, dst topology.Endpoint, from int) int {
+	t.Helper()
+	for slot := from; slot < s.Provider().Horizon(); slot++ {
 		sv, err := s.Provider().VisibleSats(src, slot)
 		if err != nil {
 			t.Fatal(err)

@@ -76,7 +76,7 @@ func (s *Server) HotspotsSnapshot() HotspotsResponse {
 
 // handleHotspots serves GET /v1/hotspots.
 func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.HotspotsSnapshot())
+	writeIndentedJSON(w, http.StatusOK, s.HotspotsSnapshot())
 }
 
 // ConstellationSat is one satellite sub-point with its tracked heat.
@@ -209,7 +209,7 @@ func (s *Server) constellationSnapshot() ConstellationResponse {
 
 // handleConstellation serves GET /debug/constellation.json.
 func (s *Server) handleConstellation(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.constellationSnapshot())
+	writeIndentedJSON(w, http.StatusOK, s.constellationSnapshot())
 }
 
 // handleMapSVG serves GET /debug/map.svg: the live constellation scene

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -96,12 +97,23 @@ func refOf(e topology.Endpoint) EndpointRef {
 	return EndpointRef{Kind: kind, Index: e.Index}
 }
 
-// writeJSON writes one JSON response; encode errors past the header are
-// logged into the void (the client is gone).
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// jsonEncoder starts a JSON response and returns the encoder for its body.
+func jsonEncoder(w http.ResponseWriter, code int) *json.Encoder {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	return json.NewEncoder(w)
+}
+
+// writeJSON writes one compact JSON response — what POST /v1/book answers
+// with, a program on the other end. Encode errors past the header are
+// logged into the void (the client is gone).
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	_ = jsonEncoder(w, code).Encode(v)
+}
+
+// writeIndentedJSON is writeJSON for the endpoints people read with curl.
+func writeIndentedJSON(w http.ResponseWriter, code int, v any) {
+	enc := jsonEncoder(w, code)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
@@ -110,6 +122,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func errorJSON(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
+
+// maxBookBodyBytes bounds what POST /v1/book reads: more than a hundred
+// times the largest valid booking, so only a hostile or broken client
+// meets it.
+const maxBookBodyBytes = 64 << 10
 
 // Register mounts the booking API on mux. The caller typically passes
 // obs.NewDebugMux's mux so /v1/* rides alongside /debug/pprof/,
@@ -139,8 +156,13 @@ func (s *Server) handleBook(w http.ResponseWriter, r *http.Request) {
 		parseSpan = rec.Begin(PhaseIngressParse, s.now())
 	}
 	var br BookRequest
-	if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBookBodyBytes)).Decode(&br); err != nil {
 		s.tracePool.Put(rec)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			errorJSON(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return
+		}
 		errorJSON(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return
 	}
@@ -300,7 +322,7 @@ func (s *Server) handleReservation(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusNotFound, fmt.Sprintf("no reservation %d", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, resv)
+	writeIndentedJSON(w, http.StatusOK, resv)
 }
 
 // handleRequestTrace serves GET /v1/requests/{id}/trace: the audit
@@ -325,7 +347,7 @@ func (s *Server) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("no audit record for request %q (still in flight, or evicted from the recent buffer)", idStr))
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	writeIndentedJSON(w, http.StatusOK, rec)
 }
 
 // handleRecentTraces serves GET /debug/traces.json: the most recent
@@ -345,7 +367,7 @@ func (s *Server) handleRecentTraces(w http.ResponseWriter, r *http.Request) {
 		n = v
 	}
 	recs := s.sink.Recent(n)
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeIndentedJSON(w, http.StatusOK, map[string]any{
 		"count":   len(recs),
 		"records": recs,
 	})
@@ -353,7 +375,7 @@ func (s *Server) handleRecentTraces(w http.ResponseWriter, r *http.Request) {
 
 // handleStats serves GET /v1/stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.StatsSnapshot())
+	writeIndentedJSON(w, http.StatusOK, s.StatsSnapshot())
 }
 
 // handleConfig serves GET /v1/config.
@@ -362,7 +384,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	for _, p := range s.cfg.Run.Workload.Pairs {
 		pairs = append(pairs, PairRef{Src: refOf(p.Src), Dst: refOf(p.Dst)})
 	}
-	writeJSON(w, http.StatusOK, ConfigResponse{
+	writeIndentedJSON(w, http.StatusOK, ConfigResponse{
 		Algorithm: s.cl.Algorithm(),
 		Horizon:   s.horizon,
 		ClockRate: s.cfg.ClockRate,
@@ -378,8 +400,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.lifeMu.RUnlock()
 	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": StatusDraining})
+		writeIndentedJSON(w, http.StatusServiceUnavailable, map[string]string{"status": StatusDraining})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeIndentedJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

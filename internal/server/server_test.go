@@ -594,3 +594,63 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// countingBody counts the bytes a handler reads from a request body.
+type countingBody struct {
+	r    *bytes.Reader
+	read int
+}
+
+func (c *countingBody) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.read += n
+	return n, err
+}
+
+// TestBookBodyOutcomes is the table of POST /v1/book's refusals before
+// admission — 400 for a body that is not one valid booking, 413 for one
+// over the size bound, read no further than the bound — all in the
+// uniform {"error": ...} envelope, and pins the booking response as one
+// compact JSON line.
+func TestBookBodyOutcomes(t *testing.T) {
+	s, _ := newTestServer(t, Config{Run: testRunConfig(t, 2, 10), QueueDepth: 8})
+	valid := `{"src":{"kind":"ground","index":0},"dst":{"kind":"ground","index":3},"rate_mbps":800,"duration_slots":2}`
+	book := func(body []byte) (*httptest.ResponseRecorder, int) {
+		cb := &countingBody{r: bytes.NewReader(body)}
+		rec := httptest.NewRecorder()
+		s.handleBook(rec, httptest.NewRequest(http.MethodPost, "/v1/book", cb))
+		return rec, cb.read
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+		code int
+	}{
+		{"empty body", nil, http.StatusBadRequest},
+		{"truncated JSON", []byte(valid[:len(valid)/2]), http.StatusBadRequest},
+		{"unknown endpoint kind", []byte(`{"src":{"kind":"lunar","index":0},"dst":{"kind":"ground","index":1},"rate_mbps":1}`), http.StatusBadRequest},
+		{"oversize body", append(bytes.Repeat([]byte(" "), 1<<20), valid...), http.StatusRequestEntityTooLarge},
+	} {
+		rec, read := book(tc.body)
+		if rec.Code != tc.code {
+			t.Errorf("%s: HTTP %d, want %d", tc.name, rec.Code, tc.code)
+		}
+		var envelope map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || len(envelope) != 1 || envelope["error"] == "" {
+			t.Errorf("%s: body %q is not the error envelope", tc.name, rec.Body.String())
+		}
+		if read > maxBookBodyBytes+1 {
+			t.Errorf("%s: handler read %d bytes of the body, bound is %d", tc.name, read, maxBookBodyBytes)
+		}
+	}
+
+	rec, _ := book([]byte(valid))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("valid booking: HTTP %d: %s", rec.Code, rec.Body.String())
+	}
+	line := bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n"))
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, line); err != nil || !bytes.Equal(compact.Bytes(), line) {
+		t.Errorf("booking response is not one compact JSON line (%v): %q", err, rec.Body.String())
+	}
+}

@@ -12,10 +12,12 @@
 # one after the other on that seed, the side that goes first alternating
 # from seed to seed. Every run is printed as it finishes; the table at
 # the end gives, per metric, each side's median [Q1, Q3] (the acceptance
-# driver's quartile rule), the ratio of the medians and how many pairs
-# the change won (ties count for neither; direction from BENCHMARK.json).
-# A claim holds when the change wins at least nine pairs of ten and the
-# medians differ by more than the parent's Q3 − Q1.
+# driver's quartile rule), the ratio of the medians, how many pairs the
+# change won (ties count for neither; direction from BENCHMARK.json) and
+# the verdict of the rule a claim is judged by: `resolved` when the change
+# wins at least nine tenths of the pairs run and the medians differ by
+# more than the parent's Q3 − Q1, `resolved-worse` when it loses by the
+# same rule, `identical` when every pair ties, `unresolved` otherwise.
 #
 # Usage:
 #   scripts/bench_pair.sh REF WORKLOAD [SEEDS]
@@ -111,7 +113,7 @@ awk '
     val[side, m, seed] = $4
   }
   END {
-    printf "%-38s %-34s %-34s %8s  %s\n", "metric", "parent median [Q1, Q3]", "change median [Q1, Q3]", "ratio", "pairs won"
+    printf "%-38s %-34s %-34s %8s  %-17s %s\n", "metric", "parent median [Q1, Q3]", "change median [Q1, Q3]", "ratio", "pairs won", "verdict"
     for (k = 1; k <= nm; k++) {
       m = order[k]; np = 0; nc = 0; won = 0; lost = 0
       for (s = 1; s <= ns; s++) {
@@ -124,10 +126,17 @@ awk '
       if (np == 0) continue
       sortvals(p, np); sortvals(c, nc)
       pm = median(p, np); cm = median(c, nc)
-      ps = sprintf("%.6g [%.6g, %.6g]", pm, quartile(p, np, 1), quartile(p, np, 3))
+      q1 = quartile(p, np, 1); q3 = quartile(p, np, 3)
+      ps = sprintf("%.6g [%.6g, %.6g]", pm, q1, q3)
       cs = sprintf("%.6g [%.6g, %.6g]", cm, quartile(c, nc, 1), quartile(c, nc, 3))
       ratio = pm != 0 ? sprintf("%.3f", cm / pm) : "-"
-      printf "%-38s %-34s %-34s %8s  %d/%d (lost %d)\n", m, ps, cs, ratio, won, np, lost
+      # gain: how far the median moved in the better direction.
+      gain = better[m] == "higher" ? cm - pm : pm - cm
+      verdict = "unresolved"
+      if (won == 0 && lost == 0) verdict = "identical"
+      else if (10 * won >= 9 * np && gain > q3 - q1) verdict = "resolved"
+      else if (10 * lost >= 9 * np && -gain > q3 - q1) verdict = "resolved-worse"
+      printf "%-38s %-34s %-34s %8s  %-17s %s\n", m, ps, cs, ratio, sprintf("%d/%d (lost %d)", won, np, lost), verdict
     }
   }
 ' "$WORK/better" "$VALUES"

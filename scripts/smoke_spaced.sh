@@ -21,6 +21,7 @@
 # Usage: scripts/smoke_spaced.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/lib_spaced.sh
 
 WORK="$(mktemp -d)"
 SPACED_PID=""
@@ -32,20 +33,6 @@ trap cleanup EXIT
 
 go build -o "$WORK/spaced" ./cmd/spaced
 go build -o "$WORK/spaceload" ./cmd/spaceload
-
-# wait_listening LOG WHAT: environment construction takes a few seconds;
-# wait for the daemon's listen line and print the address it bound.
-wait_listening() {
-  local log="$1" what="$2" addr=""
-  for _ in $(seq 1 120); do
-    addr="$(sed -n 's|^spaced listening on http://\(.*\)/$|\1|p' "$log")"
-    [[ -n "$addr" ]] && break
-    kill -0 "$SPACED_PID" 2>/dev/null || { cat "$log" >&2; echo "smoke_spaced: $what exited before listening" >&2; exit 1; }
-    sleep 1
-  done
-  [[ -n "$addr" ]] || { cat "$log" >&2; echo "smoke_spaced: $what never started listening" >&2; exit 1; }
-  echo "$addr"
-}
 
 LOG="$WORK/spaced.log"
 "$WORK/spaced" -addr 127.0.0.1:0 -clock-rate 4 -queue-depth 64 -batch-size 8 >"$LOG" 2>&1 &

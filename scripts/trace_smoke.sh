@@ -11,6 +11,7 @@
 # Usage: scripts/trace_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/lib_spaced.sh
 
 WORK="$(mktemp -d)"
 SPACED_PID=""
@@ -32,14 +33,7 @@ REPORT="$WORK/spaced-report.json"
   -trace-sample 1 -audit-log "$AUDIT" -report "$REPORT" >"$LOG" 2>&1 &
 SPACED_PID=$!
 
-ADDR=""
-for _ in $(seq 1 120); do
-  ADDR="$(sed -n 's|^spaced listening on http://\(.*\)/$|\1|p' "$LOG")"
-  [[ -n "$ADDR" ]] && break
-  kill -0 "$SPACED_PID" 2>/dev/null || { cat "$LOG" >&2; echo "trace_smoke: spaced exited before listening" >&2; exit 1; }
-  sleep 1
-done
-[[ -n "$ADDR" ]] || { cat "$LOG" >&2; echo "trace_smoke: spaced never started listening" >&2; exit 1; }
+ADDR="$(wait_listening "$LOG" spaced)"
 echo "trace_smoke: daemon up on $ADDR (tracing at sample rate 1)"
 
 SUMMARY="$("$WORK/spaceload" -addr "http://$ADDR" -mode closed -concurrency 4 -duration 3s \

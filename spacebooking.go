@@ -127,12 +127,6 @@ type Environment struct {
 	// completion order, serialised). spacebench uses it to repoint the
 	// live debug server at the freshest run.
 	ObsSink func(*obs.Registry)
-	// ResetObsPerRun is retired and ignored.
-	//
-	// Deprecated: figure runners now give every run its own registry, so
-	// snapshots never accumulate across runs; use LastObs for the
-	// last-run view the reset used to provide.
-	ResetObsPerRun bool
 
 	lastObsMu sync.Mutex
 	lastObs   *obs.Registry
