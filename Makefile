@@ -1,11 +1,12 @@
 # Development targets. `make check` is the pre-PR gate: vet, build,
-# race-enabled unit tests, and a one-iteration benchmark smoke pass.
+# race-enabled unit tests, a one-iteration benchmark smoke pass, and ten
+# seconds of fuzzing per native fuzz target.
 
 GO ?= go
 
-.PHONY: check check-race build test vet fmt-check race bench-smoke bench-module bench-golden bench-pair obsdiff-smoke smoke-spaced trace-smoke scenario-smoke
+.PHONY: check check-race build test vet fmt-check race bench-smoke fuzz-smoke bench-module bench-golden bench-pair obsdiff-smoke smoke-spaced trace-smoke scenario-smoke
 
-check: fmt-check vet build race bench-smoke
+check: fmt-check vet build race bench-smoke fuzz-smoke
 	@echo "check: all gates passed"
 
 build:
@@ -35,6 +36,16 @@ check-race:
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+
+# Every native fuzz target for ten seconds (`go test -fuzz` takes one
+# target and one package per run). The seed corpora come from the property
+# tests beside the targets; a find lands in the package's testdata/fuzz/
+# and fails the gate. Coverage-guided minimisation of each new input would
+# otherwise eat the ten seconds (its budget defaults to a minute), hence
+# -fuzzminimizetime.
+fuzz-smoke:
+	$(GO) test ./internal/energy -run '^$$' -fuzz '^FuzzUnitPricesFrom$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/netstate -run '^$$' -fuzz '^FuzzFlatHeap$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # benchmark/ is a Go module of its own, so `go build ./... && go test
 # ./...` never compiles it and an internal/ API break stays invisible

@@ -102,6 +102,10 @@ type CEAR struct {
 	// instances with a new μ2 over the same State.
 	units     []energy.UnitPrices
 	unitPrice func(utilization float64) float64
+	// wholeSpanRefills makes every refill start at slot 0, pricing the
+	// slots behind the search too. Nothing sets it outside tests: it is
+	// the reference TestRefillsSkipThePast counts look-ups against.
+	wholeSpanRefills bool
 
 	// Routing fast-path state: the pooled search scratch, a reusable
 	// consumption buffer, and the cost/transit functions bound once at
@@ -253,14 +257,19 @@ func (c *CEAR) energyTransitCost(sat, slot int, joules float64) float64 {
 }
 
 // unitPrices returns the satellite's unit-price table, brought up to
-// date if its battery's ledger moved since the last fill. Nil — which
-// prices every slot at zero — when energy pricing is disabled.
+// date from the slot being searched on if its battery's ledger moved
+// since the last fill. Nil — which prices every slot at zero — when
+// energy pricing is disabled.
 func (c *CEAR) unitPrices(sat int, b *energy.Battery) *energy.UnitPrices {
 	if c.opts.DisableEnergyPricing {
 		return nil
 	}
 	u := &c.units[sat]
-	b.FillUnitPrices(u, c.unitPrice)
+	from := c.curSlot
+	if c.wholeSpanRefills {
+		from = 0
+	}
+	b.FillUnitPrices(u, from, c.unitPrice)
 	return u
 }
 

@@ -10,6 +10,7 @@ import (
 	"spacebooking/internal/graph"
 	"spacebooking/internal/grid"
 	"spacebooking/internal/netstate"
+	"spacebooking/internal/obs"
 	"spacebooking/internal/pricing"
 	"spacebooking/internal/topology"
 	"spacebooking/internal/workload"
@@ -32,18 +33,25 @@ func groundEP(i int) topology.Endpoint {
 // can be overridden to force energy scarcity.
 func newTestStack(t *testing.T, batteryCapJ float64) *netstate.State {
 	t.Helper()
+	ecfg := netstate.DefaultEnergyConfig()
+	if batteryCapJ > 0 {
+		ecfg.BatteryCapacityJ = batteryCapJ
+	}
+	return newTestStackWith(t, 200, ecfg)
+}
+
+// newTestStackWith is newTestStack with the horizon and every power
+// constant in the caller's hands.
+func newTestStackWith(t *testing.T, horizon int, ecfg netstate.EnergyConfig) *netstate.State {
+	t.Helper()
 	cfg := topology.DefaultConfig(testEpoch)
 	cfg.Walker.Planes = 8
 	cfg.Walker.SatsPerPlane = 12
 	cfg.Walker.PhasingF = 3
-	cfg.Horizon = 40
+	cfg.Horizon = horizon
 	prov, err := topology.NewProvider(cfg, testSites(), nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	ecfg := netstate.DefaultEnergyConfig()
-	if batteryCapJ > 0 {
-		ecfg.BatteryCapacityJ = batteryCapJ
 	}
 	state, err := netstate.New(prov, ecfg, false)
 	if err != nil {
@@ -73,6 +81,22 @@ func newCEAR(t *testing.T, state *netstate.State, opts Options) *CEAR {
 	return c
 }
 
+// bothCovered reports whether each of the two cities sees a satellite in
+// the slot.
+func bothCovered(t *testing.T, prov *topology.Provider, slot int) bool {
+	t.Helper()
+	for city := 0; city < 2; city++ {
+		vis, err := prov.VisibleSats(groundEP(city), slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vis) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // routableRequest returns a request between the two cities in a window
 // where both endpoints have coverage.
 func routableRequest(t *testing.T, state *netstate.State, id int, rate float64, durSlots int) workload.Request {
@@ -81,15 +105,7 @@ func routableRequest(t *testing.T, state *netstate.State, id int, rate float64, 
 	for start := 0; start+durSlots <= prov.Horizon(); start++ {
 		ok := true
 		for slot := start; slot < start+durSlots; slot++ {
-			sv, err := prov.VisibleSats(groundEP(0), slot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dv, err := prov.VisibleSats(groundEP(1), slot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(sv) == 0 || len(dv) == 0 {
+			if !bothCovered(t, prov, slot) {
 				ok = false
 				break
 			}
@@ -545,6 +561,76 @@ func TestLookAheadPairsChangeNoDecision(t *testing.T) {
 		if err := c.State().CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRefillsSkipThePast is the counter-level pin of refilling unit-price
+// tables from the slot being searched: on a stream that arrives through
+// the second half of the horizon — every battery's deficit span starts
+// behind most requests — a search must make at most 0.7× the price
+// look-ups of an instance that refills whole spans, and decide what it and
+// the generic path decide. Going back to whole-span refills fails here,
+// not only in the benchmark.
+func TestRefillsSkipThePast(t *testing.T) {
+	// A tenth of the paper's panel: a slot's solar no longer covers a
+	// booking's draw, so deficits last to the end of the horizon, as they
+	// do for tens of slots on a loaded paper-scale ledger.
+	ecfg := netstate.DefaultEnergyConfig()
+	ecfg.PanelWatts = 2
+	regFrom, regWhole := obs.New(), obs.New()
+	from := newCEAR(t, newTestStackWith(t, 200, ecfg), Options{Obs: regFrom})
+	whole := newCEAR(t, newTestStackWith(t, 200, ecfg), Options{Obs: regWhole})
+	whole.wholeSpanRefills = true
+	generic := newCEAR(t, newTestStackWith(t, 200, ecfg), Options{UseGenericSearch: true})
+
+	// The second-half slots in which both cities see a satellite; the
+	// stream walks them in order, single-slot bookings.
+	prov := from.State().Provider()
+	var slots []int
+	for slot := prov.Horizon() / 2; slot < prov.Horizon(); slot++ {
+		if bothCovered(t, prov, slot) {
+			slots = append(slots, slot)
+		}
+	}
+	if len(slots) < 2 {
+		t.Skip("fewer than two routable slots in the second half of the horizon")
+	}
+	const n = 400
+	accepted := 0
+	for i := 0; i < n; i++ {
+		slot := slots[i*len(slots)/n]
+		req := workload.Request{
+			ID: i, Src: groundEP(0), Dst: groundEP(1),
+			ArrivalSlot: slot, StartSlot: slot, EndSlot: slot,
+			RateMbps: 20 + 10*float64(i%17), Valuation: 2.3e9,
+		}
+		df, err := from.Handle(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]*CEAR{"whole-span refills": whole, "the generic path": generic} {
+			d, err := c.Handle(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(df, d) {
+				t.Fatalf("request %d: decisions diverge\nrefills from the slot searched: %+v\n%s: %+v", i, df, name, d)
+			}
+		}
+		if df.Accepted {
+			accepted++
+		}
+	}
+	perSearch := func(reg *obs.Registry) float64 {
+		return float64(reg.Counter("pricing.lut_lookups").Value()) / float64(reg.Counter("core.slot_searches").Value())
+	}
+	got, ref := perSearch(regFrom), perSearch(regWhole)
+	t.Logf("accepted %d/%d; %.1f look-ups per search, %.1f with whole-span refills (%.2f×)", accepted, n, got, ref, got/ref)
+	if accepted < n/4 {
+		t.Fatalf("accepted %d of %d requests: too few deficits for the comparison to mean anything", accepted, n)
+	}
+	if got > 0.7*ref {
+		t.Fatalf("%.1f price look-ups per search, more than 0.7× the %.1f of whole-span refills", got, ref)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 )
 
-func mustBattery(t *testing.T, capJ float64, solar []float64, clamp bool) *Battery {
+func mustBattery(t testing.TB, capJ float64, solar []float64, clamp bool) *Battery {
 	t.Helper()
 	b, err := NewBattery(capJ, solar, clamp)
 	if err != nil {

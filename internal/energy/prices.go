@@ -12,12 +12,17 @@ package energy
 // pair: the prices are a function of the pricer's μ as well as of the
 // ledger.
 type UnitPrices struct {
-	// unit[t] is price(UtilizationAt(t)) inside [first, last], the
-	// deficit span the table was last filled over, and exactly zero
-	// outside it — what price returns for an empty slot (μ^0 − 1). Nil
-	// until the battery first holds a deficit.
+	// unit[t] is price(UtilizationAt(t)) inside [first, last] and exactly
+	// zero outside it — what price returns for an empty slot (μ^0 − 1).
+	// [first, last] is the part of the battery's deficit span at or after
+	// from, empty (first == last+1) when from lies past the span; no slot
+	// of [from, first) holds a deficit, so unit[t] is the slot's price for
+	// every t >= from. Nil until the battery first holds a deficit.
 	unit        []float64
 	first, last int
+	// from is the earliest slot the table answers for: the lowest one
+	// FillUnitPrices was asked for since the table last went stale.
+	from int
 	// lastSunny is the last slot of [first, last] whose unclaimed solar
 	// is non-zero, -1 when there is none. A slot that carries a deficit
 	// has had its solar claimed, so sunny slots are the gaps between
@@ -28,43 +33,69 @@ type UnitPrices struct {
 	stamp uint64
 }
 
-// FillUnitPrices brings u up to date with the ledger; a table that is
-// current costs one comparison. Any other is zeroed over the span it was
-// filled over and refilled over the current one, so no fill costs more
-// than O(deficit span). u stays empty (and prices every slot at zero)
-// while the battery has never held a deficit.
-func (b *Battery) FillUnitPrices(u *UnitPrices, price func(utilization float64) float64) {
+// FillUnitPrices brings u up to date with the ledger for pricing
+// consumptions in slot from or later — Eq. (12) sums over the slots a
+// consumption persists into, none of them earlier than its own. A table
+// that is current and already reaches down to from costs two
+// comparisons. A current one asked for an earlier slot extends downwards
+// over the part it lacks: same stamp, same ledger, so it ends up holding
+// what one fill from the lower slot would have written. A stale one is
+// zeroed over the range it was filled over and refilled over the current
+// span from `from` on, so no fill costs more than O(deficit span) and none
+// prices a slot behind the one asked for. u stays empty (and prices every
+// slot at zero) while the battery has never held a deficit.
+func (b *Battery) FillUnitPrices(u *UnitPrices, from int, price func(utilization float64) float64) {
+	if u.unit != nil && u.stamp == b.stamp {
+		if from < u.from {
+			u.extendDown(b, from, price)
+		}
+		return
+	}
 	if u.unit == nil {
 		if b.firstDeficit > b.lastDeficit {
 			return
 		}
 		u.unit = make([]float64, len(b.deficit))
-	} else if u.stamp == b.stamp {
-		return
 	} else {
-		// A restore can move the span's bounds back in: what the old
-		// span held outside the new one must not survive.
-		for t := u.first; t <= u.last; t++ {
-			u.unit[t] = 0
-		}
+		// A restore can move the span's bounds back in, and the slot asked
+		// for moves on: what the old range held outside the new one must
+		// not survive.
+		clear(u.unit[u.first : u.last+1])
 	}
-	u.first, u.last = b.firstDeficit, b.lastDeficit
+	u.last = b.lastDeficit
+	u.first = u.last + 1
 	u.lastSunny = -1
 	u.stamp = b.stamp
-	for t := u.first; t <= u.last; t++ {
+	u.extendDown(b, from, price)
+}
+
+// extendDown prices the slots of the battery's deficit span that lie at
+// or after from and below u.first, and makes from the slot the table
+// answers from. lastSunny only moves when the range above held no sunny
+// slot: a later one stays the last.
+func (u *UnitPrices) extendDown(b *Battery, from int, price func(utilization float64) float64) {
+	lo := max(b.firstDeficit, from)
+	sunny := -1
+	for t := lo; t < u.first; t++ {
 		if b.deficit[t] != 0 {
 			u.unit[t] = price(b.UtilizationAt(t))
 		}
 		if b.solarRemaining[t] != 0 {
-			u.lastSunny = t
+			sunny = t
 		}
 	}
+	if u.lastSunny < 0 {
+		u.lastSunny = sunny
+	}
+	u.first = min(u.first, lo)
+	u.from = from
 }
 
 // PriceDeficit prices, without mutating the ledger, the deficit that
 // consuming joules in slot ta would add: Σ_t unit[t]·Ω̄(ta, t), the
 // energy term of Eq. (12) for one (satellite, slot). u must be current
-// (FillUnitPrices); nil prices every slot at zero. feasible is false
+// for ta (FillUnitPrices from ta or an earlier slot; anything else is a
+// caller bug and panics); nil prices every slot at zero. feasible is false
 // when the consumption would breach constraint (7c) at some slot; cost
 // is then meaningless.
 //
@@ -82,6 +113,9 @@ func (b *Battery) PriceDeficit(ta int, joules float64, u *UnitPrices) (cost floa
 	if !ok {
 		var unit []float64
 		if u != nil {
+			if u.unit != nil && uint(ta) < uint(u.from) {
+				panic("energy: unit-price table asked about a slot before the one it was filled from")
+			}
 			unit = u.unit
 		}
 		cost, failSlot, _ := b.walk(ta, joules, unit, b.limit())
@@ -109,10 +143,10 @@ func (b *Battery) fits(joules float64) bool {
 
 // constantRun returns the unit prices a consumption of joules in slot ta
 // is summed over when its outstanding deficit stays joules to the end of
-// the span: ta lies inside the span, no sunny slot lies at or after it,
-// and the draw fits. The run stops at the last deficit slot: from there
-// on unit[t] is +0 and cost + 0·J == cost. ok is false for every other
-// lane.
+// the span: ta lies inside the filled range, no sunny slot lies at or
+// after it, and the draw fits. The run stops at the last deficit slot:
+// from there on unit[t] is +0 and cost + 0·J == cost. ok is false for
+// every other lane.
 func (b *Battery) constantRun(ta int, joules float64, u *UnitPrices) (run []float64, ok bool) {
 	if u == nil || u.unit == nil || ta < u.first || ta > u.last || ta <= u.lastSunny || !b.fits(joules) {
 		return nil, false

@@ -2,10 +2,285 @@ package energy
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"spacebooking/internal/obs"
 )
+
+// fromLane is one battery of a from-script with what a pricer keeps for
+// it: the unit-price table under test, and — tracked here, not read from
+// the table — the stamp it was last filled at and the lowest slot it has
+// been asked for since it last went stale.
+type fromLane struct {
+	b, snap   *Battery
+	snapTaken bool
+	steps     []ConsumeStep
+	tab       UnitPrices
+	filled    bool
+	stamp     uint64
+	low       int
+}
+
+// fromTally counts the cases a from-script put FillUnitPrices and the
+// kernels through.
+type fromTally struct {
+	stale, current, extended int // fills of a non-empty table, by kind
+	pastSpan                 int // stale fills asked for a slot past the last deficit
+	runs, walks, pairs       int // single lanes priced by the run loop / by walk, pairs formed
+}
+
+// runFromScript interprets script as ledger operations on two batteries
+// interleaved with fills of their unit-price tables from arbitrary slots,
+// and after every fill holds the tables to the whole-span oracle: a fresh
+// table filled from slot 0 and priced by walk. An op byte picks the
+// battery (top bit) and the operation (low three bits); operands follow,
+// missing ones read as zero, so every byte string is a valid script.
+// What the script exercised is added to tally.
+func runFromScript(t testing.TB, script []byte, tally *fromTally) {
+	t.Helper()
+	next := func() int {
+		if len(script) == 0 {
+			return 0
+		}
+		v := script[0]
+		script = script[1:]
+		return int(v)
+	}
+	var lanes [2]*fromLane
+	for i := range lanes {
+		solar := make([]float64, driverHorizon)
+		for s := range solar {
+			if s%16 < 10 { // sunlit two thirds of each orbit
+				solar[s] = 30 + 10*math.Mod(float64(s+7*i)*0.618, 1)
+			}
+		}
+		b := mustBattery(t, 2000, solar, false)
+		lanes[i] = &fromLane{b: b, snap: b.Clone()}
+	}
+	for step := 0; len(script) > 0; step++ {
+		op := next()
+		ln := lanes[op>>7]
+		b := ln.b
+		switch op & 7 {
+		case 0, 1:
+			slot, hi, lo := next()%driverHorizon, next(), next()
+			_ = b.Consume(slot, 450*float64(hi<<8|lo)/65535) // infeasible draws are part of the mix
+		case 2:
+			slot, hi, lo := next()%driverHorizon, next(), next()
+			ln.steps, _ = b.ConsumeTraced(slot, 450*float64(hi<<8|lo)/65535, ln.steps)
+		case 3:
+			if n := len(ln.steps); n > 0 {
+				i := next() % n
+				b.Refund(ln.steps[i])
+				ln.steps = append(ln.steps[:i], ln.steps[i+1:]...)
+			}
+		case 4:
+			ln.snap.CopyFrom(b)
+			ln.snapTaken = true
+		case 5:
+			if ln.snapTaken {
+				b.CopyFrom(ln.snap)
+				ln.steps = ln.steps[:0]
+			}
+		default:
+			from := next() % driverHorizon
+			for _, l := range lanes {
+				l.fill(from, tally)
+			}
+			checkFilledFrom(t, step, lanes, tally)
+		}
+	}
+}
+
+// fill brings the lane's table up to date from slot from and records
+// which kind of fill that was.
+func (l *fromLane) fill(from int, tally *fromTally) {
+	stale := !l.filled || l.stamp != l.b.Stamp()
+	switch _, last := l.b.DeficitSpan(); {
+	case l.tab.unit == nil:
+	case stale:
+		tally.stale++
+		if from > last {
+			tally.pastSpan++
+		}
+	case from < l.low:
+		tally.extended++
+	default:
+		tally.current++
+	}
+	if stale || from < l.low {
+		l.low = from
+	}
+	l.filled, l.stamp = true, l.b.Stamp()
+	l.b.FillUnitPrices(&l.tab, from, testPrice)
+}
+
+// checkFilledFrom requires of both lanes' tables, just filled, what the
+// [from, last] invariant promises: +0 outside it, the whole-span table's
+// values inside it, and PriceDeficit and PriceDeficitPair equal to walk
+// over the whole-span table, bit for bit, at every slot the table answers
+// for — the lowest one asked since it went stale and every later one.
+func checkFilledFrom(t testing.TB, step int, lanes [2]*fromLane, tally *fromTally) {
+	t.Helper()
+	var whole [2]UnitPrices
+	for i, l := range lanes {
+		b := l.b
+		if err := b.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		b.FillUnitPrices(&whole[i], 0, testPrice)
+		if whole[i].unit == nil {
+			whole[i].unit = make([]float64, driverHorizon) // no deficit: priced at zero throughout
+		}
+		_, last := b.DeficitSpan()
+		for tt, got := range l.tab.unit { // nil while the battery never held a deficit
+			want := whole[i].unit[tt]
+			if tt < l.low || tt > last {
+				want = 0
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d lane %d: unit[%d] = %v, want %v (filled from %d, last deficit %d)", step, i, tt, got, want, l.low, last)
+			}
+		}
+		for ta := l.low; ta < driverHorizon; ta++ {
+			for _, j := range driverDraws {
+				wantCost, failSlot, _ := b.walk(ta, j, whole[i].unit, b.limit())
+				cost, ok := b.PriceDeficit(ta, j, &l.tab)
+				if ok != (failSlot < 0) || (ok && math.Float64bits(cost) != math.Float64bits(wantCost)) {
+					t.Fatalf("step %d lane %d: PriceDeficit(%d, %v) from slot %d = (%v, %v), whole-span walk (%v, fails at %d)",
+						step, i, ta, j, l.low, cost, ok, wantCost, failSlot)
+				}
+				if _, isRun := b.constantRun(ta, j, &l.tab); isRun {
+					tally.runs++
+				} else {
+					tally.walks++
+				}
+			}
+		}
+	}
+	l0, l1 := lanes[0], lanes[1]
+	for ta := max(l0.low, l1.low); ta < driverHorizon; ta++ {
+		for _, j0 := range driverDraws {
+			for _, j1 := range driverDraws {
+				c0, c1, ok := PriceDeficitPair(ta, l0.b, j0, &l0.tab, l1.b, j1, &l1.tab)
+				if _, _, want := PriceDeficitPair(ta, l0.b, j0, &whole[0], l1.b, j1, &whole[1]); ok != want {
+					t.Fatalf("step %d: pair(%d, %v, %v) formed = %v, over whole-span tables %v", step, ta, j0, j1, ok, want)
+				}
+				if !ok {
+					continue
+				}
+				tally.pairs++
+				want0, _, _ := l0.b.walk(ta, j0, whole[0].unit, l0.b.limit())
+				want1, _, _ := l1.b.walk(ta, j1, whole[1].unit, l1.b.limit())
+				if math.Float64bits(c0) != math.Float64bits(want0) || math.Float64bits(c1) != math.Float64bits(want1) {
+					t.Fatalf("step %d: pair(%d, %v, %v) = (%v, %v), whole-span walks (%v, %v)", step, ta, j0, j1, c0, c1, want0, want1)
+				}
+			}
+		}
+	}
+}
+
+// fromScript is a seeded random from-script of n bytes. Uniform bytes
+// make a quarter of the ops fills, from slots in no order: two fills
+// with no mutation of that battery in between happen often, and half of
+// those ask for an earlier slot.
+func fromScript(seed int64, n int) []byte {
+	script := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(script)
+	return script
+}
+
+// TestFillFromSlotMatchesWholeSpan is the [from, last] invariant's
+// property test: seeded from-scripts (Consume, ConsumeTraced, Refund,
+// snapshot and restore on two batteries; fills from non-monotone slots,
+// downward extensions at an unchanged stamp and slots past the last
+// deficit among them) must leave every table indistinguishable, from the
+// slot it answers for on, from one filled over the whole span.
+func TestFillFromSlotMatchesWholeSpan(t *testing.T) {
+	var tally fromTally
+	for seed := int64(1); seed <= 12; seed++ {
+		runFromScript(t, fromScript(seed, 900), &tally)
+	}
+	t.Logf("%+v", tally)
+	if tally.stale == 0 || tally.current == 0 || tally.extended == 0 || tally.pastSpan == 0 ||
+		tally.runs == 0 || tally.walks == 0 || tally.pairs == 0 {
+		t.Fatalf("a case never occurred: %+v", tally)
+	}
+}
+
+// FuzzUnitPricesFrom feeds runFromScript arbitrary scripts. The corpus
+// starts from the heads of the property test's: short enough that the
+// fuzzer runs hundreds of inputs a second and minimises a find quickly.
+func FuzzUnitPricesFrom(f *testing.F) {
+	for seed := int64(1); seed <= 6; seed++ {
+		f.Add(fromScript(seed, 150))
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		runFromScript(t, script, new(fromTally))
+	})
+}
+
+// TestFillFromBeforeSpanIsTheWholeSpanRefill is the bypass case: asked
+// for a slot at or before the first deficit, a stale table makes exactly
+// the price calls the whole-span refill made — one per span slot that
+// holds a deficit — and a current one makes none.
+func TestFillFromBeforeSpanIsTheWholeSpanRefill(t *testing.T) {
+	calls := 0
+	counted := func(u float64) float64 { calls++; return testPrice(u) }
+	refills := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		d := newLedgerDriver(t, seed)
+		var tab UnitPrices
+		for step := 0; step < 120; step++ {
+			if !d.step() {
+				continue
+			}
+			first, last := d.b.DeficitSpan()
+			if first > last {
+				continue
+			}
+			want := 0
+			for tt := first; tt <= last; tt++ {
+				if d.b.DeficitAt(tt) != 0 {
+					want++
+				}
+			}
+			calls = 0
+			d.b.FillUnitPrices(&tab, d.rng.Intn(first+1), counted)
+			if calls != want {
+				t.Fatalf("seed %d step %d: refill from before slot %d made %d price calls, the span [%d, %d] holds %d deficits",
+					seed, step, first, calls, first, last, want)
+			}
+			refills++
+			d.b.FillUnitPrices(&tab, first, counted)
+			if calls != want {
+				t.Fatalf("seed %d step %d: filling a current table made %d price calls", seed, step, calls-want)
+			}
+		}
+	}
+	if refills == 0 {
+		t.Fatal("no refill occurred")
+	}
+}
+
+// TestPriceBeforeFilledSlotPanics: a table answers from the slot it was
+// filled from; asking it about an earlier one is a caller bug that must
+// not pass as a price.
+func TestPriceBeforeFilledSlotPanics(t *testing.T) {
+	b := mustBattery(t, 5000, constSolar(40, 0), false)
+	if err := b.Consume(3, 500); err != nil {
+		t.Fatal(err)
+	}
+	var tab UnitPrices
+	b.FillUnitPrices(&tab, 10, testPrice)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("pricing slot 5 against a table filled from slot 10 did not panic")
+		}
+	}()
+	b.PriceDeficit(5, 100, &tab)
+}
 
 // TestPairedKernelMatchesVisitDeficit drives two batteries through
 // independent random sequences and, after every step, prices every
@@ -22,8 +297,8 @@ func TestPairedKernelMatchesVisitDeficit(t *testing.T) {
 			d1.step()
 			d2.step()
 			b1, b2 := d1.b, d2.b
-			b1.FillUnitPrices(&tab1, testPrice)
-			b2.FillUnitPrices(&tab2, testPrice)
+			b1.FillUnitPrices(&tab1, 0, testPrice)
+			b2.FillUnitPrices(&tab2, 0, testPrice)
 			for ta := 0; ta < driverHorizon; ta++ {
 				for _, j1 := range driverDraws {
 					for _, j2 := range driverDraws {
@@ -73,8 +348,8 @@ func TestPairCountsBothLanesOrNeither(t *testing.T) {
 		}
 	}
 	var tab1, tab2 UnitPrices
-	b1.FillUnitPrices(&tab1, testPrice)
-	b2.FillUnitPrices(&tab2, testPrice)
+	b1.FillUnitPrices(&tab1, 0, testPrice)
+	b2.FillUnitPrices(&tab2, 0, testPrice)
 	before := walks.Value()
 	if _, _, ok := PriceDeficitPair(5, b1, 100, &tab1, b2, 200, &tab2); !ok {
 		t.Fatal("two constant-run lanes did not pair")
@@ -120,7 +395,7 @@ func loadedBattery(tb testing.TB, span int) (*Battery, *UnitPrices) {
 		tb.Fatal(err)
 	}
 	tab := new(UnitPrices)
-	b.FillUnitPrices(tab, testPrice)
+	b.FillUnitPrices(tab, 0, testPrice)
 	if first, last := b.DeficitSpan(); first != 0 || last != span-1 || tab.lastSunny >= 0 {
 		tb.Fatalf("synthetic battery: span [%d, %d], sunny slot %d", first, last, tab.lastSunny)
 	}

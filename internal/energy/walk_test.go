@@ -44,7 +44,7 @@ func checkWalks(t *testing.T, step int, b *Battery, tab *UnitPrices, draws []flo
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatalf("step %d: %v", step, err)
 	}
-	b.FillUnitPrices(tab, testPrice)
+	b.FillUnitPrices(tab, 0, testPrice)
 	unit := tab.unit
 	if unit == nil {
 		unit = make([]float64, b.Horizon()) // never held a deficit: all zero

@@ -35,7 +35,12 @@ type flatItem struct {
 
 // flatHeap replicates graph's searchHeap byte for byte (push `<=`,
 // pop-child `<`), so the flat Dijkstra settles equal-cost states in
-// exactly the order the generic search would.
+// exactly the order the generic search would. pop moves a hole instead of
+// swapping: the sifted item stays in a register, one item is written per
+// level, and the comparisons — and so the layout after every operation —
+// are the swap sift's (TestFlatHeapPopsInSwapSiftOrder, FuzzFlatHeap).
+// push keeps the swap: a relaxed label seldom rises more than a level, and
+// a hole there measured no gain.
 type flatHeap struct {
 	items []flatItem
 }
@@ -58,24 +63,35 @@ func (h *flatHeap) push(it flatItem) {
 func (h *flatHeap) pop() flatItem {
 	top := h.items[0]
 	n := len(h.items) - 1
-	h.items[0] = h.items[n]
-	h.items = h.items[:n]
+	it := h.items[n]
+	items := h.items[:n]
+	h.items = items
+	if n == 0 {
+		return top
+	}
 	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
+	// Levels where the hole has two children. Which of them is smaller is
+	// a coin flip the branch predictor loses half the time, so the child's
+	// index is computed from the comparison (flag to register, no jump).
+	for r := 2; r < len(items); r = 2*i + 2 {
+		rightSmaller := 0
+		if items[r].dist < items[r-1].dist {
+			rightSmaller = 1
 		}
-		child := l
-		if r := l + 1; r < n && h.items[r].dist < h.items[l].dist {
-			child = r
+		child := r - 1 + rightSmaller
+		if it.dist <= items[child].dist {
+			items[i] = it
+			return top
 		}
-		if h.items[i].dist <= h.items[child].dist {
-			break
-		}
-		h.items[i], h.items[child] = h.items[child], h.items[i]
+		items[i] = items[child]
 		i = child
 	}
+	// At most one level is left, with a left child only.
+	if l := 2*i + 1; l < len(items) && !(it.dist <= items[l].dist) {
+		items[i] = items[l]
+		i = l
+	}
+	items[i] = it
 	return top
 }
 

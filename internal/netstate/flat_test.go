@@ -485,8 +485,7 @@ func (h *swapHeap) pop() flatItem {
 // handful of values so that most comparisons are ties, and requires the
 // same item out of every pop and the same layout after every operation:
 // equal-cost states must keep settling in the order the generic search
-// settles them, whatever sift flatHeap uses (a hole-based one passed this
-// test and was not kept, EXPERIMENTS.md).
+// settles them, whatever sift flatHeap uses (since PR 22 a hole-based one).
 func TestFlatHeapPopsInSwapSiftOrder(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -519,4 +518,52 @@ func TestFlatHeapPopsInSwapSiftOrder(t *testing.T) {
 			t.Fatalf("seed %d: %d items left after the reference drained", seed, len(got.items))
 		}
 	}
+}
+
+// heapScript is the byte form of a push/pop sequence: an odd byte pops
+// (when there is something to pop), an even one pushes with one of four
+// keys taken from its next two bits, so most comparisons are ties.
+func heapScript(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	script := make([]byte, n)
+	for i := range script {
+		if rng.Intn(100) < 55 {
+			script[i] = byte(rng.Intn(4)) << 1
+		} else {
+			script[i] = 1
+		}
+	}
+	return script
+}
+
+// FuzzFlatHeap is TestFlatHeapPopsInSwapSiftOrder with the sequence in
+// the fuzzer's hands: every pop must return the swap sift's item and
+// every operation leave the swap sift's layout.
+func FuzzFlatHeap(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(heapScript(seed, 300))
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		var got flatHeap
+		var want swapHeap
+		for op, b := range script {
+			if b&1 == 0 {
+				it := flatItem{state: int32(op), dist: float64(b >> 1 & 3)}
+				got.push(it)
+				want.push(it)
+			} else if len(want.items) > 0 {
+				if g, w := got.pop(), want.pop(); g != w {
+					t.Fatalf("op %d: popped %+v, the swap sift pops %+v", op, g, w)
+				}
+			}
+			if len(got.items) != len(want.items) {
+				t.Fatalf("op %d: %d items, the reference holds %d", op, len(got.items), len(want.items))
+			}
+			for i, it := range want.items {
+				if got.items[i] != it {
+					t.Fatalf("op %d: heap layouts diverge at index %d", op, i)
+				}
+			}
+		}
+	})
 }

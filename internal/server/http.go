@@ -277,11 +277,14 @@ func (s *Server) newPending(br BookRequest) (*pending, error) {
 	if dur == 0 && br.EndSlot == nil {
 		dur = 1 // default: a single-slot booking starting now
 	}
-	for name, v := range map[string]*int{
-		"arrival_slot": br.ArrivalSlot, "start_slot": br.StartSlot, "end_slot": br.EndSlot,
-	} {
-		if v != nil && *v < 0 {
-			return nil, fmt.Errorf("%s must be non-negative, got %d", name, *v)
+	// Checked in this order, so a booking with several negative slots is
+	// always told about the same one.
+	for _, f := range [...]struct {
+		name string
+		v    *int
+	}{{"arrival_slot", br.ArrivalSlot}, {"start_slot", br.StartSlot}, {"end_slot", br.EndSlot}} {
+		if f.v != nil && *f.v < 0 {
+			return nil, fmt.Errorf("%s must be non-negative, got %d", f.name, *f.v)
 		}
 	}
 	p := &pending{

@@ -622,14 +622,16 @@ func TestBookBodyOutcomes(t *testing.T) {
 		return rec, cb.read
 	}
 	for _, tc := range []struct {
-		name string
-		body []byte
-		code int
+		name   string
+		body   []byte
+		code   int
+		errHas string // when set, the message must name this, however often asked
 	}{
-		{"empty body", nil, http.StatusBadRequest},
-		{"truncated JSON", []byte(valid[:len(valid)/2]), http.StatusBadRequest},
-		{"unknown endpoint kind", []byte(`{"src":{"kind":"lunar","index":0},"dst":{"kind":"ground","index":1},"rate_mbps":1}`), http.StatusBadRequest},
-		{"oversize body", append(bytes.Repeat([]byte(" "), 1<<20), valid...), http.StatusRequestEntityTooLarge},
+		{"empty body", nil, http.StatusBadRequest, ""},
+		{"truncated JSON", []byte(valid[:len(valid)/2]), http.StatusBadRequest, ""},
+		{"unknown endpoint kind", []byte(`{"src":{"kind":"lunar","index":0},"dst":{"kind":"ground","index":1},"rate_mbps":1}`), http.StatusBadRequest, ""},
+		{"oversize body", append(bytes.Repeat([]byte(" "), 1<<20), valid...), http.StatusRequestEntityTooLarge, ""},
+		{"two negative slots", []byte(valid[:len(valid)-1] + `,"end_slot":-2,"start_slot":-1}`), http.StatusBadRequest, "start_slot"},
 	} {
 		rec, read := book(tc.body)
 		if rec.Code != tc.code {
@@ -638,6 +640,12 @@ func TestBookBodyOutcomes(t *testing.T) {
 		var envelope map[string]string
 		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || len(envelope) != 1 || envelope["error"] == "" {
 			t.Errorf("%s: body %q is not the error envelope", tc.name, rec.Body.String())
+		}
+		for rep := 0; tc.errHas != "" && rep < 16; rep++ {
+			if again, _ := book(tc.body); !bytes.Contains(again.Body.Bytes(), []byte(tc.errHas)) {
+				t.Errorf("%s: answered %q, want %q named every time", tc.name, again.Body.String(), tc.errHas)
+				break
+			}
 		}
 		if read > maxBookBodyBytes+1 {
 			t.Errorf("%s: handler read %d bytes of the body, bound is %d", tc.name, read, maxBookBodyBytes)

@@ -1,5 +1,16 @@
 # lib_spaced.sh — sourced by the smoke scripts that boot a spaced daemon.
 
+# Sourcing sets up what every such script needs: a scratch directory
+# WORK, and an exit trap that kills the daemon whose pid the script keeps
+# in SPACED_PID (empty: none running) and removes WORK.
+WORK="$(mktemp -d)"
+SPACED_PID=""
+cleanup() {
+  if [[ -n "$SPACED_PID" ]]; then kill "$SPACED_PID" 2>/dev/null || true; fi
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
+
 # wait_listening LOG WHAT: environment construction takes a few seconds;
 # wait for the daemon started as $SPACED_PID to log its listen line and
 # print the address it bound. Exits the script if the daemon dies or

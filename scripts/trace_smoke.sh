@@ -11,15 +11,7 @@
 # Usage: scripts/trace_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-source scripts/lib_spaced.sh
-
-WORK="$(mktemp -d)"
-SPACED_PID=""
-cleanup() {
-  if [[ -n "$SPACED_PID" ]]; then kill "$SPACED_PID" 2>/dev/null || true; fi
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
+source scripts/lib_spaced.sh # WORK, SPACED_PID, cleanup on exit, wait_listening
 
 go build -o "$WORK/spaced" ./cmd/spaced
 go build -o "$WORK/spaceload" ./cmd/spaceload
