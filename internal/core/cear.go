@@ -102,10 +102,6 @@ type CEAR struct {
 	// instances with a new μ2 over the same State.
 	units     []energy.UnitPrices
 	unitPrice func(utilization float64) float64
-	// wholeSpanRefills makes every refill start at slot 0, pricing the
-	// slots behind the search too. Nothing sets it outside tests: it is
-	// the reference TestRefillsSkipThePast counts look-ups against.
-	wholeSpanRefills bool
 
 	// Routing fast-path state: the pooled search scratch, a reusable
 	// consumption buffer, and the cost/transit functions bound once at
@@ -265,11 +261,7 @@ func (c *CEAR) unitPrices(sat int, b *energy.Battery) *energy.UnitPrices {
 		return nil
 	}
 	u := &c.units[sat]
-	from := c.curSlot
-	if c.wholeSpanRefills {
-		from = 0
-	}
-	b.FillUnitPrices(u, from, c.unitPrice)
+	b.FillUnitPrices(u, c.curSlot, c.unitPrice)
 	return u
 }
 

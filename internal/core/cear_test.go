@@ -37,7 +37,7 @@ func newTestStack(t *testing.T, batteryCapJ float64) *netstate.State {
 	if batteryCapJ > 0 {
 		ecfg.BatteryCapacityJ = batteryCapJ
 	}
-	return newTestStackWith(t, 200, ecfg)
+	return newTestStackWith(t, 40, ecfg)
 }
 
 // newTestStackWith is newTestStack with the horizon and every power
@@ -580,7 +580,16 @@ func TestRefillsSkipThePast(t *testing.T) {
 	regFrom, regWhole := obs.New(), obs.New()
 	from := newCEAR(t, newTestStackWith(t, 200, ecfg), Options{Obs: regFrom})
 	whole := newCEAR(t, newTestStackWith(t, 200, ecfg), Options{Obs: regWhole})
-	whole.wholeSpanRefills = true
+	// The reference refills whole spans with no switch in CEAR: whenever it
+	// is asked for a transit price it first fills that satellite's table
+	// from slot 0, so its own fill — from the slot searched — finds the
+	// table current and looks nothing up. It prices single-lane, so no
+	// look-ahead the search never uses inflates its count.
+	whole.aheadFn = nil
+	whole.transitFn = func(node int, in, out graph.EdgeClass) float64 {
+		whole.State().Battery(node).FillUnitPrices(&whole.units[node], 0, whole.unitPrice)
+		return whole.priceTransit(node, in, out)
+	}
 	generic := newCEAR(t, newTestStackWith(t, 200, ecfg), Options{UseGenericSearch: true})
 
 	// The second-half slots in which both cities see a satellite; the
