@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check check-race build test vet fmt-check race bench-smoke fuzz-smoke bench-module bench-golden bench-pair obsdiff-smoke smoke-spaced trace-smoke scenario-smoke
+.PHONY: check check-race build test vet fmt-check race bench-smoke fuzz-smoke bench-module bench-golden bench-pair obsdiff-smoke smoke-spaced trace-smoke scenario-smoke loc
 
 check: fmt-check vet build race bench-smoke fuzz-smoke
 	@echo "check: all gates passed"
@@ -28,14 +28,21 @@ race:
 	$(GO) test -race ./internal/...
 
 # Full-module race gate, including the root-package integration tests
-# (parallel figure runners over the shared provider) and the
-# internal/cluster seeded multi-shard closed-loop run (concurrent shard
-# loops coordinating two-phase commits under the race detector).
+# (parallel figure runners over the shared provider).
 check-race:
 	$(GO) test -race ./...
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+
+# The counts ROADMAP item 4's line gate is read from: Go lines outside
+# benchmark/ split into non-test and test, benchmark/'s own, and the
+# number of commands.
+loc:
+	@echo "non-test  $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "test      $$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "benchmark $$(find ./benchmark -name '*.go' | xargs cat | wc -l)"
+	@echo "commands  $$(ls cmd | wc -l)"
 
 # Every native fuzz target for ten seconds (`go test -fuzz` takes one
 # target and one package per run). The seed corpora come from the property
@@ -85,10 +92,9 @@ bench-pair:
 
 # End-to-end serving smoke: build spaced + spaceload, run a short burst
 # against a live daemon, assert accepts, probe the hot-spot telemetry
-# endpoints, and require a clean SIGTERM drain; then repeat against a
-# two-shard cluster (stats shard section, cross-shard bookings, the
-# cluster.* report counters), and against an arrival-driven clock
-# (-clock-rate 0: the clock must follow spaceload's declared slots).
+# endpoints, and require a clean SIGTERM drain; then repeat against an
+# arrival-driven clock (-clock-rate 0: the clock must follow spaceload's
+# declared slots).
 smoke-spaced:
 	./scripts/smoke_spaced.sh
 

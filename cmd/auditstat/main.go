@@ -5,17 +5,13 @@
 // interleaved line fails the run, which is what makes it useful as the
 // CI gate behind `make trace-smoke` — then prints per-outcome counts,
 // sampling coverage, and a per-phase duration table aggregated over the
-// sampled records. With -by shard it adds a per-shard breakdown
-// (records, outcomes, cross-shard count) for logs written by a sharded
-// daemon; without the flag the output is unchanged, and logs without
-// shard fields aggregate under shard 0.
+// sampled records.
 //
 // Usage:
 //
 //	auditstat audit.jsonl
 //	auditstat -min 1 audit.jsonl       # fail unless at least 1 record
 //	auditstat -json audit.jsonl       # machine-readable summary
-//	auditstat -by shard audit.jsonl   # per-shard breakdown
 //	cat audit.jsonl | auditstat -
 package main
 
@@ -39,19 +35,14 @@ func main() {
 func run() int {
 	minRecords := flag.Int("min", 1, "fail unless the log holds at least this many records")
 	jsonOut := flag.Bool("json", false, "emit the summary as JSON (same content as the human output)")
-	by := flag.String("by", "", "extra breakdown dimension; only \"shard\" is supported")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *showVersion {
 		fmt.Println(buildinfo.Line("auditstat"))
 		return 0
 	}
-	if *by != "" && *by != "shard" {
-		fmt.Fprintf(os.Stderr, "auditstat: -by %q not supported (want shard)\n", *by)
-		return 2
-	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: auditstat [-min N] [-json] [-by shard] <audit.jsonl | ->")
+		fmt.Fprintln(os.Stderr, "usage: auditstat [-min N] [-json] <audit.jsonl | ->")
 		return 2
 	}
 
@@ -69,7 +60,7 @@ func run() int {
 		name = "stdin"
 	}
 
-	sum, err := summarize(name, in, *by == "shard")
+	sum, err := summarize(name, in)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "auditstat: %v\n", err)
 		return 1
@@ -92,13 +83,10 @@ func run() int {
 	return 0
 }
 
-// summarize aggregates one audit stream. byShard additionally buckets
-// records by their shard field (absent fields — pre-cluster logs and
-// single-shard daemons — land on shard 0).
-func summarize(name string, in io.Reader, byShard bool) (*summary, error) {
+// summarize aggregates one audit stream.
+func summarize(name string, in io.Reader) (*summary, error) {
 	outcomes := map[string]int{}
 	phases := map[string]*phaseAgg{}
-	shards := map[int]*shardAgg{}
 	var order []string
 	records, sampled, lineNo := 0, 0, 0
 
@@ -119,18 +107,6 @@ func summarize(name string, in io.Reader, byShard bool) (*summary, error) {
 		}
 		records++
 		outcomes[rec.Outcome]++
-		if byShard {
-			sa := shards[rec.Shard]
-			if sa == nil {
-				sa = &shardAgg{outcomes: map[string]int{}}
-				shards[rec.Shard] = sa
-			}
-			sa.records++
-			sa.outcomes[rec.Outcome]++
-			if rec.CrossShard {
-				sa.cross++
-			}
-		}
 		if !rec.Sampled {
 			continue
 		}
@@ -166,27 +142,10 @@ func summarize(name string, in io.Reader, byShard bool) (*summary, error) {
 			Spans:  a.count,
 		})
 	}
-	if byShard {
-		ids := make([]int, 0, len(shards))
-		for id := range shards {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			sa := shards[id]
-			sum.Shards = append(sum.Shards, shardSummary{
-				Shard:      id,
-				Records:    sa.records,
-				Outcomes:   sa.outcomes,
-				CrossShard: sa.cross,
-			})
-		}
-	}
 	return sum, nil
 }
 
-// printHuman renders the summary. The layout without -by shard is
-// frozen: the shard table only appends when the breakdown was requested.
+// printHuman renders the summary.
 func printHuman(w io.Writer, sum *summary) {
 	fmt.Fprintf(w, "%s: %d records, %d sampled\n", sum.Source, sum.Records, sum.Sampled)
 	keys := make([]string, 0, len(sum.Outcomes))
@@ -204,14 +163,6 @@ func printHuman(w io.Writer, sum *summary) {
 			fmt.Fprintf(w, "  %-16s %10.3f %10.3f %8d\n", p.Name, p.MeanMs, p.MaxMs, p.Spans)
 		}
 	}
-	if len(sum.Shards) > 0 {
-		fmt.Fprintf(w, "by shard:\n")
-		fmt.Fprintf(w, "  %-6s %8s %9s %9s %12s\n", "shard", "records", "accepted", "rejected", "cross_shard")
-		for _, sh := range sum.Shards {
-			fmt.Fprintf(w, "  %-6d %8d %9d %9d %12d\n",
-				sh.Shard, sh.Records, sh.Outcomes[server.StatusAccepted], sh.Outcomes[server.StatusRejected], sh.CrossShard)
-		}
-	}
 }
 
 // summary is the -json output: the same content as the human summary,
@@ -222,7 +173,6 @@ type summary struct {
 	Sampled  int            `json:"sampled"`
 	Outcomes map[string]int `json:"outcomes"`
 	Phases   []phaseSummary `json:"phases,omitempty"`
-	Shards   []shardSummary `json:"shards,omitempty"`
 }
 
 type phaseSummary struct {
@@ -230,20 +180,6 @@ type phaseSummary struct {
 	MeanMs float64 `json:"mean_ms"`
 	MaxMs  float64 `json:"max_ms"`
 	Spans  int64   `json:"spans"`
-}
-
-// shardSummary is one shard's row of the -by shard breakdown.
-type shardSummary struct {
-	Shard      int            `json:"shard"`
-	Records    int            `json:"records"`
-	Outcomes   map[string]int `json:"outcomes"`
-	CrossShard int            `json:"cross_shard"`
-}
-
-type shardAgg struct {
-	records  int
-	outcomes map[string]int
-	cross    int
 }
 
 type phaseAgg struct {

@@ -15,18 +15,10 @@
 //	spaced [-addr 127.0.0.1:8080] [-scale small|medium|full]
 //	       [-alg CEAR|SSP|ECARS|ERU|ERA|CEAR-NE|CEAR-AA|CEAR-LIN|CEAR-AD]
 //	       [-clock-rate R] [-queue-depth N] [-batch-size B]
-//	       [-shards N] [-router round-robin|least-loaded|affinity]
-//	       [-shard-rate R] [-shard-burst B]
 //	       [-valuation V] [-f1 F] [-f2 F]
 //	       [-trace] [-trace-sample P] [-slow-ms D] [-audit-log FILE]
 //	       [-hotspots=true|false] [-hotspot-k K]
 //	       [-drain-timeout D] [-report run.json]
-//
-// With -shards N > 1 the daemon runs N single-writer admission engines
-// partitioned by orbital plane behind the -router policy; bookings
-// whose paths cross shard ownership run a two-phase prepare/commit
-// against every owning shard. -shard-rate/-shard-burst add a per-shard
-// token bucket that sheds with HTTP 429 and reason "overloaded_shard".
 //
 // Tracing is off by default and free when off. Any of -trace,
 // -trace-sample > 0 or -audit-log enables it: every admission decision
@@ -50,7 +42,6 @@ import (
 
 	"spacebooking"
 	"spacebooking/internal/buildinfo"
-	"spacebooking/internal/cluster"
 	"spacebooking/internal/obs"
 	"spacebooking/internal/pricing"
 	"spacebooking/internal/server"
@@ -68,10 +59,6 @@ func run() int {
 	clockRate := flag.Float64("clock-rate", 1, "simulated slots per wall second (0 = as fast as requests arrive)")
 	queueDepth := flag.Int("queue-depth", 256, "ingress queue bound; a full queue sheds with 'overloaded'")
 	batchSize := flag.Int("batch-size", 32, "max queued bookings admitted per engine pass")
-	shards := flag.Int("shards", 1, "admission-engine shard count (partitioned by orbital plane)")
-	routerName := flag.String("router", "round-robin", "shard routing policy: round-robin, least-loaded or affinity")
-	shardRate := flag.Float64("shard-rate", 0, "per-shard token-bucket admission rate in requests/s (0 = disabled)")
-	shardBurst := flag.Float64("shard-burst", 0, "per-shard token-bucket burst (0 = same as -shard-rate)")
 	valuation := flag.Float64("valuation", 0, "default request valuation ρ (0 = scale default)")
 	f1 := flag.Float64("f1", 1, "bandwidth conservativeness parameter F1")
 	f2 := flag.Float64("f2", 1, "energy conservativeness parameter F2")
@@ -142,22 +129,13 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "spaced: -trace-sample %g outside [0,1]\n", *traceSample)
 		return 1
 	}
-	routerPolicy, err := cluster.ParsePolicy(*routerName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
 	slowThreshold := time.Duration(*slowMs * float64(time.Millisecond))
 	srv, err := server.New(server.Config{
-		Provider:        env.Provider,
-		Run:             rc,
-		ClockRate:       *clockRate,
-		QueueDepth:      *queueDepth,
-		BatchSize:       *batchSize,
-		Shards:          *shards,
-		Router:          routerPolicy,
-		ShardTokenRate:  *shardRate,
-		ShardTokenBurst: *shardBurst,
+		Provider:   env.Provider,
+		Run:        rc,
+		ClockRate:  *clockRate,
+		QueueDepth: *queueDepth,
+		BatchSize:  *batchSize,
 		Trace: server.TraceConfig{
 			Enabled:       *traceOn,
 			SampleRate:    *traceSample,
@@ -203,13 +181,6 @@ func run() int {
 	fmt.Printf("  scale       %s (%d satellites, horizon %d slots)\n", scale, env.Provider.NumSats(), srv.Horizon())
 	fmt.Printf("  slot clock  %s\n", clockDesc)
 	fmt.Printf("  ingress     queue %d, batch %d\n", *queueDepth, *batchSize)
-	if *shards > 1 {
-		bucketDesc := "no token bucket"
-		if *shardRate > 0 {
-			bucketDesc = fmt.Sprintf("bucket %.3g req/s", *shardRate)
-		}
-		fmt.Printf("  cluster     %d shards, %s router, %s\n", *shards, routerPolicy, bucketDesc)
-	}
 	if *traceOn || *traceSample > 0 || *auditLog != "" {
 		auditDesc := "in-memory only"
 		if *auditLog != "" {
@@ -262,8 +233,6 @@ func run() int {
 		rep.SetConfig("clock_rate", *clockRate)
 		rep.SetConfig("queue_depth", *queueDepth)
 		rep.SetConfig("batch_size", *batchSize)
-		rep.SetConfig("shards", *shards)
-		rep.SetConfig("router", routerPolicy.String())
 		rep.SetConfig("valuation", *valuation)
 		rep.SetConfig("horizon_slots", srv.Horizon())
 		rep.SetConfig("trace_sample", *traceSample)

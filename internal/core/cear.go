@@ -517,17 +517,7 @@ func (c *CEAR) Handle(req workload.Request) (router.Decision, error) {
 		}, nil
 	}
 
-	// Commit is infallible single-writer; under a cluster interceptor it
-	// runs the two-phase protocol, and a conflict on another shard's
-	// authoritative ledger turns the admission into a rejection.
-	if err := txn.Commit(); err != nil {
-		c.ctrRejected.Inc()
-		return router.Decision{
-			Price:  totalPrice,
-			Reason: fmt.Sprintf("cross-shard conflict: %v", err),
-			Plan:   plan,
-		}, nil
-	}
+	txn.Commit()
 	c.ctrAccepted.Inc()
 	return router.Decision{
 		Accepted: true,

@@ -35,21 +35,19 @@ type Battery struct {
 
 	// firstDeficit and lastDeficit enclose every slot with a non-zero
 	// deficit (first > last while there is none). Consume widens them,
-	// CopyFrom adopts the source's; a Refund that drains an end slot
-	// leaves them loose, which is still enclosing. The pricing walk uses
-	// lastDeficit to stop early, a unit-price table (FillUnitPrices) is
-	// non-zero only inside the span.
+	// CopyFrom adopts the source's. The pricing walk uses lastDeficit to
+	// stop early, a unit-price table (FillUnitPrices) is non-zero only
+	// inside the span.
 	firstDeficit int
 	lastDeficit  int
-	// maxDeficit is at least every deficit[t]: Consume raises it, Refund
-	// leaves it loose, CopyFrom adopts the source's. Rounding is
-	// monotone, so maxDeficit+joules <= limit proves that no slot of a
-	// joules-sized consumption breaches limit without reading deficit.
+	// maxDeficit is at least every deficit[t]: Consume raises it,
+	// CopyFrom adopts the source's. Rounding is monotone, so
+	// maxDeficit+joules <= limit proves that no slot of a joules-sized
+	// consumption breaches limit without reading deficit.
 	maxDeficit float64
-	// stamp counts ledger mutations (Consume, ConsumeTraced, Refund,
-	// CopyFrom). It only ever grows, so anything derived from the ledger
-	// — a unit-price table, a prepared reservation's snapshot — is still
-	// current exactly when the stamp it was taken at is.
+	// stamp counts ledger mutations (Consume, CopyFrom). It only ever
+	// grows, so anything derived from the ledger — a unit-price table —
+	// is still current exactly when the stamp it was taken at is.
 	stamp uint64
 }
 
@@ -170,14 +168,13 @@ func (b *Battery) VisitDeficit(ta int, joules float64, fn func(t int, outstandin
 	}
 }
 
-// Stamp returns the ledger's mutation count: it moves on every Consume,
-// ConsumeTraced, Refund and CopyFrom and never repeats, so a value
-// derived from the ledger is current exactly while Stamp is unchanged.
+// Stamp returns the ledger's mutation count: it moves on every Consume
+// and CopyFrom and never repeats, so a value derived from the ledger is
+// current exactly while Stamp is unchanged.
 func (b *Battery) Stamp() uint64 { return b.stamp }
 
 // DeficitSpan returns bounds [first, last] that enclose every slot with
-// a non-zero deficit; first > last when the ledger holds none. The
-// bounds may be loose after a Refund, never too tight.
+// a non-zero deficit; first > last when the ledger holds none.
 func (b *Battery) DeficitSpan() (first, last int) { return b.firstDeficit, b.lastDeficit }
 
 // walk is the closure-free twin of VisitDeficit that pricing and every
@@ -292,8 +289,43 @@ func (b *Battery) checkConsume(ta int, joules float64) (apply bool, err error) {
 // returned. In clamp mode the posted deficit saturates at capacity (the
 // battery pegs at empty) and the call always succeeds.
 func (b *Battery) Consume(ta int, joules float64) error {
-	_, err := b.consume(ta, joules, nil, false)
-	return err
+	apply, err := b.checkConsume(ta, joules)
+	if !apply {
+		return err
+	}
+	b.stamp++
+	remaining := joules
+	for t := ta; t < len(b.deficit); t++ {
+		absorb := math.Min(remaining, b.solarRemaining[t])
+		b.solarRemaining[t] -= absorb
+		remaining -= absorb
+		if remaining <= 0 {
+			return nil
+		}
+		post := remaining
+		if b.clamp {
+			// The battery cannot discharge below empty: cap both the
+			// posted deficit and the amount carried forward.
+			if post > b.capacityJ {
+				post = b.capacityJ
+				remaining = b.capacityJ
+			}
+			if b.deficit[t]+post > b.capacityJ {
+				post = b.capacityJ - b.deficit[t]
+			}
+		}
+		b.deficit[t] += post
+		if t < b.firstDeficit {
+			b.firstDeficit = t
+		}
+		if t > b.lastDeficit {
+			b.lastDeficit = t
+		}
+		if b.deficit[t] > b.maxDeficit {
+			b.maxDeficit = b.deficit[t]
+		}
+	}
+	return nil
 }
 
 // Clone returns an independent deep copy of the ledger. CEAR uses clones
@@ -332,96 +364,6 @@ func (b *Battery) CopyFrom(src *Battery) {
 func (b *Battery) TrialConsume(ta int, joules float64) error {
 	_, err := b.checkConsume(ta, joules)
 	return err
-}
-
-// ConsumeStep records one slot's ledger mutation made by ConsumeTraced:
-// AbsorbedJ was claimed from the slot's unclaimed solar input and
-// PostedJ was added to the slot's outstanding deficit. A traced
-// consumption is a sequence of steps the two-phase commit layer can
-// replay in reverse (Refund) to release a prepared reservation without
-// a full-ledger snapshot, even after other reservations committed on
-// the same battery in between.
-type ConsumeStep struct {
-	Slot      int
-	AbsorbedJ float64
-	PostedJ   float64
-}
-
-// ConsumeTraced is Consume with a mutation trace: every per-slot solar
-// absorption and deficit posting is appended to steps (grown as needed
-// and returned). The ledger mutation is Consume's — one loop serves
-// both — so a traced commit is byte-identical to an untraced one.
-func (b *Battery) ConsumeTraced(ta int, joules float64, steps []ConsumeStep) ([]ConsumeStep, error) {
-	return b.consume(ta, joules, steps, true)
-}
-
-// consume is the one mutation loop behind Consume and ConsumeTraced.
-func (b *Battery) consume(ta int, joules float64, steps []ConsumeStep, traced bool) ([]ConsumeStep, error) {
-	apply, err := b.checkConsume(ta, joules)
-	if !apply {
-		return steps, err
-	}
-	b.stamp++
-	remaining := joules
-	for t := ta; t < len(b.deficit); t++ {
-		absorb := math.Min(remaining, b.solarRemaining[t])
-		b.solarRemaining[t] -= absorb
-		remaining -= absorb
-		if remaining <= 0 {
-			if traced {
-				steps = append(steps, ConsumeStep{Slot: t, AbsorbedJ: absorb})
-			}
-			return steps, nil
-		}
-		post := remaining
-		if b.clamp {
-			// The battery cannot discharge below empty: cap both the
-			// posted deficit and the amount carried forward.
-			if post > b.capacityJ {
-				post = b.capacityJ
-				remaining = b.capacityJ
-			}
-			if b.deficit[t]+post > b.capacityJ {
-				post = b.capacityJ - b.deficit[t]
-			}
-		}
-		b.deficit[t] += post
-		if t < b.firstDeficit {
-			b.firstDeficit = t
-		}
-		if t > b.lastDeficit {
-			b.lastDeficit = t
-		}
-		if b.deficit[t] > b.maxDeficit {
-			b.maxDeficit = b.deficit[t]
-		}
-		if traced {
-			steps = append(steps, ConsumeStep{Slot: t, AbsorbedJ: absorb, PostedJ: post})
-		}
-	}
-	return steps, nil
-}
-
-// Refund reverses one traced consumption step: the absorbed solar is
-// returned to its slot and the posted deficit removed (clamped at
-// zero against float dust). Refunding every step of a traced
-// consumption, in any order, releases exactly the resources that
-// consumption claimed — reservations committed in between are
-// untouched, which is what lets a prepared reservation abort after
-// concurrent commits on the same battery.
-func (b *Battery) Refund(st ConsumeStep) {
-	if st.Slot < 0 || st.Slot >= len(b.deficit) {
-		return
-	}
-	b.stamp++
-	b.solarRemaining[st.Slot] += st.AbsorbedJ
-	if st.PostedJ != 0 {
-		d := b.deficit[st.Slot] - st.PostedJ
-		if d < 0 {
-			d = 0
-		}
-		b.deficit[st.Slot] = d
-	}
 }
 
 // CheckInvariants verifies what the pricing kernels' shortcuts rely on:

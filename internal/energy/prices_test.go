@@ -15,7 +15,6 @@ import (
 type fromLane struct {
 	b, snap   *Battery
 	snapTaken bool
-	steps     []ConsumeStep
 	tab       UnitPrices
 	filled    bool
 	stamp     uint64
@@ -63,25 +62,18 @@ func runFromScript(t testing.TB, script []byte, tally *fromTally) {
 		ln := lanes[op>>7]
 		b := ln.b
 		switch op & 7 {
-		case 0, 1:
+		case 0, 1, 2:
 			slot, hi, lo := next()%driverHorizon, next(), next()
 			_ = b.Consume(slot, 450*float64(hi<<8|lo)/65535) // infeasible draws are part of the mix
-		case 2:
-			slot, hi, lo := next()%driverHorizon, next(), next()
-			ln.steps, _ = b.ConsumeTraced(slot, 450*float64(hi<<8|lo)/65535, ln.steps)
 		case 3:
-			if n := len(ln.steps); n > 0 {
-				i := next() % n
-				b.Refund(ln.steps[i])
-				ln.steps = append(ln.steps[:i], ln.steps[i+1:]...)
-			}
+			// Retired opcode, kept as a no-op so the others keep their
+			// numbers and the seeded scripts their mix.
 		case 4:
 			ln.snap.CopyFrom(b)
 			ln.snapTaken = true
 		case 5:
 			if ln.snapTaken {
 				b.CopyFrom(ln.snap)
-				ln.steps = ln.steps[:0]
 			}
 		default:
 			from := next() % driverHorizon
@@ -192,11 +184,11 @@ func fromScript(seed int64, n int) []byte {
 }
 
 // TestFillFromSlotMatchesWholeSpan is the [from, last] invariant's
-// property test: seeded from-scripts (Consume, ConsumeTraced, Refund,
-// snapshot and restore on two batteries; fills from non-monotone slots,
-// downward extensions at an unchanged stamp and slots past the last
-// deficit among them) must leave every table indistinguishable, from the
-// slot it answers for on, from one filled over the whole span.
+// property test: seeded from-scripts (Consume, snapshot and restore on
+// two batteries; fills from non-monotone slots, downward extensions at an
+// unchanged stamp and slots past the last deficit among them) must leave
+// every table indistinguishable, from the slot it answers for on, from
+// one filled over the whole span.
 func TestFillFromSlotMatchesWholeSpan(t *testing.T) {
 	var tally fromTally
 	for seed := int64(1); seed <= 12; seed++ {

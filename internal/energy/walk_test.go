@@ -111,12 +111,11 @@ func (k *kernelTally) note(b *Battery, tab *UnitPrices, ta int, joules float64, 
 }
 
 // ledgerDriver puts one strict battery through a seeded random sequence
-// of Consume / ConsumeTraced / Refund / snapshot / restore operations.
+// of Consume / snapshot / restore operations.
 type ledgerDriver struct {
 	rng       *rand.Rand
 	b, snap   *Battery
 	snapTaken bool
-	steps     []ConsumeStep
 }
 
 const driverHorizon = 48
@@ -139,19 +138,8 @@ func newLedgerDriver(t *testing.T, seed int64) *ledgerDriver {
 func (d *ledgerDriver) step() (mutated bool) {
 	rng, b := d.rng, d.b
 	switch op := rng.Intn(10); {
-	case op < 4:
-		return b.Consume(rng.Intn(driverHorizon), 400*rng.Float64()) == nil
 	case op < 6:
-		n := len(d.steps)
-		var err error
-		d.steps, err = b.ConsumeTraced(rng.Intn(driverHorizon), 400*rng.Float64(), d.steps)
-		return err == nil && len(d.steps) > n
-	case op < 7 && len(d.steps) > 0:
-		// A refund hands a slot inside the span its solar back.
-		i := rng.Intn(len(d.steps))
-		b.Refund(d.steps[i])
-		d.steps = append(d.steps[:i], d.steps[i+1:]...)
-		return true
+		return b.Consume(rng.Intn(driverHorizon), 400*rng.Float64()) == nil
 	case op < 8:
 		d.snap.CopyFrom(b)
 		d.snapTaken = true
@@ -160,7 +148,6 @@ func (d *ledgerDriver) step() (mutated bool) {
 		// Restore: the deficit span can shrink back, leaving table
 		// entries of the abandoned state outside it.
 		b.CopyFrom(d.snap)
-		d.steps = d.steps[:0]
 		return true
 	}
 	return false
@@ -171,10 +158,10 @@ func (d *ledgerDriver) step() (mutated bool) {
 var driverDraws = []float64{25, 180, 700, 2500}
 
 // TestTableWalkMatchesVisitDeficit drives strict batteries through seeded
-// random Consume / ConsumeTraced / Refund / snapshot-restore sequences
-// and, after every step, requires the table walk and PriceDeficit to
-// equal the VisitDeficit reference bit for bit: cost, feasibility and
-// failing slot — whichever way PriceDeficit got there.
+// random Consume / snapshot-restore sequences and, after every step,
+// requires the table walk and PriceDeficit to equal the VisitDeficit
+// reference bit for bit: cost, feasibility and failing slot — whichever
+// way PriceDeficit got there.
 func TestTableWalkMatchesVisitDeficit(t *testing.T) {
 	var tally kernelTally
 	for seed := int64(1); seed <= 8; seed++ {
@@ -229,7 +216,7 @@ func TestRestoreMovesFirstDeficitBackUp(t *testing.T) {
 }
 
 // TestStampMovesOnEveryMutation pins the stamp contract that table owners
-// and the two-phase abort rely on.
+// rely on.
 func TestStampMovesOnEveryMutation(t *testing.T) {
 	b := mustBattery(t, 1000, constSolar(10, 5), false)
 	last := b.Stamp()
@@ -244,13 +231,6 @@ func TestStampMovesOnEveryMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	moved("Consume")
-	steps, err := b.ConsumeTraced(3, 40, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved("ConsumeTraced")
-	b.Refund(steps[0])
-	moved("Refund")
 	snap := b.Clone()
 	b.CopyFrom(snap)
 	moved("CopyFrom")

@@ -162,21 +162,3 @@ func (s *State) observeCommit() {
 		h.batteryDoD.Observe(uint64(d.sat), s.batteries[d.sat].UtilizationAt(d.slot))
 	}
 }
-
-// observePrepared is observeCommit for a two-phase commit: the pinned
-// deltas were detached from the txn arena at Prepare time, so the
-// level trackers are fed from the Prepared's own copies when it
-// finally commits.
-func (s *State) observePrepared(p *Prepared) {
-	h := &s.hot
-	if !h.enabled {
-		return
-	}
-	for i := range p.links {
-		r := &p.links[i]
-		h.linkUtil.Observe(uint64(r.key), s.LinkUtilization(r.key, r.slot))
-	}
-	for _, d := range p.dod {
-		h.batteryDoD.Observe(uint64(d.sat), s.batteries[d.sat].UtilizationAt(d.slot))
-	}
-}

@@ -212,33 +212,21 @@ func (s *State) NumActiveLinks() int {
 // number" metric with thresholdFrac = 0.1. A link with no reservation in
 // the slot (never reserved, or fully rolled back) never counts.
 func (s *State) CongestedLinkCount(slot int, thresholdFrac float64) int {
-	return s.CongestedLinkCountFunc(slot, thresholdFrac, nil)
-}
-
-// CongestedLinkCountFunc is CongestedLinkCount restricted to links the
-// filter accepts (nil accepts all). A sharded cluster sweeps each
-// shard's state over the links that shard owns, so the merged per-slot
-// metric counts every link exactly once even though every shard tracks a
-// full-constellation ledger.
-func (s *State) CongestedLinkCountFunc(slot int, thresholdFrac float64, owned func(LinkKey) bool) int {
 	if slot < 0 || slot >= len(s.isl) {
 		return 0
 	}
 	count := 0
 	if row := s.isl[slot]; row != nil {
 		limit := thresholdFrac * s.islCapMbps
-		for sat := 0; sat < s.numSats; sat++ {
-			for e, end := int(s.csr.Offsets[sat]), int(s.csr.Offsets[sat+1]); e < end; e++ {
-				if used := row[e]; used != 0 && s.islCapMbps-used < limit &&
-					(owned == nil || owned(MakeLinkKey(sat, int(s.csr.To[e])))) {
-					count++
-				}
+		for _, used := range row {
+			if used != 0 && s.islCapMbps-used < limit {
+				count++
 			}
 		}
 	}
 	limit := thresholdFrac * s.uslCapMbps
-	for key, used := range s.usl[slot] {
-		if s.uslCapMbps-used < limit && (owned == nil || owned(key)) {
+	for _, used := range s.usl[slot] {
+		if s.uslCapMbps-used < limit {
 			count++
 		}
 	}

@@ -61,20 +61,6 @@ type txnScratch struct {
 	// from, for commit-time depth-of-discharge observation when hot-spot
 	// tracking is enabled. Reused like the undo log.
 	dod []dodPend
-	// cons/steps record the transaction's energy consumptions and their
-	// traced ledger mutations, only in two-phase mode (see prepare.go):
-	// Prepare pins them so Abort can refund exactly, and the cluster's
-	// coordinator replays them on the owning shards.
-	cons  []consRecord
-	steps []energy.ConsumeStep
-}
-
-// consRecord is one recorded energy consumption plus the index range of
-// its traced steps within txnScratch.steps.
-type consRecord struct {
-	c        Consumption
-	stepFrom int
-	stepTo   int
 }
 
 // Begin starts a transaction. A State supports any number of sequential
@@ -98,8 +84,6 @@ func (a *txnScratch) begin(numSats int) {
 	a.linkUndo = a.linkUndo[:0]
 	a.touched = a.touched[:0]
 	a.dod = a.dod[:0]
-	a.cons = a.cons[:0]
-	a.steps = a.steps[:0]
 	if len(a.stamps) != numSats {
 		a.stamps = make([]uint32, numSats)
 		a.epoch = 0
@@ -146,51 +130,21 @@ func (t *Txn) Consume(consumptions []Consumption) error {
 	for _, c := range consumptions {
 		if a.stamps[c.Sat] != a.epoch {
 			b := t.state.batteries[c.Sat]
-			i := len(a.touched)
-			switch {
-			case i == len(a.snaps):
+			if i := len(a.touched); i == len(a.snaps) {
 				a.snaps = append(a.snaps, b.Clone())
-			case a.snaps[i] == nil: // a Prepare took it
-				a.snaps[i] = b.Clone()
-			default:
+			} else {
 				a.snaps[i].CopyFrom(b)
 			}
 			a.stamps[c.Sat] = a.epoch
 			a.touched = append(a.touched, c.Sat)
 		}
-		if t.state.twoPhase {
-			// Traced consumption: the mutation is byte-identical to
-			// Consume's, plus a step log Prepare pins for exact release.
-			from := len(a.steps)
-			var err error
-			a.steps, err = t.state.batteries[c.Sat].ConsumeTraced(c.Slot, c.Joules, a.steps)
-			if err != nil {
-				return fmt.Errorf("netstate: satellite %d: %w", c.Sat, err)
-			}
-			a.cons = append(a.cons, consRecord{c: c, stepFrom: from, stepTo: len(a.steps)})
-		} else if err := t.state.batteries[c.Sat].Consume(c.Slot, c.Joules); err != nil {
+		if err := t.state.batteries[c.Sat].Consume(c.Slot, c.Joules); err != nil {
 			return fmt.Errorf("netstate: satellite %d: %w", c.Sat, err)
 		}
 		if t.state.hot.enabled {
 			a.dod = append(a.dod, dodPend{sat: c.Sat, slot: c.Slot})
 		}
 	}
-	return nil
-}
-
-// ReserveLinkKey reserves rateMbps on one link in one slot, recording
-// the reservation for rollback. The cluster's remote-prepare path uses
-// it to pin a coordinator's link deltas on the owning shard, where no
-// routing view exists to go through ReservePath.
-func (t *Txn) ReserveLinkKey(key LinkKey, slot int, rateMbps float64) error {
-	if t.done {
-		return fmt.Errorf("netstate: transaction already finished")
-	}
-	if err := t.state.ReserveLink(key, slot, rateMbps); err != nil {
-		return err
-	}
-	a := &t.state.txn
-	a.linkUndo = append(a.linkUndo, linkReservation{key: key, slot: slot, rate: rateMbps})
 	return nil
 }
 
@@ -215,29 +169,14 @@ func (t *Txn) Rollback() {
 // hot-spot tracking enabled it also feeds the level trackers from the
 // committed reservations (post-commit link utilization and battery
 // depth-of-discharge) — observation happens here, not during trials,
-// so rolled-back state never reaches the trackers.
-//
-// When a commit interceptor is installed (SetCommitInterceptor), the
-// transaction is instead turned into a Prepared handed to the
-// interceptor, which must Commit or Abort it; its error (a cross-shard
-// conflict in the cluster) is returned so the algorithm can convert the
-// admission into a rejection. Without an interceptor Commit never
-// fails, and the path is byte-identical to the pre-two-phase one.
-func (t *Txn) Commit() error {
+// so rolled-back state never reaches the trackers. Idempotent.
+func (t *Txn) Commit() {
 	if t.done {
-		return nil
-	}
-	if ic := t.state.intercept; ic != nil {
-		p, err := t.Prepare()
-		if err != nil {
-			return err
-		}
-		return ic(p)
+		return
 	}
 	t.done = true
 	t.state.instr.txnCommits.Inc()
 	t.state.observeCommit()
-	return nil
 }
 
 // commitTimer accumulates elapsed commit-path wall time; the deferred

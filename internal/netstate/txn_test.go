@@ -178,11 +178,9 @@ func TestUnreserveLinkClampsAtZero(t *testing.T) {
 
 // TestSnapshotPoolIsSizedByTheTransaction: transactions that between
 // them touch every satellite must leave the snapshot pool at the size of
-// the largest single one, rollbacks must still restore exactly, and a
-// Prepare must take its snapshots with it.
+// the largest single one, and rollbacks must still restore exactly.
 func TestSnapshotPoolIsSizedByTheTransaction(t *testing.T) {
 	s := newTestState(t, twoCitySites(), false)
-	s.EnableTwoPhase()
 	numSats := s.Provider().NumSats()
 	const perTxn = 3
 	for first := 0; first+perTxn <= numSats; first += perTxn {
@@ -208,30 +206,6 @@ func TestSnapshotPoolIsSizedByTheTransaction(t *testing.T) {
 			got, perTxn, numSats, perTxn)
 	}
 
-	txn := s.Begin()
-	if err := txn.Consume([]Consumption{{Sat: 0, Slot: 2, Joules: 5000}, {Sat: 1, Slot: 2, Joules: 5000}}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := txn.Prepare()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.txn.snaps[0] != nil || s.txn.snaps[1] != nil || s.txn.snaps[2] == nil {
-		t.Fatal("Prepare did not take exactly the snapshots it pinned out of the pool")
-	}
-	// The next transaction re-clones the taken entries; aborting the
-	// prepared one afterwards still restores from its own snapshots.
-	txn2 := s.Begin()
-	if err := txn2.Consume([]Consumption{{Sat: 5, Slot: 2, Joules: 5000}}); err != nil {
-		t.Fatal(err)
-	}
-	txn2.Rollback()
-	p.Abort()
-	for sat := 0; sat < numSats; sat++ {
-		if d := s.Battery(sat).DeficitAt(2); d != 0 {
-			t.Fatalf("satellite %d: deficit %v left behind", sat, d)
-		}
-	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

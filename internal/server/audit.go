@@ -90,13 +90,6 @@ type AuditRecord struct {
 	StartSlot   int `json:"start_slot"`
 	EndSlot     int `json:"end_slot"`
 
-	// Shard is the admitting shard; CrossShard marks a booking that ran
-	// the two-phase protocol. Both are omitted in single-shard runs, so
-	// single-shard audit output is byte-identical to the pre-cluster
-	// stream.
-	Shard      int  `json:"shard,omitempty"`
-	CrossShard bool `json:"cross_shard,omitempty"`
-
 	// Engine work attributable to this request.
 	Searches     int64 `json:"searches"`
 	PrunedLabels int64 `json:"pruned_labels"`

@@ -219,7 +219,7 @@ func (s *Server) handleConstellation(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 	c := s.constellationSnapshot()
 	m := viz.NewMap(fmt.Sprintf("spaced live constellation — slot %d/%d, alg %s",
-		c.Slot, c.Horizon, s.cl.Algorithm()))
+		c.Slot, c.Horizon, s.Algorithm()))
 	for _, site := range c.Sites {
 		m.AddSite(site.LatDeg, site.LonDeg, "#2e8b57")
 	}

@@ -67,9 +67,6 @@ type BookRequest struct {
 type BookResponse struct {
 	Status      string       `json:"status"`
 	Reservation *Reservation `json:"reservation,omitempty"`
-	// Reason qualifies a shed response: "overloaded_shard" marks a dry
-	// per-shard token bucket (vs a full ingress queue, no reason).
-	Reason string `json:"reason,omitempty"`
 }
 
 // ConfigResponse is the body of GET /v1/config: what a load generator
@@ -192,14 +189,6 @@ func (s *Server) handleBook(w http.ResponseWriter, r *http.Request) {
 			s.auditWG.Done()
 		}
 		writeJSON(w, http.StatusTooManyRequests, BookResponse{Status: StatusOverloaded})
-		return
-	case errOverloadedShard:
-		s.sloAvail.Observe(false)
-		if s.tracing {
-			s.emitRefused(p, StatusOverloaded)
-			s.auditWG.Done()
-		}
-		writeJSON(w, http.StatusTooManyRequests, BookResponse{Status: StatusOverloaded, Reason: "overloaded_shard"})
 		return
 	case errDraining:
 		if s.tracing {
@@ -388,7 +377,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		pairs = append(pairs, PairRef{Src: refOf(p.Src), Dst: refOf(p.Dst)})
 	}
 	writeIndentedJSON(w, http.StatusOK, ConfigResponse{
-		Algorithm: s.cl.Algorithm(),
+		Algorithm: s.Algorithm(),
 		Horizon:   s.horizon,
 		ClockRate: s.cfg.ClockRate,
 		Pairs:     pairs,

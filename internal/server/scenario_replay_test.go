@@ -129,7 +129,7 @@ func TestScenarioReplayThroughServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkShardInvariants(t, srv)
+	checkInvariants(t, srv)
 	if !reflect.DeepEqual(batchRes, servedRes) {
 		t.Fatalf("served result diverges from recorded batch result:\nbatch:  %+v\nserved: %+v", batchRes, servedRes)
 	}

@@ -8,35 +8,26 @@
 //
 // Architecture:
 //
-//	HTTP handlers ──► router ──► per-shard ingress queue ──► shard loop
-//	   (many)        (policy +     (backpressure: full =     (single
-//	                  token          shed "overloaded")       writer per
-//	                  bucket)                                 sim.Engine)
+//	HTTP handlers ──► bounded ingress queue ──► engine goroutine
+//	   (many)         (backpressure: full =     (single writer of the
+//	                   shed "overloaded")        one sim.Engine)
 //
-// Admission runs on per-shard engine goroutines (internal/cluster),
-// preserving the paper's sequential online model and each engine's
-// single-writer contract; the HTTP layer's only job is to route, queue,
-// wait, and shed. With one shard (the default) the cluster is a
-// passthrough and the engine is the same code path sim.Run uses, so a
-// served request stream (clock at max speed, batch size 1) is
-// bit-identical to a batch simulation of the same stream. With more
-// shards, bookings whose plans cross shard ownership run the two-phase
-// prepare/commit protocol.
+// Admission runs on the one engine goroutine, preserving the paper's
+// sequential online model and the engine's single-writer contract; the
+// HTTP layer's only job is to queue, wait, and shed. The engine is the
+// same code path sim.Run uses, so a served request stream (clock at max
+// speed) is bit-identical to a batch simulation of the same stream.
 package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"log"
 	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"spacebooking/internal/buildinfo"
-	"spacebooking/internal/cluster"
-	"spacebooking/internal/netstate"
 	"spacebooking/internal/obs"
 	"spacebooking/internal/sim"
 	"spacebooking/internal/topology"
@@ -92,20 +83,12 @@ type Config struct {
 	BatchSize int
 	// Now is the wall clock, for tests. Default time.Now.
 	Now func() time.Time
-	// Shards is the admission-engine count (default 1). With more than
-	// one shard, requests are routed to per-shard single-writer engine
-	// loops and cross-shard bookings run the two-phase prepare/commit
-	// protocol; with one shard the service is byte-identical to the
-	// pre-cluster single-engine path.
+	// Shards selects nothing: the service runs one engine, and New
+	// rejects any value but 0 or 1. The field survives only because
+	// benchmark/run.go sets `Shards: 1` and is frozen in the PR that
+	// removed the shard cluster; the next benchmark PR drops it there and
+	// this declaration with it.
 	Shards int
-	// Router selects the shard routing policy (round-robin,
-	// least-loaded, affinity).
-	Router cluster.Policy
-	// ShardTokenRate/ShardTokenBurst configure per-shard token-bucket
-	// admission (requests per second); zero rate disables it. Exhausted
-	// buckets shed with HTTP 429 and reason "overloaded_shard".
-	ShardTokenRate  float64
-	ShardTokenBurst float64
 	// Trace configures request-scoped tracing and the admission audit
 	// stream. The zero value disables tracing entirely.
 	Trace TraceConfig
@@ -166,10 +149,6 @@ type pending struct {
 	enqueued time.Time
 	resv     Reservation
 	done     chan struct{}
-	// shard is the routed shard id; cross marks a booking that ran the
-	// cross-shard two-phase protocol. Both feed the audit record.
-	shard int
-	cross bool
 
 	// Tracing state (zero-valued when tracing is disabled).
 	clientID    string
@@ -186,15 +165,18 @@ type pending struct {
 
 // Server is the long-running booking service.
 type Server struct {
-	cfg     Config
-	cl      *cluster.Cluster
+	cfg Config
+	// eng is written to by the engine goroutine only (engineLoop); queue
+	// is its bounded ingress.
+	eng     *sim.Engine
+	queue   chan *pending
 	clock   *slotClock
 	horizon int
 	now     func() time.Time
 	started time.Time
 
-	// lifeMu guards draining and the cluster intake close: enqueues
-	// hold it shared, Shutdown exclusively, so close never races a send.
+	// lifeMu guards draining and the queue close: enqueues hold it
+	// shared, Shutdown exclusively, so close never races a send.
 	lifeMu     sync.RWMutex
 	draining   bool
 	engineDone chan struct{}
@@ -222,20 +204,23 @@ type Server struct {
 	tracePool *obs.TracePool
 	policy    obs.SamplePolicy
 	sink      *auditSink
-	probes    []engineProbe // one per shard, over that shard's registry
+	probe     engineProbe
 	// auditWG counts traced requests whose audit record has not been
 	// emitted yet; Shutdown waits on it before flushing the sink so a
 	// graceful drain never truncates the audit stream.
 	auditWG sync.WaitGroup
 
-	// Stats mirrors maintained by the engine goroutine so /v1/stats
-	// never touches engine internals from another goroutine.
+	// Stats mirrors, so /v1/stats never touches engine internals from
+	// another goroutine and reads the same with or without an obs
+	// registry. The engine goroutine maintains the first five, enqueue
+	// the last two.
 	statSlot     atomic.Int64
 	statTotal    atomic.Int64
 	statAccepted atomic.Int64
 	statRejected atomic.Int64
 	statRevenue  atomic.Uint64 // math.Float64bits
 	statQueueHW  atomic.Int64
+	statShed     atomic.Int64
 }
 
 // New builds the engine and starts the engine goroutine and slot clock.
@@ -268,12 +253,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SLO.AvailabilityTarget == 0 {
 		cfg.SLO.AvailabilityTarget = 0.999
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
+	if cfg.Shards != 0 && cfg.Shards != 1 {
+		return nil, fmt.Errorf("server: %d shards requested, the service runs one engine", cfg.Shards)
+	}
+	eng, err := sim.NewEngine(cfg.Provider, cfg.Run)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	reg := cfg.Run.Obs
 	s := &Server{
 		cfg:        cfg,
+		eng:        eng,
+		queue:      make(chan *pending, cfg.QueueDepth),
 		clock:      newSlotClock(cfg.ClockRate, cfg.Now()),
 		horizon:    cfg.Provider.Horizon(),
 		now:        cfg.Now,
@@ -289,22 +280,6 @@ func New(cfg Config) (*Server, error) {
 		sloLatency: obs.NewSLOClass(reg, "latency", cfg.SLO.LatencyObjective.Seconds(), cfg.SLO.LatencyTarget),
 		sloAvail:   obs.NewSLOClass(reg, "availability", 0, cfg.SLO.AvailabilityTarget),
 	}
-	cl, err := cluster.New(cfg.Provider, cluster.Config{
-		Shards:     cfg.Shards,
-		Policy:     cfg.Router,
-		Run:        cfg.Run,
-		QueueDepth: cfg.QueueDepth,
-		BatchSize:  cfg.BatchSize,
-		TokenRate:  cfg.ShardTokenRate,
-		TokenBurst: cfg.ShardTokenBurst,
-		Now:        cfg.Now,
-		RunBatch:   s.runBatch,
-		TestGate:   cfg.testGate,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.cl = cl
 	if cfg.Trace.enabled() {
 		sink, err := newAuditSink(cfg.Trace, reg)
 		if err != nil {
@@ -317,39 +292,46 @@ func New(cfg Config) (*Server, error) {
 			SlowNs: cfg.Trace.SlowThreshold.Nanoseconds(),
 		}
 		s.sink = sink
-		for i := 0; i < cl.NumShards(); i++ {
-			sh := cl.Shard(i)
-			s.probes = append(s.probes, newEngineProbe(sh.Registry()))
-			sh.Engine().EnableTraceDetail()
-		}
+		s.probe = newEngineProbe(reg)
+		eng.EnableTraceDetail()
 	}
 	s.statSlot.Store(-1)
-	cl.Start()
-	go s.finishWhenDrained()
+	go s.engineLoop()
 	return s, nil
 }
 
-// finishWhenDrained waits for the shard loops to drain, runs the
-// engines' final sweeps and publishes the merged result. A
-// prepare-ledger leak is an invariant violation the serving layer logs
-// (tests reach it through sim/cluster Finish, which fail loudly); the
-// merged result survives it.
-func (s *Server) finishWhenDrained() {
+// engineLoop is the single writer of the engine: it takes one queued
+// request, collects whatever else is already queued up to BatchSize
+// without blocking, and admits the batch; once Shutdown closes the queue
+// and it drains, it runs the engine's final sweep and publishes the
+// result.
+func (s *Server) engineLoop() {
 	defer close(s.engineDone)
-	<-s.cl.Done()
-	res, err := s.cl.Finish()
-	if err != nil && errors.Is(err, netstate.ErrPreparedLeak) && res != nil {
-		log.Printf("server: prepare-ledger leak at drain: %v", err)
-		err = nil
+	batch := make([]*pending, 0, s.cfg.BatchSize)
+	for p := range s.queue {
+		if s.cfg.testGate != nil {
+			<-s.cfg.testGate
+		}
+		batch = append(batch[:0], p)
+	collect:
+		for len(batch) < s.cfg.BatchSize {
+			select {
+			case more, ok := <-s.queue:
+				if !ok {
+					break collect
+				}
+				batch = append(batch, more)
+			default:
+				break collect
+			}
+		}
+		s.runBatch(batch)
 	}
-	s.result, s.resultErr = res, err
+	s.result, s.resultErr = s.eng.Finish()
 }
 
 // Algorithm returns the engine's algorithm display name.
-func (s *Server) Algorithm() string { return s.cl.Algorithm() }
-
-// NumShards returns the admission-engine shard count.
-func (s *Server) NumShards() int { return s.cl.NumShards() }
+func (s *Server) Algorithm() string { return s.eng.Algorithm() }
 
 // Horizon returns the number of slots served.
 func (s *Server) Horizon() int { return s.horizon }
@@ -362,32 +344,25 @@ func (s *Server) Slot() int { return s.clock.now(s.now()) }
 var (
 	errShed     = fmt.Errorf("server: ingress queue full")
 	errDraining = fmt.Errorf("server: draining")
-	// errOverloadedShard is a routed shard's token bucket running dry:
-	// HTTP 429 with reason "overloaded_shard".
-	errOverloadedShard = fmt.Errorf("server: shard overloaded")
 )
 
-// enqueue routes one pending booking to a shard and hands it to that
-// shard's loop without ever blocking: a full queue (or a dry shard
-// token bucket) sheds immediately (backpressure), a draining server
-// refuses.
+// enqueue hands one pending booking to the engine loop without ever
+// blocking: a full queue sheds immediately (backpressure), a draining
+// server refuses.
 func (s *Server) enqueue(p *pending) error {
 	s.lifeMu.RLock()
 	defer s.lifeMu.RUnlock()
 	if s.draining {
 		return errDraining
 	}
-	sh, err := s.cl.Route(p.src)
-	if err != nil {
+	select {
+	case s.queue <- p:
+	default:
 		s.ctrShed.Inc()
-		return errOverloadedShard
-	}
-	p.shard = sh.ID()
-	if err := sh.Submit(p); err != nil {
-		s.ctrShed.Inc()
+		s.statShed.Add(1)
 		return errShed
 	}
-	depth := int64(s.cl.QueuedTotal())
+	depth := int64(len(s.queue))
 	s.gQueue.Set(float64(depth))
 	for {
 		hw := s.statQueueHW.Load()
@@ -410,7 +385,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.lifeMu.Lock()
 	if !s.draining {
 		s.draining = true
-		s.cl.CloseIntake()
+		close(s.queue)
 	}
 	s.lifeMu.Unlock()
 	select {
@@ -450,41 +425,38 @@ func (s *Server) Result() (*sim.Result, error) {
 	}
 }
 
-// runBatch is the shard loop body (cluster.Config.RunBatch): it runs on
-// the shard's goroutine with a batch of queued requests and admits them
-// in arrival order through that shard's engine. Engine errors are
-// recorded on the reservation (StatusError) rather than crashing the
-// daemon — they indicate bugs, and the obs counters make them visible.
-func (s *Server) runBatch(sh *cluster.Shard, items []any) {
-	s.gQueue.Set(float64(s.cl.QueuedTotal()))
+// runBatch admits a batch of queued requests in arrival order, on the
+// engine goroutine. Engine errors are recorded on the reservation
+// (StatusError) rather than crashing the daemon — they indicate bugs,
+// and the obs counters make them visible.
+func (s *Server) runBatch(batch []*pending) {
+	s.gQueue.Set(float64(len(s.queue)))
 	s.ctrBatches.Inc()
 	if s.tracing {
 		now := s.now()
-		for _, it := range items {
-			q := it.(*pending)
+		for _, q := range batch {
 			q.rec.End(q.qwSpan, now)
 			q.bwSpan = q.rec.Begin(PhaseBatchWait, now)
 		}
 	}
-	for _, it := range items {
-		s.admitOne(sh, it.(*pending))
+	for _, p := range batch {
+		s.admitOne(p)
 	}
 }
 
-// admitOne is one request's turn on its shard's goroutine.
-func (s *Server) admitOne(sh *cluster.Shard, p *pending) {
+// admitOne is one request's turn on the engine goroutine.
+func (s *Server) admitOne(p *pending) {
 	defer close(p.done)
-	eng := sh.Engine()
+	eng := s.eng
 
 	if s.tracing {
 		now := s.now()
 		p.rec.End(p.bwSpan, now)
 		p.eaSpan = p.rec.Begin(PhaseEngineAdmit, now)
-		probe := &s.probes[sh.ID()]
 		// Deferred so every settle path (horizon, expired, error,
 		// decision) gets the same finalisation; defers run LIFO, so this
 		// completes the trace before close(p.done) releases the handler.
-		defer s.finishEngineTrace(p, probe, probe.read(), p.rec.SinceNs(now))
+		defer s.finishEngineTrace(p, s.probe.read(), p.rec.SinceNs(now))
 	}
 
 	// Resolve the arrival slot: the clock's current slot, or — in
@@ -538,7 +510,6 @@ func (s *Server) admitOne(sh *cluster.Shard, p *pending) {
 		RateMbps:    p.rate,
 		Valuation:   p.val,
 	})
-	p.cross = sh.TakeCrossShard()
 	if err != nil {
 		p.resv.Status = StatusError
 		p.resv.Reason = err.Error()
@@ -546,7 +517,6 @@ func (s *Server) admitOne(sh *cluster.Shard, p *pending) {
 		return
 	}
 	s.statTotal.Add(1)
-	sh.NoteDecision(d.Accepted)
 	if d.Accepted {
 		p.resv.Status = StatusAccepted
 		p.resv.Price = d.Price
@@ -590,10 +560,10 @@ func (s *Server) store(p *pending) {
 // admission's counter deltas, and settles who emits the audit record:
 // normally the handler (after it writes the response), or the engine
 // itself when the handler's client abandoned the wait.
-func (s *Server) finishEngineTrace(p *pending, probe *engineProbe, before probeSample, admitStartNs int64) {
+func (s *Server) finishEngineTrace(p *pending, before probeSample, admitStartNs int64) {
 	now := s.now()
 	p.rec.End(p.eaSpan, now)
-	d := probe.read().sub(before)
+	d := s.probe.read().sub(before)
 	p.stats = d
 	// The search timers include the pricing callbacks they invoke;
 	// report disjoint sub-phases by subtracting.
@@ -629,8 +599,6 @@ func (s *Server) emitDecided(p *pending, now time.Time) {
 		ArrivalSlot:  p.resv.ArrivalSlot,
 		StartSlot:    p.resv.StartSlot,
 		EndSlot:      p.resv.EndSlot,
-		Shard:        p.shard,
-		CrossShard:   p.cross,
 		Searches:     p.stats.searches,
 		PrunedLabels: p.stats.pruned,
 		HeapPops:     p.stats.heapPops,
@@ -703,10 +671,6 @@ type Stats struct {
 	Draining       bool              `json:"draining"`
 	SLO            []obs.SLOSnapshot `json:"slo"`
 	Trace          *TraceStats       `json:"trace,omitempty"`
-	// Shards is the per-shard cluster section, present only when the
-	// service runs more than one shard (single-shard output is unchanged).
-	Shards []cluster.ShardStats `json:"shards,omitempty"`
-	Router string               `json:"router,omitempty"`
 }
 
 // SLOSnapshots returns the current state of every SLO class, for
@@ -721,20 +685,20 @@ func (s *Server) StatsSnapshot() Stats {
 	draining := s.draining
 	s.lifeMu.RUnlock()
 	st := Stats{
-		Algorithm:      s.cl.Algorithm(),
+		Algorithm:      s.Algorithm(),
 		Version:        buildinfo.Read().Version,
 		UptimeSeconds:  s.now().Sub(s.started).Seconds(),
 		Slot:           s.Slot(),
 		Horizon:        s.horizon,
 		ClockRate:      s.cfg.ClockRate,
-		QueueDepth:     s.cl.QueuedTotal(),
+		QueueDepth:     len(s.queue),
 		QueueHighWater: s.statQueueHW.Load(),
 		QueueCapacity:  s.cfg.QueueDepth,
 		BatchSize:      s.cfg.BatchSize,
 		Total:          s.statTotal.Load(),
 		Accepted:       s.statAccepted.Load(),
 		Rejected:       s.statRejected.Load(),
-		Shed:           s.ctrShed.Value(),
+		Shed:           s.statShed.Load(),
 		Revenue:        s.revenue(),
 		Draining:       draining,
 		SLO:            s.SLOSnapshots(),
@@ -746,26 +710,14 @@ func (s *Server) StatsSnapshot() Stats {
 			Dropped: s.sink.ctrDropped.Value(),
 		}
 	}
-	if s.cl.NumShards() > 1 {
-		st.Shards = s.cl.Stats()
-		st.Router = s.cfg.Router.String()
-	}
 	return st
 }
 
 // addRevenue accumulates an accepted booking's price into the stats
-// mirror. With one shard the adds happen in engine order, so the float
-// sum is bit-identical to the engine's own Revenue accumulator; with
-// several shards the CAS loop makes concurrent adds safe (summation
-// order, and hence the last few ulps, then depend on interleaving).
+// mirror. Only the engine goroutine writes it, in engine order, so the
+// float sum is bit-identical to the engine's own Revenue accumulator.
 func (s *Server) addRevenue(price float64) {
-	for {
-		old := s.statRevenue.Load()
-		next := math.Float64bits(math.Float64frombits(old) + price)
-		if s.statRevenue.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	s.statRevenue.Store(math.Float64bits(s.revenue() + price))
 }
 
 func (s *Server) revenue() float64 { return math.Float64frombits(s.statRevenue.Load()) }

@@ -118,14 +118,12 @@ func postBook(t *testing.T, url string, br BookRequest) (int, BookResponse) {
 	return resp.StatusCode, out
 }
 
-// checkShardInvariants verifies every shard engine's ledgers once the
-// server has drained (the engines are quiesced after Shutdown).
-func checkShardInvariants(t *testing.T, srv *Server) {
+// checkInvariants verifies the engine's ledgers once the server has
+// drained (the engine is quiesced after Shutdown).
+func checkInvariants(t *testing.T, srv *Server) {
 	t.Helper()
-	for i := 0; i < srv.cl.NumShards(); i++ {
-		if err := srv.cl.Shard(i).Engine().State().CheckInvariants(); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
+	if err := srv.eng.State().CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -218,19 +216,32 @@ func TestServedStreamMatchesBatchRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkShardInvariants(t, srv)
+	checkInvariants(t, srv)
 	if !reflect.DeepEqual(batchRes, servedRes) {
 		t.Fatalf("served result diverges from batch result:\nbatch:  %+v\nserved: %+v", batchRes, servedRes)
 	}
 }
 
+// TestNewRejectsMoreThanOneShard: Config.Shards is a benchmark-compat
+// field, not a setting; anything but 0 or 1 must fail loudly.
+func TestNewRejectsMoreThanOneShard(t *testing.T) {
+	if _, err := New(Config{Provider: testProvider(t), Run: testRunConfig(t, 2, 1), Shards: 2}); err == nil {
+		t.Fatal("New accepted Shards: 2")
+	}
+}
+
 // TestOverloadSheds verifies explicit backpressure: with the engine
 // stalled and the ingress queue full, further bookings get an immediate
-// StatusOverloaded response (HTTP 429), the server.shed counter matches
-// the client-observed sheds, and nothing blocks.
+// StatusOverloaded response (HTTP 429), the server.shed counter and
+// /v1/stats' requests_shed match the client-observed sheds — the latter
+// with or without an obs registry — and nothing blocks.
 func TestOverloadSheds(t *testing.T) {
+	t.Run("observed", func(t *testing.T) { testOverloadSheds(t, obs.New()) })
+	t.Run("no_registry", func(t *testing.T) { testOverloadSheds(t, nil) })
+}
+
+func testOverloadSheds(t *testing.T, reg *obs.Registry) {
 	rc := testRunConfig(t, 2, 7)
-	reg := obs.New()
 	rc.Obs = reg
 	gate := make(chan struct{})
 	s, hs := newTestServer(t, Config{
@@ -255,7 +266,7 @@ func TestOverloadSheds(t *testing.T) {
 	}()
 	// The engine parks on the gate having popped the first booking;
 	// wait until the queue is observably drained of it.
-	waitFor(t, func() bool { return s.cl.QueuedTotal() == 0 && s.ctrBatches.Value() == 0 })
+	waitFor(t, func() bool { return len(s.queue) == 0 && s.ctrBatches.Value() == 0 })
 
 	// Fill the queue to capacity; these must enqueue without shedding.
 	resps := make([]chan BookResponse, 2)
@@ -267,7 +278,7 @@ func TestOverloadSheds(t *testing.T) {
 			ch <- out
 		}()
 	}
-	waitFor(t, func() bool { return s.cl.QueuedTotal() == 2 })
+	waitFor(t, func() bool { return len(s.queue) == 2 })
 
 	// Queue full: the next bookings shed immediately.
 	const sheds = 3
@@ -283,8 +294,13 @@ func TestOverloadSheds(t *testing.T) {
 			t.Fatalf("shed %d: shed response carries a reservation", i)
 		}
 	}
-	if got := reg.Counter("server.shed").Value(); got != sheds {
-		t.Errorf("server.shed = %d, want %d (must match client-observed sheds)", got, sheds)
+	if reg != nil {
+		if got := reg.Counter("server.shed").Value(); got != sheds {
+			t.Errorf("server.shed = %d, want %d (must match client-observed sheds)", got, sheds)
+		}
+	}
+	if got := s.StatsSnapshot().Shed; got != sheds {
+		t.Errorf("requests_shed = %d, want %d (must match client-observed sheds)", got, sheds)
 	}
 
 	// Open the gate: every queued booking settles.
@@ -298,6 +314,76 @@ func TestOverloadSheds(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("queued booking %d never settled", i)
 		}
+	}
+}
+
+// TestBatchLoopCollectsQueuedBookings covers the multi-item batch path:
+// with five bookings queued before the gate opens, BatchSize 4 must admit
+// them as a batch of four and a batch of one, in the order they were
+// queued.
+func TestBatchLoopCollectsQueuedBookings(t *testing.T) {
+	rc := testRunConfig(t, 2, 11)
+	reg := obs.New()
+	rc.Obs = reg
+	var buf bytes.Buffer
+	tw := trace.NewWriter(&buf)
+	rc.Trace = tw
+	gate := make(chan struct{})
+	s, _ := newTestServer(t, Config{
+		Run: rc, BatchSize: 4, QueueDepth: 8, testGate: gate,
+	})
+
+	// Enqueued directly, one after the other, so queue order is id order:
+	// the engine pops the first and parks on the gate, four stay queued.
+	queued := make([]*pending, 5)
+	for i := range queued {
+		p, err := s.newPending(BookRequest{
+			Src:      EndpointRef{Kind: "ground", Index: 0},
+			Dst:      EndpointRef{Kind: "ground", Index: 1},
+			RateMbps: 600,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.enqueue(p); err != nil {
+			t.Fatal(err)
+		}
+		queued[i] = p
+	}
+	close(gate)
+	for i, p := range queued {
+		select {
+		case <-p.done:
+			if st := p.resv.Status; st != StatusAccepted && st != StatusRejected {
+				t.Errorf("booking %d settled as %q", i, st)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("booking %d never settled", i)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("server.batches").Value(); got != 2 {
+		t.Errorf("server.batches = %d, want 2 (a batch of four, then one)", got)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	records, err := trace.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var admitted []int
+	for _, r := range records {
+		if r.Kind == trace.KindDecision {
+			admitted = append(admitted, r.RequestID)
+		}
+	}
+	if want := []int{1, 2, 3, 4, 5}; !reflect.DeepEqual(admitted, want) {
+		t.Errorf("engine admitted reservations in order %v, want %v", admitted, want)
 	}
 }
 
@@ -325,7 +411,7 @@ func TestGracefulDrain(t *testing.T) {
 			ch <- out
 		}()
 	}
-	waitFor(t, func() bool { return s.cl.QueuedTotal() >= 1 && s.ctrBatches.Value() == 0 })
+	waitFor(t, func() bool { return len(s.queue) >= 1 && s.ctrBatches.Value() == 0 })
 
 	done := make(chan error, 1)
 	go func() {

@@ -95,10 +95,10 @@ func TestStatsQueueHighWaterAndShed(t *testing.T) {
 			ch <- out
 		}()
 		if i == 0 {
-			waitFor(t, func() bool { return s.ctrBatches.Value() == 0 && s.cl.QueuedTotal() == 0 })
+			waitFor(t, func() bool { return s.ctrBatches.Value() == 0 && len(s.queue) == 0 })
 		}
 	}
-	waitFor(t, func() bool { return s.cl.QueuedTotal() == 2 })
+	waitFor(t, func() bool { return len(s.queue) == 2 })
 
 	// Queue full: one more sheds.
 	if code, _ := postBook(t, hs.URL, br); code != http.StatusTooManyRequests {
@@ -121,7 +121,7 @@ func TestStatsQueueHighWaterAndShed(t *testing.T) {
 		<-ch
 	}
 	// The high-water mark sticks after the queue drains.
-	waitFor(t, func() bool { return s.cl.QueuedTotal() == 0 })
+	waitFor(t, func() bool { return len(s.queue) == 0 })
 	if st := getStats(); st.QueueHighWater != 2 {
 		t.Errorf("queue_high_water after drain = %d, want 2 (must be sticky)", st.QueueHighWater)
 	}
@@ -158,7 +158,7 @@ func TestGracefulDrainFlushesAudit(t *testing.T) {
 			ch <- out
 		}()
 	}
-	waitFor(t, func() bool { return s.cl.QueuedTotal() >= queued-1 && s.ctrBatches.Value() == 0 })
+	waitFor(t, func() bool { return len(s.queue) >= queued-1 && s.ctrBatches.Value() == 0 })
 
 	done := make(chan error, 1)
 	go func() {
@@ -261,7 +261,7 @@ func TestAuditExactlyOnce(t *testing.T) {
 		_, out := postBook(t, hs.URL, br("req-parked"))
 		parked <- out
 	}()
-	waitFor(t, func() bool { return s.ctrBatches.Value() == 0 && s.cl.QueuedTotal() == 0 })
+	waitFor(t, func() bool { return s.ctrBatches.Value() == 0 && len(s.queue) == 0 })
 	queued := make([]chan BookResponse, 2)
 	for i := range queued {
 		queued[i] = make(chan BookResponse, 1)
@@ -272,7 +272,7 @@ func TestAuditExactlyOnce(t *testing.T) {
 			ch <- out
 		}()
 	}
-	waitFor(t, func() bool { return s.cl.QueuedTotal() == 2 })
+	waitFor(t, func() bool { return len(s.queue) == 2 })
 	shedIDs := []string{"req-shed-0", "req-shed-1"}
 	for _, id := range shedIDs {
 		if code, _ := postBook(t, hs.URL, br(id)); code != http.StatusTooManyRequests {

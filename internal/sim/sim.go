@@ -324,8 +324,6 @@ func ClassifyReason(reason string) string {
 		return "priced-out"
 	case strings.Contains(reason, "energy infeasible"):
 		return "energy-infeasible"
-	case strings.Contains(reason, "cross-shard conflict"):
-		return "conflict"
 	default:
 		return "other"
 	}

@@ -6,13 +6,7 @@
 # /debug/constellation.json, /debug/map.svg), then verify a clean
 # SIGTERM drain (daemon exits 0 and logs its drained summary).
 #
-# A second pass repeats the burst against a two-shard cluster
-# (-shards 2): /v1/stats must grow the per-shard section, at least one
-# booking must cross the shard boundary (two-phase prepare against both
-# shards), the drain must stay graceful, and the run report must carry
-# the cluster.* reconciliation counters (the obsdiff gate).
-#
-# A third pass runs the daemon on the arrival-driven clock
+# A second pass runs the daemon on the arrival-driven clock
 # (-clock-rate 0): spaceload must pin its generated slots so the clock
 # follows the stream, i.e. /v1/stats ends past slot 0 and at least one
 # accepted reservation starts past slot 0. (Before spaceload sent
@@ -62,48 +56,7 @@ kill -TERM "$SPACED_PID"
 wait "$SPACED_PID"
 SPACED_PID=""
 grep -q '^drained:' "$LOG" || { cat "$LOG" >&2; echo "smoke_spaced: no drained summary in daemon log" >&2; exit 1; }
-echo "smoke_spaced: single-shard pass OK ($ACCEPTED accepts, clean drain)"
-
-# --- Cluster mode: the same burst against two shard engines. ---
-LOG2="$WORK/spaced-shards.log"
-REPORT2="$WORK/spaced-shards-report.json"
-"$WORK/spaced" -addr 127.0.0.1:0 -clock-rate 4 -queue-depth 64 -batch-size 8 \
-  -shards 2 -router round-robin -report "$REPORT2" >"$LOG2" 2>&1 &
-SPACED_PID=$!
-
-ADDR2="$(wait_listening "$LOG2" "sharded spaced")"
-grep -q 'cluster     2 shards, round-robin router' "$LOG2" || { cat "$LOG2" >&2; echo "smoke_spaced: no cluster startup line" >&2; exit 1; }
-echo "smoke_spaced: sharded daemon up on $ADDR2"
-
-SUMMARY2="$("$WORK/spaceload" -addr "http://$ADDR2" -mode closed -concurrency 4 -duration 3s \
-  | tee /dev/stderr | sed -n 's/^SUMMARY //p')"
-ACCEPTED2="$(sed -n 's/.*accepted=\([0-9]*\).*/\1/p' <<<"$SUMMARY2")"
-ERRORS2="$(sed -n 's/.*errors=\([0-9]*\).*/\1/p' <<<"$SUMMARY2")"
-[[ "${ACCEPTED2:-0}" -gt 0 ]] || { echo "smoke_spaced: zero accepted bookings under -shards 2 ($SUMMARY2)" >&2; exit 1; }
-[[ "${ERRORS2:-1}" -eq 0 ]] || { echo "smoke_spaced: client errors under -shards 2 ($SUMMARY2)" >&2; exit 1; }
-
-# /v1/stats must expose the shard section: two rows, the router name,
-# and at least one cross-shard booking (round-robin over a multi-plane
-# constellation makes one essentially certain in a multi-second burst).
-STATS="$(curl -fsS "http://$ADDR2/v1/stats")"
-grep -q '"shards"' <<<"$STATS" || { echo "smoke_spaced: /v1/stats missing shard section: $STATS" >&2; exit 1; }
-grep -q '"router": *"round-robin"' <<<"$STATS" || { echo "smoke_spaced: /v1/stats missing router: $STATS" >&2; exit 1; }
-[[ "$(grep -co '"queue_depth"' <<<"$STATS")" -ge 1 ]] || { echo "smoke_spaced: shard rows malformed: $STATS" >&2; exit 1; }
-grep -Eq '"prepared": *[1-9]' <<<"$STATS" || { echo "smoke_spaced: no prepares recorded under -shards 2: $STATS" >&2; exit 1; }
-grep -Eq '"cross_shard": *[1-9]' <<<"$STATS" || { echo "smoke_spaced: no cross-shard bookings under -shards 2: $STATS" >&2; exit 1; }
-echo "smoke_spaced: shard stats OK"
-
-# Graceful drain, again — now through the cluster's two-phase intake.
-kill -TERM "$SPACED_PID"
-wait "$SPACED_PID"
-SPACED_PID=""
-grep -q '^drained:' "$LOG2" || { cat "$LOG2" >&2; echo "smoke_spaced: no drained summary from sharded daemon" >&2; exit 1; }
-
-# The run report must carry the cluster reconciliation counters and
-# survive an obsdiff self-diff (the perf-gate path stays cluster-aware).
-grep -q '"cluster.aborted.total"' "$REPORT2" || { echo "smoke_spaced: cluster.aborted.total missing from report" >&2; exit 1; }
-grep -q '"cluster.prepared.total"' "$REPORT2" || { echo "smoke_spaced: cluster.prepared.total missing from report" >&2; exit 1; }
-go run ./cmd/obsdiff "$REPORT2" "$REPORT2" >/dev/null
+echo "smoke_spaced: real-time pass OK ($ACCEPTED accepts, clean drain)"
 
 # --- Arrival-driven clock: the load generator's slots drive the server. ---
 LOG3="$WORK/spaced-arrival.log"
@@ -140,4 +93,4 @@ wait "$SPACED_PID"
 SPACED_PID=""
 echo "smoke_spaced: arrival-driven pass OK ($ACCEPTED3 accepts, clock at slot $SLOT3, last accept starts at slot $LATE_START)"
 
-echo "smoke_spaced: OK ($ACCEPTED accepts single-shard, $ACCEPTED2 accepts sharded, $ACCEPTED3 accepts arrival-driven, clean drains)"
+echo "smoke_spaced: OK ($ACCEPTED accepts real-time, $ACCEPTED3 accepts arrival-driven, clean drains)"
