@@ -211,28 +211,25 @@ func BenchmarkCompetitive(b *testing.B) {
 
 // --- Micro-benchmarks on the hot paths -------------------------------
 
-// benchCEARHandle drives full simulation runs with the given search
-// configuration; the per-iteration numbers are dominated by per-request
-// Handle work once the provider is warm. hotspotK > 0 turns on the
-// per-entity attribution layer (with the obs registry it requires).
-func benchCEARHandle(b *testing.B, generic, prune bool, hotspotK int) {
+// benchCEARHandle drives full simulation runs with or without budget
+// pruning; the per-iteration numbers are dominated by per-request Handle
+// work once the provider is warm. hotspotK > 0 turns on the per-entity
+// attribution layer (with the obs registry it requires).
+func benchCEARHandle(b *testing.B, prune bool, hotspotK int) {
 	b.Helper()
 	env := benchEnvironment(b)
 	rc, err := env.RunConfig(sim.AlgCEAR, env.WorkloadConfig(env.DefaultArrivalRate(), 1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	rc.GenericSearch = generic
 	rc.PruneBudget = prune
 	if hotspotK > 0 {
 		rc.Obs = obs.New()
 		rc.HotspotK = hotspotK
 	}
-	if !generic {
-		// Mirror the experiment scheduler: one pooled scratch serves
-		// every run on this goroutine.
-		rc.Scratch = netstate.NewSearchScratch()
-	}
+	// Mirror the experiment scheduler: one pooled scratch serves every run
+	// on this goroutine.
+	rc.Scratch = netstate.NewSearchScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -245,51 +242,21 @@ func benchCEARHandle(b *testing.B, generic, prune bool, hotspotK int) {
 // BenchmarkCEARHandle measures the per-request cost of Algorithm 1 on a
 // warm network, using the production configuration: the flat CSR fast
 // path with a reused search scratch.
-func BenchmarkCEARHandle(b *testing.B) { benchCEARHandle(b, false, false, 0) }
-
-// BenchmarkCEARHandleGeneric is the reference-path twin of
-// BenchmarkCEARHandle: Adjacency-interface views and the generic graph
-// searches. The gap between the two is the fast path's win.
-func BenchmarkCEARHandleGeneric(b *testing.B) { benchCEARHandle(b, true, false, 0) }
+func BenchmarkCEARHandle(b *testing.B) { benchCEARHandle(b, false, 0) }
 
 // BenchmarkCEARHandlePruned adds budget pruning on top of the fast path:
 // searches abandon plans that already exceed the request's valuation.
-func BenchmarkCEARHandlePruned(b *testing.B) { benchCEARHandle(b, false, true, 0) }
+func BenchmarkCEARHandlePruned(b *testing.B) { benchCEARHandle(b, true, 0) }
 
 // BenchmarkCEARHandleHotspots layers top-32 per-entity attribution onto
 // the production fast path: blame capture per rejection, commit-time
 // level observation per accept. Its gap over BenchmarkCEARHandle is the
 // full cost of hot-spot tracking.
-func BenchmarkCEARHandleHotspots(b *testing.B) { benchCEARHandle(b, false, false, 32) }
+func BenchmarkCEARHandleHotspots(b *testing.B) { benchCEARHandle(b, false, 32) }
 
-// BenchmarkViewDijkstra measures one min-price path search over the
-// generic LSN view, the innermost loop of every algorithm on the
-// reference path.
-func BenchmarkViewDijkstra(b *testing.B) {
-	env := benchEnvironment(b)
-	state, err := netstate.New(env.Provider, PaperEnergyConfig(), false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pair := env.Pairs[0]
-	slot := findBenchSlot(b, env, pair)
-	unit := func(netstate.LinkKey, graph.EdgeClass, float64, float64) float64 { return 1 }
-	view, err := netstate.NewView(state, slot, pair.Src, pair.Dst, 1000, unit)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := graph.ShortestPath(view, view.SrcNode(), view.DstNode(), nil); !ok {
-			b.Fatal("no path")
-		}
-	}
-}
-
-// BenchmarkFlatViewSearch is the fast-path twin of BenchmarkViewDijkstra,
-// including the per-slot view build (stamping the destination visibility
-// table) that production pays on every slot of every request.
+// BenchmarkFlatViewSearch measures one min-price path search on the fast
+// path, including the per-slot view build (stamping the destination
+// visibility table) that production pays on every slot of every request.
 func BenchmarkFlatViewSearch(b *testing.B) {
 	env := benchEnvironment(b)
 	state, err := netstate.New(env.Provider, PaperEnergyConfig(), false)

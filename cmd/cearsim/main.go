@@ -296,7 +296,6 @@ func buildReport(scale spacebooking.Scale, env *spacebooking.Environment, rc sim
 	rep.SetConfig("f2", f2)
 	rep.SetConfig("satellites", env.Provider.NumSats())
 	rep.SetConfig("horizon_min", env.Provider.Horizon())
-	rep.SetConfig("max_hops", rc.MaxHops)
 
 	rep.SetMetric("requests_total", float64(res.TotalRequests))
 	rep.SetMetric("requests_accepted", float64(res.Accepted))

@@ -1,7 +1,8 @@
 package spacebooking
 
 // Fast-path cross-checks: the flat CSR search path must be a drop-in
-// replacement for the generic Adjacency-interface path, and budget
+// replacement for the generic Adjacency-interface path (selected by
+// handing a run netstate.NewReferenceScratch()), and budget
 // pruning must never change an admission outcome. Both properties are
 // asserted at the Decision level (accepted flag, quoted price, full
 // plan) rather than on aggregate metrics, so any divergence in
@@ -12,7 +13,6 @@ import (
 	"reflect"
 	"testing"
 
-	"spacebooking/internal/baselines"
 	"spacebooking/internal/core"
 	"spacebooking/internal/netstate"
 	"spacebooking/internal/obs"
@@ -21,127 +21,77 @@ import (
 	"spacebooking/internal/workload"
 )
 
-// equivCase is one algorithm configuration exercised by the equivalence
-// sweep. MaxHops > 0 switches CEAR onto the hop-limited search, covering
-// both flat search kernels.
-type equivCase struct {
-	name    string
-	kind    sim.AlgorithmKind
-	maxHops int
-}
-
-func equivCases() []equivCase {
-	return []equivCase{
-		{name: "CEAR", kind: sim.AlgCEAR},
-		{name: "CEAR-hop6", kind: sim.AlgCEAR, maxHops: 6},
-		{name: "SSP", kind: sim.AlgSSP},
-		{name: "ECARS", kind: sim.AlgECARS},
-		{name: "ERU", kind: sim.AlgERU},
-		{name: "ERA", kind: sim.AlgERA},
-	}
-}
-
-// newSearchAlgorithm mirrors sim.buildAlgorithm's wiring for the kinds
-// under test, with explicit control over the search implementation and
-// budget pruning. Each call builds a fresh strict-battery state so the
-// two sides of a comparison never share reservations; the state is
-// returned for the end-of-run invariant check.
-func newSearchAlgorithm(t *testing.T, env *Environment, ec equivCase, rc sim.RunConfig, generic, prune bool) (router.Algorithm, *netstate.State) {
+// replayOnBothScratches admits one generated stream on two fresh engines of
+// the given kind — one handed the reference scratch, one on the flat fast
+// path — and fails unless every decision is byte-identical and both ledgers
+// keep their invariants. It returns the two runs' registries.
+func replayOnBothScratches(t *testing.T, env *Environment, kind sim.AlgorithmKind, rateMult float64, seed int64) (genericReg, flatReg *obs.Registry) {
 	t.Helper()
-	state, err := netstate.New(env.Provider, rc.Energy, false)
+	wl := env.WorkloadConfig(rateMult*env.DefaultArrivalRate(), seed)
+	rc, err := env.RunConfig(kind, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch ec.kind {
-	case sim.AlgCEAR:
-		alg, err := core.New(state, core.Options{
-			Pricing:          rc.Pricing,
-			MaxHops:          ec.maxHops,
-			UseGenericSearch: generic,
-			PruneBudget:      prune,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return alg, state
-	case sim.AlgSSP, sim.AlgECARS, sim.AlgERU, sim.AlgERA:
-		var (
-			alg *baselines.Baseline
-		)
-		switch ec.kind {
-		case sim.AlgSSP:
-			alg, err = baselines.NewSSP(state)
-		case sim.AlgECARS:
-			alg, err = baselines.NewECARS(state, rc.Weights)
-		case sim.AlgERU:
-			alg, err = baselines.NewERU(state, rc.Weights)
-		default:
-			alg, err = baselines.NewERA(state, rc.Weights)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		alg.SetGenericSearch(generic)
-		return alg, state
-	default:
-		t.Fatalf("unsupported kind %v", ec.kind)
-		return nil, nil
+	reqs, err := workload.Generate(wl)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(reqs) < 200 {
+		t.Fatalf("%v seed %d: only %d requests; the ledger never loads up", kind, seed, len(reqs))
+	}
+	genericReg, flatReg = obs.New(), obs.New()
+	rc.Scratch, rc.Obs = netstate.NewReferenceScratch(), genericReg
+	generic, err := sim.NewEngine(env.Provider, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.Scratch, rc.Obs = nil, flatReg
+	flat, err := sim.NewEngine(env.Provider, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range reqs {
+		dg, err := generic.Admit(req)
+		if err != nil {
+			t.Fatalf("%v seed %d: generic Admit(%d): %v", kind, seed, i, err)
+		}
+		df, err := flat.Admit(req)
+		if err != nil {
+			t.Fatalf("%v seed %d: flat Admit(%d): %v", kind, seed, i, err)
+		}
+		if !reflect.DeepEqual(dg, df) {
+			t.Fatalf("%v seed %d request %d: decisions diverge\ngeneric: %+v\nflat:    %+v",
+				kind, seed, i, dg, df)
+		}
+	}
+	checkInvariants(t, generic.State(), flat.State())
+	return genericReg, flatReg
 }
 
 // TestFlatSearchMatchesGenericSearch replays identical workloads through
 // the generic reference path and the flat CSR fast path and requires
-// byte-identical decisions for CEAR (Dijkstra and hop-limited) and every
-// baseline. Load is set above the default rate so congested (+Inf) edges,
-// energy-infeasible trials and rejections are all exercised, and every
-// stream is long enough (200 requests and more) that most batteries carry
-// a deficit span for most of it: CEAR's flat Dijkstra then prices pairs
-// of states through the look-ahead hook where the generic search prices
-// them one by one. The pairs may not change what is priced, only when —
-// the flat run may count at most one deficit walk per search more than
-// the generic run (the looked-ahead state a search ended before
-// expanding), and never fewer.
+// byte-identical decisions for CEAR and every baseline. Load is set above
+// the default rate so congested (+Inf) edges, energy-infeasible trials and
+// rejections are all exercised, and every stream is long enough (200
+// requests and more) that most batteries carry a deficit span for most of
+// it: CEAR's flat Dijkstra then prices pairs of states through the
+// look-ahead hook where the generic search prices them one by one. The
+// pairs may not change what is priced, only when — the flat run may count
+// at most one deficit walk per search more than the generic run (the
+// looked-ahead state a search ended before expanding), and never fewer.
 func TestFlatSearchMatchesGenericSearch(t *testing.T) {
 	env := smallEnv(t)
-	for _, ec := range equivCases() {
+	for _, kind := range []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP, sim.AlgECARS, sim.AlgERU, sim.AlgERA} {
 		for _, seed := range []int64{1, 7, 23} {
-			wl := env.WorkloadConfig(2*env.DefaultArrivalRate(), seed)
-			rc, err := env.RunConfig(ec.kind, wl)
-			if err != nil {
-				t.Fatal(err)
+			genericReg, flatReg := replayOnBothScratches(t, env, kind, 2, seed)
+			if n := genericReg.Counter("graph.fastpath.searches").Value(); n != 0 {
+				t.Fatalf("%v seed %d: the reference scratch ran %d flat searches", kind, seed, n)
 			}
-			reqs, err := workload.Generate(wl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(reqs) < 200 {
-				t.Fatalf("%s seed %d: only %d requests; the ledger never loads up", ec.name, seed, len(reqs))
-			}
-			genericAlg, genericState := newSearchAlgorithm(t, env, ec, rc, true, false)
-			flatAlg, flatState := newSearchAlgorithm(t, env, ec, rc, false, false)
-			genericReg, flatReg := obs.New(), obs.New()
-			genericState.SetObs(genericReg)
-			flatState.SetObs(flatReg)
-			for i, req := range reqs {
-				dg, err := genericAlg.Handle(req)
-				if err != nil {
-					t.Fatalf("%s seed %d: generic Handle(%d): %v", ec.name, seed, i, err)
-				}
-				df, err := flatAlg.Handle(req)
-				if err != nil {
-					t.Fatalf("%s seed %d: flat Handle(%d): %v", ec.name, seed, i, err)
-				}
-				if !reflect.DeepEqual(dg, df) {
-					t.Fatalf("%s seed %d request %d: decisions diverge\ngeneric: %+v\nflat:    %+v",
-						ec.name, seed, i, dg, df)
-				}
-			}
-			checkInvariants(t, genericState, flatState)
 			searches := flatReg.Counter("graph.fastpath.searches").Value()
 			extra := flatReg.Counter("energy.deficit_walks").Value() - genericReg.Counter("energy.deficit_walks").Value()
 			if searches == 0 || extra < 0 || extra > searches {
-				t.Fatalf("%s seed %d: the flat path counted %d more deficit walks than the generic path over %d searches",
-					ec.name, seed, extra, searches)
+				t.Fatalf("%v seed %d: the flat path counted %d more deficit walks than the generic path over %d searches",
+					kind, seed, extra, searches)
 			}
 		}
 	}
@@ -165,39 +115,7 @@ func checkInvariants(t *testing.T, states ...*netstate.State) {
 func TestAdaptiveFlatMatchesGeneric(t *testing.T) {
 	env := smallEnv(t)
 	for _, seed := range []int64{1, 7, 23, 42} {
-		wl := env.WorkloadConfig(3*env.DefaultArrivalRate(), seed)
-		rc, err := env.RunConfig(sim.AlgCEARAdaptive, wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs, err := workload.Generate(wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc.GenericSearch = true
-		generic, err := sim.NewEngine(env.Provider, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc.GenericSearch = false
-		flat, err := sim.NewEngine(env.Provider, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, req := range reqs {
-			dg, err := generic.Admit(req)
-			if err != nil {
-				t.Fatalf("seed %d: generic Admit(%d): %v", seed, i, err)
-			}
-			df, err := flat.Admit(req)
-			if err != nil {
-				t.Fatalf("seed %d: flat Admit(%d): %v", seed, i, err)
-			}
-			if !reflect.DeepEqual(dg, df) {
-				t.Fatalf("seed %d request %d: decisions diverge\ngeneric: %+v\nflat:    %+v", seed, i, dg, df)
-			}
-		}
-		checkInvariants(t, generic.State(), flat.State())
+		replayOnBothScratches(t, env, sim.AlgCEARAdaptive, 3, seed)
 	}
 }
 

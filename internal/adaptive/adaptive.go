@@ -100,15 +100,11 @@ type Config struct {
 	// NominalRatePerSlot anchors the predictor scaling; a prediction of
 	// exactly this load leaves the parameters unchanged.
 	NominalRatePerSlot float64
-	// MaxHops is forwarded to the inner CEAR.
-	MaxHops int
-	// UseGenericSearch, PruneBudget and Scratch are forwarded to the
-	// inner CEAR's routing options (see core.Options). One Scratch is
-	// shared by every rebuilt inner instance, so re-derivations keep the
-	// warm search arrays.
-	UseGenericSearch bool
-	PruneBudget      bool
-	Scratch          *netstate.SearchScratch
+	// PruneBudget and Scratch are forwarded to the inner CEAR's routing
+	// options (see core.Options). One Scratch is shared by every rebuilt
+	// inner instance, so re-derivations keep the warm search arrays.
+	PruneBudget bool
+	Scratch     *netstate.SearchScratch
 	// Predictor is optional; nil disables the AoP term.
 	Predictor Predictor
 	// Obs is forwarded to the inner CEAR (nil disables instrumentation).
@@ -217,12 +213,10 @@ func (c *Controller) rebuild() error {
 		return err
 	}
 	inner, err := core.New(c.state, core.Options{
-		Pricing:          params,
-		MaxHops:          c.cfg.MaxHops,
-		UseGenericSearch: c.cfg.UseGenericSearch,
-		PruneBudget:      c.cfg.PruneBudget,
-		Scratch:          c.cfg.Scratch,
-		Obs:              c.cfg.Obs,
+		Pricing:     params,
+		PruneBudget: c.cfg.PruneBudget,
+		Scratch:     c.cfg.Scratch,
+		Obs:         c.cfg.Obs,
 	})
 	if err != nil {
 		return err

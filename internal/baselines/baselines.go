@@ -92,20 +92,17 @@ type Baseline struct {
 	// thresholdJ is the precomputed over-threshold deficit in joules.
 	thresholdJ float64
 
-	// Routing fast-path state, mirroring core.CEAR: the pooled search
-	// scratch, a reusable consumption buffer, and cost/transit functions
-	// bound once at construction (method values reading curSlot/curRate,
-	// so the slot loop allocates no closures).
-	scratch   *netstate.SearchScratch
-	consBuf   []netstate.Consumption
-	generic   bool
-	edgeFn    netstate.EdgeCostFunc
-	transitFn graph.TransitCostFunc
-	curSlot   int
-	curRate   float64
-	slotSec   float64
-	ecfg      netstate.EnergyConfig
-	numSats   int
+	// Routing state, mirroring core.CEAR: the pooled search scratch and
+	// the cost/transit functions the slot step is handed, bound once at
+	// construction (method values reading curSlot/curRate, so the slot
+	// loop allocates no closures).
+	scratch *netstate.SearchScratch
+	search  netstate.SlotSearch
+	curSlot int
+	curRate float64
+	slotSec float64
+	ecfg    netstate.EnergyConfig
+	numSats int
 }
 
 var _ router.Algorithm = (*Baseline)(nil)
@@ -130,18 +127,14 @@ func newBaseline(state *netstate.State, m mode, opts WeightOptions) (*Baseline, 
 		ecfg:       state.EnergyConfig(),
 		numSats:    state.Provider().NumSats(),
 	}
-	b.edgeFn = b.edgeWeight
-	b.transitFn = b.transitWeight
+	b.search.EdgeCost = b.edgeWeight
+	b.search.Transit = b.transitWeight
 	return b, nil
 }
 
-// SetGenericSearch routes this baseline through the reference
-// implementation (netstate.View plus the generic graph searches)
-// instead of the flat fast path. The two produce identical decisions.
-func (b *Baseline) SetGenericSearch(generic bool) { b.generic = generic }
-
 // SetScratch replaces the baseline's private search scratch with a
-// shared (e.g. pooled) one. Nil is ignored.
+// shared one: a pooled scratch, or netstate.NewReferenceScratch() to
+// cross-check the fast path. Nil is ignored.
 func (b *Baseline) SetScratch(sc *netstate.SearchScratch) {
 	if sc != nil {
 		b.scratch = sc
@@ -202,7 +195,7 @@ func (o WeightOptions) hopBias() float64 {
 // transitWeight is every baseline's node transit cost for the current
 // (curSlot, curRate): the physical battery-feasibility mask (constraint
 // (7c)) composed with the mode's energy weight. Bound once as
-// b.transitFn. No algorithm may route through a satellite whose battery
+// b.search.Transit. No algorithm may route through a satellite whose battery
 // cannot carry the traffic; ERU additionally prunes over-threshold
 // satellites outright, checked before the mask (so its deficit-walk
 // counts match the original closure composition).
@@ -230,7 +223,7 @@ func (b *Baseline) transitWeight(node int, in, out graph.EdgeClass) float64 {
 }
 
 // edgeWeight is the per-edge cost of this baseline for the current
-// slot. Bound once as b.edgeFn.
+// slot. Bound once as b.search.EdgeCost.
 func (b *Baseline) edgeWeight(key netstate.LinkKey, class graph.EdgeClass, capacity, utilization float64) float64 {
 	switch b.mode {
 	case modeSSP:
@@ -266,61 +259,21 @@ func (b *Baseline) Handle(req workload.Request) (router.Decision, error) {
 		b.curRate = req.RateAt(slot)
 		b.curSlot = slot
 
-		var path graph.Path
-		var ok bool
-		var sv netstate.SlotView
-		var consumptions []netstate.Consumption
-		if b.generic {
-			view, err := netstate.NewView(b.state, slot, req.Src, req.Dst, b.curRate, b.edgeFn)
-			if err != nil {
-				txn.Rollback()
-				return router.Decision{}, fmt.Errorf("baselines: request %d slot %d: %w", req.ID, slot, err)
-			}
-			path, ok = graph.ShortestPath(view, view.SrcNode(), view.DstNode(), b.transitFn)
-			if ok {
-				consumptions = view.PathConsumptions(path)
-			}
-			sv = view
-		} else {
-			view, err := b.scratch.BuildView(b.state, slot, req.Src, req.Dst, b.curRate, b.edgeFn)
-			if err != nil {
-				txn.Rollback()
-				return router.Decision{}, fmt.Errorf("baselines: request %d slot %d: %w", req.ID, slot, err)
-			}
-			// Baselines do no admission pricing, so there is no budget
-			// to prune against.
-			path, ok, _ = view.Search(b.transitFn, 0, 0, math.Inf(1))
-			if ok {
-				b.consBuf = view.AppendConsumptions(path, b.consBuf)
-				consumptions = b.consBuf
-			}
-			sv = view
-		}
-		if !ok {
+		// Baselines do no admission pricing, so there is no budget to
+		// prune against.
+		path, outcome, err := b.scratch.RouteSlot(txn, slot, req.Src, req.Dst, b.curRate, &b.search, 0, math.Inf(1))
+		if outcome != netstate.SlotRouted {
 			txn.Rollback()
-			return router.Decision{
-				Reason: fmt.Sprintf("no feasible path at slot %d", slot),
-			}, nil
+			switch outcome {
+			case netstate.SlotFailed:
+				return router.Decision{}, fmt.Errorf("baselines: request %d slot %d: %w", req.ID, slot, err)
+			case netstate.SlotEnergyInfeasible:
+				return router.Decision{Reason: fmt.Sprintf("energy infeasible at slot %d: %v", slot, err)}, nil
+			default:
+				return router.Decision{Reason: fmt.Sprintf("no feasible path at slot %d", slot)}, nil
+			}
 		}
 		plan.Paths = append(plan.Paths, router.SlotPath{Slot: slot, Path: path})
-
-		// A path can transit one satellite in two roles whose energy
-		// draws are individually feasible but jointly not (the transit
-		// mask checks them independently); trial the slot as a whole.
-		if err := b.state.TrialConsume(consumptions); err != nil {
-			txn.Rollback()
-			return router.Decision{
-				Reason: fmt.Sprintf("energy infeasible at slot %d: %v", slot, err),
-			}, nil
-		}
-		if err := txn.ReservePath(sv, path); err != nil {
-			txn.Rollback()
-			return router.Decision{}, fmt.Errorf("baselines: request %d commit: %w", req.ID, err)
-		}
-		if err := txn.Consume(consumptions); err != nil {
-			txn.Rollback()
-			return router.Decision{}, fmt.Errorf("baselines: request %d energy commit: %w", req.ID, err)
-		}
 	}
 
 	txn.Commit()

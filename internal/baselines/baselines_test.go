@@ -187,15 +187,16 @@ func TestSSPPicksMinHop(t *testing.T) {
 	if err != nil || !d.Accepted {
 		t.Fatalf("%v %v", err, d.Reason)
 	}
-	// Recompute the min-hop path on a fresh view with the same demand and
-	// verify SSP's path has the same hop count. (Bandwidth reserved by
-	// the accept does not saturate any link at 500 Mbps.)
+	// Recompute the min-hop path — the shortest one under unit edge costs —
+	// on a fresh view with the same demand and verify SSP's path has the
+	// same hop count. (Bandwidth reserved by the accept does not saturate
+	// any link at 500 Mbps.)
 	view, err := netstate.NewView(state, req.StartSlot, req.Src, req.Dst, req.RateMbps,
 		func(netstate.LinkKey, graph.EdgeClass, float64, float64) float64 { return 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok := graph.MinHopPath(view, view.SrcNode(), view.DstNode())
+	p, ok := graph.ShortestPath(view, view.SrcNode(), view.DstNode(), nil)
 	if !ok {
 		t.Fatal("no min-hop path")
 	}
@@ -348,7 +349,7 @@ func TestERAReweightsOverThresholdSatellites(t *testing.T) {
 		t.Fatal(err)
 	}
 	era.curSlot = 0
-	cost := era.edgeFn
+	cost := era.search.EdgeCost
 	over := cost(netstate.MakeLinkKey(5, 6), graph.ClassISL, 20000, 0.5)
 	fresh := cost(netstate.MakeLinkKey(7, 8), graph.ClassISL, 20000, 0.5)
 	// Over threshold: 0.15*0.5 + (1-0.15-0.7) = 0.225.
@@ -368,7 +369,7 @@ func TestECARSEdgeCostLinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	ecars.curSlot = 0
-	cost := ecars.edgeFn
+	cost := ecars.search.EdgeCost
 	// 0.3*λ + 0.35 hop bias.
 	if got := cost(netstate.MakeLinkKey(0, 1), graph.ClassISL, 20000, 0); math.Abs(got-0.35) > 1e-9 {
 		t.Errorf("cost at λ=0: %v, want 0.35", got)

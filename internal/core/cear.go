@@ -21,7 +21,6 @@ import (
 	"spacebooking/internal/obs"
 	"spacebooking/internal/pricing"
 	"spacebooking/internal/router"
-	"spacebooking/internal/topology"
 	"spacebooking/internal/workload"
 )
 
@@ -29,12 +28,6 @@ import (
 type Options struct {
 	// Pricing holds μ1/μ2 and the conservativeness parameters.
 	Pricing pricing.Params
-	// MaxHops, when positive, routes with the hop-limited search (the
-	// paper's n); zero uses unbounded Dijkstra, which is faster and — on
-	// LEO grids, where price grows with hops — yields the same paths in
-	// practice.
-	MaxHops int
-
 	// DisableEnergyPricing zeroes the energy term of Eq. (12) while
 	// keeping battery feasibility (ablation "CEAR-NE").
 	DisableEnergyPricing bool
@@ -45,12 +38,6 @@ type Options struct {
 	// linear (μ−1)·λ (ablation "CEAR-LIN").
 	LinearPricing bool
 
-	// UseGenericSearch routes through the reference implementation — the
-	// Adjacency-interface netstate.View and the generic graph searches —
-	// instead of the flat CSR fast path. The two produce byte-identical
-	// decisions (asserted by the repo's equivalence tests); the generic
-	// path exists for cross-checking and debugging, not production runs.
-	UseGenericSearch bool
 	// PruneBudget enables budget pruning in the fast-path searches: a
 	// search label whose accumulated plan price already exceeds the
 	// request's valuation is abandoned, since admission would reject any
@@ -65,12 +52,13 @@ type Options struct {
 	// a plain run's bit for bit only while both roll back the same
 	// reservations: the plain run reserves and releases slots a pruned
 	// run never reaches, and releasing r from a link holding a leaves
-	// (a+r)−r, so later prices can differ in their last bits. Ignored by
-	// the generic search and when DisableAdmission is set.
+	// (a+r)−r, so later prices can differ in their last bits. Ignored
+	// when DisableAdmission is set.
 	PruneBudget bool
-	// Scratch supplies the pooled search scratch the fast path runs on.
+	// Scratch supplies the pooled search scratch the slot searches run on.
 	// Nil allocates a private one; the experiment scheduler passes a
-	// pooled scratch so parallel runs reuse warm arrays.
+	// pooled scratch so parallel runs reuse warm arrays, and tests pass
+	// netstate.NewReferenceScratch() to run the reference search.
 	Scratch *netstate.SearchScratch
 
 	// Obs, when non-nil, attaches admission counters and histograms
@@ -103,15 +91,13 @@ type CEAR struct {
 	units     []energy.UnitPrices
 	unitPrice func(utilization float64) float64
 
-	// Routing fast-path state: the pooled search scratch, a reusable
-	// consumption buffer, and the cost/transit functions bound once at
-	// construction (method values, so the per-slot loop allocates no
-	// closures; they read curDemand/curSlot set before each search).
+	// Routing state: the pooled search scratch and what the slot step is
+	// told about this instance's searches — the cost, transit and
+	// look-ahead functions bound once at construction (method values, so
+	// the per-slot loop allocates no closures; they read curDemand/curSlot)
+	// and the idle-ISL price, which beginSearch sets per slot.
 	scratch   *netstate.SearchScratch
-	consBuf   []netstate.Consumption
-	edgeFn    netstate.EdgeCostFunc
-	transitFn graph.TransitCostFunc
-	aheadFn   netstate.LookAheadFunc
+	search    netstate.SlotSearch
 	curDemand float64
 	curSlot   int
 	slotSec   float64
@@ -143,9 +129,6 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 	if err := opts.Pricing.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.MaxHops < 0 {
-		return nil, fmt.Errorf("core: negative max hops %d", opts.MaxHops)
-	}
 	numSats := state.Provider().NumSats()
 	c := &CEAR{
 		state:     state,
@@ -161,13 +144,13 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 	if c.scratch == nil {
 		c.scratch = netstate.NewSearchScratch()
 	}
-	c.edgeFn = c.priceEdgeCost
-	c.transitFn = c.priceTransit
+	c.search.EdgeCost = c.priceEdgeCost
+	c.search.Transit = c.priceTransit
 	c.unitPrice = c.energyUnitPrice
 	if !opts.DisableEnergyPricing {
 		// Without energy pricing nothing is summed: there is no chain of
 		// additions for a second lane to overlap with.
-		c.aheadFn = c.priceAhead
+		c.search.LookAhead = c.priceAhead
 	}
 	if reg := opts.Obs; reg != nil {
 		c.ctrEvaluations = reg.Counter("core.admission.evaluations")
@@ -287,8 +270,8 @@ func nanotime() int64 { return int64(time.Since(clockBase)) }
 const hopEpsilon = 1e-6
 
 // priceEdgeCost is the per-edge congestion price of Eq. (10) for the
-// current slot's demand (curDemand). Bound once as c.edgeFn so the slot
-// loop passes it without allocating a closure per slot.
+// current slot's demand (curDemand). Bound once as c.search.EdgeCost so
+// the slot loop passes it without allocating a closure per slot.
 func (c *CEAR) priceEdgeCost(key netstate.LinkKey, class graph.EdgeClass, capacity, utilization float64) float64 {
 	return c.congestionUnitPrice(utilization)*c.curDemand + hopEpsilon
 }
@@ -321,8 +304,11 @@ func transitRole(in, out graph.EdgeClass) int {
 func transitKey(node, role int) int { return node*transitRoles + role }
 
 // beginSearch points the bound cost functions at one slot search: its
-// slot and demand, a fresh transit-cache epoch, and the four roles'
-// joules — fixed by the demand, so computed here rather than per call.
+// slot and demand, a fresh transit-cache epoch, the four roles' joules —
+// fixed by the demand, so computed here rather than per call — and what an
+// unreserved ISL costs. priceEdgeCost reads nothing but the utilization
+// and the search's demand, so its own value at utilization 0 is this
+// search's price of every idle ISL, whatever the pricing variant.
 func (c *CEAR) beginSearch(slot int, demand float64) {
 	c.curSlot, c.curDemand = slot, demand
 	c.epoch++
@@ -338,27 +324,12 @@ func (c *CEAR) beginSearch(slot int, demand float64) {
 			c.roleJoules[transitRole(in, out)] = c.energyCfg.TransitEnergyJ(in, out, demand, c.slotSec)
 		}
 	}
-}
-
-// searchView builds the fast path's view of the search beginSearch set
-// up and attaches what only this instance can tell it: the look-ahead
-// hook, and what an unreserved ISL costs. priceEdgeCost reads nothing but
-// the utilization and the search's demand, so its own value at
-// utilization 0 is this search's price of every idle ISL, whatever the
-// pricing variant.
-func (c *CEAR) searchView(src, dst topology.Endpoint) (*netstate.FlatView, error) {
-	view, err := c.scratch.BuildView(c.state, c.curSlot, src, dst, c.curDemand, c.edgeFn)
-	if err != nil {
-		return nil, err
-	}
-	view.LookAhead = c.aheadFn
-	view.IdleISLCost = c.edgeFn(0, graph.ClassISL, c.islCap, 0)
-	return view, nil
+	c.search.IdleISLCost = c.search.EdgeCost(0, graph.ClassISL, c.islCap, 0)
 }
 
 // priceTransit is the memoised role-dependent energy transit cost for
 // the current (slot, demand), invalidated by beginSearch. Bound once as
-// c.transitFn.
+// c.search.Transit.
 func (c *CEAR) priceTransit(node int, in, out graph.EdgeClass) float64 {
 	role := transitRole(in, out)
 	e := &c.transit[transitKey(node, role)]
@@ -427,82 +398,33 @@ func (c *CEAR) Handle(req workload.Request) (router.Decision, error) {
 	txn := c.state.Begin()
 	for slot := req.StartSlot; slot <= req.EndSlot; slot++ {
 		c.beginSearch(slot, req.RateAt(slot))
-
 		c.ctrSlotSearch.Inc()
-		var path graph.Path
-		var ok, pruned bool
-		var sv netstate.SlotView
-		var consumptions []netstate.Consumption
-		if c.opts.UseGenericSearch {
-			view, err := netstate.NewView(c.state, slot, req.Src, req.Dst, c.curDemand, c.edgeFn)
-			if err != nil {
-				txn.Rollback()
-				return router.Decision{}, fmt.Errorf("core: request %d slot %d: %w", req.ID, slot, err)
-			}
-			if c.opts.MaxHops > 0 {
-				path, ok = graph.ShortestPathHopLimited(view, view.SrcNode(), view.DstNode(), c.opts.MaxHops, c.transitFn)
-			} else {
-				path, ok = graph.ShortestPath(view, view.SrcNode(), view.DstNode(), c.transitFn)
-			}
-			if ok {
-				consumptions = view.PathConsumptions(path)
-			}
-			sv = view
-		} else {
-			view, err := c.searchView(req.Src, req.Dst)
-			if err != nil {
-				txn.Rollback()
-				return router.Decision{}, fmt.Errorf("core: request %d slot %d: %w", req.ID, slot, err)
-			}
-			path, ok, pruned = view.Search(c.transitFn, c.opts.MaxHops, totalPrice, budgetLimit)
-			if ok {
-				c.consBuf = view.AppendConsumptions(path, c.consBuf)
-				consumptions = c.consBuf
-			}
-			sv = view
-		}
-		if !ok {
+
+		// Lines 2-4 and 7-16 for this slot: min-price path, then reserve
+		// its bandwidth and apply its energy consumption so the next slot's
+		// search prices the updated state.
+		path, outcome, err := c.scratch.RouteSlot(txn, slot, req.Src, req.Dst, c.curDemand, &c.search, totalPrice, budgetLimit)
+		if outcome != netstate.SlotRouted {
 			txn.Rollback()
+			if outcome == netstate.SlotFailed {
+				return router.Decision{}, fmt.Errorf("core: request %d slot %d: %w", req.ID, slot, err)
+			}
 			c.ctrRejected.Inc()
-			if pruned {
-				// Budget pruning proved every completion of this slot's
-				// search exceeds the valuation; classify as priced out,
-				// not unroutable.
+			switch outcome {
+			case netstate.SlotBudgetPruned:
+				// Every completion of this slot's search exceeds the
+				// valuation: priced out, not unroutable.
 				return router.Decision{
 					Reason: fmt.Sprintf("plan price exceeds valuation %.3g (budget-pruned at slot %d)", req.Valuation, slot),
 				}, nil
+			case netstate.SlotEnergyInfeasible:
+				return router.Decision{Reason: fmt.Sprintf("energy infeasible at slot %d: %v", slot, err)}, nil
+			default:
+				return router.Decision{Reason: fmt.Sprintf("no feasible path at slot %d", slot)}, nil
 			}
-			return router.Decision{
-				Reason: fmt.Sprintf("no feasible path at slot %d", slot),
-			}, nil
 		}
 		totalPrice += path.Cost
 		plan.Paths = append(plan.Paths, router.SlotPath{Slot: slot, Path: path})
-
-		// The transit mask checks each (satellite, role) consumption
-		// independently, but a path may visit one satellite in two roles
-		// (e.g. ingress and egress gateway of the same slot) whose
-		// consumptions are individually feasible yet jointly not — trial
-		// the slot as a whole before committing.
-		if err := c.state.TrialConsume(consumptions); err != nil {
-			txn.Rollback()
-			c.ctrRejected.Inc()
-			return router.Decision{
-				Reason: fmt.Sprintf("energy infeasible at slot %d: %v", slot, err),
-			}, nil
-		}
-
-		// Lines 7-16: reserve this slot's bandwidth and apply its energy
-		// consumption so the next slot's search prices the updated state.
-		if err := txn.ReservePath(sv, path); err != nil {
-			txn.Rollback()
-			return router.Decision{}, fmt.Errorf("core: request %d commit: %w", req.ID, err)
-		}
-		if err := txn.Consume(consumptions); err != nil {
-			txn.Rollback()
-			return router.Decision{}, fmt.Errorf("core: request %d energy commit (slot %d, path %v): %w",
-				req.ID, slot, path.Nodes, err)
-		}
 	}
 
 	// Line 6: admission control — compare the plan price with ρ_i.

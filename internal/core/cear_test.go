@@ -130,9 +130,6 @@ func TestNewErrors(t *testing.T) {
 	if _, err := New(state, Options{}); err == nil {
 		t.Error("zero pricing should error")
 	}
-	if _, err := New(state, Options{Pricing: paperPricing(t), MaxHops: -1}); err == nil {
-		t.Error("negative max hops should error")
-	}
 }
 
 func TestNameVariants(t *testing.T) {
@@ -372,24 +369,6 @@ func TestPricesNonDecreasingUnderLoad(t *testing.T) {
 	}
 }
 
-func TestHopLimitedSearchWorks(t *testing.T) {
-	state := newTestStack(t, 0)
-	c := newCEAR(t, state, Options{MaxHops: 20})
-	req := routableRequest(t, state, 1, 800, 2)
-	d, err := c.Handle(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Accepted {
-		t.Fatalf("rejected: %s", d.Reason)
-	}
-	for _, sp := range d.Plan.Paths {
-		if sp.Path.Hops() > 20 {
-			t.Errorf("path exceeds hop limit: %d", sp.Path.Hops())
-		}
-	}
-}
-
 func TestLinearPricingAblationStillRoutes(t *testing.T) {
 	state := newTestStack(t, 0)
 	c := newCEAR(t, state, Options{LinearPricing: true})
@@ -525,9 +504,9 @@ func TestHandleRejectsBadVector(t *testing.T) {
 func TestLookAheadPairsChangeNoDecision(t *testing.T) {
 	paired := newCEAR(t, newTestStack(t, 0), Options{})
 	single := newCEAR(t, newTestStack(t, 0), Options{})
-	single.aheadFn = nil
+	single.search.LookAhead = nil
 	pairs := 0
-	paired.aheadFn = func(sat int, in graph.EdgeClass, nextSat int, nextIn graph.EdgeClass) {
+	paired.search.LookAhead = func(sat int, in graph.EdgeClass, nextSat int, nextIn graph.EdgeClass) {
 		e := &paired.transit[transitKey(nextSat, transitRole(nextIn, graph.ClassISL))]
 		cached := e.epoch == paired.epoch
 		paired.priceAhead(sat, in, nextSat, nextIn)
@@ -585,12 +564,12 @@ func TestRefillsSkipThePast(t *testing.T) {
 	// from slot 0, so its own fill — from the slot searched — finds the
 	// table current and looks nothing up. It prices single-lane, so no
 	// look-ahead the search never uses inflates its count.
-	whole.aheadFn = nil
-	whole.transitFn = func(node int, in, out graph.EdgeClass) float64 {
+	whole.search.LookAhead = nil
+	whole.search.Transit = func(node int, in, out graph.EdgeClass) float64 {
 		whole.State().Battery(node).FillUnitPrices(&whole.units[node], 0, whole.unitPrice)
 		return whole.priceTransit(node, in, out)
 	}
-	generic := newCEAR(t, newTestStackWith(t, 200, ecfg), Options{UseGenericSearch: true})
+	generic := newCEAR(t, newTestStackWith(t, 200, ecfg), Options{Scratch: netstate.NewReferenceScratch()})
 
 	// The second-half slots in which both cities see a satellite; the
 	// stream walks them in order, single-slot bookings.
@@ -672,7 +651,7 @@ func loadLedger(t *testing.T, c *CEAR, n int) int {
 // is, to the bit, what its cost function returns for it. Every pricing
 // variant loads a ledger with 240 requests; then, over a sweep of demands
 // on every slot, each ISL the search view offers whose ledger cell is
-// empty must cost edgeFn(key, ClassISL, capacity, 0), and the whole edge
+// empty must cost search.EdgeCost(key, ClassISL, capacity, 0), and the whole edge
 // walk — loaded and masked edges included — must equal the generic
 // View's. The last round rebuilds the pricer over the loaded State with
 // another μ, as the adaptive controller does every window.
@@ -707,11 +686,12 @@ func TestIdleISLCostIsTheCostFunctionsOwn(t *testing.T) {
 		for slot := 0; slot < prov.Horizon(); slot++ {
 			for _, demand := range []float64{1, 337.5, 1250, 4000, c.islCap, 1.5 * c.islCap} {
 				c.beginSearch(slot, demand)
-				fv, err := c.searchView(groundEP(0), groundEP(1))
+				fv, err := c.scratch.BuildView(state, slot, groundEP(0), groundEP(1), demand, c.search.EdgeCost)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gv, err := netstate.NewView(state, slot, groundEP(0), groundEP(1), demand, c.edgeFn)
+				fv.IdleISLCost = c.search.IdleISLCost
+				gv, err := netstate.NewView(state, slot, groundEP(0), groundEP(1), demand, c.search.EdgeCost)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -732,7 +712,7 @@ func TestIdleISLCostIsTheCostFunctionsOwn(t *testing.T) {
 							continue
 						}
 						idle++
-						own := c.edgeFn(key, graph.ClassISL, c.islCap, 0)
+						own := c.search.EdgeCost(key, graph.ClassISL, c.islCap, 0)
 						if demand > c.islCap {
 							own = math.Inf(1) // masked: the demand fits no ISL
 						}

@@ -49,31 +49,3 @@ func BenchmarkShortestPathScratch(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkHopLimited measures the allocate-per-call hop-limited DP,
-// whose per-hop predecessor ladders used to be the dominant allocation
-// churn of hop-capped searches.
-func BenchmarkHopLimited(b *testing.B) {
-	g := benchGraph(256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := ShortestPathHopLimited(g, 0, 255, 12, nil); !ok {
-			b.Fatal("no path")
-		}
-	}
-}
-
-// BenchmarkHopLimitedScratch reuses one Scratch (dist rows and the
-// hop-indexed predecessor ladder) across calls.
-func BenchmarkHopLimitedScratch(b *testing.B) {
-	g := benchGraph(256)
-	sc := NewScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := ShortestPathHopLimitedWith(g, 0, 255, 12, nil, sc); !ok {
-			b.Fatal("no path")
-		}
-	}
-}

@@ -13,8 +13,7 @@ type item struct {
 // searchHeap is a typed binary min-heap over items, ordered by dist.
 // It replaces container/heap: pushes and pops move concrete structs (no
 // interface{} boxing, so no per-push allocation), and the backing slice
-// is preallocated once per search — and reused across the many spur
-// searches of one Yen call.
+// is preallocated once per search.
 type searchHeap struct {
 	items []item
 }
@@ -214,206 +213,20 @@ func reconstruct(prev []predLink, dstState int, cost float64, sc *Scratch) Path 
 	return sc.buildPath(cost)
 }
 
-// ShortestPathHopLimited finds the cheapest src->dst path using at most
-// maxHops edges, via a hop-indexed Bellman-Ford DP over (node, in-class)
-// states. It supports the same transit cost semantics as ShortestPath.
-// Complexity O(maxHops * E * numClasses).
-func ShortestPathHopLimited(g Adjacency, src, dst, maxHops int, transit TransitCostFunc) (Path, bool) {
-	return ShortestPathHopLimitedWith(g, src, dst, maxHops, transit, nil)
-}
-
-// ShortestPathHopLimitedWith is ShortestPathHopLimited with caller-owned
-// working memory: the cur/next cost ladders and the hop-indexed
-// predecessor table — previously a fresh []pred per hop per call — come
-// from the scratch. A nil scratch allocates a fresh one; results are
-// identical either way.
-func ShortestPathHopLimitedWith(g Adjacency, src, dst, maxHops int, transit TransitCostFunc, sc *Scratch) (Path, bool) {
-	n := g.N()
-	if src < 0 || src >= n || dst < 0 || dst >= n || maxHops < 0 {
-		return Path{}, false
+// PathCost recomputes the full cost of a path (edge costs plus transit
+// charges at intermediate nodes) in forward hop order, matching the
+// accounting used by ShortestPath. Returns +Inf for structurally invalid
+// paths.
+func PathCost(nodes []int, edges []Edge, transit TransitCostFunc) float64 {
+	if len(edges) != len(nodes)-1 {
+		return math.Inf(1)
 	}
-	if src == dst {
-		return Path{Nodes: []int{src}}, true
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	in := instrumentsOf(g)
-	defer in.searchTimerEnd(in.searchTimerStart())
-
-	numStates := n * numClasses
-	const inf = math.MaxFloat64
-	sc.ensureHopLadders(numStates, maxHops)
-	cur, next := sc.cur, sc.next
-	for i := range cur {
-		cur[i] = inf
-		next[i] = inf
-	}
-	// prevAt(h, state): how state was reached with exactly h hops; row h
-	// lives at sc.preds[h*numStates : (h+1)*numStates].
-	preds := sc.preds
-
-	startState := src*numClasses + int(ClassNone)
-	cur[startState] = 0
-
-	bestCost := inf
-	bestHop, bestState := -1, -1
-
-	// One callback serves every (hop, node, class) visit; creating the
-	// literal inside the loops would allocate a closure per visited
-	// state (it escapes through the VisitNeighbors func parameter). The
-	// captured next/row track the per-hop swaps automatically.
-	var (
-		row      []hopPred
-		curHop   int
-		curNode  int
-		curClass int
-		curState int
-		curDist  float64
-	)
-	relax := func(e Edge) bool {
-		in.relax()
-		w := e.Cost
-		if math.IsInf(w, 1) {
-			return true
+	total := 0.0
+	for i, e := range edges {
+		total += e.Cost
+		if transit != nil && i > 0 {
+			total += transit(nodes[i], edges[i-1].Class, e.Class)
 		}
-		if transit != nil && curNode != src {
-			tc := transit(curNode, EdgeClass(curClass), e.Class)
-			if math.IsInf(tc, 1) {
-				return true
-			}
-			w += tc
-		}
-		ns := e.To*numClasses + int(e.Class)
-		if nd := curDist + w; nd < next[ns] {
-			next[ns] = nd
-			row[ns] = hopPred{hop: curHop - 1, state: curState, edge: e}
-		}
-		return true
 	}
-
-	for h := 1; h <= maxHops; h++ {
-		for i := range next {
-			next[i] = inf
-		}
-		row = preds[h*numStates : (h+1)*numStates]
-		for i := range row {
-			row[i] = hopPred{state: -1}
-		}
-		curHop = h
-		for node := 0; node < n; node++ {
-			for c := 0; c < numClasses; c++ {
-				st := node*numClasses + c
-				d := cur[st]
-				if d == inf {
-					continue
-				}
-				curNode, curClass, curState, curDist = node, c, st, d
-				g.VisitNeighbors(node, relax)
-			}
-		}
-		cur, next = next, cur
-		for c := 0; c < numClasses; c++ {
-			st := dst*numClasses + c
-			if cur[st] < bestCost {
-				bestCost = cur[st]
-				bestHop, bestState = h, st
-			}
-		}
-		// No early exit: a longer path can still be cheaper.
-	}
-
-	if bestState < 0 {
-		return Path{}, false
-	}
-
-	// Reconstruct through the hop-indexed predecessors.
-	sc.nodesRev = append(sc.nodesRev[:0], bestState/numClasses)
-	sc.edgesRev = sc.edgesRev[:0]
-	h, st := bestHop, bestState
-	for h > 0 {
-		p := preds[h*numStates+st]
-		if p.state < 0 {
-			break
-		}
-		sc.edgesRev = append(sc.edgesRev, p.edge)
-		sc.nodesRev = append(sc.nodesRev, p.state/numClasses)
-		h, st = p.hop, p.state
-	}
-	return sc.buildPath(bestCost), true
-}
-
-// ShortestPathHopLimited is the explicit-graph form of the package-level
-// function.
-func (g *Graph) ShortestPathHopLimited(src, dst, maxHops int, transit TransitCostFunc) (Path, bool) {
-	return ShortestPathHopLimited(g, src, dst, maxHops, transit)
-}
-
-// MinHopPath returns a path with the fewest edges from src to dst via
-// breadth-first search, ignoring costs. Edges with +Inf cost are treated
-// as absent (so capacity-infeasible links can be masked the same way as
-// in the weighted searches).
-func MinHopPath(g Adjacency, src, dst int) (Path, bool) {
-	n := g.N()
-	if src < 0 || src >= n || dst < 0 || dst >= n {
-		return Path{}, false
-	}
-	if src == dst {
-		return Path{Nodes: []int{src}}, true
-	}
-	prev := make([]predLink, n)
-	for i := range prev {
-		prev[i].state = -1
-	}
-	visited := make([]bool, n)
-	visited[src] = true
-	queue := []int{src}
-	found := false
-	for len(queue) > 0 && !found {
-		node := queue[0]
-		queue = queue[1:]
-		g.VisitNeighbors(node, func(e Edge) bool {
-			if math.IsInf(e.Cost, 1) || visited[e.To] {
-				return true
-			}
-			visited[e.To] = true
-			prev[e.To] = predLink{state: node, edge: e}
-			if e.To == dst {
-				found = true
-				return false
-			}
-			queue = append(queue, e.To)
-			return true
-		})
-	}
-	if !visited[dst] {
-		return Path{}, false
-	}
-	var nodesRev []int
-	var edgesRev []Edge
-	cost := 0.0
-	for at := dst; ; {
-		nodesRev = append(nodesRev, at)
-		p := prev[at]
-		if p.state < 0 {
-			break
-		}
-		edgesRev = append(edgesRev, p.edge)
-		cost += p.edge.Cost
-		at = p.state
-	}
-	nodes := make([]int, len(nodesRev))
-	for i := range nodesRev {
-		nodes[i] = nodesRev[len(nodesRev)-1-i]
-	}
-	edges := make([]Edge, len(edgesRev))
-	for i := range edgesRev {
-		edges[i] = edgesRev[len(edgesRev)-1-i]
-	}
-	return Path{Nodes: nodes, Edges: edges, Cost: cost}, true
-}
-
-// MinHopPath is the explicit-graph form of the package-level function.
-func (g *Graph) MinHopPath(src, dst int) (Path, bool) {
-	return MinHopPath(g, src, dst)
+	return total
 }

@@ -27,19 +27,3 @@ func ExampleShortestPath() {
 	// Output:
 	// true [0 1 2 3] 23
 }
-
-// Yen's algorithm enumerates alternatives in cost order.
-func ExampleKShortestPaths() {
-	g := graph.New(4)
-	_ = g.AddEdge(0, 1, graph.ClassISL, 0, 1)
-	_ = g.AddEdge(1, 3, graph.ClassISL, 0, 1)
-	_ = g.AddEdge(0, 2, graph.ClassISL, 0, 2)
-	_ = g.AddEdge(2, 3, graph.ClassISL, 0, 2)
-
-	for _, p := range graph.KShortestPaths(g, 0, 3, 2, nil) {
-		fmt.Println(p.Nodes, p.Cost)
-	}
-	// Output:
-	// [0 1 3] 2
-	// [0 2 3] 4
-}

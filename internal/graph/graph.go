@@ -1,9 +1,10 @@
-// Package graph provides the hand-rolled graph algorithms the simulator
-// needs: a compact adjacency-list digraph, Dijkstra shortest paths with
+// Package graph provides the hand-rolled graph algorithm the simulator
+// needs: a compact adjacency-list digraph and Dijkstra shortest paths with
 // optional per-node *transit* costs that depend on the classes of the
 // incoming and outgoing edges (how CEAR prices satellite energy per
-// Eq. (1) of the paper), a hop-limited Bellman-Ford variant, BFS min-hop
-// search, and Yen's K-shortest-paths.
+// Eq. (1) of the paper). The search here is the generic form, over any
+// Adjacency; admission runs its flat twin in internal/netstate and tests
+// compare the two.
 package graph
 
 import (
@@ -101,12 +102,6 @@ func (g *Graph) AddEdge(from, to int, class EdgeClass, payload int32, cost float
 	return nil
 }
 
-// Neighbors returns the adjacency list of a node. Callers must not
-// modify the returned slice.
-func (g *Graph) Neighbors(node int) []Edge {
-	return g.adj[node]
-}
-
 // VisitNeighbors implements Adjacency.
 func (g *Graph) VisitNeighbors(node int, fn func(Edge) bool) {
 	for _, e := range g.adj[node] {
@@ -132,7 +127,7 @@ func (p Path) Hops() int { return len(p.Edges) }
 // TransitCostFunc prices passing *through* a node: the cost incurred at
 // `node` when it is entered via an edge of class in and left via an edge
 // of class out. Source and destination nodes are not charged. Returning
-// +Inf makes the node untraversable for that class pair. The Dijkstra
-// searches ask once per (settled state, out class) and reuse the answer
-// for every edge of that class; the hop-limited searches ask per edge.
+// +Inf makes the node untraversable for that class pair. The searches ask
+// once per (settled state, out class) and reuse the answer for every edge
+// of that class.
 type TransitCostFunc func(node int, in, out EdgeClass) float64

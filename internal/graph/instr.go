@@ -15,11 +15,8 @@ import (
 type Instruments struct {
 	// HeapPops counts priority-queue pops in Dijkstra searches.
 	HeapPops *obs.Counter
-	// EdgeRelaxations counts edges examined across all searches
-	// (Dijkstra and the hop-limited DP).
+	// EdgeRelaxations counts edges examined across all searches.
 	EdgeRelaxations *obs.Counter
-	// YenSpurIterations counts spur-node iterations in KShortestPaths.
-	YenSpurIterations *obs.Counter
 	// FastPathSearches counts searches served by the devirtualized flat
 	// (CSR) routing fast path rather than the generic Adjacency path.
 	FastPathSearches *obs.Counter
@@ -76,14 +73,6 @@ func (in *Instruments) relax() {
 		return
 	}
 	in.EdgeRelaxations.Inc()
-}
-
-// spurDone flushes one KShortestPaths call's spur-iteration count.
-func (in *Instruments) spurDone(spurs int64) {
-	if in == nil {
-		return
-	}
-	in.YenSpurIterations.Add(spurs)
 }
 
 // searchTimerStart returns the wall clock when search timing is

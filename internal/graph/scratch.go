@@ -2,14 +2,12 @@ package graph
 
 import "math"
 
-// Scratch holds the reusable working memory of the path searches: the
-// Dijkstra dist/prev arrays and priority queue, the hop-limited DP's
-// cur/next cost ladders and its hop-indexed predecessor table, and the
-// reversal buffers of path reconstruction. One Scratch serves any number
-// of sequential searches over graphs of any size (arrays grow on demand
-// and are retained at high-water mark), so a caller that owns one — an
-// admission algorithm, a Yen run — pays zero search allocations after
-// warm-up beyond the returned Path itself.
+// Scratch holds the reusable working memory of the path search: the
+// Dijkstra dist/prev arrays and priority queue and the reversal buffers
+// of path reconstruction. One Scratch serves any number of sequential
+// searches over graphs of any size (arrays grow on demand and are retained
+// at high-water mark), so a caller that owns one pays zero search
+// allocations after warm-up beyond the returned Path itself.
 //
 // A Scratch is single-owner: two concurrent searches must use two
 // Scratches.
@@ -18,23 +16,9 @@ type Scratch struct {
 	dist []float64
 	prev []predLink
 
-	// Hop-limited DP ladders: cur/next cost rows and the flattened
-	// prevAt table, row h at preds[h*numStates : (h+1)*numStates].
-	cur   []float64
-	next  []float64
-	preds []hopPred
-
 	// Path-reconstruction reversal buffers.
 	nodesRev []int
 	edgesRev []Edge
-}
-
-// hopPred records how a hop-limited DP state was reached: from which
-// (hop, state) and over which edge.
-type hopPred struct {
-	hop   int
-	state int
-	edge  Edge
 }
 
 // NewScratch returns an empty scratch; arrays are sized lazily by the
@@ -55,23 +39,6 @@ func (sc *Scratch) ensureDijkstra(numStates int) {
 		sc.dist[i] = inf
 		sc.prev[i] = predLink{state: -1}
 	}
-}
-
-// ensureHopLadders sizes the hop-limited DP rows: cur/next over
-// numStates and maxHops+1 predecessor rows. Rows are (re-)initialised by
-// the DP itself, hop by hop.
-func (sc *Scratch) ensureHopLadders(numStates, maxHops int) {
-	if cap(sc.cur) < numStates {
-		sc.cur = make([]float64, numStates)
-		sc.next = make([]float64, numStates)
-	}
-	sc.cur = sc.cur[:numStates]
-	sc.next = sc.next[:numStates]
-	total := (maxHops + 1) * numStates
-	if cap(sc.preds) < total {
-		sc.preds = make([]hopPred, total)
-	}
-	sc.preds = sc.preds[:total]
 }
 
 // buildPath materialises a path from reversal buffers filled back to

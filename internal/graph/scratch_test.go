@@ -7,10 +7,10 @@ import (
 )
 
 // TestScratchReuseMatchesFreshAllocation hammers one shared Scratch
-// across many searches on different random graphs and both kernels, and
-// requires results identical to the allocate-per-call path. This is the
-// guard against stale-state bleed: a stamp or ladder not reset between
-// calls would change some path on some trial.
+// across many searches on different random graphs and requires results
+// identical to the allocate-per-call path. This is the guard against
+// stale-state bleed: a dist or prev entry not reset between calls would
+// change some path on some trial.
 func TestScratchReuseMatchesFreshAllocation(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	sc := NewScratch()
@@ -50,14 +50,6 @@ func TestScratchReuseMatchesFreshAllocation(t *testing.T) {
 		if okWant != okGot || !reflect.DeepEqual(pWant, pGot) {
 			t.Fatalf("trial %d: dijkstra diverged with scratch\nfresh:   ok=%v %+v\nscratch: ok=%v %+v",
 				trial, okWant, pWant, okGot, pGot)
-		}
-
-		maxHops := 1 + rng.Intn(4)
-		hWant, okWant := ShortestPathHopLimited(g, src, dst, maxHops, transit)
-		hGot, okGot := ShortestPathHopLimitedWith(g, src, dst, maxHops, transit, sc)
-		if okWant != okGot || !reflect.DeepEqual(hWant, hGot) {
-			t.Fatalf("trial %d: hop-limited (cap %d) diverged with scratch\nfresh:   ok=%v %+v\nscratch: ok=%v %+v",
-				trial, maxHops, okWant, hWant, okGot, hGot)
 		}
 	}
 }

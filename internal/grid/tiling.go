@@ -225,13 +225,3 @@ func FilterByGDP(sites []Site, keep int) ([]Site, error) {
 	}
 	return out, nil
 }
-
-// PaperSites generates the paper-scale site set: the triangular tiling
-// filtered down to 1761 GDP-weighted locations.
-func PaperSites() ([]Site, error) {
-	sites, err := TriangularSites(5)
-	if err != nil {
-		return nil, err
-	}
-	return FilterByGDP(sites, 1761)
-}

@@ -162,7 +162,13 @@ func TestPaperSites(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale tiling in -short mode")
 	}
-	sites, err := PaperSites()
+	// The paper-scale site set as NewEnvironment builds it: the triangular
+	// tiling filtered down to 1761 GDP-weighted locations.
+	all, err := TriangularSites(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites, err := FilterByGDP(all, 1761)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,19 +64,6 @@ type Series struct {
 	Values []float64
 }
 
-// Downsample keeps every k-th point (first point always kept), for
-// compact textual plots of long horizons.
-func (s Series) Downsample(k int) Series {
-	if k <= 1 {
-		return s
-	}
-	out := Series{Name: s.Name, Values: make([]float64, 0, len(s.Values)/k+1)}
-	for i := 0; i < len(s.Values); i += k {
-		out.Values = append(out.Values, s.Values[i])
-	}
-	return out
-}
-
 // Mean returns the average of the series values (NaN if empty).
 func (s Series) Mean() float64 {
 	m, _ := MeanStd(s.Values)
@@ -132,9 +119,6 @@ func (t *Table) AddFloatRow(label string, values ...float64) {
 	}
 	t.AddRow(cells...)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // Render writes the table in aligned fixed-width form.
 func (t *Table) Render(w io.Writer) error {

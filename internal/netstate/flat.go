@@ -10,22 +10,22 @@ import (
 )
 
 // This file is the routing fast path: a devirtualized twin of View plus
-// graph.ShortestPath / graph.ShortestPathHopLimited, specialised to the
-// per-slot LSN. The generic path dispatches every edge through the
-// Adjacency interface and a VisitNeighbors closure; at paper scale that
-// indirection — plus the fresh View, dist/prev arrays and heap per
-// (request, slot) — dominates every figure run. FlatView iterates the
-// provider's CSR-flattened ISL grid and the frozen USL visibility lists
-// directly, and SearchScratch owns every array the searches need,
-// epoch-stamped so reuse across slots and requests costs no clearing
-// beyond a stamp bump.
+// graph.ShortestPath, specialised to the per-slot LSN. The generic path
+// dispatches every edge through the Adjacency interface and a
+// VisitNeighbors closure; at paper scale that indirection — plus the fresh
+// View, dist/prev arrays and heap per (request, slot) — dominates every
+// figure run. FlatView iterates the provider's CSR-flattened ISL grid and
+// the frozen USL visibility lists directly, and SearchScratch owns every
+// array the search needs, epoch-stamped so reuse across slots and requests
+// costs no clearing beyond a stamp bump.
 //
-// The generic path (View + graph searches) stays as the reference
-// implementation; TestFlatViewMatchesGenericView asserts byte-identical
-// decisions between the two. Every semantic subtlety here — heap
-// comparison directions, neighbour visit order, strict-< relaxation,
-// the order of floating-point additions — deliberately replicates the
-// generic code so the equivalence holds exactly, not approximately.
+// The generic path (View + graph.ShortestPath) stays as the reference
+// implementation, reached through NewReferenceScratch;
+// TestFlatViewMirrorsGenericView asserts byte-identical decisions between
+// the two. Every semantic subtlety here — heap comparison directions,
+// neighbour visit order, strict-< relaxation, the order of floating-point
+// additions — deliberately replicates the generic code so the equivalence
+// holds exactly, not approximately.
 
 // flatItem is a priority-queue entry over (node, incoming-class) states.
 type flatItem struct {
@@ -101,18 +101,11 @@ type flatPred struct {
 	edge  graph.Edge
 }
 
-// flatHopPred records how a hop-limited DP state was reached.
-type flatHopPred struct {
-	hop   int32
-	state int32
-	edge  graph.Edge
-}
-
 // SearchScratch is the pooled working memory of the routing fast path:
 // the per-slot FlatView itself, the destination-visibility stamps, the
-// per-edge price caches, and the Dijkstra / hop-limited-DP arrays. One
-// scratch serves every slot of every request of a run — arrays are
-// sized to the provider on first use and invalidated by epoch stamps
+// per-edge price caches, the Dijkstra arrays and RouteSlot's consumption
+// buffer. One scratch serves every slot of every request of a run — arrays
+// are sized to the provider on first use and invalidated by epoch stamps
 // rather than cleared, so a warm scratch makes view construction and
 // search allocation-free.
 //
@@ -124,10 +117,13 @@ type flatHopPred struct {
 type SearchScratch struct {
 	view FlatView
 
+	// reference makes RouteSlot run the generic View and graph.ShortestPath
+	// instead of the flat search (NewReferenceScratch); nothing else reads it.
+	reference bool
+
 	// Sizing of the current arrays; rebuilt when the provider changes.
-	numSats   int
-	numEdges  int
-	numStates int
+	numSats  int
+	numEdges int
 
 	// viewEpoch invalidates the per-view caches (dst visibility and the
 	// demand-dependent edge prices); bumped once per BuildView.
@@ -150,15 +146,12 @@ type SearchScratch struct {
 	prev        []flatPred
 	heap        flatHeap
 
-	// Hop-limited DP ladders: cur/next cost rows and the flattened
-	// hop-indexed predecessor table (row h at [h*numStates:(h+1)*numStates]).
-	cur   []float64
-	next  []float64
-	preds []flatHopPred
-
 	// Path-reconstruction reversal buffers.
 	nodesRev []int
 	edgesRev []graph.Edge
+
+	// consBuf holds the consumptions of the path RouteSlot is committing.
+	consBuf []Consumption
 
 	// uses counts views built on this scratch; builds after the first
 	// are reuses (reported through the owning state's counters).
@@ -177,7 +170,7 @@ func (sc *SearchScratch) ensure(numSats, numEdges int) {
 	if numSats == sc.numSats && numEdges == sc.numEdges {
 		return
 	}
-	sc.numSats, sc.numEdges, sc.numStates = numSats, numEdges, numStates
+	sc.numSats, sc.numEdges = numSats, numEdges
 	sc.dstStamp = make([]uint32, numSats)
 	sc.edgeCostVal = make([]float64, numEdges)
 	sc.edgeStamp = make([]uint32, numEdges)
@@ -187,9 +180,6 @@ func (sc *SearchScratch) ensure(numSats, numEdges int) {
 	sc.dist = make([]float64, numStates)
 	sc.prev = make([]flatPred, numStates)
 	sc.viewEpoch, sc.searchEpoch = 0, 0
-	// The DP ladders are sized lazily by ensureHopLadders (most runs
-	// never use the hop-limited search).
-	sc.cur, sc.next, sc.preds = nil, nil, nil
 }
 
 // bumpViewEpoch advances the view epoch, clearing stamp arrays on the
@@ -219,24 +209,9 @@ func clearUint32(a []uint32) {
 	}
 }
 
-// ensureHopLadders sizes the hop-limited DP rows on demand.
-func (sc *SearchScratch) ensureHopLadders(maxHops int) {
-	if cap(sc.cur) < sc.numStates {
-		sc.cur = make([]float64, sc.numStates)
-		sc.next = make([]float64, sc.numStates)
-	}
-	sc.cur = sc.cur[:sc.numStates]
-	sc.next = sc.next[:sc.numStates]
-	total := (maxHops + 1) * sc.numStates
-	if cap(sc.preds) < total {
-		sc.preds = make([]flatHopPred, total)
-	}
-	sc.preds = sc.preds[:total]
-}
-
 // FlatView is the devirtualized twin of View: the same per-slot routing
 // graph — CSR ISL fabric plus the request's USL endpoint edges — walked
-// by the specialised searches below as direct slice iteration instead
+// by the specialised search below as direct slice iteration instead
 // of interface dispatch. It is embedded in its SearchScratch and
 // re-initialised in place by BuildView, so building one allocates
 // nothing once the scratch is warm.
@@ -448,9 +423,9 @@ func (v *FlatView) dstCost(sat int) float64 {
 }
 
 // VisitNeighbors walks the view's edges in the exact order the search
-// kernels relax them (src: visible-sat USLs; sat: CSR ISLs, then the
+// relaxes them (src: visible-sat USLs; sat: CSR ISLs, then the
 // dst USL last; dst: sink), emitting +Inf-priced edges like the generic
-// View does. The kernels do not use it — it exists so cross-check tests
+// View does. The search does not use it — it exists so cross-check tests
 // and debugging tools can compare a FlatView against a View edge for
 // edge.
 func (v *FlatView) VisitNeighbors(node int, fn func(graph.Edge) bool) {
@@ -482,29 +457,30 @@ func (v *FlatView) VisitNeighbors(node int, fn func(graph.Edge) bool) {
 	}
 }
 
-// Search finds the min-cost src->dst path over this view: hop-limited DP
-// when maxHops > 0, Dijkstra otherwise — the flat twins of the generic
-// graph searches, with the same transit-cost semantics.
+// Search finds the min-cost src->dst path over this view with Dijkstra
+// over (node, incoming-class) states — the flat twin of
+// graph.ShortestPath, with the same transit-cost semantics.
 //
-// budgetBase and budgetLimit implement opt-in budget pruning: labels (or
-// whole searches) whose accumulated plan price budgetBase plus current
-// cost exceeds budgetLimit are abandoned, because admission would reject
-// any completion. Pass budgetLimit = +Inf to disable. The third return
-// value reports whether pruning discarded anything: when the search then
-// fails, the caller should classify the rejection as priced-out rather
-// than no-path.
+// The second parameter is ignored. It selected a hop-limited search that
+// no longer exists and is kept only because benchmark/layers.go, which a
+// main-module PR may not edit, calls Search(nil, 0, 0, +Inf); the next
+// benchmark PR drops it (ROADMAP item 1(ii)).
 //
-// Pruning is exact, not heuristic. Dijkstra prunes at pop time only:
-// pop costs are nondecreasing, so the first over-budget pop proves every
-// remaining completion is over budget (floating-point addition of
-// non-negative terms is monotone) — and until that point the heap's
-// dynamics are bit-identical to an unpruned run, so accepted requests
-// take exactly the same paths. The hop-limited DP prunes labels at
-// relaxation time, which is safe there because it has no heap: the
-// relaxation order is fixed by the loops, and an over-budget label can
-// never beat an under-budget one (that would require it to be strictly
-// cheaper, contradicting monotonicity).
-func (v *FlatView) Search(transit graph.TransitCostFunc, maxHops int, budgetBase, budgetLimit float64) (path graph.Path, ok, pruned bool) {
+// budgetBase and budgetLimit implement opt-in budget pruning: a search
+// whose accumulated plan price budgetBase plus the cheapest frontier cost
+// exceeds budgetLimit is abandoned, because admission would reject any
+// completion. Pass budgetLimit = +Inf to disable. The third return value
+// reports whether pruning discarded anything: when the search then fails,
+// the caller should classify the rejection as priced-out rather than
+// no-path.
+//
+// Pruning is exact, not heuristic. It happens at pop time only: pop costs
+// are nondecreasing, so the first over-budget pop proves every remaining
+// completion is over budget (floating-point addition of non-negative
+// terms is monotone) — and until that point the heap's dynamics are
+// bit-identical to an unpruned run, so accepted requests take exactly the
+// same paths.
+func (v *FlatView) Search(transit graph.TransitCostFunc, _ int, budgetBase, budgetLimit float64) (path graph.Path, ok, pruned bool) {
 	// Search wall time feeds the serving layer's per-request phase
 	// breakdown; the counter is nil (one branch, no clock reads) unless
 	// trace detail is enabled on the state.
@@ -515,18 +491,14 @@ func (v *FlatView) Search(transit graph.TransitCostFunc, maxHops int, budgetBase
 		t0 = time.Now()
 	}
 	v.begin()
-	if maxHops > 0 {
-		path, ok, pruned = v.hopLimited(transit, maxHops, budgetBase, budgetLimit)
-	} else {
-		path, ok, pruned = v.dijkstra(transit, budgetBase, budgetLimit)
-	}
+	path, ok, pruned = v.dijkstra(transit, budgetBase, budgetLimit)
 	if timed {
 		in.SearchNanos.Add(time.Since(t0).Nanoseconds())
 	}
 	return path, ok, pruned
 }
 
-// dijkstra is the flat twin of graph.ShortestPathWith over this view.
+// dijkstra is the flat twin of graph.ShortestPath over this view.
 func (v *FlatView) dijkstra(transit graph.TransitCostFunc, budgetBase, budgetLimit float64) (graph.Path, bool, bool) {
 	sc := v.sc
 	in := v.state.GraphInstruments()
@@ -655,149 +627,6 @@ func (v *FlatView) dijkstra(transit graph.TransitCostFunc, budgetBase, budgetLim
 		in.PrunedLabels.Add(prunedN)
 	}
 	return path, found, pruned
-}
-
-// hopLimited is the flat twin of graph.ShortestPathHopLimitedWith over
-// this view.
-func (v *FlatView) hopLimited(transit graph.TransitCostFunc, maxHops int, budgetBase, budgetLimit float64) (graph.Path, bool, bool) {
-	sc := v.sc
-	in := v.state.GraphInstruments()
-	var relaxes, prunedN int64
-	prunedAny := false
-
-	numStates := sc.numStates
-	const inf = math.MaxFloat64
-	sc.ensureHopLadders(maxHops)
-	cur, next, preds := sc.cur, sc.next, sc.preds
-	for i := range cur {
-		cur[i] = inf
-		next[i] = inf
-	}
-
-	srcNode, dstNode := v.SrcNode(), v.DstNode()
-	startState := srcNode*graph.NumClasses + int(graph.ClassNone)
-	cur[startState] = 0
-
-	bestCost := inf
-	bestHop, bestState := -1, -1
-
-	for h := 1; h <= maxHops; h++ {
-		for i := range next {
-			next[i] = inf
-		}
-		row := preds[h*numStates : (h+1)*numStates]
-		for i := range row {
-			row[i] = flatHopPred{state: -1}
-		}
-		relax := func(st int, d float64, to int, cls graph.EdgeClass, edgeCost, w float64) {
-			ns := to*graph.NumClasses + int(cls)
-			nd := d + w
-			if nd >= next[ns] {
-				return
-			}
-			if budgetBase+nd > budgetLimit {
-				prunedAny = true
-				prunedN++
-				return
-			}
-			next[ns] = nd
-			row[ns] = flatHopPred{hop: int32(h - 1), state: int32(st), edge: graph.Edge{To: to, Class: cls, Cost: edgeCost}}
-		}
-		// Node-major, class-minor iteration, matching the generic DP.
-		for node := 0; node < v.numSats+2; node++ {
-			for c := 0; c < graph.NumClasses; c++ {
-				st := node*graph.NumClasses + c
-				d := cur[st]
-				if d == inf {
-					continue
-				}
-				switch {
-				case node == dstNode:
-					// Sink: no outgoing edges.
-				case node == srcNode:
-					for _, sat := range v.srcVisible {
-						relaxes++
-						ec := v.uslCost(srcNode, sat)
-						if math.IsInf(ec, 1) {
-							continue
-						}
-						relax(st, d, sat, graph.ClassUSL, ec, ec)
-					}
-				default:
-					sat := node
-					for i, end := int(v.csr.Offsets[sat]), int(v.csr.Offsets[sat+1]); i < end; i++ {
-						relaxes++
-						to := int(v.csr.To[i])
-						ec := v.islCost(i, sat, to)
-						if math.IsInf(ec, 1) {
-							continue
-						}
-						w := ec
-						if transit != nil {
-							tc := transit(sat, graph.EdgeClass(c), graph.ClassISL)
-							if math.IsInf(tc, 1) {
-								continue
-							}
-							w += tc
-						}
-						relax(st, d, to, graph.ClassISL, ec, w)
-					}
-					if sc.dstStamp[sat] == sc.viewEpoch {
-						relaxes++
-						ec := v.dstCost(sat)
-						if !math.IsInf(ec, 1) {
-							w := ec
-							ok := true
-							if transit != nil {
-								tc := transit(sat, graph.EdgeClass(c), graph.ClassUSL)
-								if math.IsInf(tc, 1) {
-									ok = false
-								} else {
-									w += tc
-								}
-							}
-							if ok {
-								relax(st, d, dstNode, graph.ClassUSL, ec, w)
-							}
-						}
-					}
-				}
-			}
-		}
-		cur, next = next, cur
-		for c := 0; c < graph.NumClasses; c++ {
-			st := dstNode*graph.NumClasses + c
-			if cur[st] < bestCost {
-				bestCost = cur[st]
-				bestHop, bestState = h, st
-			}
-		}
-		// No early exit: a longer path can still be cheaper.
-	}
-
-	if in != nil {
-		in.EdgeRelaxations.Add(relaxes)
-		in.FastPathSearches.Inc()
-		in.PrunedLabels.Add(prunedN)
-	}
-	if bestState < 0 {
-		return graph.Path{}, false, prunedAny
-	}
-
-	// Reconstruct through the hop-indexed predecessors.
-	sc.nodesRev = append(sc.nodesRev[:0], bestState/graph.NumClasses)
-	sc.edgesRev = sc.edgesRev[:0]
-	h, st := bestHop, bestState
-	for h > 0 {
-		p := preds[h*numStates+st]
-		if p.state < 0 {
-			break
-		}
-		sc.edgesRev = append(sc.edgesRev, p.edge)
-		sc.nodesRev = append(sc.nodesRev, int(p.state)/graph.NumClasses)
-		h, st = int(p.hop), int(p.state)
-	}
-	return sc.buildPath(bestCost), true, prunedAny
 }
 
 // reconstruct walks the Dijkstra predecessor links back to the source.

@@ -34,8 +34,8 @@ func TestBuildViewErrors(t *testing.T) {
 
 // TestFlatViewMirrorsGenericView checks node numbering, link keys and
 // per-edge prices against the generic View on a live slot, then runs
-// both search kernels on both representations and requires identical
-// paths and consumption vectors. One scratch serves every comparison,
+// the search on both representations and requires identical paths and
+// consumption vectors. One scratch serves every comparison,
 // so the test also covers epoch-stamped cache reuse across views. Each
 // trial ends by committing its path at a rate that fills the USLs after
 // two trials, so later trials compare utilization-dependent prices and
@@ -117,18 +117,6 @@ func TestFlatViewMirrorsGenericView(t *testing.T) {
 					t.Fatalf("trial %d: consumptions diverged\ngeneric: %+v\nflat:    %+v", trial, cw, cg)
 				}
 			}
-
-			for _, maxHops := range []int{2, 4, 8} {
-				hw, okw := graph.ShortestPathHopLimited(gv, gv.SrcNode(), gv.DstNode(), maxHops, tr)
-				hg, okg, pruned := fv.Search(tr, maxHops, 0, math.Inf(1))
-				if pruned {
-					t.Fatalf("trial %d: unbudgeted hop search reported pruning", trial)
-				}
-				if okw != okg || !reflect.DeepEqual(hw, hg) {
-					t.Fatalf("trial %d cap %d: hop-limited diverged\ngeneric: ok=%v %+v\nflat:    ok=%v %+v",
-						trial, maxHops, okw, hw, okg, hg)
-				}
-			}
 		}
 
 		// Load the cheapest path for the next trial.
@@ -164,26 +152,22 @@ func TestFlatSearchBudgetPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, maxHops := range []int{0, 6} {
-		free, ok, _ := fv.Search(nil, maxHops, 0, math.Inf(1))
-		if !ok {
-			t.Fatalf("maxHops %d: no baseline path", maxHops)
-		}
-		// With the budget exactly at the path cost the optimal path must
-		// survive. The DP may still report pruned=true (it discards
-		// non-optimal over-budget labels along the way); the flag only
-		// carries meaning when the search fails.
-		if p, ok, _ := fv.Search(nil, maxHops, 0, free.Cost); !ok || !reflect.DeepEqual(p, free) {
-			t.Fatalf("maxHops %d: budget == cost must keep the path (ok=%v)", maxHops, ok)
-		}
-		if _, ok, pruned := fv.Search(nil, maxHops, 0, free.Cost/2); ok || !pruned {
-			t.Fatalf("maxHops %d: budget below cost must prune (ok=%v pruned=%v)", maxHops, ok, pruned)
-		}
-		// budgetBase shifts the accumulated-price origin: an exhausted
-		// base leaves no room for any edge.
-		if _, ok, pruned := fv.Search(nil, maxHops, free.Cost, free.Cost); ok || !pruned {
-			t.Fatalf("maxHops %d: exhausted base must prune (ok=%v pruned=%v)", maxHops, ok, pruned)
-		}
+	free, ok, _ := fv.Search(nil, 0, 0, math.Inf(1))
+	if !ok {
+		t.Fatal("no baseline path")
+	}
+	// With the budget exactly at the path cost the optimal path must
+	// survive.
+	if p, ok, _ := fv.Search(nil, 0, 0, free.Cost); !ok || !reflect.DeepEqual(p, free) {
+		t.Fatalf("budget == cost must keep the path (ok=%v)", ok)
+	}
+	if _, ok, pruned := fv.Search(nil, 0, 0, free.Cost/2); ok || !pruned {
+		t.Fatalf("budget below cost must prune (ok=%v pruned=%v)", ok, pruned)
+	}
+	// budgetBase shifts the accumulated-price origin: an exhausted base
+	// leaves no room for any edge.
+	if _, ok, pruned := fv.Search(nil, 0, free.Cost, free.Cost); ok || !pruned {
+		t.Fatalf("exhausted base must prune (ok=%v pruned=%v)", ok, pruned)
 	}
 }
 

@@ -76,12 +76,6 @@ func (s *State) LinkUtilization(key LinkKey, slot int) float64 {
 	return s.LinkUsedMbps(key, slot) / s.linkCapacity(key)
 }
 
-// LinkResidualMbps returns the remaining reservable bandwidth of a link
-// in a slot.
-func (s *State) LinkResidualMbps(key LinkKey, slot int) float64 {
-	return s.linkCapacity(key) - s.LinkUsedMbps(key, slot)
-}
-
 // ReserveLink reserves rateMbps on a link for one slot. It fails without
 // side effects if the link would be over-subscribed, or if the key names
 // two satellites the +Grid fabric does not connect.

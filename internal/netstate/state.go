@@ -175,11 +175,10 @@ func (s *State) SetObs(reg *obs.Registry) {
 		trialConsumes: reg.Counter("netstate.trial_consumes"),
 		scratchReuses: reg.Counter("netstate.scratch.reuses"),
 		graph: &graph.Instruments{
-			HeapPops:          reg.Counter("graph.dijkstra.heap_pops"),
-			EdgeRelaxations:   reg.Counter("graph.edge_relaxations"),
-			YenSpurIterations: reg.Counter("graph.yen.spur_iterations"),
-			FastPathSearches:  reg.Counter("graph.fastpath.searches"),
-			PrunedLabels:      reg.Counter("graph.fastpath.pruned_labels"),
+			HeapPops:         reg.Counter("graph.dijkstra.heap_pops"),
+			EdgeRelaxations:  reg.Counter("graph.edge_relaxations"),
+			FastPathSearches: reg.Counter("graph.fastpath.searches"),
+			PrunedLabels:     reg.Counter("graph.fastpath.pruned_labels"),
 		},
 		energy: &energy.Instruments{
 			DeficitWalks: reg.Counter("energy.deficit_walks"),
@@ -370,20 +369,6 @@ scan:
 				s.NoteDepletedSat(sat)
 				return fmt.Errorf("netstate: satellite %d: %w", sat, err)
 			}
-		}
-	}
-	return nil
-}
-
-// Consume applies a batch of consumptions (in slot order per satellite).
-// Callers that need atomicity must TrialConsume first; a mid-batch
-// failure leaves earlier consumptions applied.
-func (s *State) Consume(consumptions []Consumption) error {
-	ordered := append([]Consumption(nil), consumptions...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Slot < ordered[j].Slot })
-	for _, c := range ordered {
-		if err := s.batteries[c.Sat].Consume(c.Slot, c.Joules); err != nil {
-			return fmt.Errorf("netstate: satellite %d: %w", c.Sat, err)
 		}
 	}
 	return nil

@@ -165,9 +165,6 @@ func TestReserveAndQueryLink(t *testing.T) {
 	if got := s.LinkUtilization(key, 3); got != 0.25 {
 		t.Errorf("utilization = %v, want 0.25", got)
 	}
-	if got := s.LinkResidualMbps(key, 3); got != 15000 {
-		t.Errorf("residual = %v", got)
-	}
 	// Other slots unaffected.
 	if got := s.LinkUsedMbps(key, 4); got != 0 {
 		t.Errorf("slot 4 used = %v", got)
@@ -275,9 +272,11 @@ func TestTrialAndCommitConsume(t *testing.T) {
 	if err := s.TrialConsume(bad); err == nil {
 		t.Fatal("infeasible trial accepted")
 	}
-	if err := s.Consume(good); err != nil {
+	txn := s.Begin()
+	if err := txn.Consume(good); err != nil {
 		t.Fatal(err)
 	}
+	txn.Commit()
 	if got := s.Battery(0).DeficitAt(dark); math.Abs(got-capJ*0.8) > 1e-6 {
 		t.Errorf("deficit = %v, want %v", got, capJ*0.8)
 	}

@@ -186,16 +186,3 @@ func (v *View) PathConsumptions(p graph.Path) []Consumption {
 	}
 	return out
 }
-
-// ReservePathBandwidth reserves the request's demand on every link of the
-// path in this view's slot. The search already masked infeasible links,
-// so failures indicate a caller bug (e.g. double-committing a path).
-func (v *View) ReservePathBandwidth(p graph.Path) error {
-	for i := 0; i < len(p.Nodes)-1; i++ {
-		key := v.LinkKeyFor(p.Nodes[i], p.Nodes[i+1])
-		if err := v.state.ReserveLink(key, v.slot, v.demandMbps); err != nil {
-			return err
-		}
-	}
-	return nil
-}

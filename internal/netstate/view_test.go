@@ -232,6 +232,8 @@ func TestViewPathConsumptions(t *testing.T) {
 	}
 }
 
+// TestViewReservePathBandwidth reserves a path found on the generic View
+// through a transaction, as the reference branch of RouteSlot does.
 func TestViewReservePathBandwidth(t *testing.T) {
 	s := newTestState(t, twoCitySites(), false)
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
@@ -243,9 +245,11 @@ func TestViewReservePathBandwidth(t *testing.T) {
 	if !ok {
 		t.Fatal("no route")
 	}
-	if err := v.ReservePathBandwidth(p); err != nil {
+	txn := s.Begin()
+	if err := txn.ReservePath(v, p); err != nil {
 		t.Fatal(err)
 	}
+	txn.Commit()
 	// Every link of the path now shows 500 Mbps used in this slot.
 	for i := 0; i < len(p.Nodes)-1; i++ {
 		key := v.LinkKeyFor(p.Nodes[i], p.Nodes[i+1])

@@ -12,10 +12,9 @@ package offline
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
-	"spacebooking/internal/graph"
+	"spacebooking/internal/baselines"
 	"spacebooking/internal/netstate"
 	"spacebooking/internal/topology"
 	"spacebooking/internal/workload"
@@ -28,10 +27,14 @@ type Result struct {
 	TotalRequests int
 }
 
-// Greedy computes the offline greedy welfare over a fresh resource state
-// built from the provider and energy configuration (strict batteries:
-// the offline algorithm is also bandwidth- and energy-constrained, per
-// Lemma 3).
+// Greedy computes the offline greedy welfare: the whole sequence sorted by
+// valuation (ties broken by smaller resource footprint Σ_t δ_i(t)) and fed
+// to the SSP baseline — min-hop routing behind the battery-feasibility
+// mask, committed slot by slot — over a fresh resource state built from
+// the provider and energy configuration (strict batteries: the offline
+// algorithm is also bandwidth- and energy-constrained, per Lemma 3). Every
+// accepted plan is a committed feasible reservation, so the welfare is
+// that of a feasible offline solution and lower-bounds OPT.
 func Greedy(prov *topology.Provider, energyCfg netstate.EnergyConfig, reqs []workload.Request) (Result, error) {
 	if prov == nil {
 		return Result{}, fmt.Errorf("offline: nil provider")
@@ -40,81 +43,47 @@ func Greedy(prov *topology.Provider, energyCfg netstate.EnergyConfig, reqs []wor
 	if err != nil {
 		return Result{}, err
 	}
+	return greedyOn(state, reqs)
+}
 
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
+// greedyOn is Greedy over a state the caller built (and can inspect).
+func greedyOn(state *netstate.State, reqs []workload.Request) (Result, error) {
+	ssp, err := baselines.NewSSP(state)
+	if err != nil {
+		return Result{}, err
 	}
-	footprint := func(r workload.Request) float64 {
-		return r.RateMbps * float64(r.DurationSlots())
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := reqs[order[a]], reqs[order[b]]
-		if ra.Valuation != rb.Valuation {
-			return ra.Valuation > rb.Valuation
-		}
-		return footprint(ra) < footprint(rb)
-	})
 
 	res := Result{TotalRequests: len(reqs)}
-	for _, idx := range order {
-		ok, err := tryAdmit(state, reqs[idx])
+	for _, req := range valuationOrder(reqs) {
+		d, err := ssp.Handle(req)
 		if err != nil {
-			return Result{}, err
+			return Result{}, fmt.Errorf("offline: %w", err)
 		}
-		if ok {
+		if d.Accepted {
 			res.Accepted++
-			res.Welfare += reqs[idx].Valuation
+			res.Welfare += req.Valuation
 		}
 	}
 	return res, nil
 }
 
-// tryAdmit routes the request min-hop with energy feasibility and
-// commits it if every active slot is routable.
-func tryAdmit(state *netstate.State, req workload.Request) (bool, error) {
-	if req.StartSlot < 0 || req.EndSlot < req.StartSlot || req.EndSlot >= state.Provider().Horizon() {
-		return false, fmt.Errorf("offline: request %d window [%d,%d] invalid", req.ID, req.StartSlot, req.EndSlot)
-	}
-	unit := func(netstate.LinkKey, graph.EdgeClass, float64, float64) float64 { return 1 }
-	slotSec := state.Provider().Config().SlotSeconds
-	energyCfg := state.EnergyConfig()
-
-	var views []*netstate.View
-	var paths []graph.Path
-	var consumptions []netstate.Consumption
-	for slot := req.StartSlot; slot <= req.EndSlot; slot++ {
-		view, err := netstate.NewView(state, slot, req.Src, req.Dst, req.RateMbps, unit)
-		if err != nil {
-			return false, err
+// valuationOrder returns the requests in the order Greedy admits them:
+// by descending valuation, then ascending footprint, then arrival.
+func valuationOrder(reqs []workload.Request) []workload.Request {
+	footprint := func(r workload.Request) float64 {
+		total := 0.0
+		for t := r.StartSlot; t <= r.EndSlot; t++ {
+			total += r.RateAt(t)
 		}
-		// Energy feasibility as a transit mask: a satellite that cannot
-		// host this slot's consumption is blocked.
-		transit := func(node int, in, out graph.EdgeClass) float64 {
-			joules := energyCfg.TransitEnergyJ(in, out, req.RateMbps, slotSec)
-			if !state.Battery(node).Feasible(slot, joules) {
-				return math.Inf(1)
-			}
-			return 0
+		return total
+	}
+	sorted := append([]workload.Request(nil), reqs...)
+	sort.SliceStable(sorted, func(a, b int) bool {
+		ra, rb := sorted[a], sorted[b]
+		if ra.Valuation != rb.Valuation {
+			return ra.Valuation > rb.Valuation
 		}
-		path, ok := graph.ShortestPath(view, view.SrcNode(), view.DstNode(), transit)
-		if !ok {
-			return false, nil
-		}
-		views = append(views, view)
-		paths = append(paths, path)
-		consumptions = append(consumptions, view.PathConsumptions(path)...)
-	}
-	if err := state.TrialConsume(consumptions); err != nil {
-		return false, nil //nolint:nilerr // joint infeasibility is a rejection, not a failure
-	}
-	for i, view := range views {
-		if err := view.ReservePathBandwidth(paths[i]); err != nil {
-			return false, err
-		}
-	}
-	if err := state.Consume(consumptions); err != nil {
-		return false, err
-	}
-	return true, nil
+		return footprint(ra) < footprint(rb)
+	})
+	return sorted
 }

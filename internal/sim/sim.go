@@ -115,19 +115,12 @@ type RunConfig struct {
 	Energy netstate.EnergyConfig
 	// Pricing configures CEAR (ignored by baselines).
 	Pricing pricing.Params
-	// MaxHops, when positive, applies CEAR's hop-limited search.
-	MaxHops int
 	// Weights configures the ECARS/ERU/ERA family (ignored otherwise).
 	Weights baselines.WeightOptions
 	// CongestionThresholdFrac and DepletionThresholdFrac define the
 	// Fig. 7 metrics (0.1 and 0.2 in the paper).
 	CongestionThresholdFrac float64
 	DepletionThresholdFrac  float64
-	// GenericSearch routes every algorithm through the reference
-	// implementation (the Adjacency-interface views and generic graph
-	// searches) instead of the flat CSR fast path. Decisions are
-	// identical either way; the generic path exists for cross-checking.
-	GenericSearch bool
 	// PruneBudget enables budget pruning in CEAR's fast-path searches
 	// (see core.Options.PruneBudget). It preserves accept/reject, plans
 	// and (up to float residue on rolled-back links) prices, but not the
@@ -137,7 +130,9 @@ type RunConfig struct {
 	PruneBudget bool
 	// Scratch, when non-nil, supplies the pooled search scratch for the
 	// run's algorithm. The experiment scheduler sets it from a
-	// sync.Pool; standalone runs may leave it nil.
+	// sync.Pool; standalone runs may leave it nil. Tests pass
+	// netstate.NewReferenceScratch() to route every algorithm through the
+	// reference search instead of the flat one; decisions are identical.
 	Scratch *netstate.SearchScratch
 	// Trace, when non-nil, receives one structured record per admission
 	// decision plus per-slot network snapshots.
@@ -254,18 +249,15 @@ func buildAlgorithm(prov *topology.Provider, rc RunConfig) (router.Algorithm, *n
 	}
 	state.SetObs(rc.Obs)
 	cearOpts := core.Options{
-		Pricing:          rc.Pricing,
-		MaxHops:          rc.MaxHops,
-		UseGenericSearch: rc.GenericSearch,
-		PruneBudget:      rc.PruneBudget,
-		Scratch:          rc.Scratch,
-		Obs:              rc.Obs,
+		Pricing:     rc.Pricing,
+		PruneBudget: rc.PruneBudget,
+		Scratch:     rc.Scratch,
+		Obs:         rc.Obs,
 	}
 	newBaselineAlg := func(alg *baselines.Baseline, err error) (router.Algorithm, *netstate.State, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		alg.SetGenericSearch(rc.GenericSearch)
 		alg.SetScratch(rc.Scratch)
 		return alg, state, nil
 	}
@@ -294,8 +286,6 @@ func buildAlgorithm(prov *topology.Provider, rc RunConfig) (router.Algorithm, *n
 		acfg.Predictor = predictor
 		acfg.InitialF1 = rc.Pricing.F1
 		acfg.InitialF2 = rc.Pricing.F2
-		acfg.MaxHops = rc.MaxHops
-		acfg.UseGenericSearch = rc.GenericSearch
 		acfg.PruneBudget = rc.PruneBudget
 		acfg.Scratch = rc.Scratch
 		acfg.Obs = rc.Obs

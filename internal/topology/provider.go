@@ -310,12 +310,6 @@ func (p *Provider) SatPosECEF(slot, sat int) geo.Vec3 { return p.satECEF[slot][s
 // Sunlit reports whether a satellite is in sunlight during a slot.
 func (p *Provider) Sunlit(slot, sat int) bool { return p.sunlit[slot][sat] }
 
-// SiteECEF returns the Earth-fixed position of a registered ground site.
-func (p *Provider) SiteECEF(site int) geo.Vec3 { return p.siteECEF[site] }
-
-// EOPosECEF returns the Earth-fixed position of an EO satellite in a slot.
-func (p *Provider) EOPosECEF(slot, eo int) geo.Vec3 { return p.eoECEF[slot][eo] }
-
 // EndpointECEF returns the Earth-fixed position of an endpoint in a slot.
 func (p *Provider) EndpointECEF(e Endpoint, slot int) (geo.Vec3, error) {
 	switch e.Kind {
@@ -554,9 +548,4 @@ func (p *Provider) GlobalID(e Endpoint) int {
 	default:
 		return -1
 	}
-}
-
-// TotalNodes returns the size of the global node-ID space.
-func (p *Provider) TotalNodes() int {
-	return len(p.sats) + len(p.sites) + len(p.eo)
 }

@@ -79,9 +79,6 @@ func TestProviderBasicCounts(t *testing.T) {
 	if p.Horizon() != 30 {
 		t.Errorf("Horizon = %d", p.Horizon())
 	}
-	if p.TotalNodes() != 96+1+5 {
-		t.Errorf("TotalNodes = %d", p.TotalNodes())
-	}
 }
 
 func TestPlusGridNeighborStructure(t *testing.T) {

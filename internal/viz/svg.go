@@ -6,7 +6,6 @@ package viz
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -164,15 +163,4 @@ func HeatRamp(v float64) string {
 	g := int(90 * (1 - v))
 	bl := int(220 * (1 - v))
 	return fmt.Sprintf("#%02x%02x%02x", r, g, bl)
-}
-
-// SortedKeys returns map keys in sorted order (deterministic SVG output
-// for tests and diffs).
-func SortedKeys[M ~map[int]V, V any](m M) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

@@ -124,11 +124,3 @@ func TestHeatRamp(t *testing.T) {
 		t.Errorf("bad colour format %q", cold)
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	m := map[int]string{3: "c", 1: "a", 2: "b"}
-	keys := SortedKeys(m)
-	if len(keys) != 3 || keys[0] != 1 || keys[1] != 2 || keys[2] != 3 {
-		t.Errorf("keys = %v", keys)
-	}
-}

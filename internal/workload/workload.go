@@ -128,9 +128,6 @@ func (r Request) Validate(horizon int) error {
 // DurationSlots returns the number of active slots.
 func (r Request) DurationSlots() int { return r.EndSlot - r.StartSlot + 1 }
 
-// Active reports κ(T, i): whether the request is active in the slot.
-func (r Request) Active(slot int) bool { return slot >= r.StartSlot && slot <= r.EndSlot }
-
 // Pair is a reusable source–destination endpoint pair.
 type Pair struct {
 	Src topology.Endpoint
@@ -412,30 +409,3 @@ func NewRateSampler(min, max, mean float64) (RateSampler, error) {
 
 // Sample draws one demand using the caller's RNG.
 func (s RateSampler) Sample(rng *rand.Rand) float64 { return s.inner.sample(rng) }
-
-// RandomGroundPairs draws `count` distinct source–destination pairs of
-// ground sites, weighted by site GDP weight when weights are present
-// (mirroring demand concentration in economically active regions).
-func RandomGroundPairs(numSites, count int, seed int64) ([]Pair, error) {
-	if numSites < 2 {
-		return nil, fmt.Errorf("workload: need at least 2 sites, got %d", numSites)
-	}
-	if count <= 0 {
-		return nil, fmt.Errorf("workload: pair count must be positive, got %d", count)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	pairs := make([]Pair, 0, count)
-	seen := make(map[[2]int]bool, count)
-	for len(pairs) < count {
-		a, b := rng.Intn(numSites), rng.Intn(numSites)
-		if a == b || seen[[2]int{a, b}] {
-			continue
-		}
-		seen[[2]int{a, b}] = true
-		pairs = append(pairs, Pair{
-			Src: topology.Endpoint{Kind: topology.EndpointGround, Index: a},
-			Dst: topology.Endpoint{Kind: topology.EndpointGround, Index: b},
-		})
-	}
-	return pairs, nil
-}

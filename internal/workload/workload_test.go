@@ -230,48 +230,6 @@ func TestPoissonMeanAndVariance(t *testing.T) {
 	}
 }
 
-func TestRandomGroundPairs(t *testing.T) {
-	pairs, err := RandomGroundPairs(100, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 10 {
-		t.Fatalf("got %d pairs", len(pairs))
-	}
-	seen := map[[2]int]bool{}
-	for _, p := range pairs {
-		if p.Src.Kind != topology.EndpointGround || p.Dst.Kind != topology.EndpointGround {
-			t.Fatal("non-ground endpoint")
-		}
-		if p.Src.Index == p.Dst.Index {
-			t.Fatal("self pair")
-		}
-		key := [2]int{p.Src.Index, p.Dst.Index}
-		if seen[key] {
-			t.Fatal("duplicate pair")
-		}
-		seen[key] = true
-	}
-	if _, err := RandomGroundPairs(1, 1, 1); err == nil {
-		t.Error("too few sites should error")
-	}
-	if _, err := RandomGroundPairs(10, 0, 1); err == nil {
-		t.Error("zero count should error")
-	}
-}
-
-func TestRequestActive(t *testing.T) {
-	r := Request{StartSlot: 5, EndSlot: 8}
-	for slot, want := range map[int]bool{4: false, 5: true, 7: true, 8: true, 9: false} {
-		if got := r.Active(slot); got != want {
-			t.Errorf("Active(%d) = %v, want %v", slot, got, want)
-		}
-	}
-	if r.DurationSlots() != 4 {
-		t.Errorf("duration = %d", r.DurationSlots())
-	}
-}
-
 func TestRequestRateAt(t *testing.T) {
 	flat := Request{StartSlot: 5, EndSlot: 8, RateMbps: 700}
 	for slot := 5; slot <= 8; slot++ {
@@ -281,6 +239,9 @@ func TestRequestRateAt(t *testing.T) {
 	}
 	if flat.PeakRate() != 700 {
 		t.Errorf("flat peak = %v", flat.PeakRate())
+	}
+	if flat.DurationSlots() != 4 {
+		t.Errorf("duration = %d", flat.DurationSlots())
 	}
 
 	vec := Request{StartSlot: 5, EndSlot: 8, RateVector: []float64{100, 200, 300, 250}}
