@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check check-race build test vet fmt-check race bench-smoke fuzz-smoke bench-module bench-golden bench-pair obsdiff-smoke smoke-spaced trace-smoke scenario-smoke loc
+.PHONY: check check-race build test vet fmt-check race bench-smoke fuzz-smoke bench-module bench-golden bench-pair report-smoke smoke-spaced trace-smoke scenario-smoke loc
 
 check: fmt-check vet build race bench-smoke fuzz-smoke
 	@echo "check: all gates passed"
@@ -109,24 +109,24 @@ scenario-smoke:
 
 # End-to-end tracing smoke: boot spaced with -trace-sample 1 and an
 # audit log, fire spaceload, assert /debug/traces.json answers with
-# records, the drained audit log is valid JSONL (auditstat), and the
-# report's server.trace.* counters are live (obsdiff gates).
+# records, the drained audit log is valid JSONL (spacestat audit), and
+# the report's server.trace.* counters are live (spacestat diff gates).
 trace-smoke:
 	./scripts/trace_smoke.sh
 
 # Produce a tiny-run report and diff it against itself: exercises the
 # report pipeline end to end and must exit 0 (the CI smoke for the
-# obsdiff perf gate). Also gates the routing fast path: the report must
-# carry the fast-path counters, and the searches/reuses counts must be
-# live (a zero means a regression silently fell back to the generic
-# path or stopped reusing the scratch).
-obsdiff-smoke:
-	$(GO) run ./cmd/cearsim -scale small -report /tmp/obsdiff-smoke.json >/dev/null
-	$(GO) run ./cmd/obsdiff /tmp/obsdiff-smoke.json /tmp/obsdiff-smoke.json
-	@grep -q '"graph.fastpath.pruned_labels"' /tmp/obsdiff-smoke.json || \
-		{ echo "obsdiff-smoke: graph.fastpath.pruned_labels missing from run report"; exit 1; }
-	@grep -Eq '"graph.fastpath.searches": *[1-9]' /tmp/obsdiff-smoke.json || \
-		{ echo "obsdiff-smoke: graph.fastpath.searches is zero or missing — fast path not live"; exit 1; }
-	@grep -Eq '"netstate.scratch.reuses": *[1-9]' /tmp/obsdiff-smoke.json || \
-		{ echo "obsdiff-smoke: netstate.scratch.reuses is zero or missing — scratch not reused"; exit 1; }
-	@rm -f /tmp/obsdiff-smoke.json
+# `spacestat diff` perf gate). Also gates the routing fast path: the
+# report must carry the fast-path counters, and the searches/reuses
+# counts must be live (a zero means a regression silently fell back to
+# the generic path or stopped reusing the scratch).
+report-smoke:
+	$(GO) run ./cmd/cearsim -scale small -report /tmp/report-smoke.json >/dev/null
+	$(GO) run ./cmd/spacestat diff /tmp/report-smoke.json /tmp/report-smoke.json
+	@grep -q '"graph.fastpath.pruned_labels"' /tmp/report-smoke.json || \
+		{ echo "report-smoke: graph.fastpath.pruned_labels missing from run report"; exit 1; }
+	@grep -Eq '"graph.fastpath.searches": *[1-9]' /tmp/report-smoke.json || \
+		{ echo "report-smoke: graph.fastpath.searches is zero or missing — fast path not live"; exit 1; }
+	@grep -Eq '"netstate.scratch.reuses": *[1-9]' /tmp/report-smoke.json || \
+		{ echo "report-smoke: netstate.scratch.reuses is zero or missing — scratch not reused"; exit 1; }
+	@rm -f /tmp/report-smoke.json

@@ -1,16 +1,21 @@
 // Command constellation inspects the simulated LSN topology: satellite
 // positions, coverage statistics, eclipse cycles, ISL geometry and
 // ground-site visibility — useful for validating the substrate before
-// running experiments.
+// running experiments. With -svg it also renders the slot as a
+// standalone SVG map: satellite sub-points coloured by battery health
+// (after -load requests/min of simulated CEAR load, if given), ground
+// sites, the +Grid ISL fabric, and the min-price path of a sample
+// request.
 //
 // Usage:
 //
-//	constellation [-scale small|medium|full] [-slot N] [-site "lat,lon"]
+//	constellation [-scale small|medium|full] [-slot N] [-site "lat,lon"] [-svg FILE [-load R]]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -18,69 +23,89 @@ import (
 
 	"spacebooking"
 	"spacebooking/internal/buildinfo"
+	"spacebooking/internal/core"
 	"spacebooking/internal/geo"
 	"spacebooking/internal/grid"
+	"spacebooking/internal/netstate"
+	"spacebooking/internal/sim"
 	"spacebooking/internal/topology"
+	"spacebooking/internal/viz"
+	"spacebooking/internal/workload"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	scaleName := flag.String("scale", "small", "scale: small, medium or full")
-	slot := flag.Int("slot", 0, "time slot to inspect")
-	siteSpec := flag.String("site", "40.7,-74.0", "ground site as \"lat,lon\" for visibility report")
-	showVersion := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("constellation", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scaleName := fs.String("scale", "small", "scale: small, medium or full")
+	slot := fs.Int("slot", 0, "time slot to inspect")
+	siteSpec := fs.String("site", "40.7,-74.0", "ground site as \"lat,lon\" for visibility report")
+	svgOut := fs.String("svg", "", "also write an SVG map of the slot to this file")
+	load := fs.Float64("load", 0, "requests/min of simulated load before the -svg snapshot (needs -svg; 0 = pristine)")
+	showVersion := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *showVersion {
-		fmt.Println(buildinfo.Line("constellation"))
+		fmt.Fprintln(stdout, buildinfo.Line("constellation"))
 		return 0
 	}
-
-	scale, err := spacebooking.ParseScale(*scaleName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if fs.NArg() > 0 || (*load != 0 && *svgOut == "") {
+		fs.Usage()
+		return 2
+	}
+	if err := inspect(stdout, *scaleName, *slot, *siteSpec, *svgOut, *load); err != nil {
+		fmt.Fprintf(stderr, "constellation: %v\n", err)
 		return 1
 	}
-	lat, lon, err := parseSite(*siteSpec)
+	return 0
+}
+
+// inspect prints the topology report for one slot and, when svgOut is
+// set, writes that slot's map.
+func inspect(out io.Writer, scaleName string, slot int, siteSpec, svgOut string, load float64) error {
+	scale, err := spacebooking.ParseScale(scaleName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
+	}
+	lat, lon, err := parseSite(siteSpec)
+	if err != nil {
+		return err
 	}
 
 	start := time.Now()
 	env, err := spacebooking.NewEnvironment(spacebooking.EnvConfig{Scale: scale})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
 	prov := env.Provider
-	if *slot < 0 || *slot >= prov.Horizon() {
-		fmt.Fprintf(os.Stderr, "slot %d outside horizon [0,%d)\n", *slot, prov.Horizon())
-		return 1
+	if slot < 0 || slot >= prov.Horizon() {
+		return fmt.Errorf("slot %d outside horizon [0,%d)", slot, prov.Horizon())
 	}
 	cfg := prov.Config()
 
-	fmt.Printf("constellation: %d planes x %d satellites = %d total\n",
+	fmt.Fprintf(out, "constellation: %d planes x %d satellites = %d total\n",
 		cfg.Walker.Planes, cfg.Walker.SatsPerPlane, prov.NumSats())
-	fmt.Printf("orbit: %.0f km altitude, %.0f deg inclination, period %.1f min\n",
+	fmt.Fprintf(out, "orbit: %.0f km altitude, %.0f deg inclination, period %.1f min\n",
 		cfg.Walker.AltitudeKm, cfg.Walker.InclinationDeg,
 		prov.Satellites()[0].Elements.PeriodSeconds()/60)
-	fmt.Printf("links: ISL %.0f Mbps, USL %.0f Mbps, elevation mask %.0f deg\n",
+	fmt.Fprintf(out, "links: ISL %.0f Mbps, USL %.0f Mbps, elevation mask %.0f deg\n",
 		cfg.ISLCapacityMbps, cfg.USLCapacityMbps, cfg.MinElevationDeg)
-	fmt.Printf("horizon: %d slots x %.0f s; %d ground sites; %d EO satellites\n\n",
+	fmt.Fprintf(out, "horizon: %d slots x %.0f s; %d ground sites; %d EO satellites\n\n",
 		prov.Horizon(), cfg.SlotSeconds, prov.NumSites(), prov.NumEO())
 
 	// Eclipse statistics at the chosen slot.
 	lit := 0
 	for sat := 0; sat < prov.NumSats(); sat++ {
-		if prov.Sunlit(*slot, sat) {
+		if prov.Sunlit(slot, sat) {
 			lit++
 		}
 	}
-	fmt.Printf("slot %d: %d/%d satellites sunlit (%.1f%%)\n",
-		*slot, lit, prov.NumSats(), 100*float64(lit)/float64(prov.NumSats()))
+	fmt.Fprintf(out, "slot %d: %d/%d satellites sunlit (%.1f%%)\n",
+		slot, lit, prov.NumSats(), 100*float64(lit)/float64(prov.NumSats()))
 
 	// ISL length statistics.
 	minLen, maxLen, sum, count := 1e18, 0.0, 0.0, 0
@@ -89,61 +114,171 @@ func run() int {
 			if n < sat {
 				continue
 			}
-			d := prov.SatPosECI(*slot, sat).DistanceTo(prov.SatPosECI(*slot, n))
-			if d < minLen {
-				minLen = d
-			}
-			if d > maxLen {
-				maxLen = d
-			}
+			d := prov.SatPosECI(slot, sat).DistanceTo(prov.SatPosECI(slot, n))
+			minLen = min(minLen, d)
+			maxLen = max(maxLen, d)
 			sum += d
 			count++
 		}
 	}
-	fmt.Printf("ISLs: %d undirected, length min/mean/max = %.0f/%.0f/%.0f km\n",
+	fmt.Fprintf(out, "ISLs: %d undirected, length min/mean/max = %.0f/%.0f/%.0f km\n",
 		count, minLen, sum/float64(count), maxLen)
 
 	// Visibility from the requested ground point over the horizon.
 	tmpSite := grid.Site{ID: 0, LatDeg: lat, LonDeg: lon}
 	visProv, err := topology.NewProvider(cfg, []grid.Site{tmpSite}, nil)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
 	ep := topology.Endpoint{Kind: topology.EndpointGround, Index: 0}
 	covered, total, best := 0, 0, 0
 	for t := 0; t < visProv.Horizon(); t++ {
 		vis, err := visProv.VisibleSats(ep, t)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return err
 		}
 		total++
 		if len(vis) > 0 {
 			covered++
 		}
-		if len(vis) > best {
-			best = len(vis)
-		}
+		best = max(best, len(vis))
 	}
-	fmt.Printf("\nsite (%.2f, %.2f): covered %d/%d slots (%.1f%%), max %d satellites in view\n",
+	fmt.Fprintf(out, "\nsite (%.2f, %.2f): covered %d/%d slots (%.1f%%), max %d satellites in view\n",
 		lat, lon, covered, total, 100*float64(covered)/float64(total), best)
 
-	vis, err := visProv.VisibleSats(ep, *slot)
+	vis, err := visProv.VisibleSats(ep, slot)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
 	obs := geo.LLAToECEF(geo.LLA{LatDeg: lat, LonDeg: lon})
-	fmt.Printf("slot %d: %d satellites visible\n", *slot, len(vis))
+	fmt.Fprintf(out, "slot %d: %d satellites visible\n", slot, len(vis))
 	for _, sat := range vis {
-		pos := visProv.SatPosECEF(*slot, sat)
-		fmt.Printf("  sat %4d  elevation %5.1f deg  range %6.0f km  sunlit %v\n",
-			sat, geo.ElevationDeg(obs, pos), obs.DistanceTo(pos), visProv.Sunlit(*slot, sat))
+		pos := visProv.SatPosECEF(slot, sat)
+		fmt.Fprintf(out, "  sat %4d  elevation %5.1f deg  range %6.0f km  sunlit %v\n",
+			sat, geo.ElevationDeg(obs, pos), obs.DistanceTo(pos), visProv.Sunlit(slot, sat))
 	}
 
-	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
-	return 0
+	if svgOut != "" {
+		fmt.Fprintln(out)
+		if err := writeMap(out, env, scale, slot, svgOut, load); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(out, "\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
+	return nil
+}
+
+// writeMap renders slot as an SVG map into path: CEAR prices a fresh
+// state (after load requests/min of simulated requests, if load > 0) and
+// routes one sample request whose path the map highlights.
+func writeMap(out io.Writer, env *spacebooking.Environment, scale spacebooking.Scale, slot int, path string, load float64) error {
+	prov := env.Provider
+	state, err := netstate.New(prov, spacebooking.PaperEnergyConfig(), false)
+	if err != nil {
+		return err
+	}
+	params, err := spacebooking.PaperPricing()
+	if err != nil {
+		return err
+	}
+	cear, err := core.New(state, core.Options{Pricing: params})
+	if err != nil {
+		return err
+	}
+	if load > 0 {
+		reqs, err := workload.Generate(env.WorkloadConfig(load, 101))
+		if err != nil {
+			return err
+		}
+		accepted := 0
+		for _, r := range reqs {
+			d, err := cear.Handle(r)
+			if err != nil {
+				return err
+			}
+			if d.Accepted {
+				accepted++
+			}
+		}
+		fmt.Fprintf(out, "simulated load: %d/%d requests accepted\n", accepted, len(reqs))
+	}
+
+	m := viz.NewMap(fmt.Sprintf("LSN snapshot — %s scale, slot %d (%s %s)",
+		scale, slot, sim.AlgCEAR, "pricing state"))
+
+	// ISLs first (underneath), for a subset to keep full scale legible.
+	stride := 1
+	if prov.NumSats() > 400 {
+		stride = 4
+	}
+	subpoint := func(sat int) (float64, float64) {
+		lla := geo.ECEFToLLA(prov.SatPosECEF(slot, sat))
+		return lla.LatDeg, lla.LonDeg
+	}
+	for sat := 0; sat < prov.NumSats(); sat += stride {
+		la1, lo1 := subpoint(sat)
+		for _, n := range prov.ISLNeighbors(sat) {
+			if n < sat {
+				continue
+			}
+			la2, lo2 := subpoint(n)
+			m.AddLink(la1, lo1, la2, lo2, "#233057", 0.3)
+		}
+	}
+
+	// Satellites coloured by battery depletion at the snapshot slot.
+	for sat := 0; sat < prov.NumSats(); sat++ {
+		la, lo := subpoint(sat)
+		depletion := state.Battery(sat).UtilizationAt(slot)
+		m.AddSatellite(la, lo, prov.Sunlit(slot, sat), viz.HeatRamp(depletion))
+	}
+
+	// Ground sites.
+	for _, s := range env.Sites {
+		m.AddSite(s.LatDeg, s.LonDeg, "#2e8b57")
+	}
+
+	// One sample request path at the snapshot slot.
+	pair := env.Pairs[0]
+	req := workload.Request{
+		ID: 1 << 20, Src: pair.Src, Dst: pair.Dst,
+		StartSlot: slot, EndSlot: slot,
+		RateMbps: 1000, Valuation: env.DefaultValuation(),
+	}
+	d, err := cear.Handle(req)
+	if err != nil {
+		return err
+	}
+	if d.Accepted {
+		path := d.Plan.Paths[0].Path
+		src := env.Sites[pair.Src.Index]
+		dst := env.Sites[pair.Dst.Index]
+		prevLat, prevLon := src.LatDeg, src.LonDeg
+		for _, n := range path.Nodes[1 : len(path.Nodes)-1] {
+			la, lo := subpoint(n)
+			m.AddLink(prevLat, prevLon, la, lo, "#ffd24d", 1.2)
+			prevLat, prevLon = la, lo
+		}
+		m.AddLink(prevLat, prevLon, dst.LatDeg, dst.LonDeg, "#ffd24d", 1.2)
+		m.AddLabel(src.LatDeg, src.LonDeg, "src", "#ffd24d")
+		m.AddLabel(dst.LatDeg, dst.LonDeg, "dst", "#ffd24d")
+		fmt.Fprintf(out, "sample request routed over %d hops at price %.4g\n", path.Hops(), d.Price)
+	} else {
+		fmt.Fprintf(out, "sample request rejected: %s\n", d.Reason)
+	}
+
+	svg := m.Render([]viz.Legend{
+		{Color: "#2e8b57", Text: "ground site"},
+		{Color: viz.HeatRamp(0), Text: "satellite (full battery)"},
+		{Color: viz.HeatRamp(1), Text: "satellite (depleted)"},
+		{Color: "#444466", Text: "in umbra"},
+		{Color: "#ffd24d", Text: "sample reserved path"},
+	})
+	if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "wrote %s (%d elements)\n", path, m.NumElements())
+	return nil
 }
 
 func parseSite(spec string) (lat, lon float64, err error) {

@@ -1,0 +1,45 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+func TestReportAndSVG(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lsn.svg")
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-scale", "small", "-svg", path}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errOut.String())
+	}
+	for _, want := range []string{
+		"\nconstellation: ", "\norbit: ", "\nlinks: ISL ", "\nhorizon: ", "\nslot 0: ", " satellites sunlit ",
+		"\nISLs: ", "\nsite (40.70, -74.00): covered ", "\nsample request ", "\nwrote " + path + " (", "\ncompleted in ",
+	} {
+		if !strings.Contains("\n"+out.String(), want) {
+			t.Errorf("report missing %q:\n%s", want, out.String())
+		}
+	}
+	svg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := strings.TrimSpace(string(svg)); !strings.HasPrefix(s, "<svg") || !strings.HasSuffix(s, "</svg>") {
+		t.Errorf("%s is not one SVG document: %.80q ... %q", path, s, s[max(0, len(s)-20):])
+	}
+}
+
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{{"-load", "2"}, {"stray"}, {"-bogus"}} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 {
+			t.Errorf("%q: exit %d, stdout %q; want 2 and no report", args, code, out.String())
+		}
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-slot", "-1"}, &out, &errOut); code != 1 || !strings.Contains(errOut.String(), "outside horizon") {
+		t.Errorf("-slot -1: exit %d, stderr %q", code, errOut.String())
+	}
+}

@@ -24,7 +24,7 @@
 //	SUMMARY req_per_sec=... p50_ms=... p99_ms=... accepted=... rejected=... shed=... draining=... errors=...
 //
 // With -report the same numbers are written as an obs JSON report,
-// diffable with obsdiff.
+// diffable with `spacestat diff`.
 //
 // Usage:
 //

@@ -207,9 +207,9 @@ func (s *State) EnableTraceDetail(reg *obs.Registry) {
 	if reg == nil || s.instr.graph == nil {
 		return
 	}
-	// Names deliberately avoid "seconds": obsdiff's default wall-time
-	// gates would otherwise treat these monotonic nano totals as
-	// regression-gated quantities.
+	// Names deliberately avoid "seconds": spacestat diff's default
+	// wall-time gates would otherwise treat these monotonic nano totals
+	// as regression-gated quantities.
 	s.instr.graph.SearchNanos = reg.Counter("graph.search.nanos")
 	s.instr.graph.PricingNanos = reg.Counter("energy.pricing.nanos")
 	s.instr.commitNanos = reg.Counter("netstate.commit.nanos")

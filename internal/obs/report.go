@@ -8,7 +8,7 @@ import (
 )
 
 // ReportVersion is bumped whenever the report schema changes
-// incompatibly, so downstream diff tooling (cmd/obsdiff) can refuse
+// incompatibly, so downstream diff tooling (spacestat diff) can refuse
 // mixed versions. Version 2 added the top-level timeseries section;
 // version 3 added the slo section and the p999 histogram quantile;
 // version 4 added the hotspots section (top-K entity trackers).

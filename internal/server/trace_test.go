@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"spacebooking/internal/obs"
+	"spacebooking/internal/trace"
 )
 
 // auditLines parses a JSONL audit file, failing on any malformed line —
@@ -26,19 +26,11 @@ func auditLines(t *testing.T, path string) []AuditRecord {
 	}
 	defer f.Close()
 	var recs []AuditRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		var rec AuditRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("audit line %d not a complete record: %v (%q)", line, err, sc.Text())
-		}
+	if err := trace.EachLine(f, func(rec AuditRecord) error {
 		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+		return nil
+	}); err != nil {
+		t.Fatalf("audit log is not complete records: %v", err)
 	}
 	return recs
 }

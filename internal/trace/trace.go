@@ -159,10 +159,11 @@ func (w *Writer) Close() error {
 	return flushErr
 }
 
-// Read parses a trace stream back into records, e.g. for analysis
-// tooling and the package's own tests.
-func Read(r io.Reader) ([]Record, error) {
-	var out []Record
+// EachLine decodes a JSON-lines stream one record at a time and hands
+// each to fn, so a long log is never held in memory. Empty lines are
+// skipped and a line may hold up to 1 MiB. A malformed line, an error
+// from fn or a read error stops the walk with the line number.
+func EachLine[T any](r io.Reader, fn func(T) error) error {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	line := 0
@@ -171,14 +172,29 @@ func Read(r io.Reader) ([]Record, error) {
 		if len(scanner.Bytes()) == 0 {
 			continue
 		}
-		var rec Record
+		var rec T
 		if err := json.Unmarshal(scanner.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+			return fmt.Errorf("line %d: %w", line, err)
 		}
-		out = append(out, rec)
+		if err := fn(rec); err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
+		}
 	}
 	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("trace: scan: %w", err)
+		return fmt.Errorf("line %d: %w", line+1, err)
+	}
+	return nil
+}
+
+// Read parses a trace stream back into records, e.g. for analysis
+// tooling and the package's own tests.
+func Read(r io.Reader) ([]Record, error) {
+	var out []Record
+	if err := EachLine(r, func(rec Record) error {
+		out = append(out, rec)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return out, nil
 }

@@ -55,6 +55,30 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestEachLine pins the streaming reader's contract: blank lines are
+// skipped, the callback's error stops the walk, and every error names
+// its line — including a line over the 1 MiB cap.
+func TestEachLine(t *testing.T) {
+	type rec struct{ N int }
+	var got []int
+	stop := errors.New("stop")
+	err := EachLine(strings.NewReader("{\"N\":1}\n\n{\"N\":2}\n{\"N\":3}\n"), func(r rec) error {
+		got = append(got, r.N)
+		if r.N == 2 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) || !strings.Contains(err.Error(), "line 3") || !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("err = %v, got %v; want stop at line 3 after [1 2]", err, got)
+	}
+	long := "{\"N\":1}\n" + strings.Repeat(" ", 1<<20) + "\n"
+	err = EachLine(strings.NewReader(long), func(rec) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("over-long line: err = %v, want a line 2 error", err)
+	}
+}
+
 func TestWriterErrorSticks(t *testing.T) {
 	w := NewWriter(failWriter{})
 	var first error

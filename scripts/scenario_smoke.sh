@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # scenario_smoke.sh — end-to-end scenario-engine smoke, the CI gate for
 # the record/replay pipeline:
-#   1. scenstat validates the checked-in example specs (schema gate),
+#   1. spacestat spec validates the checked-in example specs (schema
+#      gate),
 #   2. cearsim -spec -record runs the smoke scenario and records every
 #      admitted request into a trace,
 #   3. cearsim -replay plays the recording back through the engine with
 #      its own trace attached,
 #   4. the two traces must be byte-identical (same decisions, prices,
-#      rejection reasons — the determinism contract of the PR),
-#   5. scenstat -servers runs the Erlang-B analytical twin on the
+#      rejection reasons — the determinism contract of the PR), and
+#      spacestat trace must summarise the recording,
+#   5. spacestat spec -servers runs the Erlang-B analytical twin on the
 #      single-bottleneck spec and must report PASS within tolerance.
 #
 # Usage: scripts/scenario_smoke.sh
@@ -19,11 +21,11 @@ WORK="$(mktemp -d)"
 cleanup() { rm -rf "$WORK"; }
 trap cleanup EXIT
 
-go build -o "$WORK/scenstat" ./cmd/scenstat
+go build -o "$WORK/spacestat" ./cmd/spacestat
 go build -o "$WORK/cearsim" ./cmd/cearsim
 
 echo "scenario_smoke: validating example specs"
-"$WORK/scenstat" specs/smoke.json specs/erlangb.json specs/bench.json
+"$WORK/spacestat" spec specs/smoke.json specs/erlangb.json specs/bench.json
 
 echo "scenario_smoke: recording spec-driven run"
 RECORDED="$WORK/recorded.jsonl"
@@ -57,7 +59,12 @@ if ! diff <(strip "$WORK/record.out") <(strip "$WORK/replay.out") >&2; then
   exit 1
 fi
 
+echo "scenario_smoke: summarising the recording"
+"$WORK/spacestat" trace "$RECORDED" | tee "$WORK/trace.out"
+grep -q '^requests: [1-9][0-9]* total' "$WORK/trace.out" || \
+  { echo "scenario_smoke: spacestat trace found no decisions in the recording" >&2; exit 1; }
+
 echo "scenario_smoke: Erlang-B analytical twin"
-"$WORK/scenstat" -servers 12 specs/erlangb.json
+"$WORK/spacestat" spec -servers 12 specs/erlangb.json
 
 echo "scenario_smoke: OK"

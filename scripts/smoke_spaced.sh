@@ -3,8 +3,9 @@
 # booking daemon: build spaced and spaceload, start the daemon at small
 # scale, fire a short closed-loop burst, assert a non-zero accept count,
 # probe the hot-spot telemetry surface (/v1/hotspots,
-# /debug/constellation.json, /debug/map.svg), then verify a clean
-# SIGTERM drain (daemon exits 0 and logs its drained summary).
+# /debug/constellation.json, /debug/map.svg, one `spacestat top -once`
+# frame), then verify a clean SIGTERM drain (daemon exits 0 and logs its
+# drained summary).
 #
 # A second pass runs the daemon on the arrival-driven clock
 # (-clock-rate 0): spaceload must pin its generated slots so the clock
@@ -19,6 +20,7 @@ source scripts/lib_spaced.sh # WORK, SPACED_PID, cleanup on exit, wait_listening
 
 go build -o "$WORK/spaced" ./cmd/spaced
 go build -o "$WORK/spaceload" ./cmd/spaceload
+go build -o "$WORK/spacestat" ./cmd/spacestat
 
 LOG="$WORK/spaced.log"
 "$WORK/spaced" -addr 127.0.0.1:0 -clock-rate 4 -queue-depth 64 -batch-size 8 >"$LOG" 2>&1 &
@@ -48,6 +50,10 @@ grep -q '"satellites"' <<<"$CONSTELLATION" || { echo "smoke_spaced: /debug/const
 MAPSVG="$(curl -fsS "http://$ADDR/debug/map.svg")"
 grep -q '<svg' <<<"$MAPSVG" || { echo "smoke_spaced: /debug/map.svg is not SVG" >&2; exit 1; }
 grep -q '</svg>' <<<"$MAPSVG" || { echo "smoke_spaced: /debug/map.svg is truncated" >&2; exit 1; }
+# The terminal viewer renders one frame from the live daemon.
+TOP="$("$WORK/spacestat" top -once -addr "http://$ADDR")"
+grep -q '^spacetop — slot [0-9]*, uptime' <<<"$TOP" || { echo "smoke_spaced: spacestat top printed no header: $TOP" >&2; exit 1; }
+grep -q '^HOT LINKS (congestion rejections)' <<<"$TOP" || { echo "smoke_spaced: spacestat top printed no link table: $TOP" >&2; exit 1; }
 echo "smoke_spaced: hot-spot endpoints OK"
 
 # Graceful drain: SIGTERM must produce an exit-0 daemon that logged the

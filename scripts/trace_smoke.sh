@@ -3,10 +3,10 @@
 # pipeline: boot spaced with tracing on (-trace-sample 1 -audit-log),
 # fire a short spaceload burst, then assert
 #   * /debug/traces.json answers 200 with records,
-#   * the drained audit log is non-empty, valid JSONL (auditstat exits 0
-#     — it fails on any truncated or malformed line),
+#   * the drained audit log is non-empty, valid JSONL (`spacestat audit`
+#     exits 0 — it fails on any truncated or malformed line),
 #   * the shutdown report's server.trace.* counters are live, gated
-#     through obsdiff against the report itself.
+#     through `spacestat diff` against the report itself.
 #
 # Usage: scripts/trace_smoke.sh
 set -euo pipefail
@@ -15,8 +15,7 @@ source scripts/lib_spaced.sh # WORK, SPACED_PID, cleanup on exit, wait_listening
 
 go build -o "$WORK/spaced" ./cmd/spaced
 go build -o "$WORK/spaceload" ./cmd/spaceload
-go build -o "$WORK/auditstat" ./cmd/auditstat
-go build -o "$WORK/obsdiff" ./cmd/obsdiff
+go build -o "$WORK/spacestat" ./cmd/spacestat
 
 LOG="$WORK/spaced.log"
 AUDIT="$WORK/audit.jsonl"
@@ -42,13 +41,14 @@ kill -TERM "$SPACED_PID"
 wait "$SPACED_PID"
 SPACED_PID=""
 
-# The drained audit log must be non-empty valid JSONL; auditstat fails
-# on any malformed line and prints the phase table on success.
-"$WORK/auditstat" -min 1 "$AUDIT"
+# The drained audit log must be non-empty valid JSONL; spacestat audit
+# fails on any malformed line and prints the phase table on success.
+"$WORK/spacestat" audit -min 1 "$AUDIT"
 
-# Gate the report's trace counters through obsdiff: a self-compare must
-# exit 0, and the gated server.trace.* keys must exist and be live.
-"$WORK/obsdiff" -max-regress '' \
+# Gate the report's trace counters through spacestat diff: a
+# self-compare must exit 0, and the gated server.trace.* keys must exist
+# and be live.
+"$WORK/spacestat" diff -max-regress '' \
   -gate counters.server.trace.records=0% \
   -gate counters.server.trace.sampled=0% \
   -gate counters.server.trace.dropped=0% \
