@@ -114,7 +114,7 @@ func inspect(out io.Writer, scaleName string, slot int, siteSpec, svgOut string,
 			if n < sat {
 				continue
 			}
-			d := prov.SatPosECI(slot, sat).DistanceTo(prov.SatPosECI(slot, n))
+			d := prov.SatPosECEF(slot, sat).DistanceTo(prov.SatPosECEF(slot, n))
 			minLen = min(minLen, d)
 			maxLen = max(maxLen, d)
 			sum += d

@@ -70,7 +70,14 @@ func GMST(t time.Time) float64 {
 // ECIToECEF rotates an ECI position into the Earth-fixed (ECEF) frame
 // given the Greenwich sidereal angle gmstRad.
 func ECIToECEF(v Vec3, gmstRad float64) Vec3 {
-	return v.RotateZ(-gmstRad)
+	return EarthRotation(gmstRad).Z(v)
+}
+
+// EarthRotation returns the rotation ECIToECEF applies about +Z at
+// Greenwich sidereal angle gmstRad, for converting many positions taken
+// at one instant.
+func EarthRotation(gmstRad float64) Rotation {
+	return NewRotation(-gmstRad)
 }
 
 // ECEFToECI rotates an ECEF position into the inertial (ECI) frame given
@@ -139,11 +146,27 @@ func ElevationDeg(observer, target Vec3) float64 {
 // GreatCircleKm returns the great-circle surface distance between two
 // geodetic points, treating the Earth as a sphere of mean radius.
 func GreatCircleKm(a, b LLA) float64 {
-	la1, lo1 := DegToRad(a.LatDeg), DegToRad(a.LonDeg)
-	la2, lo2 := DegToRad(b.LatDeg), DegToRad(b.LonDeg)
-	sinDLat := math.Sin((la2 - la1) / 2)
-	sinDLon := math.Sin((lo2 - lo1) / 2)
-	h := sinDLat*sinDLat + math.Cos(la1)*math.Cos(la2)*sinDLon*sinDLon
+	return HaversineKm(NewSpherePoint(a), NewSpherePoint(b))
+}
+
+// SpherePoint is a surface point with the radians and cos(latitude) the
+// haversine needs already taken, for measuring many distances from it.
+type SpherePoint struct {
+	lat, lon, cosLat float64
+}
+
+// NewSpherePoint prepares p for HaversineKm; its altitude is ignored.
+func NewSpherePoint(p LLA) SpherePoint {
+	lat := DegToRad(p.LatDeg)
+	return SpherePoint{lat: lat, lon: DegToRad(p.LonDeg), cosLat: math.Cos(lat)}
+}
+
+// HaversineKm returns the great-circle distance between a and b on a
+// sphere of mean radius. It is the one haversine: GreatCircleKm wraps it.
+func HaversineKm(a, b SpherePoint) float64 {
+	sinDLat := math.Sin((b.lat - a.lat) / 2)
+	sinDLon := math.Sin((b.lon - a.lon) / 2)
+	h := sinDLat*sinDLat + a.cosLat*b.cosLat*sinDLon*sinDLon
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 

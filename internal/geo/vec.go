@@ -79,21 +79,39 @@ func (v Vec3) AngleTo(w Vec3) float64 {
 }
 
 // RotateZ rotates v about the +Z axis by angle rad (right-handed).
-func (v Vec3) RotateZ(rad float64) Vec3 {
+func (v Vec3) RotateZ(rad float64) Vec3 { return NewRotation(rad).Z(v) }
+
+// RotateX rotates v about the +X axis by angle rad (right-handed).
+func (v Vec3) RotateX(rad float64) Vec3 { return NewRotation(rad).X(v) }
+
+// Rotation is one angle's sine and cosine, taken once so that a fixed
+// angle can rotate many vectors. It is the one rotation implementation:
+// RotateZ and RotateX are NewRotation(rad).Z and .X, so a hoisted
+// Rotation gives the same bits as the per-call form.
+type Rotation struct {
+	sin, cos float64
+}
+
+// NewRotation returns the right-handed rotation by angle rad.
+func NewRotation(rad float64) Rotation {
 	s, c := math.Sincos(rad)
+	return Rotation{sin: s, cos: c}
+}
+
+// Z rotates v about the +Z axis.
+func (r Rotation) Z(v Vec3) Vec3 {
 	return Vec3{
-		c*v.X - s*v.Y,
-		s*v.X + c*v.Y,
+		r.cos*v.X - r.sin*v.Y,
+		r.sin*v.X + r.cos*v.Y,
 		v.Z,
 	}
 }
 
-// RotateX rotates v about the +X axis by angle rad (right-handed).
-func (v Vec3) RotateX(rad float64) Vec3 {
-	s, c := math.Sincos(rad)
+// X rotates v about the +X axis.
+func (r Rotation) X(v Vec3) Vec3 {
 	return Vec3{
 		v.X,
-		c*v.Y - s*v.Z,
-		s*v.Y + c*v.Z,
+		r.cos*v.Y - r.sin*v.Z,
+		r.sin*v.Y + r.cos*v.Z,
 	}
 }

@@ -118,7 +118,7 @@ type economicCenter struct {
 	spread float64 // Gaussian sigma in km
 }
 
-// economicCenters approximates the global GDP distribution with ~45
+// economicCenters approximates the global GDP distribution with 47
 // metropolitan/regional centres. This substitutes for the GDP raster the
 // paper (via ICARUS) uses; see DESIGN.md substitution #2. Read-only.
 var economicCenters = []economicCenter{
@@ -171,13 +171,23 @@ var economicCenters = []economicCenter{
 	{"Nairobi", -1.3, 36.8, 1, 300},
 }
 
+// centerPoints[i] is economicCenters[i] prepared for the haversine, so a
+// site's score takes no trigonometry on the centre side. Read-only.
+var centerPoints = func() []geo.SpherePoint {
+	pts := make([]geo.SpherePoint, len(economicCenters))
+	for i, c := range economicCenters {
+		pts[i] = geo.NewSpherePoint(geo.LLA{LatDeg: c.latDeg, LonDeg: c.lonDeg})
+	}
+	return pts
+}()
+
 // GDPDensity returns the synthetic GDP density (arbitrary units) at a
 // geodetic point: a sum of Gaussian bumps over the economic centres.
 func GDPDensity(latDeg, lonDeg float64) float64 {
-	p := geo.LLA{LatDeg: latDeg, LonDeg: lonDeg}
+	p := geo.NewSpherePoint(geo.LLA{LatDeg: latDeg, LonDeg: lonDeg})
 	total := 0.0
-	for _, c := range economicCenters {
-		d := geo.GreatCircleKm(p, geo.LLA{LatDeg: c.latDeg, LonDeg: c.lonDeg})
+	for i, c := range economicCenters {
+		d := geo.HaversineKm(p, centerPoints[i])
 		total += c.weight * math.Exp(-d*d/(2*c.spread*c.spread))
 	}
 	return total
@@ -196,7 +206,7 @@ func FilterByGDP(sites []Site, keep int) ([]Site, error) {
 
 	scored := make([]Site, len(sites))
 	copy(scored, sites)
-	// Scoring is ~50 great-circle distances per site and every site is
+	// Scoring is 47 great-circle distances per site and every site is
 	// independent: fan contiguous chunks out over GOMAXPROCS workers,
 	// each writing only its own chunk's weights.
 	var wg sync.WaitGroup

@@ -102,6 +102,36 @@ func TestGDPDensityPeaksAtCities(t *testing.T) {
 	}
 }
 
+// TestGDPDensityMatchesGreatCircleFormula: scoring against the prepared
+// centre table gives the same bits as the great-circle formula evaluated
+// from degrees for every pair, on the medium- and paper-scale tilings.
+func TestGDPDensityMatchesGreatCircleFormula(t *testing.T) {
+	greatCircleKm := func(a, b geo.LLA) float64 {
+		la1, lo1 := geo.DegToRad(a.LatDeg), geo.DegToRad(a.LonDeg)
+		la2, lo2 := geo.DegToRad(b.LatDeg), geo.DegToRad(b.LonDeg)
+		sinDLat := math.Sin((la2 - la1) / 2)
+		sinDLon := math.Sin((lo2 - lo1) / 2)
+		h := sinDLat*sinDLat + math.Cos(la1)*math.Cos(la2)*sinDLon*sinDLon
+		return 2 * geo.EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
+	}
+	for _, subdivisions := range []int{4, 5} {
+		sites, err := TriangularSites(subdivisions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sites {
+			want := 0.0
+			for _, c := range economicCenters {
+				d := greatCircleKm(s.LLA(), geo.LLA{LatDeg: c.latDeg, LonDeg: c.lonDeg})
+				want += c.weight * math.Exp(-d*d/(2*c.spread*c.spread))
+			}
+			if got := GDPDensity(s.LatDeg, s.LonDeg); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%d subdivisions, site %d: GDPDensity %v, formula %v", subdivisions, s.ID, got, want)
+			}
+		}
+	}
+}
+
 func TestFilterByGDP(t *testing.T) {
 	sites, err := TriangularSites(4)
 	if err != nil {

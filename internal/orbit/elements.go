@@ -28,8 +28,24 @@ type Elements struct {
 }
 
 // Validate reports whether the element set describes a physically
-// propagatable orbit.
+// propagatable orbit. Every field must be finite: the range checks below
+// are all false for NaN, and the angles have no range to check.
 func (e Elements) Validate() error {
+	for _, f := range []struct {
+		name  string
+		value float64
+	}{
+		{"semi-major axis", e.SemiMajorKm},
+		{"eccentricity", e.Eccentricity},
+		{"inclination", e.InclinationDeg},
+		{"RAAN", e.RAANDeg},
+		{"argument of perigee", e.ArgPerigeeDeg},
+		{"mean anomaly", e.MeanAnomalyDeg},
+	} {
+		if math.IsNaN(f.value) || math.IsInf(f.value, 0) {
+			return fmt.Errorf("orbit: %s %v is not finite", f.name, f.value)
+		}
+	}
 	switch {
 	case e.SemiMajorKm <= geo.EarthRadiusKm:
 		return fmt.Errorf("orbit: semi-major axis %.1f km is inside the Earth", e.SemiMajorKm)
@@ -56,8 +72,13 @@ func (e Elements) PeriodSeconds() float64 {
 
 // solveKepler solves Kepler's equation M = E - e sinE for the eccentric
 // anomaly E using Newton iteration. For the near-circular orbits in this
-// simulator it converges in 2-3 iterations.
+// simulator it converges in 2-3 iterations. A circular orbit returns M
+// without iterating: there the first Newton step is exactly M − 0, so
+// the result is the same bits.
 func solveKepler(meanAnomaly, ecc float64) float64 {
+	if ecc == 0 {
+		return meanAnomaly
+	}
 	ea := meanAnomaly
 	if ecc > 0.8 {
 		ea = math.Pi
@@ -82,25 +103,60 @@ func solveKepler(meanAnomaly, ecc float64) float64 {
 // 1.4°, which does not change any +Grid neighbour relation or visibility
 // outcome at the 1-minute slot granularity.
 func (e Elements) PositionECI(t time.Time) geo.Vec3 {
-	dt := t.Sub(e.Epoch).Seconds()
-	meanAnomaly := geo.WrapTwoPi(geo.DegToRad(e.MeanAnomalyDeg) + e.MeanMotionRadS()*dt)
+	p := e.Propagator()
+	return p.PositionECI(t)
+}
 
-	ea := solveKepler(meanAnomaly, e.Eccentricity)
+// Propagator is an element set with every per-orbit constant of the
+// two-body propagation evaluated once: the mean anomaly at epoch, the
+// mean motion, √(1−e²) and the three perifocal-to-ECI rotations. Only
+// the time-dependent part is left to PositionECI: two sin/cos pairs and
+// an atan2 per position on a circular orbit, plus Newton's iterations on
+// an eccentric one. It holds no more than the Elements it came from, so
+// those must have passed Validate for its positions to be finite.
+type Propagator struct {
+	epoch            time.Time
+	meanAnomalyRad   float64
+	meanMotionRadS   float64
+	semiMajorKm      float64
+	ecc              float64
+	sqrtOneMinusEcc2 float64
+	// Perifocal -> ECI is Rz(RAAN) Rx(inc) Rz(argPerigee).
+	argPerigee, inclination, raan geo.Rotation
+}
+
+// Propagator returns the elements' propagator.
+func (e Elements) Propagator() Propagator {
+	return Propagator{
+		epoch:            e.Epoch,
+		meanAnomalyRad:   geo.DegToRad(e.MeanAnomalyDeg),
+		meanMotionRadS:   e.MeanMotionRadS(),
+		semiMajorKm:      e.SemiMajorKm,
+		ecc:              e.Eccentricity,
+		sqrtOneMinusEcc2: math.Sqrt(1 - e.Eccentricity*e.Eccentricity),
+		argPerigee:       geo.NewRotation(geo.DegToRad(e.ArgPerigeeDeg)),
+		inclination:      geo.NewRotation(geo.DegToRad(e.InclinationDeg)),
+		raan:             geo.NewRotation(geo.DegToRad(e.RAANDeg)),
+	}
+}
+
+// PositionECI propagates to time t under two-body dynamics and returns
+// the ECI position in kilometres (see Elements.PositionECI).
+func (p *Propagator) PositionECI(t time.Time) geo.Vec3 {
+	dt := t.Sub(p.epoch).Seconds()
+	meanAnomaly := geo.WrapTwoPi(p.meanAnomalyRad + p.meanMotionRadS*dt)
+
+	ea := solveKepler(meanAnomaly, p.ecc)
 	sinEA, cosEA := math.Sincos(ea)
 
 	// True anomaly and radius.
-	nu := math.Atan2(math.Sqrt(1-e.Eccentricity*e.Eccentricity)*sinEA, cosEA-e.Eccentricity)
-	r := e.SemiMajorKm * (1 - e.Eccentricity*cosEA)
+	nu := math.Atan2(p.sqrtOneMinusEcc2*sinEA, cosEA-p.ecc)
+	r := p.semiMajorKm * (1 - p.ecc*cosEA)
 
 	// Position in the perifocal frame.
 	sinNu, cosNu := math.Sincos(nu)
 	perifocal := geo.Vec3{X: r * cosNu, Y: r * sinNu}
-
-	// Rotate perifocal -> ECI: Rz(RAAN) Rx(inc) Rz(argPerigee).
-	return perifocal.
-		RotateZ(geo.DegToRad(e.ArgPerigeeDeg)).
-		RotateX(geo.DegToRad(e.InclinationDeg)).
-		RotateZ(geo.DegToRad(e.RAANDeg))
+	return p.raan.Z(p.inclination.X(p.argPerigee.Z(perifocal)))
 }
 
 // VelocityECI returns the two-body ECI velocity (km/s) at time t, via a
@@ -108,8 +164,9 @@ func (e Elements) PositionECI(t time.Time) geo.Vec3 {
 // positions; velocity supports the doppler/contact-time utilities.
 func (e Elements) VelocityECI(t time.Time) geo.Vec3 {
 	const h = 50 * time.Millisecond
-	p1 := e.PositionECI(t.Add(-h))
-	p2 := e.PositionECI(t.Add(h))
+	prop := e.Propagator()
+	p1 := prop.PositionECI(t.Add(-h))
+	p2 := prop.PositionECI(t.Add(h))
 	return p2.Sub(p1).Scale(1 / (2 * h.Seconds()))
 }
 

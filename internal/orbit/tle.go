@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"spacebooking/internal/geo"
 )
@@ -49,8 +50,16 @@ func parseTLEEpoch(s string) (time.Time, error) {
 	if err != nil {
 		return time.Time{}, fmt.Errorf("orbit: bad TLE epoch %q: %w", s, err)
 	}
+	// Two year digits and a day: also false for NaN, which int() below
+	// would turn into an arbitrary year.
+	if !(f >= 0 && f < 100000) {
+		return time.Time{}, fmt.Errorf("orbit: TLE epoch %q is not YYDDD.DDDDDDDD", s)
+	}
 	yy := int(f / 1000)
 	dayOfYear := f - float64(yy*1000)
+	if dayOfYear < 1 || dayOfYear >= 367 {
+		return time.Time{}, fmt.Errorf("orbit: TLE epoch %q: day of year %v outside [1, 367)", s, dayOfYear)
+	}
 	year := 2000 + yy
 	if yy >= 57 { // TLE convention: 57-99 => 1957-1999
 		year = 1900 + yy
@@ -73,6 +82,13 @@ func ParseTLE(name, line1, line2 string) (TLE, error) {
 		return t, fmt.Errorf("orbit: TLE line numbers are %q and %q, want 1 and 2", line1[0], line2[0])
 	}
 	for i, line := range []string{line1, line2} {
+		// Fields are byte columns, so a multi-byte rune would straddle
+		// them and FormatTLE, which pads by rune, could not write them back.
+		for j := 0; j < len(line); j++ {
+			if line[j] >= utf8.RuneSelf {
+				return t, fmt.Errorf("orbit: TLE line %d has a non-ASCII byte at column %d", i+1, j+1)
+			}
+		}
 		want := tleChecksum(line)
 		got := int(line[68] - '0')
 		if got != want {
@@ -113,12 +129,25 @@ func ParseTLE(name, line1, line2 string) (TLE, error) {
 	if err != nil {
 		return t, fmt.Errorf("orbit: bad mean anomaly: %w", err)
 	}
+	// The format's angles are in [0, 360); 360 itself is what FormatTLE
+	// prints for an angle that rounds up to a full turn. Far outside that
+	// range degrees no longer carry a usable angle.
+	for _, a := range []struct {
+		name  string
+		value float64
+	}{{"RAAN", raan}, {"argument of perigee", argp}, {"mean anomaly", ma}} {
+		if !(a.value >= 0 && a.value <= 360) {
+			return t, fmt.Errorf("orbit: %s %v outside [0, 360]", a.name, a.value)
+		}
+	}
 	mm, err := parseTLEFloat(line2[52:63])
 	if err != nil {
 		return t, fmt.Errorf("orbit: bad mean motion: %w", err)
 	}
-	if mm <= 0 {
-		return t, fmt.Errorf("orbit: mean motion must be positive, got %v", mm)
+	// The field's resolution is 1e-8 rev/day: a slower mean motion would
+	// print as zero.
+	if !(mm >= 1e-8) {
+		return t, fmt.Errorf("orbit: mean motion %v below the field's 1e-8 rev/day", mm)
 	}
 	t.MeanMotionRevDay = mm
 
@@ -142,9 +171,13 @@ func ParseTLE(name, line1, line2 string) (TLE, error) {
 // (name line excluded). Drag terms are zeroed. The output round-trips
 // through ParseTLE.
 func FormatTLE(t TLE) (line1, line2 string) {
-	epochYear := t.Elements.Epoch.Year() % 100
-	startOfYear := time.Date(t.Elements.Epoch.Year(), time.January, 1, 0, 0, 0, 0, time.UTC)
-	dayOfYear := t.Elements.Epoch.Sub(startOfYear).Hours()/24 + 1
+	// Round to the field's 1e-8 day (864 µs, which divides a day) before
+	// splitting off the year, so that the last instant of a year carries
+	// into the next instead of printing as day 367.
+	epoch := t.Elements.Epoch.Round(864 * time.Microsecond)
+	epochYear := epoch.Year() % 100
+	startOfYear := time.Date(epoch.Year(), time.January, 1, 0, 0, 0, 0, time.UTC)
+	dayOfYear := epoch.Sub(startOfYear).Hours()/24 + 1
 
 	mm := t.MeanMotionRevDay
 	if mm == 0 {

@@ -2,8 +2,10 @@ package orbit
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"spacebooking/internal/geo"
 )
@@ -56,24 +58,132 @@ func TestParseTLEISS(t *testing.T) {
 	}
 }
 
+// withField returns a TLE line with byte columns [lo, hi) replaced by
+// value, right-aligned, and its checksum recomputed, so that only the
+// field under test is wrong.
+func withField(line string, lo, hi int, value string) string {
+	l := line[:lo] + strings.Repeat(" ", hi-lo-len(value)) + value + line[hi:68]
+	return l + strconv.Itoa(tleChecksum(l))
+}
+
+// badTLEs are records ParseTLE must reject. They also seed FuzzParseTLE.
+var badTLEs = []struct {
+	name         string
+	line1, line2 string
+}{
+	{"short lines", "1 25544U", "2 25544"},
+	{"swapped lines", issLine2, issLine1},
+	{"bad checksum line1", issLine1[:68] + "0", issLine2},
+	{"bad checksum line2", issLine1, issLine2[:68] + "0"},
+	{"corrupt inclination", issLine1, issLine2[:8] + "xx.xxxx" + issLine2[15:]},
+	// Non-finite fields and impossible epochs, each of which used to parse.
+	{"mean motion NaN", issLine1, withField(issLine2, 52, 63, "NaN")},
+	{"RAAN NaN", issLine1, withField(issLine2, 17, 25, "NaN")},
+	{"inclination NaN", issLine1, withField(issLine2, 8, 16, "NaN")},
+	{"epoch NaN", withField(issLine1, 18, 32, "NaN"), issLine2},
+	{"epoch before day 1", withField(issLine1, 18, 32, "-0001.0"), issLine2},
+	// Found by FuzzParseTLE: an angle so far out of range that FormatTLE
+	// cannot print it back.
+	{"mean anomaly 3.25e264", issLine1, withField(issLine2, 43, 51, "325E0262")},
+	// Found by FuzzParseTLE: a two-byte rune in the designator columns
+	// shifts every later column of FormatTLE's line 1 by one.
+	{"non-ASCII designator", withField(issLine1, 9, 17, "ΰ00067"), issLine2},
+	// Found by FuzzParseTLE: a mean motion FormatTLE prints as zero.
+	{"mean motion 1e-10", issLine1, withField(issLine2, 52, 63, ".0000000001")},
+}
+
 func TestParseTLEErrors(t *testing.T) {
-	tests := []struct {
-		name         string
-		line1, line2 string
-	}{
-		{"short lines", "1 25544U", "2 25544"},
-		{"swapped lines", issLine2, issLine1},
-		{"bad checksum line1", issLine1[:68] + "0", issLine2},
-		{"bad checksum line2", issLine1, issLine2[:68] + "0"},
-		{"corrupt inclination", issLine1, issLine2[:8] + "xx.xxxx" + issLine2[15:]},
-	}
-	for _, tt := range tests {
+	for _, tt := range badTLEs {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ParseTLE("X", tt.line1, tt.line2); err == nil {
-				t.Error("expected parse error")
+			if got, err := ParseTLE("X", tt.line1, tt.line2); err == nil {
+				t.Errorf("expected parse error, got %+v", got.Elements)
 			}
 		})
 	}
+}
+
+// FuzzParseTLE holds the parser to three properties on any input: it
+// does not panic; a record it accepts passes Validate and propagates to
+// a finite position an hour after its epoch; and FormatTLE of that
+// record parses back to the same fields within the precision it prints.
+func FuzzParseTLE(f *testing.F) {
+	f.Add(issName, issLine1, issLine2)
+	// The last instant of a leap year: FormatTLE used to print it as
+	// day 367, which the parser rightly rejects.
+	f.Add(issName, withField(issLine1, 18, 32, "0366.999999999"), issLine2)
+	for _, bad := range badTLEs {
+		f.Add("X", bad.line1, bad.line2)
+	}
+	walker, err := WalkerDelta(StarlinkShell1(testEpoch))
+	if err != nil {
+		f.Fatal(err)
+	}
+	eo, err := SyntheticEOFleet(DefaultEOFleetConfig(testEpoch))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, tle := range []TLE{
+		{Name: walker[777].Name, CatalogNumber: 44713, IntlDesignator: "19074A", Elements: walker[777].Elements},
+		FleetTLEs(eo)[42],
+	} {
+		l1, l2 := FormatTLE(tle)
+		f.Add(tle.Name, l1, l2)
+	}
+	f.Fuzz(func(t *testing.T, name, line1, line2 string) {
+		tle, err := ParseTLE(name, line1, line2)
+		if err != nil {
+			return
+		}
+		e := tle.Elements
+		if err := e.Validate(); err != nil {
+			t.Fatalf("accepted elements fail Validate: %v", err)
+		}
+		pos := e.PositionECI(e.Epoch.Add(time.Hour))
+		for _, c := range []float64{pos.X, pos.Y, pos.Z} {
+			if math.IsNaN(c) || math.IsInf(c, 0) {
+				t.Fatalf("accepted elements %+v propagate to %v", e, pos)
+			}
+		}
+		l1, l2 := FormatTLE(tle)
+		back, err := ParseTLE(name, l1, l2)
+		if err != nil {
+			t.Fatalf("FormatTLE output does not parse: %v\n%s\n%s", err, l1, l2)
+		}
+		if back.CatalogNumber != tle.CatalogNumber || back.IntlDesignator != tle.IntlDesignator {
+			t.Fatalf("identity %d %q re-parsed as %d %q", tle.CatalogNumber, tle.IntlDesignator,
+				back.CatalogNumber, back.IntlDesignator)
+		}
+		// Half a unit in the last printed place, plus the float rounding
+		// of reading the decimal back.
+		const slack = 1 + 1e-6
+		b := back.Elements
+		for _, c := range []struct {
+			field     string
+			got, want float64
+			halfUnit  float64
+			angle     bool
+		}{
+			{"inclination", b.InclinationDeg, e.InclinationDeg, 0.5e-4, false},
+			{"RAAN", b.RAANDeg, e.RAANDeg, 0.5e-4, true},
+			{"argument of perigee", b.ArgPerigeeDeg, e.ArgPerigeeDeg, 0.5e-4, true},
+			{"mean anomaly", b.MeanAnomalyDeg, e.MeanAnomalyDeg, 0.5e-4, true},
+			{"eccentricity", b.Eccentricity, e.Eccentricity, 0.5e-7, false},
+			{"mean motion", back.MeanMotionRevDay, tle.MeanMotionRevDay, 0.5e-8, false},
+		} {
+			d := math.Abs(c.got - c.want)
+			if c.angle {
+				d = math.Mod(d, 360)
+				d = math.Min(d, 360-d)
+			}
+			if d > c.halfUnit*slack {
+				t.Fatalf("%s %v re-parsed as %v\n%s\n%s", c.field, c.want, c.got, l1, l2)
+			}
+		}
+		const halfDay = 864 * time.Microsecond / 2 // half of 1e-8 day
+		if d := b.Epoch.Sub(e.Epoch).Abs(); d > halfDay+time.Microsecond {
+			t.Fatalf("epoch %v re-parsed as %v\n%s\n%s", e.Epoch, b.Epoch, l1, l2)
+		}
+	})
 }
 
 func TestTLEChecksumOfKnownLines(t *testing.T) {

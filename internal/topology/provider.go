@@ -115,9 +115,10 @@ type Provider struct {
 	sites []grid.Site
 	eo    []orbit.Satellite
 
-	// satECEF[slot][sat] and eoECEF[slot][eo] are Earth-fixed positions;
-	// satECI[slot][sat] is used for eclipse tests.
-	satECI  [][]geo.Vec3
+	// satECEF[slot][sat] and eoECEF[slot][eo] are Earth-fixed positions
+	// and sunlit[slot][sat] the eclipse flag, taken from the inertial
+	// position while it is at hand: nothing routes on ECI, so no ECI
+	// table is kept. Each table's rows share one backing array.
 	satECEF [][]geo.Vec3
 	eoECEF  [][]geo.Vec3
 	sunlit  [][]bool
@@ -192,36 +193,29 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite) (*Pro
 		p.siteECEF[i] = geo.LLAToECEF(s.LLA())
 	}
 
-	p.satECI = make([][]geo.Vec3, cfg.Horizon)
-	p.satECEF = make([][]geo.Vec3, cfg.Horizon)
-	p.eoECEF = make([][]geo.Vec3, cfg.Horizon)
-	p.sunlit = make([][]bool, cfg.Horizon)
+	satProps := propagators(sats)
+	eoProps := propagators(p.eo)
+	p.satECEF = slotRows[geo.Vec3](cfg.Horizon, len(sats))
+	p.eoECEF = slotRows[geo.Vec3](cfg.Horizon, len(p.eo))
+	p.sunlit = slotRows[bool](cfg.Horizon, len(sats))
 	epoch := cfg.Walker.Epoch
 	// Every (slot, satellite) position is independent: fan the slots out,
-	// each worker filling the per-slot tables of its own slots only.
+	// each worker filling the per-slot rows of its own slots only.
 	forEachSlot(0, cfg.Horizon, func(t int) {
 		at := epoch.Add(time.Duration(float64(t) * cfg.SlotSeconds * float64(time.Second)))
-		gmst := geo.GMST(at)
+		toECEF := geo.EarthRotation(geo.GMST(at))
 		sunDir := geo.SunDirectionECI(at)
 
-		eci := make([]geo.Vec3, len(sats))
-		ecef := make([]geo.Vec3, len(sats))
-		lit := make([]bool, len(sats))
-		for i, s := range sats {
-			pos := s.Elements.PositionECI(at)
-			eci[i] = pos
-			ecef[i] = geo.ECIToECEF(pos, gmst)
+		ecef, lit := p.satECEF[t], p.sunlit[t]
+		for i := range satProps {
+			pos := satProps[i].PositionECI(at)
+			ecef[i] = toECEF.Z(pos)
 			lit[i] = !geo.InUmbra(pos, sunDir)
 		}
-		p.satECI[t] = eci
-		p.satECEF[t] = ecef
-		p.sunlit[t] = lit
-
-		eoPos := make([]geo.Vec3, len(p.eo))
-		for i, s := range p.eo {
-			eoPos[i] = geo.ECIToECEF(s.Elements.PositionECI(at), gmst)
+		eoPos := p.eoECEF[t]
+		for i := range eoProps {
+			eoPos[i] = toECEF.Z(eoProps[i].PositionECI(at))
 		}
-		p.eoECEF[t] = eoPos
 	})
 
 	p.islNeighbors = islNeighbors
@@ -239,6 +233,27 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite) (*Pro
 		}
 	}
 	return p, nil
+}
+
+// propagators returns each satellite's propagator, so the per-orbit
+// trigonometry is taken once rather than once per slot.
+func propagators(sats []orbit.Satellite) []orbit.Propagator {
+	out := make([]orbit.Propagator, len(sats))
+	for i, s := range sats {
+		out[i] = s.Elements.Propagator()
+	}
+	return out
+}
+
+// slotRows returns horizon rows of n elements carved from one backing
+// array: one allocation per table instead of one per slot.
+func slotRows[T any](horizon, n int) [][]T {
+	flat := make([]T, horizon*n)
+	rows := make([][]T, horizon)
+	for t := range rows {
+		rows[t] = flat[t*n : (t+1)*n : (t+1)*n]
+	}
+	return rows
 }
 
 // buildPlusGrid returns, for each satellite, its +Grid neighbours: the
@@ -300,9 +315,6 @@ func (p *Provider) Satellites() []orbit.Satellite { return p.sats }
 
 // Sites returns the ground-site list (do not modify).
 func (p *Provider) Sites() []grid.Site { return p.sites }
-
-// SatPosECI returns the ECI position of a satellite in a slot.
-func (p *Provider) SatPosECI(slot, sat int) geo.Vec3 { return p.satECI[slot][sat] }
 
 // SatPosECEF returns the Earth-fixed position of a satellite in a slot.
 func (p *Provider) SatPosECEF(slot, sat int) geo.Vec3 { return p.satECEF[slot][sat] }

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -159,7 +161,7 @@ func TestNeighborDistancesBounded(t *testing.T) {
 	for slot := 0; slot < p.Horizon(); slot += 7 {
 		for sat := 0; sat < p.NumSats(); sat++ {
 			for _, n := range p.ISLNeighbors(sat) {
-				d := p.SatPosECI(slot, sat).DistanceTo(p.SatPosECI(slot, n))
+				d := p.SatPosECEF(slot, sat).DistanceTo(p.SatPosECEF(slot, n))
 				if d > maxChord {
 					t.Fatalf("slot %d: ISL %d-%d length %v exceeds %v", slot, sat, n, d, maxChord)
 				}
@@ -373,17 +375,163 @@ func TestMaxSlantRange(t *testing.T) {
 	}
 }
 
-func TestPositionsConsistentECIECEF(t *testing.T) {
-	p := newSmallProvider(t, nil, nil)
-	// Norms must agree (rotation preserves length).
-	for slot := 0; slot < p.Horizon(); slot += 11 {
-		for sat := 0; sat < p.NumSats(); sat += 17 {
-			eci := p.SatPosECI(slot, sat).Norm()
-			ecef := p.SatPosECEF(slot, sat).Norm()
-			if math.Abs(eci-ecef) > 1e-6 {
-				t.Fatalf("slot %d sat %d: |ECI| %v != |ECEF| %v", slot, sat, eci, ecef)
+// referenceECI is the two-body formula as written before the per-orbit
+// constants moved into orbit.Propagator: Newton on every orbit, and
+// rotations that each take their own sin/cos.
+func referenceECI(e orbit.Elements, at time.Time) geo.Vec3 {
+	a, ecc := e.SemiMajorKm, e.Eccentricity
+	m := geo.WrapTwoPi(geo.DegToRad(e.MeanAnomalyDeg) + math.Sqrt(geo.EarthMuKm3S2/(a*a*a))*at.Sub(e.Epoch).Seconds())
+	ea := m
+	if ecc > 0.8 {
+		ea = math.Pi
+	}
+	for i := 0; i < 20; i++ {
+		delta := (ea - ecc*math.Sin(ea) - m) / (1 - ecc*math.Cos(ea))
+		ea -= delta
+		if math.Abs(delta) < 1e-12 {
+			break
+		}
+	}
+	sinEA, cosEA := math.Sincos(ea)
+	nu := math.Atan2(math.Sqrt(1-ecc*ecc)*sinEA, cosEA-ecc)
+	r := a * (1 - ecc*cosEA)
+	sinNu, cosNu := math.Sincos(nu)
+	v := referenceRotZ(geo.Vec3{X: r * cosNu, Y: r * sinNu}, geo.DegToRad(e.ArgPerigeeDeg))
+	s, c := math.Sincos(geo.DegToRad(e.InclinationDeg))
+	v = geo.Vec3{X: v.X, Y: c*v.Y - s*v.Z, Z: s*v.Y + c*v.Z}
+	return referenceRotZ(v, geo.DegToRad(e.RAANDeg))
+}
+
+func referenceRotZ(v geo.Vec3, rad float64) geo.Vec3 {
+	s, c := math.Sincos(rad)
+	return geo.Vec3{X: c*v.X - s*v.Y, Y: s*v.X + c*v.Y, Z: v.Z}
+}
+
+// referenceSlot is one slot of the provider rebuilt the way it was built
+// before the ECI table went: each position from referenceECI, rotated to
+// ECEF with its own sin/cos of −GMST, and visibility from those.
+type referenceSlot struct {
+	ecef, eoECEF []geo.Vec3
+	sunlit       []bool
+	visGround    [][]int
+	visSpace     [][]int
+}
+
+func buildReferenceSlot(cfg Config, slot int, sats []orbit.Satellite, sites []grid.Site, eo []orbit.Satellite) referenceSlot {
+	at := cfg.Walker.Epoch.Add(time.Duration(float64(slot) * cfg.SlotSeconds * float64(time.Second)))
+	gmst := geo.GMST(at)
+	sunDir := geo.SunDirectionECI(at)
+	var ref referenceSlot
+	for _, s := range sats {
+		pos := referenceECI(s.Elements, at)
+		ref.ecef = append(ref.ecef, referenceRotZ(pos, -gmst))
+		ref.sunlit = append(ref.sunlit, !geo.InUmbra(pos, sunDir))
+	}
+	for _, s := range eo {
+		ref.eoECEF = append(ref.eoECEF, referenceRotZ(referenceECI(s.Elements, at), -gmst))
+	}
+	maxSlant := maxSlantRangeKm(cfg.Walker.AltitudeKm, cfg.MinElevationDeg)
+	for _, site := range sites {
+		obs := geo.LLAToECEF(site.LLA())
+		var vis []int
+		for sat, pos := range ref.ecef {
+			if pos.Sub(obs).NormSq() <= maxSlant*maxSlant && geo.ElevationDeg(obs, pos) >= cfg.MinElevationDeg {
+				vis = append(vis, sat)
 			}
 		}
+		ref.visGround = append(ref.visGround, vis)
+	}
+	for _, obs := range ref.eoECEF {
+		var vis []int
+		for sat, pos := range ref.ecef {
+			if pos.Sub(obs).NormSq() <= cfg.MaxEORangeKm*cfg.MaxEORangeKm && geo.LineOfSightClear(obs, pos, 0) {
+				vis = append(vis, sat)
+			}
+		}
+		ref.visSpace = append(ref.visSpace, vis)
+	}
+	return ref
+}
+
+// TestProviderMatchesReferenceBuild: the provider's ECEF table, sunlit
+// flags and frozen visibility are bit-identical to a rebuild from the
+// reference formula, at the small and medium scale presets with a ground
+// tiling and the paper's EO fleet, whether one worker builds every slot
+// or four split them.
+func TestProviderMatchesReferenceBuild(t *testing.T) {
+	sites, err := grid.TriangularSites(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eo, err := orbit.SyntheticEOFleet(orbit.DefaultEOFleetConfig(testEpoch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := smallConfig()
+	small.Horizon, small.MinElevationDeg = 96, 10
+	medium := DefaultConfig(testEpoch)
+	medium.Walker.Planes, medium.Walker.SatsPerPlane, medium.Walker.PhasingF = 12, 24, 5
+	medium.Horizon, medium.MinElevationDeg = 192, 15
+
+	bits := func(v geo.Vec3) [3]uint64 {
+		return [3]uint64{math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z)}
+	}
+	for _, sc := range []struct {
+		name string
+		cfg  Config
+	}{{"small", small}, {"medium", medium}} {
+		sats, err := orbit.WalkerDelta(sc.cfg.Walker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := make([]referenceSlot, sc.cfg.Horizon)
+		for slot := range ref {
+			ref[slot] = buildReferenceSlot(sc.cfg, slot, sats, sites, eo)
+		}
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			p, err := NewProvider(sc.cfg, sites, eo)
+			if err == nil {
+				err = p.Freeze(0)
+			}
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for slot, r := range ref {
+				for sat := range r.ecef {
+					if bits(p.SatPosECEF(slot, sat)) != bits(r.ecef[sat]) || p.Sunlit(slot, sat) != r.sunlit[sat] {
+						t.Fatalf("%s, GOMAXPROCS %d, slot %d, sat %d: provider %v sunlit %v, reference %v sunlit %v",
+							sc.name, procs, slot, sat, p.SatPosECEF(slot, sat), p.Sunlit(slot, sat), r.ecef[sat], r.sunlit[sat])
+					}
+				}
+				for i := range eo {
+					e := Endpoint{Kind: EndpointSpace, Index: i}
+					got, err := p.EndpointECEF(e, slot)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if bits(got) != bits(r.eoECEF[i]) {
+						t.Fatalf("%s, GOMAXPROCS %d, slot %d, EO %d: provider %v, reference %v", sc.name, procs, slot, i, got, r.eoECEF[i])
+					}
+					checkVisible(t, p, e, slot, r.visSpace[i])
+				}
+				for i := range sites {
+					checkVisible(t, p, Endpoint{Kind: EndpointGround, Index: i}, slot, r.visGround[i])
+				}
+			}
+		}
+	}
+}
+
+func checkVisible(t *testing.T, p *Provider, e Endpoint, slot int, want []int) {
+	t.Helper()
+	got, err := p.VisibleSats(e, slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("endpoint %+v slot %d: provider sees %v, reference %v", e, slot, got, want)
 	}
 }
 
@@ -595,7 +743,7 @@ func TestMultiShellProvider(t *testing.T) {
 		}
 	}
 	// Shell-2 satellites orbit at their own altitude.
-	alt := p.SatPosECI(0, 96).Norm() - geo.EarthRadiusKm
+	alt := p.SatPosECEF(0, 96).Norm() - geo.EarthRadiusKm
 	if math.Abs(alt-1100) > 1 {
 		t.Errorf("shell-2 altitude = %v, want 1100", alt)
 	}
