@@ -107,14 +107,20 @@ func inspect(out io.Writer, scaleName string, slot int, siteSpec, svgOut string,
 	fmt.Fprintf(out, "slot %d: %d/%d satellites sunlit (%.1f%%)\n",
 		slot, lit, prov.NumSats(), 100*float64(lit)/float64(prov.NumSats()))
 
-	// ISL length statistics.
+	// ISL length statistics. The provider computes positions on demand:
+	// take the slot's once (they serve the visibility report below too,
+	// whose provider propagates the same constellation).
+	pos := make([]geo.Vec3, prov.NumSats())
+	for sat := range pos {
+		pos[sat] = prov.SatPosECEF(slot, sat)
+	}
 	minLen, maxLen, sum, count := 1e18, 0.0, 0.0, 0
 	for sat := 0; sat < prov.NumSats(); sat++ {
 		for _, n := range prov.ISLNeighbors(sat) {
 			if n < sat {
 				continue
 			}
-			d := prov.SatPosECEF(slot, sat).DistanceTo(prov.SatPosECEF(slot, n))
+			d := pos[sat].DistanceTo(pos[n])
 			minLen = min(minLen, d)
 			maxLen = max(maxLen, d)
 			sum += d
@@ -126,11 +132,11 @@ func inspect(out io.Writer, scaleName string, slot int, siteSpec, svgOut string,
 
 	// Visibility from the requested ground point over the horizon.
 	tmpSite := grid.Site{ID: 0, LatDeg: lat, LonDeg: lon}
-	visProv, err := topology.NewProvider(cfg, []grid.Site{tmpSite}, nil)
+	ep := topology.Endpoint{Kind: topology.EndpointGround, Index: 0}
+	visProv, err := topology.NewProvider(cfg, []grid.Site{tmpSite}, nil, ep)
 	if err != nil {
 		return err
 	}
-	ep := topology.Endpoint{Kind: topology.EndpointGround, Index: 0}
 	covered, total, best := 0, 0, 0
 	for t := 0; t < visProv.Horizon(); t++ {
 		vis, err := visProv.VisibleSats(ep, t)
@@ -153,9 +159,8 @@ func inspect(out io.Writer, scaleName string, slot int, siteSpec, svgOut string,
 	obs := geo.LLAToECEF(geo.LLA{LatDeg: lat, LonDeg: lon})
 	fmt.Fprintf(out, "slot %d: %d satellites visible\n", slot, len(vis))
 	for _, sat := range vis {
-		pos := visProv.SatPosECEF(slot, sat)
 		fmt.Fprintf(out, "  sat %4d  elevation %5.1f deg  range %6.0f km  sunlit %v\n",
-			sat, geo.ElevationDeg(obs, pos), obs.DistanceTo(pos), visProv.Sunlit(slot, sat))
+			sat, geo.ElevationDeg(obs, pos[sat]), obs.DistanceTo(pos[sat]), visProv.Sunlit(slot, sat))
 	}
 
 	if svgOut != "" {
@@ -211,9 +216,12 @@ func writeMap(out io.Writer, env *spacebooking.Environment, scale spacebooking.S
 	if prov.NumSats() > 400 {
 		stride = 4
 	}
+	subpoints := make([]geo.LLA, prov.NumSats())
+	for sat := range subpoints {
+		subpoints[sat] = geo.ECEFToLLA(prov.SatPosECEF(slot, sat))
+	}
 	subpoint := func(sat int) (float64, float64) {
-		lla := geo.ECEFToLLA(prov.SatPosECEF(slot, sat))
-		return lla.LatDeg, lla.LonDeg
+		return subpoints[sat].LatDeg, subpoints[sat].LonDeg
 	}
 	for sat := 0; sat < prov.NumSats(); sat += stride {
 		la1, lo1 := subpoint(sat)

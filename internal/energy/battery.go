@@ -34,20 +34,21 @@ type Battery struct {
 	instr *Instruments
 
 	// firstDeficit and lastDeficit enclose every slot with a non-zero
-	// deficit (first > last while there is none). Consume widens them,
-	// CopyFrom adopts the source's. The pricing walk uses lastDeficit to
+	// deficit (first > last while there is none). Consume widens them, an
+	// Undo rollback restores them. The pricing walk uses lastDeficit to
 	// stop early, a unit-price table (FillUnitPrices) is non-zero only
 	// inside the span.
 	firstDeficit int
 	lastDeficit  int
-	// maxDeficit is at least every deficit[t]: Consume raises it,
-	// CopyFrom adopts the source's. Rounding is monotone, so
+	// maxDeficit is at least every deficit[t]: Consume raises it, an Undo
+	// rollback restores it. Rounding is monotone, so
 	// maxDeficit+joules <= limit proves that no slot of a joules-sized
 	// consumption breaches limit without reading deficit.
 	maxDeficit float64
-	// stamp counts ledger mutations (Consume, CopyFrom). It only ever
-	// grows, so anything derived from the ledger — a unit-price table —
-	// is still current exactly when the stamp it was taken at is.
+	// stamp counts ledger mutations (Consume, and each consumption an
+	// Undo rolls back). It only ever grows, so anything derived from the
+	// ledger — a unit-price table — is still current exactly when the
+	// stamp it was taken at is.
 	stamp uint64
 }
 
@@ -76,6 +77,50 @@ func NewBattery(capacityJ float64, solarInputJ []float64, clamp bool) (*Battery,
 		firstDeficit:   len(solarInputJ),
 		lastDeficit:    -1,
 	}, nil
+}
+
+// NewFleet builds numSats ledgers over horizon slots for satellites with
+// the given capacity, whose panels harvest harvestJ in every slot they
+// are sunlit. sunlit(t) returns slot t's flags indexed by satellite.
+// Every ledger's two arrays are carved from one backing array, filled
+// straight from the flags: no per-battery input vector is built. The
+// solar arrays come first, then the deficit arrays, so a sweep of one
+// slot across the fleet (DepletedSatCount, SumDeficitJ) steps through
+// memory a horizon apart, not two: a stride of 2 × 384 × 8 B maps every
+// battery onto two sets of a 4 KiB-way L1 cache.
+func NewFleet(numSats, horizon int, capacityJ, harvestJ float64, clamp bool, sunlit func(t int) []bool) ([]*Battery, error) {
+	switch {
+	case capacityJ <= 0:
+		return nil, fmt.Errorf("energy: capacity must be positive, got %v", capacityJ)
+	case horizon <= 0:
+		return nil, fmt.Errorf("energy: horizon must be positive, got %d", horizon)
+	case harvestJ < 0 || math.IsNaN(harvestJ):
+		return nil, fmt.Errorf("energy: invalid solar input %v", harvestJ)
+	}
+	ledgers := make([]float64, 2*numSats*horizon)
+	bats := make([]Battery, numSats)
+	fleet := make([]*Battery, numSats)
+	solar, deficit := ledgers[:numSats*horizon], ledgers[numSats*horizon:]
+	for sat := range fleet {
+		lo, hi := sat*horizon, (sat+1)*horizon
+		bats[sat] = Battery{
+			capacityJ:      capacityJ,
+			solarRemaining: solar[lo:hi:hi],
+			deficit:        deficit[lo:hi:hi],
+			clamp:          clamp,
+			firstDeficit:   horizon,
+			lastDeficit:    -1,
+		}
+		fleet[sat] = &bats[sat]
+	}
+	for t := 0; t < horizon; t++ {
+		for sat, lit := range sunlit(t)[:numSats] {
+			if lit {
+				fleet[sat].solarRemaining[t] = harvestJ
+			}
+		}
+	}
+	return fleet, nil
 }
 
 // Instrument attaches (or with nil, detaches) the counters this ledger
@@ -169,8 +214,8 @@ func (b *Battery) VisitDeficit(ta int, joules float64, fn func(t int, outstandin
 }
 
 // Stamp returns the ledger's mutation count: it moves on every Consume
-// and CopyFrom and never repeats, so a value derived from the ledger is
-// current exactly while Stamp is unchanged.
+// and every rolled-back one, and never repeats, so a value derived from
+// the ledger is current exactly while Stamp is unchanged.
 func (b *Battery) Stamp() uint64 { return b.stamp }
 
 // DeficitSpan returns bounds [first, last] that enclose every slot with
@@ -288,14 +333,28 @@ func (b *Battery) checkConsume(ta int, joules float64) (apply bool, err error) {
 // exceed capacity, the ledger is left untouched and a *DepletionError is
 // returned. In clamp mode the posted deficit saturates at capacity (the
 // battery pegs at empty) and the call always succeeds.
-func (b *Battery) Consume(ta int, joules float64) error {
+func (b *Battery) Consume(ta int, joules float64) error { return b.consume(ta, joules, nil) }
+
+// consume is the ledger's one mutation loop. With a log it first records
+// the bounds and maximum it may move, then each slot's unclaimed solar and
+// deficit before writing them.
+func (b *Battery) consume(ta int, joules float64, log *Undo) error {
 	apply, err := b.checkConsume(ta, joules)
 	if !apply {
 		return err
 	}
+	if log != nil {
+		log.ops = append(log.ops, undoOp{
+			b: b, ta: ta, cells: len(log.cells),
+			first: b.firstDeficit, last: b.lastDeficit, maxDeficit: b.maxDeficit,
+		})
+	}
 	b.stamp++
 	remaining := joules
 	for t := ta; t < len(b.deficit); t++ {
+		if log != nil {
+			log.cells = append(log.cells, undoCell{solar: b.solarRemaining[t], deficit: b.deficit[t]})
+		}
 		absorb := math.Min(remaining, b.solarRemaining[t])
 		b.solarRemaining[t] -= absorb
 		remaining -= absorb
@@ -328,6 +387,61 @@ func (b *Battery) Consume(ta int, joules float64) error {
 	return nil
 }
 
+// Undo is a log of ledger writes across any number of batteries, the
+// energy half of a transaction's undo log. Every Consume made through it
+// records the battery's deficit bounds and maximum, and for each slot it
+// writes the slot's previous unclaimed solar and deficit; Rollback
+// replays the records newest-first, which restores every cell and bound
+// bit for bit. The zero value is an empty log, and it keeps its buffers
+// across Reset, so a warm log consumes and rolls back without
+// allocating.
+type Undo struct {
+	ops   []undoOp
+	cells []undoCell
+}
+
+// undoOp is one logged Consume: the battery, the first slot it wrote,
+// where its cells start in Undo.cells, and its bounds before the call.
+type undoOp struct {
+	b           *Battery
+	ta, cells   int
+	first, last int
+	maxDeficit  float64
+}
+
+// undoCell is one slot's ledger before a logged Consume wrote it.
+type undoCell struct{ solar, deficit float64 }
+
+// Consume is Battery.Consume with the writes recorded in the log. A
+// consumption that fails (or is zero) writes and records nothing.
+func (u *Undo) Consume(b *Battery, ta int, joules float64) error { return b.consume(ta, joules, u) }
+
+// Len returns how many slot writes the log holds.
+func (u *Undo) Len() int { return len(u.cells) }
+
+// Reset empties the log, keeping its buffers.
+func (u *Undo) Reset() { u.ops, u.cells = u.ops[:0], u.cells[:0] }
+
+// Rollback restores every logged write, newest first, then empties the
+// log. A restore is a mutation: each rolled-back consumption advances
+// its battery's stamp, so a unit-price table filled since it was made
+// goes stale.
+func (u *Undo) Rollback() {
+	end := len(u.cells)
+	for i := len(u.ops) - 1; i >= 0; i-- {
+		op := &u.ops[i]
+		b := op.b
+		for j, c := range u.cells[op.cells:end] {
+			b.solarRemaining[op.ta+j] = c.solar
+			b.deficit[op.ta+j] = c.deficit
+		}
+		b.firstDeficit, b.lastDeficit, b.maxDeficit = op.first, op.last, op.maxDeficit
+		b.stamp++
+		end = op.cells
+	}
+	u.Reset()
+}
+
 // Clone returns an independent deep copy of the ledger. CEAR uses clones
 // to trial-apply a candidate reservation plan (whose slots interact
 // through this very ledger) before committing it.
@@ -336,23 +450,6 @@ func (b *Battery) Clone() *Battery {
 	c.solarRemaining = append([]float64(nil), b.solarRemaining...)
 	c.deficit = append([]float64(nil), b.deficit...)
 	return &c
-}
-
-// CopyFrom overwrites this ledger with src's contents, reusing the
-// receiver's backing arrays when they have capacity. The transaction
-// layer's snapshot arena uses it to snapshot and restore batteries
-// without allocating a fresh Battery per touched satellite per request.
-// The receiver's stamp advances (it does not adopt src's): a restore is
-// a mutation like any other.
-func (b *Battery) CopyFrom(src *Battery) {
-	b.capacityJ = src.capacityJ
-	b.solarRemaining = append(b.solarRemaining[:0], src.solarRemaining...)
-	b.deficit = append(b.deficit[:0], src.deficit...)
-	b.clamp = src.clamp
-	b.instr = src.instr
-	b.firstDeficit, b.lastDeficit = src.firstDeficit, src.lastDeficit
-	b.maxDeficit = src.maxDeficit
-	b.stamp++
 }
 
 // TrialConsume checks whether Consume(ta, joules) would succeed, without
@@ -386,18 +483,4 @@ func (b *Battery) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// SolarInputVector builds a per-slot solar input vector (joules per slot)
-// from sunlit flags, a panel power in watts, and the slot length in
-// seconds. Slots in umbra harvest nothing.
-func SolarInputVector(sunlit []bool, panelWatts, slotSeconds float64) []float64 {
-	out := make([]float64, len(sunlit))
-	perSlot := panelWatts * slotSeconds
-	for t, lit := range sunlit {
-		if lit {
-			out[t] = perSlot
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package energy
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -411,13 +412,145 @@ func TestSingleConsumptionDeficitMonotone(t *testing.T) {
 	}
 }
 
-func TestSolarInputVector(t *testing.T) {
-	sunlit := []bool{true, false, true, true}
-	got := SolarInputVector(sunlit, 20, 60)
-	want := []float64{1200, 0, 1200, 1200}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("slot %d: %v, want %v", i, got[i], want[i])
+// TestNewFleetFillsSolarFromSunlitRows: each ledger harvests in exactly
+// the slots its satellite is sunlit, starts full, and owns its two
+// arrays even though every fleet ledger is carved from one backing array.
+func TestNewFleetFillsSolarFromSunlitRows(t *testing.T) {
+	rows := [][]bool{{true, false, true}, {false, false, true}, {true, true, true}, {false, true, false}}
+	fleet, err := NewFleet(3, len(rows), 5000, 1200, false, func(t int) []bool { return rows[t] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	untouched := func(sat int) {
+		t.Helper()
+		b := fleet[sat]
+		for slot, row := range rows {
+			want := 0.0
+			if row[sat] {
+				want = 1200
+			}
+			if got := b.SolarRemainingAt(slot); got != want || b.DeficitAt(slot) != 0 {
+				t.Fatalf("satellite %d slot %d: solar %v deficit %v, want %v and 0", sat, slot, got, b.DeficitAt(slot), want)
+			}
+		}
+		if first, last := b.DeficitSpan(); first <= last || b.CheckInvariants() != nil {
+			t.Fatalf("satellite %d is not full: span [%d, %d]", sat, first, last)
+		}
+	}
+	for sat, b := range fleet {
+		if b.Horizon() != len(rows) || b.CapacityJ() != 5000 {
+			t.Fatalf("satellite %d: horizon %d, capacity %v", sat, b.Horizon(), b.CapacityJ())
+		}
+		untouched(sat)
+	}
+	// Running the middle ledger's last slot into deficit touches neither
+	// neighbour in the backing array.
+	if err := fleet[1].Consume(len(rows)-1, 3000); err != nil {
+		t.Fatal(err)
+	}
+	untouched(0)
+	untouched(2)
+	if got := fleet[1].DeficitAt(len(rows) - 1); got != 3000-1200 { // the slot is sunlit
+		t.Fatalf("deficit %v, want 1800", got)
+	}
+
+	sunlit := func(int) []bool { return rows[0] }
+	for _, bad := range []struct {
+		name           string
+		horizon        int
+		capJ, harvestJ float64
+	}{{"zero capacity", 4, 0, 1}, {"zero horizon", 0, 1, 1}, {"negative harvest", 4, 1, -1}, {"NaN harvest", 4, 1, math.NaN()}} {
+		if _, err := NewFleet(3, bad.horizon, bad.capJ, bad.harvestJ, false, sunlit); err == nil {
+			t.Errorf("%s: no error", bad.name)
+		}
+	}
+}
+
+// sameLedger reports how a differs from b in anything but the stamp:
+// every cell's bits, the deficit bounds and the maximum.
+func sameLedger(a, b *Battery) string {
+	for t := range a.deficit {
+		if math.Float64bits(a.deficit[t]) != math.Float64bits(b.deficit[t]) ||
+			math.Float64bits(a.solarRemaining[t]) != math.Float64bits(b.solarRemaining[t]) {
+			return fmt.Sprintf("slot %d: deficit %v solar %v, want %v %v", t, a.deficit[t], a.solarRemaining[t], b.deficit[t], b.solarRemaining[t])
+		}
+	}
+	if a.firstDeficit != b.firstDeficit || a.lastDeficit != b.lastDeficit {
+		return fmt.Sprintf("span [%d, %d], want [%d, %d]", a.firstDeficit, a.lastDeficit, b.firstDeficit, b.lastDeficit)
+	}
+	if math.Float64bits(a.maxDeficit) != math.Float64bits(b.maxDeficit) {
+		return fmt.Sprintf("max deficit %v, want %v", a.maxDeficit, b.maxDeficit)
+	}
+	return ""
+}
+
+// TestUndoRollbackRestoresAndCommitReplays is the undo log's property
+// test. Seeded scripts load three batteries, then open a transaction of
+// random consumptions through one log — the same battery and slot again
+// and again, draws that fail in strict mode among them — and end it. A
+// rollback must leave every battery equal, bit for bit, to a Clone taken
+// before the transaction; a commit (Reset) must leave it equal to a twin
+// that applied the same consumptions with plain Consume.
+func TestUndoRollbackRestoresAndCommitReplays(t *testing.T) {
+	for _, clamp := range []bool{false, true} {
+		rollbacks, commits, failed := 0, 0, 0
+		for seed := int64(1); seed <= 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var bats, twins [3]*Battery
+			for i := range bats {
+				solar := make([]float64, driverHorizon)
+				for s := range solar {
+					if (s+5*i)%16 < 10 {
+						solar[s] = 30 + 10*rng.Float64()
+					}
+				}
+				bats[i] = mustBattery(t, 2000, solar, clamp)
+			}
+			draw := func() (int, int, float64) {
+				return rng.Intn(len(bats)), rng.Intn(driverHorizon), 600 * rng.Float64()
+			}
+			for range 20 { // history before the transaction
+				i, ta, j := draw()
+				_ = bats[i].Consume(ta, j)
+			}
+			var before [3]*Battery
+			for i, b := range bats {
+				before[i], twins[i] = b.Clone(), b.Clone()
+			}
+			var undo Undo
+			for range 1 + rng.Intn(30) {
+				i, ta, j := draw()
+				err := undo.Consume(bats[i], ta, j)
+				if twinErr := twins[i].Consume(ta, j); (err == nil) != (twinErr == nil) {
+					t.Fatalf("clamp %v seed %d: logged Consume %v, plain Consume %v", clamp, seed, err, twinErr)
+				}
+				if err != nil {
+					failed++
+				}
+			}
+			want := twins
+			if rng.Intn(2) == 0 {
+				undo.Rollback()
+				want = before
+				rollbacks++
+			} else {
+				undo.Reset()
+				commits++
+			}
+			if undo.Len() != 0 {
+				t.Fatalf("clamp %v seed %d: log holds %d writes after the transaction ended", clamp, seed, undo.Len())
+			}
+			for i, b := range bats {
+				if diff := sameLedger(b, want[i]); diff != "" {
+					t.Fatalf("clamp %v seed %d battery %d: %s", clamp, seed, i, diff)
+				}
+				if err := b.CheckInvariants(); err != nil {
+					t.Fatalf("clamp %v seed %d battery %d: %v", clamp, seed, i, err)
+				}
+			}
+		}
+		if rollbacks == 0 || commits == 0 || (!clamp && failed == 0) {
+			t.Fatalf("clamp %v: %d rollbacks, %d commits, %d failed draws", clamp, rollbacks, commits, failed)
 		}
 	}
 }

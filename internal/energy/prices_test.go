@@ -13,12 +13,13 @@ import (
 // the table — the stamp it was last filled at and the lowest slot it has
 // been asked for since it last went stale.
 type fromLane struct {
-	b, snap   *Battery
-	snapTaken bool
-	tab       UnitPrices
-	filled    bool
-	stamp     uint64
-	low       int
+	b      *Battery
+	undo   Undo
+	open   bool // consumptions go through undo since the last begin
+	tab    UnitPrices
+	filled bool
+	stamp  uint64
+	low    int
 }
 
 // fromTally counts the cases a from-script put FillUnitPrices and the
@@ -30,6 +31,7 @@ type fromTally struct {
 }
 
 // runFromScript interprets script as ledger operations on two batteries
+// (consumptions, and begin / rollback of an undo log over them)
 // interleaved with fills of their unit-price tables from arbitrary slots,
 // and after every fill holds the tables to the whole-span oracle: a fresh
 // table filled from slot 0 and priced by walk. An op byte picks the
@@ -54,8 +56,7 @@ func runFromScript(t testing.TB, script []byte, tally *fromTally) {
 				solar[s] = 30 + 10*math.Mod(float64(s+7*i)*0.618, 1)
 			}
 		}
-		b := mustBattery(t, 2000, solar, false)
-		lanes[i] = &fromLane{b: b, snap: b.Clone()}
+		lanes[i] = &fromLane{b: mustBattery(t, 2000, solar, false)}
 	}
 	for step := 0; len(script) > 0; step++ {
 		op := next()
@@ -64,17 +65,23 @@ func runFromScript(t testing.TB, script []byte, tally *fromTally) {
 		switch op & 7 {
 		case 0, 1, 2:
 			slot, hi, lo := next()%driverHorizon, next(), next()
-			_ = b.Consume(slot, 450*float64(hi<<8|lo)/65535) // infeasible draws are part of the mix
+			joules := 450 * float64(hi<<8|lo) / 65535
+			if ln.open {
+				_ = ln.undo.Consume(b, slot, joules) // infeasible draws are part of the mix
+			} else {
+				_ = b.Consume(slot, joules)
+			}
 		case 3:
 			// Retired opcode, kept as a no-op so the others keep their
 			// numbers and the seeded scripts their mix.
 		case 4:
-			ln.snap.CopyFrom(b)
-			ln.snapTaken = true
+			// Begin: what the log held is committed.
+			ln.undo.Reset()
+			ln.open = true
 		case 5:
-			if ln.snapTaken {
-				b.CopyFrom(ln.snap)
-			}
+			// Rollback to the last begin: a table filled since must go
+			// stale, or the next check sees the abandoned prices.
+			ln.undo.Rollback()
 		default:
 			from := next() % driverHorizon
 			for _, l := range lanes {
@@ -184,7 +191,7 @@ func fromScript(seed int64, n int) []byte {
 }
 
 // TestFillFromSlotMatchesWholeSpan is the [from, last] invariant's
-// property test: seeded from-scripts (Consume, snapshot and restore on
+// property test: seeded from-scripts (Consume, begin and rollback on
 // two batteries; fills from non-monotone slots, downward extensions at an
 // unchanged stamp and slots past the last deficit among them) must leave
 // every table indistinguishable, from the slot it answers for on, from

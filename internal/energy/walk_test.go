@@ -111,11 +111,14 @@ func (k *kernelTally) note(b *Battery, tab *UnitPrices, ta int, joules float64, 
 }
 
 // ledgerDriver puts one strict battery through a seeded random sequence
-// of Consume / snapshot / restore operations.
+// of Consume / begin / rollback operations: after a begin, consumptions
+// go through an undo log, and a rollback returns the ledger to where the
+// last begin found it.
 type ledgerDriver struct {
-	rng       *rand.Rand
-	b, snap   *Battery
-	snapTaken bool
+	rng  *rand.Rand
+	b    *Battery
+	undo Undo
+	open bool
 }
 
 const driverHorizon = 48
@@ -129,8 +132,7 @@ func newLedgerDriver(t *testing.T, seed int64) *ledgerDriver {
 			solar[i] = 30 + 10*rng.Float64()
 		}
 	}
-	b := mustBattery(t, 2000, solar, false)
-	return &ledgerDriver{rng: rng, b: b, snap: b.Clone()}
+	return &ledgerDriver{rng: rng, b: mustBattery(t, 2000, solar, false)}
 }
 
 // step applies one random operation and reports whether the ledger
@@ -139,16 +141,21 @@ func (d *ledgerDriver) step() (mutated bool) {
 	rng, b := d.rng, d.b
 	switch op := rng.Intn(10); {
 	case op < 6:
-		return b.Consume(rng.Intn(driverHorizon), 400*rng.Float64()) == nil
+		ta, joules := rng.Intn(driverHorizon), 400*rng.Float64()
+		if d.open {
+			return d.undo.Consume(b, ta, joules) == nil
+		}
+		return b.Consume(ta, joules) == nil
 	case op < 8:
-		d.snap.CopyFrom(b)
-		d.snapTaken = true
+		d.undo.Reset()
+		d.open = true
 		return false
-	case d.snapTaken:
-		// Restore: the deficit span can shrink back, leaving table
+	case d.open:
+		// Rollback: the deficit span can shrink back, leaving table
 		// entries of the abandoned state outside it.
-		b.CopyFrom(d.snap)
-		return true
+		mutated = d.undo.Len() > 0
+		d.undo.Rollback()
+		return mutated
 	}
 	return false
 }
@@ -158,7 +165,7 @@ func (d *ledgerDriver) step() (mutated bool) {
 var driverDraws = []float64{25, 180, 700, 2500}
 
 // TestTableWalkMatchesVisitDeficit drives strict batteries through seeded
-// random Consume / snapshot-restore sequences and, after every step,
+// random Consume / begin / rollback sequences and, after every step,
 // requires the table walk and PriceDeficit to equal the VisitDeficit
 // reference bit for bit: cost, feasibility and failing slot — whichever
 // way PriceDeficit got there.
@@ -184,7 +191,7 @@ func TestTableWalkMatchesVisitDeficit(t *testing.T) {
 
 // TestRestoreMovesFirstDeficitBackUp pins the case that only showed on
 // the wide workload: a table filled while an early consumption was in
-// place must not keep that consumption's prices once a restore moves the
+// place must not keep that consumption's prices once a rollback moves the
 // first-deficit bound back up past them.
 func TestRestoreMovesFirstDeficitBackUp(t *testing.T) {
 	b := mustBattery(t, 5000, constSolar(40, 20), false)
@@ -196,8 +203,8 @@ func TestRestoreMovesFirstDeficitBackUp(t *testing.T) {
 	checkWalks(t, 0, b, &tab, draws, new(kernelTally))
 	firstBefore, _ := b.DeficitSpan()
 
-	snap := b.Clone()
-	if err := b.Consume(5, 700); err != nil {
+	var undo Undo
+	if err := undo.Consume(b, 5, 700); err != nil {
 		t.Fatal(err)
 	}
 	if first, _ := b.DeficitSpan(); first != 5 {
@@ -205,9 +212,9 @@ func TestRestoreMovesFirstDeficitBackUp(t *testing.T) {
 	}
 	checkWalks(t, 1, b, &tab, draws, new(kernelTally)) // table now holds prices from slot 5 on
 
-	b.CopyFrom(snap)
+	undo.Rollback()
 	if first, _ := b.DeficitSpan(); first != firstBefore {
-		t.Fatalf("first deficit = %d after restore, want %d", first, firstBefore)
+		t.Fatalf("first deficit = %d after rollback, want %d", first, firstBefore)
 	}
 	checkWalks(t, 2, b, &tab, draws, new(kernelTally))
 	if cost, ok := b.PriceDeficit(5, 900, &tab); !ok || cost == 0 {
@@ -231,9 +238,17 @@ func TestStampMovesOnEveryMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	moved("Consume")
-	snap := b.Clone()
-	b.CopyFrom(snap)
-	moved("CopyFrom")
+	var undo Undo
+	if err := undo.Consume(b, 3, 40); err != nil {
+		t.Fatal(err)
+	}
+	moved("logged Consume")
+	undo.Rollback()
+	moved("Rollback")
+	undo.Rollback()
+	if b.Stamp() != last {
+		t.Fatalf("rolling back an empty log moved the stamp to %d", b.Stamp())
+	}
 
 	// Reads, trials and rejected consumptions leave it alone.
 	b.Feasible(0, 10)

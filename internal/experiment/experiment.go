@@ -5,7 +5,7 @@
 // alone is |algorithms| x |rates| x |seeds| independent simulations. Each
 // run owns its State, its workload RNG and (optionally) its own obs
 // registry, so the jobs are embarrassingly parallel once the Provider's
-// visibility tables are frozen (topology.Provider.Freeze). The scheduler
+// visibility tables are frozen (topology.NewProvider). The scheduler
 // fans jobs across a bounded worker pool and hands back results in
 // matrix order, so callers see exactly the output a sequential triple
 // loop would have produced.

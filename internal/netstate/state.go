@@ -131,8 +131,8 @@ type State struct {
 	firstLedgerFault string
 
 	instr stateInstruments
-	// txn is the snapshot/undo arena of the single open transaction;
-	// see txnScratch.
+	// txn is the undo arena of the single open transaction; see
+	// txnScratch.
 	txn txnScratch
 	// hot is the opt-in per-entity attribution state; see EnableHotspots.
 	hot hotspots
@@ -230,7 +230,6 @@ func New(prov *topology.Provider, energyCfg EnergyConfig, clampBatteries bool) (
 	s := &State{
 		prov:       prov,
 		energyCfg:  energyCfg,
-		batteries:  make([]*energy.Battery, prov.NumSats()),
 		csr:        prov.ISLCSR(),
 		numSats:    prov.NumSats(),
 		islCapMbps: cfg.ISLCapacityMbps,
@@ -238,15 +237,12 @@ func New(prov *topology.Provider, energyCfg EnergyConfig, clampBatteries bool) (
 		isl:        make([][]float64, cfg.Horizon),
 		usl:        make([]map[LinkKey]float64, cfg.Horizon),
 	}
-	slotSec := cfg.SlotSeconds
-	for sat := 0; sat < prov.NumSats(); sat++ {
-		solar := energy.SolarInputVector(prov.SunlitVector(sat), energyCfg.PanelWatts, slotSec)
-		b, err := energy.NewBattery(energyCfg.BatteryCapacityJ, solar, clampBatteries)
-		if err != nil {
-			return nil, fmt.Errorf("netstate: battery for satellite %d: %w", sat, err)
-		}
-		s.batteries[sat] = b
+	batteries, err := energy.NewFleet(prov.NumSats(), cfg.Horizon, energyCfg.BatteryCapacityJ,
+		energyCfg.PanelWatts*cfg.SlotSeconds, clampBatteries, prov.SunlitRow)
+	if err != nil {
+		return nil, fmt.Errorf("netstate: batteries: %w", err)
 	}
+	s.batteries = batteries
 	return s, nil
 }
 

@@ -30,10 +30,10 @@ var (
 // and rolls everything back if a later slot proves unroutable or the
 // total price exceeds the valuation.
 //
-// The undo log and battery snapshots live in a State-owned arena reused
-// across transactions (a State supports one open transaction at a time,
-// see Begin), so admitting a request allocates no transaction-layer
-// memory once the arena is warm.
+// The undo log lives in a State-owned arena reused across transactions
+// (a State supports one open transaction at a time, see Begin), so
+// admitting a request allocates no transaction-layer memory once the
+// arena is warm.
 type Txn struct {
 	state *State
 	done  bool
@@ -46,53 +46,30 @@ type linkReservation struct {
 }
 
 // txnScratch is the State-owned working memory of the single open
-// transaction: the link-undo log plus a pool of battery snapshots.
-// snaps[i] is the pre-transaction copy of battery touched[i]; the pool
-// grows to the most satellites one transaction ever touched — not to the
-// constellation — and is refilled in place via Battery.CopyFrom.
-// stamps[sat] == epoch marks the satellites already in touched.
+// transaction: the link-undo log and the battery-undo log. The latter
+// holds the cells the transaction's consumptions wrote, not whole
+// batteries, so it grows to the largest transaction's writes.
 type txnScratch struct {
 	linkUndo []linkReservation
-	epoch    uint32
-	stamps   []uint32
-	snaps    []*energy.Battery
-	touched  []int
+	undo     energy.Undo
 	// dod records the (battery, slot) pairs the open transaction drew
 	// from, for commit-time depth-of-discharge observation when hot-spot
-	// tracking is enabled. Reused like the undo log.
+	// tracking is enabled. Reused like the undo logs.
 	dod []dodPend
 }
 
-// Begin starts a transaction. A State supports any number of sequential
-// transactions; interleaving two open transactions on one State is a
-// caller bug (and always was — the snapshot arena just depends on it).
-// Begin must stay within the inlining budget: inlined at the admission
-// call sites, the returned Txn is stack-allocated; the scratch reset
-// lives in its own helper for exactly that reason.
+// Begin starts a transaction, reusing every buffer earlier ones grew. A
+// State supports any number of sequential transactions; interleaving two
+// open transactions on one State is a caller bug (and always was — the
+// shared undo arena just depends on it). Begin must stay within the
+// inlining budget: inlined at the admission call sites, the returned Txn
+// is stack-allocated (TestTxnCycleDoesNotAllocate fails otherwise).
 func (s *State) Begin() *Txn {
-	s.txn.begin(len(s.batteries))
-	return &Txn{state: s}
-}
-
-// begin resets the scratch for a fresh transaction, reusing every
-// previously grown buffer. It must not be inlined into Begin: with it
-// Begin exceeds the inlining budget, stops being inlined itself, and
-// every admission heap-allocates its Txn.
-//
-//go:noinline
-func (a *txnScratch) begin(numSats int) {
+	a := &s.txn
 	a.linkUndo = a.linkUndo[:0]
-	a.touched = a.touched[:0]
+	a.undo.Reset()
 	a.dod = a.dod[:0]
-	if len(a.stamps) != numSats {
-		a.stamps = make([]uint32, numSats)
-		a.epoch = 0
-	}
-	a.epoch++
-	if a.epoch == 0 {
-		clearUint32(a.stamps)
-		a.epoch = 1
-	}
+	return &Txn{state: s}
 }
 
 // ReservePath reserves the view's demand on every link of the path in
@@ -115,10 +92,9 @@ func (t *Txn) ReservePath(v SlotView, p graph.Path) error {
 	return nil
 }
 
-// Consume applies energy consumptions, snapshotting each touched battery
-// first. On error the failed battery is left untouched (Consume is
-// atomic per battery); previously applied consumptions remain until
-// Rollback.
+// Consume applies energy consumptions, logging each cell it writes. On
+// error the failed battery is left untouched (Consume is atomic per
+// battery); previously applied consumptions remain until Rollback.
 func (t *Txn) Consume(consumptions []Consumption) error {
 	if t.done {
 		return fmt.Errorf("netstate: transaction already finished")
@@ -128,17 +104,7 @@ func (t *Txn) Consume(consumptions []Consumption) error {
 	}
 	a := &t.state.txn
 	for _, c := range consumptions {
-		if a.stamps[c.Sat] != a.epoch {
-			b := t.state.batteries[c.Sat]
-			if i := len(a.touched); i == len(a.snaps) {
-				a.snaps = append(a.snaps, b.Clone())
-			} else {
-				a.snaps[i].CopyFrom(b)
-			}
-			a.stamps[c.Sat] = a.epoch
-			a.touched = append(a.touched, c.Sat)
-		}
-		if err := t.state.batteries[c.Sat].Consume(c.Slot, c.Joules); err != nil {
+		if err := a.undo.Consume(t.state.batteries[c.Sat], c.Slot, c.Joules); err != nil {
 			return fmt.Errorf("netstate: satellite %d: %w", c.Sat, err)
 		}
 		if t.state.hot.enabled {
@@ -148,8 +114,9 @@ func (t *Txn) Consume(consumptions []Consumption) error {
 	return nil
 }
 
-// Rollback undoes every reservation and restores every touched battery.
-// Safe to call after a partial failure; idempotent.
+// Rollback undoes every reservation and restores every touched battery
+// cell, newest write first. Safe to call after a partial failure;
+// idempotent.
 func (t *Txn) Rollback() {
 	if t.done {
 		return
@@ -160,9 +127,7 @@ func (t *Txn) Rollback() {
 	for _, r := range a.linkUndo {
 		t.state.unreserveLink(r.key, r.slot, r.rate)
 	}
-	for i, sat := range a.touched {
-		t.state.batteries[sat].CopyFrom(a.snaps[i])
-	}
+	a.undo.Rollback()
 }
 
 // Commit finalises the transaction, dropping the undo log. With

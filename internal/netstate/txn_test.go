@@ -176,34 +176,50 @@ func TestUnreserveLinkClampsAtZero(t *testing.T) {
 	}
 }
 
-// TestSnapshotPoolIsSizedByTheTransaction: transactions that between
-// them touch every satellite must leave the snapshot pool at the size of
-// the largest single one, and rollbacks must still restore exactly.
-func TestSnapshotPoolIsSizedByTheTransaction(t *testing.T) {
+// TestUndoLogIsSizedByTheTransaction: a transaction's battery undo log
+// holds the cells its consumptions wrote — at most a horizon per
+// consumption, never whole batteries — and is empty again once it ends.
+// Transactions that between them touch every satellite leave the log's
+// buffers at the size of the largest single one: a second sweep over
+// the satellites allocates nothing. Rollbacks still restore exactly.
+func TestUndoLogIsSizedByTheTransaction(t *testing.T) {
 	s := newTestState(t, twoCitySites(), false)
-	numSats := s.Provider().NumSats()
+	numSats, horizon := s.Provider().NumSats(), s.Provider().Horizon()
 	const perTxn = 3
-	for first := 0; first+perTxn <= numSats; first += perTxn {
-		var cons []Consumption
-		for sat := first; sat < first+perTxn; sat++ {
-			cons = append(cons, Consumption{Sat: sat, Slot: 2, Joules: 5000})
-		}
-		before := s.Battery(first).DeficitAt(2)
-		txn := s.Begin()
-		if err := txn.Consume(cons); err != nil {
-			t.Fatal(err)
-		}
-		if s.Battery(first).DeficitAt(2) == before {
-			t.Fatalf("satellite %d: consumption left no deficit", first)
-		}
-		txn.Rollback()
-		if got := s.Battery(first).DeficitAt(2); got != before {
-			t.Fatalf("satellite %d: deficit %v after rollback, want %v", first, got, before)
+	largest := 0
+	sweep := func() {
+		for first := 0; first+perTxn <= numSats; first += perTxn {
+			var cons [perTxn]Consumption
+			for i := range cons {
+				cons[i] = Consumption{Sat: first + i, Slot: 2, Joules: 5000}
+			}
+			before := s.Battery(first).DeficitAt(2)
+			txn := s.Begin()
+			if err := txn.Consume(cons[:]); err != nil {
+				t.Fatal(err)
+			}
+			if s.Battery(first).DeficitAt(2) == before {
+				t.Fatalf("satellite %d: consumption left no deficit", first)
+			}
+			n := s.txn.undo.Len()
+			if n < perTxn || n > perTxn*horizon {
+				t.Fatalf("satellites %d..%d: undo log holds %d cells, want between %d and %d",
+					first, first+perTxn-1, n, perTxn, perTxn*horizon)
+			}
+			largest = max(largest, n)
+			txn.Rollback()
+			if got := s.Battery(first).DeficitAt(2); got != before {
+				t.Fatalf("satellite %d: deficit %v after rollback, want %v", first, got, before)
+			}
+			if got := s.txn.undo.Len(); got != 0 {
+				t.Fatalf("undo log holds %d cells after rollback", got)
+			}
 		}
 	}
-	if got := len(s.txn.snaps); got != perTxn {
-		t.Fatalf("snapshot pool holds %d batteries after %d-satellite transactions over %d satellites, want %d",
-			got, perTxn, numSats, perTxn)
+	sweep()
+	if got := testing.AllocsPerRun(1, sweep); got != 0 {
+		t.Fatalf("a second sweep over %d satellites allocated %v times; the log should have stopped at its largest transaction (%d cells)",
+			numSats, got, largest)
 	}
 
 	if err := s.CheckInvariants(); err != nil {
@@ -211,10 +227,9 @@ func TestSnapshotPoolIsSizedByTheTransaction(t *testing.T) {
 	}
 }
 
-// TestTxnCycleDoesNotAllocate pins what `//go:noinline` on
-// txnScratch.begin is there for: Begin stays inlinable, so the Txn lives
-// on the caller's stack, and a warm scratch serves a whole
-// Begin/Consume/Rollback cycle without touching the heap.
+// TestTxnCycleDoesNotAllocate pins two promises: Begin stays inlinable,
+// so the Txn lives on the caller's stack, and a warm undo log serves a
+// whole Begin/Consume/Rollback cycle without touching the heap.
 func TestTxnCycleDoesNotAllocate(t *testing.T) {
 	s := newTestState(t, twoCitySites(), false)
 	cons := []Consumption{{Sat: 0, Slot: 2, Joules: 5000}, {Sat: 1, Slot: 2, Joules: 5000}}

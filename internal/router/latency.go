@@ -23,37 +23,31 @@ func PlanLatencyMs(prov *topology.Provider, req workload.Request, plan Plan) (fl
 	numSats := prov.NumSats()
 	total := 0.0
 	for _, sp := range plan.Paths {
-		srcPos, err := prov.EndpointECEF(req.Src, sp.Slot)
-		if err != nil {
-			return 0, err
-		}
-		dstPos, err := prov.EndpointECEF(req.Dst, sp.Slot)
-		if err != nil {
-			return 0, err
-		}
+		// Positions are computed on demand, so each node's is taken once
+		// and carried to the next hop.
 		pos := func(node int) (geo.Vec3, error) {
 			switch {
 			case node < numSats:
 				return prov.SatPosECEF(sp.Slot, node), nil
 			case node == numSats:
-				return srcPos, nil
+				return prov.EndpointECEF(req.Src, sp.Slot)
 			case node == numSats+1:
-				return dstPos, nil
+				return prov.EndpointECEF(req.Dst, sp.Slot)
 			default:
 				return geo.Vec3{}, fmt.Errorf("router: node %d outside search space", node)
 			}
 		}
 		km := 0.0
-		for i := 0; i < len(sp.Path.Nodes)-1; i++ {
-			a, err := pos(sp.Path.Nodes[i])
+		var prev geo.Vec3
+		for i, node := range sp.Path.Nodes {
+			cur, err := pos(node)
 			if err != nil {
 				return 0, err
 			}
-			b, err := pos(sp.Path.Nodes[i+1])
-			if err != nil {
-				return 0, err
+			if i > 0 {
+				km += prev.DistanceTo(cur)
 			}
-			km += a.DistanceTo(b)
+			prev = cur
 		}
 		total += km / speedOfLightKmPerMs
 	}

@@ -55,7 +55,8 @@ const (
 	// real-time clock).
 	ReasonExpired = "expired"
 	// ReasonHorizonExhausted marks a request arriving after the slot
-	// clock passed the topology horizon.
+	// clock passed the topology horizon, or whose window starts at or
+	// past it.
 	ReasonHorizonExhausted = "horizon-exhausted"
 )
 
@@ -478,18 +479,21 @@ func (s *Server) admitOne(p *pending) {
 	if p.start != nil && *p.start > arrival {
 		start = *p.start
 	}
-	end := start + p.dur - 1
-	if p.end != nil {
-		end = *p.end
-	}
-	if end >= s.horizon {
-		end = s.horizon - 1
+	// The window saturates at the horizon: a duration or end slot past
+	// it ends at its last slot, and start + dur − 1 is never formed where
+	// it could overflow.
+	end := s.horizon - 1
+	switch {
+	case p.end != nil:
+		end = min(*p.end, end)
+	case start < s.horizon && p.dur-1 < end-start:
+		end = start + p.dur - 1
 	}
 
 	p.resv.ArrivalSlot, p.resv.StartSlot, p.resv.EndSlot = arrival, start, end
 
 	switch {
-	case arrival >= s.horizon:
+	case arrival >= s.horizon || start >= s.horizon:
 		s.finishRejected(p, ReasonHorizonExhausted)
 		return
 	case end < start:

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -29,7 +30,7 @@ var (
 	provErr    error
 )
 
-func testProvider(t *testing.T) *topology.Provider {
+func testProvider(t testing.TB) *topology.Provider {
 	t.Helper()
 	provOnce.Do(func() {
 		cfg := topology.DefaultConfig(testEpoch)
@@ -65,7 +66,7 @@ func testPairs() []workload.Pair {
 	}
 }
 
-func testRunConfig(t *testing.T, rate float64, seed int64) sim.RunConfig {
+func testRunConfig(t testing.TB, rate float64, seed int64) sim.RunConfig {
 	t.Helper()
 	wl := workload.DefaultConfig(48, testPairs(), seed)
 	wl.ArrivalRatePerSlot = rate
@@ -78,7 +79,7 @@ func testRunConfig(t *testing.T, rate float64, seed int64) sim.RunConfig {
 }
 
 // newTestServer builds a server plus an httptest front end.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Provider == nil {
 		cfg.Provider = testProvider(t)
@@ -670,7 +671,7 @@ func TestSlotClock(t *testing.T) {
 }
 
 // waitFor polls cond until true or the deadline trips.
-func waitFor(t *testing.T, cond func() bool) {
+func waitFor(t testing.TB, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for !cond() {
@@ -693,58 +694,196 @@ func (c *countingBody) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestBookBodyOutcomes is the table of POST /v1/book's refusals before
-// admission — 400 for a body that is not one valid booking, 413 for one
-// over the size bound, read no further than the bound — all in the
-// uniform {"error": ...} envelope, and pins the booking response as one
-// compact JSON line.
-func TestBookBodyOutcomes(t *testing.T) {
-	s, _ := newTestServer(t, Config{Run: testRunConfig(t, 2, 10), QueueDepth: 8})
-	valid := `{"src":{"kind":"ground","index":0},"dst":{"kind":"ground","index":3},"rate_mbps":800,"duration_slots":2}`
-	book := func(body []byte) (*httptest.ResponseRecorder, int) {
-		cb := &countingBody{r: bytes.NewReader(body)}
-		rec := httptest.NewRecorder()
-		s.handleBook(rec, httptest.NewRequest(http.MethodPost, "/v1/book", cb))
-		return rec, cb.read
+// bookCase is one row of what POST /v1/book answers for a body, on a
+// server in the given state.
+type bookCase struct {
+	name string
+	srv  string // "idle", "full" (engine parked, queue full) or "draining"
+	body []byte
+	code int
+	// 400 and 413 answer the error envelope; errHas, when set, must be
+	// named in it however often the body is sent.
+	errHas string
+	// 200, 429 and 503 answer a booking line with this status; for 200,
+	// reason is the reservation's exact reason ("" for any decision the
+	// engine made) and end, when non-negative, its end slot.
+	status string
+	reason string
+	end    int
+}
+
+// bookCases is TestBookBodyOutcomes's table for a server of the given
+// horizon; FuzzBookBody starts from its bodies.
+func bookCases(horizon int) []bookCase {
+	const valid = `{"src":{"kind":"ground","index":0},"dst":{"kind":"ground","index":3},"rate_mbps":800,"duration_slots":2}`
+	fields := func(extra string) []byte {
+		return []byte(`{"src":{"kind":"ground","index":0},"dst":{"kind":"ground","index":3},"rate_mbps":800,` + extra + `}`)
 	}
-	for _, tc := range []struct {
-		name   string
-		body   []byte
-		code   int
-		errHas string // when set, the message must name this, however often asked
-	}{
-		{"empty body", nil, http.StatusBadRequest, ""},
-		{"truncated JSON", []byte(valid[:len(valid)/2]), http.StatusBadRequest, ""},
-		{"unknown endpoint kind", []byte(`{"src":{"kind":"lunar","index":0},"dst":{"kind":"ground","index":1},"rate_mbps":1}`), http.StatusBadRequest, ""},
-		{"oversize body", append(bytes.Repeat([]byte(" "), 1<<20), valid...), http.StatusRequestEntityTooLarge, ""},
-		{"two negative slots", []byte(valid[:len(valid)-1] + `,"end_slot":-2,"start_slot":-1}`), http.StatusBadRequest, "start_slot"},
-	} {
-		rec, read := book(tc.body)
+	return []bookCase{
+		{name: "empty body", srv: "idle", code: http.StatusBadRequest},
+		{name: "truncated JSON", srv: "idle", body: []byte(valid[:len(valid)/2]), code: http.StatusBadRequest},
+		{name: "unknown endpoint kind", srv: "idle", code: http.StatusBadRequest,
+			body: []byte(`{"src":{"kind":"lunar","index":0},"dst":{"kind":"ground","index":1},"rate_mbps":1}`)},
+		{name: "oversize body", srv: "idle", body: append(bytes.Repeat([]byte(" "), 1<<20), valid...), code: http.StatusRequestEntityTooLarge},
+		{name: "two negative slots", srv: "idle", body: fields(`"duration_slots":2,"end_slot":-2,"start_slot":-1`),
+			code: http.StatusBadRequest, errHas: "start_slot"},
+		{name: "full queue", srv: "full", body: []byte(valid), code: http.StatusTooManyRequests, status: StatusOverloaded},
+		{name: "draining", srv: "draining", body: []byte(valid), code: http.StatusServiceUnavailable, status: StatusDraining},
+		// start + duration − 1 overflows from clock slot 2 on: the window
+		// must saturate at the horizon, not wrap negative and expire.
+		{name: "duration past the horizon", srv: "idle", body: fields(`"arrival_slot":2,"duration_slots":9223372036854775807`),
+			code: http.StatusOK, status: "decided", end: horizon - 1},
+		{name: "start at the horizon", srv: "idle", body: fields(fmt.Sprintf(`"duration_slots":2,"start_slot":%d`, horizon)),
+			code: http.StatusOK, status: StatusRejected, reason: ReasonHorizonExhausted, end: -1},
+		{name: "valid", srv: "idle", body: []byte(valid), code: http.StatusOK, status: "decided", end: -1},
+	}
+}
+
+// bookLine checks a 200 answer to POST /v1/book: one compact JSON line
+// holding a decided reservation whose window lies inside the horizon
+// unless it is expired or horizon-exhausted. It returns the reservation
+// or what is wrong with the line.
+func bookLine(body []byte, horizon int) (Reservation, string) {
+	line, ok := bytes.CutSuffix(body, []byte("\n"))
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, line); !ok || err != nil || !bytes.Equal(compact.Bytes(), line) {
+		return Reservation{}, fmt.Sprintf("not one compact JSON line (%v)", err)
+	}
+	var out BookResponse
+	if err := json.Unmarshal(line, &out); err != nil || out.Reservation == nil {
+		return Reservation{}, fmt.Sprintf("not a booking response (%v)", err)
+	}
+	r := *out.Reservation
+	switch {
+	case out.Status != r.Status || (r.Status != StatusAccepted && r.Status != StatusRejected):
+		return r, fmt.Sprintf("status %q, reservation status %q", out.Status, r.Status)
+	case r.Reason == ReasonExpired || r.Reason == ReasonHorizonExhausted:
+	case r.StartSlot > r.EndSlot || r.EndSlot >= horizon || r.StartSlot < 0:
+		return r, fmt.Sprintf("%s window [%d, %d] outside [0, %d)", r.Status, r.StartSlot, r.EndSlot, horizon)
+	}
+	return r, ""
+}
+
+// isErrorEnvelope reports whether body is the uniform {"error": ...}
+// envelope.
+func isErrorEnvelope(body []byte) bool {
+	var envelope map[string]string
+	return json.Unmarshal(body, &envelope) == nil && len(envelope) == 1 && envelope["error"] != ""
+}
+
+// TestBookBodyOutcomes is the table of what POST /v1/book answers for one
+// body, against an arrival-driven clock: 400 for a body that is not one
+// valid booking and 413 for one over the size bound (read no further than
+// the bound), both in the uniform {"error": ...} envelope; 429 with the
+// queue full and 503 while draining, each the bare status; and 200 with
+// one compact booking line whose window saturates at the horizon — a
+// duration past it ends at its last slot, a window starting at or past it
+// is horizon-exhausted.
+func TestBookBodyOutcomes(t *testing.T) {
+	rc := testRunConfig(t, 2, 10)
+	servers := map[string]*Server{}
+	servers["idle"], _ = newTestServer(t, Config{Run: rc, QueueDepth: 8})
+
+	gate := make(chan struct{})
+	full, _ := newTestServer(t, Config{Run: rc, BatchSize: 1, QueueDepth: 1, testGate: gate})
+	t.Cleanup(func() { close(gate) }) // before the server's own cleanup drains it
+	for i := 0; i < 2; i++ {
+		p, err := full.newPending(BookRequest{Src: EndpointRef{"ground", 0}, Dst: EndpointRef{"ground", 1}, RateMbps: 600})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := full.enqueue(p); err != nil {
+			t.Fatal(err)
+		}
+		// The engine takes the first and parks on the gate; the second
+		// fills the one-slot queue.
+		waitFor(t, func() bool { return len(full.queue) == i })
+	}
+	servers["full"] = full
+
+	draining, _ := newTestServer(t, Config{Run: rc})
+	if err := draining.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	servers["draining"] = draining
+
+	horizon := servers["idle"].Horizon()
+	for _, tc := range bookCases(horizon) {
+		s := servers[tc.srv]
+		book := func() (*httptest.ResponseRecorder, int) {
+			cb := &countingBody{r: bytes.NewReader(tc.body)}
+			rec := httptest.NewRecorder()
+			s.handleBook(rec, httptest.NewRequest(http.MethodPost, "/v1/book", cb))
+			return rec, cb.read
+		}
+		rec, read := book()
 		if rec.Code != tc.code {
-			t.Errorf("%s: HTTP %d, want %d", tc.name, rec.Code, tc.code)
-		}
-		var envelope map[string]string
-		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || len(envelope) != 1 || envelope["error"] == "" {
-			t.Errorf("%s: body %q is not the error envelope", tc.name, rec.Body.String())
-		}
-		for rep := 0; tc.errHas != "" && rep < 16; rep++ {
-			if again, _ := book(tc.body); !bytes.Contains(again.Body.Bytes(), []byte(tc.errHas)) {
-				t.Errorf("%s: answered %q, want %q named every time", tc.name, again.Body.String(), tc.errHas)
-				break
-			}
+			t.Errorf("%s: HTTP %d, want %d: %s", tc.name, rec.Code, tc.code, rec.Body.String())
+			continue
 		}
 		if read > maxBookBodyBytes+1 {
 			t.Errorf("%s: handler read %d bytes of the body, bound is %d", tc.name, read, maxBookBodyBytes)
 		}
+		switch tc.code {
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if !isErrorEnvelope(rec.Body.Bytes()) {
+				t.Errorf("%s: body %q is not the error envelope", tc.name, rec.Body.String())
+			}
+			for rep := 0; tc.errHas != "" && rep < 16; rep++ {
+				if again, _ := book(); !bytes.Contains(again.Body.Bytes(), []byte(tc.errHas)) {
+					t.Errorf("%s: answered %q, want %q named every time", tc.name, again.Body.String(), tc.errHas)
+					break
+				}
+			}
+		case http.StatusOK:
+			r, problem := bookLine(rec.Body.Bytes(), horizon)
+			switch {
+			case problem != "":
+				t.Errorf("%s: %s: %s", tc.name, problem, rec.Body.String())
+			case tc.status != "decided" && r.Status != tc.status:
+				t.Errorf("%s: status %q, want %q", tc.name, r.Status, tc.status)
+			case r.Reason != tc.reason && (tc.reason != "" || r.Reason == ReasonExpired || r.Reason == ReasonHorizonExhausted):
+				t.Errorf("%s: reason %q, want %q", tc.name, r.Reason, cmp.Or(tc.reason, "an engine decision"))
+			case tc.end >= 0 && r.EndSlot != tc.end:
+				t.Errorf("%s: window [%d, %d], want it to end at slot %d", tc.name, r.StartSlot, r.EndSlot, tc.end)
+			}
+		default:
+			var out BookResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Status != tc.status || out.Reservation != nil {
+				t.Errorf("%s: body %q, want the bare %q status", tc.name, rec.Body.String(), tc.status)
+			}
+		}
 	}
+}
 
-	rec, _ := book([]byte(valid))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("valid booking: HTTP %d: %s", rec.Code, rec.Body.String())
+// FuzzBookBody drives handleBook with arbitrary bodies against a
+// small-scale server with an arrival-driven clock. Nothing may panic;
+// every answer is 200, 400 or 413; and the body is the error envelope or
+// one compact booking line whose window lies inside the horizon unless
+// it is expired or horizon-exhausted. The corpus starts from
+// TestBookBodyOutcomes's bodies, bar the megabyte one.
+func FuzzBookBody(f *testing.F) {
+	s, _ := newTestServer(f, Config{Run: testRunConfig(f, 2, 10)})
+	horizon := s.Horizon()
+	for _, tc := range bookCases(horizon) {
+		if len(tc.body) <= maxBookBodyBytes {
+			f.Add(tc.body)
+		}
 	}
-	line := bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n"))
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, line); err != nil || !bytes.Equal(compact.Bytes(), line) {
-		t.Errorf("booking response is not one compact JSON line (%v): %q", err, rec.Body.String())
-	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		s.handleBook(rec, httptest.NewRequest(http.MethodPost, "/v1/book", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if !isErrorEnvelope(rec.Body.Bytes()) {
+				t.Fatalf("HTTP %d with body %q, want the error envelope", rec.Code, rec.Body.String())
+			}
+		case http.StatusOK:
+			if _, problem := bookLine(rec.Body.Bytes(), horizon); problem != "" {
+				t.Fatalf("%s: %s", problem, rec.Body.String())
+			}
+		default:
+			t.Fatalf("HTTP %d: %s", rec.Code, rec.Body.String())
+		}
+	})
 }

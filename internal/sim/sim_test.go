@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -653,5 +654,67 @@ func TestLatencyMetricPlausible(t *testing.T) {
 	// one-way propagation latency is 3-150 ms.
 	if res.AvgAcceptedLatencyMs < 3 || res.AvgAcceptedLatencyMs > 150 {
 		t.Errorf("avg latency = %v ms, implausible for LEO", res.AvgAcceptedLatencyMs)
+	}
+}
+
+// batteryBits is every battery's observable ledger — each cell's bits
+// and the deficit bounds — in one comparable slice.
+func batteryBits(s *netstate.State) []uint64 {
+	var out []uint64
+	for sat := 0; sat < s.Provider().NumSats(); sat++ {
+		b := s.Battery(sat)
+		first, last := b.DeficitSpan()
+		out = append(out, uint64(first), uint64(last))
+		for t := 0; t < b.Horizon(); t++ {
+			out = append(out, math.Float64bits(b.DeficitAt(t)), math.Float64bits(b.SolarRemainingAt(t)))
+		}
+	}
+	return out
+}
+
+// TestRejectedAdmissionLeavesBatteriesUntouched is the battery half of a
+// no-trace check: whatever a rejected request consumed on its way to the
+// rejection — slots routed before a later one found no path, a plan
+// priced out after routing — its rollback must leave every battery's
+// cells and deficit bounds bit-identical to before the request, in
+// CEAR's strict ledgers and in a baseline's clamping ones.
+func TestRejectedAdmissionLeavesBatteriesUntouched(t *testing.T) {
+	prov := testProvider(t)
+	for _, alg := range []AlgorithmKind{AlgCEAR, AlgSSP} {
+		rc, err := DefaultRunConfig(alg, testWorkload(3, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc.Obs = obs.New()
+		eng, err := NewEngine(prov, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs, err := workload.Generate(rc.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rollbacks := rc.Obs.Counter("netstate.txn.rollbacks")
+		undone := 0
+		for _, req := range reqs {
+			before, rolled := batteryBits(eng.State()), rollbacks.Value()
+			d, err := eng.Admit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Accepted {
+				continue
+			}
+			if rollbacks.Value() > rolled {
+				undone++
+			}
+			if !slices.Equal(batteryBits(eng.State()), before) {
+				t.Fatalf("%v: request %d rejected (%s) but its consumption stayed on the batteries", alg, req.ID, d.Reason)
+			}
+		}
+		if undone == 0 {
+			t.Fatalf("%v: no rejection rolled anything back; raise the rate", alg)
+		}
+		t.Logf("%v: %d of %d requests rejected after a rollback", alg, undone, len(reqs))
 	}
 }

@@ -9,7 +9,8 @@ import "spacebooking/internal/graph"
 // chasing. The fabric is time-invariant (only USL visibility changes per
 // slot), so the CSR is built once at provider construction and shared,
 // read-only, by every run — it is the static half of the routing fast
-// path; Freeze supplies the dynamic half (per-slot USL visibility).
+// path; the visibility NewProvider freezes is the dynamic half (per-slot
+// USL visibility).
 //
 // Edge i of node s occupies an index in [Offsets[s], Offsets[s+1]); the
 // edge order matches ISLNeighbors(s), which the flat and generic views

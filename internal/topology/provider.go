@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,11 +42,11 @@ type Config struct {
 	// MaxEORangeKm is the maximum slant range for a space-user USL
 	// between an EO satellite and a broadband satellite.
 	MaxEORangeKm float64
-	// PrecomputeVisibility eagerly freezes USL visibility for every
-	// endpoint at construction (see Freeze), removing the visibility
-	// cache mutex from the hot loop. Costs O(endpoints × horizon × sats)
-	// up front — callers with many endpoints but few active pairs should
-	// instead Freeze just the endpoints they will query.
+	// PrecomputeVisibility freezes USL visibility for every endpoint at
+	// construction (see NewProvider), removing the visibility cache mutex
+	// from the hot loop. Costs O(endpoints × horizon × sats) up front —
+	// callers with many endpoints but few active pairs should instead name
+	// to NewProvider just the endpoints they will query.
 	PrecomputeVisibility bool
 }
 
@@ -115,13 +116,17 @@ type Provider struct {
 	sites []grid.Site
 	eo    []orbit.Satellite
 
-	// satECEF[slot][sat] and eoECEF[slot][eo] are Earth-fixed positions
-	// and sunlit[slot][sat] the eclipse flag, taken from the inertial
-	// position while it is at hand: nothing routes on ECI, so no ECI
-	// table is kept. Each table's rows share one backing array.
-	satECEF [][]geo.Vec3
-	eoECEF  [][]geo.Vec3
-	sunlit  [][]bool
+	// No position is stored: admission reads only the sunlit flags and
+	// the frozen visibility lists, both derived from each slot's positions
+	// while the construction pass has them at hand. frames[slot] keeps
+	// what a position needs besides the orbit, so SatPosECEF and
+	// EndpointECEF recompute one bit for bit (see slotFrame.position).
+	// sunlit[slot][sat] is the eclipse flag; its rows share one backing
+	// array.
+	satProps []orbit.Propagator
+	eoProps  []orbit.Propagator
+	frames   []slotFrame
+	sunlit   [][]bool
 
 	siteECEF []geo.Vec3
 
@@ -130,14 +135,32 @@ type Provider struct {
 	maxSlantKm   float64
 
 	// visGround[site] and visSpace[eo] are frozen per-slot visibility
-	// tables (see Freeze): non-nil means every slot for that endpoint is
-	// precomputed and VisibleSats reads it lock-free. Endpoints that were
-	// never frozen fall back to the mutex-guarded memo cache below.
+	// tables (see NewProvider): non-nil means every slot for that endpoint
+	// is precomputed and VisibleSats reads it lock-free. Endpoints that
+	// were never frozen fall back to the mutex-guarded memo cache below.
 	visGround [][][]int
 	visSpace  [][][]int
 
 	visMu    sync.RWMutex
 	visCache map[visKey][]int
+
+	// lazy holds the position rows of the last slots a visibility cache
+	// miss propagated, so misses in one slot — a booking's source and
+	// destination, bookings over the same window — propagate it once.
+	// Guarded by lazyMu, which a miss holds while it reads its row.
+	lazyMu   sync.Mutex
+	lazy     [lazyRows]lazyRow
+	lazyNext int
+}
+
+// lazyRows is how many slots' positions the lazy visibility path keeps:
+// enough for the windows (up to ten slots in the paper's workload) of the
+// bookings arriving around one clock slot.
+const lazyRows = 16
+
+type lazyRow struct {
+	slot int
+	pos  []geo.Vec3 // nil until first used
 }
 
 // emptyVis marks a frozen slot with no visible satellites: a non-nil
@@ -151,11 +174,38 @@ type visKey struct {
 	slot  int
 }
 
-// NewProvider builds the provider, propagating every satellite (and EO
-// satellite) across all slots and precomputing sunlit flags and the +Grid
-// ISL fabric. sites and eoFleet may be empty if the workload does not use
-// the corresponding endpoint kind.
-func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite) (*Provider, error) {
+// slotFrame is what one slot contributes to a position: its instant and
+// the Earth rotation at that instant.
+type slotFrame struct {
+	at     time.Time
+	toECEF geo.Rotation
+}
+
+// position is the one place an Earth-fixed position is made. The
+// construction pass and every on-demand reader call it with the
+// same propagator and frame, so a position read later is bit for bit the
+// one the sunlit flags and visibility lists were derived from. The
+// inertial position comes along for the eclipse test.
+func (f *slotFrame) position(prop *orbit.Propagator) (ecef, eci geo.Vec3) {
+	eci = prop.PositionECI(f.at)
+	return f.toECEF.Z(eci), eci
+}
+
+// NewProvider builds the provider: one pass over the slots propagates
+// every satellite, derives the sunlit flags and freezes the visibility of
+// the endpoints named in freeze (of every site and EO satellite when
+// Config.PrecomputeVisibility is set), then drops the positions. It also
+// builds the +Grid ISL fabric. sites and eoFleet may be empty if the
+// workload does not use the corresponding endpoint kind.
+//
+// VisibleSats serves a frozen endpoint lock-free from its precomputed
+// lists, so the hot-loop synchronisation point disappears for every
+// endpoint the workload routes between; an endpoint not frozen keeps the
+// lazy mutex-guarded cache, which stays correct (if slower) under
+// concurrency. Together with the CSR of the static ISL grid (ISLCSR),
+// the frozen lists are what the routing fast path (netstate.FlatView)
+// reads.
+func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite, freeze ...Endpoint) (*Provider, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -185,6 +235,10 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite) (*Pro
 		sats:     sats,
 		sites:    append([]grid.Site(nil), sites...),
 		eo:       append([]orbit.Satellite(nil), eoFleet...),
+		satProps: propagators(sats),
+		eoProps:  propagators(eoFleet),
+		frames:   make([]slotFrame, cfg.Horizon),
+		sunlit:   slotRows[bool](cfg.Horizon, len(sats)),
 		visCache: make(map[visKey][]int),
 	}
 
@@ -192,31 +246,10 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite) (*Pro
 	for i, s := range p.sites {
 		p.siteECEF[i] = geo.LLAToECEF(s.LLA())
 	}
-
-	satProps := propagators(sats)
-	eoProps := propagators(p.eo)
-	p.satECEF = slotRows[geo.Vec3](cfg.Horizon, len(sats))
-	p.eoECEF = slotRows[geo.Vec3](cfg.Horizon, len(p.eo))
-	p.sunlit = slotRows[bool](cfg.Horizon, len(sats))
-	epoch := cfg.Walker.Epoch
-	// Every (slot, satellite) position is independent: fan the slots out,
-	// each worker filling the per-slot rows of its own slots only.
-	forEachSlot(0, cfg.Horizon, func(t int) {
-		at := epoch.Add(time.Duration(float64(t) * cfg.SlotSeconds * float64(time.Second)))
-		toECEF := geo.EarthRotation(geo.GMST(at))
-		sunDir := geo.SunDirectionECI(at)
-
-		ecef, lit := p.satECEF[t], p.sunlit[t]
-		for i := range satProps {
-			pos := satProps[i].PositionECI(at)
-			ecef[i] = toECEF.Z(pos)
-			lit[i] = !geo.InUmbra(pos, sunDir)
-		}
-		eoPos := p.eoECEF[t]
-		for i := range eoProps {
-			eoPos[i] = toECEF.Z(eoProps[i].PositionECI(at))
-		}
-	})
+	for t := range p.frames {
+		at := cfg.Walker.Epoch.Add(time.Duration(float64(t) * cfg.SlotSeconds * float64(time.Second)))
+		p.frames[t] = slotFrame{at: at, toECEF: geo.EarthRotation(geo.GMST(at))}
+	}
 
 	p.islNeighbors = islNeighbors
 	p.islCSR = buildISLCSR(islNeighbors)
@@ -227,12 +260,59 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite) (*Pro
 		}
 	}
 	p.maxSlantKm = maxSlantRangeKm(maxAlt, cfg.MinElevationDeg)
+
 	if cfg.PrecomputeVisibility {
-		if err := p.Freeze(0); err != nil {
-			return nil, err
+		freeze = p.allEndpoints()
+	}
+	todo, err := p.claim(freeze)
+	if err != nil {
+		return nil, err
+	}
+	p.sweep(todo)
+	return p, nil
+}
+
+// sweep is the per-slot pass. Each worker computes a slot's satellite
+// positions into a row of its own, derives from it the sunlit flags and
+// the visibility of every endpoint in todo, and reuses the row for its
+// next slot: no position outlives the pass.
+func (p *Provider) sweep(todo []Endpoint) {
+	forEachSlot(p.cfg.Horizon, func(lo, hi int) {
+		row := make([]geo.Vec3, len(p.sats))
+		var buf []int
+		for slot := lo; slot < hi; slot++ {
+			p.positions(slot, row, p.sunlit[slot])
+			for _, e := range todo {
+				buf = p.visible(buf[:0], e, slot, row)
+				vis := emptyVis
+				if len(buf) > 0 {
+					vis = slices.Clone(buf) // stored at its length, not append's capacity
+				}
+				if e.Kind == EndpointGround {
+					p.visGround[e.Index][slot] = vis
+				} else {
+					p.visSpace[e.Index][slot] = vis
+				}
+			}
+		}
+	})
+}
+
+// positions writes every satellite's Earth-fixed position in slot into
+// row and, when flags is non-nil, whether it is sunlit.
+func (p *Provider) positions(slot int, row []geo.Vec3, flags []bool) {
+	f := &p.frames[slot]
+	var sunDir geo.Vec3
+	if flags != nil {
+		sunDir = geo.SunDirectionECI(f.at)
+	}
+	for i := range p.satProps {
+		ecef, eci := f.position(&p.satProps[i])
+		row[i] = ecef
+		if flags != nil {
+			flags[i] = !geo.InUmbra(eci, sunDir)
 		}
 	}
-	return p, nil
 }
 
 // propagators returns each satellite's propagator, so the per-orbit
@@ -316,8 +396,12 @@ func (p *Provider) Satellites() []orbit.Satellite { return p.sats }
 // Sites returns the ground-site list (do not modify).
 func (p *Provider) Sites() []grid.Site { return p.sites }
 
-// SatPosECEF returns the Earth-fixed position of a satellite in a slot.
-func (p *Provider) SatPosECEF(slot, sat int) geo.Vec3 { return p.satECEF[slot][sat] }
+// SatPosECEF returns the Earth-fixed position of a satellite in a slot,
+// computed on demand: one propagation and one rotation.
+func (p *Provider) SatPosECEF(slot, sat int) geo.Vec3 {
+	pos, _ := p.frames[slot].position(&p.satProps[sat])
+	return pos
+}
 
 // Sunlit reports whether a satellite is in sunlight during a slot.
 func (p *Provider) Sunlit(slot, sat int) bool { return p.sunlit[slot][sat] }
@@ -334,20 +418,16 @@ func (p *Provider) EndpointECEF(e Endpoint, slot int) (geo.Vec3, error) {
 		if e.Index < 0 || e.Index >= len(p.eo) {
 			return geo.Vec3{}, fmt.Errorf("topology: EO index %d outside [0,%d)", e.Index, len(p.eo))
 		}
-		return p.eoECEF[slot][e.Index], nil
+		pos, _ := p.frames[slot].position(&p.eoProps[e.Index])
+		return pos, nil
 	default:
 		return geo.Vec3{}, fmt.Errorf("topology: unknown endpoint kind %d", e.Kind)
 	}
 }
 
-// SunlitVector returns the satellite's sunlit flags across all slots.
-func (p *Provider) SunlitVector(sat int) []bool {
-	out := make([]bool, p.cfg.Horizon)
-	for t := 0; t < p.cfg.Horizon; t++ {
-		out[t] = p.sunlit[t][sat]
-	}
-	return out
-}
+// SunlitRow returns every satellite's sunlit flag in a slot, indexed by
+// satellite. Callers must not modify the returned slice.
+func (p *Provider) SunlitRow(slot int) []bool { return p.sunlit[slot] }
 
 // ISLNeighbors returns the static +Grid neighbours of a satellite.
 // Callers must not modify the returned slice.
@@ -356,7 +436,7 @@ func (p *Provider) ISLNeighbors(sat int) []int { return p.islNeighbors[sat] }
 // VisibleSats returns the broadband satellites that endpoint e can reach
 // with a USL in the given slot: above the minimum elevation for ground
 // users, or within MaxEORangeKm with clear line of sight for space
-// users. Frozen endpoints (see Freeze) are served lock-free from the
+// users. Endpoints frozen by NewProvider are served lock-free from the
 // precomputed tables; other endpoints are memoised under a mutex.
 // Callers must not modify the returned slice.
 func (p *Provider) VisibleSats(e Endpoint, slot int) ([]int, error) {
@@ -390,7 +470,9 @@ func (p *Provider) VisibleSats(e Endpoint, slot int) ([]int, error) {
 		return cached, nil
 	}
 
-	visible := p.computeVisible(e, slot)
+	p.lazyMu.Lock()
+	visible := p.visible(nil, e, slot, p.lazyRow(slot))
+	p.lazyMu.Unlock()
 
 	p.visMu.Lock()
 	p.visCache[key] = visible
@@ -398,14 +480,35 @@ func (p *Provider) VisibleSats(e Endpoint, slot int) ([]int, error) {
 	return visible, nil
 }
 
-// computeVisible is the pure visibility computation behind VisibleSats
-// and Freeze. Endpoint and slot must already be validated.
-func (p *Provider) computeVisible(e Endpoint, slot int) []int {
-	var visible []int
+// lazyRow returns slot's satellite positions from the rows of the last
+// lazyRows slots a cache miss asked for, propagating the slot over the
+// oldest of them when it is not among them. Call with lazyMu held.
+func (p *Provider) lazyRow(slot int) []geo.Vec3 {
+	for i := range p.lazy {
+		if r := &p.lazy[i]; r.pos != nil && r.slot == slot {
+			return r.pos
+		}
+	}
+	r := &p.lazy[p.lazyNext]
+	p.lazyNext = (p.lazyNext + 1) % lazyRows
+	if r.pos == nil {
+		r.pos = make([]geo.Vec3, len(p.sats))
+	}
+	r.slot = slot
+	p.positions(slot, r.pos, nil)
+	return r.pos
+}
+
+// visible is the pure visibility computation behind VisibleSats and the
+// per-slot pass: it appends to dst the satellites e sees in slot, given
+// the slot's satellite positions. Endpoint and slot must already be
+// validated.
+func (p *Provider) visible(dst []int, e Endpoint, slot int, sats []geo.Vec3) []int {
+	visible := dst
 	if e.Kind == EndpointGround {
 		obs := p.siteECEF[e.Index]
 		maxSq := p.maxSlantKm * p.maxSlantKm
-		for sat, pos := range p.satECEF[slot] {
+		for sat, pos := range sats {
 			if pos.Sub(obs).NormSq() > maxSq {
 				continue
 			}
@@ -414,9 +517,9 @@ func (p *Provider) computeVisible(e Endpoint, slot int) []int {
 			}
 		}
 	} else {
-		obs := p.eoECEF[slot][e.Index]
+		obs, _ := p.frames[slot].position(&p.eoProps[e.Index])
 		maxSq := p.cfg.MaxEORangeKm * p.cfg.MaxEORangeKm
-		for sat, pos := range p.satECEF[slot] {
+		for sat, pos := range sats {
 			if pos.Sub(obs).NormSq() > maxSq {
 				continue
 			}
@@ -428,97 +531,64 @@ func (p *Provider) computeVisible(e Endpoint, slot int) []int {
 	return visible
 }
 
-// Freeze precomputes the per-slot visibility of the given endpoints
-// (every site and EO satellite when none are named), fanning the slots
-// out over a worker pool (workers <= 0 picks GOMAXPROCS). Frozen
-// endpoints are immutable afterwards and VisibleSats serves them without
-// taking a lock — the hot-loop synchronization point disappears for
-// every endpoint the workload actually routes between. Endpoints not
-// frozen keep the lazy mutex-guarded cache, which stays correct (if
-// slower) under concurrency.
-//
-// Freeze is part of construction: call it before the provider is shared
-// across goroutines. Already-frozen endpoints are skipped, so repeated
-// calls with overlapping endpoint sets are cheap.
-//
-// Together with the CSR flattening of the static ISL grid (ISLCSR,
-// built at NewProvider), frozen visibility tables are what the routing
-// fast path (netstate.FlatView) consumes: the CSR supplies the static
-// edges as contiguous arrays and the frozen tables supply the per-slot
-// USL endpoint edges, both readable without locks or interface calls.
-func (p *Provider) Freeze(workers int, endpoints ...Endpoint) error {
-	if len(endpoints) == 0 {
-		endpoints = make([]Endpoint, 0, len(p.sites)+len(p.eo))
-		for i := range p.sites {
-			endpoints = append(endpoints, Endpoint{Kind: EndpointGround, Index: i})
-		}
-		for i := range p.eo {
-			endpoints = append(endpoints, Endpoint{Kind: EndpointSpace, Index: i})
-		}
+// allEndpoints lists every site and EO satellite.
+func (p *Provider) allEndpoints() []Endpoint {
+	all := make([]Endpoint, 0, len(p.sites)+len(p.eo))
+	for i := range p.sites {
+		all = append(all, Endpoint{Kind: EndpointGround, Index: i})
 	}
-	if p.visGround == nil {
-		p.visGround = make([][][]int, len(p.sites))
+	for i := range p.eo {
+		all = append(all, Endpoint{Kind: EndpointSpace, Index: i})
 	}
-	if p.visSpace == nil {
-		p.visSpace = make([][][]int, len(p.eo))
-	}
-	todo := make([]Endpoint, 0, len(endpoints))
+	return all
+}
+
+// claim validates the endpoints, then allocates a per-slot table for each
+// distinct one and returns those: the endpoints the pass must fill.
+func (p *Provider) claim(endpoints []Endpoint) ([]Endpoint, error) {
 	for _, e := range endpoints {
 		switch e.Kind {
 		case EndpointGround:
 			if e.Index < 0 || e.Index >= len(p.sites) {
-				return fmt.Errorf("topology: freeze: ground site %d outside [0,%d)", e.Index, len(p.sites))
-			}
-			if p.visGround[e.Index] == nil {
-				p.visGround[e.Index] = make([][]int, p.cfg.Horizon)
-				todo = append(todo, e)
+				return nil, fmt.Errorf("topology: freeze: ground site %d outside [0,%d)", e.Index, len(p.sites))
 			}
 		case EndpointSpace:
 			if e.Index < 0 || e.Index >= len(p.eo) {
-				return fmt.Errorf("topology: freeze: EO index %d outside [0,%d)", e.Index, len(p.eo))
-			}
-			if p.visSpace[e.Index] == nil {
-				p.visSpace[e.Index] = make([][]int, p.cfg.Horizon)
-				todo = append(todo, e)
+				return nil, fmt.Errorf("topology: freeze: EO index %d outside [0,%d)", e.Index, len(p.eo))
 			}
 		default:
-			return fmt.Errorf("topology: freeze: unknown endpoint kind %d", e.Kind)
+			return nil, fmt.Errorf("topology: freeze: unknown endpoint kind %d", e.Kind)
 		}
 	}
-	if len(todo) == 0 {
-		return nil
+	if len(endpoints) == 0 {
+		return nil, nil
 	}
-
-	// Fan out across slots: each (endpoint, slot) cell is written by
-	// exactly one worker, into tables allocated above — no locking.
-	forEachSlot(workers, p.cfg.Horizon, func(slot int) {
-		for _, e := range todo {
-			vis := p.computeVisible(e, slot)
-			if vis == nil {
-				vis = emptyVis
-			}
-			if e.Kind == EndpointGround {
-				p.visGround[e.Index][slot] = vis
-			} else {
-				p.visSpace[e.Index][slot] = vis
-			}
+	p.visGround = make([][][]int, len(p.sites))
+	p.visSpace = make([][][]int, len(p.eo))
+	var todo []Endpoint
+	for _, e := range endpoints {
+		table := p.visGround
+		if e.Kind == EndpointSpace {
+			table = p.visSpace
 		}
-	})
-	return nil
+		if table[e.Index] == nil {
+			table[e.Index] = make([][]int, p.cfg.Horizon)
+			todo = append(todo, e)
+		}
+	}
+	return todo, nil
 }
 
-// forEachSlot calls fn(slot) for every slot in [0, horizon) from a pool
-// of workers (workers <= 0 picks GOMAXPROCS) and returns when all calls
-// have. Each worker takes one contiguous range of slots — the per-slot
-// work is uniform, and one hand-off per worker instead of one per slot
-// matters when a slot is tens of microseconds of work. Every slot is
-// handled by exactly one worker, so fn may write per-slot data without
-// locking; nothing is reduced across slots, so the result does not
-// depend on the schedule.
-func forEachSlot(workers, horizon int, fn func(slot int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// forEachSlot splits [0, horizon) into one contiguous range per
+// GOMAXPROCS worker, calls fn(lo, hi) for each range on its own goroutine
+// and returns when all calls have. The per-slot work is uniform, and one
+// hand-off per worker instead of one per slot matters when a slot is tens
+// of microseconds of work; a worker also allocates its scratch once for
+// its whole range. Every slot is handled by exactly one worker, so fn may
+// write per-slot data without locking; nothing is reduced across slots,
+// so the result does not depend on the schedule.
+func forEachSlot(horizon int, fn func(lo, hi int)) {
+	workers := runtime.GOMAXPROCS(0)
 	chunk := (horizon + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < horizon; lo += chunk {
@@ -526,9 +596,7 @@ func forEachSlot(workers, horizon int, fn func(slot int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for slot := lo; slot < hi; slot++ {
-				fn(slot)
-			}
+			fn(lo, hi)
 		}()
 	}
 	wg.Wait()

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -192,21 +193,6 @@ func TestSunlitFractionReasonable(t *testing.T) {
 	}
 }
 
-func TestSunlitVectorMatchesPointQueries(t *testing.T) {
-	p := newSmallProvider(t, nil, nil)
-	for _, sat := range []int{0, 13, 95} {
-		vec := p.SunlitVector(sat)
-		if len(vec) != p.Horizon() {
-			t.Fatalf("vector length %d", len(vec))
-		}
-		for slot, v := range vec {
-			if v != p.Sunlit(slot, sat) {
-				t.Fatalf("sat %d slot %d mismatch", sat, slot)
-			}
-		}
-	}
-}
-
 func TestSatellitesCycleThroughUmbra(t *testing.T) {
 	// Over a full orbital period (96 slots at 1 min), a satellite in a
 	// 53-degree orbit should experience both sunlight and umbra.
@@ -286,7 +272,11 @@ func TestVisibleSatsSpace(t *testing.T) {
 			}
 			total += len(vis)
 			for _, sat := range vis {
-				d := p.eoECEF[slot][i].DistanceTo(p.SatPosECEF(slot, sat))
+				obs, err := p.EndpointECEF(Endpoint{Kind: EndpointSpace, Index: i}, slot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := obs.DistanceTo(p.SatPosECEF(slot, sat))
 				if d > p.Config().MaxEORangeKm {
 					t.Fatalf("EO %d slot %d: reported sat %d at range %v", i, slot, sat, d)
 				}
@@ -453,11 +443,11 @@ func buildReferenceSlot(cfg Config, slot int, sats []orbit.Satellite, sites []gr
 	return ref
 }
 
-// TestProviderMatchesReferenceBuild: the provider's ECEF table, sunlit
-// flags and frozen visibility are bit-identical to a rebuild from the
-// reference formula, at the small and medium scale presets with a ground
-// tiling and the paper's EO fleet, whether one worker builds every slot
-// or four split them.
+// TestProviderMatchesReferenceBuild: the provider's on-demand positions
+// (SatPosECEF, EndpointECEF), its sunlit flags and its frozen visibility
+// are bit-identical to a rebuild from the reference formula, at the small
+// and medium scale presets with a ground tiling and the paper's EO fleet,
+// whether one worker builds every slot or four split them.
 func TestProviderMatchesReferenceBuild(t *testing.T) {
 	sites, err := grid.TriangularSites(1)
 	if err != nil {
@@ -473,9 +463,6 @@ func TestProviderMatchesReferenceBuild(t *testing.T) {
 	medium.Walker.Planes, medium.Walker.SatsPerPlane, medium.Walker.PhasingF = 12, 24, 5
 	medium.Horizon, medium.MinElevationDeg = 192, 15
 
-	bits := func(v geo.Vec3) [3]uint64 {
-		return [3]uint64{math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z)}
-	}
 	for _, sc := range []struct {
 		name string
 		cfg  Config
@@ -488,38 +475,57 @@ func TestProviderMatchesReferenceBuild(t *testing.T) {
 		for slot := range ref {
 			ref[slot] = buildReferenceSlot(sc.cfg, slot, sats, sites, eo)
 		}
+		var all []Endpoint
+		for i := range sites {
+			all = append(all, Endpoint{Kind: EndpointGround, Index: i})
+		}
+		for i := range eo {
+			all = append(all, Endpoint{Kind: EndpointSpace, Index: i})
+		}
 		for _, procs := range []int{1, 4} {
 			prev := runtime.GOMAXPROCS(procs)
-			p, err := NewProvider(sc.cfg, sites, eo)
-			if err == nil {
-				err = p.Freeze(0)
-			}
+			p, err := NewProvider(sc.cfg, sites, eo, all...)
 			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for slot, r := range ref {
-				for sat := range r.ecef {
-					if bits(p.SatPosECEF(slot, sat)) != bits(r.ecef[sat]) || p.Sunlit(slot, sat) != r.sunlit[sat] {
-						t.Fatalf("%s, GOMAXPROCS %d, slot %d, sat %d: provider %v sunlit %v, reference %v sunlit %v",
-							sc.name, procs, slot, sat, p.SatPosECEF(slot, sat), p.Sunlit(slot, sat), r.ecef[sat], r.sunlit[sat])
-					}
-				}
-				for i := range eo {
-					e := Endpoint{Kind: EndpointSpace, Index: i}
-					got, err := p.EndpointECEF(e, slot)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if bits(got) != bits(r.eoECEF[i]) {
-						t.Fatalf("%s, GOMAXPROCS %d, slot %d, EO %d: provider %v, reference %v", sc.name, procs, slot, i, got, r.eoECEF[i])
-					}
-					checkVisible(t, p, e, slot, r.visSpace[i])
-				}
-				for i := range sites {
-					checkVisible(t, p, Endpoint{Kind: EndpointGround, Index: i}, slot, r.visGround[i])
-				}
+			checkReferenceBuild(t, fmt.Sprintf("%s, GOMAXPROCS %d", sc.name, procs), p, ref, len(sites), len(eo))
+		}
+	}
+}
+
+func checkReferenceBuild(t *testing.T, name string, p *Provider, ref []referenceSlot, numSites, numEO int) {
+	t.Helper()
+	bits := func(v geo.Vec3) [3]uint64 {
+		return [3]uint64{math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z)}
+	}
+	for slot, r := range ref {
+		for sat := range r.ecef {
+			if bits(p.SatPosECEF(slot, sat)) != bits(r.ecef[sat]) || p.Sunlit(slot, sat) != r.sunlit[sat] {
+				t.Fatalf("%s, slot %d, sat %d: provider %v sunlit %v, reference %v sunlit %v",
+					name, slot, sat, p.SatPosECEF(slot, sat), p.Sunlit(slot, sat), r.ecef[sat], r.sunlit[sat])
 			}
+		}
+		for i := 0; i < numEO; i++ {
+			e := Endpoint{Kind: EndpointSpace, Index: i}
+			got, err := p.EndpointECEF(e, slot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bits(got) != bits(r.eoECEF[i]) {
+				t.Fatalf("%s, slot %d, EO %d: provider %v, reference %v", name, slot, i, got, r.eoECEF[i])
+			}
+			if !p.Precomputed(e) {
+				t.Fatalf("%s: EO %d not frozen", name, i)
+			}
+			checkVisible(t, p, e, slot, r.visSpace[i])
+		}
+		for i := 0; i < numSites; i++ {
+			e := Endpoint{Kind: EndpointGround, Index: i}
+			if !p.Precomputed(e) {
+				t.Fatalf("%s: site %d not frozen", name, i)
+			}
+			checkVisible(t, p, e, slot, r.visGround[i])
 		}
 	}
 }
@@ -567,7 +573,8 @@ func TestVisibleSatsConcurrentAccess(t *testing.T) {
 
 // TestFreezeMatchesLazy verifies the frozen fast path returns exactly
 // what the lazy memoised path computes, for both endpoint kinds, across
-// every slot.
+// every slot. The lazy queries run slot by slot, so later endpoints reuse
+// the slot's position row and, past lazyRows slots, rows are recycled.
 func TestFreezeMatchesLazy(t *testing.T) {
 	sites := []grid.Site{
 		{ID: 0, LatDeg: 40.7, LonDeg: -74.0},
@@ -580,9 +587,14 @@ func TestFreezeMatchesLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	lazy := newSmallProvider(t, sites, eo)
-	frozen := newSmallProvider(t, sites, eo)
-	if err := frozen.Freeze(3); err != nil {
+	cfg := smallConfig()
+	cfg.PrecomputeVisibility = true
+	frozen, err := NewProvider(cfg, sites, eo)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if frozen.Horizon() <= lazyRows {
+		t.Fatalf("horizon %d does not recycle the %d lazy rows", frozen.Horizon(), lazyRows)
 	}
 
 	endpoints := []Endpoint{
@@ -593,12 +605,14 @@ func TestFreezeMatchesLazy(t *testing.T) {
 	}
 	for _, e := range endpoints {
 		if !frozen.Precomputed(e) {
-			t.Fatalf("endpoint %+v not precomputed after full Freeze", e)
+			t.Fatalf("endpoint %+v not precomputed by PrecomputeVisibility", e)
 		}
 		if lazy.Precomputed(e) {
 			t.Fatalf("endpoint %+v reports precomputed on the lazy provider", e)
 		}
-		for slot := 0; slot < frozen.Horizon(); slot++ {
+	}
+	for slot := 0; slot < frozen.Horizon(); slot++ {
+		for _, e := range endpoints {
 			want, err := lazy.VisibleSats(e, slot)
 			if err != nil {
 				t.Fatal(err)
@@ -626,10 +640,11 @@ func TestFreezeSubsetKeepsLazyFallback(t *testing.T) {
 		{ID: 0, LatDeg: 40.7, LonDeg: -74.0},
 		{ID: 1, LatDeg: 34.1, LonDeg: -118.2},
 	}
-	p := newSmallProvider(t, sites, nil)
 	hot := Endpoint{Kind: EndpointGround, Index: 0}
 	cold := Endpoint{Kind: EndpointGround, Index: 1}
-	if err := p.Freeze(2, hot); err != nil {
+	// Naming an endpoint twice freezes it once.
+	p, err := NewProvider(smallConfig(), sites, nil, hot, hot)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !p.Precomputed(hot) || p.Precomputed(cold) {
@@ -640,22 +655,22 @@ func TestFreezeSubsetKeepsLazyFallback(t *testing.T) {
 			t.Fatalf("endpoint %+v: %v", e, err)
 		}
 	}
-	// Idempotent: re-freezing an already-frozen endpoint is a no-op.
-	if err := p.Freeze(2, hot); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFreezeErrors(t *testing.T) {
-	p := newSmallProvider(t, []grid.Site{{ID: 0}}, nil)
-	if err := p.Freeze(1, Endpoint{Kind: EndpointGround, Index: 9}); err == nil {
-		t.Error("out-of-range site should error")
-	}
-	if err := p.Freeze(1, Endpoint{Kind: EndpointSpace, Index: 0}); err == nil {
-		t.Error("EO endpoint without a fleet should error")
-	}
-	if err := p.Freeze(1, Endpoint{Kind: 0, Index: 0}); err == nil {
-		t.Error("unknown kind should error")
+	sites := []grid.Site{{ID: 0}}
+	for _, tt := range []struct {
+		name string
+		eps  []Endpoint
+	}{
+		{"out-of-range site", []Endpoint{{Kind: EndpointGround, Index: 9}}},
+		{"EO endpoint without a fleet", []Endpoint{{Kind: EndpointSpace, Index: 0}}},
+		{"unknown kind", []Endpoint{{Kind: 0, Index: 0}}},
+		{"valid site before a bad one", []Endpoint{{Kind: EndpointGround, Index: 0}, {Kind: EndpointGround, Index: 9}}},
+	} {
+		if p, err := NewProvider(smallConfig(), sites, nil, tt.eps...); err == nil || p != nil {
+			t.Errorf("%s: NewProvider = %v, %v; want nil and an error", tt.name, p, err)
+		}
 	}
 }
 
@@ -679,11 +694,13 @@ func TestPrecomputeVisibilityConfig(t *testing.T) {
 // TestFrozenProviderConcurrentAccess mirrors the lazy-path concurrency
 // test on the lock-free frozen tables (meaningful under -race).
 func TestFrozenProviderConcurrentAccess(t *testing.T) {
-	p := newSmallProvider(t, []grid.Site{
+	cfg := smallConfig()
+	cfg.PrecomputeVisibility = true
+	p, err := NewProvider(cfg, []grid.Site{
 		{ID: 0, LatDeg: 40.7, LonDeg: -74.0},
 		{ID: 1, LatDeg: 34.1, LonDeg: -118.2},
 	}, nil)
-	if err := p.Freeze(4); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup

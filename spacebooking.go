@@ -227,37 +227,28 @@ func NewEnvironment(cfg EnvConfig) (*Environment, error) {
 		}
 	}
 
-	prov, err := topology.NewProvider(topoCfg, sites, eo)
-	if err != nil {
-		return nil, err
-	}
-
 	numPairs := cfg.NumPairs
 	if numPairs == 0 {
 		numPairs = defaults.pairs
 	}
-	pairs, err := selectCoveredPairs(prov, sites, numPairs, cfg.PairSeed)
+	pairs, err := selectCoveredPairs(topoCfg.Walker.InclinationDeg, sites, numPairs, cfg.PairSeed)
 	if err != nil {
 		return nil, err
 	}
 
-	// Freeze the visibility tables of every request endpoint: the hot
-	// path (NewView, twice per request per slot) then reads precomputed
-	// slices with no locking, which is what makes parallel runs over the
-	// shared provider scale. Non-pair endpoints keep the lazy memoised
-	// path — freezing all 1761 sites at ScaleFull would cost far more
-	// than any figure ever queries.
-	seenEp := make(map[topology.Endpoint]bool, 2*len(pairs))
+	// Freeze the visibility tables of every request endpoint, in the
+	// provider's one pass over the slots: the hot path (BuildView, twice
+	// per request per slot) then reads precomputed slices with no
+	// locking, which is what makes parallel runs over the shared provider
+	// scale. Non-pair endpoints keep the lazy memoised path — freezing all
+	// 1761 sites at ScaleFull would cost far more than any figure ever
+	// queries.
 	eps := make([]topology.Endpoint, 0, 2*len(pairs))
 	for _, p := range pairs {
-		for _, ep := range []topology.Endpoint{p.Src, p.Dst} {
-			if !seenEp[ep] {
-				seenEp[ep] = true
-				eps = append(eps, ep)
-			}
-		}
+		eps = append(eps, p.Src, p.Dst)
 	}
-	if err := prov.Freeze(0, eps...); err != nil {
+	prov, err := topology.NewProvider(topoCfg, sites, eo, eps...)
+	if err != nil {
 		return nil, err
 	}
 
@@ -293,11 +284,12 @@ func (e *Environment) logf(format string, args ...interface{}) {
 	}
 }
 
-// selectCoveredPairs picks distinct ground pairs among sites that the
-// inclined shell actually covers (|lat| within the inclination minus a
-// margin), so that requests are not dead on arrival for every algorithm.
-func selectCoveredPairs(prov *topology.Provider, sites []grid.Site, count int, seed int64) ([]workload.Pair, error) {
-	maxLat := prov.Config().Walker.InclinationDeg - 1
+// selectCoveredPairs picks distinct ground pairs among sites that a shell
+// of the given inclination actually covers (|lat| within the inclination
+// minus a margin), so that requests are not dead on arrival for every
+// algorithm.
+func selectCoveredPairs(inclinationDeg float64, sites []grid.Site, count int, seed int64) ([]workload.Pair, error) {
+	maxLat := inclinationDeg - 1
 	var covered []int
 	for i, s := range sites {
 		if math.Abs(s.LatDeg) <= maxLat {
