@@ -248,6 +248,21 @@ func (c *CEAR) unitPrices(sat int, b *energy.Battery) *energy.UnitPrices {
 	return u
 }
 
+// UnitTableSlots sums what energy.UnitPrices.Slots reports over the
+// satellites' unit-price tables, and counts the tables that hold an
+// array: what the tables cost against the windows pricing needed.
+func (c *CEAR) UnitTableSlots() (tables, widest, held int) {
+	for i := range c.units {
+		w, h := c.units[i].Slots()
+		if h > 0 {
+			tables++
+		}
+		widest += w
+		held += h
+	}
+	return tables, widest, held
+}
+
 // pricingTimer accumulates elapsed pricing wall time; the deferred form
 // captures the start at the defer statement.
 func pricingTimer(c *obs.Counter, t0 int64) {

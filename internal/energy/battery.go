@@ -4,12 +4,17 @@
 // *battery deficit* that persists into future slots until replenished by
 // leftover solar input (Eqs. (2)–(5)).
 //
-// The ledger tracks, per satellite:
+// The ledger tracks, per satellite and slot t, one signed cell:
 //
-//   - solarRemaining[t] — α_s(t), solar energy still unclaimed in slot t
-//     after all committed reservations, and
-//   - deficit[t] — the total outstanding battery deficit at the end of
-//     slot t across all committed reservations (ϖ_s − b_s(t)).
+//   - cell[t] > 0 is α_s(t), solar energy still unclaimed in slot t after
+//     all committed reservations;
+//   - cell[t] < 0 is −(ϖ_s − b_s(t)), the total outstanding battery
+//     deficit at the end of slot t across all committed reservations;
+//   - cell[t] == 0 is neither.
+//
+// One cell holds both because no slot ever holds both: a consumption
+// posts deficit in slot t only after claiming all of t's solar, and
+// nothing but an undo rollback ever raises unclaimed solar again.
 //
 // The recurrence of Eq. (2) telescopes — once the max() clamps to zero it
 // stays zero — so a single consumption's deficit profile is a strictly
@@ -24,9 +29,10 @@ import (
 // Battery is one satellite's energy ledger over the simulation horizon.
 // The zero value is not usable; construct with NewBattery.
 type Battery struct {
-	capacityJ      float64
-	solarRemaining []float64
-	deficit        []float64
+	capacityJ float64
+	// cell[t] is slot t's unclaimed solar when positive and its negated
+	// deficit when negative (see the package comment).
+	cell []float64
 	// clamp selects baseline-mode accounting: the battery saturates at
 	// empty instead of rejecting infeasible consumption. CEAR batteries
 	// run with clamp=false and enforce b_s(T) >= 0 (constraint (7c)).
@@ -40,10 +46,10 @@ type Battery struct {
 	// inside the span.
 	firstDeficit int
 	lastDeficit  int
-	// maxDeficit is at least every deficit[t]: Consume raises it, an Undo
-	// rollback restores it. Rounding is monotone, so
+	// maxDeficit is at least every slot's deficit: Consume raises it, an
+	// Undo rollback restores it. Rounding is monotone, so
 	// maxDeficit+joules <= limit proves that no slot of a joules-sized
-	// consumption breaches limit without reading deficit.
+	// consumption breaches limit without reading the ledger.
 	maxDeficit float64
 	// stamp counts ledger mutations (Consume, and each consumption an
 	// Undo rolls back). It only ever grows, so anything derived from the
@@ -62,32 +68,32 @@ func NewBattery(capacityJ float64, solarInputJ []float64, clamp bool) (*Battery,
 	if len(solarInputJ) == 0 {
 		return nil, fmt.Errorf("energy: empty solar input vector")
 	}
-	solar := make([]float64, len(solarInputJ))
+	cell := make([]float64, len(solarInputJ))
 	for t, s := range solarInputJ {
 		if s < 0 || math.IsNaN(s) {
 			return nil, fmt.Errorf("energy: invalid solar input %v at slot %d", s, t)
 		}
-		solar[t] = s
+		if s > 0 {
+			cell[t] = s
+		}
 	}
 	return &Battery{
-		capacityJ:      capacityJ,
-		solarRemaining: solar,
-		deficit:        make([]float64, len(solarInputJ)),
-		clamp:          clamp,
-		firstDeficit:   len(solarInputJ),
-		lastDeficit:    -1,
+		capacityJ:    capacityJ,
+		cell:         cell,
+		clamp:        clamp,
+		firstDeficit: len(solarInputJ),
+		lastDeficit:  -1,
 	}, nil
 }
 
 // NewFleet builds numSats ledgers over horizon slots for satellites with
 // the given capacity, whose panels harvest harvestJ in every slot they
 // are sunlit. sunlit(t) returns slot t's flags indexed by satellite.
-// Every ledger's two arrays are carved from one backing array, filled
-// straight from the flags: no per-battery input vector is built. The
-// solar arrays come first, then the deficit arrays, so a sweep of one
-// slot across the fleet (DepletedSatCount, SumDeficitJ) steps through
-// memory a horizon apart, not two: a stride of 2 × 384 × 8 B maps every
-// battery onto two sets of a 4 KiB-way L1 cache.
+// Every ledger's signed cells (solar while positive, deficit while
+// negative) are carved from one numSats × horizon backing array, filled
+// straight from the flags: no per-battery input vector is built, and a
+// sweep of one slot across the fleet (DepletedSatCount, SumDeficitJ)
+// steps through memory a horizon apart.
 func NewFleet(numSats, horizon int, capacityJ, harvestJ float64, clamp bool, sunlit func(t int) []bool) ([]*Battery, error) {
 	switch {
 	case capacityJ <= 0:
@@ -97,26 +103,26 @@ func NewFleet(numSats, horizon int, capacityJ, harvestJ float64, clamp bool, sun
 	case harvestJ < 0 || math.IsNaN(harvestJ):
 		return nil, fmt.Errorf("energy: invalid solar input %v", harvestJ)
 	}
-	ledgers := make([]float64, 2*numSats*horizon)
+	cells := make([]float64, numSats*horizon)
 	bats := make([]Battery, numSats)
 	fleet := make([]*Battery, numSats)
-	solar, deficit := ledgers[:numSats*horizon], ledgers[numSats*horizon:]
 	for sat := range fleet {
 		lo, hi := sat*horizon, (sat+1)*horizon
 		bats[sat] = Battery{
-			capacityJ:      capacityJ,
-			solarRemaining: solar[lo:hi:hi],
-			deficit:        deficit[lo:hi:hi],
-			clamp:          clamp,
-			firstDeficit:   horizon,
-			lastDeficit:    -1,
+			capacityJ:    capacityJ,
+			cell:         cells[lo:hi:hi],
+			clamp:        clamp,
+			firstDeficit: horizon,
+			lastDeficit:  -1,
 		}
 		fleet[sat] = &bats[sat]
 	}
-	for t := 0; t < horizon; t++ {
-		for sat, lit := range sunlit(t)[:numSats] {
-			if lit {
-				fleet[sat].solarRemaining[t] = harvestJ
+	if harvestJ > 0 {
+		for t := 0; t < horizon; t++ {
+			for sat, lit := range sunlit(t)[:numSats] {
+				if lit {
+					cells[sat*horizon+t] = harvestJ
+				}
 			}
 		}
 	}
@@ -129,7 +135,7 @@ func NewFleet(numSats, horizon int, capacityJ, harvestJ float64, clamp bool, sun
 func (b *Battery) Instrument(in *Instruments) { b.instr = in }
 
 // Horizon returns the number of slots the ledger covers.
-func (b *Battery) Horizon() int { return len(b.deficit) }
+func (b *Battery) Horizon() int { return len(b.cell) }
 
 // CapacityJ returns the battery capacity ϖ_s.
 func (b *Battery) CapacityJ() float64 { return b.capacityJ }
@@ -137,10 +143,19 @@ func (b *Battery) CapacityJ() float64 { return b.capacityJ }
 // DeficitAt returns the total outstanding deficit ϖ_s − b_s(t) at the end
 // of slot t. Out-of-range slots report zero.
 func (b *Battery) DeficitAt(t int) float64 {
-	if t < 0 || t >= len(b.deficit) {
+	if t < 0 || t >= len(b.cell) {
 		return 0
 	}
-	return b.deficit[t]
+	return deficitOf(b.cell[t])
+}
+
+// deficitOf is the deficit a cell holds: −v when negative, +0 otherwise
+// (never −0, which the pricing LUT would read as a different key).
+func deficitOf(v float64) float64 {
+	if v < 0 {
+		return -v
+	}
+	return 0
 }
 
 // LevelAt returns the remaining battery energy b_s(t), per Eq. (4).
@@ -164,10 +179,10 @@ func SumDeficitJ(batteries []*Battery, t int) float64 {
 // UtilizationAt returns λ_s(t) = (ϖ_s − b_s(t)) / ϖ_s, per Eq. (9),
 // clamped to [0, 1].
 func (b *Battery) UtilizationAt(t int) float64 {
-	if t < 0 || t >= len(b.deficit) {
+	if t < 0 || t >= len(b.cell) {
 		return 0
 	}
-	u := b.deficit[t] / b.capacityJ
+	u := deficitOf(b.cell[t]) / b.capacityJ
 	switch {
 	case u < 0:
 		return 0
@@ -180,10 +195,13 @@ func (b *Battery) UtilizationAt(t int) float64 {
 
 // SolarRemainingAt returns α_s(t), the unclaimed solar energy of slot t.
 func (b *Battery) SolarRemainingAt(t int) float64 {
-	if t < 0 || t >= len(b.solarRemaining) {
+	if t < 0 || t >= len(b.cell) {
 		return 0
 	}
-	return b.solarRemaining[t]
+	if v := b.cell[t]; v > 0 {
+		return v
+	}
+	return 0
 }
 
 // VisitDeficit walks, without mutating the ledger, the deficit profile
@@ -197,15 +215,17 @@ func (b *Battery) SolarRemainingAt(t int) float64 {
 // feasibility checks.
 func (b *Battery) VisitDeficit(ta int, joules float64, fn func(t int, outstanding float64) bool) {
 	b.instr.countDeficitWalk()
-	if joules <= 0 || ta < 0 || ta >= len(b.deficit) {
+	if joules <= 0 || ta < 0 || ta >= len(b.cell) {
 		return
 	}
 	remaining := joules
-	for t := ta; t < len(b.deficit); t++ {
-		if solar := b.solarRemaining[t]; solar < remaining {
-			remaining -= solar
-		} else {
-			return
+	for t := ta; t < len(b.cell); t++ {
+		// A cell without solar absorbs nothing: remaining − 0 is remaining.
+		if v := b.cell[t]; v > 0 {
+			if v >= remaining {
+				return
+			}
+			remaining -= v
 		}
 		if !fn(t, remaining) {
 			return
@@ -226,11 +246,14 @@ func (b *Battery) DeficitSpan() (first, last int) { return b.firstDeficit, b.las
 // feasibility check run on. It follows the deficit profile of consuming
 // joules in slot ta, accumulates cost += unit[t]·outstanding(t) when a
 // unit-price table is given (nil prices nothing), and stops at the first
-// slot t where deficit[t]+outstanding(t) exceeds limit, returning that
-// slot and sum; failSlot is -1 when the profile fits.
+// slot t where deficit(t)+outstanding(t) exceeds limit, returning that
+// slot and sum; failSlot is -1 when the profile fits. unit, when given,
+// holds the prices of slots ta, ta+1, … and reaches the walk's last slot.
 //
-// The float operations and their order are VisitDeficit's, with one
-// shortcut: the walk ends after the first slot past lastDeficit. From
+// The float operations and their order are VisitDeficit's, with two
+// shortcuts. A sunny cell's deficit is +0 and +0 + outstanding is
+// outstanding, so the sum is only computed in a cell without solar. And
+// the walk ends after the first slot past lastDeficit. From
 // there on the ledger's deficit is zero, so the unit price is
 // price(0) = +0 and cost + 0·outstanding == cost exactly; and
 // outstanding only shrinks as later solar absorbs it, so if that slot
@@ -238,31 +261,28 @@ func (b *Battery) DeficitSpan() (first, last int) { return b.firstDeficit, b.las
 // neither result.
 func (b *Battery) walk(ta int, joules float64, unit []float64, limit float64) (cost float64, failSlot int, failDeficit float64) {
 	b.instr.countDeficitWalk()
-	if joules <= 0 || ta < 0 || ta >= len(b.deficit) {
+	if joules <= 0 || ta < 0 || ta >= len(b.cell) {
 		return 0, -1, 0
 	}
-	end := b.lastDeficit + 1
-	if end < ta {
-		end = ta
-	}
-	if end >= len(b.deficit) {
-		end = len(b.deficit) - 1
-	}
-	// Windows of equal length over [ta, end]: the loop indexes them
+	// Windows of equal length over [ta, walkEnd]: the loop indexes them
 	// without bounds checks.
-	deficit := b.deficit[ta : end+1]
-	solar := b.solarRemaining[ta:][:len(deficit)]
+	cells := b.cell[ta : b.walkEnd(ta)+1]
 	if unit != nil {
-		unit = unit[ta:][:len(deficit)]
+		unit = unit[:len(cells)]
 	}
 	remaining := joules
-	for i, d := range deficit {
-		if s := solar[i]; s < remaining {
-			remaining -= s
+	for i, v := range cells {
+		var sum float64
+		if v > 0 {
+			if v >= remaining {
+				break
+			}
+			remaining -= v
+			sum = remaining
 		} else {
-			break
+			sum = remaining - v // deficit + outstanding: −v + r is r − v exactly
 		}
-		if sum := d + remaining; sum > limit {
+		if sum > limit {
 			return cost, ta + i, sum
 		}
 		if unit != nil {
@@ -270,6 +290,12 @@ func (b *Battery) walk(ta int, joules float64, unit []float64, limit float64) (c
 		}
 	}
 	return cost, -1, 0
+}
+
+// walkEnd is the last slot a walk from ta reads: the first slot past the
+// deficit span, or ta when that lies behind it, within the horizon.
+func (b *Battery) walkEnd(ta int) int {
+	return min(max(b.lastDeficit+1, ta), len(b.cell)-1)
 }
 
 // Feasible reports whether consuming `joules` in slot ta keeps the
@@ -311,8 +337,8 @@ func (b *Battery) checkConsume(ta int, joules float64) (apply bool, err error) {
 	if joules == 0 {
 		return false, nil
 	}
-	if ta < 0 || ta >= len(b.deficit) {
-		return false, fmt.Errorf("energy: slot %d outside horizon [0,%d)", ta, len(b.deficit))
+	if ta < 0 || ta >= len(b.cell) {
+		return false, fmt.Errorf("energy: slot %d outside horizon [0,%d)", ta, len(b.cell))
 	}
 	if !b.clamp && !b.Feasible(ta, joules) {
 		// Feasibility tolerates float dust above capacity; the error
@@ -336,8 +362,14 @@ func (b *Battery) checkConsume(ta int, joules float64) (apply bool, err error) {
 func (b *Battery) Consume(ta int, joules float64) error { return b.consume(ta, joules, nil) }
 
 // consume is the ledger's one mutation loop. With a log it first records
-// the bounds and maximum it may move, then each slot's unclaimed solar and
-// deficit before writing them.
+// the bounds and maximum it may move, then each cell before writing it.
+//
+// The float operations are those of a two-array ledger (solar and
+// deficit apart) in their order. Where solar covers the rest, the cell
+// keeps solar − remaining. Otherwise all of the slot's solar is claimed —
+// solar − solar is +0, so no slot holds both — and the deficit it held
+// (+0 when it held none) grows by what is posted. A cell without solar
+// absorbs nothing, which leaves remaining as it was.
 func (b *Battery) consume(ta int, joules float64, log *Undo) error {
 	apply, err := b.checkConsume(ta, joules)
 	if !apply {
@@ -351,15 +383,18 @@ func (b *Battery) consume(ta int, joules float64, log *Undo) error {
 	}
 	b.stamp++
 	remaining := joules
-	for t := ta; t < len(b.deficit); t++ {
+	for t := ta; t < len(b.cell); t++ {
+		v := b.cell[t]
 		if log != nil {
-			log.cells = append(log.cells, undoCell{solar: b.solarRemaining[t], deficit: b.deficit[t]})
+			log.cells = append(log.cells, v)
 		}
-		absorb := math.Min(remaining, b.solarRemaining[t])
-		b.solarRemaining[t] -= absorb
-		remaining -= absorb
-		if remaining <= 0 {
-			return nil
+		d := deficitOf(v)
+		if v > 0 {
+			if remaining <= v {
+				b.cell[t] = v - remaining
+				return nil
+			}
+			remaining -= v
 		}
 		post := remaining
 		if b.clamp {
@@ -369,19 +404,20 @@ func (b *Battery) consume(ta int, joules float64, log *Undo) error {
 				post = b.capacityJ
 				remaining = b.capacityJ
 			}
-			if b.deficit[t]+post > b.capacityJ {
-				post = b.capacityJ - b.deficit[t]
+			if d+post > b.capacityJ {
+				post = b.capacityJ - d
 			}
 		}
-		b.deficit[t] += post
+		d += post
+		b.cell[t] = -d
 		if t < b.firstDeficit {
 			b.firstDeficit = t
 		}
 		if t > b.lastDeficit {
 			b.lastDeficit = t
 		}
-		if b.deficit[t] > b.maxDeficit {
-			b.maxDeficit = b.deficit[t]
+		if d > b.maxDeficit {
+			b.maxDeficit = d
 		}
 	}
 	return nil
@@ -390,14 +426,14 @@ func (b *Battery) consume(ta int, joules float64, log *Undo) error {
 // Undo is a log of ledger writes across any number of batteries, the
 // energy half of a transaction's undo log. Every Consume made through it
 // records the battery's deficit bounds and maximum, and for each slot it
-// writes the slot's previous unclaimed solar and deficit; Rollback
+// writes the slot's previous cell; Rollback
 // replays the records newest-first, which restores every cell and bound
 // bit for bit. The zero value is an empty log, and it keeps its buffers
 // across Reset, so a warm log consumes and rolls back without
 // allocating.
 type Undo struct {
 	ops   []undoOp
-	cells []undoCell
+	cells []float64
 }
 
 // undoOp is one logged Consume: the battery, the first slot it wrote,
@@ -408,9 +444,6 @@ type undoOp struct {
 	first, last int
 	maxDeficit  float64
 }
-
-// undoCell is one slot's ledger before a logged Consume wrote it.
-type undoCell struct{ solar, deficit float64 }
 
 // Consume is Battery.Consume with the writes recorded in the log. A
 // consumption that fails (or is zero) writes and records nothing.
@@ -431,10 +464,7 @@ func (u *Undo) Rollback() {
 	for i := len(u.ops) - 1; i >= 0; i-- {
 		op := &u.ops[i]
 		b := op.b
-		for j, c := range u.cells[op.cells:end] {
-			b.solarRemaining[op.ta+j] = c.solar
-			b.deficit[op.ta+j] = c.deficit
-		}
+		copy(b.cell[op.ta:], u.cells[op.cells:end])
 		b.firstDeficit, b.lastDeficit, b.maxDeficit = op.first, op.last, op.maxDeficit
 		b.stamp++
 		end = op.cells
@@ -447,8 +477,7 @@ func (u *Undo) Rollback() {
 // through this very ledger) before committing it.
 func (b *Battery) Clone() *Battery {
 	c := *b
-	c.solarRemaining = append([]float64(nil), b.solarRemaining...)
-	c.deficit = append([]float64(nil), b.deficit...)
+	c.cell = append([]float64(nil), b.cell...)
 	return &c
 }
 
@@ -464,19 +493,20 @@ func (b *Battery) TrialConsume(ta int, joules float64) error {
 }
 
 // CheckInvariants verifies what the pricing kernels' shortcuts rely on:
-// no slot holds a negative deficit or unclaimed solar, none is above
-// capacity (beyond the float dust feasibility tolerates) or above
-// maxDeficit, and the deficit bounds enclose every non-zero slot.
+// no cell is NaN, no deficit is above capacity (beyond the float dust
+// feasibility tolerates) or above maxDeficit, and the deficit bounds
+// enclose every slot that holds one.
 func (b *Battery) CheckInvariants() error {
 	limit := b.limit()
-	for t, d := range b.deficit {
+	for t, v := range b.cell {
+		d := deficitOf(v)
 		switch {
+		case math.IsNaN(v):
+			return fmt.Errorf("energy: slot %d holds NaN", t)
 		case d > b.maxDeficit:
 			return fmt.Errorf("energy: deficit %v at slot %d exceeds the recorded maximum %v", d, t, b.maxDeficit)
-		case d < 0 || d > limit || math.IsNaN(d):
+		case d > limit:
 			return fmt.Errorf("energy: deficit %v at slot %d outside [0, %v]", d, t, b.capacityJ)
-		case b.solarRemaining[t] < 0 || math.IsNaN(b.solarRemaining[t]):
-			return fmt.Errorf("energy: unclaimed solar %v at slot %d is negative", b.solarRemaining[t], t)
 		case d != 0 && (t < b.firstDeficit || t > b.lastDeficit):
 			return fmt.Errorf("energy: deficit %v at slot %d lies outside the recorded span [%d, %d]",
 				d, t, b.firstDeficit, b.lastDeficit)

@@ -355,7 +355,7 @@ func TestClone(t *testing.T) {
 }
 
 // Property: in strict mode, whatever sequence of feasible consumptions is
-// applied, deficits stay within [0, capacity] and solarRemaining within
+// applied, deficits stay within [0, capacity] and unclaimed solar within
 // [0, input].
 func TestInvariantsUnderRandomFeasibleLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -413,8 +413,8 @@ func TestSingleConsumptionDeficitMonotone(t *testing.T) {
 }
 
 // TestNewFleetFillsSolarFromSunlitRows: each ledger harvests in exactly
-// the slots its satellite is sunlit, starts full, and owns its two
-// arrays even though every fleet ledger is carved from one backing array.
+// the slots its satellite is sunlit, starts full, and owns its cells even
+// though every fleet ledger is carved from one backing array.
 func TestNewFleetFillsSolarFromSunlitRows(t *testing.T) {
 	rows := [][]bool{{true, false, true}, {false, false, true}, {true, true, true}, {false, true, false}}
 	fleet, err := NewFleet(3, len(rows), 5000, 1200, false, func(t int) []bool { return rows[t] })
@@ -469,10 +469,9 @@ func TestNewFleetFillsSolarFromSunlitRows(t *testing.T) {
 // sameLedger reports how a differs from b in anything but the stamp:
 // every cell's bits, the deficit bounds and the maximum.
 func sameLedger(a, b *Battery) string {
-	for t := range a.deficit {
-		if math.Float64bits(a.deficit[t]) != math.Float64bits(b.deficit[t]) ||
-			math.Float64bits(a.solarRemaining[t]) != math.Float64bits(b.solarRemaining[t]) {
-			return fmt.Sprintf("slot %d: deficit %v solar %v, want %v %v", t, a.deficit[t], a.solarRemaining[t], b.deficit[t], b.solarRemaining[t])
+	for t := range a.cell {
+		if math.Float64bits(a.cell[t]) != math.Float64bits(b.cell[t]) {
+			return fmt.Sprintf("slot %d: cell %v, want %v", t, a.cell[t], b.cell[t])
 		}
 	}
 	if a.firstDeficit != b.firstDeficit || a.lastDeficit != b.lastDeficit {

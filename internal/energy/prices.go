@@ -12,16 +12,22 @@ package energy
 // pair: the prices are a function of the pricer's μ as well as of the
 // ledger.
 type UnitPrices struct {
-	// unit[t] is price(UtilizationAt(t)) inside [first, last] and exactly
-	// zero outside it — what price returns for an empty slot (μ^0 − 1).
+	// unit is a window over slots [from, top], top = min(last+1, horizon−1)
+	// — the last slot a walk from inside it reads — and empty when from
+	// lies past top: unit[t−from] is slot t's price. That is
+	// price(UtilizationAt(t)) inside [first, last] and exactly zero
+	// outside it — what price returns for an empty slot (μ^0 − 1).
 	// [first, last] is the part of the battery's deficit span at or after
 	// from, empty (first == last+1) when from lies past the span; no slot
-	// of [from, first) holds a deficit, so unit[t] is the slot's price for
-	// every t >= from. Nil until the battery first holds a deficit.
+	// of [from, first) holds a deficit, so unit prices every slot of the
+	// window, and every slot past it is priced at zero. Nil until the
+	// battery first holds a deficit; the backing array is kept across
+	// refills.
 	unit        []float64
 	first, last int
-	// from is the earliest slot the table answers for: the lowest one
-	// FillUnitPrices was asked for since the table last went stale.
+	// from is the earliest slot the table answers for, and the window's
+	// base: the lowest slot FillUnitPrices was asked for since the table
+	// last went stale.
 	from int
 	// lastSunny is the last slot of [first, last] whose unclaimed solar
 	// is non-zero, -1 when there is none. A slot that carries a deficit
@@ -31,6 +37,9 @@ type UnitPrices struct {
 	lastSunny int
 	// stamp is the battery stamp the table is current for.
 	stamp uint64
+	// widest is the most slots the window has spanned, what its array is
+	// sized from.
+	widest int
 }
 
 // FillUnitPrices brings u up to date with the ledger for pricing
@@ -40,10 +49,10 @@ type UnitPrices struct {
 // comparisons. A current one asked for an earlier slot extends downwards
 // over the part it lacks: same stamp, same ledger, so it ends up holding
 // what one fill from the lower slot would have written. A stale one is
-// zeroed over the range it was filled over and refilled over the current
-// span from `from` on, so no fill costs more than O(deficit span) and none
-// prices a slot behind the one asked for. u stays empty (and prices every
-// slot at zero) while the battery has never held a deficit.
+// emptied and refilled over the window from `from` on, so no fill costs
+// more than O(deficit span) and none prices a slot behind the one asked
+// for. u stays empty (and prices every slot at zero) while the battery
+// has never held a deficit.
 func (b *Battery) FillUnitPrices(u *UnitPrices, from int, price func(utilization float64) float64) {
 	if u.unit != nil && u.stamp == b.stamp {
 		if from < u.from {
@@ -55,13 +64,11 @@ func (b *Battery) FillUnitPrices(u *UnitPrices, from int, price func(utilization
 		if b.firstDeficit > b.lastDeficit {
 			return
 		}
-		u.unit = make([]float64, len(b.deficit))
-	} else {
-		// A restore can move the span's bounds back in, and the slot asked
-		// for moves on: what the old range held outside the new one must
-		// not survive.
-		clear(u.unit[u.first : u.last+1])
+		u.unit = []float64{} // live from here on; extendDown allocates
 	}
+	// A restore can move the span's bounds back in, and the slot asked for
+	// moves on: the window restarts empty, keeping its backing array.
+	u.unit = u.unit[:0]
 	u.last = b.lastDeficit
 	u.first = u.last + 1
 	u.lastSunny = -1
@@ -69,18 +76,32 @@ func (b *Battery) FillUnitPrices(u *UnitPrices, from int, price func(utilization
 	u.extendDown(b, from, price)
 }
 
-// extendDown prices the slots of the battery's deficit span that lie at
-// or after from and below u.first, and makes from the slot the table
-// answers from. lastSunny only moves when the range above held no sunny
-// slot: a later one stays the last.
+// extendDown grows the window down to from, shifting what it holds up
+// (or into a larger array), prices the slots of the battery's deficit span
+// that lie at or after from and below u.first, and makes from the slot
+// the table answers from. lastSunny only moves when the range above held
+// no sunny slot: a later one stays the last.
 func (u *UnitPrices) extendDown(b *Battery, from int, price func(utilization float64) float64) {
+	top := min(u.last+1, len(b.cell)-1)
+	if n := top + 1 - from; n > len(u.unit) {
+		grow := n - len(u.unit)
+		if n <= cap(u.unit) {
+			u.unit = u.unit[:n]
+			copy(u.unit[grow:], u.unit)
+		} else {
+			grown := make([]float64, n, windowCap(n, len(b.cell)))
+			copy(grown[grow:], u.unit)
+			u.unit = grown
+		}
+		clear(u.unit[:grow])
+		u.widest = max(u.widest, n)
+	}
 	lo := max(b.firstDeficit, from)
 	sunny := -1
 	for t := lo; t < u.first; t++ {
-		if b.deficit[t] != 0 {
-			u.unit[t] = price(b.UtilizationAt(t))
-		}
-		if b.solarRemaining[t] != 0 {
+		if v := b.cell[t]; v < 0 {
+			u.unit[t-from] = price(b.UtilizationAt(t))
+		} else if v > 0 {
 			sunny = t
 		}
 	}
@@ -89,6 +110,30 @@ func (u *UnitPrices) extendDown(b *Battery, from int, price func(utilization flo
 	}
 	u.first = min(u.first, lo)
 	u.from = from
+}
+
+// windowCap is the capacity a window of n slots is allocated with: n
+// rounded up to a whole sixth of the horizon, within it, so a window that
+// creeps by a slot or two reuses its array. At the paper scale (64-slot
+// blocks) that is ≈ 2 100 reallocations a 960-request lap against
+// ≈ 36 800 for exact sizes (EXPERIMENTS.md).
+func windowCap(n, horizon int) int {
+	block := max(horizon/6, 1)
+	return max(n, min((n+block-1)/block*block, horizon))
+}
+
+// Slots returns the most slots the table's window has spanned and how
+// many its array holds: at most that, rounded up to a sixth of the
+// horizon.
+func (u *UnitPrices) Slots() (widest, held int) { return u.widest, cap(u.unit) }
+
+// at returns the table's prices from slot ta on, for a walk from ta: nil
+// past the window, where every slot is priced at zero.
+func (u *UnitPrices) at(ta int) []float64 {
+	if i := ta - u.from; uint(i) < uint(len(u.unit)) {
+		return u.unit[i:]
+	}
+	return nil
 }
 
 // PriceDeficit prices, without mutating the ledger, the deficit that
@@ -102,7 +147,7 @@ func (u *UnitPrices) extendDown(b *Battery, from int, price func(utilization flo
 // It equals a VisitDeficit walk that checks
 // DeficitAt(t)+outstanding <= capacity·(1+1e-12) and adds
 // price(UtilizationAt(t))·outstanding per slot, bit for bit, but almost
-// never reads the deficit or solar arrays: when maxDeficit+joules fits
+// never reads the ledger: when maxDeficit+joules fits
 // under the limit no slot can fail, and with no sunny slot ahead the
 // outstanding deficit is a constant, so the walk is cost += unit[t]·J
 // over one array (constantRun). Anything else — an empty table, ta
@@ -116,7 +161,7 @@ func (b *Battery) PriceDeficit(ta int, joules float64, u *UnitPrices) (cost floa
 			if u.unit != nil && uint(ta) < uint(u.from) {
 				panic("energy: unit-price table asked about a slot before the one it was filled from")
 			}
-			unit = u.unit
+			unit = u.at(ta)
 		}
 		cost, failSlot, _ := b.walk(ta, joules, unit, b.limit())
 		return cost, failSlot < 0
@@ -133,8 +178,8 @@ func (b *Battery) PriceDeficit(ta int, joules float64, u *UnitPrices) (cost floa
 func (b *Battery) limit() float64 { return b.capacityJ * (1 + 1e-12) }
 
 // fits reports whether a consumption of joules is feasible wherever it
-// lands: a walk tests deficit[t]+outstanding <= limit with
-// deficit[t] <= maxDeficit and outstanding <= joules, and float addition
+// lands: a walk tests deficit(t)+outstanding <= limit with
+// deficit(t) <= maxDeficit and outstanding <= joules, and float addition
 // is monotone in both operands. False for a non-positive or NaN draw,
 // which the kernels leave to walk.
 func (b *Battery) fits(joules float64) bool {
@@ -151,7 +196,7 @@ func (b *Battery) constantRun(ta int, joules float64, u *UnitPrices) (run []floa
 	if u == nil || u.unit == nil || ta < u.first || ta > u.last || ta <= u.lastSunny || !b.fits(joules) {
 		return nil, false
 	}
-	return u.unit[ta : u.last+1], true
+	return u.unit[ta-u.from : u.last+1-u.from], true
 }
 
 // PriceDeficitPair prices two consumptions in slot ta — joules1 on b1,

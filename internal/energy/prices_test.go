@@ -20,6 +20,7 @@ type fromLane struct {
 	filled bool
 	stamp  uint64
 	low    int
+	widest int // the longest window the table has held
 }
 
 // fromTally counts the cases a from-script put FillUnitPrices and the
@@ -28,6 +29,11 @@ type fromTally struct {
 	stale, current, extended int // fills of a non-empty table, by kind
 	pastSpan                 int // stale fills asked for a slot past the last deficit
 	runs, walks, pairs       int // single lanes priced by the run loop / by walk, pairs formed
+	// Window moves: an extension that shifted the window up in its array /
+	// moved it to a larger one, and a stale refill into a shorter window
+	// than the last that kept the array.
+	shifted, regrown, shorter int
+	toEnd                     int // feasible walks that read the slot past the last deficit
 }
 
 // runFromScript interprets script as ledger operations on two batteries
@@ -108,34 +114,57 @@ func (l *fromLane) fill(from int, tally *fromTally) {
 	default:
 		tally.current++
 	}
+	extending := !stale && from < l.low
 	if stale || from < l.low {
 		l.low = from
 	}
 	l.filled, l.stamp = true, l.b.Stamp()
+	n, c := len(l.tab.unit), cap(l.tab.unit)
 	l.b.FillUnitPrices(&l.tab, from, testPrice)
+	l.widest = max(l.widest, len(l.tab.unit))
+	switch grew, kept := len(l.tab.unit) > n, cap(l.tab.unit) == c; {
+	case extending && grew && kept && n > 0:
+		tally.shifted++
+	case extending && !kept && n > 0:
+		tally.regrown++
+	case stale && kept && len(l.tab.unit) < n:
+		tally.shorter++
+	}
 }
 
 // checkFilledFrom requires of both lanes' tables, just filled, what the
-// [from, last] invariant promises: +0 outside it, the whole-span table's
-// values inside it, and PriceDeficit and PriceDeficitPair equal to walk
-// over the whole-span table, bit for bit, at every slot the table answers
-// for — the lowest one asked since it went stale and every later one.
+// [from, last] invariant promises: a window over exactly [from, top] (top
+// the first slot past the deficit span, within the horizon), +0 in it
+// outside [from, last], the whole-span table's values inside, and
+// PriceDeficit and PriceDeficitPair equal to walk over the whole-span
+// table, bit for bit, at every slot the table answers for — the lowest one
+// asked since it went stale and every later one.
 func checkFilledFrom(t testing.TB, step int, lanes [2]*fromLane, tally *fromTally) {
 	t.Helper()
 	var whole [2]UnitPrices
+	var wholeUnit [2][]float64
 	for i, l := range lanes {
 		b := l.b
 		if err := b.CheckInvariants(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		b.FillUnitPrices(&whole[i], 0, testPrice)
-		if whole[i].unit == nil {
-			whole[i].unit = make([]float64, driverHorizon) // no deficit: priced at zero throughout
-		}
+		wholeUnit[i] = wholeHorizon(&whole[i], driverHorizon)
 		_, last := b.DeficitSpan()
-		for tt, got := range l.tab.unit { // nil while the battery never held a deficit
-			want := whole[i].unit[tt]
-			if tt < l.low || tt > last {
+		if l.tab.unit != nil { // nil while the battery never held a deficit
+			top := min(last+1, driverHorizon-1)
+			if l.tab.from != l.low || len(l.tab.unit) != max(top+1-l.low, 0) {
+				t.Fatalf("step %d lane %d: window of %d slots from %d, want [%d, %d]", step, i, len(l.tab.unit), l.tab.from, l.low, top)
+			}
+			if widest, held := l.tab.Slots(); widest != l.widest || held > windowCap(l.widest, driverHorizon) {
+				t.Fatalf("step %d lane %d: table holds %d slots, widest window %d, want at most %d for a widest window of %d",
+					step, i, held, widest, windowCap(l.widest, driverHorizon), l.widest)
+			}
+		}
+		for k, got := range l.tab.unit {
+			tt := l.low + k
+			want := wholeUnit[i][tt]
+			if tt > last {
 				want = 0
 			}
 			if math.Float64bits(got) != math.Float64bits(want) {
@@ -144,7 +173,7 @@ func checkFilledFrom(t testing.TB, step int, lanes [2]*fromLane, tally *fromTall
 		}
 		for ta := l.low; ta < driverHorizon; ta++ {
 			for _, j := range driverDraws {
-				wantCost, failSlot, _ := b.walk(ta, j, whole[i].unit, b.limit())
+				wantCost, failSlot, _ := b.walk(ta, j, wholeUnit[i][ta:], b.limit())
 				cost, ok := b.PriceDeficit(ta, j, &l.tab)
 				if ok != (failSlot < 0) || (ok && math.Float64bits(cost) != math.Float64bits(wantCost)) {
 					t.Fatalf("step %d lane %d: PriceDeficit(%d, %v) from slot %d = (%v, %v), whole-span walk (%v, fails at %d)",
@@ -154,6 +183,14 @@ func checkFilledFrom(t testing.TB, step int, lanes [2]*fromLane, tally *fromTall
 					tally.runs++
 				} else {
 					tally.walks++
+					if ok && last+1 < driverHorizon {
+						b.VisitDeficit(ta, j, func(s int, _ float64) bool {
+							if s == last+1 {
+								tally.toEnd++
+							}
+							return s <= last
+						})
+					}
 				}
 			}
 		}
@@ -170,8 +207,8 @@ func checkFilledFrom(t testing.TB, step int, lanes [2]*fromLane, tally *fromTall
 					continue
 				}
 				tally.pairs++
-				want0, _, _ := l0.b.walk(ta, j0, whole[0].unit, l0.b.limit())
-				want1, _, _ := l1.b.walk(ta, j1, whole[1].unit, l1.b.limit())
+				want0, _, _ := l0.b.walk(ta, j0, wholeUnit[0][ta:], l0.b.limit())
+				want1, _, _ := l1.b.walk(ta, j1, wholeUnit[1][ta:], l1.b.limit())
 				if math.Float64bits(c0) != math.Float64bits(want0) || math.Float64bits(c1) != math.Float64bits(want1) {
 					t.Fatalf("step %d: pair(%d, %v, %v) = (%v, %v), whole-span walks (%v, %v)", step, ta, j0, j1, c0, c1, want0, want1)
 				}
@@ -203,8 +240,53 @@ func TestFillFromSlotMatchesWholeSpan(t *testing.T) {
 	}
 	t.Logf("%+v", tally)
 	if tally.stale == 0 || tally.current == 0 || tally.extended == 0 || tally.pastSpan == 0 ||
-		tally.runs == 0 || tally.walks == 0 || tally.pairs == 0 {
+		tally.runs == 0 || tally.walks == 0 || tally.pairs == 0 ||
+		tally.shifted == 0 || tally.regrown == 0 || tally.shorter == 0 || tally.toEnd == 0 {
 		t.Fatalf("a case never occurred: %+v", tally)
+	}
+}
+
+// Hand-made from-scripts for the window's moves, each checked against
+// the whole-span table by runFromScript. Ops (see runFromScript): 0x00
+// slot hi lo consumes on the first battery, 0x06 slot fills both tables
+// from slot; a draw of 0xffff is 450 J, a dozen sunlit slots of deficit.
+var windowScripts = []struct {
+	name   string
+	script []byte
+	hits   func(fromTally) int
+}{
+	// One deficit, filled from inside it, then from further and further
+	// down: the window grows below its base, in its array and beyond it.
+	{
+		"extend below base",
+		[]byte{0x00, 20, 0xff, 0xff, 0x06, 30, 0x06, 26, 0x06, 0},
+		func(k fromTally) int { return min(k.shifted, k.regrown) },
+	},
+	// A table filled from slot 0 goes stale, and is refilled from past
+	// most of the span: a shorter window in the same array.
+	{
+		"stale refill, shorter window",
+		[]byte{0x00, 5, 0xff, 0xff, 0x06, 0, 0x00, 6, 0x10, 0x00, 0x06, 15},
+		func(k fromTally) int { return k.shorter },
+	},
+	// Draws from before the span whose deficit outlasts it: the walk's
+	// last slot is the one past the last deficit, the window's top.
+	{
+		"walk to lastDeficit+1",
+		[]byte{0x00, 20, 0xff, 0xff, 0x06, 10},
+		func(k fromTally) int { return k.toEnd },
+	},
+}
+
+// TestWindowScriptsCoverTheirCase runs the hand-made window scripts and
+// requires each to reach the case it is named for.
+func TestWindowScriptsCoverTheirCase(t *testing.T) {
+	for _, w := range windowScripts {
+		var tally fromTally
+		runFromScript(t, w.script, &tally)
+		if w.hits(tally) == 0 {
+			t.Errorf("%s: the case never occurred: %+v", w.name, tally)
+		}
 	}
 }
 
@@ -214,6 +296,9 @@ func TestFillFromSlotMatchesWholeSpan(t *testing.T) {
 func FuzzUnitPricesFrom(f *testing.F) {
 	for seed := int64(1); seed <= 6; seed++ {
 		f.Add(fromScript(seed, 150))
+	}
+	for _, w := range windowScripts {
+		f.Add(w.script)
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		runFromScript(t, script, new(fromTally))
@@ -375,7 +460,7 @@ func TestCheckInvariantsCatchesStaleMaximum(t *testing.T) {
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	b.maxDeficit = b.deficit[4] / 2
+	b.maxDeficit = b.DeficitAt(4) / 2
 	if err := b.CheckInvariants(); err == nil {
 		t.Fatal("a deficit above maxDeficit went unreported")
 	}
@@ -413,7 +498,7 @@ func BenchmarkPriceDeficitWalk(b *testing.B) {
 	bat, tab := loadedBattery(b, benchSpan)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cost, _, _ := bat.walk(0, 70, tab.unit, bat.limit())
+		cost, _, _ := bat.walk(0, 70, tab.at(0), bat.limit())
 		benchSink += cost
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchSpan, "ns/slot")

@@ -10,6 +10,16 @@ import (
 // strictly convex, like μ^λ − 1.
 func testPrice(u float64) float64 { return math.Expm1(3 * u) }
 
+// wholeHorizon spreads a table's window over a horizon-long array, zero
+// outside it: what a table covering every slot would hold.
+func wholeHorizon(u *UnitPrices, horizon int) []float64 {
+	out := make([]float64, horizon)
+	if u.unit != nil {
+		copy(out[u.from:], u.unit)
+	}
+	return out
+}
+
 // referenceWalk prices and checks one consumption the way CEAR did before
 // the table walk: a VisitDeficit closure that tests
 // DeficitAt+outstanding against limit and adds
@@ -45,10 +55,7 @@ func checkWalks(t *testing.T, step int, b *Battery, tab *UnitPrices, draws []flo
 		t.Fatalf("step %d: %v", step, err)
 	}
 	b.FillUnitPrices(tab, 0, testPrice)
-	unit := tab.unit
-	if unit == nil {
-		unit = make([]float64, b.Horizon()) // never held a deficit: all zero
-	}
+	unit := wholeHorizon(tab, b.Horizon())
 	for tt := 0; tt < b.Horizon(); tt++ {
 		if want := testPrice(b.UtilizationAt(tt)); unit[tt] != want {
 			first, last := b.DeficitSpan()
@@ -60,7 +67,7 @@ func checkWalks(t *testing.T, step int, b *Battery, tab *UnitPrices, draws []flo
 		for ta := 0; ta < b.Horizon(); ta++ {
 			for _, j := range draws {
 				wantCost, wantSlot, wantDef := referenceWalk(b, ta, j, limit)
-				cost, slot, def := b.walk(ta, j, unit, limit)
+				cost, slot, def := b.walk(ta, j, unit[ta:], limit)
 				if slot != wantSlot || math.Float64bits(def) != math.Float64bits(wantDef) ||
 					(slot < 0 && math.Float64bits(cost) != math.Float64bits(wantCost)) {
 					t.Fatalf("step %d: walk(%d, %v, limit %v) = (%v, %d, %v), reference (%v, %d, %v)",
@@ -266,7 +273,8 @@ func TestStampMovesOnEveryMutation(t *testing.T) {
 }
 
 // TestCheckInvariantsCatchesBrokenBounds makes sure the check is not
-// vacuous: a deficit outside the recorded span is reported.
+// vacuous: a deficit outside the recorded span, one above capacity and a
+// NaN cell are reported.
 func TestCheckInvariantsCatchesBrokenBounds(t *testing.T) {
 	b := mustBattery(t, 1000, constSolar(10, 0), false)
 	if err := b.Consume(4, 100); err != nil {
@@ -280,8 +288,13 @@ func TestCheckInvariantsCatchesBrokenBounds(t *testing.T) {
 		t.Fatal("a deficit before firstDeficit went unreported")
 	}
 	b.firstDeficit = 4
-	b.deficit[7] = 2 * b.capacityJ
+	b.cell[7] = -2 * b.capacityJ
 	if err := b.CheckInvariants(); err == nil {
 		t.Fatal("a deficit above capacity went unreported")
+	}
+	// NaN compares false both ways: it reads as neither solar nor deficit.
+	b.cell[7] = math.NaN()
+	if err := b.CheckInvariants(); err == nil {
+		t.Fatal("a NaN cell went unreported")
 	}
 }

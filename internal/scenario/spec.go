@@ -11,8 +11,10 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -143,13 +145,18 @@ type Event struct {
 }
 
 // Parse decodes and validates a spec. Unknown fields are rejected so a
-// typo'd key fails loudly instead of silently dropping a modulation.
+// typo'd key fails loudly instead of silently dropping a modulation, and
+// so is anything but whitespace after the spec's object: a second object
+// pasted after the first is not silently ignored.
 func Parse(data []byte) (Spec, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: parse spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("scenario: parse spec: trailing input after the spec object at byte %d", dec.InputOffset())
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
@@ -259,8 +266,11 @@ func (ev Event) validate(classNames map[string]bool) error {
 			return fmt.Errorf("%s factor must be positive, got %v", ev.Kind, ev.Factor)
 		}
 	case EventRegionalOutage:
-		if ev.RadiusKm <= 0 {
+		if !(ev.RadiusKm > 0) {
 			return fmt.Errorf("outage radius must be positive, got %v", ev.RadiusKm)
+		}
+		if !(ev.CenterLatDeg >= -90 && ev.CenterLatDeg <= 90) || !(ev.CenterLonDeg >= -180 && ev.CenterLonDeg <= 180) {
+			return fmt.Errorf("outage centre (%v, %v) outside lat [-90, 90], lon [-180, 180]", ev.CenterLatDeg, ev.CenterLonDeg)
 		}
 		if ev.Factor < 0 || ev.Factor >= 1 || math.IsNaN(ev.Factor) {
 			return fmt.Errorf("outage factor %v outside [0,1)", ev.Factor)

@@ -1,6 +1,10 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -59,6 +63,18 @@ func TestSpecValidateRejects(t *testing.T) {
 		{"outage no radius", func(s *Spec) {
 			s.Events = []Event{{Kind: EventRegionalOutage, StartSlot: 0, EndSlot: 1}}
 		}, "radius"},
+		{"outage centre north of the pole", func(s *Spec) {
+			s.Events = []Event{{Kind: EventRegionalOutage, StartSlot: 0, EndSlot: 1, CenterLatDeg: 90.5, RadiusKm: 500}}
+		}, "outside lat"},
+		{"outage centre south of the pole", func(s *Spec) {
+			s.Events = []Event{{Kind: EventRegionalOutage, StartSlot: 0, EndSlot: 1, CenterLatDeg: -91, RadiusKm: 500}}
+		}, "outside lat"},
+		{"outage centre east of the antimeridian", func(s *Spec) {
+			s.Events = []Event{{Kind: EventRegionalOutage, StartSlot: 0, EndSlot: 1, CenterLonDeg: 181, RadiusKm: 500}}
+		}, "outside lat"},
+		{"outage centre west of the antimeridian", func(s *Spec) {
+			s.Events = []Event{{Kind: EventRegionalOutage, StartSlot: 0, EndSlot: 1, CenterLonDeg: -200, RadiusKm: 500}}
+		}, "outside lat"},
 		{"event bad window", func(s *Spec) {
 			s.Events = []Event{{Kind: EventFlashCrowd, StartSlot: 5, EndSlot: 2, Factor: 2}}
 		}, "window"},
@@ -86,6 +102,92 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	if err == nil {
 		t.Fatal("typo'd key accepted")
 	}
+}
+
+// parseRows are Parse inputs built on specs/smoke.json: what may follow
+// the spec object, and outage centres on and past the edges of the map.
+// FuzzParseSpec starts from them too.
+func parseRows(t testing.TB) []struct {
+	name string
+	data []byte
+	ok   bool
+} {
+	smoke, err := os.ReadFile(filepath.Join("..", "..", "specs", "smoke.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withOutage := func(lat, lon string) []byte {
+		ev := `{"kind": "regional_outage", "start_slot": 1, "end_slot": 2, "radius_km": 500, "center_lat_deg": ` + lat + `, "center_lon_deg": ` + lon + `}`
+		return bytes.Replace(smoke, []byte(`"events": [`), []byte(`"events": [`+ev+`, `), 1)
+	}
+	return []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"smoke", smoke, true},
+		{"trailing whitespace", append(bytes.Clone(smoke), " \n\t\r\n"...), true},
+		{"a second object", append(bytes.Clone(smoke), ` {"version": 99}`...), false},
+		{"trailing garbage", append(bytes.Clone(smoke), `garbage`...), false},
+		{"a stray bracket", append(bytes.Clone(smoke), `]`...), false},
+		{"outage at the poles and the antimeridian", withOutage("-90", "180"), true},
+		{"outage at the other corners", withOutage("90", "-180"), true},
+		{"outage north of the pole", withOutage("90.01", "0"), false},
+		{"outage south of the pole", withOutage("-100", "0"), false},
+		{"outage east of the antimeridian", withOutage("0", "180.5"), false},
+		{"outage west of the antimeridian", withOutage("0", "-360"), false},
+	}
+}
+
+// TestParseRows: a spec followed by anything but whitespace, or with an
+// outage centred off the map, is refused; the same spec without them
+// parses.
+func TestParseRows(t *testing.T) {
+	for _, row := range parseRows(t) {
+		t.Run(row.name, func(t *testing.T) {
+			_, err := Parse(row.data)
+			if (err == nil) != row.ok {
+				t.Fatalf("Parse error %v, want ok = %v", err, row.ok)
+			}
+		})
+	}
+}
+
+// FuzzParseSpec: Parse never panics, and a spec it accepts survives
+// marshal → Parse unchanged. Seeded from specs/*.json and parseRows.
+func FuzzParseSpec(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.json"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no spec files to seed from (%v)", err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, row := range parseRows(f) {
+		f.Add(row.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("marshal a parsed spec: %v", err)
+		}
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("a parsed spec does not parse back: %v\n%s", err, out)
+		}
+		// Compared as JSON: an empty list and an absent one marshal alike.
+		if back, _ := json.Marshal(again); !bytes.Equal(back, out) {
+			t.Fatalf("marshal → Parse changed the spec:\n%s\n%s", out, back)
+		}
+	})
 }
 
 func TestParseRoundTrip(t *testing.T) {

@@ -8,6 +8,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -160,8 +161,9 @@ func (w *Writer) Close() error {
 }
 
 // EachLine decodes a JSON-lines stream one record at a time and hands
-// each to fn, so a long log is never held in memory. Empty lines are
-// skipped and a line may hold up to 1 MiB. A malformed line, an error
+// each to fn, so a long log is never held in memory. Blank lines — empty,
+// or nothing but spaces, tabs and carriage returns — are skipped, and a
+// line may hold up to 1 MiB. A malformed line, an error
 // from fn or a read error stops the walk with the line number.
 func EachLine[T any](r io.Reader, fn func(T) error) error {
 	scanner := bufio.NewScanner(r)
@@ -169,7 +171,7 @@ func EachLine[T any](r io.Reader, fn func(T) error) error {
 	line := 0
 	for scanner.Scan() {
 		line++
-		if len(scanner.Bytes()) == 0 {
+		if isBlank(scanner.Bytes()) {
 			continue
 		}
 		var rec T
@@ -185,6 +187,10 @@ func EachLine[T any](r io.Reader, fn func(T) error) error {
 	}
 	return nil
 }
+
+// isBlank reports whether a line holds nothing but JSON whitespace
+// (newlines aside, which the scanner strips).
+func isBlank(line []byte) bool { return len(bytes.Trim(line, " \t\r")) == 0 }
 
 // Read parses a trace stream back into records, e.g. for analysis
 // tooling and the package's own tests.

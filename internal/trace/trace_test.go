@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -55,14 +56,18 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
-// TestEachLine pins the streaming reader's contract: blank lines are
-// skipped, the callback's error stops the walk, and every error names
-// its line — including a line over the 1 MiB cap.
+// eachLineFixture is TestEachLine's stream: records 1 to 3 around an
+// empty line and a whitespace-only one.
+const eachLineFixture = "{\"N\":1}\n\n{\"N\":2}\n \t\r\n{\"N\":3}\n"
+
+// TestEachLine pins the streaming reader's contract: blank lines — empty
+// or whitespace-only — are skipped, the callback's error stops the walk,
+// and every error names its line — including a line over the 1 MiB cap.
 func TestEachLine(t *testing.T) {
 	type rec struct{ N int }
 	var got []int
 	stop := errors.New("stop")
-	err := EachLine(strings.NewReader("{\"N\":1}\n\n{\"N\":2}\n{\"N\":3}\n"), func(r rec) error {
+	err := EachLine(strings.NewReader(eachLineFixture), func(r rec) error {
 		got = append(got, r.N)
 		if r.N == 2 {
 			return stop
@@ -72,11 +77,45 @@ func TestEachLine(t *testing.T) {
 	if !errors.Is(err, stop) || !strings.Contains(err.Error(), "line 3") || !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("err = %v, got %v; want stop at line 3 after [1 2]", err, got)
 	}
+	got = got[:0]
+	if err := EachLine(strings.NewReader(eachLineFixture), func(r rec) error { got = append(got, r.N); return nil }); err != nil ||
+		!reflect.DeepEqual(got, []int{1, 2, 3}) {
+		t.Fatalf("err = %v, got %v; want [1 2 3] with the blank lines skipped", err, got)
+	}
 	long := "{\"N\":1}\n" + strings.Repeat(" ", 1<<20) + "\n"
 	err = EachLine(strings.NewReader(long), func(rec) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("over-long line: err = %v, want a line 2 error", err)
 	}
+}
+
+// FuzzEachLine: EachLine never panics, and when it succeeds it has called
+// fn once per non-blank line. Seeded from this file's fixtures.
+func FuzzEachLine(f *testing.F) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Emit(Record{Kind: KindRunInfo, Algorithm: "CEAR", Scale: "small", Rate: 2, Seed: 101})
+	w.Emit(Record{Kind: KindDecision, RequestID: 2, Accepted: false, Reason: "no feasible path at slot 6"})
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{eachLineFixture, buf.String(), "\n\n", "{not json}\n", "{\"N\":1}\r\n\r\n[2]", "  \n\t{}"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var nonBlank []string
+		for _, line := range strings.Split(string(data), "\n") {
+			if !isBlank([]byte(line)) {
+				nonBlank = append(nonBlank, line)
+			}
+		}
+		calls := 0
+		err := EachLine(bytes.NewReader(data), func(json.RawMessage) error { calls++; return nil })
+		if err == nil && calls != len(nonBlank) {
+			t.Fatalf("fn ran %d times for %d non-blank lines %q", calls, len(nonBlank), nonBlank)
+		}
+		_ = EachLine(bytes.NewReader(data), func(Record) error { return nil })
+	})
 }
 
 func TestWriterErrorSticks(t *testing.T) {

@@ -6,12 +6,15 @@ import (
 	"time"
 	"unsafe"
 
+	"spacebooking/internal/core"
 	"spacebooking/internal/energy"
 	"spacebooking/internal/geo"
 	"spacebooking/internal/grid"
+	"spacebooking/internal/netstate"
 	"spacebooking/internal/orbit"
 	"spacebooking/internal/sim"
 	"spacebooking/internal/topology"
+	"spacebooking/internal/workload"
 )
 
 // setUpSlackBytes is what set-up may allocate beyond the structures
@@ -38,9 +41,10 @@ func allocated(fn func()) uint64 {
 // setUpSlackBytes, no more. The provider keeps per slot a frame and a row
 // of sunlit flags, per satellite its orbit, propagator and ISL adjacency,
 // per site its position, and per frozen endpoint and slot one visibility
-// list; the engine keeps two horizon-long ledger arrays and a Battery per
-// satellite, and a few horizon-long rows. A returning position table or
-// throwaway per-battery vectors fail here, not only in the benchmark's
+// list; the engine keeps one horizon-long ledger array (a signed cell per
+// slot) and a Battery per satellite, and a few horizon-long rows. A
+// returning position table, throwaway per-battery vectors or a second
+// ledger array (≈ 442 KB here) fail here, not only in the benchmark's
 // mem_peak_mb.
 func TestSetUpAllocatesWhatItStores(t *testing.T) {
 	defaults, err := scalePreset(ScaleMedium, DefaultEpoch)
@@ -109,11 +113,63 @@ func TestSetUpAllocatesWhatItStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per satellite a Battery, its pointer and two ledger arrays; per slot
+	// Per satellite a Battery, its pointer and its ledger cells; per slot
 	// the state's link-ledger row headers and the engine's welfare rows.
-	stored = n*(unsafe.Sizeof(energy.Battery{})+word+2*h*8) + h*(header+word+2*8)
+	stored = n*(unsafe.Sizeof(energy.Battery{})+word+h*8) + h*(header+word+2*8)
 	t.Logf("NewEngine: %d B allocated, %d B stored", got, stored)
 	if got > uint64(stored)+setUpSlackBytes {
 		t.Errorf("NewEngine allocated %d B at the medium preset; it stores %d B, slack %d B", got, stored, setUpSlackBytes)
+	}
+}
+
+// TestUnitTablesHoldTheirWindows is the post-run memory guard on CEAR's
+// unit-price tables. After a run at the medium preset, each table holds
+// an array sized to the widest window it has priced over — from the slot
+// searched to the first slot past its battery's last deficit — rounded up
+// to a sixth of the horizon, not one slot per horizon slot. (At the small
+// preset deficits outlast its one-orbit horizon, and the windows come too
+// close to it to tell.) Tables that go back to horizon-long arrays fail
+// here.
+func TestUnitTablesHoldTheirWindows(t *testing.T) {
+	env, err := NewEnvironment(EnvConfig{Scale: ScaleMedium})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := env.RunConfig(sim.AlgCEAR, env.WorkloadConfig(env.DefaultArrivalRate(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := netstate.New(env.Provider, rc.Energy, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cear, err := core.New(state, core.Options{Pricing: rc.Pricing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.Generate(rc.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := 0
+	for _, req := range reqs {
+		d, err := cear.Handle(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Accepted {
+			accepted++
+		}
+	}
+	tables, widest, held := cear.UnitTableSlots()
+	h := env.Provider.Horizon()
+	t.Logf("%d requests, %d accepted: %d tables hold %d slots for windows of at most %d; horizon-long tables would hold %d",
+		len(reqs), accepted, tables, held, widest, tables*h)
+	if tables == 0 || accepted == 0 {
+		t.Fatal("no table was filled: the guard is vacuous")
+	}
+	if slack := tables * (h / 6); held < widest || held > widest+slack || held >= tables*h {
+		t.Fatalf("%d tables hold %d slots for windows of at most %d (rounding slack %d, horizon-long %d)",
+			tables, held, widest, slack, tables*h)
 	}
 }
