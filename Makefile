@@ -105,7 +105,7 @@ smoke-spaced:
 	./scripts/smoke_spaced.sh
 
 # End-to-end scenario smoke: validate the checked-in example specs,
-# record a spec-driven cearsim run, replay it, assert the two traces
+# record a spec-driven `spacebench run`, replay it, assert the two traces
 # are byte-identical, then run the Erlang-B analytical twin (must
 # PASS within tolerance).
 scenario-smoke:
@@ -125,7 +125,7 @@ trace-smoke:
 # counts must be live (a zero means a regression silently fell back to
 # the generic path or stopped reusing the scratch).
 report-smoke:
-	$(GO) run ./cmd/cearsim -scale small -report /tmp/report-smoke.json >/dev/null
+	$(GO) run ./cmd/spacebench run -scale small -report /tmp/report-smoke.json >/dev/null
 	$(GO) run ./cmd/spacestat diff /tmp/report-smoke.json /tmp/report-smoke.json
 	@grep -q '"graph.fastpath.pruned_labels"' /tmp/report-smoke.json || \
 		{ echo "report-smoke: graph.fastpath.pruned_labels missing from run report"; exit 1; }

@@ -13,17 +13,14 @@ package spacebooking
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 	"testing"
 
-	"spacebooking/internal/graph"
 	"spacebooking/internal/netstate"
 	"spacebooking/internal/obs"
 	"spacebooking/internal/sim"
 	"spacebooking/internal/topology"
-	"spacebooking/internal/workload"
 )
 
 var benchScale = flag.String("spacebench.scale", "small",
@@ -253,71 +250,6 @@ func BenchmarkCEARHandlePruned(b *testing.B) { benchCEARHandle(b, true, 0) }
 // level observation per accept. Its gap over BenchmarkCEARHandle is the
 // full cost of hot-spot tracking.
 func BenchmarkCEARHandleHotspots(b *testing.B) { benchCEARHandle(b, false, 32) }
-
-// BenchmarkFlatViewSearch measures one min-price path search on the fast
-// path, including the per-slot view build (stamping the destination
-// visibility table) that production pays on every slot of every request.
-func BenchmarkFlatViewSearch(b *testing.B) {
-	env := benchEnvironment(b)
-	state, err := netstate.New(env.Provider, PaperEnergyConfig(), false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pair := env.Pairs[0]
-	slot := findBenchSlot(b, env, pair)
-	unit := func(netstate.LinkKey, graph.EdgeClass, float64, float64) float64 { return 1 }
-	sc := netstate.NewSearchScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		view, err := sc.BuildView(state, slot, pair.Src, pair.Dst, 1000, unit)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, ok, _ := view.Search(nil, 0, 0, math.Inf(1)); !ok {
-			b.Fatal("no path")
-		}
-	}
-}
-
-func findBenchSlot(b *testing.B, env *Environment, pair workload.Pair) int {
-	b.Helper()
-	for slot := 0; slot < env.Provider.Horizon(); slot++ {
-		sv, err := env.Provider.VisibleSats(pair.Src, slot)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dv, err := env.Provider.VisibleSats(pair.Dst, slot)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(sv) > 0 && len(dv) > 0 {
-			return slot
-		}
-	}
-	b.Skip("no routable slot")
-	return -1
-}
-
-// BenchmarkDeficitVisit measures the deficit-profile walk used in energy
-// pricing.
-func BenchmarkDeficitVisit(b *testing.B) {
-	env := benchEnvironment(b)
-	state, err := netstate.New(env.Provider, PaperEnergyConfig(), false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bat := state.Battery(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total := 0.0
-		bat.VisitDeficit(0, 50000, func(t int, out float64) bool {
-			total += out
-			return true
-		})
-		_ = total
-	}
-}
 
 // BenchmarkProviderConstruction measures topology propagation (per-slot
 // positions, eclipse flags, +Grid) at small scale.

@@ -1,400 +1,128 @@
-// Command spacebench regenerates the figures of the paper's evaluation
-// section (§VI). Each subcommand reproduces one figure; "all" runs the
-// whole evaluation.
+// Command spacebench reproduces the paper's evaluation section (§VI) on
+// one Environment: "run" makes a single run with one admission algorithm
+// (optionally spec-driven, recorded or replayed), and each figure
+// subcommand regenerates one figure; "all" runs the whole evaluation.
 //
 // Usage:
 //
-//	spacebench [-scale small|medium|full] [-seed N] [-quiet] <figure>
+//	spacebench run [-scale small|medium|full]
+//	        [-alg CEAR|SSP|ECARS|ERU|ERA|CEAR-NE|CEAR-AA|CEAR-LIN|CEAR-AD]
+//	        [-rate R] [-seed N] [-valuation V] [-f1 F] [-f2 F]
+//	        [-spec scenario.json] [-record] [-replay recorded.jsonl]
+//	        [-trace decisions.jsonl] [-report run.json]
+//	        [-debug-addr 127.0.0.1:6060]
+//	spacebench [-scale small|medium|full] [-seed N] [-seeds K]
+//	        [-parallel P] [-csv DIR] [-quiet] [-spec scenario.json]
+//	        [-report run.json] [-debug-addr 127.0.0.1:6060] FIGURE
+//	spacebench -version
 //
-// where <figure> is one of: fig6, fig7, fig8, fig9, ablate, adaptive,
-// competitive, all. The extra "scenario" figure runs a declarative
-// workload spec (-spec FILE, see internal/scenario) through the paper's
-// five algorithms and tabulates welfare, acceptance and revenue.
+// run prints the full result: welfare, revenue, rejection breakdown, and
+// compact textual time series of the Fig. 7/8 metrics. -spec drives the
+// run from a declarative scenario spec instead of the flat paper
+// workload. -record (with -trace) writes every admitted request into the
+// trace, making it a complete recording; -replay runs such a recording
+// back through the engine, reproducing every decision, price and Result
+// byte-identically.
 //
-// The default scale is "medium" — shape-preserving and minutes-fast. Use
-// -scale full for the paper's exact §VI-A setting (1584 satellites,
-// 384 minutes, 1761 ground sites, 223 EO satellites); expect a long run.
+// FIGURE is one of: fig6, fig7, fig8, fig9, ablate, adaptive,
+// competitive, all. The extra "scenario" figure runs the -spec workload
+// through the paper's five algorithms and tabulates welfare, acceptance
+// and revenue.
+//
+// run defaults to -scale small; the figures default to "medium" —
+// shape-preserving and minutes-fast. Use -scale full for the paper's
+// exact §VI-A setting (1584 satellites, 384 minutes, 1761 ground sites,
+// 223 EO satellites); expect a long run.
+//
+// Every input is checked before the environment is built. Usage errors
+// (an unknown subcommand, a bad flag, the scenario figure without -spec)
+// exit 2; other errors exit 1, and a run cancelled by SIGINT or SIGTERM
+// exits 130.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"strings"
-	"time"
 
-	"spacebooking"
 	"spacebooking/internal/buildinfo"
-	"spacebooking/internal/metrics"
 	"spacebooking/internal/obs"
-	"spacebooking/internal/scenario"
-	"spacebooking/internal/sim"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	scaleName := flag.String("scale", "medium", "experiment scale: small, medium or full")
-	parallel := flag.Int("parallel", 0, "max concurrent simulation runs per figure (0 = GOMAXPROCS)")
-	seed := flag.Int64("seed", 101, "base random seed for single-run figures")
-	numSeeds := flag.Int("seeds", len(spacebooking.DefaultSeeds), "number of seeds for the Fig. 6 error bars (1-5)")
-	csvDir := flag.String("csv", "", "directory for per-figure CSV exports (optional)")
-	quiet := flag.Bool("quiet", false, "suppress progress logging")
-	specFile := flag.String("spec", "", "scenario spec file for the \"scenario\" figure")
-	reportFile := flag.String("report", "", "write a machine-readable JSON run report to this file")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics.json on this address (e.g. 127.0.0.1:6060)")
-	showVersion := flag.Bool("version", false, "print version and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: spacebench [flags] <fig6|fig7|fig8|fig9|ablate|adaptive|competitive|scenario|all>\n")
-		flag.PrintDefaults()
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && args[0] == "run" {
+		return runSingle(args[1:], stdout, stderr)
 	}
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(buildinfo.Line("spacebench"))
-		return 0
-	}
-	if flag.NArg() != 1 {
-		flag.Usage()
-		return 2
-	}
-	figure := flag.Arg(0)
+	return runFigure(args, stdout, stderr)
+}
 
-	scale, err := spacebooking.ParseScale(*scaleName)
+// shared holds the options the run and figure forms both take.
+type shared struct {
+	scale, spec, report, debugAddr string
+	seed                           int64
+	version                        bool
+}
+
+// newFlagSet returns a subcommand's flag set: ContinueOnError, output to
+// stderr, with the six shared options declared at the form's default
+// scale.
+func (o *shared) newFlagSet(name, synopsis, scale string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: %s %s\n", name, synopsis)
+		fs.PrintDefaults()
+	}
+	fs.StringVar(&o.scale, "scale", scale, "experiment scale: small, medium or full")
+	fs.Int64Var(&o.seed, "seed", 101, "random seed (run: the workload's; figures: the single-run figures' base seed)")
+	fs.StringVar(&o.spec, "spec", "", "scenario spec (JSON): drives run's workload; required by the scenario figure")
+	fs.StringVar(&o.report, "report", "", "write a machine-readable JSON run report to this file")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /debug/pprof and /metrics.json on this address (e.g. 127.0.0.1:6060)")
+	fs.BoolVar(&o.version, "version", false, "print version and exit")
+	return fs
+}
+
+// parse parses args into fs and reports whether the subcommand goes on;
+// when it does not, code is its exit code (2 on a flag error, 0 after
+// printing -version).
+func (o *shared) parse(fs *flag.FlagSet, args []string, stdout io.Writer) (code int, ok bool) {
+	if err := fs.Parse(args); err != nil {
+		return 2, false
+	}
+	if o.version {
+		fmt.Fprintln(stdout, buildinfo.Line("spacebench"))
+		return 0, false
+	}
+	return 0, true
+}
+
+// instrument creates the registry when -report or -debug-addr asks for
+// its output, so plain runs keep the no-op fast path, and starts the
+// debug server on -debug-addr. The caller closes a non-nil server.
+func (o *shared) instrument(stdout io.Writer) (*obs.Registry, *obs.DebugServer, error) {
+	if o.report == "" && o.debugAddr == "" {
+		return nil, nil, nil
+	}
+	reg := obs.New()
+	if o.debugAddr == "" {
+		return reg, nil, nil
+	}
+	srv, err := obs.StartDebugServer(o.debugAddr, reg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return nil, nil, err
 	}
-
-	// Instrumentation is opt-in: the registry exists only when a flag
-	// asks for its output, so plain runs keep the no-op fast path.
-	var reg *obs.Registry
-	if *reportFile != "" || *debugAddr != "" {
-		reg = obs.New()
-	}
-	var srv *obs.DebugServer
-	if *debugAddr != "" {
-		srv, err = obs.StartDebugServer(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer srv.Close()
-		fmt.Printf("debug server on http://%s/ (pprof, metrics.json)\n", srv.Addr())
-	}
-
-	start := time.Now()
-	fmt.Printf("building %s-scale environment...\n", scale)
-	env, err := spacebooking.NewEnvironment(spacebooking.EnvConfig{Scale: scale})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	env.Obs = reg
-	env.Parallelism = *parallel
-	if srv != nil {
-		// Each run gets its own registry; keep the live debug endpoints
-		// pointed at the most recently completed run.
-		env.ObsSink = srv.SetRegistry
-	}
-	if !*quiet {
-		env.Logf = func(format string, args ...interface{}) {
-			fmt.Printf("  "+format+"\n", args...)
-		}
-	}
-	fmt.Printf("environment ready in %v: %d satellites, %d sites, %d EO, %d pairs, horizon %d min\n\n",
-		time.Since(start).Round(time.Millisecond),
-		env.Provider.NumSats(), len(env.Sites), len(env.EOFleet), len(env.Pairs), env.Provider.Horizon())
-
-	if *numSeeds < 1 {
-		*numSeeds = 1
-	}
-	if *numSeeds > len(spacebooking.DefaultSeeds) {
-		*numSeeds = len(spacebooking.DefaultSeeds)
-	}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	opts := runOpts{seed: *seed, seeds: spacebooking.DefaultSeeds[:*numSeeds], csvDir: *csvDir, spec: *specFile}
-
-	runners := map[string]func(*spacebooking.Environment, runOpts) error{
-		"fig6":        runFig6,
-		"fig7":        runFig7,
-		"fig8":        runFig8,
-		"fig9":        runFig9,
-		"ablate":      runAblate,
-		"adaptive":    runAdaptive,
-		"competitive": runCompetitive,
-		"scenario":    runScenario,
-	}
-	if figure == "all" {
-		for _, name := range []string{"fig6", "fig7", "fig8", "fig9", "ablate", "adaptive", "competitive"} {
-			if err := runners[name](env, opts); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-				return 1
-			}
-		}
-		fmt.Printf("\nall figures reproduced in %v\n", time.Since(start).Round(time.Second))
-		return writeReport(*reportFile, figure, scale, opts, time.Since(start), *parallel, env, reg)
-	}
-	runner, ok := runners[figure]
-	if !ok {
-		flag.Usage()
-		return 2
-	}
-	if err := runner(env, opts); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	return writeReport(*reportFile, figure, scale, opts, time.Since(start), *parallel, env, reg)
+	fmt.Fprintf(stdout, "debug server on http://%s/ (pprof, metrics.json)\n", srv.Addr())
+	return reg, srv, nil
 }
 
-// writeReport emits the machine-readable run report when -report is set:
-// the effective configuration, wall time, and the instrumentation
-// snapshot of the figure's last run (in matrix order).
-func writeReport(path, figure string, scale spacebooking.Scale, opts runOpts, elapsed time.Duration, parallel int, env *spacebooking.Environment, reg *obs.Registry) int {
-	if path == "" {
-		return 0
-	}
-	rep := obs.NewReport("spacebench")
-	rep.SetConfig("figure", figure)
-	rep.SetConfig("scale", scale.String())
-	rep.SetConfig("seed", opts.seed)
-	rep.SetConfig("num_seeds", len(opts.seeds))
-	rep.SetConfig("parallel", parallel)
-	// Every run collects into its own registry; the snapshot below is
-	// the figure's last run in matrix order, matching the retired
-	// reset-per-run behaviour.
-	rep.SetConfig("obs_scope", "last_run")
-	rep.SetMetric("elapsed_seconds", elapsed.Seconds())
-	if last := env.LastObs(); last != nil {
-		reg = last
-	}
-	rep.Finish(reg)
-	if err := obs.WriteReportFile(path, rep); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("report written to %s\n", path)
-	return 0
-}
-
-// runOpts carries the seed and export settings to the figure runners.
-type runOpts struct {
-	seed   int64
-	seeds  []int64
-	csvDir string
-	spec   string
-}
-
-// writeCSV writes one export file when -csv is set.
-func (o runOpts) writeCSV(name string, headers []string, rows [][]float64) error {
-	if o.csvDir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(o.csvDir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return metrics.WriteCSV(f, headers, rows)
-}
-
-func runFig6(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunFig6(spacebooking.Fig6Config{Seeds: opts.seeds})
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := res.Table().Render(os.Stdout); err != nil {
-		return err
-	}
-	algs := []string{"CEAR", "SSP", "ECARS", "ERU", "ERA"}
-	headers := []string{"rate"}
-	for _, a := range algs {
-		headers = append(headers, a+"_mean", a+"_std")
-	}
-	rows := make([][]float64, len(res.Rates))
-	for i, rate := range res.Rates {
-		row := []float64{rate}
-		for _, a := range algs {
-			p := res.Points[a][i]
-			row = append(row, p.Mean, p.Std)
-		}
-		rows[i] = row
-	}
-	return opts.writeCSV("fig6.csv", headers, rows)
-}
-
-func runFig7(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunFig7(spacebooking.Fig7Config{Seed: opts.seed})
-	if err != nil {
-		return err
-	}
-	dep, cong := res.Tables()
-	fmt.Println()
-	if err := dep.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := cong.Render(os.Stdout); err != nil {
-		return err
-	}
-	algs := []string{"CEAR", "SSP", "ECARS", "ERU", "ERA"}
-	headers := append([]string{"slot"}, algs...)
-	buildRows := func(series map[string][]int) [][]float64 {
-		rows := make([][]float64, res.Horizon)
-		for t := 0; t < res.Horizon; t++ {
-			row := []float64{float64(t)}
-			for _, a := range algs {
-				row = append(row, float64(series[a][t]))
-			}
-			rows[t] = row
-		}
-		return rows
-	}
-	if err := opts.writeCSV("fig7_depleted.csv", headers, buildRows(res.DepletedSeries)); err != nil {
-		return err
-	}
-	return opts.writeCSV("fig7_congested.csv", headers, buildRows(res.CongestedSeries))
-}
-
-func runFig8(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunFig8(spacebooking.Fig8Config{Seed: opts.seed})
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := res.Table().Render(os.Stdout); err != nil {
-		return err
-	}
-	algs := []string{"CEAR", "SSP", "ECARS", "ERU", "ERA"}
-	headers := append([]string{"slot"}, algs...)
-	rows := make([][]float64, res.Horizon)
-	for t := 0; t < res.Horizon; t++ {
-		row := []float64{float64(t)}
-		for _, a := range algs {
-			row = append(row, res.Series[a][t])
-		}
-		rows[t] = row
-	}
-	if err := opts.writeCSV("fig8.csv", headers, rows); err != nil {
-		return err
-	}
-	fmt.Println("\ncumulative welfare ratio over time:")
-	var series []metrics.Series
-	for _, a := range algs {
-		series = append(series, metrics.Series{Name: a, Values: res.Series[a]})
-	}
-	fmt.Print(metrics.MultiSeriesPlot(series, 88))
-	return nil
-}
-
-func runFig9(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunFig9(spacebooking.Fig9Config{Seeds: []int64{opts.seed}})
-	if err != nil {
-		return err
-	}
-	valT, f2T := res.Tables()
-	fmt.Println()
-	if err := valT.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := f2T.Render(os.Stdout); err != nil {
-		return err
-	}
-	toRows := func(points []spacebooking.SweepPoint) [][]float64 {
-		rows := make([][]float64, len(points))
-		for i, p := range points {
-			rows[i] = []float64{p.X, p.Mean, p.Std}
-		}
-		return rows
-	}
-	if err := opts.writeCSV("fig9_valuation.csv", []string{"valuation", "mean", "std"}, toRows(res.ValuationSweep)); err != nil {
-		return err
-	}
-	return opts.writeCSV("fig9_f2.csv", []string{"f2", "mean", "std"}, toRows(res.F2Sweep))
-}
-
-func runAblate(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunAblations(opts.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	return res.Table().Render(os.Stdout)
-}
-
-func runAdaptive(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunAdaptiveComparison(opts.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	return res.Table().Render(os.Stdout)
-}
-
-// runScenario drives a declarative workload spec through the paper's
-// five algorithms. Every run rebuilds the streaming generator from the
-// same spec and seed, so all algorithms see the identical request
-// sequence — the comparison isolates admission policy, not workload
-// noise.
-func runScenario(env *spacebooking.Environment, opts runOpts) error {
-	if opts.spec == "" {
-		return fmt.Errorf("the scenario figure needs -spec FILE")
-	}
-	spec, err := scenario.Load(opts.spec)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("scenario %q: %d classes", spec.Name, len(spec.Classes))
-	if tl := spec.EventTimeline(); len(tl) > 0 {
-		fmt.Printf(", events %s", strings.Join(tl, " "))
-	}
-	fmt.Println()
-
-	t := metrics.NewTable(fmt.Sprintf("Scenario %q — algorithm comparison", spec.Name),
-		"algorithm", "accepted", "total", "welfare", "revenue")
-	rows := make([][]float64, 0, 5)
-	for _, alg := range []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP, sim.AlgECARS, sim.AlgERU, sim.AlgERA} {
-		gen, err := scenario.NewGenerator(spec, env.ScenarioBinding())
-		if err != nil {
-			return err
-		}
-		wl := env.WorkloadConfig(env.DefaultArrivalRate(), spec.Seed)
-		rc, err := env.RunConfig(alg, wl)
-		if err != nil {
-			return err
-		}
-		rc.Source = gen
-		rc.SpecName = spec.Name
-		res, err := env.Run(rc)
-		if err != nil {
-			return err
-		}
-		t.AddRow(alg.String(),
-			fmt.Sprintf("%d", res.Accepted), fmt.Sprintf("%d", res.TotalRequests),
-			fmt.Sprintf("%.4f", res.WelfareRatio), fmt.Sprintf("%.3g", res.Revenue))
-		rows = append(rows, []float64{float64(alg), float64(res.Accepted), float64(res.TotalRequests), res.WelfareRatio, res.Revenue})
-	}
-	fmt.Println()
-	if err := t.Render(os.Stdout); err != nil {
-		return err
-	}
-	return opts.writeCSV("scenario.csv", []string{"alg", "accepted", "total", "welfare", "revenue"}, rows)
-}
-
-func runCompetitive(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunCompetitive(0, opts.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	return res.Table().Render(os.Stdout)
+// fail prints err after the subcommand's name on stderr and returns
+// code.
+func fail(stderr io.Writer, name string, code int, err error) int {
+	fmt.Fprintf(stderr, "%s: %v\n", name, err)
+	return code
 }

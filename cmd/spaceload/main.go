@@ -363,8 +363,8 @@ func buildMix(wcfg workload.Config, seed int64, pinSlots bool) ([]server.BookReq
 // buildSpecMix synthesises the request pool from a scenario spec bound
 // to the server's advertised pairs, horizon and default valuation.
 // Sites do not travel over the wire, so specs needing them (solar-phased
-// diurnals, regional outages) must run through cearsim instead; the
-// generator rejects them with a clear error.
+// diurnals, regional outages) must run through `spacebench run` instead;
+// the generator rejects them with a clear error.
 func buildSpecMix(spec scenario.Spec, cfg server.ConfigResponse) ([]server.BookRequest, error) {
 	b := scenario.Binding{
 		Horizon:          cfg.Horizon,

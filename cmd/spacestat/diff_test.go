@@ -8,10 +8,10 @@ import (
 	"spacebooking/internal/obs"
 )
 
-// sampleReport builds a report shaped like a real cearsim run, with the
-// slot wall-time histogram mean scaled by slowdown (1.0 = baseline).
+// sampleReport builds a report shaped like a real `spacebench run`, with
+// the slot wall-time histogram mean scaled by slowdown (1.0 = baseline).
 func sampleReport(slowdown float64) *obs.Report {
-	rep := obs.NewReport("cearsim")
+	rep := obs.NewReport("spacebench")
 	rep.SetConfig("scale", "small")
 	rep.SetConfig("algorithm", "CEAR")
 	rep.SetMetric("welfare_ratio", 0.84)

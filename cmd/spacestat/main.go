@@ -14,7 +14,7 @@
 //
 // An input named "-" is read from standard input.
 //
-// trace summarises a JSON-lines decision trace (`cearsim -trace`):
+// trace summarises a JSON-lines decision trace (`spacebench run -trace`):
 // acceptance counts, revenue, rejection breakdown, price quantiles and
 // the depletion/congestion time series. Exit 1 on an unreadable trace.
 //
@@ -35,8 +35,8 @@
 // agree within the documented tolerance. Exit 1 on any invalid spec or
 // failed twin.
 //
-// diff compares two run reports (`cearsim -report`, `spacebench
-// -report`, `spaced -report`) and prints per-metric deltas: result
+// diff compares two run reports (`spacebench run -report`,
+// `spacebench -report FIGURE`, `spaced -report`) and prints per-metric deltas: result
 // metrics, counters, histogram quantiles, phase wall-times, final
 // time-series values and hot-spot totals. Lower is better on every gate.
 // -max-regress (default 5%) gates every wall-time quantity present in

@@ -15,9 +15,9 @@ import (
 const ReportVersion = 4
 
 // Report is the machine-readable end-of-run artifact written by
-// `cearsim -report run.json` (and spacebench): the run's configuration
-// echo, its final result metrics, and the full observability snapshot
-// (per-phase wall-times, counters, histograms). Two reports from the
+// `spacebench run -report run.json` (and the figure subcommands): the
+// run's configuration echo, its final result metrics, and the full
+// observability snapshot (per-phase wall-times, counters, histograms). Two reports from the
 // same config are directly diffable; benchmark trajectories become
 // artifacts instead of scrollback.
 type Report struct {

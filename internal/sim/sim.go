@@ -328,8 +328,8 @@ func Run(prov *topology.Provider, rc RunConfig) (*Result, error) {
 
 // RunContext is Run with cooperative cancellation: the admission loop
 // checks ctx between requests and returns ctx's error as soon as it is
-// cancelled, so a serving daemon (or Ctrl-C on cearsim) can stop a run
-// mid-stream without waiting for the horizon to play out.
+// cancelled, so a serving daemon (or Ctrl-C on `spacebench run`) can stop
+// a run mid-stream without waiting for the horizon to play out.
 //
 // The whole admission path is the shared Engine — RunContext is nothing
 // but "generate, Admit in a loop, Finish", so batch simulation and the

@@ -3,9 +3,9 @@
 # the record/replay pipeline:
 #   1. spacestat spec validates the checked-in example specs (schema
 #      gate),
-#   2. cearsim -spec -record runs the smoke scenario and records every
+#   2. spacebench run -spec -record runs the smoke scenario and records every
 #      admitted request into a trace,
-#   3. cearsim -replay plays the recording back through the engine with
+#   3. spacebench run -replay plays the recording back through the engine with
 #      its own trace attached,
 #   4. the two traces must be byte-identical (same decisions, prices,
 #      rejection reasons — the determinism contract of the PR), and
@@ -22,14 +22,14 @@ cleanup() { rm -rf "$WORK"; }
 trap cleanup EXIT
 
 go build -o "$WORK/spacestat" ./cmd/spacestat
-go build -o "$WORK/cearsim" ./cmd/cearsim
+go build -o "$WORK/spacebench" ./cmd/spacebench
 
 echo "scenario_smoke: validating example specs"
 "$WORK/spacestat" spec specs/smoke.json specs/erlangb.json specs/bench.json
 
 echo "scenario_smoke: recording spec-driven run"
 RECORDED="$WORK/recorded.jsonl"
-"$WORK/cearsim" -scale small -seed 101 -spec specs/smoke.json \
+"$WORK/spacebench" run -scale small -seed 101 -spec specs/smoke.json \
   -record -trace "$RECORDED" >"$WORK/record.out"
 grep -q '^scenario *smoke (spec)$' "$WORK/record.out" || \
   { cat "$WORK/record.out" >&2; echo "scenario_smoke: record run did not report the spec name" >&2; exit 1; }
@@ -38,7 +38,7 @@ grep -q '"kind":"request"' "$RECORDED" || \
 
 echo "scenario_smoke: replaying the recording"
 REPLAYED="$WORK/replayed.jsonl"
-"$WORK/cearsim" -scale small -seed 101 -replay "$RECORDED" \
+"$WORK/spacebench" run -scale small -seed 101 -replay "$RECORDED" \
   -record -trace "$REPLAYED" >"$WORK/replay.out"
 grep -q '^scenario *smoke (replayed spec)$' "$WORK/replay.out" || \
   { cat "$WORK/replay.out" >&2; echo "scenario_smoke: replay run did not echo the recorded spec name" >&2; exit 1; }
