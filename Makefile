@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzBookBody$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzEachLine$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzFilterByGDP$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # benchmark/ is a Go module of its own, so `go build ./... && go test
 # ./...` never compiles it and an internal/ API break stays invisible

@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"spacebooking/internal/netstate"
-	"spacebooking/internal/obs"
 	"spacebooking/internal/sim"
 	"spacebooking/internal/topology"
 )
@@ -210,9 +209,8 @@ func BenchmarkCompetitive(b *testing.B) {
 
 // benchCEARHandle drives full simulation runs with or without budget
 // pruning; the per-iteration numbers are dominated by per-request Handle
-// work once the provider is warm. hotspotK > 0 turns on the per-entity
-// attribution layer (with the obs registry it requires).
-func benchCEARHandle(b *testing.B, prune bool, hotspotK int) {
+// work once the provider is warm.
+func benchCEARHandle(b *testing.B, prune bool) {
 	b.Helper()
 	env := benchEnvironment(b)
 	rc, err := env.RunConfig(sim.AlgCEAR, env.WorkloadConfig(env.DefaultArrivalRate(), 1))
@@ -220,10 +218,6 @@ func benchCEARHandle(b *testing.B, prune bool, hotspotK int) {
 		b.Fatal(err)
 	}
 	rc.PruneBudget = prune
-	if hotspotK > 0 {
-		rc.Obs = obs.New()
-		rc.HotspotK = hotspotK
-	}
 	// Mirror the experiment scheduler: one pooled scratch serves every run
 	// on this goroutine.
 	rc.Scratch = netstate.NewSearchScratch()
@@ -239,17 +233,11 @@ func benchCEARHandle(b *testing.B, prune bool, hotspotK int) {
 // BenchmarkCEARHandle measures the per-request cost of Algorithm 1 on a
 // warm network, using the production configuration: the flat CSR fast
 // path with a reused search scratch.
-func BenchmarkCEARHandle(b *testing.B) { benchCEARHandle(b, false, 0) }
+func BenchmarkCEARHandle(b *testing.B) { benchCEARHandle(b, false) }
 
 // BenchmarkCEARHandlePruned adds budget pruning on top of the fast path:
 // searches abandon plans that already exceed the request's valuation.
-func BenchmarkCEARHandlePruned(b *testing.B) { benchCEARHandle(b, true, 0) }
-
-// BenchmarkCEARHandleHotspots layers top-32 per-entity attribution onto
-// the production fast path: blame capture per rejection, commit-time
-// level observation per accept. Its gap over BenchmarkCEARHandle is the
-// full cost of hot-spot tracking.
-func BenchmarkCEARHandleHotspots(b *testing.B) { benchCEARHandle(b, false, 32) }
+func BenchmarkCEARHandlePruned(b *testing.B) { benchCEARHandle(b, true) }
 
 // BenchmarkProviderConstruction measures topology propagation (per-slot
 // positions, eclipse flags, +Grid) at small scale.

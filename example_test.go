@@ -244,17 +244,13 @@ func Example_disasterMonitoring() {
 		env.EOFleet[eo.Index].Name, env.Sites[ground.Index].LatDeg, env.Sites[ground.Index].LonDeg)
 
 	// Contact windows: maximal runs of slots where the EO satellite can
-	// reach the LSN at all.
-	windows, err := env.Provider.ContactWindows(eo)
-	if err != nil {
-		panic(err)
-	}
-	coverage, err := env.Provider.CoverageFraction(eo)
+	// reach the LSN at all (contactWindows scans VisibleSats slot by slot).
+	windows, err := contactWindows(env.Provider, eo)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("EO satellite has %d contact windows covering %.0f%% of the horizon\n",
-		len(windows), 100*coverage)
+		len(windows), 100*coverageFraction(windows, env.Provider.Horizon()))
 
 	accepted, rejected := 0, 0
 	for i, w := range windows {

@@ -13,7 +13,6 @@ import (
 	"spacebooking/internal/obs"
 	"spacebooking/internal/offline"
 	"spacebooking/internal/sim"
-	"spacebooking/internal/topology"
 	"spacebooking/internal/workload"
 )
 
@@ -248,46 +247,6 @@ func TestEnergyConservation(t *testing.T) {
 	if math.Abs(observed-expected) > 1e-6*(1+expected) {
 		t.Errorf("energy books do not balance: observed %.3f J, expected %.3f J", observed, expected)
 	}
-}
-
-// TestEndpointKindsInterop: space-user requests (EO -> ground) flow
-// through the same admission machinery.
-func TestEndpointKindsInterop(t *testing.T) {
-	env, err := NewEnvironment(EnvConfig{Scale: ScaleSmall, IncludeEOFleet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, err := netstate.New(env.Provider, PaperEnergyConfig(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params, err := PaperPricing()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cear, err := core.New(state, core.Options{Pricing: params})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eo := topology.Endpoint{Kind: topology.EndpointSpace, Index: 3}
-	windows, err := env.Provider.ContactWindows(eo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(windows) == 0 {
-		t.Skip("EO-3 has no contact in this horizon")
-	}
-	w := windows[0]
-	req := workload.Request{
-		ID: 1, Src: eo, Dst: topology.Endpoint{Kind: topology.EndpointGround, Index: 0},
-		StartSlot: w.StartSlot, EndSlot: w.StartSlot,
-		RateMbps: 500, Valuation: env.DefaultValuation(),
-	}
-	d, err := cear.Handle(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("EO downlink accepted=%v reason=%q price=%.3g", d.Accepted, d.Reason, d.Price)
 }
 
 // TestAdaptiveControllerEndToEnd: the §V-B adaptive variant completes a

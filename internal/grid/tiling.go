@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -31,59 +32,45 @@ func (s Site) LLA() geo.LLA {
 	return geo.LLA{LatDeg: s.LatDeg, LonDeg: s.LonDeg}
 }
 
-// icosahedron returns the 12 vertices and 20 faces of a unit icosahedron.
-func icosahedron() ([]geo.Vec3, [][3]int) {
+// icosahedron returns the 20 faces of a unit icosahedron, each as its
+// three vertices.
+func icosahedron() [][3]geo.Vec3 {
 	phi := (1 + math.Sqrt(5)) / 2
 	raw := []geo.Vec3{
 		{X: -1, Y: phi}, {X: 1, Y: phi}, {X: -1, Y: -phi}, {X: 1, Y: -phi},
 		{Y: -1, Z: phi}, {Y: 1, Z: phi}, {Y: -1, Z: -phi}, {Y: 1, Z: -phi},
 		{X: phi, Z: -1}, {X: phi, Z: 1}, {X: -phi, Z: -1}, {X: -phi, Z: 1},
 	}
-	verts := make([]geo.Vec3, len(raw))
-	for i, v := range raw {
-		verts[i] = v.Unit()
-	}
-	faces := [][3]int{
+	var faces [][3]geo.Vec3
+	for _, f := range [][3]int{
 		{0, 11, 5}, {0, 5, 1}, {0, 1, 7}, {0, 7, 10}, {0, 10, 11},
 		{1, 5, 9}, {5, 11, 4}, {11, 10, 2}, {10, 7, 6}, {7, 1, 8},
 		{3, 9, 4}, {3, 4, 2}, {3, 2, 6}, {3, 6, 8}, {3, 8, 9},
 		{4, 9, 5}, {2, 4, 11}, {6, 2, 10}, {8, 6, 7}, {9, 8, 1},
+	} {
+		faces = append(faces, [3]geo.Vec3{raw[f[0]].Unit(), raw[f[1]].Unit(), raw[f[2]].Unit()})
 	}
-	return verts, faces
+	return faces
 }
 
-// subdivide splits each triangular face into four, projecting new
-// vertices back onto the unit sphere.
-func subdivide(verts []geo.Vec3, faces [][3]int) ([]geo.Vec3, [][3]int) {
-	type edge struct{ a, b int }
-	midpoints := make(map[edge]int, len(faces)*3/2)
-	mid := func(a, b int) int {
-		if a > b {
-			a, b = b, a
-		}
-		key := edge{a, b}
-		if idx, ok := midpoints[key]; ok {
-			return idx
-		}
-		m := verts[a].Add(verts[b]).Unit()
-		verts = append(verts, m)
-		midpoints[key] = len(verts) - 1
-		return len(verts) - 1
-	}
-
-	newFaces := make([][3]int, 0, len(faces)*4)
+// subdivide splits each triangular face into four, projecting the edge
+// midpoints back onto the unit sphere. The two faces sharing an edge each
+// compute its midpoint, from the same two vertices in opposite order;
+// IEEE addition is commutative, so both get the same bits.
+func subdivide(faces [][3]geo.Vec3) [][3]geo.Vec3 {
+	out := make([][3]geo.Vec3, 0, len(faces)*4)
 	for _, f := range faces {
-		ab := mid(f[0], f[1])
-		bc := mid(f[1], f[2])
-		ca := mid(f[2], f[0])
-		newFaces = append(newFaces,
-			[3]int{f[0], ab, ca},
-			[3]int{f[1], bc, ab},
-			[3]int{f[2], ca, bc},
-			[3]int{ab, bc, ca},
+		ab := f[0].Add(f[1]).Unit()
+		bc := f[1].Add(f[2]).Unit()
+		ca := f[2].Add(f[0]).Unit()
+		out = append(out,
+			[3]geo.Vec3{f[0], ab, ca},
+			[3]geo.Vec3{f[1], bc, ab},
+			[3]geo.Vec3{f[2], ca, bc},
+			[3]geo.Vec3{ab, bc, ca},
 		)
 	}
-	return verts, newFaces
+	return out
 }
 
 // TriangularSites tiles the sphere with 20*4^subdivisions triangles and
@@ -94,14 +81,14 @@ func TriangularSites(subdivisions int) ([]Site, error) {
 	if subdivisions < 0 || subdivisions > 8 {
 		return nil, fmt.Errorf("grid: subdivisions %d outside [0,8]", subdivisions)
 	}
-	verts, faces := icosahedron()
+	faces := icosahedron()
 	for i := 0; i < subdivisions; i++ {
-		verts, faces = subdivide(verts, faces)
+		faces = subdivide(faces)
 	}
 
 	sites := make([]Site, 0, len(faces))
 	for i, f := range faces {
-		c := verts[f[0]].Add(verts[f[1]]).Add(verts[f[2]]).Unit()
+		c := f[0].Add(f[1]).Add(f[2]).Unit()
 		lat := geo.RadToDeg(math.Asin(c.Z))
 		lon := geo.RadToDeg(math.Atan2(c.Y, c.X))
 		sites = append(sites, Site{ID: i, LatDeg: lat, LonDeg: lon})
@@ -193,9 +180,56 @@ func GDPDensity(latDeg, lonDeg float64) float64 {
 	return total
 }
 
+// FilterByGDP prunes by a bound: a site farther than m·σ_c (m = farSigmas,
+// great circle) from every economic centre c weighs less than
+// Σ_c w_c·e^(−m²/2). farBound is that sum raised by a factor 1 + capMargin
+// and each centre's cap cosine is lowered by capMargin, far beyond the
+// float error of the dot product, the haversine and the 47-term sum (each
+// ~1e-15 relative): a site is called far only when it certainly is, and
+// then its computed weight is certainly below farBound.
+const (
+	farSigmas = 3.5
+	capMargin = 1e-9
+)
+
+// centerDirs[i] is economicCenters[i]'s unit vector and centerMinCos[i]
+// the cosine of m·σ_i/R lowered by capMargin: a site whose unit vector's
+// dot product with centerDirs[i] is below it is farther than m·σ_i from
+// the centre. Read-only.
+var centerDirs, centerMinCos, farBound = func() ([]geo.Vec3, []float64, float64) {
+	dirs := make([]geo.Vec3, len(economicCenters))
+	minCos := make([]float64, len(economicCenters))
+	sum := 0.0
+	for i, c := range economicCenters {
+		dirs[i] = unitVector(c.latDeg, c.lonDeg)
+		minCos[i] = math.Cos(math.Min(math.Pi, farSigmas*c.spread/geo.EarthRadiusKm)) - capMargin
+		sum += c.weight
+	}
+	return dirs, minCos, sum * math.Exp(-farSigmas*farSigmas/2) * (1 + capMargin)
+}()
+
+// unitVector returns the unit vector of a point on the sphere.
+func unitVector(latDeg, lonDeg float64) geo.Vec3 {
+	sinLat, cosLat := math.Sincos(geo.DegToRad(latDeg))
+	sinLon, cosLon := math.Sincos(geo.DegToRad(lonDeg))
+	return geo.Vec3{X: cosLat * cosLon, Y: cosLat * sinLon, Z: sinLat}
+}
+
+// nearCenter reports whether s is within m·σ of some economic centre.
+func nearCenter(s Site) bool {
+	u := unitVector(s.LatDeg, s.LonDeg)
+	for i, dir := range centerDirs {
+		if u.Dot(dir) >= centerMinCos[i] {
+			return true
+		}
+	}
+	return false
+}
+
 // FilterByGDP keeps the `keep` highest-GDP sites, re-assigning dense IDs
-// in descending weight order. It mirrors the paper's GDP-based exclusion
-// of unlikely user areas (1761 sites survive at paper scale).
+// in descending weight order (ties by ascending ID). It mirrors the
+// paper's GDP-based exclusion of unlikely user areas (1761 sites survive
+// at paper scale).
 func FilterByGDP(sites []Site, keep int) ([]Site, error) {
 	if keep <= 0 {
 		return nil, fmt.Errorf("grid: keep must be positive, got %d", keep)
@@ -203,17 +237,52 @@ func FilterByGDP(sites []Site, keep int) ([]Site, error) {
 	if keep > len(sites) {
 		return nil, fmt.Errorf("grid: keep %d exceeds available sites %d", keep, len(sites))
 	}
+	out, _ := rankByGDP(sites, keep)
+	return out, nil
+}
 
-	scored := make([]Site, len(sites))
-	copy(scored, sites)
-	// Scoring is 47 great-circle distances per site and every site is
-	// independent: fan contiguous chunks out over GOMAXPROCS workers,
-	// each writing only its own chunk's weights.
+// rankByGDP is FilterByGDP on valid arguments; it also returns how many
+// sites it scored. It scores the sites near a centre first. If they are
+// at least keep and the keep-th best of them beats farBound, every other
+// site ranks below every kept one, so it stops there; otherwise it scores
+// the rest and ranks them all. Either way the result is the ranking of
+// all sites, bit for bit.
+func rankByGDP(sites []Site, keep int) ([]Site, int) {
+	ranked := slices.Clone(sites)
+	n := 0
+	for i := range ranked {
+		if nearCenter(ranked[i]) {
+			ranked[n], ranked[i] = ranked[i], ranked[n]
+			n++
+		}
+	}
+	if n < keep {
+		n = len(ranked)
+	}
+	for scored := 0; ; n = len(ranked) {
+		scoreGDP(ranked[scored:n])
+		scored = n
+		sortByWeight(ranked[:n])
+		if n == len(ranked) || ranked[keep-1].Weight > farBound {
+			break
+		}
+	}
+	out := ranked[:keep:keep]
+	for i := range out {
+		out[i].ID = i
+	}
+	return out, n
+}
+
+// scoreGDP sets every site's weight. Scoring is 47 great-circle distances
+// per site and every site is independent: fan contiguous chunks out over
+// GOMAXPROCS workers, each writing only its own chunk's weights.
+func scoreGDP(sites []Site) {
 	var wg sync.WaitGroup
 	workers := runtime.GOMAXPROCS(0)
-	chunk := (len(scored) + workers - 1) / workers
-	for lo := 0; lo < len(scored); lo += chunk {
-		part := scored[lo:min(lo+chunk, len(scored))]
+	chunk := (len(sites) + workers - 1) / workers
+	for lo := 0; lo < len(sites); lo += chunk {
+		part := sites[lo:min(lo+chunk, len(sites))]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -223,15 +292,14 @@ func FilterByGDP(sites []Site, keep int) ([]Site, error) {
 		}()
 	}
 	wg.Wait()
-	sort.Slice(scored, func(i, j int) bool {
-		if scored[i].Weight != scored[j].Weight {
-			return scored[i].Weight > scored[j].Weight
+}
+
+// sortByWeight orders sites by descending weight, ties by ascending ID.
+func sortByWeight(sites []Site) {
+	sort.Slice(sites, func(i, j int) bool {
+		if sites[i].Weight != sites[j].Weight {
+			return sites[i].Weight > sites[j].Weight
 		}
-		return scored[i].ID < scored[j].ID // deterministic tie-break
+		return sites[i].ID < sites[j].ID // deterministic tie-break
 	})
-	out := scored[:keep:keep]
-	for i := range out {
-		out[i].ID = i
-	}
-	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spacebooking/internal/graph"
+	"spacebooking/internal/obs"
 )
 
 func TestTxnCommitKeepsChanges(t *testing.T) {
@@ -243,5 +244,63 @@ func TestTxnCycleDoesNotAllocate(t *testing.T) {
 	cycle() // grows the scratch
 	if got := testing.AllocsPerRun(100, cycle); got != 0 {
 		t.Fatalf("%v allocations per Begin/Consume/Rollback cycle, want 0", got)
+	}
+}
+
+// TestHotspotTrackingAllocations pins what per-entity hot-spot tracking
+// costs the heap per admission once the transaction buffers are warm: an
+// accepted admission (blame reset, path reserved and consumed, commit,
+// which feeds the level trackers) plus a rejected one (blocked link and
+// depleted battery noted, trial rolled back, rejection attributed).
+// Tracking off allocates nothing; tracking on allocates no more than
+// hotspotAllocCeiling — also nothing, since the trackers are fixed-size
+// arrays and the commit-time list reuses its buffer.
+func TestHotspotTrackingAllocations(t *testing.T) {
+	const hotspotAllocCeiling = 0
+	for _, tc := range []struct {
+		k       int
+		ceiling float64
+	}{{0, 0}, {32, hotspotAllocCeiling}} {
+		s := newTestState(t, twoCitySites(), false)
+		s.EnableHotspots(obs.New(), tc.k)
+		slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
+		v, err := NewView(s, slot, groundEP(0), groundEP(1), 1, hopCost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, ok := graph.ShortestPath(v, v.SrcNode(), v.DstNode(), nil)
+		if !ok {
+			t.Fatal("no route")
+		}
+		cons := v.PathConsumptions(p)
+		key := v.LinkKeyFor(p.Nodes[0], p.Nodes[1])
+		admit := func() {
+			s.BeginBlame()
+			txn := s.Begin()
+			if err := txn.ReservePath(v, p); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Consume(cons); err != nil {
+				t.Fatal(err)
+			}
+			txn.Commit()
+
+			s.BeginBlame()
+			s.noteBlockedLink(key, 0.5)
+			s.NoteDepletedSat(cons[0].Sat)
+			txn = s.Begin()
+			if err := txn.Consume(cons); err != nil {
+				t.Fatal(err)
+			}
+			txn.Rollback()
+			s.AttributeRejection(false)
+		}
+		admit() // grows the transaction buffers
+		if got := testing.AllocsPerRun(100, admit); got > tc.ceiling {
+			t.Errorf("top-%d tracking: %v allocations per accepted+rejected admission, want at most %v", tc.k, got, tc.ceiling)
+		}
+		if tracked := s.hot.linkUtil.Total() > 0 && s.hot.linkRejections.Total() > 0; tracked != (tc.k > 0) {
+			t.Errorf("top-%d tracking: trackers fed %v", tc.k, tracked)
+		}
 	}
 }

@@ -8,6 +8,61 @@ import (
 	"spacebooking/internal/geo"
 )
 
+// First-order J2 secular drift. The propagator is two-body on purpose;
+// these rates exist to show, in TestJ2DriftNegligibleOverPaperHorizon,
+// that the drift it leaves out is negligible over the paper's horizon.
+
+// j2 is the Earth's dominant oblateness coefficient.
+const j2 = 1.08262668e-3
+
+// j2Rates returns the secular drift rates caused by Earth oblateness, in
+// radians per second: nodal regression (RAAN), apsidal rotation
+// (argument of perigee) and the mean-anomaly rate correction. These are
+// the standard first-order secular expressions; short-period J2
+// oscillations are not modelled.
+func (e Elements) j2Rates() (raanDot, argpDot, meanAnomalyDot float64) {
+	a := e.SemiMajorKm
+	ecc := e.Eccentricity
+	inc := geo.DegToRad(e.InclinationDeg)
+	n := e.MeanMotionRadS()
+	p := a * (1 - ecc*ecc)
+	factor := 1.5 * j2 * n * (geo.EarthRadiusKm / p) * (geo.EarthRadiusKm / p)
+	cosI := math.Cos(inc)
+	sinI2 := math.Sin(inc) * math.Sin(inc)
+
+	raanDot = -factor * cosI
+	argpDot = factor * (2 - 2.5*sinI2)
+	meanAnomalyDot = factor * math.Sqrt(1-ecc*ecc) * (1 - 1.5*sinI2)
+	return raanDot, argpDot, meanAnomalyDot
+}
+
+// atEpochJ2 returns a copy of the elements advanced to newEpoch with J2
+// secular drift applied to RAAN, argument of perigee and mean anomaly.
+// Use it to re-anchor a constellation for simulations that span days —
+// within the paper's 384-minute horizon the drift is negligible (<1.4°
+// of RAAN for the 550 km / 53° shell), which is why the per-slot
+// propagator stays two-body.
+func (e Elements) atEpochJ2(newEpoch time.Time) Elements {
+	dt := newEpoch.Sub(e.Epoch).Seconds()
+	raanDot, argpDot, maDot := e.j2Rates()
+
+	out := e
+	out.Epoch = newEpoch
+	out.RAANDeg = geo.RadToDeg(geo.WrapTwoPi(geo.DegToRad(e.RAANDeg) + raanDot*dt))
+	out.ArgPerigeeDeg = geo.RadToDeg(geo.WrapTwoPi(geo.DegToRad(e.ArgPerigeeDeg) + argpDot*dt))
+	out.MeanAnomalyDeg = geo.RadToDeg(geo.WrapTwoPi(
+		geo.DegToRad(e.MeanAnomalyDeg) + (e.MeanMotionRadS()+maDot)*dt))
+	return out
+}
+
+// nodalPrecessionDegPerDay returns the RAAN drift in degrees per day —
+// the quantity mission designers quote (a sun-synchronous orbit needs
+// +0.9856°/day).
+func (e Elements) nodalPrecessionDegPerDay() float64 {
+	raanDot, _, _ := e.j2Rates()
+	return geo.RadToDeg(raanDot) * 86400
+}
+
 func TestNodalPrecessionKnownValues(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -30,7 +85,7 @@ func TestNodalPrecessionKnownValues(t *testing.T) {
 				InclinationDeg: tt.incDeg,
 				Epoch:          testEpoch,
 			}
-			got := e.NodalPrecessionDegPerDay()
+			got := e.nodalPrecessionDegPerDay()
 			if math.Abs(got-tt.wantDeg) > tt.tol {
 				t.Errorf("precession = %v deg/day, want %v ± %v", got, tt.wantDeg, tt.tol)
 			}
@@ -44,8 +99,8 @@ func TestJ2RatesSigns(t *testing.T) {
 	// inclination (63.4°) and negative above it.
 	prograde := Elements{SemiMajorKm: 7000, InclinationDeg: 30, Epoch: testEpoch}
 	retrograde := Elements{SemiMajorKm: 7000, InclinationDeg: 120, Epoch: testEpoch}
-	raanP, argpP, maP := prograde.J2Rates()
-	raanR, _, _ := retrograde.J2Rates()
+	raanP, argpP, maP := prograde.j2Rates()
+	raanR, _, _ := retrograde.j2Rates()
 	if raanP >= 0 {
 		t.Errorf("prograde RAAN rate = %v, want negative", raanP)
 	}
@@ -59,14 +114,14 @@ func TestJ2RatesSigns(t *testing.T) {
 		t.Errorf("mean anomaly correction = %v, want positive at low inclination", maP)
 	}
 	critical := Elements{SemiMajorKm: 7000, InclinationDeg: 63.4349, Epoch: testEpoch}
-	if _, argpC, _ := critical.J2Rates(); math.Abs(argpC) > 1e-9 {
+	if _, argpC, _ := critical.j2Rates(); math.Abs(argpC) > 1e-9 {
 		t.Errorf("apsidal rate at the critical inclination = %v, want ~0", argpC)
 	}
 }
 
 func TestAtEpochJ2(t *testing.T) {
 	e := circular550(53, 100, 0)
-	oneDay := e.AtEpochJ2(testEpoch.Add(24 * time.Hour))
+	oneDay := e.atEpochJ2(testEpoch.Add(24 * time.Hour))
 	if oneDay.Epoch != testEpoch.Add(24*time.Hour) {
 		t.Error("epoch not advanced")
 	}
@@ -75,8 +130,8 @@ func TestAtEpochJ2(t *testing.T) {
 	if drift > 0 {
 		drift -= 360
 	}
-	if math.Abs(drift-e.NodalPrecessionDegPerDay()) > 0.01 {
-		t.Errorf("RAAN drift = %v, want %v", drift, e.NodalPrecessionDegPerDay())
+	if math.Abs(drift-e.nodalPrecessionDegPerDay()) > 0.01 {
+		t.Errorf("RAAN drift = %v, want %v", drift, e.nodalPrecessionDegPerDay())
 	}
 	// Inclination, shape and size are untouched by secular J2.
 	if oneDay.SemiMajorKm != e.SemiMajorKm || oneDay.InclinationDeg != e.InclinationDeg ||
@@ -84,7 +139,7 @@ func TestAtEpochJ2(t *testing.T) {
 		t.Error("J2 secular drift must not change a, e, i")
 	}
 	// Zero elapsed time is the identity (modulo angle wrapping).
-	same := e.AtEpochJ2(testEpoch)
+	same := e.atEpochJ2(testEpoch)
 	if math.Abs(same.RAANDeg-e.RAANDeg) > 1e-9 {
 		t.Errorf("zero-dt advance changed RAAN: %v -> %v", e.RAANDeg, same.RAANDeg)
 	}
@@ -94,7 +149,7 @@ func TestJ2DriftNegligibleOverPaperHorizon(t *testing.T) {
 	// The design claim in the propagator doc: < 1.4° RAAN drift over the
 	// 384-minute evaluation horizon for the Starlink shell.
 	e := circular550(53, 0, 0)
-	drifted := e.AtEpochJ2(testEpoch.Add(384 * time.Minute))
+	drifted := e.atEpochJ2(testEpoch.Add(384 * time.Minute))
 	drift := math.Abs(drifted.RAANDeg - 0)
 	if drift > 360-1.4 {
 		drift = 360 - drift

@@ -133,6 +133,9 @@ type Provider struct {
 	islNeighbors [][]int
 	islCSR       *CSR
 	maxSlantKm   float64
+	// planes lists every shell's orbital planes in satellite order; the
+	// visibility scan skips those whose orbit is out of reach.
+	planes []orbitPlane
 
 	// visGround[site] and visSpace[eo] are frozen per-slot visibility
 	// tables (see NewProvider): non-nil means every slot for that endpoint
@@ -212,6 +215,7 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite, freez
 	shells := append([]orbit.WalkerConfig{cfg.Walker}, cfg.ExtraShells...)
 	var sats []orbit.Satellite
 	var islNeighbors [][]int
+	var planes []orbitPlane
 	for _, shell := range shells {
 		shellSats, err := orbit.WalkerDelta(shell)
 		if err != nil {
@@ -227,6 +231,12 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite, freez
 			}
 			islNeighbors = append(islNeighbors, neighbors)
 		}
+		for lo := 0; lo < len(shellSats); lo += shell.SatsPerPlane {
+			e := shellSats[lo].Elements
+			incl, raan := geo.NewRotation(geo.DegToRad(e.InclinationDeg)), geo.NewRotation(geo.DegToRad(e.RAANDeg))
+			planes = append(planes, orbitPlane{lo: offset + lo, hi: offset + lo + shell.SatsPerPlane,
+				normal: raan.Z(incl.X(geo.Vec3{Z: 1})), radiusKm: e.SemiMajorKm})
+		}
 		sats = append(sats, shellSats...)
 	}
 
@@ -239,6 +249,7 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite, freez
 		eoProps:  propagators(eoFleet),
 		frames:   make([]slotFrame, cfg.Horizon),
 		sunlit:   slotRows[bool](cfg.Horizon, len(sats)),
+		planes:   planes,
 		visCache: make(map[visKey][]int),
 	}
 
@@ -500,35 +511,66 @@ func (p *Provider) lazyRow(slot int) []geo.Vec3 {
 }
 
 // visible is the pure visibility computation behind VisibleSats and the
-// per-slot pass: it appends to dst the satellites e sees in slot, given
-// the slot's satellite positions. Endpoint and slot must already be
-// validated.
+// per-slot pass: it appends to dst, in ascending order, the satellites e
+// sees in slot, given the slot's satellite positions. It skips the planes
+// whose orbit never comes within range of e. Endpoint and slot must
+// already be validated.
 func (p *Provider) visible(dst []int, e Endpoint, slot int, sats []geo.Vec3) []int {
-	visible := dst
-	if e.Kind == EndpointGround {
-		obs := p.siteECEF[e.Index]
-		maxSq := p.maxSlantKm * p.maxSlantKm
-		for sat, pos := range sats {
-			if pos.Sub(obs).NormSq() > maxSq {
-				continue
-			}
-			if geo.ElevationDeg(obs, pos) >= p.cfg.MinElevationDeg {
-				visible = append(visible, sat)
-			}
-		}
+	f := &p.frames[slot]
+	ground := e.Kind == EndpointGround
+	var obs geo.Vec3
+	reach := p.cfg.MaxEORangeKm
+	if ground {
+		obs, reach = p.siteECEF[e.Index], p.maxSlantKm
 	} else {
-		obs, _ := p.frames[slot].position(&p.eoProps[e.Index])
-		maxSq := p.cfg.MaxEORangeKm * p.cfg.MaxEORangeKm
-		for sat, pos := range sats {
+		obs, _ = f.position(&p.eoProps[e.Index])
+	}
+	maxSq := reach * reach
+	visible := dst
+	for i := range p.planes {
+		pl := &p.planes[i]
+		if pl.beyond(obs, f.toECEF, reach) {
+			continue
+		}
+		for sat := pl.lo; sat < pl.hi; sat++ {
+			pos := sats[sat]
 			if pos.Sub(obs).NormSq() > maxSq {
 				continue
 			}
-			if geo.LineOfSightClear(obs, pos, 0) {
+			if ground {
+				if geo.ElevationDeg(obs, pos) >= p.cfg.MinElevationDeg {
+					visible = append(visible, sat)
+				}
+			} else if geo.LineOfSightClear(obs, pos, 0) {
 				visible = append(visible, sat)
 			}
 		}
 	}
 	return visible
+}
+
+// orbitPlane is one orbital plane of a Walker shell: satellites [lo, hi)
+// on one circle (Walker orbits are circular) of radius radiusKm about the
+// Earth's centre, with inertial unit normal normal.
+type orbitPlane struct {
+	lo, hi   int
+	normal   geo.Vec3
+	radiusKm float64
+}
+
+// planeMarginKm pads the range a plane is tested against, far beyond the
+// float error of a position or of beyond's distance (under 1e-6 km).
+const planeMarginKm = 1
+
+// beyond reports whether every point of the plane's circle is farther
+// than reach + planeMarginKm from obs, an Earth-fixed position; toECEF is
+// the slot's Earth rotation. The circle's closest point to obs lies
+// toward obs's projection onto the plane, at squared distance
+// |obs|² + r² − 2r·|obs − (obs·n)n|.
+func (pl *orbitPlane) beyond(obs geo.Vec3, toECEF geo.Rotation, reach float64) bool {
+	h, rr, r := obs.Dot(toECEF.Z(pl.normal)), obs.NormSq(), pl.radiusKm
+	limit := reach + planeMarginKm
+	return rr+r*r-2*r*math.Sqrt(math.Max(0, rr-h*h)) > limit*limit
 }
 
 // allEndpoints lists every site and EO satellite.

@@ -541,6 +541,115 @@ func checkVisible(t *testing.T, p *Provider, e Endpoint, slot int, want []int) {
 	}
 }
 
+// fullConfig is the paper's Shell-I preset.
+func fullConfig() Config { return DefaultConfig(testEpoch) }
+
+// TestEveryPlaneIsOneCircle: the planes the visibility scan prunes by
+// tile the satellites in order, and every satellite of a plane is on a
+// circular orbit with the plane's radius and normal — its position in
+// sampled slots lies on that circle to within a micrometre. An eccentric
+// or misgrouped orbit reaching NewProvider fails here.
+func TestEveryPlaneIsOneCircle(t *testing.T) {
+	multi := smallConfig()
+	second := multi.Walker
+	second.Planes, second.SatsPerPlane, second.AltitudeKm, second.InclinationDeg, second.PhasingF = 4, 6, 1100, 70, 1
+	multi.ExtraShells = []orbit.WalkerConfig{second}
+	for _, sc := range []struct {
+		name string
+		cfg  Config
+	}{{"small", smallConfig()}, {"full", fullConfig()}, {"two shells", multi}} {
+		p, err := NewProvider(sc.cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		for _, pl := range p.planes {
+			if pl.lo != next || pl.hi <= pl.lo {
+				t.Fatalf("%s: plane [%d, %d) does not follow satellite %d", sc.name, pl.lo, pl.hi, next)
+			}
+			next = pl.hi
+			for sat := pl.lo; sat < pl.hi; sat++ {
+				e := p.sats[sat].Elements
+				if e.Eccentricity != 0 || e.SemiMajorKm != pl.radiusKm {
+					t.Fatalf("%s: satellite %d (e %v, a %v) is not on its plane's circle of radius %v",
+						sc.name, sat, e.Eccentricity, e.SemiMajorKm, pl.radiusKm)
+				}
+				for slot := 0; slot < p.Horizon(); slot += 7 {
+					pos := p.SatPosECEF(slot, sat)
+					n := p.frames[slot].toECEF.Z(pl.normal)
+					if off, dr := math.Abs(pos.Dot(n)), math.Abs(pos.Norm()-pl.radiusKm); off > 1e-6 || dr > 1e-6 {
+						t.Fatalf("%s: satellite %d at slot %d is %v km off its plane, %v km off its radius",
+							sc.name, sat, slot, off, dr)
+					}
+				}
+			}
+		}
+		if next != p.NumSats() {
+			t.Fatalf("%s: planes cover %d of %d satellites", sc.name, next, p.NumSats())
+		}
+	}
+}
+
+// TestPlanePruningCutsRangeChecks counts the range checks the visibility
+// scan makes at the paper-scale preset — the satellites of every plane
+// beyond does not skip — for the 1 761 paper sites and the EO fleet over
+// the 384 slots. Unpruned, every (endpoint, slot) checks all 1 584
+// satellites; pruned, ground sites check 18.5 % of them and EO
+// satellites 18.0 %.
+func TestPlanePruningCutsRangeChecks(t *testing.T) {
+	all, err := grid.TriangularSites(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites, err := grid.FilterByGDP(all, 1761)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eo, err := orbit.SyntheticEOFleet(orbit.DefaultEOFleetConfig(testEpoch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProvider(fullConfig(), sites, eo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := func(obs geo.Vec3, f *slotFrame, reach float64) int {
+		n := 0
+		for _, pl := range p.planes {
+			if !pl.beyond(obs, f.toECEF, reach) {
+				n += pl.hi - pl.lo
+			}
+		}
+		return n
+	}
+	var ground, space int
+	for slot := 0; slot < p.Horizon(); slot++ {
+		f := &p.frames[slot]
+		for _, obs := range p.siteECEF {
+			ground += checks(obs, f, p.maxSlantKm)
+		}
+		for i := range p.eoProps {
+			obs, _ := f.position(&p.eoProps[i])
+			space += checks(obs, f, p.cfg.MaxEORangeKm)
+		}
+	}
+	for _, c := range []struct {
+		name             string
+		checks           int
+		endpoints        int
+		measured, factor float64
+	}{
+		{"ground", ground, len(sites), 0.1849, 0.19},
+		{"EO", space, len(eo), 0.1801, 0.19},
+	} {
+		frac := float64(c.checks) / float64(p.Horizon()*c.endpoints*p.NumSats())
+		if frac > c.factor {
+			t.Errorf("%s: the scan checks %.4f of the unpruned range checks (measured %.4f), want at most %.2f",
+				c.name, frac, c.measured, c.factor)
+		}
+	}
+}
+
 func TestVisibleSatsConcurrentAccess(t *testing.T) {
 	// The visibility cache must be safe for concurrent readers (bench
 	// harnesses share one provider across runs).
