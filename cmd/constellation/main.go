@@ -57,7 +57,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if err := inspect(stdout, *scaleName, *slot, *siteSpec, *svgOut, *load); err != nil {
+	scale, err := spacebooking.ParseScale(*scaleName)
+	if err != nil {
+		fmt.Fprintf(stderr, "constellation: %v\n", err)
+		return 1
+	}
+	// Checked against the preset, before the constellation is built.
+	if h := scale.Horizon(); *slot < 0 || *slot >= h || *load < 0 {
+		fmt.Fprintf(stderr, "constellation: -slot %d must lie in the %s horizon [0,%d) and -load %v must not be negative\n",
+			*slot, scale, h, *load)
+		fs.Usage()
+		return 2
+	}
+	if err := inspect(stdout, scale, *slot, *siteSpec, *svgOut, *load); err != nil {
 		fmt.Fprintf(stderr, "constellation: %v\n", err)
 		return 1
 	}
@@ -66,11 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // inspect prints the topology report for one slot and, when svgOut is
 // set, writes that slot's map.
-func inspect(out io.Writer, scaleName string, slot int, siteSpec, svgOut string, load float64) error {
-	scale, err := spacebooking.ParseScale(scaleName)
-	if err != nil {
-		return err
-	}
+func inspect(out io.Writer, scale spacebooking.Scale, slot int, siteSpec, svgOut string, load float64) error {
 	lat, lon, err := parseSite(siteSpec)
 	if err != nil {
 		return err
@@ -82,9 +90,6 @@ func inspect(out io.Writer, scaleName string, slot int, siteSpec, svgOut string,
 		return err
 	}
 	prov := env.Provider
-	if slot < 0 || slot >= prov.Horizon() {
-		return fmt.Errorf("slot %d outside horizon [0,%d)", slot, prov.Horizon())
-	}
 	cfg := prov.Config()
 
 	fmt.Fprintf(out, "constellation: %d planes x %d satellites = %d total\n",

@@ -31,15 +31,29 @@ func TestReportAndSVG(t *testing.T) {
 	}
 }
 
+// TestUsageErrors: a bad invocation exits 2 with no report. The -slot and
+// -load rows are checked against the scale's preset before the
+// environment is built, so the paper-scale row costs no propagation.
 func TestUsageErrors(t *testing.T) {
-	for _, args := range [][]string{{"-load", "2"}, {"stray"}, {"-bogus"}} {
+	svg := filepath.Join(t.TempDir(), "never.svg")
+	for _, args := range [][]string{
+		{"-load", "2"}, {"stray"}, {"-bogus"},
+		{"-slot", "-1"},
+		{"-slot", "96"}, // the small horizon is 96 slots
+		{"-scale", "full", "-slot", "999"},
+		{"-scale", "medium", "-slot", "192"},
+		{"-load", "-1", "-svg", svg},
+	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 {
 			t.Errorf("%q: exit %d, stdout %q; want 2 and no report", args, code, out.String())
 		}
 	}
+	if _, err := os.Stat(svg); !os.IsNotExist(err) {
+		t.Errorf("a usage error wrote %s (stat: %v)", svg, err)
+	}
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-slot", "-1"}, &out, &errOut); code != 1 || !strings.Contains(errOut.String(), "outside horizon") {
-		t.Errorf("-slot -1: exit %d, stderr %q", code, errOut.String())
+	if code := run([]string{"-scale", "huge"}, &out, &errOut); code != 1 || !strings.Contains(errOut.String(), "unknown scale") {
+		t.Errorf("-scale huge: exit %d, stderr %q", code, errOut.String())
 	}
 }

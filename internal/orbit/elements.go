@@ -159,6 +159,23 @@ func (p *Propagator) PositionECI(t time.Time) geo.Vec3 {
 	return p.raan.Z(p.inclination.X(p.argPerigee.Z(perifocal)))
 }
 
+// CircularECI is PositionECI's shortcut for a circular orbit, dt seconds
+// after the epoch. With e = 0 the eccentric and true anomalies both equal
+// the mean anomaly θ = M₀ + n·dt, so the position is the perifocal
+// (a·cos θ, a·sin θ, 0) through the same three rotations: one Sincos, and
+// no WrapTwoPi, Atan2 or second Sincos. It agrees with PositionECI to
+// rounding, not bit for bit (under 1e-9 km on a 550 km shell a hundred
+// 384-minute horizons out). An eccentric orbit has no shortcut: ok is
+// false.
+func (p *Propagator) CircularECI(dt float64) (pos geo.Vec3, ok bool) {
+	if p.ecc != 0 {
+		return geo.Vec3{}, false
+	}
+	sin, cos := math.Sincos(p.meanAnomalyRad + p.meanMotionRadS*dt)
+	perifocal := geo.Vec3{X: p.semiMajorKm * cos, Y: p.semiMajorKm * sin}
+	return p.raan.Z(p.inclination.X(p.argPerigee.Z(perifocal))), true
+}
+
 // VelocityECI returns the two-body ECI velocity (km/s) at time t, via a
 // small symmetric finite difference. The simulator itself only needs
 // positions; velocity supports the doppler/contact-time utilities.

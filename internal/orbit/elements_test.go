@@ -274,3 +274,26 @@ func TestAngularMomentumDirectionFixed(t *testing.T) {
 		}
 	}
 }
+
+// TestCircularECIShortcut: a circular orbit's shortcut position is the
+// exact one to rounding, at the epoch and thousands of revolutions out;
+// an eccentric orbit, however slightly, has no shortcut.
+func TestCircularECIShortcut(t *testing.T) {
+	e := circular550(53, 40, 10)
+	prop := e.Propagator()
+	for _, dt := range []float64{0, 60, 5759, 86400, 2.3e6, 3e7} {
+		got, ok := prop.CircularECI(dt)
+		if !ok {
+			t.Fatal("circular orbit reports no shortcut")
+		}
+		want := prop.PositionECI(testEpoch.Add(time.Duration(dt * float64(time.Second))))
+		if d := got.DistanceTo(want); d > 1e-7 {
+			t.Errorf("dt %v s: shortcut %v is %v km from the exact %v", dt, got, d, want)
+		}
+	}
+	e.Eccentricity = 1e-12
+	ecc := e.Propagator()
+	if _, ok := ecc.CircularECI(60); ok {
+		t.Error("eccentric orbit took the circular shortcut")
+	}
+}

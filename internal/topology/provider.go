@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spacebooking/internal/geo"
@@ -118,9 +119,10 @@ type Provider struct {
 
 	// No position is stored: admission reads only the sunlit flags and
 	// the frozen visibility lists, both derived from each slot's positions
-	// while the construction pass has them at hand. frames[slot] keeps
-	// what a position needs besides the orbit, so SatPosECEF and
-	// EndpointECEF recompute one bit for bit (see slotFrame.position).
+	// while the construction pass has them at hand, and equal to what the
+	// exact positions give (see slotRow). frames[slot] keeps what a
+	// position needs besides the orbit, so SatPosECEF and EndpointECEF
+	// recompute one bit for bit (see slotFrame.position).
 	// sunlit[slot][sat] is the eclipse flag; its rows share one backing
 	// array.
 	satProps []orbit.Propagator
@@ -148,11 +150,11 @@ type Provider struct {
 	visCache map[visKey][]int
 
 	// lazy holds the position rows of the last slots a visibility cache
-	// miss propagated, so misses in one slot — a booking's source and
-	// destination, bookings over the same window — propagate it once.
+	// miss filled, so misses in one slot — a booking's source and
+	// destination, bookings over the same window — fill it once.
 	// Guarded by lazyMu, which a miss holds while it reads its row.
 	lazyMu   sync.Mutex
-	lazy     [lazyRows]lazyRow
+	lazy     [lazyRows]slotRow
 	lazyNext int
 }
 
@@ -161,10 +163,31 @@ type Provider struct {
 // bookings arriving around one clock slot.
 const lazyRows = 16
 
-type lazyRow struct {
-	slot int
-	pos  []geo.Vec3 // nil until first used
+// slotRow is one slot's satellite positions as the visibility scan reads
+// them. cheap[sat] is the Earth-fixed position from the circular-orbit
+// shortcut (orbit.Propagator.CircularECI); a test decides from it unless
+// it falls within cheapMarginKm of a threshold. exact[sat] holds
+// slotFrame.position's (ECEF, ECI) pair for the satellites such a test
+// needed, valid where stamp[sat] == slot+1; both stay nil until the first.
+type slotRow struct {
+	slot   int
+	cheap  []geo.Vec3
+	exact  [][2]geo.Vec3
+	stamp  []int
+	exacts int // exact propagations made, for the work-count test
 }
+
+// cheapMarginKm is how far from a threshold (the shadow cylinder, the
+// range limit) a shortcut position must lie for a test to decide from it.
+// The shortcut is within cheapMarginKm/1000 of the exact position over
+// a hundred horizons (TestCheapPositionWithinMargin measures 6.9e-10 km), so
+// a decided test gives the exact position's verdict. cheapMarginDeg is
+// the elevation mask's margin: a position error ε moves the elevation seen
+// from a ground site at least 100 km away by under ε/100 rad.
+const (
+	cheapMarginKm  = 1e-3
+	cheapMarginDeg = 1e-6
+)
 
 // emptyVis marks a frozen slot with no visible satellites: a non-nil
 // sentinel, so the lock-free read path can distinguish "computed empty"
@@ -184,19 +207,24 @@ type slotFrame struct {
 	toECEF geo.Rotation
 }
 
-// position is the one place an Earth-fixed position is made. The
-// construction pass and every on-demand reader call it with the
-// same propagator and frame, so a position read later is bit for bit the
-// one the sunlit flags and visibility lists were derived from. The
-// inertial position comes along for the eclipse test.
+func newSlotFrame(cfg Config, slot int) slotFrame {
+	at := cfg.Walker.Epoch.Add(time.Duration(float64(slot) * cfg.SlotSeconds * float64(time.Second)))
+	return slotFrame{at: at, toECEF: geo.EarthRotation(geo.GMST(at))}
+}
+
+// position is the one place an exact Earth-fixed position is made:
+// every on-demand reader, and the construction pass wherever a shortcut
+// position lies too near a threshold, call it with the same propagator
+// and frame, so the sunlit flags and visibility lists are the ones these
+// positions give. The inertial position comes along for the eclipse test.
 func (f *slotFrame) position(prop *orbit.Propagator) (ecef, eci geo.Vec3) {
 	eci = prop.PositionECI(f.at)
 	return f.toECEF.Z(eci), eci
 }
 
-// NewProvider builds the provider: one pass over the slots propagates
-// every satellite, derives the sunlit flags and freezes the visibility of
-// the endpoints named in freeze (of every site and EO satellite when
+// NewProvider builds the provider: one pass over the slots places every
+// satellite, derives the sunlit flags and freezes the visibility of the
+// endpoints named in freeze (of every site and EO satellite when
 // Config.PrecomputeVisibility is set), then drops the positions. It also
 // builds the +Grid ISL fabric. sites and eoFleet may be empty if the
 // workload does not use the corresponding endpoint kind.
@@ -235,7 +263,7 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite, freez
 			e := shellSats[lo].Elements
 			incl, raan := geo.NewRotation(geo.DegToRad(e.InclinationDeg)), geo.NewRotation(geo.DegToRad(e.RAANDeg))
 			planes = append(planes, orbitPlane{lo: offset + lo, hi: offset + lo + shell.SatsPerPlane,
-				normal: raan.Z(incl.X(geo.Vec3{Z: 1})), radiusKm: e.SemiMajorKm})
+				normal: raan.Z(incl.X(geo.Vec3{Z: 1})), radiusKm: e.SemiMajorKm, epoch: e.Epoch})
 		}
 		sats = append(sats, shellSats...)
 	}
@@ -258,8 +286,7 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite, freez
 		p.siteECEF[i] = geo.LLAToECEF(s.LLA())
 	}
 	for t := range p.frames {
-		at := cfg.Walker.Epoch.Add(time.Duration(float64(t) * cfg.SlotSeconds * float64(time.Second)))
-		p.frames[t] = slotFrame{at: at, toECEF: geo.EarthRotation(geo.GMST(at))}
+		p.frames[t] = newSlotFrame(cfg, t)
 	}
 
 	p.islNeighbors = islNeighbors
@@ -283,18 +310,19 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite, freez
 	return p, nil
 }
 
-// sweep is the per-slot pass. Each worker computes a slot's satellite
-// positions into a row of its own, derives from it the sunlit flags and
-// the visibility of every endpoint in todo, and reuses the row for its
-// next slot: no position outlives the pass.
-func (p *Provider) sweep(todo []Endpoint) {
+// sweep is the per-slot pass. Each worker fills a slot's row of its own,
+// derives from it the sunlit flags and the visibility of every endpoint
+// in todo, and reuses the row for its next slot: no position outlives the
+// pass. It returns how many exact propagations the rows needed.
+func (p *Provider) sweep(todo []Endpoint) int {
+	var exacts atomic.Int64
 	forEachSlot(p.cfg.Horizon, func(lo, hi int) {
-		row := make([]geo.Vec3, len(p.sats))
+		var r slotRow
 		var buf []int
 		for slot := lo; slot < hi; slot++ {
-			p.positions(slot, row, p.sunlit[slot])
+			p.fillRow(&r, slot, p.sunlit[slot])
 			for _, e := range todo {
-				buf = p.visible(buf[:0], e, slot, row)
+				buf = p.visible(buf[:0], e, &r)
 				vis := emptyVis
 				if len(buf) > 0 {
 					vis = slices.Clone(buf) // stored at its length, not append's capacity
@@ -306,24 +334,91 @@ func (p *Provider) sweep(todo []Endpoint) {
 				}
 			}
 		}
+		exacts.Add(int64(r.exacts))
 	})
+	return int(exacts.Load())
 }
 
-// positions writes every satellite's Earth-fixed position in slot into
-// row and, when flags is non-nil, whether it is sunlit.
-func (p *Provider) positions(slot int, row []geo.Vec3, flags []bool) {
+// fillRow makes r slot's row: every satellite's shortcut position and,
+// when flags is non-nil, whether it is sunlit. A flag is decided from the
+// shortcut unless that lies within cheapMarginKm of the shadow cylinder.
+// An eccentric orbit, which has no shortcut, is propagated exactly and
+// its exact position stands in for the shortcut, so every verdict on it
+// is the exact one.
+func (p *Provider) fillRow(r *slotRow, slot int, flags []bool) {
+	if r.cheap == nil {
+		r.cheap = make([]geo.Vec3, len(p.sats))
+	}
+	r.slot = slot
 	f := &p.frames[slot]
 	var sunDir geo.Vec3
 	if flags != nil {
 		sunDir = geo.SunDirectionECI(f.at)
 	}
-	for i := range p.satProps {
-		ecef, eci := f.position(&p.satProps[i])
-		row[i] = ecef
-		if flags != nil {
-			flags[i] = !geo.InUmbra(eci, sunDir)
+	for i := range p.planes {
+		pl := &p.planes[i]
+		dt := f.at.Sub(pl.epoch).Seconds()
+		for sat := pl.lo; sat < pl.hi; sat++ {
+			eci, ok := p.satProps[sat].CircularECI(dt)
+			if !ok {
+				_, eci = p.exact(r, sat)
+			}
+			r.cheap[sat] = f.toECEF.Z(eci)
+			if flags == nil {
+				continue
+			}
+			lit, sure := sunlitVerdict(eci, sunDir)
+			if !sure {
+				_, eci = p.exact(r, sat)
+				lit = !geo.InUmbra(eci, sunDir)
+			}
+			flags[sat] = lit
 		}
 	}
+}
+
+// exact returns sat's exact position in r's slot, propagating it on the
+// first call for the slot.
+func (p *Provider) exact(r *slotRow, sat int) (ecef, eci geo.Vec3) {
+	if r.exact == nil {
+		r.exact = make([][2]geo.Vec3, len(p.sats))
+		r.stamp = make([]int, len(p.sats))
+	}
+	if r.stamp[sat] == r.slot+1 {
+		return r.exact[sat][0], r.exact[sat][1]
+	}
+	ecef, eci = p.frames[r.slot].position(&p.satProps[sat])
+	r.exact[sat], r.stamp[sat] = [2]geo.Vec3{ecef, eci}, r.slot+1
+	r.exacts++
+	return ecef, eci
+}
+
+// Squared radii of the shadow cylinder's margin band.
+const (
+	umbraInnerSq = (geo.EarthRadiusKm - cheapMarginKm) * (geo.EarthRadiusKm - cheapMarginKm)
+	umbraOuterSq = (geo.EarthRadiusKm + cheapMarginKm) * (geo.EarthRadiusKm + cheapMarginKm)
+)
+
+// sunlitVerdict is geo.InUmbra's test, negated, on an inertial position
+// within cheapMarginKm/1000 of the exact one: lit is the exact position's
+// verdict when sure, and sure is false within cheapMarginKm of the
+// shadow cylinder's boundary (the terminator plane or the cylinder wall).
+func sunlitVerdict(eci, sunDir geo.Vec3) (lit, sure bool) {
+	along := eci.Dot(sunDir)
+	if along > cheapMarginKm {
+		return true, true
+	}
+	if along >= -cheapMarginKm {
+		return false, false
+	}
+	perpSq := eci.Sub(sunDir.Scale(along)).NormSq()
+	switch {
+	case perpSq > umbraOuterSq:
+		return true, true
+	case perpSq < umbraInnerSq:
+		return false, true
+	}
+	return false, false
 }
 
 // propagators returns each satellite's propagator, so the per-orbit
@@ -482,7 +577,7 @@ func (p *Provider) VisibleSats(e Endpoint, slot int) ([]int, error) {
 	}
 
 	p.lazyMu.Lock()
-	visible := p.visible(nil, e, slot, p.lazyRow(slot))
+	visible := p.visible(nil, e, p.lazyRow(slot))
 	p.lazyMu.Unlock()
 
 	p.visMu.Lock()
@@ -491,32 +586,29 @@ func (p *Provider) VisibleSats(e Endpoint, slot int) ([]int, error) {
 	return visible, nil
 }
 
-// lazyRow returns slot's satellite positions from the rows of the last
-// lazyRows slots a cache miss asked for, propagating the slot over the
-// oldest of them when it is not among them. Call with lazyMu held.
-func (p *Provider) lazyRow(slot int) []geo.Vec3 {
+// lazyRow returns slot's row from the rows of the last lazyRows slots a
+// cache miss asked for, filling the slot over the oldest of them when it
+// is not among them. Call with lazyMu held.
+func (p *Provider) lazyRow(slot int) *slotRow {
 	for i := range p.lazy {
-		if r := &p.lazy[i]; r.pos != nil && r.slot == slot {
-			return r.pos
+		if r := &p.lazy[i]; r.cheap != nil && r.slot == slot {
+			return r
 		}
 	}
 	r := &p.lazy[p.lazyNext]
 	p.lazyNext = (p.lazyNext + 1) % lazyRows
-	if r.pos == nil {
-		r.pos = make([]geo.Vec3, len(p.sats))
-	}
-	r.slot = slot
-	p.positions(slot, r.pos, nil)
-	return r.pos
+	p.fillRow(r, slot, nil)
+	return r
 }
 
 // visible is the pure visibility computation behind VisibleSats and the
 // per-slot pass: it appends to dst, in ascending order, the satellites e
-// sees in slot, given the slot's satellite positions. It skips the planes
-// whose orbit never comes within range of e. Endpoint and slot must
-// already be validated.
-func (p *Provider) visible(dst []int, e Endpoint, slot int, sats []geo.Vec3) []int {
-	f := &p.frames[slot]
+// sees in r's slot. It skips the planes whose orbit never comes within
+// range of e, decides each remaining satellite from its shortcut position
+// where visTest.cheap is sure, and from its exact position otherwise.
+// The endpoint must already be validated.
+func (p *Provider) visible(dst []int, e Endpoint, r *slotRow) []int {
+	f := &p.frames[r.slot]
 	ground := e.Kind == EndpointGround
 	var obs geo.Vec3
 	reach := p.cfg.MaxEORangeKm
@@ -525,7 +617,7 @@ func (p *Provider) visible(dst []int, e Endpoint, slot int, sats []geo.Vec3) []i
 	} else {
 		obs, _ = f.position(&p.eoProps[e.Index])
 	}
-	maxSq := reach * reach
+	test := newVisTest(obs, ground, reach, p.cfg.MinElevationDeg)
 	visible := dst
 	for i := range p.planes {
 		pl := &p.planes[i]
@@ -533,15 +625,12 @@ func (p *Provider) visible(dst []int, e Endpoint, slot int, sats []geo.Vec3) []i
 			continue
 		}
 		for sat := pl.lo; sat < pl.hi; sat++ {
-			pos := sats[sat]
-			if pos.Sub(obs).NormSq() > maxSq {
-				continue
+			vis, sure := test.cheap(r.cheap[sat])
+			if !sure {
+				pos, _ := p.exact(r, sat)
+				vis = test.exact(pos)
 			}
-			if ground {
-				if geo.ElevationDeg(obs, pos) >= p.cfg.MinElevationDeg {
-					visible = append(visible, sat)
-				}
-			} else if geo.LineOfSightClear(obs, pos, 0) {
+			if vis {
 				visible = append(visible, sat)
 			}
 		}
@@ -549,13 +638,75 @@ func (p *Provider) visible(dst []int, e Endpoint, slot int, sats []geo.Vec3) []i
 	return visible
 }
 
+// visTest is one observer's visibility test in one slot: a satellite is
+// visible within reach of obs and, from a ground site, at or above the
+// elevation mask or, from space, with clear line of sight.
+type visTest struct {
+	obs                    geo.Vec3
+	ground                 bool
+	maskDeg                float64
+	reachSq, nearSq, farSq float64
+	// up is obs's unit vector; the cheap test compares the sine of the
+	// elevation with those of the mask ± cheapMarginDeg.
+	up                 geo.Vec3
+	sinAbove, sinBelow float64
+}
+
+func newVisTest(obs geo.Vec3, ground bool, reach, maskDeg float64) visTest {
+	near, far := reach-cheapMarginKm, reach+cheapMarginKm
+	return visTest{
+		obs: obs, ground: ground, maskDeg: maskDeg,
+		reachSq: reach * reach, nearSq: near * near, farSq: far * far,
+		up:       obs.Unit(),
+		sinAbove: math.Sin(geo.DegToRad(maskDeg + cheapMarginDeg)),
+		sinBelow: math.Sin(geo.DegToRad(maskDeg - cheapMarginDeg)),
+	}
+}
+
+// exact is the test on an exact Earth-fixed position.
+func (v *visTest) exact(pos geo.Vec3) bool {
+	if pos.Sub(v.obs).NormSq() > v.reachSq {
+		return false
+	}
+	if v.ground {
+		return geo.ElevationDeg(v.obs, pos) >= v.maskDeg
+	}
+	return geo.LineOfSightClear(v.obs, pos, 0)
+}
+
+// cheap is the test on a position within cheapMarginKm/1000 of the exact
+// one: vis is the exact position's verdict when sure. It is sure beyond
+// reach + cheapMarginKm, and, from a ground site, within reach −
+// cheapMarginKm at an elevation more than cheapMarginDeg from the mask.
+// Line of sight from space is never decided here.
+func (v *visTest) cheap(pos geo.Vec3) (vis, sure bool) {
+	los := pos.Sub(v.obs)
+	dSq := los.NormSq()
+	if dSq > v.farSq {
+		return false, true
+	}
+	if !v.ground || dSq >= v.nearSq {
+		return false, false
+	}
+	// NaN (pos on obs) fails both comparisons and is left to exact.
+	switch sinEl := v.up.Dot(los) / math.Sqrt(dSq); {
+	case sinEl > v.sinAbove:
+		return true, true
+	case sinEl < v.sinBelow:
+		return false, true
+	}
+	return false, false
+}
+
 // orbitPlane is one orbital plane of a Walker shell: satellites [lo, hi)
 // on one circle (Walker orbits are circular) of radius radiusKm about the
-// Earth's centre, with inertial unit normal normal.
+// Earth's centre, with inertial unit normal normal, sharing the element
+// epoch epoch.
 type orbitPlane struct {
 	lo, hi   int
 	normal   geo.Vec3
 	radiusKm float64
+	epoch    time.Time
 }
 
 // planeMarginKm pads the range a plane is tested against, far beyond the

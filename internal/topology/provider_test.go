@@ -570,9 +570,9 @@ func TestEveryPlaneIsOneCircle(t *testing.T) {
 			next = pl.hi
 			for sat := pl.lo; sat < pl.hi; sat++ {
 				e := p.sats[sat].Elements
-				if e.Eccentricity != 0 || e.SemiMajorKm != pl.radiusKm {
-					t.Fatalf("%s: satellite %d (e %v, a %v) is not on its plane's circle of radius %v",
-						sc.name, sat, e.Eccentricity, e.SemiMajorKm, pl.radiusKm)
+				if e.Eccentricity != 0 || e.SemiMajorKm != pl.radiusKm || !e.Epoch.Equal(pl.epoch) {
+					t.Fatalf("%s: satellite %d (e %v, a %v, epoch %v) is not on its plane's circle of radius %v from %v",
+						sc.name, sat, e.Eccentricity, e.SemiMajorKm, e.Epoch, pl.radiusKm, pl.epoch)
 				}
 				for slot := 0; slot < p.Horizon(); slot += 7 {
 					pos := p.SatPosECEF(slot, sat)

@@ -33,6 +33,8 @@
 #
 # Raw `#result` lines of every run are kept in
 # .bench_build/pair/WORKLOAD.traceN.results (side, seed, order, JSON).
+# Every table row is also appended to results/trajectory.jsonl as one
+# JSON line (format at the top of EXPERIMENTS.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,6 +48,10 @@ SEEDS="${3:-1 2 3 4 5 6 7 8 9 10}"
 TRACE="${TRACE:-0}"
 
 REF_HASH="$(git rev-parse --verify --short "$REF^{commit}")"
+HEAD_HASH="$(git rev-parse --short HEAD)"
+DIRTY=false
+if [[ -n "$(git status --porcelain --untracked-files=no)" ]]; then DIRTY=true; fi
+TRAJECTORY=results/trajectory.jsonl
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 mkdir -p "$WORK/ref" .bench_build/pair
@@ -53,8 +59,12 @@ git archive "$REF_HASH" | tar -x -C "$WORK/ref"
 
 RESULTS=".bench_build/pair/$WORKLOAD.trace$TRACE.results"
 VALUES="$WORK/values" # side seed metric value
+CALIB="$WORK/calib"   # side seed calib_ms_before
+NOISY="$WORK/noisy"   # one line per run flagged noisy
 : >"$RESULTS"
 : >"$VALUES"
+: >"$CALIB"
+: >"$NOISY"
 
 # run_side SIDE DIR SEED ORDER: one benchmark run; appends its metrics.
 run_side() {
@@ -68,11 +78,15 @@ run_side() {
   echo "$side $seed $order $(sed -n 's/^#result //p' <<<"$out")" >>"$RESULTS"
   # Metric rows of the printed report: two leading spaces, name, value, unit.
   awk -v side="$side" -v seed="$seed" '/^  [a-z_.0-9]+ +[-0-9.e+]+ / { print side, seed, $1, $2 }' <<<"$out" >>"$VALUES"
+  sed -n 's/^#result .*"calib_ms_before":\([-0-9.e+]*\).*/'"$side $seed"' \1/p' <<<"$out" >>"$CALIB"
   printf 'run  seed %-3s %-6s (%s)' "$seed" "$side" "$order"
   if [[ "$TRACE" == 0 ]]; then
     awk -v side="$side" -v seed="$seed" '$1 == side && $2 == seed { printf "  %s=%s", $3, $4 }' "$VALUES"
   fi
-  if grep -q '^note  run flagged noisy' <<<"$out"; then printf '  [noisy]'; fi
+  if grep -q '^note  run flagged noisy' <<<"$out"; then
+    printf '  [noisy]'
+    echo "$side $seed" >>"$NOISY"
+  fi
   printf '\n'
 }
 
@@ -93,7 +107,9 @@ done
 sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([^"]*\)".*/\1 \2/p' BENCHMARK.json >"$WORK/better"
 
 echo
-awk '
+mkdir -p "$(dirname "$TRAJECTORY")"
+awk -v ref="$REF_HASH" -v head="$HEAD_HASH" -v dirty="$DIRTY" -v workload="$WORKLOAD" -v trace="$TRACE" \
+  -v noisy="$(wc -l <"$NOISY")" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v traj="$TRAJECTORY" '
   function sortvals(a, n,    i, j, t) {
     for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j+1] = a[j]; a[j+1] = t }
   }
@@ -105,7 +121,15 @@ awk '
     d = i * m - j * 4
     return (a[j] * (4 - d) + a[j+1] * d) / 4
   }
+  function calibmedian(side,    a, i, n) {
+    n = ncal[side]
+    if (n == 0) return "null"
+    for (i = 1; i <= n; i++) a[i] = cal[side, i]
+    sortvals(a, n)
+    return sprintf("%.6g", median(a, n))
+  }
   FILENAME ~ /better$/ { better[$1] = $2; next }
+  FILENAME ~ /calib$/ { cal[$1, ++ncal[$1]] = $3; next }
   {
     side = $1; seed = $2; m = $3
     if (!(m in seen)) { seen[m] = 1; order[++nm] = m }
@@ -127,8 +151,9 @@ awk '
       sortvals(p, np); sortvals(c, nc)
       pm = median(p, np); cm = median(c, nc)
       q1 = quartile(p, np, 1); q3 = quartile(p, np, 3)
+      cq1 = quartile(c, nc, 1); cq3 = quartile(c, nc, 3)
       ps = sprintf("%.6g [%.6g, %.6g]", pm, q1, q3)
-      cs = sprintf("%.6g [%.6g, %.6g]", cm, quartile(c, nc, 1), quartile(c, nc, 3))
+      cs = sprintf("%.6g [%.6g, %.6g]", cm, cq1, cq3)
       ratio = pm != 0 ? sprintf("%.3f", cm / pm) : "-"
       # gain: how far the median moved in the better direction.
       gain = better[m] == "higher" ? cm - pm : pm - cm
@@ -137,8 +162,14 @@ awk '
       else if (10 * won >= 9 * np && gain > q3 - q1) verdict = "resolved"
       else if (10 * lost >= 9 * np && -gain > q3 - q1) verdict = "resolved-worse"
       printf "%-38s %-34s %-34s %8s  %-17s %s\n", m, ps, cs, ratio, sprintf("%d/%d (lost %d)", won, np, lost), verdict
+      printf "{\"date\":\"%s\",\"ref\":\"%s\",\"head\":\"%s\",\"dirty\":%s,\"workload\":\"%s\",\"trace\":%d,\"metric\":\"%s\",\"pairs\":%d," \
+        "\"parent\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g,\"calib_ms_before\":%s}," \
+        "\"change\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g,\"calib_ms_before\":%s}," \
+        "\"won\":%d,\"lost\":%d,\"verdict\":\"%s\",\"noisy_runs\":%d}\n",
+        date, ref, head, dirty, workload, trace, m, np, pm, q1, q3, calibmedian("parent"), cm, cq1, cq3, calibmedian("change"),
+        won, lost, verdict, noisy >>traj
     }
   }
-' "$WORK/better" "$VALUES"
+' "$WORK/better" "$CALIB" "$VALUES"
 echo
-echo "bench_pair: raw results in $RESULTS"
+echo "bench_pair: raw results in $RESULTS; table rows appended to $TRAJECTORY"

@@ -64,6 +64,16 @@ func (s Scale) String() string {
 	}
 }
 
+// Horizon returns the number of slots the scale simulates, read from its
+// preset without building anything; 0 for an invalid scale.
+func (s Scale) Horizon() int {
+	d, err := scalePreset(s, DefaultEpoch)
+	if err != nil {
+		return 0
+	}
+	return d.topo.Horizon
+}
+
 // ParseScale converts a name ("small", "medium", "full") into a Scale.
 func ParseScale(name string) (Scale, error) {
 	switch name {
