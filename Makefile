@@ -99,8 +99,9 @@ bench-pair:
 	done
 
 # End-to-end serving smoke: build spaced + spaceload, run a short burst
-# against a live daemon, assert accepts, probe the hot-spot telemetry
-# endpoints, and require a clean SIGTERM drain; then repeat against an
+# against a live daemon, assert accepts, find the hot-spot trackers in
+# /metrics.json and render one `spacestat top -once` frame, and require a
+# clean SIGTERM drain; then repeat against an
 # arrival-driven clock (-clock-rate 0: the clock must follow spaceload's
 # declared slots).
 smoke-spaced:

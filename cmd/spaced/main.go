@@ -17,8 +17,13 @@
 //	       [-clock-rate R] [-queue-depth N] [-batch-size B]
 //	       [-valuation V] [-f1 F] [-f2 F]
 //	       [-trace] [-trace-sample P] [-slow-ms D] [-audit-log FILE]
-//	       [-hotspots=true|false] [-hotspot-k K]
-//	       [-drain-timeout D] [-report run.json]
+//	       [-hotspot-k K] [-drain-timeout D] [-report run.json]
+//
+// The listener serves the telemetry beside the booking API: /metrics
+// (Prometheus), /metrics.json (the registry snapshot, whole: counters,
+// histograms, per-slot time series and the top-K hot-spot trackers of
+// -hotspot-k entries each, 0 = off; `spacestat top` renders them live),
+// /debug/pprof/ and /v1/stats (the service's own state).
 //
 // Tracing is off by default and free when off. Any of -trace,
 // -trace-sample > 0 or -audit-log enables it: every admission decision
@@ -27,12 +32,17 @@
 // records — head-sampled at -trace-sample, plus every shed, rejected,
 // errored or slower-than -slow-ms request — carry the full per-phase
 // timeline.
+//
+// Every option is checked before the environment is built: a usage
+// error exits 2 with nothing on stdout.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -49,56 +59,83 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address for the booking API and debug endpoints")
-	scaleName := flag.String("scale", "small", "experiment scale: small, medium or full")
-	algName := flag.String("alg", "CEAR", "algorithm: CEAR, SSP, ECARS, ERU, ERA, CEAR-NE, CEAR-AA, CEAR-LIN, CEAR-AD")
-	clockRate := flag.Float64("clock-rate", 1, "simulated slots per wall second (0 = as fast as requests arrive)")
-	queueDepth := flag.Int("queue-depth", 256, "ingress queue bound; a full queue sheds with 'overloaded'")
-	batchSize := flag.Int("batch-size", 32, "max queued bookings admitted per engine pass")
-	valuation := flag.Float64("valuation", 0, "default request valuation ρ (0 = scale default)")
-	f1 := flag.Float64("f1", 1, "bandwidth conservativeness parameter F1")
-	f2 := flag.Float64("f2", 1, "energy conservativeness parameter F2")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to drain queued bookings on shutdown")
-	reportFile := flag.String("report", "", "write a machine-readable JSON run report after the drain")
-	traceOn := flag.Bool("trace", false, "enable request tracing even with no sampling and no audit log")
-	traceSample := flag.Float64("trace-sample", 0, "head-sampling probability [0,1] for full phase timelines (also enables tracing)")
-	slowMs := flag.Float64("slow-ms", 25, "latency SLO objective; slower traced requests are always sampled")
-	auditLog := flag.String("audit-log", "", "stream one JSON audit record per admission decision to this file (also enables tracing)")
-	hotspots := flag.Bool("hotspots", true, "track per-entity hot spots (links, batteries, source cells) behind /v1/hotspots and /debug/dash")
-	hotspotK := flag.Int("hotspot-k", 32, "entries per hot-spot tracker (bounded cardinality)")
-	showVersion := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spaced", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:8080", "listen address for the booking API and debug endpoints")
+	scaleName := fs.String("scale", "small", "experiment scale: small, medium or full")
+	algName := fs.String("alg", "CEAR", "algorithm: CEAR, SSP, ECARS, ERU, ERA, CEAR-NE, CEAR-AA, CEAR-LIN, CEAR-AD")
+	clockRate := fs.Float64("clock-rate", 1, "simulated slots per wall second (0 = as fast as requests arrive)")
+	queueDepth := fs.Int("queue-depth", 256, "ingress queue bound; a full queue sheds with 'overloaded'")
+	batchSize := fs.Int("batch-size", 32, "max queued bookings admitted per engine pass")
+	valuation := fs.Float64("valuation", 0, "default request valuation ρ (0 = scale default)")
+	f1 := fs.Float64("f1", 1, "bandwidth conservativeness parameter F1")
+	f2 := fs.Float64("f2", 1, "energy conservativeness parameter F2")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to drain queued bookings on shutdown")
+	reportFile := fs.String("report", "", "write a machine-readable JSON run report after the drain")
+	traceOn := fs.Bool("trace", false, "enable request tracing even with no sampling and no audit log")
+	traceSample := fs.Float64("trace-sample", 0, "head-sampling probability [0,1] for full phase timelines (also enables tracing)")
+	slowMs := fs.Float64("slow-ms", 25, "latency SLO objective in milliseconds; slower traced requests are always sampled")
+	auditLog := fs.String("audit-log", "", "stream one JSON audit record per admission decision to this file (also enables tracing)")
+	hotspotK := fs.Int("hotspot-k", 32, "entries per hot-spot tracker (links, batteries, source cells) in /metrics.json; 0 turns tracking off")
+	showVersion := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *showVersion {
-		fmt.Println(buildinfo.Line("spaced"))
+		fmt.Fprintln(stdout, buildinfo.Line("spaced"))
 		return 0
+	}
+
+	usage := func(err error) int {
+		fmt.Fprintf(stderr, "spaced: %v\n", err)
+		fs.Usage()
+		return 2
+	}
+	slowNs := *slowMs * float64(time.Millisecond)
+	switch {
+	case fs.NArg() > 0:
+		return usage(fmt.Errorf("unexpected arguments %q", fs.Args()))
+	case !(*traceSample >= 0 && *traceSample <= 1):
+		return usage(fmt.Errorf("-trace-sample %g outside [0,1]", *traceSample))
+	case !(slowNs >= 0 && slowNs < math.MaxInt64):
+		return usage(fmt.Errorf("-slow-ms %g must be a finite, non-negative duration", *slowMs))
+	case *hotspotK < 0:
+		return usage(fmt.Errorf("-hotspot-k %d must not be negative (0 turns tracking off)", *hotspotK))
+	case *queueDepth < 0 || *batchSize < 0:
+		return usage(fmt.Errorf("-queue-depth %d and -batch-size %d must not be negative", *queueDepth, *batchSize))
+	case !(*valuation >= 0):
+		return usage(fmt.Errorf("-valuation %g must not be negative (0 = scale default)", *valuation))
+	}
+	params, err := pricing.Derive(*f1, *f2, 20, 10)
+	if err != nil {
+		return usage(err)
+	}
+	scale, err := spacebooking.ParseScale(*scaleName)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	alg, err := sim.ParseAlgorithm(*algName)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	scale, err := spacebooking.ParseScale(*scaleName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	alg, err := sim.ParseAlgorithm(*algName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-
 	// A daemon is always observed: the registry feeds /metrics,
-	// /timeseries.json and the shutdown report.
+	// /metrics.json and the shutdown report.
 	reg := obs.New()
 
-	fmt.Printf("building %s environment...\n", scale)
+	fmt.Fprintf(stdout, "building %s environment...\n", scale)
 	env, err := spacebooking.NewEnvironment(spacebooking.EnvConfig{Scale: scale})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	if *valuation == 0 {
@@ -108,28 +145,14 @@ func run() int {
 	wl.Valuation = *valuation
 	rc, err := env.RunConfig(alg, wl)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	rc.Obs = reg
-	if *hotspots {
-		if *hotspotK < 1 {
-			fmt.Fprintf(os.Stderr, "spaced: -hotspot-k %d must be positive\n", *hotspotK)
-			return 1
-		}
-		rc.HotspotK = *hotspotK
-	}
-	rc.Pricing, err = pricing.Derive(*f1, *f2, 20, 10)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
+	rc.HotspotK = *hotspotK
+	rc.Pricing = params
 
-	if *traceSample < 0 || *traceSample > 1 {
-		fmt.Fprintf(os.Stderr, "spaced: -trace-sample %g outside [0,1]\n", *traceSample)
-		return 1
-	}
-	slowThreshold := time.Duration(*slowMs * float64(time.Millisecond))
+	slowThreshold := time.Duration(slowNs)
 	srv, err := server.New(server.Config{
 		Provider:   env.Provider,
 		Run:        rc,
@@ -145,17 +168,17 @@ func run() int {
 		SLO: server.SLOConfig{LatencyObjective: slowThreshold},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 
 	// One listener carries the booking API and the obs debug surface
-	// (/debug/pprof/, /metrics, /metrics.json, /timeseries.json).
+	// (/debug/pprof/, /metrics, /metrics.json).
 	mux := obs.NewDebugMux(reg)
 	srv.Register(mux)
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	// A client gets seconds to send a request (a booking is < 1 KiB) and
@@ -176,32 +199,32 @@ func run() int {
 	if *clockRate > 0 {
 		clockDesc = fmt.Sprintf("%.3g slots/s", *clockRate)
 	}
-	fmt.Printf("spaced listening on http://%s/\n", lis.Addr())
-	fmt.Printf("  algorithm   %s\n", srv.Algorithm())
-	fmt.Printf("  scale       %s (%d satellites, horizon %d slots)\n", scale, env.Provider.NumSats(), srv.Horizon())
-	fmt.Printf("  slot clock  %s\n", clockDesc)
-	fmt.Printf("  ingress     queue %d, batch %d\n", *queueDepth, *batchSize)
+	fmt.Fprintf(stdout, "spaced listening on http://%s/\n", lis.Addr())
+	fmt.Fprintf(stdout, "  algorithm   %s\n", srv.Algorithm())
+	fmt.Fprintf(stdout, "  scale       %s (%d satellites, horizon %d slots)\n", scale, env.Provider.NumSats(), srv.Horizon())
+	fmt.Fprintf(stdout, "  slot clock  %s\n", clockDesc)
+	fmt.Fprintf(stdout, "  ingress     queue %d, batch %d\n", *queueDepth, *batchSize)
 	if *traceOn || *traceSample > 0 || *auditLog != "" {
 		auditDesc := "in-memory only"
 		if *auditLog != "" {
 			auditDesc = *auditLog
 		}
-		fmt.Printf("  tracing     sample %.3g, slow %.3gms, audit %s\n", *traceSample, *slowMs, auditDesc)
+		fmt.Fprintf(stdout, "  tracing     sample %.3g, slow %.3gms, audit %s\n", *traceSample, *slowMs, auditDesc)
 	}
-	if *hotspots {
-		fmt.Printf("  hotspots    top-%d trackers at /v1/hotspots, dashboard at /debug/dash\n", *hotspotK)
+	if *hotspotK > 0 {
+		fmt.Fprintf(stdout, "  hotspots    top-%d trackers in /metrics.json, live view: spacestat top\n", *hotspotK)
 	}
-	fmt.Printf("send SIGINT or SIGTERM to drain and stop\n")
+	fmt.Fprintln(stdout, "send SIGINT or SIGTERM to drain and stop")
 
 	select {
 	case err := <-serveErr:
-		fmt.Fprintf(os.Stderr, "spaced: http server: %v\n", err)
+		fmt.Fprintf(stderr, "spaced: http server: %v\n", err)
 		return 1
 	case <-ctx.Done():
 	}
 	stop() // a second signal kills immediately
 
-	fmt.Printf("draining (up to %v)...\n", *drainTimeout)
+	fmt.Fprintf(stdout, "draining (up to %v)...\n", *drainTimeout)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	drainErr := srv.Shutdown(drainCtx)
@@ -210,21 +233,19 @@ func run() int {
 	defer cancelHTTP()
 	_ = httpSrv.Shutdown(httpCtx)
 	if drainErr != nil {
-		fmt.Fprintf(os.Stderr, "spaced: %v\n", drainErr)
+		fmt.Fprintf(stderr, "spaced: %v\n", drainErr)
 		return 1
 	}
 
 	res, err := srv.Result()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	st := srv.StatsSnapshot()
-	fmt.Printf("drained: %d bookings (%d accepted, %d rejected, %d shed), revenue %.4g, welfare ratio %.4f\n",
+	fmt.Fprintf(stdout, "drained: %d bookings (%d accepted, %d rejected, %d shed), revenue %.4g, welfare ratio %.4f\n",
 		st.Total, st.Accepted, st.Rejected, st.Shed, res.Revenue, res.WelfareRatio)
-	if *hotspots {
-		server.SummarizeHotspots(srv.HotspotsSnapshot(), os.Stdout)
-	}
+	server.SummarizeHotspots(reg.Snapshot().TopK, stdout)
 
 	if *reportFile != "" {
 		rep := obs.NewReport("spaced")
@@ -238,7 +259,7 @@ func run() int {
 		rep.SetConfig("trace_sample", *traceSample)
 		rep.SetConfig("slow_ms", *slowMs)
 		rep.SetConfig("audit_log", *auditLog)
-		rep.SetConfig("hotspot_k", rc.HotspotK)
+		rep.SetConfig("hotspot_k", *hotspotK)
 		rep.SetMetric("requests_total", float64(st.Total))
 		rep.SetMetric("requests_accepted", float64(st.Accepted))
 		rep.SetMetric("requests_rejected", float64(st.Rejected))
@@ -254,10 +275,10 @@ func run() int {
 		rep.SetSLO(srv.SLOSnapshots())
 		rep.Finish(reg)
 		if err := obs.WriteReportFile(*reportFile, rep); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fmt.Printf("report written to %s\n", *reportFile)
+		fmt.Fprintf(stdout, "report written to %s\n", *reportFile)
 	}
 	return 0
 }

@@ -159,7 +159,7 @@ func lookup(rep *obs.Report, key string) (float64, bool) {
 		if !ok {
 			return 0, false
 		}
-		ts, exists := rep.TimeSeries[name]
+		ts, exists := rep.Observability.TimeSeries[name]
 		if !exists {
 			return 0, false
 		}
@@ -175,7 +175,7 @@ func lookup(rep *obs.Report, key string) (float64, bool) {
 		if !ok {
 			return 0, false
 		}
-		tk, exists := rep.Hotspots[name]
+		tk, exists := rep.Observability.TopK[name]
 		if !exists {
 			return 0, false
 		}
@@ -326,7 +326,7 @@ func printDiff(w io.Writer, oldRep, newRep *obs.Report) {
 
 	tsRows := func(rep *obs.Report) map[string]float64 {
 		out := make(map[string]float64)
-		for name, ts := range rep.TimeSeries {
+		for name, ts := range rep.Observability.TimeSeries {
 			out[name+".last"] = ts.Last()
 		}
 		return out
@@ -335,7 +335,7 @@ func printDiff(w io.Writer, oldRep, newRep *obs.Report) {
 
 	hotRows := func(rep *obs.Report) map[string]float64 {
 		out := make(map[string]float64)
-		for name, tk := range rep.Hotspots {
+		for name, tk := range rep.Observability.TopK {
 			out[name+".total"] = tk.Total
 		}
 		return out

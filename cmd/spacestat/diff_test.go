@@ -30,9 +30,12 @@ func sampleReport(slowdown float64) *obs.Report {
 		Phases: []obs.PhaseSnapshot{
 			{Name: "admission", Count: 1, TotalSeconds: 0.5 * slowdown},
 		},
-	}
-	rep.TimeSeries = map[string]obs.SeriesSnapshot{
-		"slot.revenue_cum": {Capacity: 96, Total: 96, Slots: []int64{94, 95}, Values: []float64{10, 12}},
+		TimeSeries: map[string]obs.SeriesSnapshot{
+			"slot.revenue_cum": {Capacity: 96, Total: 96, Slots: []int64{94, 95}, Values: []float64{10, 12}},
+		},
+		TopK: map[string]obs.TopKSnapshot{
+			"sim.hotspots.src_rejected": {K: 32, Mode: "sum", Total: 4},
+		},
 	}
 	return rep
 }
@@ -64,6 +67,7 @@ func TestSelfCompareExitsZero(t *testing.T) {
 		"metrics:", "welfare_ratio", "counters:", "graph.dijkstra.heap_pops",
 		"histogram quantiles:", "sim.slot_seconds.p95", "phases:",
 		"timeseries final values:", "slot.revenue_cum.last",
+		"hotspot totals:", "sim.hotspots.src_rejected.total",
 		"obsdiff: ok",
 	} {
 		if !strings.Contains(out, want) {
@@ -101,7 +105,7 @@ func TestSlotTimeRegressionExitsNonZero(t *testing.T) {
 func TestExplicitGates(t *testing.T) {
 	oldRep := sampleReport(1)
 	newRep := sampleReport(1)
-	newRep.TimeSeries["slot.revenue_cum"] = obs.SeriesSnapshot{
+	newRep.Observability.TimeSeries["slot.revenue_cum"] = obs.SeriesSnapshot{
 		Capacity: 96, Total: 96, Slots: []int64{95}, Values: []float64{20},
 	}
 	oldPath := writeReport(t, "old.json", oldRep)
@@ -174,13 +178,14 @@ func TestParsePct(t *testing.T) {
 func TestLookupPaths(t *testing.T) {
 	rep := sampleReport(1)
 	for key, want := range map[string]float64{
-		"welfare_ratio":                     0.84,
-		"metrics.welfare_ratio":             0.84,
-		"counters.graph.dijkstra.heap_pops": 1000,
-		"histograms.sim.slot_seconds.p99":   0.02,
-		"phases.admission.total_seconds":    0.5,
-		"timeseries.slot.revenue_cum.last":  12,
-		"timeseries.slot.revenue_cum.total": 96,
+		"welfare_ratio":                            0.84,
+		"metrics.welfare_ratio":                    0.84,
+		"counters.graph.dijkstra.heap_pops":        1000,
+		"histograms.sim.slot_seconds.p99":          0.02,
+		"phases.admission.total_seconds":           0.5,
+		"timeseries.slot.revenue_cum.last":         12,
+		"timeseries.slot.revenue_cum.total":        96,
+		"hotspots.sim.hotspots.src_rejected.total": 4,
 	} {
 		got, ok := lookup(rep, key)
 		if !ok || got != want {

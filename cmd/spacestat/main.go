@@ -52,9 +52,10 @@
 // load errors (including mixed report versions).
 //
 // top is a top(1)-style viewer for a running spaced daemon: it polls
-// GET /v1/hotspots and renders the ranked hot ISLs, batteries and source
-// cells, with per-interval deltas so a moving hot spot stands out from a
-// historically hot one. -once prints one snapshot without clearing the
+// GET /v1/stats (the header) and GET /metrics.json (the registry's topk
+// section and rejection counters) and renders the ranked hot ISLs,
+// batteries and source cells, with per-interval deltas so a moving hot
+// spot stands out from a historically hot one. -once prints one snapshot without clearing the
 // screen (scripts and CI); otherwise it redraws every -interval until
 // interrupted.
 //

@@ -11,8 +11,10 @@ import (
 	"syscall"
 	"time"
 
+	"spacebooking/internal/netstate"
 	"spacebooking/internal/obs"
 	"spacebooking/internal/server"
+	"spacebooking/internal/sim"
 )
 
 // runTop is `spacestat top`: a live view of a daemon's hot spots.
@@ -32,9 +34,9 @@ func runTop(c *cmd, args []string) int {
 	}
 
 	client := &http.Client{Timeout: 10 * time.Second}
-	url := strings.TrimRight(*addr, "/") + "/v1/hotspots"
+	base := strings.TrimRight(*addr, "/")
 
-	cur, err := fetch(client, url)
+	cur, err := poll(client, base)
 	if err != nil {
 		return c.fail(1, err)
 	}
@@ -55,34 +57,54 @@ func runTop(c *cmd, args []string) int {
 			fmt.Fprintln(c.stdout)
 			return 0
 		case <-ticker.C:
-			next, err := fetch(client, url)
+			next, err := poll(client, base)
 			if err != nil {
 				// A draining/restarting daemon is normal; keep the last
 				// frame and note the error below it.
 				fmt.Fprintf(c.stdout, "\n%s: %v (retrying)\n", c.fs.Name(), err)
 				continue
 			}
-			render(c.stdout, next, prev, *topN, true)
+			render(c.stdout, next, &prev, *topN, true)
 			prev = next
 		}
 	}
 }
 
-// fetch pulls and decodes one hot-spot snapshot.
-func fetch(client *http.Client, url string) (*server.HotspotsResponse, error) {
+// frame is one poll of the daemon: the service header from /v1/stats and
+// the registry from /metrics.json.
+type frame struct {
+	stats server.Stats
+	reg   obs.RegistrySnapshot
+}
+
+// poll fetches one frame.
+func poll(client *http.Client, base string) (frame, error) {
+	stats, err := fetch[server.Stats](client, base+"/v1/stats")
+	if err != nil {
+		return frame{}, err
+	}
+	reg, err := fetch[obs.RegistrySnapshot](client, base+"/metrics.json")
+	if err != nil {
+		return frame{}, err
+	}
+	return frame{stats: stats, reg: reg}, nil
+}
+
+// fetch GETs url and decodes its JSON body.
+func fetch[T any](client *http.Client, url string) (T, error) {
+	var v T
 	resp, err := client.Get(url)
 	if err != nil {
-		return nil, err
+		return v, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
+		return v, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	var h server.HotspotsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return nil, fmt.Errorf("GET %s: decode: %w", url, err)
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		return v, fmt.Errorf("GET %s: decode: %w", url, err)
 	}
-	return &h, nil
+	return v, nil
 }
 
 // valuesByKey indexes a tracker snapshot for the delta column.
@@ -96,45 +118,37 @@ func valuesByKey(tk obs.TopKSnapshot) map[uint64]float64 {
 
 // render paints one frame. prev, when non-nil, supplies the previous
 // frame so each row shows its delta over the poll interval.
-func render(out io.Writer, h, prev *server.HotspotsResponse, topN int, clear bool) {
+func render(out io.Writer, f frame, prev *frame, topN int, clear bool) {
 	if clear {
 		// ANSI: home cursor + clear screen, so unchanged rows repaint in
 		// place instead of scrolling.
 		fmt.Fprint(out, "\x1b[H\x1b[2J")
 	}
-	fmt.Fprintf(out, "spacetop — slot %d, uptime %.0fs", h.Slot, h.UptimeSeconds)
-	if !h.Enabled {
+	topk := f.reg.TopK
+	fmt.Fprintf(out, "spacetop — slot %d, uptime %.0fs", f.stats.Slot, f.stats.UptimeSeconds)
+	if _, ok := topk[netstate.TrackerLinkRejections]; !ok {
 		fmt.Fprint(out, "  [hot-spot tracking DISABLED on the daemon]")
 	}
 	fmt.Fprintln(out)
 	fmt.Fprintf(out, "rejections: congested %d (per-link total %.0f), depleted %d (per-battery total %.0f)\n\n",
-		h.RejectedCongested, h.Links.Total, h.RejectedDepleted, h.Batteries.Total)
+		f.reg.Counters["sim.requests.rejected_congested"], topk[netstate.TrackerLinkRejections].Total,
+		f.reg.Counters["sim.requests.rejected_depleted"], topk[netstate.TrackerBatteryRejections].Total)
 
-	// A zero previous frame keeps the section wiring declarative; the
-	// delta column still shows only when there was a previous frame.
-	hasPrev := prev != nil
-	if !hasPrev {
-		prev = &server.HotspotsResponse{}
-	}
-	sections := []struct {
-		title  string
-		cur    obs.TopKSnapshot
-		prev   obs.TopKSnapshot
-		valFmt string
-	}{
-		{"HOT LINKS (congestion rejections)", h.Links, prev.Links, "%.0f"},
-		{"LINK UTILIZATION (max committed)", h.LinkUtilization, prev.LinkUtilization, "%.3f"},
-		{"HOT BATTERIES (depletion rejections)", h.Batteries, prev.Batteries, "%.0f"},
-		{"BATTERY DEPTH-OF-DISCHARGE (max committed)", h.BatteryDoD, prev.BatteryDoD, "%.3f"},
-		{"SOURCE CELLS (rejected)", h.SrcRejected, prev.SrcRejected, "%.0f"},
-		{"SOURCE CELLS (accepted)", h.SrcAccepted, prev.SrcAccepted, "%.0f"},
+	sections := []struct{ title, tracker, valFmt string }{
+		{"HOT LINKS (congestion rejections)", netstate.TrackerLinkRejections, "%.0f"},
+		{"LINK UTILIZATION (max committed)", netstate.TrackerLinkUtil, "%.3f"},
+		{"HOT BATTERIES (depletion rejections)", netstate.TrackerBatteryRejections, "%.0f"},
+		{"BATTERY DEPTH-OF-DISCHARGE (max committed)", netstate.TrackerBatteryDoD, "%.3f"},
+		{"SOURCE CELLS (rejected)", sim.TrackerSrcRejected, "%.0f"},
+		{"SOURCE CELLS (accepted)", sim.TrackerSrcAccepted, "%.0f"},
 	}
 	for _, sec := range sections {
+		// The delta column shows only when there was a previous frame.
 		var prevVals map[uint64]float64
-		if hasPrev {
-			prevVals = valuesByKey(sec.prev)
+		if prev != nil {
+			prevVals = valuesByKey(prev.reg.TopK[sec.tracker])
 		}
-		table(out, sec.title, sec.cur, prevVals, topN, sec.valFmt)
+		table(out, sec.title, topk[sec.tracker], prevVals, topN, sec.valFmt)
 	}
 }
 

@@ -7,24 +7,34 @@ import (
 	"strings"
 	"testing"
 
+	"spacebooking/internal/netstate"
 	"spacebooking/internal/obs"
 	"spacebooking/internal/server"
 )
 
-// TestTopOnce renders one frame from a stub daemon's /v1/hotspots.
+// TestTopOnce renders one frame from a stub daemon's /v1/stats and
+// /metrics.json.
 func TestTopOnce(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/hotspots" {
+		var body any
+		switch r.URL.Path {
+		case "/v1/stats":
+			body = server.Stats{Slot: 7, UptimeSeconds: 12.4}
+		case "/metrics.json":
+			body = obs.RegistrySnapshot{
+				Counters: map[string]int64{"sim.requests.rejected_congested": 9},
+				TopK: map[string]obs.TopKSnapshot{
+					netstate.TrackerLinkRejections: {Total: 9, Entries: []obs.TopKEntry{
+						{Key: 1, Label: "12->13", Value: 6}, {Key: 2, Value: 3},
+					}},
+					netstate.TrackerBatteryDoD: {Entries: []obs.TopKEntry{{Key: 5, Label: "sat 5", Value: 0.25}}},
+				},
+			}
+		default:
 			http.NotFound(w, r)
 			return
 		}
-		json.NewEncoder(w).Encode(server.HotspotsResponse{
-			Enabled: true, Slot: 7, UptimeSeconds: 12.4, RejectedCongested: 9,
-			Links: obs.TopKSnapshot{Total: 9, Entries: []obs.TopKEntry{
-				{Key: 1, Label: "12->13", Value: 6}, {Key: 2, Value: 3},
-			}},
-			BatteryDoD: obs.TopKSnapshot{Entries: []obs.TopKEntry{{Key: 5, Label: "sat 5", Value: 0.25}}},
-		})
+		json.NewEncoder(w).Encode(body)
 	}))
 	defer srv.Close()
 

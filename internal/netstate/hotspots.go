@@ -44,6 +44,15 @@ type dodPend struct {
 	slot int
 }
 
+// Names of the four trackers EnableHotspots registers: their keys in a
+// registry snapshot's topk section.
+const (
+	TrackerLinkRejections    = "netstate.hotspots.link_rejections"
+	TrackerLinkUtil          = "netstate.hotspots.link_util"
+	TrackerBatteryRejections = "energy.hotspots.battery_rejections"
+	TrackerBatteryDoD        = "energy.hotspots.battery_dod"
+)
+
 // EnableHotspots attaches the per-entity top-K trackers, each bounded
 // to k entries (k <= 0 disables). Like EnableTraceDetail this is
 // opt-in and separate from SetObs: every admission then pays a few
@@ -56,10 +65,10 @@ func (s *State) EnableHotspots(reg *obs.Registry, k int) {
 	}
 	h := &s.hot
 	h.enabled = true
-	h.linkRejections = reg.TopK("netstate.hotspots.link_rejections", k, obs.TopKSum)
-	h.linkUtil = reg.TopK("netstate.hotspots.link_util", k, obs.TopKMax)
-	h.batteryRejections = reg.TopK("energy.hotspots.battery_rejections", k, obs.TopKSum)
-	h.batteryDoD = reg.TopK("energy.hotspots.battery_dod", k, obs.TopKMax)
+	h.linkRejections = reg.TopK(TrackerLinkRejections, k, obs.TopKSum)
+	h.linkUtil = reg.TopK(TrackerLinkUtil, k, obs.TopKMax)
+	h.batteryRejections = reg.TopK(TrackerBatteryRejections, k, obs.TopKSum)
+	h.batteryDoD = reg.TopK(TrackerBatteryDoD, k, obs.TopKMax)
 	h.linkRejections.SetLabeler(linkLabel)
 	h.linkUtil.SetLabeler(linkLabel)
 	h.batteryRejections.SetLabeler(satLabel)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -34,8 +33,8 @@ type regHolder struct {
 func (h *regHolder) get() *Registry { return h.p.Load() }
 
 // NewDebugMux builds the handler tree: /debug/pprof/*, /metrics.json
-// (expvar-style snapshot), /metrics (Prometheus text exposition) and
-// /timeseries.json (per-slot telemetry). Exposed separately so embedding
+// (the registry snapshot, whole) and /metrics (the same snapshot as
+// Prometheus text exposition). Exposed separately so embedding
 // applications can mount it on their own server.
 func NewDebugMux(reg *Registry) *http.ServeMux {
 	h := &regHolder{}
@@ -66,28 +65,6 @@ func newDebugMux(holder *regHolder) *http.ServeMux {
 	mux.HandleFunc("/metrics", withReg(func(w http.ResponseWriter, reg *Registry) {
 		serveBuffered(w, PromContentType, reg.WriteProm)
 	}))
-	mux.HandleFunc("/timeseries.json", withReg(func(w http.ResponseWriter, reg *Registry) {
-		serveBuffered(w, "application/json", func(out io.Writer) error {
-			ts := reg.Snapshot().TimeSeries
-			if ts == nil {
-				ts = map[string]SeriesSnapshot{}
-			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			return enc.Encode(ts)
-		})
-	}))
-	mux.HandleFunc("/hotspots.json", withReg(func(w http.ResponseWriter, reg *Registry) {
-		serveBuffered(w, "application/json", func(out io.Writer) error {
-			tk := reg.Snapshot().TopK
-			if tk == nil {
-				tk = map[string]TopKSnapshot{}
-			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			return enc.Encode(tk)
-		})
-	}))
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" {
 			http.NotFound(w, req)
@@ -103,11 +80,10 @@ func newDebugMux(holder *regHolder) *http.ServeMux {
 
 // debugIndex is the plain-text landing page of the debug mux.
 const debugIndex = `spacebooking debug server
-  /metrics          Prometheus text exposition
-  /metrics.json     registry snapshot
-  /timeseries.json  per-slot telemetry
-  /hotspots.json    top-K entity trackers
-  /debug/pprof/     live profiles
+  /metrics        Prometheus text exposition
+  /metrics.json   registry snapshot: counters, gauges, histograms, phases,
+                  per-slot timeseries, top-K trackers
+  /debug/pprof/   live profiles
 `
 
 // serveBuffered renders the whole body before touching the response, so

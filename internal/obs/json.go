@@ -7,9 +7,9 @@ import (
 )
 
 // RegistrySnapshot is the expvar-style point-in-time view of a registry:
-// every counter, gauge, histogram and phase by name. It is the payload
-// of both WriteJSON (the live /metrics.json endpoint) and the run
-// report's observability section.
+// every counter, gauge, histogram, phase, time series and top-K tracker
+// by name. It is the payload of both WriteJSON (the live /metrics.json
+// endpoint) and the run report's observability section, whole in both.
 type RegistrySnapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`

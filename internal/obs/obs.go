@@ -15,10 +15,12 @@
 //     are mutex-guarded but only touched at handle-creation time, never
 //     on the hot path. `go test -race` must stay clean with concurrent
 //     writers and snapshot readers.
-//  3. Machine-readable. Registry.WriteJSON emits an expvar-style JSON
-//     snapshot (served live at /metrics.json by the debug server), and
-//     Report packages a whole run — config echo, phase wall-times,
-//     counters, histograms, result metrics — as a diffable artifact.
+//  3. Machine-readable, in one shape. Registry.WriteJSON emits one
+//     expvar-style JSON snapshot — counters, gauges, histograms, phases,
+//     per-slot time series and top-K trackers — served whole at
+//     /metrics.json by the debug server (/metrics renders the same
+//     snapshot for Prometheus), and Report packages a whole run — config
+//     echo, result metrics and that snapshot — as a diffable artifact.
 package obs
 
 import (

@@ -11,8 +11,10 @@ import (
 // incompatibly, so downstream diff tooling (spacestat diff) can refuse
 // mixed versions. Version 2 added the top-level timeseries section;
 // version 3 added the slo section and the p999 histogram quantile;
-// version 4 added the hotspots section (top-K entity trackers).
-const ReportVersion = 4
+// version 4 added the hotspots section (top-K entity trackers);
+// version 5 moved both back: observability holds the registry snapshot
+// whole, in the shape /metrics.json serves it.
+const ReportVersion = 5
 
 // Report is the machine-readable end-of-run artifact written by
 // `spacebench run -report run.json` (and the figure subcommands): the
@@ -29,20 +31,14 @@ type Report struct {
 	// Metrics holds the final scalar results (welfare ratio, revenue,
 	// accepted counts, rejection counts by reason, ...).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// TimeSeries holds the run's per-slot telemetry (accepted/rejected
-	// counts, cumulative revenue, depletion/congestion levels, slot wall
-	// time) — enough to redraw a Fig. 7-style trajectory without a trace.
-	TimeSeries map[string]SeriesSnapshot `json:"timeseries,omitempty"`
 	// SLO holds the per-class service-level snapshots (latency
 	// objective attainment and error-budget burn) for tools that track
 	// them, like the spaced serving daemon. Schema v3.
 	SLO []SLOSnapshot `json:"slo,omitempty"`
-	// Hotspots holds the end-of-run top-K entity trackers (hot ISLs,
-	// depleted batteries, source grid cells) keyed by tracker name.
-	// Schema v4.
-	Hotspots map[string]TopKSnapshot `json:"hotspots,omitempty"`
-	// Observability is the registry snapshot at the end of the run
-	// (time series excluded: they live in the TimeSeries section).
+	// Observability is the registry snapshot at the end of the run,
+	// whole: counters, gauges, histograms, phases, the per-slot time
+	// series (enough to redraw a Fig. 7-style trajectory without a trace)
+	// and the top-K entity trackers — the document /metrics.json serves.
 	Observability RegistrySnapshot `json:"observability"`
 }
 
@@ -65,18 +61,9 @@ func (rep *Report) SetMetric(key string, value float64) { rep.Metrics[key] = val
 // SetSLO records the per-class service-level snapshots.
 func (rep *Report) SetSLO(classes []SLOSnapshot) { rep.SLO = classes }
 
-// Finish captures the registry into the report: the per-slot telemetry
-// becomes the timeseries section, the top-K trackers the hotspots
-// section, and everything else the observability section. A nil
-// registry leaves them empty.
-func (rep *Report) Finish(r *Registry) {
-	snap := r.Snapshot()
-	rep.TimeSeries = snap.TimeSeries
-	snap.TimeSeries = nil
-	rep.Hotspots = snap.TopK
-	snap.TopK = nil
-	rep.Observability = snap
-}
+// Finish captures the registry snapshot into the observability section.
+// A nil registry leaves it empty.
+func (rep *Report) Finish(r *Registry) { rep.Observability = r.Snapshot() }
 
 // WriteReport writes the report as indented JSON.
 func WriteReport(w io.Writer, rep *Report) error {

@@ -17,6 +17,8 @@ func TestReportRoundTrip(t *testing.T) {
 	reg.Histogram("sim.slot_seconds", []float64{0.001, 0.01, 0.1}).Observe(0.004)
 	sp := reg.StartPhase("admission")
 	sp.End()
+	reg.Sampler(4).Series("slot.accepted").Record(0, 3)
+	reg.TopK("sim.hotspots.src_rejected", 4, TopKSum).Add(42, 2)
 
 	rep := NewReport("cearsim")
 	rep.SetConfig("scale", "small")

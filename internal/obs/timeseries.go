@@ -8,7 +8,8 @@ const DefaultSeriesCapacity = 4096
 
 // Series is one named metric's fixed-capacity ring buffer of
 // (slot, value) samples — the building block of the per-slot telemetry
-// behind /timeseries.json and the run report's timeseries section.
+// in the registry snapshot's timeseries section (/metrics.json and the
+// run report's observability).
 // Capacity is fixed at creation, so recording never allocates: once the
 // ring is full the oldest sample is overwritten and Dropped grows. A nil
 // *Series is a valid no-op instrument.

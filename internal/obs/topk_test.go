@@ -203,15 +203,12 @@ func TestReportCarriesHotspots(t *testing.T) {
 	r.TopK("sim.hotspots.src_rejected", 4, TopKSum).Add(42, 2)
 	rep := NewReport("test")
 	rep.Finish(r)
-	if rep.Version != 4 {
-		t.Fatalf("report version = %d, want 4", rep.Version)
+	if rep.Version != 5 {
+		t.Fatalf("report version = %d, want 5", rep.Version)
 	}
-	tk, ok := rep.Hotspots["sim.hotspots.src_rejected"]
+	tk, ok := rep.Observability.TopK["sim.hotspots.src_rejected"]
 	if !ok || tk.Total != 2 {
-		t.Fatalf("report hotspots = %+v", rep.Hotspots)
-	}
-	if rep.Observability.TopK != nil {
-		t.Fatal("trackers must move to the hotspots section, not stay in observability")
+		t.Fatalf("report topk = %+v", rep.Observability.TopK)
 	}
 
 	// Round-trips through the writer/reader pair.
@@ -223,28 +220,23 @@ func TestReportCarriesHotspots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Hotspots["sim.hotspots.src_rejected"].Total != 2 {
-		t.Fatalf("round-tripped hotspots = %+v", back.Hotspots)
+	if back.Observability.TopK["sim.hotspots.src_rejected"].Total != 2 {
+		t.Fatalf("round-tripped topk = %+v", back.Observability.TopK)
 	}
 }
 
-func TestDebugMuxHotspotsEndpoint(t *testing.T) {
+func TestDebugMuxMetricsJSONTopK(t *testing.T) {
 	r := New()
 	r.TopK("hot", 4, TopKSum).Add(1, 5)
-	rec := get(t, NewDebugMux(r), "/hotspots.json")
+	rec := get(t, NewDebugMux(r), "/metrics.json")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var tks map[string]TopKSnapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &tks); err != nil {
+	var snap RegistrySnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("body not JSON: %v", err)
 	}
-	if tks["hot"].Total != 5 {
-		t.Fatalf("hotspots body = %+v", tks)
-	}
-	// A registry without trackers serves an empty object, not null.
-	rec = get(t, NewDebugMux(New()), "/hotspots.json")
-	if got := strings.TrimSpace(rec.Body.String()); got != "{}" {
-		t.Fatalf("empty registry body = %q, want {}", got)
+	if tk := snap.TopK["hot"]; tk.Total != 5 || tk.K != 4 || tk.Mode != "sum" || len(tk.Entries) != 1 {
+		t.Fatalf("topk section = %+v", snap.TopK)
 	}
 }

@@ -127,7 +127,7 @@ const maxBookBodyBytes = 64 << 10
 
 // Register mounts the booking API on mux. The caller typically passes
 // obs.NewDebugMux's mux so /v1/* rides alongside /debug/pprof/,
-// /metrics and /timeseries.json on one listener.
+// /metrics and /metrics.json on one listener.
 func (s *Server) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/book", s.handleBook)
 	mux.HandleFunc("GET /v1/reservations/{id}", s.handleReservation)
@@ -135,10 +135,6 @@ func (s *Server) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /debug/traces.json", s.handleRecentTraces)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/config", s.handleConfig)
-	mux.HandleFunc("GET /v1/hotspots", s.handleHotspots)
-	mux.HandleFunc("GET /debug/constellation.json", s.handleConstellation)
-	mux.HandleFunc("GET /debug/map.svg", s.handleMapSVG)
-	mux.HandleFunc("GET /debug/dash", s.handleDash)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 }
 

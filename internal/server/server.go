@@ -213,9 +213,8 @@ type Server struct {
 
 	// Stats mirrors, so /v1/stats never touches engine internals from
 	// another goroutine and reads the same with or without an obs
-	// registry. The engine goroutine maintains the first five, enqueue
+	// registry. The engine goroutine maintains the first four, enqueue
 	// the last two.
-	statSlot     atomic.Int64
 	statTotal    atomic.Int64
 	statAccepted atomic.Int64
 	statRejected atomic.Int64
@@ -296,7 +295,6 @@ func New(cfg Config) (*Server, error) {
 		s.probe = newEngineProbe(reg)
 		eng.EnableTraceDetail()
 	}
-	s.statSlot.Store(-1)
 	go s.engineLoop()
 	return s, nil
 }
@@ -473,7 +471,6 @@ func (s *Server) admitOne(p *pending) {
 		arrival = cur
 	}
 	s.clock.observe(arrival)
-	s.statSlot.Store(int64(arrival))
 
 	start := arrival
 	if p.start != nil && *p.start > arrival {

@@ -88,7 +88,8 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := http.NewServeMux()
+	// Mounted as spaced mounts it: the booking API on the obs debug mux.
+	mux := obs.NewDebugMux(cfg.Run.Obs)
 	s.Register(mux)
 	hs := httptest.NewServer(mux)
 	t.Cleanup(func() {

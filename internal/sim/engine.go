@@ -69,6 +69,14 @@ type Engine struct {
 	finished   bool
 }
 
+// Names of the two source-cell trackers NewEngine registers when
+// RunConfig.HotspotK > 0: their keys in a registry snapshot's topk
+// section.
+const (
+	TrackerSrcAccepted = "sim.hotspots.src_accepted"
+	TrackerSrcRejected = "sim.hotspots.src_rejected"
+)
+
 // NewEngine builds the algorithm and its backing state and prepares the
 // admission accumulators. The RunConfig's Workload is used only for
 // algorithm configuration (e.g. the adaptive predictor's arrival rate)
@@ -108,8 +116,8 @@ func NewEngine(prov *topology.Provider, rc RunConfig) (*Engine, error) {
 	if rc.HotspotK > 0 && rc.Obs != nil {
 		state.EnableHotspots(rc.Obs, rc.HotspotK)
 		e.hotEnabled = state.HotspotsEnabled()
-		e.hotSrcAccepted = rc.Obs.TopK("sim.hotspots.src_accepted", rc.HotspotK, obs.TopKSum)
-		e.hotSrcRejected = rc.Obs.TopK("sim.hotspots.src_rejected", rc.HotspotK, obs.TopKSum)
+		e.hotSrcAccepted = rc.Obs.TopK(TrackerSrcAccepted, rc.HotspotK, obs.TopKSum)
+		e.hotSrcRejected = rc.Obs.TopK(TrackerSrcRejected, rc.HotspotK, obs.TopKSum)
 		e.hotSrcAccepted.SetLabeler(srcCellLabel)
 		e.hotSrcRejected.SetLabeler(srcCellLabel)
 		e.ctrRejCongested = rc.Obs.Counter("sim.requests.rejected_congested")

@@ -499,9 +499,6 @@ func (p *Provider) Horizon() int { return p.cfg.Horizon }
 // Satellites returns the broadband satellite list (do not modify).
 func (p *Provider) Satellites() []orbit.Satellite { return p.sats }
 
-// Sites returns the ground-site list (do not modify).
-func (p *Provider) Sites() []grid.Site { return p.sites }
-
 // SatPosECEF returns the Earth-fixed position of a satellite in a slot,
 // computed on demand: one propagation and one rotation.
 func (p *Provider) SatPosECEF(slot, sat int) geo.Vec3 {

@@ -2,10 +2,9 @@
 # smoke_spaced.sh — end-to-end serving smoke, the CI gate for the
 # booking daemon: build spaced and spaceload, start the daemon at small
 # scale, fire a short closed-loop burst, assert a non-zero accept count,
-# probe the hot-spot telemetry surface (/v1/hotspots,
-# /debug/constellation.json, /debug/map.svg, one `spacestat top -once`
-# frame), then verify a clean SIGTERM drain (daemon exits 0 and logs its
-# drained summary).
+# probe the telemetry (the hot-spot trackers in /metrics.json, one
+# `spacestat top -once` frame), then verify a clean SIGTERM drain (daemon
+# exits 0 and logs its drained summary).
 #
 # A second pass runs the daemon on the arrival-driven clock
 # (-clock-rate 0): spaceload must pin its generated slots so the clock
@@ -38,23 +37,14 @@ ERRORS="$(sed -n 's/.*errors=\([0-9]*\).*/\1/p' <<<"$SUMMARY")"
 [[ "${ACCEPTED:-0}" -gt 0 ]] || { echo "smoke_spaced: zero accepted bookings ($SUMMARY)" >&2; exit 1; }
 [[ "${ERRORS:-1}" -eq 0 ]] || { echo "smoke_spaced: client errors during burst ($SUMMARY)" >&2; exit 1; }
 
-# Hot-spot telemetry surface: the JSON endpoints must report tracking
-# enabled and the map must be a well-formed SVG document.
-HOTSPOTS="$(curl -fsS "http://$ADDR/v1/hotspots")"
-grep -q '"enabled": *true' <<<"$HOTSPOTS" || { echo "smoke_spaced: /v1/hotspots not enabled: $HOTSPOTS" >&2; exit 1; }
-grep -q '"links"' <<<"$HOTSPOTS" || { echo "smoke_spaced: /v1/hotspots missing links tracker" >&2; exit 1; }
-
-CONSTELLATION="$(curl -fsS "http://$ADDR/debug/constellation.json")"
-grep -q '"satellites"' <<<"$CONSTELLATION" || { echo "smoke_spaced: /debug/constellation.json missing satellites" >&2; exit 1; }
-
-MAPSVG="$(curl -fsS "http://$ADDR/debug/map.svg")"
-grep -q '<svg' <<<"$MAPSVG" || { echo "smoke_spaced: /debug/map.svg is not SVG" >&2; exit 1; }
-grep -q '</svg>' <<<"$MAPSVG" || { echo "smoke_spaced: /debug/map.svg is truncated" >&2; exit 1; }
-# The terminal viewer renders one frame from the live daemon.
+# Telemetry: the registry snapshot carries the hot-spot trackers, and
+# the terminal viewer renders one frame from the live daemon.
+METRICS="$(curl -fsS "http://$ADDR/metrics.json")"
+grep -q '"netstate.hotspots.link_rejections"' <<<"$METRICS" || { echo "smoke_spaced: /metrics.json has no netstate.hotspots.link_rejections tracker" >&2; exit 1; }
 TOP="$("$WORK/spacestat" top -once -addr "http://$ADDR")"
 grep -q '^spacetop — slot [0-9]*, uptime' <<<"$TOP" || { echo "smoke_spaced: spacestat top printed no header: $TOP" >&2; exit 1; }
 grep -q '^HOT LINKS (congestion rejections)' <<<"$TOP" || { echo "smoke_spaced: spacestat top printed no link table: $TOP" >&2; exit 1; }
-echo "smoke_spaced: hot-spot endpoints OK"
+echo "smoke_spaced: telemetry OK"
 
 # Graceful drain: SIGTERM must produce an exit-0 daemon that logged the
 # drained summary.
