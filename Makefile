@@ -61,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzEachLine$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzFilterByGDP$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/topology -run '^$$' -fuzz '^FuzzTwoTierDecision$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # benchmark/ is a Go module of its own, so `go build ./... && go test
 # ./...` never compiles it and an internal/ API break stays invisible
@@ -108,7 +109,7 @@ smoke-spaced:
 	./scripts/smoke_spaced.sh
 
 # End-to-end scenario smoke: validate the checked-in example specs,
-# record a spec-driven `spacebench run`, replay it, assert the two traces
+# trace a spec-driven `spacebench run`, replay it, assert the two traces
 # are byte-identical, then run the Erlang-B analytical twin (must
 # PASS within tolerance).
 scenario-smoke:
@@ -116,8 +117,10 @@ scenario-smoke:
 
 # End-to-end tracing smoke: boot spaced with -trace-sample 1 and an
 # audit log, fire spaceload, assert /debug/traces.json answers with
-# records, the drained audit log is valid JSONL (spacestat audit), and
-# the report's server.trace.* counters are live (spacestat diff gates).
+# records, the drained audit log is valid JSONL (spacestat trace -min 1)
+# and replays to the same accepted count and revenue (spacebench run
+# -replay), and the report's server.trace.* counters are live
+# (spacestat diff gates).
 trace-smoke:
 	./scripts/trace_smoke.sh
 

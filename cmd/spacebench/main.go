@@ -1,6 +1,6 @@
 // Command spacebench reproduces the paper's evaluation section (§VI) on
 // one Environment: "run" makes a single run with one admission algorithm
-// (optionally spec-driven, recorded or replayed), and each figure
+// (optionally spec-driven or replayed), and each figure
 // subcommand regenerates one figure; "all" runs the whole evaluation.
 //
 // Usage:
@@ -8,7 +8,7 @@
 //	spacebench run [-scale small|medium|full]
 //	        [-alg CEAR|SSP|ECARS|ERU|ERA|CEAR-NE|CEAR-AA|CEAR-LIN|CEAR-AD]
 //	        [-rate R] [-seed N] [-valuation V] [-f1 F] [-f2 F]
-//	        [-spec scenario.json] [-record] [-replay recorded.jsonl]
+//	        [-spec scenario.json] [-replay decisions.jsonl]
 //	        [-trace decisions.jsonl] [-report run.json]
 //	        [-debug-addr 127.0.0.1:6060]
 //	spacebench [-scale small|medium|full] [-seed N] [-seeds K]
@@ -19,10 +19,11 @@
 // run prints the full result: welfare, revenue, rejection breakdown, and
 // compact textual time series of the Fig. 7/8 metrics. -spec drives the
 // run from a declarative scenario spec instead of the flat paper
-// workload. -record (with -trace) writes every admitted request into the
-// trace, making it a complete recording; -replay runs such a recording
-// back through the engine, reproducing every decision, price and Result
-// byte-identically.
+// workload. -trace writes one decision record per request — the request
+// exactly as admitted, the decision and its commit index — so the trace
+// is a complete recording; -replay runs such a file, or a spaced
+// -audit-log (the same record), back through the engine in commit order,
+// reproducing every decision, price and Result byte-identically.
 //
 // FIGURE is one of: fig6, fig7, fig8, fig9, ablate, adaptive,
 // competitive, all. The extra "scenario" figure runs the -spec workload

@@ -39,7 +39,7 @@ func TestRejectsBeforeBuilding(t *testing.T) {
 		{[]string{"run", "-bogus"}, 2, "usage: spacebench run"},
 		{[]string{"run", "extra"}, 2, "usage: spacebench run"},
 		{[]string{"run", "-spec", "a.json", "-replay", "b.jsonl"}, 1, "spacebench run: -spec and -replay are mutually exclusive"},
-		{[]string{"run", "-record"}, 1, "spacebench run: -record requires -trace"},
+		{[]string{"run", "-record"}, 2, "usage: spacebench run"}, // -trace alone records
 		{[]string{"run", "-alg", "DIJKSTRA"}, 1, "CEAR"},
 		{[]string{"run", "-scale", "full", "-spec", missing}, 1, "spacebench run: "},
 		{[]string{"run", "-scale", "full", "-replay", missing}, 1, "spacebench run: "},
@@ -68,7 +68,7 @@ func TestVersion(t *testing.T) {
 func TestRecordReplay(t *testing.T) {
 	dir := t.TempDir()
 	recorded, replayed := filepath.Join(dir, "recorded.jsonl"), filepath.Join(dir, "replayed.jsonl")
-	code, recOut, errOut := runBench(t, "run", "-scale", "small", "-spec", "../../specs/smoke.json", "-record", "-trace", recorded)
+	code, recOut, errOut := runBench(t, "run", "-scale", "small", "-spec", "../../specs/smoke.json", "-trace", recorded)
 	if code != 0 {
 		t.Fatalf("record: exit %d: %s", code, errOut)
 	}

@@ -34,9 +34,8 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	valuation := fs.Float64("valuation", 0, "request valuation ρ (0 = scale default)")
 	f1 := fs.Float64("f1", 1, "bandwidth conservativeness parameter F1")
 	f2 := fs.Float64("f2", 1, "energy conservativeness parameter F2")
-	record := fs.Bool("record", false, "record every admitted request into the trace (requires -trace)")
-	replayFile := fs.String("replay", "", "replay a recorded trace instead of generating a workload")
-	traceFile := fs.String("trace", "", "write a JSON-lines decision trace to this file")
+	replayFile := fs.String("replay", "", "replay the decisions of a -trace file or a spaced -audit-log instead of generating a workload")
+	traceFile := fs.String("trace", "", "write a JSON-lines decision trace (replayable with -replay) to this file")
 	if code, ok := o.parse(fs, args, stdout); !ok {
 		return code
 	}
@@ -47,9 +46,6 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	failed := func(err error) int { return fail(stderr, name, 1, err) }
 	if o.spec != "" && *replayFile != "" {
 		return failed(errors.New("-spec and -replay are mutually exclusive"))
-	}
-	if *record && *traceFile == "" {
-		return failed(errors.New("-record requires -trace"))
 	}
 	scale, err := spacebooking.ParseScale(o.scale)
 	if err != nil {
@@ -137,7 +133,6 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 		specName = replayName
 		sourceReqs = replayed
 	}
-	rc.RecordRequests = *record
 
 	var tw *trace.Writer
 	if *traceFile != "" {
@@ -224,8 +219,9 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// readRecording reads a trace written with -record and returns the
-// requests it holds and the recorded spec name.
+// readRecording reads a decision trace or an audit log and returns the
+// requests its decisions admitted, in commit order, and the recorded spec
+// name.
 func readRecording(path string) ([]workload.Request, string, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -26,12 +26,15 @@
 // /debug/pprof/ and /v1/stats (the service's own state).
 //
 // Tracing is off by default and free when off. Any of -trace,
-// -trace-sample > 0 or -audit-log enables it: every admission decision
-// then produces an audit record (queryable at /v1/requests/{id}/trace
-// and /debug/traces.json, streamed to -audit-log as JSONL), and sampled
+// -trace-sample > 0 or -audit-log enables it: every booking then produces
+// one audit record (queryable at /v1/requests/{id}/trace and
+// /debug/traces.json, streamed to -audit-log as JSONL), and sampled
 // records — head-sampled at -trace-sample, plus every shed, rejected,
 // errored or slower-than -slow-ms request — carry the full per-phase
-// timeline.
+// timeline. The record is the decision record `spacebench run -trace`
+// writes, plus the serving fields: `spacestat trace` summarises the log,
+// and `spacebench run -replay` replays it in commit order (its seq) to
+// the same decisions.
 //
 // Every option is checked before the environment is built: a usage
 // error exits 2 with nothing on stdout.
@@ -79,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceOn := fs.Bool("trace", false, "enable request tracing even with no sampling and no audit log")
 	traceSample := fs.Float64("trace-sample", 0, "head-sampling probability [0,1] for full phase timelines (also enables tracing)")
 	slowMs := fs.Float64("slow-ms", 25, "latency SLO objective in milliseconds; slower traced requests are always sampled")
-	auditLog := fs.String("audit-log", "", "stream one JSON audit record per admission decision to this file (also enables tracing)")
+	auditLog := fs.String("audit-log", "", "stream one decision record per booking to this file, replayable with spacebench run -replay (also enables tracing)")
 	hotspotK := fs.Int("hotspot-k", 32, "entries per hot-spot tracker (links, batteries, source cells) in /metrics.json; 0 turns tracking off")
 	showVersion := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {

@@ -49,7 +49,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,6 +60,7 @@ import (
 	"spacebooking/internal/scenario"
 	"spacebooking/internal/server"
 	"spacebooking/internal/topology"
+	"spacebooking/internal/trace"
 	"spacebooking/internal/workload"
 )
 
@@ -183,10 +183,10 @@ func run() int {
 	breakdown := fetchPhaseBreakdown(client, *addr, lg.idPrefix)
 	if breakdown != nil {
 		fmt.Printf("\nserver-side phases (%d audit records, %d with timelines):\n",
-			breakdown.records, breakdown.sampled)
-		for _, ph := range breakdown.phases {
+			breakdown.Total, breakdown.Sampled)
+		for _, ph := range breakdown.Phases {
 			fmt.Printf("  %-16s mean %8.3f ms  max %8.3f ms  (%d spans)\n",
-				ph.name, 1e3*ph.meanSec(), 1e3*ph.maxSec, ph.count)
+				ph.Name, ph.MeanMs, ph.MaxMs, ph.Spans)
 		}
 	}
 
@@ -225,10 +225,10 @@ func run() int {
 		rep.SetMetric("draining", float64(lg.draining.Load()))
 		rep.SetMetric("errors", float64(lg.errors.Load()))
 		if breakdown != nil {
-			rep.SetMetric("server_audit_records", float64(breakdown.records))
-			rep.SetMetric("server_audit_sampled", float64(breakdown.sampled))
-			for _, ph := range breakdown.phases {
-				rep.SetMetric("server_phase_"+ph.name+"_mean_ms", 1e3*ph.meanSec())
+			rep.SetMetric("server_audit_records", float64(breakdown.Total))
+			rep.SetMetric("server_audit_sampled", float64(breakdown.Sampled))
+			for _, ph := range breakdown.Phases {
+				rep.SetMetric("server_phase_"+ph.Name+"_mean_ms", ph.MeanMs)
 			}
 		}
 		rep.Finish(lg.reg)
@@ -244,33 +244,12 @@ func run() int {
 	return 0
 }
 
-// phaseAgg accumulates one phase's spans across audit records.
-type phaseAgg struct {
-	name    string
-	totalNs int64
-	maxSec  float64
-	count   int64
-}
-
-func (p *phaseAgg) meanSec() float64 {
-	if p.count == 0 {
-		return 0
-	}
-	return float64(p.totalNs) / float64(p.count) / 1e9
-}
-
-// traceBreakdown is the server-side view of this run.
-type traceBreakdown struct {
-	records int64
-	sampled int64
-	phases  []*phaseAgg
-}
-
 // fetchPhaseBreakdown pulls the server's recent audit records and
-// aggregates the ones this run produced (client ids carrying prefix)
-// into per-phase means. Returns nil when the server has tracing off, is
-// unreachable, or retained none of our records.
-func fetchPhaseBreakdown(client *http.Client, addr, prefix string) *traceBreakdown {
+// summarises the ones this run produced (client ids carrying prefix):
+// counts, sampling coverage and per-phase spans. Returns nil when the
+// server has tracing off, is unreachable, or retained none of our
+// records.
+func fetchPhaseBreakdown(client *http.Client, addr, prefix string) *trace.Summary {
 	resp, err := client.Get(addr + "/debug/traces.json")
 	if err != nil {
 		return nil
@@ -281,42 +260,22 @@ func fetchPhaseBreakdown(client *http.Client, addr, prefix string) *traceBreakdo
 		return nil
 	}
 	var payload struct {
-		Records []server.AuditRecord `json:"records"`
+		Records []trace.Record `json:"records"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		return nil
 	}
-	bd := &traceBreakdown{}
-	byName := map[string]*phaseAgg{}
+	var ours []trace.Record
 	for _, rec := range payload.Records {
-		if !strings.HasPrefix(rec.ClientID, prefix) {
-			continue
-		}
-		bd.records++
-		if !rec.Sampled {
-			continue
-		}
-		bd.sampled++
-		for _, sp := range rec.Phases {
-			dur := sp.DurNs()
-			agg := byName[sp.Name]
-			if agg == nil {
-				agg = &phaseAgg{name: sp.Name}
-				byName[sp.Name] = agg
-				bd.phases = append(bd.phases, agg)
-			}
-			agg.totalNs += dur
-			agg.count++
-			if sec := float64(dur) / 1e9; sec > agg.maxSec {
-				agg.maxSec = sec
-			}
+		if strings.HasPrefix(rec.ClientID, prefix) {
+			ours = append(ours, rec)
 		}
 	}
-	if bd.records == 0 {
+	if len(ours) == 0 {
 		return nil
 	}
-	sort.Slice(bd.phases, func(i, j int) bool { return bd.phases[i].totalNs > bd.phases[j].totalNs })
-	return bd
+	sum := trace.Summarize(ours)
+	return &sum
 }
 
 // fetchConfig asks the daemon what is bookable.
@@ -410,11 +369,7 @@ func wireRequests(reqs []workload.Request, pinSlots bool) []server.BookRequest {
 
 // wireEndpoint converts a topology endpoint to its API form.
 func wireEndpoint(e topology.Endpoint) server.EndpointRef {
-	kind := "ground"
-	if e.Kind == topology.EndpointSpace {
-		kind = "space"
-	}
-	return server.EndpointRef{Kind: kind, Index: e.Index}
+	return server.EndpointRef{Kind: e.Kind.Name(), Index: e.Index}
 }
 
 // loadGen is the shared state of the load workers.

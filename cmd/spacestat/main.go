@@ -1,12 +1,11 @@
 // Command spacestat reads what the rest of the repo writes: decision
-// traces, spaced audit logs, scenario specs, run reports and a live
-// daemon's hot spots. Every subcommand is a CI gate somewhere (see the
+// traces and audit logs, scenario specs, run reports and a live daemon's
+// hot spots. Every subcommand is a CI gate somewhere (see the
 // exit codes) as well as an operator's tool.
 //
 // Usage:
 //
-//	spacestat trace FILE|-
-//	spacestat audit [-min N] [-json] FILE|-
+//	spacestat trace [-min N] [-json] FILE|-
 //	spacestat spec [-json] [-servers M [-horizon H]] SPEC...
 //	spacestat diff [-max-regress P] [-gate K=P]... [-q] OLD NEW
 //	spacestat top [-addr URL] [-interval D] [-n N] [-once]
@@ -14,17 +13,15 @@
 //
 // An input named "-" is read from standard input.
 //
-// trace summarises a JSON-lines decision trace (`spacebench run -trace`):
-// acceptance counts, revenue, rejection breakdown, price quantiles and
-// the depletion/congestion time series. Exit 1 on an unreadable trace.
-//
-// audit validates and summarises a spaced admission audit log (the
-// JSONL stream `spaced -audit-log` writes): every line must parse as one
-// record with an outcome — a truncated or interleaved line fails the run
-// — then it prints per-outcome counts, sampling coverage and a
-// per-phase duration table over the sampled records. -min fails a log
-// with fewer records; -json prints the same summary as JSON. Exit 1 on a
-// bad or short log.
+// trace validates and summarises a JSON-lines decision log — a
+// `spacebench run -trace` file or a `spaced -audit-log`, which write the
+// same decision record. Every line must parse as a record of a known kind,
+// so a truncated or interleaved line fails the run. It prints acceptance
+// counts, revenue, rejection breakdown, price quantiles and the
+// depletion/congestion time series; on an audit log it adds per-outcome
+// counts, sampling coverage and a per-phase duration table over the
+// sampled decisions. -min fails a file with fewer decisions; -json prints
+// the counts as JSON. Exit 1 on a bad or short file.
 //
 // spec validates and summarises scenario spec files: the versioned
 // schema check, a per-class table (arrival process, rates, request mix)
@@ -88,8 +85,7 @@ var subcommands = []struct {
 	name, synopsis string
 	run            func(c *cmd, args []string) int
 }{
-	{"trace", "FILE|-", runTrace},
-	{"audit", "[-min N] [-json] FILE|-", runAudit},
+	{"trace", "[-min N] [-json] FILE|-", runTrace},
 	{"spec", "[-json] [-servers M [-horizon H]] SPEC...", runSpec},
 	{"diff", "[-max-regress P] [-gate K=P]... [-q] OLD NEW", runDiff},
 	{"top", "[-addr URL] [-interval D] [-n N] [-once]", runTop},

@@ -21,7 +21,7 @@ func TestRunDispatch(t *testing.T) {
 		if code != 2 || out != "" {
 			t.Errorf("%q: exit %d, stdout %q; want 2 and nothing on stdout", args, code, out)
 		}
-		for _, sub := range []string{"trace", "audit", "spec", "diff", "top"} {
+		for _, sub := range []string{"trace", "spec", "diff", "top"} {
 			if !strings.Contains(errOut, "\n  "+sub+" ") {
 				t.Errorf("%q: usage does not list %q:\n%s", args, sub, errOut)
 			}
@@ -32,8 +32,8 @@ func TestRunDispatch(t *testing.T) {
 		t.Errorf("-version: exit %d, stdout %q", code, out)
 	}
 	// A subcommand's flag errors are usage errors named after it.
-	code, _, errOut := runStat(t, []string{"audit", "-bogus", "-"}, "")
-	if code != 2 || !strings.Contains(errOut, "usage: spacestat audit") {
+	code, _, errOut := runStat(t, []string{"trace", "-bogus", "-"}, "")
+	if code != 2 || !strings.Contains(errOut, "usage: spacestat trace") {
 		t.Errorf("bad flag: exit %d, stderr %q", code, errOut)
 	}
 }

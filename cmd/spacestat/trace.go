@@ -1,15 +1,20 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 
 	"spacebooking/internal/metrics"
 	"spacebooking/internal/trace"
 )
 
-// runTrace is `spacestat trace`: one decision trace, summarised.
+// runTrace is `spacestat trace`: one decision trace or audit log,
+// validated and summarised.
 func runTrace(c *cmd, args []string) int {
+	minDecisions := c.fs.Int("min", 0, "fail unless the file holds at least this many decisions")
+	jsonOut := c.fs.Bool("json", false, "print the counts as JSON instead (source, decisions, reasons, outcomes, phases)")
 	if !c.parse(args, 1, 1) {
 		return 2
 	}
@@ -25,7 +30,22 @@ func runTrace(c *cmd, args []string) int {
 		// error: name the input and pass the line-numbered cause on.
 		return c.fail(1, fmt.Errorf("%s: %w", name, err))
 	}
+	summary := trace.Summarize(records)
+	if summary.Total < *minDecisions {
+		return c.fail(1, fmt.Errorf("%s: %d decisions, need at least %d", name, summary.Total, *minDecisions))
+	}
 	out := c.stdout
+	if *jsonOut {
+		enc := json.NewEncoder(out)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(struct {
+			Source string `json:"source"`
+			trace.Summary
+		}{name, summary}); err != nil {
+			return c.fail(1, err)
+		}
+		return 0
+	}
 	if len(records) == 0 {
 		fmt.Fprintln(out, "empty trace")
 		return 0
@@ -36,7 +56,6 @@ func runTrace(c *cmd, args []string) int {
 		fmt.Fprintf(out, "run: %s, rate %.3g req/min, seed %d\n", info.Algorithm, info.Rate, info.Seed)
 	}
 
-	summary := trace.Summarize(records)
 	fmt.Fprintf(out, "requests: %d total, %d accepted (%.1f%%), %d rejected\n",
 		summary.Total, summary.Accepted,
 		100*float64(summary.Accepted)/float64(max(1, summary.Total)), summary.Rejected)
@@ -44,12 +63,7 @@ func runTrace(c *cmd, args []string) int {
 
 	if len(summary.ByReason) > 0 {
 		fmt.Fprintln(out, "rejections by reason:")
-		reasons := make([]string, 0, len(summary.ByReason))
-		for r := range summary.ByReason {
-			reasons = append(reasons, r)
-		}
-		sort.Strings(reasons)
-		for _, r := range reasons {
+		for _, r := range sortedKeys(summary.ByReason) {
 			fmt.Fprintf(out, "  %-50.50s %d\n", r, summary.ByReason[r])
 		}
 	}
@@ -83,5 +97,35 @@ func runTrace(c *cmd, args []string) int {
 		fmt.Fprintf(out, "depleted satellites over time:\n%s\n", metrics.Sparkline(depleted, 96))
 		fmt.Fprintf(out, "congested links over time:\n%s\n", metrics.Sparkline(congested, 96))
 	}
+	printServing(out, summary)
 	return 0
+}
+
+// printServing adds what only an audit log holds: outcome counts and the
+// per-phase table over the sampled decisions.
+func printServing(w io.Writer, s trace.Summary) {
+	if len(s.Outcomes) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "outcomes (%d of %d sampled):\n", s.Sampled, s.Total)
+	for _, k := range sortedKeys(s.Outcomes) {
+		fmt.Fprintf(w, "  %-12s %d\n", k, s.Outcomes[k])
+	}
+	if len(s.Phases) > 0 {
+		fmt.Fprintf(w, "phases (over sampled decisions):\n")
+		fmt.Fprintf(w, "  %-16s %10s %10s %8s\n", "phase", "mean_ms", "max_ms", "spans")
+		for _, p := range s.Phases {
+			fmt.Fprintf(w, "  %-16s %10.3f %10.3f %8d\n", p.Name, p.MeanMs, p.MaxMs, p.Spans)
+		}
+	}
+}
+
+// sortedKeys returns a count map's keys in order.
+func sortedKeys(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spacebooking/internal/trace"
 )
 
 const goodTrace = `{"kind":"run_info","algorithm":"CEAR","scale":"small","rate":0.5,"seed":7}
@@ -68,5 +71,84 @@ func TestEmptyTraceAndUsage(t *testing.T) {
 	}
 	if code, _, _ := runStat(t, []string{"trace", "does-not-exist.jsonl"}, ""); code != 1 {
 		t.Errorf("missing file: exit %d, want 1", code)
+	}
+}
+
+// sampleLog is a spaced audit log: an accepted and a priced-out decision
+// with their commit seqs, and a shed booking the engine never saw.
+const sampleLog = `{"kind":"decision","request_id":1,"rate_mbps":500,"valuation":100,"accepted":true,"price":2.5,"total_hops":3,"src_kind":"ground","dst_kind":"ground","dst_index":1,"seq":1,"ts_unix_ns":1,"outcome":"accepted","searches":1,"heap_pops":3,"total_ns":1000}
+{"kind":"decision","request_id":2,"rate_mbps":500,"valuation":100,"accepted":false,"price":120,"reason":"priced-out","src_kind":"ground","dst_kind":"ground","dst_index":1,"seq":2,"ts_unix_ns":2,"outcome":"rejected","searches":1,"total_ns":2000,"sampled":true,"phases":[{"name":"queue.wait","start_ns":0,"end_ns":500000}]}
+{"kind":"decision","request_id":3,"rate_mbps":500,"valuation":100,"accepted":false,"src_kind":"ground","dst_kind":"ground","dst_index":1,"ts_unix_ns":3,"outcome":"overloaded","total_ns":1500,"sampled":true,"phases":[{"name":"ingress.parse","start_ns":0,"end_ns":200000},{"name":"queue.wait","start_ns":200000,"end_ns":300000}]}
+`
+
+// TestSummarize checks the human layout on an audit log: the decision
+// summary a batch trace gets, then the outcome counts and the phase
+// table, with the shed booking counted under its outcome.
+func TestSummarize(t *testing.T) {
+	code, out, errOut := runStat(t, []string{"trace", "-"}, sampleLog)
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr %q", code, errOut)
+	}
+	want := `requests: 3 total, 1 accepted (33.3%), 2 rejected
+revenue:  2.5
+rejections by reason:
+  overloaded                                         1
+  priced-out                                         1
+accepted price quantiles: p25 2.5  p50 2.5  p90 2.5  max 2.5
+mean plan hops: 3
+outcomes (2 of 3 sampled):
+  accepted     1
+  overloaded   1
+  rejected     1
+phases (over sampled decisions):
+  phase               mean_ms     max_ms    spans
+  queue.wait            0.300      0.500        2
+  ingress.parse         0.200      0.200        1
+`
+	if out != want {
+		t.Fatalf("human output:\n%s\nwant:\n%s", out, want)
+	}
+}
+
+// TestSummarizeRejectsBadRecords: a line of no known kind — such as an
+// audit line from before the one decision record — fails by line number.
+func TestSummarizeRejectsBadRecords(t *testing.T) {
+	for in, want := range map[string]string{
+		"{\"id\":1,\"outcome\":\"accepted\"}\n":    `line 1: unknown record kind ""`,
+		"not json\n":                               "line 1: invalid character",
+		sampleLog + "{\"kind\":\"decision\",\"acc": "line 4:",
+	} {
+		code, out, errOut := runStat(t, []string{"trace", "-"}, in)
+		if code != 1 || out != "" || !strings.Contains(errOut, want) {
+			t.Errorf("%q: exit %d, stdout %q, stderr %q; want 1 and %q", in, code, out, errOut, want)
+		}
+	}
+}
+
+// TestAuditMinAndJSON pins -min's exit code and -json's content.
+func TestAuditMinAndJSON(t *testing.T) {
+	code, out, errOut := runStat(t, []string{"trace", "-min", "4", "-"}, sampleLog)
+	if code != 1 || out != "" || !strings.Contains(errOut, "stdin: 3 decisions, need at least 4") {
+		t.Errorf("-min 4: exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+	if code, _, errOut := runStat(t, []string{"trace", "-min", "1", "-"}, ""); code != 1 || !strings.Contains(errOut, "0 decisions") {
+		t.Errorf("empty log under -min 1: exit %d, stderr %q", code, errOut)
+	}
+
+	code, out, errOut = runStat(t, []string{"trace", "-json", "-"}, sampleLog)
+	if code != 0 {
+		t.Fatalf("-json: exit %d, stderr %q", code, errOut)
+	}
+	var sum struct {
+		Source string `json:"source"`
+		trace.Summary
+	}
+	if err := json.Unmarshal([]byte(out), &sum); err != nil {
+		t.Fatalf("-json output is not JSON: %v\n%s", err, out)
+	}
+	if sum.Source != "stdin" || sum.Total != 3 || sum.Accepted != 1 || sum.Revenue != 2.5 || sum.Sampled != 2 ||
+		sum.Outcomes["overloaded"] != 1 || sum.ByReason["priced-out"] != 1 || len(sum.Phases) != 2 ||
+		sum.Phases[0] != (trace.PhaseStat{Name: "queue.wait", MeanMs: 0.3, MaxMs: 0.5, Spans: 2}) {
+		t.Errorf("-json summary = %+v", sum)
 	}
 }

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"spacebooking/internal/topology"
 	"spacebooking/internal/trace"
@@ -9,63 +11,64 @@ import (
 )
 
 // RequestsFromTrace reconstructs the exact request stream a recorded
-// run admitted, from the KindRequest records a trace written with
-// sim.RunConfig.RecordRequests carries. Replaying it through sim.Run or
-// the serving path reproduces every decision, price and Result
-// byte-identically: the engine is deterministic given its inputs, and
-// the records preserve those inputs exactly (IDs included — float64
-// fields survive the JSON round trip because Go marshals the shortest
-// representation that parses back to the same value).
-//
-// The second return is the spec name recorded in the run_info line
-// (empty for flat-workload recordings), so a replay can echo it and
-// keep recorded and replayed traces byte-identical end to end.
+// run admitted from its decision records that carry a seq, in seq order,
+// so a `spacebench run -trace` file and a `spaced -audit-log` (written in
+// the order handlers finish) replay alike. The seqs must run 1, 2, …: a
+// gap is a decision the audit ring dropped, which no replay can
+// reproduce. Through sim.Run or the serving path the stream reproduces
+// every decision, price and Result byte-identically, since the records
+// keep the engine's inputs exactly (Go marshals the shortest float that
+// parses back to the same bits). The second return is the spec name of
+// the run_info line (empty for the flat workload and audit logs), which a
+// replay echoes so recorded and replayed traces stay byte-identical.
 func RequestsFromTrace(records []trace.Record) ([]workload.Request, string, error) {
-	var reqs []workload.Request
+	var decided []*trace.Record
 	specName := ""
-	for i, r := range records {
-		switch r.Kind {
-		case trace.KindRunInfo:
+	for i := range records {
+		switch r := &records[i]; {
+		case r.Kind == trace.KindRunInfo:
 			specName = r.Spec
-		case trace.KindRequest:
-			src, err := endpointFromTrace(r.SrcKind, r.SrcIndex)
-			if err != nil {
-				return nil, "", fmt.Errorf("scenario: record %d src: %w", i, err)
-			}
-			dst, err := endpointFromTrace(r.DstKind, r.DstIndex)
-			if err != nil {
-				return nil, "", fmt.Errorf("scenario: record %d dst: %w", i, err)
-			}
-			reqs = append(reqs, workload.Request{
-				ID:          r.RequestID,
-				Src:         src,
-				Dst:         dst,
-				ArrivalSlot: r.Arrival,
-				StartSlot:   r.Start,
-				EndSlot:     r.End,
-				RateMbps:    r.RateMbps,
-				Valuation:   r.Valuation,
-				Class:       r.Class,
-			})
+		case r.Kind == trace.KindDecision && r.Seq != 0:
+			decided = append(decided, r)
 		}
 	}
-	if len(reqs) == 0 {
-		return nil, "", fmt.Errorf("scenario: trace has no request records (recorded without request recording?)")
+	if len(decided) == 0 {
+		return nil, "", fmt.Errorf("scenario: trace has no decision records with a seq")
+	}
+	slices.SortFunc(decided, func(a, b *trace.Record) int { return cmp.Compare(a.Seq, b.Seq) })
+	reqs := make([]workload.Request, len(decided))
+	for i, r := range decided {
+		if r.Seq != i+1 {
+			return nil, "", fmt.Errorf("scenario: decision seq %d where %d was due (a record is missing or repeated)", r.Seq, i+1)
+		}
+		src, err := endpointFromTrace(r.SrcKind, r.SrcIndex)
+		if err != nil {
+			return nil, "", fmt.Errorf("scenario: decision seq %d src: %w", r.Seq, err)
+		}
+		dst, err := endpointFromTrace(r.DstKind, r.DstIndex)
+		if err != nil {
+			return nil, "", fmt.Errorf("scenario: decision seq %d dst: %w", r.Seq, err)
+		}
+		reqs[i] = workload.Request{
+			ID:          r.RequestID,
+			Src:         src,
+			Dst:         dst,
+			ArrivalSlot: r.Arrival,
+			StartSlot:   r.Start,
+			EndSlot:     r.End,
+			RateMbps:    r.RateMbps,
+			Valuation:   r.Valuation,
+			Class:       r.Class,
+		}
 	}
 	return reqs, specName, nil
 }
 
-// endpointFromTrace inverts the sim engine's endpoint-kind naming.
+// endpointFromTrace inverts sim.DecisionRecord's endpoint naming.
 func endpointFromTrace(kind string, index int) (topology.Endpoint, error) {
-	if index < 0 {
-		return topology.Endpoint{}, fmt.Errorf("negative endpoint index %d", index)
+	k, err := topology.ParseEndpointKind(kind)
+	if err == nil && index < 0 {
+		err = fmt.Errorf("negative endpoint index %d", index)
 	}
-	switch kind {
-	case "ground":
-		return topology.Endpoint{Kind: topology.EndpointGround, Index: index}, nil
-	case "space":
-		return topology.Endpoint{Kind: topology.EndpointSpace, Index: index}, nil
-	default:
-		return topology.Endpoint{}, fmt.Errorf("unknown endpoint kind %q", kind)
-	}
+	return topology.Endpoint{Kind: k, Index: index}, err
 }

@@ -1,14 +1,13 @@
 package server
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
 	"time"
 
 	"spacebooking/internal/obs"
+	"spacebooking/internal/trace"
 )
 
 // Per-request phase names recorded by the serving layer's trace
@@ -29,7 +28,7 @@ const (
 )
 
 // TraceConfig parameterises request-scoped tracing and the admission
-// audit stream. Tracing is enabled when any of SampleRate, AuditPath or
+// audit log. Tracing is enabled when any of SampleRate, AuditPath or
 // Enabled is set; disabled tracing costs the hot path nothing.
 type TraceConfig struct {
 	// SampleRate is the head-sampling probability in [0, 1] for
@@ -39,20 +38,24 @@ type TraceConfig struct {
 	// SlowThreshold forces sampling of any request whose total latency
 	// reaches it. 0 disables slow-sampling.
 	SlowThreshold time.Duration
-	// AuditPath, when non-empty, appends one JSON line per admission
-	// decision to this file (created/truncated at startup).
+	// AuditPath, when non-empty, writes one decision record per booking
+	// to this file (created/truncated at startup): the same JSON line a
+	// `spacebench run -trace` file holds, plus the serving fields.
 	AuditPath string
-	// RecentN bounds the in-memory recent-record buffer behind
-	// /debug/traces.json and /v1/requests/{id}/trace. Default 256.
-	RecentN int
-	// RingDepth bounds the async sink channel between deciders and the
-	// single writer goroutine; a full ring drops records (counted on
-	// server.trace.dropped) rather than blocking admission. Default 1024.
-	RingDepth int
 	// Enabled force-enables tracing even with a zero sample rate and no
 	// audit file (records still reach the recent buffer).
 	Enabled bool
 }
+
+// Bounds of the audit pipeline: the recent-record buffer behind
+// /debug/traces.json and /v1/requests/{id}/trace, and the async ring
+// between deciders and the single writer goroutine, where a full ring
+// drops records (counted on server.trace.dropped) rather than blocking
+// admission.
+const (
+	recentRecords = 256
+	ringDepth     = 1024
+)
 
 // enabled reports whether any tracing surface is requested.
 func (tc TraceConfig) enabled() bool {
@@ -72,105 +75,74 @@ type SLOConfig struct {
 	AvailabilityTarget float64
 }
 
-// AuditRecord is one admission decision in the audit stream: the
-// decision itself, the engine work it took (instrument counter deltas,
-// exact because the engine is single-writer), and — when sampled — the
-// request's full phase timeline. Records are immutable once emitted.
-type AuditRecord struct {
-	ID       int64  `json:"id"`
-	ClientID string `json:"client_id,omitempty"`
-	// TSUnixNs is the wall time the request entered the server.
-	TSUnixNs int64   `json:"ts_unix_ns"`
-	Outcome  string  `json:"outcome"` // accepted|rejected|error|overloaded|draining
-	Reason   string  `json:"reason,omitempty"`
-	Price    float64 `json:"price,omitempty"`
-	Hops     int     `json:"hops,omitempty"`
+// AuditRecord is the audit log's line. It is the decision record every
+// trace writes (sim.DecisionRecord) with the serving fields filled in;
+// the name survives for the benchmark module, which reads the log by it.
+type AuditRecord = trace.Record
 
-	ArrivalSlot int `json:"arrival_slot"`
-	StartSlot   int `json:"start_slot"`
-	EndSlot     int `json:"end_slot"`
-
-	// Engine work attributable to this request.
-	Searches     int64 `json:"searches"`
-	PrunedLabels int64 `json:"pruned_labels"`
-	HeapPops     int64 `json:"heap_pops"`
-	DeficitWalks int64 `json:"deficit_walks"`
-
-	// TotalNs is ingress to emission; per-phase nanos live in Phases.
-	TotalNs int64 `json:"total_ns"`
-	// Sampled marks records carrying the phase timeline.
-	Sampled bool            `json:"sampled"`
-	Phases  []obs.TraceSpan `json:"phases,omitempty"`
+// probed names the instrument counters the engine goroutine reads as
+// before/after deltas around each admission, in probeSample's index
+// order. They are the counters the state's instruments write (same
+// registry, same name), so the deltas are exact on the single-writer
+// engine goroutine; without a registry every delta is zero but tracing
+// still produces records and wall-clock phases.
+var probed = [...]string{
+	probeSearches:  "core.slot_searches",
+	probePruned:    "graph.fastpath.pruned_labels",
+	probeHeapPops:  "graph.dijkstra.heap_pops",
+	probeWalks:     "energy.deficit_walks",
+	probeSearchNs:  "graph.search.nanos",
+	probePricingNs: "energy.pricing.nanos",
+	probeCommitNs:  "netstate.commit.nanos",
 }
 
-// engineProbe holds the instrument counters the engine goroutine reads
-// as before/after deltas around each admission. All handles are
-// nil-safe: without a registry every delta is zero but tracing still
-// produces records and wall-clock phases.
-type engineProbe struct {
-	searches  *obs.Counter
-	pruned    *obs.Counter
-	heapPops  *obs.Counter
-	walks     *obs.Counter
-	searchNs  *obs.Counter
-	pricingNs *obs.Counter
-	commitNs  *obs.Counter
-}
+// Indices of a probeSample.
+const (
+	probeSearches = iota
+	probePruned
+	probeHeapPops
+	probeWalks
+	probeSearchNs
+	probePricingNs
+	probeCommitNs
+)
 
-// newEngineProbe resolves the counter handles by name; these are the
-// same counters the state's instruments write (same registry, same
-// name), so deltas around Admit are exact on the single-writer engine
-// goroutine.
-func newEngineProbe(reg *obs.Registry) engineProbe {
-	return engineProbe{
-		searches:  reg.Counter("core.slot_searches"),
-		pruned:    reg.Counter("graph.fastpath.pruned_labels"),
-		heapPops:  reg.Counter("graph.dijkstra.heap_pops"),
-		walks:     reg.Counter("energy.deficit_walks"),
-		searchNs:  reg.Counter("graph.search.nanos"),
-		pricingNs: reg.Counter("energy.pricing.nanos"),
-		commitNs:  reg.Counter("netstate.commit.nanos"),
+// engineProbe holds the probed counters' (nil-safe) handles; a
+// probeSample is one reading of them, or the delta of two.
+type (
+	engineProbe [len(probed)]*obs.Counter
+	probeSample [len(probed)]int64
+)
+
+func newEngineProbe(reg *obs.Registry) (p engineProbe) {
+	for i, name := range probed {
+		p[i] = reg.Counter(name)
 	}
+	return p
 }
 
-// probeSample is one reading of the probed counters.
-type probeSample struct {
-	searches, pruned, heapPops, walks int64
-	searchNs, pricingNs, commitNs     int64
-}
-
-func (p engineProbe) read() probeSample {
-	return probeSample{
-		searches:  p.searches.Value(),
-		pruned:    p.pruned.Value(),
-		heapPops:  p.heapPops.Value(),
-		walks:     p.walks.Value(),
-		searchNs:  p.searchNs.Value(),
-		pricingNs: p.pricingNs.Value(),
-		commitNs:  p.commitNs.Value(),
+func (p engineProbe) read() (s probeSample) {
+	for i, c := range p {
+		s[i] = c.Value()
 	}
+	return s
 }
 
 // sub returns the per-request delta a - b.
 func (a probeSample) sub(b probeSample) probeSample {
-	return probeSample{
-		searches:  a.searches - b.searches,
-		pruned:    a.pruned - b.pruned,
-		heapPops:  a.heapPops - b.heapPops,
-		walks:     a.walks - b.walks,
-		searchNs:  a.searchNs - b.searchNs,
-		pricingNs: a.pricingNs - b.pricingNs,
-		commitNs:  a.commitNs - b.commitNs,
+	for i := range a {
+		a[i] -= b[i]
 	}
+	return a
 }
 
 // auditSink is the bounded async record pipeline: deciders emit without
 // blocking into a ring channel, one writer goroutine appends to the
-// JSONL file (if configured) and the in-memory recent buffer. Close
-// drains the channel and flushes the file, so a graceful drain never
+// in-memory recent buffer and the audit log (if configured). Close
+// drains the channel and flushes the log, so a graceful drain never
 // truncates records.
 type auditSink struct {
-	ch   chan *AuditRecord
+	ch   chan *trace.Record
 	done chan struct{}
 
 	// mu guards closed against emit's channel send, so Close can close
@@ -178,13 +150,12 @@ type auditSink struct {
 	mu     sync.RWMutex
 	closed bool
 
-	f  *os.File
-	bw *bufio.Writer
-	// writeErr is set by the writer goroutine and read after done.
-	writeErr error
+	// log is nil without an audit file; its first error is sticky and
+	// resurfaces from Close.
+	log *trace.Writer
 
 	recentMu sync.RWMutex
-	recent   []*AuditRecord // ring of the last cap(recent) records
+	recent   []*trace.Record // ring of the last recentRecords records
 	next     int
 	filled   bool
 
@@ -195,18 +166,10 @@ type auditSink struct {
 
 // newAuditSink opens the audit file (if any) and starts the writer.
 func newAuditSink(tc TraceConfig, reg *obs.Registry) (*auditSink, error) {
-	ring := tc.RingDepth
-	if ring <= 0 {
-		ring = 1024
-	}
-	recentN := tc.RecentN
-	if recentN <= 0 {
-		recentN = 256
-	}
 	a := &auditSink{
-		ch:         make(chan *AuditRecord, ring),
+		ch:         make(chan *trace.Record, ringDepth),
 		done:       make(chan struct{}),
-		recent:     make([]*AuditRecord, recentN),
+		recent:     make([]*trace.Record, recentRecords),
 		ctrRecords: reg.Counter("server.trace.records"),
 		ctrSampled: reg.Counter("server.trace.sampled"),
 		ctrDropped: reg.Counter("server.trace.dropped"),
@@ -216,8 +179,7 @@ func newAuditSink(tc TraceConfig, reg *obs.Registry) (*auditSink, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: audit log: %w", err)
 		}
-		a.f = f
-		a.bw = bufio.NewWriter(f)
+		a.log = trace.NewWriter(f)
 	}
 	go a.loop()
 	return a, nil
@@ -225,7 +187,7 @@ func newAuditSink(tc TraceConfig, reg *obs.Registry) (*auditSink, error) {
 
 // emit hands one record to the writer without ever blocking admission:
 // a full ring (or a closed sink) drops the record and counts the drop.
-func (a *auditSink) emit(rec *AuditRecord) {
+func (a *auditSink) emit(rec *trace.Record) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if a.closed {
@@ -239,29 +201,24 @@ func (a *auditSink) emit(rec *AuditRecord) {
 	}
 }
 
-// loop is the single writer: recent buffer, then JSONL.
+// loop is the single writer: recent buffer, then the log. A write error
+// sticks in the trace.Writer, which Close reports.
 func (a *auditSink) loop() {
 	defer close(a.done)
-	var enc *json.Encoder
-	if a.bw != nil {
-		enc = json.NewEncoder(a.bw)
-	}
 	for rec := range a.ch {
 		a.ctrRecords.Inc()
 		if rec.Sampled {
 			a.ctrSampled.Inc()
 		}
 		a.remember(rec)
-		if enc != nil && a.writeErr == nil {
-			if err := enc.Encode(rec); err != nil {
-				a.writeErr = fmt.Errorf("server: audit log write: %w", err)
-			}
+		if a.log != nil {
+			_ = a.log.Emit(*rec)
 		}
 	}
 }
 
 // remember inserts the record into the recent ring.
-func (a *auditSink) remember(rec *AuditRecord) {
+func (a *auditSink) remember(rec *trace.Record) {
 	a.recentMu.Lock()
 	a.recent[a.next] = rec
 	a.next++
@@ -273,7 +230,7 @@ func (a *auditSink) remember(rec *AuditRecord) {
 }
 
 // Recent returns up to n records, newest first.
-func (a *auditSink) Recent(n int) []*AuditRecord {
+func (a *auditSink) Recent(n int) []*trace.Record {
 	a.recentMu.RLock()
 	defer a.recentMu.RUnlock()
 	size := a.next
@@ -283,7 +240,7 @@ func (a *auditSink) Recent(n int) []*AuditRecord {
 	if n <= 0 || n > size {
 		n = size
 	}
-	out := make([]*AuditRecord, 0, n)
+	out := make([]*trace.Record, 0, n)
 	for i := 1; i <= n; i++ {
 		out = append(out, a.recent[(a.next-i+len(a.recent))%len(a.recent)])
 	}
@@ -291,22 +248,16 @@ func (a *auditSink) Recent(n int) []*AuditRecord {
 }
 
 // find returns the newest record matching the predicate.
-func (a *auditSink) find(match func(*AuditRecord) bool) *AuditRecord {
-	a.recentMu.RLock()
-	defer a.recentMu.RUnlock()
-	size := a.next
-	if a.filled {
-		size = len(a.recent)
-	}
-	for i := 1; i <= size; i++ {
-		if rec := a.recent[(a.next-i+len(a.recent))%len(a.recent)]; match(rec) {
+func (a *auditSink) find(match func(*trace.Record) bool) *trace.Record {
+	for _, rec := range a.Recent(0) {
+		if match(rec) {
 			return rec
 		}
 	}
 	return nil
 }
 
-// Close stops intake, drains the ring, flushes and closes the file.
+// Close stops intake, drains the ring, flushes and closes the log.
 // Idempotent; later emits are dropped (and counted), not lost silently.
 func (a *auditSink) Close() error {
 	a.mu.Lock()
@@ -317,13 +268,15 @@ func (a *auditSink) Close() error {
 		close(a.ch)
 	}
 	<-a.done
-	if !alreadyClosed && a.bw != nil {
-		if err := a.bw.Flush(); err != nil && a.writeErr == nil {
-			a.writeErr = fmt.Errorf("server: audit log flush: %w", err)
-		}
-		if err := a.f.Close(); err != nil && a.writeErr == nil {
-			a.writeErr = fmt.Errorf("server: audit log close: %w", err)
-		}
+	if a.log == nil {
+		return nil
 	}
-	return a.writeErr
+	err := a.log.Err()
+	if !alreadyClosed {
+		err = a.log.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("server: audit log: %w", err)
+	}
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"spacebooking/internal/obs"
 	"spacebooking/internal/topology"
+	"spacebooking/internal/trace"
 	"spacebooking/internal/workload"
 )
 
@@ -24,15 +25,13 @@ func (e EndpointRef) String() string { return fmt.Sprintf("%s/%d", e.Kind, e.Ind
 
 // endpoint resolves the reference against the provider's index spaces.
 func (s *Server) endpoint(e EndpointRef) (topology.Endpoint, error) {
-	var kind topology.EndpointKind
-	var limit int
-	switch e.Kind {
-	case "ground":
-		kind, limit = topology.EndpointGround, s.cfg.Provider.NumSites()
-	case "space":
-		kind, limit = topology.EndpointSpace, s.cfg.Provider.NumEO()
-	default:
-		return topology.Endpoint{}, fmt.Errorf("unknown endpoint kind %q (want ground or space)", e.Kind)
+	kind, err := topology.ParseEndpointKind(e.Kind)
+	if err != nil {
+		return topology.Endpoint{}, err
+	}
+	limit := s.cfg.Provider.NumSites()
+	if kind == topology.EndpointSpace {
+		limit = s.cfg.Provider.NumEO()
 	}
 	if e.Index < 0 || e.Index >= limit {
 		return topology.Endpoint{}, fmt.Errorf("%s index %d outside [0,%d)", e.Kind, e.Index, limit)
@@ -86,13 +85,7 @@ type PairRef struct {
 }
 
 // refOf converts a topology endpoint back to wire form.
-func refOf(e topology.Endpoint) EndpointRef {
-	kind := "ground"
-	if e.Kind == topology.EndpointSpace {
-		kind = "space"
-	}
-	return EndpointRef{Kind: kind, Index: e.Index}
-}
+func refOf(e topology.Endpoint) EndpointRef { return EndpointRef{Kind: e.Kind.Name(), Index: e.Index} }
 
 // jsonEncoder starts a JSON response and returns the encoder for its body.
 func jsonEncoder(w http.ResponseWriter, code int) *json.Encoder {
@@ -314,21 +307,19 @@ func (s *Server) handleReservation(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRequestTrace serves GET /v1/requests/{id}/trace: the audit
-// record for one request, addressed by server id (numeric) or by the
-// client-assigned request_id. Only records still in the recent buffer
-// resolve; this is a debugging window, not a durable store (the JSONL
-// audit log is the durable stream).
+// record for one request, addressed by the client-assigned request_id or,
+// when no client used that id, by the numeric server id. Only records
+// still in the recent buffer resolve; this is a debugging window, not a
+// durable store (the audit log is the durable stream).
 func (s *Server) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
 	if !s.tracing {
 		errorJSON(w, http.StatusNotFound, "tracing disabled (start spaced with -trace-sample, -audit-log or -trace)")
 		return
 	}
 	idStr := r.PathValue("id")
-	var rec *AuditRecord
-	if id, err := strconv.ParseInt(idStr, 10, 64); err == nil {
-		rec = s.sink.find(func(a *AuditRecord) bool { return a.ID == id })
-	} else {
-		rec = s.sink.find(func(a *AuditRecord) bool { return a.ClientID == idStr })
+	rec := s.sink.find(func(a *trace.Record) bool { return a.ClientID == idStr })
+	if id, err := strconv.Atoi(idStr); rec == nil && err == nil {
+		rec = s.sink.find(func(a *trace.Record) bool { return a.RequestID == id })
 	}
 	if rec == nil {
 		errorJSON(w, http.StatusNotFound,

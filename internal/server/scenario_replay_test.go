@@ -15,7 +15,7 @@ import (
 
 // TestScenarioReplayThroughServer is the serving-path half of the
 // record/replay acceptance gate: a scenario-driven batch run recorded
-// to a request trace, replayed one booking at a time through the HTTP
+// to a decision trace, replayed one booking at a time through the HTTP
 // front end, must reproduce every decision, price, rejection reason and
 // hop count, and the drained server's final Result must equal the batch
 // Result exactly.
@@ -49,12 +49,11 @@ func TestScenarioReplayThroughServer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Record: the batch path drains the generator with request recording.
+	// Record: the batch path drains the generator into a decision trace.
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
 	batchRC := rc
 	batchRC.Trace = tw
-	batchRC.RecordRequests = true
 	batchRC.SpecName = spec.Name
 	batchRC.Source = gen
 	batchRes, err := sim.Run(prov, batchRC)

@@ -29,8 +29,10 @@ import (
 
 	"spacebooking/internal/buildinfo"
 	"spacebooking/internal/obs"
+	"spacebooking/internal/router"
 	"spacebooking/internal/sim"
 	"spacebooking/internal/topology"
+	"spacebooking/internal/trace"
 	"spacebooking/internal/workload"
 )
 
@@ -159,6 +161,10 @@ type pending struct {
 	eaSpan      int // engine.admit span index
 	headSampled bool
 	stats       probeSample
+	// decision is the engine's decision record (sim.DecisionRecord, with
+	// its seq), built on the engine goroutine; nil until the engine
+	// decides, and for every booking it never sees.
+	decision *trace.Record
 	// emitState arbitrates the handler/engine emit handoff; written
 	// before close(done), so the handler's post-done reads are ordered.
 	emitState atomic.Int32
@@ -517,6 +523,10 @@ func (s *Server) admitOne(p *pending) {
 		s.store(p)
 		return
 	}
+	if s.tracing {
+		rec := sim.DecisionRecord(p.request(), d, eng.Total())
+		p.decision = &rec
+	}
 	s.statTotal.Add(1)
 	if d.Accepted {
 		p.resv.Status = StatusAccepted
@@ -567,19 +577,47 @@ func (s *Server) finishEngineTrace(p *pending, before probeSample, admitStartNs 
 	d := s.probe.read().sub(before)
 	p.stats = d
 	// The search timers include the pricing callbacks they invoke;
-	// report disjoint sub-phases by subtracting.
-	searchNs := d.searchNs - d.pricingNs
-	if searchNs < 0 {
-		searchNs = 0
-	}
-	p.rec.Add(PhaseEngineSearch, admitStartNs, searchNs)
-	p.rec.Add(PhaseEnginePricing, admitStartNs, d.pricingNs)
-	p.rec.Add(PhaseEngineCommit, admitStartNs, d.commitNs)
+	// report disjoint sub-phases by subtracting (Add clamps at 0).
+	p.rec.Add(PhaseEngineSearch, admitStartNs, d[probeSearchNs]-d[probePricingNs])
+	p.rec.Add(PhaseEnginePricing, admitStartNs, d[probePricingNs])
+	p.rec.Add(PhaseEngineCommit, admitStartNs, d[probeCommitNs])
 	if !p.emitState.CompareAndSwap(emitWaiting, emitDecided) {
 		// The handler marked the request abandoned: no respond phase
 		// will happen, emit here.
 		s.emitDecided(p, now)
 	}
+}
+
+// request is the booking as the engine sees it, with the window as far
+// as the engine goroutine resolved it (zero before that).
+func (p *pending) request() workload.Request {
+	return workload.Request{
+		ID:          int(p.id),
+		Src:         p.src,
+		Dst:         p.dst,
+		ArrivalSlot: p.resv.ArrivalSlot,
+		StartSlot:   p.resv.StartSlot,
+		EndSlot:     p.resv.EndSlot,
+		RateMbps:    p.rate,
+		Valuation:   p.val,
+	}
+}
+
+// auditRecord is p's line of the audit log: the engine's decision record
+// — or, for a booking settled without one, the same constructor's record
+// of the request with its reason and no seq — plus the serving fields
+// common to every outcome.
+func (s *Server) auditRecord(p *pending, outcome string, now time.Time) *trace.Record {
+	rec := p.decision
+	if rec == nil {
+		r := sim.DecisionRecord(p.request(), router.Decision{Reason: p.resv.Reason}, 0)
+		rec = &r
+	}
+	rec.ClientID = p.clientID
+	rec.TSUnixNs = p.rec.Epoch().UnixNano()
+	rec.Outcome = outcome
+	rec.TotalNs = p.rec.SinceNs(now)
+	return rec
 }
 
 // emitDecided builds and emits the audit record for a settled request
@@ -588,27 +626,14 @@ func (s *Server) finishEngineTrace(p *pending, before probeSample, admitStartNs 
 // finishEngineTrace when the handler abandoned.
 func (s *Server) emitDecided(p *pending, now time.Time) {
 	defer s.auditWG.Done()
-	totalNs := p.rec.SinceNs(now)
-	rec := &AuditRecord{
-		ID:           p.id,
-		ClientID:     p.clientID,
-		TSUnixNs:     p.rec.Epoch().UnixNano(),
-		Outcome:      p.resv.Status,
-		Reason:       p.resv.Reason,
-		Price:        p.resv.Price,
-		Hops:         p.resv.TotalHops,
-		ArrivalSlot:  p.resv.ArrivalSlot,
-		StartSlot:    p.resv.StartSlot,
-		EndSlot:      p.resv.EndSlot,
-		Searches:     p.stats.searches,
-		PrunedLabels: p.stats.pruned,
-		HeapPops:     p.stats.heapPops,
-		DeficitWalks: p.stats.walks,
-		TotalNs:      totalNs,
-	}
+	rec := s.auditRecord(p, p.resv.Status, now)
+	rec.Searches = p.stats[probeSearches]
+	rec.PrunedLabels = p.stats[probePruned]
+	rec.HeapPops = p.stats[probeHeapPops]
+	rec.DeficitWalks = p.stats[probeWalks]
 	// Tail sampling: anything that went wrong (or slow) always carries
 	// its full phase timeline; otherwise head sampling decides.
-	rec.Sampled = p.headSampled || p.resv.Status != StatusAccepted || s.policy.Slow(totalNs)
+	rec.Sampled = p.headSampled || p.resv.Status != StatusAccepted || s.policy.Slow(rec.TotalNs)
 	if rec.Sampled {
 		rec.Phases = p.rec.CopySpans()
 	}
@@ -622,15 +647,9 @@ func (s *Server) emitDecided(p *pending, now time.Time) {
 func (s *Server) emitRefused(p *pending, outcome string) {
 	now := s.now()
 	p.rec.End(p.qwSpan, now)
-	rec := &AuditRecord{
-		ID:       p.id,
-		ClientID: p.clientID,
-		TSUnixNs: p.rec.Epoch().UnixNano(),
-		Outcome:  outcome,
-		TotalNs:  p.rec.SinceNs(now),
-		Sampled:  true,
-		Phases:   p.rec.CopySpans(),
-	}
+	rec := s.auditRecord(p, outcome, now)
+	rec.Sampled = true
+	rec.Phases = p.rec.CopySpans()
 	s.tracePool.Put(p.rec)
 	p.rec = nil
 	s.sink.emit(rec)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,15 +19,15 @@ import (
 // auditLines parses a JSONL audit file, failing on any malformed line —
 // the graceful-drain guarantee is that the file is never truncated
 // mid-record.
-func auditLines(t *testing.T, path string) []AuditRecord {
+func auditLines(t *testing.T, path string) []trace.Record {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var recs []AuditRecord
-	if err := trace.EachLine(f, func(rec AuditRecord) error {
+	var recs []trace.Record
+	if err := trace.EachLine(f, func(rec trace.Record) error {
 		recs = append(recs, rec)
 		return nil
 	}); err != nil {
@@ -36,7 +37,7 @@ func auditLines(t *testing.T, path string) []AuditRecord {
 }
 
 // phaseSet indexes a record's phases by name.
-func phaseSet(rec AuditRecord) map[string]bool {
+func phaseSet(rec trace.Record) map[string]bool {
 	out := make(map[string]bool, len(rec.Phases))
 	for _, sp := range rec.Phases {
 		out[sp.Name] = true
@@ -305,7 +306,7 @@ func TestAuditExactlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rec AuditRecord
+		var rec trace.Record
 		if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
 			t.Fatal(err)
 		}
@@ -314,17 +315,17 @@ func TestAuditExactlyOnce(t *testing.T) {
 			t.Fatalf("GET /v1/requests/%s/trace: HTTP %d, client id %q", id, resp.StatusCode, rec.ClientID)
 		}
 		// The same record resolves by numeric server id.
-		resp, err = http.Get(fmt.Sprintf("%s/v1/requests/%d/trace", hs.URL, rec.ID))
+		resp, err = http.Get(fmt.Sprintf("%s/v1/requests/%d/trace", hs.URL, rec.RequestID))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var byNum AuditRecord
+		var byNum trace.Record
 		if err := json.NewDecoder(resp.Body).Decode(&byNum); err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if byNum.ClientID != id {
-			t.Fatalf("trace by server id %d resolved client %q, want %q", rec.ID, byNum.ClientID, id)
+			t.Fatalf("trace by server id %d resolved client %q, want %q", rec.RequestID, byNum.ClientID, id)
 		}
 	}
 
@@ -334,8 +335,8 @@ func TestAuditExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var recent struct {
-		Count   int           `json:"count"`
-		Records []AuditRecord `json:"records"`
+		Count   int            `json:"count"`
+		Records []trace.Record `json:"records"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&recent); err != nil {
 		t.Fatal(err)
@@ -393,14 +394,33 @@ func TestAuditExactlyOnce(t *testing.T) {
 			if rec.Sampled {
 				t.Errorf("accepted record %s sampled at head rate 0 with no slow threshold", rec.ClientID)
 			}
-			if rec.Price <= 0 || rec.Hops <= 0 {
-				t.Errorf("accepted record %s: price %v hops %d, want positive", rec.ClientID, rec.Price, rec.Hops)
+			if rec.Price <= 0 || rec.TotalHops <= 0 {
+				t.Errorf("accepted record %s: price %v hops %d, want positive", rec.ClientID, rec.Price, rec.TotalHops)
 			}
 		default:
 			t.Errorf("unexpected outcome %q for %s", rec.Outcome, rec.ClientID)
 		}
 		if rec.TotalNs < 0 {
 			t.Errorf("record %s: negative total %d", rec.ClientID, rec.TotalNs)
+		}
+	}
+
+	// The engine decided every accepted or rejected booking here, so
+	// those records carry the commit seqs 1..n between them; a shed one
+	// has none.
+	var seqs []int
+	for _, rec := range recs {
+		if decided := rec.Outcome == StatusAccepted || rec.Outcome == StatusRejected; decided != (rec.Seq > 0) {
+			t.Errorf("%s record %s carries seq %d", rec.Outcome, rec.ClientID, rec.Seq)
+		}
+		if rec.Seq > 0 {
+			seqs = append(seqs, rec.Seq)
+		}
+	}
+	slices.Sort(seqs)
+	for i, seq := range seqs {
+		if seq != i+1 {
+			t.Fatalf("decided seqs %v, want 1..%d", seqs, len(seqs))
 		}
 	}
 
@@ -415,6 +435,47 @@ func TestAuditExactlyOnce(t *testing.T) {
 	}
 	if !sawWork {
 		t.Error("no accepted record carries engine search counts")
+	}
+}
+
+// TestRequestTraceLookup: GET /v1/requests/{id}/trace matches the
+// client-assigned request_id first and falls back to the server id, so a
+// numeric client id resolves to its own booking.
+func TestRequestTraceLookup(t *testing.T) {
+	s, hs := newTestServer(t, Config{Run: testRunConfig(t, 2, 15), Trace: TraceConfig{Enabled: true}})
+	br := func(clientID string) BookRequest {
+		return BookRequest{Src: EndpointRef{Kind: "ground", Index: 0}, Dst: EndpointRef{Kind: "ground", Index: 1},
+			RateMbps: 500, RequestID: clientID}
+	}
+	// Server ids 1, 2 and 3, in order: the third booking's client id
+	// names the first booking's server id.
+	for _, id := range []string{"first", "999999", "1"} {
+		if code, _ := postBook(t, hs.URL, br(id)); code != http.StatusOK {
+			t.Fatalf("booking %q: HTTP %d", id, code)
+		}
+	}
+	waitFor(t, func() bool { return len(s.sink.Recent(0)) == 3 })
+	for _, row := range []struct {
+		path       string
+		wantClient string
+		wantServer int
+	}{
+		{"999999", "999999", 2},
+		{"1", "1", 3},
+		{"first", "first", 1},
+		{"2", "999999", 2},
+	} {
+		resp, err := http.Get(hs.URL + "/v1/requests/" + row.path + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec trace.Record
+		err = json.NewDecoder(resp.Body).Decode(&rec)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || rec.ClientID != row.wantClient || rec.RequestID != row.wantServer {
+			t.Errorf("GET /v1/requests/%s/trace: HTTP %d, client %q, server id %d (%v); want client %q, server id %d",
+				row.path, resp.StatusCode, rec.ClientID, rec.RequestID, err, row.wantClient, row.wantServer)
+		}
 	}
 }
 

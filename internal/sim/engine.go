@@ -224,25 +224,6 @@ func (e *Engine) Admit(req workload.Request) (router.Decision, error) {
 	}
 	e.curSlot = req.ArrivalSlot
 
-	if e.rc.Trace != nil && e.rc.RecordRequests {
-		if err := e.rc.Trace.Emit(trace.Record{
-			Kind:      trace.KindRequest,
-			RequestID: req.ID,
-			Arrival:   req.ArrivalSlot,
-			Start:     req.StartSlot,
-			End:       req.EndSlot,
-			RateMbps:  req.RateMbps,
-			Valuation: req.Valuation,
-			SrcKind:   endpointKindName(req.Src.Kind),
-			SrcIndex:  req.Src.Index,
-			DstKind:   endpointKindName(req.Dst.Kind),
-			DstIndex:  req.Dst.Index,
-			Class:     req.Class,
-		}); err != nil {
-			return router.Decision{}, fmt.Errorf("sim: %w", err)
-		}
-	}
-
 	if e.hotEnabled {
 		e.state.BeginBlame()
 	}
@@ -251,19 +232,7 @@ func (e *Engine) Admit(req workload.Request) (router.Decision, error) {
 		return router.Decision{}, fmt.Errorf("sim: request %d: %w", req.ID, err)
 	}
 	if e.rc.Trace != nil {
-		if err := e.rc.Trace.Emit(trace.Record{
-			Kind:      trace.KindDecision,
-			RequestID: req.ID,
-			Arrival:   req.ArrivalSlot,
-			Start:     req.StartSlot,
-			End:       req.EndSlot,
-			RateMbps:  req.RateMbps,
-			Valuation: req.Valuation,
-			Accepted:  d.Accepted,
-			Price:     d.Price,
-			Reason:    d.Reason,
-			TotalHops: d.Plan.TotalHops(),
-		}); err != nil {
+		if err := e.rc.Trace.Emit(DecisionRecord(req, d, e.res.TotalRequests+1)); err != nil {
 			return router.Decision{}, fmt.Errorf("sim: %w", err)
 		}
 	}
@@ -317,13 +286,31 @@ func (e *Engine) Admit(req workload.Request) (router.Decision, error) {
 	return d, nil
 }
 
-// endpointKindName renders an endpoint kind for trace records; the
-// scenario replay loader inverts it.
-func endpointKindName(k topology.EndpointKind) string {
-	if k == topology.EndpointSpace {
-		return "space"
+// DecisionRecord builds the one decision line that a batch trace and a
+// spaced audit log both write: the request as the engine admitted it and
+// the decision it got, with seq the engine's 1-based commit index (0 for a
+// served booking the engine never saw). Engine.Admit emits it; the server
+// adds only its serving fields. scenario.RequestsFromTrace inverts it.
+func DecisionRecord(req workload.Request, d router.Decision, seq int) trace.Record {
+	return trace.Record{
+		Kind:      trace.KindDecision,
+		RequestID: req.ID,
+		Arrival:   req.ArrivalSlot,
+		Start:     req.StartSlot,
+		End:       req.EndSlot,
+		RateMbps:  req.RateMbps,
+		Valuation: req.Valuation,
+		Accepted:  d.Accepted,
+		Price:     d.Price,
+		Reason:    d.Reason,
+		TotalHops: d.Plan.TotalHops(),
+		SrcKind:   req.Src.Kind.Name(),
+		SrcIndex:  req.Src.Index,
+		DstKind:   req.Dst.Kind.Name(),
+		DstIndex:  req.Dst.Index,
+		Class:     req.Class,
+		Seq:       seq,
 	}
-	return "ground"
 }
 
 // srcCellKey packs a request source endpoint (ground site or EO

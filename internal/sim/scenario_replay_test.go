@@ -56,10 +56,10 @@ func replayBinding() scenario.Binding {
 	}
 }
 
-// recordedRun executes one traced run with request recording on and
-// returns the Result plus the raw JSONL trace bytes. It drives the
-// engine the way Run does (Admit in a loop, Finish) so that it can check
-// the state's invariants before the final sweep.
+// recordedRun executes one traced run and returns the Result plus the
+// raw JSONL trace bytes. It drives the engine the way Run does (Admit in
+// a loop, Finish) so that it can check the state's invariants before the
+// final sweep.
 func recordedRun(t *testing.T, src workload.Source, specName string, seed int64) (*Result, []byte) {
 	t.Helper()
 	prov := testProvider(t)
@@ -70,7 +70,6 @@ func recordedRun(t *testing.T, src workload.Source, specName string, seed int64)
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
 	rc.Trace = tw
-	rc.RecordRequests = true
 	rc.SpecName = specName
 	rc.Source = src
 	eng, err := NewEngine(prov, rc)
@@ -96,7 +95,7 @@ func recordedRun(t *testing.T, src workload.Source, specName string, seed int64)
 }
 
 // TestScenarioRecordReplayByteIdentical is the PR's acceptance gate for
-// the batch path: a spec-driven run recorded to a request trace, then
+// the batch path: a spec-driven run recorded to a decision trace, then
 // replayed from that trace, must reproduce the decisions, prices and
 // final Result byte-for-byte — across seeds. Byte equality of the two
 // JSONL traces covers every decision record (accept/reject, price,

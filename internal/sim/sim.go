@@ -134,13 +134,10 @@ type RunConfig struct {
 	// netstate.NewReferenceScratch() to route every algorithm through the
 	// reference search instead of the flat one; decisions are identical.
 	Scratch *netstate.SearchScratch
-	// Trace, when non-nil, receives one structured record per admission
-	// decision plus per-slot network snapshots.
+	// Trace, when non-nil, receives one decision record per admission
+	// (DecisionRecord: a complete, replayable recording of the run) plus
+	// per-slot network snapshots.
 	Trace *trace.Writer
-	// RecordRequests additionally emits one KindRequest record per
-	// admitted request (before its decision), making the trace a
-	// complete, replayable recording of the run. No-op without Trace.
-	RecordRequests bool
 	// SpecName labels the run's workload source in the trace run_info
 	// record — the scenario spec name, or empty for the flat paper
 	// workload. Replays echo the recorded name so a recording and its

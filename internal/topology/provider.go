@@ -101,6 +101,26 @@ const (
 	EndpointSpace
 )
 
+// Name is the kind as the booking API and the decision log spell it:
+// "space", or "ground" for anything else.
+func (k EndpointKind) Name() string {
+	if k == EndpointSpace {
+		return "space"
+	}
+	return "ground"
+}
+
+// ParseEndpointKind inverts Name.
+func ParseEndpointKind(name string) (EndpointKind, error) {
+	switch name {
+	case "ground":
+		return EndpointGround, nil
+	case "space":
+		return EndpointSpace, nil
+	}
+	return 0, fmt.Errorf("unknown endpoint kind %q (want ground or space)", name)
+}
+
 // Endpoint identifies a request source or destination: a ground site
 // (index into the provider's site list) or an EO satellite (index into
 // the provider's EO fleet).

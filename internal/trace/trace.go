@@ -1,18 +1,22 @@
-// Package trace provides a structured event log for simulation runs:
-// one JSON line per admission decision plus periodic network snapshots.
-// Operators (and the repository's own debugging sessions) use it to
-// answer questions the aggregate metrics cannot — "which pair's requests
-// were priced out around minute 200?", "which satellites carried that
-// burst?".
+// Package trace is the decision log: one JSON line per admission
+// decision plus periodic network snapshots. `spacebench run -trace` and
+// `spaced -audit-log` write the same decision line, so either file
+// answers the questions aggregate metrics cannot — "which pair's requests
+// were priced out around minute 200?" — and either replays to the same
+// decisions (scenario.RequestsFromTrace).
 package trace
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
+
+	"spacebooking/internal/obs"
 )
 
 // EventKind labels a trace record.
@@ -24,17 +28,14 @@ const (
 	KindDecision EventKind = "decision"
 	// KindSnapshot records periodic network health.
 	KindSnapshot EventKind = "snapshot"
-	// KindRunInfo records run metadata (first line of every trace).
+	// KindRunInfo records run metadata (first line of every batch trace).
 	KindRunInfo EventKind = "run_info"
-	// KindRequest records one admitted request's full input (endpoints,
-	// window, demand, valuation, class) — the record replay reconstructs
-	// the stream from. Emitted before the matching KindDecision when a
-	// run records with sim.RunConfig.RecordRequests.
-	KindRequest EventKind = "request"
 )
 
-// Record is one trace line. Fields are a union across kinds; unused
-// fields are omitted from the JSON.
+// Record is one trace line. Fields are a union across kinds; a field a
+// kind does not use is omitted from the JSON, and a zero value is omitted
+// too and read back as zero. Each field has one meaning wherever it
+// appears.
 type Record struct {
 	Kind EventKind `json:"kind"`
 
@@ -47,7 +48,15 @@ type Record struct {
 	// flat paper workload); replays echo the recorded name.
 	Spec string `json:"spec,omitempty"`
 
-	// Decision fields (KindDecision), shared by KindRequest.
+	// A decision (KindDecision) is built by sim.DecisionRecord alone. It
+	// holds the request as the engine admitted it, exact to the float bit,
+	// so replay rebuilds the same workload.Request: the engine's request
+	// id (the server id for a served booking), the arrival slot and active
+	// window (as the server resolved them), the per-slot demand, the
+	// valuation, the endpoints and the class. Then the decision: whether
+	// it was accepted, the price quoted (also on a rejection that quoted
+	// one), the rejection reason, and the plan's hops summed over its
+	// slots.
 	RequestID int     `json:"request_id,omitempty"`
 	Arrival   int     `json:"arrival_slot,omitempty"`
 	Start     int     `json:"start_slot,omitempty"`
@@ -58,17 +67,35 @@ type Record struct {
 	Price     float64 `json:"price,omitempty"`
 	Reason    string  `json:"reason,omitempty"`
 	TotalHops int     `json:"total_hops,omitempty"`
-
-	// Request fields (KindRequest): the endpoints and class that,
-	// together with the shared window/demand fields above, reconstruct
-	// the exact workload.Request for replay. Kinds are "ground" or
-	// "space"; a zero index is omitted from the JSON and recovered as 0
-	// on read.
+	// Endpoint kinds are "ground" or "space".
 	SrcKind  string `json:"src_kind,omitempty"`
 	SrcIndex int    `json:"src_index,omitempty"`
 	DstKind  string `json:"dst_kind,omitempty"`
 	DstIndex int    `json:"dst_index,omitempty"`
 	Class    string `json:"class,omitempty"`
+	// Seq is the engine's 1-based commit index: the order the decisions
+	// were made in, whatever order the lines were written in. A served
+	// booking the engine never saw (expired, horizon-exhausted, error,
+	// overloaded, draining) has none.
+	Seq int `json:"seq,omitempty"`
+
+	// Serving fields, set on a spaced audit log only. ClientID is the
+	// client-assigned request_id; TSUnixNs the wall time the request
+	// entered the server; Outcome the reservation status (accepted,
+	// rejected, error, overloaded or draining). The four counts are the
+	// engine work the admission took, TotalNs is ingress to record, and
+	// Phases — present when Sampled — is the request's phase timeline
+	// relative to TSUnixNs.
+	ClientID     string          `json:"client_id,omitempty"`
+	TSUnixNs     int64           `json:"ts_unix_ns,omitempty"`
+	Outcome      string          `json:"outcome,omitempty"`
+	Searches     int64           `json:"searches,omitempty"`
+	PrunedLabels int64           `json:"pruned_labels,omitempty"`
+	HeapPops     int64           `json:"heap_pops,omitempty"`
+	DeficitWalks int64           `json:"deficit_walks,omitempty"`
+	TotalNs      int64           `json:"total_ns,omitempty"`
+	Sampled      bool            `json:"sampled,omitempty"`
+	Phases       []obs.TraceSpan `json:"phases,omitempty"`
 
 	// Snapshot fields (KindSnapshot).
 	Slot      int `json:"slot,omitempty"`
@@ -193,10 +220,17 @@ func EachLine[T any](r io.Reader, fn func(T) error) error {
 func isBlank(line []byte) bool { return len(bytes.Trim(line, " \t\r")) == 0 }
 
 // Read parses a trace stream back into records, e.g. for analysis
-// tooling and the package's own tests.
+// tooling and replay. A line whose kind is none of the three is an error,
+// so a file from another tool fails by line number rather than reading
+// as an empty trace.
 func Read(r io.Reader) ([]Record, error) {
 	var out []Record
 	if err := EachLine(r, func(rec Record) error {
+		switch rec.Kind {
+		case KindRunInfo, KindDecision, KindSnapshot:
+		default:
+			return fmt.Errorf("unknown record kind %q", rec.Kind)
+		}
 		out = append(out, rec)
 		return nil
 	}); err != nil {
@@ -205,22 +239,37 @@ func Read(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-// Summary aggregates a decision trace for quick inspection.
+// Summary aggregates a decision trace for quick inspection; the JSON
+// form is `spacestat trace -json`.
 type Summary struct {
-	Total     int
-	Accepted  int
-	Rejected  int
-	Revenue   float64
-	ByReason  map[string]int
-	Snapshots int
-	// Requests counts KindRequest records (non-zero only for traces
-	// recorded with request replay enabled).
-	Requests int
+	Total    int     `json:"total"`
+	Accepted int     `json:"accepted"`
+	Rejected int     `json:"rejected"`
+	Revenue  float64 `json:"revenue"`
+	// ByReason counts rejections by reason; a served booking refused
+	// before the engine, which has no reason, counts under its outcome.
+	ByReason  map[string]int `json:"by_reason"`
+	Snapshots int            `json:"snapshots"`
+	// Outcomes, Sampled and Phases are non-zero on an audit log only:
+	// decisions by serving outcome, the decisions carrying a phase
+	// timeline, and those timelines' spans per phase, largest total first.
+	Outcomes map[string]int `json:"outcomes,omitempty"`
+	Sampled  int            `json:"sampled,omitempty"`
+	Phases   []PhaseStat    `json:"phases,omitempty"`
+}
+
+// PhaseStat summarises one serving phase over the sampled decisions.
+type PhaseStat struct {
+	Name   string  `json:"name"`
+	MeanMs float64 `json:"mean_ms"`
+	MaxMs  float64 `json:"max_ms"`
+	Spans  int64   `json:"spans"`
 }
 
 // Summarize folds a record stream into counts.
 func Summarize(records []Record) Summary {
-	s := Summary{ByReason: make(map[string]int)}
+	s := Summary{ByReason: make(map[string]int), Outcomes: make(map[string]int)}
+	at, totalNs := map[string]int{}, map[string]int64{} // by phase name: index in s.Phases, span total
 	for _, r := range records {
 		switch r.Kind {
 		case KindDecision:
@@ -230,13 +279,35 @@ func Summarize(records []Record) Summary {
 				s.Revenue += r.Price
 			} else {
 				s.Rejected++
-				s.ByReason[r.Reason]++
+				s.ByReason[cmp.Or(r.Reason, r.Outcome)]++
+			}
+			if r.Outcome != "" {
+				s.Outcomes[r.Outcome]++
+			}
+			if r.Sampled {
+				s.Sampled++
+				for _, sp := range r.Phases {
+					i, seen := at[sp.Name]
+					if !seen {
+						i = len(s.Phases)
+						at[sp.Name] = i
+						s.Phases = append(s.Phases, PhaseStat{Name: sp.Name})
+					}
+					ns := sp.DurNs()
+					totalNs[sp.Name] += ns
+					s.Phases[i].MaxMs = max(s.Phases[i].MaxMs, float64(ns)/1e6)
+					s.Phases[i].Spans++
+				}
 			}
 		case KindSnapshot:
 			s.Snapshots++
-		case KindRequest:
-			s.Requests++
 		}
 	}
+	for i := range s.Phases {
+		s.Phases[i].MeanMs = float64(totalNs[s.Phases[i].Name]) / float64(s.Phases[i].Spans) / 1e6
+	}
+	slices.SortFunc(s.Phases, func(a, b PhaseStat) int {
+		return cmp.Or(cmp.Compare(totalNs[b.Name], totalNs[a.Name]), cmp.Compare(a.Name, b.Name))
+	})
 	return s
 }

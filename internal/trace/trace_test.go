@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"spacebooking/internal/obs"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -46,6 +48,9 @@ func TestRoundTrip(t *testing.T) {
 func TestReadErrors(t *testing.T) {
 	if _, err := Read(strings.NewReader("{not json}\n")); err == nil {
 		t.Error("bad JSON should error")
+	}
+	if _, err := Read(strings.NewReader("{\"kind\":\"request\"}\n")); err == nil || !strings.Contains(err.Error(), `line 1: unknown record kind "request"`) {
+		t.Errorf("unknown kind: err = %v, want a line 1 error", err)
 	}
 	records, err := Read(strings.NewReader("\n\n"))
 	if err != nil {
@@ -194,7 +199,7 @@ func TestWriterShortWrite(t *testing.T) {
 	w := NewWriter(shortWriter{})
 	var err error
 	for i := 0; i < 5000 && err == nil; i++ {
-		err = w.Emit(Record{Kind: KindRequest, RequestID: i, Class: "web"})
+		err = w.Emit(Record{Kind: KindDecision, RequestID: i, Class: "web"})
 	}
 	if err == nil {
 		err = w.Flush()
@@ -229,18 +234,21 @@ func TestWriterCloseAfterErrorStillClosesUnderlying(t *testing.T) {
 	}
 }
 
-// TestRequestRecordRoundTrip pins the KindRequest wire format the replay
-// path depends on: endpoints, class, spec name and the float demand
-// fields must all survive a JSONL round trip exactly (Go's shortest-
-// representation float marshaling makes this lossless).
+// TestRequestRecordRoundTrip pins the decision wire format the replay
+// path depends on: endpoints, class, seq, spec name, the float demand
+// fields and a served record's phases must all survive a JSONL round trip
+// exactly (Go's shortest-representation float marshaling makes this
+// lossless).
 func TestRequestRecordRoundTrip(t *testing.T) {
 	in := []Record{
 		{Kind: KindRunInfo, Algorithm: "CEAR", Scale: "small", Rate: 2, Seed: 101, Spec: "flash-crowd"},
-		{Kind: KindRequest, RequestID: 1, Arrival: 3, Start: 4, End: 9,
-			RateMbps: 1250.0625, Valuation: 2.3e9,
-			SrcKind: "ground", SrcIndex: 2, DstKind: "space", DstIndex: 17, Class: "eo"},
-		{Kind: KindRequest, RequestID: 2, RateMbps: 0.1, SrcKind: "ground", DstKind: "ground", DstIndex: 1},
-		{Kind: KindDecision, RequestID: 1, Accepted: true, Price: 12.5},
+		{Kind: KindDecision, RequestID: 1, Arrival: 3, Start: 4, End: 9,
+			RateMbps: 1250.0625, Valuation: 2.3e9, Accepted: true, Price: 12.5, TotalHops: 7,
+			SrcKind: "ground", SrcIndex: 2, DstKind: "space", DstIndex: 17, Class: "eo", Seq: 1},
+		{Kind: KindDecision, RequestID: 2, RateMbps: 0.1, Price: 0.30000000000000004, Reason: "priced-out",
+			SrcKind: "ground", DstKind: "ground", DstIndex: 1, Seq: 2,
+			ClientID: "c-2", TSUnixNs: 1, Outcome: "rejected", Searches: 3, TotalNs: 900, Sampled: true,
+			Phases: []obs.TraceSpan{{Name: "queue.wait", StartNs: 0, EndNs: 400}}},
 	}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -260,11 +268,9 @@ func TestRequestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("round trip diverged:\nin:  %+v\nout: %+v", in, out)
 	}
 	s := Summarize(out)
-	if s.Requests != 2 {
-		t.Errorf("Summarize counted %d request records, want 2", s.Requests)
-	}
-	if s.Total != 1 || s.Accepted != 1 {
-		t.Errorf("request records leaked into decision counts: %+v", s)
+	if s.Total != 2 || s.Accepted != 1 || s.Outcomes["rejected"] != 1 || s.Sampled != 1 ||
+		len(s.Phases) != 1 || s.Phases[0] != (PhaseStat{Name: "queue.wait", MeanMs: 0.0004, MaxMs: 0.0004, Spans: 1}) {
+		t.Errorf("summary = %+v", s)
 	}
 }
 
@@ -300,16 +306,17 @@ func TestSummarize(t *testing.T) {
 		{Kind: KindDecision, Accepted: false, Reason: "no-path"},
 		{Kind: KindDecision, Accepted: false, Reason: "no-path"},
 		{Kind: KindDecision, Accepted: false, Reason: "priced-out"},
+		{Kind: KindDecision, Accepted: false, Outcome: "overloaded"},
 		{Kind: KindSnapshot, Slot: 1},
 	}
 	s := Summarize(records)
-	if s.Total != 5 || s.Accepted != 2 || s.Rejected != 3 {
+	if s.Total != 6 || s.Accepted != 2 || s.Rejected != 4 || s.Outcomes["overloaded"] != 1 {
 		t.Errorf("summary counts = %+v", s)
 	}
 	if s.Revenue != 15 {
 		t.Errorf("revenue = %v", s.Revenue)
 	}
-	if s.ByReason["no-path"] != 2 || s.ByReason["priced-out"] != 1 {
+	if s.ByReason["no-path"] != 2 || s.ByReason["priced-out"] != 1 || s.ByReason["overloaded"] != 1 {
 		t.Errorf("by reason = %v", s.ByReason)
 	}
 	if s.Snapshots != 1 {

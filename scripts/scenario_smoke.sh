@@ -3,8 +3,8 @@
 # the record/replay pipeline:
 #   1. spacestat spec validates the checked-in example specs (schema
 #      gate),
-#   2. spacebench run -spec -record runs the smoke scenario and records every
-#      admitted request into a trace,
+#   2. spacebench run -spec -trace runs the smoke scenario and records
+#      every decision, with the request exactly as admitted, into a trace,
 #   3. spacebench run -replay plays the recording back through the engine with
 #      its own trace attached,
 #   4. the two traces must be byte-identical (same decisions, prices,
@@ -30,16 +30,16 @@ echo "scenario_smoke: validating example specs"
 echo "scenario_smoke: recording spec-driven run"
 RECORDED="$WORK/recorded.jsonl"
 "$WORK/spacebench" run -scale small -seed 101 -spec specs/smoke.json \
-  -record -trace "$RECORDED" >"$WORK/record.out"
+  -trace "$RECORDED" >"$WORK/record.out"
 grep -q '^scenario *smoke (spec)$' "$WORK/record.out" || \
   { cat "$WORK/record.out" >&2; echo "scenario_smoke: record run did not report the spec name" >&2; exit 1; }
-grep -q '"kind":"request"' "$RECORDED" || \
-  { echo "scenario_smoke: recorded trace holds no request records" >&2; exit 1; }
+grep -q '"kind":"decision".*"src_kind"' "$RECORDED" || \
+  { echo "scenario_smoke: recorded trace holds no replayable decision records" >&2; exit 1; }
 
 echo "scenario_smoke: replaying the recording"
 REPLAYED="$WORK/replayed.jsonl"
 "$WORK/spacebench" run -scale small -seed 101 -replay "$RECORDED" \
-  -record -trace "$REPLAYED" >"$WORK/replay.out"
+  -trace "$REPLAYED" >"$WORK/replay.out"
 grep -q '^scenario *smoke (replayed spec)$' "$WORK/replay.out" || \
   { cat "$WORK/replay.out" >&2; echo "scenario_smoke: replay run did not echo the recorded spec name" >&2; exit 1; }
 
