@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check check-race build test vet fmt-check race bench-smoke fuzz-smoke bench-module bench-golden bench-pair report-smoke smoke-spaced trace-smoke scenario-smoke loc
+.PHONY: check check-race build test vet fmt-check race bench-smoke fuzz-smoke bench-module bench-golden bench-pair report-smoke smoke-spaced trace-smoke scenario-smoke loc prod-cover
 
 check: fmt-check vet build race bench-smoke fuzz-smoke
 	@echo "check: all gates passed"
@@ -45,6 +45,13 @@ loc:
 	@echo "test      $$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
 	@echo "benchmark $$(find ./benchmark -name '*.go' | xargs cat | wc -l)"
 	@echo "commands  $$(ls cmd | wc -l)"
+
+# Production coverage: build every command and the benchmark with -cover,
+# run a fixed small-scale tour of them and list each non-test function no
+# run executed (scripts/prod_cover.sh). A report for deletion reviews,
+# not a gate: exact fallbacks and oracles stay on the list.
+prod-cover:
+	./scripts/prod_cover.sh
 
 # Every native fuzz target for ten seconds (`go test -fuzz` takes one
 # target and one package per run). The seed corpora come from the property

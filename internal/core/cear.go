@@ -110,11 +110,11 @@ type CEAR struct {
 	ctrRejected    *obs.Counter
 	ctrSlotSearch  *obs.Counter
 	histPlanPrice  *obs.Histogram
-	// instr is the state's shared graph-instrument handle, cached so
+	// instr is the state's shared search-instrument handle, cached so
 	// the pricing walk can check PricingNanos without a method call per
 	// cache miss. EnableTraceDetail mutates the pointed-to struct, so a
 	// handle cached before enablement still sees the counters.
-	instr *graph.Instruments
+	instr *netstate.SearchInstruments
 }
 
 var _ router.Algorithm = (*CEAR)(nil)
@@ -161,7 +161,7 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 		c.fast.Instrument(reg.Counter("pricing.lut_lookups"))
 		state.SetObs(reg)
 	}
-	c.instr = state.GraphInstruments()
+	c.instr = state.SearchInstruments()
 	return c, nil
 }
 

@@ -63,7 +63,7 @@ func TestDijkstraMatchesBruteForce(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				class = ClassUSL
 			}
-			mustAdd(t, g, from, to, class, int32(i), rng.Float64()*10)
+			mustAdd(t, g, from, to, class, rng.Float64()*10)
 		}
 		var transit TransitCostFunc
 		if trial%2 == 1 {

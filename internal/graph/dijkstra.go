@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 )
 
 // item is a priority-queue entry over (node, incoming-class) states.
@@ -10,26 +11,11 @@ type item struct {
 	dist  float64
 }
 
-// searchHeap is a typed binary min-heap over items, ordered by dist.
-// It replaces container/heap: pushes and pops move concrete structs (no
-// interface{} boxing, so no per-push allocation), and the backing slice
-// is preallocated once per search.
+// searchHeap is a typed binary min-heap over items, ordered by dist:
+// pushes and pops move concrete structs, with no interface{} boxing.
 type searchHeap struct {
 	items []item
 }
-
-// heapSizeHint bounds the initial heap allocation: enough for every
-// (node, in-class) state of small graphs, capped so huge graphs do not
-// pay for capacity the search never uses (append grows it on demand).
-func heapSizeHint(n int) int {
-	const maxHint = 4096
-	if h := n * numClasses; h < maxHint {
-		return h
-	}
-	return maxHint
-}
-
-func (h *searchHeap) reset() { h.items = h.items[:0] }
 
 func (h *searchHeap) empty() bool { return len(h.items) == 0 }
 
@@ -87,16 +73,9 @@ type predLink struct {
 // classes.
 //
 // Edges with +Inf cost and node transits with +Inf cost are skipped.
-// The second return value is false when dst is unreachable.
+// The second return value is false when dst is unreachable. Every call
+// allocates its own arrays, so concurrent calls share nothing.
 func ShortestPath(g Adjacency, src, dst int, transit TransitCostFunc) (Path, bool) {
-	return ShortestPathWith(g, src, dst, transit, nil)
-}
-
-// ShortestPathWith is ShortestPath with caller-owned working memory: the
-// scratch's heap, dist and prev arrays are reused instead of allocated
-// per call. A nil scratch allocates a fresh one (the reference
-// behaviour); results are identical either way.
-func ShortestPathWith(g Adjacency, src, dst int, transit TransitCostFunc, sc *Scratch) (Path, bool) {
 	n := g.N()
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return Path{}, false
@@ -104,45 +83,31 @@ func ShortestPathWith(g Adjacency, src, dst int, transit TransitCostFunc, sc *Sc
 	if src == dst {
 		return Path{Nodes: []int{src}}, true
 	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	in := instrumentsOf(g)
-	defer in.searchTimerEnd(in.searchTimerStart())
-	var pops int64
 
 	// State encoding: node*numClasses + int(inClass).
-	numStates := n * numClasses
-	sc.ensureDijkstra(numStates)
-	dist, prev := sc.dist, sc.prev
-
+	dist := make([]float64, n*numClasses)
+	prev := make([]predLink, n*numClasses)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		prev[i] = predLink{state: -1}
+	}
 	start := src*numClasses + int(ClassNone)
 	dist[start] = 0
-	pq := &sc.heap
-	if cap(pq.items) == 0 {
-		pq.items = make([]item, 0, heapSizeHint(n))
-	}
-	pq.reset()
+	var pq searchHeap
 	pq.push(item{state: start, dist: 0})
 
-	// The relax callback is built once and fed per-pop state through the
-	// captured locals below: VisitNeighbors takes a func value, so a
-	// closure literal inside the pop loop would escape (and allocate) on
-	// every settled state.
-	//
 	// What leaving the popped state over an edge of one class costs is
 	// fixed by the state, not by the edge: transit is asked at the first
 	// unmasked edge of each out-class and the answer reused for the rest
 	// (never asked for a class whose edges are all masked).
 	var (
-		curItem    item
+		cur        item
 		curNode    int
 		curInClass EdgeClass
 		tcAsked    [numClasses]bool
 		tcVal      [numClasses]float64
 	)
 	relax := func(e Edge) bool {
-		in.relax()
 		w := e.Cost
 		if math.IsInf(w, 1) {
 			return true
@@ -158,34 +123,28 @@ func ShortestPathWith(g Adjacency, src, dst int, transit TransitCostFunc, sc *Sc
 			w += tc
 		}
 		nextState := e.To*numClasses + int(e.Class)
-		if nd := curItem.dist + w; nd < dist[nextState] {
+		if nd := cur.dist + w; nd < dist[nextState] {
 			dist[nextState] = nd
-			prev[nextState] = predLink{state: curItem.state, edge: e}
+			prev[nextState] = predLink{state: cur.state, edge: e}
 			pq.push(item{state: nextState, dist: nd})
 		}
 		return true
 	}
 
 	for !pq.empty() {
-		cur := pq.pop()
-		pops++
+		cur = pq.pop()
 		if cur.dist > dist[cur.state] {
 			continue // stale entry
 		}
-		node := cur.state / numClasses
-		inClass := EdgeClass(cur.state % numClasses)
-		if node == dst {
+		curNode, curInClass = cur.state/numClasses, EdgeClass(cur.state%numClasses)
+		if curNode == dst {
 			// First settle of the destination is optimal over all
 			// incoming classes (dst pays no transit).
-			in.searchDone(pops)
-			return reconstruct(prev, cur.state, cur.dist, sc), true
+			return reconstruct(prev, cur.state, cur.dist), true
 		}
-
-		curItem, curNode, curInClass = cur, node, inClass
 		tcAsked = [numClasses]bool{}
-		g.VisitNeighbors(node, relax)
+		g.VisitNeighbors(curNode, relax)
 	}
-	in.searchDone(pops)
 	return Path{}, false
 }
 
@@ -195,22 +154,21 @@ func (g *Graph) ShortestPath(src, dst int, transit TransitCostFunc) (Path, bool)
 	return ShortestPath(g, src, dst, transit)
 }
 
-// reconstruct walks predecessor links back to the source, reversing
-// through the scratch buffers; only the returned Path slices allocate.
-func reconstruct(prev []predLink, dstState int, cost float64, sc *Scratch) Path {
-	sc.nodesRev = sc.nodesRev[:0]
-	sc.edgesRev = sc.edgesRev[:0]
-	s := dstState
-	for {
-		sc.nodesRev = append(sc.nodesRev, s/numClasses)
-		p := prev[s]
-		if p.state < 0 {
+// reconstruct walks predecessor links back to the source and returns the
+// path in forward order.
+func reconstruct(prev []predLink, dstState int, cost float64) Path {
+	var nodes []int
+	var edges []Edge
+	for s := dstState; ; s = prev[s].state {
+		nodes = append(nodes, s/numClasses)
+		if prev[s].state < 0 {
 			break
 		}
-		sc.edgesRev = append(sc.edgesRev, p.edge)
-		s = p.state
+		edges = append(edges, prev[s].edge)
 	}
-	return sc.buildPath(cost)
+	slices.Reverse(nodes)
+	slices.Reverse(edges)
+	return Path{Nodes: nodes, Edges: edges, Cost: cost}
 }
 
 // PathCost recomputes the full cost of a path (edge costs plus transit

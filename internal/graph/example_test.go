@@ -12,9 +12,9 @@ import (
 func ExampleShortestPath() {
 	g := graph.New(4)
 	// src(0) -> gateway(1) -> relay(2) -> dst(3)
-	_ = g.AddEdge(0, 1, graph.ClassUSL, 0, 1)
-	_ = g.AddEdge(1, 2, graph.ClassISL, 0, 1)
-	_ = g.AddEdge(2, 3, graph.ClassUSL, 0, 1)
+	_ = g.AddEdge(0, 1, graph.ClassUSL, 1)
+	_ = g.AddEdge(1, 2, graph.ClassISL, 1)
+	_ = g.AddEdge(2, 3, graph.ClassUSL, 1)
 
 	transit := func(node int, in, out graph.EdgeClass) float64 {
 		if in == graph.ClassUSL || out == graph.ClassUSL {

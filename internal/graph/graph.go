@@ -2,9 +2,10 @@
 // needs: a compact adjacency-list digraph and Dijkstra shortest paths with
 // optional per-node *transit* costs that depend on the classes of the
 // incoming and outgoing edges (how CEAR prices satellite energy per
-// Eq. (1) of the paper). The search here is the generic form, over any
-// Adjacency; admission runs its flat twin in internal/netstate and tests
-// compare the two.
+// Eq. (1) of the paper). The search here is the reference form, over any
+// Adjacency: it allocates its arrays per call and counts nothing.
+// Admission runs its flat twin in internal/netstate, which owns the
+// search counters, and tests compare the two.
 package graph
 
 import (
@@ -37,10 +38,9 @@ const NumClasses = numClasses
 
 // Edge is a directed edge.
 type Edge struct {
-	To      int
-	Class   EdgeClass
-	Payload int32   // caller-defined identifier (e.g. link-ledger index)
-	Cost    float64 // non-negative base cost; +Inf edges are skipped
+	To    int
+	Class EdgeClass
+	Cost  float64 // non-negative base cost; +Inf edges are skipped
 }
 
 // Adjacency is the graph abstraction the searches run over. Implicit
@@ -58,8 +58,7 @@ type Adjacency interface {
 // Graph is a directed graph over nodes 0..N-1 with explicit adjacency
 // lists. It implements Adjacency.
 type Graph struct {
-	adj   [][]Edge
-	instr *Instruments
+	adj [][]Edge
 }
 
 var _ Adjacency = (*Graph)(nil)
@@ -72,33 +71,16 @@ func New(n int) *Graph {
 // N returns the number of nodes.
 func (g *Graph) N() int { return len(g.adj) }
 
-// Instrument attaches (or with nil, detaches) the counters that searches
-// over this graph advance. Plain field write: attach before sharing the
-// graph across goroutines.
-func (g *Graph) Instrument(in *Instruments) { g.instr = in }
-
-// Instruments implements Instrumented.
-func (g *Graph) Instruments() *Instruments { return g.instr }
-
-// NumEdges returns the number of directed edges.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, es := range g.adj {
-		total += len(es)
-	}
-	return total
-}
-
 // AddEdge appends a directed edge. Costs must be non-negative (Dijkstra);
 // an edge with +Inf cost is stored but never traversed.
-func (g *Graph) AddEdge(from, to int, class EdgeClass, payload int32, cost float64) error {
+func (g *Graph) AddEdge(from, to int, class EdgeClass, cost float64) error {
 	if from < 0 || from >= len(g.adj) || to < 0 || to >= len(g.adj) {
 		return fmt.Errorf("graph: edge %d->%d outside node range [0,%d)", from, to, len(g.adj))
 	}
 	if cost < 0 || math.IsNaN(cost) {
 		return fmt.Errorf("graph: edge %d->%d has invalid cost %v", from, to, cost)
 	}
-	g.adj[from] = append(g.adj[from], Edge{To: to, Class: class, Payload: payload, Cost: cost})
+	g.adj[from] = append(g.adj[from], Edge{To: to, Class: class, Cost: cost})
 	return nil
 }
 

@@ -17,7 +17,7 @@ func materialize(v *View) *graph.Graph {
 			if math.IsInf(cost, 1) {
 				return true // explicit graph simply omits masked edges
 			}
-			_ = g.AddEdge(node, e.To, e.Class, e.Payload, cost)
+			_ = g.AddEdge(node, e.To, e.Class, cost)
 			return true
 		})
 	}

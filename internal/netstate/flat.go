@@ -485,7 +485,7 @@ func (v *FlatView) Search(transit graph.TransitCostFunc, _ int, budgetBase, budg
 	// breakdown; the counter is nil (one branch, no clock reads) unless
 	// trace detail is enabled on the state.
 	var t0 time.Time
-	in := v.state.GraphInstruments()
+	in := v.state.SearchInstruments()
 	timed := in != nil && in.SearchNanos != nil
 	if timed {
 		t0 = time.Now()
@@ -501,7 +501,7 @@ func (v *FlatView) Search(transit graph.TransitCostFunc, _ int, budgetBase, budg
 // dijkstra is the flat twin of graph.ShortestPath over this view.
 func (v *FlatView) dijkstra(transit graph.TransitCostFunc, budgetBase, budgetLimit float64) (graph.Path, bool, bool) {
 	sc := v.sc
-	in := v.state.GraphInstruments()
+	in := v.state.SearchInstruments()
 	var pops, relaxes, prunedN int64
 	pruned := false
 

@@ -8,7 +8,7 @@ import (
 // The link ledger: every bandwidth reservation of a State, slot-major.
 //
 // ISLs are the static +Grid fabric, so each already has a dense id — its
-// index in the provider's CSR (topology.CSR.Payload). isl[slot] is one
+// edge index i in the provider's CSR (topology.CSR.To[i]). isl[slot] is one
 // row of reserved Mbps indexed by that id, allocated on the first
 // reservation in the slot; a nil row reads as zero. A search at slot t
 // therefore reads one contiguous row by the edge index it is iterating

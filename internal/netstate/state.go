@@ -138,6 +138,35 @@ type State struct {
 	hot hotspots
 }
 
+// SearchInstruments holds the flat search's counters, registered under
+// graph.* names that the benchmark module and the telemetry surface
+// read; the reference search in package graph counts nothing. Each State
+// owns one handle, so concurrent runs on a shared provider never write
+// each other's counters.
+type SearchInstruments struct {
+	// HeapPops counts priority-queue pops.
+	HeapPops *obs.Counter
+	// EdgeRelaxations counts edges examined.
+	EdgeRelaxations *obs.Counter
+	// FastPathSearches counts searches.
+	FastPathSearches *obs.Counter
+	// PrunedLabels counts search labels discarded by budget pruning:
+	// states whose accumulated plan price already exceeded the request's
+	// valuation, so admission would reject any completion through them.
+	PrunedLabels *obs.Counter
+	// SearchNanos accumulates wall nanoseconds spent inside searches.
+	// Nil unless EnableTraceDetail attaches it: the serving layer's
+	// per-request phase breakdown needs it, batch runs and benchmarks
+	// never pay the two clock reads per search. Search time includes the
+	// transit-cost callbacks, so it overlaps PricingNanos; consumers
+	// subtract.
+	SearchNanos *obs.Counter
+	// PricingNanos accumulates wall nanoseconds spent in the
+	// deficit-pricing walks invoked from inside searches; nil unless
+	// EnableTraceDetail attaches it.
+	PricingNanos *obs.Counter
+}
+
 // stateInstruments caches the state's observability handles. All nil
 // (no-op) until SetObs attaches a registry.
 type stateInstruments struct {
@@ -150,19 +179,19 @@ type stateInstruments struct {
 	// (ReservePath + Consume). Nil — no clock reads — unless
 	// EnableTraceDetail attaches it.
 	commitNanos *obs.Counter
-	// graph is handed to every search run over this state's Views;
-	// energy is attached to every battery. Both are per-State handles —
-	// this is what lets concurrent runs on a shared provider count into
-	// their own registries.
-	graph  *graph.Instruments
+	// search is read by every flat search over this state; energy is
+	// attached to every battery. Both are per-State handles — this is
+	// what lets concurrent runs on a shared provider count into their
+	// own registries.
+	search *SearchInstruments
 	energy *energy.Instruments
 }
 
 // SetObs attaches observability counters from the registry (nil is a
 // no-op). Call before the run starts; the State is single-owner, so the
-// handles are plain fields. The graph-search and battery instruments
-// are built here too and threaded down explicitly: Views expose the
-// graph handle to the searches, and every battery (including clones the
+// handles are plain fields. The search and battery instruments are
+// built here too and threaded down explicitly: flat views read the
+// search handle from the state, and every battery (including clones the
 // trial paths make) carries the energy handle.
 func (s *State) SetObs(reg *obs.Registry) {
 	if reg == nil {
@@ -174,7 +203,7 @@ func (s *State) SetObs(reg *obs.Registry) {
 		linkReserves:  reg.Counter("netstate.link.reservations"),
 		trialConsumes: reg.Counter("netstate.trial_consumes"),
 		scratchReuses: reg.Counter("netstate.scratch.reuses"),
-		graph: &graph.Instruments{
+		search: &SearchInstruments{
 			HeapPops:         reg.Counter("graph.dijkstra.heap_pops"),
 			EdgeRelaxations:  reg.Counter("graph.edge_relaxations"),
 			FastPathSearches: reg.Counter("graph.fastpath.searches"),
@@ -190,9 +219,9 @@ func (s *State) SetObs(reg *obs.Registry) {
 	}
 }
 
-// GraphInstruments returns the search counters of this state (nil when
-// no registry is attached). Views forward it to the searches.
-func (s *State) GraphInstruments() *graph.Instruments { return s.instr.graph }
+// SearchInstruments returns the search counters of this state (nil when
+// no registry is attached).
+func (s *State) SearchInstruments() *SearchInstruments { return s.instr.search }
 
 // EnableTraceDetail attaches the sub-phase wall-time counters — search,
 // deficit-pricing and commit nanoseconds — that the serving layer's
@@ -204,14 +233,14 @@ func (s *State) GraphInstruments() *graph.Instruments { return s.instr.graph }
 // with live views and batteries); a nil registry or un-observed state
 // is a no-op. Call before the run starts — the State is single-owner.
 func (s *State) EnableTraceDetail(reg *obs.Registry) {
-	if reg == nil || s.instr.graph == nil {
+	if reg == nil || s.instr.search == nil {
 		return
 	}
 	// Names deliberately avoid "seconds": spacestat diff's default
 	// wall-time gates would otherwise treat these monotonic nano totals
 	// as regression-gated quantities.
-	s.instr.graph.SearchNanos = reg.Counter("graph.search.nanos")
-	s.instr.graph.PricingNanos = reg.Counter("energy.pricing.nanos")
+	s.instr.search.SearchNanos = reg.Counter("graph.search.nanos")
+	s.instr.search.PricingNanos = reg.Counter("energy.pricing.nanos")
 	s.instr.commitNanos = reg.Counter("netstate.commit.nanos")
 }
 

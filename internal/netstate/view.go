@@ -159,11 +159,6 @@ func (v *View) VisitNeighbors(node int, fn func(graph.Edge) bool) {
 }
 
 var _ graph.Adjacency = (*View)(nil)
-var _ graph.Instrumented = (*View)(nil)
-
-// Instruments implements graph.Instrumented: searches over this view
-// count into the owning state's registry (nil when uninstrumented).
-func (v *View) Instruments() *graph.Instruments { return v.state.GraphInstruments() }
 
 // PathConsumptions converts a path found on this view into the list of
 // per-satellite energy consumptions it implies in this slot, applying

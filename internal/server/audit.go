@@ -67,13 +67,14 @@ type SLOConfig struct {
 	// LatencyObjective is the admit-latency objective (enqueue to
 	// decision). Default 25ms.
 	LatencyObjective time.Duration
-	// LatencyTarget is the required fraction of requests meeting the
-	// objective. Default 0.99.
-	LatencyTarget float64
-	// AvailabilityTarget is the required fraction of requests that are
-	// not shed or errored. Default 0.999.
-	AvailabilityTarget float64
 }
+
+// The SLO targets: the fraction of requests that must meet the latency
+// objective, and the fraction that must be neither shed nor errored.
+const (
+	sloLatencyTarget      = 0.99
+	sloAvailabilityTarget = 0.999
+)
 
 // AuditRecord is the audit log's line. It is the decision record every
 // trace writes (sim.DecisionRecord) with the serving fields filled in;

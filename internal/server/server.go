@@ -253,12 +253,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SLO.LatencyObjective == 0 {
 		cfg.SLO.LatencyObjective = 25 * time.Millisecond
 	}
-	if cfg.SLO.LatencyTarget == 0 {
-		cfg.SLO.LatencyTarget = 0.99
-	}
-	if cfg.SLO.AvailabilityTarget == 0 {
-		cfg.SLO.AvailabilityTarget = 0.999
-	}
 	if cfg.Shards != 0 && cfg.Shards != 1 {
 		return nil, fmt.Errorf("server: %d shards requested, the service runs one engine", cfg.Shards)
 	}
@@ -283,8 +277,8 @@ func New(cfg Config) (*Server, error) {
 		ctrExpired: reg.Counter("server.expired"),
 		ctrBatches: reg.Counter("server.batches"),
 		histAdmit:  reg.Histogram("server.admit_latency", nil),
-		sloLatency: obs.NewSLOClass(reg, "latency", cfg.SLO.LatencyObjective.Seconds(), cfg.SLO.LatencyTarget),
-		sloAvail:   obs.NewSLOClass(reg, "availability", 0, cfg.SLO.AvailabilityTarget),
+		sloLatency: obs.NewSLOClass(reg, "latency", cfg.SLO.LatencyObjective.Seconds(), sloLatencyTarget),
+		sloAvail:   obs.NewSLOClass(reg, "availability", 0, sloAvailabilityTarget),
 	}
 	if cfg.Trace.enabled() {
 		sink, err := newAuditSink(cfg.Trace, reg)

@@ -85,10 +85,6 @@ func NewEngine(prov *topology.Provider, rc RunConfig) (*Engine, error) {
 	if prov == nil {
 		return nil, fmt.Errorf("sim: nil provider")
 	}
-	if rc.CongestionThresholdFrac <= 0 || rc.DepletionThresholdFrac <= 0 {
-		return nil, fmt.Errorf("sim: thresholds must be positive (congestion %v, depletion %v)",
-			rc.CongestionThresholdFrac, rc.DepletionThresholdFrac)
-	}
 	buildSpan := rc.Obs.StartPhase("state_build")
 	alg, state, err := buildAlgorithm(prov, rc)
 	buildSpan.End()
@@ -381,8 +377,8 @@ func (e *Engine) Finish() (*Result, error) {
 	)
 	cumArrived, cumAccepted := 0.0, 0.0
 	for t := 0; t < horizon; t++ {
-		res.DepletedPerSlot[t] = state.DepletedSatCount(t, rc.DepletionThresholdFrac)
-		res.CongestedPerSlot[t] = state.CongestedLinkCount(t, rc.CongestionThresholdFrac)
+		res.DepletedPerSlot[t] = state.DepletedSatCount(t, depletionThresholdFrac)
+		res.CongestedPerSlot[t] = state.CongestedLinkCount(t, congestionThresholdFrac)
 		cumArrived += e.arrivedVal[t]
 		cumAccepted += e.acceptedVal[t]
 		if cumArrived > 0 {

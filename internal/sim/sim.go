@@ -106,6 +106,15 @@ func ParseAlgorithm(name string) (AlgorithmKind, error) {
 		name, strings.Join(AlgorithmNames(), ", "))
 }
 
+// The Fig. 7 metrics' definitions: a link is congested when less than
+// congestionThresholdFrac of its capacity remains in the slot, a
+// satellite depleted when less than depletionThresholdFrac of its
+// battery does.
+const (
+	congestionThresholdFrac = 0.1
+	depletionThresholdFrac  = 0.2
+)
+
 // RunConfig parameterises one simulation run on a shared environment.
 type RunConfig struct {
 	Algorithm AlgorithmKind
@@ -117,10 +126,6 @@ type RunConfig struct {
 	Pricing pricing.Params
 	// Weights configures the ECARS/ERU/ERA family (ignored otherwise).
 	Weights baselines.WeightOptions
-	// CongestionThresholdFrac and DepletionThresholdFrac define the
-	// Fig. 7 metrics (0.1 and 0.2 in the paper).
-	CongestionThresholdFrac float64
-	DepletionThresholdFrac  float64
 	// PruneBudget enables budget pruning in CEAR's fast-path searches
 	// (see core.Options.PruneBudget). It preserves accept/reject, plans
 	// and (up to float residue on rolled-back links) prices, but not the
@@ -170,13 +175,11 @@ func DefaultRunConfig(alg AlgorithmKind, wl workload.Config) (RunConfig, error) 
 		return RunConfig{}, err
 	}
 	return RunConfig{
-		Algorithm:               alg,
-		Workload:                wl,
-		Energy:                  netstate.DefaultEnergyConfig(),
-		Pricing:                 params,
-		Weights:                 baselines.DefaultWeightOptions(),
-		CongestionThresholdFrac: 0.1,
-		DepletionThresholdFrac:  0.2,
+		Algorithm: alg,
+		Workload:  wl,
+		Energy:    netstate.DefaultEnergyConfig(),
+		Pricing:   params,
+		Weights:   baselines.DefaultWeightOptions(),
 	}, nil
 }
 

@@ -444,11 +444,6 @@ func TestRunErrors(t *testing.T) {
 		t.Error("nil provider should error")
 	}
 	bad := rc
-	bad.CongestionThresholdFrac = 0
-	if _, err := Run(prov, bad); err == nil {
-		t.Error("zero threshold should error")
-	}
-	bad = rc
 	bad.Algorithm = AlgorithmKind(0)
 	if _, err := Run(prov, bad); err == nil {
 		t.Error("unknown algorithm should error")

@@ -82,7 +82,7 @@ func TestSetUpAllocatesWhatItStores(t *testing.T) {
 	csr := prov.ISLCSR()
 	stored := h*(frame+header+n) +
 		n*(unsafe.Sizeof(orbit.Satellite{})+unsafe.Sizeof(orbit.Propagator{})+header) +
-		uintptr(csr.NumEdges())*(word+4+1+8+4) + uintptr(len(csr.Offsets))*4 +
+		uintptr(csr.NumEdges())*(word+4) + uintptr(len(csr.Offsets))*4 +
 		uintptr(len(sites))*(unsafe.Sizeof(grid.Site{})+unsafe.Sizeof(geo.Vec3{})+header)
 	frozen := map[topology.Endpoint]bool{}
 	for _, e := range eps {
