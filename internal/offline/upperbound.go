@@ -79,10 +79,17 @@ func CutUpperBound(prov *topology.Provider, reqs []workload.Request) (float64, e
 	}
 
 	// Fractional knapsack per pool: sort by value density, fill greedily.
+	// Pools are summed in key order and equal densities keep request
+	// order, so the bound is the same bits on every call.
+	gids := make([]int, 0, len(pools))
+	for gid := range pools {
+		gids = append(gids, gid)
+	}
+	sort.Ints(gids)
 	total := 0.0
-	for gid, items := range pools {
-		capacity := poolCapacity[gid]
-		sort.Slice(items, func(a, b int) bool {
+	for _, gid := range gids {
+		items, capacity := pools[gid], poolCapacity[gid]
+		sort.SliceStable(items, func(a, b int) bool {
 			da := items[a].valuation / items[a].weight
 			db := items[b].valuation / items[b].weight
 			return da > db
