@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"spacebooking/internal/metrics"
 	"spacebooking/internal/netstate"
 	"spacebooking/internal/sim"
 	"spacebooking/internal/topology"
@@ -50,123 +51,63 @@ func benchEnvironment(b *testing.B) *Environment {
 // printOnce guards the one-time table output of each figure bench.
 var printOnce sync.Map
 
-func printFigure(name string, render func()) {
+func printFigure(b *testing.B, name string, tables ...*metrics.Table) {
 	if _, loaded := printOnce.LoadOrStore(name, true); !loaded {
 		fmt.Printf("\n==== %s ====\n", name)
-		render()
+		for _, t := range tables {
+			if err := t.Render(os.Stdout); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// benchFigure runs a figure b.N times and prints its tables once.
+func benchFigure(b *testing.B, name string, run func(*Environment) (*Figure, error)) {
+	env := benchEnvironment(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fig, err := run(env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		printFigure(b, name, fig.Tables...)
 	}
 }
 
 // BenchmarkFig6 regenerates Fig. 6: social welfare ratio per algorithm
 // under the default setting and the arrival-rate sweep.
 func BenchmarkFig6(b *testing.B) {
-	env := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := env.RunFig6(Fig6Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("Fig. 6", func() {
-			if err := res.Table().Render(os.Stdout); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
+	benchFigure(b, "Fig. 6", func(env *Environment) (*Figure, error) { return env.RunFig6(DefaultSeeds) })
 }
 
-// BenchmarkFig7Energy regenerates the left subplot of Fig. 7:
-// energy-depleted satellites over time at the default rate.
-func BenchmarkFig7Energy(b *testing.B) {
-	env := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := env.RunFig7(Fig7Config{CongestionRate: env.DefaultArrivalRate()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("Fig. 7 (left)", func() {
-			dep, _ := res.Tables()
-			if err := dep.Render(os.Stdout); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkFig7Congestion regenerates the right subplot of Fig. 7:
-// congested links over time at 2.5x the default rate.
-func BenchmarkFig7Congestion(b *testing.B) {
-	env := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := env.RunFig7(Fig7Config{EnergyRate: env.DefaultArrivalRate()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("Fig. 7 (right)", func() {
-			_, cong := res.Tables()
-			if err := cong.Render(os.Stdout); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
+// BenchmarkFig7 regenerates Fig. 7: energy-depleted satellites over time
+// at the default rate and congested links over time at 2.5x the default
+// rate.
+func BenchmarkFig7(b *testing.B) {
+	benchFigure(b, "Fig. 7", func(env *Environment) (*Figure, error) { return env.RunFig7(DefaultSeeds[0]) })
 }
 
 // BenchmarkFig8 regenerates Fig. 8: cumulative social welfare ratio over
 // time per algorithm.
 func BenchmarkFig8(b *testing.B) {
-	env := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := env.RunFig8(Fig8Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("Fig. 8", func() {
-			if err := res.Table().Render(os.Stdout); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
+	benchFigure(b, "Fig. 8", func(env *Environment) (*Figure, error) { return env.RunFig8(DefaultSeeds[0]) })
 }
 
 // BenchmarkFig9Valuation regenerates the left subplot of Fig. 9: CEAR's
 // welfare ratio across request valuations.
 func BenchmarkFig9Valuation(b *testing.B) {
-	env := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := env.RunFig9(Fig9Config{F2Values: []float64{1}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("Fig. 9 (left)", func() {
-			valT, _ := res.Tables()
-			if err := valT.Render(os.Stdout); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
+	benchFigure(b, "Fig. 9 (left)", func(env *Environment) (*Figure, error) {
+		return env.runSweeps(env.fig9(DefaultSeeds[:2])[0])
+	})
 }
 
 // BenchmarkFig9F2 regenerates the right subplot of Fig. 9: CEAR's welfare
 // ratio across the conservativeness parameter F2.
 func BenchmarkFig9F2(b *testing.B) {
-	env := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := env.RunFig9(Fig9Config{Valuations: []float64{env.DefaultValuation()}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("Fig. 9 (right)", func() {
-			_, f2T := res.Tables()
-			if err := f2T.Render(os.Stdout); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
+	benchFigure(b, "Fig. 9 (right)", func(env *Environment) (*Figure, error) {
+		return env.runSweeps(env.fig9(DefaultSeeds[:2])[1])
+	})
 }
 
 // BenchmarkAblations runs the CEAR design-choice ablations (exponential
@@ -179,11 +120,7 @@ func BenchmarkAblations(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printFigure("Ablations", func() {
-			if err := res.Table().Render(os.Stdout); err != nil {
-				b.Fatal(err)
-			}
-		})
+		printFigure(b, "Ablations", res.Table())
 	}
 }
 
@@ -197,11 +134,7 @@ func BenchmarkCompetitive(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printFigure("Competitive ratio", func() {
-			if err := res.Table().Render(os.Stdout); err != nil {
-				b.Fatal(err)
-			}
-		})
+		printFigure(b, "Competitive ratio", res.Table())
 	}
 }
 
@@ -265,10 +198,6 @@ func BenchmarkAdaptiveDiurnal(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printFigure("Adaptive (diurnal)", func() {
-			if err := res.Table().Render(os.Stdout); err != nil {
-				b.Fatal(err)
-			}
-		})
+		printFigure(b, "Adaptive (diurnal)", res.Table())
 	}
 }

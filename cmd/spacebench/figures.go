@@ -19,18 +19,26 @@ import (
 // figures maps each figure subcommand to its runner; allFigures is what
 // "all" runs, in order.
 var (
-	figures = map[string]func(*spacebooking.Environment, runOpts) error{
-		"fig6":        runFig6,
-		"fig7":        runFig7,
-		"fig8":        runFig8,
-		"fig9":        runFig9,
-		"ablate":      runAblate,
-		"adaptive":    runAdaptive,
-		"competitive": runCompetitive,
+	figures = map[string]func(runOpts) (*spacebooking.Figure, error){
+		"fig6":        func(o runOpts) (*spacebooking.Figure, error) { return o.env.RunFig6(o.seeds) },
+		"fig7":        func(o runOpts) (*spacebooking.Figure, error) { return o.env.RunFig7(o.seed) },
+		"fig8":        func(o runOpts) (*spacebooking.Figure, error) { return o.env.RunFig8(o.seed) },
+		"fig9":        func(o runOpts) (*spacebooking.Figure, error) { return o.env.RunFig9([]int64{o.seed}) },
+		"ablate":      func(o runOpts) (*spacebooking.Figure, error) { return tableFigure(o.env.RunAblations(o.seed)) },
+		"adaptive":    func(o runOpts) (*spacebooking.Figure, error) { return tableFigure(o.env.RunAdaptiveComparison(o.seed)) },
+		"competitive": func(o runOpts) (*spacebooking.Figure, error) { return tableFigure(o.env.RunCompetitive(0, o.seed)) },
 		"scenario":    runScenario,
 	}
 	allFigures = []string{"fig6", "fig7", "fig8", "fig9", "ablate", "adaptive", "competitive"}
 )
+
+// tableFigure is the figure of a runner whose result renders one table.
+func tableFigure[R interface{ Table() *metrics.Table }](res R, err error) (*spacebooking.Figure, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &spacebooking.Figure{Tables: []*metrics.Table{res.Table()}}, nil
+}
 
 const figureSynopsis = "[flags] fig6|fig7|fig8|fig9|ablate|adaptive|competitive|scenario|all\n" +
 	"       spacebench run [flags]   (spacebench run -h lists its flags)"
@@ -89,6 +97,7 @@ func runFigure(args []string, stdout, stderr io.Writer) int {
 	}
 	env.Obs = reg
 	env.Parallelism = *parallel
+	opts.env = env
 	if srv != nil {
 		// Each run gets its own registry; keep the live debug endpoints
 		// pointed at the most recently completed run.
@@ -105,12 +114,12 @@ func runFigure(args []string, stdout, stderr io.Writer) int {
 
 	if figure == "all" {
 		for _, fig := range allFigures {
-			if err := figures[fig](env, opts); err != nil {
+			if err := opts.emit(figures[fig](opts)); err != nil {
 				return failed(fmt.Errorf("%s: %w", fig, err))
 			}
 		}
 		fmt.Fprintf(stdout, "\nall figures reproduced in %v\n", time.Since(start).Round(time.Second))
-	} else if err := figures[figure](env, opts); err != nil {
+	} else if err := opts.emit(figures[figure](opts)); err != nil {
 		return failed(err)
 	}
 	if o.report != "" {
@@ -145,9 +154,10 @@ func figureReport(figure string, scale spacebooking.Scale, opts runOpts, elapsed
 	return rep
 }
 
-// runOpts carries the output stream, seed, spec and export settings to
-// the figure runners.
+// runOpts carries the environment, output stream, seeds, spec and
+// export directory to the figure runners.
 type runOpts struct {
+	env    *spacebooking.Environment
 	out    io.Writer
 	seed   int64
 	seeds  []int64
@@ -155,149 +165,36 @@ type runOpts struct {
 	spec   scenario.Spec
 }
 
-// writeCSV writes one export file when -csv is set.
-func (o runOpts) writeCSV(name string, headers []string, rows [][]float64) error {
-	if o.csvDir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(o.csvDir, name))
+// emit prints a figure's tables, each after a blank line, then its
+// text, and writes its exports to the -csv directory when one is set.
+func (o runOpts) emit(fig *spacebooking.Figure, err error) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return metrics.WriteCSV(f, headers, rows)
-}
-
-// render prints a blank line and then each table.
-func (o runOpts) render(tables ...*metrics.Table) error {
-	for _, t := range tables {
+	for _, t := range fig.Tables {
 		fmt.Fprintln(o.out)
 		if err := t.Render(o.out); err != nil {
 			return err
 		}
 	}
+	fmt.Fprint(o.out, fig.Text)
+	if o.csvDir == "" {
+		return nil
+	}
+	for _, c := range fig.CSVs {
+		f, err := os.Create(filepath.Join(o.csvDir, c.Name+".csv"))
+		if err != nil {
+			return err
+		}
+		err = c.Write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+	}
 	return nil
-}
-
-func runFig6(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunFig6(spacebooking.Fig6Config{Seeds: opts.seeds})
-	if err != nil {
-		return err
-	}
-	if err := opts.render(res.Table()); err != nil {
-		return err
-	}
-	algs := []string{"CEAR", "SSP", "ECARS", "ERU", "ERA"}
-	headers := []string{"rate"}
-	for _, a := range algs {
-		headers = append(headers, a+"_mean", a+"_std")
-	}
-	rows := make([][]float64, len(res.Rates))
-	for i, rate := range res.Rates {
-		row := []float64{rate}
-		for _, a := range algs {
-			p := res.Points[a][i]
-			row = append(row, p.Mean, p.Std)
-		}
-		rows[i] = row
-	}
-	return opts.writeCSV("fig6.csv", headers, rows)
-}
-
-func runFig7(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunFig7(spacebooking.Fig7Config{Seed: opts.seed})
-	if err != nil {
-		return err
-	}
-	dep, cong := res.Tables()
-	if err := opts.render(dep, cong); err != nil {
-		return err
-	}
-	algs := []string{"CEAR", "SSP", "ECARS", "ERU", "ERA"}
-	headers := append([]string{"slot"}, algs...)
-	buildRows := func(series map[string][]int) [][]float64 {
-		rows := make([][]float64, res.Horizon)
-		for t := 0; t < res.Horizon; t++ {
-			row := []float64{float64(t)}
-			for _, a := range algs {
-				row = append(row, float64(series[a][t]))
-			}
-			rows[t] = row
-		}
-		return rows
-	}
-	if err := opts.writeCSV("fig7_depleted.csv", headers, buildRows(res.DepletedSeries)); err != nil {
-		return err
-	}
-	return opts.writeCSV("fig7_congested.csv", headers, buildRows(res.CongestedSeries))
-}
-
-func runFig8(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunFig8(spacebooking.Fig8Config{Seed: opts.seed})
-	if err != nil {
-		return err
-	}
-	if err := opts.render(res.Table()); err != nil {
-		return err
-	}
-	algs := []string{"CEAR", "SSP", "ECARS", "ERU", "ERA"}
-	headers := append([]string{"slot"}, algs...)
-	rows := make([][]float64, res.Horizon)
-	for t := 0; t < res.Horizon; t++ {
-		row := []float64{float64(t)}
-		for _, a := range algs {
-			row = append(row, res.Series[a][t])
-		}
-		rows[t] = row
-	}
-	if err := opts.writeCSV("fig8.csv", headers, rows); err != nil {
-		return err
-	}
-	fmt.Fprintln(opts.out, "\ncumulative welfare ratio over time:")
-	var series []metrics.Series
-	for _, a := range algs {
-		series = append(series, metrics.Series{Name: a, Values: res.Series[a]})
-	}
-	fmt.Fprint(opts.out, metrics.MultiSeriesPlot(series, 88))
-	return nil
-}
-
-func runFig9(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunFig9(spacebooking.Fig9Config{Seeds: []int64{opts.seed}})
-	if err != nil {
-		return err
-	}
-	valT, f2T := res.Tables()
-	if err := opts.render(valT, f2T); err != nil {
-		return err
-	}
-	toRows := func(points []spacebooking.SweepPoint) [][]float64 {
-		rows := make([][]float64, len(points))
-		for i, p := range points {
-			rows[i] = []float64{p.X, p.Mean, p.Std}
-		}
-		return rows
-	}
-	if err := opts.writeCSV("fig9_valuation.csv", []string{"valuation", "mean", "std"}, toRows(res.ValuationSweep)); err != nil {
-		return err
-	}
-	return opts.writeCSV("fig9_f2.csv", []string{"f2", "mean", "std"}, toRows(res.F2Sweep))
-}
-
-func runAblate(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunAblations(opts.seed)
-	if err != nil {
-		return err
-	}
-	return opts.render(res.Table())
-}
-
-func runAdaptive(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunAdaptiveComparison(opts.seed)
-	if err != nil {
-		return err
-	}
-	return opts.render(res.Table())
 }
 
 // runScenario drives a declarative workload spec through the paper's
@@ -305,8 +202,8 @@ func runAdaptive(env *spacebooking.Environment, opts runOpts) error {
 // same spec and seed, so all algorithms see the identical request
 // sequence — the comparison isolates admission policy, not workload
 // noise.
-func runScenario(env *spacebooking.Environment, opts runOpts) error {
-	spec := opts.spec
+func runScenario(opts runOpts) (*spacebooking.Figure, error) {
+	env, spec := opts.env, opts.spec
 	fmt.Fprintf(opts.out, "scenario %q: %d classes", spec.Name, len(spec.Classes))
 	if tl := spec.EventTimeline(); len(tl) > 0 {
 		fmt.Fprintf(opts.out, ", events %s", strings.Join(tl, " "))
@@ -315,38 +212,31 @@ func runScenario(env *spacebooking.Environment, opts runOpts) error {
 
 	t := metrics.NewTable(fmt.Sprintf("Scenario %q — algorithm comparison", spec.Name),
 		"algorithm", "accepted", "total", "welfare", "revenue")
-	rows := make([][]float64, 0, 5)
-	for _, alg := range []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP, sim.AlgECARS, sim.AlgERU, sim.AlgERA} {
+	out := spacebooking.CSV{Name: "scenario", Axis: "alg", Columns: []metrics.Series{
+		{Name: "accepted"}, {Name: "total"}, {Name: "welfare"}, {Name: "revenue"}}}
+	for _, alg := range sim.PaperAlgorithms() {
 		gen, err := scenario.NewGenerator(spec, env.ScenarioBinding())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		wl := env.WorkloadConfig(env.DefaultArrivalRate(), spec.Seed)
 		rc, err := env.RunConfig(alg, wl)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rc.Source = gen
 		rc.SpecName = spec.Name
 		res, err := env.Run(rc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		t.AddRow(alg.String(),
 			fmt.Sprintf("%d", res.Accepted), fmt.Sprintf("%d", res.TotalRequests),
 			fmt.Sprintf("%.4f", res.WelfareRatio), fmt.Sprintf("%.3g", res.Revenue))
-		rows = append(rows, []float64{float64(alg), float64(res.Accepted), float64(res.TotalRequests), res.WelfareRatio, res.Revenue})
+		out.X = append(out.X, float64(alg))
+		for i, v := range []float64{float64(res.Accepted), float64(res.TotalRequests), res.WelfareRatio, res.Revenue} {
+			out.Columns[i].Values = append(out.Columns[i].Values, v)
+		}
 	}
-	if err := opts.render(t); err != nil {
-		return err
-	}
-	return opts.writeCSV("scenario.csv", []string{"alg", "accepted", "total", "welfare", "revenue"}, rows)
-}
-
-func runCompetitive(env *spacebooking.Environment, opts runOpts) error {
-	res, err := env.RunCompetitive(0, opts.seed)
-	if err != nil {
-		return err
-	}
-	return opts.render(res.Table())
+	return &spacebooking.Figure{Tables: []*metrics.Table{t}, CSVs: []spacebooking.CSV{out}}, nil
 }

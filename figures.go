@@ -2,8 +2,9 @@ package spacebooking
 
 import (
 	"fmt"
+	"io"
+	"strings"
 
-	"spacebooking/internal/experiment"
 	"spacebooking/internal/metrics"
 	"spacebooking/internal/offline"
 	"spacebooking/internal/pricing"
@@ -22,417 +23,286 @@ func (e *Environment) SweepRates() []float64 {
 	return []float64{0.5 * base, base, 1.5 * base, 2 * base, 2.5 * base}
 }
 
-// SweepPoint is one (x, mean, std) sample of a sweep.
-type SweepPoint struct {
-	X    float64
-	Mean float64
-	Std  float64
+// Figure is one reproduced figure: the tables it prints, the text printed
+// after them, and the cells it exports as CSV.
+type Figure struct {
+	Tables []*metrics.Table
+	Text   string
+	CSVs   []CSV
 }
 
-// Fig6Config parameterises the Fig. 6 reproduction.
-type Fig6Config struct {
-	// Rates overrides the arrival-rate sweep (default: SweepRates()).
-	Rates []float64
-	// Seeds overrides the random seeds (default: DefaultSeeds).
-	Seeds []int64
-	// Algorithms overrides the algorithm set (default: the paper's five).
-	Algorithms []sim.AlgorithmKind
+// CSV is one export, Name.csv: a row per X value, holding X and then
+// each column's value at that row.
+type CSV struct {
+	Name, Axis string
+	X          []float64
+	Columns    []metrics.Series
 }
 
-// Fig6Result holds the social-welfare-ratio sweep of Fig. 6.
-type Fig6Result struct {
-	Rates []float64
-	// Points[alg name][i] is the welfare ratio at Rates[i].
-	Points map[string][]SweepPoint
+// Write writes the export's header and rows.
+func (c CSV) Write(w io.Writer) error {
+	headers := []string{c.Axis}
+	for _, col := range c.Columns {
+		headers = append(headers, col.Name)
+	}
+	rows := make([][]float64, len(c.X))
+	for i, x := range c.X {
+		rows[i] = []float64{x}
+		for _, col := range c.Columns {
+			rows[i] = append(rows[i], col.Values[i])
+		}
+	}
+	return metrics.WriteCSV(w, headers, rows)
 }
 
-// RunFig6 reproduces Fig. 6: social welfare ratio for every algorithm
-// under the default setting and an arrival-rate sweep, averaged over
-// seeds with standard deviations.
-func (e *Environment) RunFig6(cfg Fig6Config) (*Fig6Result, error) {
-	rates := cfg.Rates
-	if len(rates) == 0 {
-		rates = e.SweepRates()
-	}
-	seeds := cfg.Seeds
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds
-	}
-	algs := cfg.Algorithms
-	if len(algs) == 0 {
-		algs = sim.PaperAlgorithms()
-	}
+// sweep is one figure axis: every algorithm at every value, each over
+// seeds, with one metric reduced to mean ± std per cell.
+type sweep struct {
+	name, title string
+	// axis names the values: as is in the table, lower-cased in the CSV.
+	axis   string
+	values []float64
+	algs   []sim.AlgorithmKind
+	seeds  []int64
+	// apply sets one axis value on a run's config.
+	apply func(rc *sim.RunConfig, x float64) error
+	// metric names the value read takes from a run's result.
+	metric string
+	read   func(*sim.Result) float64
+}
 
-	jobs := experiment.Matrix{Algorithms: algs, Rates: rates, Seeds: seeds}.Jobs()
-	results, err := e.runMatrix(jobs, func(_ int, j experiment.Job) (sim.RunConfig, error) {
-		return e.RunConfig(j.Algorithm, e.WorkloadConfig(j.Rate, j.Seed))
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fig6: %w", err)
-	}
+func welfareRatio(r *sim.Result) float64 { return r.WelfareRatio }
 
-	// Matrix order is algorithm-major, so results group back into
-	// (alg, rate) points exactly like the sequential triple loop did.
-	out := &Fig6Result{Rates: rates, Points: make(map[string][]SweepPoint, len(algs))}
-	idx := 0
-	for _, alg := range algs {
-		points := make([]SweepPoint, 0, len(rates))
-		for _, rate := range rates {
-			ratios := make([]float64, 0, len(seeds))
-			for range seeds {
-				ratios = append(ratios, results[idx].Res.WelfareRatio)
-				idx++
+// runSweeps runs the jobs of every sweep as one scheduler batch and
+// renders each sweep's cells as its table and its CSV export: a mean and
+// a std column per algorithm.
+func (e *Environment) runSweeps(sweeps ...sweep) (*Figure, error) {
+	type job struct {
+		s    *sweep
+		alg  sim.AlgorithmKind
+		x    float64
+		seed int64
+	}
+	var jobs []job
+	for i := range sweeps {
+		s := &sweeps[i]
+		for _, alg := range s.algs {
+			for _, x := range s.values {
+				for _, seed := range s.seeds {
+					jobs = append(jobs, job{s, alg, x, seed})
+				}
 			}
-			mean, std := metrics.MeanStd(ratios)
-			points = append(points, SweepPoint{X: rate, Mean: mean, Std: std})
-			e.logf("fig6 %-8s rate %-6.3g welfare %.3f ± %.3f", alg, rate, mean, std)
 		}
-		out.Points[alg.String()] = points
 	}
-	return out, nil
+	results, err := e.runJobs(len(jobs), func(i int) (sim.RunConfig, error) {
+		j := jobs[i]
+		rc, err := e.RunConfig(j.alg, e.WorkloadConfig(e.arrivalRate, j.seed))
+		if err != nil {
+			return rc, err
+		}
+		return rc, j.s.apply(&rc, j.x)
+	})
+	if err != nil {
+		return nil, err
+	}
+	fig := &Figure{}
+	for _, s := range sweeps {
+		mean, std := make([][]float64, len(s.algs)), make([][]float64, len(s.algs))
+		out := CSV{Name: s.name, Axis: strings.ToLower(s.axis), X: s.values}
+		for a, alg := range s.algs {
+			mean[a], std[a] = make([]float64, len(s.values)), make([]float64, len(s.values))
+			for i, x := range s.values {
+				cell := make([]float64, len(s.seeds))
+				for k := range cell {
+					cell[k], results = s.read(results[0]), results[1:]
+				}
+				mean[a][i], std[a][i] = metrics.MeanStd(cell)
+				e.logf("%s %-8s %s %-8.3g %s %.3f ± %.3f", s.name, alg, s.axis, x, s.metric, mean[a][i], std[a][i])
+			}
+			prefix := alg.String() + "_"
+			if len(s.algs) == 1 {
+				prefix = ""
+			}
+			out.Columns = append(out.Columns,
+				metrics.Series{Name: prefix + "mean", Values: mean[a]},
+				metrics.Series{Name: prefix + "std", Values: std[a]})
+		}
+		fig.Tables = append(fig.Tables, s.table(mean, std))
+		fig.CSVs = append(fig.CSVs, out)
+	}
+	return fig, nil
 }
 
-// Table renders the Fig. 6 result as "algorithm × arrival rate".
-func (r *Fig6Result) Table() *metrics.Table {
-	cols := make([]string, 0, len(r.Rates)+1)
-	cols = append(cols, "algorithm")
-	for _, rate := range r.Rates {
-		cols = append(cols, fmt.Sprintf("rate=%s", metrics.FormatFloat(rate)))
+// table pivots a sweep's cells, mean[algorithm][value] and its std: for
+// a single algorithm, a row per value; otherwise a row per algorithm
+// with a mean±std column per value.
+func (s *sweep) table(mean, std [][]float64) *metrics.Table {
+	if len(s.algs) == 1 {
+		t := metrics.NewTable(s.title, s.axis, s.metric, "std")
+		for i, x := range s.values {
+			t.AddFloatRow(metrics.FormatFloat(x), mean[0][i], std[0][i])
+		}
+		return t
 	}
-	t := metrics.NewTable("Fig. 6 — social welfare ratio vs request arrival rate (mean ± std over seeds)", cols...)
-	for _, name := range []string{"CEAR", "SSP", "ECARS", "ERU", "ERA"} {
-		points, ok := r.Points[name]
-		if !ok {
-			continue
-		}
-		cells := make([]string, 0, len(points)+1)
-		cells = append(cells, name)
-		for _, p := range points {
-			cells = append(cells, fmt.Sprintf("%.3f±%.3f", p.Mean, p.Std))
-		}
-		t.AddRow(cells...)
+	cols := []string{"algorithm"}
+	for _, x := range s.values {
+		cols = append(cols, s.axis+"="+metrics.FormatFloat(x))
 	}
-	// Any non-paper algorithms (ablations) go after.
-	for name, points := range r.Points {
-		switch name {
-		case "CEAR", "SSP", "ECARS", "ERU", "ERA":
-			continue
-		}
-		cells := make([]string, 0, len(points)+1)
-		cells = append(cells, name)
-		for _, p := range points {
-			cells = append(cells, fmt.Sprintf("%.3f±%.3f", p.Mean, p.Std))
+	t := metrics.NewTable(s.title, cols...)
+	for a, alg := range s.algs {
+		cells := []string{alg.String()}
+		for i := range s.values {
+			cells = append(cells, fmt.Sprintf("%.3f±%.3f", mean[a][i], std[a][i]))
 		}
 		t.AddRow(cells...)
 	}
 	return t
 }
 
-// Fig7Config parameterises the Fig. 7 reproduction.
-type Fig7Config struct {
-	// EnergyRate is the arrival rate of the depleted-satellites subplot
-	// (paper: default rate).
-	EnergyRate float64
-	// CongestionRate is the rate of the congested-links subplot
-	// (paper: 25/min — 2.5× the default).
-	CongestionRate float64
-	Seed           int64
-	Algorithms     []sim.AlgorithmKind
+// RunFig6 reproduces Fig. 6: the social welfare ratio of every paper
+// algorithm over the arrival-rate sweep, mean ± std over seeds.
+func (e *Environment) RunFig6(seeds []int64) (*Figure, error) {
+	return e.runSweeps(e.fig6(seeds))
 }
 
-// Fig7Result holds the two time-series families of Fig. 7.
-type Fig7Result struct {
-	// DepletedSeries[alg][t]: satellites below 20% battery at slot t.
-	DepletedSeries map[string][]int
-	// CongestedSeries[alg][t]: links below 10% residual at slot t.
-	CongestedSeries map[string][]int
-	Horizon         int
-}
-
-// RunFig7 reproduces Fig. 7: the evolution of energy-depleted satellites
-// (at the default rate) and congested links (at 2.5× the default rate)
-// over the simulation horizon.
-func (e *Environment) RunFig7(cfg Fig7Config) (*Fig7Result, error) {
-	if cfg.EnergyRate == 0 {
-		cfg.EnergyRate = e.arrivalRate
+func (e *Environment) fig6(seeds []int64) sweep {
+	return sweep{
+		name:  "fig6",
+		title: "Fig. 6 — social welfare ratio vs request arrival rate (mean ± std over seeds)",
+		axis:  "rate", values: e.SweepRates(), algs: sim.PaperAlgorithms(), seeds: seeds,
+		apply: func(rc *sim.RunConfig, rate float64) error {
+			rc.Workload.ArrivalRatePerSlot = rate
+			return nil
+		},
+		metric: "welfare", read: welfareRatio,
 	}
-	if cfg.CongestionRate == 0 {
-		cfg.CongestionRate = 2.5 * e.arrivalRate
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = DefaultSeeds[0]
-	}
-	algs := cfg.Algorithms
-	if len(algs) == 0 {
-		algs = sim.PaperAlgorithms()
-	}
-	out := &Fig7Result{
-		DepletedSeries:  make(map[string][]int, len(algs)),
-		CongestedSeries: make(map[string][]int, len(algs)),
-		Horizon:         e.Provider.Horizon(),
-	}
-	jobs := make([]experiment.Job, 0, 2*len(algs))
-	for _, alg := range algs {
-		jobs = append(jobs,
-			experiment.Job{Algorithm: alg, Rate: cfg.EnergyRate, Seed: cfg.Seed, Key: "energy"},
-			experiment.Job{Algorithm: alg, Rate: cfg.CongestionRate, Seed: cfg.Seed, Key: "congestion"})
-	}
-	results, err := e.runMatrix(jobs, func(_ int, j experiment.Job) (sim.RunConfig, error) {
-		return e.RunConfig(j.Algorithm, e.WorkloadConfig(j.Rate, j.Seed))
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fig7: %w", err)
-	}
-	for _, r := range results {
-		switch r.Job.Key {
-		case "energy":
-			out.DepletedSeries[r.Job.Algorithm.String()] = r.Res.DepletedPerSlot
-		case "congestion":
-			out.CongestedSeries[r.Job.Algorithm.String()] = r.Res.CongestedPerSlot
-		}
-	}
-	for _, alg := range algs {
-		e.logf("fig7 %-8s mean depleted %.2f, mean congested %.2f",
-			alg, meanInts(out.DepletedSeries[alg.String()]), meanInts(out.CongestedSeries[alg.String()]))
-	}
-	return out, nil
-}
-
-func meanInts(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
-func maxInts(xs []int) int {
-	max := 0
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}
-
-// Tables renders Fig. 7 as two summary tables (mean and peak per
-// algorithm) — the textual equivalent of the paper's two subplots.
-func (r *Fig7Result) Tables() (depleted, congested *metrics.Table) {
-	depleted = metrics.NewTable("Fig. 7 (left) — energy-depleted satellites over time",
-		"algorithm", "mean", "peak", "final")
-	congested = metrics.NewTable("Fig. 7 (right) — congested links over time (high rate)",
-		"algorithm", "mean", "peak", "final")
-	for _, name := range []string{"CEAR", "SSP", "ECARS", "ERU", "ERA"} {
-		if s, ok := r.DepletedSeries[name]; ok {
-			depleted.AddRow(name,
-				metrics.FormatFloat(meanInts(s)),
-				fmt.Sprintf("%d", maxInts(s)),
-				fmt.Sprintf("%d", s[len(s)-1]))
-		}
-		if s, ok := r.CongestedSeries[name]; ok {
-			congested.AddRow(name,
-				metrics.FormatFloat(meanInts(s)),
-				fmt.Sprintf("%d", maxInts(s)),
-				fmt.Sprintf("%d", s[len(s)-1]))
-		}
-	}
-	return depleted, congested
-}
-
-// Fig8Config parameterises the Fig. 8 reproduction.
-type Fig8Config struct {
-	Rate       float64
-	Seed       int64
-	Algorithms []sim.AlgorithmKind
-}
-
-// Fig8Result holds the cumulative social-welfare-ratio series of Fig. 8.
-type Fig8Result struct {
-	Series  map[string][]float64
-	Horizon int
-}
-
-// RunFig8 reproduces Fig. 8: the social welfare ratio over time under
-// the default setting.
-func (e *Environment) RunFig8(cfg Fig8Config) (*Fig8Result, error) {
-	if cfg.Rate == 0 {
-		cfg.Rate = e.arrivalRate
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = DefaultSeeds[0]
-	}
-	algs := cfg.Algorithms
-	if len(algs) == 0 {
-		algs = sim.PaperAlgorithms()
-	}
-	out := &Fig8Result{Series: make(map[string][]float64, len(algs)), Horizon: e.Provider.Horizon()}
-	jobs := experiment.Matrix{Algorithms: algs, Rates: []float64{cfg.Rate}, Seeds: []int64{cfg.Seed}}.Jobs()
-	results, err := e.runMatrix(jobs, func(_ int, j experiment.Job) (sim.RunConfig, error) {
-		return e.RunConfig(j.Algorithm, e.WorkloadConfig(j.Rate, j.Seed))
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fig8: %w", err)
-	}
-	for _, r := range results {
-		out.Series[r.Job.Algorithm.String()] = r.Res.CumulativeWelfareRatio
-		e.logf("fig8 %-8s final cumulative welfare %.3f", r.Job.Algorithm, r.Res.WelfareRatio)
-	}
-	return out, nil
-}
-
-// Table renders Fig. 8 as welfare-ratio checkpoints at quarter marks of
-// the horizon.
-func (r *Fig8Result) Table() *metrics.Table {
-	marks := []int{r.Horizon / 4, r.Horizon / 2, 3 * r.Horizon / 4, r.Horizon - 1}
-	t := metrics.NewTable("Fig. 8 — cumulative social welfare ratio over time",
-		"algorithm",
-		fmt.Sprintf("t=%d", marks[0]),
-		fmt.Sprintf("t=%d", marks[1]),
-		fmt.Sprintf("t=%d", marks[2]),
-		fmt.Sprintf("t=%d (final)", marks[3]))
-	for _, name := range []string{"CEAR", "SSP", "ECARS", "ERU", "ERA"} {
-		s, ok := r.Series[name]
-		if !ok {
-			continue
-		}
-		t.AddRow(name,
-			fmt.Sprintf("%.3f", s[marks[0]]),
-			fmt.Sprintf("%.3f", s[marks[1]]),
-			fmt.Sprintf("%.3f", s[marks[2]]),
-			fmt.Sprintf("%.3f", s[marks[3]]))
-	}
-	return t
-}
-
-// Fig9Config parameterises the Fig. 9 reproduction (CEAR only).
-type Fig9Config struct {
-	// Valuations sweeps ρ. The default mirrors the paper's
-	// {0.1, 0.5, 1, 2.3, 5, 10}×1e9 as the same multiples of the
-	// environment's default valuation (which IS 2.3e9 at ScaleFull).
-	Valuations []float64
-	// F2Values sweeps the energy conservativeness parameter
-	// (default {0.5, 1, 2, 4, 8}).
-	F2Values []float64
-	Rate     float64
-	Seeds    []int64
-}
-
-// Fig9Result holds the valuation and F2 sweeps of Fig. 9.
-type Fig9Result struct {
-	ValuationSweep []SweepPoint
-	F2Sweep        []SweepPoint
 }
 
 // RunFig9 reproduces Fig. 9: CEAR's social welfare ratio under different
-// request valuations and under different conservativeness parameters F2.
-func (e *Environment) RunFig9(cfg Fig9Config) (*Fig9Result, error) {
-	if len(cfg.Valuations) == 0 {
-		base := e.valuation
-		for _, m := range []float64{0.1 / 2.3, 0.5 / 2.3, 1 / 2.3, 1, 5 / 2.3, 10 / 2.3} {
-			cfg.Valuations = append(cfg.Valuations, m*base)
-		}
-	}
-	if len(cfg.F2Values) == 0 {
-		cfg.F2Values = []float64{0.5, 1, 2, 4, 8}
-	}
-	if cfg.Rate == 0 {
-		cfg.Rate = e.arrivalRate
-	}
-	seeds := cfg.Seeds
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds[:2]
-	}
+// request valuations and under different conservativeness parameters
+// F2, mean ± std over seeds.
+func (e *Environment) RunFig9(seeds []int64) (*Figure, error) {
+	return e.runSweeps(e.fig9(seeds)...)
+}
 
-	// Both sweeps share one job list so the scheduler can overlap them.
-	// The sweep value is not expressible as Job.Rate, so the builder
-	// recovers it from the job index: valuation jobs come first, F2 jobs
-	// after, each seed-minor like Matrix.Jobs.
-	f2Params := make([]pricing.Params, len(cfg.F2Values))
-	for i, f2 := range cfg.F2Values {
-		params, err := pricing.Derive(1, f2, 20, 10)
-		if err != nil {
-			return nil, err
-		}
-		f2Params[i] = params
+func (e *Environment) fig9(seeds []int64) []sweep {
+	// The paper's {0.1, 0.5, 1, 2.3, 5, 10}×1e9, as the same multiples of
+	// the environment's default valuation (which IS 2.3e9 at ScaleFull).
+	var valuations []float64
+	for _, m := range []float64{0.1 / 2.3, 0.5 / 2.3, 1 / 2.3, 1, 5 / 2.3, 10 / 2.3} {
+		valuations = append(valuations, m*e.valuation)
 	}
-	numValJobs := len(cfg.Valuations) * len(seeds)
-	jobs := make([]experiment.Job, 0, numValJobs+len(cfg.F2Values)*len(seeds))
-	for _, v := range cfg.Valuations {
-		for _, seed := range seeds {
-			jobs = append(jobs, experiment.Job{
-				Algorithm: sim.AlgCEAR, Rate: cfg.Rate, Seed: seed,
-				Key: fmt.Sprintf("valuation=%g", v),
-			})
-		}
-	}
-	for _, f2 := range cfg.F2Values {
-		for _, seed := range seeds {
-			jobs = append(jobs, experiment.Job{
-				Algorithm: sim.AlgCEAR, Rate: cfg.Rate, Seed: seed,
-				Key: fmt.Sprintf("F2=%g", f2),
-			})
-		}
-	}
-	results, err := e.runMatrix(jobs, func(i int, j experiment.Job) (sim.RunConfig, error) {
-		wl := e.WorkloadConfig(j.Rate, j.Seed)
-		if i < numValJobs {
-			wl.Valuation = cfg.Valuations[i/len(seeds)]
-		}
-		rc, err := e.RunConfig(sim.AlgCEAR, wl)
-		if err != nil {
-			return sim.RunConfig{}, err
-		}
-		if i >= numValJobs {
-			rc.Pricing = f2Params[(i-numValJobs)/len(seeds)]
-		}
-		return rc, nil
+	cear := []sim.AlgorithmKind{sim.AlgCEAR}
+	return []sweep{{
+		name:  "fig9_valuation",
+		title: "Fig. 9 (left) — CEAR welfare ratio vs valuation",
+		axis:  "valuation", values: valuations, algs: cear, seeds: seeds,
+		apply: func(rc *sim.RunConfig, valuation float64) error {
+			rc.Workload.Valuation = valuation
+			return nil
+		},
+		metric: "welfare", read: welfareRatio,
+	}, {
+		name:  "fig9_f2",
+		title: "Fig. 9 (right) — CEAR welfare ratio vs F2",
+		axis:  "F2", values: []float64{0.5, 1, 2, 4, 8}, algs: cear, seeds: seeds,
+		apply: func(rc *sim.RunConfig, f2 float64) (err error) {
+			rc.Pricing, err = pricing.Derive(1, f2, 20, 10)
+			return err
+		},
+		metric: "welfare", read: welfareRatio,
+	}}
+}
+
+// runSeries runs each algorithm once at rate and seed and exports the
+// per-slot series read takes from each run, one column per algorithm.
+func (e *Environment) runSeries(name string, algs []sim.AlgorithmKind, rate float64, seed int64, read func(*sim.Result) []float64) (CSV, error) {
+	results, err := e.runJobs(len(algs), func(i int) (sim.RunConfig, error) {
+		return e.RunConfig(algs[i], e.WorkloadConfig(rate, seed))
 	})
 	if err != nil {
-		return nil, fmt.Errorf("fig9: %w", err)
+		return CSV{}, err
 	}
-
-	out := &Fig9Result{}
-	idx := 0
-	for _, valuation := range cfg.Valuations {
-		ratios := make([]float64, 0, len(seeds))
-		for range seeds {
-			ratios = append(ratios, results[idx].Res.WelfareRatio)
-			idx++
-		}
-		mean, std := metrics.MeanStd(ratios)
-		out.ValuationSweep = append(out.ValuationSweep, SweepPoint{X: valuation, Mean: mean, Std: std})
-		e.logf("fig9 valuation %-8.3g welfare %.3f ± %.3f", valuation, mean, std)
+	out := CSV{Name: name, Axis: "slot", X: make([]float64, e.Provider.Horizon())}
+	for t := range out.X {
+		out.X[t] = float64(t)
 	}
-	for _, f2 := range cfg.F2Values {
-		ratios := make([]float64, 0, len(seeds))
-		for range seeds {
-			ratios = append(ratios, results[idx].Res.WelfareRatio)
-			idx++
-		}
-		mean, std := metrics.MeanStd(ratios)
-		out.F2Sweep = append(out.F2Sweep, SweepPoint{X: f2, Mean: mean, Std: std})
-		e.logf("fig9 F2 %-6.3g welfare %.3f ± %.3f", f2, mean, std)
+	for i, alg := range algs {
+		s := metrics.Series{Name: alg.String(), Values: read(results[i])}
+		out.Columns = append(out.Columns, s)
+		e.logf("%s %-8s mean %.4g, final %.4g", name, alg, s.Mean(), s.Values[len(s.Values)-1])
 	}
 	return out, nil
 }
 
-// Tables renders the two sweeps of Fig. 9.
-func (r *Fig9Result) Tables() (valuation, f2 *metrics.Table) {
-	valuation = metrics.NewTable("Fig. 9 (left) — CEAR welfare ratio vs valuation",
-		"valuation", "welfare", "std")
-	for _, p := range r.ValuationSweep {
-		valuation.AddFloatRow(metrics.FormatFloat(p.X), p.Mean, p.Std)
+func floats(xs []int) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = float64(x)
 	}
-	f2 = metrics.NewTable("Fig. 9 (right) — CEAR welfare ratio vs F2",
-		"F2", "welfare", "std")
-	for _, p := range r.F2Sweep {
-		f2.AddFloatRow(metrics.FormatFloat(p.X), p.Mean, p.Std)
+	return out
+}
+
+// RunFig7 reproduces Fig. 7: energy-depleted satellites (below 20%
+// battery) per slot at the default rate, and congested links (below 10%
+// residual) per slot at 2.5× the default rate, the paper's 25/min. The
+// tables summarise each series by its mean, peak and final value.
+func (e *Environment) RunFig7(seed int64) (*Figure, error) {
+	algs := sim.PaperAlgorithms()
+	depleted, err := e.runSeries("fig7_depleted", algs, e.arrivalRate, seed,
+		func(r *sim.Result) []float64 { return floats(r.DepletedPerSlot) })
+	if err != nil {
+		return nil, err
 	}
-	return valuation, f2
+	congested, err := e.runSeries("fig7_congested", algs, 2.5*e.arrivalRate, seed,
+		func(r *sim.Result) []float64 { return floats(r.CongestedPerSlot) })
+	if err != nil {
+		return nil, err
+	}
+	return &Figure{
+		Tables: []*metrics.Table{
+			summary("Fig. 7 (left) — energy-depleted satellites over time", depleted.Columns),
+			summary("Fig. 7 (right) — congested links over time (high rate)", congested.Columns),
+		},
+		CSVs: []CSV{depleted, congested},
+	}, nil
+}
+
+// summary renders each series' mean, peak and final value.
+func summary(title string, series []metrics.Series) *metrics.Table {
+	t := metrics.NewTable(title, "algorithm", "mean", "peak", "final")
+	for _, s := range series {
+		t.AddFloatRow(s.Name, s.Mean(), s.Max(), s.Values[len(s.Values)-1])
+	}
+	return t
+}
+
+// RunFig8 reproduces Fig. 8: every paper algorithm's cumulative social
+// welfare ratio per slot at the default rate, tabled at quarter marks of
+// the horizon and plotted.
+func (e *Environment) RunFig8(seed int64) (*Figure, error) {
+	ratio, err := e.runSeries("fig8", sim.PaperAlgorithms(), e.arrivalRate, seed,
+		func(r *sim.Result) []float64 { return r.CumulativeWelfareRatio })
+	if err != nil {
+		return nil, err
+	}
+	h := e.Provider.Horizon()
+	marks := []int{h / 4, h / 2, 3 * h / 4, h - 1}
+	t := metrics.NewTable("Fig. 8 — cumulative social welfare ratio over time", "algorithm",
+		fmt.Sprintf("t=%d", marks[0]), fmt.Sprintf("t=%d", marks[1]), fmt.Sprintf("t=%d", marks[2]),
+		fmt.Sprintf("t=%d (final)", marks[3]))
+	for _, s := range ratio.Columns {
+		cells := []string{s.Name}
+		for _, m := range marks {
+			cells = append(cells, fmt.Sprintf("%.3f", s.Values[m]))
+		}
+		t.AddRow(cells...)
+	}
+	return &Figure{
+		Tables: []*metrics.Table{t},
+		Text:   "\ncumulative welfare ratio over time:\n" + metrics.MultiSeriesPlot(ratio.Columns, 88),
+		CSVs:   []CSV{ratio},
+	}, nil
 }
 
 // AblationResult compares CEAR against its ablated variants.
@@ -455,28 +325,23 @@ type AblationRow struct {
 // environment's default rate — the design-choice ablations called out in
 // DESIGN.md.
 func (e *Environment) RunAblations(seed int64) (*AblationResult, error) {
-	if seed == 0 {
-		seed = DefaultSeeds[0]
-	}
 	variants := []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgCEARNoEnergy, sim.AlgCEARNoAdmission, sim.AlgCEARLinear, sim.AlgCEARAdaptive}
-	jobs := experiment.Matrix{Algorithms: variants, Rates: []float64{2 * e.arrivalRate}, Seeds: []int64{seed}}.Jobs()
-	results, err := e.runMatrix(jobs, func(_ int, j experiment.Job) (sim.RunConfig, error) {
-		return e.RunConfig(j.Algorithm, e.WorkloadConfig(j.Rate, j.Seed))
+	results, err := e.runJobs(len(variants), func(i int) (sim.RunConfig, error) {
+		return e.RunConfig(variants[i], e.WorkloadConfig(2*e.arrivalRate, seed))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ablation: %w", err)
 	}
 	out := &AblationResult{Rows: make(map[string]AblationRow, len(variants))}
-	for _, r := range results {
-		res := r.Res
-		out.Rows[r.Job.Algorithm.String()] = AblationRow{
+	for i, res := range results {
+		out.Rows[variants[i].String()] = AblationRow{
 			WelfareRatio:  res.WelfareRatio,
 			MeanDepleted:  res.MeanDepleted(),
 			MeanCongested: res.MeanCongested(),
 			Revenue:       res.Revenue,
 		}
 		e.logf("ablation %-9s welfare %.3f depleted %.2f congested %.2f",
-			r.Job.Algorithm, res.WelfareRatio, res.MeanDepleted(), res.MeanCongested())
+			variants[i], res.WelfareRatio, res.MeanDepleted(), res.MeanCongested())
 	}
 	return out, nil
 }
@@ -517,9 +382,6 @@ type CompetitiveResult struct {
 func (e *Environment) RunCompetitive(rate float64, seed int64) (*CompetitiveResult, error) {
 	if rate == 0 {
 		rate = 2 * e.arrivalRate
-	}
-	if seed == 0 {
-		seed = DefaultSeeds[0]
 	}
 	wl := e.WorkloadConfig(rate, seed)
 	rc, err := e.RunConfig(sim.AlgCEAR, wl)
@@ -587,27 +449,20 @@ type AdaptiveResult struct {
 // workload (sinusoidal arrival modulation, ±80% around 2× the default
 // rate) — the scenario §V-B's dynamic F1/F2 adjustment targets.
 func (e *Environment) RunAdaptiveComparison(seed int64) (*AdaptiveResult, error) {
-	if seed == 0 {
-		seed = DefaultSeeds[0]
-	}
 	profile, err := workload.DiurnalProfile(e.Provider.Horizon()/2, 0.8)
 	if err != nil {
 		return nil, err
 	}
-	jobs := experiment.Matrix{
-		Algorithms: []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgCEARAdaptive},
-		Rates:      []float64{2 * e.arrivalRate},
-		Seeds:      []int64{seed},
-	}.Jobs()
-	results, err := e.runMatrix(jobs, func(_ int, j experiment.Job) (sim.RunConfig, error) {
-		wl := e.WorkloadConfig(j.Rate, j.Seed)
+	algs := []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgCEARAdaptive}
+	results, err := e.runJobs(len(algs), func(i int) (sim.RunConfig, error) {
+		wl := e.WorkloadConfig(2*e.arrivalRate, seed)
 		wl.RateProfile = profile
-		return e.RunConfig(j.Algorithm, wl)
+		return e.RunConfig(algs[i], wl)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("adaptive comparison: %w", err)
 	}
-	static, adaptiveRes := results[0].Res, results[1].Res
+	static, adaptiveRes := results[0], results[1]
 	out := &AdaptiveResult{
 		StaticWelfare:    static.WelfareRatio,
 		AdaptiveWelfare:  adaptiveRes.WelfareRatio,

@@ -6,9 +6,9 @@
 // run owns its State, its workload RNG and (optionally) its own obs
 // registry, so the jobs are embarrassingly parallel once the Provider's
 // visibility tables are frozen (topology.NewProvider). The scheduler
-// fans jobs across a bounded worker pool and hands back results in
-// matrix order, so callers see exactly the output a sequential triple
-// loop would have produced.
+// fans jobs across a bounded worker pool and hands back results in job
+// order, so callers see exactly the output a sequential loop would have
+// produced.
 package experiment
 
 import (
@@ -31,61 +31,9 @@ var scratchPool = sync.Pool{
 	New: func() any { return netstate.NewSearchScratch() },
 }
 
-// Job identifies one cell of an experiment matrix.
-type Job struct {
-	Algorithm sim.AlgorithmKind
-	// Rate is the offered load in requests per slot (0 when the sweep
-	// dimension is something other than arrival rate).
-	Rate float64
-	Seed int64
-	// Key optionally tags the job for callers that sweep a non-rate
-	// dimension (e.g. "energy"/"congestion" in Fig. 7, or a valuation
-	// distribution name in Fig. 9).
-	Key string
-}
-
-// String renders the job for progress logs.
-func (j Job) String() string {
-	s := j.Algorithm.String()
-	if j.Key != "" {
-		s += "/" + j.Key
-	}
-	if j.Rate > 0 {
-		s += fmt.Sprintf(" rate=%g", j.Rate)
-	}
-	return fmt.Sprintf("%s seed=%d", s, j.Seed)
-}
-
-// Matrix is the common algorithm x rate x seed cross product.
-type Matrix struct {
-	Algorithms []sim.AlgorithmKind
-	Rates      []float64
-	Seeds      []int64
-}
-
-// Jobs expands the matrix in stable algorithm-major order: for each
-// algorithm, each rate, each seed. This is the iteration order of the
-// sequential triple loops the scheduler replaces, so result slices line
-// up position-for-position with the old code paths.
-func (m Matrix) Jobs() []Job {
-	out := make([]Job, 0, len(m.Algorithms)*len(m.Rates)*len(m.Seeds))
-	for _, alg := range m.Algorithms {
-		for _, rate := range m.Rates {
-			for _, seed := range m.Seeds {
-				out = append(out, Job{Algorithm: alg, Rate: rate, Seed: seed})
-			}
-		}
-	}
-	return out
-}
-
 // Result is the outcome of one job.
 type Result struct {
-	// Index is the job's position in the input slice; Run returns
-	// results sorted by it.
-	Index int
-	Job   Job
-	Res   *sim.Result
+	Res *sim.Result
 	// Obs is the registry the run collected into (nil unless the job
 	// was observed).
 	Obs *obs.Registry
@@ -101,18 +49,18 @@ type Config struct {
 	Observe bool
 	// NewRunConfig builds the RunConfig for job i. It is called from
 	// worker goroutines and must not mutate shared state.
-	NewRunConfig func(i int, j Job) (sim.RunConfig, error)
+	NewRunConfig func(i int) (sim.RunConfig, error)
 	// OnResult, when non-nil, is invoked once per completed job, in
 	// completion order, from at most one goroutine at a time. Use it
 	// for progress logging or streaming sinks.
 	OnResult func(Result)
 }
 
-// Run executes every job on the shared provider and returns the results
-// in input (matrix) order. Individual job failures do not cancel the
-// remaining jobs; the returned error is the first failure in matrix
-// order, and every Result carries its own Err.
-func Run(prov *topology.Provider, jobs []Job, cfg Config) ([]Result, error) {
+// Run executes jobs 0..n-1 on the shared provider and returns their
+// results in job order. Individual job failures do not cancel the
+// remaining jobs; the returned error is the first failure in job order,
+// and every Result carries its own Err.
+func Run(prov *topology.Provider, n int, cfg Config) ([]Result, error) {
 	if prov == nil {
 		return nil, fmt.Errorf("experiment: nil provider")
 	}
@@ -123,11 +71,11 @@ func Run(prov *topology.Provider, jobs []Job, cfg Config) ([]Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > n {
+		workers = n
 	}
-	results := make([]Result, len(jobs))
-	if len(jobs) == 0 {
+	results := make([]Result, n)
+	if n == 0 {
 		return results, nil
 	}
 
@@ -141,7 +89,7 @@ func Run(prov *topology.Provider, jobs []Job, cfg Config) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobCh {
-				results[i] = runOne(prov, i, jobs[i], cfg)
+				results[i] = runOne(prov, i, cfg)
 				if cfg.OnResult != nil {
 					resultMu.Lock()
 					cfg.OnResult(results[i])
@@ -150,7 +98,7 @@ func Run(prov *topology.Provider, jobs []Job, cfg Config) ([]Result, error) {
 			}
 		}()
 	}
-	for i := range jobs {
+	for i := 0; i < n; i++ {
 		jobCh <- i
 	}
 	close(jobCh)
@@ -158,16 +106,16 @@ func Run(prov *topology.Provider, jobs []Job, cfg Config) ([]Result, error) {
 
 	for i := range results {
 		if results[i].Err != nil {
-			return results, fmt.Errorf("experiment: job %d (%s): %w", i, jobs[i], results[i].Err)
+			return results, fmt.Errorf("experiment: job %d: %w", i, results[i].Err)
 		}
 	}
 	return results, nil
 }
 
-func runOne(prov *topology.Provider, i int, j Job, cfg Config) Result {
-	rc, err := cfg.NewRunConfig(i, j)
+func runOne(prov *topology.Provider, i int, cfg Config) Result {
+	rc, err := cfg.NewRunConfig(i)
 	if err != nil {
-		return Result{Index: i, Job: j, Err: err}
+		return Result{Err: err}
 	}
 	if cfg.Observe && rc.Obs == nil {
 		rc.Obs = obs.New()
@@ -178,5 +126,5 @@ func runOne(prov *topology.Provider, i int, j Job, cfg Config) Result {
 		defer scratchPool.Put(sc)
 	}
 	res, err := sim.Run(prov, rc)
-	return Result{Index: i, Job: j, Res: res, Obs: rc.Obs, Err: err}
+	return Result{Res: res, Obs: rc.Obs, Err: err}
 }

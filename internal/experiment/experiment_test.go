@@ -59,34 +59,18 @@ func testPairs() []workload.Pair {
 	}
 }
 
-func defaultBuilder(t *testing.T) func(int, Job) (sim.RunConfig, error) {
-	t.Helper()
-	return func(_ int, j Job) (sim.RunConfig, error) {
-		wl := workload.DefaultConfig(60, testPairs(), j.Seed)
-		wl.ArrivalRatePerSlot = j.Rate
-		return sim.DefaultRunConfig(j.Algorithm, wl)
-	}
+// job is one test run: an algorithm at rate 1 on one seed.
+type job struct {
+	alg  sim.AlgorithmKind
+	seed int64
 }
 
-func TestMatrixJobsStableOrder(t *testing.T) {
-	m := Matrix{
-		Algorithms: []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP},
-		Rates:      []float64{0.5, 1},
-		Seeds:      []int64{42, 7},
-	}
-	jobs := m.Jobs()
-	want := []Job{
-		{Algorithm: sim.AlgCEAR, Rate: 0.5, Seed: 42},
-		{Algorithm: sim.AlgCEAR, Rate: 0.5, Seed: 7},
-		{Algorithm: sim.AlgCEAR, Rate: 1, Seed: 42},
-		{Algorithm: sim.AlgCEAR, Rate: 1, Seed: 7},
-		{Algorithm: sim.AlgSSP, Rate: 0.5, Seed: 42},
-		{Algorithm: sim.AlgSSP, Rate: 0.5, Seed: 7},
-		{Algorithm: sim.AlgSSP, Rate: 1, Seed: 42},
-		{Algorithm: sim.AlgSSP, Rate: 1, Seed: 7},
-	}
-	if !reflect.DeepEqual(jobs, want) {
-		t.Fatalf("Jobs() order:\n got %v\nwant %v", jobs, want)
+// builder returns the NewRunConfig that runs jobs[i].
+func builder(jobs []job) func(int) (sim.RunConfig, error) {
+	return func(i int) (sim.RunConfig, error) {
+		wl := workload.DefaultConfig(60, testPairs(), jobs[i].seed)
+		wl.ArrivalRatePerSlot = 1
+		return sim.DefaultRunConfig(jobs[i].alg, wl)
 	}
 }
 
@@ -95,29 +79,25 @@ func TestMatrixJobsStableOrder(t *testing.T) {
 // per-cell results.
 func TestParallelMatchesSequential(t *testing.T) {
 	prov := testProvider(t)
-	jobs := Matrix{
-		Algorithms: []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP, sim.AlgECARS},
-		Rates:      []float64{1},
-		Seeds:      []int64{42, 7},
-	}.Jobs()
+	jobs := []job{{sim.AlgCEAR, 42}, {sim.AlgCEAR, 7}, {sim.AlgSSP, 42}, {sim.AlgSSP, 7}, {sim.AlgECARS, 42}, {sim.AlgECARS, 7}}
 
-	seq, err := Run(prov, jobs, Config{Parallelism: 1, NewRunConfig: defaultBuilder(t)})
+	seq, err := Run(prov, len(jobs), Config{Parallelism: 1, NewRunConfig: builder(jobs)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(prov, jobs, Config{Parallelism: 8, NewRunConfig: defaultBuilder(t)})
+	par, err := Run(prov, len(jobs), Config{Parallelism: 8, NewRunConfig: builder(jobs)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seq) != len(jobs) || len(par) != len(jobs) {
 		t.Fatalf("result lengths: seq=%d par=%d want %d", len(seq), len(par), len(jobs))
 	}
-	for i := range jobs {
-		if seq[i].Index != i || par[i].Index != i {
-			t.Fatalf("cell %d: results out of matrix order (seq=%d par=%d)", i, seq[i].Index, par[i].Index)
+	for i, j := range jobs {
+		if seq[i].Res.Algorithm != j.alg.String() || par[i].Res.Algorithm != j.alg.String() {
+			t.Fatalf("job %d: results out of job order (seq %s, par %s, want %s)", i, seq[i].Res.Algorithm, par[i].Res.Algorithm, j.alg)
 		}
 		if !reflect.DeepEqual(seq[i].Res, par[i].Res) {
-			t.Errorf("cell %d (%s): parallel result differs from sequential", i, jobs[i])
+			t.Errorf("job %d (%+v): parallel result differs from sequential", i, j)
 		}
 	}
 }
@@ -126,23 +106,19 @@ func TestParallelMatchesSequential(t *testing.T) {
 // its own registry and the run's counters land there.
 func TestObserveGivesDistinctRegistries(t *testing.T) {
 	prov := testProvider(t)
-	jobs := Matrix{
-		Algorithms: []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP},
-		Rates:      []float64{1},
-		Seeds:      []int64{42},
-	}.Jobs()
-	results, err := Run(prov, jobs, Config{Parallelism: 2, Observe: true, NewRunConfig: defaultBuilder(t)})
+	jobs := []job{{sim.AlgCEAR, 42}, {sim.AlgSSP, 42}}
+	results, err := Run(prov, len(jobs), Config{Parallelism: 2, Observe: true, NewRunConfig: builder(jobs)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
+	for i, r := range results {
 		if r.Obs == nil {
-			t.Fatalf("job %s: Observe set but Obs nil", r.Job)
+			t.Fatalf("job %d: Observe set but Obs nil", i)
 		}
 		snap := r.Obs.Snapshot()
 		total, ok := snap.Counters["sim.requests.total"]
 		if !ok || total != int64(r.Res.TotalRequests) {
-			t.Errorf("job %s: registry total=%d (ok=%v) want %d", r.Job, total, ok, r.Res.TotalRequests)
+			t.Errorf("job %d: registry total=%d (ok=%v) want %d", i, total, ok, r.Res.TotalRequests)
 		}
 	}
 	for i := range results {
@@ -156,19 +132,15 @@ func TestObserveGivesDistinctRegistries(t *testing.T) {
 
 func TestRunErrorPropagation(t *testing.T) {
 	prov := testProvider(t)
-	jobs := Matrix{
-		Algorithms: []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP},
-		Rates:      []float64{1},
-		Seeds:      []int64{42},
-	}.Jobs()
+	jobs := []job{{sim.AlgCEAR, 42}, {sim.AlgSSP, 42}}
 	boom := errors.New("builder refused")
-	results, err := Run(prov, jobs, Config{
+	results, err := Run(prov, len(jobs), Config{
 		Parallelism: 2,
-		NewRunConfig: func(i int, j Job) (sim.RunConfig, error) {
-			if j.Algorithm == sim.AlgSSP {
+		NewRunConfig: func(i int) (sim.RunConfig, error) {
+			if jobs[i].alg == sim.AlgSSP {
 				return sim.RunConfig{}, boom
 			}
-			return defaultBuilder(t)(i, j)
+			return builder(jobs)(i)
 		},
 	})
 	if !errors.Is(err, boom) {
@@ -185,13 +157,13 @@ func TestRunErrorPropagation(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	prov := testProvider(t)
-	if _, err := Run(nil, nil, Config{NewRunConfig: defaultBuilder(t)}); err == nil {
+	if _, err := Run(nil, 0, Config{NewRunConfig: builder(nil)}); err == nil {
 		t.Error("nil provider should error")
 	}
-	if _, err := Run(prov, nil, Config{}); err == nil {
+	if _, err := Run(prov, 0, Config{}); err == nil {
 		t.Error("nil NewRunConfig should error")
 	}
-	results, err := Run(prov, nil, Config{NewRunConfig: defaultBuilder(t)})
+	results, err := Run(prov, 0, Config{NewRunConfig: builder(nil)})
 	if err != nil || len(results) != 0 {
 		t.Errorf("empty job list: results=%v err=%v", results, err)
 	}
@@ -199,23 +171,19 @@ func TestRunValidation(t *testing.T) {
 
 func TestOnResultSerialised(t *testing.T) {
 	prov := testProvider(t)
-	jobs := Matrix{
-		Algorithms: []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP, sim.AlgECARS, sim.AlgERA},
-		Rates:      []float64{1},
-		Seeds:      []int64{42},
-	}.Jobs()
+	jobs := []job{{sim.AlgCEAR, 42}, {sim.AlgSSP, 42}, {sim.AlgECARS, 42}, {sim.AlgERA, 42}}
 	var (
 		mu   sync.Mutex
-		seen []int
+		seen []*sim.Result
 	)
-	_, err := Run(prov, jobs, Config{
+	_, err := Run(prov, len(jobs), Config{
 		Parallelism:  4,
-		NewRunConfig: defaultBuilder(t),
+		NewRunConfig: builder(jobs),
 		OnResult: func(r Result) {
 			// The scheduler already serialises OnResult; the mutex here
 			// only guards against regressions (would trip -race).
 			mu.Lock()
-			seen = append(seen, r.Index)
+			seen = append(seen, r.Res)
 			mu.Unlock()
 		},
 	})

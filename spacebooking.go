@@ -10,8 +10,8 @@
 //
 //	env, err := spacebooking.NewEnvironment(spacebooking.EnvConfig{Scale: spacebooking.ScaleSmall})
 //	...
-//	fig6, err := env.RunFig6(spacebooking.Fig6Config{})
-//	fig6.Table().Render(os.Stdout)
+//	fig6, err := env.RunFig6(spacebooking.DefaultSeeds)
+//	fig6.Tables[0].Render(os.Stdout)
 package spacebooking
 
 import (
@@ -380,11 +380,12 @@ func (e *Environment) setLastObs(reg *obs.Registry) {
 	e.lastObsMu.Unlock()
 }
 
-// runMatrix fans the jobs over the experiment scheduler with the
-// environment's parallelism and observability settings, returning
-// results in matrix order. Each observed job gets its own registry.
-func (e *Environment) runMatrix(jobs []experiment.Job, build func(i int, j experiment.Job) (sim.RunConfig, error)) ([]experiment.Result, error) {
-	results, err := experiment.Run(e.Provider, jobs, experiment.Config{
+// runJobs runs jobs 0..n-1, built by build, on the experiment scheduler
+// with the environment's parallelism and observability settings, and
+// returns their results in job order. Each observed job gets its own
+// registry.
+func (e *Environment) runJobs(n int, build func(i int) (sim.RunConfig, error)) ([]*sim.Result, error) {
+	results, err := experiment.Run(e.Provider, n, experiment.Config{
 		Parallelism:  e.Parallelism,
 		Observe:      e.Obs != nil,
 		NewRunConfig: build,
@@ -400,7 +401,14 @@ func (e *Environment) runMatrix(jobs []experiment.Job, build func(i int, j exper
 			break
 		}
 	}
-	return results, err
+	if err != nil {
+		return nil, err
+	}
+	res := make([]*sim.Result, n)
+	for i, r := range results {
+		res[i] = r.Res
+	}
+	return res, nil
 }
 
 // ScenarioBinding grounds scenario specs in this environment: its
