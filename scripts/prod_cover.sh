@@ -7,7 +7,8 @@
 # module, into a temp dir. Runs a fixed small-scale tour, each binary
 # writing its counters to its own GOCOVERDIR:
 #   * spacebench run (recording a trace and a report), then -replay of
-#     that trace, and one figure (fig7: all five algorithms);
+#     that trace, every figure (`all`, with its CSV exports), and the
+#     scenario figure on specs/smoke.json;
 #   * spacestat trace, diff and spec on what those wrote;
 #   * constellation with an SVG map;
 #   * a spaced session with an audit log, driven by spaceload, with one
@@ -19,7 +20,7 @@
 # Not a gate: exact fallbacks and test oracles belong on the list
 # (EXPERIMENTS.md names them). Nothing is written inside the repository.
 #
-# Usage: scripts/prod_cover.sh   (about 15 s with a warm build cache)
+# Usage: scripts/prod_cover.sh   (about 20 s with a warm build cache)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 source scripts/lib_spaced.sh # WORK, SPACED_PID, cleanup on exit, wait_listening
@@ -46,7 +47,8 @@ cover() {
 echo "prod_cover: batch tour" >&2
 cover run "$BIN/spacebench" run -scale small -trace "$WORK/run.jsonl" -report "$WORK/run.json" >/dev/null
 cover replay "$BIN/spacebench" run -scale small -replay "$WORK/run.jsonl" >/dev/null
-cover figure "$BIN/spacebench" -scale small -quiet fig7 >/dev/null
+cover figures "$BIN/spacebench" -scale small -quiet -csv "$WORK/csv" all >/dev/null
+cover scenario "$BIN/spacebench" -scale small -quiet -spec specs/smoke.json scenario >/dev/null
 cover trace "$BIN/spacestat" trace "$WORK/run.jsonl" >/dev/null
 cover diff "$BIN/spacestat" diff "$WORK/run.json" "$WORK/run.json" >/dev/null
 cover spec "$BIN/spacestat" spec -servers 12 specs/erlangb.json >/dev/null
