@@ -19,7 +19,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	cear := newCEAR(env)
+	cear, _ := newCEAR(env)
 
 	decision, err := cear.Handle(workload.Request{
 		ID:  1,
@@ -41,7 +41,7 @@ func Example() {
 // newCEAR returns CEAR with the paper's pricing parameters (μ1 = μ2 =
 // 402) over a fresh resource state: link ledgers plus per-satellite
 // battery ledgers with solar input from the eclipse model.
-func newCEAR(env *spacebooking.Environment) *core.CEAR {
+func newCEAR(env *spacebooking.Environment) (*core.CEAR, *netstate.State) {
 	state, err := netstate.New(env.Provider, spacebooking.PaperEnergyConfig(), false)
 	if err != nil {
 		panic(err)
@@ -54,7 +54,7 @@ func newCEAR(env *spacebooking.Environment) *core.CEAR {
 	if err != nil {
 		panic(err)
 	}
-	return cear
+	return cear, state
 }
 
 // The quickstart: submit a handful of reserved-bandwidth requests
@@ -69,8 +69,7 @@ func Example_quickstart() {
 	}
 	fmt.Printf("constellation: %d satellites, horizon %d minutes, %d candidate sites\n",
 		env.Provider.NumSats(), env.Provider.Horizon(), len(env.Sites))
-	cear := newCEAR(env)
-	state := cear.State()
+	cear, state := newCEAR(env)
 	params, err := spacebooking.PaperPricing()
 	if err != nil {
 		panic(err)
@@ -103,7 +102,6 @@ func Example_quickstart() {
 
 	// What the reservations did to the network.
 	fmt.Printf("\nnetwork state after admission:\n")
-	fmt.Printf("  active links:        %d\n", state.NumActiveLinks())
 	fmt.Printf("  congested links @12: %d (residual < 10%% of capacity)\n", state.CongestedLinkCount(12, 0.1))
 	fmt.Printf("  depleted sats  @12:  %d (battery < 20%%)\n", state.DepletedSatCount(12, 0.2))
 	// Output:
@@ -122,7 +120,6 @@ func Example_quickstart() {
 	// request 7: REJECTED  no feasible path at slot 10
 	//
 	// network state after admission:
-	//   active links:        78
 	//   congested links @12: 1 (residual < 10% of capacity)
 	//   depleted sats  @12:  0 (battery < 20%)
 }
@@ -192,8 +189,8 @@ func Example_teleconference() {
 	}
 	fmt.Printf("recurring 30-min meetings @50 Mbps with heavy background transfers\n\n")
 	fmt.Printf("%-8s %-12s %-14s %-12s %s\n", "alg", "meetings ok", "meetings lost", "bg accepted", "depleted sats (end)")
-	cear := newCEAR(env)
-	report("CEAR", cear, cear.State())
+	cear, cearState := newCEAR(env)
+	report("CEAR", cear, cearState)
 	sspState, err := netstate.New(env.Provider, spacebooking.PaperEnergyConfig(), false)
 	if err != nil {
 		panic(err)
@@ -234,7 +231,7 @@ func Example_disasterMonitoring() {
 	}
 	fmt.Printf("LSN: %d broadband satellites; EO fleet: %d imaging satellites\n",
 		env.Provider.NumSats(), len(env.EOFleet))
-	cear := newCEAR(env)
+	cear, state := newCEAR(env)
 
 	// The analytics centre is the highest-GDP covered site; the imaging
 	// satellite is EO-7.
@@ -277,7 +274,7 @@ func Example_disasterMonitoring() {
 	}
 	fmt.Printf("\n%d windows booked, %d denied\n", accepted, rejected)
 	fmt.Printf("relay batteries below 20%% at final slot: %d\n",
-		cear.State().DepletedSatCount(env.Provider.Horizon()-1, 0.2))
+		state.DepletedSatCount(env.Provider.Horizon()-1, 0.2))
 	// Output:
 	// LSN: 96 broadband satellites; EO fleet: 223 imaging satellites
 	// downlink: EO-007 -> analytics centre at (50.3, 3.6)

@@ -162,16 +162,6 @@ type Controller struct {
 	// Window statistics.
 	arrived   int
 	pricedOut int
-
-	// AdjustmentLog records every re-derivation for inspection.
-	adjustments []Adjustment
-}
-
-// Adjustment is one recorded parameter change.
-type Adjustment struct {
-	Slot   int
-	F1, F2 float64
-	Reason string
 }
 
 var _ router.Algorithm = (*Controller)(nil)
@@ -198,12 +188,6 @@ func New(state *netstate.State, cfg Config) (*Controller, error) {
 
 // Name implements router.Algorithm.
 func (c *Controller) Name() string { return "CEAR-AD" }
-
-// Params returns the currently active F1 and F2.
-func (c *Controller) Params() (f1, f2 float64) { return c.f1, c.f2 }
-
-// Adjustments returns the re-derivation history (do not modify).
-func (c *Controller) Adjustments() []Adjustment { return c.adjustments }
 
 // rebuild re-derives μ1/μ2 from the current F1/F2 and swaps the inner
 // CEAR (sharing the same resource state).
@@ -237,7 +221,7 @@ func clampF(v, lo, hi float64) float64 {
 
 // adapt closes one window and re-derives the parameters.
 func (c *Controller) adapt(nowSlot int) error {
-	reason := ""
+	changed := false
 
 	// Relax pricing if it rejected too aggressively.
 	if c.arrived > 0 {
@@ -245,7 +229,7 @@ func (c *Controller) adapt(nowSlot int) error {
 		if frac > c.cfg.PricedOutTarget {
 			c.f1 /= c.cfg.Step
 			c.f2 /= c.cfg.Step
-			reason += fmt.Sprintf("priced-out %.0f%%>target; ", 100*frac)
+			changed = true
 		}
 	}
 
@@ -256,7 +240,7 @@ func (c *Controller) adapt(nowSlot int) error {
 		fracDepleted := float64(depleted) / float64(c.state.Provider().NumSats())
 		if fracDepleted > c.cfg.DepletionTargetFrac {
 			c.f2 *= c.cfg.Step
-			reason += fmt.Sprintf("depleted %.0f%%>target; ", 100*fracDepleted)
+			changed = true
 		}
 	}
 
@@ -272,11 +256,11 @@ func (c *Controller) adapt(nowSlot int) error {
 			case scale > 1.25:
 				c.f1 *= c.cfg.Step
 				c.f2 *= c.cfg.Step
-				reason += fmt.Sprintf("predicted load %.2fx nominal; ", scale)
+				changed = true
 			case scale < 0.75:
 				c.f1 /= c.cfg.Step
 				c.f2 /= c.cfg.Step
-				reason += fmt.Sprintf("predicted load %.2fx nominal; ", scale)
+				changed = true
 			}
 		}
 	}
@@ -286,10 +270,9 @@ func (c *Controller) adapt(nowSlot int) error {
 	c.arrived, c.pricedOut = 0, 0
 	c.windowStart = nowSlot
 
-	if reason == "" {
-		return nil // no change, keep the inner CEAR as-is
+	if !changed {
+		return nil // keep the inner CEAR as-is
 	}
-	c.adjustments = append(c.adjustments, Adjustment{Slot: nowSlot, F1: c.f1, F2: c.f2, Reason: reason})
 	return c.rebuild()
 }
 

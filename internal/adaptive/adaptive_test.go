@@ -110,12 +110,11 @@ func TestControllerProcessesWorkload(t *testing.T) {
 	if accepted == 0 {
 		t.Fatal("adaptive controller accepted nothing")
 	}
-	f1, f2 := ctrl.Params()
+	f1, f2 := ctrl.f1, ctrl.f2
 	if f1 < cfg.MinF || f1 > cfg.MaxF || f2 < cfg.MinF || f2 > cfg.MaxF {
 		t.Errorf("parameters escaped the clamp band: F1=%v F2=%v", f1, f2)
 	}
-	t.Logf("final F1=%.3f F2=%.3f, %d adjustments, %d/%d accepted",
-		f1, f2, len(ctrl.Adjustments()), accepted, len(reqs))
+	t.Logf("final F1=%.3f F2=%.3f, %d/%d accepted", f1, f2, accepted, len(reqs))
 }
 
 func TestControllerRelaxesWhenPricedOut(t *testing.T) {
@@ -141,12 +140,8 @@ func TestControllerRelaxesWhenPricedOut(t *testing.T) {
 			}
 		}
 	}
-	f1, _ := ctrl.Params()
-	if f1 >= cfg.InitialF1 {
-		t.Errorf("F1 = %v, expected relaxation below initial %v", f1, cfg.InitialF1)
-	}
-	if len(ctrl.Adjustments()) == 0 {
-		t.Error("no adjustments recorded")
+	if ctrl.f1 >= cfg.InitialF1 {
+		t.Errorf("F1 = %v, expected relaxation below initial %v", ctrl.f1, cfg.InitialF1)
 	}
 }
 
@@ -184,9 +179,8 @@ func TestControllerTightensOnDepletion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, f2 := ctrl.Params()
-	if f2 <= cfg.InitialF2 {
-		t.Errorf("F2 = %v, expected tightening above initial %v", f2, cfg.InitialF2)
+	if ctrl.f2 <= cfg.InitialF2 {
+		t.Errorf("F2 = %v, expected tightening above initial %v", ctrl.f2, cfg.InitialF2)
 	}
 }
 
@@ -240,9 +234,8 @@ func TestPredictorScalesParameters(t *testing.T) {
 			}
 		}
 	}
-	f1, f2 := ctrl.Params()
-	if f1 <= cfg.InitialF1 || f2 <= cfg.InitialF2 {
-		t.Errorf("parameters not scaled up under 5x predicted load: F1=%v F2=%v", f1, f2)
+	if ctrl.f1 <= cfg.InitialF1 || ctrl.f2 <= cfg.InitialF2 {
+		t.Errorf("parameters not scaled up under 5x predicted load: F1=%v F2=%v", ctrl.f1, ctrl.f2)
 	}
 }
 

@@ -177,9 +177,6 @@ func (b *Baseline) Name() string {
 	}
 }
 
-// State exposes the resource state for metric collection.
-func (b *Baseline) State() *netstate.State { return b.state }
-
 // overThreshold reports whether a satellite's battery discharge exceeds
 // the ERU/ERA trigger in the slot.
 func (b *Baseline) overThreshold(sat, slot int) bool {

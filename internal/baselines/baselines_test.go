@@ -169,7 +169,8 @@ func TestAllBaselinesAcceptOnEmptyNetwork(t *testing.T) {
 			if len(d.Plan.Paths) != req.DurationSlots() {
 				t.Errorf("plan paths = %d", len(d.Plan.Paths))
 			}
-			if state.NumActiveLinks() == 0 {
+			// At threshold 1 every link holding a reservation counts.
+			if state.CongestedLinkCount(req.StartSlot, 1) == 0 {
 				t.Error("no reservations recorded")
 			}
 		})
@@ -223,7 +224,7 @@ func TestBaselineRejectsWhenNoPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	linksBefore := state.NumActiveLinks()
+	linksBefore := state.CongestedLinkCount(req.StartSlot, 1)
 	d, err := ssp.Handle(req)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +235,7 @@ func TestBaselineRejectsWhenNoPath(t *testing.T) {
 	if !strings.Contains(d.Reason, "no feasible path") {
 		t.Errorf("reason = %q", d.Reason)
 	}
-	if state.NumActiveLinks() != linksBefore {
+	if state.CongestedLinkCount(req.StartSlot, 1) != linksBefore {
 		t.Error("rejection mutated state")
 	}
 }

@@ -190,9 +190,6 @@ func (c *CEAR) Name() string {
 	}
 }
 
-// State exposes the resource state for metric collection.
-func (c *CEAR) State() *netstate.State { return c.state }
-
 // congestionUnitPrice returns the bandwidth price per Mbps at the given
 // utilization: σ_e/c_e per Eq. (10), or its linear ablation.
 func (c *CEAR) congestionUnitPrice(lambda float64) float64 {

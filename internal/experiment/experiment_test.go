@@ -30,8 +30,12 @@ func testProvider(t *testing.T) *topology.Provider {
 		cfg.Walker.SatsPerPlane = 12
 		cfg.Walker.PhasingF = 3
 		cfg.Horizon = 60
-		cfg.PrecomputeVisibility = true
-		sharedProv, provErr = topology.NewProvider(cfg, testSites(), nil)
+		sites := testSites()
+		freeze := make([]topology.Endpoint, len(sites))
+		for i := range sites {
+			freeze[i] = topology.Endpoint{Kind: topology.EndpointGround, Index: i}
+		}
+		sharedProv, provErr = topology.NewProvider(cfg, sites, nil, freeze...)
 	})
 	if provErr != nil {
 		t.Fatal(provErr)

@@ -13,12 +13,8 @@ const (
 	EarthMuKm3S2 = 398600.4418
 	// EarthFlattening is the WGS-84 flattening factor.
 	EarthFlattening = 1.0 / 298.257223563
-	// EarthRotationRadS is the Earth's sidereal rotation rate in rad/s.
-	EarthRotationRadS = 7.2921150e-5
 	// AstronomicalUnitKm is one AU in kilometres.
 	AstronomicalUnitKm = 149597870.7
-	// SolarRadiusKm is the radius of the Sun.
-	SolarRadiusKm = 696000.0
 )
 
 // DegToRad converts degrees to radians.
@@ -67,23 +63,11 @@ func GMST(t time.Time) float64 {
 	return WrapTwoPi(DegToRad(gmstDeg))
 }
 
-// ECIToECEF rotates an ECI position into the Earth-fixed (ECEF) frame
-// given the Greenwich sidereal angle gmstRad.
-func ECIToECEF(v Vec3, gmstRad float64) Vec3 {
-	return EarthRotation(gmstRad).Z(v)
-}
-
-// EarthRotation returns the rotation ECIToECEF applies about +Z at
-// Greenwich sidereal angle gmstRad, for converting many positions taken
-// at one instant.
+// EarthRotation returns the rotation about +Z that takes an ECI position
+// into the Earth-fixed (ECEF) frame at Greenwich sidereal angle gmstRad,
+// for converting many positions taken at one instant.
 func EarthRotation(gmstRad float64) Rotation {
 	return NewRotation(-gmstRad)
-}
-
-// ECEFToECI rotates an ECEF position into the inertial (ECI) frame given
-// the Greenwich sidereal angle gmstRad.
-func ECEFToECI(v Vec3, gmstRad float64) Vec3 {
-	return v.RotateZ(gmstRad)
 }
 
 // LLAToECEF converts geodetic coordinates into an ECEF position using the

@@ -59,7 +59,7 @@ func TestECIECEFRoundTrip(t *testing.T) {
 		}
 		v := Vec3{clamp(x), clamp(y), clamp(z)}
 		g := math.Mod(clamp(gmst), 2*math.Pi)
-		back := ECEFToECI(ECIToECEF(v, g), g)
+		back := NewRotation(g).Z(EarthRotation(g).Z(v))
 		return vecAlmostEqual(v, back, 1e-6*(1+v.Norm()))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -192,7 +192,7 @@ func TestLineOfSightClear(t *testing.T) {
 		t.Error("90-degree-separated LEO satellites should be blocked by the Earth")
 	}
 	// Neighbouring satellites 10° apart see each other.
-	d := a.RotateZ(DegToRad(10))
+	d := NewRotation(DegToRad(10)).Z(a)
 	if !LineOfSightClear(a, d, 0) {
 		t.Error("10-degree-separated satellites should have line of sight")
 	}

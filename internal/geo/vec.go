@@ -78,16 +78,8 @@ func (v Vec3) AngleTo(w Vec3) float64 {
 	return math.Atan2(cross, dot)
 }
 
-// RotateZ rotates v about the +Z axis by angle rad (right-handed).
-func (v Vec3) RotateZ(rad float64) Vec3 { return NewRotation(rad).Z(v) }
-
-// RotateX rotates v about the +X axis by angle rad (right-handed).
-func (v Vec3) RotateX(rad float64) Vec3 { return NewRotation(rad).X(v) }
-
 // Rotation is one angle's sine and cosine, taken once so that a fixed
-// angle can rotate many vectors. It is the one rotation implementation:
-// RotateZ and RotateX are NewRotation(rad).Z and .X, so a hoisted
-// Rotation gives the same bits as the per-call form.
+// angle can rotate many vectors. It is the one rotation implementation.
 type Rotation struct {
 	sin, cos float64
 }

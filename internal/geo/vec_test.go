@@ -97,12 +97,12 @@ func TestVecAngleTo(t *testing.T) {
 
 func TestVecRotateZ(t *testing.T) {
 	v := Vec3{1, 0, 0}
-	got := v.RotateZ(math.Pi / 2)
+	got := NewRotation(math.Pi / 2).Z(v)
 	if !vecAlmostEqual(got, Vec3{0, 1, 0}, floatTol) {
 		t.Errorf("RotateZ(π/2) = %v, want (0,1,0)", got)
 	}
 	// Z component is invariant.
-	w := Vec3{1, 2, 3}.RotateZ(1.234)
+	w := NewRotation(1.234).Z(Vec3{1, 2, 3})
 	if w.Z != 3 {
 		t.Errorf("RotateZ changed Z: %v", w.Z)
 	}
@@ -110,7 +110,7 @@ func TestVecRotateZ(t *testing.T) {
 
 func TestVecRotateX(t *testing.T) {
 	v := Vec3{0, 1, 0}
-	got := v.RotateX(math.Pi / 2)
+	got := NewRotation(math.Pi / 2).X(v)
 	if !vecAlmostEqual(got, Vec3{0, 0, 1}, floatTol) {
 		t.Errorf("RotateX(π/2) = %v, want (0,0,1)", got)
 	}
@@ -127,7 +127,7 @@ func TestVecRotationPreservesNorm(t *testing.T) {
 		clamp := func(v float64) float64 { return math.Mod(v, 1e6) }
 		v := Vec3{clamp(x), clamp(y), clamp(z)}
 		a := math.Mod(angle, 2*math.Pi)
-		r := v.RotateZ(a)
+		r := NewRotation(a).Z(v)
 		return almostEqual(v.Norm(), r.Norm(), 1e-6*(1+v.Norm()))
 	}
 	if err := quick.Check(f, nil); err != nil {

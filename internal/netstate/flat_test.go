@@ -132,7 +132,8 @@ func TestFlatViewMirrorsGenericView(t *testing.T) {
 			txn.Commit()
 		}
 	}
-	if s.NumActiveLinks() == 0 {
+	// At threshold 1 every link holding a reservation counts.
+	if s.CongestedLinkCount(slot, 1) == 0 {
 		t.Fatal("no trial ran on a loaded ledger")
 	}
 	if err := s.CheckInvariants(); err != nil {

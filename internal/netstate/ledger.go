@@ -3,6 +3,7 @@ package netstate
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The link ledger: every bandwidth reservation of a State, slot-major.
@@ -47,9 +48,6 @@ func (s *State) linkCapacity(key LinkKey) float64 {
 	}
 	return s.uslCapMbps
 }
-
-// LinkCapacityMbps returns the capacity c_e of a link.
-func (s *State) LinkCapacityMbps(key LinkKey) float64 { return s.linkCapacity(key) }
 
 // LinkUsedMbps returns the bandwidth already reserved on a link in a slot.
 func (s *State) LinkUsedMbps(key LinkKey, slot int) float64 {
@@ -178,29 +176,6 @@ func (s *State) noteLedgerFault(key LinkKey, slot int, rateMbps float64, why str
 	s.ledgerFaults++
 }
 
-// NumActiveLinks returns the number of links holding a non-zero
-// reservation in at least one slot. A link whose reservations were all
-// rolled back is not active.
-func (s *State) NumActiveLinks() int {
-	count := 0
-	islSeen := make([]bool, s.csr.NumEdges())
-	for _, row := range s.isl {
-		for e, used := range row {
-			if used != 0 && !islSeen[e] {
-				islSeen[e] = true
-				count++
-			}
-		}
-	}
-	uslSeen := make(map[LinkKey]struct{})
-	for _, cells := range s.usl {
-		for key := range cells {
-			uslSeen[key] = struct{}{}
-		}
-	}
-	return count + len(uslSeen)
-}
-
 // CongestedLinkCount counts links whose remaining bandwidth in the slot
 // is below thresholdFrac of capacity — the paper's "congestion link
 // number" metric with thresholdFrac = 0.1. A link with no reservation in
@@ -227,7 +202,8 @@ func (s *State) CongestedLinkCount(slot int, thresholdFrac float64) int {
 	return count
 }
 
-// checkLedger is the link half of CheckInvariants.
+// checkLedger is the link half of CheckInvariants. It walks each slot's
+// USL cells in key order, so the fault it names is the same on every call.
 func (s *State) checkLedger() error {
 	if s.ledgerFaults > 0 {
 		return fmt.Errorf("netstate: %d release(s) matched no reservation; first: %s", s.ledgerFaults, s.firstLedgerFault)
@@ -240,8 +216,14 @@ func (s *State) checkLedger() error {
 				return fmt.Errorf("netstate: ISL edge %d holds %v Mbps at slot %d, outside [0, %v]", e, used, slot, s.islCapMbps)
 			}
 		}
-		for key, used := range s.usl[slot] {
-			if used <= 0 || used > uslLimit || math.IsNaN(used) {
+		cells := s.usl[slot]
+		keys := make([]LinkKey, 0, len(cells))
+		for key := range cells {
+			keys = append(keys, key)
+		}
+		slices.Sort(keys)
+		for _, key := range keys {
+			if used := cells[key]; used <= 0 || used > uslLimit || math.IsNaN(used) {
 				return fmt.Errorf("netstate: USL %d->%d holds %v Mbps at slot %d, outside (0, %v]",
 					key.From(), key.To(), used, slot, s.uslCapMbps)
 			}

@@ -78,7 +78,6 @@ func (v cellView) DemandMbps() float64             { return v.rate }
 func compareLedger(t *testing.T, step int, s *State, ref *refLedger, pool []LinkKey) {
 	t.Helper()
 	horizon := s.Provider().Horizon()
-	active := make(map[LinkKey]bool)
 	for _, key := range pool {
 		for slot := 0; slot < horizon; slot++ {
 			want := ref.used[refCell{key, slot}]
@@ -88,13 +87,7 @@ func compareLedger(t *testing.T, step int, s *State, ref *refLedger, pool []Link
 			if got, wantU := s.LinkUtilization(key, slot), want/ref.capacity(key); got != wantU {
 				t.Fatalf("step %d: link %d->%d slot %d: utilization %v, reference %v", step, key.From(), key.To(), slot, got, wantU)
 			}
-			if want != 0 {
-				active[key] = true
-			}
 		}
-	}
-	if got := s.NumActiveLinks(); got != len(active) {
-		t.Fatalf("step %d: NumActiveLinks = %d, links with a non-zero reservation = %d", step, got, len(active))
 	}
 	for _, thr := range []float64{0.05, 0.1, 0.5, 1} {
 		for slot := 0; slot < horizon; slot++ {
@@ -124,7 +117,7 @@ func TestLedgerMatchesReferenceMap(t *testing.T) {
 	sites := []grid.Site{{ID: 0, LatDeg: 40, LonDeg: -74}, {ID: 1, LatDeg: 51, LonDeg: 0}}
 	for seed := int64(1); seed <= 4; seed++ {
 		s := newTestState(t, sites, false)
-		ref := &refLedger{used: make(map[refCell]float64), capacity: s.LinkCapacityMbps}
+		ref := &refLedger{used: make(map[refCell]float64), capacity: s.linkCapacity}
 		pool := ledgerPool(s)
 		horizon := s.Provider().Horizon()
 		rng := rand.New(rand.NewSource(seed))
@@ -142,7 +135,7 @@ func TestLedgerMatchesReferenceMap(t *testing.T) {
 			key := pool[rng.Intn(len(pool))]
 			// Rates up to 45% of capacity: a third reservation on one cell
 			// is over-subscribed about as often as not.
-			return key, rng.Intn(horizon), (0.05 + 0.4*rng.Float64()) * s.LinkCapacityMbps(key)
+			return key, rng.Intn(horizon), (0.05 + 0.4*rng.Float64()) * s.linkCapacity(key)
 		}
 		for step := 0; step < 300; step++ {
 			switch op := rng.Intn(10); {
@@ -217,6 +210,22 @@ func TestLedgerRejectsNonISLPairs(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Errorf("a refused reservation must not count as a fault: %v", err)
+	}
+}
+
+// TestCheckLedgerNamesSmallestFault: with two out-of-range USL cells in
+// one slot, CheckInvariants names the one with the smaller key on every
+// call, not whichever the map's iteration order reaches first.
+func TestCheckLedgerNamesSmallestFault(t *testing.T) {
+	s := newTestState(t, []grid.Site{{ID: 0, LatDeg: 40, LonDeg: -74}}, false)
+	site := s.Provider().NumSats()
+	small, large := MakeLinkKey(site, 3), MakeLinkKey(site, 40)
+	s.usl[2] = map[LinkKey]float64{small: 2 * s.uslCapMbps, large: 3 * s.uslCapMbps}
+	want := fmt.Sprintf("USL %d->%d ", small.From(), small.To())
+	for call := 0; call < 20; call++ {
+		if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("call %d: CheckInvariants = %v, want the fault on %s", call, err, want)
+		}
 	}
 }
 

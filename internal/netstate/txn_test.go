@@ -299,7 +299,7 @@ func TestHotspotTrackingAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(100, admit); got > tc.ceiling {
 			t.Errorf("top-%d tracking: %v allocations per accepted+rejected admission, want at most %v", tc.k, got, tc.ceiling)
 		}
-		if tracked := s.hot.linkUtil.Total() > 0 && s.hot.linkRejections.Total() > 0; tracked != (tc.k > 0) {
+		if tracked := s.hot.linkUtil.Snapshot().Total > 0 && s.hot.linkRejections.Snapshot().Total > 0; tracked != (tc.k > 0) {
 			t.Errorf("top-%d tracking: trackers fed %v", tc.k, tracked)
 		}
 	}

@@ -257,7 +257,4 @@ func TestViewReservePathBandwidth(t *testing.T) {
 			t.Errorf("link %d: used = %v, want 500", i, got)
 		}
 	}
-	if s.NumActiveLinks() != len(p.Edges) {
-		t.Errorf("active links = %d, want %d", s.NumActiveLinks(), len(p.Edges))
-	}
 }

@@ -14,9 +14,8 @@ import (
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds; len(counts) == len(bounds)+1
 	counts  []atomic.Int64
-	count   atomic.Int64
 	sumBits atomic.Uint64
-	minBits atomic.Uint64 // math.Float64bits; valid only when count > 0
+	minBits atomic.Uint64 // math.Float64bits; valid only once a bucket counts
 	maxBits atomic.Uint64
 }
 
@@ -48,18 +47,6 @@ func TimeBuckets() []float64 {
 	return out
 }
 
-// reset zeroes every bucket and the exact aggregates, returning the
-// histogram to its freshly constructed state.
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sumBits.Store(0)
-	h.minBits.Store(math.Float64bits(math.Inf(1)))
-	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
-}
-
 // Observe records one value. No-op on a nil histogram.
 func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) {
@@ -73,7 +60,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.counts[idx].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -92,14 +78,6 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-}
-
-// Count returns the number of observations (zero for a nil histogram).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // HistogramSnapshot is the JSON form of a histogram's state.
@@ -148,39 +126,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.P999 = h.quantile(counts, total, 0.999, s.Min, s.Max)
 	return s
 }
-
-// Quantile estimates one quantile of the live histogram. It is guarded
-// against the degenerate cases: a nil or empty (zero-count) histogram
-// returns 0 rather than NaN or a garbage bound, and q is clamped into
-// [0, 1]. The SLO tracker and stats endpoints call this directly for
-// tail quantiles (e.g. 0.999) without paying for a full snapshot.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	counts := make([]int64, len(h.counts))
-	total := int64(0)
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	if math.IsNaN(q) || q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	min := math.Float64frombits(h.minBits.Load())
-	max := math.Float64frombits(h.maxBits.Load())
-	return h.quantile(counts, total, q, min, max)
-}
-
-// P999 is the guarded 99.9th-percentile accessor used by the SLO
-// tracker.
-func (h *Histogram) P999() float64 { return h.Quantile(0.999) }
 
 // quantile estimates the q-quantile from bucket counts. rank counts
 // from 1; the value interpolates within the bucket's [lower, upper)

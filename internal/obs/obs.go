@@ -156,39 +156,6 @@ func (r *Registry) Histogram(name string, boundaries []float64) *Histogram {
 	return h
 }
 
-// Reset zeroes every instrument in place: counters, gauges, histogram
-// buckets, phase records, and time series are cleared, but every handle
-// already handed out stays valid and attached. Callers running several
-// experiments on one registry (e.g. spacebench's per-algorithm runs)
-// reset between runs so one run's instruments do not bleed into the
-// next run's snapshot. Concurrent writers are not corrupted (all stores
-// are atomic or lock-guarded), but samples landing mid-reset may survive
-// it; reset between runs, not during one. No-op on a nil registry.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
-	for _, p := range r.phases {
-		p.count.Store(0)
-		p.totalNs.Store(0)
-	}
-	for _, t := range r.topks {
-		t.reset()
-	}
-	r.sampler.reset()
-}
-
 // sortedKeys returns map keys in lexical order for stable output.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

@@ -5,29 +5,17 @@ import (
 	"testing"
 )
 
-// TestQuantileGuards locks the satellite fix: empty and nil histograms
-// must report 0 from Quantile/P999, never NaN or a bucket bound.
+// TestQuantileGuards: empty and nil histograms must snapshot every
+// quantile as 0, never NaN or a bucket bound.
 func TestQuantileGuards(t *testing.T) {
 	var nilHist *Histogram
-	if got := nilHist.Quantile(0.5); got != 0 {
-		t.Errorf("nil Quantile = %v, want 0", got)
-	}
-	if got := nilHist.P999(); got != 0 {
-		t.Errorf("nil P999 = %v, want 0", got)
-	}
-
-	empty := newHistogram(nil)
-	for _, q := range []float64{0, 0.5, 0.99, 0.999, 1} {
-		if got := empty.Quantile(q); got != 0 || math.IsNaN(got) {
-			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
+	for _, h := range []*Histogram{nilHist, newHistogram(nil)} {
+		s := h.Snapshot()
+		for _, q := range []float64{s.P50, s.P95, s.P99, s.P999} {
+			if q != 0 || math.IsNaN(q) {
+				t.Errorf("empty snapshot quantiles = %+v, want 0", s)
+			}
 		}
-	}
-	if got := empty.P999(); got != 0 {
-		t.Errorf("empty P999 = %v, want 0", got)
-	}
-	// The snapshot path shares the guard.
-	if s := empty.Snapshot(); s.P999 != 0 || s.P50 != 0 {
-		t.Errorf("empty snapshot quantiles = %+v", s)
 	}
 }
 
@@ -35,21 +23,11 @@ func TestQuantileValues(t *testing.T) {
 	h := newHistogram(nil)
 	h.Observe(0.010)
 	// A single observation reports itself at every quantile.
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if got := h.Quantile(q); math.Abs(got-0.010) > 1e-12 {
-			t.Errorf("single-value Quantile(%v) = %v, want 0.010", q, got)
+	s := h.Snapshot()
+	for _, got := range []float64{s.P50, s.P99, s.P999} {
+		if math.Abs(got-0.010) > 1e-12 {
+			t.Errorf("single-value snapshot = %+v, want 0.010 at every quantile", s)
 		}
-	}
-
-	// Out-of-range q clamps instead of misbehaving.
-	if got := h.Quantile(-1); got != h.Quantile(0) {
-		t.Errorf("Quantile(-1) = %v, want clamp to %v", got, h.Quantile(0))
-	}
-	if got := h.Quantile(2); got != h.Quantile(1) {
-		t.Errorf("Quantile(2) = %v, want clamp to %v", got, h.Quantile(1))
-	}
-	if got := h.Quantile(math.NaN()); math.IsNaN(got) {
-		t.Error("Quantile(NaN) is NaN")
 	}
 
 	// With a wide spread, p999 must sit in the max's bucket, above p50.
@@ -60,15 +38,11 @@ func TestQuantileValues(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h2.Observe(1.0)
 	}
-	p50, p999 := h2.Quantile(0.5), h2.P999()
-	if p999 <= p50 {
-		t.Errorf("p999 %v <= p50 %v", p999, p50)
-	}
-	if p999 > 1.0 || p999 < 0.5 {
-		t.Errorf("p999 = %v, want within the top observation's bucket", p999)
-	}
 	snap := h2.Snapshot()
-	if math.Abs(snap.P999-p999) > 1e-9 {
-		t.Errorf("snapshot P999 %v != Quantile(0.999) %v", snap.P999, p999)
+	if snap.P999 <= snap.P50 {
+		t.Errorf("p999 %v <= p50 %v", snap.P999, snap.P50)
+	}
+	if snap.P999 > 1.0 || snap.P999 < 0.5 {
+		t.Errorf("p999 = %v, want within the top observation's bucket", snap.P999)
 	}
 }

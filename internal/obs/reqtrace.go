@@ -105,15 +105,6 @@ func (r *TraceRec) Add(name string, startNs, durNs int64) {
 	r.n++
 }
 
-// Spans returns the recorded spans as a view into the recorder; valid
-// only until the recorder is reset or returned to its pool.
-func (r *TraceRec) Spans() []TraceSpan {
-	if r == nil {
-		return nil
-	}
-	return r.spans[:r.n]
-}
-
 // CopySpans returns an owned copy of the recorded spans, for attaching
 // to an audit record that outlives the pooled recorder.
 func (r *TraceRec) CopySpans() []TraceSpan {

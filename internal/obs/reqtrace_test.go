@@ -16,7 +16,7 @@ func TestTraceRecSpans(t *testing.T) {
 	rec.End(j, epoch.Add(10*time.Microsecond))
 	rec.Add("search", 10_000, 5_000)
 
-	spans := rec.Spans()
+	spans := rec.CopySpans()
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
@@ -30,13 +30,12 @@ func TestTraceRecSpans(t *testing.T) {
 		t.Errorf("search span = %+v", spans[2])
 	}
 
-	cp := rec.CopySpans()
 	rec.Reset(epoch)
-	if len(cp) != 3 || cp[0].Name != "parse" {
-		t.Errorf("copy not independent of reset: %+v", cp)
+	if len(spans) != 3 || spans[0].Name != "parse" {
+		t.Errorf("copy not independent of reset: %+v", spans)
 	}
-	if len(rec.Spans()) != 0 {
-		t.Errorf("reset left %d spans", len(rec.Spans()))
+	if rec.n != 0 {
+		t.Errorf("reset left %d spans", rec.n)
 	}
 }
 
@@ -45,7 +44,7 @@ func TestTraceRecOpenSpanAndOverflow(t *testing.T) {
 	var rec TraceRec
 	rec.Reset(epoch)
 	i := rec.Begin("open", epoch.Add(time.Millisecond))
-	spans := rec.Spans()
+	spans := rec.spans[:rec.n]
 	if spans[0].EndNs != -1 || spans[0].DurNs() != 0 {
 		t.Errorf("open span = %+v", spans[0])
 	}
@@ -59,7 +58,7 @@ func TestTraceRecOpenSpanAndOverflow(t *testing.T) {
 	for k := 0; k < 2*MaxTraceSpans; k++ {
 		rec.Begin("x", epoch)
 	}
-	if n := len(rec.Spans()); n != MaxTraceSpans {
+	if n := rec.n; n != MaxTraceSpans {
 		t.Errorf("overflowed recorder has %d spans, want %d", n, MaxTraceSpans)
 	}
 	if idx := rec.Begin("y", epoch); idx != -1 {
@@ -69,7 +68,7 @@ func TestTraceRecOpenSpanAndOverflow(t *testing.T) {
 
 	var nilRec *TraceRec
 	nilRec.Reset(epoch)
-	if nilRec.Begin("z", epoch) != -1 || len(nilRec.Spans()) != 0 || nilRec.CopySpans() != nil {
+	if nilRec.Begin("z", epoch) != -1 || nilRec.CopySpans() != nil {
 		t.Error("nil recorder is not a no-op")
 	}
 }
@@ -81,8 +80,8 @@ func TestTracePoolReuse(t *testing.T) {
 	r.Begin("a", epoch)
 	tp.Put(r)
 	r2 := tp.Get(epoch.Add(time.Second))
-	if len(r2.Spans()) != 0 {
-		t.Errorf("pooled recorder not reset: %d spans", len(r2.Spans()))
+	if r2.n != 0 {
+		t.Errorf("pooled recorder not reset: %d spans", r2.n)
 	}
 	if !r2.Epoch().Equal(epoch.Add(time.Second)) {
 		t.Errorf("epoch = %v", r2.Epoch())

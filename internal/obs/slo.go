@@ -44,14 +44,6 @@ func NewSLOClass(reg *Registry, name string, objectiveSeconds, target float64) *
 	}
 }
 
-// Name returns the class name.
-func (c *SLOClass) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Observe records one good or bad event and refreshes the gauges.
 func (c *SLOClass) Observe(good bool) {
 	if c == nil {

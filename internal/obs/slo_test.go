@@ -61,7 +61,4 @@ func TestSLOClassNil(t *testing.T) {
 	if s := c.Snapshot(); s != (SLOSnapshot{}) {
 		t.Errorf("nil snapshot = %+v", s)
 	}
-	if c.Name() != "" {
-		t.Error("nil name")
-	}
 }

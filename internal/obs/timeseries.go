@@ -53,37 +53,6 @@ func (s *Series) Record(slot int64, v float64) {
 	s.mu.Unlock()
 }
 
-// Len returns the number of retained samples (zero for a nil series).
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Total returns the number of samples ever recorded, including those the
-// ring has since overwritten.
-func (s *Series) Total() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// reset discards every sample, keeping the ring's capacity.
-func (s *Series) reset() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.head, s.n, s.total = 0, 0, 0
-	s.mu.Unlock()
-}
-
 // SeriesSnapshot is the JSON form of one series: the retained samples in
 // recording order (oldest first).
 type SeriesSnapshot struct {
@@ -176,18 +145,6 @@ func (sp *Sampler) Snapshot() map[string]SeriesSnapshot {
 		out[k] = s.Snapshot()
 	}
 	return out
-}
-
-// reset clears every series in place (handles stay valid).
-func (sp *Sampler) reset() {
-	if sp == nil {
-		return
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	for _, s := range sp.series {
-		s.reset()
-	}
 }
 
 // Sampler returns the registry's time-series sampler, creating it with

@@ -43,8 +43,8 @@ func TestSeriesRingOverwrite(t *testing.T) {
 			t.Fatalf("retained = %v/%v, want slots %v", snap.Slots, snap.Values, want)
 		}
 	}
-	if s.Len() != 3 || s.Total() != 7 {
-		t.Fatalf("len/total = %d/%d", s.Len(), s.Total())
+	if len(snap.Slots) != 3 || snap.Total != 7 {
+		t.Fatalf("len/total = %d/%d", len(snap.Slots), snap.Total)
 	}
 }
 
@@ -85,9 +85,6 @@ func TestNilSamplerAndSeries(t *testing.T) {
 	}
 	s := sp.Series("x")
 	s.Record(1, 2)
-	if s.Len() != 0 || s.Total() != 0 {
-		t.Fatal("nil series must stay empty")
-	}
 	if got := s.Snapshot(); got.Capacity != 0 || got.Total != 0 {
 		t.Fatalf("nil series snapshot = %+v", got)
 	}
@@ -190,54 +187,7 @@ func TestSeriesConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := sp.Series("shared").Total(); got != 4*500 {
+	if got := sp.Series("shared").Snapshot().Total; got != 4*500 {
 		t.Fatalf("total = %d, want %d", got, 4*500)
 	}
-}
-
-func TestRegistryReset(t *testing.T) {
-	r := New()
-	c := r.Counter("c")
-	c.Add(9)
-	g := r.Gauge("g")
-	g.Set(4.5)
-	h := r.Histogram("h", []float64{1, 2})
-	h.Observe(0.5)
-	h.Observe(10)
-	r.StartPhase("p").End()
-	s := r.Sampler(4).Series("ts")
-	s.Record(0, 1)
-
-	r.Reset()
-
-	if c.Value() != 0 || g.Value() != 0 {
-		t.Fatalf("counter/gauge after reset = %d/%v", c.Value(), g.Value())
-	}
-	hs := h.Snapshot()
-	if hs.Count != 0 || hs.Sum != 0 {
-		t.Fatalf("histogram after reset = %+v", hs)
-	}
-	if s.Len() != 0 || s.Total() != 0 {
-		t.Fatalf("series after reset: len %d total %d", s.Len(), s.Total())
-	}
-	snap := r.Snapshot()
-	if len(snap.Phases) != 1 || snap.Phases[0].Count != 0 || snap.Phases[0].TotalSeconds != 0 {
-		t.Fatalf("phases after reset = %+v", snap.Phases)
-	}
-
-	// Handles stay live: instruments attached before the reset keep
-	// recording into the same registry afterwards.
-	c.Inc()
-	h.Observe(1.5)
-	s.Record(7, 7)
-	if c.Value() != 1 || h.Count() != 1 || s.Total() != 1 {
-		t.Fatalf("instruments dead after reset: %d/%d/%d", c.Value(), h.Count(), s.Total())
-	}
-	if got := s.Snapshot().Slots[0]; got != 7 {
-		t.Fatalf("series restarted at slot %d, want 7", got)
-	}
-
-	// Reset on a nil registry is a no-op.
-	var nilReg *Registry
-	nilReg.Reset()
 }

@@ -144,17 +144,6 @@ func (t *TopK) minIndex() int {
 	return m
 }
 
-// Total returns the exact sum of all Adds (sum mode) or the number of
-// observations (max mode). Zero on nil.
-func (t *TopK) Total() float64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
 // TopKEntry is one ranked entry in a TopKSnapshot.
 type TopKEntry struct {
 	Key   uint64  `json:"key"`
@@ -195,18 +184,6 @@ func (t *TopK) Snapshot() TopKSnapshot {
 		return snap.Entries[i].Key < snap.Entries[j].Key
 	})
 	return snap
-}
-
-// reset clears entries and total in place. Caller holds t.mu's
-// registry lock; takes t.mu itself.
-func (t *TopK) reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.entries = t.entries[:0]
-	t.total = 0
-	t.mu.Unlock()
 }
 
 // TopK returns the named tracker, creating it with the given capacity

@@ -26,10 +26,10 @@ func TestTopKSumExactTotal(t *testing.T) {
 			want += delta
 		}
 	}
-	if got := tk.Total(); got != want {
-		t.Fatalf("Total() = %v, want %v", got, want)
-	}
 	snap := tk.Snapshot()
+	if snap.Total != want {
+		t.Fatalf("Total = %v, want %v", snap.Total, want)
+	}
 	if len(snap.Entries) != 4 {
 		t.Fatalf("entries = %d, want 4", len(snap.Entries))
 	}
@@ -103,10 +103,7 @@ func TestNilTopK(t *testing.T) {
 	tk.Add(1, 1)
 	tk.Observe(1, 1)
 	tk.SetLabeler(func(uint64) string { return "x" })
-	if tk.Total() != 0 {
-		t.Fatal("nil tracker total must be 0")
-	}
-	if snap := tk.Snapshot(); snap.K != 0 || len(snap.Entries) != 0 {
+	if snap := tk.Snapshot(); snap.K != 0 || snap.Total != 0 || len(snap.Entries) != 0 {
 		t.Fatalf("nil snapshot = %+v", snap)
 	}
 	var r *Registry
@@ -115,22 +112,17 @@ func TestNilTopK(t *testing.T) {
 	}
 }
 
-func TestTopKRegistryCreateAndReset(t *testing.T) {
+func TestTopKRegistryCreate(t *testing.T) {
 	r := New()
 	tk := r.TopK("hot.links", 8, TopKSum)
 	if r.TopK("hot.links", 999, TopKMax) != tk {
 		t.Fatal("same name must return the same tracker")
 	}
-	tk.Add(1, 3)
-	r.Reset()
-	if tk.Total() != 0 || len(tk.Snapshot().Entries) != 0 {
-		t.Fatalf("tracker survived Reset: %+v", tk.Snapshot())
-	}
-	// The handle stays live and keeps its capacity.
+	// The first creation fixes capacity and mode.
 	tk.Add(2, 1)
 	snap := tk.Snapshot()
-	if snap.K != 8 || snap.Total != 1 || len(snap.Entries) != 1 {
-		t.Fatalf("tracker dead after Reset: %+v", snap)
+	if snap.K != 8 || snap.Mode != TopKSum.String() || snap.Total != 1 || len(snap.Entries) != 1 {
+		t.Fatalf("tracker = %+v", snap)
 	}
 }
 

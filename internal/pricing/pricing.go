@@ -55,21 +55,11 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// CongestionCost returns σ_e(T) = c_e(T)·(μ1^λ − 1), Eq. (10).
-func (p Params) CongestionCost(capacity, lambda float64) float64 {
-	return capacity * p.CongestionUnitCost(lambda)
-}
-
 // CongestionUnitCost returns σ_e(T)/c_e(T) = μ1^λ − 1, the congestion
 // price per unit of reserved bandwidth, as used in the first term of the
 // plan cost (Eq. (12)).
 func (p Params) CongestionUnitCost(lambda float64) float64 {
 	return math.Pow(p.Mu1, clamp01(lambda)) - 1
-}
-
-// EnergyCost returns σ_s(T) = ϖ_s·(μ2^λ − 1), Eq. (11).
-func (p Params) EnergyCost(batteryCapacity, lambda float64) float64 {
-	return batteryCapacity * p.EnergyUnitCost(lambda)
 }
 
 // EnergyUnitCost returns σ_s(T)/ϖ_s = μ2^λ − 1, the energy price per

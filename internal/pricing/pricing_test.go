@@ -69,11 +69,11 @@ func TestCostEndpoints(t *testing.T) {
 	if got := p.CongestionUnitCost(1); math.Abs(got-401) > 1e-9 {
 		t.Errorf("unit cost at λ=1: %v, want 401", got)
 	}
-	if got := p.EnergyCost(117000, 1); math.Abs(got-117000*401) > 1e-6 {
-		t.Errorf("energy cost at λ=1: %v", got)
+	if got := p.EnergyUnitCost(1); math.Abs(got-401) > 1e-9 {
+		t.Errorf("energy unit cost at λ=1: %v, want 401", got)
 	}
-	if got := p.CongestionCost(20000, 0.5); math.Abs(got-20000*(math.Sqrt(402)-1)) > 1e-6 {
-		t.Errorf("congestion cost at λ=0.5: %v", got)
+	if got := p.CongestionUnitCost(0.5); math.Abs(got-(math.Sqrt(402)-1)) > 1e-12 {
+		t.Errorf("unit cost at λ=0.5: %v", got)
 	}
 }
 

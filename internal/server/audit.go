@@ -33,11 +33,9 @@ const (
 type TraceConfig struct {
 	// SampleRate is the head-sampling probability in [0, 1] for
 	// attaching the full phase timeline to an audit record. Shed,
-	// rejected, errored and slow requests are always sampled.
+	// rejected, errored and slow requests are always sampled; a request
+	// is slow when its total latency reaches SLOConfig.LatencyObjective.
 	SampleRate float64
-	// SlowThreshold forces sampling of any request whose total latency
-	// reaches it. 0 disables slow-sampling.
-	SlowThreshold time.Duration
 	// AuditPath, when non-empty, writes one decision record per booking
 	// to this file (created/truncated at startup): the same JSON line a
 	// `spacebench run -trace` file holds, plus the serving fields.
@@ -65,7 +63,8 @@ func (tc TraceConfig) enabled() bool {
 // SLOConfig parameterises the serving layer's per-class SLO tracking.
 type SLOConfig struct {
 	// LatencyObjective is the admit-latency objective (enqueue to
-	// decision). Default 25ms.
+	// decision). Default 25ms. With tracing on, a request at least this
+	// slow is always sampled.
 	LatencyObjective time.Duration
 }
 

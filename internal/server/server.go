@@ -289,7 +289,7 @@ func New(cfg Config) (*Server, error) {
 		s.tracePool = obs.NewTracePool()
 		s.policy = obs.SamplePolicy{
 			Rate:   cfg.Trace.SampleRate,
-			SlowNs: cfg.Trace.SlowThreshold.Nanoseconds(),
+			SlowNs: cfg.SLO.LatencyObjective.Nanoseconds(),
 		}
 		s.sink = sink
 		s.probe = newEngineProbe(reg)

@@ -629,7 +629,7 @@ func TestAPIEndpoints(t *testing.T) {
 	}
 
 	// The admit-latency histogram saw the decided booking.
-	if got := reg.Histogram("server.admit_latency", nil).Count(); got < 1 {
+	if got := reg.Histogram("server.admit_latency", nil).Snapshot().Count; got < 1 {
 		t.Errorf("server.admit_latency count = %d, want >= 1", got)
 	}
 }

@@ -225,6 +225,9 @@ func TestAuditExactlyOnce(t *testing.T) {
 	s, hs := newTestServer(t, Config{
 		Run: rc, BatchSize: 4, QueueDepth: 2, testGate: gate,
 		Trace: TraceConfig{Enabled: true, AuditPath: auditPath}, // head rate 0: tail sampling only
+		// No booking is slow, however loaded the host: accepted ones stay
+		// unsampled.
+		SLO: SLOConfig{LatencyObjective: time.Hour},
 	})
 	br := func(id string) BookRequest {
 		return BookRequest{
@@ -392,7 +395,7 @@ func TestAuditExactlyOnce(t *testing.T) {
 			}
 		case StatusAccepted:
 			if rec.Sampled {
-				t.Errorf("accepted record %s sampled at head rate 0 with no slow threshold", rec.ClientID)
+				t.Errorf("accepted record %s sampled at head rate 0 below the latency objective", rec.ClientID)
 			}
 			if rec.Price <= 0 || rec.TotalHops <= 0 {
 				t.Errorf("accepted record %s: price %v hops %d, want positive", rec.ClientID, rec.Price, rec.TotalHops)
@@ -435,6 +438,67 @@ func TestAuditExactlyOnce(t *testing.T) {
 	}
 	if !sawWork {
 		t.Error("no accepted record carries engine search counts")
+	}
+}
+
+// TestSlowBookingSampled: at head rate 0 an accepted booking is sampled,
+// with its phase timeline, exactly when its total latency reaches the
+// SLO latency objective. The injected clock advances by step on every
+// read, so a booking's latency is step times the reads it spans.
+func TestSlowBookingSampled(t *testing.T) {
+	const objective = 10 * time.Millisecond
+	var mu sync.Mutex
+	now, step := testEpoch, time.Duration(0)
+	s, hs := newTestServer(t, Config{
+		Run:   testRunConfig(t, 2, 15),
+		Trace: TraceConfig{Enabled: true},
+		SLO:   SLOConfig{LatencyObjective: objective},
+		Now: func() time.Time {
+			mu.Lock()
+			defer mu.Unlock()
+			now = now.Add(step)
+			return now
+		},
+	})
+	book := func(id string, d time.Duration) trace.Record {
+		t.Helper()
+		mu.Lock()
+		step = d
+		mu.Unlock()
+		// London→Tokyo at slot 8 is feasible in the test constellation.
+		arrival := 8
+		code, out := postBook(t, hs.URL, BookRequest{Src: EndpointRef{Kind: "ground", Index: 2},
+			Dst: EndpointRef{Kind: "ground", Index: 3}, RateMbps: 100, ArrivalSlot: &arrival, RequestID: id})
+		if code != http.StatusOK || out.Status != StatusAccepted {
+			t.Fatalf("booking %s: HTTP %d, status %q; want an accepted booking", id, code, out.Status)
+		}
+		var rec trace.Record
+		waitFor(t, func() bool {
+			for _, r := range s.sink.Recent(0) {
+				if r.ClientID == id {
+					rec = *r
+					return true
+				}
+			}
+			return false
+		})
+		return rec
+	}
+
+	fast := book("fast", 0)
+	if fast.TotalNs >= objective.Nanoseconds() || fast.Sampled || len(fast.Phases) != 0 {
+		t.Errorf("fast booking: total %d ns, sampled %v, %d phases; want unsampled below %v",
+			fast.TotalNs, fast.Sampled, len(fast.Phases), objective)
+	}
+	slow := book("slow", objective)
+	phases := phaseSet(slow)
+	if slow.TotalNs < objective.Nanoseconds() || !slow.Sampled {
+		t.Fatalf("slow booking: total %d ns, sampled %v; want sampled at or above %v", slow.TotalNs, slow.Sampled, objective)
+	}
+	for _, want := range []string{PhaseIngressParse, PhaseQueueWait, PhaseBatchWait, PhaseEngineAdmit, PhaseRespond} {
+		if !phases[want] {
+			t.Errorf("slow booking: missing phase %s (got %v)", want, phases)
+		}
 	}
 }
 

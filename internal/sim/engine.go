@@ -149,9 +149,6 @@ func (e *Engine) Algorithm() string { return e.alg.Name() }
 // handles are plain fields of the single-writer state.
 func (e *Engine) EnableTraceDetail() { e.state.EnableTraceDetail(e.rc.Obs) }
 
-// Horizon returns the number of slots in the engine's topology.
-func (e *Engine) Horizon() int { return e.horizon }
-
 // State exposes the engine's resource state, for invariant checks and
 // metric sweeps; the single-writer contract extends to everything done
 // through it.
@@ -161,15 +158,9 @@ func (e *Engine) State() *netstate.State { return e.state }
 // the first admission).
 func (e *Engine) CurrentSlot() int { return e.curSlot }
 
-// Accepted returns the number of accepted requests so far.
-func (e *Engine) Accepted() int { return e.res.Accepted }
-
 // Total returns the number of requests admitted (accepted or rejected)
 // so far.
 func (e *Engine) Total() int { return e.res.TotalRequests }
-
-// Revenue returns the cumulative operator revenue Σ π_i so far.
-func (e *Engine) Revenue() float64 { return e.res.Revenue }
 
 // flushSlot emits one sample per series for a finished slot and rewinds
 // the per-slot accumulators. Request-free gap slots flush with zero

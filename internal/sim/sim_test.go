@@ -304,49 +304,6 @@ func TestRunWithObservability(t *testing.T) {
 	}
 }
 
-// TestSequentialRunsWithResetAreIndependent is the regression test for
-// Registry.Reset: two identical runs on one registry, reset in between,
-// must produce identical snapshots — without the reset, counters and
-// time series from the first run would bleed into the second's report.
-func TestSequentialRunsWithResetAreIndependent(t *testing.T) {
-	prov := testProvider(t)
-	rc, err := DefaultRunConfig(AlgCEAR, testWorkload(2, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.New()
-	rc.Obs = reg
-
-	if _, err := Run(prov, rc); err != nil {
-		t.Fatal(err)
-	}
-	first := reg.Snapshot()
-	reg.Reset()
-	if _, err := Run(prov, rc); err != nil {
-		t.Fatal(err)
-	}
-	second := reg.Snapshot()
-
-	if first.Counters["sim.requests.total"] == 0 {
-		t.Fatal("instrumented run recorded nothing")
-	}
-	for _, name := range []string{"sim.requests.total", "sim.requests.accepted", "netstate.txn.commits"} {
-		if first.Counters[name] != second.Counters[name] {
-			t.Errorf("counter %s bleeds across reset: first %d, second %d",
-				name, first.Counters[name], second.Counters[name])
-		}
-	}
-	ts1, ts2 := first.TimeSeries["slot.accepted"], second.TimeSeries["slot.accepted"]
-	if ts1.Total != int64(prov.Horizon()) || ts2.Total != ts1.Total {
-		t.Errorf("slot.accepted totals %d/%d, want %d each (no accumulation)",
-			ts1.Total, ts2.Total, prov.Horizon())
-	}
-	if first.Histograms["sim.slot_seconds"].Count != second.Histograms["sim.slot_seconds"].Count {
-		t.Errorf("slot histogram bleeds across reset: %d vs %d",
-			first.Histograms["sim.slot_seconds"].Count, second.Histograms["sim.slot_seconds"].Count)
-	}
-}
-
 // TestConcurrentRunsNeverCrossCount is the regression test for the old
 // package-global instrument hooks: graph/energy counters attached
 // atomically, so concurrent runs overwrote each other's attachment and

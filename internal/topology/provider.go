@@ -43,12 +43,6 @@ type Config struct {
 	// MaxEORangeKm is the maximum slant range for a space-user USL
 	// between an EO satellite and a broadband satellite.
 	MaxEORangeKm float64
-	// PrecomputeVisibility freezes USL visibility for every endpoint at
-	// construction (see NewProvider), removing the visibility cache mutex
-	// from the hot loop. Costs O(endpoints × horizon × sats) up front —
-	// callers with many endpoints but few active pairs should instead name
-	// to NewProvider just the endpoints they will query.
-	PrecomputeVisibility bool
 }
 
 // DefaultConfig returns the paper's evaluation parameters on the
@@ -244,8 +238,7 @@ func (f *slotFrame) position(prop *orbit.Propagator) (ecef, eci geo.Vec3) {
 
 // NewProvider builds the provider: one pass over the slots places every
 // satellite, derives the sunlit flags and freezes the visibility of the
-// endpoints named in freeze (of every site and EO satellite when
-// Config.PrecomputeVisibility is set), then drops the positions. It also
+// endpoints named in freeze, then drops the positions. It also
 // builds the +Grid ISL fabric. sites and eoFleet may be empty if the
 // workload does not use the corresponding endpoint kind.
 //
@@ -319,9 +312,6 @@ func NewProvider(cfg Config, sites []grid.Site, eoFleet []orbit.Satellite, freez
 	}
 	p.maxSlantKm = maxSlantRangeKm(maxAlt, cfg.MinElevationDeg)
 
-	if cfg.PrecomputeVisibility {
-		freeze = p.allEndpoints()
-	}
 	todo, err := p.claim(freeze)
 	if err != nil {
 		return nil, err
@@ -741,18 +731,6 @@ func (pl *orbitPlane) beyond(obs geo.Vec3, toECEF geo.Rotation, reach float64) b
 	return rr+r*r-2*r*math.Sqrt(math.Max(0, rr-h*h)) > limit*limit
 }
 
-// allEndpoints lists every site and EO satellite.
-func (p *Provider) allEndpoints() []Endpoint {
-	all := make([]Endpoint, 0, len(p.sites)+len(p.eo))
-	for i := range p.sites {
-		all = append(all, Endpoint{Kind: EndpointGround, Index: i})
-	}
-	for i := range p.eo {
-		all = append(all, Endpoint{Kind: EndpointSpace, Index: i})
-	}
-	return all
-}
-
 // claim validates the endpoints, then allocates a per-slot table for each
 // distinct one and returns those: the endpoints the pass must fill.
 func (p *Provider) claim(endpoints []Endpoint) ([]Endpoint, error) {
@@ -810,19 +788,6 @@ func forEachSlot(horizon int, fn func(lo, hi int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Precomputed reports whether an endpoint's visibility was frozen. Out
-// of range endpoints report false.
-func (p *Provider) Precomputed(e Endpoint) bool {
-	switch e.Kind {
-	case EndpointGround:
-		return p.visGround != nil && e.Index >= 0 && e.Index < len(p.visGround) && p.visGround[e.Index] != nil
-	case EndpointSpace:
-		return p.visSpace != nil && e.Index >= 0 && e.Index < len(p.visSpace) && p.visSpace[e.Index] != nil
-	default:
-		return false
-	}
 }
 
 // GlobalID maps endpoints into a single dense node-ID space shared with

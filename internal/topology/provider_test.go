@@ -515,14 +515,14 @@ func checkReferenceBuild(t *testing.T, name string, p *Provider, ref []reference
 			if bits(got) != bits(r.eoECEF[i]) {
 				t.Fatalf("%s, slot %d, EO %d: provider %v, reference %v", name, slot, i, got, r.eoECEF[i])
 			}
-			if !p.Precomputed(e) {
+			if p.visSpace[i] == nil {
 				t.Fatalf("%s: EO %d not frozen", name, i)
 			}
 			checkVisible(t, p, e, slot, r.visSpace[i])
 		}
 		for i := 0; i < numSites; i++ {
 			e := Endpoint{Kind: EndpointGround, Index: i}
-			if !p.Precomputed(e) {
+			if p.visGround[i] == nil {
 				t.Fatalf("%s: site %d not frozen", name, i)
 			}
 			checkVisible(t, p, e, slot, r.visGround[i])
@@ -696,9 +696,13 @@ func TestFreezeMatchesLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	lazy := newSmallProvider(t, sites, eo)
-	cfg := smallConfig()
-	cfg.PrecomputeVisibility = true
-	frozen, err := NewProvider(cfg, sites, eo)
+	endpoints := []Endpoint{
+		{Kind: EndpointGround, Index: 0},
+		{Kind: EndpointGround, Index: 1},
+		{Kind: EndpointSpace, Index: 0},
+		{Kind: EndpointSpace, Index: 3},
+	}
+	frozen, err := NewProvider(smallConfig(), sites, eo, endpoints...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -706,19 +710,11 @@ func TestFreezeMatchesLazy(t *testing.T) {
 		t.Fatalf("horizon %d does not recycle the %d lazy rows", frozen.Horizon(), lazyRows)
 	}
 
-	endpoints := []Endpoint{
-		{Kind: EndpointGround, Index: 0},
-		{Kind: EndpointGround, Index: 1},
-		{Kind: EndpointSpace, Index: 0},
-		{Kind: EndpointSpace, Index: 3},
+	if frozen.visGround[0] == nil || frozen.visGround[1] == nil || frozen.visSpace[0] == nil || frozen.visSpace[3] == nil {
+		t.Fatal("an endpoint named to NewProvider was not frozen")
 	}
-	for _, e := range endpoints {
-		if !frozen.Precomputed(e) {
-			t.Fatalf("endpoint %+v not precomputed by PrecomputeVisibility", e)
-		}
-		if lazy.Precomputed(e) {
-			t.Fatalf("endpoint %+v reports precomputed on the lazy provider", e)
-		}
+	if lazy.visGround != nil || lazy.visSpace != nil {
+		t.Fatal("the lazy provider froze an endpoint")
 	}
 	for slot := 0; slot < frozen.Horizon(); slot++ {
 		for _, e := range endpoints {
@@ -756,8 +752,8 @@ func TestFreezeSubsetKeepsLazyFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Precomputed(hot) || p.Precomputed(cold) {
-		t.Fatalf("precomputed flags: hot=%v cold=%v", p.Precomputed(hot), p.Precomputed(cold))
+	if p.visGround[hot.Index] == nil || p.visGround[cold.Index] != nil {
+		t.Fatalf("frozen tables: hot=%v cold=%v", p.visGround[hot.Index] != nil, p.visGround[cold.Index] != nil)
 	}
 	for _, e := range []Endpoint{hot, cold} {
 		if _, err := p.VisibleSats(e, 5); err != nil {
@@ -783,32 +779,13 @@ func TestFreezeErrors(t *testing.T) {
 	}
 }
 
-// TestPrecomputeVisibilityConfig: the construction-time flag freezes
-// every endpoint.
-func TestPrecomputeVisibilityConfig(t *testing.T) {
-	cfg := smallConfig()
-	cfg.PrecomputeVisibility = true
-	p, err := NewProvider(cfg, []grid.Site{{ID: 0, LatDeg: 35, LonDeg: 139}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Precomputed(Endpoint{Kind: EndpointGround, Index: 0}) {
-		t.Fatal("PrecomputeVisibility did not freeze the site")
-	}
-	if _, err := p.VisibleSats(Endpoint{Kind: EndpointGround, Index: 0}, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFrozenProviderConcurrentAccess mirrors the lazy-path concurrency
 // test on the lock-free frozen tables (meaningful under -race).
 func TestFrozenProviderConcurrentAccess(t *testing.T) {
-	cfg := smallConfig()
-	cfg.PrecomputeVisibility = true
-	p, err := NewProvider(cfg, []grid.Site{
+	p, err := NewProvider(smallConfig(), []grid.Site{
 		{ID: 0, LatDeg: 40.7, LonDeg: -74.0},
 		{ID: 1, LatDeg: 34.1, LonDeg: -118.2},
-	}, nil)
+	}, nil, Endpoint{Kind: EndpointGround, Index: 0}, Endpoint{Kind: EndpointGround, Index: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

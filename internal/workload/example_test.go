@@ -41,10 +41,8 @@ func ExampleRequest_RateAt() {
 	for slot := 10; slot <= 12; slot++ {
 		fmt.Printf("slot %d: %.0f Mbps\n", slot, r.RateAt(slot))
 	}
-	fmt.Printf("peak: %.0f Mbps\n", r.PeakRate())
 	// Output:
 	// slot 10: 800 Mbps
 	// slot 11: 1500 Mbps
 	// slot 12: 600 Mbps
-	// peak: 1500 Mbps
 }

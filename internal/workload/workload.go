@@ -86,20 +86,6 @@ func (r Request) RateAt(slot int) float64 {
 	return r.RateVector[k]
 }
 
-// PeakRate returns the maximum per-slot demand.
-func (r Request) PeakRate() float64 {
-	if r.RateVector == nil {
-		return r.RateMbps
-	}
-	peak := 0.0
-	for _, v := range r.RateVector {
-		if v > peak {
-			peak = v
-		}
-	}
-	return peak
-}
-
 // Validate reports whether the request is structurally sound for a
 // horizon of the given length.
 func (r Request) Validate(horizon int) error {

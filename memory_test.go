@@ -47,7 +47,7 @@ func allocated(fn func()) uint64 {
 // ledger array (≈ 442 KB here) fail here, not only in the benchmark's
 // mem_peak_mb.
 func TestSetUpAllocatesWhatItStores(t *testing.T) {
-	defaults, err := scalePreset(ScaleMedium, DefaultEpoch)
+	defaults, err := scalePreset(ScaleMedium)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func (s Scale) String() string {
 // Horizon returns the number of slots the scale simulates, read from its
 // preset without building anything; 0 for an invalid scale.
 func (s Scale) Horizon() int {
-	d, err := scalePreset(s, DefaultEpoch)
+	d, err := scalePreset(s)
 	if err != nil {
 		return 0
 	}
@@ -92,9 +92,6 @@ func ParseScale(name string) (Scale, error) {
 type EnvConfig struct {
 	// Scale selects the constellation/site preset. Required.
 	Scale Scale
-	// Epoch is the simulation start time; a fixed default keeps runs
-	// reproducible when zero.
-	Epoch time.Time
 	// NumPairs is the number of source-destination pairs (paper: 10).
 	// Zero picks the scale default.
 	NumPairs int
@@ -103,9 +100,6 @@ type EnvConfig struct {
 	// IncludeEOFleet adds the 223-satellite synthetic EO fleet (always
 	// on at ScaleFull; optional below to keep small runs fast).
 	IncludeEOFleet bool
-	// DefaultArrivalRate overrides the scale's default requests/minute
-	// when positive.
-	DefaultArrivalRate float64
 }
 
 // Environment is a reusable experiment setup: the expensive topology
@@ -116,7 +110,6 @@ type Environment struct {
 	EOFleet  []orbit.Satellite
 	Pairs    []workload.Pair
 
-	scale       Scale
 	arrivalRate float64
 	valuation   float64
 	// Logf, when non-nil, receives progress lines from the long runners.
@@ -142,8 +135,8 @@ type Environment struct {
 	lastObs   *obs.Registry
 }
 
-// DefaultEpoch is the fixed simulation start used when EnvConfig.Epoch
-// is zero.
+// DefaultEpoch is the fixed simulation start of every environment, so
+// runs are reproducible.
 var DefaultEpoch = time.Date(2026, time.March, 20, 12, 0, 0, 0, time.UTC)
 
 // PaperLiteralValuation is the paper's §VI-A valuation constant, in the
@@ -170,8 +163,8 @@ type scaleDefaults struct {
 // crosses the valuation at the same relative point it does in the
 // paper's Fig. 9 — without that calibration the admission control never
 // binds and CEAR degenerates to pricing-only routing.
-func scalePreset(s Scale, epoch time.Time) (scaleDefaults, error) {
-	cfg := topology.DefaultConfig(epoch)
+func scalePreset(s Scale) (scaleDefaults, error) {
+	cfg := topology.DefaultConfig(DefaultEpoch)
 	switch s {
 	case ScaleSmall:
 		cfg.Walker.Planes = 8
@@ -206,11 +199,7 @@ func scalePreset(s Scale, epoch time.Time) (scaleDefaults, error) {
 // ground-site selection (GDP-filtered triangular tiling), optional EO
 // fleet, and request pair selection.
 func NewEnvironment(cfg EnvConfig) (*Environment, error) {
-	epoch := cfg.Epoch
-	if epoch.IsZero() {
-		epoch = DefaultEpoch
-	}
-	defaults, err := scalePreset(cfg.Scale, epoch)
+	defaults, err := scalePreset(cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +220,7 @@ func NewEnvironment(cfg EnvConfig) (*Environment, error) {
 
 	var eo []orbit.Satellite
 	if cfg.IncludeEOFleet || cfg.Scale == ScaleFull {
-		eo, err = orbit.SyntheticEOFleet(orbit.DefaultEOFleetConfig(epoch))
+		eo, err = orbit.SyntheticEOFleet(orbit.DefaultEOFleetConfig(DefaultEpoch))
 		if err != nil {
 			return nil, err
 		}
@@ -262,23 +251,15 @@ func NewEnvironment(cfg EnvConfig) (*Environment, error) {
 		return nil, err
 	}
 
-	rate := defaults.rate
-	if cfg.DefaultArrivalRate > 0 {
-		rate = cfg.DefaultArrivalRate
-	}
 	return &Environment{
 		Provider:    prov,
 		Sites:       sites,
 		EOFleet:     eo,
 		Pairs:       pairs,
-		scale:       cfg.Scale,
-		arrivalRate: rate,
+		arrivalRate: defaults.rate,
 		valuation:   defaults.valuation,
 	}, nil
 }
-
-// Scale returns the environment's scale preset.
-func (e *Environment) Scale() Scale { return e.scale }
 
 // DefaultArrivalRate returns the environment's default requests/minute.
 func (e *Environment) DefaultArrivalRate() float64 { return e.arrivalRate }

@@ -83,9 +83,6 @@ func TestSmallEnvironmentShape(t *testing.T) {
 	if len(env.Pairs) != 4 {
 		t.Errorf("pairs = %d", len(env.Pairs))
 	}
-	if env.Scale() != ScaleSmall {
-		t.Errorf("scale = %v", env.Scale())
-	}
 	if env.DefaultArrivalRate() != 2 {
 		t.Errorf("rate = %v", env.DefaultArrivalRate())
 	}
