@@ -20,6 +20,8 @@ func TestRejectsBeforeBuilding(t *testing.T) {
 		{"-queue-depth", "-1"},
 		{"-batch-size", "-1"},
 		{"-slow-ms", "-1"},
+		{"-slow-ms", "0"},    // would fall back to the 25 ms default
+		{"-slow-ms", "1e-9"}, // rounds to a zero time.Duration
 		{"-slow-ms", "+Inf"},
 		{"-slow-ms", "1e300"}, // overflows a time.Duration
 		{"-valuation", "-1"},
