@@ -36,9 +36,9 @@
 // 223 EO satellites); expect a long run.
 //
 // Every input is checked before the environment is built. Usage errors
-// (an unknown subcommand, a bad flag, the scenario figure without -spec)
-// exit 2; other errors exit 1, and a run cancelled by SIGINT or SIGTERM
-// exits 130.
+// (an unknown subcommand, a bad flag, a negative or non-finite run -rate
+// or -valuation, the scenario figure without -spec) exit 2; other
+// errors exit 1, and a run cancelled by SIGINT or SIGTERM exits 130.
 package main
 
 import (

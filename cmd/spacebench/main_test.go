@@ -41,6 +41,14 @@ func TestRejectsBeforeBuilding(t *testing.T) {
 		{[]string{"run", "-spec", "a.json", "-replay", "b.jsonl"}, 1, "spacebench run: -spec and -replay are mutually exclusive"},
 		{[]string{"run", "-record"}, 2, "usage: spacebench run"}, // -trace alone records
 		{[]string{"run", "-alg", "DIJKSTRA"}, 1, "CEAR"},
+		// A non-finite -rate panicked in workload.Generate; a NaN
+		// -valuation turned admission control off.
+		{[]string{"run", "-scale", "full", "-rate", "NaN"}, 2, "spacebench run: -rate NaN"},
+		{[]string{"run", "-scale", "full", "-rate", "+Inf"}, 2, "spacebench run: -rate +Inf"},
+		{[]string{"run", "-scale", "full", "-rate", "-1"}, 2, "spacebench run: -rate -1"},
+		{[]string{"run", "-scale", "full", "-valuation", "NaN"}, 2, "-valuation NaN must be finite"},
+		{[]string{"run", "-scale", "full", "-valuation", "+Inf"}, 2, "-valuation +Inf must be finite"},
+		{[]string{"run", "-scale", "full", "-valuation", "-1"}, 2, "-valuation -1 must be finite"},
 		{[]string{"run", "-scale", "full", "-spec", missing}, 1, "spacebench run: "},
 		{[]string{"run", "-scale", "full", "-replay", missing}, 1, "spacebench run: "},
 	} {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"slices"
@@ -42,6 +43,9 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		fs.Usage()
 		return 2
+	}
+	if !(*rate >= 0 && *rate <= math.MaxFloat64 && *valuation >= 0 && *valuation <= math.MaxFloat64) {
+		return fail(stderr, name, 2, fmt.Errorf("-rate %g and -valuation %g must be finite and not negative (0 = scale default)", *rate, *valuation))
 	}
 	failed := func(err error) int { return fail(stderr, name, 1, err) }
 	if o.spec != "" && *replayFile != "" {

@@ -14,7 +14,7 @@
 //
 //	spaced [-addr 127.0.0.1:8080] [-scale small|medium|full]
 //	       [-alg CEAR|SSP|ECARS|ERU|ERA|CEAR-NE|CEAR-AA|CEAR-LIN|CEAR-AD]
-//	       [-clock-rate R] [-queue-depth N] [-batch-size B]
+//	       [-clock-rate R] [-queue-depth N]
 //	       [-valuation V] [-f1 F] [-f2 F]
 //	       [-trace] [-trace-sample P] [-slow-ms D] [-audit-log FILE]
 //	       [-hotspot-k K] [-drain-timeout D] [-report run.json]
@@ -73,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	algName := fs.String("alg", "CEAR", "algorithm: CEAR, SSP, ECARS, ERU, ERA, CEAR-NE, CEAR-AA, CEAR-LIN, CEAR-AD")
 	clockRate := fs.Float64("clock-rate", 1, "simulated slots per wall second (0 = as fast as requests arrive)")
 	queueDepth := fs.Int("queue-depth", 256, "ingress queue bound; a full queue sheds with 'overloaded'")
-	batchSize := fs.Int("batch-size", 32, "max queued bookings admitted per engine pass")
 	valuation := fs.Float64("valuation", 0, "default request valuation ρ (0 = scale default)")
 	f1 := fs.Float64("f1", 1, "bandwidth conservativeness parameter F1")
 	f2 := fs.Float64("f2", 1, "energy conservativeness parameter F2")
@@ -99,6 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	slowNs := *slowMs * float64(time.Millisecond)
+	slotNs := float64(time.Second) / *clockRate
 	switch {
 	case fs.NArg() > 0:
 		return usage(fmt.Errorf("unexpected arguments %q", fs.Args()))
@@ -108,10 +108,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage(fmt.Errorf("-slow-ms %g must be a finite duration of at least 1ns", *slowMs))
 	case *hotspotK < 0:
 		return usage(fmt.Errorf("-hotspot-k %d must not be negative (0 turns tracking off)", *hotspotK))
-	case *queueDepth < 0 || *batchSize < 0:
-		return usage(fmt.Errorf("-queue-depth %d and -batch-size %d must not be negative", *queueDepth, *batchSize))
-	case !(*valuation >= 0):
-		return usage(fmt.Errorf("-valuation %g must not be negative (0 = scale default)", *valuation))
+	case *clockRate != 0 && !(slotNs >= 1 && slotNs < math.MaxInt64):
+		return usage(fmt.Errorf("-clock-rate %g must be 0 (as fast as requests arrive) or give a slot period of at least 1ns", *clockRate))
+	case *queueDepth < 0:
+		return usage(fmt.Errorf("-queue-depth %d must not be negative", *queueDepth))
+	case !(*valuation >= 0 && *valuation <= math.MaxFloat64):
+		return usage(fmt.Errorf("-valuation %g must be finite and not negative (0 = scale default)", *valuation))
 	}
 	params, err := pricing.Derive(*f1, *f2, 20, 10)
 	if err != nil {
@@ -160,7 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Run:        rc,
 		ClockRate:  *clockRate,
 		QueueDepth: *queueDepth,
-		BatchSize:  *batchSize,
 		Trace: server.TraceConfig{
 			Enabled:    *traceOn,
 			SampleRate: *traceSample,
@@ -204,7 +205,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  algorithm   %s\n", srv.Algorithm())
 	fmt.Fprintf(stdout, "  scale       %s (%d satellites, horizon %d slots)\n", scale, env.Provider.NumSats(), srv.Horizon())
 	fmt.Fprintf(stdout, "  slot clock  %s\n", clockDesc)
-	fmt.Fprintf(stdout, "  ingress     queue %d, batch %d\n", *queueDepth, *batchSize)
+	fmt.Fprintf(stdout, "  ingress     queue %d\n", *queueDepth)
 	if *traceOn || *traceSample > 0 || *auditLog != "" {
 		auditDesc := "in-memory only"
 		if *auditLog != "" {
@@ -254,7 +255,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rep.SetConfig("algorithm", srv.Algorithm())
 		rep.SetConfig("clock_rate", *clockRate)
 		rep.SetConfig("queue_depth", *queueDepth)
-		rep.SetConfig("batch_size", *batchSize)
 		rep.SetConfig("valuation", *valuation)
 		rep.SetConfig("horizon_slots", srv.Horizon())
 		rep.SetConfig("trace_sample", *traceSample)

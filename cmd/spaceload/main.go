@@ -26,6 +26,11 @@
 // With -report the same numbers are written as an obs JSON report,
 // diffable with `spacestat diff`.
 //
+// Every option is checked before /v1/config is fetched: a usage error
+// (an unknown -mode, an open-loop -rate that is not positive and finite
+// or whose arrival interval is under 1ns, -concurrency below 1, neither
+// -n nor -duration) exits 2 with nothing on stdout.
+//
 // Usage:
 //
 //	spaceload [-addr http://127.0.0.1:8080] [-mode closed|open]
@@ -46,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -65,36 +71,44 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	addr := flag.String("addr", "http://127.0.0.1:8080", "base URL of the spaced daemon")
-	mode := flag.String("mode", "closed", "load mode: closed (workers wait for responses) or open (paced arrivals)")
-	rate := flag.Float64("rate", 10, "open-loop arrival rate in requests/second")
-	concurrency := flag.Int("concurrency", 4, "closed-loop worker count (also the open-loop in-flight cap)")
-	n := flag.Int("n", 0, "stop after this many requests (0 = unbounded)")
-	duration := flag.Duration("duration", 10*time.Second, "stop after this wall time (0 = unbounded)")
-	seed := flag.Int64("seed", 1, "request-mix random seed")
-	specFile := flag.String("spec", "", "build the request mix from this scenario spec instead of the flat workload")
-	reportFile := flag.String("report", "", "write a machine-readable JSON report of the run")
-	showVersion := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spaceload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "http://127.0.0.1:8080", "base URL of the spaced daemon")
+	mode := fs.String("mode", "closed", "load mode: closed (workers wait for responses) or open (paced arrivals)")
+	rate := fs.Float64("rate", 10, "open-loop arrival rate in requests/second")
+	concurrency := fs.Int("concurrency", 4, "closed-loop worker count (also the open-loop in-flight cap)")
+	n := fs.Int("n", 0, "stop after this many requests (0 = unbounded)")
+	duration := fs.Duration("duration", 10*time.Second, "stop after this wall time (0 = unbounded)")
+	seed := fs.Int64("seed", 1, "request-mix random seed")
+	specFile := fs.String("spec", "", "build the request mix from this scenario spec instead of the flat workload")
+	reportFile := fs.String("report", "", "write a machine-readable JSON report of the run")
+	showVersion := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *showVersion {
-		fmt.Println(buildinfo.Line("spaceload"))
+		fmt.Fprintln(stdout, buildinfo.Line("spaceload"))
 		return 0
 	}
-	if *mode != "closed" && *mode != "open" {
-		fmt.Fprintf(os.Stderr, "spaceload: unknown mode %q (want closed or open)\n", *mode)
-		return 1
+	usage := func(err error) int {
+		fmt.Fprintf(stderr, "spaceload: %v\n", err)
+		fs.Usage()
+		return 2
 	}
-	if *concurrency < 1 {
-		fmt.Fprintf(os.Stderr, "spaceload: concurrency %d must be positive\n", *concurrency)
-		return 1
-	}
-	if *n == 0 && *duration == 0 {
-		fmt.Fprintln(os.Stderr, "spaceload: need -n or -duration to bound the run")
-		return 1
+	interval := float64(time.Second) / *rate
+	switch {
+	case *mode != "closed" && *mode != "open":
+		return usage(fmt.Errorf("unknown mode %q (want closed or open)", *mode))
+	case *mode == "open" && !(interval >= 1 && interval < math.MaxInt64):
+		return usage(fmt.Errorf("-rate %g must be positive and finite, with an interval of at least 1ns between arrivals", *rate))
+	case *concurrency < 1:
+		return usage(fmt.Errorf("concurrency %d must be positive", *concurrency))
+	case *n == 0 && *duration == 0:
+		return usage(fmt.Errorf("need -n or -duration to bound the run"))
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -108,7 +122,7 @@ func run() int {
 	client := &http.Client{Timeout: 30 * time.Second}
 	cfg, err := fetchConfig(client, *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	var mix []server.BookRequest
@@ -117,35 +131,35 @@ func run() int {
 	if *specFile != "" {
 		spec, err := scenario.Load(*specFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		spec.Seed = *seed
 		mix, err = buildSpecMix(spec, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		specName = spec.Name
 		specEvents = spec.EventTimeline()
 	} else if mix, err = buildMix(cfg.Workload, *seed, arrivalDriven(cfg)); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	fmt.Printf("target %s: %s over %d slots, %d pairs, %d-request mix\n",
+	fmt.Fprintf(stdout, "target %s: %s over %d slots, %d pairs, %d-request mix\n",
 		*addr, cfg.Algorithm, cfg.Horizon, len(cfg.Pairs), len(mix))
 	if arrivalDriven(cfg) && (*n == 0 || *n > len(mix)) {
 		// A second pass would declare slots the clock has left behind:
 		// nothing but expired and horizon-exhausted rejections.
 		*n = len(mix)
-		fmt.Printf("arrival-driven server clock: stopping after one pass over the mix (%d requests)\n", *n)
+		fmt.Fprintf(stdout, "arrival-driven server clock: stopping after one pass over the mix (%d requests)\n", *n)
 	}
 	if specName != "" {
-		fmt.Printf("scenario %s", specName)
+		fmt.Fprintf(stdout, "scenario %s", specName)
 		if len(specEvents) > 0 {
-			fmt.Printf(" (events: %s)", strings.Join(specEvents, " "))
+			fmt.Fprintf(stdout, " (events: %s)", strings.Join(specEvents, " "))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	lg := &loadGen{
@@ -161,20 +175,20 @@ func run() int {
 	if *mode == "closed" {
 		lg.runClosed(ctx, *concurrency, *n)
 	} else {
-		lg.runOpen(ctx, *rate, *concurrency, *n)
+		lg.runOpen(ctx, time.Duration(interval), *concurrency, *n)
 	}
 	elapsed := time.Since(start)
 
 	snap := lg.hist.Snapshot()
 	completed := lg.accepted.Load() + lg.rejected.Load() + lg.shed.Load() + lg.draining.Load() + lg.errors.Load()
 	reqPerSec := float64(completed) / elapsed.Seconds()
-	fmt.Printf("\n%d requests in %v (%.1f req/s)\n", completed, elapsed.Round(time.Millisecond), reqPerSec)
-	fmt.Printf("  accepted  %d\n", lg.accepted.Load())
-	fmt.Printf("  rejected  %d\n", lg.rejected.Load())
-	fmt.Printf("  shed      %d (overloaded)\n", lg.shed.Load())
-	fmt.Printf("  draining  %d\n", lg.draining.Load())
-	fmt.Printf("  errors    %d\n", lg.errors.Load())
-	fmt.Printf("latency p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, max %.3f ms\n",
+	fmt.Fprintf(stdout, "\n%d requests in %v (%.1f req/s)\n", completed, elapsed.Round(time.Millisecond), reqPerSec)
+	fmt.Fprintf(stdout, "  accepted  %d\n", lg.accepted.Load())
+	fmt.Fprintf(stdout, "  rejected  %d\n", lg.rejected.Load())
+	fmt.Fprintf(stdout, "  shed      %d (overloaded)\n", lg.shed.Load())
+	fmt.Fprintf(stdout, "  draining  %d\n", lg.draining.Load())
+	fmt.Fprintf(stdout, "  errors    %d\n", lg.errors.Load())
+	fmt.Fprintf(stdout, "latency p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, max %.3f ms\n",
 		1e3*snap.P50, 1e3*snap.P95, 1e3*snap.P99, 1e3*snap.Max)
 
 	// Server-side view: join this run's audit records (matched by our
@@ -182,10 +196,10 @@ func run() int {
 	// when the server runs without tracing.
 	breakdown := fetchPhaseBreakdown(client, *addr, lg.idPrefix)
 	if breakdown != nil {
-		fmt.Printf("\nserver-side phases (%d audit records, %d with timelines):\n",
+		fmt.Fprintf(stdout, "\nserver-side phases (%d audit records, %d with timelines):\n",
 			breakdown.Total, breakdown.Sampled)
 		for _, ph := range breakdown.Phases {
-			fmt.Printf("  %-16s mean %8.3f ms  max %8.3f ms  (%d spans)\n",
+			fmt.Fprintf(stdout, "  %-16s mean %8.3f ms  max %8.3f ms  (%d spans)\n",
 				ph.Name, ph.MeanMs, ph.MaxMs, ph.Spans)
 		}
 	}
@@ -200,7 +214,7 @@ func run() int {
 			summaryLine += " events=" + strings.Join(specEvents, ",")
 		}
 	}
-	fmt.Println(summaryLine)
+	fmt.Fprintln(stdout, summaryLine)
 
 	if *reportFile != "" {
 		rep := obs.NewReport("spaceload")
@@ -233,10 +247,10 @@ func run() int {
 		}
 		rep.Finish(lg.reg)
 		if err := obs.WriteReportFile(*reportFile, rep); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fmt.Printf("report written to %s\n", *reportFile)
+		fmt.Fprintf(stdout, "report written to %s\n", *reportFile)
 	}
 	if lg.errors.Load() > 0 && completed == lg.errors.Load() {
 		return 1 // nothing but errors: the target is down
@@ -412,15 +426,10 @@ func (lg *loadGen) runClosed(ctx context.Context, workers, limit int) {
 	wg.Wait()
 }
 
-// runOpen paces arrivals at the target rate regardless of responses,
+// runOpen paces arrivals one interval apart regardless of responses,
 // capped at inflight concurrent requests (beyond the cap an arrival is
 // counted as a client-side error: the server was too slow to matter).
-func (lg *loadGen) runOpen(ctx context.Context, rate float64, inflight, limit int) {
-	if rate <= 0 {
-		fmt.Fprintln(os.Stderr, "spaceload: open mode needs -rate > 0")
-		return
-	}
-	interval := time.Duration(float64(time.Second) / rate)
+func (lg *loadGen) runOpen(ctx context.Context, interval time.Duration, inflight, limit int) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	sem := make(chan struct{}, inflight)

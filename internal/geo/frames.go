@@ -13,8 +13,6 @@ const (
 	EarthMuKm3S2 = 398600.4418
 	// EarthFlattening is the WGS-84 flattening factor.
 	EarthFlattening = 1.0 / 298.257223563
-	// AstronomicalUnitKm is one AU in kilometres.
-	AstronomicalUnitKm = 149597870.7
 )
 
 // DegToRad converts degrees to radians.

@@ -32,15 +32,6 @@ func SunDirectionECI(t time.Time) Vec3 {
 	}.Unit()
 }
 
-// SunDistanceKm returns the Earth-Sun distance at time t in kilometres,
-// using the same low-precision series as SunDirectionECI.
-func SunDistanceKm(t time.Time) float64 {
-	d := JulianDate(t) - 2451545.0
-	meanAnom := DegToRad(math.Mod(357.528+0.9856003*d, 360))
-	rAU := 1.00014 - 0.01671*math.Cos(meanAnom) - 0.00014*math.Cos(2*meanAnom)
-	return rAU * AstronomicalUnitKm
-}
-
 // InUmbra reports whether a satellite at ECI position satPos is inside the
 // Earth's shadow for the given unit Sun direction, using the standard
 // cylindrical shadow model: the satellite is eclipsed when it lies on the

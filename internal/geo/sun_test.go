@@ -39,21 +39,6 @@ func TestSunDeclinationAtSolstices(t *testing.T) {
 	}
 }
 
-func TestSunDistanceKm(t *testing.T) {
-	// Perihelion in early January (~0.983 AU), aphelion in early July (~1.017 AU).
-	peri := SunDistanceKm(time.Date(2026, time.January, 4, 0, 0, 0, 0, time.UTC))
-	aph := SunDistanceKm(time.Date(2026, time.July, 5, 0, 0, 0, 0, time.UTC))
-	if peri >= aph {
-		t.Errorf("perihelion distance %v should be less than aphelion %v", peri, aph)
-	}
-	if !almostEqual(peri/AstronomicalUnitKm, 0.983, 0.002) {
-		t.Errorf("perihelion = %v AU, want ~0.983", peri/AstronomicalUnitKm)
-	}
-	if !almostEqual(aph/AstronomicalUnitKm, 1.017, 0.002) {
-		t.Errorf("aphelion = %v AU, want ~1.017", aph/AstronomicalUnitKm)
-	}
-}
-
 func TestInUmbra(t *testing.T) {
 	sun := Vec3{1, 0, 0}
 	r := EarthRadiusKm + 550

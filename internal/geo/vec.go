@@ -36,15 +36,6 @@ func (v Vec3) Dot(w Vec3) float64 {
 	return v.X*w.X + v.Y*w.Y + v.Z*w.Z
 }
 
-// Cross returns the cross product v × w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 {
 	return math.Sqrt(v.Dot(v))
@@ -68,14 +59,6 @@ func (v Vec3) Unit() Vec3 {
 // DistanceTo returns the Euclidean distance between v and w.
 func (v Vec3) DistanceTo(w Vec3) float64 {
 	return v.Sub(w).Norm()
-}
-
-// AngleTo returns the angle between v and w in radians, in [0, π].
-// It is numerically robust near 0 and π (uses atan2 rather than acos).
-func (v Vec3) AngleTo(w Vec3) float64 {
-	cross := v.Cross(w).Norm()
-	dot := v.Dot(w)
-	return math.Atan2(cross, dot)
 }
 
 // Rotation is one angle's sine and cosine, taken once so that a fixed

@@ -156,8 +156,9 @@ type SearchInstruments struct {
 	PrunedLabels *obs.Counter
 	// SearchNanos accumulates wall nanoseconds spent inside searches.
 	// Nil unless EnableTraceDetail attaches it: the serving layer's
-	// per-request phase breakdown needs it, batch runs and benchmarks
-	// never pay the two clock reads per search. Search time includes the
+	// per-request phase breakdown and the benchmark's traced laps need
+	// it; batch runs and untraced laps never pay the two clock reads per
+	// search. Search time includes the
 	// transit-cost callbacks, so it overlaps PricingNanos; consumers
 	// subtract.
 	SearchNanos *obs.Counter
@@ -227,7 +228,8 @@ func (s *State) SearchInstruments() *SearchInstruments { return s.instr.search }
 // deficit-pricing and commit nanoseconds — that the serving layer's
 // per-request phase breakdown reads as deltas around each admission.
 // They are separate from SetObs because every timed site pays two clock
-// reads per call: batch simulations and benchmarks never enable them.
+// reads per call: batch simulations never enable them, and the benchmark
+// enables them only on its traced laps (benchmark/run.go).
 // Requires SetObs to have attached the same registry first (the handles
 // are fields of the instrument structs SetObs built, shared by pointer
 // with live views and batteries); a nil registry or un-observed state

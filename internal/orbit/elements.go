@@ -1,13 +1,11 @@
 // Package orbit implements the orbital-mechanics substrate of the LSN
 // simulator: Keplerian element propagation, Walker-Delta constellation
-// generation (the Starlink Shell-I geometry used in the paper), a TLE
-// codec, and a synthetic sun-synchronous Earth-observation fleet that
-// stands in for the Planet Labs constellation in offline environments.
+// generation (the Starlink Shell-I geometry used in the paper) and a
+// synthetic sun-synchronous Earth-observation fleet that stands in for
+// the Planet Labs constellation in offline environments.
 package orbit
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"time"
 
@@ -25,38 +23,6 @@ type Elements struct {
 	ArgPerigeeDeg  float64
 	MeanAnomalyDeg float64
 	Epoch          time.Time
-}
-
-// Validate reports whether the element set describes a physically
-// propagatable orbit. Every field must be finite: the range checks below
-// are all false for NaN, and the angles have no range to check.
-func (e Elements) Validate() error {
-	for _, f := range []struct {
-		name  string
-		value float64
-	}{
-		{"semi-major axis", e.SemiMajorKm},
-		{"eccentricity", e.Eccentricity},
-		{"inclination", e.InclinationDeg},
-		{"RAAN", e.RAANDeg},
-		{"argument of perigee", e.ArgPerigeeDeg},
-		{"mean anomaly", e.MeanAnomalyDeg},
-	} {
-		if math.IsNaN(f.value) || math.IsInf(f.value, 0) {
-			return fmt.Errorf("orbit: %s %v is not finite", f.name, f.value)
-		}
-	}
-	switch {
-	case e.SemiMajorKm <= geo.EarthRadiusKm:
-		return fmt.Errorf("orbit: semi-major axis %.1f km is inside the Earth", e.SemiMajorKm)
-	case e.Eccentricity < 0 || e.Eccentricity >= 1:
-		return fmt.Errorf("orbit: eccentricity %v outside [0,1)", e.Eccentricity)
-	case e.InclinationDeg < 0 || e.InclinationDeg > 180:
-		return fmt.Errorf("orbit: inclination %v outside [0,180]", e.InclinationDeg)
-	case e.Epoch.IsZero():
-		return errors.New("orbit: zero epoch")
-	}
-	return nil
 }
 
 // MeanMotionRadS returns the mean motion n = sqrt(mu/a^3) in rad/s.
@@ -113,7 +79,8 @@ func (e Elements) PositionECI(t time.Time) geo.Vec3 {
 // the time-dependent part is left to PositionECI: two sin/cos pairs and
 // an atan2 per position on a circular orbit, plus Newton's iterations on
 // an eccentric one. It holds no more than the Elements it came from, so
-// those must have passed Validate for its positions to be finite.
+// its positions are finite only when those are finite with a > 0 and
+// 0 ≤ e < 1, as the Walker and EO builders make them.
 type Propagator struct {
 	epoch            time.Time
 	meanAnomalyRad   float64
@@ -178,7 +145,8 @@ func (p *Propagator) CircularECI(dt float64) (pos geo.Vec3, ok bool) {
 
 // VelocityECI returns the two-body ECI velocity (km/s) at time t, via a
 // small symmetric finite difference. The simulator itself only needs
-// positions; velocity supports the doppler/contact-time utilities.
+// positions: velocity is how the propagator's physical checks (vis-viva
+// energy, a fixed orbital plane) observe it.
 func (e Elements) VelocityECI(t time.Time) geo.Vec3 {
 	const h = 50 * time.Millisecond
 	prop := e.Propagator()

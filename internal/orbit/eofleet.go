@@ -92,19 +92,3 @@ func SyntheticEOFleet(cfg EOFleetConfig) ([]Satellite, error) {
 	}
 	return sats, nil
 }
-
-// FleetTLEs renders a fleet as TLE records (useful for interoperability
-// tests and to exercise the codec the way a Space-Track download would).
-func FleetTLEs(sats []Satellite) []TLE {
-	out := make([]TLE, 0, len(sats))
-	for i, s := range sats {
-		out = append(out, TLE{
-			Name:             s.Name,
-			CatalogNumber:    50000 + i,
-			IntlDesignator:   fmt.Sprintf("24%03dA", i%1000),
-			Elements:         s.Elements,
-			MeanMotionRevDay: 86400 / s.Elements.PeriodSeconds(),
-		})
-	}
-	return out
-}

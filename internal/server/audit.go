@@ -19,13 +19,18 @@ import (
 const (
 	PhaseIngressParse  = "ingress.parse"
 	PhaseQueueWait     = "queue.wait"
-	PhaseBatchWait     = "batch.wait"
 	PhaseEngineAdmit   = "engine.admit"
 	PhaseEngineSearch  = "engine.search"
 	PhaseEnginePricing = "engine.pricing"
 	PhaseEngineCommit  = "engine.commit"
 	PhaseRespond       = "respond"
 )
+
+// PhaseBatchWait is never recorded: the engine takes one booking per
+// turn, so queue.wait ends where engine.admit begins. It is declared
+// only because benchmark/layers.go maps it to its server.batch_wait_us
+// row; ROADMAP item 1(ii) drops both.
+const PhaseBatchWait = "batch.wait"
 
 // TraceConfig parameterises request-scoped tracing and the admission
 // audit log. Tracing is enabled when any of SampleRate, AuditPath or

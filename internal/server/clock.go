@@ -28,7 +28,7 @@ type slotClock struct {
 }
 
 // newSlotClock builds a clock advancing at rate simulated slots per
-// wall second; rate <= 0 selects the arrival-driven mode.
+// wall second; rate 0 selects the arrival-driven mode.
 func newSlotClock(rate float64, now time.Time) *slotClock {
 	c := &slotClock{start: now}
 	if rate > 0 {

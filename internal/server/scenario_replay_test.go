@@ -85,7 +85,7 @@ func TestScenarioReplayThroughServer(t *testing.T) {
 	}
 
 	// Replay: the same stream over HTTP with pinned slots.
-	srv, hs := newTestServer(t, Config{Provider: prov, Run: rc, BatchSize: 1, QueueDepth: 4})
+	srv, hs := newTestServer(t, Config{Provider: prov, Run: rc, QueueDepth: 4})
 	for i, req := range reqs {
 		arrival, start, end := req.ArrivalSlot, req.StartSlot, req.EndSlot
 		code, out := postBook(t, hs.URL, BookRequest{

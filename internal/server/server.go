@@ -73,17 +73,15 @@ type Config struct {
 	Run sim.RunConfig
 	// ClockRate is the slot-clock speed in simulated slots per wall
 	// second (a paper slot is one simulated minute, so ClockRate 60
-	// compresses an hour into a minute). <= 0 means as fast as possible:
+	// compresses an hour into a minute). 0 means as fast as possible:
 	// the clock follows request arrival slots, the benchmarking and
-	// replay mode.
+	// replay mode. New rejects any other rate whose slot period is not a
+	// time.Duration of at least 1ns: a negative, NaN or infinite rate,
+	// or one so small that the period overflows.
 	ClockRate float64
 	// QueueDepth bounds the ingress queue; a full queue sheds with
 	// StatusOverloaded instead of blocking. Default 256.
 	QueueDepth int
-	// BatchSize caps how many queued requests one engine pass admits
-	// back-to-back (amortising scratch reuse across the batch).
-	// Default 32.
-	BatchSize int
 	// Now is the wall clock, for tests. Default time.Now.
 	Now func() time.Time
 	// Shards selects nothing: the service runs one engine, and New
@@ -99,7 +97,7 @@ type Config struct {
 	// applies the documented defaults).
 	SLO SLOConfig
 	// testGate, when non-nil, stalls the engine goroutine before every
-	// batch until a value (or close) arrives — deterministic
+	// booking it takes until a value (or close) arrives — deterministic
 	// backpressure and drain tests only.
 	testGate chan struct{}
 }
@@ -157,7 +155,6 @@ type pending struct {
 	clientID    string
 	rec         *obs.TraceRec
 	qwSpan      int // queue.wait span index
-	bwSpan      int // batch.wait span index
 	eaSpan      int // engine.admit span index
 	headSampled bool
 	stats       probeSample
@@ -199,6 +196,10 @@ type Server struct {
 	gQueueHW   *obs.Gauge
 	ctrShed    *obs.Counter
 	ctrExpired *obs.Counter
+	// ctrBatches (server.batches) counts engine turns, one booking each.
+	// It survives only because benchmark/run.go divides by it for its
+	// server.batch_size_mean row, which therefore reads exactly 1;
+	// ROADMAP item 1(ii) drops both.
 	ctrBatches *obs.Counter
 	histAdmit  *obs.Histogram
 
@@ -241,11 +242,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth < 1 {
 		return nil, fmt.Errorf("server: queue depth %d must be positive", cfg.QueueDepth)
 	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 32
-	}
-	if cfg.BatchSize < 1 {
-		return nil, fmt.Errorf("server: batch size %d must be positive", cfg.BatchSize)
+	if r := cfg.ClockRate; r != 0 {
+		if period := float64(time.Second) / r; !(period >= 1 && period < math.MaxInt64) {
+			return nil, fmt.Errorf("server: clock rate %g must be 0 (arrival-driven) or give a slot period of at least 1ns", r)
+		}
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -299,32 +299,19 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// engineLoop is the single writer of the engine: it takes one queued
-// request, collects whatever else is already queued up to BatchSize
-// without blocking, and admits the batch; once Shutdown closes the queue
-// and it drains, it runs the engine's final sweep and publishes the
-// result.
+// engineLoop is the single writer of the engine: it admits queued
+// requests one per turn, in arrival order; once Shutdown closes the
+// queue and it drains, it runs the engine's final sweep and publishes
+// the result.
 func (s *Server) engineLoop() {
 	defer close(s.engineDone)
-	batch := make([]*pending, 0, s.cfg.BatchSize)
 	for p := range s.queue {
 		if s.cfg.testGate != nil {
 			<-s.cfg.testGate
 		}
-		batch = append(batch[:0], p)
-	collect:
-		for len(batch) < s.cfg.BatchSize {
-			select {
-			case more, ok := <-s.queue:
-				if !ok {
-					break collect
-				}
-				batch = append(batch, more)
-			default:
-				break collect
-			}
-		}
-		s.runBatch(batch)
+		s.gQueue.Set(float64(len(s.queue)))
+		s.ctrBatches.Inc()
+		s.admitOne(p)
 	}
 	s.result, s.resultErr = s.eng.Finish()
 }
@@ -424,33 +411,16 @@ func (s *Server) Result() (*sim.Result, error) {
 	}
 }
 
-// runBatch admits a batch of queued requests in arrival order, on the
-// engine goroutine. Engine errors are recorded on the reservation
-// (StatusError) rather than crashing the daemon — they indicate bugs,
-// and the obs counters make them visible.
-func (s *Server) runBatch(batch []*pending) {
-	s.gQueue.Set(float64(len(s.queue)))
-	s.ctrBatches.Inc()
-	if s.tracing {
-		now := s.now()
-		for _, q := range batch {
-			q.rec.End(q.qwSpan, now)
-			q.bwSpan = q.rec.Begin(PhaseBatchWait, now)
-		}
-	}
-	for _, p := range batch {
-		s.admitOne(p)
-	}
-}
-
-// admitOne is one request's turn on the engine goroutine.
+// admitOne is one request's turn on the engine goroutine. Engine errors
+// are recorded on the reservation (StatusError) rather than crashing the
+// daemon — they indicate bugs, and the obs counters make them visible.
 func (s *Server) admitOne(p *pending) {
 	defer close(p.done)
 	eng := s.eng
 
 	if s.tracing {
 		now := s.now()
-		p.rec.End(p.bwSpan, now)
+		p.rec.End(p.qwSpan, now)
 		p.eaSpan = p.rec.Begin(PhaseEngineAdmit, now)
 		// Deferred so every settle path (horizon, expired, error,
 		// decision) gets the same finalisation; defers run LIFO, so this
@@ -676,7 +646,6 @@ type Stats struct {
 	QueueDepth     int               `json:"queue_depth"`
 	QueueHighWater int64             `json:"queue_high_water"`
 	QueueCapacity  int               `json:"queue_capacity"`
-	BatchSize      int               `json:"batch_size"`
 	Total          int64             `json:"requests_total"`
 	Accepted       int64             `json:"requests_accepted"`
 	Rejected       int64             `json:"requests_rejected"`
@@ -708,7 +677,6 @@ func (s *Server) StatsSnapshot() Stats {
 		QueueDepth:     len(s.queue),
 		QueueHighWater: s.statQueueHW.Load(),
 		QueueCapacity:  s.cfg.QueueDepth,
-		BatchSize:      s.cfg.BatchSize,
 		Total:          s.statTotal.Load(),
 		Accepted:       s.statAccepted.Load(),
 		Rejected:       s.statRejected.Load(),

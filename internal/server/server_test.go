@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -130,7 +131,7 @@ func checkInvariants(t *testing.T, srv *Server) {
 }
 
 // TestServedStreamMatchesBatchRun is the acceptance gate of the serving
-// layer: an httptest-hosted server (clock at max speed, batch size 1)
+// layer: an httptest-hosted server (clock at max speed)
 // admitting the workload stream of sim.Run must produce byte-identical
 // accept/reject decisions, prices, and committed state — proving the
 // batch and serving paths share one engine.
@@ -165,7 +166,7 @@ func TestServedStreamMatchesBatchRun(t *testing.T) {
 	}
 
 	// Serving path: same stream over HTTP, one request at a time.
-	srv, hs := newTestServer(t, Config{Provider: prov, Run: rc, BatchSize: 1, QueueDepth: 4})
+	srv, hs := newTestServer(t, Config{Provider: prov, Run: rc, QueueDepth: 4})
 	reqs, err := workload.Generate(rc.Workload)
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +233,20 @@ func TestNewRejectsMoreThanOneShard(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnusableClockRate: 0 is the arrival-driven clock; any
+// other rate must give a slot period of at least 1ns that fits a
+// time.Duration. A negative rate used to run arrival-driven while
+// /v1/config advertised it, and a non-finite one left /v1/config and
+// /v1/stats unencodable.
+func TestNewRejectsUnusableClockRate(t *testing.T) {
+	prov, rc := testProvider(t), testRunConfig(t, 2, 1)
+	for _, rate := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1), 2e9, 1e-11} {
+		if _, err := New(Config{Provider: prov, Run: rc, ClockRate: rate}); err == nil {
+			t.Errorf("New accepted ClockRate %g", rate)
+		}
+	}
+}
+
 // TestOverloadSheds verifies explicit backpressure: with the engine
 // stalled and the ingress queue full, further bookings get an immediate
 // StatusOverloaded response (HTTP 429), the server.shed counter and
@@ -247,7 +262,7 @@ func testOverloadSheds(t *testing.T, reg *obs.Registry) {
 	rc.Obs = reg
 	gate := make(chan struct{})
 	s, hs := newTestServer(t, Config{
-		Run: rc, BatchSize: 1, QueueDepth: 2, testGate: gate,
+		Run: rc, QueueDepth: 2, testGate: gate,
 	})
 
 	br := func() BookRequest {
@@ -259,7 +274,7 @@ func testOverloadSheds(t *testing.T, reg *obs.Registry) {
 	}
 
 	// First booking: consumed by the engine goroutine, which stalls on
-	// the gate mid-batch. Its response arrives later, so post it from a
+	// the gate before admitting it. Its response arrives later, so post it from a
 	// goroutine.
 	firstDone := make(chan BookResponse, 1)
 	go func() {
@@ -319,11 +334,10 @@ func testOverloadSheds(t *testing.T, reg *obs.Registry) {
 	}
 }
 
-// TestBatchLoopCollectsQueuedBookings covers the multi-item batch path:
-// with five bookings queued before the gate opens, BatchSize 4 must admit
-// them as a batch of four and a batch of one, in the order they were
-// queued.
-func TestBatchLoopCollectsQueuedBookings(t *testing.T) {
+// TestQueuedBookingsAdmittedInArrivalOrder: five bookings queued behind a
+// stalled engine are admitted in the order they were queued, one per
+// engine turn.
+func TestQueuedBookingsAdmittedInArrivalOrder(t *testing.T) {
 	rc := testRunConfig(t, 2, 11)
 	reg := obs.New()
 	rc.Obs = reg
@@ -332,7 +346,7 @@ func TestBatchLoopCollectsQueuedBookings(t *testing.T) {
 	rc.Trace = tw
 	gate := make(chan struct{})
 	s, _ := newTestServer(t, Config{
-		Run: rc, BatchSize: 4, QueueDepth: 8, testGate: gate,
+		Run: rc, QueueDepth: 8, testGate: gate,
 	})
 
 	// Enqueued directly, one after the other, so queue order is id order:
@@ -368,8 +382,8 @@ func TestBatchLoopCollectsQueuedBookings(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("server.batches").Value(); got != 2 {
-		t.Errorf("server.batches = %d, want 2 (a batch of four, then one)", got)
+	if got := reg.Counter("server.batches").Value(); got != 5 {
+		t.Errorf("server.batches = %d, want 5 (one per engine turn)", got)
 	}
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
@@ -396,7 +410,7 @@ func TestGracefulDrain(t *testing.T) {
 	rc := testRunConfig(t, 2, 8)
 	gate := make(chan struct{})
 	s, hs := newTestServer(t, Config{
-		Run: rc, BatchSize: 1, QueueDepth: 4, testGate: gate,
+		Run: rc, QueueDepth: 4, testGate: gate,
 	})
 
 	br := BookRequest{
@@ -786,7 +800,7 @@ func TestBookBodyOutcomes(t *testing.T) {
 	servers["idle"], _ = newTestServer(t, Config{Run: rc, QueueDepth: 8})
 
 	gate := make(chan struct{})
-	full, _ := newTestServer(t, Config{Run: rc, BatchSize: 1, QueueDepth: 1, testGate: gate})
+	full, _ := newTestServer(t, Config{Run: rc, QueueDepth: 1, testGate: gate})
 	t.Cleanup(func() { close(gate) }) // before the server's own cleanup drains it
 	for i := 0; i < 2; i++ {
 		p, err := full.newPending(BookRequest{Src: EndpointRef{"ground", 0}, Dst: EndpointRef{"ground", 1}, RateMbps: 600})

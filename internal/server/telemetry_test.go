@@ -145,7 +145,7 @@ func TestTelemetrySurface(t *testing.T) {
 
 // statsKeyPaths are the key paths of /v1/stats with tracing off.
 var statsKeyPaths = []string{
-	"algorithm", "batch_size", "clock_rate", "draining", "horizon",
+	"algorithm", "clock_rate", "draining", "horizon",
 	"queue_capacity", "queue_depth", "queue_high_water",
 	"requests_accepted", "requests_rejected", "requests_shed", "requests_total",
 	"revenue", "slo", "slo[].bad", "slo[].burn_rate", "slo[].good",

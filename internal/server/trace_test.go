@@ -53,7 +53,7 @@ func TestStatsQueueHighWaterAndShed(t *testing.T) {
 	rc.Obs = obs.New()
 	gate := make(chan struct{})
 	s, hs := newTestServer(t, Config{
-		Run: rc, BatchSize: 1, QueueDepth: 2, testGate: gate,
+		Run: rc, QueueDepth: 2, testGate: gate,
 	})
 	br := BookRequest{
 		Src:      EndpointRef{Kind: "ground", Index: 0},
@@ -130,7 +130,7 @@ func TestGracefulDrainFlushesAudit(t *testing.T) {
 	auditPath := filepath.Join(t.TempDir(), "audit.jsonl")
 	const queued = 3
 	s, hs := newTestServer(t, Config{
-		Run: rc, BatchSize: 1, QueueDepth: queued + 1, testGate: gate,
+		Run: rc, QueueDepth: queued + 1, testGate: gate,
 		Trace: TraceConfig{SampleRate: 1, AuditPath: auditPath},
 	})
 
@@ -223,7 +223,7 @@ func TestAuditExactlyOnce(t *testing.T) {
 	gate := make(chan struct{})
 	auditPath := filepath.Join(t.TempDir(), "audit.jsonl")
 	s, hs := newTestServer(t, Config{
-		Run: rc, BatchSize: 4, QueueDepth: 2, testGate: gate,
+		Run: rc, QueueDepth: 2, testGate: gate,
 		Trace: TraceConfig{Enabled: true, AuditPath: auditPath}, // head rate 0: tail sampling only
 		// No booking is slow, however loaded the host: accepted ones stay
 		// unsampled.
@@ -275,7 +275,7 @@ func TestAuditExactlyOnce(t *testing.T) {
 			t.Fatalf("%s: HTTP %d, want 429", id, code)
 		}
 	}
-	gate <- struct{}{} // release exactly one batch
+	close(gate) // engine free-runs from here on
 	<-parked
 	for _, ch := range queued {
 		<-ch
@@ -285,7 +285,6 @@ func TestAuditExactlyOnce(t *testing.T) {
 	const burst = 24
 	var wg sync.WaitGroup
 	decided := make([]BookResponse, burst)
-	close(gate) // engine free-runs from here on
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -384,7 +383,7 @@ func TestAuditExactlyOnce(t *testing.T) {
 					rec.ClientID, rec.Sampled, phases)
 			}
 		case StatusRejected, StatusError:
-			for _, want := range []string{PhaseIngressParse, PhaseQueueWait, PhaseBatchWait, PhaseEngineAdmit,
+			for _, want := range []string{PhaseIngressParse, PhaseQueueWait, PhaseEngineAdmit,
 				PhaseEngineSearch, PhaseEnginePricing, PhaseEngineCommit} {
 				if !phases[want] {
 					t.Errorf("%s record %s: missing phase %s (got %v)", rec.Outcome, rec.ClientID, want, phases)
@@ -495,10 +494,13 @@ func TestSlowBookingSampled(t *testing.T) {
 	if slow.TotalNs < objective.Nanoseconds() || !slow.Sampled {
 		t.Fatalf("slow booking: total %d ns, sampled %v; want sampled at or above %v", slow.TotalNs, slow.Sampled, objective)
 	}
-	for _, want := range []string{PhaseIngressParse, PhaseQueueWait, PhaseBatchWait, PhaseEngineAdmit, PhaseRespond} {
+	for _, want := range []string{PhaseIngressParse, PhaseQueueWait, PhaseEngineAdmit, PhaseRespond} {
 		if !phases[want] {
 			t.Errorf("slow booking: missing phase %s (got %v)", want, phases)
 		}
+	}
+	if phases[PhaseBatchWait] {
+		t.Errorf("slow booking: has a %s phase; the engine takes one booking per turn", PhaseBatchWait)
 	}
 }
 

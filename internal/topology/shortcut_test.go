@@ -197,8 +197,10 @@ func twoTierSeeds() []twoTierSeed {
 	site := geo.LLA{LatDeg: 40.7, LonDeg: -74}
 	siteECEF := geo.LLAToECEF(site)
 	up := siteECEF.Unit()
-	east := geo.Vec3{Z: 1}.Cross(up).Unit()
-	north := up.Cross(east)
+	// east = ẑ × up and north = up × east, written out: east has no Z
+	// component.
+	east := geo.Vec3{X: -up.Y, Y: up.X}.Unit()
+	north := geo.Vec3{X: -up.Z * east.Y, Y: up.Z * east.X, Z: up.X*east.Y - up.Y*east.X}
 	// toward returns the point at range r and elevation el (radians) due
 	// north of the site.
 	toward := func(r, el float64) geo.Vec3 {

@@ -170,16 +170,16 @@ func DefaultConfig(horizon int, pairs []Pair, seed int64) Config {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.ArrivalRatePerSlot <= 0:
-		return fmt.Errorf("workload: arrival rate must be positive, got %v", c.ArrivalRatePerSlot)
+	case !(c.ArrivalRatePerSlot > 0 && c.ArrivalRatePerSlot <= math.MaxFloat64):
+		return fmt.Errorf("workload: arrival rate must be positive and finite, got %v", c.ArrivalRatePerSlot)
 	case c.MinDurationSlots <= 0 || c.MaxDurationSlots < c.MinDurationSlots:
 		return fmt.Errorf("workload: bad duration range [%d,%d]", c.MinDurationSlots, c.MaxDurationSlots)
 	case c.MinRateMbps <= 0 || c.MaxRateMbps < c.MinRateMbps:
 		return fmt.Errorf("workload: bad rate range [%v,%v]", c.MinRateMbps, c.MaxRateMbps)
 	case c.MeanRateMbps < c.MinRateMbps || c.MeanRateMbps > c.MaxRateMbps:
 		return fmt.Errorf("workload: mean rate %v outside [%v,%v]", c.MeanRateMbps, c.MinRateMbps, c.MaxRateMbps)
-	case c.Valuation <= 0:
-		return fmt.Errorf("workload: valuation must be positive, got %v", c.Valuation)
+	case !(c.Valuation > 0 && c.Valuation <= math.MaxFloat64):
+		return fmt.Errorf("workload: valuation must be positive and finite, got %v", c.Valuation)
 	case c.Horizon <= 0:
 		return fmt.Errorf("workload: horizon must be positive, got %d", c.Horizon)
 	case len(c.Pairs) == 0:

@@ -27,12 +27,16 @@ func TestConfigValidate(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"zero rate", func(c *Config) { c.ArrivalRatePerSlot = 0 }},
+		{"NaN rate", func(c *Config) { c.ArrivalRatePerSlot = math.NaN() }},   // panicked in Generate
+		{"+Inf rate", func(c *Config) { c.ArrivalRatePerSlot = math.Inf(1) }}, // panicked in Generate
 		{"zero min duration", func(c *Config) { c.MinDurationSlots = 0 }},
 		{"inverted durations", func(c *Config) { c.MaxDurationSlots = 0 }},
 		{"zero min rate", func(c *Config) { c.MinRateMbps = 0 }},
 		{"inverted rates", func(c *Config) { c.MaxRateMbps = 100 }},
 		{"mean outside range", func(c *Config) { c.MeanRateMbps = 9999 }},
 		{"zero valuation", func(c *Config) { c.Valuation = 0 }},
+		{"NaN valuation", func(c *Config) { c.Valuation = math.NaN() }}, // turned admission control off
+		{"+Inf valuation", func(c *Config) { c.Valuation = math.Inf(1) }},
 		{"zero horizon", func(c *Config) { c.Horizon = 0 }},
 		{"no pairs", func(c *Config) { c.Pairs = nil }},
 	}

@@ -22,7 +22,7 @@ go build -o "$WORK/spaceload" ./cmd/spaceload
 go build -o "$WORK/spacestat" ./cmd/spacestat
 
 LOG="$WORK/spaced.log"
-"$WORK/spaced" -addr 127.0.0.1:0 -clock-rate 4 -queue-depth 64 -batch-size 8 >"$LOG" 2>&1 &
+"$WORK/spaced" -addr 127.0.0.1:0 -clock-rate 4 -queue-depth 64 >"$LOG" 2>&1 &
 SPACED_PID=$!
 
 ADDR="$(wait_listening "$LOG" spaced)"
@@ -56,7 +56,7 @@ echo "smoke_spaced: real-time pass OK ($ACCEPTED accepts, clean drain)"
 
 # --- Arrival-driven clock: the load generator's slots drive the server. ---
 LOG3="$WORK/spaced-arrival.log"
-"$WORK/spaced" -addr 127.0.0.1:0 -clock-rate 0 -queue-depth 64 -batch-size 8 >"$LOG3" 2>&1 &
+"$WORK/spaced" -addr 127.0.0.1:0 -clock-rate 0 -queue-depth 64 >"$LOG3" 2>&1 &
 SPACED_PID=$!
 ADDR3="$(wait_listening "$LOG3" "arrival-driven spaced")"
 

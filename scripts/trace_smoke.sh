@@ -24,7 +24,7 @@ go build -o "$WORK/spacebench" ./cmd/spacebench
 LOG="$WORK/spaced.log"
 AUDIT="$WORK/audit.jsonl"
 REPORT="$WORK/spaced-report.json"
-"$WORK/spaced" -addr 127.0.0.1:0 -clock-rate 4 -queue-depth 64 -batch-size 8 \
+"$WORK/spaced" -addr 127.0.0.1:0 -clock-rate 4 -queue-depth 64 \
   -trace-sample 1 -audit-log "$AUDIT" -report "$REPORT" >"$LOG" 2>&1 &
 SPACED_PID=$!
 

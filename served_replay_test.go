@@ -27,8 +27,7 @@ import (
 
 // TestServedAuditLogReplays is the gate of the one decision record: eight
 // concurrent clients book a small-scale workload against an
-// arrival-driven daemon admitting batches of up to eight, which writes an
-// audit log. Replayed through scenario.RequestsFromTrace and sim.Run, the
+// arrival-driven daemon, which writes an audit log. Replayed through scenario.RequestsFromTrace and sim.Run, the
 // drained log must give every request id the same accepted flag, reason,
 // hops and price bits as the daemon did, and the replay's Result must
 // equal the daemon's. A handler writes its record after it responds, so
@@ -108,7 +107,7 @@ func TestServedAuditLogReplays(t *testing.T) {
 func serveConcurrently(t *testing.T, prov *topology.Provider, rc sim.RunConfig, reqs []workload.Request) ([]trace.Record, *sim.Result) {
 	t.Helper()
 	auditPath := filepath.Join(t.TempDir(), "audit.jsonl")
-	srv, err := server.New(server.Config{Provider: prov, Run: rc, BatchSize: 8,
+	srv, err := server.New(server.Config{Provider: prov, Run: rc,
 		Trace: server.TraceConfig{AuditPath: auditPath}})
 	if err != nil {
 		t.Fatal(err)
