@@ -20,7 +20,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/decisions.json from this run")
 
-// decisionPin is what testdata/decisions.json holds for one run: three
+// decisionPin is what testdata/decisions.json holds for one run: four
 // SHA-256 digests over its decision stream, split so a failure says what
 // moved, and a trail of one byte per request that locates where.
 type decisionPin struct {
@@ -32,6 +32,9 @@ type decisionPin struct {
 	// Reason digests the sim.ClassifyReason class of every rejection
 	// ("" on accept).
 	Reason string `json:"reason"`
+	// Text digests the full reason text of every rejection ("" on
+	// accept), the string audit logs and reservations carry.
+	Text string `json:"text"`
 	// Trail is hex, one byte per request: the first byte of SHA-256 over
 	// that request's own (accepted, price bits, hops, class).
 	Trail string `json:"trail"`
@@ -52,7 +55,7 @@ func pinDecisions(env *Environment, alg sim.AlgorithmKind, seed int64) (decision
 	if err != nil {
 		return decisionPin{}, err
 	}
-	accept, plan, reason := sha256.New(), sha256.New(), sha256.New()
+	accept, plan, reason, text := sha256.New(), sha256.New(), sha256.New(), sha256.New()
 	trail := make([]byte, len(reqs))
 	var buf [8]byte
 	put := func(h hash.Hash, v uint64) {
@@ -76,6 +79,7 @@ func pinDecisions(env *Environment, alg sim.AlgorithmKind, seed int64) (decision
 		put(plan, price)
 		put(plan, hops)
 		reason.Write(append([]byte(class), 0))
+		text.Write(append([]byte(d.Reason), 0))
 		one := sha256.New()
 		for _, v := range []uint64{ok, price, hops} {
 			put(one, v)
@@ -84,7 +88,7 @@ func pinDecisions(env *Environment, alg sim.AlgorithmKind, seed int64) (decision
 		trail[i] = one.Sum(nil)[0]
 	}
 	sum := func(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
-	return decisionPin{sum(accept), sum(plan), sum(reason), hex.EncodeToString(trail)}, nil
+	return decisionPin{sum(accept), sum(plan), sum(reason), sum(text), hex.EncodeToString(trail)}, nil
 }
 
 // TestDecisionGolden pins the decisions themselves, down to the last bit
@@ -160,6 +164,7 @@ func movedDigests(got, want decisionPin) []string {
 		{"accept", got.Accept, want.Accept},
 		{"plan", got.Plan, want.Plan},
 		{"reason", got.Reason, want.Reason},
+		{"text", got.Text, want.Text},
 	} {
 		if d.got != d.want {
 			moved = append(moved, d.name)
