@@ -183,7 +183,7 @@ func inspect(out io.Writer, scale spacebooking.Scale, slot int, siteSpec, svgOut
 // routes one sample request whose path the map highlights.
 func writeMap(out io.Writer, env *spacebooking.Environment, scale spacebooking.Scale, slot int, path string, load float64) error {
 	prov := env.Provider
-	state, err := netstate.New(prov, spacebooking.PaperEnergyConfig(), false)
+	state, err := netstate.New(prov, spacebooking.PaperEnergyConfig())
 	if err != nil {
 		return err
 	}

@@ -43,7 +43,7 @@ func TestAcceptedPlansReplayOntoBatteries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replay, err := netstate.New(env.Provider, rc.Energy, false)
+			replay, err := netstate.New(env.Provider, rc.Energy)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,7 +42,7 @@ func Example() {
 // 402) over a fresh resource state: link ledgers plus per-satellite
 // battery ledgers with solar input from the eclipse model.
 func newCEAR(env *spacebooking.Environment) (*core.CEAR, *netstate.State) {
-	state, err := netstate.New(env.Provider, spacebooking.PaperEnergyConfig(), false)
+	state, err := netstate.New(env.Provider, spacebooking.PaperEnergyConfig())
 	if err != nil {
 		panic(err)
 	}
@@ -191,7 +191,7 @@ func Example_teleconference() {
 	fmt.Printf("%-8s %-12s %-14s %-12s %s\n", "alg", "meetings ok", "meetings lost", "bg accepted", "depleted sats (end)")
 	cear, cearState := newCEAR(env)
 	report("CEAR", cear, cearState)
-	sspState, err := netstate.New(env.Provider, spacebooking.PaperEnergyConfig(), false)
+	sspState, err := netstate.New(env.Provider, spacebooking.PaperEnergyConfig())
 	if err != nil {
 		panic(err)
 	}

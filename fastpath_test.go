@@ -161,11 +161,11 @@ func TestBudgetPruningPreservesOutcomes(t *testing.T) {
 		}
 
 		reg := obs.New()
-		statePlain, err := netstate.New(env.Provider, rc.Energy, false)
+		statePlain, err := netstate.New(env.Provider, rc.Energy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		statePruned, err := netstate.New(env.Provider, rc.Energy, false)
+		statePruned, err := netstate.New(env.Provider, rc.Energy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -123,7 +123,7 @@ func TestEmpiricalCompetitiveRatioWithinBound(t *testing.T) {
 // that knows the small requests are coming.
 func TestAdversarialSequence(t *testing.T) {
 	env := smallEnv(t)
-	state, err := netstate.New(env.Provider, PaperEnergyConfig(), false)
+	state, err := netstate.New(env.Provider, PaperEnergyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestAdversarialSequence(t *testing.T) {
 // exactly.
 func TestEnergyConservation(t *testing.T) {
 	env := smallEnv(t)
-	state, err := netstate.New(env.Provider, PaperEnergyConfig(), false)
+	state, err := netstate.New(env.Provider, PaperEnergyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func newTestState(t *testing.T) *netstate.State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := netstate.New(prov, netstate.DefaultEnergyConfig(), false)
+	state, err := netstate.New(prov, netstate.DefaultEnergyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func newBaselineState(t *testing.T) *netstate.State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := netstate.New(prov, netstate.DefaultEnergyConfig(), false)
+	state, err := netstate.New(prov, netstate.DefaultEnergyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestBaselinesStopAtEnergyFeasibilityEdge(t *testing.T) {
 		b := state.Battery(sat)
 		for slot := 0; slot < state.Provider().Horizon(); slot++ {
 			if b.LevelAt(slot) < -1e-9 {
-				t.Fatalf("clamped battery %d below empty at slot %d", sat, slot)
+				t.Fatalf("battery %d below empty at slot %d", sat, slot)
 			}
 		}
 	}

@@ -55,7 +55,7 @@ func newTestStackWith(t *testing.T, horizon int, ecfg netstate.EnergyConfig) *ne
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := netstate.New(prov, ecfg, false)
+	state, err := netstate.New(prov, ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,11 +32,7 @@ type Battery struct {
 	capacityJ float64
 	// cell[t] is slot t's unclaimed solar when positive and its negated
 	// deficit when negative (see the package comment).
-	cell []float64
-	// clamp selects baseline-mode accounting: the battery saturates at
-	// empty instead of rejecting infeasible consumption. CEAR batteries
-	// run with clamp=false and enforce b_s(T) >= 0 (constraint (7c)).
-	clamp bool
+	cell  []float64
 	instr *Instruments
 
 	// firstDeficit and lastDeficit enclose every slot with a non-zero
@@ -61,7 +57,9 @@ type Battery struct {
 // NewBattery builds a ledger with the given capacity (joules) and
 // per-slot solar input (joules per slot). The solar slice is copied.
 // Per the paper we start with a full battery and untouched solar input.
-func NewBattery(capacityJ float64, solarInputJ []float64, clamp bool) (*Battery, error) {
+// Every battery enforces b_s(t) >= 0 (constraint (7c)): a consumption
+// that would drive it below empty is refused.
+func NewBattery(capacityJ float64, solarInputJ []float64) (*Battery, error) {
 	if capacityJ <= 0 {
 		return nil, fmt.Errorf("energy: capacity must be positive, got %v", capacityJ)
 	}
@@ -80,7 +78,6 @@ func NewBattery(capacityJ float64, solarInputJ []float64, clamp bool) (*Battery,
 	return &Battery{
 		capacityJ:    capacityJ,
 		cell:         cell,
-		clamp:        clamp,
 		firstDeficit: len(solarInputJ),
 		lastDeficit:  -1,
 	}, nil
@@ -94,7 +91,7 @@ func NewBattery(capacityJ float64, solarInputJ []float64, clamp bool) (*Battery,
 // straight from the flags: no per-battery input vector is built, and a
 // sweep of one slot across the fleet (DepletedSatCount, SumDeficitJ)
 // steps through memory a horizon apart.
-func NewFleet(numSats, horizon int, capacityJ, harvestJ float64, clamp bool, sunlit func(t int) []bool) ([]*Battery, error) {
+func NewFleet(numSats, horizon int, capacityJ, harvestJ float64, sunlit func(t int) []bool) ([]*Battery, error) {
 	switch {
 	case capacityJ <= 0:
 		return nil, fmt.Errorf("energy: capacity must be positive, got %v", capacityJ)
@@ -111,7 +108,6 @@ func NewFleet(numSats, horizon int, capacityJ, harvestJ float64, clamp bool, sun
 		bats[sat] = Battery{
 			capacityJ:    capacityJ,
 			cell:         cells[lo:hi:hi],
-			clamp:        clamp,
 			firstDeficit: horizon,
 			lastDeficit:  -1,
 		}
@@ -130,8 +126,7 @@ func NewFleet(numSats, horizon int, capacityJ, harvestJ float64, clamp bool, sun
 }
 
 // Instrument attaches (or with nil, detaches) the counters this ledger
-// advances. Plain field write: attach before the run starts. Clones
-// inherit the handle, so trial ledgers count into the same registry.
+// advances. Plain field write: attach before the run starts.
 func (b *Battery) Instrument(in *Instruments) { b.instr = in }
 
 // Horizon returns the number of slots the ledger covers.
@@ -300,11 +295,8 @@ func (b *Battery) walkEnd(ta int) int {
 
 // Feasible reports whether consuming `joules` in slot ta keeps the
 // battery within capacity (b_s(t) >= 0) at every slot, given the current
-// committed state. Always true in clamp mode.
+// committed state.
 func (b *Battery) Feasible(ta int, joules float64) bool {
-	if b.clamp {
-		return true
-	}
 	if b.fits(joules) {
 		b.instr.countDeficitWalk() // the walk this proof stands in for
 		return true
@@ -313,8 +305,8 @@ func (b *Battery) Feasible(ta int, joules float64) bool {
 	return failSlot < 0
 }
 
-// DepletionError is returned by Consume when a non-clamping battery
-// would be driven below empty.
+// DepletionError is returned by Consume when the consumption would drive
+// the battery below empty.
 type DepletionError struct {
 	Slot      int
 	DeficitJ  float64
@@ -327,8 +319,8 @@ func (e *DepletionError) Error() string {
 }
 
 // checkConsume is the validation every consumption entry point shares:
-// argument checks, then — in strict mode — feasibility, reporting the
-// first slot over capacity as a *DepletionError. apply is false for a
+// argument checks, then feasibility, reporting the first slot over
+// capacity as a *DepletionError. apply is false for a
 // zero consumption, which succeeds without touching the ledger.
 func (b *Battery) checkConsume(ta int, joules float64) (apply bool, err error) {
 	if joules < 0 || math.IsNaN(joules) {
@@ -340,7 +332,7 @@ func (b *Battery) checkConsume(ta int, joules float64) (apply bool, err error) {
 	if ta < 0 || ta >= len(b.cell) {
 		return false, fmt.Errorf("energy: slot %d outside horizon [0,%d)", ta, len(b.cell))
 	}
-	if !b.clamp && !b.Feasible(ta, joules) {
+	if !b.Feasible(ta, joules) {
 		// Feasibility tolerates float dust above capacity; the error
 		// names the first slot strictly above it.
 		_, failSlot, failDeficit := b.walk(ta, joules, nil, b.capacityJ)
@@ -355,10 +347,8 @@ func (b *Battery) checkConsume(ta int, joules float64) (apply bool, err error) {
 // subsequent slots) is claimed first; whatever cannot be covered becomes
 // battery deficit that persists until fully absorbed by later solar.
 //
-// In strict mode (clamp=false) the commit is atomic: if any slot would
-// exceed capacity, the ledger is left untouched and a *DepletionError is
-// returned. In clamp mode the posted deficit saturates at capacity (the
-// battery pegs at empty) and the call always succeeds.
+// The commit is atomic: if any slot would exceed capacity, the ledger is
+// left untouched and a *DepletionError is returned.
 func (b *Battery) Consume(ta int, joules float64) error { return b.consume(ta, joules, nil) }
 
 // consume is the ledger's one mutation loop. With a log it first records
@@ -396,19 +386,7 @@ func (b *Battery) consume(ta int, joules float64, log *Undo) error {
 			}
 			remaining -= v
 		}
-		post := remaining
-		if b.clamp {
-			// The battery cannot discharge below empty: cap both the
-			// posted deficit and the amount carried forward.
-			if post > b.capacityJ {
-				post = b.capacityJ
-				remaining = b.capacityJ
-			}
-			if d+post > b.capacityJ {
-				post = b.capacityJ - d
-			}
-		}
-		d += post
+		d += remaining
 		b.cell[t] = -d
 		if t < b.firstDeficit {
 			b.firstDeficit = t
@@ -472,21 +450,11 @@ func (u *Undo) Rollback() {
 	u.Reset()
 }
 
-// Clone returns an independent deep copy of the ledger. CEAR uses clones
-// to trial-apply a candidate reservation plan (whose slots interact
-// through this very ledger) before committing it.
-func (b *Battery) Clone() *Battery {
-	c := *b
-	c.cell = append([]float64(nil), b.cell...)
-	return &c
-}
-
 // TrialConsume checks whether Consume(ta, joules) would succeed, without
 // mutating the ledger: Consume's validation and feasibility logic with
 // the commit skipped. Errors (including *DepletionError contents) and
-// instrument counts match Consume's exactly, so trialling a single
-// consumption this way is equivalent to applying it on a throwaway
-// Clone — minus the clone.
+// instrument counts match Consume's exactly. No program path calls it:
+// it is kept for the benchmark's energy.trial_consume_us probe.
 func (b *Battery) TrialConsume(ta int, joules float64) error {
 	_, err := b.checkConsume(ta, joules)
 	return err

@@ -12,7 +12,7 @@ import (
 // back — Eq. (2) of the paper.
 func ExampleBattery_Consume() {
 	solar := []float64{10, 10, 10, 10, 10}
-	battery, err := energy.NewBattery(100, solar, false)
+	battery, err := energy.NewBattery(100, solar)
 	if err != nil {
 		panic(err)
 	}
@@ -35,7 +35,7 @@ func ExampleBattery_Consume() {
 // primitive behind CEAR's energy pricing.
 func ExampleBattery_VisitDeficit() {
 	solar := []float64{0, 20, 20}
-	battery, err := energy.NewBattery(100, solar, false)
+	battery, err := energy.NewBattery(100, solar)
 	if err != nil {
 		panic(err)
 	}

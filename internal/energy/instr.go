@@ -5,9 +5,7 @@ import "spacebooking/internal/obs"
 // Instruments holds the package's observability counters. There is no
 // package-global attachment point: netstate attaches one handle per
 // State (to every battery it builds), so concurrent runs count into
-// their own registries. Clones carry the parent's handle — a trial
-// consumption counts like a committed one, matching the accounting the
-// ledgers had when instruments were global.
+// their own registries.
 type Instruments struct {
 	// DeficitWalks counts VisitDeficit invocations — the primitive
 	// behind CEAR's deficit pricing and every feasibility check.

@@ -17,18 +17,16 @@ type refLedger struct {
 	capacityJ      float64
 	solarRemaining []float64
 	deficit        []float64
-	clamp          bool
 	first, last    int
 	maxDeficit     float64
 	stamp          uint64
 }
 
-func newRefLedger(capacityJ float64, solar []float64, clamp bool) *refLedger {
+func newRefLedger(capacityJ float64, solar []float64) *refLedger {
 	return &refLedger{
 		capacityJ:      capacityJ,
 		solarRemaining: append([]float64(nil), solar...),
 		deficit:        make([]float64, len(solar)),
-		clamp:          clamp,
 		first:          len(solar),
 		last:           -1,
 	}
@@ -96,11 +94,9 @@ func (r *refLedger) consume(ta int, joules float64, log *refUndo) error {
 	if ta < 0 || ta >= len(r.deficit) {
 		return errors.New("slot outside horizon")
 	}
-	if !r.clamp {
-		if _, failSlot, _ := r.walk(ta, joules, nil, r.limit()); failSlot >= 0 {
-			_, slot, deficit := r.walk(ta, joules, nil, r.capacityJ)
-			return &DepletionError{Slot: slot, DeficitJ: deficit, CapacityJ: r.capacityJ}
-		}
+	if _, failSlot, _ := r.walk(ta, joules, nil, r.limit()); failSlot >= 0 {
+		_, slot, deficit := r.walk(ta, joules, nil, r.capacityJ)
+		return &DepletionError{Slot: slot, DeficitJ: deficit, CapacityJ: r.capacityJ}
 	}
 	if log != nil {
 		log.ops = append(log.ops, struct {
@@ -120,17 +116,7 @@ func (r *refLedger) consume(ta int, joules float64, log *refUndo) error {
 		if remaining <= 0 {
 			return nil
 		}
-		post := remaining
-		if r.clamp {
-			if post > r.capacityJ {
-				post = r.capacityJ
-				remaining = r.capacityJ
-			}
-			if r.deficit[t]+post > r.capacityJ {
-				post = r.capacityJ - r.deficit[t]
-			}
-		}
-		r.deficit[t] += post
+		r.deficit[t] += remaining
 		r.first, r.last = min(r.first, t), max(r.last, t)
 		if r.deficit[t] > r.maxDeficit {
 			r.maxDeficit = r.deficit[t]
@@ -185,99 +171,97 @@ func sameAsRef(t *testing.T, what string, b *Battery, r *refLedger) {
 
 // TestSignedCellMatchesTwoArrayLedger drives the signed-cell ledger and the
 // two-array reference through the same seeded random Consume /
-// Undo.Consume / Rollback / commit sequences, in strict and in clamp mode.
+// Undo.Consume / Rollback / commit sequences.
 // After every operation the two must agree bit for bit on every slot's
 // deficit and solar, the bounds, the maximum and the stamp; errors must
 // match; and from a random slot on, PriceDeficit against a filled table
 // and VisitDeficit must equal the reference's walk over its
 // horizon-long table.
 func TestSignedCellMatchesTwoArrayLedger(t *testing.T) {
-	for _, clamp := range []bool{false, true} {
-		var rejected, rolledBack, priced, infeasible int
-		for seed := int64(1); seed <= 24; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			solar := make([]float64, driverHorizon)
-			for s := range solar {
-				if s%16 < 10 {
-					solar[s] = 30 + 10*rng.Float64()
-				}
+	var rejected, rolledBack, priced, infeasible int
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		solar := make([]float64, driverHorizon)
+		for s := range solar {
+			if s%16 < 10 {
+				solar[s] = 30 + 10*rng.Float64()
 			}
-			b, r := mustBattery(t, 2000, solar, clamp), newRefLedger(2000, solar, clamp)
-			var undo Undo
-			var refLog refUndo
-			var tab UnitPrices
-			open := false
-			for step := 0; step < 150; step++ {
-				switch op := rng.Intn(10); {
-				case op < 6:
-					ta, joules := rng.Intn(driverHorizon), 700*rng.Float64()
-					var err, refErr error
-					if open {
-						err, refErr = undo.Consume(b, ta, joules), r.consume(ta, joules, &refLog)
-					} else {
-						err, refErr = b.Consume(ta, joules), r.consume(ta, joules, nil)
-					}
-					var de, refDe *DepletionError
-					if (err == nil) != (refErr == nil) || errors.As(err, &de) != errors.As(refErr, &refDe) ||
-						(de != nil && (de.Slot != refDe.Slot || math.Float64bits(de.DeficitJ) != math.Float64bits(refDe.DeficitJ))) {
-						t.Fatalf("clamp %v seed %d step %d: Consume(%d, %v) = %v, reference %v", clamp, seed, step, ta, joules, err, refErr)
-					}
-					if err != nil {
-						rejected++
-					}
-				case op < 8:
-					undo.Reset()
-					refLog.ops, refLog.cells = refLog.ops[:0], refLog.cells[:0]
-					open = true
-				default:
-					if undo.Len() != len(refLog.cells) {
-						t.Fatalf("clamp %v seed %d step %d: log holds %d writes, reference %d", clamp, seed, step, undo.Len(), len(refLog.cells))
-					}
-					if undo.Len() > 0 {
-						rolledBack++
-					}
-					undo.Rollback()
-					r.rollback(&refLog)
+		}
+		b, r := mustBattery(t, 2000, solar), newRefLedger(2000, solar)
+		var undo Undo
+		var refLog refUndo
+		var tab UnitPrices
+		open := false
+		for step := 0; step < 150; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				ta, joules := rng.Intn(driverHorizon), 700*rng.Float64()
+				var err, refErr error
+				if open {
+					err, refErr = undo.Consume(b, ta, joules), r.consume(ta, joules, &refLog)
+				} else {
+					err, refErr = b.Consume(ta, joules), r.consume(ta, joules, nil)
 				}
-				what := fmt.Sprintf("clamp %v seed %d step %d", clamp, seed, step)
-				sameAsRef(t, what, b, r)
+				var de, refDe *DepletionError
+				if (err == nil) != (refErr == nil) || errors.As(err, &de) != errors.As(refErr, &refDe) ||
+					(de != nil && (de.Slot != refDe.Slot || math.Float64bits(de.DeficitJ) != math.Float64bits(refDe.DeficitJ))) {
+					t.Fatalf("seed %d step %d: Consume(%d, %v) = %v, reference %v", seed, step, ta, joules, err, refErr)
+				}
+				if err != nil {
+					rejected++
+				}
+			case op < 8:
+				undo.Reset()
+				refLog.ops, refLog.cells = refLog.ops[:0], refLog.cells[:0]
+				open = true
+			default:
+				if undo.Len() != len(refLog.cells) {
+					t.Fatalf("seed %d step %d: log holds %d writes, reference %d", seed, step, undo.Len(), len(refLog.cells))
+				}
+				if undo.Len() > 0 {
+					rolledBack++
+				}
+				undo.Rollback()
+				r.rollback(&refLog)
+			}
+			what := fmt.Sprintf("seed %d step %d", seed, step)
+			sameAsRef(t, what, b, r)
 
-				from := rng.Intn(driverHorizon)
-				b.FillUnitPrices(&tab, from, testPrice)
-				unit := r.units()
-				for ta := from; ta < driverHorizon; ta++ {
-					for _, j := range driverDraws {
-						wantCost, failSlot, _ := r.walk(ta, j, unit, r.limit())
-						cost, ok := b.PriceDeficit(ta, j, &tab)
-						if ok != (failSlot < 0) || (ok && math.Float64bits(cost) != math.Float64bits(wantCost)) {
-							t.Fatalf("%s: PriceDeficit(%d, %v) from %d = (%v, %v), reference (%v, fails at %d)",
-								what, ta, j, from, cost, ok, wantCost, failSlot)
-						}
-						priced++
-						if !ok {
-							infeasible++
-						}
-						var steps []float64
-						b.VisitDeficit(ta, j, func(s int, out float64) bool {
-							steps = append(steps, float64(s), out)
-							return true
-						})
-						want := r.visit(ta, j)
-						if len(steps) != len(want) {
-							t.Fatalf("%s: VisitDeficit(%d, %v) visits %d slots, reference %d", what, ta, j, len(steps)/2, len(want)/2)
-						}
-						for k := range want {
-							if math.Float64bits(steps[k]) != math.Float64bits(want[k]) {
-								t.Fatalf("%s: VisitDeficit(%d, %v) step %d = %v, reference %v", what, ta, j, k/2, steps[k], want[k])
-							}
+			from := rng.Intn(driverHorizon)
+			b.FillUnitPrices(&tab, from, testPrice)
+			unit := r.units()
+			for ta := from; ta < driverHorizon; ta++ {
+				for _, j := range driverDraws {
+					wantCost, failSlot, _ := r.walk(ta, j, unit, r.limit())
+					cost, ok := b.PriceDeficit(ta, j, &tab)
+					if ok != (failSlot < 0) || (ok && math.Float64bits(cost) != math.Float64bits(wantCost)) {
+						t.Fatalf("%s: PriceDeficit(%d, %v) from %d = (%v, %v), reference (%v, fails at %d)",
+							what, ta, j, from, cost, ok, wantCost, failSlot)
+					}
+					priced++
+					if !ok {
+						infeasible++
+					}
+					var steps []float64
+					b.VisitDeficit(ta, j, func(s int, out float64) bool {
+						steps = append(steps, float64(s), out)
+						return true
+					})
+					want := r.visit(ta, j)
+					if len(steps) != len(want) {
+						t.Fatalf("%s: VisitDeficit(%d, %v) visits %d slots, reference %d", what, ta, j, len(steps)/2, len(want)/2)
+					}
+					for k := range want {
+						if math.Float64bits(steps[k]) != math.Float64bits(want[k]) {
+							t.Fatalf("%s: VisitDeficit(%d, %v) step %d = %v, reference %v", what, ta, j, k/2, steps[k], want[k])
 						}
 					}
 				}
 			}
 		}
-		t.Logf("clamp %v: %d rejected draws, %d rollbacks, %d prices (%d infeasible)", clamp, rejected, rolledBack, priced, infeasible)
-		if rolledBack == 0 || priced == 0 || (!clamp && (rejected == 0 || infeasible == 0)) {
-			t.Fatalf("clamp %v: a case never occurred", clamp)
-		}
+	}
+	t.Logf("%d rejected draws, %d rollbacks, %d prices (%d infeasible)", rejected, rolledBack, priced, infeasible)
+	if rolledBack == 0 || priced == 0 || rejected == 0 || infeasible == 0 {
+		t.Fatal("a case never occurred")
 	}
 }

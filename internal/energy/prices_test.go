@@ -62,7 +62,7 @@ func runFromScript(t testing.TB, script []byte, tally *fromTally) {
 				solar[s] = 30 + 10*math.Mod(float64(s+7*i)*0.618, 1)
 			}
 		}
-		lanes[i] = &fromLane{b: mustBattery(t, 2000, solar, false)}
+		lanes[i] = &fromLane{b: mustBattery(t, 2000, solar)}
 	}
 	for step := 0; len(script) > 0; step++ {
 		op := next()
@@ -352,7 +352,7 @@ func TestFillFromBeforeSpanIsTheWholeSpanRefill(t *testing.T) {
 // filled from; asking it about an earlier one is a caller bug that must
 // not pass as a price.
 func TestPriceBeforeFilledSlotPanics(t *testing.T) {
-	b := mustBattery(t, 5000, constSolar(40, 0), false)
+	b := mustBattery(t, 5000, constSolar(40, 0))
 	if err := b.Consume(3, 500); err != nil {
 		t.Fatal(err)
 	}
@@ -422,8 +422,8 @@ func TestPairedKernelMatchesVisitDeficit(t *testing.T) {
 func TestPairCountsBothLanesOrNeither(t *testing.T) {
 	walks := obs.New().Counter("energy.deficit_walks")
 	in := &Instruments{DeficitWalks: walks}
-	b1 := mustBattery(t, 5000, constSolar(40, 0), false)
-	b2 := mustBattery(t, 5000, constSolar(40, 0), false)
+	b1 := mustBattery(t, 5000, constSolar(40, 0))
+	b2 := mustBattery(t, 5000, constSolar(40, 0))
 	b1.Instrument(in)
 	b2.Instrument(in)
 	for _, b := range []*Battery{b1, b2} {
@@ -453,7 +453,7 @@ func TestPairCountsBothLanesOrNeither(t *testing.T) {
 // TestCheckInvariantsCatchesStaleMaximum: the feasibility shortcut is
 // only sound while maxDeficit bounds every slot.
 func TestCheckInvariantsCatchesStaleMaximum(t *testing.T) {
-	b := mustBattery(t, 1000, constSolar(10, 0), false)
+	b := mustBattery(t, 1000, constSolar(10, 0))
 	if err := b.Consume(4, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestCheckInvariantsCatchesStaleMaximum(t *testing.T) {
 // claimed, so a draw at slot 0 walks exactly the span.
 func loadedBattery(tb testing.TB, span int) (*Battery, *UnitPrices) {
 	tb.Helper()
-	b, err := NewBattery(117000, constSolar(span+1, 1200), false)
+	b, err := NewBattery(117000, constSolar(span+1, 1200))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func (k *kernelTally) note(b *Battery, tab *UnitPrices, ta int, joules float64, 
 	}
 }
 
-// ledgerDriver puts one strict battery through a seeded random sequence
+// ledgerDriver puts one battery through a seeded random sequence
 // of Consume / begin / rollback operations: after a begin, consumptions
 // go through an undo log, and a rollback returns the ledger to where the
 // last begin found it.
@@ -139,7 +139,7 @@ func newLedgerDriver(t *testing.T, seed int64) *ledgerDriver {
 			solar[i] = 30 + 10*rng.Float64()
 		}
 	}
-	return &ledgerDriver{rng: rng, b: mustBattery(t, 2000, solar, false)}
+	return &ledgerDriver{rng: rng, b: mustBattery(t, 2000, solar)}
 }
 
 // step applies one random operation and reports whether the ledger
@@ -171,7 +171,7 @@ func (d *ledgerDriver) step() (mutated bool) {
 // 2000 J capacity once the ledger is loaded, and above capacity.
 var driverDraws = []float64{25, 180, 700, 2500}
 
-// TestTableWalkMatchesVisitDeficit drives strict batteries through seeded
+// TestTableWalkMatchesVisitDeficit drives batteries through seeded
 // random Consume / begin / rollback sequences and, after every step,
 // requires the table walk and PriceDeficit to equal the VisitDeficit
 // reference bit for bit: cost, feasibility and failing slot — whichever
@@ -201,7 +201,7 @@ func TestTableWalkMatchesVisitDeficit(t *testing.T) {
 // place must not keep that consumption's prices once a rollback moves the
 // first-deficit bound back up past them.
 func TestRestoreMovesFirstDeficitBackUp(t *testing.T) {
-	b := mustBattery(t, 5000, constSolar(40, 20), false)
+	b := mustBattery(t, 5000, constSolar(40, 20))
 	if err := b.Consume(25, 600); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestRestoreMovesFirstDeficitBackUp(t *testing.T) {
 // TestStampMovesOnEveryMutation pins the stamp contract that table owners
 // rely on.
 func TestStampMovesOnEveryMutation(t *testing.T) {
-	b := mustBattery(t, 1000, constSolar(10, 5), false)
+	b := mustBattery(t, 1000, constSolar(10, 5))
 	last := b.Stamp()
 	moved := func(what string) {
 		t.Helper()
@@ -276,7 +276,7 @@ func TestStampMovesOnEveryMutation(t *testing.T) {
 // vacuous: a deficit outside the recorded span, one above capacity and a
 // NaN cell are reported.
 func TestCheckInvariantsCatchesBrokenBounds(t *testing.T) {
-	b := mustBattery(t, 1000, constSolar(10, 0), false)
+	b := mustBattery(t, 1000, constSolar(10, 0))
 	if err := b.Consume(4, 100); err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func materialize(v *View) *graph.Graph {
 // adjacency against a materialized copy: identical shortest paths for
 // several cost regimes, with and without transit costs.
 func TestViewEquivalentToExplicitGraph(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 
 	costFns := map[string]EdgeCostFunc{

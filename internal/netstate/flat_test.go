@@ -13,7 +13,7 @@ import (
 // TestBuildViewErrors mirrors TestNewViewErrors: the flat builder must
 // reject exactly the inputs the generic constructor rejects.
 func TestBuildViewErrors(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	sc := NewSearchScratch()
 	if _, err := sc.BuildView(nil, 0, groundEP(0), groundEP(1), 100, hopCost); err == nil {
 		t.Error("nil state should error")
@@ -42,7 +42,7 @@ func TestBuildViewErrors(t *testing.T) {
 // masked edges read through the ledger's rows (flat) and through
 // LinkKey access (generic).
 func TestFlatViewMirrorsGenericView(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 	sc := NewSearchScratch()
 
@@ -146,7 +146,7 @@ func TestFlatViewMirrorsGenericView(t *testing.T) {
 // pruned=true and find nothing better, and with the budget exactly at
 // the path cost it must return the same path as the unbudgeted search.
 func TestFlatSearchBudgetPruning(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 	sc := NewSearchScratch()
 	fv, err := sc.BuildView(s, slot, groundEP(0), groundEP(1), 100, hopCost)
@@ -200,7 +200,7 @@ func walkEdges(n int, visit func(int, func(graph.Edge) bool)) []graph.Edge {
 // off — every ISL is masked and the blame scratch ends where the generic
 // walk leaves it.
 func TestIdleISLCostNeedsDemandWithinCapacity(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	s.EnableHotspots(obs.New(), 4)
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 	var loaded []float64
@@ -288,7 +288,7 @@ func TestIdleISLCostNeedsDemandWithinCapacity(t *testing.T) {
 // the generic search's. On the same endpoints one slot later, where
 // nothing is reserved, the declared view never calls it for an ISL.
 func TestIdleShortcutNeverFiresOnSaturatedSlot(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 	for sat := 0; sat < s.numSats; sat++ {
 		for i, to := range s.Provider().ISLNeighbors(sat) {
@@ -350,7 +350,7 @@ func TestIdleShortcutNeverFiresOnSaturatedSlot(t *testing.T) {
 // a satellite whose four ISLs are full is settled but never asked for its
 // ISL-out cost; and the two searches ask exactly the same questions.
 func TestTransitAskedOncePerPoppedState(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 	srcVis, err := s.Provider().VisibleSats(groundEP(0), slot)
 	if err != nil {

@@ -112,9 +112,9 @@ func (s *State) noteBlockedLink(key LinkKey, util float64) {
 }
 
 // NoteDepletedSat records a satellite whose battery made an edge or a
-// trial consumption infeasible for the current request. The energy
-// pricing layer calls it when a transit cost goes infinite; the trial
-// paths call it on depletion errors.
+// draw infeasible for the current request. The energy pricing layer
+// calls it when a transit cost goes infinite; Txn.Consume calls it when
+// a battery refuses a draw.
 func (s *State) NoteDepletedSat(sat int) {
 	h := &s.hot
 	if !h.enabled {

@@ -116,7 +116,7 @@ func compareLedger(t *testing.T, step int, s *State, ref *refLedger, pool []Link
 func TestLedgerMatchesReferenceMap(t *testing.T) {
 	sites := []grid.Site{{ID: 0, LatDeg: 40, LonDeg: -74}, {ID: 1, LatDeg: 51, LonDeg: 0}}
 	for seed := int64(1); seed <= 4; seed++ {
-		s := newTestState(t, sites, false)
+		s := newTestState(t, sites)
 		ref := &refLedger{used: make(map[refCell]float64), capacity: s.linkCapacity}
 		pool := ledgerPool(s)
 		horizon := s.Provider().Horizon()
@@ -197,7 +197,7 @@ func TestLedgerMatchesReferenceMap(t *testing.T) {
 // TestLedgerRejectsNonISLPairs: two satellites that are not +Grid
 // neighbours have no link to reserve; reads on the pair are zero.
 func TestLedgerRejectsNonISLPairs(t *testing.T) {
-	s := newTestState(t, nil, false)
+	s := newTestState(t, nil)
 	key := MakeLinkKey(0, 50)
 	if s.islEdge(0, 50) >= 0 {
 		t.Fatal("test premise: satellites 0 and 50 must not be neighbours")
@@ -217,7 +217,7 @@ func TestLedgerRejectsNonISLPairs(t *testing.T) {
 // one slot, CheckInvariants names the one with the smaller key on every
 // call, not whichever the map's iteration order reaches first.
 func TestCheckLedgerNamesSmallestFault(t *testing.T) {
-	s := newTestState(t, []grid.Site{{ID: 0, LatDeg: 40, LonDeg: -74}}, false)
+	s := newTestState(t, []grid.Site{{ID: 0, LatDeg: 40, LonDeg: -74}})
 	site := s.Provider().NumSats()
 	small, large := MakeLinkKey(site, 3), MakeLinkKey(site, 40)
 	s.usl[2] = map[LinkKey]float64{small: 2 * s.uslCapMbps, large: 3 * s.uslCapMbps}
@@ -256,7 +256,7 @@ func TestCheckInvariantsReportsBadRelease(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newTestState(t, []grid.Site{{ID: 0, LatDeg: 40, LonDeg: -74}}, false)
+			s := newTestState(t, []grid.Site{{ID: 0, LatDeg: 40, LonDeg: -74}})
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatalf("fresh state: %v", err)
 			}
@@ -268,7 +268,7 @@ func TestCheckInvariantsReportsBadRelease(t *testing.T) {
 	}
 
 	// Float dust is not a fault: (a+r1+r2)-r1-r2 may land a hair below a.
-	s := newTestState(t, nil, false)
+	s := newTestState(t, nil)
 	for _, r := range []float64{0.1, 0.2, 0.3} {
 		if err := s.ReserveLink(isl, 0, r); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,10 @@
 package netstate
 
 import (
+	"errors"
 	"fmt"
 
+	"spacebooking/internal/energy"
 	"spacebooking/internal/graph"
 	"spacebooking/internal/topology"
 )
@@ -36,7 +38,7 @@ const (
 	// take the plan price past the budget.
 	SlotBudgetPruned
 	// SlotEnergyInfeasible: the min-cost path's draws do not fit its
-	// batteries together; the error is TrialConsume's and names the
+	// batteries together; the error is the refused draw's and names the
 	// satellite.
 	SlotEnergyInfeasible
 )
@@ -56,15 +58,15 @@ func NewReferenceScratch() *SearchScratch { return &SearchScratch{reference: tru
 // RouteSlot is the one step every admission algorithm runs per active
 // slot of a request (Algorithm 1, lines 2-4 and 7-16 for one slot): find
 // the min-cost src->dst path for the demand under the algorithm's prices,
-// trial its energy draws as a whole, then reserve its bandwidth and consume
-// its energy inside txn, so the next slot's search sees them. spent and
-// budget prune the search exactly as FlatView.Search documents; pass
-// budget = +Inf to search exhaustively.
+// consume its energy and then reserve its bandwidth inside txn, so the
+// next slot's search sees them. spent and budget prune the search exactly
+// as FlatView.Search documents; pass budget = +Inf to search exhaustively.
 //
 // The path is returned for SlotRouted and SlotEnergyInfeasible. The error
 // is non-nil for SlotFailed and SlotEnergyInfeasible only. On every outcome
-// but SlotRouted the caller rolls the transaction back: a failed commit
-// may have reserved part of the path.
+// but SlotRouted the caller rolls the transaction back: a refused draw
+// leaves the slot's earlier draws applied, and a failed reservation part
+// of the path reserved.
 func (sc *SearchScratch) RouteSlot(txn *Txn, slot int, src, dst topology.Endpoint, demandMbps float64,
 	search *SlotSearch, spent, budget float64) (graph.Path, SlotOutcome, error) {
 	state := txn.state
@@ -110,15 +112,19 @@ func (sc *SearchScratch) RouteSlot(txn *Txn, slot int, src, dst topology.Endpoin
 	// The transit mask checks each (satellite, role) draw on its own, but a
 	// path may visit one satellite in two roles (ingress and egress gateway
 	// of the same slot, say) whose draws are individually feasible yet
-	// jointly not — trial the slot as a whole before committing.
-	if err := state.TrialConsume(cons); err != nil {
-		return path, SlotEnergyInfeasible, err
+	// jointly not: the transaction's own atomic-per-battery Consume gives
+	// that verdict. The energy goes first so that a refused slot has
+	// touched no link — Rollback restores battery cells bit for bit, but a
+	// released link keeps the (a+r)−r dust.
+	if err := txn.Consume(cons); err != nil {
+		var depleted *energy.DepletionError
+		if errors.As(err, &depleted) {
+			return path, SlotEnergyInfeasible, err
+		}
+		return path, SlotFailed, fmt.Errorf("consume energy along path %v: %w", path.Nodes, err)
 	}
 	if err := txn.ReservePath(sv, path); err != nil {
 		return path, SlotFailed, fmt.Errorf("reserve path %v: %w", path.Nodes, err)
-	}
-	if err := txn.Consume(cons); err != nil {
-		return path, SlotFailed, fmt.Errorf("consume energy along path %v: %w", path.Nodes, err)
 	}
 	return path, SlotRouted, nil
 }

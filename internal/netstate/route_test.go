@@ -1,11 +1,15 @@
 package netstate
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spacebooking/internal/graph"
+	"spacebooking/internal/grid"
+	"spacebooking/internal/obs"
 )
 
 // slotSnapshot is everything one slot step can touch: the reservation of
@@ -47,16 +51,47 @@ func takeSlotSnapshot(t *testing.T, s *State, slot int) slotSnapshot {
 	return snap
 }
 
+// sharedSat returns the first slot in which one satellite sees both
+// ground sites, and the first such satellite the source sees.
+func sharedSat(t *testing.T, s *State) (slot, sat int) {
+	t.Helper()
+	for slot := 0; slot < s.Provider().Horizon(); slot++ {
+		a, err := s.Provider().VisibleSats(groundEP(0), slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.Provider().VisibleSats(groundEP(1), slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range a {
+			for _, y := range b {
+				if x == y {
+					return slot, x
+				}
+			}
+		}
+	}
+	t.Skip("no satellite sees both sites")
+	return -1, -1
+}
+
 // TestRouteSlotOutcomes drives the one slot step into each of its four
 // outcomes on a loaded ledger, on the flat scratch and on the reference
-// scratch: both must return the same outcome and path and leave the same
-// ledger, and after Rollback every battery must hold its pre-call bits,
-// every link cell its pre-call value — exactly where the cell was idle,
-// up to the (a+r)−r rounding of a release otherwise — with the invariants
-// intact.
+// scratch: both must return the same outcome, path and error and leave
+// the same ledger, and after Rollback every battery must hold its
+// pre-call bits, every link cell its pre-call value — exactly where the
+// cell was idle, up to the (a+r)−r rounding of a release otherwise — with
+// the invariants intact. Only a routed slot touches a link; a refused
+// draw names its satellite and is blamed on it.
 func TestRouteSlotOutcomes(t *testing.T) {
 	weighted := func(node int, in, out graph.EdgeClass) float64 { return 0.25 * float64(node%5) }
 	const loadMbps = 123.456
+	// Two sites 130 km apart, so that one satellite sees both.
+	nearSites := []grid.Site{
+		{ID: 0, LatDeg: 40.7, LonDeg: -74.0}, // New York
+		{ID: 1, LatDeg: 39.9, LonDeg: -75.2}, // Philadelphia
+	}
 
 	for _, tc := range []struct {
 		name          string
@@ -65,6 +100,12 @@ func TestRouteSlotOutcomes(t *testing.T) {
 		spent, budget float64
 		transit       graph.TransitCostFunc
 		drain         bool
+		// twoRoles, when positive, makes the path visit one satellite as
+		// ingress gateway and again as egress gateway (every other
+		// gateway role and the single-satellite hop are masked), and
+		// leaves that satellite room for its larger draw plus twoRoles
+		// times its smaller one: each draw fits alone, both do not.
+		twoRoles float64
 	}{
 		{name: "routed", want: SlotRouted, demand: 777.7, budget: math.Inf(1), transit: weighted},
 		// No USL carries one and a half times its capacity.
@@ -73,17 +114,33 @@ func TestRouteSlotOutcomes(t *testing.T) {
 		{name: "budget-pruned", want: SlotBudgetPruned, demand: 777.7, spent: 1, budget: 2, transit: weighted},
 		// Nothing masks the drained satellites, so the path's draws fail the trial.
 		{name: "energy-infeasible", want: SlotEnergyInfeasible, demand: 777.7, budget: math.Inf(1), drain: true},
+		{name: "two-roles", want: SlotEnergyInfeasible, demand: 777.7, budget: math.Inf(1), twoRoles: 0.5},
+		{name: "two-roles-tight", want: SlotEnergyInfeasible, demand: 777.7, budget: math.Inf(1), twoRoles: 0.999},
 	} {
 		type result struct {
 			path    graph.Path
 			outcome SlotOutcome
+			err     string
 			after   slotSnapshot
 		}
 		var results []result
 		for _, sc := range []*SearchScratch{NewSearchScratch(), NewReferenceScratch()} {
-			s := newTestState(t, twoCitySites(), false)
+			s := newTestState(t, twoCitySites())
 			slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 			search := &SlotSearch{EdgeCost: hopCost, Transit: tc.transit}
+			twoRoleSat := -1
+			if tc.twoRoles > 0 {
+				s = newTestState(t, nearSites)
+				slot, twoRoleSat = sharedSat(t, s)
+				search.Transit = func(node int, in, out graph.EdgeClass) float64 {
+					gateway := in == graph.ClassUSL || out == graph.ClassUSL
+					if gateway && (node != twoRoleSat || in == out) {
+						return math.Inf(1)
+					}
+					return 0
+				}
+			}
+			s.EnableHotspots(obs.New(), 4)
 
 			// Load the ledger through the same step: the cells and batteries
 			// of the path it takes are then no longer idle.
@@ -101,8 +158,19 @@ func TestRouteSlotOutcomes(t *testing.T) {
 					}
 				}
 			}
+			if tc.twoRoles > 0 {
+				cfg, secs := s.EnergyConfig(), s.Provider().Config().SlotSeconds
+				ingress := cfg.TransitEnergyJ(graph.ClassUSL, graph.ClassISL, tc.demand, secs)
+				egress := cfg.TransitEnergyJ(graph.ClassISL, graph.ClassUSL, tc.demand, secs)
+				b := s.Battery(twoRoleSat)
+				left := max(ingress, egress) + tc.twoRoles*min(ingress, egress)
+				if err := b.Consume(slot, b.SolarRemainingAt(slot)+b.CapacityJ()-b.DeficitAt(slot)-left); err != nil {
+					t.Fatal(err)
+				}
+			}
 
 			before := takeSlotSnapshot(t, s, slot)
+			s.BeginBlame()
 			txn = s.Begin()
 			path, outcome, err := sc.RouteSlot(txn, slot, groundEP(0), groundEP(1), tc.demand, search, tc.spent, tc.budget)
 			if outcome != tc.want {
@@ -111,11 +179,35 @@ func TestRouteSlotOutcomes(t *testing.T) {
 			if (err != nil) != (tc.want == SlotEnergyInfeasible) {
 				t.Fatalf("%s (reference %v): err = %v", tc.name, sc.reference, err)
 			}
-			after := takeSlotSnapshot(t, s, slot)
-			if touched := !reflect.DeepEqual(before, after); touched != (tc.want == SlotRouted) {
-				t.Fatalf("%s (reference %v): ledger touched = %v", tc.name, sc.reference, touched)
+			if tc.want == SlotEnergyInfeasible {
+				blamed := s.hot.blameSat
+				if !s.hot.blameSatSet || !strings.Contains(err.Error(), fmt.Sprintf("satellite %d:", blamed)) {
+					t.Fatalf("%s (reference %v): blamed satellite %d (set %v), error %q", tc.name, sc.reference, blamed, s.hot.blameSatSet, err)
+				}
+				visits := 0
+				for _, n := range path.Nodes {
+					if n == twoRoleSat {
+						visits++
+					}
+				}
+				if twoRoleSat >= 0 && (visits != 2 || blamed != twoRoleSat) {
+					t.Fatalf("%s (reference %v): blamed satellite %d, want the two-role satellite %d on path %v", tc.name, sc.reference, blamed, twoRoleSat, path.Nodes)
+				}
 			}
-			results = append(results, result{path, outcome, after})
+			after := takeSlotSnapshot(t, s, slot)
+			if touched := !reflect.DeepEqual(before.links, after.links); touched != (tc.want == SlotRouted) {
+				t.Fatalf("%s (reference %v): links touched = %v", tc.name, sc.reference, touched)
+			}
+			// A refused two-role slot has already drawn the ingress and
+			// relay energy; the caller's Rollback takes it back.
+			if touched := !reflect.DeepEqual(before.batteries, after.batteries); touched != (tc.want == SlotRouted || twoRoleSat >= 0) {
+				t.Fatalf("%s (reference %v): batteries touched = %v", tc.name, sc.reference, touched)
+			}
+			msg := ""
+			if err != nil {
+				msg = err.Error()
+			}
+			results = append(results, result{path, outcome, msg, after})
 
 			txn.Rollback()
 			undone := takeSlotSnapshot(t, s, slot)
@@ -140,8 +232,8 @@ func TestRouteSlotOutcomes(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(results[0], results[1]) {
-			t.Fatalf("%s: the scratches disagree\nflat:      %+v %d\nreference: %+v %d",
-				tc.name, results[0].path, results[0].outcome, results[1].path, results[1].outcome)
+			t.Fatalf("%s: the scratches disagree\nflat:      %+v %d %q\nreference: %+v %d %q",
+				tc.name, results[0].path, results[0].outcome, results[0].err, results[1].path, results[1].outcome, results[1].err)
 		}
 	}
 }

@@ -10,7 +10,6 @@ package netstate
 
 import (
 	"fmt"
-	"sort"
 
 	"spacebooking/internal/energy"
 	"spacebooking/internal/graph"
@@ -174,7 +173,6 @@ type stateInstruments struct {
 	txnCommits    *obs.Counter
 	txnRollbacks  *obs.Counter
 	linkReserves  *obs.Counter
-	trialConsumes *obs.Counter
 	scratchReuses *obs.Counter
 	// commitNanos accumulates wall time in the transaction commit path
 	// (ReservePath + Consume). Nil — no clock reads — unless
@@ -192,8 +190,8 @@ type stateInstruments struct {
 // no-op). Call before the run starts; the State is single-owner, so the
 // handles are plain fields. The search and battery instruments are
 // built here too and threaded down explicitly: flat views read the
-// search handle from the state, and every battery (including clones the
-// trial paths make) carries the energy handle.
+// search handle from the state, and every battery carries the energy
+// handle.
 func (s *State) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -202,7 +200,6 @@ func (s *State) SetObs(reg *obs.Registry) {
 		txnCommits:    reg.Counter("netstate.txn.commits"),
 		txnRollbacks:  reg.Counter("netstate.txn.rollbacks"),
 		linkReserves:  reg.Counter("netstate.link.reservations"),
-		trialConsumes: reg.Counter("netstate.trial_consumes"),
 		scratchReuses: reg.Counter("netstate.scratch.reuses"),
 		search: &SearchInstruments{
 			HeapPops:         reg.Counter("graph.dijkstra.heap_pops"),
@@ -248,9 +245,9 @@ func (s *State) EnableTraceDetail(reg *obs.Registry) {
 
 // New builds the resource state: empty link ledgers and one battery per
 // broadband satellite, with solar input derived from the satellite's
-// sunlit profile. clampBatteries selects baseline-mode energy accounting
-// (saturate at empty) versus CEAR's strict constraint (7c).
-func New(prov *topology.Provider, energyCfg EnergyConfig, clampBatteries bool) (*State, error) {
+// sunlit profile. Every algorithm runs under constraint (7c): no battery
+// is ever drawn below empty.
+func New(prov *topology.Provider, energyCfg EnergyConfig) (*State, error) {
 	if prov == nil {
 		return nil, fmt.Errorf("netstate: nil provider")
 	}
@@ -269,7 +266,7 @@ func New(prov *topology.Provider, energyCfg EnergyConfig, clampBatteries bool) (
 		usl:        make([]map[LinkKey]float64, cfg.Horizon),
 	}
 	batteries, err := energy.NewFleet(prov.NumSats(), cfg.Horizon, energyCfg.BatteryCapacityJ,
-		energyCfg.PanelWatts*cfg.SlotSeconds, clampBatteries, prov.SunlitRow)
+		energyCfg.PanelWatts*cfg.SlotSeconds, prov.SunlitRow)
 	if err != nil {
 		return nil, fmt.Errorf("netstate: batteries: %w", err)
 	}
@@ -338,65 +335,4 @@ type Consumption struct {
 	Sat    int
 	Slot   int
 	Joules float64
-}
-
-// TrialConsume reports whether the batch of consumptions is jointly
-// feasible (applied in slot order) without mutating any ledger. The
-// admission algorithms use it to trial one slot's path as a whole before
-// committing: a path can transit the same satellite in two roles whose
-// draws are individually feasible but jointly not (constraint (7c)).
-func (s *State) TrialConsume(consumptions []Consumption) error {
-	s.instr.trialConsumes.Inc()
-	// Fast path: when every consumption hits a distinct satellite (the
-	// overwhelmingly common case — only a path that transits the same
-	// satellite twice under different link classes produces duplicates),
-	// a batch trial is just independent single trials, and a single
-	// trial needs no battery clone: Battery.TrialConsume replicates
-	// Consume's feasibility check and error construction exactly. Paths
-	// are a few hops long, so the duplicate scan is a handful of
-	// comparisons, not a map.
-	dup := false
-scan:
-	for i := 1; i < len(consumptions); i++ {
-		for j := 0; j < i; j++ {
-			if consumptions[j].Sat == consumptions[i].Sat {
-				dup = true
-				break scan
-			}
-		}
-	}
-	if !dup {
-		for _, c := range consumptions {
-			if err := s.batteries[c.Sat].TrialConsume(c.Slot, c.Joules); err != nil {
-				s.NoteDepletedSat(c.Sat)
-				return fmt.Errorf("netstate: satellite %d: %w", c.Sat, err)
-			}
-		}
-		return nil
-	}
-	// Slow path (duplicate satellites): the draws interact through one
-	// ledger, so replay them in slot order on a clone. Satellites are
-	// tried in path order, not map order: which one a failing trial
-	// names (and how many walks it took to find) must not vary from run
-	// to run.
-	bySat := make(map[int][]Consumption)
-	var order []int
-	for _, c := range consumptions {
-		if _, seen := bySat[c.Sat]; !seen {
-			order = append(order, c.Sat)
-		}
-		bySat[c.Sat] = append(bySat[c.Sat], c)
-	}
-	for _, sat := range order {
-		cs := bySat[sat]
-		clone := s.batteries[sat].Clone()
-		sort.Slice(cs, func(i, j int) bool { return cs[i].Slot < cs[j].Slot })
-		for _, c := range cs {
-			if err := clone.Consume(c.Slot, c.Joules); err != nil {
-				s.NoteDepletedSat(sat)
-				return fmt.Errorf("netstate: satellite %d: %w", sat, err)
-			}
-		}
-	}
-	return nil
 }

@@ -26,9 +26,9 @@ func smallProvider(t *testing.T, sites []grid.Site) *topology.Provider {
 	return p
 }
 
-func newTestState(t *testing.T, sites []grid.Site, clamp bool) *State {
+func newTestState(t *testing.T, sites []grid.Site) *State {
 	t.Helper()
-	s, err := New(smallProvider(t, sites), DefaultEnergyConfig(), clamp)
+	s, err := New(smallProvider(t, sites), DefaultEnergyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTransitEnergyRoles(t *testing.T) {
 }
 
 func TestStateConstruction(t *testing.T) {
-	s := newTestState(t, nil, false)
+	s := newTestState(t, nil)
 	if s.Provider().NumSats() != 96 {
 		t.Fatalf("NumSats = %d", s.Provider().NumSats())
 	}
@@ -127,18 +127,18 @@ func TestStateConstruction(t *testing.T) {
 }
 
 func TestNewErrors(t *testing.T) {
-	if _, err := New(nil, DefaultEnergyConfig(), false); err == nil {
+	if _, err := New(nil, DefaultEnergyConfig()); err == nil {
 		t.Error("nil provider should error")
 	}
 	bad := DefaultEnergyConfig()
 	bad.BatteryCapacityJ = -1
-	if _, err := New(smallProvider(t, nil), bad, false); err == nil {
+	if _, err := New(smallProvider(t, nil), bad); err == nil {
 		t.Error("bad energy config should error")
 	}
 }
 
 func TestLinkCapacityByKind(t *testing.T) {
-	s := newTestState(t, []grid.Site{{ID: 0}}, false)
+	s := newTestState(t, []grid.Site{{ID: 0}})
 	numSats := s.Provider().NumSats()
 	isl := MakeLinkKey(0, 1)
 	usl := MakeLinkKey(numSats, 3) // ground site -> satellite
@@ -151,7 +151,7 @@ func TestLinkCapacityByKind(t *testing.T) {
 }
 
 func TestReserveAndQueryLink(t *testing.T) {
-	s := newTestState(t, nil, false)
+	s := newTestState(t, nil)
 	key := MakeLinkKey(0, 1)
 	if got := s.LinkUtilization(key, 3); got != 0 {
 		t.Errorf("fresh utilization = %v", got)
@@ -172,7 +172,7 @@ func TestReserveAndQueryLink(t *testing.T) {
 }
 
 func TestReserveLinkOverSubscription(t *testing.T) {
-	s := newTestState(t, nil, false)
+	s := newTestState(t, nil)
 	key := MakeLinkKey(0, 1)
 	if err := s.ReserveLink(key, 0, 19000); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestReserveLinkOverSubscription(t *testing.T) {
 }
 
 func TestReserveLinkArgErrors(t *testing.T) {
-	s := newTestState(t, nil, false)
+	s := newTestState(t, nil)
 	key := MakeLinkKey(0, 1)
 	if err := s.ReserveLink(key, 0, 0); err == nil {
 		t.Error("zero rate should error")
@@ -208,7 +208,7 @@ func TestReserveLinkArgErrors(t *testing.T) {
 }
 
 func TestCongestedLinkCount(t *testing.T) {
-	s := newTestState(t, nil, false)
+	s := newTestState(t, nil)
 	a, b := MakeLinkKey(0, 1), MakeLinkKey(1, 2)
 	if err := s.ReserveLink(a, 2, 19000); err != nil { // residual 1000 < 10% of 20000
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestCongestedLinkCount(t *testing.T) {
 }
 
 func TestDepletedSatCount(t *testing.T) {
-	s := newTestState(t, nil, false)
+	s := newTestState(t, nil)
 	if got := s.DepletedSatCount(0, 0.2); got != 0 {
 		t.Fatalf("fresh state depleted = %d", got)
 	}
@@ -240,41 +240,5 @@ func TestDepletedSatCount(t *testing.T) {
 	}
 	if got := s.DepletedSatCount(0, 0.2); got != 0 {
 		t.Errorf("slot 0 depleted = %d, want 0", got)
-	}
-}
-
-func TestTrialAndCommitConsume(t *testing.T) {
-	s := newTestState(t, nil, false)
-	capJ := s.Battery(0).CapacityJ()
-	// Find a slot where satellite 0 is in umbra so solar cannot absorb.
-	dark := -1
-	for slot := 0; slot < s.Provider().Horizon(); slot++ {
-		if !s.Provider().Sunlit(slot, 0) {
-			dark = slot
-			break
-		}
-	}
-	if dark < 0 {
-		t.Skip("satellite 0 never in umbra within horizon")
-	}
-	good := []Consumption{{Sat: 0, Slot: dark, Joules: capJ * 0.4}, {Sat: 0, Slot: dark, Joules: capJ * 0.4}}
-	if err := s.TrialConsume(good); err != nil {
-		t.Fatalf("feasible trial rejected: %v", err)
-	}
-	// Trial must not mutate.
-	if s.Battery(0).DeficitAt(dark) != 0 {
-		t.Fatal("TrialConsume mutated the battery")
-	}
-	bad := []Consumption{{Sat: 0, Slot: dark, Joules: capJ * 0.7}, {Sat: 0, Slot: dark, Joules: capJ * 0.7}}
-	if err := s.TrialConsume(bad); err == nil {
-		t.Fatal("infeasible trial accepted")
-	}
-	txn := s.Begin()
-	if err := txn.Consume(good); err != nil {
-		t.Fatal(err)
-	}
-	txn.Commit()
-	if got := s.Battery(0).DeficitAt(dark); math.Abs(got-capJ*0.8) > 1e-6 {
-		t.Errorf("deficit = %v, want %v", got, capJ*0.8)
 	}
 }

@@ -94,7 +94,8 @@ func (t *Txn) ReservePath(v SlotView, p graph.Path) error {
 
 // Consume applies energy consumptions, logging each cell it writes. On
 // error the failed battery is left untouched (Consume is atomic per
-// battery); previously applied consumptions remain until Rollback.
+// battery) and noted for hot-spot blame; previously applied consumptions
+// remain until Rollback.
 func (t *Txn) Consume(consumptions []Consumption) error {
 	if t.done {
 		return fmt.Errorf("netstate: transaction already finished")
@@ -105,6 +106,7 @@ func (t *Txn) Consume(consumptions []Consumption) error {
 	a := &t.state.txn
 	for _, c := range consumptions {
 		if err := a.undo.Consume(t.state.batteries[c.Sat], c.Slot, c.Joules); err != nil {
+			t.state.NoteDepletedSat(c.Sat)
 			return fmt.Errorf("netstate: satellite %d: %w", c.Sat, err)
 		}
 		if t.state.hot.enabled {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestTxnCommitKeepsChanges(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 	v, err := NewView(s, slot, groundEP(0), groundEP(1), 500, hopCost)
 	if err != nil {
@@ -43,7 +43,7 @@ func TestTxnCommitKeepsChanges(t *testing.T) {
 }
 
 func TestTxnRollbackRestoresEverything(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 	v, err := NewView(s, slot, groundEP(0), groundEP(1), 750, hopCost)
 	if err != nil {
@@ -103,7 +103,7 @@ func TestTxnRollbackRestoresEverything(t *testing.T) {
 }
 
 func TestTxnRollbackIdempotent(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	txn := s.Begin()
 	if err := txn.Consume([]Consumption{{Sat: 0, Slot: 0, Joules: 100}}); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestTxnRollbackIdempotent(t *testing.T) {
 }
 
 func TestTxnFinishedRejectsFurtherUse(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	txn := s.Begin()
 	txn.Commit()
 	if err := txn.Consume([]Consumption{{Sat: 0, Slot: 0, Joules: 1}}); err == nil {
@@ -135,7 +135,7 @@ func TestTxnFinishedRejectsFurtherUse(t *testing.T) {
 func TestTxnPartialFailureThenRollback(t *testing.T) {
 	// Strict batteries: an infeasible consume fails mid-transaction; the
 	// rollback must still restore the earlier successful consumptions.
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	capJ := s.Battery(3).CapacityJ()
 	dark := -1
 	for slot := 0; slot < s.Provider().Horizon(); slot++ {
@@ -161,7 +161,7 @@ func TestTxnPartialFailureThenRollback(t *testing.T) {
 }
 
 func TestUnreserveLinkClampsAtZero(t *testing.T) {
-	s := newTestState(t, nil, false)
+	s := newTestState(t, nil)
 	key := MakeLinkKey(0, 1)
 	if err := s.ReserveLink(key, 2, 100); err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestUnreserveLinkClampsAtZero(t *testing.T) {
 // buffers at the size of the largest single one: a second sweep over
 // the satellites allocates nothing. Rollbacks still restore exactly.
 func TestUndoLogIsSizedByTheTransaction(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	numSats, horizon := s.Provider().NumSats(), s.Provider().Horizon()
 	const perTxn = 3
 	largest := 0
@@ -232,7 +232,7 @@ func TestUndoLogIsSizedByTheTransaction(t *testing.T) {
 // so the Txn lives on the caller's stack, and a warm undo log serves a
 // whole Begin/Consume/Rollback cycle without touching the heap.
 func TestTxnCycleDoesNotAllocate(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	cons := []Consumption{{Sat: 0, Slot: 2, Joules: 5000}, {Sat: 1, Slot: 2, Joules: 5000}}
 	cycle := func() {
 		txn := s.Begin()
@@ -261,7 +261,7 @@ func TestHotspotTrackingAllocations(t *testing.T) {
 		k       int
 		ceiling float64
 	}{{0, 0}, {32, hotspotAllocCeiling}} {
-		s := newTestState(t, twoCitySites(), false)
+		s := newTestState(t, twoCitySites())
 		s.EnableHotspots(obs.New(), tc.k)
 		slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 		v, err := NewView(s, slot, groundEP(0), groundEP(1), 1, hopCost)

@@ -53,7 +53,7 @@ func findRoutableSlotFrom(t *testing.T, s *State, src, dst topology.Endpoint, fr
 }
 
 func TestNewViewErrors(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	if _, err := NewView(nil, 0, groundEP(0), groundEP(1), 100, hopCost); err == nil {
 		t.Error("nil state should error")
 	}
@@ -72,7 +72,7 @@ func TestNewViewErrors(t *testing.T) {
 }
 
 func TestViewStructure(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 	v, err := NewView(s, slot, groundEP(0), groundEP(1), 100, hopCost)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestViewStructure(t *testing.T) {
 }
 
 func TestViewEndToEndRouting(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 	v, err := NewView(s, slot, groundEP(0), groundEP(1), 100, hopCost)
 	if err != nil {
@@ -155,7 +155,7 @@ func TestViewEndToEndRouting(t *testing.T) {
 }
 
 func TestViewMasksSaturatedLinks(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 	srcVis, err := s.Provider().VisibleSats(groundEP(0), slot)
 	if err != nil {
@@ -191,7 +191,7 @@ func TestViewMasksSaturatedLinks(t *testing.T) {
 }
 
 func TestViewPathConsumptions(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 	v, err := NewView(s, slot, groundEP(0), groundEP(1), 800, hopCost)
 	if err != nil {
@@ -235,7 +235,7 @@ func TestViewPathConsumptions(t *testing.T) {
 // TestViewReservePathBandwidth reserves a path found on the generic View
 // through a transaction, as the reference branch of RouteSlot does.
 func TestViewReservePathBandwidth(t *testing.T) {
-	s := newTestState(t, twoCitySites(), false)
+	s := newTestState(t, twoCitySites())
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 	v, err := NewView(s, slot, groundEP(0), groundEP(1), 500, hopCost)
 	if err != nil {

@@ -39,7 +39,7 @@ func Greedy(prov *topology.Provider, energyCfg netstate.EnergyConfig, reqs []wor
 	if prov == nil {
 		return Result{}, fmt.Errorf("offline: nil provider")
 	}
-	state, err := netstate.New(prov, energyCfg, false)
+	state, err := netstate.New(prov, energyCfg)
 	if err != nil {
 		return Result{}, err
 	}

@@ -178,7 +178,7 @@ func TestGreedyHonoursRateVector(t *testing.T) {
 		ID: 1, Src: groundEP(0), Dst: groundEP(1), StartSlot: start, EndSlot: start + 1,
 		RateVector: []float64{700, 300}, Valuation: 10,
 	}
-	state, err := netstate.New(prov, netstate.DefaultEnergyConfig(), false)
+	state, err := netstate.New(prov, netstate.DefaultEnergyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestGreedyIsValuationOrderedSSP(t *testing.T) {
 			}
 			return ra.RateMbps*float64(ra.DurationSlots()) < rb.RateMbps*float64(rb.DurationSlots())
 		})
-		state, err := netstate.New(prov, netstate.DefaultEnergyConfig(), false)
+		state, err := netstate.New(prov, netstate.DefaultEnergyConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

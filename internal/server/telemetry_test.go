@@ -164,7 +164,7 @@ var metricsKeyPaths = []string{
 	"counters.graph.fastpath.pruned_labels",
 	"counters.graph.fastpath.searches", "counters.graph.search.nanos",
 	"counters.netstate.commit.nanos", "counters.netstate.link.reservations",
-	"counters.netstate.scratch.reuses", "counters.netstate.trial_consumes",
+	"counters.netstate.scratch.reuses",
 	"counters.netstate.txn.commits", "counters.netstate.txn.rollbacks",
 	"counters.pricing.lut_lookups", "counters.server.batches",
 	"counters.server.expired", "counters.server.shed",

@@ -243,7 +243,7 @@ func (r *Result) MeanCongested() float64 {
 // part of the problem definition, not a CEAR feature — baselines must
 // also operate within physically available energy.
 func buildAlgorithm(prov *topology.Provider, rc RunConfig) (router.Algorithm, *netstate.State, error) {
-	state, err := netstate.New(prov, rc.Energy, false)
+	state, err := netstate.New(prov, rc.Energy)
 	if err != nil {
 		return nil, nil, err
 	}

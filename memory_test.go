@@ -139,7 +139,7 @@ func TestUnitTablesHoldTheirWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := netstate.New(env.Provider, rc.Energy, false)
+	state, err := netstate.New(env.Provider, rc.Energy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func TestEndpointKindsInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := netstate.New(env.Provider, spacebooking.PaperEnergyConfig(), false)
+	state, err := netstate.New(env.Provider, spacebooking.PaperEnergyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
