@@ -16,7 +16,7 @@
 //	       [-alg CEAR|SSP|ECARS|ERU|ERA|CEAR-NE|CEAR-AA|CEAR-LIN|CEAR-AD]
 //	       [-clock-rate R] [-queue-depth N]
 //	       [-valuation V] [-f1 F] [-f2 F]
-//	       [-trace] [-trace-sample P] [-slow-ms D] [-audit-log FILE]
+//	       [-trace-sample P] [-slow-ms D] [-audit-log FILE]
 //	       [-hotspot-k K] [-drain-timeout D] [-report run.json]
 //
 // The listener serves the telemetry beside the booking API: /metrics
@@ -25,8 +25,8 @@
 // -hotspot-k entries each, 0 = off; `spacestat top` renders them live),
 // /debug/pprof/ and /v1/stats (the service's own state).
 //
-// Tracing is off by default and free when off. Any of -trace,
-// -trace-sample > 0 or -audit-log enables it: every booking then produces
+// Tracing is off by default and free when off. -trace-sample > 0 or
+// -audit-log enables it: every booking then produces
 // one audit record (queryable at /v1/requests/{id}/trace and
 // /debug/traces.json, streamed to -audit-log as JSONL), and sampled
 // records — head-sampled at -trace-sample, plus every shed, rejected,
@@ -78,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	f2 := fs.Float64("f2", 1, "energy conservativeness parameter F2")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to drain queued bookings on shutdown")
 	reportFile := fs.String("report", "", "write a machine-readable JSON run report after the drain")
-	traceOn := fs.Bool("trace", false, "enable request tracing even with no sampling and no audit log")
 	traceSample := fs.Float64("trace-sample", 0, "head-sampling probability [0,1] for full phase timelines (also enables tracing)")
 	slowMs := fs.Float64("slow-ms", 25, "latency SLO objective in milliseconds (> 0); slower traced requests are always sampled")
 	auditLog := fs.String("audit-log", "", "stream one decision record per booking to this file, replayable with spacebench run -replay (also enables tracing)")
@@ -163,7 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ClockRate:  *clockRate,
 		QueueDepth: *queueDepth,
 		Trace: server.TraceConfig{
-			Enabled:    *traceOn,
 			SampleRate: *traceSample,
 			AuditPath:  *auditLog,
 		},
@@ -206,7 +204,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  scale       %s (%d satellites, horizon %d slots)\n", scale, env.Provider.NumSats(), srv.Horizon())
 	fmt.Fprintf(stdout, "  slot clock  %s\n", clockDesc)
 	fmt.Fprintf(stdout, "  ingress     queue %d\n", *queueDepth)
-	if *traceOn || *traceSample > 0 || *auditLog != "" {
+	if *traceSample > 0 || *auditLog != "" {
 		auditDesc := "in-memory only"
 		if *auditLog != "" {
 			auditDesc = *auditLog

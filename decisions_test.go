@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"spacebooking/internal/sim"
+	"spacebooking/internal/trace"
 	"spacebooking/internal/workload"
 )
 
@@ -29,7 +30,7 @@ type decisionPin struct {
 	// Plan digests (price bits, hops) of every request; a rejection
 	// contributes (0, 0).
 	Plan string `json:"plan"`
-	// Reason digests the sim.ClassifyReason class of every rejection
+	// Reason digests the trace.ClassifyReason class of every rejection
 	// ("" on accept).
 	Reason string `json:"reason"`
 	// Text digests the full reason text of every rejection ("" on
@@ -72,7 +73,7 @@ func pinDecisions(env *Environment, alg sim.AlgorithmKind, seed int64) (decision
 		if d.Accepted {
 			ok, price, hops = 1, math.Float64bits(d.Price), uint64(d.Plan.TotalHops())
 		} else {
-			class = sim.ClassifyReason(d.Reason)
+			class = trace.ClassifyReason(d.Reason)
 		}
 		put(accept, uint64(i))
 		put(accept, ok)

@@ -18,6 +18,7 @@ import (
 	"spacebooking/internal/obs"
 	"spacebooking/internal/router"
 	"spacebooking/internal/sim"
+	"spacebooking/internal/trace"
 	"spacebooking/internal/workload"
 )
 
@@ -205,7 +206,7 @@ func TestBudgetPruningPreservesOutcomes(t *testing.T) {
 				rejected++
 				// The reason class is the one thing pruning may change,
 				// and only in one direction.
-				if cp, cq := sim.ClassifyReason(dp.Reason), sim.ClassifyReason(dq.Reason); cp != cq {
+				if cp, cq := trace.ClassifyReason(dp.Reason), trace.ClassifyReason(dq.Reason); cp != cq {
 					if cq != "priced-out" {
 						t.Fatalf("seed %d request %d: reason class moved %s -> %s; pruning may only reclassify to priced-out",
 							seed, i, cp, cq)

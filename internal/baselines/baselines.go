@@ -26,52 +26,35 @@ import (
 	"spacebooking/internal/workload"
 )
 
-// WeightOptions holds the linear-weight parameters shared by ECARS, ERU
-// and ERA, with the paper's defaults.
-type WeightOptions struct {
-	// CongestionFactor and EnergyFactor weight link utilization and
-	// battery depletion in the path metric (0.3 and 0.35 in §VI-A).
-	CongestionFactor float64
-	EnergyFactor     float64
-	// OverCongestionFactor and OverEnergyFactor replace the factors for
-	// satellites beyond the energy threshold (ERA only; 0.15 and 0.7).
-	OverCongestionFactor float64
-	OverEnergyFactor     float64
-	// EnergyThresholdWMinPerMbit is the depth-of-discharge trigger of
-	// ERU/ERA (5e-6 W·min/Mbit in §VI-A). A satellite is over-threshold
-	// in a slot when its battery deficit exceeds this unit value scaled
-	// by the per-slot ISL capacity; see DESIGN.md substitution #5.
-	EnergyThresholdWMinPerMbit float64
-}
+// The linear weights of ECARS, ERU and ERA, as §VI-A sets them.
+const (
+	// congestionFactor and energyFactor weight link utilization and
+	// battery depletion in the path metric.
+	congestionFactor = 0.3
+	energyFactor     = 0.35
+	// overCongestionFactor and overEnergyFactor replace them for
+	// satellites beyond the energy threshold (ERA only).
+	overCongestionFactor = 0.15
+	overEnergyFactor     = 0.7
+	// energyThresholdWMinPerMbit is the depth-of-discharge trigger of
+	// ERU/ERA. A satellite is over-threshold in a slot when its battery
+	// deficit exceeds this unit value scaled by the per-slot ISL
+	// capacity; see DESIGN.md substitution #5.
+	energyThresholdWMinPerMbit = 5e-6
+)
 
-// DefaultWeightOptions returns the paper's parameter values.
-func DefaultWeightOptions() WeightOptions {
-	return WeightOptions{
-		CongestionFactor:           0.3,
-		EnergyFactor:               0.35,
-		OverCongestionFactor:       0.15,
-		OverEnergyFactor:           0.7,
-		EnergyThresholdWMinPerMbit: 5e-6,
-	}
-}
+// hopBias and overHopBias are the residual weights that keep paths short:
+// what remains of the unit hop weight after the congestion and energy
+// factors, below and beyond the threshold. residual takes float64
+// arguments so that each subtraction rounds as float64 arithmetic does; a
+// constant expression would be evaluated exactly and could differ in the
+// last bit.
+var (
+	hopBias     = residual(congestionFactor, energyFactor)
+	overHopBias = residual(overCongestionFactor, overEnergyFactor)
+)
 
-// Validate reports invalid weight settings.
-func (o WeightOptions) Validate() error {
-	if o.CongestionFactor < 0 || o.EnergyFactor < 0 ||
-		o.CongestionFactor+o.EnergyFactor > 1 {
-		return fmt.Errorf("baselines: congestion/energy factors (%v, %v) must be non-negative and sum to at most 1",
-			o.CongestionFactor, o.EnergyFactor)
-	}
-	if o.OverCongestionFactor < 0 || o.OverEnergyFactor < 0 ||
-		o.OverCongestionFactor+o.OverEnergyFactor > 1 {
-		return fmt.Errorf("baselines: over-threshold factors (%v, %v) invalid",
-			o.OverCongestionFactor, o.OverEnergyFactor)
-	}
-	if o.EnergyThresholdWMinPerMbit <= 0 {
-		return fmt.Errorf("baselines: energy threshold must be positive, got %v", o.EnergyThresholdWMinPerMbit)
-	}
-	return nil
-}
+func residual(cf, ef float64) float64 { return 1 - cf - ef }
 
 // mode selects the concrete baseline behaviour.
 type mode int
@@ -88,7 +71,6 @@ const (
 type Baseline struct {
 	state *netstate.State
 	mode  mode
-	opts  WeightOptions
 	// thresholdJ is the precomputed over-threshold deficit in joules.
 	thresholdJ float64
 
@@ -107,20 +89,18 @@ type Baseline struct {
 
 var _ router.Algorithm = (*Baseline)(nil)
 
-func newBaseline(state *netstate.State, m mode, opts WeightOptions) (*Baseline, error) {
+func newBaseline(state *netstate.State, m mode) (*Baseline, error) {
 	if state == nil {
 		return nil, fmt.Errorf("baselines: nil state")
 	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	cfg := state.Provider().Config()
-	// θ [W·min/Mbit] × 60 [J per W·min] × per-slot ISL capacity [Mbit].
-	thresholdJ := opts.EnergyThresholdWMinPerMbit * 60 * cfg.ISLCapacityMbps * cfg.SlotSeconds
+	// θ [W·min/Mbit] × 60 [J per W·min] × per-slot ISL capacity [Mbit],
+	// multiplied left to right in float64.
+	theta := float64(energyThresholdWMinPerMbit)
+	thresholdJ := theta * 60 * cfg.ISLCapacityMbps * cfg.SlotSeconds
 	b := &Baseline{
 		state:      state,
 		mode:       m,
-		opts:       opts,
 		thresholdJ: thresholdJ,
 		scratch:    netstate.NewSearchScratch(),
 		slotSec:    cfg.SlotSeconds,
@@ -143,22 +123,22 @@ func (b *Baseline) SetScratch(sc *netstate.SearchScratch) {
 
 // NewSSP builds the Single Shortest Path baseline.
 func NewSSP(state *netstate.State) (*Baseline, error) {
-	return newBaseline(state, modeSSP, DefaultWeightOptions())
+	return newBaseline(state, modeSSP)
 }
 
 // NewECARS builds the Energy and Capacity Aware Routing baseline.
-func NewECARS(state *netstate.State, opts WeightOptions) (*Baseline, error) {
-	return newBaseline(state, modeECARS, opts)
+func NewECARS(state *netstate.State) (*Baseline, error) {
+	return newBaseline(state, modeECARS)
 }
 
 // NewERU builds the Energy Routing Pruning baseline.
-func NewERU(state *netstate.State, opts WeightOptions) (*Baseline, error) {
-	return newBaseline(state, modeERU, opts)
+func NewERU(state *netstate.State) (*Baseline, error) {
+	return newBaseline(state, modeERU)
 }
 
 // NewERA builds the Energy Routing Penalty baseline.
-func NewERA(state *netstate.State, opts WeightOptions) (*Baseline, error) {
-	return newBaseline(state, modeERA, opts)
+func NewERA(state *netstate.State) (*Baseline, error) {
+	return newBaseline(state, modeERA)
 }
 
 // Name implements router.Algorithm.
@@ -183,12 +163,6 @@ func (b *Baseline) overThreshold(sat, slot int) bool {
 	return b.state.Battery(sat).DeficitAt(slot) > b.thresholdJ
 }
 
-// hopBias is the residual weight that keeps paths short: what remains of
-// the unit hop weight after the congestion and energy factors.
-func (o WeightOptions) hopBias() float64 {
-	return 1 - o.CongestionFactor - o.EnergyFactor
-}
-
 // transitWeight is every baseline's node transit cost for the current
 // (curSlot, curRate): the physical battery-feasibility mask (constraint
 // (7c)) composed with the mode's energy weight. Bound once as
@@ -209,13 +183,13 @@ func (b *Baseline) transitWeight(node int, in, out graph.EdgeClass) float64 {
 		// Min-hop: the physical mask only.
 		return 0
 	case modeERA:
-		ef := b.opts.EnergyFactor
+		ef := float64(energyFactor)
 		if b.overThreshold(node, b.curSlot) {
-			ef = b.opts.OverEnergyFactor
+			ef = overEnergyFactor
 		}
 		return ef * b.state.Battery(node).UtilizationAt(b.curSlot)
 	default: // ECARS and ERU share the linear energy weight.
-		return b.opts.EnergyFactor * b.state.Battery(node).UtilizationAt(b.curSlot)
+		return energyFactor * b.state.Battery(node).UtilizationAt(b.curSlot)
 	}
 }
 
@@ -226,14 +200,13 @@ func (b *Baseline) edgeWeight(key netstate.LinkKey, class graph.EdgeClass, capac
 	case modeSSP:
 		return 1
 	case modeERA:
-		cf, bias := b.opts.CongestionFactor, b.opts.hopBias()
+		cf, bias := float64(congestionFactor), hopBias
 		if from := key.From(); from < b.numSats && b.overThreshold(from, b.curSlot) {
-			cf = b.opts.OverCongestionFactor
-			bias = 1 - b.opts.OverCongestionFactor - b.opts.OverEnergyFactor
+			cf, bias = overCongestionFactor, overHopBias
 		}
 		return cf*utilization + bias
 	default: // ECARS and ERU share the linear edge weight.
-		return b.opts.CongestionFactor*utilization + b.opts.hopBias()
+		return congestionFactor*utilization + hopBias
 	}
 }
 

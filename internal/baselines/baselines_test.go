@@ -80,55 +80,24 @@ func allBaselines(t *testing.T, state *netstate.State) []router.Algorithm {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ecars, err := NewECARS(state, DefaultWeightOptions())
+	ecars, err := NewECARS(state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eru, err := NewERU(state, DefaultWeightOptions())
+	eru, err := NewERU(state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	era, err := NewERA(state, DefaultWeightOptions())
+	era, err := NewERA(state)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return []router.Algorithm{ssp, ecars, eru, era}
 }
 
-func TestWeightOptionsValidate(t *testing.T) {
-	if err := DefaultWeightOptions().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		name   string
-		mutate func(*WeightOptions)
-	}{
-		{"negative congestion", func(o *WeightOptions) { o.CongestionFactor = -0.1 }},
-		{"factors exceed 1", func(o *WeightOptions) { o.CongestionFactor = 0.8; o.EnergyFactor = 0.5 }},
-		{"negative over-energy", func(o *WeightOptions) { o.OverEnergyFactor = -1 }},
-		{"over factors exceed 1", func(o *WeightOptions) { o.OverCongestionFactor = 0.6; o.OverEnergyFactor = 0.6 }},
-		{"zero threshold", func(o *WeightOptions) { o.EnergyThresholdWMinPerMbit = 0 }},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			o := DefaultWeightOptions()
-			tt.mutate(&o)
-			if err := o.Validate(); err == nil {
-				t.Error("expected error")
-			}
-		})
-	}
-}
-
 func TestConstructorErrors(t *testing.T) {
 	if _, err := NewSSP(nil); err == nil {
 		t.Error("nil state should error")
-	}
-	state := newBaselineState(t)
-	bad := DefaultWeightOptions()
-	bad.EnergyThresholdWMinPerMbit = -1
-	if _, err := NewECARS(state, bad); err == nil {
-		t.Error("bad options should error")
 	}
 }
 
@@ -279,7 +248,7 @@ func TestBaselinesStopAtEnergyFeasibilityEdge(t *testing.T) {
 
 func TestOverThresholdDetection(t *testing.T) {
 	state := newBaselineState(t)
-	b, err := NewERU(state, DefaultWeightOptions())
+	b, err := NewERU(state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +270,7 @@ func TestOverThresholdDetection(t *testing.T) {
 
 func TestERUPrunesOverThresholdSatellites(t *testing.T) {
 	state := newBaselineState(t)
-	eru, err := NewERU(state, DefaultWeightOptions())
+	eru, err := NewERU(state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +308,7 @@ func TestERUPrunesOverThresholdSatellites(t *testing.T) {
 
 func TestERAReweightsOverThresholdSatellites(t *testing.T) {
 	state := newBaselineState(t)
-	era, err := NewERA(state, DefaultWeightOptions())
+	era, err := NewERA(state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +334,7 @@ func TestERAReweightsOverThresholdSatellites(t *testing.T) {
 
 func TestECARSEdgeCostLinear(t *testing.T) {
 	state := newBaselineState(t)
-	ecars, err := NewECARS(state, DefaultWeightOptions())
+	ecars, err := NewECARS(state)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,8 @@ const (
 const PhaseBatchWait = "batch.wait"
 
 // TraceConfig parameterises request-scoped tracing and the admission
-// audit log. Tracing is enabled when any of SampleRate, AuditPath or
-// Enabled is set; disabled tracing costs the hot path nothing.
+// audit log. Tracing is enabled when SampleRate or AuditPath is set;
+// disabled tracing costs the hot path nothing.
 type TraceConfig struct {
 	// SampleRate is the head-sampling probability in [0, 1] for
 	// attaching the full phase timeline to an audit record. Shed,
@@ -45,9 +45,6 @@ type TraceConfig struct {
 	// to this file (created/truncated at startup): the same JSON line a
 	// `spacebench run -trace` file holds, plus the serving fields.
 	AuditPath string
-	// Enabled force-enables tracing even with a zero sample rate and no
-	// audit file (records still reach the recent buffer).
-	Enabled bool
 }
 
 // Bounds of the audit pipeline: the recent-record buffer behind
@@ -62,7 +59,7 @@ const (
 
 // enabled reports whether any tracing surface is requested.
 func (tc TraceConfig) enabled() bool {
-	return tc.Enabled || tc.SampleRate > 0 || tc.AuditPath != ""
+	return tc.SampleRate > 0 || tc.AuditPath != ""
 }
 
 // SLOConfig parameterises the serving layer's per-class SLO tracking.

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -94,7 +95,7 @@ func keyPaths(t *testing.T, url string) []string {
 // the listed ones. That the per-link and per-battery tracker totals
 // reconcile with the rejection counters is sim.TestHotspotAttributionSumsExactly.
 func TestTelemetrySurface(t *testing.T) {
-	base := hotTestServer(t, TraceConfig{Enabled: true})
+	base := hotTestServer(t, TraceConfig{AuditPath: filepath.Join(t.TempDir(), "audit.jsonl")})
 	for _, r := range []struct {
 		path  string
 		code  int

@@ -224,7 +224,7 @@ func TestAuditExactlyOnce(t *testing.T) {
 	auditPath := filepath.Join(t.TempDir(), "audit.jsonl")
 	s, hs := newTestServer(t, Config{
 		Run: rc, QueueDepth: 2, testGate: gate,
-		Trace: TraceConfig{Enabled: true, AuditPath: auditPath}, // head rate 0: tail sampling only
+		Trace: TraceConfig{AuditPath: auditPath}, // head rate 0: tail sampling only
 		// No booking is slow, however loaded the host: accepted ones stay
 		// unsampled.
 		SLO: SLOConfig{LatencyObjective: time.Hour},
@@ -450,7 +450,7 @@ func TestSlowBookingSampled(t *testing.T) {
 	now, step := testEpoch, time.Duration(0)
 	s, hs := newTestServer(t, Config{
 		Run:   testRunConfig(t, 2, 15),
-		Trace: TraceConfig{Enabled: true},
+		Trace: TraceConfig{AuditPath: filepath.Join(t.TempDir(), "audit.jsonl")}, // head rate 0
 		SLO:   SLOConfig{LatencyObjective: objective},
 		Now: func() time.Time {
 			mu.Lock()
@@ -508,7 +508,8 @@ func TestSlowBookingSampled(t *testing.T) {
 // client-assigned request_id first and falls back to the server id, so a
 // numeric client id resolves to its own booking.
 func TestRequestTraceLookup(t *testing.T) {
-	s, hs := newTestServer(t, Config{Run: testRunConfig(t, 2, 15), Trace: TraceConfig{Enabled: true}})
+	s, hs := newTestServer(t, Config{Run: testRunConfig(t, 2, 15),
+		Trace: TraceConfig{AuditPath: filepath.Join(t.TempDir(), "audit.jsonl")}})
 	br := func(clientID string) BookRequest {
 		return BookRequest{Src: EndpointRef{Kind: "ground", Index: 0}, Dst: EndpointRef{Kind: "ground", Index: 1},
 			RateMbps: 500, RequestID: clientID}

@@ -249,7 +249,7 @@ func (e *Engine) Admit(req workload.Request) (router.Decision, error) {
 			e.hotSrcAccepted.Add(srcCellKey(req.Src), 1)
 		}
 	} else {
-		reason := ClassifyReason(d.Reason)
+		reason := trace.ClassifyReason(d.Reason)
 		if e.rc.Obs != nil {
 			e.rc.Obs.Counter("sim.requests.rejected." + reason).Inc()
 		}

@@ -124,8 +124,6 @@ type RunConfig struct {
 	Energy netstate.EnergyConfig
 	// Pricing configures CEAR (ignored by baselines).
 	Pricing pricing.Params
-	// Weights configures the ECARS/ERU/ERA family (ignored otherwise).
-	Weights baselines.WeightOptions
 	// PruneBudget enables budget pruning in CEAR's fast-path searches
 	// (see core.Options.PruneBudget). It preserves accept/reject, plans
 	// and (up to float residue on rolled-back links) prices, but not the
@@ -179,7 +177,6 @@ func DefaultRunConfig(alg AlgorithmKind, wl workload.Config) (RunConfig, error) 
 		Workload:  wl,
 		Energy:    netstate.DefaultEnergyConfig(),
 		Pricing:   params,
-		Weights:   baselines.DefaultWeightOptions(),
 	}, nil
 }
 
@@ -294,28 +291,13 @@ func buildAlgorithm(prov *topology.Provider, rc RunConfig) (router.Algorithm, *n
 	case AlgSSP:
 		return newBaselineAlg(baselines.NewSSP(state))
 	case AlgECARS:
-		return newBaselineAlg(baselines.NewECARS(state, rc.Weights))
+		return newBaselineAlg(baselines.NewECARS(state))
 	case AlgERU:
-		return newBaselineAlg(baselines.NewERU(state, rc.Weights))
+		return newBaselineAlg(baselines.NewERU(state))
 	case AlgERA:
-		return newBaselineAlg(baselines.NewERA(state, rc.Weights))
+		return newBaselineAlg(baselines.NewERA(state))
 	default:
 		return nil, nil, fmt.Errorf("sim: unknown algorithm kind %d", rc.Algorithm)
-	}
-}
-
-// ClassifyReason maps a rejection reason to a stable category — the key
-// of Result.Rejections and of the sim.requests.rejected.* counters.
-func ClassifyReason(reason string) string {
-	switch {
-	case strings.Contains(reason, "no feasible path"):
-		return "no-path"
-	case strings.Contains(reason, "exceeds valuation"):
-		return "priced-out"
-	case strings.Contains(reason, "energy infeasible"):
-		return "energy-infeasible"
-	default:
-		return "other"
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"sync"
 
 	"spacebooking/internal/obs"
@@ -239,6 +240,27 @@ func Read(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
+// ReasonOther is the class of a rejection reason ClassifyReason does not
+// recognise.
+const ReasonOther = "other"
+
+// ClassifyReason maps an admission engine's rejection reason to a stable
+// category: no-path, priced-out, energy-infeasible or ReasonOther. It is
+// the key of sim.Result.Rejections, of the sim.requests.rejected.*
+// counters and of Summary.ByReason.
+func ClassifyReason(reason string) string {
+	switch {
+	case strings.Contains(reason, "no feasible path"):
+		return "no-path"
+	case strings.Contains(reason, "exceeds valuation"):
+		return "priced-out"
+	case strings.Contains(reason, "energy infeasible"):
+		return "energy-infeasible"
+	default:
+		return ReasonOther
+	}
+}
+
 // Summary aggregates a decision trace for quick inspection; the JSON
 // form is `spacestat trace -json`.
 type Summary struct {
@@ -246,8 +268,10 @@ type Summary struct {
 	Accepted int     `json:"accepted"`
 	Rejected int     `json:"rejected"`
 	Revenue  float64 `json:"revenue"`
-	// ByReason counts rejections by reason; a served booking refused
-	// before the engine, which has no reason, counts under its outcome.
+	// ByReason counts rejections by reason: an engine rejection under
+	// its ClassifyReason class, a reason the serving layer gave itself
+	// (expired, horizon-exhausted) as written, and a served booking
+	// refused before the engine, which has no reason, under its outcome.
 	ByReason  map[string]int `json:"by_reason"`
 	Snapshots int            `json:"snapshots"`
 	// Outcomes, Sampled and Phases are non-zero on an audit log only:
@@ -279,7 +303,11 @@ func Summarize(records []Record) Summary {
 				s.Revenue += r.Price
 			} else {
 				s.Rejected++
-				s.ByReason[cmp.Or(r.Reason, r.Outcome)]++
+				key := ClassifyReason(r.Reason)
+				if key == ReasonOther {
+					key = cmp.Or(r.Reason, r.Outcome)
+				}
+				s.ByReason[key]++
 			}
 			if r.Outcome != "" {
 				s.Outcomes[r.Outcome]++

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"reflect"
 	"strings"
 	"testing"
@@ -298,26 +299,33 @@ type closeWriter struct {
 func (c *closeWriter) Write(p []byte) (int, error) { return c.w.Write(p) }
 func (c *closeWriter) Close() error                { c.closed = true; return c.closeErr }
 
+// TestSummarize: engine rejections count by class, whatever slot or
+// satellite their text names; the serving layer's own reasons and a
+// refusal without one keep their keys.
 func TestSummarize(t *testing.T) {
 	records := []Record{
 		{Kind: KindRunInfo},
 		{Kind: KindDecision, Accepted: true, Price: 10},
 		{Kind: KindDecision, Accepted: true, Price: 5},
-		{Kind: KindDecision, Accepted: false, Reason: "no-path"},
-		{Kind: KindDecision, Accepted: false, Reason: "no-path"},
-		{Kind: KindDecision, Accepted: false, Reason: "priced-out"},
+		{Kind: KindDecision, Accepted: false, Reason: "no feasible path at slot 3"},
+		{Kind: KindDecision, Accepted: false, Reason: "no feasible path at slot 7"},
+		{Kind: KindDecision, Accepted: false, Reason: "plan price 2.5e+08 exceeds valuation 1e+08"},
+		{Kind: KindDecision, Accepted: false, Reason: "energy infeasible at slot 4: netstate: satellite 17: energy: deficit 117000.2 J exceeds capacity 117000.0 J at slot 4"},
+		{Kind: KindDecision, Accepted: false, Reason: "expired", Outcome: "rejected"},
+		{Kind: KindDecision, Accepted: false, Reason: "horizon-exhausted", Outcome: "rejected"},
 		{Kind: KindDecision, Accepted: false, Outcome: "overloaded"},
 		{Kind: KindSnapshot, Slot: 1},
 	}
 	s := Summarize(records)
-	if s.Total != 6 || s.Accepted != 2 || s.Rejected != 4 || s.Outcomes["overloaded"] != 1 {
+	if s.Total != 9 || s.Accepted != 2 || s.Rejected != 7 || s.Outcomes["overloaded"] != 1 {
 		t.Errorf("summary counts = %+v", s)
 	}
 	if s.Revenue != 15 {
 		t.Errorf("revenue = %v", s.Revenue)
 	}
-	if s.ByReason["no-path"] != 2 || s.ByReason["priced-out"] != 1 || s.ByReason["overloaded"] != 1 {
-		t.Errorf("by reason = %v", s.ByReason)
+	want := map[string]int{"no-path": 2, "priced-out": 1, "energy-infeasible": 1, "expired": 1, "horizon-exhausted": 1, "overloaded": 1}
+	if !maps.Equal(s.ByReason, want) {
+		t.Errorf("by reason = %v, want %v", s.ByReason, want)
 	}
 	if s.Snapshots != 1 {
 		t.Errorf("snapshots = %d", s.Snapshots)
