@@ -28,7 +28,7 @@ type hotspots struct {
 
 	// Per-request blame scratch, reset by BeginBlame. blameLink holds
 	// the most-utilized link the request's searches found blocked;
-	// blameSat the last satellite whose battery made an edge or trial
+	// blameSat the last satellite whose battery made an edge or a draw
 	// infeasible.
 	blameLink     LinkKey
 	blameLinkUtil float64

@@ -112,7 +112,7 @@ func TestRouteSlotOutcomes(t *testing.T) {
 		{name: "no-path", want: SlotNoPath, demand: 6000, budget: math.Inf(1), transit: weighted},
 		// The shortest path has two unit-cost edges at least.
 		{name: "budget-pruned", want: SlotBudgetPruned, demand: 777.7, spent: 1, budget: 2, transit: weighted},
-		// Nothing masks the drained satellites, so the path's draws fail the trial.
+		// Nothing masks the drained satellites, so a battery refuses the path's draws.
 		{name: "energy-infeasible", want: SlotEnergyInfeasible, demand: 777.7, budget: math.Inf(1), drain: true},
 		{name: "two-roles", want: SlotEnergyInfeasible, demand: 777.7, budget: math.Inf(1), twoRoles: 0.5},
 		{name: "two-roles-tight", want: SlotEnergyInfeasible, demand: 777.7, budget: math.Inf(1), twoRoles: 0.999},

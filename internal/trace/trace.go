@@ -240,12 +240,12 @@ func Read(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-// ReasonOther is the class of a rejection reason ClassifyReason does not
+// reasonOther is the class of a rejection reason ClassifyReason does not
 // recognise.
-const ReasonOther = "other"
+const reasonOther = "other"
 
 // ClassifyReason maps an admission engine's rejection reason to a stable
-// category: no-path, priced-out, energy-infeasible or ReasonOther. It is
+// category: no-path, priced-out, energy-infeasible or other. It is
 // the key of sim.Result.Rejections, of the sim.requests.rejected.*
 // counters and of Summary.ByReason.
 func ClassifyReason(reason string) string {
@@ -257,7 +257,7 @@ func ClassifyReason(reason string) string {
 	case strings.Contains(reason, "energy infeasible"):
 		return "energy-infeasible"
 	default:
-		return ReasonOther
+		return reasonOther
 	}
 }
 
@@ -304,7 +304,7 @@ func Summarize(records []Record) Summary {
 			} else {
 				s.Rejected++
 				key := ClassifyReason(r.Reason)
-				if key == ReasonOther {
+				if key == reasonOther {
 					key = cmp.Or(r.Reason, r.Outcome)
 				}
 				s.ByReason[key]++
