@@ -62,6 +62,7 @@ prod-cover:
 fuzz-smoke:
 	$(GO) test ./internal/energy -run '^$$' -fuzz '^FuzzUnitPricesFrom$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/netstate -run '^$$' -fuzz '^FuzzFlatHeap$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/netstate -run '^$$' -fuzz '^FuzzLedgerUndo$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzBookBody$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzEachLine$$' -fuzztime 10s -fuzzminimizetime 1s

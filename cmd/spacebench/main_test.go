@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spacebooking/internal/obs"
 )
 
 // runBench runs spacebench with args and returns the exit code and what
@@ -69,6 +73,53 @@ func TestVersion(t *testing.T) {
 	}
 }
 
+// TestRunNamesItsWorkloadSource: under -spec the header and the report
+// name the spec and its own seed (101 in specs/smoke.json), not -seed or
+// the scale's default rate and valuation; replaying that run names the
+// recording and how many requests it holds.
+func TestRunNamesItsWorkloadSource(t *testing.T) {
+	dir := t.TempDir()
+	recorded := filepath.Join(dir, "recorded.jsonl")
+	specReport, replayReport := filepath.Join(dir, "spec.json"), filepath.Join(dir, "replay.json")
+	readConfig := func(path string) (map[string]any, map[string]float64) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep obs.Report
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep.Config, rep.Metrics
+	}
+
+	code, out, errOut := runBench(t, "run", "-scale", "small", "-spec", "../../specs/smoke.json", "-seed", "7",
+		"-trace", recorded, "-report", specReport)
+	if code != 0 {
+		t.Fatalf("spec run: exit %d: %s", code, errOut)
+	}
+	if !strings.Contains(out, "\nworkload         spec smoke, seed 101\n") || strings.Contains(out, "arrival rate") {
+		t.Errorf("spec run header does not name the spec's seed:\n%s", out)
+	}
+	config, _ := readConfig(specReport)
+	if config["seed"] != 101.0 || config["rate_per_min"] != nil || config["valuation"] != nil {
+		t.Errorf("spec run report config: %v", config)
+	}
+
+	code, out, errOut = runBench(t, "run", "-scale", "small", "-replay", recorded, "-report", replayReport)
+	if code != 0 {
+		t.Fatalf("replay: exit %d: %s", code, errOut)
+	}
+	config, metrics := readConfig(replayReport)
+	n := metrics["requests_total"]
+	if want := fmt.Sprintf("\nworkload         %d requests replayed from %s\n", int(n), recorded); n == 0 || !strings.Contains(out, want) {
+		t.Errorf("replay header does not name the recording, want %q:\n%s", want, out)
+	}
+	if config["replay"] != recorded || config["replay_requests"] != n || config["seed"] != nil || config["rate_per_min"] != nil {
+		t.Errorf("replay report config: %v", config)
+	}
+}
+
 // TestRecordReplay records a spec-driven small-scale run and replays the
 // recording: the replay must make the same decisions and print the same
 // result, apart from the lines naming the workload source and the wall
@@ -92,7 +143,7 @@ func TestRecordReplay(t *testing.T) {
 		var keep []string
 		for _, line := range strings.Split(out, "\n") {
 			if !strings.HasPrefix(line, "scenario ") && !strings.HasPrefix(line, "events ") &&
-				!strings.HasPrefix(line, "completed in ") {
+				!strings.HasPrefix(line, "workload ") && !strings.HasPrefix(line, "completed in ") {
 				keep = append(keep, line)
 			}
 		}

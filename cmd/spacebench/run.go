@@ -116,6 +116,10 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	var specName string
 	var eventTimeline []string
 	var sourceReqs []workload.Request
+	// source is what the requests came from, printed in the header and
+	// echoed in the report's config.
+	source := map[string]any{"rate_per_min": *rate, "seed": o.seed, "valuation": *valuation}
+	sourceLine := fmt.Sprintf("arrival rate     %.3g req/min, seed %d, valuation %.3g", *rate, o.seed, *valuation)
 	switch {
 	case o.spec != "":
 		gen, err := scenario.NewGenerator(spec, env.ScenarioBinding())
@@ -131,11 +135,15 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 		if sourceReqs, err = scenario.Generate(spec, env.ScenarioBinding()); err != nil {
 			return failed(err)
 		}
+		source = map[string]any{"seed": spec.Seed}
+		sourceLine = fmt.Sprintf("workload         spec %s, seed %d", spec.Name, spec.Seed)
 	case *replayFile != "":
 		rc.Source = workload.NewSliceSource(replayed)
 		rc.SpecName = replayName
 		specName = replayName
 		sourceReqs = replayed
+		source = map[string]any{"replay": *replayFile, "replay_requests": len(replayed)}
+		sourceLine = fmt.Sprintf("workload         %d requests replayed from %s", len(replayed), *replayFile)
 	}
 
 	var tw *trace.Writer
@@ -188,7 +196,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(w, "events           %s\n", strings.Join(eventTimeline, " "))
 	}
 	fmt.Fprintf(w, "scale            %s (%d satellites, horizon %d min)\n", scale, env.Provider.NumSats(), env.Provider.Horizon())
-	fmt.Fprintf(w, "arrival rate     %.3g req/min, seed %d, valuation %.3g\n", *rate, o.seed, *valuation)
+	fmt.Fprintln(w, sourceLine)
 	fmt.Fprintf(w, "requests         %d total, %d accepted (%.1f%%)\n",
 		res.TotalRequests, res.Accepted, 100*float64(res.Accepted)/float64(max(1, res.TotalRequests)))
 	fmt.Fprintf(w, "welfare ratio    %.4f\n", res.WelfareRatio)
@@ -214,7 +222,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(w, "\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
 
 	if o.report != "" {
-		rep := buildReport(scale, env, res, *rate, o.seed, *valuation, *f1, *f2, specName, eventTimeline, reg)
+		rep := buildReport(scale, env, res, source, *f1, *f2, specName, eventTimeline, reg)
 		if err := obs.WriteReportFile(o.report, rep); err != nil {
 			return failed(err)
 		}
@@ -240,10 +248,10 @@ func readRecording(path string) ([]workload.Request, string, error) {
 }
 
 // buildReport assembles the machine-readable run report: the effective
-// configuration, the §VI-A result metrics, and the instrumentation
-// snapshot.
+// configuration (source names what the requests came from), the §VI-A
+// result metrics, and the instrumentation snapshot.
 func buildReport(scale spacebooking.Scale, env *spacebooking.Environment,
-	res *sim.Result, rate float64, seed int64, valuation, f1, f2 float64,
+	res *sim.Result, source map[string]any, f1, f2 float64,
 	specName string, eventTimeline []string, reg *obs.Registry) *obs.Report {
 	rep := obs.NewReport("spacebench")
 	rep.SetConfig("scale", scale.String())
@@ -254,9 +262,9 @@ func buildReport(scale spacebooking.Scale, env *spacebooking.Environment,
 		rep.SetConfig("spec_events", strings.Join(eventTimeline, " "))
 	}
 	rep.SetConfig("algorithm", res.Algorithm)
-	rep.SetConfig("rate_per_min", rate)
-	rep.SetConfig("seed", seed)
-	rep.SetConfig("valuation", valuation)
+	for key, v := range source {
+		rep.SetConfig(key, v)
+	}
 	rep.SetConfig("f1", f1)
 	rep.SetConfig("f2", f2)
 	rep.SetConfig("satellites", env.Provider.NumSats())

@@ -12,15 +12,13 @@ import (
 	"spacebooking/internal/workload"
 )
 
-// TestAcceptedPlansReplayOntoBatteries is the battery half of the
-// conservation contract: after a CEAR run (sim.Run's loop: generate, then
-// Admit every request) at the small and medium scales on seeds 1–3,
-// replaying every accepted plan's energy draws in commit order on a fresh
-// fleet rebuilds every battery cell and deficit bound bit for bit — the
-// rejected requests' draws were undone exactly. Link cells are replayed
-// too but only logged: a rollback releases a link with used − rate, so a
-// cell an accepted and a rejected request shared may keep float dust.
-func TestAcceptedPlansReplayOntoBatteries(t *testing.T) {
+// TestAcceptedPlansReplayOntoLedgers is the conservation contract: after
+// a CEAR run (sim.Run's loop: generate, then Admit every request) at the
+// small and medium scales on seeds 1–3, replaying every accepted plan in
+// commit order on a fresh state rebuilds every battery cell and deficit
+// bound, and every link cell the plans reserve, bit for bit — the
+// rejected requests' reservations and draws were undone exactly.
+func TestAcceptedPlansReplayOntoLedgers(t *testing.T) {
 	scales := []spacebooking.Scale{spacebooking.ScaleSmall, spacebooking.ScaleMedium}
 	if testing.Short() {
 		scales = scales[:1]
@@ -75,15 +73,21 @@ func TestAcceptedPlansReplayOntoBatteries(t *testing.T) {
 					}
 				}
 			}
-			differ, worst := 0, 0.0
+			differ := 0
 			for c := range cells {
-				if d := math.Abs(live.LinkUsedMbps(c.key, c.slot) - replay.LinkUsedMbps(c.key, c.slot)); d != 0 {
+				got, want := live.LinkUsedMbps(c.key, c.slot), replay.LinkUsedMbps(c.key, c.slot)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					if differ == 0 {
+						t.Errorf("%v seed %d: link %d->%d slot %d holds %v Mbps, the replayed sum %v",
+							scale, seed, c.key.From(), c.key.To(), c.slot, got, want)
+					}
 					differ++
-					worst = max(worst, d)
 				}
 			}
-			t.Logf("%v seed %d: %d of %d requests accepted; %d of %d link cells differ from the replayed sum, by at most %.3g Mbps",
-				scale, seed, accepted, len(reqs), differ, len(cells), worst)
+			if differ > 0 {
+				t.Fatalf("%v seed %d: %d of %d link cells differ from the replayed sum", scale, seed, differ, len(cells))
+			}
+			t.Logf("%v seed %d: %d of %d requests accepted; %d link cells replayed exactly", scale, seed, accepted, len(reqs), len(cells))
 		}
 	}
 }
@@ -110,7 +114,7 @@ func replayPlan(t *testing.T, state *netstate.State, req workload.Request, plan 
 		nodes, edges := sp.Path.Nodes, sp.Path.Edges
 		for i := 0; i+1 < len(nodes); i++ {
 			key := view.LinkKeyFor(nodes[i], nodes[i+1])
-			if err := state.ReserveLink(key, sp.Slot, rate); err != nil {
+			if _, err := state.ReserveLink(key, sp.Slot, rate); err != nil {
 				t.Fatalf("request %d: %v", req.ID, err)
 			}
 			cells[linkCell{key, sp.Slot}] = true

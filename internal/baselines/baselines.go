@@ -212,8 +212,8 @@ func (b *Baseline) edgeWeight(key netstate.LinkKey, class graph.EdgeClass, capac
 
 // Handle implements the feasibility-only admission shared by all
 // baselines: find this algorithm's path in every active slot; if all
-// exist, reserve bandwidth and consume (clamped) energy; otherwise
-// reject without side effects.
+// exist, reserve bandwidth and consume energy; otherwise reject without
+// side effects.
 func (b *Baseline) Handle(req workload.Request) (router.Decision, error) {
 	if err := req.Validate(b.state.Provider().Horizon()); err != nil {
 		return router.Decision{}, fmt.Errorf("baselines: %w", err)

@@ -189,7 +189,7 @@ func TestBaselineRejectsWhenNoPath(t *testing.T) {
 	}
 	srcGID := prov.GlobalID(req.Src)
 	for _, sat := range vis {
-		if err := state.ReserveLink(netstate.MakeLinkKey(srcGID, sat), req.StartSlot, 3500); err != nil {
+		if _, err := state.ReserveLink(netstate.MakeLinkKey(srcGID, sat), req.StartSlot, 3500); err != nil {
 			t.Fatal(err)
 		}
 	}

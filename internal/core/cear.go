@@ -49,11 +49,9 @@ type Options struct {
 	// ever move to priced-out, never away from it — but per-reason
 	// rejection counts (and any digest over them) differ between a
 	// pruned and a plain run. Quoted prices and link reservations match
-	// a plain run's bit for bit only while both roll back the same
-	// reservations: the plain run reserves and releases slots a pruned
-	// run never reaches, and releasing r from a link holding a leaves
-	// (a+r)−r, so later prices can differ in their last bits. Ignored
-	// when DisableAdmission is set.
+	// a plain run's bit for bit: the slots a plain run reserves and a
+	// pruned run never reaches are rolled back by restoring every cell.
+	// Ignored when DisableAdmission is set.
 	PruneBudget bool
 	// Scratch supplies the pooled search scratch the slot searches run on.
 	// Nil allocates a private one; the experiment scheduler passes a
@@ -67,8 +65,8 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// CEAR is the online pricing and reservation algorithm. It owns a
-// strict-mode (non-clamping) resource state: constraint (7c) is enforced.
+// CEAR is the online pricing and reservation algorithm. Its resource
+// state enforces constraint (7c): no battery is driven below empty.
 type CEAR struct {
 	state *netstate.State
 	opts  Options
@@ -119,9 +117,7 @@ type CEAR struct {
 
 var _ router.Algorithm = (*CEAR)(nil)
 
-// New builds a CEAR instance over the given resource state. The state
-// must use strict (non-clamping) batteries; CEAR never drives a battery
-// below empty.
+// New builds a CEAR instance over the given resource state.
 func New(state *netstate.State, opts Options) (*CEAR, error) {
 	if state == nil {
 		return nil, fmt.Errorf("core: nil state")

@@ -346,7 +346,7 @@ func TestRejectWhenNoPath(t *testing.T) {
 	srcGID := prov.GlobalID(req.Src)
 	for _, sat := range vis {
 		key := netstate.MakeLinkKey(srcGID, sat)
-		if err := state.ReserveLink(key, req.StartSlot, 3500); err != nil {
+		if _, err := state.ReserveLink(key, req.StartSlot, 3500); err != nil {
 			t.Fatal(err)
 		}
 	}

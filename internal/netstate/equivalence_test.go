@@ -50,10 +50,10 @@ func TestViewEquivalentToExplicitGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReserveLink(MakeLinkKey(srcGID, vis[0]), slot, 2000); err != nil {
+	if _, err := s.ReserveLink(MakeLinkKey(srcGID, vis[0]), slot, 2000); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReserveLink(MakeLinkKey(vis[0], s.Provider().ISLNeighbors(vis[0])[0]), slot, 9000); err != nil {
+	if _, err := s.ReserveLink(MakeLinkKey(vis[0], s.Provider().ISLNeighbors(vis[0])[0]), slot, 9000); err != nil {
 		t.Fatal(err)
 	}
 

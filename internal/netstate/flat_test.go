@@ -207,7 +207,7 @@ func TestIdleISLCostNeedsDemandWithinCapacity(t *testing.T) {
 	for sat := 0; sat < s.numSats; sat += 3 {
 		to := s.Provider().ISLNeighbors(sat)[sat%2]
 		used := 100 * float64(1+sat%7)
-		if err := s.ReserveLink(MakeLinkKey(sat, to), slot, used); err != nil {
+		if _, err := s.ReserveLink(MakeLinkKey(sat, to), slot, used); err != nil {
 			t.Fatal(err)
 		}
 		loaded = append(loaded, used)
@@ -292,7 +292,7 @@ func TestIdleShortcutNeverFiresOnSaturatedSlot(t *testing.T) {
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
 	for sat := 0; sat < s.numSats; sat++ {
 		for i, to := range s.Provider().ISLNeighbors(sat) {
-			if err := s.ReserveLink(MakeLinkKey(sat, to), slot, 50*float64(1+(sat+i)%9)); err != nil {
+			if _, err := s.ReserveLink(MakeLinkKey(sat, to), slot, 50*float64(1+(sat+i)%9)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -362,11 +362,11 @@ func TestTransitAskedOncePerPoppedState(t *testing.T) {
 	near := s.Provider().ISLNeighbors(srcVis[0])
 	walled := near[0]
 	for _, to := range s.Provider().ISLNeighbors(walled) {
-		if err := s.ReserveLink(MakeLinkKey(walled, to), slot, s.islCapMbps); err != nil {
+		if _, err := s.ReserveLink(MakeLinkKey(walled, to), slot, s.islCapMbps); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.ReserveLink(MakeLinkKey(near[1], s.Provider().ISLNeighbors(near[1])[0]), slot, s.islCapMbps); err != nil {
+	if _, err := s.ReserveLink(MakeLinkKey(near[1], s.Provider().ISLNeighbors(near[1])[0]), slot, s.islCapMbps); err != nil {
 		t.Fatal(err)
 	}
 

@@ -16,7 +16,7 @@ import (
 // anyway — no hash, no per-link object. USLs exist only while a pass
 // lasts (a few slots out of the horizon), so they are cells of a
 // per-slot map keyed by LinkKey that hold non-zero reservations only: a
-// cell released back to zero is deleted, an absent cell reads as zero.
+// cell rolled back to zero is deleted, an absent cell reads as zero.
 //
 // Generic LinkKey access (View, ReserveLink, LinkUtilization) reaches
 // the same rows by scanning the transmitting satellite's <= 4 CSR
@@ -74,31 +74,32 @@ func (s *State) LinkUtilization(key LinkKey, slot int) float64 {
 	return s.LinkUsedMbps(key, slot) / s.linkCapacity(key)
 }
 
-// ReserveLink reserves rateMbps on a link for one slot. It fails without
-// side effects if the link would be over-subscribed, or if the key names
-// two satellites the +Grid fabric does not connect.
-func (s *State) ReserveLink(key LinkKey, slot int, rateMbps float64) error {
+// ReserveLink reserves rateMbps on a link for one slot and returns what
+// the cell held before, the value restoreLink writes back on rollback. It
+// fails without side effects if the link would be over-subscribed, or if
+// the key names two satellites the +Grid fabric does not connect.
+func (s *State) ReserveLink(key LinkKey, slot int, rateMbps float64) (float64, error) {
 	if rateMbps <= 0 || math.IsNaN(rateMbps) {
-		return fmt.Errorf("netstate: invalid reservation rate %v", rateMbps)
+		return 0, fmt.Errorf("netstate: invalid reservation rate %v", rateMbps)
 	}
 	if slot < 0 || slot >= len(s.isl) {
-		return fmt.Errorf("netstate: slot %d outside horizon [0,%d)", slot, len(s.isl))
+		return 0, fmt.Errorf("netstate: slot %d outside horizon [0,%d)", slot, len(s.isl))
 	}
 	if !s.isISL(key) {
 		used := s.usl[slot][key]
 		if used+rateMbps > s.uslCapMbps*(1+1e-12) {
-			return overSubscribed(key, slot, used, rateMbps, s.uslCapMbps)
+			return 0, overSubscribed(key, slot, used, rateMbps, s.uslCapMbps)
 		}
 		if s.usl[slot] == nil {
 			s.usl[slot] = make(map[LinkKey]float64)
 		}
 		s.usl[slot][key] = used + rateMbps
 		s.instr.linkReserves.Inc()
-		return nil
+		return used, nil
 	}
 	e := s.islEdge(key.From(), key.To())
 	if e < 0 {
-		return fmt.Errorf("netstate: no ISL %d->%d in the +Grid fabric", key.From(), key.To())
+		return 0, fmt.Errorf("netstate: no ISL %d->%d in the +Grid fabric", key.From(), key.To())
 	}
 	row := s.isl[slot]
 	used := 0.0
@@ -106,7 +107,7 @@ func (s *State) ReserveLink(key LinkKey, slot int, rateMbps float64) error {
 		used = row[e]
 	}
 	if used+rateMbps > s.islCapMbps*(1+1e-12) {
-		return overSubscribed(key, slot, used, rateMbps, s.islCapMbps)
+		return 0, overSubscribed(key, slot, used, rateMbps, s.islCapMbps)
 	}
 	if row == nil {
 		row = make([]float64, s.csr.NumEdges())
@@ -114,7 +115,7 @@ func (s *State) ReserveLink(key LinkKey, slot int, rateMbps float64) error {
 	}
 	row[e] = used + rateMbps
 	s.instr.linkReserves.Inc()
-	return nil
+	return used, nil
 }
 
 func overSubscribed(key LinkKey, slot int, used, rateMbps, capacity float64) error {
@@ -122,58 +123,19 @@ func overSubscribed(key LinkKey, slot int, used, rateMbps, capacity float64) err
 		key.From(), key.To(), slot, used, rateMbps, capacity)
 }
 
-// unreserveLink subtracts a prior reservation. Releasing what was never
-// reserved — an unknown cell, or more than the cell holds beyond float
-// dust — changes nothing (the cell clamps at zero) but is recorded as a
-// ledger fault for CheckInvariants: a correct undo log never does it.
-func (s *State) unreserveLink(key LinkKey, slot int, rateMbps float64) {
-	if slot < 0 || slot >= len(s.isl) {
-		s.noteLedgerFault(key, slot, rateMbps, "slot outside the horizon")
-		return
+// restoreLink writes back what a cell held before a ReserveLink that
+// returned was: the ISL row cell directly, the USL map entry — deleted
+// again when the cell held nothing. Only the transaction's rollback calls
+// it, newest reservation first, on cells ReserveLink wrote.
+func (s *State) restoreLink(key LinkKey, slot int, was float64) {
+	switch {
+	case s.isISL(key):
+		s.isl[slot][s.islEdge(key.From(), key.To())] = was
+	case was == 0:
+		delete(s.usl[slot], key)
+	default:
+		s.usl[slot][key] = was
 	}
-	if !s.isISL(key) {
-		used, ok := s.usl[slot][key]
-		if !ok {
-			s.noteLedgerFault(key, slot, rateMbps, "link holds no reservation")
-			return
-		}
-		if left := s.release(key, slot, used, rateMbps, s.uslCapMbps); left != 0 {
-			s.usl[slot][key] = left
-		} else {
-			delete(s.usl[slot], key)
-		}
-		return
-	}
-	row := s.isl[slot]
-	e := s.islEdge(key.From(), key.To())
-	if row == nil || e < 0 {
-		s.noteLedgerFault(key, slot, rateMbps, "link holds no reservation")
-		return
-	}
-	row[e] = s.release(key, slot, row[e], rateMbps, s.islCapMbps)
-}
-
-// release returns used − rateMbps clamped at zero, noting a fault when
-// the clamp hides more than float dust.
-func (s *State) release(key LinkKey, slot int, used, rateMbps, capacity float64) float64 {
-	left := used - rateMbps
-	if left < 0 {
-		if left < -capacity*1e-12 {
-			s.noteLedgerFault(key, slot, rateMbps, fmt.Sprintf("only %v Mbps reserved", used))
-		}
-		left = 0
-	}
-	return left
-}
-
-// noteLedgerFault counts a release that matched no reservation and keeps
-// the first one's description.
-func (s *State) noteLedgerFault(key LinkKey, slot int, rateMbps float64, why string) {
-	if s.ledgerFaults == 0 {
-		s.firstLedgerFault = fmt.Sprintf("release of %v Mbps on link %d->%d at slot %d: %s",
-			rateMbps, key.From(), key.To(), slot, why)
-	}
-	s.ledgerFaults++
 }
 
 // CongestedLinkCount counts links whose remaining bandwidth in the slot
@@ -205,9 +167,6 @@ func (s *State) CongestedLinkCount(slot int, thresholdFrac float64) int {
 // checkLedger is the link half of CheckInvariants. It walks each slot's
 // USL cells in key order, so the fault it names is the same on every call.
 func (s *State) checkLedger() error {
-	if s.ledgerFaults > 0 {
-		return fmt.Errorf("netstate: %d release(s) matched no reservation; first: %s", s.ledgerFaults, s.firstLedgerFault)
-	}
 	islLimit := s.islCapMbps * (1 + 1e-12)
 	uslLimit := s.uslCapMbps * (1 + 1e-12)
 	for slot, row := range s.isl {

@@ -2,6 +2,7 @@ package netstate
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"strings"
@@ -13,7 +14,8 @@ import (
 
 // refLedger is the plain reference the dense ledger is checked against:
 // one map cell per (link, slot), the arithmetic of the per-link ledgers
-// it replaced (add on reserve; subtract and clamp at zero on release).
+// it replaced (add on reserve). It rolls a transaction back by restoring
+// a copy of the whole map taken when the transaction began.
 type refLedger struct {
 	used     map[refCell]float64
 	capacity func(LinkKey) float64
@@ -32,14 +34,6 @@ func (r *refLedger) reserve(key LinkKey, slot int, rate float64) error {
 	}
 	r.used[c] += rate
 	return nil
-}
-
-func (r *refLedger) release(key LinkKey, slot int, rate float64) {
-	c := refCell{key, slot}
-	r.used[c] -= rate
-	if r.used[c] < 0 {
-		r.used[c] = 0
-	}
 }
 
 // ledgerPool returns the links the parity test exercises: every ISL of a
@@ -108,90 +102,108 @@ func compareLedger(t *testing.T, step int, s *State, ref *refLedger, pool []Link
 	}
 }
 
-// TestLedgerMatchesReferenceMap drives the dense slot-major ledger and a
-// plain map through the same seeded sequence of direct reservations,
-// transactions that commit and transactions that roll back, over ISL and
-// USL keys, and requires identical reads, errors and derived counts
-// after every step.
+// ledgerScript drives s and a fresh reference through the same seeded
+// sequence of direct reservations and of transactions that commit or roll
+// back, over ISL and USL keys. Every error must be the reference's, and a
+// direct reservation must return what the cell held. A rollback must
+// leave each cell its transaction touched Float64bits-equal to before the
+// transaction, a commit each one at the reference's sum; CheckInvariants
+// must hold after every step. check, when not nil, runs after every step
+// too.
+func ledgerScript(t *testing.T, s *State, seed int64, check func(step int, ref *refLedger)) {
+	t.Helper()
+	ref := &refLedger{used: make(map[refCell]float64), capacity: s.linkCapacity}
+	pool := ledgerPool(s)
+	horizon := s.Provider().Horizon()
+	rng := rand.New(rand.NewSource(seed))
+	randomCell := func() (LinkKey, int, float64) {
+		key := pool[rng.Intn(len(pool))]
+		// Rates up to 45% of capacity: a third reservation on one cell
+		// is over-subscribed about as often as not.
+		return key, rng.Intn(horizon), (0.05 + 0.4*rng.Float64()) * s.linkCapacity(key)
+	}
+	sameErr := func(err, refErr error) bool {
+		return (err == nil) == (refErr == nil) && (err == nil || err.Error() == refErr.Error())
+	}
+	for step := 0; step < 300; step++ {
+		if op := rng.Intn(10); op < 3 { // direct reservation
+			key, slot, rate := randomCell()
+			held := ref.used[refCell{key, slot}]
+			was, err := s.ReserveLink(key, slot, rate)
+			if refErr := ref.reserve(key, slot, rate); !sameErr(err, refErr) {
+				t.Fatalf("seed %d step %d: ReserveLink error %v, reference %v", seed, step, err, refErr)
+			}
+			if err == nil && math.Float64bits(was) != math.Float64bits(held) {
+				t.Fatalf("seed %d step %d: ReserveLink returned %v, the cell held %v", seed, step, was, held)
+			}
+		} else { // transaction: a few reservations, then commit or roll back
+			saved := maps.Clone(ref.used)
+			before := map[refCell]float64{}
+			txn := s.Begin()
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				key, slot, rate := randomCell()
+				if _, ok := before[refCell{key, slot}]; !ok {
+					before[refCell{key, slot}] = s.LinkUsedMbps(key, slot)
+				}
+				err := txn.ReservePath(cellView{key, slot, rate}, graph.Path{Nodes: []int{key.From(), key.To()}})
+				if refErr := ref.reserve(key, slot, rate); !sameErr(err, refErr) {
+					t.Fatalf("seed %d step %d: ReservePath error %v, reference %v", seed, step, err, refErr)
+				}
+			}
+			rolledBack := op < 8
+			if rolledBack {
+				txn.Rollback()
+				ref.used = saved
+			} else {
+				txn.Commit()
+			}
+			for c, was := range before {
+				want := ref.used[c]
+				if rolledBack {
+					want = was
+				}
+				if got := s.LinkUsedMbps(c.key, c.slot); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d step %d (rolled back %v): link %d->%d slot %d holds %v, want %v",
+						seed, step, rolledBack, c.key.From(), c.key.To(), c.slot, got, want)
+				}
+			}
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d step %d: %v", seed, step, err)
+		}
+		if check != nil {
+			check(step, ref)
+		}
+	}
+}
+
+// TestLedgerMatchesReferenceMap runs ledgerScript on seeds 1–4 and
+// requires identical reads and derived counts on every pool link and
+// slot after every step.
 func TestLedgerMatchesReferenceMap(t *testing.T) {
 	sites := []grid.Site{{ID: 0, LatDeg: 40, LonDeg: -74}, {ID: 1, LatDeg: 51, LonDeg: 0}}
 	for seed := int64(1); seed <= 4; seed++ {
 		s := newTestState(t, sites)
-		ref := &refLedger{used: make(map[refCell]float64), capacity: s.linkCapacity}
 		pool := ledgerPool(s)
-		horizon := s.Provider().Horizon()
-		rng := rand.New(rand.NewSource(seed))
-
 		// A fresh ledger has no rows at all: every read is a nil-row read.
-		compareLedger(t, -1, s, ref, pool)
-
-		type held struct {
-			key  LinkKey
-			slot int
-			rate float64
-		}
-		var committed []held
-		randomCell := func() (LinkKey, int, float64) {
-			key := pool[rng.Intn(len(pool))]
-			// Rates up to 45% of capacity: a third reservation on one cell
-			// is over-subscribed about as often as not.
-			return key, rng.Intn(horizon), (0.05 + 0.4*rng.Float64()) * s.linkCapacity(key)
-		}
-		for step := 0; step < 300; step++ {
-			switch op := rng.Intn(10); {
-			case op < 3: // direct reservation
-				key, slot, rate := randomCell()
-				err, refErr := s.ReserveLink(key, slot, rate), ref.reserve(key, slot, rate)
-				if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
-					t.Fatalf("seed %d step %d: ReserveLink error %v, reference %v", seed, step, err, refErr)
-				}
-				if err == nil {
-					committed = append(committed, held{key, slot, rate})
-				}
-			case op < 5 && len(committed) > 0: // release an earlier reservation
-				i := rng.Intn(len(committed))
-				h := committed[i]
-				committed = append(committed[:i], committed[i+1:]...)
-				s.unreserveLink(h.key, h.slot, h.rate)
-				ref.release(h.key, h.slot, h.rate)
-			default: // transaction: a few reservations, then commit or roll back
-				txn := s.Begin()
-				var mine []held
-				for n := 1 + rng.Intn(4); n > 0; n-- {
-					key, slot, rate := randomCell()
-					err := txn.ReservePath(cellView{key, slot, rate}, graph.Path{Nodes: []int{key.From(), key.To()}})
-					refErr := ref.reserve(key, slot, rate)
-					if (err == nil) != (refErr == nil) {
-						t.Fatalf("seed %d step %d: ReservePath error %v, reference %v", seed, step, err, refErr)
-					}
-					if err == nil {
-						mine = append(mine, held{key, slot, rate})
-					}
-				}
-				if op < 8 {
-					txn.Rollback()
-					for _, h := range mine {
-						ref.release(h.key, h.slot, h.rate)
-					}
-				} else {
-					txn.Commit()
-					committed = append(committed, mine...)
-				}
-			}
-			compareLedger(t, step, s, ref, pool)
-		}
-		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-
-		// Releasing everything returns every link to idle: nothing active,
-		// nothing congested at any threshold in (0, 1].
-		for _, h := range committed {
-			s.unreserveLink(h.key, h.slot, h.rate)
-			ref.release(h.key, h.slot, h.rate)
-		}
-		compareLedger(t, 300, s, ref, pool)
+		compareLedger(t, -1, s, &refLedger{used: map[refCell]float64{}, capacity: s.linkCapacity}, pool)
+		ledgerScript(t, s, seed, func(step int, ref *refLedger) { compareLedger(t, step, s, ref, pool) })
 	}
+}
+
+// FuzzLedgerUndo is ledgerScript with the seed in the fuzzer's hands.
+func FuzzLedgerUndo(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(seed)
+	}
+	prov := smallProvider(f, []grid.Site{{ID: 0, LatDeg: 40, LonDeg: -74}, {ID: 1, LatDeg: 51, LonDeg: 0}})
+	f.Fuzz(func(t *testing.T, seed int64) {
+		s, err := New(prov, DefaultEnergyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledgerScript(t, s, seed, nil)
+	})
 }
 
 // TestLedgerRejectsNonISLPairs: two satellites that are not +Grid
@@ -202,7 +214,7 @@ func TestLedgerRejectsNonISLPairs(t *testing.T) {
 	if s.islEdge(0, 50) >= 0 {
 		t.Fatal("test premise: satellites 0 and 50 must not be neighbours")
 	}
-	if err := s.ReserveLink(key, 1, 100); err == nil || !strings.Contains(err.Error(), "no ISL 0->50") {
+	if _, err := s.ReserveLink(key, 1, 100); err == nil || !strings.Contains(err.Error(), "no ISL 0->50") {
 		t.Fatalf("ReserveLink on a non-neighbour pair: %v", err)
 	}
 	if got := s.LinkUsedMbps(key, 1); got != 0 {
@@ -229,55 +241,19 @@ func TestCheckLedgerNamesSmallestFault(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsReportsBadRelease: unreserveLink still clamps and
-// carries on when asked to release what was never reserved, and
-// CheckInvariants is where that shows.
-func TestCheckInvariantsReportsBadRelease(t *testing.T) {
-	isl, usl := MakeLinkKey(0, 1), MakeLinkKey(96, 3)
-	cases := []struct {
-		name  string
-		setup func(s *State)
-	}{
-		{"unknown ISL cell", func(s *State) { s.unreserveLink(isl, 2, 10) }},
-		{"unknown USL cell", func(s *State) { s.unreserveLink(usl, 2, 10) }},
-		{"slot outside the horizon", func(s *State) { s.unreserveLink(isl, -1, 10) }},
-		{"over-release", func(s *State) {
-			if err := s.ReserveLink(isl, 2, 100); err != nil {
-				t.Fatal(err)
-			}
-			s.unreserveLink(isl, 2, 500)
-		}},
-		{"over-capacity cell", func(s *State) {
-			if err := s.ReserveLink(isl, 2, 100); err != nil {
-				t.Fatal(err)
-			}
-			s.isl[2][s.islEdge(0, 1)] = 2 * s.islCapMbps
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := newTestState(t, []grid.Site{{ID: 0, LatDeg: 40, LonDeg: -74}})
-			if err := s.CheckInvariants(); err != nil {
-				t.Fatalf("fresh state: %v", err)
-			}
-			tc.setup(s)
-			if err := s.CheckInvariants(); err == nil {
-				t.Fatal("CheckInvariants passed")
-			}
-		})
-	}
-
-	// Float dust is not a fault: (a+r1+r2)-r1-r2 may land a hair below a.
-	s := newTestState(t, nil)
-	for _, r := range []float64{0.1, 0.2, 0.3} {
-		if err := s.ReserveLink(isl, 0, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, r := range []float64{0.1, 0.2, 0.3} {
-		s.unreserveLink(isl, 0, r)
-	}
+// TestCheckInvariantsReportsOverCapacityCell: a link cell above its
+// capacity is a fault CheckInvariants reports.
+func TestCheckInvariantsReportsOverCapacityCell(t *testing.T) {
+	s := newTestState(t, []grid.Site{{ID: 0, LatDeg: 40, LonDeg: -74}})
 	if err := s.CheckInvariants(); err != nil {
-		t.Fatalf("dust-sized over-release reported: %v", err)
+		t.Fatalf("fresh state: %v", err)
+	}
+	isl := MakeLinkKey(0, 1)
+	if _, err := s.ReserveLink(isl, 2, 100); err != nil {
+		t.Fatal(err)
+	}
+	s.isl[2][s.islEdge(0, 1)] = 2 * s.islCapMbps
+	if err := s.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants passed")
 	}
 }

@@ -114,8 +114,8 @@ func (sc *SearchScratch) RouteSlot(txn *Txn, slot int, src, dst topology.Endpoin
 	// of the same slot, say) whose draws are individually feasible yet
 	// jointly not: the transaction's own atomic-per-battery Consume gives
 	// that verdict. The energy goes first so that a refused slot has
-	// touched no link — Rollback restores battery cells bit for bit, but a
-	// released link keeps the (a+r)−r dust.
+	// touched no link and counted no link reservation; Rollback restores
+	// whatever the slot did touch bit for bit either way.
 	if err := txn.Consume(cons); err != nil {
 		var depleted *energy.DepletionError
 		if errors.As(err, &depleted) {

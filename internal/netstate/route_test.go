@@ -79,10 +79,9 @@ func sharedSat(t *testing.T, s *State) (slot, sat int) {
 // TestRouteSlotOutcomes drives the one slot step into each of its four
 // outcomes on a loaded ledger, on the flat scratch and on the reference
 // scratch: both must return the same outcome, path and error and leave
-// the same ledger, and after Rollback every battery must hold its
-// pre-call bits, every link cell its pre-call value — exactly where the
-// cell was idle, up to the (a+r)−r rounding of a release otherwise — with
-// the invariants intact. Only a routed slot touches a link; a refused
+// the same ledger, and after Rollback every battery and every link cell
+// must hold its pre-call bits — a loaded cell the routed path shares
+// included — with the invariants intact. Only a routed slot touches a link; a refused
 // draw names its satellite and is blamed on it.
 func TestRouteSlotOutcomes(t *testing.T) {
 	weighted := func(node int, in, out graph.EdgeClass) float64 { return 0.25 * float64(node%5) }
@@ -217,7 +216,7 @@ func TestRouteSlotOutcomes(t *testing.T) {
 			shared := 0
 			for key, was := range before.links {
 				got := undone.links[key]
-				if was == 0 && got != 0 || math.Abs(got-was) > 4e-16*(was+tc.demand) {
+				if math.Float64bits(got) != math.Float64bits(was) {
 					t.Fatalf("%s (reference %v): link %v holds %v after Rollback, %v before the call", tc.name, sc.reference, key, got, was)
 				}
 				if was != 0 && after.links[key] != was {
@@ -225,7 +224,7 @@ func TestRouteSlotOutcomes(t *testing.T) {
 				}
 			}
 			if tc.want == SlotRouted && shared == 0 {
-				t.Fatalf("%s (reference %v): the routed path shares no cell with the loaded one; the dust bound is untested", tc.name, sc.reference)
+				t.Fatalf("%s (reference %v): the routed path shares no cell with the loaded one; restoring a non-idle cell is untested", tc.name, sc.reference)
 			}
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatalf("%s (reference %v): %v", tc.name, sc.reference, err)

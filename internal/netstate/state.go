@@ -124,10 +124,6 @@ type State struct {
 	uslCapMbps float64
 	isl        [][]float64
 	usl        []map[LinkKey]float64
-	// ledgerFaults counts releases that matched no reservation;
-	// CheckInvariants reports them.
-	ledgerFaults     int
-	firstLedgerFault string
 
 	instr stateInstruments
 	// txn is the undo arena of the single open transaction; see
@@ -305,10 +301,9 @@ func (s *State) EnergyDeficitJ(slot int) float64 {
 
 // CheckInvariants verifies the ledgers' structural invariants, the ones
 // the search path's shortcuts rely on and nothing else would notice
-// breaking: no link cell negative or above capacity·(1+1e-12), and no
-// release that matched no reservation (unreserveLink clamps and carries
-// on, so only this check reports it); every battery within capacity with
-// its deficit bounds enclosing its non-zero span. Tests call it at the
+// breaking: no link cell negative or above capacity·(1+1e-12), no USL
+// cell held at zero; every battery within capacity with its deficit
+// bounds enclosing its non-zero span. Tests call it at the
 // end of every equivalence and replay run; it is O(reserved slots × links
 // + satellites × horizon), so not for a per-request path.
 func (s *State) CheckInvariants() error {

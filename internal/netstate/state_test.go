@@ -12,7 +12,7 @@ import (
 
 var testEpoch = time.Date(2026, time.July, 5, 0, 0, 0, 0, time.UTC)
 
-func smallProvider(t *testing.T, sites []grid.Site) *topology.Provider {
+func smallProvider(t testing.TB, sites []grid.Site) *topology.Provider {
 	t.Helper()
 	cfg := topology.DefaultConfig(testEpoch)
 	cfg.Walker.Planes = 8
@@ -156,7 +156,7 @@ func TestReserveAndQueryLink(t *testing.T) {
 	if got := s.LinkUtilization(key, 3); got != 0 {
 		t.Errorf("fresh utilization = %v", got)
 	}
-	if err := s.ReserveLink(key, 3, 5000); err != nil {
+	if _, err := s.ReserveLink(key, 3, 5000); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.LinkUsedMbps(key, 3); got != 5000 {
@@ -174,10 +174,10 @@ func TestReserveAndQueryLink(t *testing.T) {
 func TestReserveLinkOverSubscription(t *testing.T) {
 	s := newTestState(t, nil)
 	key := MakeLinkKey(0, 1)
-	if err := s.ReserveLink(key, 0, 19000); err != nil {
+	if _, err := s.ReserveLink(key, 0, 19000); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReserveLink(key, 0, 1500); err == nil {
+	if _, err := s.ReserveLink(key, 0, 1500); err == nil {
 		t.Fatal("over-subscription accepted")
 	}
 	// Failed reservation must not change the ledger.
@@ -185,7 +185,7 @@ func TestReserveLinkOverSubscription(t *testing.T) {
 		t.Errorf("used = %v after failed reservation", got)
 	}
 	// Exactly filling is allowed.
-	if err := s.ReserveLink(key, 0, 1000); err != nil {
+	if _, err := s.ReserveLink(key, 0, 1000); err != nil {
 		t.Errorf("exact fill rejected: %v", err)
 	}
 }
@@ -193,16 +193,16 @@ func TestReserveLinkOverSubscription(t *testing.T) {
 func TestReserveLinkArgErrors(t *testing.T) {
 	s := newTestState(t, nil)
 	key := MakeLinkKey(0, 1)
-	if err := s.ReserveLink(key, 0, 0); err == nil {
+	if _, err := s.ReserveLink(key, 0, 0); err == nil {
 		t.Error("zero rate should error")
 	}
-	if err := s.ReserveLink(key, 0, -5); err == nil {
+	if _, err := s.ReserveLink(key, 0, -5); err == nil {
 		t.Error("negative rate should error")
 	}
-	if err := s.ReserveLink(key, -1, 5); err == nil {
+	if _, err := s.ReserveLink(key, -1, 5); err == nil {
 		t.Error("negative slot should error")
 	}
-	if err := s.ReserveLink(key, 999, 5); err == nil {
+	if _, err := s.ReserveLink(key, 999, 5); err == nil {
 		t.Error("beyond-horizon slot should error")
 	}
 }
@@ -210,10 +210,10 @@ func TestReserveLinkArgErrors(t *testing.T) {
 func TestCongestedLinkCount(t *testing.T) {
 	s := newTestState(t, nil)
 	a, b := MakeLinkKey(0, 1), MakeLinkKey(1, 2)
-	if err := s.ReserveLink(a, 2, 19000); err != nil { // residual 1000 < 10% of 20000
+	if _, err := s.ReserveLink(a, 2, 19000); err != nil { // residual 1000 < 10% of 20000
 		t.Fatal(err)
 	}
-	if err := s.ReserveLink(b, 2, 10000); err != nil { // residual 10000, not congested
+	if _, err := s.ReserveLink(b, 2, 10000); err != nil { // residual 10000, not congested
 		t.Fatal(err)
 	}
 	if got := s.CongestedLinkCount(2, 0.1); got != 1 {

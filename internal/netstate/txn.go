@@ -39,10 +39,11 @@ type Txn struct {
 	done  bool
 }
 
+// linkReservation is one cell ReservePath wrote and what it held before.
 type linkReservation struct {
 	key  LinkKey
 	slot int
-	rate float64
+	was  float64
 }
 
 // txnScratch is the State-owned working memory of the single open
@@ -84,10 +85,11 @@ func (t *Txn) ReservePath(v SlotView, p graph.Path) error {
 	a := &t.state.txn
 	for i := 0; i < len(p.Nodes)-1; i++ {
 		key := v.LinkKeyFor(p.Nodes[i], p.Nodes[i+1])
-		if err := t.state.ReserveLink(key, v.Slot(), v.DemandMbps()); err != nil {
+		was, err := t.state.ReserveLink(key, v.Slot(), v.DemandMbps())
+		if err != nil {
 			return err
 		}
-		a.linkUndo = append(a.linkUndo, linkReservation{key: key, slot: v.Slot(), rate: v.DemandMbps()})
+		a.linkUndo = append(a.linkUndo, linkReservation{key: key, slot: v.Slot(), was: was})
 	}
 	return nil
 }
@@ -116,9 +118,9 @@ func (t *Txn) Consume(consumptions []Consumption) error {
 	return nil
 }
 
-// Rollback undoes every reservation and restores every touched battery
-// cell, newest write first. Safe to call after a partial failure;
-// idempotent.
+// Rollback writes back every link cell and battery cell the transaction
+// touched, newest write first, so each holds its pre-transaction bits.
+// Safe to call after a partial failure; idempotent.
 func (t *Txn) Rollback() {
 	if t.done {
 		return
@@ -126,8 +128,9 @@ func (t *Txn) Rollback() {
 	t.done = true
 	t.state.instr.txnRollbacks.Inc()
 	a := &t.state.txn
-	for _, r := range a.linkUndo {
-		t.state.unreserveLink(r.key, r.slot, r.rate)
+	for i := len(a.linkUndo) - 1; i >= 0; i-- {
+		r := &a.linkUndo[i]
+		t.state.restoreLink(r.key, r.slot, r.was)
 	}
 	a.undo.Rollback()
 }

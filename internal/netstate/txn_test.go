@@ -1,7 +1,6 @@
 package netstate
 
 import (
-	"math"
 	"testing"
 
 	"spacebooking/internal/graph"
@@ -157,23 +156,6 @@ func TestTxnPartialFailureThenRollback(t *testing.T) {
 	txn.Rollback()
 	if got := s.Battery(3).DeficitAt(dark); got != 0 {
 		t.Errorf("deficit = %v after rollback of partial failure", got)
-	}
-}
-
-func TestUnreserveLinkClampsAtZero(t *testing.T) {
-	s := newTestState(t, nil)
-	key := MakeLinkKey(0, 1)
-	if err := s.ReserveLink(key, 2, 100); err != nil {
-		t.Fatal(err)
-	}
-	s.unreserveLink(key, 2, 500) // over-release clamps
-	if got := s.LinkUsedMbps(key, 2); got != 0 {
-		t.Errorf("used = %v, want 0", got)
-	}
-	s.unreserveLink(MakeLinkKey(5, 6), 0, 10) // unknown link: no-op
-	s.unreserveLink(key, -1, 10)              // bad slot: no-op
-	if math.IsNaN(s.LinkUsedMbps(key, 2)) {
-		t.Error("ledger corrupted")
 	}
 }
 

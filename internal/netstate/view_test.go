@@ -164,7 +164,7 @@ func TestViewMasksSaturatedLinks(t *testing.T) {
 	// Saturate the USL from the source site to the first visible satellite.
 	srcGID := s.Provider().GlobalID(groundEP(0))
 	key := MakeLinkKey(srcGID, srcVis[0])
-	if err := s.ReserveLink(key, slot, 3950); err != nil {
+	if _, err := s.ReserveLink(key, slot, 3950); err != nil {
 		t.Fatal(err)
 	}
 	v, err := NewView(s, slot, groundEP(0), groundEP(1), 100, hopCost)

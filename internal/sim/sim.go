@@ -126,8 +126,7 @@ type RunConfig struct {
 	Pricing pricing.Params
 	// PruneBudget enables budget pruning in CEAR's fast-path searches
 	// (see core.Options.PruneBudget). It preserves accept/reject, plans
-	// and (up to float residue on rolled-back links) prices, but not the
-	// rejection reason class: a pruned run may report "priced-out" where
+	// and prices bit for bit, but not the rejection reason class: a pruned run may report "priced-out" where
 	// a plain run reports "no-path" or "energy-infeasible", so
 	// Result.Rejections can differ.
 	PruneBudget bool
@@ -236,9 +235,9 @@ func (r *Result) MeanCongested() float64 {
 }
 
 // buildAlgorithm constructs the algorithm and its backing state. Every
-// algorithm runs on strict (non-clamping) batteries: constraint (7c) is
-// part of the problem definition, not a CEAR feature — baselines must
-// also operate within physically available energy.
+// algorithm runs under constraint (7c): it is part of the problem
+// definition, not a CEAR feature — baselines must also operate within
+// physically available energy.
 func buildAlgorithm(prov *topology.Provider, rc RunConfig) (router.Algorithm, *netstate.State, error) {
 	state, err := netstate.New(prov, rc.Energy)
 	if err != nil {

@@ -624,13 +624,43 @@ func batteryBits(s *netstate.State) []uint64 {
 	return out
 }
 
-// TestRejectedAdmissionLeavesBatteriesUntouched is the battery half of a
-// no-trace check: whatever a rejected request consumed on its way to the
-// rejection — slots routed before a later one found no path, a plan
-// priced out after routing — its rollback must leave every battery's
-// cells and deficit bounds bit-identical to before the request, in
-// CEAR's strict ledgers and in a baseline's clamping ones.
-func TestRejectedAdmissionLeavesBatteriesUntouched(t *testing.T) {
+// requestLinkBits is every link cell a request can reserve, as bits: each
+// ISL (every CSR edge) and each USL between an endpoint and a satellite
+// it sees, in every slot of the request's window.
+func requestLinkBits(t *testing.T, s *netstate.State, req workload.Request) []uint64 {
+	t.Helper()
+	prov := s.Provider()
+	csr := prov.ISLCSR()
+	var out []uint64
+	for slot := req.StartSlot; slot <= req.EndSlot; slot++ {
+		for sat := 0; sat < prov.NumSats(); sat++ {
+			for _, to := range csr.To[csr.Offsets[sat]:csr.Offsets[sat+1]] {
+				out = append(out, math.Float64bits(s.LinkUsedMbps(netstate.MakeLinkKey(sat, int(to)), slot)))
+			}
+		}
+		for _, ep := range []topology.Endpoint{req.Src, req.Dst} {
+			vis, err := prov.VisibleSats(ep, slot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gid := prov.GlobalID(ep)
+			for _, sat := range vis {
+				out = append(out,
+					math.Float64bits(s.LinkUsedMbps(netstate.MakeLinkKey(gid, sat), slot)),
+					math.Float64bits(s.LinkUsedMbps(netstate.MakeLinkKey(sat, gid), slot)))
+			}
+		}
+	}
+	return out
+}
+
+// TestRejectedAdmissionLeavesNoTrace: whatever a rejected request
+// reserved and consumed on its way to the rejection — slots routed before
+// a later one found no path, a plan priced out after routing — its
+// rollback must leave every battery's cells and deficit bounds, and every
+// link cell the request could have reserved, bit-identical to before the
+// request, for CEAR and for a baseline.
+func TestRejectedAdmissionLeavesNoTrace(t *testing.T) {
 	prov := testProvider(t)
 	for _, alg := range []AlgorithmKind{AlgCEAR, AlgSSP} {
 		rc, err := DefaultRunConfig(alg, testWorkload(3, 3))
@@ -649,7 +679,7 @@ func TestRejectedAdmissionLeavesBatteriesUntouched(t *testing.T) {
 		rollbacks := rc.Obs.Counter("netstate.txn.rollbacks")
 		undone := 0
 		for _, req := range reqs {
-			before, rolled := batteryBits(eng.State()), rollbacks.Value()
+			bats, links, rolled := batteryBits(eng.State()), requestLinkBits(t, eng.State(), req), rollbacks.Value()
 			d, err := eng.Admit(req)
 			if err != nil {
 				t.Fatal(err)
@@ -660,8 +690,11 @@ func TestRejectedAdmissionLeavesBatteriesUntouched(t *testing.T) {
 			if rollbacks.Value() > rolled {
 				undone++
 			}
-			if !slices.Equal(batteryBits(eng.State()), before) {
+			if !slices.Equal(batteryBits(eng.State()), bats) {
 				t.Fatalf("%v: request %d rejected (%s) but its consumption stayed on the batteries", alg, req.ID, d.Reason)
+			}
+			if !slices.Equal(requestLinkBits(t, eng.State(), req), links) {
+				t.Fatalf("%v: request %d rejected (%s) but a link cell differs from before it", alg, req.ID, d.Reason)
 			}
 		}
 		if undone == 0 {
