@@ -241,19 +241,46 @@ func TestCheckLedgerNamesSmallestFault(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsReportsOverCapacityCell: a link cell above its
-// capacity is a fault CheckInvariants reports.
-func TestCheckInvariantsReportsOverCapacityCell(t *testing.T) {
-	s := newTestState(t, []grid.Site{{ID: 0, LatDeg: 40, LonDeg: -74}})
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatalf("fresh state: %v", err)
-	}
+// TestCheckInvariantsReportsBadRelease: a release that writes the wrong
+// value back into a link cell - above capacity, below zero, or a USL
+// entry left at zero instead of deleted - is a fault CheckInvariants
+// reports.
+func TestCheckInvariantsReportsBadRelease(t *testing.T) {
 	isl := MakeLinkKey(0, 1)
-	if _, err := s.ReserveLink(isl, 2, 100); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		setup func(s *State)
+	}{
+		{"over-capacity cell", func(s *State) {
+			if _, err := s.ReserveLink(isl, 2, 100); err != nil {
+				t.Fatal(err)
+			}
+			s.isl[2][s.islEdge(0, 1)] = 2 * s.islCapMbps
+		}},
+		{"negative ISL cell", func(s *State) {
+			if _, err := s.ReserveLink(isl, 2, 100); err != nil {
+				t.Fatal(err)
+			}
+			s.isl[2][s.islEdge(0, 1)] = -1
+		}},
+		{"zero USL entry", func(s *State) {
+			usl := MakeLinkKey(s.Provider().NumSats(), 3)
+			if _, err := s.ReserveLink(usl, 2, 10); err != nil {
+				t.Fatal(err)
+			}
+			s.usl[2][usl] = 0
+		}},
 	}
-	s.isl[2][s.islEdge(0, 1)] = 2 * s.islCapMbps
-	if err := s.CheckInvariants(); err == nil {
-		t.Fatal("CheckInvariants passed")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestState(t, []grid.Site{{ID: 0, LatDeg: 40, LonDeg: -74}})
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("fresh state: %v", err)
+			}
+			tc.setup(s)
+			if err := s.CheckInvariants(); err == nil {
+				t.Fatal("CheckInvariants passed")
+			}
+		})
 	}
 }
