@@ -90,10 +90,10 @@ type CEAR struct {
 	unitPrice func(utilization float64) float64
 
 	// Routing state: the pooled search scratch and what the slot step is
-	// told about this instance's searches — the cost, transit and
-	// look-ahead functions bound once at construction (method values, so
-	// the per-slot loop allocates no closures; they read curDemand/curSlot)
-	// and the idle-ISL price, which beginSearch sets per slot.
+	// told about this instance's searches — the cost and transit functions
+	// bound once at construction (method values, so the per-slot loop
+	// allocates no closures; they read curDemand/curSlot) and the idle-ISL
+	// price, which beginSearch sets per slot.
 	scratch   *netstate.SearchScratch
 	search    netstate.SlotSearch
 	curDemand float64
@@ -113,6 +113,9 @@ type CEAR struct {
 	// cache miss. EnableTraceDetail mutates the pointed-to struct, so a
 	// handle cached before enablement still sees the counters.
 	instr *netstate.SearchInstruments
+	// priced counts the transits priced while PricingNanos is attached;
+	// every pricingStride-th of them is timed.
+	priced uint32
 }
 
 var _ router.Algorithm = (*CEAR)(nil)
@@ -143,11 +146,6 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 	c.search.EdgeCost = c.priceEdgeCost
 	c.search.Transit = c.priceTransit
 	c.unitPrice = c.energyUnitPrice
-	if !opts.DisableEnergyPricing {
-		// Without energy pricing nothing is summed: there is no chain of
-		// additions for a second lane to overlap with.
-		c.search.LookAhead = c.priceAhead
-	}
 	if reg := opts.Obs; reg != nil {
 		c.ctrEvaluations = reg.Counter("core.admission.evaluations")
 		c.ctrAccepted = reg.Counter("core.admission.accepted")
@@ -215,9 +213,12 @@ func (c *CEAR) energyTransitCost(sat, slot int, joules float64) float64 {
 	// Pricing wall time for the serving layer's phase breakdown; the
 	// counter is nil (one branch, no clock reads) unless trace detail
 	// is enabled. Timed here — on the transit-cache miss path — so hits
-	// cost nothing.
+	// cost nothing, and sampled: one priced transit in pricingStride is
+	// timed and charged pricingStride times its interval.
 	if in := c.instr; in != nil && in.PricingNanos != nil {
-		defer pricingTimer(in.PricingNanos, nanotime())
+		if c.priced++; c.priced%pricingStride == 0 {
+			defer pricingTimer(in.PricingNanos, nanotime())
+		}
 	}
 	b := c.state.Battery(sat)
 	cost, feasible := b.PriceDeficit(slot, joules, c.unitPrices(sat, b))
@@ -256,16 +257,24 @@ func (c *CEAR) UnitTableSlots() (tables, widest, held int) {
 	return tables, widest, held
 }
 
-// pricingTimer accumulates elapsed pricing wall time; the deferred form
-// captures the start at the defer statement.
+// pricingStride is the pricing timer's sampling interval: a timed
+// transit stands for itself and the pricingStride-1 untimed ones before
+// it. Two clock reads per transit cost about as much as the transit
+// itself; one pair in eight keeps the estimate and most of that cost off
+// traced runs.
+const pricingStride = 8
+
+// pricingTimer charges the pricing counter pricingStride times the
+// elapsed interval; the deferred form captures the start at the defer
+// statement.
 func pricingTimer(c *obs.Counter, t0 int64) {
-	c.Add(nanotime() - t0)
+	c.Add(pricingStride * (nanotime() - t0))
 }
 
-// clockBase anchors the pricing timers, which run ≈600 times per search
-// when trace detail is on: time.Since of a Time that carries a monotonic
-// reading is one clock read where time.Now is two (wall and monotonic),
-// and a timer only needs differences.
+// clockBase anchors the pricing timer, which runs on one priced transit
+// in pricingStride when trace detail is on: time.Since of a Time that
+// carries a monotonic reading is one clock read where time.Now is two
+// (wall and monotonic), and a timer only needs differences.
 var clockBase = time.Now()
 
 func nanotime() int64 { return int64(time.Since(clockBase)) }
@@ -289,8 +298,8 @@ func (c *CEAR) priceEdgeCost(key netstate.LinkKey, class graph.EdgeClass, capaci
 const transitRoles = 4
 
 // transitEntry is one memoised transit cost, current while its epoch is
-// the search's. Four make 64 bytes: what priceTransit and priceAhead read
-// of one satellite shares a cache line.
+// the search's. Four make 64 bytes: what priceTransit reads of one
+// satellite shares a cache line.
 type transitEntry struct {
 	value float64
 	epoch uint32
@@ -347,35 +356,6 @@ func (c *CEAR) priceTransit(node int, in, out graph.EdgeClass) float64 {
 	v := c.energyTransitCost(node, c.curSlot, c.roleJoules[role])
 	*e = transitEntry{value: v, epoch: c.epoch}
 	return v
-}
-
-// priceAhead is the search's look-ahead hook: sat was just popped with
-// incoming class in, and (nextSat, nextIn) is the state on top of the
-// heap — the next one expanded unless the search ends first. Each will
-// ask priceTransit for its ISL-out role; when neither is cached yet and
-// both are constant-run lanes, the two sums are computed in one loop
-// whose addition chains overlap, and both land in the transit cache.
-// Every other case is left to priceTransit, so whether a pair forms
-// changes when a price is computed, never what it is.
-func (c *CEAR) priceAhead(sat int, in graph.EdgeClass, nextSat int, nextIn graph.EdgeClass) {
-	role1, role2 := transitRole(in, graph.ClassISL), transitRole(nextIn, graph.ClassISL)
-	e1, e2 := &c.transit[transitKey(sat, role1)], &c.transit[transitKey(nextSat, role2)]
-	if e1 == e2 || e1.epoch == c.epoch || e2.epoch == c.epoch {
-		return
-	}
-	// One clock pair for the batch: with trace detail on, a pair charges
-	// the pricing timer what two single walks would for half the reads.
-	if in := c.instr; in != nil && in.PricingNanos != nil {
-		defer pricingTimer(in.PricingNanos, nanotime())
-	}
-	b1, b2 := c.state.Battery(sat), c.state.Battery(nextSat)
-	cost1, cost2, ok := energy.PriceDeficitPair(c.curSlot,
-		b1, c.roleJoules[role1], c.unitPrices(sat, b1),
-		b2, c.roleJoules[role2], c.unitPrices(nextSat, b2))
-	if ok {
-		*e1 = transitEntry{value: cost1, epoch: c.epoch}
-		*e2 = transitEntry{value: cost2, epoch: c.epoch}
-	}
 }
 
 // Handle implements Algorithm 1 for one online request.

@@ -526,52 +526,6 @@ func TestHandleRejectsBadVector(t *testing.T) {
 	}
 }
 
-// TestLookAheadPairsChangeNoDecision feeds one request stream to a CEAR
-// with the search's look-ahead hook and to one without: pairing two
-// states' energy sums in one loop may change when a price is computed,
-// never a decision, a price or a plan.
-func TestLookAheadPairsChangeNoDecision(t *testing.T) {
-	paired := newCEAR(t, newTestStack(t, 0), Options{})
-	single := newCEAR(t, newTestStack(t, 0), Options{})
-	single.search.LookAhead = nil
-	pairs := 0
-	paired.search.LookAhead = func(sat int, in graph.EdgeClass, nextSat int, nextIn graph.EdgeClass) {
-		e := &paired.transit[transitKey(nextSat, transitRole(nextIn, graph.ClassISL))]
-		cached := e.epoch == paired.epoch
-		paired.priceAhead(sat, in, nextSat, nextIn)
-		if !cached && e.epoch == paired.epoch {
-			pairs++
-		}
-	}
-	accepted := 0
-	for i := 0; i < 60; i++ {
-		req := routableRequest(t, paired.state, i, 400+100*float64(i%17), 1+i%3)
-		dp, err := paired.Handle(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds, err := single.Handle(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(dp, ds) {
-			t.Fatalf("request %d: decisions diverge\nwith look-ahead:    %+v\nwithout look-ahead: %+v", i, dp, ds)
-		}
-		if dp.Accepted {
-			accepted++
-		}
-	}
-	if accepted == 0 || pairs == 0 {
-		t.Fatalf("accepted %d requests, formed %d pairs: the comparison is vacuous", accepted, pairs)
-	}
-	t.Logf("accepted %d/60, %d pairs formed", accepted, pairs)
-	for _, c := range []*CEAR{paired, single} {
-		if err := c.state.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestRefillsSkipThePast is the counter-level pin of refilling unit-price
 // tables from the slot being searched: on a stream that arrives through
 // the second half of the horizon — every battery's deficit span starts
@@ -591,9 +545,7 @@ func TestRefillsSkipThePast(t *testing.T) {
 	// The reference refills whole spans with no switch in CEAR: whenever it
 	// is asked for a transit price it first fills that satellite's table
 	// from slot 0, so its own fill — from the slot searched — finds the
-	// table current and looks nothing up. It prices single-lane, so no
-	// look-ahead the search never uses inflates its count.
-	whole.search.LookAhead = nil
+	// table current and looks nothing up.
 	whole.search.Transit = func(node int, in, out graph.EdgeClass) float64 {
 		whole.state.Battery(node).FillUnitPrices(&whole.units[node], 0, whole.unitPrice)
 		return whole.priceTransit(node, in, out)

@@ -147,15 +147,16 @@ func (u *UnitPrices) at(ta int) []float64 {
 // It equals a VisitDeficit walk that checks
 // DeficitAt(t)+outstanding <= capacity·(1+1e-12) and adds
 // price(UtilizationAt(t))·outstanding per slot, bit for bit, but almost
-// never reads the ledger: when maxDeficit+joules fits
-// under the limit no slot can fail, and with no sunny slot ahead the
-// outstanding deficit is a constant, so the walk is cost += unit[t]·J
-// over one array (constantRun). Anything else — an empty table, ta
-// outside the span, a sunny slot ahead, a battery within joules of
-// capacity — runs walk.
+// never reads the ledger. When ta lies inside the filled range, no sunny
+// slot lies at or after it and maxDeficit+joules fits under the limit,
+// no slot can fail and the outstanding deficit stays joules to the end of
+// the span: the walk is cost += unit[t]·J over one array, a constant run
+// that stops at the last deficit slot (from there on unit[t] is +0 and
+// cost + 0·J == cost). Anything else — an empty table, ta outside the
+// span, a sunny slot ahead, a battery within joules of capacity — runs
+// walk.
 func (b *Battery) PriceDeficit(ta int, joules float64, u *UnitPrices) (cost float64, feasible bool) {
-	run, ok := b.constantRun(ta, joules, u)
-	if !ok {
+	if u == nil || u.unit == nil || ta < u.first || ta > u.last || ta <= u.lastSunny || !b.fits(joules) {
 		var unit []float64
 		if u != nil {
 			if u.unit != nil && uint(ta) < uint(u.from) {
@@ -167,7 +168,7 @@ func (b *Battery) PriceDeficit(ta int, joules float64, u *UnitPrices) (cost floa
 		return cost, failSlot < 0
 	}
 	b.instr.countDeficitWalk()
-	for _, p := range run {
+	for _, p := range u.unit[ta-u.from : u.last+1-u.from] {
 		cost += p * joules
 	}
 	return cost, true
@@ -184,47 +185,4 @@ func (b *Battery) limit() float64 { return b.capacityJ * (1 + 1e-12) }
 // which the kernels leave to walk.
 func (b *Battery) fits(joules float64) bool {
 	return joules > 0 && b.maxDeficit+joules <= b.limit()
-}
-
-// constantRun returns the unit prices a consumption of joules in slot ta
-// is summed over when its outstanding deficit stays joules to the end of
-// the span: ta lies inside the filled range, no sunny slot lies at or
-// after it, and the draw fits. The run stops at the last deficit slot:
-// from there on unit[t] is +0 and cost + 0·J == cost. ok is false for
-// every other lane.
-func (b *Battery) constantRun(ta int, joules float64, u *UnitPrices) (run []float64, ok bool) {
-	if u == nil || u.unit == nil || ta < u.first || ta > u.last || ta <= u.lastSunny || !b.fits(joules) {
-		return nil, false
-	}
-	return u.unit[ta-u.from : u.last+1-u.from], true
-}
-
-// PriceDeficitPair prices two consumptions in slot ta — joules1 on b1,
-// joules2 on b2 — in one loop with an accumulator each. Either sum adds
-// its own terms in slot order, so each equals PriceDeficit's bit for
-// bit; the two chains of dependent additions overlap instead of running
-// one after the other. Only constant-run lanes pair (see constantRun):
-// they are feasible by construction. ok is false, and nothing is priced
-// or counted, when either lane is anything else.
-func PriceDeficitPair(ta int, b1 *Battery, joules1 float64, u1 *UnitPrices, b2 *Battery, joules2 float64, u2 *UnitPrices) (cost1, cost2 float64, ok bool) {
-	run1, ok1 := b1.constantRun(ta, joules1, u1)
-	run2, ok2 := b2.constantRun(ta, joules2, u2)
-	if !ok1 || !ok2 {
-		return 0, 0, false
-	}
-	b1.instr.countDeficitWalk()
-	b2.instr.countDeficitWalk()
-	n := min(len(run1), len(run2))
-	both1, both2 := run1[:n], run2[:n]
-	for i, p := range both1 {
-		cost1 += p * joules1
-		cost2 += both2[i] * joules2
-	}
-	for _, p := range run1[n:] {
-		cost1 += p * joules1
-	}
-	for _, p := range run2[n:] {
-		cost2 += p * joules2
-	}
-	return cost1, cost2, true
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"spacebooking/internal/obs"
 )
 
 // fromLane is one battery of a from-script with what a pricer keeps for
@@ -28,7 +26,7 @@ type fromLane struct {
 type fromTally struct {
 	stale, current, extended int // fills of a non-empty table, by kind
 	pastSpan                 int // stale fills asked for a slot past the last deficit
-	runs, walks, pairs       int // single lanes priced by the run loop / by walk, pairs formed
+	runs, walks              int // draws priced by the constant-run loop / by walk
 	// Window moves: an extension that shifted the window up in its array /
 	// moved it to a larger one, and a stale refill into a shorter window
 	// than the last that kept the array.
@@ -136,20 +134,19 @@ func (l *fromLane) fill(from int, tally *fromTally) {
 // [from, last] invariant promises: a window over exactly [from, top] (top
 // the first slot past the deficit span, within the horizon), +0 in it
 // outside [from, last], the whole-span table's values inside, and
-// PriceDeficit and PriceDeficitPair equal to walk over the whole-span
-// table, bit for bit, at every slot the table answers for — the lowest one
-// asked since it went stale and every later one.
+// PriceDeficit equal to walk over the whole-span table, bit for bit, at
+// every slot the table answers for — the lowest one asked since it went
+// stale and every later one.
 func checkFilledFrom(t testing.TB, step int, lanes [2]*fromLane, tally *fromTally) {
 	t.Helper()
-	var whole [2]UnitPrices
-	var wholeUnit [2][]float64
 	for i, l := range lanes {
 		b := l.b
 		if err := b.CheckInvariants(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		b.FillUnitPrices(&whole[i], 0, testPrice)
-		wholeUnit[i] = wholeHorizon(&whole[i], driverHorizon)
+		var whole UnitPrices
+		b.FillUnitPrices(&whole, 0, testPrice)
+		wholeUnit := wholeHorizon(&whole, driverHorizon)
 		_, last := b.DeficitSpan()
 		if l.tab.unit != nil { // nil while the battery never held a deficit
 			top := min(last+1, driverHorizon-1)
@@ -163,7 +160,7 @@ func checkFilledFrom(t testing.TB, step int, lanes [2]*fromLane, tally *fromTall
 		}
 		for k, got := range l.tab.unit {
 			tt := l.low + k
-			want := wholeUnit[i][tt]
+			want := wholeUnit[tt]
 			if tt > last {
 				want = 0
 			}
@@ -173,13 +170,13 @@ func checkFilledFrom(t testing.TB, step int, lanes [2]*fromLane, tally *fromTall
 		}
 		for ta := l.low; ta < driverHorizon; ta++ {
 			for _, j := range driverDraws {
-				wantCost, failSlot, _ := b.walk(ta, j, wholeUnit[i][ta:], b.limit())
+				wantCost, failSlot, _ := b.walk(ta, j, wholeUnit[ta:], b.limit())
 				cost, ok := b.PriceDeficit(ta, j, &l.tab)
 				if ok != (failSlot < 0) || (ok && math.Float64bits(cost) != math.Float64bits(wantCost)) {
 					t.Fatalf("step %d lane %d: PriceDeficit(%d, %v) from slot %d = (%v, %v), whole-span walk (%v, fails at %d)",
 						step, i, ta, j, l.low, cost, ok, wantCost, failSlot)
 				}
-				if _, isRun := b.constantRun(ta, j, &l.tab); isRun {
+				if constantRun(b, ta, j, &l.tab) {
 					tally.runs++
 				} else {
 					tally.walks++
@@ -195,26 +192,13 @@ func checkFilledFrom(t testing.TB, step int, lanes [2]*fromLane, tally *fromTall
 			}
 		}
 	}
-	l0, l1 := lanes[0], lanes[1]
-	for ta := max(l0.low, l1.low); ta < driverHorizon; ta++ {
-		for _, j0 := range driverDraws {
-			for _, j1 := range driverDraws {
-				c0, c1, ok := PriceDeficitPair(ta, l0.b, j0, &l0.tab, l1.b, j1, &l1.tab)
-				if _, _, want := PriceDeficitPair(ta, l0.b, j0, &whole[0], l1.b, j1, &whole[1]); ok != want {
-					t.Fatalf("step %d: pair(%d, %v, %v) formed = %v, over whole-span tables %v", step, ta, j0, j1, ok, want)
-				}
-				if !ok {
-					continue
-				}
-				tally.pairs++
-				want0, _, _ := l0.b.walk(ta, j0, wholeUnit[0][ta:], l0.b.limit())
-				want1, _, _ := l1.b.walk(ta, j1, wholeUnit[1][ta:], l1.b.limit())
-				if math.Float64bits(c0) != math.Float64bits(want0) || math.Float64bits(c1) != math.Float64bits(want1) {
-					t.Fatalf("step %d: pair(%d, %v, %v) = (%v, %v), whole-span walks (%v, %v)", step, ta, j0, j1, c0, c1, want0, want1)
-				}
-			}
-		}
-	}
+}
+
+// constantRun restates the lane PriceDeficit prices as one run over the
+// table rather than by walk, for the tally only: a draw that fits, from a
+// slot inside the filled deficit span with no sunny slot at or after it.
+func constantRun(b *Battery, ta int, joules float64, u *UnitPrices) bool {
+	return u.unit != nil && ta >= u.first && ta <= u.last && ta > u.lastSunny && b.fits(joules)
 }
 
 // fromScript is a seeded random from-script of n bytes. Uniform bytes
@@ -240,7 +224,7 @@ func TestFillFromSlotMatchesWholeSpan(t *testing.T) {
 	}
 	t.Logf("%+v", tally)
 	if tally.stale == 0 || tally.current == 0 || tally.extended == 0 || tally.pastSpan == 0 ||
-		tally.runs == 0 || tally.walks == 0 || tally.pairs == 0 ||
+		tally.runs == 0 || tally.walks == 0 ||
 		tally.shifted == 0 || tally.regrown == 0 || tally.shorter == 0 || tally.toEnd == 0 {
 		t.Fatalf("a case never occurred: %+v", tally)
 	}
@@ -366,90 +350,6 @@ func TestPriceBeforeFilledSlotPanics(t *testing.T) {
 	b.PriceDeficit(5, 100, &tab)
 }
 
-// TestPairedKernelMatchesVisitDeficit drives two batteries through
-// independent random sequences and, after every step, prices every
-// (slot, draw, draw) combination through PriceDeficitPair: whenever the
-// pair forms, each lane must equal its own VisitDeficit reference bit for
-// bit and be feasible. Two batteries of different history give lanes of
-// unequal length.
-func TestPairedKernelMatchesVisitDeficit(t *testing.T) {
-	paired, refused, unequal := 0, 0, 0
-	for seed := int64(1); seed <= 6; seed++ {
-		d1, d2 := newLedgerDriver(t, seed), newLedgerDriver(t, seed+100)
-		var tab1, tab2 UnitPrices
-		for step := 0; step < 100; step++ {
-			d1.step()
-			d2.step()
-			b1, b2 := d1.b, d2.b
-			b1.FillUnitPrices(&tab1, 0, testPrice)
-			b2.FillUnitPrices(&tab2, 0, testPrice)
-			for ta := 0; ta < driverHorizon; ta++ {
-				for _, j1 := range driverDraws {
-					for _, j2 := range driverDraws {
-						c1, c2, ok := PriceDeficitPair(ta, b1, j1, &tab1, b2, j2, &tab2)
-						if !ok {
-							refused++
-							continue
-						}
-						paired++
-						if tab1.last != tab2.last {
-							unequal++
-						}
-						want1, fail1, _ := referenceWalk(b1, ta, j1, b1.limit())
-						want2, fail2, _ := referenceWalk(b2, ta, j2, b2.limit())
-						if fail1 >= 0 || fail2 >= 0 {
-							t.Fatalf("seed %d step %d: pair formed at slot %d for draws %v, %v, reference fails at %d, %d",
-								seed, step, ta, j1, j2, fail1, fail2)
-						}
-						if math.Float64bits(c1) != math.Float64bits(want1) || math.Float64bits(c2) != math.Float64bits(want2) {
-							t.Fatalf("seed %d step %d: pair(%d, %v, %v) = (%v, %v), reference (%v, %v)",
-								seed, step, ta, j1, j2, c1, c2, want1, want2)
-						}
-					}
-				}
-			}
-		}
-	}
-	t.Logf("%d pairs formed (%d of unequal length), %d refused", paired, unequal, refused)
-	if paired == 0 || unequal == 0 || refused == 0 {
-		t.Fatal("a case never occurred")
-	}
-}
-
-// TestPairCountsBothLanesOrNeither pins the counter contract: a formed
-// pair counts one deficit walk per lane, a refused one counts nothing
-// (the caller prices those lanes one by one, and they count then).
-func TestPairCountsBothLanesOrNeither(t *testing.T) {
-	walks := obs.New().Counter("energy.deficit_walks")
-	in := &Instruments{DeficitWalks: walks}
-	b1 := mustBattery(t, 5000, constSolar(40, 0))
-	b2 := mustBattery(t, 5000, constSolar(40, 0))
-	b1.Instrument(in)
-	b2.Instrument(in)
-	for _, b := range []*Battery{b1, b2} {
-		if err := b.Consume(3, 500); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var tab1, tab2 UnitPrices
-	b1.FillUnitPrices(&tab1, 0, testPrice)
-	b2.FillUnitPrices(&tab2, 0, testPrice)
-	before := walks.Value()
-	if _, _, ok := PriceDeficitPair(5, b1, 100, &tab1, b2, 200, &tab2); !ok {
-		t.Fatal("two constant-run lanes did not pair")
-	}
-	if got := walks.Value() - before; got != 2 {
-		t.Fatalf("a formed pair counted %d walks, want 2", got)
-	}
-	before = walks.Value()
-	if _, _, ok := PriceDeficitPair(5, b1, 100, &tab1, b2, 4900, &tab2); ok {
-		t.Fatal("a lane within its draw of capacity paired")
-	}
-	if got := walks.Value() - before; got != 0 {
-		t.Fatalf("a refused pair counted %d walks, want 0", got)
-	}
-}
-
 // TestCheckInvariantsCatchesStaleMaximum: the feasibility shortcut is
 // only sound while maxDeficit bounds every slot.
 func TestCheckInvariantsCatchesStaleMaximum(t *testing.T) {
@@ -490,10 +390,10 @@ var benchSink float64
 
 const benchSpan = 64 // the mean window of a paper-scale walk is 66 slots
 
-// The three benchmarks price the same relay-sized draw over the same
+// The two benchmarks price the same relay-sized draw over the same
 // 64-slot window and report ns per slot walked: the reference walk (three
-// arrays, feasibility test per slot), the constant-run kernel (one
-// array) and the paired kernel (two lanes per loop, per-lane cost).
+// arrays, feasibility test per slot) and the constant-run kernel (one
+// array).
 func BenchmarkPriceDeficitWalk(b *testing.B) {
 	bat, tab := loadedBattery(b, benchSpan)
 	b.ResetTimer()
@@ -512,18 +412,4 @@ func BenchmarkPriceDeficitRuns(b *testing.B) {
 		benchSink += cost
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchSpan, "ns/slot")
-}
-
-func BenchmarkPriceDeficitPair(b *testing.B) {
-	bat1, tab1 := loadedBattery(b, benchSpan)
-	bat2, tab2 := loadedBattery(b, benchSpan)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c1, c2, ok := PriceDeficitPair(0, bat1, 70, tab1, bat2, 90, tab2)
-		if !ok {
-			b.Fatal("lanes did not pair")
-		}
-		benchSink += c1 + c2
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(2*benchSpan), "ns/slot")
 }

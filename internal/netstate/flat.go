@@ -231,19 +231,14 @@ type FlatView struct {
 	srcVisible []int
 	numSats    int
 
-	// LookAhead, when set, is told about every satellite state Dijkstra
-	// is about to expand together with the one it expects to expand next
-	// (see LookAheadFunc). BuildView clears it: a scratch is shared by
-	// every algorithm of a run, a hook belongs to the one that set it.
-	LookAhead LookAheadFunc
-
 	// IdleISLCost, when non-zero, is the owner of the cost function
 	// declaring what it returns for an ISL nobody has reserved in this
 	// slot: cost(key, ClassISL, capacity, 0), the same bits for every key.
 	// The view then answers for such an edge from its ledger cell alone —
 	// no cost-function call, no edge-cache entry (see islCost). Only the
 	// owner can know its function ignores the key (ERA's does not), so
-	// zero means undeclared and BuildView clears it, as it does LookAhead.
+	// zero means undeclared and BuildView clears it: a scratch is shared by
+	// every algorithm of a run, a declaration belongs to the one that set it.
 	IdleISLCost float64
 
 	// islRow is the slot's ISL ledger row (nil: nothing reserved in the
@@ -253,16 +248,6 @@ type FlatView struct {
 	islRow   []float64
 	idleCost float64
 }
-
-// LookAheadFunc receives the satellite state the search just popped —
-// node sat reached over an edge of class in — and the satellite state on
-// top of the heap, which is expanded next unless an expansion in between
-// pushes something cheaper or the search ends. A transit-cost function
-// that memoises per state can use it to compute the two states' costs
-// together, ahead of the calls that will ask for them. The hook must not
-// change what any cost evaluates to: the search calls it or not, and
-// pairs states or not, without regard to the result.
-type LookAheadFunc func(sat int, in graph.EdgeClass, nextSat int, nextIn graph.EdgeClass)
 
 // BuildView initialises the scratch's FlatView for one (request, slot)
 // pair: the fast-path analogue of NewView. The returned view is valid
@@ -570,11 +555,6 @@ func (v *FlatView) dijkstra(transit graph.TransitCostFunc, budgetBase, budgetLim
 			}
 		default:
 			sat := node
-			if v.LookAhead != nil && len(h.items) > 0 {
-				if next := int(h.items[0].state); next/graph.NumClasses < v.numSats {
-					v.LookAhead(sat, inClass, next/graph.NumClasses, graph.EdgeClass(next%graph.NumClasses))
-				}
-			}
 			// What leaving over an ISL costs is fixed by the popped state,
 			// not by the edge: ask at the first edge that is not masked,
 			// reuse the answer for the others, and never ask when all are

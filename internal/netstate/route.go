@@ -10,14 +10,13 @@ import (
 )
 
 // SlotSearch is what an algorithm tells the slot step about its searches:
-// how it prices an edge and a transit, and — CEAR only — the two hints the
-// flat search takes from the owner of those functions (see the FlatView
-// fields of the same names). The algorithm keeps one and passes it by
+// how it prices an edge and a transit, and — CEAR only — the idle-ISL hint
+// the flat search takes from the owner of those functions (see the FlatView
+// field of the same name). The algorithm keeps one and passes it by
 // pointer, updating per slot whatever depends on the slot's demand.
 type SlotSearch struct {
 	EdgeCost    EdgeCostFunc
 	Transit     graph.TransitCostFunc
-	LookAhead   LookAheadFunc
 	IdleISLCost float64
 }
 
@@ -48,7 +47,7 @@ const (
 // per slot — instead of the flat search. Decisions are identical either
 // way; tests hand it to a run wherever a SearchScratch is accepted to
 // cross-check the fast path, and no algorithm can tell which it holds.
-// The reference ignores the two flat-only hints and applies the budget to
+// The reference ignores the flat-only hint and applies the budget to
 // the path it found rather than inside the search: it calls an over-budget
 // slot pruned exactly when the flat search does, except that a slot with no
 // path at all is always SlotNoPath (the flat search may run out of budget
@@ -94,7 +93,6 @@ func (sc *SearchScratch) RouteSlot(txn *Txn, slot int, src, dst topology.Endpoin
 		if err != nil {
 			return graph.Path{}, SlotFailed, err
 		}
-		view.LookAhead = search.LookAhead
 		view.IdleISLCost = search.IdleISLCost
 		if path, ok, pruned = view.Search(search.Transit, 0, spent, budget); ok {
 			sc.consBuf = view.AppendConsumptions(path, sc.consBuf)

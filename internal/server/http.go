@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -142,7 +143,7 @@ func (s *Server) handleBook(w http.ResponseWriter, r *http.Request) {
 		parseSpan = rec.Begin(PhaseIngressParse, s.now())
 	}
 	var br BookRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBookBodyBytes)).Decode(&br); err != nil {
+	if err := decodeBook(http.MaxBytesReader(w, r.Body, maxBookBodyBytes), &br); err != nil {
 		s.tracePool.Put(rec)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -225,6 +226,24 @@ func (s *Server) handleBook(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, BookResponse{Status: resv.Status, Reservation: &resv})
 }
 
+// decodeBook reads one booking object from body. Anything but whitespace
+// after it is refused rather than ignored: a second booking in the same
+// body would otherwise go undecided without a word.
+func decodeBook(body io.Reader, br *BookRequest) error {
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(br); err != nil {
+		return err
+	}
+	_, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
+	}
+	return errors.New("data after the booking object")
+}
+
 // newPending validates and normalises one booking into a queue entry.
 func (s *Server) newPending(br BookRequest) (*pending, error) {
 	src, err := s.endpoint(br.Src)
@@ -250,7 +269,7 @@ func (s *Server) newPending(br BookRequest) (*pending, error) {
 	}
 	dur := br.DurationSlots
 	if dur < 0 {
-		return nil, fmt.Errorf("duration_slots must be positive, got %d", br.DurationSlots)
+		return nil, fmt.Errorf("duration_slots must be non-negative, got %d", br.DurationSlots)
 	}
 	if dur == 0 && br.EndSlot == nil {
 		dur = 1 // default: a single-slot booking starting now

@@ -742,6 +742,12 @@ func bookCases(horizon int) []bookCase {
 		{name: "oversize body", srv: "idle", body: append(bytes.Repeat([]byte(" "), 1<<20), valid...), code: http.StatusRequestEntityTooLarge},
 		{name: "two negative slots", srv: "idle", body: fields(`"duration_slots":2,"end_slot":-2,"start_slot":-1`),
 			code: http.StatusBadRequest, errHas: "start_slot"},
+		{name: "negative duration", srv: "idle", body: fields(`"duration_slots":-1`),
+			code: http.StatusBadRequest, errHas: "duration_slots must be non-negative"},
+		{name: "trailing garbage", srv: "idle", body: []byte(valid + " garbage"),
+			code: http.StatusBadRequest, errHas: "after the booking object"},
+		{name: "two bookings", srv: "idle", body: []byte(valid + valid),
+			code: http.StatusBadRequest, errHas: "after the booking object"},
 		{name: "full queue", srv: "full", body: []byte(valid), code: http.StatusTooManyRequests, status: StatusOverloaded},
 		{name: "draining", srv: "draining", body: []byte(valid), code: http.StatusServiceUnavailable, status: StatusDraining},
 		// start + duration − 1 overflows from clock slot 2 on: the window
@@ -751,6 +757,7 @@ func bookCases(horizon int) []bookCase {
 		{name: "start at the horizon", srv: "idle", body: fields(fmt.Sprintf(`"duration_slots":2,"start_slot":%d`, horizon)),
 			code: http.StatusOK, status: StatusRejected, reason: ReasonHorizonExhausted, end: -1},
 		{name: "valid", srv: "idle", body: []byte(valid), code: http.StatusOK, status: "decided", end: -1},
+		{name: "trailing newline", srv: "idle", body: []byte(valid + "\n"), code: http.StatusOK, status: "decided", end: -1},
 	}
 }
 

@@ -6,10 +6,11 @@
 # module) with `go build -cover`, instrumenting every package of the main
 # module, into a temp dir. Runs a fixed small-scale tour, each binary
 # writing its counters to its own GOCOVERDIR:
-#   * spacebench run (recording a trace and a report), then -replay of
-#     that trace, every figure (`all`, with its CSV exports), and the
-#     scenario figure on specs/smoke.json;
-#   * spacestat trace, diff and spec on what those wrote;
+#   * spacebench -version, run (recording a trace and a report), then
+#     -replay of that trace, every figure (`all`, with its CSV exports),
+#     and the scenario figure on specs/smoke.json;
+#   * spacestat trace, diff (plain and with a -gate) and spec on what
+#     those wrote;
 #   * constellation with an SVG map;
 #   * a spaced session with an audit log and a -report, driven by
 #     spaceload in closed-loop, open-loop and spec-driven mode, with one
@@ -48,12 +49,14 @@ cover() {
 }
 
 echo "prod_cover: batch tour" >&2
+cover version "$BIN/spacebench" -version >/dev/null
 cover run "$BIN/spacebench" run -scale small -trace "$WORK/run.jsonl" -report "$WORK/run.json" >/dev/null
 cover replay "$BIN/spacebench" run -scale small -replay "$WORK/run.jsonl" >/dev/null
 cover figures "$BIN/spacebench" -scale small -quiet -csv "$WORK/csv" all >/dev/null
 cover scenario "$BIN/spacebench" -scale small -quiet -spec specs/smoke.json scenario >/dev/null
 cover trace "$BIN/spacestat" trace "$WORK/run.jsonl" >/dev/null
 cover diff "$BIN/spacestat" diff "$WORK/run.json" "$WORK/run.json" >/dev/null
+cover diff-gate "$BIN/spacestat" diff -q -gate mean_depleted_sats=1% "$WORK/run.json" "$WORK/run.json" >/dev/null
 cover spec "$BIN/spacestat" spec -servers 12 specs/erlangb.json >/dev/null
 cover constellation "$BIN/constellation" -scale small -svg "$WORK/lsn.svg" >/dev/null
 
