@@ -24,8 +24,12 @@ fmt-check:
 test:
 	$(GO) test ./...
 
+# Race-enabled unit tests, plus the root package's served-stream tests:
+# TestServedAuditLogReplays drives the daemon's concurrent handlers, turn
+# and audit sink end to end.
 race:
 	$(GO) test -race ./internal/...
+	$(GO) test -race -run '^TestServed' .
 
 # Full-module race gate, including the root-package integration tests
 # (parallel figure runners over the shared provider).

@@ -5,10 +5,11 @@
 // The daemon advances a slot clock at -clock-rate simulated slots per
 // wall second (a paper slot is one simulated minute), admits bookings in
 // arrival order through the same engine code path the batch simulator
-// uses, and sheds load explicitly when the ingress queue fills. SIGINT
-// or SIGTERM triggers a graceful drain: intake stops (healthz flips to
-// 503), queued bookings are still decided, then the engine runs its
-// final metrics sweep and the process exits.
+// uses, and sheds load explicitly when -queue-depth bookings already wait
+// for the engine. SIGINT or SIGTERM triggers a graceful drain: intake
+// stops (healthz flips to 503), waiting bookings are still decided and
+// answered, then the engine runs its final metrics sweep and the process
+// exits.
 //
 // Usage:
 //
@@ -72,11 +73,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scaleName := fs.String("scale", "small", "experiment scale: small, medium or full")
 	algName := fs.String("alg", "CEAR", "algorithm: CEAR, SSP, ECARS, ERU, ERA, CEAR-NE, CEAR-AA, CEAR-LIN, CEAR-AD")
 	clockRate := fs.Float64("clock-rate", 1, "simulated slots per wall second (0 = as fast as requests arrive)")
-	queueDepth := fs.Int("queue-depth", 256, "ingress queue bound; a full queue sheds with 'overloaded'")
+	queueDepth := fs.Int("queue-depth", 256, "bound on bookings waiting for the engine; one more sheds with 'overloaded'")
 	valuation := fs.Float64("valuation", 0, "default request valuation ρ (0 = scale default)")
 	f1 := fs.Float64("f1", 1, "bandwidth conservativeness parameter F1")
 	f2 := fs.Float64("f2", 1, "energy conservativeness parameter F2")
-	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to drain queued bookings on shutdown")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to drain waiting bookings on shutdown")
 	reportFile := fs.String("report", "", "write a machine-readable JSON run report after the drain")
 	traceSample := fs.Float64("trace-sample", 0, "head-sampling probability [0,1] for full phase timelines (also enables tracing)")
 	slowMs := fs.Float64("slow-ms", 25, "latency SLO objective in milliseconds (> 0); slower traced requests are always sampled")

@@ -9,10 +9,10 @@ import (
 // hotspots is the per-entity attribution state of one State: four
 // bounded top-K trackers (hot links and batteries, by rejection count
 // and by level) plus the per-request blame scratch the routing layer
-// fills as it masks infeasible edges. Everything here runs on the
-// single-writer admission goroutine, so blame capture is exact: the
-// entity recorded for a rejection is the one the losing search actually
-// hit, not a statistical guess.
+// fills as it masks infeasible edges. Everything here runs under the
+// state's single writer, one admission at a time, so blame capture is
+// exact: the entity recorded for a rejection is the one the losing search
+// actually hit, not a statistical guess.
 type hotspots struct {
 	enabled bool
 	// linkRejections / batteryRejections are sum-mode trackers whose

@@ -30,11 +30,10 @@ func (s TraceSpan) DurNs() int64 {
 
 // TraceRec is an allocation-free per-request span recorder: a fixed
 // array of spans plus an epoch, pooled via TracePool so the steady
-// state allocates nothing per request. It is single-writer by design —
-// ownership moves with the request (handler → engine goroutine →
-// handler), each handoff synchronised by the channel or completion
-// signal that moves the request itself. All methods are nil-safe so
-// call sites need no "tracing enabled?" branches of their own.
+// state allocates nothing per request. It is single-writer by design:
+// the request's own handler records every span, its admission included.
+// All methods are nil-safe so call sites need no "tracing enabled?"
+// branches of their own.
 type TraceRec struct {
 	epoch time.Time
 	n     int

@@ -45,8 +45,8 @@ type topkEntry struct {
 // next to a routing search.
 //
 // A nil *TopK is a valid no-op instrument, matching the other obs
-// handles. Updates and snapshots are mutex-guarded; the single-writer
-// engine goroutine is the only updater in practice, with HTTP snapshot
+// handles. Updates and snapshots are mutex-guarded; the engine's one
+// writer at a time is the only updater in practice, with HTTP snapshot
 // readers on the other side of the lock.
 type TopK struct {
 	mu      sync.Mutex

@@ -17,7 +17,7 @@ import (
 // decisionLog writes reqs as the decision records sim.DecisionRecord
 // builds, through the real JSONL writer, with seq i+1 for reqs[i] but the
 // lines in the order perm gives (nil: seq order) — as a served log, whose
-// handlers finish out of commit order, holds them.
+// handlers can finish out of commit order, holds them.
 func decisionLog(t testing.TB, specName string, reqs []workload.Request, perm []int) []byte {
 	t.Helper()
 	var buf bytes.Buffer

@@ -26,8 +26,8 @@ const (
 	PhaseRespond       = "respond"
 )
 
-// PhaseBatchWait is never recorded: the engine takes one booking per
-// turn, so queue.wait ends where engine.admit begins. It is declared
+// PhaseBatchWait is never recorded: each turn admits one booking, so
+// queue.wait (the wait for the turn) ends where engine.admit begins. It is declared
 // only because benchmark/layers.go maps it to its server.batch_wait_us
 // row; ROADMAP item 1(ii) drops both.
 const PhaseBatchWait = "batch.wait"
@@ -64,7 +64,7 @@ func (tc TraceConfig) enabled() bool {
 
 // SLOConfig parameterises the serving layer's per-class SLO tracking.
 type SLOConfig struct {
-	// LatencyObjective is the admit-latency objective (enqueue to
+	// LatencyObjective is the admit-latency objective (parsed to
 	// decision). Default 25ms. With tracing on, a request at least this
 	// slow is always sampled.
 	LatencyObjective time.Duration
@@ -82,12 +82,12 @@ const (
 // the name survives for the benchmark module, which reads the log by it.
 type AuditRecord = trace.Record
 
-// probed names the instrument counters the engine goroutine reads as
+// probed names the instrument counters the turn holder reads as
 // before/after deltas around each admission, in probeSample's index
 // order. They are the counters the state's instruments write (same
-// registry, same name), so the deltas are exact on the single-writer
-// engine goroutine; without a registry every delta is zero but tracing
-// still produces records and wall-clock phases.
+// registry, same name), so the deltas are exact while the turn is held;
+// without a registry every delta is zero but tracing still produces
+// records and wall-clock phases.
 var probed = [...]string{
 	probeSearches:  "core.slot_searches",
 	probePruned:    "graph.fastpath.pruned_labels",

@@ -132,9 +132,12 @@ func (s *Server) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 }
 
-// handleBook admits one booking synchronously: enqueue, wait for the
-// engine's decision, respond. A full queue responds immediately with
-// StatusOverloaded (HTTP 429) — explicit load shedding, never blocking.
+// handleBook admits one booking synchronously: wait for the turn, admit,
+// respond, audit. With QueueDepth bookings already waiting it responds at
+// once with StatusOverloaded (HTTP 429) — explicit load shedding, never
+// blocking. A client that gives up while its booking waits leaves it
+// waiting: the booking is still decided (admission is irrevocable) and
+// stays queryable at /v1/reservations/{id}.
 func (s *Server) handleBook(w http.ResponseWriter, r *http.Request) {
 	var rec *obs.TraceRec
 	var parseSpan int
@@ -164,53 +167,18 @@ func (s *Server) handleBook(w http.ResponseWriter, r *http.Request) {
 		rec.End(parseSpan, now)
 		p.rec = rec
 		p.headSampled = s.policy.SampleHead(uint64(p.id))
-		// The queue.wait span must open — and the audit debt register —
-		// before enqueue: the engine may touch p the instant the send
-		// lands.
 		p.qwSpan = rec.Begin(PhaseQueueWait, now)
-		s.auditWG.Add(1)
 	}
-	switch err := s.enqueue(p); err {
-	case nil:
-	case errShed:
-		s.sloAvail.Observe(false)
-		if s.tracing {
-			s.emitRefused(p, StatusOverloaded)
-			s.auditWG.Done()
-		}
-		writeJSON(w, http.StatusTooManyRequests, BookResponse{Status: StatusOverloaded})
-		return
-	case errDraining:
-		if s.tracing {
-			s.emitRefused(p, StatusDraining)
-			s.auditWG.Done()
-		}
-		writeJSON(w, http.StatusServiceUnavailable, BookResponse{Status: StatusDraining})
-		return
-	default:
-		if s.tracing {
-			s.emitRefused(p, StatusError)
-			s.auditWG.Done()
-		}
-		errorJSON(w, http.StatusInternalServerError, err.Error())
+	if !s.enter() {
+		s.refuse(w, p, http.StatusServiceUnavailable, StatusDraining)
 		return
 	}
-	select {
-	case <-p.done:
-	case <-r.Context().Done():
-		// The client gave up; the decision is still made (admission is
-		// irrevocable) and stays queryable at /v1/reservations/{id}.
-		// For traced requests, hand audit emission to the engine — or,
-		// if it already decided, fall through to the normal path.
-		if !s.tracing || p.emitState.CompareAndSwap(emitWaiting, emitAbandoned) {
-			writeJSON(w, http.StatusAccepted, BookResponse{
-				Status:      StatusQueued,
-				Reservation: &Reservation{ID: p.id, Status: StatusQueued},
-			})
-			return
-		}
-		<-p.done
+	defer s.inflight.Done()
+	if !s.wait() {
+		s.refuse(w, p, http.StatusTooManyRequests, StatusOverloaded)
+		return
 	}
+	s.admit(p)
 	resv := p.resv
 	code := http.StatusOK
 	if resv.Status == StatusError {
@@ -244,7 +212,7 @@ func decodeBook(body io.Reader, br *BookRequest) error {
 	return errors.New("data after the booking object")
 }
 
-// newPending validates and normalises one booking into a queue entry.
+// newPending validates and normalises one booking.
 func (s *Server) newPending(br BookRequest) (*pending, error) {
 	src, err := s.endpoint(br.Src)
 	if err != nil {
@@ -284,6 +252,9 @@ func (s *Server) newPending(br BookRequest) (*pending, error) {
 			return nil, fmt.Errorf("%s must be non-negative, got %d", f.name, *f.v)
 		}
 	}
+	if br.StartSlot != nil && br.EndSlot != nil && *br.EndSlot < *br.StartSlot {
+		return nil, fmt.Errorf("end_slot must not precede start_slot, got [%d, %d]", *br.StartSlot, *br.EndSlot)
+	}
 	p := &pending{
 		id:       s.nextID.Add(1),
 		src:      src,
@@ -294,13 +265,11 @@ func (s *Server) newPending(br BookRequest) (*pending, error) {
 		dur:      dur,
 		rate:     br.RateMbps,
 		val:      val,
-		enqueued: s.now(),
-		done:     make(chan struct{}),
+		parsed:   s.now(),
 		clientID: br.RequestID,
 	}
 	p.resv = Reservation{
 		ID:              p.id,
-		Status:          StatusQueued,
 		Src:             br.Src.String(),
 		Dst:             br.Dst.String(),
 		RateMbps:        br.RateMbps,

@@ -8,21 +8,25 @@
 //
 // Architecture:
 //
-//	HTTP handlers ──► bounded ingress queue ──► engine goroutine
-//	   (many)         (backpressure: full =     (single writer of the
-//	                   shed "overloaded")        one sim.Engine)
+//	HTTP handlers ──► wait for the turn ──► admit on the handler ──► respond
+//	   (many)         (FIFO; QueueDepth       (one turn holder:      + audit
+//	                   waiting = shed          the engine's single
+//	                   "overloaded")           writer)
 //
-// Admission runs on the one engine goroutine, preserving the paper's
-// sequential online model and the engine's single-writer contract; the
-// HTTP layer's only job is to queue, wait, and shed. The engine is the
-// same code path sim.Run uses, so a served request stream (clock at max
-// speed) is bit-identical to a batch simulation of the same stream.
+// Each booking is admitted on its own handler while it holds the turn, a
+// one-slot channel: blocked senders on a Go channel are served in the
+// order they blocked, so bookings are admitted one at a time in arrival
+// order, preserving the paper's sequential online model and the engine's
+// one-writer-at-a-time contract. The engine is the same code path sim.Run
+// uses, so a served request stream (clock at max speed) is bit-identical
+// to a batch simulation of the same stream.
 package server
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,10 +40,9 @@ import (
 	"spacebooking/internal/workload"
 )
 
-// Reservation statuses. A reservation is created "queued" and settles
-// into exactly one terminal status.
+// Reservation statuses. A reservation exists once it has settled into
+// exactly one of the first three.
 const (
-	StatusQueued   = "queued"
 	StatusAccepted = "accepted"
 	StatusRejected = "rejected"
 	StatusError    = "error"
@@ -79,8 +82,8 @@ type Config struct {
 	// time.Duration of at least 1ns: a negative, NaN or infinite rate,
 	// or one so small that the period overflows.
 	ClockRate float64
-	// QueueDepth bounds the ingress queue; a full queue sheds with
-	// StatusOverloaded instead of blocking. Default 256.
+	// QueueDepth bounds the bookings waiting for the engine's turn; one
+	// more sheds with StatusOverloaded instead of waiting. Default 256.
 	QueueDepth int
 	// Now is the wall clock, for tests. Default time.Now.
 	Now func() time.Time
@@ -96,10 +99,6 @@ type Config struct {
 	// SLO configures per-class SLO tracking (always on; the zero value
 	// applies the documented defaults).
 	SLO SLOConfig
-	// testGate, when non-nil, stalls the engine goroutine before every
-	// booking it takes until a value (or close) arrives — deterministic
-	// backpressure and drain tests only.
-	testGate chan struct{}
 }
 
 // Reservation is the materialised outcome of one booking request. Once
@@ -123,17 +122,8 @@ type Reservation struct {
 	ClientRequestID string `json:"client_request_id,omitempty"`
 }
 
-// pending.emitState values: the handler and the engine agree via CAS on
-// who finalises (and emits the audit record for) a traced request, so
-// every decision is audited exactly once.
-const (
-	emitWaiting   int32 = iota // handler still waiting on done
-	emitDecided                // engine decided; handler finalises after responding
-	emitAbandoned              // handler's client left; engine finalises
-)
-
-// pending is one ingress-queue entry: the normalised booking plus the
-// completion signal its HTTP handler waits on.
+// pending is one booking on its way through handleBook: the normalised
+// request plus its settled reservation and tracing state.
 type pending struct {
 	id  int64
 	src topology.Endpoint
@@ -147,9 +137,8 @@ type pending struct {
 	rate    float64
 	val     float64
 
-	enqueued time.Time
-	resv     Reservation
-	done     chan struct{}
+	parsed time.Time
+	resv   Reservation
 
 	// Tracing state (zero-valued when tracing is disabled).
 	clientID    string
@@ -159,31 +148,39 @@ type pending struct {
 	headSampled bool
 	stats       probeSample
 	// decision is the engine's decision record (sim.DecisionRecord, with
-	// its seq), built on the engine goroutine; nil until the engine
-	// decides, and for every booking it never sees.
+	// its seq); nil until the engine decides, and for every booking it
+	// never sees.
 	decision *trace.Record
-	// emitState arbitrates the handler/engine emit handoff; written
-	// before close(done), so the handler's post-done reads are ordered.
-	emitState atomic.Int32
 }
 
 // Server is the long-running booking service.
 type Server struct {
 	cfg Config
-	// eng is written to by the engine goroutine only (engineLoop); queue
-	// is its bounded ingress.
+	// eng is touched only by the holder of turn, the one-slot channel a
+	// handler sends to before admitting and receives from after. Blocked
+	// senders are served first come, first served, so bookings reach the
+	// engine in the order they started waiting.
 	eng     *sim.Engine
-	queue   chan *pending
+	turn    chan struct{}
 	clock   *slotClock
 	horizon int
 	now     func() time.Time
 	started time.Time
 
-	// lifeMu guards draining and the queue close: enqueues hold it
-	// shared, Shutdown exclusively, so close never races a send.
-	lifeMu     sync.RWMutex
-	draining   bool
-	engineDone chan struct{}
+	// lifeMu guards draining against inflight.Add: handlers register
+	// holding it shared, Shutdown sets draining exclusively, so no handler
+	// joins inflight once Shutdown waits on it. inflight counts the
+	// handlers past that check; each writes its response and, when
+	// tracing, its one audit record before leaving it.
+	lifeMu   sync.RWMutex
+	draining bool
+	inflight sync.WaitGroup
+	// waiting counts the bookings waiting for the turn; a booking that
+	// would make it exceed QueueDepth is shed.
+	waiting atomic.Int64
+
+	finishOnce sync.Once
+	finished   chan struct{}
 	result     *sim.Result
 	resultErr  error
 
@@ -196,8 +193,8 @@ type Server struct {
 	gQueueHW   *obs.Gauge
 	ctrShed    *obs.Counter
 	ctrExpired *obs.Counter
-	// ctrBatches (server.batches) counts engine turns, one booking each.
-	// It survives only because benchmark/run.go divides by it for its
+	// ctrBatches (server.batches) counts turns, one booking each. It
+	// survives only because benchmark/run.go divides by it for its
 	// server.batch_size_mean row, which therefore reads exactly 1;
 	// ROADMAP item 1(ii) drops both.
 	ctrBatches *obs.Counter
@@ -213,15 +210,10 @@ type Server struct {
 	policy    obs.SamplePolicy
 	sink      *auditSink
 	probe     engineProbe
-	// auditWG counts traced requests whose audit record has not been
-	// emitted yet; Shutdown waits on it before flushing the sink so a
-	// graceful drain never truncates the audit stream.
-	auditWG sync.WaitGroup
 
-	// Stats mirrors, so /v1/stats never touches engine internals from
-	// another goroutine and reads the same with or without an obs
-	// registry. The engine goroutine maintains the first four, enqueue
-	// the last two.
+	// Stats mirrors, so /v1/stats never touches engine internals and
+	// reads the same with or without an obs registry. The turn holder
+	// maintains the first four, wait the last two.
 	statTotal    atomic.Int64
 	statAccepted atomic.Int64
 	statRejected atomic.Int64
@@ -230,8 +222,8 @@ type Server struct {
 	statShed     atomic.Int64
 }
 
-// New builds the engine and starts the engine goroutine and slot clock.
-// The server is accepting bookings when New returns.
+// New builds the engine and the slot clock. The server is accepting
+// bookings when New returns.
 func New(cfg Config) (*Server, error) {
 	if cfg.Provider == nil {
 		return nil, fmt.Errorf("server: nil provider")
@@ -264,12 +256,12 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		eng:        eng,
-		queue:      make(chan *pending, cfg.QueueDepth),
+		turn:       make(chan struct{}, 1),
 		clock:      newSlotClock(cfg.ClockRate, cfg.Now()),
 		horizon:    cfg.Provider.Horizon(),
 		now:        cfg.Now,
 		started:    cfg.Now(),
-		engineDone: make(chan struct{}),
+		finished:   make(chan struct{}),
 		resvs:      make(map[int64]Reservation),
 		gQueue:     reg.Gauge("server.queue_depth"),
 		gQueueHW:   reg.Gauge("server.queue_high_water"),
@@ -295,25 +287,7 @@ func New(cfg Config) (*Server, error) {
 		s.probe = newEngineProbe(reg)
 		eng.EnableTraceDetail()
 	}
-	go s.engineLoop()
 	return s, nil
-}
-
-// engineLoop is the single writer of the engine: it admits queued
-// requests one per turn, in arrival order; once Shutdown closes the
-// queue and it drains, it runs the engine's final sweep and publishes
-// the result.
-func (s *Server) engineLoop() {
-	defer close(s.engineDone)
-	for p := range s.queue {
-		if s.cfg.testGate != nil {
-			<-s.cfg.testGate
-		}
-		s.gQueue.Set(float64(len(s.queue)))
-		s.ctrBatches.Inc()
-		s.admitOne(p)
-	}
-	s.result, s.resultErr = s.eng.Finish()
 }
 
 // Algorithm returns the engine's algorithm display name.
@@ -325,30 +299,36 @@ func (s *Server) Horizon() int { return s.horizon }
 // Slot returns the current slot of the service clock.
 func (s *Server) Slot() int { return s.clock.now(s.now()) }
 
-// errShed and errDraining are the enqueue outcomes the HTTP layer maps
-// to StatusOverloaded and StatusDraining.
-var (
-	errShed     = fmt.Errorf("server: ingress queue full")
-	errDraining = fmt.Errorf("server: draining")
-)
-
-// enqueue hands one pending booking to the engine loop without ever
-// blocking: a full queue sheds immediately (backpressure), a draining
-// server refuses.
-func (s *Server) enqueue(p *pending) error {
+// enter registers a booking's handler with the drain, or reports false
+// once Shutdown has begun.
+func (s *Server) enter() bool {
 	s.lifeMu.RLock()
 	defer s.lifeMu.RUnlock()
 	if s.draining {
-		return errDraining
+		return false
 	}
-	select {
-	case s.queue <- p:
-	default:
-		s.ctrShed.Inc()
-		s.statShed.Add(1)
-		return errShed
+	s.inflight.Add(1)
+	return true
+}
+
+// wait counts one more booking waiting for the turn, or sheds it —
+// counted, and against availability, never blocking — when QueueDepth
+// are already waiting.
+func (s *Server) wait() bool {
+	var depth int64
+	for {
+		n := s.waiting.Load()
+		if n >= int64(s.cfg.QueueDepth) {
+			s.ctrShed.Inc()
+			s.statShed.Add(1)
+			s.sloAvail.Observe(false)
+			return false
+		}
+		if s.waiting.CompareAndSwap(n, n+1) {
+			depth = n + 1
+			break
+		}
 	}
-	depth := int64(len(s.queue))
 	s.gQueue.Set(float64(depth))
 	for {
 		hw := s.statQueueHW.Load()
@@ -360,39 +340,46 @@ func (s *Server) enqueue(p *pending) error {
 			break
 		}
 	}
-	return nil
+	return true
 }
 
-// Shutdown stops intake and drains: queued requests are still admitted,
-// then the engine finishes (final metrics sweep) and the goroutine
-// exits. Blocks until the drain completes or ctx expires. Safe to call
-// more than once.
+// admit waits for the turn, admits p and hands the turn on. The caller
+// must have counted p in with wait.
+func (s *Server) admit(p *pending) {
+	s.turn <- struct{}{}
+	s.gQueue.Set(float64(s.waiting.Add(-1)))
+	s.ctrBatches.Inc()
+	s.admitOne(p)
+	<-s.turn
+}
+
+// Shutdown stops intake and drains: every booking already past intake is
+// still admitted and answered, then the engine finishes (final metrics
+// sweep) inside the turn and the audit log is flushed. Blocks until the
+// drain completes or ctx expires. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.lifeMu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-	}
+	s.draining = true
 	s.lifeMu.Unlock()
+	// The waiter outlives a ctx that expires first, until the last
+	// handler leaves.
+	drained := make(chan struct{})
+	go func() {
+		s.inflight.Wait()
+		s.finishOnce.Do(func() {
+			s.turn <- struct{}{}
+			s.result, s.resultErr = s.eng.Finish()
+			close(s.finished)
+			<-s.turn
+		})
+		close(drained)
+	}()
 	select {
-	case <-s.engineDone:
+	case <-drained:
 	case <-ctx.Done():
 		return fmt.Errorf("server: shutdown: %w", ctx.Err())
 	}
 	if s.tracing {
-		// The engine has drained; wait for handler-side finalisation of
-		// every traced request, then drain and flush the audit sink so
-		// the JSONL file is complete (no truncated records).
-		flushed := make(chan struct{})
-		go func() {
-			s.auditWG.Wait()
-			close(flushed)
-		}()
-		select {
-		case <-flushed:
-		case <-ctx.Done():
-			return fmt.Errorf("server: shutdown: audit flush: %w", ctx.Err())
-		}
 		if err := s.sink.Close(); err != nil {
 			return fmt.Errorf("server: shutdown: %w", err)
 		}
@@ -404,18 +391,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // after Shutdown has drained.
 func (s *Server) Result() (*sim.Result, error) {
 	select {
-	case <-s.engineDone:
+	case <-s.finished:
 		return s.result, s.resultErr
 	default:
 		return nil, fmt.Errorf("server: still serving (Result is available after Shutdown)")
 	}
 }
 
-// admitOne is one request's turn on the engine goroutine. Engine errors
-// are recorded on the reservation (StatusError) rather than crashing the
+// admitOne is one request's turn on the engine. Engine errors are
+// recorded on the reservation (StatusError) rather than crashing the
 // daemon — they indicate bugs, and the obs counters make them visible.
 func (s *Server) admitOne(p *pending) {
-	defer close(p.done)
 	eng := s.eng
 
 	if s.tracing {
@@ -423,8 +409,7 @@ func (s *Server) admitOne(p *pending) {
 		p.rec.End(p.qwSpan, now)
 		p.eaSpan = p.rec.Begin(PhaseEngineAdmit, now)
 		// Deferred so every settle path (horizon, expired, error,
-		// decision) gets the same finalisation; defers run LIFO, so this
-		// completes the trace before close(p.done) releases the handler.
+		// decision) gets the same finalisation.
 		defer s.finishEngineTrace(p, s.probe.read(), p.rec.SinceNs(now))
 	}
 
@@ -519,25 +504,22 @@ func (s *Server) finishRejected(p *pending, reason string) {
 // store publishes the settled reservation, records admit latency and
 // feeds the SLO classes.
 func (s *Server) store(p *pending) {
-	lat := s.now().Sub(p.enqueued).Seconds()
+	lat := s.now().Sub(p.parsed).Seconds()
 	s.histAdmit.Observe(lat)
 	s.sloLatency.ObserveLatency(lat)
 	// Availability counts engine errors as bad; a rejection is the
-	// mechanism working, not an outage. Shed requests are observed at
-	// the refusal site (they never reach store).
+	// mechanism working, not an outage. Shed requests are observed by
+	// wait (they never reach store).
 	s.sloAvail.Observe(p.resv.Status != StatusError)
 	s.resvMu.Lock()
 	s.resvs[p.id] = p.resv
 	s.resvMu.Unlock()
 }
 
-// finishEngineTrace closes the engine.admit span, attributes the
-// admission's counter deltas, and settles who emits the audit record:
-// normally the handler (after it writes the response), or the engine
-// itself when the handler's client abandoned the wait.
+// finishEngineTrace closes the engine.admit span and attributes the
+// admission's counter deltas, read while the turn is still held.
 func (s *Server) finishEngineTrace(p *pending, before probeSample, admitStartNs int64) {
-	now := s.now()
-	p.rec.End(p.eaSpan, now)
+	p.rec.End(p.eaSpan, s.now())
 	d := s.probe.read().sub(before)
 	p.stats = d
 	// The search timers include the pricing callbacks they invoke;
@@ -545,15 +527,10 @@ func (s *Server) finishEngineTrace(p *pending, before probeSample, admitStartNs 
 	p.rec.Add(PhaseEngineSearch, admitStartNs, d[probeSearchNs]-d[probePricingNs])
 	p.rec.Add(PhaseEnginePricing, admitStartNs, d[probePricingNs])
 	p.rec.Add(PhaseEngineCommit, admitStartNs, d[probeCommitNs])
-	if !p.emitState.CompareAndSwap(emitWaiting, emitDecided) {
-		// The handler marked the request abandoned: no respond phase
-		// will happen, emit here.
-		s.emitDecided(p, now)
-	}
 }
 
 // request is the booking as the engine sees it, with the window as far
-// as the engine goroutine resolved it (zero before that).
+// as admitOne resolved it (zero before that).
 func (p *pending) request() workload.Request {
 	return workload.Request{
 		ID:          int(p.id),
@@ -585,11 +562,9 @@ func (s *Server) auditRecord(p *pending, outcome string, now time.Time) *trace.R
 }
 
 // emitDecided builds and emits the audit record for a settled request
-// and returns the trace recorder to the pool. Called exactly once per
-// traced decided request — by the handler after responding, or by
-// finishEngineTrace when the handler abandoned.
+// and returns the trace recorder to the pool. The handler that decided
+// the request calls it once, after responding.
 func (s *Server) emitDecided(p *pending, now time.Time) {
-	defer s.auditWG.Done()
 	rec := s.auditRecord(p, p.resv.Status, now)
 	rec.Searches = p.stats[probeSearches]
 	rec.PrunedLabels = p.stats[probePruned]
@@ -606,17 +581,21 @@ func (s *Server) emitDecided(p *pending, now time.Time) {
 	s.sink.emit(rec)
 }
 
-// emitRefused audits a request the serving layer refused before it
-// reached the queue (shed or draining). Refusals are always sampled.
-func (s *Server) emitRefused(p *pending, outcome string) {
-	now := s.now()
-	p.rec.End(p.qwSpan, now)
-	rec := s.auditRecord(p, outcome, now)
-	rec.Sampled = true
-	rec.Phases = p.rec.CopySpans()
-	s.tracePool.Put(p.rec)
-	p.rec = nil
-	s.sink.emit(rec)
+// refuse answers a booking the serving layer turned away before it
+// waited for the turn (shed or draining) with the bare status. A traced
+// refusal is audited, always sampled.
+func (s *Server) refuse(w http.ResponseWriter, p *pending, code int, status string) {
+	if s.tracing {
+		now := s.now()
+		p.rec.End(p.qwSpan, now)
+		rec := s.auditRecord(p, status, now)
+		rec.Sampled = true
+		rec.Phases = p.rec.CopySpans()
+		s.tracePool.Put(p.rec)
+		p.rec = nil
+		s.sink.emit(rec)
+	}
+	writeJSON(w, code, BookResponse{Status: status})
 }
 
 // reservation returns a copy of the reservation, if known.
@@ -674,7 +653,7 @@ func (s *Server) StatsSnapshot() Stats {
 		Slot:           s.Slot(),
 		Horizon:        s.horizon,
 		ClockRate:      s.cfg.ClockRate,
-		QueueDepth:     len(s.queue),
+		QueueDepth:     int(s.waiting.Load()),
 		QueueHighWater: s.statQueueHW.Load(),
 		QueueCapacity:  s.cfg.QueueDepth,
 		Total:          s.statTotal.Load(),
@@ -696,7 +675,7 @@ func (s *Server) StatsSnapshot() Stats {
 }
 
 // addRevenue accumulates an accepted booking's price into the stats
-// mirror. Only the engine goroutine writes it, in engine order, so the
+// mirror. Only the turn holder writes it, in engine order, so the
 // float sum is bit-identical to the engine's own Revenue accumulator.
 func (s *Server) addRevenue(price float64) {
 	s.statRevenue.Store(math.Float64bits(s.revenue() + price))

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -247,11 +248,11 @@ func TestNewRejectsUnusableClockRate(t *testing.T) {
 	}
 }
 
-// TestOverloadSheds verifies explicit backpressure: with the engine
-// stalled and the ingress queue full, further bookings get an immediate
-// StatusOverloaded response (HTTP 429), the server.shed counter and
-// /v1/stats' requests_shed match the client-observed sheds — the latter
-// with or without an obs registry — and nothing blocks.
+// TestOverloadSheds verifies explicit backpressure: with the turn held
+// and QueueDepth bookings waiting for it, further bookings get an
+// immediate StatusOverloaded response (HTTP 429), the server.shed counter
+// and /v1/stats' requests_shed match the client-observed sheds — the
+// latter with or without an obs registry — and nothing blocks.
 func TestOverloadSheds(t *testing.T) {
 	t.Run("observed", func(t *testing.T) { testOverloadSheds(t, obs.New()) })
 	t.Run("no_registry", func(t *testing.T) { testOverloadSheds(t, nil) })
@@ -260,10 +261,8 @@ func TestOverloadSheds(t *testing.T) {
 func testOverloadSheds(t *testing.T, reg *obs.Registry) {
 	rc := testRunConfig(t, 2, 7)
 	rc.Obs = reg
-	gate := make(chan struct{})
-	s, hs := newTestServer(t, Config{
-		Run: rc, QueueDepth: 2, testGate: gate,
-	})
+	s, hs := newTestServer(t, Config{Run: rc, QueueDepth: 2})
+	release := holdTurn(t, s)
 
 	br := func() BookRequest {
 		return BookRequest{
@@ -273,19 +272,9 @@ func testOverloadSheds(t *testing.T, reg *obs.Registry) {
 		}
 	}
 
-	// First booking: consumed by the engine goroutine, which stalls on
-	// the gate before admitting it. Its response arrives later, so post it from a
-	// goroutine.
-	firstDone := make(chan BookResponse, 1)
-	go func() {
-		_, out := postBook(t, hs.URL, br())
-		firstDone <- out
-	}()
-	// The engine parks on the gate having popped the first booking;
-	// wait until the queue is observably drained of it.
-	waitFor(t, func() bool { return len(s.queue) == 0 && s.ctrBatches.Value() == 0 })
-
-	// Fill the queue to capacity; these must enqueue without shedding.
+	// Fill the line to capacity; these must wait without shedding. Their
+	// responses arrive once the turn is released, so post them from
+	// goroutines.
 	resps := make([]chan BookResponse, 2)
 	for i := range resps {
 		resps[i] = make(chan BookResponse, 1)
@@ -295,9 +284,9 @@ func testOverloadSheds(t *testing.T, reg *obs.Registry) {
 			ch <- out
 		}()
 	}
-	waitFor(t, func() bool { return len(s.queue) == 2 })
+	waitWaiting(t, s, 2)
 
-	// Queue full: the next bookings shed immediately.
+	// Line full: the next bookings shed immediately.
 	const sheds = 3
 	for i := 0; i < sheds; i++ {
 		code, out := postBook(t, hs.URL, br())
@@ -320,23 +309,23 @@ func testOverloadSheds(t *testing.T, reg *obs.Registry) {
 		t.Errorf("requests_shed = %d, want %d (must match client-observed sheds)", got, sheds)
 	}
 
-	// Open the gate: every queued booking settles.
-	close(gate)
-	for i, ch := range append([]chan BookResponse{firstDone}, resps...) {
+	// Release the turn: every waiting booking settles.
+	release()
+	for i, ch := range resps {
 		select {
 		case out := <-ch:
 			if out.Status != StatusAccepted && out.Status != StatusRejected {
-				t.Errorf("queued booking %d settled as %q", i, out.Status)
+				t.Errorf("waiting booking %d settled as %q", i, out.Status)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("queued booking %d never settled", i)
+			t.Fatalf("waiting booking %d never settled", i)
 		}
 	}
 }
 
-// TestQueuedBookingsAdmittedInArrivalOrder: five bookings queued behind a
-// stalled engine are admitted in the order they were queued, one per
-// engine turn.
+// TestQueuedBookingsAdmittedInArrivalOrder: five bookings waiting behind
+// a held turn are admitted in the order they started waiting, one per
+// turn.
 func TestQueuedBookingsAdmittedInArrivalOrder(t *testing.T) {
 	rc := testRunConfig(t, 2, 11)
 	reg := obs.New()
@@ -344,34 +333,29 @@ func TestQueuedBookingsAdmittedInArrivalOrder(t *testing.T) {
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
 	rc.Trace = tw
-	gate := make(chan struct{})
-	s, _ := newTestServer(t, Config{
-		Run: rc, QueueDepth: 8, testGate: gate,
-	})
+	s, _ := newTestServer(t, Config{Run: rc, QueueDepth: 8})
+	release := holdTurn(t, s)
 
-	// Enqueued directly, one after the other, so queue order is id order:
-	// the engine pops the first and parks on the gate, four stay queued.
-	queued := make([]*pending, 5)
-	for i := range queued {
-		p, err := s.newPending(BookRequest{
-			Src:      EndpointRef{Kind: "ground", Index: 0},
-			Dst:      EndpointRef{Kind: "ground", Index: 1},
-			RateMbps: 600,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.enqueue(p); err != nil {
-			t.Fatal(err)
-		}
-		queued[i] = p
+	// Each booking starts only once the previous one is parked on the
+	// turn, so the order they wait in is id order.
+	body := []byte(`{"src":{"kind":"ground","index":0},"dst":{"kind":"ground","index":1},"rate_mbps":600}`)
+	answers := make([]chan *httptest.ResponseRecorder, 5)
+	for i := range answers {
+		ch := make(chan *httptest.ResponseRecorder, 1)
+		answers[i] = ch
+		go func() {
+			rec := httptest.NewRecorder()
+			s.handleBook(rec, httptest.NewRequest(http.MethodPost, "/v1/book", bytes.NewReader(body)))
+			ch <- rec
+		}()
+		waitParked(t, i+1)
 	}
-	close(gate)
-	for i, p := range queued {
+	release()
+	for i, ch := range answers {
 		select {
-		case <-p.done:
-			if st := p.resv.Status; st != StatusAccepted && st != StatusRejected {
-				t.Errorf("booking %d settled as %q", i, st)
+		case rec := <-ch:
+			if _, problem := bookLine(rec.Body.Bytes(), s.Horizon()); problem != "" {
+				t.Errorf("booking %d: %s: %s", i, problem, rec.Body.String())
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("booking %d never settled", i)
@@ -383,7 +367,7 @@ func TestQueuedBookingsAdmittedInArrivalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("server.batches").Value(); got != 5 {
-		t.Errorf("server.batches = %d, want 5 (one per engine turn)", got)
+		t.Errorf("server.batches = %d, want 5 (one per turn)", got)
 	}
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
@@ -404,21 +388,19 @@ func TestQueuedBookingsAdmittedInArrivalOrder(t *testing.T) {
 }
 
 // TestGracefulDrain verifies drain-then-stop: Shutdown stops intake
-// (healthz 503, bookings refused with StatusDraining) but every already
-// queued request is still decided before Shutdown returns.
+// (healthz 503, bookings refused with StatusDraining) but every booking
+// already waiting is still decided before Shutdown returns.
 func TestGracefulDrain(t *testing.T) {
 	rc := testRunConfig(t, 2, 8)
-	gate := make(chan struct{})
-	s, hs := newTestServer(t, Config{
-		Run: rc, QueueDepth: 4, testGate: gate,
-	})
+	s, hs := newTestServer(t, Config{Run: rc, QueueDepth: 4})
+	release := holdTurn(t, s)
 
 	br := BookRequest{
 		Src:      EndpointRef{Kind: "ground", Index: 2},
 		Dst:      EndpointRef{Kind: "ground", Index: 3},
 		RateMbps: 700,
 	}
-	// Queue two bookings behind the stalled engine.
+	// Two bookings wait behind the held turn.
 	out1, out2 := make(chan BookResponse, 1), make(chan BookResponse, 1)
 	for _, ch := range []chan BookResponse{out1, out2} {
 		ch := ch
@@ -427,7 +409,7 @@ func TestGracefulDrain(t *testing.T) {
 			ch <- out
 		}()
 	}
-	waitFor(t, func() bool { return len(s.queue) >= 1 && s.ctrBatches.Value() == 0 })
+	waitWaiting(t, s, 2)
 
 	done := make(chan error, 1)
 	go func() {
@@ -448,8 +430,13 @@ func TestGracefulDrain(t *testing.T) {
 	if code != http.StatusServiceUnavailable || out.Status != StatusDraining {
 		t.Fatalf("booking while draining: HTTP %d status %q, want 503 %q", code, out.Status, StatusDraining)
 	}
+	select {
+	case err := <-done:
+		t.Fatalf("Shutdown returned (%v) with two bookings still waiting", err)
+	default:
+	}
 
-	close(gate)
+	release()
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
@@ -685,6 +672,41 @@ func TestSlotClock(t *testing.T) {
 	}
 }
 
+// holdTurn takes the engine's turn, stalling admission as one long
+// admission would, and returns its release. The release is idempotent
+// and also runs at cleanup, before the server's own cleanup drains it.
+func holdTurn(t testing.TB, s *Server) (release func()) {
+	t.Helper()
+	s.turn <- struct{}{}
+	release = sync.OnceFunc(func() { <-s.turn })
+	t.Cleanup(release)
+	return release
+}
+
+// waitWaiting waits until n bookings wait for the turn.
+func waitWaiting(t testing.TB, s *Server, n int64) {
+	t.Helper()
+	waitFor(t, func() bool { return s.waiting.Load() == n })
+}
+
+// waitParked waits until n goroutines are blocked sending to the turn in
+// Server.admit. Go serves blocked senders in the order they blocked, so a
+// booking started only after the previous one parked is admitted after
+// it.
+func waitParked(t testing.TB, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	waitFor(t, func() bool {
+		parked := 0
+		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+			if bytes.Contains(g, []byte("[chan send")) && bytes.Contains(g, []byte(".(*Server).admit(")) {
+				parked++
+			}
+		}
+		return parked == n
+	})
+}
+
 // waitFor polls cond until true or the deadline trips.
 func waitFor(t testing.TB, cond func() bool) {
 	t.Helper()
@@ -713,7 +735,7 @@ func (c *countingBody) Read(p []byte) (int, error) {
 // server in the given state.
 type bookCase struct {
 	name string
-	srv  string // "idle", "full" (engine parked, queue full) or "draining"
+	srv  string // "idle", "full" (turn held, QueueDepth waiting) or "draining"
 	body []byte
 	code int
 	// 400 and 413 answer the error envelope; errHas, when set, must be
@@ -740,6 +762,8 @@ func bookCases(horizon int) []bookCase {
 		{name: "unknown endpoint kind", srv: "idle", code: http.StatusBadRequest,
 			body: []byte(`{"src":{"kind":"lunar","index":0},"dst":{"kind":"ground","index":1},"rate_mbps":1}`)},
 		{name: "oversize body", srv: "idle", body: append(bytes.Repeat([]byte(" "), 1<<20), valid...), code: http.StatusRequestEntityTooLarge},
+		{name: "end before start", srv: "idle", body: fields(`"start_slot":5,"end_slot":3`),
+			code: http.StatusBadRequest, errHas: "end_slot must not precede start_slot"},
 		{name: "two negative slots", srv: "idle", body: fields(`"duration_slots":2,"end_slot":-2,"start_slot":-1`),
 			code: http.StatusBadRequest, errHas: "start_slot"},
 		{name: "negative duration", srv: "idle", body: fields(`"duration_slots":-1`),
@@ -797,7 +821,7 @@ func isErrorEnvelope(body []byte) bool {
 // body, against an arrival-driven clock: 400 for a body that is not one
 // valid booking and 413 for one over the size bound (read no further than
 // the bound), both in the uniform {"error": ...} envelope; 429 with the
-// queue full and 503 while draining, each the bare status; and 200 with
+// line full and 503 while draining, each the bare status; and 200 with
 // one compact booking line whose window saturates at the horizon — a
 // duration past it ends at its last slot, a window starting at or past it
 // is horizon-exhausted.
@@ -806,21 +830,12 @@ func TestBookBodyOutcomes(t *testing.T) {
 	servers := map[string]*Server{}
 	servers["idle"], _ = newTestServer(t, Config{Run: rc, QueueDepth: 8})
 
-	gate := make(chan struct{})
-	full, _ := newTestServer(t, Config{Run: rc, QueueDepth: 1, testGate: gate})
-	t.Cleanup(func() { close(gate) }) // before the server's own cleanup drains it
-	for i := 0; i < 2; i++ {
-		p, err := full.newPending(BookRequest{Src: EndpointRef{"ground", 0}, Dst: EndpointRef{"ground", 1}, RateMbps: 600})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := full.enqueue(p); err != nil {
-			t.Fatal(err)
-		}
-		// The engine takes the first and parks on the gate; the second
-		// fills the one-slot queue.
-		waitFor(t, func() bool { return len(full.queue) == i })
-	}
+	full, _ := newTestServer(t, Config{Run: rc, QueueDepth: 1})
+	holdTurn(t, full)
+	// One booking waits for the held turn, filling the one-booking line.
+	go full.handleBook(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/book",
+		bytes.NewReader([]byte(`{"src":{"kind":"ground","index":0},"dst":{"kind":"ground","index":1},"rate_mbps":600}`))))
+	waitWaiting(t, full, 1)
 	servers["full"] = full
 
 	draining, _ := newTestServer(t, Config{Run: rc})

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -51,10 +53,7 @@ func phaseSet(rec trace.Record) map[string]bool {
 func TestStatsQueueHighWaterAndShed(t *testing.T) {
 	rc := testRunConfig(t, 2, 11)
 	rc.Obs = obs.New()
-	gate := make(chan struct{})
-	s, hs := newTestServer(t, Config{
-		Run: rc, QueueDepth: 2, testGate: gate,
-	})
+	s, hs := newTestServer(t, Config{Run: rc, QueueDepth: 2})
 	br := BookRequest{
 		Src:      EndpointRef{Kind: "ground", Index: 0},
 		Dst:      EndpointRef{Kind: "ground", Index: 1},
@@ -78,8 +77,9 @@ func TestStatsQueueHighWaterAndShed(t *testing.T) {
 		t.Fatalf("pristine stats: high water %d, shed %d, want 0/0", st.QueueHighWater, st.Shed)
 	}
 
-	// Stall the engine on the first booking, then fill the queue.
-	pending := make([]chan BookResponse, 3)
+	// Hold the turn, then fill the line.
+	release := holdTurn(t, s)
+	pending := make([]chan BookResponse, 2)
 	for i := range pending {
 		pending[i] = make(chan BookResponse, 1)
 		ch := pending[i]
@@ -87,13 +87,10 @@ func TestStatsQueueHighWaterAndShed(t *testing.T) {
 			_, out := postBook(t, hs.URL, br)
 			ch <- out
 		}()
-		if i == 0 {
-			waitFor(t, func() bool { return s.ctrBatches.Value() == 0 && len(s.queue) == 0 })
-		}
 	}
-	waitFor(t, func() bool { return len(s.queue) == 2 })
+	waitWaiting(t, s, 2)
 
-	// Queue full: one more sheds.
+	// Line full: one more sheds.
 	if code, _ := postBook(t, hs.URL, br); code != http.StatusTooManyRequests {
 		t.Fatalf("shed booking: HTTP %d, want 429", code)
 	}
@@ -109,30 +106,30 @@ func TestStatsQueueHighWaterAndShed(t *testing.T) {
 		t.Errorf("stats carries %d SLO classes, want 2: %+v", len(st.SLO), st.SLO)
 	}
 
-	close(gate)
+	release()
 	for _, ch := range pending {
 		<-ch
 	}
-	// The high-water mark sticks after the queue drains.
-	waitFor(t, func() bool { return len(s.queue) == 0 })
+	// The high-water mark sticks after the line drains.
+	waitWaiting(t, s, 0)
 	if st := getStats(); st.QueueHighWater != 2 {
 		t.Errorf("queue_high_water after drain = %d, want 2 (must be sticky)", st.QueueHighWater)
 	}
 }
 
 // TestGracefulDrainFlushesAudit extends the drain guarantee to the
-// audit pipeline: Shutdown with traced requests still queued must flush
+// audit pipeline: Shutdown with traced requests still waiting must flush
 // every record completely into the JSONL file — exactly one parseable
 // line per decision, nothing truncated.
 func TestGracefulDrainFlushesAudit(t *testing.T) {
 	rc := testRunConfig(t, 2, 12)
-	gate := make(chan struct{})
 	auditPath := filepath.Join(t.TempDir(), "audit.jsonl")
 	const queued = 3
 	s, hs := newTestServer(t, Config{
-		Run: rc, QueueDepth: queued + 1, testGate: gate,
+		Run: rc, QueueDepth: queued + 1,
 		Trace: TraceConfig{SampleRate: 1, AuditPath: auditPath},
 	})
+	release := holdTurn(t, s)
 
 	br := BookRequest{
 		Src:      EndpointRef{Kind: "ground", Index: 2},
@@ -151,7 +148,7 @@ func TestGracefulDrainFlushesAudit(t *testing.T) {
 			ch <- out
 		}()
 	}
-	waitFor(t, func() bool { return len(s.queue) >= queued-1 && s.ctrBatches.Value() == 0 })
+	waitWaiting(t, s, queued)
 
 	done := make(chan error, 1)
 	go func() {
@@ -165,14 +162,14 @@ func TestGracefulDrainFlushesAudit(t *testing.T) {
 		return s.draining
 	})
 	// A refusal during the drain is audited too (before the sink closes:
-	// the engine is still parked on the gate).
+	// Shutdown still waits for the bookings behind the held turn).
 	refused := br
 	refused.RequestID = "drain-refused"
 	if code, _ := postBook(t, hs.URL, refused); code != http.StatusServiceUnavailable {
 		t.Fatalf("booking while draining: HTTP %d, want 503", code)
 	}
 
-	close(gate)
+	release()
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
@@ -212,6 +209,88 @@ func TestGracefulDrainFlushesAudit(t *testing.T) {
 	}
 }
 
+// TestAbandonedBookingDecidedOnce: a client that gives up while its
+// booking waits for the turn does not take the booking back. It is still
+// decided exactly once — its reservation reaches a terminal status and
+// the audit log holds one record for its request_id — and Shutdown waits
+// for it.
+func TestAbandonedBookingDecidedOnce(t *testing.T) {
+	auditPath := filepath.Join(t.TempDir(), "audit.jsonl")
+	s, hs := newTestServer(t, Config{Run: testRunConfig(t, 2, 16), Trace: TraceConfig{AuditPath: auditPath}})
+	release := holdTurn(t, s)
+
+	body, err := json.Marshal(BookRequest{Src: EndpointRef{Kind: "ground", Index: 0},
+		Dst: EndpointRef{Kind: "ground", Index: 1}, RateMbps: 500, RequestID: "gave-up"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/v1/book", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gaveUp := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		gaveUp <- err
+	}()
+	waitWaiting(t, s, 1)
+	cancel()
+	if err := <-gaveUp; !errors.Is(err, context.Canceled) {
+		t.Fatalf("client: %v, want its request cancelled", err)
+	}
+	if _, ok := s.reservation(1); ok {
+		t.Fatal("booking decided while the turn was held")
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		done <- s.Shutdown(ctx)
+	}()
+	waitFor(t, func() bool {
+		s.lifeMu.RLock()
+		defer s.lifeMu.RUnlock()
+		return s.draining
+	})
+	select {
+	case err := <-done:
+		t.Fatalf("Shutdown returned (%v) with the abandoned booking still waiting", err)
+	default:
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
+	resp, err := http.Get(hs.URL + "/v1/reservations/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resv Reservation
+	err = json.NewDecoder(resp.Body).Decode(&resv)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/reservations/1: HTTP %d (%v)", resp.StatusCode, err)
+	}
+	if (resv.Status != StatusAccepted && resv.Status != StatusRejected) || resv.ClientRequestID != "gave-up" {
+		t.Fatalf("abandoned booking: status %q, client id %q; want a decision for gave-up", resv.Status, resv.ClientRequestID)
+	}
+	var recs []trace.Record
+	for _, rec := range auditLines(t, auditPath) {
+		if rec.ClientID == "gave-up" {
+			recs = append(recs, rec)
+		}
+	}
+	if len(recs) != 1 || recs[0].Outcome != resv.Status {
+		t.Fatalf("abandoned booking has %d audit records (%+v), want one with outcome %q", len(recs), recs, resv.Status)
+	}
+}
+
 // TestAuditExactlyOnce is the end-to-end acceptance gate: under
 // concurrent load with client-assigned request ids, every request —
 // decided or refused — resolves to exactly one audit record, and every
@@ -220,10 +299,9 @@ func TestGracefulDrainFlushesAudit(t *testing.T) {
 func TestAuditExactlyOnce(t *testing.T) {
 	rc := testRunConfig(t, 2, 13)
 	rc.Obs = obs.New()
-	gate := make(chan struct{})
 	auditPath := filepath.Join(t.TempDir(), "audit.jsonl")
 	s, hs := newTestServer(t, Config{
-		Run: rc, QueueDepth: 2, testGate: gate,
+		Run: rc, QueueDepth: 3,
 		Trace: TraceConfig{AuditPath: auditPath}, // head rate 0: tail sampling only
 		// No booking is slow, however loaded the host: accepted ones stay
 		// unsampled.
@@ -250,14 +328,15 @@ func TestAuditExactlyOnce(t *testing.T) {
 		}
 	}
 
-	// Phase 1 — deterministic sheds: park the engine, fill the queue,
+	// Phase 1 — deterministic sheds: hold the turn, fill the line,
 	// overflow it.
+	release := holdTurn(t, s)
 	parked := make(chan BookResponse, 1)
 	go func() {
 		_, out := postBook(t, hs.URL, br("req-parked"))
 		parked <- out
 	}()
-	waitFor(t, func() bool { return s.ctrBatches.Value() == 0 && len(s.queue) == 0 })
+	waitWaiting(t, s, 1)
 	queued := make([]chan BookResponse, 2)
 	for i := range queued {
 		queued[i] = make(chan BookResponse, 1)
@@ -268,14 +347,14 @@ func TestAuditExactlyOnce(t *testing.T) {
 			ch <- out
 		}()
 	}
-	waitFor(t, func() bool { return len(s.queue) == 2 })
+	waitWaiting(t, s, 3)
 	shedIDs := []string{"req-shed-0", "req-shed-1"}
 	for _, id := range shedIDs {
 		if code, _ := postBook(t, hs.URL, br(id)); code != http.StatusTooManyRequests {
 			t.Fatalf("%s: HTTP %d, want 429", id, code)
 		}
 	}
-	close(gate) // engine free-runs from here on
+	release() // bookings take turns freely from here on
 	<-parked
 	for _, ch := range queued {
 		<-ch
@@ -295,7 +374,7 @@ func TestAuditExactlyOnce(t *testing.T) {
 	}
 	wg.Wait()
 	for i, out := range decided {
-		// A burst request may still shed against the depth-2 queue;
+		// A burst request may still shed against the depth-3 line;
 		// shed, accepted and rejected are all audited outcomes.
 		if out.Status != StatusAccepted && out.Status != StatusRejected && out.Status != StatusOverloaded {
 			t.Fatalf("burst request %d settled as %q", i, out.Status)

@@ -19,9 +19,10 @@ import (
 // cannot fork — a request stream produces identical decisions, prices
 // and committed state whether it is replayed by Run or served online.
 //
-// An Engine is single-writer: Admit and Finish must be called from one
-// goroutine (the server funnels its batches onto a dedicated engine
-// goroutine for exactly this reason). Arrival slots must be
+// An Engine is single-writer: Admit and Finish must be called one at a
+// time, each call ordered after the last (the server admits on whichever
+// handler holds its one-slot turn channel for exactly this reason).
+// Arrival slots must be
 // non-decreasing, mirroring the paper's online model.
 type Engine struct {
 	prov    *topology.Provider

@@ -8,7 +8,8 @@
 # writing its counters to its own GOCOVERDIR:
 #   * spacebench -version, run (recording a trace and a report), then
 #     -replay of that trace, every figure (`all`, with its CSV exports),
-#     and the scenario figure on specs/smoke.json;
+#     one figure with a -report and a live -debug-addr, and the scenario
+#     figure on specs/smoke.json;
 #   * spacestat trace, diff (plain and with a -gate) and spec on what
 #     those wrote;
 #   * constellation with an SVG map;
@@ -53,6 +54,7 @@ cover version "$BIN/spacebench" -version >/dev/null
 cover run "$BIN/spacebench" run -scale small -trace "$WORK/run.jsonl" -report "$WORK/run.json" >/dev/null
 cover replay "$BIN/spacebench" run -scale small -replay "$WORK/run.jsonl" >/dev/null
 cover figures "$BIN/spacebench" -scale small -quiet -csv "$WORK/csv" all >/dev/null
+cover figure-report "$BIN/spacebench" -scale small -quiet -report "$WORK/fig9.json" -debug-addr 127.0.0.1:0 fig9 >/dev/null
 cover scenario "$BIN/spacebench" -scale small -quiet -spec specs/smoke.json scenario >/dev/null
 cover trace "$BIN/spacestat" trace "$WORK/run.jsonl" >/dev/null
 cover diff "$BIN/spacestat" diff "$WORK/run.json" "$WORK/run.json" >/dev/null
