@@ -36,8 +36,8 @@ race:
 check-race:
 	$(GO) test -race ./...
 
-# One iteration of every benchmark in the module, as CI's bench job runs
-# them: a bench that stops compiling or fails in any package fails here.
+# One iteration of every benchmark in the module: a bench that stops
+# compiling or fails in any package fails here.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"regexp"
 	"testing"
+
+	"spacebooking/internal/server"
 )
 
 // TestRejectsBeforeBuilding: a bad option exits 2 with nothing on
@@ -38,6 +41,25 @@ func TestRejectsBeforeBuilding(t *testing.T) {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 {
 			t.Errorf("%q: exit %d, stdout %q; want 2 and nothing on stdout", row, code, out.String())
+		}
+	}
+}
+
+// TestTracingDisabledNamesSpacedFlags: every flag the trace lookups' 404
+// tells the user to start spaced with is one spaced defines (the message
+// once named -trace after the flag was gone).
+func TestTracingDisabledNamesSpacedFlags(t *testing.T) {
+	var out, usage bytes.Buffer
+	if code := run([]string{"-h"}, &out, &usage); code != 2 {
+		t.Fatalf("-h: exit %d, want 2", code)
+	}
+	named := regexp.MustCompile(`-[a-z][a-z-]*`).FindAllString(server.TracingDisabled, -1)
+	if len(named) == 0 {
+		t.Fatalf("%q names no flag", server.TracingDisabled)
+	}
+	for _, flag := range named {
+		if !regexp.MustCompile(`(?m)^  ` + flag + `( |$)`).MatchString(usage.String()) {
+			t.Errorf("%q names %s, which spaced does not define:\n%s", server.TracingDisabled, flag, usage.String())
 		}
 	}
 }

@@ -107,6 +107,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage(fmt.Errorf("-rate %g must be positive and finite, with an interval of at least 1ns between arrivals", *rate))
 	case *concurrency < 1:
 		return usage(fmt.Errorf("concurrency %d must be positive", *concurrency))
+	case *n < 0:
+		return usage(fmt.Errorf("-n %d must not be negative", *n))
+	case *duration < 0:
+		return usage(fmt.Errorf("-duration %v must not be negative", *duration))
 	case *n == 0 && *duration == 0:
 		return usage(fmt.Errorf("need -n or -duration to bound the run"))
 	}

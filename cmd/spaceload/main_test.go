@@ -42,8 +42,9 @@ func TestWireRequestsPinsSlotsForArrivalDrivenServers(t *testing.T) {
 
 // TestRejectsBeforeFetchingConfig: a bad option exits 2 with nothing on
 // stdout, before any request reaches the daemon. An open-loop -rate of
-// NaN or 1e10 used to panic in time.NewTicker, and -rate 0 printed an
-// empty SUMMARY and exited 0.
+// NaN or 1e10 used to panic in time.NewTicker, -rate 0 printed an
+// empty SUMMARY and exited 0, and a negative -n or -duration passed the
+// bound check and ran unbounded.
 func TestRejectsBeforeFetchingConfig(t *testing.T) {
 	var hits atomic.Int64
 	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -61,6 +62,9 @@ func TestRejectsBeforeFetchingConfig(t *testing.T) {
 		{"-mode", "bogus"},
 		{"-concurrency", "0"},
 		{"-n", "0", "-duration", "0"},
+		{"-n", "-1", "-duration", "0"},
+		{"-n", "0", "-duration", "-1s"},
+		{"-n", "5", "-duration", "-1s"},
 	} {
 		args := append([]string{"-addr", daemon.URL}, row...)
 		var out, errOut bytes.Buffer

@@ -20,6 +20,9 @@ func runSpec(c *cmd, args []string) int {
 	if !c.parse(args, 1, -1) {
 		return 2
 	}
+	if *servers < 0 || *horizon < 0 {
+		return c.fail(2, fmt.Errorf("-servers %d and -horizon %d must not be negative", *servers, *horizon))
+	}
 	exit := 0
 	for _, path := range c.fs.Args() {
 		if err := summarizeSpec(c.stdout, path, *servers, *horizon, *jsonOut); err != nil {

@@ -78,6 +78,19 @@ func TestSummarizeErlangB(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsNegativeCounts: a negative -servers or -horizon is a
+// usage error, reported before any spec is read. -servers -2 used to skip
+// the Erlang-B check silently and print the summary.
+func TestSpecRejectsNegativeCounts(t *testing.T) {
+	path := writeSpec(t, goodSpec)
+	for _, row := range [][]string{{"-servers", "-2"}, {"-servers", "12", "-horizon", "-1"}} {
+		out, errOut := runSpecArgs(t, 2, append(row, path)...)
+		if out != "" || !strings.Contains(errOut, "must not be negative") {
+			t.Errorf("%q: stdout %q, stderr %q; want nothing on stdout and the reason on stderr", row, out, errOut)
+		}
+	}
+}
+
 func TestSummarizeErlangBNeedsHorizon(t *testing.T) {
 	noHorizon := strings.Replace(goodSpec, `"horizon": 2000,`, "", 1)
 	path := writeSpec(t, noHorizon)

@@ -74,12 +74,8 @@ type CEAR struct {
 	// inner loop calls it once per persisted slot.
 	fast *pricing.FastPricer
 
-	// Epoch-stamped transit-cost cache, reused across searches to avoid
-	// per-slot map allocation: one entry per (satellite, role), a
-	// satellite's four side by side. roleJoules is Eq. (1) for the four
-	// roles at the current search's demand.
-	transit    []transitEntry
-	epoch      uint32
+	// roleJoules is Eq. (1) for the four transit roles at the current
+	// search's demand.
 	roleJoules [transitRoles]float64
 
 	// Per-satellite unit-price tables for deficit pricing. They belong to
@@ -110,7 +106,7 @@ type CEAR struct {
 	histPlanPrice  *obs.Histogram
 	// instr is the state's shared search-instrument handle, cached so
 	// the pricing walk can check PricingNanos without a method call per
-	// cache miss. EnableTraceDetail mutates the pointed-to struct, so a
+	// priced transit. EnableTraceDetail mutates the pointed-to struct, so a
 	// handle cached before enablement still sees the counters.
 	instr *netstate.SearchInstruments
 	// priced counts the transits priced while PricingNanos is attached;
@@ -128,13 +124,11 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 	if err := opts.Pricing.Validate(); err != nil {
 		return nil, err
 	}
-	numSats := state.Provider().NumSats()
 	c := &CEAR{
 		state:     state,
 		opts:      opts,
 		fast:      opts.Pricing.Fast(),
-		transit:   make([]transitEntry, numSats*transitRoles),
-		units:     make([]energy.UnitPrices, numSats),
+		units:     make([]energy.UnitPrices, state.Provider().NumSats()),
 		scratch:   opts.Scratch,
 		slotSec:   state.Provider().Config().SlotSeconds,
 		energyCfg: state.EnergyConfig(),
@@ -212,9 +206,8 @@ func (c *CEAR) energyTransitCost(sat, slot int, joules float64) float64 {
 	}
 	// Pricing wall time for the serving layer's phase breakdown; the
 	// counter is nil (one branch, no clock reads) unless trace detail
-	// is enabled. Timed here — on the transit-cache miss path — so hits
-	// cost nothing, and sampled: one priced transit in pricingStride is
-	// timed and charged pricingStride times its interval.
+	// is enabled. Sampled: one priced transit in pricingStride is timed
+	// and charged pricingStride times its interval.
 	if in := c.instr; in != nil && in.PricingNanos != nil {
 		if c.priced++; c.priced%pricingStride == 0 {
 			defer pricingTimer(in.PricingNanos, nanotime())
@@ -297,18 +290,10 @@ func (c *CEAR) priceEdgeCost(key netstate.LinkKey, class graph.EdgeClass, capaci
 // receives on an ISL or a USL and sends on an ISL or a USL.
 const transitRoles = 4
 
-// transitEntry is one memoised transit cost, current while its epoch is
-// the search's. Four make 64 bytes: what priceTransit reads of one
-// satellite shares a cache line.
-type transitEntry struct {
-	value float64
-	epoch uint32
-}
-
 // transitRole numbers the (in, out) role 0..3. A search never asks for
 // another pair — only the path source has no incoming class, and every
 // edge has an outgoing one — so anything else is a bug and panics rather
-// than alias a real role's entry.
+// than read a real role's joules.
 func transitRole(in, out graph.EdgeClass) int {
 	i, o := uint8(in-graph.ClassISL), uint8(out-graph.ClassISL)
 	if i > 1 || o > 1 {
@@ -317,25 +302,13 @@ func transitRole(in, out graph.EdgeClass) int {
 	return int(i)<<1 | int(o)
 }
 
-// transitKey is the transit cache's entry for one (satellite, role).
-func transitKey(node, role int) int { return node*transitRoles + role }
-
 // beginSearch points the bound cost functions at one slot search: its
-// slot and demand, a fresh transit-cache epoch, the four roles' joules —
-// fixed by the demand, so computed here rather than per call — and what an
-// unreserved ISL costs. priceEdgeCost reads nothing but the utilization
+// slot and demand, the four roles' joules — fixed by the demand, so
+// computed here rather than per call — and what an unreserved ISL costs. priceEdgeCost reads nothing but the utilization
 // and the search's demand, so its own value at utilization 0 is this
 // search's price of every idle ISL, whatever the pricing variant.
 func (c *CEAR) beginSearch(slot int, demand float64) {
 	c.curSlot, c.curDemand = slot, demand
-	c.epoch++
-	if c.epoch == 0 {
-		// Wrapped: entries stamped 2^32 searches ago must not read as current.
-		for i := range c.transit {
-			c.transit[i].epoch = 0
-		}
-		c.epoch = 1
-	}
 	for _, in := range [...]graph.EdgeClass{graph.ClassISL, graph.ClassUSL} {
 		for _, out := range [...]graph.EdgeClass{graph.ClassISL, graph.ClassUSL} {
 			c.roleJoules[transitRole(in, out)] = c.energyCfg.TransitEnergyJ(in, out, demand, c.slotSec)
@@ -344,18 +317,11 @@ func (c *CEAR) beginSearch(slot int, demand float64) {
 	c.search.IdleISLCost = c.search.EdgeCost(0, graph.ClassISL, c.islCap, 0)
 }
 
-// priceTransit is the memoised role-dependent energy transit cost for
-// the current (slot, demand), invalidated by beginSearch. Bound once as
-// c.search.Transit.
+// priceTransit is the role-dependent energy transit cost for the current
+// (slot, demand). Both searches ask once per popped state, so there is
+// nothing to memoise. Bound once as c.search.Transit.
 func (c *CEAR) priceTransit(node int, in, out graph.EdgeClass) float64 {
-	role := transitRole(in, out)
-	e := &c.transit[transitKey(node, role)]
-	if e.epoch == c.epoch {
-		return e.value
-	}
-	v := c.energyTransitCost(node, c.curSlot, c.roleJoules[role])
-	*e = transitEntry{value: v, epoch: c.epoch}
-	return v
+	return c.energyTransitCost(node, c.curSlot, c.roleJoules[transitRole(in, out)])
 }
 
 // Handle implements Algorithm 1 for one online request.

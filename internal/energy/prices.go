@@ -21,13 +21,13 @@ type UnitPrices struct {
 	// from, empty (first == last+1) when from lies past the span; no slot
 	// of [from, first) holds a deficit, so unit prices every slot of the
 	// window, and every slot past it is priced at zero. Nil until the
-	// battery first holds a deficit; the backing array is kept across
-	// refills.
+	// battery first holds a deficit; the backing array is kept across the
+	// refills it fits.
 	unit        []float64
 	first, last int
 	// from is the earliest slot the table answers for, and the window's
-	// base: the lowest slot FillUnitPrices was asked for since the table
-	// last went stale.
+	// base: the slot of the last refill, which is the lowest slot
+	// FillUnitPrices was asked for since the table last went stale.
 	from int
 	// lastSunny is the last slot of [first, last] whose unclaimed solar
 	// is non-zero, -1 when there is none. A slot that carries a deficit
@@ -46,70 +46,41 @@ type UnitPrices struct {
 // consumptions in slot from or later — Eq. (12) sums over the slots a
 // consumption persists into, none of them earlier than its own. A table
 // that is current and already reaches down to from costs two
-// comparisons. A current one asked for an earlier slot extends downwards
-// over the part it lacks: same stamp, same ledger, so it ends up holding
-// what one fill from the lower slot would have written. A stale one is
-// emptied and refilled over the window from `from` on, so no fill costs
+// comparisons. Any other — stale, or current but asked for an earlier
+// slot — is refilled over the window from `from` on, so no fill costs
 // more than O(deficit span) and none prices a slot behind the one asked
-// for. u stays empty (and prices every slot at zero) while the battery
-// has never held a deficit.
+// for. u stays nil (and prices every slot at zero) while the battery has
+// never held a deficit.
 func (b *Battery) FillUnitPrices(u *UnitPrices, from int, price func(utilization float64) float64) {
-	if u.unit != nil && u.stamp == b.stamp {
-		if from < u.from {
-			u.extendDown(b, from, price)
-		}
+	if u.unit != nil && u.stamp == b.stamp && from >= u.from {
 		return
 	}
-	if u.unit == nil {
-		if b.firstDeficit > b.lastDeficit {
-			return
-		}
-		u.unit = []float64{} // live from here on; extendDown allocates
+	if u.unit == nil && b.firstDeficit > b.lastDeficit {
+		return
 	}
 	// A restore can move the span's bounds back in, and the slot asked for
-	// moves on: the window restarts empty, keeping its backing array.
-	u.unit = u.unit[:0]
-	u.last = b.lastDeficit
-	u.first = u.last + 1
-	u.lastSunny = -1
-	u.stamp = b.stamp
-	u.extendDown(b, from, price)
-}
-
-// extendDown grows the window down to from, shifting what it holds up
-// (or into a larger array), prices the slots of the battery's deficit span
-// that lie at or after from and below u.first, and makes from the slot
-// the table answers from. lastSunny only moves when the range above held
-// no sunny slot: a later one stays the last.
-func (u *UnitPrices) extendDown(b *Battery, from int, price func(utilization float64) float64) {
-	top := min(u.last+1, len(b.cell)-1)
-	if n := top + 1 - from; n > len(u.unit) {
-		grow := n - len(u.unit)
-		if n <= cap(u.unit) {
-			u.unit = u.unit[:n]
-			copy(u.unit[grow:], u.unit)
-		} else {
-			grown := make([]float64, n, windowCap(n, len(b.cell)))
-			copy(grown[grow:], u.unit)
-			u.unit = grown
-		}
-		clear(u.unit[:grow])
-		u.widest = max(u.widest, n)
+	// moves on: the window is rebuilt, in its backing array if it fits.
+	// make never returns nil, so a live table with an empty window stays
+	// live.
+	n := max(min(b.lastDeficit+1, len(b.cell)-1)+1-from, 0)
+	if u.unit == nil || n > cap(u.unit) {
+		u.unit = make([]float64, n, windowCap(n, len(b.cell)))
+	} else {
+		u.unit = u.unit[:n]
+		clear(u.unit)
 	}
+	u.widest = max(u.widest, n)
 	lo := max(b.firstDeficit, from)
-	sunny := -1
-	for t := lo; t < u.first; t++ {
+	u.lastSunny = -1
+	for t := lo; t <= b.lastDeficit; t++ {
 		if v := b.cell[t]; v < 0 {
 			u.unit[t-from] = price(b.UtilizationAt(t))
 		} else if v > 0 {
-			sunny = t
+			u.lastSunny = t
 		}
 	}
-	if u.lastSunny < 0 {
-		u.lastSunny = sunny
-	}
-	u.first = min(u.first, lo)
-	u.from = from
+	u.first, u.last = min(lo, b.lastDeficit+1), b.lastDeficit
+	u.from, u.stamp = from, b.stamp
 }
 
 // windowCap is the capacity a window of n slots is allocated with: n

@@ -27,10 +27,10 @@ type fromTally struct {
 	stale, current, extended int // fills of a non-empty table, by kind
 	pastSpan                 int // stale fills asked for a slot past the last deficit
 	runs, walks              int // draws priced by the constant-run loop / by walk
-	// Window moves: an extension that shifted the window up in its array /
-	// moved it to a larger one, and a stale refill into a shorter window
-	// than the last that kept the array.
-	shifted, regrown, shorter int
+	// Window moves: a current table asked for an earlier slot that refilled
+	// a wider window in its array / in a larger one, and a stale refill
+	// into a shorter window than the last that kept the array.
+	widened, regrown, shorter int
 	toEnd                     int // feasible walks that read the slot past the last deficit
 }
 
@@ -122,7 +122,7 @@ func (l *fromLane) fill(from int, tally *fromTally) {
 	l.widest = max(l.widest, len(l.tab.unit))
 	switch grew, kept := len(l.tab.unit) > n, cap(l.tab.unit) == c; {
 	case extending && grew && kept && n > 0:
-		tally.shifted++
+		tally.widened++
 	case extending && !kept && n > 0:
 		tally.regrown++
 	case stale && kept && len(l.tab.unit) < n:
@@ -225,7 +225,7 @@ func TestFillFromSlotMatchesWholeSpan(t *testing.T) {
 	t.Logf("%+v", tally)
 	if tally.stale == 0 || tally.current == 0 || tally.extended == 0 || tally.pastSpan == 0 ||
 		tally.runs == 0 || tally.walks == 0 ||
-		tally.shifted == 0 || tally.regrown == 0 || tally.shorter == 0 || tally.toEnd == 0 {
+		tally.widened == 0 || tally.regrown == 0 || tally.shorter == 0 || tally.toEnd == 0 {
 		t.Fatalf("a case never occurred: %+v", tally)
 	}
 }
@@ -240,11 +240,12 @@ var windowScripts = []struct {
 	hits   func(fromTally) int
 }{
 	// One deficit, filled from inside it, then from further and further
-	// down: the window grows below its base, in its array and beyond it.
+	// down at the same stamp: the window is refilled wider, in its array
+	// and beyond it.
 	{
-		"extend below base",
+		"fill below base",
 		[]byte{0x00, 20, 0xff, 0xff, 0x06, 30, 0x06, 26, 0x06, 0},
-		func(k fromTally) int { return min(k.shifted, k.regrown) },
+		func(k fromTally) int { return min(k.widened, k.regrown) },
 	},
 	// A table filled from slot 0 goes stale, and is refilled from past
 	// most of the span: a shorter window in the same array.
@@ -334,20 +335,25 @@ func TestFillFromBeforeSpanIsTheWholeSpanRefill(t *testing.T) {
 
 // TestPriceBeforeFilledSlotPanics: a table answers from the slot it was
 // filled from; asking it about an earlier one is a caller bug that must
-// not pass as a price.
+// not pass as a price — also when the first fill lay past the deficit
+// span, which leaves a live table with an empty window.
 func TestPriceBeforeFilledSlotPanics(t *testing.T) {
-	b := mustBattery(t, 5000, constSolar(40, 0))
-	if err := b.Consume(3, 500); err != nil {
-		t.Fatal(err)
-	}
-	var tab UnitPrices
-	b.FillUnitPrices(&tab, 10, testPrice)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("pricing slot 5 against a table filled from slot 10 did not panic")
+	for _, solar := range []float64{0, 400} { // deficit to the horizon / in slot 3 only
+		b := mustBattery(t, 5000, constSolar(40, solar))
+		if err := b.Consume(3, 500); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	b.PriceDeficit(5, 100, &tab)
+		var tab UnitPrices
+		b.FillUnitPrices(&tab, 10, testPrice)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("solar %v: pricing slot 5 against a table filled from slot 10 did not panic", solar)
+				}
+			}()
+			b.PriceDeficit(5, 100, &tab)
+		}()
+	}
 }
 
 // TestCheckInvariantsCatchesStaleMaximum: the feasibility shortcut is

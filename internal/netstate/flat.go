@@ -103,11 +103,10 @@ type flatPred struct {
 
 // SearchScratch is the pooled working memory of the routing fast path:
 // the per-slot FlatView itself, the destination-visibility stamps, the
-// per-edge price caches, the Dijkstra arrays and RouteSlot's consumption
-// buffer. One scratch serves every slot of every request of a run — arrays
-// are sized to the provider on first use and invalidated by epoch stamps
-// rather than cleared, so a warm scratch makes view construction and
-// search allocation-free.
+// Dijkstra arrays and RouteSlot's consumption buffer. One scratch serves
+// every slot of every request of a run — arrays are sized to the provider
+// on first use and invalidated by epoch stamps rather than cleared, so a
+// warm scratch makes view construction and search allocation-free.
 //
 // A SearchScratch is single-owner (one goroutine, one run at a time).
 // The experiment scheduler pools scratches at its worker boundary via
@@ -122,22 +121,12 @@ type SearchScratch struct {
 	reference bool
 
 	// Sizing of the current arrays; rebuilt when the provider changes.
-	numSats  int
-	numEdges int
+	numSats int
 
-	// viewEpoch invalidates the per-view caches (dst visibility and the
-	// demand-dependent edge prices); bumped once per BuildView.
+	// viewEpoch invalidates the dst-visibility stamps; bumped once per
+	// BuildView.
 	viewEpoch uint32
 	dstStamp  []uint32 // dstStamp[sat]==viewEpoch: sat sees the dst
-
-	// Per-static-ISL-edge priced cost, and per-satellite dst-USL cost,
-	// memoised for the current view: a satellite can be expanded once
-	// per incoming class, and the price is state-independent within one
-	// search, so the first computation is authoritative.
-	edgeCostVal  []float64
-	edgeStamp    []uint32
-	dstCostVal   []float64
-	dstCostStamp []uint32
 
 	// searchEpoch invalidates dist/prev between searches.
 	searchEpoch uint32
@@ -163,19 +152,15 @@ type SearchScratch struct {
 func NewSearchScratch() *SearchScratch { return &SearchScratch{} }
 
 // ensure sizes the arrays for a provider, resetting all epochs when the
-// dimensions change (a scratch may migrate between providers, e.g. via
-// the experiment scheduler's pool).
-func (sc *SearchScratch) ensure(numSats, numEdges int) {
+// satellite count changes (a scratch may migrate between providers, e.g.
+// via the experiment scheduler's pool).
+func (sc *SearchScratch) ensure(numSats int) {
 	numStates := (numSats + 2) * graph.NumClasses
-	if numSats == sc.numSats && numEdges == sc.numEdges {
+	if numSats == sc.numSats {
 		return
 	}
-	sc.numSats, sc.numEdges = numSats, numEdges
+	sc.numSats = numSats
 	sc.dstStamp = make([]uint32, numSats)
-	sc.edgeCostVal = make([]float64, numEdges)
-	sc.edgeStamp = make([]uint32, numEdges)
-	sc.dstCostVal = make([]float64, numSats)
-	sc.dstCostStamp = make([]uint32, numSats)
 	sc.stateStamp = make([]uint32, numStates)
 	sc.dist = make([]float64, numStates)
 	sc.prev = make([]flatPred, numStates)
@@ -188,8 +173,6 @@ func (sc *SearchScratch) bumpViewEpoch() {
 	sc.viewEpoch++
 	if sc.viewEpoch == 0 {
 		clearUint32(sc.dstStamp)
-		clearUint32(sc.edgeStamp)
-		clearUint32(sc.dstCostStamp)
 		sc.viewEpoch = 1
 	}
 }
@@ -235,10 +218,10 @@ type FlatView struct {
 	// declaring what it returns for an ISL nobody has reserved in this
 	// slot: cost(key, ClassISL, capacity, 0), the same bits for every key.
 	// The view then answers for such an edge from its ledger cell alone —
-	// no cost-function call, no edge-cache entry (see islCost). Only the
-	// owner can know its function ignores the key (ERA's does not), so
-	// zero means undeclared and BuildView clears it: a scratch is shared by
-	// every algorithm of a run, a declaration belongs to the one that set it.
+	// no cost-function call (see islCost). Only the owner can know its
+	// function ignores the key (ERA's does not), so zero means undeclared
+	// and BuildView clears it: a scratch is shared by every algorithm of a
+	// run, a declaration belongs to the one that set it.
 	IdleISLCost float64
 
 	// islRow is the slot's ISL ledger row (nil: nothing reserved in the
@@ -271,8 +254,7 @@ func (sc *SearchScratch) BuildView(state *State, slot int, src, dst topology.End
 	if err != nil {
 		return nil, fmt.Errorf("netstate: destination visibility: %w", err)
 	}
-	csr := prov.ISLCSR()
-	sc.ensure(prov.NumSats(), csr.NumEdges())
+	sc.ensure(prov.NumSats())
 	sc.bumpViewEpoch()
 	for _, sat := range dstVis {
 		sc.dstStamp[sat] = sc.viewEpoch
@@ -281,7 +263,7 @@ func (sc *SearchScratch) BuildView(state *State, slot int, src, dst topology.End
 		sc:         sc,
 		state:      state,
 		prov:       prov,
-		csr:        csr,
+		csr:        prov.ISLCSR(),
 		slot:       slot,
 		demandMbps: demandMbps,
 		cost:       cost,
@@ -335,9 +317,10 @@ func (v *FlatView) LinkKeyFor(from, to int) LinkKey {
 // price replicates View.priceEdge on a link whose reservation is already
 // in hand: capacity feasibility masks the edge before the cost function
 // prices it. Masked edges feed the blame scratch exactly like the
-// generic path (the memoised cost caches mean a blocked edge is reported
-// once per view rather than once per visit, which is equivalent for the
-// max-utilization blame rule).
+// generic path. A blocked edge relaxed from both of its satellite's
+// incoming-class states is reported twice, which is harmless:
+// noteBlockedLink keeps the maximum utilization, and the second report
+// carries the same one.
 func (v *FlatView) price(key LinkKey, class graph.EdgeClass, capacity, used float64) float64 {
 	if used+v.demandMbps > capacity*(1+1e-12) {
 		v.state.noteBlockedLink(key, used/capacity)
@@ -372,39 +355,17 @@ func (v *FlatView) begin() {
 // caller is iterating — no key, no hash. A view whose idle cost is armed
 // reads it first and answers for an ISL that holds none from that one
 // cell; a view that declared nothing takes exactly the steps it always
-// took. Any other edge is priced through the cost function, memoised per
-// view: the price only depends on committed state, which cannot change
-// mid-search, so the first computation is authoritative.
+// took. Any other edge is priced through the cost function.
 func (v *FlatView) islCost(idx, sat, to int) float64 {
 	row := v.islRow
 	if v.idleCost != 0 && (row == nil || row[idx] == 0) {
 		return v.idleCost
 	}
-	sc := v.sc
-	if sc.edgeStamp[idx] == sc.viewEpoch {
-		return sc.edgeCostVal[idx]
-	}
 	used := 0.0
 	if row != nil {
 		used = row[idx]
 	}
-	c := v.price(MakeLinkKey(sat, to), graph.ClassISL, v.state.islCapMbps, used)
-	sc.edgeCostVal[idx] = c
-	sc.edgeStamp[idx] = sc.viewEpoch
-	return c
-}
-
-// dstCost returns the priced cost of the sat -> dst USL edge, memoised
-// per view.
-func (v *FlatView) dstCost(sat int) float64 {
-	sc := v.sc
-	if sc.dstCostStamp[sat] == sc.viewEpoch {
-		return sc.dstCostVal[sat]
-	}
-	c := v.uslCost(sat, v.DstNode())
-	sc.dstCostVal[sat] = c
-	sc.dstCostStamp[sat] = sc.viewEpoch
-	return c
+	return v.price(MakeLinkKey(sat, to), graph.ClassISL, v.state.islCapMbps, used)
 }
 
 // VisitNeighbors walks the view's edges in the exact order the search
@@ -434,7 +395,7 @@ func (v *FlatView) VisitNeighbors(node int, fn func(graph.Edge) bool) {
 			}
 		}
 		if v.sc.dstStamp[node] == v.sc.viewEpoch {
-			c := v.dstCost(node)
+			c := v.uslCost(node, v.DstNode())
 			if !fn(graph.Edge{To: v.DstNode(), Class: graph.ClassUSL, Cost: c}) {
 				return
 			}
@@ -581,7 +542,7 @@ func (v *FlatView) dijkstra(transit graph.TransitCostFunc, budgetBase, budgetLim
 			}
 			if sc.dstStamp[sat] == sc.viewEpoch {
 				relaxes++
-				c := v.dstCost(sat)
+				c := v.uslCost(sat, dstNode)
 				if !math.IsInf(c, 1) {
 					w := c
 					ok := true

@@ -283,10 +283,10 @@ func TestIdleISLCostNeedsDemandWithinCapacity(t *testing.T) {
 
 // TestIdleShortcutNeverFiresOnSaturatedSlot is the bypass case: in a slot
 // where every ISL holds a reservation, declaring the idle cost changes
-// nothing — the cost function is called once per distinct ISL the search
-// relaxes, exactly as often as without the declaration, and the path is
-// the generic search's. On the same endpoints one slot later, where
-// nothing is reserved, the declared view never calls it for an ISL.
+// nothing — the cost function is called exactly as often as without the
+// declaration, and the path is the generic search's. On the same
+// endpoints one slot later, where nothing is reserved, the declared view
+// never calls it for an ISL.
 func TestIdleShortcutNeverFiresOnSaturatedSlot(t *testing.T) {
 	s := newTestState(t, twoCitySites())
 	slot := findRoutableSlot(t, s, groundEP(0), groundEP(1))
@@ -298,14 +298,12 @@ func TestIdleShortcutNeverFiresOnSaturatedSlot(t *testing.T) {
 		}
 	}
 	sc := NewSearchScratch()
-	search := func(slot int, declare bool) (graph.Path, int, int) {
+	search := func(slot int, declare bool) (graph.Path, int) {
 		calls := 0
-		distinct := map[LinkKey]bool{}
 		fv, err := sc.BuildView(s, slot, groundEP(0), groundEP(1), 500,
 			func(key LinkKey, class graph.EdgeClass, capacity, utilization float64) float64 {
 				if class == graph.ClassISL {
 					calls++
-					distinct[key] = true
 				}
 				return loadCost(key, class, capacity, utilization)
 			})
@@ -319,12 +317,12 @@ func TestIdleShortcutNeverFiresOnSaturatedSlot(t *testing.T) {
 		if !ok {
 			t.Fatalf("slot %d: no path", slot)
 		}
-		return p, calls, len(distinct)
+		return p, calls
 	}
-	plain, plainCalls, _ := search(slot, false)
-	declared, calls, distinct := search(slot, true)
-	if calls == 0 || calls != distinct || calls != plainCalls {
-		t.Fatalf("saturated slot: %d cost-function calls for %d distinct ISLs; %d without the declaration", calls, distinct, plainCalls)
+	plain, plainCalls := search(slot, false)
+	declared, calls := search(slot, true)
+	if calls == 0 || calls != plainCalls {
+		t.Fatalf("saturated slot: %d cost-function calls; %d without the declaration", calls, plainCalls)
 	}
 	gv, err := NewView(s, slot, groundEP(0), groundEP(1), 500, loadCost)
 	if err != nil {
@@ -336,8 +334,8 @@ func TestIdleShortcutNeverFiresOnSaturatedSlot(t *testing.T) {
 	}
 
 	idle := findRoutableSlotFrom(t, s, groundEP(0), groundEP(1), slot+1)
-	plain, plainCalls, _ = search(idle, false)
-	declared, calls, _ = search(idle, true)
+	plain, plainCalls = search(idle, false)
+	declared, calls = search(idle, true)
 	if calls != 0 || plainCalls == 0 || !reflect.DeepEqual(plain, declared) {
 		t.Fatalf("idle slot: %d ISL cost-function calls with the declaration, %d without; paths equal: %v",
 			calls, plainCalls, reflect.DeepEqual(plain, declared))

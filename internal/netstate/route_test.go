@@ -82,7 +82,10 @@ func sharedSat(t *testing.T, s *State) (slot, sat int) {
 // the same ledger, and after Rollback every battery and every link cell
 // must hold its pre-call bits — a loaded cell the routed path shares
 // included — with the invariants intact. Only a routed slot touches a link; a refused
-// draw names its satellite and is blamed on it.
+// draw names its satellite and is blamed on it. Both scratches leave the
+// same link blame and feed the same rejection tracker, also when a
+// search relaxes a saturated ISL from both incoming-class states of its
+// satellite (and so reports it twice).
 func TestRouteSlotOutcomes(t *testing.T) {
 	weighted := func(node int, in, out graph.EdgeClass) float64 { return 0.25 * float64(node%5) }
 	const loadMbps = 123.456
@@ -105,6 +108,10 @@ func TestRouteSlotOutcomes(t *testing.T) {
 		// leaves that satellite room for its larger draw plus twoRoles
 		// times its smaller one: each draw fits alone, both do not.
 		twoRoles float64
+		// saturate fills one ISL out of the first satellite the source
+		// sees, and the search refuses every egress, so it settles that
+		// satellite from both incoming classes and ends without a path.
+		saturate bool
 	}{
 		{name: "routed", want: SlotRouted, demand: 777.7, budget: math.Inf(1), transit: weighted},
 		// No USL carries one and a half times its capacity.
@@ -115,12 +122,17 @@ func TestRouteSlotOutcomes(t *testing.T) {
 		{name: "energy-infeasible", want: SlotEnergyInfeasible, demand: 777.7, budget: math.Inf(1), drain: true},
 		{name: "two-roles", want: SlotEnergyInfeasible, demand: 777.7, budget: math.Inf(1), twoRoles: 0.5},
 		{name: "two-roles-tight", want: SlotEnergyInfeasible, demand: 777.7, budget: math.Inf(1), twoRoles: 0.999},
+		{name: "saturated-twice", want: SlotNoPath, demand: 777.7, budget: math.Inf(1), transit: weighted, saturate: true},
 	} {
 		type result struct {
-			path    graph.Path
-			outcome SlotOutcome
-			err     string
-			after   slotSnapshot
+			path       graph.Path
+			outcome    SlotOutcome
+			err        string
+			after      slotSnapshot
+			blame      LinkKey
+			blameUtil  float64
+			charged    [2]bool // AttributeRejection: congested, depleted
+			rejections obs.TopKSnapshot
 		}
 		var results []result
 		for _, sc := range []*SearchScratch{NewSearchScratch(), NewReferenceScratch()} {
@@ -168,6 +180,24 @@ func TestRouteSlotOutcomes(t *testing.T) {
 				}
 			}
 
+			saturated := LinkKey(0)
+			if tc.saturate {
+				vis, err := s.Provider().VisibleSats(groundEP(0), slot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				saturated = MakeLinkKey(vis[0], s.Provider().ISLNeighbors(vis[0])[0])
+				if _, err := s.ReserveLink(saturated, slot, s.islCapMbps-s.LinkUsedMbps(saturated, slot)); err != nil {
+					t.Fatal(err)
+				}
+				search.Transit = func(node int, in, out graph.EdgeClass) float64 {
+					if out == graph.ClassUSL {
+						return math.Inf(1)
+					}
+					return 0
+				}
+			}
+
 			before := takeSlotSnapshot(t, s, slot)
 			s.BeginBlame()
 			txn = s.Begin()
@@ -193,6 +223,21 @@ func TestRouteSlotOutcomes(t *testing.T) {
 					t.Fatalf("%s (reference %v): blamed satellite %d, want the two-role satellite %d on path %v", tc.name, sc.reference, blamed, twoRoleSat, path.Nodes)
 				}
 			}
+			if tc.saturate {
+				sat := saturated.From()
+				both := !sc.reference && sc.stateStamp[sat*graph.NumClasses+int(graph.ClassISL)] == sc.searchEpoch &&
+					sc.stateStamp[sat*graph.NumClasses+int(graph.ClassUSL)] == sc.searchEpoch
+				if (!sc.reference && !both) || !s.hot.blameLinkSet || s.hot.blameLink != saturated {
+					t.Fatalf("%s (reference %v): satellite %d settled from both classes %v; blamed %v (set %v), want %v",
+						tc.name, sc.reference, sat, both, s.hot.blameLink, s.hot.blameLinkSet, saturated)
+				}
+			}
+			blame, blameUtil := s.hot.blameLink, s.hot.blameLinkUtil
+			var charged [2]bool
+			charged[0], charged[1] = s.AttributeRejection(tc.want == SlotEnergyInfeasible)
+			if tc.saturate && (!charged[0] || s.hot.linkRejections.Snapshot().Total != 1) {
+				t.Fatalf("%s (reference %v): rejection charged %v, link tracker %+v", tc.name, sc.reference, charged, s.hot.linkRejections.Snapshot())
+			}
 			after := takeSlotSnapshot(t, s, slot)
 			if touched := !reflect.DeepEqual(before.links, after.links); touched != (tc.want == SlotRouted) {
 				t.Fatalf("%s (reference %v): links touched = %v", tc.name, sc.reference, touched)
@@ -206,7 +251,7 @@ func TestRouteSlotOutcomes(t *testing.T) {
 			if err != nil {
 				msg = err.Error()
 			}
-			results = append(results, result{path, outcome, msg, after})
+			results = append(results, result{path, outcome, msg, after, blame, blameUtil, charged, s.hot.linkRejections.Snapshot()})
 
 			txn.Rollback()
 			undone := takeSlotSnapshot(t, s, slot)
@@ -231,8 +276,7 @@ func TestRouteSlotOutcomes(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(results[0], results[1]) {
-			t.Fatalf("%s: the scratches disagree\nflat:      %+v %d %q\nreference: %+v %d %q",
-				tc.name, results[0].path, results[0].outcome, results[0].err, results[1].path, results[1].outcome, results[1].err)
+			t.Fatalf("%s: the scratches disagree\nflat:      %+v\nreference: %+v", tc.name, results[0], results[1])
 		}
 	}
 }

@@ -114,6 +114,10 @@ func errorJSON(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
+// TracingDisabled is the 404 message of the two trace lookups when the
+// server runs without tracing; it names the spaced flags that enable it.
+const TracingDisabled = "tracing disabled (start spaced with -trace-sample or -audit-log)"
+
 // maxBookBodyBytes bounds what POST /v1/book reads: more than a hundred
 // times the largest valid booking, so only a hostile or broken client
 // meets it.
@@ -301,7 +305,7 @@ func (s *Server) handleReservation(w http.ResponseWriter, r *http.Request) {
 // durable store (the audit log is the durable stream).
 func (s *Server) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
 	if !s.tracing {
-		errorJSON(w, http.StatusNotFound, "tracing disabled (start spaced with -trace-sample, -audit-log or -trace)")
+		errorJSON(w, http.StatusNotFound, TracingDisabled)
 		return
 	}
 	idStr := r.PathValue("id")
@@ -321,7 +325,7 @@ func (s *Server) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
 // audit records, newest first. ?n= bounds the count.
 func (s *Server) handleRecentTraces(w http.ResponseWriter, r *http.Request) {
 	if !s.tracing {
-		errorJSON(w, http.StatusNotFound, "tracing disabled (start spaced with -trace-sample, -audit-log or -trace)")
+		errorJSON(w, http.StatusNotFound, TracingDisabled)
 		return
 	}
 	n := 0
