@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check check-race build test vet fmt-check race bench-smoke fuzz-smoke bench-module bench-golden bench-pair report-smoke smoke-spaced trace-smoke scenario-smoke loc prod-cover
+.PHONY: check check-race build test vet fmt-check race bench-smoke fuzz-smoke bench-module bench-golden bench-pair report-smoke smoke-spaced trace-smoke scenario-smoke loc options prod-cover
 
 check: fmt-check vet build race bench-smoke fuzz-smoke
 	@echo "check: all gates passed"
@@ -49,6 +49,13 @@ loc:
 	@echo "test      $$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
 	@echo "benchmark $$(find ./benchmark -name '*.go' | xargs cat | wc -l)"
 	@echo "commands  $$(ls cmd | wc -l)"
+
+# The settable options ROADMAP item 4's gate counts: one line per
+# exported field of each exported *Config or Options struct outside
+# benchmark/ and per flag of each command and subcommand, then the total
+# (scripts/options.sh).
+options:
+	@./scripts/options.sh
 
 # Production coverage: build every command and the benchmark with -cover,
 # run a fixed small-scale tour of them and list each non-test function no

@@ -1,12 +1,16 @@
 package adaptive
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"spacebooking/internal/core"
 	"spacebooking/internal/grid"
 	"spacebooking/internal/netstate"
+	"spacebooking/internal/pricing"
 	"spacebooking/internal/topology"
 	"spacebooking/internal/workload"
 )
@@ -39,55 +43,33 @@ func newTestState(t *testing.T) *netstate.State {
 	return state
 }
 
-func TestConfigValidate(t *testing.T) {
-	good := DefaultConfig(2)
-	if err := good.Validate(); err != nil {
+// newOpts returns the inner CEAR's options at the paper's F1 = F2 = 1.
+func newOpts(t *testing.T) core.Options {
+	t.Helper()
+	params, err := pricing.Derive(1, 1, 20, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	tests := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"zero window", func(c *Config) { c.WindowSlots = 0 }},
-		{"zero F1", func(c *Config) { c.InitialF1 = 0 }},
-		{"bad band", func(c *Config) { c.MinF = 4; c.MaxF = 2 }},
-		{"step below 1", func(c *Config) { c.Step = 0.9 }},
-		{"bad priced-out target", func(c *Config) { c.PricedOutTarget = 1.5 }},
-		{"bad depletion target", func(c *Config) { c.DepletionTargetFrac = -0.1 }},
-		{"negative nominal", func(c *Config) { c.NominalRatePerSlot = -1 }},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			c := DefaultConfig(2)
-			tt.mutate(&c)
-			if err := c.Validate(); err == nil {
-				t.Error("expected error")
-			}
-		})
-	}
+	return core.Options{Pricing: params}
 }
 
 func TestNewErrors(t *testing.T) {
-	if _, err := New(nil, DefaultConfig(2)); err == nil {
+	if _, err := New(nil, 2, newOpts(t)); err == nil {
 		t.Error("nil state should error")
 	}
 	state := newTestState(t)
-	bad := DefaultConfig(2)
-	bad.WindowSlots = -1
-	if _, err := New(state, bad); err == nil {
-		t.Error("bad config should error")
+	bad := newOpts(t)
+	bad.Pricing.F1 = 0
+	if _, err := New(state, 2, bad); err == nil {
+		t.Error("non-positive F1 should error")
 	}
 }
 
 func TestControllerProcessesWorkload(t *testing.T) {
 	state := newTestState(t)
-	cfg := DefaultConfig(2)
-	ctrl, err := New(state, cfg)
+	ctrl, err := New(state, 2, newOpts(t))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ctrl.Name() != "CEAR-AD" {
-		t.Errorf("name = %q", ctrl.Name())
 	}
 	pairs := []workload.Pair{{Src: groundEP(0), Dst: groundEP(1)}}
 	wl := workload.DefaultConfig(96, pairs, 3)
@@ -111,65 +93,86 @@ func TestControllerProcessesWorkload(t *testing.T) {
 		t.Fatal("adaptive controller accepted nothing")
 	}
 	f1, f2 := ctrl.f1, ctrl.f2
-	if f1 < cfg.MinF || f1 > cfg.MaxF || f2 < cfg.MinF || f2 > cfg.MaxF {
+	if f1 < minF || f1 > maxF || f2 < minF || f2 > maxF {
 		t.Errorf("parameters escaped the clamp band: F1=%v F2=%v", f1, f2)
 	}
 	t.Logf("final F1=%.3f F2=%.3f, %d/%d accepted", f1, f2, accepted, len(reqs))
 }
 
+// TestControllerRelaxesWhenPricedOut runs with and without budget
+// pruning: a pruned rejection ("budget-pruned at slot N") must count as
+// priced out just as a plain one does.
 func TestControllerRelaxesWhenPricedOut(t *testing.T) {
-	state := newTestState(t)
-	cfg := DefaultConfig(2)
-	cfg.WindowSlots = 4
-	ctrl, err := New(state, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed requests whose valuation is below any non-trivial price: after
-	// the first few acceptances on the fresh network, everything is
-	// priced out, so the controller must relax F toward MinF.
-	for slot := 0; slot < 60; slot++ {
-		for k := 0; k < 3; k++ {
-			req := workload.Request{
-				ID: slot*10 + k, Src: groundEP(0), Dst: groundEP(1),
-				ArrivalSlot: slot, StartSlot: slot, EndSlot: slot,
-				RateMbps: 1500, Valuation: 10, // far below any positive price
-			}
-			if _, err := ctrl.Handle(req); err != nil {
+	for _, prune := range []bool{false, true} {
+		t.Run(fmt.Sprintf("prune=%v", prune), func(t *testing.T) {
+			state := newTestState(t)
+			opts := newOpts(t)
+			opts.PruneBudget = prune
+			// The nominal rate is the offered one, so the prediction
+			// term leaves the parameters alone.
+			ctrl, err := New(state, 3, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	if ctrl.f1 >= cfg.InitialF1 {
-		t.Errorf("F1 = %v, expected relaxation below initial %v", ctrl.f1, cfg.InitialF1)
+			// Feed requests whose valuation is below any non-trivial
+			// price: after the first few acceptances on the fresh
+			// network, everything is priced out, so each of the three
+			// closed windows relaxes F toward minF.
+			pruned := 0
+			for slot := 0; slot < 3*windowSlots+2; slot++ {
+				for k := 0; k < 3; k++ {
+					req := workload.Request{
+						ID: slot*10 + k, Src: groundEP(0), Dst: groundEP(1),
+						ArrivalSlot: slot, StartSlot: slot, EndSlot: slot,
+						RateMbps: 1500, Valuation: 10, // far below any positive price
+					}
+					d, err := ctrl.Handle(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if strings.Contains(d.Reason, "budget-pruned") {
+						pruned++
+					}
+				}
+			}
+			if prune != (pruned > 0) {
+				t.Errorf("%d budget-pruned rejections with pruning %v", pruned, prune)
+			}
+			want := 1.0
+			for range 3 {
+				want /= step
+			}
+			if ctrl.f1 != want {
+				t.Errorf("F1 = %v, want %v after three relaxed windows", ctrl.f1, want)
+			}
+		})
 	}
 }
 
 func TestControllerTightensOnDepletion(t *testing.T) {
 	state := newTestState(t)
-	cfg := DefaultConfig(2)
-	cfg.WindowSlots = 4
-	cfg.DepletionTargetFrac = 0.05
-	ctrl, err := New(state, cfg)
+	ctrl, err := New(state, 1, newOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Manually drain 20% of the fleet so the depletion trigger fires at
-	// the first window boundary.
+	// Manually drain satellites until a fifth of the fleet is depleted at
+	// the first window's last slot, so the depletion trigger fires at its
+	// boundary.
 	numSats := state.Provider().NumSats()
-	for sat := 0; sat < numSats/5; sat++ {
+	for sat := 0; sat < numSats && state.DepletedSatCount(windowSlots-1, depletedFrac) < numSats/5; sat++ {
 		b := state.Battery(sat)
 		drain := b.CapacityJ() * 0.95
-		for slot := 0; slot < 10; slot++ {
+		for slot := 0; slot < windowSlots; slot++ {
 			drain += b.SolarRemainingAt(slot)
 		}
-		if err := b.Consume(0, drain); err != nil {
-			// Close to the edge is fine too.
-			continue
-		}
+		// A drain the battery cannot take is skipped.
+		_ = b.Consume(0, drain)
 	}
-	// Two windows of light traffic to trigger adaptation.
-	for slot := 0; slot < 12; slot++ {
+	if got := state.DepletedSatCount(windowSlots-1, depletedFrac); got < numSats/5 {
+		t.Fatalf("only %d of %d satellites depleted", got, numSats)
+	}
+	// Light traffic at the nominal rate past the first window boundary.
+	for slot := 0; slot < windowSlots+2; slot++ {
 		req := workload.Request{
 			ID: slot, Src: groundEP(0), Dst: groundEP(1),
 			ArrivalSlot: slot, StartSlot: slot, EndSlot: slot,
@@ -179,50 +182,35 @@ func TestControllerTightensOnDepletion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ctrl.f2 <= cfg.InitialF2 {
-		t.Errorf("F2 = %v, expected tightening above initial %v", ctrl.f2, cfg.InitialF2)
+	if ctrl.f2 <= 1 {
+		t.Errorf("F2 = %v, expected tightening above initial 1", ctrl.f2)
 	}
 }
 
+// TestMovingAveragePredictor pins the load prediction: the mean of the
+// last three closed windows, the oldest evicted first.
 func TestMovingAveragePredictor(t *testing.T) {
-	if _, err := NewMovingAverage(0); err == nil {
-		t.Error("k=0 should error")
-	}
-	m, err := NewMovingAverage(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.PredictLoad(0); got != 0 {
-		t.Errorf("empty predictor = %v", got)
-	}
-	m.Observe(2)
-	m.Observe(4)
-	if got := m.PredictLoad(0); got != 3 {
-		t.Errorf("mean = %v, want 3", got)
-	}
-	m.Observe(6)
-	m.Observe(8) // evicts the 2
-	if got := m.PredictLoad(0); got != 6 {
-		t.Errorf("windowed mean = %v, want 6", got)
+	var c Controller
+	for _, tc := range []struct{ observe, want float64 }{
+		{2, 2}, {4, 3}, {6, 4},
+		{8, 6}, // evicts the 2
+		{10, 8},
+	} {
+		if got := c.predictLoad(tc.observe); got != tc.want {
+			t.Errorf("after observing %v: prediction %v, want %v", tc.observe, got, tc.want)
+		}
 	}
 }
 
 func TestPredictorScalesParameters(t *testing.T) {
 	state := newTestState(t)
-	ma, err := NewMovingAverage(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(1) // nominal 1 req/slot
-	cfg.WindowSlots = 4
-	cfg.Predictor = ma
-	ctrl, err := New(state, cfg)
+	ctrl, err := New(state, 1, newOpts(t)) // nominal 1 req/slot
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Offer 5 req/slot — 5x nominal — so after the first window the
 	// prediction far exceeds nominal and both parameters scale up.
-	for slot := 0; slot < 12; slot++ {
+	for slot := 0; slot < windowSlots+2; slot++ {
 		for k := 0; k < 5; k++ {
 			req := workload.Request{
 				ID: slot*10 + k, Src: groundEP(0), Dst: groundEP(1),
@@ -234,7 +222,7 @@ func TestPredictorScalesParameters(t *testing.T) {
 			}
 		}
 	}
-	if ctrl.f1 <= cfg.InitialF1 || ctrl.f2 <= cfg.InitialF2 {
+	if ctrl.f1 <= 1 || ctrl.f2 <= 1 {
 		t.Errorf("parameters not scaled up under 5x predicted load: F1=%v F2=%v", ctrl.f1, ctrl.f2)
 	}
 }

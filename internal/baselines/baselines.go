@@ -75,8 +75,8 @@ type Baseline struct {
 	thresholdJ float64
 
 	// Routing state, mirroring core.CEAR: the pooled search scratch and
-	// the cost/transit functions the slot step is handed, bound once at
-	// construction (method values reading curSlot/curRate, so the slot
+	// the begin/cost/transit functions the slot step is handed, bound once
+	// at construction (method values reading curSlot/curRate, so the slot
 	// loop allocates no closures).
 	scratch *netstate.SearchScratch
 	search  netstate.SlotSearch
@@ -107,6 +107,7 @@ func newBaseline(state *netstate.State, m mode) (*Baseline, error) {
 		ecfg:       state.EnergyConfig(),
 		numSats:    state.Provider().NumSats(),
 	}
+	b.search.Begin = b.beginSearch
 	b.search.EdgeCost = b.edgeWeight
 	b.search.Transit = b.transitWeight
 	return b, nil
@@ -139,22 +140,6 @@ func NewERU(state *netstate.State) (*Baseline, error) {
 // NewERA builds the Energy Routing Penalty baseline.
 func NewERA(state *netstate.State) (*Baseline, error) {
 	return newBaseline(state, modeERA)
-}
-
-// Name implements router.Algorithm.
-func (b *Baseline) Name() string {
-	switch b.mode {
-	case modeSSP:
-		return "SSP"
-	case modeECARS:
-		return "ECARS"
-	case modeERU:
-		return "ERU"
-	case modeERA:
-		return "ERA"
-	default:
-		return "UNKNOWN"
-	}
 }
 
 // overThreshold reports whether a satellite's battery discharge exceeds
@@ -210,42 +195,22 @@ func (b *Baseline) edgeWeight(key netstate.LinkKey, class graph.EdgeClass, capac
 	}
 }
 
+// beginSearch points the bound weights at one slot search. Bound once as
+// b.search.Begin.
+func (b *Baseline) beginSearch(slot int, demand float64) {
+	b.curSlot, b.curRate = slot, demand
+}
+
 // Handle implements the feasibility-only admission shared by all
-// baselines: find this algorithm's path in every active slot; if all
-// exist, reserve bandwidth and consume energy; otherwise reject without
-// side effects.
+// baselines: the shared request loop (netstate.SearchScratch.Admit) under
+// this algorithm's path metric, with no price test and no budget. A
+// request is accepted when every active slot has a feasible path, and
+// rejected without side effects otherwise. Baselines quote zero.
 func (b *Baseline) Handle(req workload.Request) (router.Decision, error) {
-	if err := req.Validate(b.state.Provider().Horizon()); err != nil {
+	d, err := b.scratch.Admit(b.state, req, &b.search, math.Inf(1), math.Inf(1))
+	if err != nil {
 		return router.Decision{}, fmt.Errorf("baselines: %w", err)
 	}
-
-	plan := router.Plan{Paths: make([]router.SlotPath, 0, req.DurationSlots())}
-
-	// Commit-as-you-go inside a transaction, mirroring CEAR: each slot's
-	// search observes the request's own earlier consumption, and any
-	// failure rolls the whole request back.
-	txn := b.state.Begin()
-	for slot := req.StartSlot; slot <= req.EndSlot; slot++ {
-		b.curRate = req.RateAt(slot)
-		b.curSlot = slot
-
-		// Baselines do no admission pricing, so there is no budget to
-		// prune against.
-		path, outcome, err := b.scratch.RouteSlot(txn, slot, req.Src, req.Dst, b.curRate, &b.search, 0, math.Inf(1))
-		if outcome != netstate.SlotRouted {
-			txn.Rollback()
-			switch outcome {
-			case netstate.SlotFailed:
-				return router.Decision{}, fmt.Errorf("baselines: request %d slot %d: %w", req.ID, slot, err)
-			case netstate.SlotEnergyInfeasible:
-				return router.Decision{Reason: fmt.Sprintf("energy infeasible at slot %d: %v", slot, err)}, nil
-			default:
-				return router.Decision{Reason: fmt.Sprintf("no feasible path at slot %d", slot)}, nil
-			}
-		}
-		plan.Paths = append(plan.Paths, router.SlotPath{Slot: slot, Path: path})
-	}
-
-	txn.Commit()
-	return router.Decision{Accepted: true, Plan: plan}, nil
+	d.Price = 0
+	return d, nil
 }

@@ -74,6 +74,8 @@ func routableRequest(t *testing.T, state *netstate.State, id int, rate float64, 
 	return workload.Request{}
 }
 
+// allBaselines builds SSP, ECARS, ERU and ERA over one state, in that
+// order.
 func allBaselines(t *testing.T, state *netstate.State) []router.Algorithm {
 	t.Helper()
 	ssp, err := NewSSP(state)
@@ -101,26 +103,11 @@ func TestConstructorErrors(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	state := newBaselineState(t)
-	want := []string{"SSP", "ECARS", "ERU", "ERA"}
-	for i, alg := range allBaselines(t, state) {
-		if alg.Name() != want[i] {
-			t.Errorf("name = %q, want %q", alg.Name(), want[i])
-		}
-	}
-}
-
 func TestAllBaselinesAcceptOnEmptyNetwork(t *testing.T) {
-	for _, name := range []string{"SSP", "ECARS", "ERU", "ERA"} {
+	for i, name := range []string{"SSP", "ECARS", "ERU", "ERA"} {
 		t.Run(name, func(t *testing.T) {
 			state := newBaselineState(t)
-			var alg router.Algorithm
-			for _, a := range allBaselines(t, state) {
-				if a.Name() == name {
-					alg = a
-				}
-			}
+			alg := allBaselines(t, state)[i]
 			// One slot: ERU's 360 J threshold would otherwise prune the
 			// satellites loaded by the request's own earlier slots —
 			// faithful but not what this test is about.

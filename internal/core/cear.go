@@ -137,6 +137,7 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 	if c.scratch == nil {
 		c.scratch = netstate.NewSearchScratch()
 	}
+	c.search.Begin = c.beginSearch
 	c.search.EdgeCost = c.priceEdgeCost
 	c.search.Transit = c.priceTransit
 	c.unitPrice = c.energyUnitPrice
@@ -162,20 +163,6 @@ func PriceBuckets() []float64 {
 		out = append(out, math.Pow(10, float64(e)))
 	}
 	return out
-}
-
-// Name implements router.Algorithm.
-func (c *CEAR) Name() string {
-	switch {
-	case c.opts.DisableEnergyPricing:
-		return "CEAR-NE"
-	case c.opts.DisableAdmission:
-		return "CEAR-AA"
-	case c.opts.LinearPricing:
-		return "CEAR-LIN"
-	default:
-		return "CEAR"
-	}
 }
 
 // congestionUnitPrice returns the bandwidth price per Mbps at the given
@@ -304,10 +291,13 @@ func transitRole(in, out graph.EdgeClass) int {
 
 // beginSearch points the bound cost functions at one slot search: its
 // slot and demand, the four roles' joules — fixed by the demand, so
-// computed here rather than per call — and what an unreserved ISL costs. priceEdgeCost reads nothing but the utilization
-// and the search's demand, so its own value at utilization 0 is this
-// search's price of every idle ISL, whatever the pricing variant.
+// computed here rather than per call — and what an unreserved ISL costs.
+// priceEdgeCost reads nothing but the utilization and the search's
+// demand, so its own value at utilization 0 is this search's price of
+// every idle ISL, whatever the pricing variant. Bound once as
+// c.search.Begin.
 func (c *CEAR) beginSearch(slot int, demand float64) {
+	c.ctrSlotSearch.Inc()
 	c.curSlot, c.curDemand = slot, demand
 	for _, in := range [...]graph.EdgeClass{graph.ClassISL, graph.ClassUSL} {
 		for _, out := range [...]graph.EdgeClass{graph.ClassISL, graph.ClassUSL} {
@@ -324,80 +314,31 @@ func (c *CEAR) priceTransit(node int, in, out graph.EdgeClass) float64 {
 	return c.energyTransitCost(node, c.curSlot, c.roleJoules[transitRole(in, out)])
 }
 
-// Handle implements Algorithm 1 for one online request.
+// Handle implements Algorithm 1 for one online request: the shared
+// request loop (netstate.SearchScratch.Admit) under CEAR's prices, with
+// admission control against ρ_i unless DisableAdmission is set.
 func (c *CEAR) Handle(req workload.Request) (router.Decision, error) {
-	if err := req.Validate(c.state.Provider().Horizon()); err != nil {
+	valuation, budget := req.Valuation, math.Inf(1)
+	if c.opts.DisableAdmission {
+		valuation = math.Inf(1)
+	} else if c.opts.PruneBudget {
+		// Budget pruning hands the searches the admission threshold so
+		// they can abandon provably-rejected work early.
+		budget = req.Valuation
+	}
+	d, err := c.scratch.Admit(c.state, req, &c.search, valuation, budget)
+	if err != nil {
 		return router.Decision{}, fmt.Errorf("core: %w", err)
 	}
 	c.ctrEvaluations.Inc()
-
-	totalPrice := 0.0
-	plan := router.Plan{Paths: make([]router.SlotPath, 0, req.DurationSlots())}
-
-	// Budget pruning hands the searches the admission threshold so they
-	// can abandon provably-rejected work early; +Inf disables it.
-	budgetLimit := math.Inf(1)
-	if c.opts.PruneBudget && !c.opts.DisableAdmission {
-		budgetLimit = req.Valuation
+	if d.Plan.Paths != nil {
+		// A complete plan: accepted, or priced out at line 6.
+		c.histPlanPrice.Observe(d.Price)
 	}
-
-	// Lines 1-5 of Algorithm 1, with one practical refinement: slots are
-	// priced, searched and committed in order inside a transaction, so
-	// each slot's search observes the request's *own* earlier slots'
-	// consumption (the paper prices all slots against the pre-request
-	// state, which under the evaluation's assumption-violating valuations
-	// can produce jointly energy-infeasible plans — see DESIGN.md). If
-	// any slot is unroutable or the total price exceeds ρ_i, the
-	// transaction rolls back and the network is untouched.
-	txn := c.state.Begin()
-	for slot := req.StartSlot; slot <= req.EndSlot; slot++ {
-		c.beginSearch(slot, req.RateAt(slot))
-		c.ctrSlotSearch.Inc()
-
-		// Lines 2-4 and 7-16 for this slot: min-price path, then reserve
-		// its bandwidth and apply its energy consumption so the next slot's
-		// search prices the updated state.
-		path, outcome, err := c.scratch.RouteSlot(txn, slot, req.Src, req.Dst, c.curDemand, &c.search, totalPrice, budgetLimit)
-		if outcome != netstate.SlotRouted {
-			txn.Rollback()
-			if outcome == netstate.SlotFailed {
-				return router.Decision{}, fmt.Errorf("core: request %d slot %d: %w", req.ID, slot, err)
-			}
-			c.ctrRejected.Inc()
-			switch outcome {
-			case netstate.SlotBudgetPruned:
-				// Every completion of this slot's search exceeds the
-				// valuation: priced out, not unroutable.
-				return router.Decision{
-					Reason: fmt.Sprintf("plan price exceeds valuation %.3g (budget-pruned at slot %d)", req.Valuation, slot),
-				}, nil
-			case netstate.SlotEnergyInfeasible:
-				return router.Decision{Reason: fmt.Sprintf("energy infeasible at slot %d: %v", slot, err)}, nil
-			default:
-				return router.Decision{Reason: fmt.Sprintf("no feasible path at slot %d", slot)}, nil
-			}
-		}
-		totalPrice += path.Cost
-		plan.Paths = append(plan.Paths, router.SlotPath{Slot: slot, Path: path})
-	}
-
-	// Line 6: admission control — compare the plan price with ρ_i.
-	c.histPlanPrice.Observe(totalPrice)
-	if !c.opts.DisableAdmission && totalPrice > req.Valuation {
-		txn.Rollback()
+	if d.Accepted {
+		c.ctrAccepted.Inc()
+	} else {
 		c.ctrRejected.Inc()
-		return router.Decision{
-			Price:  totalPrice,
-			Reason: fmt.Sprintf("plan price %.3g exceeds valuation %.3g", totalPrice, req.Valuation),
-			Plan:   plan,
-		}, nil
 	}
-
-	txn.Commit()
-	c.ctrAccepted.Inc()
-	return router.Decision{
-		Accepted: true,
-		Price:    totalPrice,
-		Plan:     plan,
-	}, nil
+	return d, nil
 }

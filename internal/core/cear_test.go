@@ -134,25 +134,6 @@ func TestNewErrors(t *testing.T) {
 	}
 }
 
-func TestNameVariants(t *testing.T) {
-	state := newTestStack(t, 0)
-	tests := []struct {
-		opts Options
-		want string
-	}{
-		{Options{}, "CEAR"},
-		{Options{DisableEnergyPricing: true}, "CEAR-NE"},
-		{Options{DisableAdmission: true}, "CEAR-AA"},
-		{Options{LinearPricing: true}, "CEAR-LIN"},
-	}
-	for _, tt := range tests {
-		c := newCEAR(t, state, tt.opts)
-		if got := c.Name(); got != tt.want {
-			t.Errorf("Name = %q, want %q", got, tt.want)
-		}
-	}
-}
-
 func TestHandleArgumentErrors(t *testing.T) {
 	state := newTestStack(t, 0)
 	c := newCEAR(t, state, Options{})

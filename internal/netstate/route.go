@@ -6,18 +6,82 @@ import (
 
 	"spacebooking/internal/energy"
 	"spacebooking/internal/graph"
+	"spacebooking/internal/router"
 	"spacebooking/internal/topology"
+	"spacebooking/internal/workload"
 )
 
 // SlotSearch is what an algorithm tells the slot step about its searches:
 // how it prices an edge and a transit, and — CEAR only — the idle-ISL hint
 // the flat search takes from the owner of those functions (see the FlatView
 // field of the same name). The algorithm keeps one and passes it by
-// pointer, updating per slot whatever depends on the slot's demand.
+// pointer. Begin, which Admit calls before each slot's search, points the
+// bound functions at that slot and its demand and updates whatever depends
+// on them; all three functions are bound once, at construction.
 type SlotSearch struct {
+	Begin       func(slot int, demand float64)
 	EdgeCost    EdgeCostFunc
 	Transit     graph.TransitCostFunc
 	IdleISLCost float64
+}
+
+// Admit is Algorithm 1 (lines 1-16) for one request, the loop every
+// admission algorithm runs: each active slot in order is begun on search
+// and routed by RouteSlot inside one transaction, so a slot's search sees
+// the request's own earlier slots. The first slot that is not routed rolls
+// the transaction back and rejects with its reason. A plan whose summed
+// path cost exceeds valuation (line 6) is rolled back and rejected with
+// its price and plan; any other plan is committed and accepted. budget
+// prunes the searches (RouteSlot); +Inf for either bound turns its test
+// off.
+//
+// Routing the slots in order is the one refinement of the paper, which
+// prices every slot against the pre-request state: under the evaluation's
+// assumption-violating valuations that form can admit jointly
+// energy-infeasible plans (see DESIGN.md).
+//
+// Errors are an invalid request or a SlotFailed slot, never a rejection.
+func (sc *SearchScratch) Admit(state *State, req workload.Request, search *SlotSearch, valuation, budget float64) (router.Decision, error) {
+	if err := req.Validate(state.Provider().Horizon()); err != nil {
+		return router.Decision{}, err
+	}
+	price := 0.0
+	plan := router.Plan{Paths: make([]router.SlotPath, 0, req.DurationSlots())}
+	txn := state.Begin()
+	for slot := req.StartSlot; slot <= req.EndSlot; slot++ {
+		demand := req.RateAt(slot)
+		search.Begin(slot, demand)
+		path, outcome, err := sc.RouteSlot(txn, slot, req.Src, req.Dst, demand, search, price, budget)
+		if outcome != SlotRouted {
+			txn.Rollback()
+			var reason string
+			switch outcome {
+			case SlotFailed:
+				return router.Decision{}, fmt.Errorf("request %d slot %d: %w", req.ID, slot, err)
+			case SlotBudgetPruned:
+				// Every completion of this slot's search exceeds the
+				// budget: priced out, not unroutable.
+				reason = fmt.Sprintf("plan price exceeds valuation %.3g (budget-pruned at slot %d)", budget, slot)
+			case SlotEnergyInfeasible:
+				reason = fmt.Sprintf("energy infeasible at slot %d: %v", slot, err)
+			default:
+				reason = fmt.Sprintf("no feasible path at slot %d", slot)
+			}
+			return router.Decision{Reason: reason}, nil
+		}
+		price += path.Cost
+		plan.Paths = append(plan.Paths, router.SlotPath{Slot: slot, Path: path})
+	}
+	if price > valuation {
+		txn.Rollback()
+		return router.Decision{
+			Price:  price,
+			Reason: fmt.Sprintf("plan price %.3g exceeds valuation %.3g", price, valuation),
+			Plan:   plan,
+		}, nil
+	}
+	txn.Commit()
+	return router.Decision{Accepted: true, Price: price, Plan: plan}, nil
 }
 
 // SlotOutcome says how RouteSlot left one slot of a request.

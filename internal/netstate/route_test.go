@@ -10,6 +10,7 @@ import (
 	"spacebooking/internal/graph"
 	"spacebooking/internal/grid"
 	"spacebooking/internal/obs"
+	"spacebooking/internal/workload"
 )
 
 // slotSnapshot is everything one slot step can touch: the reservation of
@@ -278,5 +279,71 @@ func TestRouteSlotOutcomes(t *testing.T) {
 		if !reflect.DeepEqual(results[0], results[1]) {
 			t.Fatalf("%s: the scratches disagree\nflat:      %+v\nreference: %+v", tc.name, results[0], results[1])
 		}
+	}
+}
+
+// TestAdmitOutcomes drives the request loop over two active slots on
+// hop-count prices. Begin runs once per slot, in order, before the slot's
+// search. A valuation below the plan's price rejects with the price, the
+// plan and the reason, and leaves both slots as they were; a valuation
+// equal to it accepts and commits. A demand no USL carries rejects at the
+// first slot with no plan, and a window past the horizon is an error.
+func TestAdmitOutcomes(t *testing.T) {
+	s := newTestState(t, twoCitySites())
+	src, dst := groundEP(0), groundEP(1)
+	first := findRoutableSlot(t, s, src, dst)
+	if findRoutableSlotFrom(t, s, src, dst, first+1) != first+1 {
+		t.Skip("no two routable slots in a row")
+	}
+	var begun []int
+	search := SlotSearch{
+		Begin:    func(slot int, demand float64) { begun = append(begun, slot) },
+		EdgeCost: hopCost,
+		Transit:  func(int, graph.EdgeClass, graph.EdgeClass) float64 { return 0 },
+	}
+	req := workload.Request{ID: 7, Src: src, Dst: dst, ArrivalSlot: first, StartSlot: first, EndSlot: first + 1, RateMbps: 100}
+	sc := NewSearchScratch()
+	before := []slotSnapshot{takeSlotSnapshot(t, s, first), takeSlotSnapshot(t, s, first+1)}
+
+	d, err := sc.Admit(s, req, &search, 1, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Accepted || len(d.Plan.Paths) != 2 || d.Price != float64(d.Plan.TotalHops()) ||
+		d.Reason != fmt.Sprintf("plan price %.3g exceeds valuation 1", d.Price) {
+		t.Fatalf("priced-out decision %+v", d)
+	}
+	if !reflect.DeepEqual(begun, []int{first, first + 1}) {
+		t.Errorf("Begin ran for slots %v, want %v", begun, []int{first, first + 1})
+	}
+	for i, want := range before {
+		if !reflect.DeepEqual(takeSlotSnapshot(t, s, first+i), want) {
+			t.Errorf("slot %d changed by a rejected request", first+i)
+		}
+	}
+
+	price := d.Price
+	if d, err = sc.Admit(s, req, &search, price, math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	if !d.Accepted || d.Price != price || d.Reason != "" || len(d.Plan.Paths) != 2 {
+		t.Fatalf("accepted decision %+v", d)
+	}
+	if s.CongestedLinkCount(first+1, 1) == 0 {
+		t.Error("an accepted request committed no reservation")
+	}
+
+	// No USL carries one and a half times its capacity.
+	req.RateMbps = 6000
+	if d, err = sc.Admit(s, req, &search, math.Inf(1), math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	if d.Accepted || d.Plan.Paths != nil || d.Reason != fmt.Sprintf("no feasible path at slot %d", first) {
+		t.Errorf("unroutable decision %+v", d)
+	}
+
+	req.EndSlot = s.Provider().Horizon()
+	if _, err := sc.Admit(s, req, &search, math.Inf(1), math.Inf(1)); err == nil {
+		t.Error("a window past the horizon should be an error")
 	}
 }

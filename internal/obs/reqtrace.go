@@ -6,7 +6,7 @@ import (
 )
 
 // MaxTraceSpans bounds the spans one request can record. The serving
-// layer uses eight named phases; the headroom absorbs future phases
+// layer records seven named phases; the headroom absorbs future phases
 // without reallocating — a full recorder drops further Begin calls
 // rather than growing.
 const MaxTraceSpans = 12

@@ -45,10 +45,9 @@ type Decision struct {
 }
 
 // Algorithm is an online request-admission and routing algorithm.
-// Implementations own their resource state and mutate it on accept.
+// Implementations own their resource state and mutate it on accept; the
+// display name is the run's sim.AlgorithmKind.
 type Algorithm interface {
-	// Name returns the display name used in result tables.
-	Name() string
 	// Handle processes one online request. Errors indicate internal
 	// failures (bugs, inconsistent state), not rejections.
 	Handle(req workload.Request) (Decision, error)

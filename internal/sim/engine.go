@@ -39,9 +39,9 @@ type Engine struct {
 	totalSlotPaths int
 	totalLatency   float64
 
-	// Per-slot observability accumulators (see the flush logic in Run
-	// before the refactor): one sample per horizon slot on every series,
-	// request-free gap slots included.
+	// Per-slot observability accumulators (flushed by Admit when the
+	// arrival slot moves on, and by Finish): one sample per horizon slot
+	// on every series, request-free gap slots included.
 	sampler      *obs.Sampler
 	ctrTotal     *obs.Counter
 	ctrAccepted  *obs.Counter
@@ -100,7 +100,7 @@ func NewEngine(prov *topology.Provider, rc RunConfig) (*Engine, error) {
 		state:   state,
 		horizon: horizon,
 		res: &Result{
-			Algorithm:  alg.Name(),
+			Algorithm:  rc.Algorithm.String(),
 			Rejections: make(map[string]int),
 		},
 		arrivedVal:  make([]float64, horizon),
@@ -129,7 +129,7 @@ func NewEngine(prov *topology.Provider, rc RunConfig) (*Engine, error) {
 	if rc.Trace != nil {
 		if err := rc.Trace.Emit(trace.Record{
 			Kind:      trace.KindRunInfo,
-			Algorithm: alg.Name(),
+			Algorithm: rc.Algorithm.String(),
 			Rate:      rc.Workload.ArrivalRatePerSlot,
 			Seed:      rc.Workload.Seed,
 			Spec:      rc.SpecName,
@@ -141,7 +141,7 @@ func NewEngine(prov *topology.Provider, rc RunConfig) (*Engine, error) {
 }
 
 // Algorithm returns the display name of the engine's algorithm.
-func (e *Engine) Algorithm() string { return e.alg.Name() }
+func (e *Engine) Algorithm() string { return e.rc.Algorithm.String() }
 
 // EnableTraceDetail attaches the sub-phase wall-time counters (search,
 // pricing and commit nanoseconds) to the engine's state so a serving

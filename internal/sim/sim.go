@@ -257,35 +257,15 @@ func buildAlgorithm(prov *topology.Provider, rc RunConfig) (router.Algorithm, *n
 		alg.SetScratch(rc.Scratch)
 		return alg, state, nil
 	}
-	switch rc.Algorithm {
-	case AlgCEAR:
-		alg, err := core.New(state, cearOpts)
-		return alg, state, err
-	case AlgCEARNoEnergy:
-		cearOpts.DisableEnergyPricing = true
-		alg, err := core.New(state, cearOpts)
-		return alg, state, err
-	case AlgCEARNoAdmission:
-		cearOpts.DisableAdmission = true
-		alg, err := core.New(state, cearOpts)
-		return alg, state, err
-	case AlgCEARLinear:
-		cearOpts.LinearPricing = true
+	switch k := rc.Algorithm; k {
+	case AlgCEAR, AlgCEARNoEnergy, AlgCEARNoAdmission, AlgCEARLinear:
+		cearOpts.DisableEnergyPricing = k == AlgCEARNoEnergy
+		cearOpts.DisableAdmission = k == AlgCEARNoAdmission
+		cearOpts.LinearPricing = k == AlgCEARLinear
 		alg, err := core.New(state, cearOpts)
 		return alg, state, err
 	case AlgCEARAdaptive:
-		acfg := adaptive.DefaultConfig(rc.Workload.ArrivalRatePerSlot)
-		predictor, err := adaptive.NewMovingAverage(3)
-		if err != nil {
-			return nil, nil, err
-		}
-		acfg.Predictor = predictor
-		acfg.InitialF1 = rc.Pricing.F1
-		acfg.InitialF2 = rc.Pricing.F2
-		acfg.PruneBudget = rc.PruneBudget
-		acfg.Scratch = rc.Scratch
-		acfg.Obs = rc.Obs
-		alg, err := adaptive.New(state, acfg)
+		alg, err := adaptive.New(state, rc.Workload.ArrivalRatePerSlot, cearOpts)
 		return alg, state, err
 	case AlgSSP:
 		return newBaselineAlg(baselines.NewSSP(state))

@@ -224,7 +224,7 @@ func DiurnalProfile(periodSlots int, amplitude float64) ([]float64, error) {
 type Generator struct {
 	cfg     Config
 	rng     *rand.Rand
-	sampler truncExpSampler
+	sampler RateSampler
 	slot    int // next slot to draw arrivals for
 	pending int // requests still to emit in the current slot
 	id      int
@@ -236,11 +236,11 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Generator{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		sampler: newTruncExpSampler(cfg.MinRateMbps, cfg.MaxRateMbps, cfg.MeanRateMbps),
-	}, nil
+	sampler, err := NewRateSampler(cfg.MinRateMbps, cfg.MaxRateMbps, cfg.MeanRateMbps)
+	if err != nil {
+		return nil, err
+	}
+	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), sampler: sampler}, nil
 }
 
 // Next returns the next request in arrival order. ok is false once the
@@ -274,7 +274,7 @@ func (g *Generator) Next() (req Request, ok bool) {
 		ArrivalSlot: slot,
 		StartSlot:   slot,
 		EndSlot:     end,
-		RateMbps:    g.sampler.sample(g.rng),
+		RateMbps:    g.sampler.Sample(g.rng),
 		Valuation:   g.cfg.Valuation,
 	}
 	g.id++
@@ -315,13 +315,15 @@ func poisson(rng *rand.Rand, lambda float64) int {
 	}
 }
 
-// truncExpSampler samples from an exponential distribution shifted to
-// min and truncated at max, with its rate calibrated so the realised
-// mean matches the target. The paper asks for mean 1250 on [500, 2000] —
-// the exact midpoint, which a truncated exponential only reaches in the
-// uniform (rate→0) limit; the calibration therefore degrades gracefully
-// to near-uniform in that case.
-type truncExpSampler struct {
+// RateSampler draws per-request demands from an exponential distribution
+// shifted to min and truncated at max, with its rate calibrated so the
+// realised mean matches the target. The paper asks for mean 1250 on
+// [500, 2000] — the exact midpoint, which a truncated exponential only
+// reaches in the uniform (rate→0) limit; the calibration therefore
+// degrades gracefully to near-uniform in that case. Generator and the
+// scenario engine's per-class demand mixes share it, so they share one
+// calibration and one set of edge cases.
+type RateSampler struct {
 	min, max float64
 	rate     float64 // 0 means uniform fallback
 }
@@ -340,47 +342,6 @@ func truncExpMean(min, max, rate float64) float64 {
 	return min + 1/rate + width*math.Exp(-x)/math.Expm1(-x)
 }
 
-func newTruncExpSampler(min, max, targetMean float64) truncExpSampler {
-	mid := min + (max-min)/2
-	if targetMean >= mid {
-		// Midpoint or above is only reachable in the uniform limit.
-		return truncExpSampler{min: min, max: max, rate: 0}
-	}
-	// Bisect the rate: mean decreases as rate grows.
-	lo, hi := 1e-9, 1.0
-	for truncExpMean(min, max, hi) > targetMean {
-		hi *= 2
-	}
-	for i := 0; i < 200; i++ {
-		midRate := (lo + hi) / 2
-		if truncExpMean(min, max, midRate) > targetMean {
-			lo = midRate
-		} else {
-			hi = midRate
-		}
-	}
-	return truncExpSampler{min: min, max: max, rate: (lo + hi) / 2}
-}
-
-func (s truncExpSampler) sample(rng *rand.Rand) float64 {
-	if s.rate == 0 {
-		return s.min + rng.Float64()*(s.max-s.min)
-	}
-	// Inverse-CDF sampling of the truncated exponential.
-	width := s.max - s.min
-	u := rng.Float64()
-	return s.min - math.Log(1-u*(1-math.Exp(-s.rate*width)))/s.rate
-}
-
-// RateSampler draws per-request demands from the paper's calibrated
-// truncated-exponential distribution. It is the exported form of the
-// sampler Generator uses internally, so the scenario engine's per-class
-// demand mixes share one calibration (and one set of edge cases: a mean
-// at or above the midpoint degrades gracefully to uniform).
-type RateSampler struct {
-	inner truncExpSampler
-}
-
 // NewRateSampler calibrates a sampler on [min, max] with the target
 // mean. The bounds must satisfy 0 < min <= mean <= max.
 func NewRateSampler(min, max, mean float64) (RateSampler, error) {
@@ -390,8 +351,34 @@ func NewRateSampler(min, max, mean float64) (RateSampler, error) {
 	case mean < min || mean > max:
 		return RateSampler{}, fmt.Errorf("workload: mean rate %v outside [%v,%v]", mean, min, max)
 	}
-	return RateSampler{inner: newTruncExpSampler(min, max, mean)}, nil
+	mid := min + (max-min)/2
+	if mean >= mid {
+		// Midpoint or above is only reachable in the uniform limit.
+		return RateSampler{min: min, max: max, rate: 0}, nil
+	}
+	// Bisect the rate: the truncated mean decreases as the rate grows.
+	lo, hi := 1e-9, 1.0
+	for truncExpMean(min, max, hi) > mean {
+		hi *= 2
+	}
+	for i := 0; i < 200; i++ {
+		midRate := (lo + hi) / 2
+		if truncExpMean(min, max, midRate) > mean {
+			lo = midRate
+		} else {
+			hi = midRate
+		}
+	}
+	return RateSampler{min: min, max: max, rate: (lo + hi) / 2}, nil
 }
 
 // Sample draws one demand using the caller's RNG.
-func (s RateSampler) Sample(rng *rand.Rand) float64 { return s.inner.sample(rng) }
+func (s RateSampler) Sample(rng *rand.Rand) float64 {
+	if s.rate == 0 {
+		return s.min + rng.Float64()*(s.max-s.min)
+	}
+	// Inverse-CDF sampling of the truncated exponential.
+	width := s.max - s.min
+	u := rng.Float64()
+	return s.min - math.Log(1-u*(1-math.Exp(-s.rate*width)))/s.rate
+}

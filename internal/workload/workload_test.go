@@ -175,11 +175,14 @@ func TestTruncExpSamplerCalibration(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			s := newTruncExpSampler(500, 2000, tt.target)
+			s, err := NewRateSampler(500, 2000, tt.target)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sum := 0.0
 			const n = 200000
 			for i := 0; i < n; i++ {
-				x := s.sample(rng)
+				x := s.Sample(rng)
 				if x < 500 || x > 2000 {
 					t.Fatalf("sample %v outside range", x)
 				}
