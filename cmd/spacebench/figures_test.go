@@ -13,18 +13,36 @@ var update = flag.Bool("update", false, "rewrite testdata/ from this run")
 // timing masks the two lines of figure output that carry wall time.
 var timing = regexp.MustCompile(`(?m)^(environment ready in|all figures reproduced in) [^:\n]*`)
 
-// TestFigureGolden runs every figure at small scale and compares stdout
-// (timing masked) and each -csv export byte for byte with testdata/. A
+// TestFigureGolden runs every figure at small scale, and the scenario
+// figure on specs/smoke.json, and compares stdout (timing masked) and
+// each -csv export byte for byte with the case's pinned directory. A
 // change that moves decisions re-pins with `go test -run
 // TestFigureGolden -update` in the same commit.
 func TestFigureGolden(t *testing.T) {
-	dir := t.TempDir()
-	code, out, errOut := runBench(t, "-scale", "small", "-quiet", "-csv", dir, "all")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut)
+	for _, tc := range []struct {
+		name, pinned string
+		args         []string
+	}{
+		{"all", "testdata", []string{"all"}},
+		{"scenario", filepath.Join("testdata", "scenario"), []string{"-spec", filepath.Join("..", "..", "specs", "smoke.json"), "scenario"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			code, out, errOut := runBench(t, append([]string{"-scale", "small", "-quiet", "-csv", dir}, tc.args...)...)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, errOut)
+			}
+			checkGolden(t, tc.pinned, dir, timing.ReplaceAll([]byte(out), []byte("$1 X")))
+		})
 	}
-	got := map[string][]byte{"stdout.txt": timing.ReplaceAll([]byte(out), []byte("$1 X"))}
-	csvs, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+}
+
+// checkGolden compares stdout and the CSVs in csvDir with the files in
+// pinned, or rewrites pinned from them under -update.
+func checkGolden(t *testing.T, pinned, csvDir string, stdout []byte) {
+	t.Helper()
+	got := map[string][]byte{"stdout.txt": stdout}
+	csvs, err := filepath.Glob(filepath.Join(csvDir, "*.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,26 +52,35 @@ func TestFigureGolden(t *testing.T) {
 		}
 	}
 	if *update {
+		if err := os.MkdirAll(pinned, 0o755); err != nil {
+			t.Fatal(err)
+		}
 		for name, data := range got {
-			if err := os.WriteFile(filepath.Join("testdata", name), data, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(pinned, name), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return
 	}
-	pinned, err := filepath.Glob(filepath.Join("testdata", "*"))
+	entries, err := os.ReadDir(pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pinned) != len(got) {
-		t.Errorf("%d output files, %d pinned", len(got), len(pinned))
+	files := 0
+	for _, e := range entries {
+		if !e.IsDir() {
+			files++
+		}
+	}
+	if files != len(got) {
+		t.Errorf("%d output files, %d pinned in %s", len(got), files, pinned)
 	}
 	for name, data := range got {
-		want, err := os.ReadFile(filepath.Join("testdata", name))
+		want, err := os.ReadFile(filepath.Join(pinned, name))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 		} else if string(data) != string(want) {
-			t.Errorf("%s differs from testdata/%s:\n%s", name, name, data)
+			t.Errorf("%s differs from %s:\n%s", name, filepath.Join(pinned, name), data)
 		}
 	}
 }
