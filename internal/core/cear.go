@@ -54,7 +54,7 @@ type Options struct {
 	// Ignored when DisableAdmission is set.
 	PruneBudget bool
 	// Scratch supplies the pooled search scratch the slot searches run on.
-	// Nil allocates a private one; the experiment scheduler passes a
+	// Nil allocates a private one; the figure runners pass a
 	// pooled scratch so parallel runs reuse warm arrays, and tests pass
 	// netstate.NewReferenceScratch() to run the reference search.
 	Scratch *netstate.SearchScratch
@@ -62,6 +62,9 @@ type Options struct {
 	// Obs, when non-nil, attaches admission counters and histograms
 	// (evaluations, accept/reject, slot searches, price lookups) to the
 	// registry. Nil leaves the instrumentation on its no-op fast path.
+	// The State's own counters are the caller's to attach
+	// (netstate.State.SetObs): attaching them here would replace the
+	// trace-detail timers on every CEAR-AD rebuild.
 	Obs *obs.Registry
 }
 
@@ -148,7 +151,6 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 		c.ctrSlotSearch = reg.Counter("core.slot_searches")
 		c.histPlanPrice = reg.Histogram("core.plan_price", PriceBuckets())
 		c.fast.Instrument(reg.Counter("pricing.lut_lookups"))
-		state.SetObs(reg)
 	}
 	c.instr = state.SearchInstruments()
 	return c, nil

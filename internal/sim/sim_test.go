@@ -703,3 +703,47 @@ func TestRejectedAdmissionLeavesNoTrace(t *testing.T) {
 		t.Logf("%v: %d of %d requests rejected after a rollback", alg, undone, len(reqs))
 	}
 }
+
+// TestAdaptiveKeepsTraceDetailAcrossRebuilds: CEAR-AD re-derives its
+// parameters every 16 slots by building a new inner CEAR over the same
+// State. With a nominal rate of 1 and an offered rate of 8 the first
+// window closes with a change, so slot 16 rebuilds; the trace-detail
+// timers EnableTraceDetail attached must keep counting after it.
+func TestAdaptiveKeepsTraceDetailAcrossRebuilds(t *testing.T) {
+	prov := testProvider(t)
+	rc, err := DefaultRunConfig(AlgCEARAdaptive, testWorkload(1, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.Obs = obs.New()
+	eng, err := NewEngine(prov, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.EnableTraceDetail()
+	reqs, err := workload.Generate(testWorkload(8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	timers := []*obs.Counter{rc.Obs.Counter("graph.search.nanos"), rc.Obs.Counter("netstate.commit.nanos")}
+	var before []int64
+	for _, req := range reqs {
+		if before == nil && req.ArrivalSlot > 16 {
+			for _, c := range timers {
+				before = append(before, c.Value())
+			}
+		}
+		if _, err := eng.Admit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if before == nil {
+		t.Fatal("no request arrived after slot 16")
+	}
+	for i, c := range timers {
+		if before[i] == 0 || c.Value() <= before[i] {
+			t.Errorf("%s: %d ns at slot 17, %d ns at the end; want it to grow after the rebuild",
+				[]string{"graph.search.nanos", "netstate.commit.nanos"}[i], before[i], c.Value())
+		}
+	}
+}
