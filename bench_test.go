@@ -146,18 +146,18 @@ func BenchmarkCompetitive(b *testing.B) {
 func benchCEARHandle(b *testing.B, prune bool) {
 	b.Helper()
 	env := benchEnvironment(b)
-	rc, err := env.RunConfig(sim.AlgCEAR, env.WorkloadConfig(env.DefaultArrivalRate(), 1))
+	rc, err := sim.DefaultRunConfig(sim.AlgCEAR, env.WorkloadConfig(env.DefaultArrivalRate(), 1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	rc.PruneBudget = prune
-	// Mirror the experiment scheduler: one pooled scratch serves every run
+	// Mirror runJobs: one pooled scratch serves every run
 	// on this goroutine.
 	rc.Scratch = netstate.NewSearchScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Run(rc); err != nil {
+		if _, err := sim.Run(env.Provider, rc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"spacebooking/internal/metrics"
 	"spacebooking/internal/obs"
 	"spacebooking/internal/scenario"
-	"spacebooking/internal/sim"
 )
 
 // figures maps each figure subcommand to its runner; allFigures is what
@@ -197,46 +196,14 @@ func (o runOpts) emit(fig *spacebooking.Figure, err error) error {
 	return nil
 }
 
-// runScenario drives a declarative workload spec through the paper's
-// five algorithms. Every run rebuilds the streaming generator from the
-// same spec and seed, so all algorithms see the identical request
-// sequence — the comparison isolates admission policy, not workload
-// noise.
+// runScenario prints the spec's header line and runs the scenario
+// figure.
 func runScenario(opts runOpts) (*spacebooking.Figure, error) {
-	env, spec := opts.env, opts.spec
+	spec := opts.spec
 	fmt.Fprintf(opts.out, "scenario %q: %d classes", spec.Name, len(spec.Classes))
 	if tl := spec.EventTimeline(); len(tl) > 0 {
 		fmt.Fprintf(opts.out, ", events %s", strings.Join(tl, " "))
 	}
 	fmt.Fprintln(opts.out)
-
-	t := metrics.NewTable(fmt.Sprintf("Scenario %q — algorithm comparison", spec.Name),
-		"algorithm", "accepted", "total", "welfare", "revenue")
-	out := spacebooking.CSV{Name: "scenario", Axis: "alg", Columns: []metrics.Series{
-		{Name: "accepted"}, {Name: "total"}, {Name: "welfare"}, {Name: "revenue"}}}
-	for _, alg := range sim.PaperAlgorithms() {
-		gen, err := scenario.NewGenerator(spec, env.ScenarioBinding())
-		if err != nil {
-			return nil, err
-		}
-		wl := env.WorkloadConfig(env.DefaultArrivalRate(), spec.Seed)
-		rc, err := env.RunConfig(alg, wl)
-		if err != nil {
-			return nil, err
-		}
-		rc.Source = gen
-		rc.SpecName = spec.Name
-		res, err := env.Run(rc)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(alg.String(),
-			fmt.Sprintf("%d", res.Accepted), fmt.Sprintf("%d", res.TotalRequests),
-			fmt.Sprintf("%.4f", res.WelfareRatio), fmt.Sprintf("%.3g", res.Revenue))
-		out.X = append(out.X, float64(alg))
-		for i, v := range []float64{float64(res.Accepted), float64(res.TotalRequests), res.WelfareRatio, res.Revenue} {
-			out.Columns[i].Values = append(out.Columns[i].Values, v)
-		}
-	}
-	return &spacebooking.Figure{Tables: []*metrics.Table{t}, CSVs: []spacebooking.CSV{out}}, nil
+	return opts.env.RunScenario(spec)
 }

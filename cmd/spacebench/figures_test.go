@@ -5,7 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
+	"strings"
 	"testing"
+
+	"spacebooking/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/ from this run")
@@ -83,4 +87,67 @@ func checkGolden(t *testing.T, pinned, csvDir string, stdout []byte) {
 			t.Errorf("%s differs from %s:\n%s", name, filepath.Join(pinned, name), data)
 		}
 	}
+}
+
+// TestFigureReportHoldsOneRun: a figure's -report holds the registry of
+// its last run alone ("obs_scope": "last_run"), not a sum over the
+// figure's runs. The scenario figure's last run is ERA, whose request
+// total is the last row of scenario.csv; the competitive figure makes
+// one online run, whose accepted count is the table's.
+func TestFigureReportHoldsOneRun(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		counter string
+		want    func(t *testing.T, out, csvDir string) int64
+	}{
+		{"scenario", []string{"-spec", filepath.Join("..", "..", "specs", "smoke.json"), "scenario"}, "sim.requests.total",
+			func(t *testing.T, _, csvDir string) int64 {
+				data, err := os.ReadFile(filepath.Join(csvDir, "scenario.csv"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := strings.Split(strings.TrimSpace(string(data)), "\n")
+				return atoi(t, strings.Split(rows[len(rows)-1], ",")[2])
+			}},
+		{"competitive", []string{"competitive"}, "sim.requests.accepted",
+			func(t *testing.T, out, _ string) int64 {
+				m := regexp.MustCompile(`(?m)^online accepted +(\d+)`).FindStringSubmatch(out)
+				if m == nil {
+					t.Fatalf("no online accepted row:\n%s", out)
+				}
+				return atoi(t, m[1])
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			report := filepath.Join(dir, "report.json")
+			code, out, errOut := runBench(t, append([]string{"-scale", "small", "-quiet", "-csv", dir, "-report", report}, tc.args...)...)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, errOut)
+			}
+			f, err := os.Open(report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			rep, err := obs.ReadReport(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.want(t, out, dir)
+			if got := rep.Observability.Counters[tc.counter]; rep.Config["obs_scope"] != "last_run" || got != want {
+				t.Errorf("report (obs_scope %v) has %s = %d, want the last run's %d", rep.Config["obs_scope"], tc.counter, got, want)
+			}
+		})
+	}
+}
+
+func atoi(t *testing.T, s string) int64 {
+	t.Helper()
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

@@ -98,7 +98,6 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return failed(err)
 	}
-	env.Obs = reg
 	if *rate == 0 {
 		*rate = env.DefaultArrivalRate()
 	}
@@ -108,11 +107,12 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 
 	wl := env.WorkloadConfig(*rate, o.seed)
 	wl.Valuation = *valuation
-	rc, err := env.RunConfig(alg, wl)
+	rc, err := sim.DefaultRunConfig(alg, wl)
 	if err != nil {
 		return failed(err)
 	}
 	rc.Pricing = params
+	rc.Obs = reg
 	var specName string
 	var eventTimeline []string
 	var sourceReqs []workload.Request
@@ -156,7 +156,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 		rc.Trace = tw
 	}
 
-	res, err := env.RunContext(ctx, rc)
+	res, err := sim.RunContext(ctx, env.Provider, rc)
 	if tw != nil {
 		if cerr := tw.Close(); err == nil {
 			err = cerr

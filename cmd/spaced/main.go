@@ -148,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	wl := env.WorkloadConfig(env.DefaultArrivalRate(), 101)
 	wl.Valuation = *valuation
-	rc, err := env.RunConfig(alg, wl)
+	rc, err := sim.DefaultRunConfig(alg, wl)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

@@ -29,7 +29,7 @@ func TestAcceptedPlansReplayOntoLedgers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seed := int64(1); seed <= 3; seed++ {
-			rc, err := env.RunConfig(sim.AlgCEAR, env.WorkloadConfig(env.DefaultArrivalRate(), seed))
+			rc, err := sim.DefaultRunConfig(sim.AlgCEAR, env.WorkloadConfig(env.DefaultArrivalRate(), seed))
 			if err != nil {
 				t.Fatal(err)
 			}

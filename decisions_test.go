@@ -44,7 +44,7 @@ type decisionPin struct {
 // pinDecisions admits the run's workload through sim.Engine and digests
 // every decision.
 func pinDecisions(env *Environment, alg sim.AlgorithmKind, seed int64) (decisionPin, error) {
-	rc, err := env.RunConfig(alg, env.WorkloadConfig(env.DefaultArrivalRate(), seed))
+	rc, err := sim.DefaultRunConfig(alg, env.WorkloadConfig(env.DefaultArrivalRate(), seed))
 	if err != nil {
 		return decisionPin{}, err
 	}

@@ -27,7 +27,7 @@ import (
 func replayOnBothScratches(t *testing.T, env *Environment, kind sim.AlgorithmKind, rateMult float64, seed int64) (genericReg, flatReg *obs.Registry) {
 	t.Helper()
 	wl := env.WorkloadConfig(rateMult*env.DefaultArrivalRate(), seed)
-	rc, err := env.RunConfig(kind, wl)
+	rc, err := sim.DefaultRunConfig(kind, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestBudgetPruningPreservesOutcomes(t *testing.T) {
 		seed := tc.seed
 		wl := env.WorkloadConfig(2*env.DefaultArrivalRate(), seed)
 		wl.Valuation = env.DefaultValuation() / tc.squeezeBy
-		rc, err := env.RunConfig(sim.AlgCEAR, wl)
+		rc, err := sim.DefaultRunConfig(sim.AlgCEAR, wl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,17 +239,14 @@ func TestBudgetPruningPreservesOutcomes(t *testing.T) {
 // scratch-per-run setup.
 func TestScratchReuseAcrossRequests(t *testing.T) {
 	env := smallEnv(t)
-	// Leave the shared environment pristine for tests that assert on
-	// LastObs ordering.
-	defer env.setLastObs(nil)
 	wl := env.WorkloadConfig(env.DefaultArrivalRate(), 5)
-	rc, err := env.RunConfig(sim.AlgCEAR, wl)
+	rc, err := sim.DefaultRunConfig(sim.AlgCEAR, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc.Scratch = netstate.NewSearchScratch()
 	rc.Obs = obs.New()
-	res1, err := env.Run(rc)
+	res1, err := sim.Run(env.Provider, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +260,7 @@ func TestScratchReuseAcrossRequests(t *testing.T) {
 	// The same (now warm) scratch must not leak state between runs.
 	rc2 := rc
 	rc2.Obs = obs.New()
-	res2, err := env.Run(rc2)
+	res2, err := sim.Run(env.Provider, rc2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +289,7 @@ func TestAdmitAllocsNoWorseThanPerLinkLedgers(t *testing.T) {
 		ceiling  float64
 	}{{1, 13}, {2, 11}} {
 		wl := env.WorkloadConfig(tc.rateMult*env.DefaultArrivalRate(), 5)
-		rc, err := env.RunConfig(sim.AlgCEAR, wl)
+		rc, err := sim.DefaultRunConfig(sim.AlgCEAR, wl)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"spacebooking/internal/metrics"
 	"spacebooking/internal/offline"
 	"spacebooking/internal/pricing"
+	"spacebooking/internal/scenario"
 	"spacebooking/internal/sim"
 	"spacebooking/internal/workload"
 )
@@ -73,7 +74,7 @@ type sweep struct {
 
 func welfareRatio(r *sim.Result) float64 { return r.WelfareRatio }
 
-// runSweeps runs the jobs of every sweep as one scheduler batch and
+// runSweeps runs the jobs of every sweep as one runJobs batch and
 // renders each sweep's cells as its table and its CSV export: a mean and
 // a std column per algorithm.
 func (e *Environment) runSweeps(sweeps ...sweep) (*Figure, error) {
@@ -96,7 +97,7 @@ func (e *Environment) runSweeps(sweeps ...sweep) (*Figure, error) {
 	}
 	results, err := e.runJobs(len(jobs), func(i int) (sim.RunConfig, error) {
 		j := jobs[i]
-		rc, err := e.RunConfig(j.alg, e.WorkloadConfig(e.arrivalRate, j.seed))
+		rc, err := sim.DefaultRunConfig(j.alg, e.WorkloadConfig(e.arrivalRate, j.seed))
 		if err != nil {
 			return rc, err
 		}
@@ -218,7 +219,7 @@ func (e *Environment) fig9(seeds []int64) []sweep {
 // per-slot series read takes from each run, one column per algorithm.
 func (e *Environment) runSeries(name string, algs []sim.AlgorithmKind, rate float64, seed int64, read func(*sim.Result) []float64) (CSV, error) {
 	results, err := e.runJobs(len(algs), func(i int) (sim.RunConfig, error) {
-		return e.RunConfig(algs[i], e.WorkloadConfig(rate, seed))
+		return sim.DefaultRunConfig(algs[i], e.WorkloadConfig(rate, seed))
 	})
 	if err != nil {
 		return CSV{}, err
@@ -327,7 +328,7 @@ type AblationRow struct {
 func (e *Environment) RunAblations(seed int64) (*AblationResult, error) {
 	variants := []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgCEARNoEnergy, sim.AlgCEARNoAdmission, sim.AlgCEARLinear, sim.AlgCEARAdaptive}
 	results, err := e.runJobs(len(variants), func(i int) (sim.RunConfig, error) {
-		return e.RunConfig(variants[i], e.WorkloadConfig(2*e.arrivalRate, seed))
+		return sim.DefaultRunConfig(variants[i], e.WorkloadConfig(2*e.arrivalRate, seed))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ablation: %w", err)
@@ -384,14 +385,15 @@ func (e *Environment) RunCompetitive(rate float64, seed int64) (*CompetitiveResu
 		rate = 2 * e.arrivalRate
 	}
 	wl := e.WorkloadConfig(rate, seed)
-	rc, err := e.RunConfig(sim.AlgCEAR, wl)
+	rc, err := sim.DefaultRunConfig(sim.AlgCEAR, wl)
 	if err != nil {
 		return nil, err
 	}
-	online, err := e.Run(rc)
+	results, err := e.runJobs(1, func(int) (sim.RunConfig, error) { return rc, nil })
 	if err != nil {
 		return nil, err
 	}
+	online := results[0]
 	reqs, err := workload.Generate(wl)
 	if err != nil {
 		return nil, err
@@ -457,7 +459,7 @@ func (e *Environment) RunAdaptiveComparison(seed int64) (*AdaptiveResult, error)
 	results, err := e.runJobs(len(algs), func(i int) (sim.RunConfig, error) {
 		wl := e.WorkloadConfig(2*e.arrivalRate, seed)
 		wl.RateProfile = profile
-		return e.RunConfig(algs[i], wl)
+		return sim.DefaultRunConfig(algs[i], wl)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("adaptive comparison: %w", err)
@@ -480,4 +482,39 @@ func (r *AdaptiveResult) Table() *metrics.Table {
 	t.AddFloatRow("CEAR (static F)", r.StaticWelfare, r.StaticDepleted)
 	t.AddFloatRow("CEAR-AD (adaptive F)", r.AdaptiveWelfare, r.AdaptiveDepleted)
 	return t
+}
+
+// RunScenario runs the paper's five algorithms on a declarative workload
+// spec and tabulates acceptance, welfare and revenue. Every run builds
+// its own streaming generator from the same spec and binding, so all
+// algorithms see the identical request sequence — the comparison
+// isolates admission policy, not workload noise.
+func (e *Environment) RunScenario(spec scenario.Spec) (*Figure, error) {
+	algs := sim.PaperAlgorithms()
+	results, err := e.runJobs(len(algs), func(i int) (sim.RunConfig, error) {
+		rc, err := sim.DefaultRunConfig(algs[i], e.WorkloadConfig(e.arrivalRate, spec.Seed))
+		if err != nil {
+			return rc, err
+		}
+		rc.Source, err = scenario.NewGenerator(spec, e.ScenarioBinding())
+		rc.SpecName = spec.Name
+		return rc, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	t := metrics.NewTable(fmt.Sprintf("Scenario %q — algorithm comparison", spec.Name),
+		"algorithm", "accepted", "total", "welfare", "revenue")
+	out := CSV{Name: "scenario", Axis: "alg", Columns: []metrics.Series{
+		{Name: "accepted"}, {Name: "total"}, {Name: "welfare"}, {Name: "revenue"}}}
+	for i, res := range results {
+		t.AddRow(algs[i].String(),
+			fmt.Sprintf("%d", res.Accepted), fmt.Sprintf("%d", res.TotalRequests),
+			fmt.Sprintf("%.4f", res.WelfareRatio), fmt.Sprintf("%.3g", res.Revenue))
+		out.X = append(out.X, float64(algs[i]))
+		for c, v := range []float64{float64(res.Accepted), float64(res.TotalRequests), res.WelfareRatio, res.Revenue} {
+			out.Columns[c].Values = append(out.Columns[c].Values, v)
+		}
+	}
+	return &Figure{Tables: []*metrics.Table{t}, CSVs: []CSV{out}}, nil
 }

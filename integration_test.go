@@ -5,6 +5,7 @@ package spacebooking
 // together.
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -22,11 +23,11 @@ import (
 func runFullWithState(t *testing.T, env *Environment, alg sim.AlgorithmKind, rate float64, seed int64) (*sim.Result, workload.Config) {
 	t.Helper()
 	wl := env.WorkloadConfig(rate, seed)
-	rc, err := env.RunConfig(alg, wl)
+	rc, err := sim.DefaultRunConfig(alg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := env.Run(rc)
+	res, err := sim.Run(env.Provider, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,53 +264,95 @@ func TestAdaptiveControllerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestEnvironmentLastObs: figure runners give every run its own
-// registry; LastObs must return the final run's registry (matrix order),
-// and its snapshot must describe that run alone — no accumulation of
-// counters or per-slot time series across the figure's runs.
+// TestEnvironmentLastObs: runJobs gives every observed run its own
+// registry holding that run alone — its sim.requests.total is the run's
+// TotalRequests and its per-slot series has one sample per slot, with no
+// counters or samples of another run bled in; ObsSink receives each
+// registry once, serialised (the sink below appends unlocked, which
+// -race would catch on two workers); and LastObs is the last run in job
+// order, whatever order the runs completed in.
 func TestEnvironmentLastObs(t *testing.T) {
 	env := smallEnv(t)
 	env.Obs = obs.New()
+	env.Parallelism = 2
 	var sunk []*obs.Registry
 	env.ObsSink = func(r *obs.Registry) { sunk = append(sunk, r) }
 	defer func() {
 		env.Obs = nil
+		env.Parallelism = 0
 		env.ObsSink = nil
 	}()
 
-	if env.LastObs() != nil {
-		t.Fatal("LastObs non-nil before any run")
-	}
-	if _, err := env.runSeries("fig8", []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP}, env.DefaultArrivalRate(), 7,
-		func(r *sim.Result) []float64 { return r.CumulativeWelfareRatio }); err != nil {
+	algs := []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP}
+	results, err := env.runJobs(len(algs), func(i int) (sim.RunConfig, error) {
+		return sim.DefaultRunConfig(algs[i], env.WorkloadConfig(float64(i+1)*env.DefaultArrivalRate(), 7))
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	last := env.LastObs()
-	if last == nil {
-		t.Fatal("LastObs nil after an observed figure")
+	if results[0].TotalRequests == results[1].TotalRequests {
+		t.Fatal("both runs offered the same number of requests; pick workloads that tell their registries apart")
 	}
-	if last == env.Obs {
-		t.Fatal("LastObs returned the shared environment registry; runs must get their own")
+	if len(sunk) != len(algs) {
+		t.Fatalf("ObsSink saw %d registries, want %d", len(sunk), len(algs))
 	}
-	snap := last.Snapshot()
-	if snap.Counters["sim.requests.total"] == 0 {
-		t.Fatal("instrumented runs recorded nothing")
+	if sunk[0] == sunk[1] || sunk[0] == env.Obs || sunk[1] == env.Obs {
+		t.Fatal("runs must each get their own registry, not share one or the environment's")
 	}
 	horizon := int64(env.Provider.Horizon())
-	if got := snap.TimeSeries["slot.accepted"].Total; got != horizon {
-		t.Errorf("slot.accepted has %d samples, want %d (another run bled in)", got, horizon)
+	for _, reg := range sunk {
+		snap := reg.Snapshot()
+		total := snap.Counters["sim.requests.total"]
+		if total != int64(results[0].TotalRequests) && total != int64(results[1].TotalRequests) {
+			t.Errorf("a registry counts %d requests; the runs made %d and %d",
+				total, results[0].TotalRequests, results[1].TotalRequests)
+		}
+		if got := snap.TimeSeries["slot.accepted"].Total; got != horizon {
+			t.Errorf("slot.accepted has %d samples, want %d (another run bled in)", got, horizon)
+		}
 	}
-	if len(sunk) != 2 {
-		t.Fatalf("ObsSink saw %d registries, want 2", len(sunk))
-	}
-	if sunk[0] == sunk[1] {
-		t.Fatal("ObsSink received the same registry twice")
-	}
-	// LastObs is the last run in *matrix* order, whatever the
-	// completion order was.
+	last := env.LastObs()
 	if last != sunk[0] && last != sunk[1] {
 		t.Fatal("LastObs is not one of the run registries")
+	}
+	if got := last.Snapshot().Counters["sim.requests.total"]; got != int64(results[1].TotalRequests) {
+		t.Errorf("LastObs counts %d requests, want the last job's %d", got, results[1].TotalRequests)
+	}
+}
+
+// TestRunJobsErrorPropagation: a failed job cancels no other; the error
+// returned is the first failure in job order, and the healthy job still
+// ran, was handed to ObsSink and is LastObs.
+func TestRunJobsErrorPropagation(t *testing.T) {
+	env := smallEnv(t)
+	env.Obs = obs.New()
+	env.Parallelism = 3
+	var sunk []*obs.Registry
+	env.ObsSink = func(r *obs.Registry) { sunk = append(sunk, r) }
+	defer func() {
+		env.Obs = nil
+		env.Parallelism = 0
+		env.ObsSink = nil
+	}()
+
+	first, second := errors.New("job 0 refused"), errors.New("job 1 refused")
+	_, err := env.runJobs(3, func(i int) (sim.RunConfig, error) {
+		switch i {
+		case 0:
+			return sim.RunConfig{}, first
+		case 1:
+			return sim.RunConfig{}, second
+		}
+		return sim.DefaultRunConfig(sim.AlgCEAR, env.WorkloadConfig(env.DefaultArrivalRate(), 7))
+	})
+	if !errors.Is(err, first) || errors.Is(err, second) {
+		t.Fatalf("err = %v, want job 0's error alone", err)
+	}
+	if len(sunk) != 1 || env.LastObs() != sunk[0] {
+		t.Fatalf("the healthy job's registry reached ObsSink %d times (LastObs %p)", len(sunk), env.LastObs())
+	}
+	if sunk[0].Snapshot().Counters["sim.requests.total"] == 0 {
+		t.Fatal("the healthy job recorded no requests")
 	}
 }
 
@@ -352,11 +395,11 @@ func TestAdaptiveUnderDiurnalLoad(t *testing.T) {
 	run := func(alg sim.AlgorithmKind) float64 {
 		wl := env.WorkloadConfig(2*env.DefaultArrivalRate(), 23)
 		wl.RateProfile = profile
-		rc, err := env.RunConfig(alg, wl)
+		rc, err := sim.DefaultRunConfig(alg, wl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := env.Run(rc)
+		res, err := sim.Run(env.Provider, rc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,10 +109,11 @@ type flatPred struct {
 // warm scratch makes view construction and search allocation-free.
 //
 // A SearchScratch is single-owner (one goroutine, one run at a time).
-// The experiment scheduler pools scratches at its worker boundary via
-// sync.Pool so parallel runs stay isolated; within a run, CEAR, the
-// baselines and the adaptive controller's rebuilt inner instances may
-// all share one scratch because a run handles requests sequentially.
+// The figure runners (spacebooking's runJobs) pool scratches at their
+// worker boundary via sync.Pool so parallel runs stay isolated; within
+// a run, CEAR, the baselines and the adaptive controller's rebuilt inner
+// instances may all share one scratch because a run handles requests
+// sequentially.
 type SearchScratch struct {
 	view FlatView
 
@@ -153,7 +154,7 @@ func NewSearchScratch() *SearchScratch { return &SearchScratch{} }
 
 // ensure sizes the arrays for a provider, resetting all epochs when the
 // satellite count changes (a scratch may migrate between providers, e.g.
-// via the experiment scheduler's pool).
+// via the figure runners' pool).
 func (sc *SearchScratch) ensure(numSats int) {
 	numStates := (numSats + 2) * graph.NumClasses
 	if numSats == sc.numSats {

@@ -131,7 +131,7 @@ type RunConfig struct {
 	// Result.Rejections can differ.
 	PruneBudget bool
 	// Scratch, when non-nil, supplies the pooled search scratch for the
-	// run's algorithm. The experiment scheduler sets it from a
+	// run's algorithm. The figure runners set it from a
 	// sync.Pool; standalone runs may leave it nil. Tests pass
 	// netstate.NewReferenceScratch() to route every algorithm through the
 	// reference search instead of the flat one; decisions are identical.

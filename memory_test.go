@@ -135,7 +135,7 @@ func TestUnitTablesHoldTheirWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := env.RunConfig(sim.AlgCEAR, env.WorkloadConfig(env.DefaultArrivalRate(), 1))
+	rc, err := sim.DefaultRunConfig(sim.AlgCEAR, env.WorkloadConfig(env.DefaultArrivalRate(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}

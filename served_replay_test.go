@@ -37,7 +37,7 @@ import (
 func TestServedAuditLogReplays(t *testing.T) {
 	env := smallEnv(t)
 	for seed := int64(1); seed <= 3; seed++ {
-		rc, err := env.RunConfig(sim.AlgCEAR, env.WorkloadConfig(3, seed))
+		rc, err := sim.DefaultRunConfig(sim.AlgCEAR, env.WorkloadConfig(3, seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,14 +15,13 @@
 package spacebooking
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"time"
 
-	"spacebooking/internal/experiment"
 	"spacebooking/internal/grid"
 	"spacebooking/internal/netstate"
 	"spacebooking/internal/obs"
@@ -114,11 +113,11 @@ type Environment struct {
 	valuation   float64
 	// Logf, when non-nil, receives progress lines from the long runners.
 	Logf func(format string, args ...interface{})
-	// Obs enables observability. When non-nil, every run launched
-	// through a figure runner gets its *own* fresh registry (so parallel
-	// runs never share counters); a single Run with a nil RunConfig.Obs
-	// inherits this registry directly. Use LastObs to retrieve the
-	// registry of the most recent run in matrix order.
+	// Obs turns observability on. When non-nil, every run a figure
+	// runner launches gets its *own* fresh registry (so parallel runs
+	// never share counters); no run collects into Obs itself. Use
+	// LastObs to retrieve the registry of the figure's last run in job
+	// order.
 	Obs *obs.Registry
 	// Parallelism bounds how many simulation runs the figure runners
 	// execute concurrently; <= 0 means GOMAXPROCS. Per-cell results are
@@ -320,76 +319,94 @@ func (e *Environment) WorkloadConfig(ratePerMin float64, seed int64) workload.Co
 	return cfg
 }
 
-// RunConfig assembles a sim.RunConfig with the paper's defaults for the
-// given algorithm and workload.
-func (e *Environment) RunConfig(alg sim.AlgorithmKind, wl workload.Config) (sim.RunConfig, error) {
-	return sim.DefaultRunConfig(alg, wl)
-}
-
-// Run executes a single simulation run. When the environment carries an
-// observability registry and the config does not, the run inherits it.
-func (e *Environment) Run(rc sim.RunConfig) (*sim.Result, error) {
-	return e.RunContext(context.Background(), rc)
-}
-
-// RunContext is Run with cooperative cancellation: the admission loop
-// stops between requests as soon as ctx is cancelled (see
-// sim.RunContext).
-func (e *Environment) RunContext(ctx context.Context, rc sim.RunConfig) (*sim.Result, error) {
-	if rc.Obs == nil {
-		rc.Obs = e.Obs
-	}
-	res, err := sim.RunContext(ctx, e.Provider, rc)
-	if err == nil && rc.Obs != nil {
-		e.setLastObs(rc.Obs)
-	}
-	return res, err
-}
-
-// LastObs returns the registry of the most recent successful run — for
-// matrix runners, the last observed run in matrix order. Nil until an
-// observed run completes.
+// LastObs returns the registry of the last observed run, in job order,
+// of the most recent figure runner. Nil until an observed run completes.
 func (e *Environment) LastObs() *obs.Registry {
 	e.lastObsMu.Lock()
 	defer e.lastObsMu.Unlock()
 	return e.lastObs
 }
 
-func (e *Environment) setLastObs(reg *obs.Registry) {
-	e.lastObsMu.Lock()
-	e.lastObs = reg
-	e.lastObsMu.Unlock()
+// scratchPool recycles search scratches across figure runs. Within a run
+// a scratch is single-owner (plain fields, no synchronisation); here,
+// where workers start and finish runs, a worker's next run inherits warm
+// arrays instead of re-growing them from zero.
+var scratchPool = sync.Pool{
+	New: func() any { return netstate.NewSearchScratch() },
 }
 
-// runJobs runs jobs 0..n-1, built by build, on the experiment scheduler
-// with the environment's parallelism and observability settings, and
-// returns their results in job order. Each observed job gets its own
-// registry.
+// runJobs runs jobs 0..n-1, built by build, over the shared provider on
+// at most Parallelism workers (<= 0 means GOMAXPROCS) and returns their
+// results in job order: every figure runs its simulations here. When
+// Obs is set, each job whose config has no registry gets its own, which
+// ObsSink receives as the job completes (serialised, in completion
+// order) and LastObs keeps for the last observed job in job order. A
+// failed job does not cancel the others; the error returned is the
+// first failure in job order.
 func (e *Environment) runJobs(n int, build func(i int) (sim.RunConfig, error)) ([]*sim.Result, error) {
-	results, err := experiment.Run(e.Provider, n, experiment.Config{
-		Parallelism:  e.Parallelism,
-		Observe:      e.Obs != nil,
-		NewRunConfig: build,
-		OnResult: func(r experiment.Result) {
-			if r.Err == nil && r.Obs != nil && e.ObsSink != nil {
-				e.ObsSink(r.Obs)
+	workers := e.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	results := make([]*sim.Result, n)
+	regs := make([]*obs.Registry, n)
+	errs := make([]error, n)
+	run := func(i int) {
+		rc, err := build(i)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if e.Obs != nil && rc.Obs == nil {
+			rc.Obs = obs.New()
+		}
+		if rc.Scratch == nil {
+			sc := scratchPool.Get().(*netstate.SearchScratch)
+			defer scratchPool.Put(sc)
+			rc.Scratch = sc
+		}
+		results[i], errs[i] = sim.Run(e.Provider, rc)
+		regs[i] = rc.Obs
+	}
+	var (
+		wg     sync.WaitGroup
+		sinkMu sync.Mutex
+	)
+	jobs := make(chan int)
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				run(i)
+				if errs[i] == nil && regs[i] != nil && e.ObsSink != nil {
+					sinkMu.Lock()
+					e.ObsSink(regs[i])
+					sinkMu.Unlock()
+				}
 			}
-		},
-	})
-	for i := len(results) - 1; i >= 0; i-- {
-		if results[i].Err == nil && results[i].Obs != nil {
-			e.setLastObs(results[i].Obs)
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+
+	for i := n - 1; i >= 0; i-- {
+		if errs[i] == nil && regs[i] != nil {
+			e.lastObsMu.Lock()
+			e.lastObs = regs[i]
+			e.lastObsMu.Unlock()
 			break
 		}
 	}
-	if err != nil {
-		return nil, err
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("job %d: %w", i, err)
+		}
 	}
-	res := make([]*sim.Result, n)
-	for i, r := range results {
-		res[i] = r.Res
-	}
-	return res, nil
+	return results, nil
 }
 
 // ScenarioBinding grounds scenario specs in this environment: its
