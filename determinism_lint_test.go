@@ -42,6 +42,7 @@ var determinismAllowed = map[lintSite]struct {
 }{
 	{"internal/grid/tiling.go", "scoreGDP", lintGo}:                           {1, "each worker writes its own chunk of weights; nothing is reduced across workers"},
 	{"internal/topology/provider.go", "forEachSlot", lintGo}:                  {1, "each worker fills its own slots; nothing is reduced across workers"},
+	{"spacebooking.go", "Environment.runJobs", lintGo}:                        {1, "each worker writes only its own job's slots; results are read in job order"},
 	{"internal/netstate/ledger.go", "State.CongestedLinkCount", lintMapRange}: {1, "counts cells; the count does not depend on order"},
 	{"internal/netstate/ledger.go", "State.checkLedger", lintMapRange}:        {1, "collects the slot's keys, then sorts them"},
 	{"internal/offline/upperbound.go", "CutUpperBound", lintMapRange}:         {1, "collects pool keys, then sorts them"},
@@ -56,8 +57,9 @@ var determinismAllowed = map[lintSite]struct {
 }
 
 // TestDeterminismLint enforces the determinism contract — decisions are
-// a function of (topology, spec, seed) — on every main-module package an
-// admission run links, obs excepted (its instruments read the clock by
+// a function of (topology, spec, seed) — on the root package, whose
+// figure runners fan runs out to workers, and every main-module package
+// an admission run links, obs excepted (its instruments read the clock by
 // design and never feed a decision). It type-checks their sources against
 // the compiler's export data and fails on a range over a map, a go
 // statement, a package-level math/rand call other than New or NewSource,
@@ -68,7 +70,7 @@ func TestDeterminismLint(t *testing.T) {
 		goTool = filepath.Join(runtime.GOROOT(), "bin", "go")
 	}
 	out, err := exec.Command(goTool, "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Module",
-		"./internal/sim", "./internal/offline", "./internal/scenario").Output()
+		".", "./internal/sim", "./internal/offline", "./internal/scenario").Output()
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
