@@ -149,12 +149,12 @@ trace-smoke:
 # counts must be live (a zero means a regression silently fell back to
 # the generic path or stopped reusing the scratch).
 report-smoke:
-	$(GO) run ./cmd/spacebench run -scale small -report /tmp/report-smoke.json >/dev/null
-	$(GO) run ./cmd/spacestat diff /tmp/report-smoke.json /tmp/report-smoke.json
-	@grep -q '"graph.fastpath.pruned_labels"' /tmp/report-smoke.json || \
-		{ echo "report-smoke: graph.fastpath.pruned_labels missing from run report"; exit 1; }
-	@grep -Eq '"graph.fastpath.searches": *[1-9]' /tmp/report-smoke.json || \
-		{ echo "report-smoke: graph.fastpath.searches is zero or missing — fast path not live"; exit 1; }
-	@grep -Eq '"netstate.scratch.reuses": *[1-9]' /tmp/report-smoke.json || \
+	@set -e; r="$$(mktemp)"; trap 'rm -f "$$r"' EXIT; \
+	$(GO) run ./cmd/spacebench run -scale small -report "$$r" >/dev/null; \
+	$(GO) run ./cmd/spacestat diff "$$r" "$$r"; \
+	grep -q '"graph.fastpath.pruned_labels"' "$$r" || \
+		{ echo "report-smoke: graph.fastpath.pruned_labels missing from run report"; exit 1; }; \
+	grep -Eq '"graph.fastpath.searches": *[1-9]' "$$r" || \
+		{ echo "report-smoke: graph.fastpath.searches is zero or missing — fast path not live"; exit 1; }; \
+	grep -Eq '"netstate.scratch.reuses": *[1-9]' "$$r" || \
 		{ echo "report-smoke: netstate.scratch.reuses is zero or missing — scratch not reused"; exit 1; }
-	@rm -f /tmp/report-smoke.json
