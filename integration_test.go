@@ -264,24 +264,22 @@ func TestAdaptiveControllerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestEnvironmentLastObs: runJobs gives every observed run its own
-// registry holding that run alone — its sim.requests.total is the run's
-// TotalRequests and its per-slot series has one sample per slot, with no
-// counters or samples of another run bled in; ObsSink receives each
-// registry once, serialised (the sink below appends unlocked, which
-// -race would catch on two workers); and LastObs is the last run in job
-// order, whatever order the runs completed in.
-func TestEnvironmentLastObs(t *testing.T) {
-	env := smallEnv(t)
+// observedRuns runs CEAR and SSP through runJobs on two workers with an
+// environment registry set, at arrival rates far enough apart that the
+// runs offer different numbers of requests. It returns the results and
+// the registries ObsSink received, in the order it received them; the
+// sink appends unlocked, which -race would catch were it not serialised.
+func observedRuns(t *testing.T, env *Environment) ([]*sim.Result, []*obs.Registry) {
+	t.Helper()
 	env.Obs = obs.New()
 	env.Parallelism = 2
 	var sunk []*obs.Registry
 	env.ObsSink = func(r *obs.Registry) { sunk = append(sunk, r) }
-	defer func() {
+	t.Cleanup(func() {
 		env.Obs = nil
 		env.Parallelism = 0
 		env.ObsSink = nil
-	}()
+	})
 
 	algs := []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP}
 	results, err := env.runJobs(len(algs), func(i int) (sim.RunConfig, error) {
@@ -296,21 +294,44 @@ func TestEnvironmentLastObs(t *testing.T) {
 	if len(sunk) != len(algs) {
 		t.Fatalf("ObsSink saw %d registries, want %d", len(sunk), len(algs))
 	}
+	return results, sunk
+}
+
+// TestObserveGivesDistinctRegistries: runJobs gives every observed run
+// its own registry holding that run alone — its sim.requests.total is
+// one run's TotalRequests and its per-slot series has one sample per
+// slot, with no counters or samples of another run bled in.
+func TestObserveGivesDistinctRegistries(t *testing.T) {
+	env := smallEnv(t)
+	results, sunk := observedRuns(t, env)
 	if sunk[0] == sunk[1] || sunk[0] == env.Obs || sunk[1] == env.Obs {
 		t.Fatal("runs must each get their own registry, not share one or the environment's")
 	}
+	totals := map[int64]bool{}
 	horizon := int64(env.Provider.Horizon())
 	for _, reg := range sunk {
 		snap := reg.Snapshot()
-		total := snap.Counters["sim.requests.total"]
-		if total != int64(results[0].TotalRequests) && total != int64(results[1].TotalRequests) {
-			t.Errorf("a registry counts %d requests; the runs made %d and %d",
-				total, results[0].TotalRequests, results[1].TotalRequests)
+		total, ok := snap.Counters["sim.requests.total"]
+		if !ok || (total != int64(results[0].TotalRequests) && total != int64(results[1].TotalRequests)) {
+			t.Errorf("a registry counts %d requests (ok=%v); the runs made %d and %d",
+				total, ok, results[0].TotalRequests, results[1].TotalRequests)
 		}
+		totals[total] = true
 		if got := snap.TimeSeries["slot.accepted"].Total; got != horizon {
 			t.Errorf("slot.accepted has %d samples, want %d (another run bled in)", got, horizon)
 		}
 	}
+	if len(totals) != len(sunk) {
+		t.Error("two registries count the same run")
+	}
+}
+
+// TestEnvironmentLastObs: ObsSink receives each run's registry once,
+// serialised, and LastObs is the last run in job order, whatever order
+// the runs completed in.
+func TestEnvironmentLastObs(t *testing.T) {
+	env := smallEnv(t)
+	results, sunk := observedRuns(t, env)
 	last := env.LastObs()
 	if last != sunk[0] && last != sunk[1] {
 		t.Fatal("LastObs is not one of the run registries")
