@@ -1,12 +1,13 @@
 # Development targets. `make check` is the pre-PR gate: vet, build,
-# race-enabled unit tests, a one-iteration benchmark smoke pass, and ten
-# seconds of fuzzing per native fuzz target.
+# race-enabled unit tests, a one-iteration benchmark smoke pass, ten
+# seconds of fuzzing per native fuzz target and the scenario
+# record/replay smoke.
 
 GO ?= go
 
 .PHONY: check check-race build test vet fmt-check race bench-smoke fuzz-smoke bench-module bench-golden bench-pair report-smoke smoke-spaced trace-smoke scenario-smoke loc options prod-cover
 
-check: fmt-check vet build race bench-smoke fuzz-smoke
+check: fmt-check vet build race bench-smoke fuzz-smoke scenario-smoke
 	@echo "check: all gates passed"
 
 build:

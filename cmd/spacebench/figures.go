@@ -139,7 +139,12 @@ func figureReport(figure string, scale spacebooking.Scale, opts runOpts, elapsed
 	rep.SetConfig("figure", figure)
 	rep.SetConfig("scale", scale.String())
 	rep.SetConfig("seed", opts.seed)
-	rep.SetConfig("num_seeds", len(opts.seeds))
+	// Fig. 6 alone runs -seeds seeds; every other figure runs one.
+	numSeeds := 1
+	if figure == "fig6" || figure == "all" {
+		numSeeds = len(opts.seeds)
+	}
+	rep.SetConfig("num_seeds", numSeeds)
 	rep.SetConfig("parallel", parallel)
 	// Every run collects into its own registry; the snapshot below is
 	// the figure's last run in matrix order, matching the retired

@@ -93,15 +93,18 @@ func checkGolden(t *testing.T, pinned, csvDir string, stdout []byte) {
 // its last run alone ("obs_scope": "last_run"), not a sum over the
 // figure's runs. The scenario figure's last run is ERA, whose request
 // total is the last row of scenario.csv; the competitive figure makes
-// one online run, whose accepted count is the table's.
+// one online run, whose accepted count is the table's. The report's
+// num_seeds is the seeds the figure ran: -seeds for Fig. 6, one for the
+// others.
 func TestFigureReportHoldsOneRun(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		args    []string
-		counter string
-		want    func(t *testing.T, out, csvDir string) int64
+		name     string
+		args     []string
+		numSeeds float64
+		counter  string
+		want     func(t *testing.T, out, csvDir string) int64 // nil: no counter check
 	}{
-		{"scenario", []string{"-spec", filepath.Join("..", "..", "specs", "smoke.json"), "scenario"}, "sim.requests.total",
+		{"scenario", []string{"-spec", filepath.Join("..", "..", "specs", "smoke.json"), "scenario"}, 1, "sim.requests.total",
 			func(t *testing.T, _, csvDir string) int64 {
 				data, err := os.ReadFile(filepath.Join(csvDir, "scenario.csv"))
 				if err != nil {
@@ -110,7 +113,7 @@ func TestFigureReportHoldsOneRun(t *testing.T) {
 				rows := strings.Split(strings.TrimSpace(string(data)), "\n")
 				return atoi(t, strings.Split(rows[len(rows)-1], ",")[2])
 			}},
-		{"competitive", []string{"competitive"}, "sim.requests.accepted",
+		{"competitive", []string{"competitive"}, 1, "sim.requests.accepted",
 			func(t *testing.T, out, _ string) int64 {
 				m := regexp.MustCompile(`(?m)^online accepted +(\d+)`).FindStringSubmatch(out)
 				if m == nil {
@@ -118,6 +121,7 @@ func TestFigureReportHoldsOneRun(t *testing.T) {
 				}
 				return atoi(t, m[1])
 			}},
+		{"fig6", []string{"-seeds", "2", "fig6"}, 2, "", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -134,6 +138,12 @@ func TestFigureReportHoldsOneRun(t *testing.T) {
 			rep, err := obs.ReadReport(f)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := rep.Config["num_seeds"]; got != tc.numSeeds {
+				t.Errorf("report has num_seeds %v, want %v", got, tc.numSeeds)
+			}
+			if tc.want == nil {
+				return
 			}
 			want := tc.want(t, out, dir)
 			if got := rep.Observability.Counters[tc.counter]; rep.Config["obs_scope"] != "last_run" || got != want {

@@ -18,12 +18,12 @@
 //	       [-clock-rate R] [-queue-depth N]
 //	       [-valuation V] [-f1 F] [-f2 F]
 //	       [-trace-sample P] [-slow-ms D] [-audit-log FILE]
-//	       [-hotspot-k K] [-drain-timeout D] [-report run.json]
+//	       [-drain-timeout D] [-report run.json]
 //
 // The listener serves the telemetry beside the booking API: /metrics
 // (Prometheus), /metrics.json (the registry snapshot, whole: counters,
-// histograms, per-slot time series and the top-K hot-spot trackers of
-// -hotspot-k entries each, 0 = off; `spacestat top` renders them live),
+// histograms, per-slot time series and the top-32 hot-spot trackers;
+// `spacestat top` renders them live),
 // /debug/pprof/ and /v1/stats (the service's own state).
 //
 // Tracing is off by default and free when off. -trace-sample > 0 or
@@ -62,6 +62,10 @@ import (
 	"spacebooking/internal/sim"
 )
 
+// hotspotK is the entries per hot-spot tracker (links, batteries, source
+// cells) in /metrics.json.
+const hotspotK = 32
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -82,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceSample := fs.Float64("trace-sample", 0, "head-sampling probability [0,1] for full phase timelines (also enables tracing)")
 	slowMs := fs.Float64("slow-ms", 25, "latency SLO objective in milliseconds (> 0); slower traced requests are always sampled")
 	auditLog := fs.String("audit-log", "", "stream one decision record per booking to this file, replayable with spacebench run -replay (also enables tracing)")
-	hotspotK := fs.Int("hotspot-k", 32, "entries per hot-spot tracker (links, batteries, source cells) in /metrics.json; 0 turns tracking off")
 	showVersion := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -106,8 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage(fmt.Errorf("-trace-sample %g outside [0,1]", *traceSample))
 	case !(slowNs >= 1 && slowNs < math.MaxInt64):
 		return usage(fmt.Errorf("-slow-ms %g must be a finite duration of at least 1ns", *slowMs))
-	case *hotspotK < 0:
-		return usage(fmt.Errorf("-hotspot-k %d must not be negative (0 turns tracking off)", *hotspotK))
 	case *clockRate != 0 && !(slotNs >= 1 && slotNs < math.MaxInt64):
 		return usage(fmt.Errorf("-clock-rate %g must be 0 (as fast as requests arrive) or give a slot period of at least 1ns", *clockRate))
 	case *queueDepth < 0:
@@ -154,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	rc.Obs = reg
-	rc.HotspotK = *hotspotK
+	rc.HotspotK = hotspotK
 	rc.Pricing = params
 
 	srv, err := server.New(server.Config{
@@ -212,9 +213,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "  tracing     sample %.3g, slow %.3gms, audit %s\n", *traceSample, *slowMs, auditDesc)
 	}
-	if *hotspotK > 0 {
-		fmt.Fprintf(stdout, "  hotspots    top-%d trackers in /metrics.json, live view: spacestat top\n", *hotspotK)
-	}
+	fmt.Fprintf(stdout, "  hotspots    top-%d trackers in /metrics.json, live view: spacestat top\n", hotspotK)
 	fmt.Fprintln(stdout, "send SIGINT or SIGTERM to drain and stop")
 
 	select {
@@ -259,7 +258,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rep.SetConfig("trace_sample", *traceSample)
 		rep.SetConfig("slow_ms", *slowMs)
 		rep.SetConfig("audit_log", *auditLog)
-		rep.SetConfig("hotspot_k", *hotspotK)
 		rep.SetMetric("requests_total", float64(st.Total))
 		rep.SetMetric("requests_accepted", float64(st.Accepted))
 		rep.SetMetric("requests_rejected", float64(st.Rejected))

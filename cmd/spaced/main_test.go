@@ -13,13 +13,14 @@ import (
 // the environment is built would first print "building full
 // environment..." and propagate 1 584 satellites; the -slow-ms,
 // -trace-sample NaN, -hotspots, stray-argument, -clock-rate and
-// -valuation +Inf rows used to start the daemon.
+// -valuation +Inf rows used to start the daemon. -hotspot-k and -hotspots
+// are options spaced no longer has.
 func TestRejectsBeforeBuilding(t *testing.T) {
 	for _, row := range [][]string{
 		{"-trace-sample", "2"},
 		{"-trace-sample", "NaN"},
-		{"-hotspot-k", "-1"},
-		{"-hotspots=false"}, // one knob now: -hotspot-k 0
+		{"-hotspot-k", "32"}, // the tracker size is a constant now
+		{"-hotspots=false"},  // and tracking is always on
 		{"-queue-depth", "-1"},
 		{"-clock-rate", "-1"},  // ran arrival-driven, advertised as clock_rate -1
 		{"-clock-rate", "NaN"}, // /v1/config and /v1/stats answered empty bodies

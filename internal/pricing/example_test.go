@@ -15,10 +15,11 @@ func ExampleDerive() {
 	}
 	fmt.Printf("mu1=%.0f mu2=%.0f\n", params.Mu1, params.Mu2)
 	fmt.Printf("competitive ratio %.1f\n", params.CompetitiveRatio())
+	prices := params.Fast()
 	fmt.Printf("idle price %.0f, half-utilised %.1f, saturated %.0f\n",
-		params.CongestionUnitCost(0),
-		params.CongestionUnitCost(0.5),
-		params.CongestionUnitCost(1))
+		prices.CongestionUnitCost(0),
+		prices.CongestionUnitCost(0.5),
+		prices.CongestionUnitCost(1))
 	// Output:
 	// mu1=402 mu2=402
 	// competitive ratio 35.6

@@ -66,15 +66,17 @@ func (p Params) Fast() *FastPricer {
 	}
 }
 
-// CongestionUnitCost is the table-backed equivalent of
-// Params.CongestionUnitCost: μ1^λ − 1.
+// CongestionUnitCost returns σ_e(T)/c_e(T) = μ1^λ − 1, the congestion
+// price per unit of reserved bandwidth, as used in the first term of the
+// plan cost (Eq. (12)). λ is clamped to [0,1].
 func (f *FastPricer) CongestionUnitCost(lambda float64) float64 {
 	f.lookups.Inc()
 	return f.congestion.at(lambda)
 }
 
-// EnergyUnitCost is the table-backed equivalent of
-// Params.EnergyUnitCost: μ2^λ − 1.
+// EnergyUnitCost returns σ_s(T)/ϖ_s = μ2^λ − 1, the energy price per
+// joule of battery deficit, as used in the second term of Eq. (12). λ is
+// clamped to [0,1].
 func (f *FastPricer) EnergyUnitCost(lambda float64) float64 {
 	f.lookups.Inc()
 	return f.energy.at(lambda)

@@ -5,18 +5,22 @@ import (
 	"testing"
 )
 
+// exactUnitCost is μ^λ − 1 through math.Pow, the reference the table is
+// checked against (λ in [0,1]).
+func exactUnitCost(mu, lambda float64) float64 { return math.Pow(mu, lambda) - 1 }
+
 func TestFastPricerMatchesExact(t *testing.T) {
 	p := paperParams(t)
 	f := p.Fast()
 	for i := 0; i <= 100000; i++ {
 		lambda := float64(i) / 100000
-		exact := p.CongestionUnitCost(lambda)
+		exact := exactUnitCost(p.Mu1, lambda)
 		fast := f.CongestionUnitCost(lambda)
 		tol := 1e-7 * (1 + exact)
 		if math.Abs(exact-fast) > tol {
 			t.Fatalf("congestion at λ=%v: fast %v vs exact %v", lambda, fast, exact)
 		}
-		exactE := p.EnergyUnitCost(lambda)
+		exactE := exactUnitCost(p.Mu2, lambda)
 		fastE := f.EnergyUnitCost(lambda)
 		if math.Abs(exactE-fastE) > 1e-7*(1+exactE) {
 			t.Fatalf("energy at λ=%v: fast %v vs exact %v", lambda, fastE, exactE)
@@ -45,7 +49,7 @@ func BenchmarkExactEnergyUnitCost(b *testing.B) {
 	}
 	sum := 0.0
 	for i := 0; i < b.N; i++ {
-		sum += p.EnergyUnitCost(float64(i%1000) / 1000)
+		sum += exactUnitCost(p.Mu2, float64(i%1000)/1000)
 	}
 	_ = sum
 }

@@ -55,19 +55,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// CongestionUnitCost returns σ_e(T)/c_e(T) = μ1^λ − 1, the congestion
-// price per unit of reserved bandwidth, as used in the first term of the
-// plan cost (Eq. (12)).
-func (p Params) CongestionUnitCost(lambda float64) float64 {
-	return math.Pow(p.Mu1, clamp01(lambda)) - 1
-}
-
-// EnergyUnitCost returns σ_s(T)/ϖ_s = μ2^λ − 1, the energy price per
-// joule of battery deficit, as used in the second term of Eq. (12).
-func (p Params) EnergyUnitCost(lambda float64) float64 {
-	return math.Pow(p.Mu2, clamp01(lambda)) - 1
-}
-
 // CompetitiveRatio returns the bound of Theorem 1: 2·log2(μ1·μ2) + 1.
 func (p Params) CompetitiveRatio() float64 {
 	return 2*math.Log2(p.Mu1*p.Mu2) + 1
@@ -90,14 +77,4 @@ func (p Params) DemandBound(minLinkCapacity float64) float64 {
 // a battery of the given capacity: ϖ_min / log2(μ2).
 func (p Params) EnergyBound(minBatteryCapacity float64) float64 {
 	return minBatteryCapacity / math.Log2(p.Mu2)
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
 }

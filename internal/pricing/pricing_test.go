@@ -56,7 +56,7 @@ func TestValidateRejectsDegenerateMu(t *testing.T) {
 }
 
 func TestCostEndpoints(t *testing.T) {
-	p := paperParams(t)
+	p := paperParams(t).Fast()
 	// Zero utilization → zero price (idle resources are free, so the
 	// first request takes a shortest path).
 	if got := p.CongestionUnitCost(0); got != 0 {
@@ -78,7 +78,7 @@ func TestCostEndpoints(t *testing.T) {
 }
 
 func TestCostMonotoneAndConvex(t *testing.T) {
-	p := paperParams(t)
+	p := paperParams(t).Fast()
 	prev := -1.0
 	prevDelta := 0.0
 	for i := 0; i <= 100; i++ {
@@ -99,7 +99,7 @@ func TestCostMonotoneAndConvex(t *testing.T) {
 }
 
 func TestCostClampsUtilization(t *testing.T) {
-	p := paperParams(t)
+	p := paperParams(t).Fast()
 	if got := p.CongestionUnitCost(-0.5); got != 0 {
 		t.Errorf("negative λ cost = %v, want 0", got)
 	}
@@ -153,7 +153,7 @@ func TestConservativenessMonotone(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return higher.EnergyUnitCost(lambda) > base.EnergyUnitCost(lambda)
+		return higher.Fast().EnergyUnitCost(lambda) > base.Fast().EnergyUnitCost(lambda)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

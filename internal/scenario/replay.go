@@ -14,8 +14,8 @@ import (
 // run admitted from its decision records that carry a seq, in seq order,
 // so a `spacebench run -trace` file and a `spaced -audit-log` (written in
 // the order handlers finish) replay alike. The seqs must run 1, 2, …: a
-// gap is a decision the audit ring dropped, which no replay can
-// reproduce. Through sim.Run or the serving path the stream reproduces
+// gap is a lost decision record (a truncated or edited log), which no
+// replay can reproduce. Through sim.Run or the serving path the stream reproduces
 // every decision, price and Result byte-identically, since the records
 // keep the engine's inputs exactly (Go marshals the shortest float that
 // parses back to the same bits). The second return is the spec name of

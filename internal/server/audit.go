@@ -10,8 +10,8 @@ import (
 	"spacebooking/internal/trace"
 )
 
-// Per-request phase names recorded by the serving layer's trace
-// recorder. The engine.* sub-phases are duration aggregates
+// Per-request phase names of a sampled audit record, in timeline order.
+// The engine.* sub-phases are duration aggregates
 // reconstructed from instrument counter deltas around the admission:
 // search includes the pricing callbacks it invokes, so the reported
 // engine.search span is search-minus-pricing and the three sub-phases
@@ -47,15 +47,9 @@ type TraceConfig struct {
 	AuditPath string
 }
 
-// Bounds of the audit pipeline: the recent-record buffer behind
-// /debug/traces.json and /v1/requests/{id}/trace, and the async ring
-// between deciders and the single writer goroutine, where a full ring
-// drops records (counted on server.trace.dropped) rather than blocking
-// admission.
-const (
-	recentRecords = 256
-	ringDepth     = 1024
-)
+// recentRecords bounds the recent-record buffer behind /debug/traces.json
+// and /v1/requests/{id}/trace.
+const recentRecords = 256
 
 // enabled reports whether any tracing surface is requested.
 func (tc TraceConfig) enabled() bool {
@@ -138,17 +132,13 @@ func (a probeSample) sub(b probeSample) probeSample {
 	return a
 }
 
-// auditSink is the bounded async record pipeline: deciders emit without
-// blocking into a ring channel, one writer goroutine appends to the
-// in-memory recent buffer and the audit log (if configured). Close
-// drains the channel and flushes the log, so a graceful drain never
-// truncates records.
+// auditSink is where every traced booking's record goes: the in-memory
+// recent buffer and the audit log (if configured). The handler that
+// settled the booking emits its record in place, so the log holds every
+// record emitted before Close; Close flushes the log, so a graceful drain
+// never truncates records.
 type auditSink struct {
-	ch   chan *trace.Record
-	done chan struct{}
-
-	// mu guards closed against emit's channel send, so Close can close
-	// the channel without racing a sender.
+	// mu serialises emit and Close, and guards everything below.
 	mu     sync.RWMutex
 	closed bool
 
@@ -156,21 +146,20 @@ type auditSink struct {
 	// resurfaces from Close.
 	log *trace.Writer
 
-	recentMu sync.RWMutex
-	recent   []*trace.Record // ring of the last recentRecords records
-	next     int
-	filled   bool
+	recent []*trace.Record // ring of the last recentRecords records
+	next   int
+	filled bool
 
 	ctrRecords *obs.Counter
 	ctrSampled *obs.Counter
+	// ctrDropped counts records emitted after Close: bookings refused
+	// while the drain finishes.
 	ctrDropped *obs.Counter
 }
 
-// newAuditSink opens the audit file (if any) and starts the writer.
+// newAuditSink opens the audit file (if any).
 func newAuditSink(tc TraceConfig, reg *obs.Registry) (*auditSink, error) {
 	a := &auditSink{
-		ch:         make(chan *trace.Record, ringDepth),
-		done:       make(chan struct{}),
 		recent:     make([]*trace.Record, recentRecords),
 		ctrRecords: reg.Counter("server.trace.records"),
 		ctrSampled: reg.Counter("server.trace.sampled"),
@@ -183,58 +172,38 @@ func newAuditSink(tc TraceConfig, reg *obs.Registry) (*auditSink, error) {
 		}
 		a.log = trace.NewWriter(f)
 	}
-	go a.loop()
 	return a, nil
 }
 
-// emit hands one record to the writer without ever blocking admission:
-// a full ring (or a closed sink) drops the record and counts the drop.
+// emit appends one record to the recent buffer and the log. A write
+// error sticks in the trace.Writer, which Close reports; a record
+// emitted after Close is dropped and counted.
 func (a *auditSink) emit(rec *trace.Record) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.closed {
 		a.ctrDropped.Inc()
 		return
 	}
-	select {
-	case a.ch <- rec:
-	default:
-		a.ctrDropped.Inc()
+	a.ctrRecords.Inc()
+	if rec.Sampled {
+		a.ctrSampled.Inc()
 	}
-}
-
-// loop is the single writer: recent buffer, then the log. A write error
-// sticks in the trace.Writer, which Close reports.
-func (a *auditSink) loop() {
-	defer close(a.done)
-	for rec := range a.ch {
-		a.ctrRecords.Inc()
-		if rec.Sampled {
-			a.ctrSampled.Inc()
-		}
-		a.remember(rec)
-		if a.log != nil {
-			_ = a.log.Emit(*rec)
-		}
-	}
-}
-
-// remember inserts the record into the recent ring.
-func (a *auditSink) remember(rec *trace.Record) {
-	a.recentMu.Lock()
 	a.recent[a.next] = rec
 	a.next++
 	if a.next == len(a.recent) {
 		a.next = 0
 		a.filled = true
 	}
-	a.recentMu.Unlock()
+	if a.log != nil {
+		_ = a.log.Emit(*rec)
+	}
 }
 
 // Recent returns up to n records, newest first.
 func (a *auditSink) Recent(n int) []*trace.Record {
-	a.recentMu.RLock()
-	defer a.recentMu.RUnlock()
+	a.mu.RLock()
+	defer a.mu.RUnlock()
 	size := a.next
 	if a.filled {
 		size = len(a.recent)
@@ -259,24 +228,20 @@ func (a *auditSink) find(match func(*trace.Record) bool) *trace.Record {
 	return nil
 }
 
-// Close stops intake, drains the ring, flushes and closes the log.
-// Idempotent; later emits are dropped (and counted), not lost silently.
+// Close stops intake, flushes and closes the log. Idempotent; later
+// emits are dropped (and counted), not lost silently.
 func (a *auditSink) Close() error {
 	a.mu.Lock()
-	alreadyClosed := a.closed
-	a.closed = true
-	a.mu.Unlock()
-	if !alreadyClosed {
-		close(a.ch)
-	}
-	<-a.done
+	defer a.mu.Unlock()
 	if a.log == nil {
+		a.closed = true
 		return nil
 	}
 	err := a.log.Err()
-	if !alreadyClosed {
+	if !a.closed {
 		err = a.log.Close()
 	}
+	a.closed = true
 	if err != nil {
 		return fmt.Errorf("server: audit log: %w", err)
 	}

@@ -7,8 +7,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
-	"spacebooking/internal/obs"
 	"spacebooking/internal/topology"
 	"spacebooking/internal/trace"
 	"spacebooking/internal/workload"
@@ -143,15 +143,12 @@ func (s *Server) Register(mux *http.ServeMux) {
 // waiting: the booking is still decided (admission is irrevocable) and
 // stays queryable at /v1/reservations/{id}.
 func (s *Server) handleBook(w http.ResponseWriter, r *http.Request) {
-	var rec *obs.TraceRec
-	var parseSpan int
+	var epoch time.Time
 	if s.tracing {
-		rec = s.tracePool.Get(s.now())
-		parseSpan = rec.Begin(PhaseIngressParse, s.now())
+		epoch = s.now()
 	}
 	var br BookRequest
 	if err := decodeBook(http.MaxBytesReader(w, r.Body, maxBookBodyBytes), &br); err != nil {
-		s.tracePool.Put(rec)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			errorJSON(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
@@ -162,16 +159,13 @@ func (s *Server) handleBook(w http.ResponseWriter, r *http.Request) {
 	}
 	p, err := s.newPending(br)
 	if err != nil {
-		s.tracePool.Put(rec)
 		errorJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if rec != nil {
-		now := s.now()
-		rec.End(parseSpan, now)
-		p.rec = rec
+	if s.tracing {
+		p.epoch = epoch
+		p.parsedNs = p.since(p.parsed)
 		p.headSampled = s.policy.SampleHead(uint64(p.id))
-		p.qwSpan = rec.Begin(PhaseQueueWait, now)
 	}
 	if !s.enter() {
 		s.refuse(w, p, http.StatusServiceUnavailable, StatusDraining)
@@ -189,10 +183,9 @@ func (s *Server) handleBook(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusInternalServerError
 	}
 	if s.tracing {
-		respondSpan := p.rec.Begin(PhaseRespond, s.now())
+		respondStart := s.now()
 		writeJSON(w, code, BookResponse{Status: resv.Status, Reservation: &resv})
-		p.rec.End(respondSpan, s.now())
-		s.emitDecided(p, s.now())
+		s.emitDecided(p, respondStart, s.now())
 		return
 	}
 	writeJSON(w, code, BookResponse{Status: resv.Status, Reservation: &resv})

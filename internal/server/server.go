@@ -140,11 +140,16 @@ type pending struct {
 	parsed time.Time
 	resv   Reservation
 
-	// Tracing state (zero-valued when tracing is disabled).
+	// Tracing state (zero-valued when tracing is disabled): the
+	// handler's entry time and the phase boundaries in nanoseconds since
+	// it — parsing ends at parsedNs, the wait for the turn (or the
+	// refusal) at turnNs, the admission at admittedNs — plus the
+	// admission's probe delta.
 	clientID    string
-	rec         *obs.TraceRec
-	qwSpan      int // queue.wait span index
-	eaSpan      int // engine.admit span index
+	epoch       time.Time
+	parsedNs    int64
+	turnNs      int64
+	admittedNs  int64
 	headSampled bool
 	stats       probeSample
 	// decision is the engine's decision record (sim.DecisionRecord, with
@@ -205,11 +210,10 @@ type Server struct {
 	sloAvail   *obs.SLOClass
 
 	// Tracing (all nil/zero when cfg.Trace is disabled).
-	tracing   bool
-	tracePool *obs.TracePool
-	policy    obs.SamplePolicy
-	sink      *auditSink
-	probe     engineProbe
+	tracing bool
+	policy  obs.SamplePolicy
+	sink    *auditSink
+	probe   engineProbe
 
 	// Stats mirrors, so /v1/stats never touches engine internals and
 	// reads the same with or without an obs registry. The turn holder
@@ -278,7 +282,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.tracing = true
-		s.tracePool = obs.NewTracePool()
 		s.policy = obs.SamplePolicy{
 			Rate:   cfg.Trace.SampleRate,
 			SlowNs: cfg.SLO.LatencyObjective.Nanoseconds(),
@@ -405,12 +408,10 @@ func (s *Server) admitOne(p *pending) {
 	eng := s.eng
 
 	if s.tracing {
-		now := s.now()
-		p.rec.End(p.qwSpan, now)
-		p.eaSpan = p.rec.Begin(PhaseEngineAdmit, now)
+		p.turnNs = p.since(s.now())
 		// Deferred so every settle path (horizon, expired, error,
 		// decision) gets the same finalisation.
-		defer s.finishEngineTrace(p, s.probe.read(), p.rec.SinceNs(now))
+		defer s.finishEngineTrace(p, s.probe.read())
 	}
 
 	// Resolve the arrival slot: the clock's current slot, or — in
@@ -516,17 +517,32 @@ func (s *Server) store(p *pending) {
 	s.resvMu.Unlock()
 }
 
-// finishEngineTrace closes the engine.admit span and attributes the
+// finishEngineTrace ends the engine.admit phase and keeps the
 // admission's counter deltas, read while the turn is still held.
-func (s *Server) finishEngineTrace(p *pending, before probeSample, admitStartNs int64) {
-	p.rec.End(p.eaSpan, s.now())
-	d := s.probe.read().sub(before)
-	p.stats = d
-	// The search timers include the pricing callbacks they invoke;
-	// report disjoint sub-phases by subtracting (Add clamps at 0).
-	p.rec.Add(PhaseEngineSearch, admitStartNs, d[probeSearchNs]-d[probePricingNs])
-	p.rec.Add(PhaseEnginePricing, admitStartNs, d[probePricingNs])
-	p.rec.Add(PhaseEngineCommit, admitStartNs, d[probeCommitNs])
+func (s *Server) finishEngineTrace(p *pending, before probeSample) {
+	p.admittedNs = p.since(s.now())
+	p.stats = s.probe.read().sub(before)
+}
+
+// since is now in nanoseconds since p's epoch, clamped at 0 (fake test
+// clocks may not advance).
+func (p *pending) since(now time.Time) int64 {
+	return max(0, now.Sub(p.epoch).Nanoseconds())
+}
+
+// waitPhases is the start of a sampled record's timeline: parsing, then
+// the wait for the turn up to turnNs. room sizes the slice for the phases
+// that follow.
+func (p *pending) waitPhases(room int) []obs.TraceSpan {
+	return append(make([]obs.TraceSpan, 0, 2+room),
+		obs.TraceSpan{Name: PhaseIngressParse, EndNs: p.parsedNs},
+		obs.TraceSpan{Name: PhaseQueueWait, StartNs: p.parsedNs, EndNs: p.turnNs})
+}
+
+// subPhase is an engine.* sub-phase: an admission-time counter delta laid
+// from the start of engine.admit, clamped at 0.
+func subPhase(name string, startNs, durNs int64) obs.TraceSpan {
+	return obs.TraceSpan{Name: name, StartNs: startNs, EndNs: startNs + max(0, durNs)}
 }
 
 // request is the booking as the engine sees it, with the window as far
@@ -555,16 +571,16 @@ func (s *Server) auditRecord(p *pending, outcome string, now time.Time) *trace.R
 		rec = &r
 	}
 	rec.ClientID = p.clientID
-	rec.TSUnixNs = p.rec.Epoch().UnixNano()
+	rec.TSUnixNs = p.epoch.UnixNano()
 	rec.Outcome = outcome
-	rec.TotalNs = p.rec.SinceNs(now)
+	rec.TotalNs = p.since(now)
 	return rec
 }
 
 // emitDecided builds and emits the audit record for a settled request
-// and returns the trace recorder to the pool. The handler that decided
-// the request calls it once, after responding.
-func (s *Server) emitDecided(p *pending, now time.Time) {
+// whose response was written from respondStart to now. The handler that
+// decided the request calls it once, after responding.
+func (s *Server) emitDecided(p *pending, respondStart, now time.Time) {
 	rec := s.auditRecord(p, p.resv.Status, now)
 	rec.Searches = p.stats[probeSearches]
 	rec.PrunedLabels = p.stats[probePruned]
@@ -574,10 +590,16 @@ func (s *Server) emitDecided(p *pending, now time.Time) {
 	// its full phase timeline; otherwise head sampling decides.
 	rec.Sampled = p.headSampled || p.resv.Status != StatusAccepted || s.policy.Slow(rec.TotalNs)
 	if rec.Sampled {
-		rec.Phases = p.rec.CopySpans()
+		// The search timers include the pricing callbacks they invoke;
+		// the sub-phases are disjoint by subtracting.
+		d := p.stats
+		rec.Phases = append(p.waitPhases(5),
+			obs.TraceSpan{Name: PhaseEngineAdmit, StartNs: p.turnNs, EndNs: p.admittedNs},
+			subPhase(PhaseEngineSearch, p.turnNs, d[probeSearchNs]-d[probePricingNs]),
+			subPhase(PhaseEnginePricing, p.turnNs, d[probePricingNs]),
+			subPhase(PhaseEngineCommit, p.turnNs, d[probeCommitNs]),
+			obs.TraceSpan{Name: PhaseRespond, StartNs: p.since(respondStart), EndNs: rec.TotalNs})
 	}
-	s.tracePool.Put(p.rec)
-	p.rec = nil
 	s.sink.emit(rec)
 }
 
@@ -587,12 +609,10 @@ func (s *Server) emitDecided(p *pending, now time.Time) {
 func (s *Server) refuse(w http.ResponseWriter, p *pending, code int, status string) {
 	if s.tracing {
 		now := s.now()
-		p.rec.End(p.qwSpan, now)
+		p.turnNs = p.since(now)
 		rec := s.auditRecord(p, status, now)
 		rec.Sampled = true
-		rec.Phases = p.rec.CopySpans()
-		s.tracePool.Put(p.rec)
-		p.rec = nil
+		rec.Phases = p.waitPhases(0)
 		s.sink.emit(rec)
 	}
 	writeJSON(w, code, BookResponse{Status: status})

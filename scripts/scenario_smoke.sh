@@ -52,8 +52,9 @@ echo "scenario_smoke: replay is byte-identical ($(wc -c <"$RECORDED") bytes)"
 
 # The record and replay runs must also print identical result blocks
 # (welfare, revenue, rejection breakdown) apart from the scenario mode
-# line and wall-clock footer.
-strip() { grep -v -e '^scenario' -e '^events' -e '^completed in' "$1"; }
+# line, the workload source line (a spec, then a replayed file) and the
+# wall-clock footer.
+strip() { grep -v -e '^scenario' -e '^events' -e '^workload ' -e '^completed in' "$1"; }
 if ! diff <(strip "$WORK/record.out") <(strip "$WORK/replay.out") >&2; then
   echo "scenario_smoke: replay printed a different result" >&2
   exit 1
