@@ -115,35 +115,36 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	rc.Obs = reg
 	var specName string
 	var eventTimeline []string
-	var sourceReqs []workload.Request
 	// source is what the requests came from, printed in the header and
-	// echoed in the report's config.
-	source := map[string]any{"rate_per_min": *rate, "seed": o.seed, "valuation": *valuation}
-	sourceLine := fmt.Sprintf("arrival rate     %.3g req/min, seed %d, valuation %.3g", *rate, o.seed, *valuation)
+	// echoed in the report's config. The one request slice feeds both the
+	// run and the assumptions check.
+	var source map[string]any
+	var sourceLine string
 	switch {
 	case o.spec != "":
-		gen, err := scenario.NewGenerator(spec, env.ScenarioBinding())
-		if err != nil {
+		if rc.Requests, err = scenario.Generate(spec, env.ScenarioBinding()); err != nil {
 			return failed(err)
 		}
-		rc.Source = gen
 		rc.SpecName = spec.Name
 		specName = spec.Name
 		eventTimeline = spec.EventTimeline()
-		// A second, independent generation for the assumptions check —
-		// byte-identical to the stream the run drains.
-		if sourceReqs, err = scenario.Generate(spec, env.ScenarioBinding()); err != nil {
-			return failed(err)
-		}
 		source = map[string]any{"seed": spec.Seed}
 		sourceLine = fmt.Sprintf("workload         spec %s, seed %d", spec.Name, spec.Seed)
 	case *replayFile != "":
-		rc.Source = workload.NewSliceSource(replayed)
+		rc.Requests = replayed
 		rc.SpecName = replayName
 		specName = replayName
-		sourceReqs = replayed
 		source = map[string]any{"replay": *replayFile, "replay_requests": len(replayed)}
 		sourceLine = fmt.Sprintf("workload         %d requests replayed from %s", len(replayed), *replayFile)
+	default:
+		wlSpan := reg.StartPhase("workload_generate")
+		rc.Requests, err = workload.Generate(wl)
+		wlSpan.End()
+		if err != nil {
+			return failed(err)
+		}
+		source = map[string]any{"rate_per_min": *rate, "seed": o.seed, "valuation": *valuation}
+		sourceLine = fmt.Sprintf("arrival rate     %.3g req/min, seed %d, valuation %.3g", *rate, o.seed, *valuation)
 	}
 
 	var tw *trace.Writer
@@ -170,13 +171,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Diagnostic: how far this workload strays from §V's assumptions.
-	reqs := sourceReqs
-	if reqs == nil {
-		if reqs, err = workload.Generate(wl); err != nil {
-			return failed(err)
-		}
-	}
-	assumptions, err := sim.CheckAssumptions(env.Provider, rc.Pricing, rc.Energy, reqs)
+	assumptions, err := sim.CheckAssumptions(env.Provider, rc.Pricing, rc.Energy, rc.Requests)
 	if err != nil {
 		return failed(err)
 	}

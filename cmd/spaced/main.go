@@ -111,8 +111,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage(fmt.Errorf("-slow-ms %g must be a finite duration of at least 1ns", *slowMs))
 	case *clockRate != 0 && !(slotNs >= 1 && slotNs < math.MaxInt64):
 		return usage(fmt.Errorf("-clock-rate %g must be 0 (as fast as requests arrive) or give a slot period of at least 1ns", *clockRate))
-	case *queueDepth < 0:
-		return usage(fmt.Errorf("-queue-depth %d must not be negative", *queueDepth))
+	case *queueDepth < 1:
+		return usage(fmt.Errorf("-queue-depth %d must be at least 1", *queueDepth))
 	case !(*valuation >= 0 && *valuation <= math.MaxFloat64):
 		return usage(fmt.Errorf("-valuation %g must be finite and not negative (0 = scale default)", *valuation))
 	}

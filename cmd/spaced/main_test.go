@@ -12,9 +12,9 @@ import (
 // stdout. Every row asks for -scale full, so an option checked only after
 // the environment is built would first print "building full
 // environment..." and propagate 1 584 satellites; the -slow-ms,
-// -trace-sample NaN, -hotspots, stray-argument, -clock-rate and
-// -valuation +Inf rows used to start the daemon. -hotspot-k and -hotspots
-// are options spaced no longer has.
+// -trace-sample NaN, -hotspots, stray-argument, -clock-rate,
+// -valuation +Inf and -queue-depth 0 rows used to start the daemon.
+// -hotspot-k and -hotspots are options spaced no longer has.
 func TestRejectsBeforeBuilding(t *testing.T) {
 	for _, row := range [][]string{
 		{"-trace-sample", "2"},
@@ -22,6 +22,7 @@ func TestRejectsBeforeBuilding(t *testing.T) {
 		{"-hotspot-k", "32"}, // the tracker size is a constant now
 		{"-hotspots=false"},  // and tracking is always on
 		{"-queue-depth", "-1"},
+		{"-queue-depth", "0"},  // ran with the default 256, reported as queue 0
 		{"-clock-rate", "-1"},  // ran arrival-driven, advertised as clock_rate -1
 		{"-clock-rate", "NaN"}, // /v1/config and /v1/stats answered empty bodies
 		{"-clock-rate", "+Inf"},

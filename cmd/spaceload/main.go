@@ -65,7 +65,6 @@ import (
 	"spacebooking/internal/obs"
 	"spacebooking/internal/scenario"
 	"spacebooking/internal/server"
-	"spacebooking/internal/topology"
 	"spacebooking/internal/trace"
 	"spacebooking/internal/workload"
 )
@@ -369,8 +368,8 @@ func wireRequests(reqs []workload.Request, pinSlots bool) []server.BookRequest {
 	mix := make([]server.BookRequest, len(reqs))
 	for i, r := range reqs {
 		br := server.BookRequest{
-			Src:       wireEndpoint(r.Src),
-			Dst:       wireEndpoint(r.Dst),
+			Src:       server.RefOf(r.Src),
+			Dst:       server.RefOf(r.Dst),
 			RateMbps:  r.RateMbps,
 			Valuation: r.Valuation,
 		}
@@ -383,11 +382,6 @@ func wireRequests(reqs []workload.Request, pinSlots bool) []server.BookRequest {
 		mix[i] = br
 	}
 	return mix
-}
-
-// wireEndpoint converts a topology endpoint to its API form.
-func wireEndpoint(e topology.Endpoint) server.EndpointRef {
-	return server.EndpointRef{Kind: e.Kind.Name(), Index: e.Index}
 }
 
 // loadGen is the shared state of the load workers.

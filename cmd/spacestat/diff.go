@@ -66,6 +66,15 @@ func runDiff(c *cmd, args []string) int {
 	if err != nil {
 		return c.fail(2, err)
 	}
+	// An explicit gate names a key both reports must hold: one that
+	// could not be looked up would never fire.
+	for _, g := range gates {
+		for i, rep := range []*obs.Report{oldRep, newRep} {
+			if _, ok := lookup(rep, g.key); !ok {
+				return c.fail(2, fmt.Errorf("-gate %s: %s has no such key", g.key, c.fs.Arg(i)))
+			}
+		}
+	}
 
 	if !*quiet {
 		printDiff(c.stdout, oldRep, newRep)
@@ -258,16 +267,14 @@ func relDelta(oldV, newV float64) float64 {
 	return 0
 }
 
-// checkGates evaluates every gate (lower is better) and returns the
-// values whose relative growth exceeds the allowance.
+// checkGates evaluates every gate (lower is better; its key is in both
+// reports) and returns the values whose relative growth exceeds the
+// allowance.
 func checkGates(oldRep, newRep *obs.Report, gates []gate) []regression {
 	var out []regression
 	for _, g := range gates {
-		oldV, okOld := lookup(oldRep, g.key)
-		newV, okNew := lookup(newRep, g.key)
-		if !okOld || !okNew {
-			continue
-		}
+		oldV, _ := lookup(oldRep, g.key)
+		newV, _ := lookup(newRep, g.key)
 		if relDelta(oldV, newV) > g.pct {
 			out = append(out, regression{key: g.key, old: oldV, new: newV, pct: g.pct})
 		}

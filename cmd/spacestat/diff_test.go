@@ -124,6 +124,19 @@ func TestExplicitGates(t *testing.T) {
 	if code, _ := runDiffArgs(t, "-gate", "nonsense", oldPath, newPath); code != 2 {
 		t.Fatalf("malformed gate exit = %d, want 2", code)
 	}
+	// A gate on a key either report lacks can never fire: a load error
+	// naming the key and the report, not "ok".
+	delete(newRep.Observability.Counters, "graph.dijkstra.heap_pops")
+	lacking := writeReport(t, "lacking.json", newRep)
+	for _, tc := range []struct{ key, newPath, lacks string }{
+		{"counters.graph.dijkstra.heap_pop", newPath, oldPath}, // a typo: neither has it
+		{"counters.graph.dijkstra.heap_pops", lacking, lacking},
+	} {
+		code, _, errOut := runStat(t, []string{"diff", "-q", "-max-regress", "", "-gate", tc.key + "=0%", oldPath, tc.newPath}, "")
+		if code != 2 || !strings.Contains(errOut, tc.key) || !strings.Contains(errOut, tc.lacks) {
+			t.Errorf("-gate %s: exit %d, stderr %q; want 2 naming the key and %s", tc.key, code, errOut, tc.lacks)
+		}
+	}
 }
 
 // TestGateOnZeroFires: a gated value that grows from 0 regresses by

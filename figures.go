@@ -389,15 +389,16 @@ func (e *Environment) RunCompetitive(rate float64, seed int64) (*CompetitiveResu
 	if err != nil {
 		return nil, err
 	}
+	reqs, err := workload.Generate(wl)
+	if err != nil {
+		return nil, err
+	}
+	rc.Requests = reqs
 	results, err := e.runJobs(1, func(int) (sim.RunConfig, error) { return rc, nil })
 	if err != nil {
 		return nil, err
 	}
 	online := results[0]
-	reqs, err := workload.Generate(wl)
-	if err != nil {
-		return nil, err
-	}
 	off, err := offline.Greedy(e.Provider, rc.Energy, reqs)
 	if err != nil {
 		return nil, err
@@ -485,18 +486,19 @@ func (r *AdaptiveResult) Table() *metrics.Table {
 }
 
 // RunScenario runs the paper's five algorithms on a declarative workload
-// spec and tabulates acceptance, welfare and revenue. Every run builds
-// its own streaming generator from the same spec and binding, so all
-// algorithms see the identical request sequence — the comparison
-// isolates admission policy, not workload noise.
+// spec and tabulates acceptance, welfare and revenue. The spec is
+// generated once and every run reads the same slice, so all algorithms
+// see the identical request sequence — the comparison isolates
+// admission policy, not workload noise.
 func (e *Environment) RunScenario(spec scenario.Spec) (*Figure, error) {
+	reqs, err := scenario.Generate(spec, e.ScenarioBinding())
+	if err != nil {
+		return nil, err
+	}
 	algs := sim.PaperAlgorithms()
 	results, err := e.runJobs(len(algs), func(i int) (sim.RunConfig, error) {
 		rc, err := sim.DefaultRunConfig(algs[i], e.WorkloadConfig(e.arrivalRate, spec.Seed))
-		if err != nil {
-			return rc, err
-		}
-		rc.Source, err = scenario.NewGenerator(spec, e.ScenarioBinding())
+		rc.Requests = reqs
 		rc.SpecName = spec.Name
 		return rc, err
 	})

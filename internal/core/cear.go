@@ -58,14 +58,6 @@ type Options struct {
 	// pooled scratch so parallel runs reuse warm arrays, and tests pass
 	// netstate.NewReferenceScratch() to run the reference search.
 	Scratch *netstate.SearchScratch
-
-	// Obs, when non-nil, attaches admission counters and histograms
-	// (evaluations, accept/reject, slot searches, price lookups) to the
-	// registry. Nil leaves the instrumentation on its no-op fast path.
-	// The State's own counters are the caller's to attach
-	// (netstate.State.SetObs): attaching them here would replace the
-	// trace-detail timers on every CEAR-AD rebuild.
-	Obs *obs.Registry
 }
 
 // CEAR is the online pricing and reservation algorithm. Its resource
@@ -101,7 +93,7 @@ type CEAR struct {
 	energyCfg netstate.EnergyConfig
 	islCap    float64
 
-	// Observability handles; all nil (no-op) without Options.Obs.
+	// Observability handles; all nil (no-op) on an un-observed state.
 	ctrEvaluations *obs.Counter
 	ctrAccepted    *obs.Counter
 	ctrRejected    *obs.Counter
@@ -144,7 +136,11 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 	c.search.EdgeCost = c.priceEdgeCost
 	c.search.Transit = c.priceTransit
 	c.unitPrice = c.energyUnitPrice
-	if reg := opts.Obs; reg != nil {
+	// The admission counters and histograms (evaluations, accept/reject,
+	// slot searches, price lookups) go on the registry the state was
+	// observed with (netstate.State.SetObs); an un-observed state leaves
+	// them on their no-op fast path.
+	if reg := state.Obs(); reg != nil {
 		c.ctrEvaluations = reg.Counter("core.admission.evaluations")
 		c.ctrAccepted = reg.Counter("core.admission.accepted")
 		c.ctrRejected = reg.Counter("core.admission.rejected")

@@ -521,8 +521,11 @@ func TestRefillsSkipThePast(t *testing.T) {
 	ecfg := netstate.DefaultEnergyConfig()
 	ecfg.PanelWatts = 2
 	regFrom, regWhole := obs.New(), obs.New()
-	from := newCEAR(t, newTestStackWith(t, 200, ecfg), Options{Obs: regFrom})
-	whole := newCEAR(t, newTestStackWith(t, 200, ecfg), Options{Obs: regWhole})
+	stateFrom, stateWhole := newTestStackWith(t, 200, ecfg), newTestStackWith(t, 200, ecfg)
+	stateFrom.SetObs(regFrom)
+	stateWhole.SetObs(regWhole)
+	from := newCEAR(t, stateFrom, Options{})
+	whole := newCEAR(t, stateWhole, Options{})
 	// The reference refills whole spans with no switch in CEAR: whenever it
 	// is asked for a transit price it first fills that satellite's table
 	// from slot 0, so its own fill — from the slot searched — finds the

@@ -125,6 +125,9 @@ type State struct {
 	isl        [][]float64
 	usl        []map[LinkKey]float64
 
+	// reg is the registry SetObs attached (nil: none); everything that
+	// instruments this state's run reads it through Obs.
+	reg   *obs.Registry
 	instr stateInstruments
 	// txn is the undo arena of the single open transaction; see
 	// txnScratch.
@@ -192,6 +195,7 @@ func (s *State) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
+	s.reg = reg
 	s.instr = stateInstruments{
 		txnCommits:    reg.Counter("netstate.txn.commits"),
 		txnRollbacks:  reg.Counter("netstate.txn.rollbacks"),
@@ -213,6 +217,10 @@ func (s *State) SetObs(reg *obs.Registry) {
 	}
 }
 
+// Obs returns the registry SetObs attached, nil when none was: the one
+// place an algorithm built over this state finds its run's registry.
+func (s *State) Obs() *obs.Registry { return s.reg }
+
 // SearchInstruments returns the search counters of this state (nil when
 // no registry is attached).
 func (s *State) SearchInstruments() *SearchInstruments { return s.instr.search }
@@ -223,12 +231,13 @@ func (s *State) SearchInstruments() *SearchInstruments { return s.instr.search }
 // They are separate from SetObs because every timed site pays two clock
 // reads per call: batch simulations never enable them, and the benchmark
 // enables them only on its traced laps (benchmark/run.go).
-// Requires SetObs to have attached the same registry first (the handles
-// are fields of the instrument structs SetObs built, shared by pointer
-// with live views and batteries); a nil registry or un-observed state
-// is a no-op. Call before the run starts — the State is single-owner.
-func (s *State) EnableTraceDetail(reg *obs.Registry) {
-	if reg == nil || s.instr.search == nil {
+// The counters go on the registry SetObs attached (the handles are
+// fields of the instrument structs SetObs built, shared by pointer with
+// live views and batteries); an un-observed state is a no-op. Call
+// before the run starts — the State is single-owner.
+func (s *State) EnableTraceDetail() {
+	reg := s.reg
+	if reg == nil {
 		return
 	}
 	// Names deliberately avoid "seconds": spacestat diff's default

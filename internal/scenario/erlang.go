@@ -103,7 +103,7 @@ func ValidateErlangB(spec Spec, b Binding, servers int) (ErlangBReport, error) {
 	if len(spec.Events) > 0 {
 		return ErlangBReport{}, fmt.Errorf("scenario: erlang-b validation requires a stationary rate, spec has %d events", len(spec.Events))
 	}
-	gen, err := NewGenerator(spec, b)
+	gen, err := newGenerator(spec, b)
 	if err != nil {
 		return ErlangBReport{}, err
 	}
@@ -111,11 +111,11 @@ func ValidateErlangB(spec Spec, b Binding, servers int) (ErlangBReport, error) {
 	offered := lambda * meanHold
 	analytic := ErlangB(servers, offered)
 
-	warmupT := float64(gen.Horizon()) / 10
+	warmupT := float64(gen.horizon) / 10
 	var busy busyHeap
 	arrivals, blocked := 0, 0
 	for {
-		a, ok := gen.NextArrival()
+		a, ok := gen.nextArrival()
 		if !ok {
 			break
 		}
@@ -133,7 +133,7 @@ func ValidateErlangB(spec Spec, b Binding, servers int) (ErlangBReport, error) {
 		}
 	}
 	if arrivals == 0 {
-		return ErlangBReport{}, fmt.Errorf("scenario: erlang-b validation saw no post-warmup arrivals (horizon %d too short?)", gen.Horizon())
+		return ErlangBReport{}, fmt.Errorf("scenario: erlang-b validation saw no post-warmup arrivals (horizon %d too short?)", gen.horizon)
 	}
 	measured := float64(blocked) / float64(arrivals)
 	stderr := math.Sqrt(analytic * (1 - analytic) / float64(arrivals))

@@ -28,10 +28,10 @@ type Binding struct {
 	DefaultValuation float64
 }
 
-// Arrival is one generated request with its continuous arrival time —
+// arrival is one generated request with its continuous arrival time —
 // the extra precision the Erlang-B loss simulator needs (slots quantise
 // it away).
-type Arrival struct {
+type arrival struct {
 	Req workload.Request
 	// Time is the arrival instant in continuous slot units
 	// (Req.ArrivalSlot == floor(Time)).
@@ -41,22 +41,16 @@ type Arrival struct {
 	HoldSlots float64
 }
 
-// Generator streams the merged request sequence of a bound spec, one
-// arrival at a time in non-decreasing time order. It implements
-// workload.Source, so it plugs directly into sim.RunConfig.Source and
-// the serving path's load generator.
+// generator merges the class streams of a bound spec, one arrival at a
+// time in non-decreasing time order. Generate drains it to a slice;
+// ValidateErlangB reads it arrival by arrival for the continuous times.
 //
 // Determinism: each class stream owns its RNG (seeded from the spec
 // seed and the class index) and samples all of an arrival's attributes
 // at generation time, so the cross-class merge order never affects any
 // RNG's state. The merged sequence is a pure function of (spec,
-// binding) — independent of GOMAXPROCS, wall clock, and batch vs
-// streaming drain. Generate is a drained Generator, so the two modes
-// are byte-identical by construction.
-//
-// A Generator is single-goroutine, like workload.Generator.
-type Generator struct {
-	spec    Spec
+// binding) — independent of GOMAXPROCS and wall clock.
+type generator struct {
 	horizon int
 	streams []*classStream
 	nextID  int
@@ -90,14 +84,14 @@ type classStream struct {
 	weightsW float64 // sum of cached weights
 	lambda   float64 // cached per-slot rate
 
-	next    Arrival
+	next    arrival
 	hasNext bool
 	done    bool
 }
 
-// NewGenerator validates the spec against the binding and positions
+// newGenerator validates the spec against the binding and positions
 // every class stream before its first arrival.
-func NewGenerator(spec Spec, b Binding) (*Generator, error) {
+func newGenerator(spec Spec, b Binding) (*generator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -128,7 +122,7 @@ func NewGenerator(spec Spec, b Binding) (*Generator, error) {
 	if needSites && len(b.Sites) == 0 {
 		return nil, fmt.Errorf("scenario: spec %q uses solar-phased diurnals or regional outages but the binding has no sites", spec.Name)
 	}
-	g := &Generator{spec: spec, horizon: horizon}
+	g := &generator{horizon: horizon}
 	for i, c := range spec.Classes {
 		cs, err := newClassStream(i, c, spec, &b, horizon)
 		if err != nil {
@@ -314,7 +308,7 @@ func (cs *classStream) emit(slot int) {
 	if end >= cs.horizon {
 		end = cs.horizon - 1
 	}
-	cs.next = Arrival{
+	cs.next = arrival{
 		Req: workload.Request{
 			Src:         pair.Src,
 			Dst:         pair.Dst,
@@ -331,10 +325,10 @@ func (cs *classStream) emit(slot int) {
 	cs.hasNext = true
 }
 
-// NextArrival returns the next arrival across all classes in
+// nextArrival returns the next arrival across all classes in
 // non-decreasing time order (ties broken by class index), with request
 // IDs assigned sequentially at emission.
-func (g *Generator) NextArrival() (Arrival, bool) {
+func (g *generator) nextArrival() (arrival, bool) {
 	best := -1
 	for i, cs := range g.streams {
 		if !cs.hasNext {
@@ -345,7 +339,7 @@ func (g *Generator) NextArrival() (Arrival, bool) {
 		}
 	}
 	if best < 0 {
-		return Arrival{}, false
+		return arrival{}, false
 	}
 	cs := g.streams[best]
 	a := cs.next
@@ -355,28 +349,20 @@ func (g *Generator) NextArrival() (Arrival, bool) {
 	return a, true
 }
 
-// Next implements workload.Source.
-func (g *Generator) Next() (workload.Request, bool) {
-	a, ok := g.NextArrival()
-	return a.Req, ok
-}
-
-// Horizon returns the effective horizon the generator emits within.
-func (g *Generator) Horizon() int { return g.horizon }
-
-// Generate materialises the whole sequence — a drained Generator, so
-// batch and streaming modes cannot diverge.
+// Generate materialises the whole merged request sequence of a bound
+// spec, in arrival order. The slice is non-nil even when the spec yields
+// no arrival, since a nil sim.RunConfig.Requests means the flat workload.
 func Generate(spec Spec, b Binding) ([]workload.Request, error) {
-	g, err := NewGenerator(spec, b)
+	g, err := newGenerator(spec, b)
 	if err != nil {
 		return nil, err
 	}
-	var out []workload.Request
+	out := []workload.Request{}
 	for {
-		req, ok := g.Next()
+		a, ok := g.nextArrival()
 		if !ok {
 			return out, nil
 		}
-		out = append(out, req)
+		out = append(out, a.Req)
 	}
 }

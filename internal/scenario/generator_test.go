@@ -59,39 +59,11 @@ func multiClassSpec() Spec {
 	return s
 }
 
-func TestGenerateMatchesStreaming(t *testing.T) {
-	spec := multiClassSpec()
-	b := testBinding(200)
-	batch, err := Generate(spec, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) == 0 {
-		t.Fatal("empty workload")
-	}
-	gen, err := NewGenerator(spec, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []workload.Request
-	for {
-		req, ok := gen.Next()
-		if !ok {
-			break
-		}
-		streamed = append(streamed, req)
-	}
-	if !reflect.DeepEqual(batch, streamed) {
-		t.Fatal("batch and streamed sequences differ")
-	}
-}
-
-// TestGeneratorSeedSweptAcrossGOMAXPROCS extends the PR 5 streaming
-// determinism gate to the scenario engine: for every seed, the batch
-// sequence over all request-mix classes (Poisson, Gamma and Weibull
-// arrivals with distinct mixes) is the reference, and concurrent
-// streaming drains under several GOMAXPROCS settings must reproduce it
-// byte-identically — the sequence is a pure function of (spec, binding).
+// TestGeneratorSeedSweptAcrossGOMAXPROCS: for every seed, the sequence
+// over all request-mix classes (Poisson, Gamma and Weibull arrivals with
+// distinct mixes) is the reference, and concurrent generations under
+// several GOMAXPROCS settings must reproduce it byte-identically — the
+// sequence is a pure function of (spec, binding).
 func TestGeneratorSeedSweptAcrossGOMAXPROCS(t *testing.T) {
 	b := testBinding(200)
 	orig := runtime.GOMAXPROCS(0)
@@ -124,28 +96,13 @@ func TestGeneratorSeedSweptAcrossGOMAXPROCS(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					gen, err := NewGenerator(spec, b)
-					if err != nil {
-						return // nil result caught below
-					}
-					var out []workload.Request
-					for {
-						req, ok := gen.Next()
-						if !ok {
-							break
-						}
-						out = append(out, req)
-					}
-					results[w] = out
+					results[w], _ = Generate(spec, b)
 				}(w)
 			}
 			wg.Wait()
 			for w, got := range results {
-				if got == nil {
-					t.Fatalf("seed %d GOMAXPROCS=%d worker %d: generator construction failed", seed, procs, w)
-				}
 				if !reflect.DeepEqual(got, reference) {
-					t.Fatalf("seed %d GOMAXPROCS=%d worker %d: stream diverges from batch", seed, procs, w)
+					t.Fatalf("seed %d GOMAXPROCS=%d worker %d: sequence diverges from reference", seed, procs, w)
 				}
 			}
 		}
@@ -179,7 +136,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 func TestGeneratorOrderingAndBounds(t *testing.T) {
 	spec := multiClassSpec()
 	b := testBinding(150)
-	gen, err := NewGenerator(spec, b)
+	gen, err := newGenerator(spec, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +145,7 @@ func TestGeneratorOrderingAndBounds(t *testing.T) {
 	wantID := 0
 	classes := make(map[string]int)
 	for {
-		a, ok := gen.NextArrival()
+		a, ok := gen.nextArrival()
 		if !ok {
 			break
 		}
@@ -350,7 +307,7 @@ func TestSolarPhaseRequiresSites(t *testing.T) {
 	spec.Classes[0].Diurnal = &DiurnalSpec{PeriodSlots: 96, Amplitude: 0.4, SolarPhase: true}
 	b := testBinding(96)
 	b.Sites = nil
-	if _, err := NewGenerator(spec, b); err == nil {
+	if _, err := newGenerator(spec, b); err == nil {
 		t.Fatal("solar-phased spec accepted without sites")
 	}
 }
@@ -369,28 +326,28 @@ func TestSpecHorizonOverride(t *testing.T) {
 		}
 	}
 	spec.Horizon = 500
-	if _, err := NewGenerator(spec, b); err == nil {
+	if _, err := newGenerator(spec, b); err == nil {
 		t.Fatal("spec horizon beyond binding accepted")
 	}
 }
 
 func TestGeneratorRejectsBadBinding(t *testing.T) {
 	spec := validSpec()
-	if _, err := NewGenerator(spec, Binding{Horizon: 0, Pairs: testBinding(10).Pairs}); err == nil {
+	if _, err := newGenerator(spec, Binding{Horizon: 0, Pairs: testBinding(10).Pairs}); err == nil {
 		t.Fatal("zero horizon accepted")
 	}
-	if _, err := NewGenerator(spec, Binding{Horizon: 10}); err == nil {
+	if _, err := newGenerator(spec, Binding{Horizon: 10}); err == nil {
 		t.Fatal("empty pairs accepted")
 	}
 	spec.Classes[0].Pairs = []int{99}
-	if _, err := NewGenerator(spec, testBinding(10)); err == nil {
+	if _, err := newGenerator(spec, testBinding(10)); err == nil {
 		t.Fatal("out-of-range pair index accepted")
 	}
 	spec = validSpec()
 	spec.Classes[0].Mix.Valuation = 0
 	b := testBinding(10)
 	b.DefaultValuation = 0
-	if _, err := NewGenerator(spec, b); err == nil {
+	if _, err := newGenerator(spec, b); err == nil {
 		t.Fatal("missing valuation accepted")
 	}
 }

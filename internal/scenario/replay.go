@@ -57,6 +57,7 @@ func RequestsFromTrace(records []trace.Record) ([]workload.Request, string, erro
 			StartSlot:   r.Start,
 			EndSlot:     r.End,
 			RateMbps:    r.RateMbps,
+			RateVector:  r.RateVector,
 			Valuation:   r.Valuation,
 			Class:       r.Class,
 		}

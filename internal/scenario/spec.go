@@ -4,7 +4,7 @@
 // mixes), diurnal intensity cycles keyed to the GDP grid, and timed
 // events (flash crowds, regional outages, EO-fleet downlink bursts)
 // that modulate rates mid-run. A spec plus a Binding (horizon, pairs,
-// sites) yields a deterministic request stream that plugs into both the
+// sites) yields a deterministic request sequence that feeds both the
 // batch simulator and the serving path, and the package's Erlang-B
 // analytical twin gives closed-form blocking probabilities to validate
 // the simulator against on single-bottleneck scenarios.

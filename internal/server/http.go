@@ -85,8 +85,8 @@ type PairRef struct {
 	Dst EndpointRef `json:"dst"`
 }
 
-// refOf converts a topology endpoint back to wire form.
-func refOf(e topology.Endpoint) EndpointRef { return EndpointRef{Kind: e.Kind.Name(), Index: e.Index} }
+// RefOf converts a topology endpoint to its wire form.
+func RefOf(e topology.Endpoint) EndpointRef { return EndpointRef{Kind: e.Kind.Name(), Index: e.Index} }
 
 // jsonEncoder starts a JSON response and returns the encoder for its body.
 func jsonEncoder(w http.ResponseWriter, code int) *json.Encoder {
@@ -346,7 +346,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	pairs := make([]PairRef, 0, len(s.cfg.Run.Workload.Pairs))
 	for _, p := range s.cfg.Run.Workload.Pairs {
-		pairs = append(pairs, PairRef{Src: refOf(p.Src), Dst: refOf(p.Dst)})
+		pairs = append(pairs, PairRef{Src: RefOf(p.Src), Dst: RefOf(p.Dst)})
 	}
 	writeIndentedJSON(w, http.StatusOK, ConfigResponse{
 		Algorithm: s.Algorithm(),

@@ -42,20 +42,21 @@ func TestScenarioReplayThroughServer(t *testing.T) {
 			},
 		},
 	}
-	gen, err := scenario.NewGenerator(spec, scenario.Binding{
+	generated, err := scenario.Generate(spec, scenario.Binding{
 		Horizon: 48, Pairs: testPairs(), DefaultValuation: 1e8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Record: the batch path drains the generator into a decision trace.
+	// Record: the batch path runs the generated requests into a decision
+	// trace.
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
 	batchRC := rc
 	batchRC.Trace = tw
 	batchRC.SpecName = spec.Name
-	batchRC.Source = gen
+	batchRC.Requests = generated
 	batchRes, err := sim.Run(prov, batchRC)
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +90,8 @@ func TestScenarioReplayThroughServer(t *testing.T) {
 	for i, req := range reqs {
 		arrival, start, end := req.ArrivalSlot, req.StartSlot, req.EndSlot
 		code, out := postBook(t, hs.URL, BookRequest{
-			Src:         refOf(req.Src),
-			Dst:         refOf(req.Dst),
+			Src:         RefOf(req.Src),
+			Dst:         RefOf(req.Dst),
 			RateMbps:    req.RateMbps,
 			Valuation:   req.Valuation,
 			ArrivalSlot: &arrival,

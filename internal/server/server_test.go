@@ -178,8 +178,8 @@ func TestServedStreamMatchesBatchRun(t *testing.T) {
 	for i, req := range reqs {
 		arrival, start, end := req.ArrivalSlot, req.StartSlot, req.EndSlot
 		code, out := postBook(t, hs.URL, BookRequest{
-			Src:         refOf(req.Src),
-			Dst:         refOf(req.Dst),
+			Src:         RefOf(req.Src),
+			Dst:         RefOf(req.Dst),
 			RateMbps:    req.RateMbps,
 			Valuation:   req.Valuation,
 			ArrivalSlot: &arrival,

@@ -148,7 +148,7 @@ func (e *Engine) Algorithm() string { return e.rc.Algorithm.String() }
 // layer can read per-request deltas around Admit. No-op without an
 // observed RunConfig. Must be called before admissions start: the
 // handles are plain fields of the single-writer state.
-func (e *Engine) EnableTraceDetail() { e.state.EnableTraceDetail(e.rc.Obs) }
+func (e *Engine) EnableTraceDetail() { e.state.EnableTraceDetail() }
 
 // State exposes the engine's resource state, for invariant checks and
 // metric sweeps; the single-writer contract extends to everything done
@@ -281,23 +281,24 @@ func (e *Engine) Admit(req workload.Request) (router.Decision, error) {
 // adds only its serving fields. scenario.RequestsFromTrace inverts it.
 func DecisionRecord(req workload.Request, d router.Decision, seq int) trace.Record {
 	return trace.Record{
-		Kind:      trace.KindDecision,
-		RequestID: req.ID,
-		Arrival:   req.ArrivalSlot,
-		Start:     req.StartSlot,
-		End:       req.EndSlot,
-		RateMbps:  req.RateMbps,
-		Valuation: req.Valuation,
-		Accepted:  d.Accepted,
-		Price:     d.Price,
-		Reason:    d.Reason,
-		TotalHops: d.Plan.TotalHops(),
-		SrcKind:   req.Src.Kind.Name(),
-		SrcIndex:  req.Src.Index,
-		DstKind:   req.Dst.Kind.Name(),
-		DstIndex:  req.Dst.Index,
-		Class:     req.Class,
-		Seq:       seq,
+		Kind:       trace.KindDecision,
+		RequestID:  req.ID,
+		Arrival:    req.ArrivalSlot,
+		Start:      req.StartSlot,
+		End:        req.EndSlot,
+		RateMbps:   req.RateMbps,
+		RateVector: req.RateVector,
+		Valuation:  req.Valuation,
+		Accepted:   d.Accepted,
+		Price:      d.Price,
+		Reason:     d.Reason,
+		TotalHops:  d.Plan.TotalHops(),
+		SrcKind:    req.Src.Kind.Name(),
+		SrcIndex:   req.Src.Index,
+		DstKind:    req.Dst.Kind.Name(),
+		DstIndex:   req.Dst.Index,
+		Class:      req.Class,
+		Seq:        seq,
 	}
 }
 

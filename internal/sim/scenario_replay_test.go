@@ -60,7 +60,7 @@ func replayBinding() scenario.Binding {
 // raw JSONL trace bytes. It drives the engine the way Run does (Admit in
 // a loop, Finish) so that it can check the state's invariants before the
 // final sweep.
-func recordedRun(t *testing.T, src workload.Source, specName string, seed int64) (*Result, []byte) {
+func recordedRun(t *testing.T, reqs []workload.Request, specName string, seed int64) (*Result, []byte) {
 	t.Helper()
 	prov := testProvider(t)
 	rc, err := DefaultRunConfig(AlgCEAR, testWorkload(3, seed))
@@ -71,12 +71,11 @@ func recordedRun(t *testing.T, src workload.Source, specName string, seed int64)
 	tw := trace.NewWriter(&buf)
 	rc.Trace = tw
 	rc.SpecName = specName
-	rc.Source = src
 	eng, err := NewEngine(prov, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for req, ok := src.Next(); ok; req, ok = src.Next() {
+	for _, req := range reqs {
 		if _, err := eng.Admit(req); err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +102,11 @@ func recordedRun(t *testing.T, src workload.Source, specName string, seed int64)
 func TestScenarioRecordReplayByteIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		spec := replaySpec(seed)
-		gen, err := scenario.NewGenerator(spec, replayBinding())
+		generated, err := scenario.Generate(spec, replayBinding())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		recRes, recTrace := recordedRun(t, gen, spec.Name, seed)
+		recRes, recTrace := recordedRun(t, generated, spec.Name, seed)
 		if recRes.TotalRequests == 0 {
 			t.Fatalf("seed %d: scenario produced no requests", seed)
 		}
@@ -127,7 +126,7 @@ func TestScenarioRecordReplayByteIdentical(t *testing.T) {
 			t.Fatalf("seed %d: trace has %d requests, run admitted %d", seed, len(reqs), recRes.TotalRequests)
 		}
 
-		repRes, repTrace := recordedRun(t, workload.NewSliceSource(reqs), name, seed)
+		repRes, repTrace := recordedRun(t, reqs, name, seed)
 		if !reflect.DeepEqual(recRes, repRes) {
 			t.Fatalf("seed %d: replay Result diverges:\nrecord: %+v\nreplay: %+v", seed, recRes, repRes)
 		}
@@ -138,11 +137,67 @@ func TestScenarioRecordReplayByteIdentical(t *testing.T) {
 	}
 }
 
+// TestVectorDemandRecordReplayByteIdentical: a request with a per-slot
+// demand vector replays with that vector, not with its flat RateMbps, so
+// the recorded and replayed traces are byte-identical. The vector goes on
+// a multi-slot request the flat run accepts, and its last slot asks more
+// than any link carries, so the vector changes that decision.
+func TestVectorDemandRecordReplayByteIdentical(t *testing.T) {
+	reqs, err := scenario.Generate(replaySpec(1), replayBinding())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, flatTrace := recordedRun(t, reqs, "vector", 1)
+	flat, err := trace.Read(bytes.NewReader(flatTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r *workload.Request
+	for _, rec := range flat {
+		if rec.Kind == trace.KindDecision && rec.Accepted && rec.End > rec.Start {
+			r = &reqs[rec.RequestID]
+			break
+		}
+	}
+	if r == nil {
+		t.Fatal("the flat run accepts no multi-slot request")
+	}
+	r.RateVector = make([]float64, r.DurationSlots())
+	for k := range r.RateVector {
+		r.RateVector[k] = r.RateMbps * float64(k+1) / 2
+	}
+	r.RateVector[len(r.RateVector)-1] = 1e9
+	recRes, recTrace := recordedRun(t, reqs, "vector", 1)
+	records, err := trace.Read(bytes.NewReader(recTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range records {
+		if rec.Kind == trace.KindDecision && rec.RequestID == r.ID && rec.Accepted {
+			t.Fatalf("request %d was accepted with a %g Mbps slot", r.ID, r.RateVector[len(r.RateVector)-1])
+		}
+	}
+	replayed, _, err := scenario.RequestsFromTrace(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(replayed[r.ID], *r) {
+		t.Fatalf("replayed request %+v, recorded %+v", replayed[r.ID], *r)
+	}
+	repRes, repTrace := recordedRun(t, replayed, "vector", 1)
+	if !reflect.DeepEqual(recRes, repRes) {
+		t.Fatalf("replay Result diverges:\nrecord: %+v\nreplay: %+v", recRes, repRes)
+	}
+	if !bytes.Equal(recTrace, repTrace) {
+		t.Fatalf("replay trace is not byte-identical (%d vs %d bytes)", len(recTrace), len(repTrace))
+	}
+}
+
 // TestScenarioClassCountersTracked: per-class admission counters appear
 // when arrivals carry a class and an observability registry is present.
 func TestScenarioClassCountersTracked(t *testing.T) {
 	spec := replaySpec(5)
-	gen, err := scenario.NewGenerator(spec, replayBinding())
+	reqs, err := scenario.Generate(spec, replayBinding())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +208,7 @@ func TestScenarioClassCountersTracked(t *testing.T) {
 	}
 	reg := obs.New()
 	rc.Obs = reg
-	rc.Source = gen
+	rc.Requests = reqs
 	res, err := Run(prov, rc)
 	if err != nil {
 		t.Fatal(err)

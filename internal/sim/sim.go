@@ -145,11 +145,12 @@ type RunConfig struct {
 	// workload. Replays echo the recorded name so a recording and its
 	// replay produce byte-identical traces.
 	SpecName string
-	// Source, when non-nil, supplies the online request stream instead
-	// of generating it from Workload — the hook the scenario engine and
-	// trace replay plug into. Workload still configures the algorithm
-	// (adaptive predictor rate) and booking defaults.
-	Source workload.Source
+	// Requests, when non-nil, is the run's request sequence in arrival
+	// order — a scenario spec's or a replayed trace's — instead of one
+	// generated from Workload. The run only reads it, so concurrent runs
+	// may share one slice. Workload still configures the algorithm
+	// (adaptive predictor rate) and the trace's run_info record.
+	Requests []workload.Request
 	// Obs, when non-nil, collects phase timings, admission counters and
 	// hot-path statistics for this run. The graph-search and energy
 	// counters are threaded through the run's own State, so concurrent
@@ -248,7 +249,6 @@ func buildAlgorithm(prov *topology.Provider, rc RunConfig) (router.Algorithm, *n
 		Pricing:     rc.Pricing,
 		PruneBudget: rc.PruneBudget,
 		Scratch:     rc.Scratch,
-		Obs:         rc.Obs,
 	}
 	newBaselineAlg := func(alg *baselines.Baseline, err error) (router.Algorithm, *netstate.State, error) {
 		if err != nil {
@@ -296,25 +296,21 @@ func Run(prov *topology.Provider, rc RunConfig) (*Result, error) {
 // but "generate, Admit in a loop, Finish", so batch simulation and the
 // online booking server cannot diverge.
 func RunContext(ctx context.Context, prov *topology.Provider, rc RunConfig) (*Result, error) {
-	src := rc.Source
-	if src == nil {
+	reqs := rc.Requests
+	if reqs == nil {
 		wlSpan := rc.Obs.StartPhase("workload_generate")
-		reqs, err := workload.Generate(rc.Workload)
+		var err error
+		reqs, err = workload.Generate(rc.Workload)
 		wlSpan.End()
 		if err != nil {
 			return nil, err
 		}
-		src = workload.NewSliceSource(reqs)
 	}
 	eng, err := NewEngine(prov, rc)
 	if err != nil {
 		return nil, err
 	}
-	for {
-		req, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, req := range reqs {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sim: run cancelled at request %d: %w", req.ID, err)
 		}

@@ -53,21 +53,22 @@ type Record struct {
 	// holds the request as the engine admitted it, exact to the float bit,
 	// so replay rebuilds the same workload.Request: the engine's request
 	// id (the server id for a served booking), the arrival slot and active
-	// window (as the server resolved them), the per-slot demand, the
-	// valuation, the endpoints and the class. Then the decision: whether
-	// it was accepted, the price quoted (also on a rejection that quoted
-	// one), the rejection reason, and the plan's hops summed over its
-	// slots.
-	RequestID int     `json:"request_id,omitempty"`
-	Arrival   int     `json:"arrival_slot,omitempty"`
-	Start     int     `json:"start_slot,omitempty"`
-	End       int     `json:"end_slot,omitempty"`
-	RateMbps  float64 `json:"rate_mbps,omitempty"`
-	Valuation float64 `json:"valuation,omitempty"`
-	Accepted  bool    `json:"accepted"`
-	Price     float64 `json:"price,omitempty"`
-	Reason    string  `json:"reason,omitempty"`
-	TotalHops int     `json:"total_hops,omitempty"`
+	// window (as the server resolved them), the per-slot demand (flat, or
+	// one entry per active slot), the valuation, the endpoints and the
+	// class. Then the decision: whether it was accepted, the price quoted
+	// (also on a rejection that quoted one), the rejection reason, and the
+	// plan's hops summed over its slots.
+	RequestID  int       `json:"request_id,omitempty"`
+	Arrival    int       `json:"arrival_slot,omitempty"`
+	Start      int       `json:"start_slot,omitempty"`
+	End        int       `json:"end_slot,omitempty"`
+	RateMbps   float64   `json:"rate_mbps,omitempty"`
+	RateVector []float64 `json:"rate_vector,omitempty"`
+	Valuation  float64   `json:"valuation,omitempty"`
+	Accepted   bool      `json:"accepted"`
+	Price      float64   `json:"price,omitempty"`
+	Reason     string    `json:"reason,omitempty"`
+	TotalHops  int       `json:"total_hops,omitempty"`
 	// Endpoint kinds are "ground" or "space".
 	SrcKind  string `json:"src_kind,omitempty"`
 	SrcIndex int    `json:"src_index,omitempty"`

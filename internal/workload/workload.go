@@ -40,39 +40,6 @@ type Request struct {
 	Class string
 }
 
-// Source streams an online request sequence one arrival at a time, in
-// non-decreasing arrival-slot order. Generator implements it, as do the
-// scenario-spec generator and the trace replay source; sim.RunConfig
-// accepts any Source in place of the built-in workload generation.
-type Source interface {
-	// Next returns the next request in arrival order; ok is false once
-	// the sequence is exhausted.
-	Next() (req Request, ok bool)
-}
-
-// SliceSource replays a fixed request sequence — the Source used by
-// trace replay and by callers that materialise a workload up front.
-type SliceSource struct {
-	reqs []Request
-	pos  int
-}
-
-// NewSliceSource wraps an already-ordered request slice. The slice is
-// not copied; callers must not mutate it while the source is draining.
-func NewSliceSource(reqs []Request) *SliceSource {
-	return &SliceSource{reqs: reqs}
-}
-
-// Next implements Source.
-func (s *SliceSource) Next() (Request, bool) {
-	if s.pos >= len(s.reqs) {
-		return Request{}, false
-	}
-	req := s.reqs[s.pos]
-	s.pos++
-	return req, true
-}
-
 // RateAt returns the demand δ_i(T) for an active slot. Callers must
 // only ask about slots within [StartSlot, EndSlot].
 func (r Request) RateAt(slot int) float64 {
@@ -211,28 +178,13 @@ func DiurnalProfile(periodSlots int, amplitude float64) ([]float64, error) {
 	return out, nil
 }
 
-// Generator streams the request sequence of Generate one request at a
-// time: same configuration, same seed, byte-identical requests in the
-// same order, without materialising the whole workload up front. The
-// booking server's load generator uses it to synthesise arrivals on the
-// fly; Generate itself is a Generator drained to a slice, so the two
-// can never diverge.
-//
-// A Generator is single-goroutine: its RNG is stateful and calls to
-// Next must not race. The sequence is a pure function of the Config —
-// it does not depend on wall-clock time, scheduling, or GOMAXPROCS.
-type Generator struct {
-	cfg     Config
-	rng     *rand.Rand
-	sampler RateSampler
-	slot    int // next slot to draw arrivals for
-	pending int // requests still to emit in the current slot
-	id      int
-}
-
-// NewGenerator validates the config and positions the stream before the
-// first request.
-func NewGenerator(cfg Config) (*Generator, error) {
+// Generate produces the full request sequence ordered by arrival slot
+// (ties broken by generation order, matching the paper's assumption that
+// requests are processed in arrival order). The sequence is a pure
+// function of the Config: one RNG seeded from cfg.Seed draws, per slot,
+// the arrival count and then each arrival's pair, duration and demand,
+// so it depends on neither wall-clock time nor GOMAXPROCS.
+func Generate(cfg Config) ([]Request, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -240,64 +192,32 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), sampler: sampler}, nil
-}
-
-// Next returns the next request in arrival order. ok is false once the
-// horizon is exhausted.
-func (g *Generator) Next() (req Request, ok bool) {
-	for g.pending == 0 {
-		if g.slot >= g.cfg.Horizon {
-			return Request{}, false
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	requests := make([]Request, 0, int(cfg.ArrivalRatePerSlot*float64(cfg.Horizon))+1)
+	for slot := 0; slot < cfg.Horizon; slot++ {
+		rate := cfg.ArrivalRatePerSlot
+		if len(cfg.RateProfile) > 0 {
+			rate *= cfg.RateProfile[slot%len(cfg.RateProfile)]
 		}
-		rate := g.cfg.ArrivalRatePerSlot
-		if len(g.cfg.RateProfile) > 0 {
-			rate *= g.cfg.RateProfile[g.slot%len(g.cfg.RateProfile)]
+		if rate <= 0 {
+			continue
 		}
-		if rate > 0 {
-			g.pending = poisson(g.rng, rate)
+		for n := poisson(rng, rate); n > 0; n-- {
+			pair := cfg.Pairs[rng.Intn(len(cfg.Pairs))]
+			dur := cfg.MinDurationSlots + rng.Intn(cfg.MaxDurationSlots-cfg.MinDurationSlots+1)
+			requests = append(requests, Request{
+				ID:          len(requests),
+				Src:         pair.Src,
+				Dst:         pair.Dst,
+				ArrivalSlot: slot,
+				StartSlot:   slot,
+				EndSlot:     min(slot+dur-1, cfg.Horizon-1),
+				RateMbps:    sampler.Sample(rng),
+				Valuation:   cfg.Valuation,
+			})
 		}
-		g.slot++
 	}
-	g.pending--
-	slot := g.slot - 1 // arrivals belong to the slot just drawn
-	pair := g.cfg.Pairs[g.rng.Intn(len(g.cfg.Pairs))]
-	dur := g.cfg.MinDurationSlots + g.rng.Intn(g.cfg.MaxDurationSlots-g.cfg.MinDurationSlots+1)
-	end := slot + dur - 1
-	if end >= g.cfg.Horizon {
-		end = g.cfg.Horizon - 1
-	}
-	req = Request{
-		ID:          g.id,
-		Src:         pair.Src,
-		Dst:         pair.Dst,
-		ArrivalSlot: slot,
-		StartSlot:   slot,
-		EndSlot:     end,
-		RateMbps:    g.sampler.Sample(g.rng),
-		Valuation:   g.cfg.Valuation,
-	}
-	g.id++
-	return req, true
-}
-
-// Generate produces the full request sequence ordered by arrival slot
-// (ties broken by generation order, matching the paper's assumption that
-// requests are processed in arrival order). It is a drained Generator.
-func Generate(cfg Config) ([]Request, error) {
-	gen, err := NewGenerator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	expected := int(cfg.ArrivalRatePerSlot*float64(cfg.Horizon)) + 1
-	requests := make([]Request, 0, expected)
-	for {
-		req, ok := gen.Next()
-		if !ok {
-			return requests, nil
-		}
-		requests = append(requests, req)
-	}
+	return requests, nil
 }
 
 // poisson samples a Poisson variate via Knuth's method; adequate for the
@@ -320,7 +240,7 @@ func poisson(rng *rand.Rand, lambda float64) int {
 // realised mean matches the target. The paper asks for mean 1250 on
 // [500, 2000] — the exact midpoint, which a truncated exponential only
 // reaches in the uniform (rate→0) limit; the calibration therefore
-// degrades gracefully to near-uniform in that case. Generator and the
+// degrades gracefully to near-uniform in that case. Generate and the
 // scenario engine's per-class demand mixes share it, so they share one
 // calibration and one set of edge cases.
 type RateSampler struct {

@@ -3,6 +3,9 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"spacebooking/internal/topology"
@@ -341,5 +344,49 @@ func TestGenerateWithRateProfile(t *testing.T) {
 	bad.RateProfile = []float64{1, -1}
 	if _, err := Generate(bad); err == nil {
 		t.Error("negative profile entry should error")
+	}
+}
+
+func TestGeneratorInvalidConfig(t *testing.T) {
+	cfg := DefaultConfig(64, testPairs(), 7)
+	cfg.Horizon = 0
+	if _, err := Generate(cfg); err == nil {
+		t.Fatal("Generate accepted zero horizon")
+	}
+}
+
+// TestGeneratorDeterministicAcrossGOMAXPROCS: the sequence is a pure
+// function of the config, whatever GOMAXPROCS is and whichever
+// goroutine generates it.
+func TestGeneratorDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	orig := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(orig)
+	for _, seed := range []int64{7, 42, 1001} {
+		cfg := DefaultConfig(96, testPairs(), seed)
+		reference, err := Generate(cfg)
+		if err != nil {
+			t.Fatalf("Generate: %v", err)
+		}
+		for _, procs := range []int{1, 2, max(4, orig)} {
+			runtime.GOMAXPROCS(procs)
+			// Generate concurrently; each worker must reproduce the
+			// reference sequence exactly.
+			const workers = 4
+			results := make([][]Request, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					results[w], _ = Generate(cfg)
+				}(w)
+			}
+			wg.Wait()
+			for w, got := range results {
+				if !reflect.DeepEqual(got, reference) {
+					t.Fatalf("seed %d GOMAXPROCS=%d worker %d: sequence diverges from reference", seed, procs, w)
+				}
+			}
+		}
 	}
 }

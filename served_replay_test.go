@@ -59,7 +59,7 @@ func TestServedAuditLogReplays(t *testing.T) {
 		var buf bytes.Buffer
 		replayRC := rc
 		replayRC.Trace = trace.NewWriter(&buf)
-		replayRC.Source = workload.NewSliceSource(replayReqs)
+		replayRC.Requests = replayReqs
 		replayed, err := sim.Run(env.Provider, replayRC)
 		if err != nil {
 			t.Fatalf("seed %d: replay: %v", seed, err)
