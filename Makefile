@@ -145,14 +145,15 @@ trace-smoke:
 
 # Produce a tiny-run report and diff it against itself: exercises the
 # report pipeline end to end and must exit 0 (the CI smoke for the
-# `spacestat diff` perf gate). Also gates the routing fast path: the
+# `spacestat diff` perf gate; the explicit gauge gate proves the differ
+# reaches the gauges section). Also gates the routing fast path: the
 # report must carry the fast-path counters, and the searches/reuses
 # counts must be live (a zero means a regression silently fell back to
 # the generic path or stopped reusing the scratch).
 report-smoke:
 	@set -e; r="$$(mktemp)"; trap 'rm -f "$$r"' EXIT; \
 	$(GO) run ./cmd/spacebench run -scale small -report "$$r" >/dev/null; \
-	$(GO) run ./cmd/spacestat diff "$$r" "$$r"; \
+	$(GO) run ./cmd/spacestat diff -gate gauges.netstate.depleted_sats=0% "$$r" "$$r"; \
 	grep -q '"graph.fastpath.pruned_labels"' "$$r" || \
 		{ echo "report-smoke: graph.fastpath.pruned_labels missing from run report"; exit 1; }; \
 	grep -Eq '"graph.fastpath.searches": *[1-9]' "$$r" || \

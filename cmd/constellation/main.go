@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -63,8 +64,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	// Checked against the preset, before the constellation is built.
-	if h := scale.Horizon(); *slot < 0 || *slot >= h || *load < 0 {
-		fmt.Fprintf(stderr, "constellation: -slot %d must lie in the %s horizon [0,%d) and -load %v must not be negative\n",
+	if h := scale.Horizon(); *slot < 0 || *slot >= h || !(*load >= 0 && *load <= math.MaxFloat64) {
+		fmt.Fprintf(stderr, "constellation: -slot %d must lie in the %s horizon [0,%d) and -load %v must be finite and not negative\n",
 			*slot, scale, h, *load)
 		fs.Usage()
 		return 2

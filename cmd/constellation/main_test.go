@@ -43,6 +43,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-scale", "full", "-slot", "999"},
 		{"-scale", "medium", "-slot", "192"},
 		{"-load", "-1", "-svg", svg},
+		{"-load", "NaN", "-svg", svg}, // NaN != 0 and NaN < 0 is false: drew a pristine map
+		{"-load", "+Inf", "-svg", svg},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 {

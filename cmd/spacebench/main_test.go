@@ -64,6 +64,16 @@ func TestRejectsBeforeBuilding(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUndrawableRate: a finite -rate beyond what the Poisson
+// sampler can draw is the workload's error, exit 1, not a panic in the
+// generator's preallocation.
+func TestRunRejectsUndrawableRate(t *testing.T) {
+	code, _, errOut := runBench(t, "run", "-scale", "small", "-rate", "1e308")
+	if code != 1 || !strings.Contains(errOut, "spacebench run: workload: peak arrival rate 1e+308 per slot exceeds 708.4") {
+		t.Errorf("-rate 1e308: exit %d, stderr %q; want 1 and the workload's bound", code, errOut)
+	}
+}
+
 func TestVersion(t *testing.T) {
 	for _, args := range [][]string{{"-version"}, {"run", "-version"}} {
 		code, out, _ := runBench(t, args...)

@@ -68,16 +68,17 @@ func runDiff(c *cmd, args []string) int {
 	}
 	// An explicit gate names a key both reports must hold: one that
 	// could not be looked up would never fire.
+	oldKeys, newKeys := keys(oldRep), keys(newRep)
 	for _, g := range gates {
-		for i, rep := range []*obs.Report{oldRep, newRep} {
-			if _, ok := lookup(rep, g.key); !ok {
+		for i, table := range []map[string]float64{oldKeys, newKeys} {
+			if _, ok := lookup(table, g.key); !ok {
 				return c.fail(2, fmt.Errorf("-gate %s: %s has no such key", g.key, c.fs.Arg(i)))
 			}
 		}
 	}
 
 	if !*quiet {
-		printDiff(c.stdout, oldRep, newRep)
+		printDiff(c.stdout, oldRep, newRep, oldKeys, newKeys)
 	}
 
 	allGates := gates
@@ -86,10 +87,10 @@ func runDiff(c *cmd, args []string) int {
 		if err != nil {
 			return c.fail(2, err)
 		}
-		allGates = append(allGates, defaultTimeGates(oldRep, newRep, frac)...)
+		allGates = append(allGates, defaultTimeGates(oldKeys, newKeys, frac)...)
 	}
 	// The verdict keeps the name "obsdiff": stdout is what scripts grep.
-	regressions := checkGates(oldRep, newRep, allGates)
+	regressions := checkGates(oldKeys, newKeys, allGates)
 	for _, r := range regressions {
 		fmt.Fprintln(c.stdout, r)
 	}
@@ -101,141 +102,79 @@ func runDiff(c *cmd, args []string) int {
 	return 0
 }
 
-// lookup resolves a dotted gate key against a report. A bare key is
-// tried as metrics.KEY.
-func lookup(rep *obs.Report, key string) (float64, bool) {
-	section, rest, ok := strings.Cut(key, ".")
-	if !ok {
-		section, rest = "metrics", key
+// keys flattens a report into every value it holds, each under the
+// dotted name -gate takes: metrics.K, counters.K, gauges.K,
+// histograms.NAME.{count,sum,min,max,mean,p50,p95,p99,p999},
+// phases.NAME.{total_seconds,count}, timeseries.NAME.{last,total} and
+// hotspots.NAME.total. The listing, the explicit gates and the default
+// gates all read this one table.
+func keys(rep *obs.Report) map[string]float64 {
+	o := rep.Observability
+	out := make(map[string]float64)
+	for k, v := range rep.Metrics {
+		out["metrics."+k] = v
 	}
-	switch section {
-	case "metrics":
-		v, ok := rep.Metrics[rest]
-		return v, ok
-	case "counters":
-		v, ok := rep.Observability.Counters[rest]
-		return float64(v), ok
-	case "histograms":
-		name, field, ok := cutLast(rest)
-		if !ok {
-			return 0, false
-		}
-		h, exists := rep.Observability.Histograms[name]
-		if !exists {
-			return 0, false
-		}
-		switch field {
-		case "count":
-			return float64(h.Count), true
-		case "sum":
-			return h.Sum, true
-		case "min":
-			return h.Min, true
-		case "max":
-			return h.Max, true
-		case "mean":
-			return h.Mean, true
-		case "p50":
-			return h.P50, true
-		case "p95":
-			return h.P95, true
-		case "p99":
-			return h.P99, true
-		case "p999":
-			return h.P999, true
-		}
-		return 0, false
-	case "phases":
-		name, field, ok := cutLast(rest)
-		if !ok {
-			return 0, false
-		}
-		for _, p := range rep.Observability.Phases {
-			if p.Name != name {
-				continue
-			}
-			switch field {
-			case "total_seconds":
-				return p.TotalSeconds, true
-			case "count":
-				return float64(p.Count), true
-			}
-			return 0, false
-		}
-		return 0, false
-	case "timeseries":
-		name, field, ok := cutLast(rest)
-		if !ok {
-			return 0, false
-		}
-		ts, exists := rep.Observability.TimeSeries[name]
-		if !exists {
-			return 0, false
-		}
-		switch field {
-		case "last":
-			return ts.Last(), true
-		case "total":
-			return float64(ts.Total), true
-		}
-		return 0, false
-	case "hotspots":
-		name, field, ok := cutLast(rest)
-		if !ok {
-			return 0, false
-		}
-		tk, exists := rep.Observability.TopK[name]
-		if !exists {
-			return 0, false
-		}
-		if field == "total" {
-			return tk.Total, true
-		}
-		return 0, false
+	for k, v := range o.Counters {
+		out["counters."+k] = float64(v)
 	}
-	// Unknown section: treat the whole key as a metric name (metric keys
-	// like "rejected.no-path" contain dots themselves).
-	v, ok := rep.Metrics[key]
+	for k, v := range o.Gauges {
+		out["gauges."+k] = v
+	}
+	for name, h := range o.Histograms {
+		for field, v := range map[string]float64{
+			"count": float64(h.Count), "sum": h.Sum, "min": h.Min, "max": h.Max,
+			"mean": h.Mean, "p50": h.P50, "p95": h.P95, "p99": h.P99, "p999": h.P999,
+		} {
+			out["histograms."+name+"."+field] = v
+		}
+	}
+	for _, p := range o.Phases {
+		out["phases."+p.Name+".total_seconds"] = p.TotalSeconds
+		out["phases."+p.Name+".count"] = float64(p.Count)
+	}
+	for name, ts := range o.TimeSeries {
+		out["timeseries."+name+".last"] = ts.Last()
+		out["timeseries."+name+".total"] = float64(ts.Total)
+	}
+	for name, tk := range o.TopK {
+		out["hotspots."+name+".total"] = tk.Total
+	}
+	return out
+}
+
+// lookup resolves a gate key against a key table. A key the table lacks
+// is tried as metrics.KEY, so a bare metric name (which may hold dots
+// itself, like "rejected.no-path") addresses that metric.
+func lookup(table map[string]float64, key string) (float64, bool) {
+	if v, ok := table[key]; ok {
+		return v, true
+	}
+	v, ok := table["metrics."+key]
 	return v, ok
 }
 
-// cutLast splits "a.b.c" into ("a.b", "c").
-func cutLast(s string) (string, string, bool) {
-	i := strings.LastIndex(s, ".")
-	if i <= 0 || i == len(s)-1 {
-		return "", "", false
-	}
-	return s[:i], s[i+1:], true
-}
-
-// timeLike reports whether an instrument name denotes wall time.
-func timeLike(name string) bool { return strings.Contains(name, "seconds") }
-
 // defaultTimeGates builds the -max-regress gates over every wall-time
-// quantity present in both reports.
-func defaultTimeGates(oldRep, newRep *obs.Report, frac float64) []gate {
+// key present in both tables: the mean and p95 of histograms whose name
+// contains "seconds", every phase's total_seconds, and metrics whose key
+// contains "seconds".
+func defaultTimeGates(oldKeys, newKeys map[string]float64, frac float64) []gate {
 	var gates []gate
-	add := func(key string) {
-		if _, ok := lookup(oldRep, key); !ok {
-			return
+	for key := range oldKeys {
+		if _, ok := newKeys[key]; !ok {
+			continue
 		}
-		if _, ok := lookup(newRep, key); !ok {
-			return
+		section, rest, _ := strings.Cut(key, ".")
+		timed := false
+		switch section {
+		case "histograms":
+			timed = strings.Contains(rest, "seconds") && (strings.HasSuffix(rest, ".mean") || strings.HasSuffix(rest, ".p95"))
+		case "phases":
+			timed = strings.HasSuffix(rest, ".total_seconds")
+		case "metrics":
+			timed = strings.Contains(rest, "seconds")
 		}
-		gates = append(gates, gate{key: key, pct: frac})
-	}
-	for name := range oldRep.Observability.Histograms {
-		if timeLike(name) {
-			add("histograms." + name + ".mean")
-			add("histograms." + name + ".p95")
-		}
-	}
-	for _, p := range oldRep.Observability.Phases {
-		add("phases." + p.Name + ".total_seconds")
-	}
-	for key := range oldRep.Metrics {
-		if timeLike(key) {
-			add("metrics." + key)
+		if timed {
+			gates = append(gates, gate{key: key, pct: frac})
 		}
 	}
 	sort.Slice(gates, func(i, j int) bool { return gates[i].key < gates[j].key })
@@ -268,13 +207,13 @@ func relDelta(oldV, newV float64) float64 {
 }
 
 // checkGates evaluates every gate (lower is better; its key is in both
-// reports) and returns the values whose relative growth exceeds the
+// tables) and returns the values whose relative growth exceeds the
 // allowance.
-func checkGates(oldRep, newRep *obs.Report, gates []gate) []regression {
+func checkGates(oldKeys, newKeys map[string]float64, gates []gate) []regression {
 	var out []regression
 	for _, g := range gates {
-		oldV, _ := lookup(oldRep, g.key)
-		newV, _ := lookup(newRep, g.key)
+		oldV, _ := lookup(oldKeys, g.key)
+		newV, _ := lookup(newKeys, g.key)
 		if relDelta(oldV, newV) > g.pct {
 			out = append(out, regression{key: g.key, old: oldV, new: newV, pct: g.pct})
 		}
@@ -285,9 +224,10 @@ func checkGates(oldRep, newRep *obs.Report, gates []gate) []regression {
 // fmtVal renders a value compactly.
 func fmtVal(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 
-// printDiff writes the full delta listing, section by section, union of
-// both reports' keys in lexical order.
-func printDiff(w io.Writer, oldRep, newRep *obs.Report) {
+// printDiff writes the config lines that differ, then every key of
+// either report in lexical order under its gate name, one heading per
+// section.
+func printDiff(w io.Writer, oldRep, newRep *obs.Report, oldKeys, newKeys map[string]float64) {
 	fmt.Fprintf(w, "old: %s (version %d)\n", oldRep.Tool, oldRep.Version)
 	fmt.Fprintf(w, "new: %s (version %d)\n", newRep.Tool, newRep.Version)
 	for _, key := range unionKeys(oldRep.Config, newRep.Config) {
@@ -296,79 +236,29 @@ func printDiff(w io.Writer, oldRep, newRep *obs.Report) {
 			fmt.Fprintf(w, "config differs: %s: %v -> %v\n", key, ov, on)
 		}
 	}
-
-	printSection(w, "metrics", oldRep.Metrics, newRep.Metrics)
-
-	oldC := make(map[string]float64, len(oldRep.Observability.Counters))
-	for k, v := range oldRep.Observability.Counters {
-		oldC[k] = float64(v)
-	}
-	newC := make(map[string]float64, len(newRep.Observability.Counters))
-	for k, v := range newRep.Observability.Counters {
-		newC[k] = float64(v)
-	}
-	printSection(w, "counters", oldC, newC)
-
-	histRows := func(rep *obs.Report) map[string]float64 {
-		out := make(map[string]float64)
-		for name, h := range rep.Observability.Histograms {
-			out[name+".mean"] = h.Mean
-			out[name+".p50"] = h.P50
-			out[name+".p95"] = h.P95
-			out[name+".p99"] = h.P99
-			out[name+".p999"] = h.P999
-		}
-		return out
-	}
-	printSection(w, "histogram quantiles", histRows(oldRep), histRows(newRep))
-
-	phaseRows := func(rep *obs.Report) map[string]float64 {
-		out := make(map[string]float64)
-		for _, p := range rep.Observability.Phases {
-			out[p.Name+".total_seconds"] = p.TotalSeconds
-		}
-		return out
-	}
-	printSection(w, "phases", phaseRows(oldRep), phaseRows(newRep))
-
-	tsRows := func(rep *obs.Report) map[string]float64 {
-		out := make(map[string]float64)
-		for name, ts := range rep.Observability.TimeSeries {
-			out[name+".last"] = ts.Last()
-		}
-		return out
-	}
-	printSection(w, "timeseries final values", tsRows(oldRep), tsRows(newRep))
-
-	hotRows := func(rep *obs.Report) map[string]float64 {
-		out := make(map[string]float64)
-		for name, tk := range rep.Observability.TopK {
-			out[name+".total"] = tk.Total
-		}
-		return out
-	}
-	printSection(w, "hotspot totals", hotRows(oldRep), hotRows(newRep))
+	printRows(w, oldKeys, newKeys)
 }
 
-// printSection prints one aligned old -> new listing.
-func printSection(w io.Writer, title string, oldVals, newVals map[string]float64) {
-	keys := unionKeys(oldVals, newVals)
-	if len(keys) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "%s:\n", title)
-	for _, key := range keys {
+// printRows prints one aligned old -> new row per key, with a
+// heading whenever the section (the key's first component) changes.
+func printRows(w io.Writer, oldVals, newVals map[string]float64) {
+	section := ""
+	for _, key := range unionKeys(oldVals, newVals) {
+		if s, _, _ := strings.Cut(key, "."); s != section {
+			section = s
+			fmt.Fprintf(w, "%s:\n", section)
+		}
 		ov, okOld := oldVals[key]
 		nv, okNew := newVals[key]
 		switch {
 		case !okOld:
-			fmt.Fprintf(w, "  %-40s (new) %s\n", key, fmtVal(nv))
+			fmt.Fprintf(w, "  %-48s (new) %s\n", key, fmtVal(nv))
 		case !okNew:
-			fmt.Fprintf(w, "  %-40s %s (gone)\n", key, fmtVal(ov))
+			fmt.Fprintf(w, "  %-48s %s (gone)\n", key, fmtVal(ov))
 		case ov == nv:
-			fmt.Fprintf(w, "  %-40s %s\n", key, fmtVal(ov))
+			fmt.Fprintf(w, "  %-48s %s\n", key, fmtVal(ov))
 		default:
-			fmt.Fprintf(w, "  %-40s %s -> %s (%+.1f%%)\n", key, fmtVal(ov), fmtVal(nv), 100*relDelta(ov, nv))
+			fmt.Fprintf(w, "  %-48s %s -> %s (%+.1f%%)\n", key, fmtVal(ov), fmtVal(nv), 100*relDelta(ov, nv))
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -19,6 +21,7 @@ func sampleReport(slowdown float64) *obs.Report {
 	rep.SetMetric("elapsed_seconds", 1.0*slowdown)
 	rep.Observability = obs.RegistrySnapshot{
 		Counters: map[string]int64{"graph.dijkstra.heap_pops": 1000},
+		Gauges:   map[string]float64{"netstate.depleted_sats": 3},
 		Histograms: map[string]obs.HistogramSnapshot{
 			"sim.slot_seconds": {
 				Count: 96, Sum: 0.96 * slowdown,
@@ -64,15 +67,39 @@ func TestSelfCompareExitsZero(t *testing.T) {
 		t.Fatalf("self-compare exit = %d, stderr %q, stdout:\n%s", code, errOut, out)
 	}
 	for _, want := range []string{
-		"metrics:", "welfare_ratio", "counters:", "graph.dijkstra.heap_pops",
-		"histogram quantiles:", "sim.slot_seconds.p95", "phases:",
-		"timeseries final values:", "slot.revenue_cum.last",
-		"hotspot totals:", "sim.hotspots.src_rejected.total",
+		"metrics:\n", "metrics.welfare_ratio", "counters:\n", "counters.graph.dijkstra.heap_pops",
+		"gauges:\n", "gauges.netstate.depleted_sats", "histograms:\n",
+		"histograms.sim.slot_seconds.count", "histograms.sim.slot_seconds.p95",
+		"phases:\n", "phases.admission.count", "timeseries:\n",
+		"timeseries.slot.revenue_cum.last", "timeseries.slot.revenue_cum.total",
+		"hotspots:\n", "hotspots.sim.hotspots.src_rejected.total",
 		"obsdiff: ok",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestListedKeysAreGateable: every row of the listing is named as -gate
+// takes it, so gating each listed key on a self-compare is accepted and
+// passes.
+func TestListedKeysAreGateable(t *testing.T) {
+	path := writeReport(t, "run.json", sampleReport(1))
+	_, out := runDiffArgs(t, "-max-regress", "", path, path)
+	args := []string{"-q", "-max-regress", ""}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "  ") {
+			args = append(args, "-gate", strings.Fields(line)[0]+"=0%")
+		}
+	}
+	n := (len(args) - 3) / 2
+	if n != len(keys(sampleReport(1))) {
+		t.Fatalf("listing has %d key rows, want every key of sampleReport:\n%s", n, out)
+	}
+	code, out, errOut := runStat(t, append(append([]string{"diff"}, args...), path, path), "")
+	if want := fmt.Sprintf("obsdiff: ok (%d gate(s) checked)\n", n); code != 0 || out != want {
+		t.Fatalf("gating every listed key: exit %d, stdout %q, stderr %q; want 0 and %q", code, out, errOut, want)
 	}
 }
 
@@ -152,7 +179,7 @@ func TestGateOnZeroFires(t *testing.T) {
 	if code != 1 || !strings.Contains(out, "REGRESSION counters.server.trace.dropped: 0 -> 3 (+Inf% > 0.0% allowed)") {
 		t.Fatalf("0 -> 3 under a 0%% gate: exit %d, output:\n%s", code, out)
 	}
-	if !strings.Contains(out, "server.trace.dropped                     0 -> 3 (+Inf%)") {
+	if !strings.Contains(out, "counters.server.trace.dropped                    0 -> 3 (+Inf%)") {
 		t.Errorf("delta listing does not show 0 -> 3 as +Inf%%:\n%s", out)
 	}
 	// Staying at 0 passes.
@@ -189,25 +216,55 @@ func TestParsePct(t *testing.T) {
 }
 
 func TestLookupPaths(t *testing.T) {
-	rep := sampleReport(1)
+	table := keys(sampleReport(1))
 	for key, want := range map[string]float64{
 		"welfare_ratio":                            0.84,
 		"metrics.welfare_ratio":                    0.84,
 		"counters.graph.dijkstra.heap_pops":        1000,
+		"gauges.netstate.depleted_sats":            3,
+		"histograms.sim.slot_seconds.count":        96,
+		"histograms.sim.slot_seconds.sum":          0.96,
+		"histograms.sim.slot_seconds.min":          0.005,
+		"histograms.sim.slot_seconds.max":          0.02,
+		"histograms.sim.slot_seconds.mean":         0.01,
+		"histograms.sim.slot_seconds.p50":          0.01,
+		"histograms.sim.slot_seconds.p95":          0.018,
 		"histograms.sim.slot_seconds.p99":          0.02,
+		"histograms.sim.slot_seconds.p999":         0,
 		"phases.admission.total_seconds":           0.5,
+		"phases.admission.count":                   1,
 		"timeseries.slot.revenue_cum.last":         12,
 		"timeseries.slot.revenue_cum.total":        96,
 		"hotspots.sim.hotspots.src_rejected.total": 4,
 	} {
-		got, ok := lookup(rep, key)
+		got, ok := lookup(table, key)
 		if !ok || got != want {
 			t.Errorf("lookup(%q) = %v, %v; want %v", key, got, ok, want)
 		}
 	}
-	for _, bad := range []string{"histograms.sim.slot_seconds.bogus", "phases.absent.count", "nope"} {
-		if _, ok := lookup(rep, bad); ok {
+	for _, bad := range []string{"histograms.sim.slot_seconds.bogus", "phases.absent.count", "gauges.absent", "nope"} {
+		if _, ok := lookup(table, bad); ok {
 			t.Errorf("lookup(%q) should miss", bad)
 		}
+	}
+}
+
+// TestDefaultTimeGates pins the -max-regress set: the mean and p95 of
+// histograms named for seconds, every phase's total_seconds and metrics
+// named for seconds, each present in both reports.
+func TestDefaultTimeGates(t *testing.T) {
+	oldRep, newRep := sampleReport(1), sampleReport(1)
+	oldRep.Observability.Histograms["core.plan_price"] = obs.HistogramSnapshot{Count: 1}
+	oldRep.Observability.Phases = append(oldRep.Observability.Phases, obs.PhaseSnapshot{Name: "gone"})
+	var got []string
+	for _, g := range defaultTimeGates(keys(oldRep), keys(newRep), 0.05) {
+		got = append(got, g.key)
+	}
+	want := []string{
+		"histograms.sim.slot_seconds.mean", "histograms.sim.slot_seconds.p95",
+		"metrics.elapsed_seconds", "phases.admission.total_seconds",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("default gates = %q, want %q", got, want)
 	}
 }

@@ -33,24 +33,25 @@
 // failed twin.
 //
 // diff compares two run reports (`spacebench run -report`,
-// `spacebench -report FIGURE`, `spaced -report`) and prints per-metric deltas: result
-// metrics, counters, histogram quantiles, phase wall-times, final
-// time-series values and hot-spot totals. Lower is better on every gate.
-// -max-regress (default 5%) gates every wall-time quantity present in
-// both reports: histograms whose name contains "seconds" (mean and p95),
-// every phase's total_seconds, and metrics whose key contains "seconds";
-// an empty -max-regress disables these default gates. -gate KEY=PCT adds
-// an explicit gate; KEY addresses one value as metrics.K, counters.K,
+// `spacebench -report FIGURE`, `spaced -report`). It flattens each report
+// into one table of dotted keys: metrics.K, counters.K, gauges.K,
 // histograms.NAME.{count,sum,min,max,mean,p50,p95,p99,p999},
-// phases.NAME.{total_seconds,count}, timeseries.NAME.{last,total} or
-// hotspots.NAME.total (a bare KEY means metrics.KEY). A gated value that
-// grows from 0 is a regression of +Inf%. -q prints the regressions only.
-// Exit 0 when no gated value regresses, 1 on regression, 2 on usage or
-// load errors (including mixed report versions).
+// phases.NAME.{total_seconds,count}, timeseries.NAME.{last,total} and
+// hotspots.NAME.total. It lists every key of either report, grouped by
+// section, old -> new, under the very name -gate takes. Lower is better
+// on every gate. -max-regress (default 5%) gates every wall-time key
+// present in both reports: the mean and p95 of histograms whose name
+// contains "seconds", every phase's total_seconds, and metrics whose key
+// contains "seconds"; an empty -max-regress disables these default
+// gates. -gate KEY=PCT adds an explicit gate on one listed key (a bare
+// KEY means metrics.KEY). A gated value that grows from 0 is a
+// regression of +Inf%. -q prints the regressions only. Exit 0 when no
+// gated value regresses, 1 on regression, 2 on usage or load errors
+// (including mixed report versions and a -gate key either report lacks).
 //
 // top is a top(1)-style viewer for a running spaced daemon: it polls
 // GET /v1/stats (the header) and GET /metrics.json (the registry's topk
-// section and rejection counters) and renders the ranked hot ISLs,
+// section) and renders the ranked hot ISLs,
 // batteries and source cells, with per-interval deltas so a moving hot
 // spot stands out from a historically hot one. -once prints one snapshot without clearing the
 // screen (scripts and CI); otherwise it redraws every -interval until

@@ -130,9 +130,8 @@ func render(out io.Writer, f frame, prev *frame, topN int, clear bool) {
 		fmt.Fprint(out, "  [hot-spot tracking DISABLED on the daemon]")
 	}
 	fmt.Fprintln(out)
-	fmt.Fprintf(out, "rejections: congested %d (per-link total %.0f), depleted %d (per-battery total %.0f)\n\n",
-		f.reg.Counters["sim.requests.rejected_congested"], topk[netstate.TrackerLinkRejections].Total,
-		f.reg.Counters["sim.requests.rejected_depleted"], topk[netstate.TrackerBatteryRejections].Total)
+	fmt.Fprintf(out, "rejections: congested %.0f (per link), depleted %.0f (per battery)\n\n",
+		topk[netstate.TrackerLinkRejections].Total, topk[netstate.TrackerBatteryRejections].Total)
 
 	sections := []struct{ title, tracker, valFmt string }{
 		{"HOT LINKS (congestion rejections)", netstate.TrackerLinkRejections, "%.0f"},

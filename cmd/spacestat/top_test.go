@@ -22,7 +22,6 @@ func TestTopOnce(t *testing.T) {
 			body = server.Stats{Slot: 7, UptimeSeconds: 12.4}
 		case "/metrics.json":
 			body = obs.RegistrySnapshot{
-				Counters: map[string]int64{"sim.requests.rejected_congested": 9},
 				TopK: map[string]obs.TopKSnapshot{
 					netstate.TrackerLinkRejections: {Total: 9, Entries: []obs.TopKEntry{
 						{Key: 1, Label: "12->13", Value: 6}, {Key: 2, Value: 3},
@@ -44,7 +43,7 @@ func TestTopOnce(t *testing.T) {
 	}
 	for _, want := range []string{
 		"spacetop — slot 7, uptime 12s\n",
-		"rejections: congested 9 (per-link total 9), depleted 0 (per-battery total 0)\n\n",
+		"rejections: congested 9 (per link), depleted 0 (per battery)\n\n",
 		"HOT LINKS (congestion rejections)  (total 9)\n  entity                    value      delta\n  12->13                        6           \n\n",
 		"BATTERY DEPTH-OF-DISCHARGE (max committed)  (total 0)\n  entity                    value      delta\n  sat 5                     0.250           \n",
 		"SOURCE CELLS (accepted)  (total 0)\n  (no entries yet)\n",

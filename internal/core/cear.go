@@ -94,11 +94,8 @@ type CEAR struct {
 	islCap    float64
 
 	// Observability handles; all nil (no-op) on an un-observed state.
-	ctrEvaluations *obs.Counter
-	ctrAccepted    *obs.Counter
-	ctrRejected    *obs.Counter
-	ctrSlotSearch  *obs.Counter
-	histPlanPrice  *obs.Histogram
+	ctrSlotSearch *obs.Counter
+	histPlanPrice *obs.Histogram
 	// instr is the state's shared search-instrument handle, cached so
 	// the pricing walk can check PricingNanos without a method call per
 	// priced transit. EnableTraceDetail mutates the pointed-to struct, so a
@@ -136,14 +133,11 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 	c.search.EdgeCost = c.priceEdgeCost
 	c.search.Transit = c.priceTransit
 	c.unitPrice = c.energyUnitPrice
-	// The admission counters and histograms (evaluations, accept/reject,
-	// slot searches, price lookups) go on the registry the state was
-	// observed with (netstate.State.SetObs); an un-observed state leaves
-	// them on their no-op fast path.
+	// The admission instruments (slot searches, plan prices, price
+	// lookups) go on the registry the state was observed with
+	// (netstate.State.SetObs); an un-observed state leaves them on their
+	// no-op fast path.
 	if reg := state.Obs(); reg != nil {
-		c.ctrEvaluations = reg.Counter("core.admission.evaluations")
-		c.ctrAccepted = reg.Counter("core.admission.accepted")
-		c.ctrRejected = reg.Counter("core.admission.rejected")
 		c.ctrSlotSearch = reg.Counter("core.slot_searches")
 		c.histPlanPrice = reg.Histogram("core.plan_price", PriceBuckets())
 		c.fast.Instrument(reg.Counter("pricing.lut_lookups"))
@@ -328,15 +322,9 @@ func (c *CEAR) Handle(req workload.Request) (router.Decision, error) {
 	if err != nil {
 		return router.Decision{}, fmt.Errorf("core: %w", err)
 	}
-	c.ctrEvaluations.Inc()
 	if d.Plan.Paths != nil {
 		// A complete plan: accepted, or priced out at line 6.
 		c.histPlanPrice.Observe(d.Price)
-	}
-	if d.Accepted {
-		c.ctrAccepted.Inc()
-	} else {
-		c.ctrRejected.Inc()
 	}
 	return d, nil
 }

@@ -15,10 +15,9 @@ import (
 // actually hit, not a statistical guess.
 type hotspots struct {
 	enabled bool
-	// linkRejections / batteryRejections are sum-mode trackers whose
-	// totals reconcile exactly against the engine's aggregate
-	// rejected_congested / rejected_depleted counters (see
-	// AttributeRejection).
+	// linkRejections / batteryRejections are sum-mode trackers: each
+	// rejection AttributeRejection blames lands in exactly one of them,
+	// and each keeps its own exact total.
 	linkRejections    *obs.TopK
 	batteryRejections *obs.TopK
 	// linkUtil / batteryDoD are max-mode level trackers fed at commit
@@ -125,31 +124,22 @@ func (s *State) NoteDepletedSat(sat int) {
 }
 
 // AttributeRejection charges the current request's rejection to the
-// blamed entity and reports which tracker was fed. energyBlame steers
-// ties: a rejection the engine classified as energy-infeasible prefers
-// the battery; anything else prefers the blocked link, falling back to
-// the battery when only energy pricing blocked the search. At most one
-// of (congested, depleted) is true per call, so the trackers' totals
-// sum exactly to the engine's aggregate rejection counters. No-op
-// (false, false) when tracking is disabled or nothing was blamed.
-func (s *State) AttributeRejection(energyBlame bool) (congested, depleted bool) {
+// blamed entity. energyBlame steers ties: a rejection the engine
+// classified as energy-infeasible prefers the battery; anything else
+// prefers the blocked link, falling back to the battery when only energy
+// pricing blocked the search. At most one tracker is fed per call. No-op
+// when tracking is disabled or nothing was blamed.
+func (s *State) AttributeRejection(energyBlame bool) {
 	h := &s.hot
-	if !h.enabled {
-		return false, false
-	}
-	if energyBlame && h.blameSatSet {
+	switch {
+	case !h.enabled:
+	case energyBlame && h.blameSatSet:
 		h.batteryRejections.Add(uint64(h.blameSat), 1)
-		return false, true
-	}
-	if h.blameLinkSet {
+	case h.blameLinkSet:
 		h.linkRejections.Add(uint64(h.blameLink), 1)
-		return true, false
-	}
-	if h.blameSatSet {
+	case h.blameSatSet:
 		h.batteryRejections.Add(uint64(h.blameSat), 1)
-		return false, true
 	}
-	return false, false
 }
 
 // observeCommit feeds the level trackers from a just-committed

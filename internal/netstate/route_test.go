@@ -132,7 +132,7 @@ func TestRouteSlotOutcomes(t *testing.T) {
 			after      slotSnapshot
 			blame      LinkKey
 			blameUtil  float64
-			charged    [2]bool // AttributeRejection: congested, depleted
+			charged    [2]float64 // after AttributeRejection: link, battery tracker totals
 			rejections obs.TopKSnapshot
 		}
 		var results []result
@@ -234,10 +234,10 @@ func TestRouteSlotOutcomes(t *testing.T) {
 				}
 			}
 			blame, blameUtil := s.hot.blameLink, s.hot.blameLinkUtil
-			var charged [2]bool
-			charged[0], charged[1] = s.AttributeRejection(tc.want == SlotEnergyInfeasible)
-			if tc.saturate && (!charged[0] || s.hot.linkRejections.Snapshot().Total != 1) {
-				t.Fatalf("%s (reference %v): rejection charged %v, link tracker %+v", tc.name, sc.reference, charged, s.hot.linkRejections.Snapshot())
+			s.AttributeRejection(tc.want == SlotEnergyInfeasible)
+			charged := [2]float64{s.hot.linkRejections.Snapshot().Total, s.hot.batteryRejections.Snapshot().Total}
+			if tc.saturate && charged != [2]float64{1, 0} {
+				t.Fatalf("%s (reference %v): link, battery rejections charged %v, link tracker %+v", tc.name, sc.reference, charged, s.hot.linkRejections.Snapshot())
 			}
 			after := takeSlotSnapshot(t, s, slot)
 			if touched := !reflect.DeepEqual(before.links, after.links); touched != (tc.want == SlotRouted) {

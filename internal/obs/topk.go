@@ -15,8 +15,8 @@ const (
 	// incoming key inherits its count. Individual entries can therefore
 	// overestimate, but the total across all entries is exactly the sum
 	// of every Add — eviction transfers mass, it never duplicates or
-	// drops it. That invariant is what lets per-entity rejection counts
-	// reconcile exactly against the aggregate rejection counters.
+	// drops it. So a rejection tracker's total is its exact rejection
+	// count, and no separate counter is kept beside it.
 	TopKSum TopKMode = iota
 	// TopKMax keeps the per-key maximum and evicts the smallest entry
 	// when full. Approximate (an evicted key's history is forgotten),

@@ -157,8 +157,7 @@ var statsKeyPaths = []string{
 // metricsKeyPaths are the key paths of /metrics.json after six bookings
 // with tracing and hot-spot tracking on.
 var metricsKeyPaths = []string{
-	"counters", "counters.core.admission.accepted",
-	"counters.core.admission.evaluations", "counters.core.admission.rejected",
+	"counters",
 	"counters.core.slot_searches", "counters.energy.consumptions",
 	"counters.energy.deficit_walks", "counters.energy.pricing.nanos",
 	"counters.graph.dijkstra.heap_pops", "counters.graph.edge_relaxations",
@@ -171,9 +170,7 @@ var metricsKeyPaths = []string{
 	"counters.server.expired", "counters.server.shed",
 	"counters.server.trace.dropped", "counters.server.trace.records",
 	"counters.server.trace.sampled", "counters.sim.requests.accepted",
-	"counters.sim.requests.rejected.no-path",
-	"counters.sim.requests.rejected_congested",
-	"counters.sim.requests.rejected_depleted", "counters.sim.requests.total",
+	"counters.sim.requests.rejected.no-path", "counters.sim.requests.total",
 	"gauges", "gauges.server.queue_depth", "gauges.server.queue_high_water",
 	"gauges.slo.availability.bad", "gauges.slo.availability.burn_rate",
 	"gauges.slo.availability.good", "gauges.slo.latency.bad",

@@ -56,14 +56,12 @@ type Engine struct {
 	slotRejected int64
 
 	// Hot-spot attribution (nil / false unless RunConfig.HotspotK > 0):
-	// acceptance/rejection trackers keyed by source cell, plus the
-	// aggregate rejection counters the per-entity trackers reconcile
-	// against exactly (see Admit's rejection branch).
-	hotEnabled      bool
-	hotSrcAccepted  *obs.TopK
-	hotSrcRejected  *obs.TopK
-	ctrRejCongested *obs.Counter
-	ctrRejDepleted  *obs.Counter
+	// acceptance/rejection trackers keyed by source cell; each rejection
+	// is also charged to the blamed link or battery (see Admit's
+	// rejection branch).
+	hotEnabled     bool
+	hotSrcAccepted *obs.TopK
+	hotSrcRejected *obs.TopK
 
 	admSpan    obs.Span
 	admStarted bool
@@ -117,8 +115,6 @@ func NewEngine(prov *topology.Provider, rc RunConfig) (*Engine, error) {
 		e.hotSrcRejected = rc.Obs.TopK(TrackerSrcRejected, rc.HotspotK, obs.TopKSum)
 		e.hotSrcAccepted.SetLabeler(srcCellLabel)
 		e.hotSrcRejected.SetLabeler(srcCellLabel)
-		e.ctrRejCongested = rc.Obs.Counter("sim.requests.rejected_congested")
-		e.ctrRejDepleted = rc.Obs.Counter("sim.requests.rejected_depleted")
 	}
 	e.histSlotTime = rc.Obs.Histogram("sim.slot_seconds", nil)
 	e.tsAccepted = e.sampler.Series("slot.accepted")
@@ -258,17 +254,7 @@ func (e *Engine) Admit(req workload.Request) (router.Decision, error) {
 		e.res.Rejections[reason]++
 		if e.hotEnabled {
 			e.hotSrcRejected.Add(srcCellKey(req.Src), 1)
-			// AttributeRejection and these counters move in lockstep: the
-			// per-entity tracker and the matching aggregate counter are
-			// incremented for exactly the same rejections, so tracker
-			// totals reconcile against the counters with no slack.
-			congested, depleted := e.state.AttributeRejection(reason == "energy-infeasible")
-			if congested {
-				e.ctrRejCongested.Inc()
-			}
-			if depleted {
-				e.ctrRejDepleted.Inc()
-			}
+			e.state.AttributeRejection(reason == "energy-infeasible")
 		}
 	}
 	return d, nil

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"spacebooking/internal/topology"
 )
@@ -134,6 +135,17 @@ func DefaultConfig(horizon int, pairs []Pair, seed int64) Config {
 	}
 }
 
+// maxSlotRate is the largest per-slot arrival rate Generate can draw:
+// Knuth's Poisson sampler stops when a running product of uniforms
+// falls to exp(-λ), and for λ above 1022·ln 2 ≈ 708.4 that threshold is
+// no longer a normal float64, so every slot would draw about 745
+// arrivals whatever λ is.
+const maxSlotRate = 1022 * math.Ln2
+
+// maxPrealloc caps Generate's up-front capacity, so no accepted config
+// can ask for an impossible slice before the first draw.
+const maxPrealloc = 1 << 16
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
@@ -156,6 +168,13 @@ func (c Config) Validate() error {
 		if m < 0 || math.IsNaN(m) {
 			return fmt.Errorf("workload: rate profile entry %d invalid: %v", i, m)
 		}
+	}
+	peak := 1.0
+	if len(c.RateProfile) > 0 {
+		peak = slices.Max(c.RateProfile)
+	}
+	if r := c.ArrivalRatePerSlot * peak; r > maxSlotRate {
+		return fmt.Errorf("workload: peak arrival rate %v per slot exceeds %.1f, the largest the Poisson sampler can draw", r, maxSlotRate)
 	}
 	return nil
 }
@@ -193,7 +212,7 @@ func Generate(cfg Config) ([]Request, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	requests := make([]Request, 0, int(cfg.ArrivalRatePerSlot*float64(cfg.Horizon))+1)
+	requests := make([]Request, 0, int(min(cfg.ArrivalRatePerSlot*float64(cfg.Horizon), maxPrealloc))+1)
 	for slot := 0; slot < cfg.Horizon; slot++ {
 		rate := cfg.ArrivalRatePerSlot
 		if len(cfg.RateProfile) > 0 {
@@ -220,8 +239,9 @@ func Generate(cfg Config) ([]Request, error) {
 	return requests, nil
 }
 
-// poisson samples a Poisson variate via Knuth's method; adequate for the
-// λ ≤ 25 used in the evaluation.
+// poisson samples a Poisson variate via Knuth's method: sound for
+// λ ≤ maxSlotRate, which Validate enforces, and quick for the λ ≤ 25
+// used in the evaluation.
 func poisson(rng *rand.Rand, lambda float64) int {
 	limit := math.Exp(-lambda)
 	p := 1.0

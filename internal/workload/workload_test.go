@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -347,11 +348,54 @@ func TestGenerateWithRateProfile(t *testing.T) {
 	}
 }
 
+// TestGeneratorInvalidConfig: Generate refuses a config it cannot draw,
+// with an error and without a panic. A rate above maxSlotRate (alone or
+// through the rate profile's peak) used to panic in the preallocation or
+// saturate the Poisson sampler at about 745 arrivals per slot.
 func TestGeneratorInvalidConfig(t *testing.T) {
-	cfg := DefaultConfig(64, testPairs(), 7)
-	cfg.Horizon = 0
-	if _, err := Generate(cfg); err == nil {
-		t.Fatal("Generate accepted zero horizon")
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(*Config)
+	}{
+		{"zero horizon", "horizon", func(c *Config) { c.Horizon = 0 }},
+		{"rate 1e308", "708.4", func(c *Config) { c.ArrivalRatePerSlot = 1e308 }},
+		{"rate above bound", "708.4", func(c *Config) { c.ArrivalRatePerSlot = math.Nextafter(maxSlotRate, math.Inf(1)) }},
+		{"profile peak above bound", "708.4", func(c *Config) {
+			c.ArrivalRatePerSlot, c.RateProfile = 400, []float64{0.5, 2}
+		}},
+		{"+Inf profile entry", "708.4", func(c *Config) { c.RateProfile = []float64{1, math.Inf(1)} }},
+	} {
+		cfg := DefaultConfig(64, testPairs(), 7)
+		tc.mutate(&cfg)
+		if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Generate error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	// The bound itself is accepted, and so is a peak at it.
+	cfg := DefaultConfig(2, testPairs(), 7)
+	cfg.ArrivalRatePerSlot = maxSlotRate
+	if _, err := Generate(cfg); err != nil {
+		t.Errorf("rate at the bound: %v", err)
+	}
+	cfg.ArrivalRatePerSlot, cfg.RateProfile = maxSlotRate/2, []float64{0, 2}
+	if _, err := Generate(cfg); err != nil {
+		t.Errorf("profile peak at the bound: %v", err)
+	}
+}
+
+// TestGenerateMeanAtHighRate: a rate well above the evaluation's but
+// inside maxSlotRate draws its mean, not the sampler's saturation level.
+func TestGenerateMeanAtHighRate(t *testing.T) {
+	const lambda, horizon = 500.0, 40
+	cfg := DefaultConfig(horizon, testPairs(), 11)
+	cfg.ArrivalRatePerSlot = lambda
+	reqs, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The mean of 40 draws has a standard error of √(500/40) ≈ 3.5.
+	if mean := float64(len(reqs)) / horizon; math.Abs(mean-lambda) > 20 {
+		t.Errorf("λ=%v: realised mean %v arrivals per slot", lambda, mean)
 	}
 }
 
