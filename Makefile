@@ -25,12 +25,13 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-# Race-enabled unit tests, plus the root package's served-stream tests:
-# TestServedAuditLogReplays drives the daemon's concurrent handlers, turn
-# and audit sink end to end.
+# Race-enabled unit tests, plus the root package's served-stream tests
+# and the figure runners' job loop: TestServedAuditLogReplays drives the
+# daemon's concurrent handlers, turn and audit sink end to end, and the
+# runJobs tests its workers, ObsSink and LastObs.
 race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -run '^TestServed' .
+	$(GO) test -race -run '^(TestServed|TestObserveGivesDistinctRegistries|TestEnvironmentLastObs|TestRunJobsErrorPropagation|TestRunJobsSearchEachRunOnItsOwnScratch|TestParallelFiguresDeterministic)' .
 
 # Full-module race gate, including the root-package integration tests
 # (parallel figure runners over the shared provider).

@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"spacebooking/internal/metrics"
-	"spacebooking/internal/netstate"
 	"spacebooking/internal/sim"
 	"spacebooking/internal/topology"
 )
@@ -151,9 +150,6 @@ func benchCEARHandle(b *testing.B, prune bool) {
 		b.Fatal(err)
 	}
 	rc.PruneBudget = prune
-	// Mirror runJobs: one pooled scratch serves every run
-	// on this goroutine.
-	rc.Scratch = netstate.NewSearchScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

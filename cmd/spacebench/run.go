@@ -59,7 +59,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return failed(err)
 	}
-	params, err := pricing.Derive(*f1, *f2, 20, 10)
+	params, err := pricing.Derive(*f1, *f2)
 	if err != nil {
 		return failed(err)
 	}

@@ -116,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case !(*valuation >= 0 && *valuation <= math.MaxFloat64):
 		return usage(fmt.Errorf("-valuation %g must be finite and not negative (0 = scale default)", *valuation))
 	}
-	params, err := pricing.Derive(*f1, *f2, 20, 10)
+	params, err := pricing.Derive(*f1, *f2)
 	if err != nil {
 		return usage(err)
 	}

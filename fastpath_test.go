@@ -2,7 +2,7 @@ package spacebooking
 
 // Fast-path cross-checks: the flat CSR search path must be a drop-in
 // replacement for the generic Adjacency-interface path (selected by
-// handing a run netstate.NewReferenceScratch()), and budget
+// handing a run's state netstate.NewReferenceScratch()), and budget
 // pruning must never change an admission outcome. Both properties are
 // asserted at the Decision level (accepted flag, quoted price, full
 // plan) rather than on aggregate metrics, so any divergence in
@@ -39,12 +39,13 @@ func replayOnBothScratches(t *testing.T, env *Environment, kind sim.AlgorithmKin
 		t.Fatalf("%v seed %d: only %d requests; the ledger never loads up", kind, seed, len(reqs))
 	}
 	genericReg, flatReg = obs.New(), obs.New()
-	rc.Scratch, rc.Obs = netstate.NewReferenceScratch(), genericReg
+	rc.Obs = genericReg
 	generic, err := sim.NewEngine(env.Provider, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc.Scratch, rc.Obs = nil, flatReg
+	generic.State().SetScratch(netstate.NewReferenceScratch())
+	rc.Obs = flatReg
 	flat, err := sim.NewEngine(env.Provider, rc)
 	if err != nil {
 		t.Fatal(err)
@@ -108,11 +109,19 @@ func checkInvariants(t *testing.T, states ...*netstate.State) {
 // TestAdaptiveFlatMatchesGeneric is the fast == generic sweep for the
 // adaptive controller, which rebuilds its inner CEAR with new μ1/μ2 over
 // the same State every window: a unit-price table that outlived the
-// pricer it was filled with would show here as a diverging price.
+// pricer it was filled with would show here as a diverging price. The
+// reference side must run no flat search at all: every CEAR the
+// controller rebuilds searches on its state's scratch.
 func TestAdaptiveFlatMatchesGeneric(t *testing.T) {
 	env := smallEnv(t)
 	for _, seed := range []int64{1, 7, 23, 42} {
-		replayOnBothScratches(t, env, sim.AlgCEARAdaptive, 3, seed)
+		genericReg, flatReg := replayOnBothScratches(t, env, sim.AlgCEARAdaptive, 3, seed)
+		if n := genericReg.Counter("graph.fastpath.searches").Value(); n != 0 {
+			t.Fatalf("seed %d: the reference scratch ran %d flat searches", seed, n)
+		}
+		if flatReg.Counter("graph.fastpath.searches").Value() == 0 {
+			t.Fatalf("seed %d: the flat side ran no flat search", seed)
+		}
 	}
 }
 
@@ -232,11 +241,10 @@ func TestBudgetPruningPreservesOutcomes(t *testing.T) {
 	}
 }
 
-// TestScratchReuseAcrossRequests checks the pooling story end to end: a
-// single SearchScratch threaded through a full simulation run is reused
-// (not rebuilt) across slots and requests, and sharing one scratch
-// across sequential runs still produces decisions identical to a
-// scratch-per-run setup.
+// TestScratchReuseAcrossRequests checks the scratch story end to end: the
+// one SearchScratch a run's state searches on is reused (not rebuilt)
+// across slots and requests, and handing that warm scratch to a second
+// run's state still produces results identical to the first run's.
 func TestScratchReuseAcrossRequests(t *testing.T) {
 	env := smallEnv(t)
 	wl := env.WorkloadConfig(env.DefaultArrivalRate(), 5)
@@ -244,12 +252,30 @@ func TestScratchReuseAcrossRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc.Scratch = netstate.NewSearchScratch()
-	rc.Obs = obs.New()
-	res1, err := sim.Run(env.Provider, rc)
+	reqs, err := workload.Generate(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := netstate.NewSearchScratch()
+	run := func() *sim.Result {
+		rc.Obs = obs.New()
+		eng, err := sim.NewEngine(env.Provider, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.State().SetScratch(sc)
+		for _, req := range reqs {
+			if _, err := eng.Admit(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := eng.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res1 := run()
 	if n := rc.Obs.Counter("netstate.scratch.reuses").Value(); n == 0 {
 		t.Fatal("scratch was never reused across view builds")
 	}
@@ -258,13 +284,7 @@ func TestScratchReuseAcrossRequests(t *testing.T) {
 	}
 
 	// The same (now warm) scratch must not leak state between runs.
-	rc2 := rc
-	rc2.Obs = obs.New()
-	res2, err := sim.Run(env.Provider, rc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res1, res2) {
+	if res2 := run(); !reflect.DeepEqual(res1, res2) {
 		t.Fatalf("warm-scratch rerun diverged:\nfirst:  %+v\nsecond: %+v", res1, res2)
 	}
 }
@@ -297,12 +317,13 @@ func TestAdmitAllocsNoWorseThanPerLinkLedgers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc.Scratch = netstate.NewSearchScratch()
+		sc := netstate.NewSearchScratch()
 		lap := func() float64 {
 			eng, err := sim.NewEngine(env.Provider, rc)
 			if err != nil {
 				t.Fatal(err)
 			}
+			eng.State().SetScratch(sc)
 			next := 0
 			return testing.AllocsPerRun(len(reqs)-1, func() {
 				if _, err := eng.Admit(reqs[next]); err != nil {

@@ -208,7 +208,7 @@ func (e *Environment) fig9(seeds []int64) []sweep {
 		title: "Fig. 9 (right) — CEAR welfare ratio vs F2",
 		axis:  "F2", values: []float64{0.5, 1, 2, 4, 8}, algs: cear, seeds: seeds,
 		apply: func(rc *sim.RunConfig, f2 float64) (err error) {
-			rc.Pricing, err = pricing.Derive(1, f2, 20, 10)
+			rc.Pricing, err = pricing.Derive(1, f2)
 			return err
 		},
 		metric: "welfare", read: welfareRatio,

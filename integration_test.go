@@ -377,6 +377,42 @@ func TestRunJobsErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestRunJobsSearchEachRunOnItsOwnScratch: every run's state sizes one
+// search scratch of its own, so a worker's later jobs start as cold as
+// its first. Each view build after a run's first reuses the scratch, and
+// each builds one flat search: netstate.scratch.reuses trails
+// graph.fastpath.searches by exactly one in every run's registry, CEAR-AD's
+// rebuilt CEARs included.
+func TestRunJobsSearchEachRunOnItsOwnScratch(t *testing.T) {
+	env := smallEnv(t)
+	env.Obs = obs.New()
+	env.Parallelism = 1
+	var sunk []*obs.Registry
+	env.ObsSink = func(r *obs.Registry) { sunk = append(sunk, r) }
+	defer func() {
+		env.Obs = nil
+		env.Parallelism = 0
+		env.ObsSink = nil
+	}()
+
+	algs := []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP, sim.AlgCEARAdaptive}
+	if _, err := env.runJobs(len(algs), func(i int) (sim.RunConfig, error) {
+		return sim.DefaultRunConfig(algs[i], env.WorkloadConfig(env.DefaultArrivalRate(), 3))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sunk) != len(algs) {
+		t.Fatalf("ObsSink saw %d registries, want %d", len(sunk), len(algs))
+	}
+	for i, reg := range sunk {
+		reuses := reg.Counter("netstate.scratch.reuses").Value()
+		searches := reg.Counter("graph.fastpath.searches").Value()
+		if searches == 0 || reuses != searches-1 {
+			t.Errorf("job %d (%v): %d scratch reuses over %d flat searches, want one fewer", i, algs[i], reuses, searches)
+		}
+	}
+}
+
 // TestParallelFiguresDeterministic: a figure swept with Parallelism 1
 // and Parallelism 8 must produce identical per-cell values — each run
 // owns its state and RNG, so scheduling order cannot leak into results.

@@ -88,15 +88,11 @@ type Controller struct {
 var _ router.Algorithm = (*Controller)(nil)
 
 // New builds the controller over a strict-battery state. The parameters
-// start at opts.Pricing's F1/F2 and are re-derived with its n and 𝕋.
+// start at opts.Pricing's F1/F2 and are re-derived with the paper's n
+// and 𝕋 (pricing.Derive).
 func New(state *netstate.State, nominal float64, opts core.Options) (*Controller, error) {
 	if state == nil {
 		return nil, fmt.Errorf("adaptive: nil state")
-	}
-	if opts.Scratch == nil {
-		// Pin one scratch now so every rebuilt inner CEAR reuses the
-		// same warm search arrays across re-derivations.
-		opts.Scratch = netstate.NewSearchScratch()
 	}
 	c := &Controller{state: state, opts: opts, nominal: nominal, f1: opts.Pricing.F1, f2: opts.Pricing.F2}
 	if err := c.rebuild(); err != nil {
@@ -108,7 +104,7 @@ func New(state *netstate.State, nominal float64, opts core.Options) (*Controller
 // rebuild re-derives μ1/μ2 from the current F1/F2 and swaps the inner
 // CEAR (sharing the same resource state).
 func (c *Controller) rebuild() error {
-	params, err := pricing.Derive(c.f1, c.f2, c.opts.Pricing.MaxHops, c.opts.Pricing.MaxDurationSlots)
+	params, err := pricing.Derive(c.f1, c.f2)
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ func newTestState(t *testing.T) *netstate.State {
 // newOpts returns the inner CEAR's options at the paper's F1 = F2 = 1.
 func newOpts(t *testing.T) core.Options {
 	t.Helper()
-	params, err := pricing.Derive(1, 1, 20, 10)
+	params, err := pricing.Derive(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,11 +74,9 @@ type Baseline struct {
 	// thresholdJ is the precomputed over-threshold deficit in joules.
 	thresholdJ float64
 
-	// Routing state, mirroring core.CEAR: the pooled search scratch and
-	// the begin/cost/transit functions the slot step is handed, bound once
-	// at construction (method values reading curSlot/curRate, so the slot
-	// loop allocates no closures).
-	scratch *netstate.SearchScratch
+	// Routing state, mirroring core.CEAR: the begin/cost/transit functions
+	// the slot step is handed, bound once at construction (method values
+	// reading curSlot/curRate, so the slot loop allocates no closures).
 	search  netstate.SlotSearch
 	curSlot int
 	curRate float64
@@ -102,7 +100,6 @@ func newBaseline(state *netstate.State, m mode) (*Baseline, error) {
 		state:      state,
 		mode:       m,
 		thresholdJ: thresholdJ,
-		scratch:    netstate.NewSearchScratch(),
 		slotSec:    cfg.SlotSeconds,
 		ecfg:       state.EnergyConfig(),
 		numSats:    state.Provider().NumSats(),
@@ -111,15 +108,6 @@ func newBaseline(state *netstate.State, m mode) (*Baseline, error) {
 	b.search.EdgeCost = b.edgeWeight
 	b.search.Transit = b.transitWeight
 	return b, nil
-}
-
-// SetScratch replaces the baseline's private search scratch with a
-// shared one: a pooled scratch, or netstate.NewReferenceScratch() to
-// cross-check the fast path. Nil is ignored.
-func (b *Baseline) SetScratch(sc *netstate.SearchScratch) {
-	if sc != nil {
-		b.scratch = sc
-	}
 }
 
 // NewSSP builds the Single Shortest Path baseline.
@@ -202,12 +190,12 @@ func (b *Baseline) beginSearch(slot int, demand float64) {
 }
 
 // Handle implements the feasibility-only admission shared by all
-// baselines: the shared request loop (netstate.SearchScratch.Admit) under
+// baselines: the shared request loop (netstate.State.Admit) under
 // this algorithm's path metric, with no price test and no budget. A
 // request is accepted when every active slot has a feasible path, and
 // rejected without side effects otherwise. Baselines quote zero.
 func (b *Baseline) Handle(req workload.Request) (router.Decision, error) {
-	d, err := b.scratch.Admit(b.state, req, &b.search, math.Inf(1), math.Inf(1))
+	d, err := b.state.Admit(req, &b.search, math.Inf(1), math.Inf(1))
 	if err != nil {
 		return router.Decision{}, fmt.Errorf("baselines: %w", err)
 	}

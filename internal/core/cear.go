@@ -24,19 +24,29 @@ import (
 	"spacebooking/internal/workload"
 )
 
+// Variant selects CEAR or one of its ablations; the zero value is CEAR.
+type Variant int
+
+const (
+	// VariantCEAR is Algorithm 1 as the paper states it.
+	VariantCEAR Variant = iota
+	// VariantNoEnergy zeroes the energy term of Eq. (12) while keeping
+	// battery feasibility (ablation "CEAR-NE").
+	VariantNoEnergy
+	// VariantNoAdmission accepts every feasible plan regardless of price
+	// (ablation "CEAR-AA": pricing only steers routing).
+	VariantNoAdmission
+	// VariantLinear replaces the exponential price μ^λ − 1 with the
+	// linear (μ−1)·λ (ablation "CEAR-LIN").
+	VariantLinear
+)
+
 // Options configures CEAR and its ablation variants.
 type Options struct {
 	// Pricing holds μ1/μ2 and the conservativeness parameters.
 	Pricing pricing.Params
-	// DisableEnergyPricing zeroes the energy term of Eq. (12) while
-	// keeping battery feasibility (ablation "CEAR-NE").
-	DisableEnergyPricing bool
-	// DisableAdmission accepts every feasible plan regardless of price
-	// (ablation "CEAR-AA": pricing only steers routing).
-	DisableAdmission bool
-	// LinearPricing replaces the exponential price μ^λ − 1 with the
-	// linear (μ−1)·λ (ablation "CEAR-LIN").
-	LinearPricing bool
+	// Variant is CEAR or the ablation to run.
+	Variant Variant
 
 	// PruneBudget enables budget pruning in the fast-path searches: a
 	// search label whose accumulated plan price already exceeds the
@@ -51,13 +61,8 @@ type Options struct {
 	// pruned and a plain run. Quoted prices and link reservations match
 	// a plain run's bit for bit: the slots a plain run reserves and a
 	// pruned run never reaches are rolled back by restoring every cell.
-	// Ignored when DisableAdmission is set.
+	// Ignored under VariantNoAdmission.
 	PruneBudget bool
-	// Scratch supplies the pooled search scratch the slot searches run on.
-	// Nil allocates a private one; the figure runners pass a
-	// pooled scratch so parallel runs reuse warm arrays, and tests pass
-	// netstate.NewReferenceScratch() to run the reference search.
-	Scratch *netstate.SearchScratch
 }
 
 // CEAR is the online pricing and reservation algorithm. Its resource
@@ -80,12 +85,11 @@ type CEAR struct {
 	units     []energy.UnitPrices
 	unitPrice func(utilization float64) float64
 
-	// Routing state: the pooled search scratch and what the slot step is
-	// told about this instance's searches — the cost and transit functions
-	// bound once at construction (method values, so the per-slot loop
-	// allocates no closures; they read curDemand/curSlot) and the idle-ISL
-	// price, which beginSearch sets per slot.
-	scratch   *netstate.SearchScratch
+	// Routing state: what the slot step is told about this instance's
+	// searches — the cost and transit functions bound once at construction
+	// (method values, so the per-slot loop allocates no closures; they read
+	// curDemand/curSlot) and the idle-ISL price, which beginSearch sets per
+	// slot. The searches run on the state's scratch.
 	search    netstate.SlotSearch
 	curDemand float64
 	curSlot   int
@@ -116,18 +120,17 @@ func New(state *netstate.State, opts Options) (*CEAR, error) {
 	if err := opts.Pricing.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.Variant < VariantCEAR || opts.Variant > VariantLinear {
+		return nil, fmt.Errorf("core: unknown variant %d", opts.Variant)
+	}
 	c := &CEAR{
 		state:     state,
 		opts:      opts,
 		fast:      opts.Pricing.Fast(),
 		units:     make([]energy.UnitPrices, state.Provider().NumSats()),
-		scratch:   opts.Scratch,
 		slotSec:   state.Provider().Config().SlotSeconds,
 		energyCfg: state.EnergyConfig(),
 		islCap:    state.Provider().Config().ISLCapacityMbps,
-	}
-	if c.scratch == nil {
-		c.scratch = netstate.NewSearchScratch()
 	}
 	c.search.Begin = c.beginSearch
 	c.search.EdgeCost = c.priceEdgeCost
@@ -160,7 +163,7 @@ func PriceBuckets() []float64 {
 // congestionUnitPrice returns the bandwidth price per Mbps at the given
 // utilization: σ_e/c_e per Eq. (10), or its linear ablation.
 func (c *CEAR) congestionUnitPrice(lambda float64) float64 {
-	if c.opts.LinearPricing {
+	if c.opts.Variant == VariantLinear {
 		return (c.opts.Pricing.Mu1 - 1) * lambda
 	}
 	return c.fast.CongestionUnitCost(lambda)
@@ -169,7 +172,7 @@ func (c *CEAR) congestionUnitPrice(lambda float64) float64 {
 // energyUnitPrice returns the battery price per joule of deficit at the
 // given utilization: σ_s/ϖ_s per Eq. (11), or its linear ablation.
 func (c *CEAR) energyUnitPrice(lambda float64) float64 {
-	if c.opts.LinearPricing {
+	if c.opts.Variant == VariantLinear {
 		return (c.opts.Pricing.Mu2 - 1) * lambda
 	}
 	return c.fast.EnergyUnitCost(lambda)
@@ -203,10 +206,10 @@ func (c *CEAR) energyTransitCost(sat, slot int, joules float64) float64 {
 
 // unitPrices returns the satellite's unit-price table, brought up to
 // date from the slot being searched on if its battery's ledger moved
-// since the last fill. Nil — which prices every slot at zero — when
-// energy pricing is disabled.
+// since the last fill. Nil — which prices every slot at zero — under
+// VariantNoEnergy.
 func (c *CEAR) unitPrices(sat int, b *energy.Battery) *energy.UnitPrices {
-	if c.opts.DisableEnergyPricing {
+	if c.opts.Variant == VariantNoEnergy {
 		return nil
 	}
 	u := &c.units[sat]
@@ -307,18 +310,18 @@ func (c *CEAR) priceTransit(node int, in, out graph.EdgeClass) float64 {
 }
 
 // Handle implements Algorithm 1 for one online request: the shared
-// request loop (netstate.SearchScratch.Admit) under CEAR's prices, with
-// admission control against ρ_i unless DisableAdmission is set.
+// request loop (netstate.State.Admit) under CEAR's prices, with
+// admission control against ρ_i except under VariantNoAdmission.
 func (c *CEAR) Handle(req workload.Request) (router.Decision, error) {
 	valuation, budget := req.Valuation, math.Inf(1)
-	if c.opts.DisableAdmission {
+	if c.opts.Variant == VariantNoAdmission {
 		valuation = math.Inf(1)
 	} else if c.opts.PruneBudget {
 		// Budget pruning hands the searches the admission threshold so
 		// they can abandon provably-rejected work early.
 		budget = req.Valuation
 	}
-	d, err := c.scratch.Admit(c.state, req, &c.search, valuation, budget)
+	d, err := c.state.Admit(req, &c.search, valuation, budget)
 	if err != nil {
 		return router.Decision{}, fmt.Errorf("core: %w", err)
 	}

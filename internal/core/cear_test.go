@@ -64,7 +64,7 @@ func newTestStackWith(t *testing.T, horizon int, ecfg netstate.EnergyConfig) *ne
 
 func paperPricing(t *testing.T) pricing.Params {
 	t.Helper()
-	p, err := pricing.Derive(1, 1, 20, 10)
+	p, err := pricing.Derive(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +131,9 @@ func TestNewErrors(t *testing.T) {
 	}
 	if _, err := New(state, Options{}); err == nil {
 		t.Error("zero pricing should error")
+	}
+	if _, err := New(state, Options{Pricing: paperPricing(t), Variant: VariantLinear + 1}); err == nil {
+		t.Error("an unknown variant should error")
 	}
 }
 
@@ -297,7 +300,7 @@ func linkFootprint(state *netstate.State, req workload.Request, plan router.Plan
 
 func TestDisableAdmissionAcceptsAnyFeasible(t *testing.T) {
 	state := newTestStack(t, 0)
-	c := newCEAR(t, state, Options{DisableAdmission: true})
+	c := newCEAR(t, state, Options{Variant: VariantNoAdmission})
 	first := routableRequest(t, state, 1, 2000, 4)
 	if d, err := c.Handle(first); err != nil || !d.Accepted {
 		t.Fatalf("setup: %v %v", err, d.Reason)
@@ -385,7 +388,7 @@ func TestPricesNonDecreasingUnderLoad(t *testing.T) {
 
 func TestLinearPricingAblationStillRoutes(t *testing.T) {
 	state := newTestStack(t, 0)
-	c := newCEAR(t, state, Options{LinearPricing: true})
+	c := newCEAR(t, state, Options{Variant: VariantLinear})
 	req := routableRequest(t, state, 1, 1000, 2)
 	d, err := c.Handle(req)
 	if err != nil {
@@ -534,7 +537,9 @@ func TestRefillsSkipThePast(t *testing.T) {
 		whole.state.Battery(node).FillUnitPrices(&whole.units[node], 0, whole.unitPrice)
 		return whole.priceTransit(node, in, out)
 	}
-	generic := newCEAR(t, newTestStackWith(t, 200, ecfg), Options{Scratch: netstate.NewReferenceScratch()})
+	stateGeneric := newTestStackWith(t, 200, ecfg)
+	stateGeneric.SetScratch(netstate.NewReferenceScratch())
+	generic := newCEAR(t, stateGeneric, Options{})
 
 	// The second-half slots in which both cities see a satellite; the
 	// stream walks them in order, single-slot bookings.
@@ -621,7 +626,7 @@ func loadLedger(t *testing.T, c *CEAR, n int) int {
 // View's. The last round rebuilds the pricer over the loaded State with
 // another μ, as the adaptive controller does every window.
 func TestIdleISLCostIsTheCostFunctionsOwn(t *testing.T) {
-	steeper, err := pricing.Derive(4, 2, 20, 10)
+	steeper, err := pricing.Derive(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,9 +636,9 @@ func TestIdleISLCostIsTheCostFunctionsOwn(t *testing.T) {
 		rebuild *pricing.Params
 	}{
 		{name: "CEAR"},
-		{name: "CEAR-NE", opts: Options{DisableEnergyPricing: true}},
-		{name: "CEAR-AA", opts: Options{DisableAdmission: true}},
-		{name: "CEAR-LIN", opts: Options{LinearPricing: true}},
+		{name: "CEAR-NE", opts: Options{Variant: VariantNoEnergy}},
+		{name: "CEAR-AA", opts: Options{Variant: VariantNoAdmission}},
+		{name: "CEAR-LIN", opts: Options{Variant: VariantLinear}},
 		{name: "adaptive rebuild", rebuild: &steeper},
 	} {
 		state := newTestStack(t, 0)
@@ -647,11 +652,12 @@ func TestIdleISLCostIsTheCostFunctionsOwn(t *testing.T) {
 			c = newCEAR(t, state, opts)
 		}
 		prov := state.Provider()
+		sc := netstate.NewSearchScratch()
 		idle, loaded := 0, 0
 		for slot := 0; slot < prov.Horizon(); slot++ {
 			for _, demand := range []float64{1, 337.5, 1250, 4000, c.islCap, 1.5 * c.islCap} {
 				c.beginSearch(slot, demand)
-				fv, err := c.scratch.BuildView(state, slot, groundEP(0), groundEP(1), demand, c.search.EdgeCost)
+				fv, err := sc.BuildView(state, slot, groundEP(0), groundEP(1), demand, c.search.EdgeCost)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -110,6 +110,7 @@ func TestTieCensus(t *testing.T) {
 	}
 	diverged := make([]int, len(orders))
 	searches := 0
+	sc := netstate.NewSearchScratch()
 	for _, req := range reqs[loaded : loaded+censused] {
 		txn := state.Begin()
 		for slot := req.StartSlot; slot <= req.EndSlot; slot++ {
@@ -123,7 +124,7 @@ func TestTieCensus(t *testing.T) {
 			for i, o := range orders {
 				refs[i], oks[i] = graph.ShortestPath(o.adj(view), view.SrcNode(), view.DstNode(), c.search.Transit)
 			}
-			path, outcome, err := c.scratch.RouteSlot(txn, slot, req.Src, req.Dst, c.curDemand, &c.search, 0, math.Inf(1))
+			path, outcome, err := sc.RouteSlot(txn, slot, req.Src, req.Dst, c.curDemand, &c.search, 0, math.Inf(1))
 			if outcome == netstate.SlotFailed {
 				t.Fatalf("request %d slot %d: %v", req.ID, slot, err)
 			}

@@ -101,18 +101,18 @@ type flatPred struct {
 	edge  graph.Edge
 }
 
-// SearchScratch is the pooled working memory of the routing fast path:
-// the per-slot FlatView itself, the destination-visibility stamps, the
+// SearchScratch is the working memory of the routing fast path: the
+// per-slot FlatView itself, the destination-visibility stamps, the
 // Dijkstra arrays and RouteSlot's consumption buffer. One scratch serves
 // every slot of every request of a run — arrays are sized to the provider
 // on first use and invalidated by epoch stamps rather than cleared, so a
 // warm scratch makes view construction and search allocation-free.
 //
 // A SearchScratch is single-owner (one goroutine, one run at a time).
-// The figure runners (spacebooking's runJobs) pool scratches at their
-// worker boundary via sync.Pool so parallel runs stay isolated; within
-// a run, CEAR, the baselines and the adaptive controller's rebuilt inner
-// instances may all share one scratch because a run handles requests
+// Each run's State holds its own (State.SetScratch, or one State.Admit
+// creates), so parallel runs never share one; within a run, every
+// algorithm over the state — the adaptive controller's rebuilt inner
+// CEARs too — searches on it, because a run handles requests
 // sequentially.
 type SearchScratch struct {
 	view FlatView
@@ -153,8 +153,8 @@ type SearchScratch struct {
 func NewSearchScratch() *SearchScratch { return &SearchScratch{} }
 
 // ensure sizes the arrays for a provider, resetting all epochs when the
-// satellite count changes (a scratch may migrate between providers, e.g.
-// via the figure runners' pool).
+// satellite count changes (a scratch handed to another run's state with
+// SetScratch may meet another provider).
 func (sc *SearchScratch) ensure(numSats int) {
 	numStates := (numSats + 2) * graph.NumClasses
 	if numSats == sc.numSats {
@@ -411,7 +411,7 @@ func (v *FlatView) VisitNeighbors(node int, fn func(graph.Edge) bool) {
 // The second parameter is ignored. It selected a hop-limited search that
 // no longer exists and is kept only because benchmark/layers.go, which a
 // main-module PR may not edit, calls Search(nil, 0, 0, +Inf); the next
-// benchmark PR drops it (ROADMAP item 1(ii)).
+// benchmark PR drops it (ROADMAP item 21).
 //
 // budgetBase and budgetLimit implement opt-in budget pruning: a search
 // whose accumulated plan price budgetBase plus the cheapest frontier cost

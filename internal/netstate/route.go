@@ -40,14 +40,20 @@ type SlotSearch struct {
 // assumption-violating valuations that form can admit jointly
 // energy-infeasible plans (see DESIGN.md).
 //
-// Errors are an invalid request or a SlotFailed slot, never a rejection.
-func (sc *SearchScratch) Admit(state *State, req workload.Request, search *SlotSearch, valuation, budget float64) (router.Decision, error) {
-	if err := req.Validate(state.Provider().Horizon()); err != nil {
+// The searches run on the state's scratch (SetScratch), created here on
+// first use. Errors are an invalid request or a SlotFailed slot, never a
+// rejection.
+func (s *State) Admit(req workload.Request, search *SlotSearch, valuation, budget float64) (router.Decision, error) {
+	if err := req.Validate(s.prov.Horizon()); err != nil {
 		return router.Decision{}, err
 	}
+	if s.scratch == nil {
+		s.scratch = NewSearchScratch()
+	}
+	sc := s.scratch
 	price := 0.0
 	plan := router.Plan{Paths: make([]router.SlotPath, 0, req.DurationSlots())}
-	txn := state.Begin()
+	txn := s.Begin()
 	for slot := req.StartSlot; slot <= req.EndSlot; slot++ {
 		demand := req.RateAt(slot)
 		search.Begin(slot, demand)
@@ -109,8 +115,8 @@ const (
 // NewReferenceScratch returns a scratch whose RouteSlot runs the reference
 // implementation — a fresh View, graph.ShortestPath and PathConsumptions
 // per slot — instead of the flat search. Decisions are identical either
-// way; tests hand it to a run wherever a SearchScratch is accepted to
-// cross-check the fast path, and no algorithm can tell which it holds.
+// way; tests hand it to a run's state (State.SetScratch) to cross-check
+// the fast path, and no algorithm can tell which its state holds.
 // The reference ignores the flat-only hint and applies the budget to
 // the path it found rather than inside the search: it calls an over-budget
 // slot pruned exactly when the flat search does, except that a slot with no

@@ -302,10 +302,9 @@ func TestAdmitOutcomes(t *testing.T) {
 		Transit:  func(int, graph.EdgeClass, graph.EdgeClass) float64 { return 0 },
 	}
 	req := workload.Request{ID: 7, Src: src, Dst: dst, ArrivalSlot: first, StartSlot: first, EndSlot: first + 1, RateMbps: 100}
-	sc := NewSearchScratch()
 	before := []slotSnapshot{takeSlotSnapshot(t, s, first), takeSlotSnapshot(t, s, first+1)}
 
-	d, err := sc.Admit(s, req, &search, 1, math.Inf(1))
+	d, err := s.Admit(req, &search, 1, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +322,7 @@ func TestAdmitOutcomes(t *testing.T) {
 	}
 
 	price := d.Price
-	if d, err = sc.Admit(s, req, &search, price, math.Inf(1)); err != nil {
+	if d, err = s.Admit(req, &search, price, math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Accepted || d.Price != price || d.Reason != "" || len(d.Plan.Paths) != 2 {
@@ -335,7 +334,7 @@ func TestAdmitOutcomes(t *testing.T) {
 
 	// No USL carries one and a half times its capacity.
 	req.RateMbps = 6000
-	if d, err = sc.Admit(s, req, &search, math.Inf(1), math.Inf(1)); err != nil {
+	if d, err = s.Admit(req, &search, math.Inf(1), math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 	if d.Accepted || d.Plan.Paths != nil || d.Reason != fmt.Sprintf("no feasible path at slot %d", first) {
@@ -343,7 +342,7 @@ func TestAdmitOutcomes(t *testing.T) {
 	}
 
 	req.EndSlot = s.Provider().Horizon()
-	if _, err := sc.Admit(s, req, &search, math.Inf(1), math.Inf(1)); err == nil {
+	if _, err := s.Admit(req, &search, math.Inf(1), math.Inf(1)); err == nil {
 		t.Error("a window past the horizon should be an error")
 	}
 }

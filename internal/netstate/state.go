@@ -134,6 +134,9 @@ type State struct {
 	txn txnScratch
 	// hot is the opt-in per-entity attribution state; see EnableHotspots.
 	hot hotspots
+	// scratch is the working memory every search of this run runs on,
+	// created by the first Admit unless SetScratch chose one.
+	scratch *SearchScratch
 }
 
 // SearchInstruments holds the flat search's counters, registered under
@@ -278,6 +281,15 @@ func New(prov *topology.Provider, energyCfg EnergyConfig) (*State, error) {
 	s.batteries = batteries
 	return s, nil
 }
+
+// SetScratch chooses the scratch this state's searches run on, and so
+// which search: NewReferenceScratch() routes every slot through the
+// reference search, and a warm scratch from an earlier run skips sizing
+// its arrays. Call before the first Admit; without it that Admit creates
+// a flat-search scratch of the state's own. Every algorithm built over
+// the state, the adaptive controller's rebuilt CEARs included, searches
+// on the one scratch, since a run handles its requests one at a time.
+func (s *State) SetScratch(sc *SearchScratch) { s.scratch = sc }
 
 // Provider returns the topology provider backing this state.
 func (s *State) Provider() *topology.Provider { return s.prov }

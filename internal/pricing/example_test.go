@@ -9,7 +9,7 @@ import (
 // The paper's §VI-A parameters: n=20 hops, 𝕋=10 slots, F1=F2=1 give the
 // base price factors μ1=μ2=402 and a competitive ratio of ~35.6.
 func ExampleDerive() {
-	params, err := pricing.Derive(1, 1, 20, 10)
+	params, err := pricing.Derive(1, 1)
 	if err != nil {
 		panic(err)
 	}

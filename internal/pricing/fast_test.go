@@ -43,7 +43,7 @@ func TestFastPricerClamps(t *testing.T) {
 }
 
 func BenchmarkExactEnergyUnitCost(b *testing.B) {
-	p, err := Derive(1, 1, 20, 10)
+	p, err := Derive(1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func BenchmarkExactEnergyUnitCost(b *testing.B) {
 }
 
 func BenchmarkFastEnergyUnitCost(b *testing.B) {
-	p, err := Derive(1, 1, 20, 10)
+	p, err := Derive(1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

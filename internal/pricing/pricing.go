@@ -11,6 +11,15 @@ import (
 	"math"
 )
 
+// The paper's §VI-A constants n and 𝕋, which every price factor is
+// derived with.
+const (
+	// MaxHops is n, the maximum number of hops in any path.
+	MaxHops = 20
+	// MaxDurationSlots is 𝕋, the maximum request duration in slots.
+	MaxDurationSlots = 10
+)
+
 // Params holds the pricing-scheme parameters.
 type Params struct {
 	// Mu1 and Mu2 are the base price factors for bandwidth and energy.
@@ -19,31 +28,20 @@ type Params struct {
 	// F1 and F2 are the conservativeness parameters of §V.
 	F1 float64
 	F2 float64
-	// MaxHops is n, the maximum number of hops in any path.
-	MaxHops int
-	// MaxDurationSlots is 𝕋, the maximum request duration in slots.
-	MaxDurationSlots int
 }
 
 // Derive computes the base price factors from the conservativeness
 // parameters per §V: μ = 2(n𝕋F + 1).
-func Derive(f1, f2 float64, maxHops, maxDurationSlots int) (Params, error) {
-	switch {
-	case f1 <= 0 || f2 <= 0:
+func Derive(f1, f2 float64) (Params, error) {
+	if f1 <= 0 || f2 <= 0 {
 		return Params{}, fmt.Errorf("pricing: conservativeness parameters must be positive (F1=%v, F2=%v)", f1, f2)
-	case maxHops <= 0:
-		return Params{}, fmt.Errorf("pricing: max hops must be positive, got %d", maxHops)
-	case maxDurationSlots <= 0:
-		return Params{}, fmt.Errorf("pricing: max duration must be positive, got %d", maxDurationSlots)
 	}
-	nt := float64(maxHops) * float64(maxDurationSlots)
+	nt := float64(MaxHops) * float64(MaxDurationSlots)
 	return Params{
-		Mu1:              2 * (nt*f1 + 1),
-		Mu2:              2 * (nt*f2 + 1),
-		F1:               f1,
-		F2:               f2,
-		MaxHops:          maxHops,
-		MaxDurationSlots: maxDurationSlots,
+		Mu1: 2 * (nt*f1 + 1),
+		Mu2: 2 * (nt*f2 + 1),
+		F1:  f1,
+		F2:  f2,
 	}, nil
 }
 
@@ -63,7 +61,7 @@ func (p Params) CompetitiveRatio() float64 {
 // MaxValuation returns the upper valuation bound of Assumption 1,
 // n𝕋F1 + n𝕋F2, above which the worst-case analysis no longer applies.
 func (p Params) MaxValuation() float64 {
-	nt := float64(p.MaxHops) * float64(p.MaxDurationSlots)
+	nt := float64(MaxHops) * float64(MaxDurationSlots)
 	return nt*p.F1 + nt*p.F2
 }
 

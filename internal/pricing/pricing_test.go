@@ -8,7 +8,7 @@ import (
 
 func paperParams(t *testing.T) Params {
 	t.Helper()
-	p, err := Derive(1, 1, 20, 10)
+	p, err := Derive(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,18 +28,15 @@ func TestDerivePaperValues(t *testing.T) {
 
 func TestDeriveErrors(t *testing.T) {
 	tests := []struct {
-		name           string
-		f1, f2         float64
-		hops, duration int
+		name   string
+		f1, f2 float64
 	}{
-		{"zero F1", 0, 1, 20, 10},
-		{"negative F2", 1, -1, 20, 10},
-		{"zero hops", 1, 1, 0, 10},
-		{"zero duration", 1, 1, 20, 0},
+		{"zero F1", 0, 1},
+		{"negative F2", 1, -1},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Derive(tt.f1, tt.f2, tt.hops, tt.duration); err == nil {
+			if _, err := Derive(tt.f1, tt.f2); err == nil {
 				t.Error("expected error")
 			}
 		})
@@ -145,11 +142,11 @@ func TestConservativenessMonotone(t *testing.T) {
 		if math.IsNaN(f2) || math.IsNaN(lambda) || lambda == 0 {
 			return true
 		}
-		base, err := Derive(1, f2, 20, 10)
+		base, err := Derive(1, f2)
 		if err != nil {
 			return false
 		}
-		higher, err := Derive(1, f2*2, 20, 10)
+		higher, err := Derive(1, f2*2)
 		if err != nil {
 			return false
 		}

@@ -29,7 +29,7 @@ const (
 // PhaseBatchWait is never recorded: each turn admits one booking, so
 // queue.wait (the wait for the turn) ends where engine.admit begins. It is declared
 // only because benchmark/layers.go maps it to its server.batch_wait_us
-// row; ROADMAP item 1(ii) drops both.
+// row; ROADMAP item 21 drops both.
 const PhaseBatchWait = "batch.wait"
 
 // TraceConfig parameterises request-scoped tracing and the admission

@@ -201,7 +201,7 @@ type Server struct {
 	// ctrBatches (server.batches) counts turns, one booking each. It
 	// survives only because benchmark/run.go divides by it for its
 	// server.batch_size_mean row, which therefore reads exactly 1;
-	// ROADMAP item 1(ii) drops both.
+	// ROADMAP item 21 drops both.
 	ctrBatches *obs.Counter
 	histAdmit  *obs.Histogram
 

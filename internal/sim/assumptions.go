@@ -60,7 +60,7 @@ func CheckAssumptions(prov *topology.Provider, params pricing.Params, energyCfg 
 	}
 	demandBound := params.DemandBound(minLinkCap)
 	energyBound := params.EnergyBound(energyCfg.BatteryCapacityJ)
-	nt := float64(params.MaxHops) * float64(params.MaxDurationSlots)
+	nt := float64(pricing.MaxHops) * float64(pricing.MaxDurationSlots)
 
 	var rep AssumptionReport
 	for _, r := range reqs {

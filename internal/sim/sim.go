@@ -130,12 +130,6 @@ type RunConfig struct {
 	// a plain run reports "no-path" or "energy-infeasible", so
 	// Result.Rejections can differ.
 	PruneBudget bool
-	// Scratch, when non-nil, supplies the pooled search scratch for the
-	// run's algorithm. The figure runners set it from a
-	// sync.Pool; standalone runs may leave it nil. Tests pass
-	// netstate.NewReferenceScratch() to route every algorithm through the
-	// reference search instead of the flat one; decisions are identical.
-	Scratch *netstate.SearchScratch
 	// Trace, when non-nil, receives one decision record per admission
 	// (DecisionRecord: a complete, replayable recording of the run) plus
 	// per-slot network snapshots.
@@ -168,7 +162,7 @@ type RunConfig struct {
 
 // DefaultRunConfig returns the paper's settings for one algorithm.
 func DefaultRunConfig(alg AlgorithmKind, wl workload.Config) (RunConfig, error) {
-	params, err := pricing.Derive(1, 1, 20, 10)
+	params, err := pricing.Derive(1, 1)
 	if err != nil {
 		return RunConfig{}, err
 	}
@@ -235,6 +229,14 @@ func (r *Result) MeanCongested() float64 {
 	return float64(sum) / float64(len(r.CongestedPerSlot))
 }
 
+// cearVariants maps each CEAR kind to the variant core.New runs.
+var cearVariants = map[AlgorithmKind]core.Variant{
+	AlgCEAR:            core.VariantCEAR,
+	AlgCEARNoEnergy:    core.VariantNoEnergy,
+	AlgCEARNoAdmission: core.VariantNoAdmission,
+	AlgCEARLinear:      core.VariantLinear,
+}
+
 // buildAlgorithm constructs the algorithm and its backing state. Every
 // algorithm runs under constraint (7c): it is part of the problem
 // definition, not a CEAR feature — baselines must also operate within
@@ -248,36 +250,29 @@ func buildAlgorithm(prov *topology.Provider, rc RunConfig) (router.Algorithm, *n
 	cearOpts := core.Options{
 		Pricing:     rc.Pricing,
 		PruneBudget: rc.PruneBudget,
-		Scratch:     rc.Scratch,
 	}
-	newBaselineAlg := func(alg *baselines.Baseline, err error) (router.Algorithm, *netstate.State, error) {
-		if err != nil {
-			return nil, nil, err
-		}
-		alg.SetScratch(rc.Scratch)
-		return alg, state, nil
-	}
-	switch k := rc.Algorithm; k {
+	var alg router.Algorithm
+	switch rc.Algorithm {
 	case AlgCEAR, AlgCEARNoEnergy, AlgCEARNoAdmission, AlgCEARLinear:
-		cearOpts.DisableEnergyPricing = k == AlgCEARNoEnergy
-		cearOpts.DisableAdmission = k == AlgCEARNoAdmission
-		cearOpts.LinearPricing = k == AlgCEARLinear
-		alg, err := core.New(state, cearOpts)
-		return alg, state, err
+		cearOpts.Variant = cearVariants[rc.Algorithm]
+		alg, err = core.New(state, cearOpts)
 	case AlgCEARAdaptive:
-		alg, err := adaptive.New(state, rc.Workload.ArrivalRatePerSlot, cearOpts)
-		return alg, state, err
+		alg, err = adaptive.New(state, rc.Workload.ArrivalRatePerSlot, cearOpts)
 	case AlgSSP:
-		return newBaselineAlg(baselines.NewSSP(state))
+		alg, err = baselines.NewSSP(state)
 	case AlgECARS:
-		return newBaselineAlg(baselines.NewECARS(state))
+		alg, err = baselines.NewECARS(state)
 	case AlgERU:
-		return newBaselineAlg(baselines.NewERU(state))
+		alg, err = baselines.NewERU(state)
 	case AlgERA:
-		return newBaselineAlg(baselines.NewERA(state))
+		alg, err = baselines.NewERA(state)
 	default:
 		return nil, nil, fmt.Errorf("sim: unknown algorithm kind %d", rc.Algorithm)
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return alg, state, nil
 }
 
 // Run executes one complete simulation: generate the workload, process

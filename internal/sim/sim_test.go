@@ -534,7 +534,7 @@ func TestRunWithTrace(t *testing.T) {
 
 func TestCheckAssumptions(t *testing.T) {
 	prov := testProvider(t)
-	params, err := pricing.Derive(1, 1, 20, 10)
+	params, err := pricing.Derive(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -327,14 +327,6 @@ func (e *Environment) LastObs() *obs.Registry {
 	return e.lastObs
 }
 
-// scratchPool recycles search scratches across figure runs. Within a run
-// a scratch is single-owner (plain fields, no synchronisation); here,
-// where workers start and finish runs, a worker's next run inherits warm
-// arrays instead of re-growing them from zero.
-var scratchPool = sync.Pool{
-	New: func() any { return netstate.NewSearchScratch() },
-}
-
 // runJobs runs jobs 0..n-1, built by build, over the shared provider on
 // at most Parallelism workers (<= 0 means GOMAXPROCS) and returns their
 // results in job order: every figure runs its simulations here. When
@@ -359,11 +351,6 @@ func (e *Environment) runJobs(n int, build func(i int) (sim.RunConfig, error)) (
 		}
 		if e.Obs != nil && rc.Obs == nil {
 			rc.Obs = obs.New()
-		}
-		if rc.Scratch == nil {
-			sc := scratchPool.Get().(*netstate.SearchScratch)
-			defer scratchPool.Put(sc)
-			rc.Scratch = sc
 		}
 		results[i], errs[i] = sim.Run(e.Provider, rc)
 		regs[i] = rc.Obs
@@ -425,7 +412,7 @@ func (e *Environment) ScenarioBinding() scenario.Binding {
 // PaperPricing returns the paper's pricing parameters (n=20, 𝕋=10,
 // F1=F2=1 ⇒ μ1=μ2=402).
 func PaperPricing() (pricing.Params, error) {
-	return pricing.Derive(1, 1, 20, 10)
+	return pricing.Derive(1, 1)
 }
 
 // PaperEnergyConfig returns the paper's power-model constants.
