@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check check-race build test vet fmt-check race bench-smoke fuzz-smoke bench-module bench-golden bench-pair report-smoke smoke-spaced trace-smoke scenario-smoke loc options prod-cover
+.PHONY: check check-race build test vet fmt-check race bench-smoke fuzz-smoke bench-module bench-golden bench-pair report-smoke smoke-spaced trace-smoke scenario-smoke results-check loc options prod-cover
 
 check: fmt-check vet build race bench-smoke fuzz-smoke scenario-smoke
 	@echo "check: all gates passed"
@@ -143,6 +143,20 @@ scenario-smoke:
 # (spacestat diff gates).
 trace-smoke:
 	./scripts/trace_smoke.sh
+
+# The committed paper-scale results equal HEAD's output: regenerate
+# results/results_full_{ablate,fig7}.txt into a temp dir with
+# `spacebench -scale full FIGURE` and diff them against the committed
+# files, ignoring only the set-up timing line (about a minute on 2 vCPUs).
+results-check:
+	@set -e; d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/spacebench" ./cmd/spacebench; \
+	for f in ablate fig7; do \
+		"$$d/spacebench" -scale full $$f > "$$d/$$f.txt"; \
+		diff -I '^environment ready in ' "results/results_full_$$f.txt" "$$d/$$f.txt" || \
+			{ echo "results-check: results/results_full_$$f.txt differs from spacebench -scale full $$f"; exit 1; }; \
+	done; \
+	echo "results-check: ablate and fig7 match results/"
 
 # Produce a tiny-run report and diff it against itself: exercises the
 # report pipeline end to end and must exit 0 (the CI smoke for the

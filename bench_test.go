@@ -183,17 +183,3 @@ func BenchmarkProviderConstruction(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAdaptiveDiurnal compares static CEAR with the §V-B adaptive
-// controller under a diurnal load profile.
-func BenchmarkAdaptiveDiurnal(b *testing.B) {
-	env := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := env.RunAdaptiveComparison(DefaultSeeds[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure(b, "Adaptive (diurnal)", res.Table())
-	}
-}

@@ -24,11 +24,10 @@ var (
 		"fig8":        func(o runOpts) (*spacebooking.Figure, error) { return o.env.RunFig8(o.seed) },
 		"fig9":        func(o runOpts) (*spacebooking.Figure, error) { return o.env.RunFig9([]int64{o.seed}) },
 		"ablate":      func(o runOpts) (*spacebooking.Figure, error) { return tableFigure(o.env.RunAblations(o.seed)) },
-		"adaptive":    func(o runOpts) (*spacebooking.Figure, error) { return tableFigure(o.env.RunAdaptiveComparison(o.seed)) },
 		"competitive": func(o runOpts) (*spacebooking.Figure, error) { return tableFigure(o.env.RunCompetitive(0, o.seed)) },
 		"scenario":    runScenario,
 	}
-	allFigures = []string{"fig6", "fig7", "fig8", "fig9", "ablate", "adaptive", "competitive"}
+	allFigures = []string{"fig6", "fig7", "fig8", "fig9", "ablate", "competitive"}
 )
 
 // tableFigure is the figure of a runner whose result renders one table.
@@ -39,7 +38,7 @@ func tableFigure[R interface{ Table() *metrics.Table }](res R, err error) (*spac
 	return &spacebooking.Figure{Tables: []*metrics.Table{res.Table()}}, nil
 }
 
-const figureSynopsis = "[flags] fig6|fig7|fig8|fig9|ablate|adaptive|competitive|scenario|all\n" +
+const figureSynopsis = "[flags] fig6|fig7|fig8|fig9|ablate|competitive|scenario|all\n" +
 	"       spacebench run [flags]   (spacebench run -h lists its flags)"
 
 // runFigure is the figure form: spacebench [flags] FIGURE.

@@ -20,8 +20,10 @@ var timing = regexp.MustCompile(`(?m)^(environment ready in|all figures reproduc
 // TestFigureGolden runs every figure at small scale, and the scenario
 // figure on specs/smoke.json, and compares stdout (timing masked) and
 // each -csv export byte for byte with the case's pinned directory. A
-// change that moves decisions re-pins with `go test -run
-// TestFigureGolden -update` in the same commit.
+// change that moves decisions re-pins with `go test ./cmd/spacebench
+// -run TestFigureGolden -update` in the same commit (the package before
+// -update: go test hands every argument after a flag it does not know to
+// the test binary).
 func TestFigureGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name, pinned string

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	spacebench run [-scale small|medium|full]
-//	        [-alg CEAR|SSP|ECARS|ERU|ERA|CEAR-NE|CEAR-AA|CEAR-LIN|CEAR-AD]
+//	        [-alg NAME]
 //	        [-rate R] [-seed N] [-valuation V] [-f1 F] [-f2 F]
 //	        [-spec scenario.json] [-replay decisions.jsonl]
 //	        [-trace decisions.jsonl] [-report run.json]
@@ -25,10 +25,11 @@
 // -audit-log (the same record), back through the engine in commit order,
 // reproducing every decision, price and Result byte-identically.
 //
-// FIGURE is one of: fig6, fig7, fig8, fig9, ablate, adaptive,
-// competitive, all. The extra "scenario" figure runs the -spec workload
-// through the paper's five algorithms and tabulates welfare, acceptance
-// and revenue.
+// -alg takes any algorithm name `spacebench run -h` lists.
+//
+// FIGURE is one of: fig6, fig7, fig8, fig9, ablate, competitive, all.
+// The extra "scenario" figure runs the -spec workload through the
+// paper's five algorithms and tabulates welfare, acceptance and revenue.
 //
 // run defaults to -scale small; the figures default to "medium" —
 // shape-preserving and minutes-fast. Use -scale full for the paper's

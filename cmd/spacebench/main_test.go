@@ -37,6 +37,7 @@ func TestRejectsBeforeBuilding(t *testing.T) {
 		{[]string{"-scale", "full", "nosuchfig"}, 2, "usage: spacebench "},
 		{[]string{"fig6", "extra"}, 2, "usage: spacebench "},
 		{[]string{"-bogus", "fig6"}, 2, "usage: spacebench "},
+		{[]string{"-scale", "full", "adaptive"}, 2, "usage: spacebench "}, // a deleted figure
 		{[]string{"-scale", "full", "scenario"}, 2, "spacebench scenario: the scenario figure needs -spec"},
 		{[]string{"-scale", "full", "-spec", missing, "scenario"}, 1, "spacebench scenario: "},
 		{[]string{"-scale", "huge", "fig6"}, 1, "spacebench fig6: "},
@@ -45,6 +46,7 @@ func TestRejectsBeforeBuilding(t *testing.T) {
 		{[]string{"run", "-spec", "a.json", "-replay", "b.jsonl"}, 1, "spacebench run: -spec and -replay are mutually exclusive"},
 		{[]string{"run", "-record"}, 2, "usage: spacebench run"}, // -trace alone records
 		{[]string{"run", "-alg", "DIJKSTRA"}, 1, "CEAR"},
+		{[]string{"run", "-alg", "CEAR-AD"}, 1, `unknown algorithm "CEAR-AD"`}, // a deleted kind
 		// A non-finite -rate panicked in workload.Generate; a NaN
 		// -valuation turned admission control off.
 		{[]string{"run", "-scale", "full", "-rate", "NaN"}, 2, "spacebench run: -rate NaN"},
@@ -69,7 +71,7 @@ func TestRejectsBeforeBuilding(t *testing.T) {
 // generator's preallocation.
 func TestRunRejectsUndrawableRate(t *testing.T) {
 	code, _, errOut := runBench(t, "run", "-scale", "small", "-rate", "1e308")
-	if code != 1 || !strings.Contains(errOut, "spacebench run: workload: peak arrival rate 1e+308 per slot exceeds 708.4") {
+	if code != 1 || !strings.Contains(errOut, "spacebench run: workload: arrival rate 1e+308 per slot exceeds 708.4") {
 		t.Errorf("-rate 1e308: exit %d, stderr %q; want 1 and the workload's bound", code, errOut)
 	}
 }

@@ -30,7 +30,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	const name = "spacebench run"
 	var o shared
 	fs := o.newFlagSet(name, "[flags]", "small", stderr)
-	algName := fs.String("alg", "CEAR", "algorithm: CEAR, SSP, ECARS, ERU, ERA, CEAR-NE, CEAR-AA, CEAR-LIN, CEAR-AD")
+	algName := fs.String("alg", "CEAR", "algorithm: "+strings.Join(sim.AlgorithmNames(), ", "))
 	rate := fs.Float64("rate", 0, "request arrival rate per minute (0 = scale default)")
 	valuation := fs.Float64("valuation", 0, "request valuation ρ (0 = scale default)")
 	f1 := fs.Float64("f1", 1, "bandwidth conservativeness parameter F1")

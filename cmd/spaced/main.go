@@ -14,7 +14,7 @@
 // Usage:
 //
 //	spaced [-addr 127.0.0.1:8080] [-scale small|medium|full]
-//	       [-alg CEAR|SSP|ECARS|ERU|ERA|CEAR-NE|CEAR-AA|CEAR-LIN|CEAR-AD]
+//	       [-alg NAME]
 //	       [-clock-rate R] [-queue-depth N]
 //	       [-valuation V] [-f1 F] [-f2 F]
 //	       [-trace-sample P] [-slow-ms D] [-audit-log FILE]
@@ -37,6 +37,8 @@
 // and `spacebench run -replay` replays it in commit order (its seq) to
 // the same decisions.
 //
+// -alg takes any algorithm name `spaced -h` lists.
+//
 // Every option is checked before the environment is built: a usage
 // error exits 2 with nothing on stdout.
 package main
@@ -51,6 +53,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -75,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address for the booking API and debug endpoints")
 	scaleName := fs.String("scale", "small", "experiment scale: small, medium or full")
-	algName := fs.String("alg", "CEAR", "algorithm: CEAR, SSP, ECARS, ERU, ERA, CEAR-NE, CEAR-AA, CEAR-LIN, CEAR-AD")
+	algName := fs.String("alg", "CEAR", "algorithm: "+strings.Join(sim.AlgorithmNames(), ", "))
 	clockRate := fs.Float64("clock-rate", 1, "simulated slots per wall second (0 = as fast as requests arrive)")
 	queueDepth := fs.Int("queue-depth", 256, "bound on bookings waiting for the engine; one more sheds with 'overloaded'")
 	valuation := fs.Float64("valuation", 0, "default request valuation ρ (0 = scale default)")

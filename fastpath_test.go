@@ -106,25 +106,6 @@ func checkInvariants(t *testing.T, states ...*netstate.State) {
 	}
 }
 
-// TestAdaptiveFlatMatchesGeneric is the fast == generic sweep for the
-// adaptive controller, which rebuilds its inner CEAR with new μ1/μ2 over
-// the same State every window: a unit-price table that outlived the
-// pricer it was filled with would show here as a diverging price. The
-// reference side must run no flat search at all: every CEAR the
-// controller rebuilds searches on its state's scratch.
-func TestAdaptiveFlatMatchesGeneric(t *testing.T) {
-	env := smallEnv(t)
-	for _, seed := range []int64{1, 7, 23, 42} {
-		genericReg, flatReg := replayOnBothScratches(t, env, sim.AlgCEARAdaptive, 3, seed)
-		if n := genericReg.Counter("graph.fastpath.searches").Value(); n != 0 {
-			t.Fatalf("seed %d: the reference scratch ran %d flat searches", seed, n)
-		}
-		if flatReg.Counter("graph.fastpath.searches").Value() == 0 {
-			t.Fatalf("seed %d: the flat side ran no flat search", seed)
-		}
-	}
-}
-
 // TestBudgetPruningPreservesOutcomes runs CEAR with and without budget
 // pruning over identical workloads, at the default valuation (where
 // no-path and energy-infeasible rejections are common, so pruning has

@@ -321,28 +321,30 @@ type AblationRow struct {
 	Revenue       float64
 }
 
+// ablationVariants are RunAblations' runs, in table order.
+var ablationVariants = []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgCEARNoEnergy, sim.AlgCEARNoAdmission, sim.AlgCEARLinear}
+
 // RunAblations compares full CEAR with CEAR-NE (no energy pricing),
 // CEAR-AA (no admission control) and CEAR-LIN (linear pricing) at the
 // environment's default rate — the design-choice ablations called out in
 // DESIGN.md.
 func (e *Environment) RunAblations(seed int64) (*AblationResult, error) {
-	variants := []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgCEARNoEnergy, sim.AlgCEARNoAdmission, sim.AlgCEARLinear, sim.AlgCEARAdaptive}
-	results, err := e.runJobs(len(variants), func(i int) (sim.RunConfig, error) {
-		return sim.DefaultRunConfig(variants[i], e.WorkloadConfig(2*e.arrivalRate, seed))
+	results, err := e.runJobs(len(ablationVariants), func(i int) (sim.RunConfig, error) {
+		return sim.DefaultRunConfig(ablationVariants[i], e.WorkloadConfig(2*e.arrivalRate, seed))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ablation: %w", err)
 	}
-	out := &AblationResult{Rows: make(map[string]AblationRow, len(variants))}
+	out := &AblationResult{Rows: make(map[string]AblationRow, len(ablationVariants))}
 	for i, res := range results {
-		out.Rows[variants[i].String()] = AblationRow{
+		out.Rows[ablationVariants[i].String()] = AblationRow{
 			WelfareRatio:  res.WelfareRatio,
 			MeanDepleted:  res.MeanDepleted(),
 			MeanCongested: res.MeanCongested(),
 			Revenue:       res.Revenue,
 		}
 		e.logf("ablation %-9s welfare %.3f depleted %.2f congested %.2f",
-			variants[i], res.WelfareRatio, res.MeanDepleted(), res.MeanCongested())
+			ablationVariants[i], res.WelfareRatio, res.MeanDepleted(), res.MeanCongested())
 	}
 	return out, nil
 }
@@ -351,7 +353,8 @@ func (e *Environment) RunAblations(seed int64) (*AblationResult, error) {
 func (r *AblationResult) Table() *metrics.Table {
 	t := metrics.NewTable("Ablations — CEAR design choices (2× default load)",
 		"variant", "welfare", "mean depleted", "mean congested", "revenue")
-	for _, name := range []string{"CEAR", "CEAR-NE", "CEAR-AA", "CEAR-LIN", "CEAR-AD"} {
+	for _, v := range ablationVariants {
+		name := v.String()
 		row, ok := r.Rows[name]
 		if !ok {
 			continue
@@ -436,52 +439,6 @@ func (r *CompetitiveResult) Table() *metrics.Table {
 	t.AddFloatRow("empirical ratio (vs greedy)", r.EmpiricalRatio)
 	t.AddFloatRow("worst-case ratio (vs UB)", r.WorstCaseRatio)
 	t.AddFloatRow("theoretical bound (Thm. 1)", r.TheoreticalBound)
-	return t
-}
-
-// AdaptiveResult compares static CEAR with the §V-B adaptive controller
-// under a strongly time-varying (diurnal) load.
-type AdaptiveResult struct {
-	StaticWelfare    float64
-	AdaptiveWelfare  float64
-	StaticDepleted   float64
-	AdaptiveDepleted float64
-}
-
-// RunAdaptiveComparison runs CEAR and CEAR-AD on the same diurnal
-// workload (sinusoidal arrival modulation, ±80% around 2× the default
-// rate) — the scenario §V-B's dynamic F1/F2 adjustment targets.
-func (e *Environment) RunAdaptiveComparison(seed int64) (*AdaptiveResult, error) {
-	profile, err := workload.DiurnalProfile(e.Provider.Horizon()/2, 0.8)
-	if err != nil {
-		return nil, err
-	}
-	algs := []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgCEARAdaptive}
-	results, err := e.runJobs(len(algs), func(i int) (sim.RunConfig, error) {
-		wl := e.WorkloadConfig(2*e.arrivalRate, seed)
-		wl.RateProfile = profile
-		return sim.DefaultRunConfig(algs[i], wl)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("adaptive comparison: %w", err)
-	}
-	static, adaptiveRes := results[0], results[1]
-	out := &AdaptiveResult{
-		StaticWelfare:    static.WelfareRatio,
-		AdaptiveWelfare:  adaptiveRes.WelfareRatio,
-		StaticDepleted:   static.MeanDepleted(),
-		AdaptiveDepleted: adaptiveRes.MeanDepleted(),
-	}
-	e.logf("adaptive: static %.3f vs adaptive %.3f welfare", out.StaticWelfare, out.AdaptiveWelfare)
-	return out, nil
-}
-
-// Table renders the adaptive comparison.
-func (r *AdaptiveResult) Table() *metrics.Table {
-	t := metrics.NewTable("Adaptive parameter setting (§V-B) under diurnal load",
-		"variant", "welfare", "mean depleted")
-	t.AddFloatRow("CEAR (static F)", r.StaticWelfare, r.StaticDepleted)
-	t.AddFloatRow("CEAR-AD (adaptive F)", r.AdaptiveWelfare, r.AdaptiveDepleted)
 	return t
 }
 

@@ -251,19 +251,6 @@ func TestEnergyConservation(t *testing.T) {
 	}
 }
 
-// TestAdaptiveControllerEndToEnd: the §V-B adaptive variant completes a
-// full run and lands within the clamp band.
-func TestAdaptiveControllerEndToEnd(t *testing.T) {
-	env := smallEnv(t)
-	res, _ := runFullWithState(t, env, sim.AlgCEARAdaptive, 2*env.DefaultArrivalRate(), 3)
-	if res.Algorithm != "CEAR-AD" {
-		t.Errorf("algorithm = %q", res.Algorithm)
-	}
-	if res.Accepted == 0 {
-		t.Error("adaptive CEAR accepted nothing")
-	}
-}
-
 // observedRuns runs CEAR and SSP through runJobs on two workers with an
 // environment registry set, at arrival rates far enough apart that the
 // runs offer different numbers of requests. It returns the results and
@@ -381,8 +368,7 @@ func TestRunJobsErrorPropagation(t *testing.T) {
 // search scratch of its own, so a worker's later jobs start as cold as
 // its first. Each view build after a run's first reuses the scratch, and
 // each builds one flat search: netstate.scratch.reuses trails
-// graph.fastpath.searches by exactly one in every run's registry, CEAR-AD's
-// rebuilt CEARs included.
+// graph.fastpath.searches by exactly one in every run's registry.
 func TestRunJobsSearchEachRunOnItsOwnScratch(t *testing.T) {
 	env := smallEnv(t)
 	env.Obs = obs.New()
@@ -395,7 +381,7 @@ func TestRunJobsSearchEachRunOnItsOwnScratch(t *testing.T) {
 		env.ObsSink = nil
 	}()
 
-	algs := []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP, sim.AlgCEARAdaptive}
+	algs := []sim.AlgorithmKind{sim.AlgCEAR, sim.AlgSSP, sim.AlgCEARLinear}
 	if _, err := env.runJobs(len(algs), func(i int) (sim.RunConfig, error) {
 		return sim.DefaultRunConfig(algs[i], env.WorkloadConfig(env.DefaultArrivalRate(), 3))
 	}); err != nil {
@@ -436,37 +422,6 @@ func TestParallelFiguresDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(col, par.CSVs[0].Columns[i]) {
 			t.Errorf("%s: sequential %v vs parallel %v", col.Name, col.Values, par.CSVs[0].Columns[i].Values)
 		}
-	}
-}
-
-// TestAdaptiveUnderDiurnalLoad exercises the §V-B controller where it is
-// meant to shine: a strongly time-varying load. The assertion is soft
-// (within a small margin of static CEAR) because adaptivity is a
-// heuristic; the run itself exercises the full predictor/adjustment path.
-func TestAdaptiveUnderDiurnalLoad(t *testing.T) {
-	env := smallEnv(t)
-	profile, err := workload.DiurnalProfile(48, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(alg sim.AlgorithmKind) float64 {
-		wl := env.WorkloadConfig(2*env.DefaultArrivalRate(), 23)
-		wl.RateProfile = profile
-		rc, err := sim.DefaultRunConfig(alg, wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run(env.Provider, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.WelfareRatio
-	}
-	static := run(sim.AlgCEAR)
-	adaptiveW := run(sim.AlgCEARAdaptive)
-	t.Logf("diurnal load: static CEAR %.3f, adaptive CEAR-AD %.3f", static, adaptiveW)
-	if adaptiveW < static-0.08 {
-		t.Errorf("adaptive welfare %.3f collapsed versus static %.3f", adaptiveW, static)
 	}
 }
 

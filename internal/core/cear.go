@@ -79,9 +79,8 @@ type CEAR struct {
 	roleJoules [transitRoles]float64
 
 	// Per-satellite unit-price tables for deficit pricing. They belong to
-	// this instance, not to the State: they are a function of μ2 as well
-	// as of the ledger, and the adaptive controller rebuilds CEAR
-	// instances with a new μ2 over the same State.
+	// this instance, not to the State: they are a function of its μ2 as
+	// well as of the ledger.
 	units     []energy.UnitPrices
 	unitPrice func(utilization float64) float64
 

@@ -623,8 +623,9 @@ func loadLedger(t *testing.T, c *CEAR, n int) int {
 // on every slot, each ISL the search view offers whose ledger cell is
 // empty must cost search.EdgeCost(key, ClassISL, capacity, 0), and the whole edge
 // walk — loaded and masked edges included — must equal the generic
-// View's. The last round rebuilds the pricer over the loaded State with
-// another μ, as the adaptive controller does every window.
+// View's. The last round builds a second CEAR with a steeper μ over the
+// already loaded State, so a re-priced CEAR must fill its own unit-price
+// tables from a ledger it did not load.
 func TestIdleISLCostIsTheCostFunctionsOwn(t *testing.T) {
 	steeper, err := pricing.Derive(4, 2)
 	if err != nil {
@@ -639,7 +640,7 @@ func TestIdleISLCostIsTheCostFunctionsOwn(t *testing.T) {
 		{name: "CEAR-NE", opts: Options{Variant: VariantNoEnergy}},
 		{name: "CEAR-AA", opts: Options{Variant: VariantNoAdmission}},
 		{name: "CEAR-LIN", opts: Options{Variant: VariantLinear}},
-		{name: "adaptive rebuild", rebuild: &steeper},
+		{name: "steeper-μ rebuild", rebuild: &steeper},
 	} {
 		state := newTestStack(t, 0)
 		c := newCEAR(t, state, tc.opts)

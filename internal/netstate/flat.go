@@ -110,10 +110,9 @@ type flatPred struct {
 //
 // A SearchScratch is single-owner (one goroutine, one run at a time).
 // Each run's State holds its own (State.SetScratch, or one State.Admit
-// creates), so parallel runs never share one; within a run, every
-// algorithm over the state — the adaptive controller's rebuilt inner
-// CEARs too — searches on it, because a run handles requests
-// sequentially.
+// creates), so parallel runs never share one; within a run, the state's
+// algorithm searches on it for every request, because a run handles
+// requests sequentially.
 type SearchScratch struct {
 	view FlatView
 

@@ -287,8 +287,8 @@ func New(prov *topology.Provider, energyCfg EnergyConfig) (*State, error) {
 // reference search, and a warm scratch from an earlier run skips sizing
 // its arrays. Call before the first Admit; without it that Admit creates
 // a flat-search scratch of the state's own. Every algorithm built over
-// the state, the adaptive controller's rebuilt CEARs included, searches
-// on the one scratch, since a run handles its requests one at a time.
+// the state searches on the one scratch, since a run handles its
+// requests one at a time.
 func (s *State) SetScratch(sc *SearchScratch) { s.scratch = sc }
 
 // Provider returns the topology provider backing this state.

@@ -70,9 +70,9 @@ type Config struct {
 	// Provider is the frozen topology the engine runs on. Required.
 	Provider *topology.Provider
 	// Run selects the algorithm, pricing and thresholds. Run.Workload is
-	// never used to generate requests — it only configures the algorithm
-	// (adaptive predictor rate) and supplies booking defaults (valuation,
-	// rate bounds) echoed at /v1/config.
+	// never used to generate requests — it only supplies booking
+	// defaults (valuation, rate bounds) and the pairs echoed at
+	// /v1/config.
 	Run sim.RunConfig
 	// ClockRate is the slot-clock speed in simulated slots per wall
 	// second (a paper slot is one simulated minute, so ClockRate 60

@@ -78,8 +78,7 @@ const (
 
 // NewEngine builds the algorithm and its backing state and prepares the
 // admission accumulators. The RunConfig's Workload is used only for
-// algorithm configuration (e.g. the adaptive predictor's arrival rate)
-// and trace metadata — the engine never generates requests itself.
+// trace metadata — the engine never generates requests itself.
 func NewEngine(prov *topology.Provider, rc RunConfig) (*Engine, error) {
 	if prov == nil {
 		return nil, fmt.Errorf("sim: nil provider")

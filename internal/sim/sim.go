@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"spacebooking/internal/adaptive"
 	"spacebooking/internal/baselines"
 	"spacebooking/internal/core"
 	"spacebooking/internal/netstate"
@@ -36,10 +35,7 @@ const (
 	AlgCEARNoEnergy
 	AlgCEARNoAdmission
 	AlgCEARLinear
-	// AlgCEARAdaptive is the §V-B extension: CEAR whose F1/F2 are
-	// periodically re-derived from observed conditions, with a
-	// moving-average load predictor (AoP-style).
-	AlgCEARAdaptive
+	algEnd // one past the last kind
 )
 
 // String returns the display name.
@@ -61,8 +57,6 @@ func (k AlgorithmKind) String() string {
 		return "CEAR-AA"
 	case AlgCEARLinear:
 		return "CEAR-LIN"
-	case AlgCEARAdaptive:
-		return "CEAR-AD"
 	default:
 		return fmt.Sprintf("AlgorithmKind(%d)", int(k))
 	}
@@ -75,8 +69,8 @@ func PaperAlgorithms() []AlgorithmKind {
 
 // AllAlgorithms returns every supported kind, in declaration order.
 func AllAlgorithms() []AlgorithmKind {
-	out := make([]AlgorithmKind, 0, int(AlgCEARAdaptive))
-	for k := AlgCEAR; k <= AlgCEARAdaptive; k++ {
+	out := make([]AlgorithmKind, 0, int(algEnd-AlgCEAR))
+	for k := AlgCEAR; k < algEnd; k++ {
 		out = append(out, k)
 	}
 	return out
@@ -142,8 +136,8 @@ type RunConfig struct {
 	// Requests, when non-nil, is the run's request sequence in arrival
 	// order — a scenario spec's or a replayed trace's — instead of one
 	// generated from Workload. The run only reads it, so concurrent runs
-	// may share one slice. Workload still configures the algorithm
-	// (adaptive predictor rate) and the trace's run_info record.
+	// may share one slice. Workload then only labels the run: the
+	// trace's run_info record echoes its rate and seed.
 	Requests []workload.Request
 	// Obs, when non-nil, collects phase timings, admission counters and
 	// hot-path statistics for this run. The graph-search and energy
@@ -247,17 +241,14 @@ func buildAlgorithm(prov *topology.Provider, rc RunConfig) (router.Algorithm, *n
 		return nil, nil, err
 	}
 	state.SetObs(rc.Obs)
-	cearOpts := core.Options{
-		Pricing:     rc.Pricing,
-		PruneBudget: rc.PruneBudget,
-	}
 	var alg router.Algorithm
 	switch rc.Algorithm {
 	case AlgCEAR, AlgCEARNoEnergy, AlgCEARNoAdmission, AlgCEARLinear:
-		cearOpts.Variant = cearVariants[rc.Algorithm]
-		alg, err = core.New(state, cearOpts)
-	case AlgCEARAdaptive:
-		alg, err = adaptive.New(state, rc.Workload.ArrivalRatePerSlot, cearOpts)
+		alg, err = core.New(state, core.Options{
+			Pricing:     rc.Pricing,
+			PruneBudget: rc.PruneBudget,
+			Variant:     cearVariants[rc.Algorithm],
+		})
 	case AlgSSP:
 		alg, err = baselines.NewSSP(state)
 	case AlgECARS:

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"spacebooking/internal/topology"
 )
@@ -110,11 +109,6 @@ type Config struct {
 	Pairs []Pair
 	// Seed drives the deterministic generator.
 	Seed int64
-	// RateProfile optionally modulates the arrival rate over time: the
-	// effective rate at slot t is ArrivalRatePerSlot ×
-	// RateProfile[t % len(RateProfile)]. Entries must be non-negative.
-	// Nil means a flat Poisson process (the paper's workload).
-	RateProfile []float64
 }
 
 // DefaultConfig returns the paper's default workload over the given
@@ -163,38 +157,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: horizon must be positive, got %d", c.Horizon)
 	case len(c.Pairs) == 0:
 		return fmt.Errorf("workload: no source-destination pairs")
-	}
-	for i, m := range c.RateProfile {
-		if m < 0 || math.IsNaN(m) {
-			return fmt.Errorf("workload: rate profile entry %d invalid: %v", i, m)
-		}
-	}
-	peak := 1.0
-	if len(c.RateProfile) > 0 {
-		peak = slices.Max(c.RateProfile)
-	}
-	if r := c.ArrivalRatePerSlot * peak; r > maxSlotRate {
-		return fmt.Errorf("workload: peak arrival rate %v per slot exceeds %.1f, the largest the Poisson sampler can draw", r, maxSlotRate)
+	case c.ArrivalRatePerSlot > maxSlotRate:
+		return fmt.Errorf("workload: arrival rate %v per slot exceeds %.1f, the largest the Poisson sampler can draw", c.ArrivalRatePerSlot, maxSlotRate)
 	}
 	return nil
-}
-
-// DiurnalProfile builds a sinusoidal rate profile with the given period
-// (slots) and relative amplitude in [0,1): multiplier
-// 1 + amplitude·sin(2πt/period). A 1440-slot period models a daily cycle
-// at 1-minute slots.
-func DiurnalProfile(periodSlots int, amplitude float64) ([]float64, error) {
-	if periodSlots <= 0 {
-		return nil, fmt.Errorf("workload: period must be positive, got %d", periodSlots)
-	}
-	if amplitude < 0 || amplitude >= 1 {
-		return nil, fmt.Errorf("workload: amplitude %v outside [0,1)", amplitude)
-	}
-	out := make([]float64, periodSlots)
-	for t := range out {
-		out[t] = 1 + amplitude*math.Sin(2*math.Pi*float64(t)/float64(periodSlots))
-	}
-	return out, nil
 }
 
 // Generate produces the full request sequence ordered by arrival slot
@@ -214,14 +180,7 @@ func Generate(cfg Config) ([]Request, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	requests := make([]Request, 0, int(min(cfg.ArrivalRatePerSlot*float64(cfg.Horizon), maxPrealloc))+1)
 	for slot := 0; slot < cfg.Horizon; slot++ {
-		rate := cfg.ArrivalRatePerSlot
-		if len(cfg.RateProfile) > 0 {
-			rate *= cfg.RateProfile[slot%len(cfg.RateProfile)]
-		}
-		if rate <= 0 {
-			continue
-		}
-		for n := poisson(rng, rate); n > 0; n-- {
+		for n := poisson(rng, cfg.ArrivalRatePerSlot); n > 0; n-- {
 			pair := cfg.Pairs[rng.Intn(len(cfg.Pairs))]
 			dur := cfg.MinDurationSlots + rng.Intn(cfg.MaxDurationSlots-cfg.MinDurationSlots+1)
 			requests = append(requests, Request{

@@ -291,67 +291,10 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
-func TestDiurnalProfile(t *testing.T) {
-	p, err := DiurnalProfile(96, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != 96 {
-		t.Fatalf("length = %d", len(p))
-	}
-	sum := 0.0
-	for i, m := range p {
-		if m < 0.5-1e-9 || m > 1.5+1e-9 {
-			t.Fatalf("entry %d = %v outside [0.5,1.5]", i, m)
-		}
-		sum += m
-	}
-	// The sinusoid averages to 1 over a full period.
-	if math.Abs(sum/96-1) > 1e-9 {
-		t.Errorf("mean multiplier = %v, want 1", sum/96)
-	}
-	if _, err := DiurnalProfile(0, 0.5); err == nil {
-		t.Error("zero period should error")
-	}
-	if _, err := DiurnalProfile(96, 1); err == nil {
-		t.Error("amplitude 1 should error")
-	}
-	if _, err := DiurnalProfile(96, -0.1); err == nil {
-		t.Error("negative amplitude should error")
-	}
-}
-
-func TestGenerateWithRateProfile(t *testing.T) {
-	cfg := DefaultConfig(400, testPairs(), 5)
-	cfg.ArrivalRatePerSlot = 10
-	// Half the slots are silent: only even slots produce arrivals.
-	cfg.RateProfile = []float64{2, 0}
-	reqs, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reqs {
-		if r.ArrivalSlot%2 != 0 {
-			t.Fatalf("request arrived in silent slot %d", r.ArrivalSlot)
-		}
-	}
-	// Mean rate is preserved: 10 * mean(2,0) = 10 per slot overall.
-	got := float64(len(reqs)) / 400
-	if math.Abs(got-10) > 1.0 {
-		t.Errorf("overall rate = %v, want ~10", got)
-	}
-
-	bad := cfg
-	bad.RateProfile = []float64{1, -1}
-	if _, err := Generate(bad); err == nil {
-		t.Error("negative profile entry should error")
-	}
-}
-
 // TestGeneratorInvalidConfig: Generate refuses a config it cannot draw,
-// with an error and without a panic. A rate above maxSlotRate (alone or
-// through the rate profile's peak) used to panic in the preallocation or
-// saturate the Poisson sampler at about 745 arrivals per slot.
+// with an error and without a panic. A rate above maxSlotRate used to
+// panic in the preallocation or saturate the Poisson sampler at about 745
+// arrivals per slot.
 func TestGeneratorInvalidConfig(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
@@ -360,10 +303,6 @@ func TestGeneratorInvalidConfig(t *testing.T) {
 		{"zero horizon", "horizon", func(c *Config) { c.Horizon = 0 }},
 		{"rate 1e308", "708.4", func(c *Config) { c.ArrivalRatePerSlot = 1e308 }},
 		{"rate above bound", "708.4", func(c *Config) { c.ArrivalRatePerSlot = math.Nextafter(maxSlotRate, math.Inf(1)) }},
-		{"profile peak above bound", "708.4", func(c *Config) {
-			c.ArrivalRatePerSlot, c.RateProfile = 400, []float64{0.5, 2}
-		}},
-		{"+Inf profile entry", "708.4", func(c *Config) { c.RateProfile = []float64{1, math.Inf(1)} }},
 	} {
 		cfg := DefaultConfig(64, testPairs(), 7)
 		tc.mutate(&cfg)
@@ -371,15 +310,11 @@ func TestGeneratorInvalidConfig(t *testing.T) {
 			t.Errorf("%s: Generate error %v, want one naming %q", tc.name, err, tc.want)
 		}
 	}
-	// The bound itself is accepted, and so is a peak at it.
+	// The bound itself is accepted.
 	cfg := DefaultConfig(2, testPairs(), 7)
 	cfg.ArrivalRatePerSlot = maxSlotRate
 	if _, err := Generate(cfg); err != nil {
 		t.Errorf("rate at the bound: %v", err)
-	}
-	cfg.ArrivalRatePerSlot, cfg.RateProfile = maxSlotRate/2, []float64{0, 2}
-	if _, err := Generate(cfg); err != nil {
-		t.Errorf("profile peak at the bound: %v", err)
 	}
 }
 

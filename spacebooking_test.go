@@ -269,7 +269,7 @@ func TestRunAblationsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 5 {
+	if len(res.Rows) != 4 {
 		t.Fatalf("variants = %d", len(res.Rows))
 	}
 	for name, row := range res.Rows {
@@ -332,25 +332,5 @@ func TestPaperConstants(t *testing.T) {
 	ecfg := PaperEnergyConfig()
 	if ecfg.BatteryCapacityJ != 117000 || ecfg.PanelWatts != 20 {
 		t.Errorf("energy config = %+v", ecfg)
-	}
-}
-
-func TestRunAdaptiveComparisonSmoke(t *testing.T) {
-	env := smallEnv(t)
-	res, err := env.RunAdaptiveComparison(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, w := range map[string]float64{"static": res.StaticWelfare, "adaptive": res.AdaptiveWelfare} {
-		if w < 0 || w > 1 {
-			t.Errorf("%s welfare = %v", name, w)
-		}
-	}
-	var b strings.Builder
-	if err := res.Table().Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "CEAR-AD") {
-		t.Errorf("table:\n%s", b.String())
 	}
 }
