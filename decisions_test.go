@@ -10,6 +10,7 @@ import (
 	"hash"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -155,6 +156,30 @@ func TestDecisionGolden(t *testing.T) {
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestDecisionGoldenWithoutFMA re-runs TestDecisionGolden in this test
+// binary with GODEBUG=cpu.fma=off. On amd64 the standard library picks
+// some math lanes by CPU feature, so a pin that holds only with FMA
+// holds only on the hosts that have it.
+func TestDecisionGoldenWithoutFMA(t *testing.T) {
+	switch {
+	case runtime.GOARCH != "amd64":
+		t.Skip("cpu.fma selects a math lane only on amd64")
+	case raceEnabled:
+		t.Skip("a race build checks no more here than TestDecisionGolden does")
+	case *update:
+		t.Skip("re-pinning")
+	}
+	godebug := "cpu.fma=off"
+	if prev := os.Getenv("GODEBUG"); prev != "" {
+		godebug = prev + "," + godebug
+	}
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestDecisionGolden$", "-test.count", "1")
+	cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("TestDecisionGolden with GODEBUG=%s: %v\n%s", godebug, err, out)
 	}
 }
 

@@ -205,9 +205,10 @@ func (b *Battery) SolarRemainingAt(t int) float64 {
 // the deficit value that would persist at the end of slot t. Returning
 // false from fn stops the walk early.
 //
-// This is the primitive behind both CEAR's energy pricing (Eq. (12)'s
-// second term sums price(t)·Ω̄(ta,t) over the deficit's lifetime) and
-// feasibility checks.
+// It is the reference form of the profile that CEAR's energy pricing
+// (Eq. (12)'s second term sums price(t)·Ω̄(ta,t) over the deficit's
+// lifetime) and every feasibility check follow; they run on walk, its
+// closure-free twin, and the tests check walk against it.
 func (b *Battery) VisitDeficit(ta int, joules float64, fn func(t int, outstanding float64) bool) {
 	b.instr.countDeficitWalk()
 	if joules <= 0 || ta < 0 || ta >= len(b.cell) {

@@ -7,15 +7,17 @@ import "spacebooking/internal/obs"
 // State (to every battery it builds), so concurrent runs count into
 // their own registries.
 type Instruments struct {
-	// DeficitWalks counts VisitDeficit invocations — the primitive
-	// behind CEAR's deficit pricing and every feasibility check.
+	// DeficitWalks counts deficit walks: each run of walk — the kernel
+	// behind CEAR's deficit pricing and every feasibility check — each
+	// constant run or capacity proof that stands in for one, and each
+	// VisitDeficit call.
 	DeficitWalks *obs.Counter
 	// Consumptions counts committed Consume calls across all batteries.
 	Consumptions *obs.Counter
 }
 
-// countDeficitWalk counts one VisitDeficit call; a single branch when
-// the battery carries no instruments.
+// countDeficitWalk counts one deficit walk; a single branch when the
+// battery carries no instruments.
 func (in *Instruments) countDeficitWalk() {
 	if in == nil {
 		return

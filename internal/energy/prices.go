@@ -13,27 +13,22 @@ package energy
 // ledger.
 type UnitPrices struct {
 	// unit is a window over slots [from, top], top = min(last+1, horizon−1)
-	// — the last slot a walk from inside it reads — and empty when from
-	// lies past top: unit[t−from] is slot t's price. That is
-	// price(UtilizationAt(t)) inside [first, last] and exactly zero
-	// outside it — what price returns for an empty slot (μ^0 − 1).
-	// [first, last] is the part of the battery's deficit span at or after
-	// from, empty (first == last+1) when from lies past the span; no slot
-	// of [from, first) holds a deficit, so unit prices every slot of the
-	// window, and every slot past it is priced at zero. Nil until the
-	// battery first holds a deficit; the backing array is kept across the
-	// refills it fits.
-	unit        []float64
-	first, last int
+	// for the battery's deficit span [first, last] — the last slot a walk
+	// from inside it reads — and empty when from lies past top:
+	// unit[t−from] is slot t's price. That is price(UtilizationAt(t))
+	// inside the span and exactly zero outside it — what price returns for
+	// an empty slot (μ^0 − 1). Nil until the battery first holds a
+	// deficit; the backing array is kept across the refills it fits.
+	unit []float64
 	// from is the earliest slot the table answers for, and the window's
 	// base: the slot of the last refill, which is the lowest slot
 	// FillUnitPrices was asked for since the table last went stale.
 	from int
-	// lastSunny is the last slot of [first, last] whose unclaimed solar
-	// is non-zero, -1 when there is none. A slot that carries a deficit
-	// has had its solar claimed, so sunny slots are the gaps between
-	// deficit runs and refunded slots — the only places inside the span
-	// where a walk's outstanding deficit can change.
+	// lastSunny is the last slot of the deficit span at or after from
+	// whose unclaimed solar is non-zero, -1 when there is none. A slot
+	// that carries a deficit has had its solar claimed, so sunny slots
+	// are the gaps between deficit runs and refunded slots — the only
+	// places inside the span where a walk's outstanding deficit can change.
 	lastSunny int
 	// stamp is the battery stamp the table is current for.
 	stamp uint64
@@ -79,7 +74,6 @@ func (b *Battery) FillUnitPrices(u *UnitPrices, from int, price func(utilization
 			u.lastSunny = t
 		}
 	}
-	u.first, u.last = min(lo, b.lastDeficit+1), b.lastDeficit
 	u.from, u.stamp = from, b.stamp
 }
 
@@ -118,16 +112,17 @@ func (u *UnitPrices) at(ta int) []float64 {
 // It equals a VisitDeficit walk that checks
 // DeficitAt(t)+outstanding <= capacity·(1+1e-12) and adds
 // price(UtilizationAt(t))·outstanding per slot, bit for bit, but almost
-// never reads the ledger. When ta lies inside the filled range, no sunny
-// slot lies at or after it and maxDeficit+joules fits under the limit,
-// no slot can fail and the outstanding deficit stays joules to the end of
-// the span: the walk is cost += unit[t]·J over one array, a constant run
-// that stops at the last deficit slot (from there on unit[t] is +0 and
-// cost + 0·J == cost). Anything else — an empty table, ta outside the
-// span, a sunny slot ahead, a battery within joules of capacity — runs
-// walk.
+// never reads the ledger. When the table is current, ta lies inside the
+// deficit span and the window, no sunny slot lies at or after it and
+// maxDeficit+joules fits under the limit, no slot can fail and the
+// outstanding deficit stays joules to the end of the span: the walk is
+// cost += unit[t]·J over one array, a constant run that stops at the
+// last deficit slot (from there on unit[t] is +0 and cost + 0·J == cost).
+// Anything else — an empty or stale table, ta outside the span, a sunny
+// slot ahead, a battery within joules of capacity — runs walk.
 func (b *Battery) PriceDeficit(ta int, joules float64, u *UnitPrices) (cost float64, feasible bool) {
-	if u == nil || u.unit == nil || ta < u.first || ta > u.last || ta <= u.lastSunny || !b.fits(joules) {
+	if u == nil || u.unit == nil || u.stamp != b.stamp || ta < b.firstDeficit || ta > b.lastDeficit ||
+		ta < u.from || ta <= u.lastSunny || !b.fits(joules) {
 		var unit []float64
 		if u != nil {
 			if u.unit != nil && uint(ta) < uint(u.from) {
@@ -139,7 +134,7 @@ func (b *Battery) PriceDeficit(ta int, joules float64, u *UnitPrices) (cost floa
 		return cost, failSlot < 0
 	}
 	b.instr.countDeficitWalk()
-	for _, p := range u.unit[ta-u.from : u.last+1-u.from] {
+	for _, p := range u.unit[ta-u.from : b.lastDeficit+1-u.from] {
 		cost += p * joules
 	}
 	return cost, true

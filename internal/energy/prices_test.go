@@ -196,9 +196,11 @@ func checkFilledFrom(t testing.TB, step int, lanes [2]*fromLane, tally *fromTall
 
 // constantRun restates the lane PriceDeficit prices as one run over the
 // table rather than by walk, for the tally only: a draw that fits, from a
-// slot inside the filled deficit span with no sunny slot at or after it.
+// slot inside the battery's deficit span and the table's window with no
+// sunny slot at or after it.
 func constantRun(b *Battery, ta int, joules float64, u *UnitPrices) bool {
-	return u.unit != nil && ta >= u.first && ta <= u.last && ta > u.lastSunny && b.fits(joules)
+	first, last := b.DeficitSpan()
+	return u.unit != nil && ta >= max(first, u.from) && ta <= last && ta > u.lastSunny && b.fits(joules)
 }
 
 // fromScript is a seeded random from-script of n bytes. Uniform bytes

@@ -100,13 +100,14 @@ func (k *kernelTally) note(b *Battery, tab *UnitPrices, ta int, joules float64, 
 	if !feasible {
 		k.infeasible++
 	}
+	first, last := b.DeficitSpan()
 	switch {
 	case tab.unit == nil:
 		k.fallbacks++
 	case !b.fits(joules):
 		k.fallbacks++
 		k.nearCap++
-	case ta < tab.first || ta > tab.last:
+	case ta < first || ta > last:
 		k.fallbacks++
 		k.outsideSpan++
 	case ta <= tab.lastSunny:

@@ -95,10 +95,11 @@ func (h *flatHeap) pop() flatItem {
 	return top
 }
 
-// flatPred records how a search state was reached.
+// flatPred records how a search state was reached: the state relaxed
+// from and the edge's cost (its target and class are the reached state).
 type flatPred struct {
 	state int32
-	edge  graph.Edge
+	cost  float64
 }
 
 // SearchScratch is the working memory of the routing fast path: the
@@ -135,10 +136,6 @@ type SearchScratch struct {
 	prev        []flatPred
 	heap        flatHeap
 
-	// Path-reconstruction reversal buffers.
-	nodesRev []int
-	edgesRev []graph.Edge
-
 	// consBuf holds the consumptions of the path RouteSlot is committing.
 	consBuf []Consumption
 
@@ -172,7 +169,7 @@ func (sc *SearchScratch) ensure(numSats int) {
 func (sc *SearchScratch) bumpViewEpoch() {
 	sc.viewEpoch++
 	if sc.viewEpoch == 0 {
-		clearUint32(sc.dstStamp)
+		clear(sc.dstStamp)
 		sc.viewEpoch = 1
 	}
 }
@@ -181,14 +178,8 @@ func (sc *SearchScratch) bumpViewEpoch() {
 func (sc *SearchScratch) bumpSearchEpoch() {
 	sc.searchEpoch++
 	if sc.searchEpoch == 0 {
-		clearUint32(sc.stateStamp)
+		clear(sc.stateStamp)
 		sc.searchEpoch = 1
-	}
-}
-
-func clearUint32(a []uint32) {
-	for i := range a {
-		a[i] = 0
 	}
 }
 
@@ -474,7 +465,7 @@ func (v *FlatView) dijkstra(transit graph.TransitCostFunc, budgetBase, budgetLim
 			return
 		}
 		dist[ns] = nd
-		prev[ns] = flatPred{state: from, edge: graph.Edge{To: to, Class: cls, Cost: edgeCost}}
+		prev[ns] = flatPred{state: from, cost: edgeCost}
 		stamp[ns] = epoch
 		h.push(flatItem{state: int32(ns), dist: nd})
 	}
@@ -570,35 +561,23 @@ func (v *FlatView) dijkstra(transit graph.TransitCostFunc, budgetBase, budgetLim
 	return path, found, pruned
 }
 
-// reconstruct walks the Dijkstra predecessor links back to the source.
+// reconstruct walks the predecessor links back to the source twice: once
+// to count the hops, once to write the path from its end. An edge's
+// target and class are those of the state it reaches.
 func (v *FlatView) reconstruct(dstState int, cost float64) graph.Path {
-	sc := v.sc
-	sc.nodesRev = sc.nodesRev[:0]
-	sc.edgesRev = sc.edgesRev[:0]
+	prev := v.sc.prev
+	hops := 0
+	for s := dstState; prev[s].state >= 0; s = int(prev[s].state) {
+		hops++
+	}
+	nodes, edges := make([]int, hops+1), make([]graph.Edge, hops)
 	s := dstState
-	for {
-		sc.nodesRev = append(sc.nodesRev, s/graph.NumClasses)
-		p := sc.prev[s]
-		if p.state < 0 {
-			break
-		}
-		sc.edgesRev = append(sc.edgesRev, p.edge)
-		s = int(p.state)
+	for i := hops; i > 0; i-- {
+		nodes[i] = s / graph.NumClasses
+		edges[i-1] = graph.Edge{To: nodes[i], Class: graph.EdgeClass(s % graph.NumClasses), Cost: prev[s].cost}
+		s = int(prev[s].state)
 	}
-	return sc.buildPath(cost)
-}
-
-// buildPath materialises a path from the reversal buffers; only the two
-// returned slices are allocated.
-func (sc *SearchScratch) buildPath(cost float64) graph.Path {
-	nodes := make([]int, len(sc.nodesRev))
-	for i := range sc.nodesRev {
-		nodes[i] = sc.nodesRev[len(sc.nodesRev)-1-i]
-	}
-	edges := make([]graph.Edge, len(sc.edgesRev))
-	for i := range sc.edgesRev {
-		edges[i] = sc.edgesRev[len(sc.edgesRev)-1-i]
-	}
+	nodes[0] = s / graph.NumClasses
 	return graph.Path{Nodes: nodes, Edges: edges, Cost: cost}
 }
 

@@ -17,11 +17,14 @@ type lut struct {
 	vals [lutSize + 1]float64
 }
 
+// newLUT builds the table with exp, not math.Exp, whose amd64 lane (and
+// so the table's bits, and every decision priced from it) depends on
+// whether the CPU has FMA.
 func newLUT(mu float64) lut {
 	var l lut
 	logMu := math.Log(mu)
 	for i := 0; i <= lutSize; i++ {
-		l.vals[i] = math.Exp(logMu*float64(i)/lutSize) - 1
+		l.vals[i] = exp(float64(logMu*float64(i))/lutSize) - 1
 	}
 	return l
 }

@@ -91,8 +91,8 @@ func keyPaths(t *testing.T, url string) []string {
 // TestTelemetrySurface pins the daemon's HTTP surface as spaced builds it
 // (obs.NewDebugMux + Register, see newTestServer): every kept route
 // answers with its status and content type, each deleted telemetry route
-// answers 404, and the JSON key paths of /v1/stats and /metrics.json are
-// the listed ones. That the per-link and per-battery tracker totals
+// answers 404, and the JSON key paths of /v1/stats, /metrics.json and
+// /v1/config are the listed ones. That the per-link and per-battery tracker totals
 // reconcile with the rejection counters is sim.TestHotspotAttributionSumsExactly.
 func TestTelemetrySurface(t *testing.T) {
 	base := hotTestServer(t, TraceConfig{AuditPath: filepath.Join(t.TempDir(), "audit.jsonl")})
@@ -142,6 +142,24 @@ func TestTelemetrySurface(t *testing.T) {
 	sort.Strings(traced)
 	check("/v1/stats, tracing on", base+"/v1/stats", traced)
 	check("/v1/stats, tracing off", hotTestServer(t, TraceConfig{})+"/v1/stats", statsKeyPaths)
+	check("/v1/config", base+"/v1/config", configKeyPaths)
+}
+
+// configKeyPaths are the key paths of /v1/config. The workload echoes
+// workload.Config, whose fields have no json tags, so adding, renaming
+// or deleting one changes the wire body; this list makes that a test
+// edit.
+var configKeyPaths = []string{
+	"algorithm", "clock_rate", "horizon", "pairs", "pairs[].dst",
+	"pairs[].dst.index", "pairs[].dst.kind", "pairs[].src",
+	"pairs[].src.index", "pairs[].src.kind", "workload",
+	"workload.ArrivalRatePerSlot", "workload.Horizon",
+	"workload.MaxDurationSlots", "workload.MaxRateMbps",
+	"workload.MeanRateMbps", "workload.MinDurationSlots",
+	"workload.MinRateMbps", "workload.Pairs", "workload.Pairs[].Dst",
+	"workload.Pairs[].Dst.Index", "workload.Pairs[].Dst.Kind",
+	"workload.Pairs[].Src", "workload.Pairs[].Src.Index",
+	"workload.Pairs[].Src.Kind", "workload.Seed", "workload.Valuation",
 }
 
 // statsKeyPaths are the key paths of /v1/stats with tracing off.
