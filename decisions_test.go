@@ -15,7 +15,9 @@ import (
 	"runtime"
 	"testing"
 
+	"spacebooking/internal/scenario"
 	"spacebooking/internal/sim"
+	"spacebooking/internal/topology"
 	"spacebooking/internal/trace"
 	"spacebooking/internal/workload"
 )
@@ -197,4 +199,78 @@ func movedDigests(got, want decisionPin) []string {
 		}
 	}
 	return moved
+}
+
+// scenarioPins holds the SHA-256 of scenario.Generate's requests (as
+// JSON) for two specs on the small preset's binding, and of the
+// Erlang-B reports spacestat's spec check prints for specs/erlangb.json.
+var scenarioPins = map[string]string{
+	"bench seed=1":       "2a9e664de197c89cef16819f3bf7be5ee8ca58332f50e003896abd5931a8a02c",
+	"bench seed=2":       "2959a4523418f571d3ea9f8dd162cffdb4db06c2a3125bf9d0f13cd89ddccd9c",
+	"bench seed=3":       "b53d522fedd2a18bb11ef9a9a6210a7cf9c60b035b6eed6f7391afc34603e740",
+	"smoke seed=1":       "a36618045f35ea47a0f9cb22713d2ca9edbd3105fa84334a44fb16d6622c6d4a",
+	"smoke seed=2":       "71e8914091ff11207dc74b5a4c15a162c14b958b8c5e574f7bf81aa5464ce2c1",
+	"smoke seed=3":       "f247aa55137a2759e9cd3bf0a836e57d8049f4feeaa20a1d5cd36fbbf6aeb164",
+	"erlangb servers=5":  "77b37ebc1cd4a7654d712785cb14301c1fb75ba7433c20b54cf47f3201a23236",
+	"erlangb servers=20": "0554cbe6b58466b15a3e8b3c8388fd02a47ad1de297f7f8b9e4c1bfb8ef3e46f",
+	"erlangb servers=40": "a14b6b510da6f4d3f64997a7a223391cac5aaf8a0e4bb2f462558fc3138b14a3",
+}
+
+// TestScenarioStreamsPinned pins the generated request streams and the
+// Erlang-B reports bit for bit: their order, their IDs and every sampled
+// attribute. The generator's own tests check order, bounds and
+// run-to-run determinism only. The pins were taken where math.Exp runs
+// its amd64 FMA lane; elsewhere the environment's GDP weights and
+// bench.json's Weibull draws (math.Pow) may move, and the test is
+// skipped.
+func TestScenarioStreamsPinned(t *testing.T) {
+	// The two amd64 lanes of math.Exp round e^0.375 differently.
+	if runtime.GOARCH != "amd64" || math.Float64bits(math.Exp(0.375)) != 0x3ff747a513dbef6b {
+		t.Skip("math.Exp does not take its amd64 FMA lane here")
+	}
+	digest := func(key string, v any) {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != scenarioPins[key] {
+			t.Errorf("%s: digest %s, pinned %s", key, got, scenarioPins[key])
+		}
+	}
+	env := smallEnv(t)
+	for _, name := range []string{"bench", "smoke"} {
+		spec, err := scenario.Load(filepath.Join("specs", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			spec.Seed = seed
+			reqs, err := scenario.Generate(spec, env.ScenarioBinding())
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest(fmt.Sprintf("%s seed=%d", name, seed), reqs)
+		}
+	}
+	spec, err := scenario.Load(filepath.Join("specs", "erlangb.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// spacestat spec's binding: one pair, the spec's own horizon.
+	b := scenario.Binding{
+		Horizon: spec.Horizon,
+		Pairs: []workload.Pair{{
+			Src: topology.Endpoint{Kind: topology.EndpointGround, Index: 0},
+			Dst: topology.Endpoint{Kind: topology.EndpointGround, Index: 1},
+		}},
+		DefaultValuation: 1,
+	}
+	for _, servers := range []int{5, 20, 40} {
+		r, err := scenario.ValidateErlangB(spec, b, servers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest(fmt.Sprintf("erlangb servers=%d", servers), r)
+	}
 }
