@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 )
@@ -103,7 +104,7 @@ func ValidateErlangB(spec Spec, b Binding, servers int) (ErlangBReport, error) {
 	if len(spec.Events) > 0 {
 		return ErlangBReport{}, fmt.Errorf("scenario: erlang-b validation requires a stationary rate, spec has %d events", len(spec.Events))
 	}
-	gen, err := newGenerator(spec, b)
+	seq, horizon, err := arrivals(spec, b)
 	if err != nil {
 		return ErlangBReport{}, err
 	}
@@ -111,32 +112,28 @@ func ValidateErlangB(spec Spec, b Binding, servers int) (ErlangBReport, error) {
 	offered := lambda * meanHold
 	analytic := ErlangB(servers, offered)
 
-	warmupT := float64(gen.horizon) / 10
-	var busy busyHeap
-	arrivals, blocked := 0, 0
-	for {
-		a, ok := gen.nextArrival()
-		if !ok {
-			break
-		}
-		for len(busy) > 0 && busy[0] <= a.Time {
-			busy.pop()
+	warmupT := float64(horizon) / 10
+	busy := &busyHeap{}
+	counted, blocked := 0, 0
+	for _, a := range seq {
+		for busy.Len() > 0 && (*busy)[0] <= a.Time {
+			heap.Pop(busy)
 		}
 		scored := a.Time >= warmupT
 		if scored {
-			arrivals++
+			counted++
 		}
-		if len(busy) < servers {
-			busy.push(a.Time + a.HoldSlots)
+		if busy.Len() < servers {
+			heap.Push(busy, a.Time+a.HoldSlots)
 		} else if scored {
 			blocked++
 		}
 	}
-	if arrivals == 0 {
-		return ErlangBReport{}, fmt.Errorf("scenario: erlang-b validation saw no post-warmup arrivals (horizon %d too short?)", gen.horizon)
+	if counted == 0 {
+		return ErlangBReport{}, fmt.Errorf("scenario: erlang-b validation saw no post-warmup arrivals (horizon %d too short?)", horizon)
 	}
-	measured := float64(blocked) / float64(arrivals)
-	stderr := math.Sqrt(analytic * (1 - analytic) / float64(arrivals))
+	measured := float64(blocked) / float64(counted)
+	stderr := math.Sqrt(analytic * (1 - analytic) / float64(counted))
 	tol := math.Max(0.015, 4*stderr)
 	return ErlangBReport{
 		Servers:        servers,
@@ -144,7 +141,7 @@ func ValidateErlangB(spec Spec, b Binding, servers int) (ErlangBReport, error) {
 		MeanHoldSlots:  meanHold,
 		OfferedErlangs: offered,
 		Analytic:       analytic,
-		Arrivals:       arrivals,
+		Arrivals:       counted,
 		Blocked:        blocked,
 		Measured:       measured,
 		Tolerance:      tol,
@@ -155,41 +152,8 @@ func ValidateErlangB(spec Spec, b Binding, servers int) (ErlangBReport, error) {
 // busyHeap is a min-heap of departure times for the loss simulation.
 type busyHeap []float64
 
-func (h *busyHeap) push(t float64) {
-	*h = append(*h, t)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if (*h)[parent] <= (*h)[i] {
-			break
-		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
-		i = parent
-	}
-}
-
-func (h *busyHeap) pop() float64 {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s[l] < s[smallest] {
-			smallest = l
-		}
-		if r < n && s[r] < s[smallest] {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	*h = s
-	return top
-}
+func (h busyHeap) Len() int           { return len(h) }
+func (h busyHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h busyHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *busyHeap) Push(x any)        { *h = append(*h, x.(float64)) }
+func (h *busyHeap) Pop() any          { x := (*h)[len(*h)-1]; *h = (*h)[:len(*h)-1]; return x }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"container/heap"
 	"math"
 	"strings"
 	"testing"
@@ -160,12 +161,12 @@ func TestErlangBReportString(t *testing.T) {
 }
 
 func TestBusyHeap(t *testing.T) {
-	var h busyHeap
+	h := &busyHeap{}
 	for _, v := range []float64{5, 1, 4, 2, 3} {
-		h.push(v)
+		heap.Push(h, v)
 	}
 	for want := 1.0; want <= 5; want++ {
-		if got := h.pop(); got != want {
+		if got := heap.Pop(h); got != want {
 			t.Fatalf("pop %v, want %v", got, want)
 		}
 	}

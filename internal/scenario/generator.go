@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"spacebooking/internal/geo"
 	"spacebooking/internal/grid"
@@ -41,21 +43,6 @@ type arrival struct {
 	HoldSlots float64
 }
 
-// generator merges the class streams of a bound spec, one arrival at a
-// time in non-decreasing time order. Generate drains it to a slice;
-// ValidateErlangB reads it arrival by arrival for the continuous times.
-//
-// Determinism: each class stream owns its RNG (seeded from the spec
-// seed and the class index) and samples all of an arrival's attributes
-// at generation time, so the cross-class merge order never affects any
-// RNG's state. The merged sequence is a pure function of (spec,
-// binding) — independent of GOMAXPROCS and wall clock.
-type generator struct {
-	horizon int
-	streams []*classStream
-	nextID  int
-}
-
 // classStream generates one class's arrivals by time-rescaling
 // unit-mean renewal work through the piecewise-constant per-slot rate
 // λ(slot) = RatePerSlot × mean(pair weights) × flash(slot), where a
@@ -63,7 +50,6 @@ type generator struct {
 // event factors. For Poisson interarrivals this is exactly an
 // inhomogeneous Poisson process.
 type classStream struct {
-	idx   int
 	cls   Class
 	rng   *rand.Rand
 	inter interarrival
@@ -83,28 +69,33 @@ type classStream struct {
 	weights  []float64
 	weightsW float64 // sum of cached weights
 	lambda   float64 // cached per-slot rate
-
-	next    arrival
-	hasNext bool
-	done    bool
 }
 
-// newGenerator validates the spec against the binding and positions
-// every class stream before its first arrival.
-func newGenerator(spec Spec, b Binding) (*generator, error) {
+// arrivals validates the spec against the binding and returns its whole
+// arrival sequence, with the horizon the arrivals fall in: the stable
+// sort by time of every class's stream, drained in class order, with
+// request IDs numbered in that order.
+//
+// A class's times never decrease, so the stable sort is the merge that
+// always takes the earliest head, ties going to the lower class index.
+// Each class stream owns its RNG (seeded from the spec seed and the
+// class index) and samples all of an arrival's attributes when it
+// generates it, so neither the draining order nor the sort touches any
+// RNG's state. The sequence is a pure function of (spec, binding).
+func arrivals(spec Spec, b Binding) ([]arrival, int, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if b.Horizon <= 0 {
-		return nil, fmt.Errorf("scenario: binding horizon must be positive, got %d", b.Horizon)
+		return nil, 0, fmt.Errorf("scenario: binding horizon must be positive, got %d", b.Horizon)
 	}
 	if len(b.Pairs) == 0 {
-		return nil, fmt.Errorf("scenario: binding has no pairs")
+		return nil, 0, fmt.Errorf("scenario: binding has no pairs")
 	}
 	horizon := b.Horizon
 	if spec.Horizon > 0 {
 		if spec.Horizon > b.Horizon {
-			return nil, fmt.Errorf("scenario: spec horizon %d exceeds binding horizon %d", spec.Horizon, b.Horizon)
+			return nil, 0, fmt.Errorf("scenario: spec horizon %d exceeds binding horizon %d", spec.Horizon, b.Horizon)
 		}
 		horizon = spec.Horizon
 	}
@@ -120,18 +111,23 @@ func newGenerator(spec Spec, b Binding) (*generator, error) {
 		}
 	}
 	if needSites && len(b.Sites) == 0 {
-		return nil, fmt.Errorf("scenario: spec %q uses solar-phased diurnals or regional outages but the binding has no sites", spec.Name)
+		return nil, 0, fmt.Errorf("scenario: spec %q uses solar-phased diurnals or regional outages but the binding has no sites", spec.Name)
 	}
-	g := &generator{horizon: horizon}
+	var out []arrival
 	for i, c := range spec.Classes {
 		cs, err := newClassStream(i, c, spec, &b, horizon)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		cs.advance()
-		g.streams = append(g.streams, cs)
+		for a, ok := cs.next(); ok; a, ok = cs.next() {
+			out = append(out, a)
+		}
 	}
-	return g, nil
+	slices.SortStableFunc(out, func(x, y arrival) int { return cmp.Compare(x.Time, y.Time) })
+	for i := range out {
+		out[i].Req.ID = i
+	}
+	return out, horizon, nil
 }
 
 func newClassStream(idx int, c Class, spec Spec, b *Binding, horizon int) (*classStream, error) {
@@ -164,7 +160,7 @@ func newClassStream(idx int, c Class, spec Spec, b *Binding, horizon int) (*clas
 		}
 	}
 	cs := &classStream{
-		idx: idx, cls: c, inter: inter, rates: rates, val: val,
+		cls: c, inter: inter, rates: rates, val: val,
 		pairs: pairs, binding: b, horizon: horizon, curSlot: -1,
 		// Distinct large seed offsets per class keep streams independent
 		// while remaining a pure function of (seed, class index).
@@ -250,19 +246,14 @@ func (cs *classStream) refreshSlot(slot int) {
 	cs.lambda = lam
 }
 
-// advance stages the stream's next arrival (hasNext false at horizon
-// end). One unit-mean work sample is integrated through λ(slot).
-func (cs *classStream) advance() {
-	cs.hasNext = false
-	if cs.done {
-		return
-	}
+// next returns the stream's next arrival, or false once it reaches the
+// horizon. One unit-mean work sample is integrated through λ(slot).
+func (cs *classStream) next() (arrival, bool) {
 	work := cs.inter.sample(cs.rng)
 	for {
 		slot := int(cs.t)
 		if slot >= cs.horizon {
-			cs.done = true
-			return
+			return arrival{}, false
 		}
 		cs.refreshSlot(slot)
 		if cs.lambda <= 0 {
@@ -281,14 +272,13 @@ func (cs *classStream) advance() {
 		if cs.t >= float64(slot+1) {
 			cs.t = math.Nextafter(float64(slot+1), 0)
 		}
-		cs.emit(slot)
-		return
+		return cs.emit(slot), true
 	}
 }
 
 // emit samples the arrival's attributes (pair by weight, duration,
-// demand) with the class's own RNG and stages it.
-func (cs *classStream) emit(slot int) {
+// demand) with the class's own RNG.
+func (cs *classStream) emit(slot int) arrival {
 	// Fall back to the last pair if accumulated rounding keeps u above
 	// every partial sum.
 	pick := len(cs.weights) - 1
@@ -308,7 +298,7 @@ func (cs *classStream) emit(slot int) {
 	if end >= cs.horizon {
 		end = cs.horizon - 1
 	}
-	cs.next = arrival{
+	return arrival{
 		Req: workload.Request{
 			Src:         pair.Src,
 			Dst:         pair.Dst,
@@ -322,47 +312,19 @@ func (cs *classStream) emit(slot int) {
 		Time:      cs.t,
 		HoldSlots: float64(dur),
 	}
-	cs.hasNext = true
 }
 
-// nextArrival returns the next arrival across all classes in
-// non-decreasing time order (ties broken by class index), with request
-// IDs assigned sequentially at emission.
-func (g *generator) nextArrival() (arrival, bool) {
-	best := -1
-	for i, cs := range g.streams {
-		if !cs.hasNext {
-			continue
-		}
-		if best < 0 || cs.next.Time < g.streams[best].next.Time {
-			best = i
-		}
-	}
-	if best < 0 {
-		return arrival{}, false
-	}
-	cs := g.streams[best]
-	a := cs.next
-	a.Req.ID = g.nextID
-	g.nextID++
-	cs.advance()
-	return a, true
-}
-
-// Generate materialises the whole merged request sequence of a bound
-// spec, in arrival order. The slice is non-nil even when the spec yields
-// no arrival, since a nil sim.RunConfig.Requests means the flat workload.
+// Generate returns a bound spec's whole request sequence, in arrival
+// order. The slice is non-nil even when the spec yields no arrival,
+// since a nil sim.RunConfig.Requests means the flat workload.
 func Generate(spec Spec, b Binding) ([]workload.Request, error) {
-	g, err := newGenerator(spec, b)
+	as, _, err := arrivals(spec, b)
 	if err != nil {
 		return nil, err
 	}
-	out := []workload.Request{}
-	for {
-		a, ok := g.nextArrival()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, a.Req)
+	out := make([]workload.Request, len(as))
+	for i, a := range as {
+		out[i] = a.Req
 	}
+	return out, nil
 }

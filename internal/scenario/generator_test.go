@@ -136,7 +136,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 func TestGeneratorOrderingAndBounds(t *testing.T) {
 	spec := multiClassSpec()
 	b := testBinding(150)
-	gen, err := newGenerator(spec, b)
+	seq, _, err := arrivals(spec, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +144,7 @@ func TestGeneratorOrderingAndBounds(t *testing.T) {
 	lastSlot := -1
 	wantID := 0
 	classes := make(map[string]int)
-	for {
-		a, ok := gen.nextArrival()
-		if !ok {
-			break
-		}
+	for _, a := range seq {
 		req := a.Req
 		if a.Time < lastTime {
 			t.Fatalf("request %d time %v precedes %v", req.ID, a.Time, lastTime)
@@ -307,7 +303,7 @@ func TestSolarPhaseRequiresSites(t *testing.T) {
 	spec.Classes[0].Diurnal = &DiurnalSpec{PeriodSlots: 96, Amplitude: 0.4, SolarPhase: true}
 	b := testBinding(96)
 	b.Sites = nil
-	if _, err := newGenerator(spec, b); err == nil {
+	if _, _, err := arrivals(spec, b); err == nil {
 		t.Fatal("solar-phased spec accepted without sites")
 	}
 }
@@ -326,28 +322,28 @@ func TestSpecHorizonOverride(t *testing.T) {
 		}
 	}
 	spec.Horizon = 500
-	if _, err := newGenerator(spec, b); err == nil {
+	if _, _, err := arrivals(spec, b); err == nil {
 		t.Fatal("spec horizon beyond binding accepted")
 	}
 }
 
 func TestGeneratorRejectsBadBinding(t *testing.T) {
 	spec := validSpec()
-	if _, err := newGenerator(spec, Binding{Horizon: 0, Pairs: testBinding(10).Pairs}); err == nil {
+	if _, _, err := arrivals(spec, Binding{Horizon: 0, Pairs: testBinding(10).Pairs}); err == nil {
 		t.Fatal("zero horizon accepted")
 	}
-	if _, err := newGenerator(spec, Binding{Horizon: 10}); err == nil {
+	if _, _, err := arrivals(spec, Binding{Horizon: 10}); err == nil {
 		t.Fatal("empty pairs accepted")
 	}
 	spec.Classes[0].Pairs = []int{99}
-	if _, err := newGenerator(spec, testBinding(10)); err == nil {
+	if _, _, err := arrivals(spec, testBinding(10)); err == nil {
 		t.Fatal("out-of-range pair index accepted")
 	}
 	spec = validSpec()
 	spec.Classes[0].Mix.Valuation = 0
 	b := testBinding(10)
 	b.DefaultValuation = 0
-	if _, err := newGenerator(spec, b); err == nil {
+	if _, _, err := arrivals(spec, b); err == nil {
 		t.Fatal("missing valuation accepted")
 	}
 }
