@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 
+	"spacebooking/internal/grid"
 	"spacebooking/internal/scenario"
 	"spacebooking/internal/sim"
 	"spacebooking/internal/topology"
@@ -161,8 +162,8 @@ func TestDecisionGolden(t *testing.T) {
 	}
 }
 
-// TestDecisionGoldenWithoutFMA re-runs TestDecisionGolden in this test
-// binary with GODEBUG=cpu.fma=off. On amd64 the standard library picks
+// TestDecisionGoldenWithoutFMA re-runs TestDecisionGolden and
+// TestSiteTablesPinned in this test binary with GODEBUG=cpu.fma=off. On amd64 the standard library picks
 // some math lanes by CPU feature, so a pin that holds only with FMA
 // holds only on the hosts that have it.
 func TestDecisionGoldenWithoutFMA(t *testing.T) {
@@ -178,10 +179,48 @@ func TestDecisionGoldenWithoutFMA(t *testing.T) {
 	if prev := os.Getenv("GODEBUG"); prev != "" {
 		godebug = prev + "," + godebug
 	}
-	cmd := exec.Command(os.Args[0], "-test.run", "^TestDecisionGolden$", "-test.count", "1")
+	cmd := exec.Command(os.Args[0], "-test.run", "^(TestDecisionGolden|TestSiteTablesPinned)$", "-test.count", "1")
 	cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("TestDecisionGolden with GODEBUG=%s: %v\n%s", godebug, err, out)
+		t.Fatalf("the pins with GODEBUG=%s: %v\n%s", godebug, err, out)
+	}
+}
+
+// TestSiteTablesPinned pins the GDP-filtered site tables bit for bit at
+// the medium and paper tilings (subdivisions 4 and 5) and three sizes up
+// to the paper's 1 761 sites. The weights rank the sites every preset
+// draws its request pairs from, so they must not move with the host CPU
+// either; TestDecisionGoldenWithoutFMA re-runs this test without FMA.
+func TestSiteTablesPinned(t *testing.T) {
+	pins := map[string]string{
+		"4/60":   "aa27ea1dc6cdfea177497b15469f3d57caf5ea6fa5dcb058c9d411d2b33f791d",
+		"4/200":  "96f9aee9bf141ea469e9445903ee36f9654863c23234d4928a9b564d997e91b2",
+		"4/1761": "f73daaba1f8bdb5477463577ff85a9d9f091105b549d9be51437428dacb03305",
+		"5/60":   "6055e1a05eb9e7acdd9978916abb92f88ef002b288226f845c4febc5beb26ee7",
+		"5/200":  "38e00458ff22c1022f26292be0d2e68f378aff23ad682664fd44d8e9ace9567e",
+		"5/1761": "18c00d82171492dff716eda5abff56523311135462e9a4f168df60e3cc863317",
+	}
+	for _, subdivisions := range []int{4, 5} {
+		all, err := grid.TriangularSites(subdivisions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, keep := range []int{60, 200, 1761} {
+			sites, err := grid.FilterByGDP(all, keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, s := range sites {
+				for _, v := range []uint64{uint64(s.ID), math.Float64bits(s.LatDeg), math.Float64bits(s.LonDeg), math.Float64bits(s.Weight)} {
+					h.Write(binary.LittleEndian.AppendUint64(nil, v))
+				}
+			}
+			key := fmt.Sprintf("%d/%d", subdivisions, keep)
+			if got := hex.EncodeToString(h.Sum(nil)); got != pins[key] {
+				t.Errorf("%s sites: digest %s, pinned %s", key, got, pins[key])
+			}
+		}
 	}
 }
 

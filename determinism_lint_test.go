@@ -61,10 +61,6 @@ var determinismAllowed = map[lintSite]struct {
 	{"internal/core/cear.go", "PriceBuckets", lintHostMath}:                           {1, "plan-price histogram bounds, labels only"},
 	{"internal/scenario/erlang.go", "ErlangB", lintHostMath}:                          {2, "the Erlang-B check's analytical twin, compared within a tolerance"},
 	{"internal/grid/tiling.go", "var centerDirs,centerMinCos,farBound", lintHostMath}: {1, "a pruning bound raised by a 1e-9 margin, far above an ulp"},
-	{"internal/grid/tiling.go", "GDPDensity", lintHostMath}:                           {1, "item 28(b), pending: GDP site weights move without FMA"},
-	{"internal/workload/workload.go", "poisson", lintHostMath}:                        {1, "item 28(b), pending"},
-	{"internal/workload/workload.go", "truncExpMean", lintHostMath}:                   {1, "item 28(b), pending"},
-	{"internal/workload/workload.go", "RateSampler.Sample", lintHostMath}:             {1, "item 28(b), pending"},
 	{"internal/scenario/dist.go", "gammaVariate", lintHostMath}:                       {1, "item 28(b), pending"},
 	{"internal/scenario/dist.go", "weibullInterarrival.sample", lintHostMath}:         {1, "item 28(b), pending"},
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"spacebooking/internal/geo"
+	"spacebooking/internal/pricing"
 )
 
 // Site is a potential ground-user location: the centroid of one triangle
@@ -169,13 +170,14 @@ var centerPoints = func() []geo.SpherePoint {
 }()
 
 // GDPDensity returns the synthetic GDP density (arbitrary units) at a
-// geodetic point: a sum of Gaussian bumps over the economic centres.
+// geodetic point: a sum of Gaussian bumps over the economic centres,
+// through pricing.Exp so that the site ranking is the same on every host.
 func GDPDensity(latDeg, lonDeg float64) float64 {
 	p := geo.NewSpherePoint(geo.LLA{LatDeg: latDeg, LonDeg: lonDeg})
 	total := 0.0
 	for i, c := range economicCenters {
 		d := geo.HaversineKm(p, centerPoints[i])
-		total += c.weight * math.Exp(-d*d/(2*c.spread*c.spread))
+		total += c.weight * pricing.Exp(-d*d/(2*c.spread*c.spread))
 	}
 	return total
 }

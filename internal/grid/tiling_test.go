@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"spacebooking/internal/geo"
+	"spacebooking/internal/pricing"
 )
 
 func TestTriangularSitesCounts(t *testing.T) {
@@ -127,7 +128,7 @@ func TestGDPDensityMatchesGreatCircleFormula(t *testing.T) {
 			want := 0.0
 			for _, c := range economicCenters {
 				d := greatCircleKm(s.LLA(), geo.LLA{LatDeg: c.latDeg, LonDeg: c.lonDeg})
-				want += c.weight * math.Exp(-d*d/(2*c.spread*c.spread))
+				want += c.weight * pricing.Exp(-d*d/(2*c.spread*c.spread))
 			}
 			if got := GDPDensity(s.LatDeg, s.LonDeg); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%d subdivisions, site %d: GDPDensity %v, formula %v", subdivisions, s.ID, got, want)

@@ -6,12 +6,13 @@ package pricing
 
 import "math"
 
-// exp is e^x computed the way the Go standard library's amd64 math.Exp
+// Exp is e^x computed the way the Go standard library's amd64 math.Exp
 // computes it on a CPU with AVX and FMA: the avxfma lane of
 // src/math/exp_amd64.s (Go 1.24), ported to Go. That assembly picks its
 // lane by CPU feature, so math.Exp returns different bits on an amd64
-// host without FMA (or under GODEBUG=cpu.fma=off), and the price tables
-// built from it moved decisions with the host. Here math.FMA rounds once
+// host without FMA (or under GODEBUG=cpu.fma=off), and the price tables,
+// GDP site weights and workload samples computed with it moved with the
+// host. Here math.FMA rounds once
 // on every host, and every other product is wrapped in float64() so that
 // no compiler fuses it, which makes the result a function of x alone.
 //
@@ -19,7 +20,7 @@ import "math"
 // elementary functions suitable for SIMD computation", ISC'10); the
 // constants come from his SLEEF library, which is in the public domain.
 // The port keeps the assembly's operations and their order.
-func exp(x float64) float64 {
+func Exp(x float64) float64 {
 	switch {
 	case math.IsNaN(x) || math.IsInf(x, 1):
 		return x

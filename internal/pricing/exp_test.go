@@ -14,7 +14,7 @@ import (
 )
 
 // TestPriceTablesPinned pins both price tables' bits at the paper's μ and
-// at one pair of unequal factors. exp makes them the same on every host,
+// at one pair of unequal factors. Exp makes them the same on every host,
 // so a digest that moves means the tables, and the prices of every
 // decision, moved.
 func TestPriceTablesPinned(t *testing.T) {
@@ -44,7 +44,7 @@ func TestPriceTablesPinned(t *testing.T) {
 	}
 }
 
-// TestExpMatchesMathExpFMALane requires exp to return math.Exp's bits
+// TestExpMatchesMathExpFMALane requires Exp to return math.Exp's bits
 // wherever math.Exp takes its FMA lane: on the price tables' λ grids,
 // on random inputs over the whole finite range and at the edges of
 // overflow and underflow. Elsewhere math.Exp takes another lane, and the
@@ -67,12 +67,12 @@ func TestExpMatchesMathExpFMALane(t *testing.T) {
 		xs = append(xs, (2*rng.Float64()-1)*750, (2*rng.Float64()-1)*20)
 	}
 	for _, x := range xs {
-		if got, want := exp(x), math.Exp(x); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("exp(%v) = %v (%#x), math.Exp %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
+		if got, want := Exp(x), math.Exp(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Exp(%v) = %v (%#x), math.Exp %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
-	if !math.IsNaN(exp(math.NaN())) {
-		t.Error("exp(NaN) is not NaN")
+	if !math.IsNaN(Exp(math.NaN())) {
+		t.Error("Exp(NaN) is not NaN")
 	}
 }
 

@@ -17,14 +17,14 @@ type lut struct {
 	vals [lutSize + 1]float64
 }
 
-// newLUT builds the table with exp, not math.Exp, whose amd64 lane (and
+// newLUT builds the table with Exp, not math.Exp, whose amd64 lane (and
 // so the table's bits, and every decision priced from it) depends on
 // whether the CPU has FMA.
 func newLUT(mu float64) lut {
 	var l lut
 	logMu := math.Log(mu)
 	for i := 0; i <= lutSize; i++ {
-		l.vals[i] = exp(float64(logMu*float64(i))/lutSize) - 1
+		l.vals[i] = Exp(float64(logMu*float64(i))/lutSize) - 1
 	}
 	return l
 }
@@ -61,12 +61,15 @@ type FastPricer struct {
 // concurrently with pricing; wire it at algorithm construction.
 func (f *FastPricer) Instrument(c *obs.Counter) { f.lookups = c }
 
-// Fast precomputes a FastPricer for these parameters.
+// Fast precomputes a FastPricer for these parameters. Equal factors, as
+// at the paper's F1 = F2, share one table's values.
 func (p Params) Fast() *FastPricer {
-	return &FastPricer{
-		congestion: newLUT(p.Mu1),
-		energy:     newLUT(p.Mu2),
+	f := &FastPricer{congestion: newLUT(p.Mu1)}
+	f.energy = f.congestion
+	if p.Mu2 != p.Mu1 {
+		f.energy = newLUT(p.Mu2)
 	}
+	return f
 }
 
 // CongestionUnitCost returns σ_e(T)/c_e(T) = μ1^λ − 1, the congestion

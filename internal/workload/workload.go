@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 
+	"spacebooking/internal/pricing"
 	"spacebooking/internal/topology"
 )
 
@@ -202,7 +203,7 @@ func Generate(cfg Config) ([]Request, error) {
 // λ ≤ maxSlotRate, which Validate enforces, and quick for the λ ≤ 25
 // used in the evaluation.
 func poisson(rng *rand.Rand, lambda float64) int {
-	limit := math.Exp(-lambda)
+	limit := pricing.Exp(-lambda)
 	p := 1.0
 	k := 0
 	for {
@@ -238,7 +239,7 @@ func truncExpMean(min, max, rate float64) float64 {
 		return min + width*(0.5-x/12)
 	}
 	// E = 1/rate - width * e^{-x} / (1 - e^{-x}), shifted by min.
-	return min + 1/rate + width*math.Exp(-x)/math.Expm1(-x)
+	return min + 1/rate + width*pricing.Exp(-x)/math.Expm1(-x)
 }
 
 // NewRateSampler calibrates a sampler on [min, max] with the target
@@ -279,5 +280,5 @@ func (s RateSampler) Sample(rng *rand.Rand) float64 {
 	// Inverse-CDF sampling of the truncated exponential.
 	width := s.max - s.min
 	u := rng.Float64()
-	return s.min - math.Log(1-u*(1-math.Exp(-s.rate*width)))/s.rate
+	return s.min - math.Log(1-u*(1-pricing.Exp(-s.rate*width)))/s.rate
 }
