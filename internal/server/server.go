@@ -457,16 +457,8 @@ func (s *Server) admitOne(p *pending) {
 		return
 	}
 
-	d, err := eng.Admit(workload.Request{
-		ID:          int(p.id),
-		Src:         p.src,
-		Dst:         p.dst,
-		ArrivalSlot: arrival,
-		StartSlot:   start,
-		EndSlot:     end,
-		RateMbps:    p.rate,
-		Valuation:   p.val,
-	})
+	req := p.request()
+	d, err := eng.Admit(req)
 	if err != nil {
 		p.resv.Status = StatusError
 		p.resv.Reason = err.Error()
@@ -474,7 +466,7 @@ func (s *Server) admitOne(p *pending) {
 		return
 	}
 	if s.tracing {
-		rec := sim.DecisionRecord(p.request(), d, eng.Total())
+		rec := sim.DecisionRecord(req, d, eng.Total())
 		p.decision = &rec
 	}
 	s.statTotal.Add(1)
@@ -546,7 +538,8 @@ func subPhase(name string, startNs, durNs int64) obs.TraceSpan {
 }
 
 // request is the booking as the engine sees it, with the window as far
-// as admitOne resolved it (zero before that).
+// as admitOne resolved it (zero before that): admitOne admits it and the
+// audit record carries it.
 func (p *pending) request() workload.Request {
 	return workload.Request{
 		ID:          int(p.id),
