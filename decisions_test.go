@@ -163,9 +163,9 @@ func TestDecisionGolden(t *testing.T) {
 }
 
 // TestDecisionGoldenWithoutFMA re-runs TestDecisionGolden and
-// TestSiteTablesPinned in this test binary with GODEBUG=cpu.fma=off. On amd64 the standard library picks
-// some math lanes by CPU feature, so a pin that holds only with FMA
-// holds only on the hosts that have it.
+// TestSiteTablesPinned in this test binary with GODEBUG=cpu.fma=off. On
+// amd64 the standard library picks some math lanes by CPU feature, so a
+// pin that holds only with FMA holds only on the hosts that have it.
 func TestDecisionGoldenWithoutFMA(t *testing.T) {
 	switch {
 	case runtime.GOARCH != "amd64":

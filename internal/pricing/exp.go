@@ -12,9 +12,9 @@ import "math"
 // lane by CPU feature, so math.Exp returns different bits on an amd64
 // host without FMA (or under GODEBUG=cpu.fma=off), and the price tables,
 // GDP site weights and workload samples computed with it moved with the
-// host. Here math.FMA rounds once
-// on every host, and every other product is wrapped in float64() so that
-// no compiler fuses it, which makes the result a function of x alone.
+// host. Here math.FMA rounds once on every host, and every other product
+// is wrapped in float64() so that no compiler fuses it, which makes the
+// result a function of x alone.
 //
 // The method is Naoki Shibata's ("Efficient evaluation methods of
 // elementary functions suitable for SIMD computation", ISC'10); the

@@ -314,8 +314,8 @@ func (cs *classStream) emit(slot int) arrival {
 	}
 }
 
-// Generate returns a bound spec's whole request sequence, in arrival
-// order. The slice is non-nil even when the spec yields no arrival,
+// Generate returns a bound spec's whole request sequence: the stable
+// time sort of its class streams (see arrivals). The slice is non-nil even when the spec yields no arrival,
 // since a nil sim.RunConfig.Requests means the flat workload.
 func Generate(spec Spec, b Binding) ([]workload.Request, error) {
 	as, _, err := arrivals(spec, b)
